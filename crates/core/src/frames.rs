@@ -240,6 +240,15 @@ pub fn rewrite_value(rewritten: &RewrittenUrl) -> Value {
     ])
 }
 
+/// Append the canonical JSON object of a rewrite decision to a response
+/// being assembled in place — the bytes [`rewrite_value`] renders to,
+/// without the tree.
+pub fn write_rewrite_json(out: &mut Vec<u8>, rewritten: &RewrittenUrl) {
+    out.extend_from_slice(br#"{"action":"rewrite","url":"#);
+    crawler::json::write_string(out, rewritten.url());
+    out.push(b'}');
+}
+
 /// Encode a decision as its canonical JSON object. The encoding is
 /// canonical (field order fixed), so equal decisions render to
 /// byte-identical JSON — the property the preformatted response tables and
@@ -424,7 +433,7 @@ impl std::error::Error for FrameError {}
 /// A bounds-checked little-endian cursor over one binary frame. Every
 /// read either advances or returns a typed [`FrameError`] — truncated or
 /// hostile frames can never panic or over-read.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FrameReader<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -502,8 +511,19 @@ impl<'a> FrameReader<'a> {
 /// frame: one `u32`-length-prefixed UTF-8 string.
 pub fn encode_rewrite_payload(rewritten: &RewrittenUrl) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + rewritten.url().len());
-    put_bytes(&mut out, rewritten.url().as_bytes());
+    write_rewrite_payload(&mut out, rewritten);
     out
+}
+
+/// Append [`encode_rewrite_payload`]'s bytes to a response being assembled
+/// in place; [`rewrite_payload_len`] of them.
+pub fn write_rewrite_payload(out: &mut Vec<u8>, rewritten: &RewrittenUrl) {
+    put_bytes(out, rewritten.url().as_bytes());
+}
+
+/// Length of a rewrite payload, for the frame header written before it.
+pub fn rewrite_payload_len(rewritten: &RewrittenUrl) -> u32 {
+    4 + rewritten.url().len() as u32
 }
 
 /// Decode the binary payload of a rewrite decision frame.

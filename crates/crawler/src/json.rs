@@ -7,7 +7,13 @@
 //! bytes (a property the persistence tests rely on). The [`ToJson`] /
 //! [`FromJson`] traits are implemented by the event and database types in
 //! [`crate::events`] and [`crate::database`].
+//!
+//! There is one tokenizer, the pull [`Reader`]: [`Value::parse`] builds its
+//! tree through it, and a consumer that wants a few fields of a document on
+//! a hot path (the verdict server's decision endpoints) reads them in place
+//! instead, borrowing the strings and building no tree.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON document node.
@@ -179,67 +185,149 @@ impl Value {
 
     /// Parse a JSON document.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        parser.skip_whitespace();
-        let value = parser.parse_value()?;
-        parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
-            return err(format!("trailing data at byte {}", parser.pos));
-        }
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// What a string literal is rendered into: the `String` of
+/// [`Value::render`], or the byte buffer of [`write_string`].
+trait Sink {
+    fn put(&mut self, text: &str);
 }
 
-/// Maximum container nesting the parser accepts. Crawl databases nest four
+impl Sink for String {
+    fn put(&mut self, text: &str) {
+        self.push_str(text);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+}
+
+fn render_string(s: &str, out: &mut impl Sink) {
+    out.put("\"");
+    // Copy the runs between escapes whole; every escaped character is one
+    // ASCII byte, so the run boundaries are char boundaries.
+    let mut run_start = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.put(&s[run_start..at]);
+        if escape.is_empty() {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            let digits = [HEX[usize::from(byte >> 4)], HEX[usize::from(byte & 0xf)]];
+            out.put("\\u00");
+            out.put(std::str::from_utf8(&digits).expect("hex digits are ascii"));
+        } else {
+            out.put(escape);
+        }
+        run_start = at + 1;
+    }
+    out.put(&s[run_start..]);
+    out.put("\"");
+}
+
+/// Append `s` to a byte buffer as a JSON string literal, quotes and
+/// escapes included — byte-identical to how [`Value::render`] writes a
+/// [`Value::String`], for responses assembled without a tree.
+pub fn write_string(out: &mut Vec<u8>, s: &str) {
+    render_string(s, out);
+}
+
+/// Maximum container nesting the reader accepts. Crawl databases nest four
 /// levels deep; the limit only exists so corrupted or hostile input returns
 /// a [`JsonError`] instead of overflowing the stack.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// The kind of the JSON value at a [`Reader`]'s cursor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
 }
 
-impl Parser<'_> {
-    fn skip_whitespace(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+/// A pull tokenizer over one JSON document — the only JSON scanner in the
+/// workspace. [`Value::parse`] is a consumer that builds the tree; a hot
+/// path that wants a handful of string fields reads them in place instead
+/// and pays for no tree: [`Reader::string`] borrows from the document
+/// whenever the literal contains no escape, and [`Reader::skip_value`]
+/// checks everything it passes over (escapes, numbers, nesting depth)
+/// exactly as a parse would, so "decoded without a tree" never means
+/// "accepted what the tree parser rejects".
+///
+/// ```
+/// use crawler::json::Reader;
+/// use std::borrow::Cow;
+///
+/// let mut reader = Reader::new(r#"{"tags":["a\n",2],"host":"px.ads.com"}"#);
+/// let mut host = None;
+/// reader.begin_object().unwrap();
+/// while let Some(key) = reader.next_key().unwrap() {
+///     match key.as_ref() {
+///         "host" => host = Some(reader.string().unwrap()),
+///         _ => reader.skip_value().unwrap(),
+///     }
+/// }
+/// reader.finish().unwrap();
+/// // No escape in the literal, so nothing was copied.
+/// assert!(matches!(host, Some(Cow::Borrowed("px.ads.com"))));
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+    /// The cursor sits right after a container's opening bracket, so the
+    /// next entry is not preceded by a comma.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn skip_whitespace(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek_byte() {
+            self.pos += 1;
+        }
+    }
+
+    fn peek_byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
+        if self.peek_byte() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
@@ -251,189 +339,300 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.nested(Parser::parse_object),
-            Some(b'[') => self.nested(Parser::parse_array),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
+    /// The kind of the next value (after any whitespace), without
+    /// consuming it.
+    pub fn peek(&mut self) -> Result<Kind, JsonError> {
+        self.skip_whitespace();
+        match self.peek_byte() {
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'"') => Ok(Kind::String),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
             other => err(format!("unexpected input {other:?} at byte {}", self.pos)),
         }
     }
 
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<Value, JsonError>,
-    ) -> Result<Value, JsonError> {
-        if self.depth >= MAX_DEPTH {
-            return err(format!("nesting deeper than {MAX_DEPTH} levels"));
+    fn keyword(&mut self, keyword: &str) -> bool {
+        let found = self.text.as_bytes()[self.pos..].starts_with(keyword.as_bytes());
+        if found {
+            self.pos += keyword.len();
         }
-        self.depth += 1;
-        let result = parse(self);
-        self.depth -= 1;
-        result
+        found
     }
 
-    fn parse_keyword(&mut self, keyword: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
-            self.pos += keyword.len();
-            Ok(value)
+    /// Consume `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.skip_whitespace();
+        if self.keyword("null") {
+            Ok(())
         } else {
             err(format!("invalid literal at byte {}", self.pos))
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
+    /// Consume `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        self.skip_whitespace();
+        if self.keyword("true") {
+            Ok(true)
+        } else if self.keyword("false") {
+            Ok(false)
+        } else {
+            err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    /// Consume a number.
+    pub fn number(&mut self) -> Result<f64, JsonError> {
+        self.skip_whitespace();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.peek_byte() == Some(b'-') {
             self.pos += 1;
         }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek_byte() {
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError("invalid utf-8 in number".into()))?;
+        // Every byte passed over is ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map(Value::Number)
             .map_err(|_| JsonError(format!("invalid number `{text}`")))
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    /// Advance to the next `"` or `\` (or the end of the document).
+    /// Multi-byte UTF-8 units are all >= 0x80 and can never collide with
+    /// either, so a byte scan is safe, the cursor stops on a char boundary,
+    /// and string reading stays linear in the document size. Eight bytes
+    /// are tested per step: a byte of `word ^ pattern` is zero exactly
+    /// where `word` holds the pattern's byte, and `(x - 0x01…) & !x &
+    /// 0x80…` has its lowest set bit in the lowest zero byte of `x`.
+    fn skip_literal_run(&mut self) {
+        const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+        const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+        let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+        let bytes = self.text.as_bytes();
+        while let Some(chunk) = bytes.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte slice"));
+            let found = zero_bytes(word ^ (ONES * u64::from(b'"')))
+                | zero_bytes(word ^ (ONES * u64::from(b'\\')));
+            if found != 0 {
+                self.pos += found.trailing_zeros() as usize / 8;
+                return;
+            }
+            self.pos += 8;
+        }
+        let rest = &bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+    }
+
+    /// Consume a string. The result borrows from the document unless the
+    /// literal contains an escape, which forces an unescaped copy.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_whitespace();
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.skip_literal_run();
+        if self.peek_byte() == Some(b'"') {
+            let literal = &self.text[start..self.pos];
+            self.pos += 1;
+            return Ok(Cow::Borrowed(literal));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
-            // Copy the literal run up to the next quote or escape in one
-            // validated chunk (multi-byte UTF-8 units are all >= 0x80 and
-            // can never collide with `"` or `\`, so a byte scan is safe and
-            // string parsing stays linear in the document size).
+            match self.peek_byte() {
+                None => return err("unterminated string"),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                _ => out.push(self.escape()?),
+            }
             let run_start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if run_start < self.pos {
-                let chunk = std::str::from_utf8(&self.bytes[run_start..self.pos])
-                    .map_err(|_| JsonError("invalid utf-8 in string".into()))?;
-                out.push_str(chunk);
-            }
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return err("unterminated string");
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let first = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let second = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&second) {
-                                    return err("invalid low surrogate");
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            } else {
-                                first
-                            };
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return err(format!("invalid code point {code:#x}")),
-                            }
-                        }
-                        other => return err(format!("invalid escape `\\{}`", char::from(other))),
-                    }
-                }
-                _ => unreachable!("the literal-run scan stops only at `\"` or `\\`"),
-            }
+            self.skip_literal_run();
+            out.push_str(&self.text[run_start..self.pos]);
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+    /// Consume one escape sequence (the cursor is on its `\`).
+    fn escape(&mut self) -> Result<char, JsonError> {
+        self.pos += 1;
+        let Some(esc) = self.peek_byte() else {
+            return err("unterminated escape");
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000C}',
+            b'u' => {
+                let first = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&first) {
+                    // Surrogate pair.
+                    self.expect(b'\\')?;
+                    self.expect(b'u')?;
+                    let second = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&second) {
+                        return err("invalid low surrogate");
+                    }
+                    0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+                } else {
+                    first
+                };
+                match char::from_u32(code) {
+                    Some(c) => c,
+                    None => return err(format!("invalid code point {code:#x}")),
+                }
+            }
+            other => return err(format!("invalid escape `\\{}`", char::from(other))),
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let Some(digits) = self.text.as_bytes().get(self.pos..self.pos + 4) else {
             return err("truncated \\u escape");
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+        };
+        // Four bytes that are valid UTF-8 on their own end on a char
+        // boundary, so the cursor stays on one.
+        let hex = std::str::from_utf8(digits)
             .map_err(|_| JsonError("invalid utf-8 in \\u escape".into()))?;
         self.pos += 4;
         u32::from_str_radix(hex, 16).map_err(|_| JsonError(format!("invalid hex `{hex}`")))
     }
 
-    fn parse_array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn begin(&mut self, open: u8) -> Result<(), JsonError> {
         self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
+        if self.depth >= MAX_DEPTH {
+            return err(format!("nesting deeper than {MAX_DEPTH} levels"));
         }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
+        self.expect(open)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Step to the next entry of the innermost container, consuming the
+    /// separating comma; `false` once its closing bracket is consumed.
+    fn next_entry(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_whitespace();
+        let first = std::mem::replace(&mut self.fresh, false);
+        match self.peek_byte() {
+            Some(byte) if byte == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            other => err(format!(
+                "expected `,` or `{}`, got {other:?}",
+                char::from(close)
+            )),
+        }
+    }
+
+    /// Enter an object; iterate it with [`Reader::next_key`].
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.begin(b'{')
+    }
+
+    /// The next key of the object entered last, with the cursor left on
+    /// its value (which the caller must consume); `None` once the object's
+    /// closing brace is consumed. Duplicate keys are reported as they come.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.next_entry(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_whitespace();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Enter an array; iterate it with [`Reader::next_element`].
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.begin(b'[')
+    }
+
+    /// Whether the array entered last has another element, with the cursor
+    /// left on it (the caller must consume it); `false` once the array's
+    /// closing bracket is consumed.
+    pub fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.next_entry(b']')
+    }
+
+    /// Consume the next value of any kind without building it. Everything
+    /// skipped is still checked, and nesting is still depth-limited.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.string().map(drop),
+            Kind::Array => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip_value()?;
                 }
-                other => return err(format!("expected `,` or `]`, got {other:?}")),
+                Ok(())
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+                Ok(())
             }
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                other => return err(format!("expected `,` or `}}`, got {other:?}")),
+    /// Consume the next value of any kind into a [`Value`] tree.
+    pub fn value(&mut self) -> Result<Value, JsonError> {
+        Ok(match self.peek()? {
+            Kind::Null => {
+                self.null()?;
+                Value::Null
             }
+            Kind::Bool => Value::Bool(self.bool()?),
+            Kind::Number => Value::Number(self.number()?),
+            Kind::String => Value::String(self.string()?.into_owned()),
+            Kind::Array => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Value::Array(items)
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    fields.push((key.into_owned(), self.value()?));
+                }
+                Value::Object(fields)
+            }
+        })
+    }
+
+    /// The end of the document: only whitespace may follow the last value.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_whitespace();
+        if self.pos != self.text.len() {
+            return err(format!("trailing data at byte {}", self.pos));
         }
+        Ok(())
     }
 }
 
@@ -512,6 +711,97 @@ mod tests {
     #[should_panic(expected = "2^53")]
     fn unrepresentable_integers_are_refused_at_encode_time() {
         let _ = Value::number_u64((1u64 << 53) + 1);
+    }
+
+    #[test]
+    fn write_string_matches_render_for_every_escape() {
+        let mut original: String = (0u8..0x30).map(char::from).collect();
+        original.push_str("\\ é 中 🦀 \u{7f}");
+        let mut bytes = Vec::new();
+        write_string(&mut bytes, &original);
+        let rendered = Value::String(original.clone()).render();
+        assert_eq!(bytes, rendered.as_bytes());
+        assert!(rendered.contains("\\u001f") && rendered.contains("\\n"));
+        assert_eq!(Value::parse(&rendered).unwrap().as_str().unwrap(), original);
+    }
+
+    #[test]
+    fn reader_borrows_unescaped_strings_and_copies_escaped_ones() {
+        let text =
+            r#" { "plain" : "px.ads.com" , "esc\u0061ped" : "a\tb" , "n" : [1, {"x": null}] } "#;
+        let mut reader = Reader::new(text);
+        assert_eq!(reader.peek().unwrap(), Kind::Object);
+        reader.begin_object().unwrap();
+        let key = reader.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("plain")));
+        assert!(matches!(
+            reader.string().unwrap(),
+            Cow::Borrowed("px.ads.com")
+        ));
+        let key = reader.next_key().unwrap().unwrap();
+        assert!(matches!(&key, Cow::Owned(unescaped) if unescaped == "escaped"));
+        assert!(matches!(reader.string().unwrap(), Cow::Owned(unescaped) if unescaped == "a\tb"));
+        assert_eq!(reader.next_key().unwrap().as_deref(), Some("n"));
+        reader.skip_value().unwrap();
+        assert_eq!(reader.next_key().unwrap(), None);
+        reader.finish().unwrap();
+    }
+
+    #[test]
+    fn strings_end_at_the_right_byte_at_every_alignment() {
+        // The string scan tests eight bytes per step; put the closing quote
+        // and an escape at every offset into a step, after ASCII and
+        // multi-byte runs alike.
+        for filler in ["a", "é", "🦀"] {
+            for run in 0..20 {
+                let plain = filler.repeat(run);
+                let mut reader = Reader::new(&plain);
+                reader.skip_literal_run();
+                assert_eq!(reader.pos, plain.len(), "no terminator: stop at the end");
+
+                let text = format!("[\"{plain}\",\"{plain}\\n{plain}\\\\\",0]");
+                let expected = Value::Array(vec![
+                    Value::String(plain.clone()),
+                    Value::String(format!("{plain}\n{plain}\\")),
+                    Value::Number(0.0),
+                ]);
+                assert_eq!(Value::parse(&text).unwrap(), expected, "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_checks_what_parsing_checks() {
+        // Whatever `Value::parse` rejects, `skip_value` + `finish` rejects
+        // with the same message, and vice versa.
+        let deep_ok = format!("{}1{}", "[".repeat(128), "]".repeat(128));
+        let too_deep = format!("{}1{}", "[".repeat(129), "]".repeat(129));
+        let too_deep_objects = "{\"a\":".repeat(129);
+        for text in [
+            "[1,2,{\"a\":\"\\ud83e\\udd80\"}]",
+            deep_ok.as_str(),
+            too_deep.as_str(),
+            too_deep_objects.as_str(),
+            "[1,]",
+            "{\"a\" 1}",
+            "{\"a\":1,}",
+            "\"\\ud83e\"",
+            "\"\\ud83e\\u0041\"",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "\"open",
+            "1e",
+            "-",
+            "tru",
+            "nul",
+            "[1 2]",
+            "{} x",
+            "",
+        ] {
+            let mut reader = Reader::new(text);
+            let skipped = reader.skip_value().and_then(|()| reader.finish());
+            assert_eq!(skipped.err(), Value::parse(text).err(), "{text}");
+        }
     }
 
     #[test]

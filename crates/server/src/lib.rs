@@ -24,7 +24,11 @@
 //! time**: the published verdict table carries complete response bodies
 //! for every non-surrogate decision (JSON and binary) plus per-script
 //! surrogate frames, so the hot path serves a memcpy instead of walking a
-//! JSON tree per request.
+//! JSON tree per request. The request side matches it: a decision request
+//! is framed as a view of the connection's read buffer, its query decoded
+//! in place, and head and body appended straight to the connection's
+//! write buffer ([`decide`]) — nothing between the socket read and the
+//! socket write touches the heap unless the decision is a rewrite.
 //!
 //! # Endpoints
 //!
@@ -136,14 +140,15 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
+pub mod decide;
 pub mod http;
 pub mod poller;
 pub mod wire;
 
 use crawler::json::{object, Value};
-use http::{HttpRequest, HttpResponse, RequestParser};
+use http::{HttpResponse, RequestParser, RequestView};
 use poller::Poller;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -152,13 +157,12 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use trackersift::frames::{self, PROTO_VERSION};
+use trackersift::frames;
 use trackersift::{
-    diff_revisions, CommitStats, DecisionRequest, DeltaSnapshot, JournalStats, KeyedRequest,
-    ObserveOutcome, PrebuiltDecision, RecoveryReport, RevisionRangeError, ServiceStats,
-    SifterReader, SifterSnapshot, SifterWriter, VerdictTable,
+    diff_revisions, CommitStats, DeltaSnapshot, JournalStats, ObserveOutcome, RecoveryReport,
+    RevisionRangeError, ServiceStats, SifterReader, SifterSnapshot, SifterWriter,
 };
-use wire::{BinaryKeys, BinaryRecord, DecisionMessage, ObservationMessage};
+use wire::ObservationMessage;
 
 /// Configuration of a [`VerdictServer`].
 ///
@@ -868,13 +872,6 @@ impl Conn {
         self.out_at < self.out.len()
     }
 
-    /// Charge one admitted request to the in-flight gauge; released when
-    /// the output buffer fully drains (or in `Drop`).
-    fn hold_inflight(&mut self) {
-        self.gauges.inflight.fetch_add(1, Ordering::Relaxed);
-        self.inflight_held += 1;
-    }
-
     /// Flush as much of `out` as the socket accepts right now.
     fn flush(&mut self) {
         while self.out_at < self.out.len() {
@@ -897,6 +894,7 @@ impl Conn {
         }
         self.out.clear();
         self.out_at = 0;
+        http::release_excess(&mut self.out);
         if self.inflight_held > 0 {
             self.gauges
                 .inflight
@@ -1029,7 +1027,9 @@ impl Worker {
         let mut conns: Vec<Conn> = Vec::new();
         let mut poller = Poller::new();
         let mut backoff = AcceptBackoff::new(0x9e37_79b9_7f4a_7c15 ^ (self.index as u64 + 1));
-        let mut read_buf = vec![0u8; 64 * 1024];
+        // The poll slot of each connection, in `conns` order; refilled in
+        // place on every wake.
+        let mut conn_slots: Vec<usize> = Vec::new();
 
         while !self.stop.load(Ordering::SeqCst) {
             // (Re)build the interest set: the shared listener while the
@@ -1040,12 +1040,10 @@ impl Worker {
             let now = Instant::now();
             let accepting = backoff.ready(now);
             let listener_slot = accepting.then(|| poller.register(&self.listener, true, false));
-            let conn_slots: Vec<usize> = conns
-                .iter()
-                .map(|conn| {
-                    poller.register(&conn.stream, !conn.close_after_flush, conn.pending_out())
-                })
-                .collect();
+            conn_slots.clear();
+            conn_slots.extend(conns.iter().map(|conn| {
+                poller.register(&conn.stream, !conn.close_after_flush, conn.pending_out())
+            }));
 
             let timeout = if accepting {
                 POLL_SLICE
@@ -1064,12 +1062,12 @@ impl Worker {
             }
 
             let now = Instant::now();
-            for (slot, conn) in conn_slots.into_iter().zip(conns.iter_mut()) {
+            for (&slot, conn) in conn_slots.iter().zip(conns.iter_mut()) {
                 if poller.writable(slot) && conn.pending_out() {
                     conn.flush();
                 }
                 if !conn.dead && !conn.close_after_flush && poller.readable(slot) {
-                    self.service_readable(conn, &mut read_buf);
+                    self.service_readable(conn);
                 }
                 // A connection that made no progress for the idle timeout
                 // is abandoned silently — exactly what a stalled or
@@ -1080,14 +1078,14 @@ impl Worker {
             }
             conns.retain(|conn| !conn.finished());
         }
-        self.drain(&mut conns, &mut poller, &mut read_buf);
+        self.drain(&mut conns, &mut poller);
     }
 
     /// Graceful drain after the stop flag: connections with a response
     /// still queued or a request mid-parse get up to `drain_timeout` to
     /// finish and flush; idle keep-alive connections close immediately.
     /// Bounded so a wedged peer cannot hold shutdown hostage.
-    fn drain(&self, conns: &mut Vec<Conn>, poller: &mut Poller, read_buf: &mut [u8]) {
+    fn drain(&self, conns: &mut Vec<Conn>, poller: &mut Poller) {
         let deadline = Instant::now() + self.drain_timeout;
         conns.retain(|conn| !conn.dead && (conn.pending_out() || conn.parser.mid_request()));
         while !conns.is_empty() {
@@ -1112,7 +1110,7 @@ impl Worker {
                     conn.flush();
                 }
                 if !conn.dead && conn.parser.mid_request() && poller.readable(slot) {
-                    self.service_readable(conn, read_buf);
+                    self.service_readable(conn);
                 }
             }
             // Whatever finished its request and flushed is done; dropping
@@ -1167,9 +1165,11 @@ impl Worker {
         }
     }
 
-    /// Read once, then serve every complete request the bytes produced.
-    fn service_readable(&self, conn: &mut Conn, read_buf: &mut [u8]) {
-        match conn.stream.read(read_buf) {
+    /// Read once, straight into the connection's parser, then serve every
+    /// complete request the bytes produced — each one borrowed from the
+    /// parser's buffer and answered into the connection's output buffer.
+    fn service_readable(&self, conn: &mut Conn) {
+        match conn.parser.read_from(&mut conn.stream) {
             Ok(0) => {
                 // EOF. A partial request on the wire is a client fault
                 // worth answering (it may still read); a clean boundary is
@@ -1188,10 +1188,7 @@ impl Worker {
                 }
                 return;
             }
-            Ok(n) => {
-                conn.last_activity = Instant::now();
-                conn.parser.push(&read_buf[..n]);
-            }
+            Ok(_) => conn.last_activity = Instant::now(),
             Err(error) if error.kind() == io::ErrorKind::WouldBlock => return,
             Err(error) if error.kind() == io::ErrorKind::Interrupted => return,
             Err(_) => {
@@ -1201,44 +1198,8 @@ impl Worker {
         }
 
         loop {
-            match conn.parser.next(self.max_body_bytes) {
-                Ok(Some(request)) => {
-                    self.counters[self.index]
-                        .requests
-                        .fetch_add(1, Ordering::Relaxed);
-                    // Deterministic chaos hook: with the `failpoints`
-                    // feature a `worker.request` panic fault detonates
-                    // here, exercising the catch_unwind respawn path.
-                    trackersift::failpoint::maybe_panic("worker.request");
-                    let keep_alive = request.keep_alive();
-                    // Admission control: over the in-flight budget the
-                    // request is answered 503 + Retry-After in its own
-                    // protocol (binary requests get a binary shed frame)
-                    // without losing the connection.
-                    let response = if self.gauges.inflight.load(Ordering::Relaxed)
-                        >= self.max_inflight as u64
-                    {
-                        self.counters[self.index]
-                            .shed_requests
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.shed_response(&request)
-                    } else {
-                        conn.hold_inflight();
-                        self.route(&request)
-                    };
-                    if response.status >= 400 {
-                        self.counters[self.index]
-                            .errors
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    if !response.render_into(&mut conn.out, keep_alive) {
-                        // Closing response: any pipelined remainder is
-                        // from a desynced client, drop it.
-                        conn.parser.reset();
-                        conn.close_after_flush = true;
-                        break;
-                    }
-                }
+            let request = match conn.parser.next_view(self.max_body_bytes) {
+                Ok(Some(request)) => request,
                 Ok(None) => break,
                 Err(error) => {
                     self.counters[self.index]
@@ -1249,6 +1210,50 @@ impl Worker {
                     conn.close_after_flush = true;
                     break;
                 }
+            };
+            self.counters[self.index]
+                .requests
+                .fetch_add(1, Ordering::Relaxed);
+            // Deterministic chaos hook: with the `failpoints` feature a
+            // `worker.request` panic fault detonates here, exercising the
+            // catch_unwind respawn path.
+            trackersift::failpoint::maybe_panic("worker.request");
+            let keep_alive = request.keep_alive();
+            // Admission control: over the in-flight budget the request is
+            // answered 503 + Retry-After in its own protocol (binary
+            // requests get a binary shed frame) without losing the
+            // connection.
+            let response =
+                if self.gauges.inflight.load(Ordering::Relaxed) >= self.max_inflight as u64 {
+                    self.counters[self.index]
+                        .shed_requests
+                        .fetch_add(1, Ordering::Relaxed);
+                    Some(self.shed_response(&request))
+                } else {
+                    // Charged to the in-flight gauge until the output buffer
+                    // fully drains (or the connection drops).
+                    conn.gauges.inflight.fetch_add(1, Ordering::Relaxed);
+                    conn.inflight_held += 1;
+                    self.route(&request, keep_alive, &mut conn.out)
+                };
+            let stays_open = match response {
+                // The handler rendered its `200` in place.
+                None => keep_alive,
+                Some(response) => {
+                    if response.status >= 400 {
+                        self.counters[self.index]
+                            .errors
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
+                    response.render_into(&mut conn.out, keep_alive)
+                }
+            };
+            if !stays_open {
+                // Closing response: any pipelined remainder is from a
+                // desynced client, drop it.
+                conn.parser.reset();
+                conn.close_after_flush = true;
+                break;
             }
         }
         // Optimistic flush: almost always the socket has write space, so
@@ -1256,33 +1261,62 @@ impl Worker {
         conn.flush();
     }
 
-    fn route(&self, request: &HttpRequest) -> HttpResponse {
+    /// Answer one request. The decision endpoints render their `200`
+    /// straight into `out` (head and body, honoring `keep_alive`) and
+    /// return `None`; every other answer — and every error — comes back as
+    /// a response for the caller to render.
+    fn route(
+        &self,
+        request: &RequestView<'_>,
+        keep_alive: bool,
+        out: &mut Vec<u8>,
+    ) -> Option<HttpResponse> {
         // A replica owns no writer: every mutating endpoint is refused
         // with a typed conflict before any routing happens, so the
         // read-only guarantee cannot rot as routes are added.
         if self.replica.is_some() {
             let mutating = matches!(
-                (request.method.as_str(), request.target.as_str()),
+                (request.method, request.target),
                 ("POST", "/v1/observations" | "/v1/commit" | "/v1/tick")
                     | ("PUT", "/v1/snapshot")
                     | ("GET", "/v1/snapshot")
             );
             if mutating {
-                return HttpResponse::error(
+                return Some(HttpResponse::error(
                     409,
                     "Conflict",
                     "read-only replica: apply mutations on the primary \
                      (delta snapshots stay available via /v1/snapshot?since=)",
-                );
+                ));
             }
         }
-        let binary = request.header("content-type") == Some(wire::BINARY_CONTENT_TYPE);
-        match (request.method.as_str(), request.target.as_str()) {
+        let batch = match (request.method, request.target) {
+            ("POST", "/v1/decisions") => false,
+            ("POST", "/v1/decisions:batch") => true,
+            _ => return Some(self.route_other(request)),
+        };
+        // The lock-free hot path. One pin covers the whole request: every
+        // decision of a batch (surrogate payloads included) reflects
+        // exactly one committed table version, the one it reports.
+        let pin = self.reader.pin();
+        let served = decide::answer(pin.table(), request, batch, keep_alive, out);
+        drop(pin);
+        match served {
+            Ok(decisions) => {
+                self.counters[self.index]
+                    .decisions
+                    .fetch_add(decisions, Ordering::Relaxed);
+                None
+            }
+            Err(response) => Some(response),
+        }
+    }
+
+    /// Every endpoint that is not a decision: cold enough to build its
+    /// answer as an owned [`HttpResponse`].
+    fn route_other(&self, request: &RequestView<'_>) -> HttpResponse {
+        match (request.method, request.target) {
             ("GET", "/healthz") => HttpResponse::text("ok"),
-            ("POST", "/v1/decisions") if binary => self.decide_binary(request, false),
-            ("POST", "/v1/decisions:batch") if binary => self.decide_binary(request, true),
-            ("POST", "/v1/decisions") => self.decide_single(request),
-            ("POST", "/v1/decisions:batch") => self.decide_batch(request),
             ("GET", "/v1/keys") => self.keys(),
             ("POST", "/v1/observations") => self.observe(request),
             ("POST", "/v1/commit") => self.commit(),
@@ -1329,7 +1363,7 @@ impl Worker {
     /// protocol the request spoke: a binary shed frame for binary
     /// requests, the JSON `{"error", "retry_after"}` body otherwise. Both
     /// carry the `Retry-After` header and keep the connection alive.
-    fn shed_response(&self, request: &HttpRequest) -> HttpResponse {
+    fn shed_response(&self, request: &RequestView<'_>) -> HttpResponse {
         if request.header("content-type") == Some(wire::BINARY_CONTENT_TYPE) {
             let mut response = HttpResponse::bytes(
                 wire::BINARY_CONTENT_TYPE,
@@ -1344,152 +1378,10 @@ impl Worker {
         }
     }
 
-    /// Parse a JSON request body (→ 400 on failure).
-    fn parse_body(request: &HttpRequest) -> Result<Value, HttpResponse> {
-        let text = std::str::from_utf8(&request.body).map_err(|_| {
-            HttpResponse::error(400, "Bad Request", "request body is not valid utf-8")
-        })?;
-        Value::parse(text)
+    /// Parse a JSON request body into a tree (→ 400 on failure).
+    fn parse_body(request: &RequestView<'_>) -> Result<Value, HttpResponse> {
+        Value::parse(decide::body_text(request)?)
             .map_err(|error| HttpResponse::error(400, "Bad Request", &error.to_string()))
-    }
-
-    fn decide_single(&self, request: &HttpRequest) -> HttpResponse {
-        let body = match Self::parse_body(request) {
-            Ok(body) => body,
-            Err(response) => return response,
-        };
-        let message = match DecisionMessage::from_json_value(&body) {
-            Ok(message) => message,
-            Err(error) => return HttpResponse::error(400, "Bad Request", &error.to_string()),
-        };
-        // The lock-free hot path: one pin, one keyed walk, one memcpy of a
-        // preformatted body; the reported version is the pinned table's.
-        let pin = self.reader.pin();
-        let table = pin.table();
-        let body = json_single_body(table, &table.resolve(&message.as_request()));
-        drop(pin);
-        self.counters[self.index]
-            .decisions
-            .fetch_add(1, Ordering::Relaxed);
-        HttpResponse::bytes("application/json", body)
-    }
-
-    fn decide_batch(&self, request: &HttpRequest) -> HttpResponse {
-        let body = match Self::parse_body(request) {
-            Ok(body) => body,
-            Err(response) => return response,
-        };
-        let rows = match body.field("requests").and_then(|rows| rows.as_array()) {
-            Ok(rows) => rows,
-            Err(error) => return HttpResponse::error(400, "Bad Request", &error.to_string()),
-        };
-        let mut messages = Vec::with_capacity(rows.len());
-        for row in rows {
-            match DecisionMessage::from_json_value(row) {
-                Ok(message) => messages.push(message),
-                Err(error) => return HttpResponse::error(400, "Bad Request", &error.to_string()),
-            }
-        }
-        // One pin covers the whole batch: every decision (surrogate
-        // payloads included) reflects exactly one committed table version.
-        let pin = self.reader.pin();
-        let table = pin.table();
-        let prebuilt = table.prebuilt();
-        let mut out = prebuilt.json_batch_prefix().as_bytes().to_vec();
-        for (at, message) in messages.iter().enumerate() {
-            if at > 0 {
-                out.push(b',');
-            }
-            match table.decide_prebuilt(&table.resolve(&message.as_request())) {
-                PrebuiltDecision::Fixed(index) => {
-                    out.extend_from_slice(prebuilt.json_fragment(index).as_bytes())
-                }
-                PrebuiltDecision::Surrogate(sf) => out.extend_from_slice(sf.json.as_bytes()),
-                // Rewrite bodies depend on the request URL, so they are the
-                // one decision encoded at serve time.
-                PrebuiltDecision::Rewrite(rewritten) => {
-                    out.extend_from_slice(frames::rewrite_value(&rewritten).render().as_bytes())
-                }
-            }
-        }
-        out.extend_from_slice(b"]}");
-        drop(pin);
-        self.counters[self.index]
-            .decisions
-            .fetch_add(messages.len() as u64, Ordering::Relaxed);
-        HttpResponse::bytes("application/json", out)
-    }
-
-    /// The binary decision path for both endpoints; `batch` is the shape
-    /// the endpoint requires (a mismatched kind byte is a 400).
-    fn decide_binary(&self, request: &HttpRequest, batch: bool) -> HttpResponse {
-        let decoded = match wire::decode_binary_request(&request.body) {
-            Ok(decoded) => decoded,
-            Err(error) => return HttpResponse::error(400, "Bad Request", &error.0),
-        };
-        if decoded.batch != batch {
-            return HttpResponse::error(
-                400,
-                "Bad Request",
-                "request kind does not match the endpoint",
-            );
-        }
-        let pin = self.reader.pin();
-        let table = pin.table();
-        // Id-form records are only meaningful against the key table the
-        // client fetched; a stale epoch must fail loudly, never resolve to
-        // someone else's keys.
-        if decoded.uses_ids() && decoded.epoch != table.keys_epoch() {
-            let detail = format!(
-                "key epoch {} is stale (current {}); re-fetch /v1/keys",
-                decoded.epoch,
-                table.keys_epoch()
-            );
-            return HttpResponse::error(409, "Conflict", &detail);
-        }
-        let response = if batch {
-            let prebuilt = table.prebuilt();
-            let mut out = Vec::with_capacity(13 + decoded.records.len() * 8);
-            out.push(PROTO_VERSION);
-            out.extend_from_slice(&table.version().to_le_bytes());
-            out.extend_from_slice(&(decoded.records.len() as u32).to_le_bytes());
-            for record in &decoded.records {
-                match table.decide_prebuilt(&keyed_of(table, record)) {
-                    PrebuiltDecision::Fixed(index) => {
-                        let frame = prebuilt.binary_single(index);
-                        out.extend_from_slice(&frames::encode_record_header(frame[1], frame[2], 0));
-                    }
-                    PrebuiltDecision::Surrogate(sf) => {
-                        out.extend_from_slice(&frames::encode_record_header(
-                            frames::ACTION_SURROGATE,
-                            frames::SOURCE_NONE,
-                            sf.binary.len() as u32,
-                        ));
-                        out.extend_from_slice(&sf.binary);
-                    }
-                    PrebuiltDecision::Rewrite(rewritten) => {
-                        let payload = frames::encode_rewrite_payload(&rewritten);
-                        out.extend_from_slice(&frames::encode_record_header(
-                            frames::ACTION_REWRITE,
-                            frames::SOURCE_NONE,
-                            payload.len() as u32,
-                        ));
-                        out.extend_from_slice(&payload);
-                    }
-                }
-            }
-            HttpResponse::bytes(wire::BINARY_CONTENT_TYPE, out)
-        } else {
-            let record = &decoded.records[0];
-            let body = binary_single_body(table, &keyed_of(table, record));
-            HttpResponse::bytes(wire::BINARY_CONTENT_TYPE, body)
-        };
-        let served = decoded.records.len() as u64;
-        drop(pin);
-        self.counters[self.index]
-            .decisions
-            .fetch_add(served, Ordering::Relaxed);
-        response
     }
 
     /// `GET /v1/keys`: the key-interning handshake. The reply's `keys[i]`
@@ -1505,7 +1397,7 @@ impl Worker {
         ))
     }
 
-    fn observe(&self, request: &HttpRequest) -> HttpResponse {
+    fn observe(&self, request: &RequestView<'_>) -> HttpResponse {
         let body = match Self::parse_body(request) {
             Ok(body) => body,
             Err(response) => return response,
@@ -1567,9 +1459,9 @@ impl Worker {
     /// to set a `Content-Type` on, `Accept:` [`wire::BINARY_CONTENT_TYPE`]
     /// selects the binary frames. An inverted range is a `400`, a range
     /// the bounded ring no longer covers a `404`.
-    fn revisions(&self, request: &HttpRequest) -> HttpResponse {
+    fn revisions(&self, request: &RequestView<'_>) -> HttpResponse {
         let binary = request.header("accept") == Some(wire::BINARY_CONTENT_TYPE);
-        let range = match parse_revisions_query(&request.target) {
+        let range = match parse_revisions_query(request.target) {
             Ok(range) => range,
             Err(detail) => return HttpResponse::error(400, "Bad Request", &detail),
         };
@@ -1606,9 +1498,9 @@ impl Worker {
     /// ring the answer is `410 Gone` whose body is a *full* snapshot
     /// envelope — the typed re-bootstrap signal — so a lagging follower
     /// recovers in the same round trip that told it the diff is gone.
-    fn delta_snapshot(&self, request: &HttpRequest) -> HttpResponse {
+    fn delta_snapshot(&self, request: &RequestView<'_>) -> HttpResponse {
         let binary = request.header("accept") == Some(wire::BINARY_CONTENT_TYPE);
-        let since = match parse_snapshot_query(&request.target) {
+        let since = match parse_snapshot_query(request.target) {
             Ok(since) => since,
             Err(detail) => return HttpResponse::error(400, "Bad Request", &detail),
         };
@@ -1653,8 +1545,8 @@ impl Worker {
         }
     }
 
-    fn import_snapshot(&self, request: &HttpRequest) -> HttpResponse {
-        let text = match std::str::from_utf8(&request.body) {
+    fn import_snapshot(&self, request: &RequestView<'_>) -> HttpResponse {
+        let text = match std::str::from_utf8(request.body) {
             Ok(text) => text,
             Err(_) => {
                 return HttpResponse::error(400, "Bad Request", "snapshot is not valid utf-8")
@@ -2062,85 +1954,42 @@ fn parse_revisions_query(target: &str) -> Result<Option<(u64, u64)>, String> {
     Ok(Some(range.ok_or_else(|| "empty query string".to_string())?))
 }
 
-/// Resolve one binary record into the keyed query the table serves.
-fn keyed_of<'a>(table: &VerdictTable, record: &BinaryRecord<'a>) -> KeyedRequest<'a> {
-    let keyed = match record.keys {
-        BinaryKeys::Ids {
-            domain,
-            hostname,
-            script,
-            method,
-        } => {
-            let keys = table.keys();
-            KeyedRequest::new(
-                keys.key_for_id(domain),
-                keys.key_for_id(hostname),
-                keys.key_for_id(script),
-                keys.key_for_id(method),
-            )
-        }
-        BinaryKeys::Strings {
-            domain,
-            hostname,
-            script,
-            method,
-        } => table.resolve(&DecisionRequest::new(domain, hostname, script, method)),
-    };
-    match record.context {
-        Some(context) => {
-            keyed.with_url(context.url, context.source_hostname, context.resource_type)
-        }
-        None => keyed,
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
 
-/// Assemble a complete JSON single-decision body from preformatted parts.
-fn json_single_body(table: &VerdictTable, request: &KeyedRequest<'_>) -> Vec<u8> {
-    let prebuilt = table.prebuilt();
-    match table.decide_prebuilt(request) {
-        PrebuiltDecision::Fixed(index) => prebuilt.json_single(index).as_bytes().to_vec(),
-        PrebuiltDecision::Surrogate(sf) => {
-            let prefix = prebuilt.json_single_prefix().as_bytes();
-            let mut out = Vec::with_capacity(prefix.len() + sf.json.len() + 1);
-            out.extend_from_slice(prefix);
-            out.extend_from_slice(sf.json.as_bytes());
-            out.push(b'}');
-            out
-        }
-        PrebuiltDecision::Rewrite(rewritten) => {
-            // The rewritten URL is request-dependent; splice the freshly
-            // rendered decision object after the prebuilt version prefix.
-            let fragment = frames::rewrite_value(&rewritten).render();
-            let prefix = prebuilt.json_single_prefix().as_bytes();
-            let mut out = Vec::with_capacity(prefix.len() + fragment.len() + 1);
-            out.extend_from_slice(prefix);
-            out.extend_from_slice(fragment.as_bytes());
-            out.push(b'}');
-            out
-        }
-    }
-}
+    #[test]
+    fn a_flushed_connection_gives_back_a_large_responses_buffer() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let received = thread::spawn(move || {
+            let mut sink = Vec::new();
+            client.read_to_end(&mut sink).expect("read to close");
+            sink.len()
+        });
 
-/// Assemble a complete binary single-decision body from preformatted parts.
-fn binary_single_body(table: &VerdictTable, request: &KeyedRequest<'_>) -> Vec<u8> {
-    match table.decide_prebuilt(request) {
-        PrebuiltDecision::Fixed(index) => table.prebuilt().binary_single(index).to_vec(),
-        PrebuiltDecision::Surrogate(sf) => {
-            let header =
-                frames::encode_surrogate_single_header(table.version(), sf.binary.len() as u32);
-            let mut out = Vec::with_capacity(header.len() + sf.binary.len());
-            out.extend_from_slice(&header);
-            out.extend_from_slice(&sf.binary);
-            out
-        }
-        PrebuiltDecision::Rewrite(rewritten) => {
-            let payload = frames::encode_rewrite_payload(&rewritten);
-            let header =
-                frames::encode_rewrite_single_header(table.version(), payload.len() as u32);
-            let mut out = Vec::with_capacity(header.len() + payload.len());
-            out.extend_from_slice(&header);
-            out.extend_from_slice(&payload);
-            out
-        }
+        // One large `GET /v1/snapshot` answer on a keep-alive connection...
+        let gauges = Arc::new(Gauges::default());
+        let mut conn = Conn::new(stream, Arc::clone(&gauges));
+        conn.out = vec![b'x'; 1024 * 1024];
+        conn.gauges.inflight.fetch_add(1, Ordering::Relaxed);
+        conn.inflight_held = 1;
+        // ...(the stream is still blocking here, so one flush sends it all)
+        conn.flush();
+        assert!(!conn.pending_out());
+        // ...must not pin its megabyte for the connection's lifetime.
+        assert!(conn.out.capacity() <= http::RETAINED_BUFFER_BYTES);
+        assert_eq!(gauges.inflight.load(Ordering::Relaxed), 0);
+
+        // Ordinary responses keep their (small) buffer for reuse.
+        conn.out.extend_from_slice(&[b'y'; 512]);
+        let small = conn.out.capacity();
+        conn.flush();
+        assert_eq!(conn.out.capacity(), small);
+
+        drop(conn);
+        assert_eq!(received.join().expect("reader"), 1024 * 1024 + 512);
     }
 }

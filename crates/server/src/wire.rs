@@ -9,6 +9,12 @@
 //! [`trackersift::frames`] (shared with the commit-time response
 //! preformatter); this module wraps them with the request envelopes.
 //!
+//! Decision requests decode two ways, through one decoder each: into owned
+//! messages ([`DecisionMessage`], [`BinaryRequest`]) for clients and tools,
+//! and in place ([`DecisionQuery`], [`decode_decision_batch`],
+//! [`BinaryRecords`]) for the worker, which borrows the request body and
+//! allocates nothing per request or per row.
+//!
 //! # The binary protocol
 //!
 //! Clients opt in per request by POSTing `/v1/decisions` (or `:batch`)
@@ -37,8 +43,9 @@
 //! payload), or `u8 proto, u64 version, u32 count` followed by 6-byte
 //! record headers (+ payloads) for batches.
 
-use crawler::json::{object, JsonError, Value};
+use crawler::json::{object, JsonError, Kind, Reader, Value};
 use filterlist::ResourceType;
+use std::borrow::Cow;
 use trackersift::frames::{self, PROTO_VERSION, RECORD_HEADER_LEN};
 use trackersift::{
     CommitStats, Decision, DecisionRequest, FrameError, FrameReader, FrozenKeys, ServiceStats,
@@ -188,6 +195,175 @@ impl DecisionMessage {
     }
 }
 
+/// One known string field of a [`DecisionQuery`] while its object is being
+/// read: absent so far, the first occurrence's string, or why the first
+/// occurrence is not one.
+type Slot<'a> = Option<Result<Cow<'a, str>, JsonError>>;
+
+/// Read the value at the cursor into `slot`. A key's first occurrence
+/// wins, as with [`Value::get`]; later ones are only checked.
+fn read_slot<'a>(reader: &mut Reader<'a>, slot: &mut Slot<'a>) -> Result<(), JsonError> {
+    if slot.is_some() {
+        return reader.skip_value();
+    }
+    *slot = Some(if reader.peek()? == Kind::String {
+        Ok(reader.string()?)
+    } else {
+        let other = reader.value()?;
+        err(format!("expected string, got {other:?}"))
+    });
+    Ok(())
+}
+
+fn required<'a>(slot: Slot<'a>, key: &str) -> Result<Cow<'a, str>, JsonError> {
+    slot.unwrap_or_else(|| err(format!("missing field `{key}`")))
+}
+
+/// A decision query decoded in place from a request body: the same seven
+/// fields as [`DecisionMessage`], each borrowing the body unless its
+/// literal carried an escape. This is what the worker decodes — no
+/// [`Value`] tree, no owned strings — and it accepts and rejects exactly
+/// what [`Value::parse`] followed by [`DecisionMessage::from_json_value`]
+/// does, with the same error for the same body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecisionQuery<'a> {
+    /// Registrable domain of the request URL.
+    pub domain: Cow<'a, str>,
+    /// Full hostname of the request URL.
+    pub hostname: Cow<'a, str>,
+    /// URL of the initiating script.
+    pub script: Cow<'a, str>,
+    /// Method name of the initiating frame.
+    pub method: Cow<'a, str>,
+    /// Raw request URL (enables the filter-list backstop), if sent.
+    pub url: Option<Cow<'a, str>>,
+    /// Hostname of the page issuing the request (only with `url`).
+    pub source_hostname: Cow<'a, str>,
+    /// Resource type (only meaningful with `url`).
+    pub resource_type: ResourceType,
+}
+
+impl<'a> DecisionQuery<'a> {
+    /// Decode a `POST /v1/decisions` body.
+    pub fn parse(text: &'a str) -> Result<Self, JsonError> {
+        let mut reader = Reader::new(text);
+        let query = DecisionQuery::read(&mut reader)?;
+        reader.finish()?;
+        query
+    }
+
+    /// Read the value at the cursor as a query. The outer error is a
+    /// malformed document (nothing more can be read); the inner one a
+    /// well-formed value that is not a query — the cursor is past it, so
+    /// the caller can go on checking the document, whose syntax errors
+    /// take precedence just as they do when a tree is parsed first.
+    fn read(reader: &mut Reader<'a>) -> Result<Result<Self, JsonError>, JsonError> {
+        let [mut domain, mut hostname, mut script, mut method, mut url, mut source_hostname, mut resource_type]: [Slot<'a>; 7] =
+            Default::default();
+        if reader.peek()? == Kind::Object {
+            reader.begin_object()?;
+            while let Some(key) = reader.next_key()? {
+                let slot = match key.as_ref() {
+                    "domain" => &mut domain,
+                    "hostname" => &mut hostname,
+                    "script" => &mut script,
+                    "method" => &mut method,
+                    "url" => &mut url,
+                    "source_hostname" => &mut source_hostname,
+                    "resource_type" => &mut resource_type,
+                    _ => {
+                        reader.skip_value()?;
+                        continue;
+                    }
+                };
+                read_slot(reader, slot)?;
+            }
+        } else {
+            // No field is found in a non-object (`Value::get`).
+            reader.skip_value()?;
+        }
+        // The order `DecisionMessage::from_json_value` reports errors in.
+        let assemble = || {
+            let mut query = DecisionQuery {
+                domain: required(domain, "domain")?,
+                hostname: required(hostname, "hostname")?,
+                script: required(script, "script")?,
+                method: required(method, "method")?,
+                url: None,
+                source_hostname: Cow::Borrowed(""),
+                resource_type: ResourceType::Other,
+            };
+            if let Some(url) = url {
+                query.url = Some(url?);
+                if let Some(host) = source_hostname {
+                    query.source_hostname = host?;
+                }
+                if let Some(kind) = resource_type {
+                    query.resource_type = resource_type_from_str(&kind?)?;
+                }
+            }
+            Ok(query)
+        };
+        Ok(assemble())
+    }
+
+    /// Borrow as the core decision query.
+    pub fn as_request(&self) -> DecisionRequest<'_> {
+        let request =
+            DecisionRequest::new(&self.domain, &self.hostname, &self.script, &self.method);
+        match &self.url {
+            Some(url) => request.with_url(url, &self.source_hostname, self.resource_type),
+            None => request,
+        }
+    }
+}
+
+/// Decode a `POST /v1/decisions:batch` body (`{"requests":[…]}`), handing
+/// each row to `row` as soon as it is decoded, and return the row count.
+/// Nothing is collected, so a batch costs no allocation per row.
+///
+/// The whole body is checked before the result is known: on `Err` the
+/// caller must discard whatever `row` produced. `row` is not called again
+/// after the first row that is not a query, and errors are reported with
+/// the precedence of parsing a tree first — syntax anywhere in the body,
+/// then `requests`, then the rows in order.
+pub fn decode_decision_batch<'a>(
+    text: &'a str,
+    mut row: impl FnMut(&DecisionQuery<'a>),
+) -> Result<usize, JsonError> {
+    let mut reader = Reader::new(text);
+    let mut rows: Option<Result<usize, JsonError>> = None;
+    if reader.peek()? == Kind::Object {
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            if key != "requests" || rows.is_some() {
+                reader.skip_value()?;
+            } else if reader.peek()? == Kind::Array {
+                let mut decoded = Ok(0);
+                reader.begin_array()?;
+                while reader.next_element()? {
+                    match (&mut decoded, DecisionQuery::read(&mut reader)?) {
+                        (Ok(count), Ok(query)) => {
+                            row(&query);
+                            *count += 1;
+                        }
+                        (Ok(_), Err(error)) => decoded = Err(error),
+                        (Err(_), _) => {}
+                    }
+                }
+                rows = Some(decoded);
+            } else {
+                let other = reader.value()?;
+                rows = Some(err(format!("expected array, got {other:?}")));
+            }
+        }
+    } else {
+        reader.skip_value()?;
+    }
+    reader.finish()?;
+    rows.unwrap_or_else(|| err("missing field `requests`"))
+}
+
 /// Encode a surrogate payload. (Delegates to the canonical encoding in
 /// [`trackersift::frames`], shared with the commit-time preformatter.)
 pub fn surrogate_to_json(script: &SurrogateScript) -> Value {
@@ -299,24 +475,70 @@ impl BinaryRequest<'_> {
     }
 }
 
-/// Decode a binary request body (either kind).
-pub fn decode_binary_request(body: &[u8]) -> Result<BinaryRequest<'_>, FrameError> {
-    let mut reader = FrameReader::new(body);
-    let proto = reader.u8()?;
-    if proto != PROTO_VERSION {
-        return Err(FrameError(format!("unsupported protocol version {proto}")));
+/// A binary request body decoded record by record, borrowing the body:
+/// the header is read up front, each record on demand. This is what the
+/// worker iterates (no per-request `Vec`); [`decode_binary_request`]
+/// collects it.
+#[derive(Debug)]
+pub struct BinaryRecords<'a> {
+    reader: FrameReader<'a>,
+    batch: bool,
+    epoch: u64,
+    /// Records the header declared that have not been read yet.
+    unread: usize,
+    count: usize,
+}
+
+impl<'a> BinaryRecords<'a> {
+    /// Read the request header (protocol version, kind, epoch, count).
+    pub fn new(body: &'a [u8]) -> Result<Self, FrameError> {
+        let mut reader = FrameReader::new(body);
+        let proto = reader.u8()?;
+        if proto != PROTO_VERSION {
+            return Err(FrameError(format!("unsupported protocol version {proto}")));
+        }
+        let kind = reader.u8()?;
+        let epoch = reader.u64()?;
+        let count = match kind {
+            KIND_SINGLE => 1,
+            KIND_BATCH => reader.u32()? as usize,
+            other => return Err(FrameError(format!("unknown request kind {other}"))),
+        };
+        Ok(BinaryRecords {
+            reader,
+            batch: kind == KIND_BATCH,
+            epoch,
+            unread: count,
+            count,
+        })
     }
-    let kind = reader.u8()?;
-    let epoch = reader.u64()?;
-    let count = match kind {
-        KIND_SINGLE => 1,
-        KIND_BATCH => reader.u32()? as usize,
-        other => return Err(FrameError(format!("unknown request kind {other}"))),
-    };
-    // Each record is at least 2 bytes; a hostile count cannot force a huge
-    // preallocation.
-    let mut records = Vec::with_capacity(count.min(reader.remaining() / 2 + 1));
-    for _ in 0..count {
+
+    /// `true` for the batch kind (counted records, batch response frame).
+    pub fn batch(&self) -> bool {
+        self.batch
+    }
+
+    /// The client's key-table epoch; meaningful only for records using
+    /// [`BinaryKeys::Ids`].
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// How many records the header declares. Untrusted until every one of
+    /// them has been read.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The next record; `None` after the last declared one, once the body
+    /// is checked to end there.
+    pub fn next_record(&mut self) -> Result<Option<BinaryRecord<'a>>, FrameError> {
+        if self.unread == 0 {
+            self.reader.clone().finish()?;
+            return Ok(None);
+        }
+        self.unread -= 1;
+        let reader = &mut self.reader;
         let form = reader.u8()?;
         let flags = reader.u8()?;
         if flags & !FLAG_URL != 0 {
@@ -346,12 +568,22 @@ pub fn decode_binary_request(body: &[u8]) -> Result<BinaryRequest<'_>, FrameErro
         } else {
             None
         };
-        records.push(BinaryRecord { keys, context });
+        Ok(Some(BinaryRecord { keys, context }))
     }
-    reader.finish()?;
+}
+
+/// Decode a binary request body (either kind) into an owned record list.
+pub fn decode_binary_request(body: &[u8]) -> Result<BinaryRequest<'_>, FrameError> {
+    let mut decoder = BinaryRecords::new(body)?;
+    // Each record is at least 2 bytes; a hostile count cannot force a huge
+    // preallocation.
+    let mut records = Vec::with_capacity(decoder.count().min(body.len() / 2 + 1));
+    while let Some(record) = decoder.next_record()? {
+        records.push(record);
+    }
     Ok(BinaryRequest {
-        batch: kind == KIND_BATCH,
-        epoch,
+        batch: decoder.batch(),
+        epoch: decoder.epoch(),
         records,
     })
 }
@@ -727,6 +959,60 @@ mod tests {
             let back = DecisionMessage::from_json_value(&Value::parse(&text).unwrap()).unwrap();
             assert_eq!(back, message);
         }
+    }
+
+    #[test]
+    fn decision_queries_borrow_the_body_and_copy_only_escaped_fields() {
+        let message = DecisionMessage::new("hub.com", "w.hub.com", "https://p.com/m.js", "xhr")
+            .with_url("https://w.hub.com/x?y=1", "pub.com", ResourceType::Xhr);
+        let text = message.to_json_value().render();
+        let query = DecisionQuery::parse(&text).expect("valid query");
+        assert_eq!(query.as_request(), message.as_request());
+        for field in [
+            &query.domain,
+            &query.hostname,
+            &query.script,
+            &query.method,
+            query.url.as_ref().expect("url sent"),
+            &query.source_hostname,
+        ] {
+            assert!(matches!(field, Cow::Borrowed(_)), "{field:?} was copied");
+        }
+
+        let escaped = text.replace("\"hub.com\"", "\"hub\\u002ecom\"");
+        assert_ne!(escaped, text);
+        let query = DecisionQuery::parse(&escaped).expect("valid query");
+        assert_eq!(query.as_request(), message.as_request());
+        assert!(matches!(query.domain, Cow::Owned(_)));
+        assert!(matches!(query.hostname, Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn batch_rows_stream_until_the_first_bad_row_and_syntax_errors_win() {
+        let row = r#"{"domain":"a.com","hostname":"h.a.com","script":"s.js","method":"m"}"#;
+        let decode = |body: &str| {
+            let mut seen = 0;
+            decode_decision_batch(body, |_| seen += 1).map_err(|error| (seen, error.0))
+        };
+        assert_eq!(decode(&format!(r#"{{"requests":[{row},{row}]}}"#)), Ok(2));
+        assert_eq!(decode(r#"{"requests":[]}"#), Ok(0));
+        // The bad row stops the streaming, not the checking...
+        assert_eq!(
+            decode(&format!(r#"{{"requests":[{row},{{}},{row}]}}"#)),
+            Err((1, "missing field `domain`".to_string()))
+        );
+        // ...so a syntax error after it is still the one reported.
+        let (seen, error) = decode(&format!(r#"{{"requests":[{row},{{}},{row}]}} x"#)).unwrap_err();
+        assert_eq!(seen, 1);
+        assert!(error.starts_with("trailing data at byte"), "{error}");
+        assert_eq!(
+            decode(r#"{"other":1}"#),
+            Err((0, "missing field `requests`".to_string()))
+        );
+        assert_eq!(
+            decode(r#"{"requests":7}"#),
+            Err((0, "expected array, got Number(7.0)".to_string()))
+        );
     }
 
     #[test]

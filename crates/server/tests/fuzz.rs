@@ -3,15 +3,21 @@
 //! close) — never a panic, and never a wedged worker. After every burst of
 //! garbage the pool must still answer a well-formed request.
 
+use crawler::json::{object, JsonError, Value};
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
-use trackersift::Sifter;
+use trackersift::{Sifter, SifterReader};
 use trackersift_server::client::Client;
+use trackersift_server::wire::{self, DecisionMessage, DecisionQuery};
 use trackersift_server::{ServerConfig, VerdictServer};
 
 fn start_server() -> VerdictServer {
+    start_server_with_reader().0
+}
+
+fn start_server_with_reader() -> (VerdictServer, SifterReader) {
     let mut sifter = Sifter::builder().build();
     for _ in 0..5 {
         sifter.observe_parts(
@@ -23,8 +29,8 @@ fn start_server() -> VerdictServer {
         );
     }
     sifter.commit();
-    let (writer, _reader) = sifter.into_concurrent();
-    VerdictServer::start(
+    let (writer, reader) = sifter.into_concurrent();
+    let server = VerdictServer::start(
         writer,
         ServerConfig {
             workers: 2,
@@ -34,7 +40,8 @@ fn start_server() -> VerdictServer {
             ..ServerConfig::ephemeral()
         },
     )
-    .expect("start verdict server")
+    .expect("start verdict server");
+    (server, reader)
 }
 
 /// The pool still serves after whatever the previous connection did.
@@ -264,5 +271,340 @@ proptest! {
         let (status, body) = probe.request("GET", "/healthz", None);
         prop_assert_eq!((status, body.as_str()), (200, "ok"));
         // The shared server stays up for the remaining cases.
+    }
+}
+
+// ---------------------------------------------------------------------
+// The borrowed decision decoder against the tree it replaced
+// ---------------------------------------------------------------------
+
+/// Per-case generator state (xorshift64*), seeded by the property's input.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() >> 33) as usize % n
+    }
+
+    fn chance(&mut self, percent: usize) -> bool {
+        self.below(100) < percent
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())]
+    }
+
+    fn space(&mut self) -> &'static str {
+        self.pick(&["", "", "", " ", "\n", "\t "])
+    }
+}
+
+/// A JSON string literal (quotes included) starting with `base`: plain
+/// runs, multi-byte characters, every escape form including a surrogate
+/// pair — and now and then an escape no parser may accept.
+fn string_literal(g: &mut Gen, base: &str) -> String {
+    let mut out = format!("\"{base}");
+    let pieces = if g.chance(55) { 0 } else { 1 + g.below(4) };
+    for _ in 0..pieces {
+        out.push_str(match g.below(14) {
+            0 => "\\n",
+            1 => "\\\"",
+            2 => "\\\\",
+            3 => "\\/",
+            4 => "\\u0041",
+            5 => "\\ud83e\\udd80",
+            6 => "\\t\\b\\f\\r",
+            7 => "é",
+            8 => "中",
+            9 => "🦀",
+            10 if g.chance(6) => g.pick(&[
+                "\\ud83e",
+                "\\ud83e\\u0041",
+                "\\udc00",
+                "\\q",
+                "\\u12",
+                "\\uZZZZ",
+                "\\",
+            ]),
+            11 => ".example",
+            _ => "x",
+        });
+    }
+    out.push('"');
+    out
+}
+
+/// A JSON value that is not a string: scalars, small nested containers,
+/// nesting past the parser's depth limit, and a few that are not JSON.
+fn other_value(g: &mut Gen, depth: usize) -> String {
+    match g.below(if depth < 3 { 12 } else { 6 }) {
+        0 => "null".to_string(),
+        1 => "true".to_string(),
+        2 => "false".to_string(),
+        3 => "17".to_string(),
+        4 => "-2.5e3".to_string(),
+        5 => g.pick(&["[]", "{}", "[ ]", "{ }"]).to_string(),
+        6 | 7 => {
+            let items: Vec<String> = (0..1 + g.below(3))
+                .map(|_| any_value(g, depth + 1))
+                .collect();
+            format!("[{}]", items.join(","))
+        }
+        8 | 9 => {
+            let fields: Vec<String> = (0..1 + g.below(3))
+                .map(|_| format!("{}:{}", string_literal(g, "k"), any_value(g, depth + 1)))
+                .collect();
+            format!("{{{}}}", fields.join(","))
+        }
+        10 | 11 if g.chance(85) => "0".to_string(),
+        10 => {
+            // 126 levels fit inside a single query's object but not two
+            // containers further down, in a batch row; 129 fit nowhere.
+            let levels = g.pick(&[126, 129, 200]);
+            format!("{}{}", "[".repeat(levels), "]".repeat(levels))
+        }
+        _ => g
+            .pick(&["1e", "-", "tru", "nul", "[1,]", "{\"a\" 1}", "01x"])
+            .to_string(),
+    }
+}
+
+fn any_value(g: &mut Gen, depth: usize) -> String {
+    if g.chance(50) {
+        string_literal(g, "v")
+    } else {
+        other_value(g, depth)
+    }
+}
+
+/// One `key:value` member with a known key: the key now and then spelled
+/// with an escape, the value now and then not a string.
+fn known_field(g: &mut Gen, key: &str, base: &str) -> String {
+    let key = if g.chance(8) {
+        // `\u00XX` for the first letter spells the same key.
+        format!("\"\\u00{:02x}{}\"", key.as_bytes()[0], &key[1..])
+    } else {
+        format!("\"{key}\"")
+    };
+    let value = if g.chance(97) {
+        string_literal(g, base)
+    } else {
+        other_value(g, 0)
+    };
+    format!("{key}{}:{}{value}", g.space(), g.space())
+}
+
+/// A decision query object around the fuzz server's one trained resource:
+/// fields missing, duplicated, of the wrong type, unknown, in any order.
+fn query_object(g: &mut Gen) -> String {
+    if g.chance(3) {
+        // Not an object at all.
+        return any_value(g, 0);
+    }
+    const KEYS: [(&str, &str, usize); 7] = [
+        ("domain", "ads.com", 97),
+        ("hostname", "px.ads.com", 97),
+        ("script", "https://pub.com/a.js", 97),
+        ("method", "send", 97),
+        ("url", "https://px.ads.com/p?id=1", 50),
+        ("source_hostname", "pub.com", 50),
+        ("resource_type", "", 50),
+    ];
+    let mut fields = Vec::new();
+    for (key, base, presence) in KEYS {
+        let copies = usize::from(g.chance(presence)) + usize::from(g.chance(6));
+        for _ in 0..copies {
+            let base = match key {
+                "resource_type" => g.pick(&["script", "image", "xmlhttprequest", "warp-drive"]),
+                _ => base,
+            };
+            fields.push(known_field(g, key, base));
+        }
+    }
+    for _ in 0..g.below(3) {
+        fields.push(format!(
+            "{}:{}",
+            string_literal(g, "extra"),
+            any_value(g, 0)
+        ));
+    }
+    for at in (1..fields.len()).rev() {
+        fields.swap(at, g.below(at + 1));
+    }
+    let separator = format!("{},{}", g.space(), g.space());
+    format!("{{{}{}{}}}", g.space(), fields.join(&separator), g.space())
+}
+
+/// Damage a rendered body: cut it short, append to it, or overwrite one
+/// byte with a structural character.
+fn mutate(g: &mut Gen, mut body: String) -> String {
+    match g.below(12) {
+        0 | 1 => {
+            let mut cut = g.below(body.len() + 1);
+            while !body.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            body.truncate(cut);
+        }
+        2 => body.push_str(g.pick(&[" ", "\n", " x", "}", "{}", ",", "\"", "\u{0}"])),
+        3 if !body.is_empty() => {
+            let mut at = g.below(body.len());
+            while !body.is_char_boundary(at) {
+                at -= 1;
+            }
+            let old = body[at..].chars().next().expect("a char at a boundary");
+            let new = g.pick(&['{', '}', '[', ']', ',', ':', '"', '\\', ' ', '0']);
+            body.replace_range(at..at + old.len_utf8(), new.encode_utf8(&mut [0; 4]));
+        }
+        _ => {}
+    }
+    body
+}
+
+type Fields = (
+    String,
+    String,
+    String,
+    String,
+    Option<String>,
+    String,
+    filterlist::ResourceType,
+);
+
+fn message_fields(message: DecisionMessage) -> Fields {
+    (
+        message.domain,
+        message.hostname,
+        message.script,
+        message.method,
+        message.url,
+        message.source_hostname,
+        message.resource_type,
+    )
+}
+
+fn query_fields(query: &DecisionQuery<'_>) -> Fields {
+    (
+        query.domain.to_string(),
+        query.hostname.to_string(),
+        query.script.to_string(),
+        query.method.to_string(),
+        query.url.as_ref().map(|url| url.to_string()),
+        query.source_hostname.to_string(),
+        query.resource_type,
+    )
+}
+
+/// What the server decoded before the borrowed decoder existed.
+fn reference_single(text: &str) -> Result<Fields, JsonError> {
+    DecisionMessage::from_json_value(&Value::parse(text)?).map(message_fields)
+}
+
+fn reference_batch(text: &str) -> Result<Vec<Fields>, JsonError> {
+    let body = Value::parse(text)?;
+    body.field("requests")?
+        .as_array()?
+        .iter()
+        .map(|row| DecisionMessage::from_json_value(row).map(message_fields))
+        .collect()
+}
+
+/// The endpoint's answer to `body` against what the reference decode
+/// predicts: the in-process decisions rendered for `Ok`, a `400` carrying
+/// the reference's error text otherwise.
+fn assert_endpoint_agrees(
+    server: &VerdictServer,
+    reader: &SifterReader,
+    target: &str,
+    body: &str,
+    expected: &Result<Vec<Fields>, JsonError>,
+) {
+    let mut client = Client::connect(server.local_addr());
+    let (status, answer) = client.request("POST", target, Some(body));
+    let decide = |fields: &Fields| {
+        let (domain, hostname, script, method, url, source_hostname, resource_type) = fields;
+        let mut message = DecisionMessage::new(domain, hostname, script, method);
+        if let Some(url) = url {
+            message = message.with_url(url, source_hostname, *resource_type);
+        }
+        wire::decision_to_json(&reader.decide(&message.as_request()))
+    };
+    let version = ("version", Value::number_u64(reader.version()));
+    let expected = match expected {
+        Ok(rows) if target.ends_with(":batch") => (
+            200,
+            object(vec![
+                version,
+                ("decisions", Value::Array(rows.iter().map(decide).collect())),
+            ]),
+        ),
+        Ok(rows) => (200, object(vec![version, ("decision", decide(&rows[0]))])),
+        Err(error) => (
+            400,
+            object(vec![("error", Value::String(error.to_string()))]),
+        ),
+    };
+    assert_eq!(
+        (status, answer),
+        (expected.0, expected.1.render()),
+        "{target} <- {body}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The borrowed decoder accepts exactly the bodies that parsing a tree
+    /// and decoding a `DecisionMessage` from it accepts, reads the same
+    /// seven fields out of them, rejects the others with the same error —
+    /// and the endpoints, which decode through it, answer accordingly.
+    #[test]
+    fn borrowed_decoder_matches_the_tree_decoder(seed in 1u64..u64::MAX) {
+        static SERVER: std::sync::OnceLock<(VerdictServer, SifterReader)> = std::sync::OnceLock::new();
+        let (server, reader) = SERVER.get_or_init(start_server_with_reader);
+        let mut g = Gen(seed);
+
+        let single = query_object(&mut g);
+        let single = mutate(&mut g, single);
+        let expected = reference_single(&single);
+        let decoded = DecisionQuery::parse(&single).map(|query| query_fields(&query));
+        prop_assert_eq!(&decoded, &expected, "{}", single);
+        assert_endpoint_agrees(server, reader, "/v1/decisions", &single, &expected.map(|row| vec![row]));
+
+        let rows: Vec<String> = (0..g.below(5)).map(|_| query_object(&mut g)).collect();
+        let requests = match g.below(20) {
+            0 => any_value(&mut g, 0),
+            _ => format!("[{}]", rows.join(",")),
+        };
+        let mut members = vec![format!("\"requests\":{requests}")];
+        if g.chance(10) {
+            // Only the first `requests` counts, wherever it stands.
+            members.push(format!("\"requests\":{}", any_value(&mut g, 0)));
+        }
+        if g.chance(20) {
+            let at = g.below(members.len() + 1);
+            members.insert(at, format!("\"hint\":{}", any_value(&mut g, 0)));
+        }
+        if g.chance(3) {
+            members.remove(0);
+        }
+        let batch = format!("{{{}}}", members.join(","));
+        let batch = mutate(&mut g, batch);
+        let expected = reference_batch(&batch);
+        let mut streamed = Vec::new();
+        let decoded = wire::decode_decision_batch(&batch, |query| streamed.push(query_fields(query)))
+            .map(|count| {
+                assert_eq!(count, streamed.len());
+                streamed
+            });
+        prop_assert_eq!(&decoded, &expected, "{}", batch);
+        assert_endpoint_agrees(server, reader, "/v1/decisions:batch", &batch, &expected);
     }
 }
