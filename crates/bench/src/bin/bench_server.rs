@@ -1,41 +1,23 @@
-//! Wire-serving benchmark: requests/sec and latency percentiles of the
-//! HTTP/1.1 verdict server, written as a machine-readable
-//! `BENCH_server.json` so successive PRs accumulate a perf trajectory.
+//! Connection-scaling and overload benchmark of the HTTP/1.1 verdict
+//! server, written as a machine-readable `BENCH_server.json`. These are the
+//! two measurements `bench_e2e` does not take (its serve workloads hold the
+//! connection count fixed and never exceed the admission budget):
 //!
-//! The scenario: a trained sifter behind `VerdictServer`, hammered over
-//! loopback by keep-alive clients in four modes:
-//!
-//! * `single` — JSON `POST /v1/decisions`, one decision per round trip;
-//! * `batch` — JSON `POST /v1/decisions:batch`, many decisions per request;
-//! * `rewrite` — JSON singles carrying full URL context against a
-//!   rewriter-armed table, so a slice of the responses are per-request
-//!   `rewrite` bodies encoded at serve time (the one decision shape that
-//!   cannot be preformatted at commit);
-//! * `binary` — the length-prefixed binary protocol with id-form keys
-//!   (after the `GET /v1/keys` handshake), pipelined: each client keeps a
-//!   window of requests in flight on one connection, which is what the
-//!   fixed-width frames are for;
-//! * `connections` — the JSON single-decision load swept across 2, 64 and
-//!   512 concurrent keep-alive connections against the same fixed worker
-//!   pool, sizing the readiness-polled scheduler;
+//! * `connections` — JSON `POST /v1/decisions`, one decision per round
+//!   trip, swept across 2, 64 and 512 concurrent keep-alive connections
+//!   against the same fixed worker pool, sizing the readiness-polled
+//!   scheduler;
 //! * `overload` — a second server with a deliberately tiny connection
 //!   budget, driven at 2× that budget: sheds (`503` + `Retry-After` at
 //!   accept) are counted and retried, measuring the shed rate and the
 //!   latency tail the *admitted* requests keep under admission control.
 //!
-//! Reported per mode: requests/sec, decisions/sec, and p50/p99 latency —
-//! the numbers that size a deployment (how many proxy workers per verdict
-//! server, and what tail the proxy inherits).
+//! Reported per point: requests/sec and p50/p99 latency.
 //!
 //! Scale can be overridden through the environment:
 //!
 //! * `TRACKERSIFT_BENCH_SITES` — corpus size behind the server (default 1000);
-//! * `TRACKERSIFT_BENCH_HTTP_REQUESTS` — single-decision requests (default 20,000);
-//! * `TRACKERSIFT_BENCH_HTTP_BATCHES` — batch requests (default 400);
-//! * `TRACKERSIFT_BENCH_HTTP_BATCH_SIZE` — decisions per batch (default 128);
-//! * `TRACKERSIFT_BENCH_HTTP_CLIENTS` — concurrent client connections (default 2);
 //! * `TRACKERSIFT_BENCH_HTTP_WORKERS` — server workers (default 2);
-//! * `TRACKERSIFT_BENCH_HTTP_PIPELINE` — binary in-flight window (default 64);
 //! * `TRACKERSIFT_BENCH_HTTP_SWEEP_REQUESTS` — requests per connection-sweep
 //!   point (default 20,000);
 //! * `TRACKERSIFT_BENCH_HTTP_OVERLOAD_BUDGET` — connection budget of the
@@ -44,14 +26,13 @@
 //!   complete under overload (default 4,000);
 //! * `TRACKERSIFT_BENCH_OUT` — output path (default `BENCH_server.json`).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
-use trackersift::{Decision, RewriterBuilder, Sifter, Study, StudyConfig};
+use trackersift::{Sifter, Study, StudyConfig};
 use trackersift_bench::env_usize;
 use trackersift_server::client::Client;
-use trackersift_server::wire::{self, BinaryKeys, BinaryRecord, DecisionMessage};
+use trackersift_server::wire::DecisionMessage;
 use trackersift_server::{ServerConfig, VerdictServer};
 use websim::CorpusProfile;
 
@@ -78,104 +59,6 @@ fn drive(
                         let (status, _) = client.request("POST", target, Some(body));
                         samples.push(sent.elapsed().as_secs_f64() * 1e3);
                         assert_eq!(status, 200, "non-200 response from {target}");
-                    }
-                    samples
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("client thread"))
-            .collect()
-    });
-    let elapsed = start.elapsed();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    (elapsed, latencies)
-}
-
-/// One pre-rendered HTTP request carrying a binary decision frame.
-fn wrap_binary(target: &str, frame: &[u8]) -> Vec<u8> {
-    let head = format!(
-        "POST {target} HTTP/1.1\r\nHost: verdicts\r\nContent-Type: {}\r\nContent-Length: {}\r\n\r\n",
-        wire::BINARY_CONTENT_TYPE,
-        frame.len()
-    );
-    let mut request = head.into_bytes();
-    request.extend_from_slice(frame);
-    request
-}
-
-/// Consume exactly one HTTP response from `stream`, carrying partial reads
-/// over in `buffer`; panics on any non-200 status.
-fn eat_response(stream: &mut TcpStream, buffer: &mut Vec<u8>) {
-    let mut chunk = [0u8; 16 * 1024];
-    let head_end = loop {
-        if let Some(end) = buffer.windows(4).position(|w| w == b"\r\n\r\n") {
-            break end;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
-        assert!(n > 0, "server closed mid-response");
-        buffer.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buffer[..head_end]).expect("utf-8 head");
-    assert!(head.starts_with("HTTP/1.1 200"), "non-200 response: {head}");
-    let content_length: usize = head
-        .lines()
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().expect("numeric content-length"))
-        })
-        .expect("content-length header");
-    let total = head_end + 4 + content_length;
-    while buffer.len() < total {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "server closed mid-body");
-        buffer.extend_from_slice(&chunk[..n]);
-    }
-    buffer.drain(..total);
-}
-
-/// Run `total` pre-rendered requests across `clients` connections keeping
-/// up to `window` requests in flight per connection (HTTP/1.1 pipelining —
-/// the server's parser drains pipelined requests in order). Returns
-/// (elapsed, sorted per-flight latencies in ms).
-fn drive_pipelined(
-    addr: SocketAddr,
-    clients: usize,
-    total: usize,
-    window: usize,
-    requests: &[Vec<u8>],
-) -> (Duration, Vec<f64>) {
-    let per_client = total.div_ceil(clients);
-    let start = Instant::now();
-    let mut latencies: Vec<f64> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|index| {
-                scope.spawn(move || {
-                    let mut stream = TcpStream::connect(addr).expect("connect");
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(10)))
-                        .expect("read timeout");
-                    stream.set_nodelay(true).expect("nodelay");
-                    let mut samples = Vec::with_capacity(per_client.div_ceil(window));
-                    let mut response_buffer = Vec::new();
-                    let mut flight_buffer = Vec::new();
-                    let mut served = 0usize;
-                    while served < per_client {
-                        let flight = window.min(per_client - served);
-                        flight_buffer.clear();
-                        for i in 0..flight {
-                            let at = (index + (served + i) * clients) % requests.len();
-                            flight_buffer.extend_from_slice(&requests[at]);
-                        }
-                        let sent = Instant::now();
-                        stream.write_all(&flight_buffer).expect("write flight");
-                        for _ in 0..flight {
-                            eat_response(&mut stream, &mut response_buffer);
-                        }
-                        samples.push(sent.elapsed().as_secs_f64() * 1e3);
-                        served += flight;
                     }
                     samples
                 })
@@ -276,12 +159,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() {
     let sites = env_usize("TRACKERSIFT_BENCH_SITES", 1_000);
-    let single_requests = env_usize("TRACKERSIFT_BENCH_HTTP_REQUESTS", 20_000).max(1);
-    let batch_requests = env_usize("TRACKERSIFT_BENCH_HTTP_BATCHES", 400).max(1);
-    let batch_size = env_usize("TRACKERSIFT_BENCH_HTTP_BATCH_SIZE", 128).max(1);
-    let clients = env_usize("TRACKERSIFT_BENCH_HTTP_CLIENTS", 2).max(1);
     let workers = env_usize("TRACKERSIFT_BENCH_HTTP_WORKERS", 2).max(1);
-    let pipeline = env_usize("TRACKERSIFT_BENCH_HTTP_PIPELINE", 64).max(1);
     let sweep_requests = env_usize("TRACKERSIFT_BENCH_HTTP_SWEEP_REQUESTS", 20_000).max(1);
     let overload_budget = env_usize("TRACKERSIFT_BENCH_HTTP_OVERLOAD_BUDGET", 4).max(1);
     let overload_requests = env_usize("TRACKERSIFT_BENCH_HTTP_OVERLOAD_REQUESTS", 4_000).max(1);
@@ -289,40 +167,26 @@ fn main() {
         std::env::var("TRACKERSIFT_BENCH_OUT").unwrap_or_else(|_| "BENCH_server.json".to_string());
 
     eprintln!(
-        "bench_server: {sites} sites, {single_requests} single + {batch_requests}x{batch_size} \
-         batch requests, {clients} clients vs {workers} workers …"
+        "bench_server: {sites} sites, {sweep_requests} requests per sweep point, \
+         {overload_requests} under overload, {workers} workers …"
     );
     let study = Study::run(StudyConfig {
         profile: CorpusProfile::paper().with_sites(sites),
         seed: 2021,
         ..StudyConfig::default()
     });
-    // The rewriter is inert for keys-only queries (no URL context), so
-    // arming it here leaves the single/batch/binary modes untouched while
-    // giving the `rewrite` mode its Decision::Rewrite arm. Training holds
-    // back the last 10% of the traffic as a live slice: rewrite decisions
-    // only arise where the hierarchy walk falls off below a mixed node,
-    // which fully-observed keys never do.
-    let split = study.requests.len() * 9 / 10;
-    let mut sifter = Sifter::builder()
-        .thresholds(study.config.thresholds)
-        .rewriter(RewriterBuilder::new().default_rules().build())
-        .build();
-    sifter.observe_all(&study.requests[..split]);
-    sifter.commit();
-    let (writer, reader) = sifter.into_concurrent();
-    let server = VerdictServer::start(
-        writer,
-        ServerConfig {
-            workers,
-            ..ServerConfig::ephemeral()
-        },
-    )
-    .expect("start verdict server");
-    let addr = server.local_addr();
+    let start_server = |config: ServerConfig| {
+        let mut sifter = Sifter::builder()
+            .thresholds(study.config.thresholds)
+            .build();
+        sifter.observe_all(&study.requests);
+        sifter.commit();
+        let (writer, _reader) = sifter.into_concurrent();
+        VerdictServer::start(writer, config).expect("start verdict server")
+    };
 
     // Query bodies drawn from the corpus, keys-only (the lock-free path).
-    let messages: Vec<DecisionMessage> = study
+    let bodies: Vec<String> = study
         .requests
         .iter()
         .step_by((study.requests.len() / 512).max(1))
@@ -333,128 +197,24 @@ fn main() {
                 &request.initiator_script,
                 &request.initiator_method,
             )
-        })
-        .collect();
-    let single_bodies: Vec<String> = messages
-        .iter()
-        .map(|message| message.to_json_value().render())
-        .collect();
-    let batch_bodies: Vec<String> = (0..16)
-        .map(|offset| {
-            let rows: Vec<String> = (0..batch_size)
-                .map(|i| single_bodies[(offset * batch_size + i) % single_bodies.len()].clone())
-                .collect();
-            format!(r#"{{"requests":[{}]}}"#, rows.join(","))
+            .to_json_value()
+            .render()
         })
         .collect();
 
+    // Connection scheduler sweep: the same JSON single-decision load over
+    // growing numbers of concurrent keep-alive connections on a fixed pool.
+    let server = start_server(ServerConfig {
+        workers,
+        ..ServerConfig::ephemeral()
+    });
+    let addr = server.local_addr();
     // Warm up every worker's connection-handling path.
-    let (_, _) = drive(addr, clients, clients * 16, "/v1/decisions", &single_bodies);
-
-    let (single_elapsed, single_lat) = drive(
-        addr,
-        clients,
-        single_requests,
-        "/v1/decisions",
-        &single_bodies,
-    );
-    let single_served = single_lat.len();
-    let (batch_elapsed, batch_lat) = drive(
-        addr,
-        clients,
-        batch_requests,
-        "/v1/decisions:batch",
-        &batch_bodies,
-    );
-    let batch_served = batch_lat.len();
-
-    // Rewrite mode: the same sampled requests, now carrying their full URL
-    // context. Identifier-decorated URLs on mixed resources come back as
-    // per-request rewrite bodies (encoded at serve time); the rest take
-    // the usual preformatted path, so the measured rate is the blended
-    // cost of serving with URL context on every query.
-    let live = &study.requests[split..];
-    let url_messages: Vec<DecisionMessage> = live
-        .iter()
-        .step_by((live.len() / 512).max(1))
-        .map(|request| {
-            DecisionMessage::new(
-                &request.domain,
-                &request.hostname,
-                &request.initiator_script,
-                &request.initiator_method,
-            )
-            .with_url(&request.url, &request.site_domain, request.resource_type)
-        })
-        .collect();
-    let rewrite_share = url_messages
-        .iter()
-        .filter(|message| matches!(reader.decide(&message.as_request()), Decision::Rewrite(_)))
-        .count() as f64
-        / url_messages.len().max(1) as f64;
-    let rewrite_bodies: Vec<String> = url_messages
-        .iter()
-        .map(|message| message.to_json_value().render())
-        .collect();
-    let (rewrite_elapsed, rewrite_lat) = drive(
-        addr,
-        clients,
-        single_requests,
-        "/v1/decisions",
-        &rewrite_bodies,
-    );
-    let rewrite_served = rewrite_lat.len();
-
-    // Binary protocol: complete the key handshake once, then drive
-    // id-form fixed-width frames with a pipelined in-flight window.
-    let keys = Client::connect(addr).fetch_keys();
-    let records: Vec<BinaryRecord<'_>> = messages
-        .iter()
-        .map(|message| BinaryRecord {
-            keys: BinaryKeys::Ids {
-                domain: keys.id_of(&message.domain).unwrap_or(u32::MAX),
-                hostname: keys.id_of(&message.hostname).unwrap_or(u32::MAX),
-                script: keys.id_of(&message.script).unwrap_or(u32::MAX),
-                method: keys.id_of(&message.method).unwrap_or(u32::MAX),
-            },
-            context: None,
-        })
-        .collect();
-    let binary_singles: Vec<Vec<u8>> = records
-        .iter()
-        .map(|record| {
-            wrap_binary(
-                "/v1/decisions",
-                &wire::encode_binary_single(keys.epoch, record),
-            )
-        })
-        .collect();
-    let binary_batches: Vec<Vec<u8>> = (0..16)
-        .map(|offset| {
-            let rows: Vec<BinaryRecord<'_>> = (0..batch_size)
-                .map(|i| records[(offset * batch_size + i) % records.len()])
-                .collect();
-            wrap_binary(
-                "/v1/decisions:batch",
-                &wire::encode_binary_batch(keys.epoch, &rows),
-            )
-        })
-        .collect();
-    let (_, _) = drive_pipelined(addr, clients, clients * 16, pipeline, &binary_singles);
-    let (binary_elapsed, binary_lat) =
-        drive_pipelined(addr, clients, single_requests, pipeline, &binary_singles);
-    let binary_served = single_requests;
-    let (binary_batch_elapsed, binary_batch_lat) =
-        drive_pipelined(addr, clients, batch_requests, 4, &binary_batches);
-    let binary_batch_served = batch_requests;
-
-    // Connection scheduler sweep: same JSON single-decision load, growing
-    // numbers of concurrent keep-alive connections over the fixed pool.
+    drive(addr, workers, workers * 16, "/v1/decisions", &bodies);
     let sweep: Vec<String> = [2usize, 64, 512]
         .into_iter()
         .map(|conns| {
-            let (elapsed, lat) =
-                drive(addr, conns, sweep_requests, "/v1/decisions", &single_bodies);
+            let (elapsed, lat) = drive(addr, conns, sweep_requests, "/v1/decisions", &bodies);
             format!(
                 r#"{{
       "clients": {conns},
@@ -474,29 +234,19 @@ fn main() {
 
     // Overload: a fresh server whose admission control caps concurrent
     // connections at `overload_budget`, driven by twice that many clients.
-    let mut overload_sifter = Sifter::builder()
-        .thresholds(study.config.thresholds)
-        .build();
-    overload_sifter.observe_all(&study.requests);
-    overload_sifter.commit();
-    let (overload_writer, _overload_reader) = overload_sifter.into_concurrent();
-    let overload_server = VerdictServer::start(
-        overload_writer,
-        ServerConfig {
-            workers,
-            max_connections: overload_budget,
-            retry_after: 1,
-            ..ServerConfig::ephemeral()
-        },
-    )
-    .expect("start overload verdict server");
+    let overload_server = start_server(ServerConfig {
+        workers,
+        max_connections: overload_budget,
+        retry_after: 1,
+        ..ServerConfig::ephemeral()
+    });
     let overload_clients = overload_budget * 2;
     let (overload_elapsed, overload_lat, overload_sheds) = drive_overload(
         overload_server.local_addr(),
         overload_clients,
         overload_requests,
         "/v1/decisions",
-        &single_bodies,
+        &bodies,
     );
     overload_server.shutdown();
     let overload_admitted = overload_lat.len();
@@ -509,44 +259,7 @@ fn main() {
   "sites": {sites},
   "labeled_requests": {labeled},
   "workers": {workers},
-  "clients": {clients},
   "cores": {cores},
-  "single": {{
-    "requests": {single_served},
-    "requests_per_sec": {single_rps:.2},
-    "p50_ms": {single_p50:.4},
-    "p99_ms": {single_p99:.4}
-  }},
-  "batch": {{
-    "requests": {batch_served},
-    "batch_size": {batch_size},
-    "requests_per_sec": {batch_rps:.2},
-    "decisions_per_sec": {batch_dps:.2},
-    "p50_ms": {batch_p50:.4},
-    "p99_ms": {batch_p99:.4}
-  }},
-  "rewrite": {{
-    "requests": {rewrite_served},
-    "rewrite_share": {rewrite_share:.4},
-    "requests_per_sec": {rewrite_rps:.2},
-    "p50_ms": {rewrite_p50:.4},
-    "p99_ms": {rewrite_p99:.4}
-  }},
-  "binary": {{
-    "requests": {binary_served},
-    "pipeline": {pipeline},
-    "requests_per_sec": {binary_rps:.2},
-    "p50_flight_ms": {binary_p50:.4},
-    "p99_flight_ms": {binary_p99:.4},
-    "batch": {{
-      "requests": {binary_batch_served},
-      "batch_size": {batch_size},
-      "requests_per_sec": {binary_batch_rps:.2},
-      "decisions_per_sec": {binary_batch_dps:.2},
-      "p50_ms": {binary_batch_p50:.4},
-      "p99_ms": {binary_batch_p99:.4}
-    }}
-  }},
   "connections": [
     {connections}
   ],
@@ -563,24 +276,6 @@ fn main() {
 }}"#,
         labeled = study.requests.len(),
         cores = thread::available_parallelism().map_or(1, usize::from),
-        single_rps = single_served as f64 / single_elapsed.as_secs_f64(),
-        single_p50 = percentile(&single_lat, 0.50),
-        single_p99 = percentile(&single_lat, 0.99),
-        batch_rps = batch_served as f64 / batch_elapsed.as_secs_f64(),
-        batch_dps = (batch_served * batch_size) as f64 / batch_elapsed.as_secs_f64(),
-        batch_p50 = percentile(&batch_lat, 0.50),
-        batch_p99 = percentile(&batch_lat, 0.99),
-        rewrite_rps = rewrite_served as f64 / rewrite_elapsed.as_secs_f64(),
-        rewrite_p50 = percentile(&rewrite_lat, 0.50),
-        rewrite_p99 = percentile(&rewrite_lat, 0.99),
-        binary_rps = binary_served as f64 / binary_elapsed.as_secs_f64(),
-        binary_p50 = percentile(&binary_lat, 0.50),
-        binary_p99 = percentile(&binary_lat, 0.99),
-        binary_batch_rps = binary_batch_served as f64 / binary_batch_elapsed.as_secs_f64(),
-        binary_batch_dps =
-            (binary_batch_served * batch_size) as f64 / binary_batch_elapsed.as_secs_f64(),
-        binary_batch_p50 = percentile(&binary_batch_lat, 0.50),
-        binary_batch_p99 = percentile(&binary_batch_lat, 0.99),
         connections = sweep.join(",\n    "),
         overload_rps = overload_admitted as f64 / overload_elapsed.as_secs_f64(),
         overload_p50 = percentile(&overload_lat, 0.50),

@@ -1,5 +1,4 @@
-//! Shared harness for the experiment-regeneration binaries and the
-//! criterion benchmarks.
+//! Shared harness for the experiment-regeneration binaries.
 //!
 //! Every binary regenerates one table or figure of the paper from the same
 //! deterministic study (same profile, same seed), so their outputs are
@@ -13,8 +12,6 @@
 
 use trackersift::{Study, StudyConfig};
 use websim::CorpusProfile;
-
-pub mod baseline;
 
 /// Number of sites used by experiment binaries unless overridden.
 pub const DEFAULT_SITES: usize = 5_000;

@@ -431,8 +431,7 @@ impl SifterWriter {
     /// still be pinning the previous table; the frozen key lookup is only
     /// re-cloned when the delta interned new keys, and is shared between
     /// tables otherwise. For corpus-scale states this publication cost is
-    /// small next to the avoided full reclassify (see the `commit_speedup`
-    /// and contention sections of `BENCH_service.json`).
+    /// small next to the avoided full reclassify.
     ///
     /// With a durable store attached, a commit marker is journaled and the
     /// journal is **fsynced before the in-memory fold** — so a crash at any

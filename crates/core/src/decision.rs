@@ -36,7 +36,7 @@
 //! [`Decision::Rewrite`] is the enforcement arm for *hierarchy-mixed*
 //! requests whose URL actually carries tracking identifiers (`utm_*`,
 //! `gclid`, redirect wrappers): a configured
-//! [`UrlRewriter`](rewriter::UrlRewriter) strips them and the blocker loads
+//! [`UrlRewriter`] strips them and the blocker loads
 //! the cleaned URL instead. Precedence is Allow < Rewrite < Surrogate <
 //! Block: a rewrite only fires where block/allow/surrogate cannot settle
 //! the request more decisively.

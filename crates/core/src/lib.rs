@@ -107,7 +107,6 @@ pub mod report;
 pub mod revision;
 pub mod sensitivity;
 pub mod service;
-pub mod shard;
 pub mod snapshot;
 pub mod stage;
 pub mod surrogate;
@@ -146,7 +145,6 @@ pub use service::{
     CommitStats, IngestStats, ObserveOutcome, ServiceStats, Sifter, SifterBuilder, Verdict,
     VerdictRequest,
 };
-pub use shard::{shard_index, ShardedReader, ShardedWriter};
 pub use snapshot::{SifterSnapshot, SnapshotError};
 pub use stage::{Stage, StageRunner, StageTiming, StageTimings};
 pub use surrogate::{generate_surrogates, MethodAction, SurrogateScript};

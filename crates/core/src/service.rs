@@ -1389,8 +1389,7 @@ impl Sifter {
     }
 
     /// From-scratch reference classification over an explicit request set —
-    /// the naive baseline `bench_service` measures incremental commits
-    /// against.
+    /// what the tests compare incremental commits against.
     pub fn classifier(&self) -> HierarchicalClassifier {
         HierarchicalClassifier::new(self.thresholds)
     }

@@ -11,7 +11,7 @@
 //!   "not a member of this level" or one of the three classifications, so a
 //!   level probe is a bounds-checked array read instead of a hash lookup.
 //!   The incremental commit patches exactly the dirty slots in place.
-//! * [`verdict_walk`] — the one implementation of the coarsest-to-finest
+//! * `verdict_walk` — the one implementation of the coarsest-to-finest
 //!   verdict walk, generic over [`KeyResolver`] so the single-threaded
 //!   sifter (live [`KeyInterner`](crate::intern::KeyInterner)) and the
 //!   concurrent readers (immutable [`FrozenKeys`]) execute identical logic.
@@ -72,7 +72,7 @@ fn classification_of(code: u8) -> Option<Classification> {
 
 /// Dense committed classifications, one byte array per granularity, indexed
 /// by [`ResourceKey::index`]. Slots beyond an array's length (keys interned
-/// after the last commit) and [`ABSENT`] slots both read as "not a member".
+/// after the last commit) and `ABSENT` slots both read as "not a member".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassTable {
     levels: [Vec<u8>; 4],

@@ -25,7 +25,7 @@ pub enum ResourceType {
     Media,
     /// WebSocket handshake.
     Websocket,
-    /// Ping / beacon (navigator.sendBeacon, <a ping>).
+    /// Ping / beacon (`navigator.sendBeacon`, `<a ping>`).
     Ping,
     /// Top-level document itself.
     Document,

@@ -3,7 +3,7 @@
 //! The paper measures a *snapshot* of the web; real deployments re-crawl,
 //! because the tracking ecosystem moves underneath them — scripts hop CDNs,
 //! endpoints re-draw their paths, new pixels appear. This crate closes that
-//! loop: a [`Scheduler`] owns a [websim](websim) corpus and an
+//! loop: a [`Scheduler`] owns a [websim] corpus and an
 //! [`EcosystemMutator`], and each [`tick`](Scheduler::tick) advances the
 //! simulated web one epoch, re-crawls every site through a
 //! [`SifterWriter`]'s observe/commit path, and reads the verdict drift the
@@ -21,7 +21,7 @@
 //! epoch, and *before* re-crawling, it probes every rotated script — did
 //! the verdict keyed under the active keying survive the rotation? The
 //! running probe/hit tally is exported through
-//! [`SchedulerStats`](trackersift_server::SchedulerStats) and, when the
+//! [`SchedulerStats`] and, when the
 //! scheduler is attached to a
 //! [`VerdictServer`](trackersift_server::VerdictServer), the `scheduler`
 //! section of `GET /v1/stats`.

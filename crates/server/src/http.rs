@@ -668,15 +668,10 @@ impl RequestParser {
             return Err(RequestError::DuplicateContentLength);
         }
         let content_length = match content_length {
-            // RFC 9112 framing is 1*DIGIT; `usize::from_str` alone would
-            // also accept forms like `+17` that a conforming front proxy
-            // rejects — another framing ambiguity, refused like the rest.
-            // All-digit values that overflow `usize` land here too: no
-            // declared length we cannot even represent is servable.
-            Some(value) if !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit()) => value
-                .parse::<usize>()
-                .map_err(|_| RequestError::BadContentLength(value.to_string()))?,
-            Some(value) => return Err(RequestError::BadContentLength(value.to_string())),
+            // A conforming front proxy rejects what `parse_digits` rejects:
+            // another framing ambiguity, refused like the rest.
+            Some(value) => parse_digits::<usize>(value)
+                .ok_or_else(|| RequestError::BadContentLength(value.to_string()))?,
             None => 0,
         };
         if content_length > max_body_bytes {
@@ -691,6 +686,18 @@ impl RequestParser {
             content_length,
         }))
     }
+}
+
+/// Parse a `1*DIGIT` unsigned integer (RFC 9112's Content-Length grammar,
+/// shared by the version numbers in query strings). `from_str` alone would
+/// also accept forms like `+17`; empty text is refused, and so are
+/// all-digit values that overflow `T`: no number we cannot represent is
+/// servable.
+pub(crate) fn parse_digits<T: std::str::FromStr>(text: &str) -> Option<T> {
+    if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    text.parse().ok()
 }
 
 /// Offset of the `\r\n\r\n` head terminator, if present.

@@ -447,9 +447,8 @@ struct AdminStats {
     /// Scheduler gauges plus the duration of the last tick in
     /// microseconds, when a scheduler is attached.
     scheduler: Option<(SchedulerStats, u64)>,
-    /// Per-commit-loop `(published version, commits)` pairs — one entry
-    /// per verdict shard the admin thread drives (one today; the sharded
-    /// commit fan-out of `trackersift::shard` stays in-process for now).
+    /// Per-commit-loop `(published version, commits)` pairs behind the
+    /// body's `"shards"` section — one entry, the admin thread's writer.
     shards: Vec<(u64, u64)>,
 }
 
@@ -1573,16 +1572,12 @@ impl Worker {
         }
     }
 
-    fn stats(&self) -> HttpResponse {
-        let Some(stats) = self.admin_call(AdminMsg::Stats) else {
-            return Self::admin_unavailable();
-        };
-        let mut value = wire::service_stats_to_json(&stats.service);
+    /// The per-worker `"workers"` array and the `"admission"` object that
+    /// both flavours of `GET /v1/stats` carry.
+    fn workers_and_admission(&self) -> (Value, Value) {
         let mut worker_restarts = 0u64;
         let mut shed_connections = 0u64;
         let mut shed_requests = 0u64;
-        let mut snapshot_deltas = 0u64;
-        let mut snapshot_fulls = 0u64;
         let workers: Vec<Value> = self
             .counters
             .iter()
@@ -1593,8 +1588,6 @@ impl Worker {
                 worker_restarts += restarts;
                 shed_connections += conns_shed;
                 shed_requests += requests_shed;
-                snapshot_deltas += counters.snapshot_deltas.load(Ordering::Relaxed);
-                snapshot_fulls += counters.snapshot_fulls.load(Ordering::Relaxed);
                 object(vec![
                     (
                         "requests",
@@ -1618,29 +1611,42 @@ impl Worker {
                 ])
             })
             .collect();
+        let admission = object(vec![
+            (
+                "active_connections",
+                Value::number_u64(self.gauges.active_connections.load(Ordering::Relaxed)),
+            ),
+            (
+                "inflight",
+                Value::number_u64(self.gauges.inflight.load(Ordering::Relaxed)),
+            ),
+            (
+                "max_connections",
+                Value::number_u64(self.max_connections as u64),
+            ),
+            ("max_inflight", Value::number_u64(self.max_inflight as u64)),
+            ("worker_restarts", Value::number_u64(worker_restarts)),
+            ("shed_connections", Value::number_u64(shed_connections)),
+            ("shed_requests", Value::number_u64(shed_requests)),
+        ]);
+        (Value::Array(workers), admission)
+    }
+
+    fn stats(&self) -> HttpResponse {
+        let Some(stats) = self.admin_call(AdminMsg::Stats) else {
+            return Self::admin_unavailable();
+        };
+        let mut value = wire::service_stats_to_json(&stats.service);
+        let (workers, admission) = self.workers_and_admission();
+        let mut snapshot_deltas = 0u64;
+        let mut snapshot_fulls = 0u64;
+        for counters in self.counters.iter() {
+            snapshot_deltas += counters.snapshot_deltas.load(Ordering::Relaxed);
+            snapshot_fulls += counters.snapshot_fulls.load(Ordering::Relaxed);
+        }
         if let Value::Object(fields) = &mut value {
-            fields.push(("workers".to_string(), Value::Array(workers)));
-            fields.push((
-                "admission".to_string(),
-                object(vec![
-                    (
-                        "active_connections",
-                        Value::number_u64(self.gauges.active_connections.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "inflight",
-                        Value::number_u64(self.gauges.inflight.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "max_connections",
-                        Value::number_u64(self.max_connections as u64),
-                    ),
-                    ("max_inflight", Value::number_u64(self.max_inflight as u64)),
-                    ("worker_restarts", Value::number_u64(worker_restarts)),
-                    ("shed_connections", Value::number_u64(shed_connections)),
-                    ("shed_requests", Value::number_u64(shed_requests)),
-                ]),
-            ));
+            fields.push(("workers".to_string(), workers));
+            fields.push(("admission".to_string(), admission));
             if let Some(generation) = stats.generation {
                 let journal = stats.journal.unwrap_or_default();
                 let mut durability = vec![
@@ -1774,68 +1780,13 @@ impl Worker {
     fn replica_stats(&self, status: &ReplicaStatus) -> HttpResponse {
         let pin = self.reader.pin();
         let table = pin.table();
-        let mut worker_restarts = 0u64;
-        let mut shed_connections = 0u64;
-        let mut shed_requests = 0u64;
-        let workers: Vec<Value> = self
-            .counters
-            .iter()
-            .map(|counters| {
-                let restarts = counters.restarts.load(Ordering::Relaxed);
-                let conns_shed = counters.shed_connections.load(Ordering::Relaxed);
-                let requests_shed = counters.shed_requests.load(Ordering::Relaxed);
-                worker_restarts += restarts;
-                shed_connections += conns_shed;
-                shed_requests += requests_shed;
-                object(vec![
-                    (
-                        "requests",
-                        Value::number_u64(counters.requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "decisions",
-                        Value::number_u64(counters.decisions.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "errors",
-                        Value::number_u64(counters.errors.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "accept_failures",
-                        Value::number_u64(counters.accept_failures.load(Ordering::Relaxed)),
-                    ),
-                    ("restarts", Value::number_u64(restarts)),
-                    ("shed_connections", Value::number_u64(conns_shed)),
-                    ("shed_requests", Value::number_u64(requests_shed)),
-                ])
-            })
-            .collect();
+        let (workers, admission) = self.workers_and_admission();
         let value = object(vec![
             ("version", Value::number_u64(table.version())),
             ("committed", Value::number_u64(table.committed())),
             ("residue", Value::number_u64(table.unattributed())),
-            ("workers", Value::Array(workers)),
-            (
-                "admission",
-                object(vec![
-                    (
-                        "active_connections",
-                        Value::number_u64(self.gauges.active_connections.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "inflight",
-                        Value::number_u64(self.gauges.inflight.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "max_connections",
-                        Value::number_u64(self.max_connections as u64),
-                    ),
-                    ("max_inflight", Value::number_u64(self.max_inflight as u64)),
-                    ("worker_restarts", Value::number_u64(worker_restarts)),
-                    ("shed_connections", Value::number_u64(shed_connections)),
-                    ("shed_requests", Value::number_u64(shed_requests)),
-                ]),
-            ),
+            ("workers", workers),
+            ("admission", admission),
             (
                 "replication",
                 object(vec![
@@ -1910,9 +1861,7 @@ fn parse_snapshot_query(target: &str) -> Result<u64, String> {
             return Err("duplicate since parameter".to_string());
         }
         since = Some(
-            value
-                .parse()
-                .map_err(|_| format!("bad snapshot version {value:?}"))?,
+            http::parse_digits(value).ok_or_else(|| format!("bad snapshot version {value:?}"))?,
         );
     }
     since.ok_or_else(|| "empty query string".to_string())
@@ -1943,13 +1892,10 @@ fn parse_revisions_query(target: &str) -> Result<Option<(u64, u64)>, String> {
         let Some((from, to)) = value.split_once("..") else {
             return Err(format!("diff range {value:?} is not of the form a..b"));
         };
-        let from: u64 = from
-            .parse()
-            .map_err(|_| format!("bad revision version {from:?}"))?;
-        let to: u64 = to
-            .parse()
-            .map_err(|_| format!("bad revision version {to:?}"))?;
-        range = Some((from, to));
+        let version = |text: &str| {
+            http::parse_digits::<u64>(text).ok_or_else(|| format!("bad revision version {text:?}"))
+        };
+        range = Some((version(from)?, version(to)?));
     }
     Ok(Some(range.ok_or_else(|| "empty query string".to_string())?))
 }

@@ -11,7 +11,7 @@ use trackersift_server::client::{Client, RetryPolicy, RetryingClient};
 use trackersift_server::wire::{
     self, BinaryKeys, BinaryRecord, DecisionMessage, ObservationMessage,
 };
-use trackersift_server::{DurabilityConfig, ServerConfig, VerdictServer};
+use trackersift_server::{DurabilityConfig, ReplicaStatus, ServerConfig, VerdictServer};
 
 /// The fixed training set behind the golden fixtures: one pure tracking
 /// domain, one pure functional domain, and one mixed chain ending in a
@@ -801,6 +801,71 @@ fn stats_exposes_admission_budgets_and_worker_health() {
     server.shutdown();
 }
 
+/// A primary and a replica render `workers[0]` and `admission` of
+/// `GET /v1/stats` with the same keys in the same order, and the primary's
+/// body still describes its one writer under `"shards"`.
+#[test]
+fn primary_and_replica_stats_share_the_worker_and_admission_shape() {
+    fn keys(value: &Value) -> Vec<&str> {
+        match value {
+            Value::Object(fields) => fields.iter().map(|(key, _)| key.as_str()).collect(),
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+    let primary = start_server(trained_sifter());
+    let (_writer, reader) = trained_sifter().into_concurrent();
+    let replica = VerdictServer::start_replica(
+        reader,
+        std::sync::Arc::new(ReplicaStatus::new("127.0.0.1:1")),
+        ServerConfig::ephemeral(),
+    )
+    .expect("start replica server");
+    let [primary_body, replica_body] = [&primary, &replica].map(|server| {
+        let (status, body) = Client::connect(server.local_addr()).request("GET", "/v1/stats", None);
+        assert_eq!(status, 200);
+        body
+    });
+    for body in [&primary_body, &replica_body] {
+        let stats = Value::parse(body).expect("stats json");
+        assert_eq!(
+            keys(&stats.field("workers").unwrap().as_array().unwrap()[0]),
+            [
+                "requests",
+                "decisions",
+                "errors",
+                "accept_failures",
+                "restarts",
+                "shed_connections",
+                "shed_requests"
+            ],
+            "{body}"
+        );
+        assert_eq!(
+            keys(stats.field("admission").unwrap()),
+            [
+                "active_connections",
+                "inflight",
+                "max_connections",
+                "max_inflight",
+                "worker_restarts",
+                "shed_connections",
+                "shed_requests"
+            ],
+            "{body}"
+        );
+    }
+    assert!(
+        primary_body.contains(r#""shards":{"count":1,"#),
+        "{primary_body}"
+    );
+    assert!(
+        replica_body.contains(r#""role":"replica""#),
+        "{replica_body}"
+    );
+    primary.shutdown();
+    replica.shutdown();
+}
+
 /// The crash-recovery loop over the wire: observations committed against a
 /// durable server survive a full stop/start cycle on the same directory,
 /// and the reboot's recovery report is visible in `/v1/stats`.
@@ -1069,11 +1134,22 @@ fn revisions_endpoint_rejects_hostile_ranges() {
     client.request("POST", "/v1/commit", None);
 
     // Errors close the connection, so each case reconnects.
-    let cases: [(&str, u16, &str); 7] = [
+    let cases: [(&str, u16, &str); 9] = [
         ("/v1/revisions?diff=2..1", 400, "inverted revision range"),
         ("/v1/revisions?diff=0..9", 404, "not in the revision ring"),
         ("/v1/revisions?diff=5..9", 404, "not in the revision ring"),
         ("/v1/revisions?diff=abc", 400, "not of the form a..b"),
+        // Versions are 1*DIGIT: a sign `u64::from_str` would accept is not.
+        (
+            "/v1/revisions?diff=+1..2",
+            400,
+            r#"bad revision version \"+1\""#,
+        ),
+        (
+            "/v1/revisions?diff=1..+2",
+            400,
+            r#"bad revision version \"+2\""#,
+        ),
         ("/v1/revisions?diff=1..2&diff=1..2", 400, "duplicate"),
         (
             "/v1/revisions?granularity=Script",
@@ -1391,9 +1467,17 @@ fn delta_snapshot_endpoint_contract() {
     let (status, body) = client.request("GET", "/v1/snapshot?since=99", None);
     assert_eq!(status, 400);
     assert!(body.contains("inverted"), "{body}");
-    let mut client = Client::connect(server.local_addr());
-    let (status, _) = client.request("GET", "/v1/snapshot?since=abc", None);
-    assert_eq!(status, 400);
+    for (target, needle) in [
+        ("/v1/snapshot?since=abc", r#"bad snapshot version \"abc\""#),
+        // Versions are 1*DIGIT: no sign, and not nothing.
+        ("/v1/snapshot?since=+3", r#"bad snapshot version \"+3\""#),
+        ("/v1/snapshot?since=", r#"bad snapshot version \"\""#),
+    ] {
+        let mut client = Client::connect(server.local_addr());
+        let (status, body) = client.request("GET", target, None);
+        assert_eq!(status, 400, "{target}: {body}");
+        assert!(body.contains(needle), "{target}: {body}");
+    }
     let mut client = Client::connect(server.local_addr());
     let (status, _) = client.request("GET", "/v1/snapshot?bogus=1", None);
     assert_eq!(status, 400);

@@ -3,7 +3,7 @@
 //! Mirrors the two names the workspace imports (`serde::Serialize`,
 //! `serde::Deserialize`) as marker traits plus the matching derive macros.
 //! The derives expand to nothing — persistence is implemented by the
-//! hand-rolled [`crawler::json`] codec — so these annotations are inert
+//! hand-rolled `crawler::json` codec — so these annotations are inert
 //! documentation of serialisability until a real registry is available.
 
 pub use serde_derive::{Deserialize, Serialize};

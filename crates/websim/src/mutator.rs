@@ -14,14 +14,14 @@
 //!   filter rules keep matching and ground-truth labels stay consistent,
 //!   while the script's URL identity is destroyed.
 //! * **Path rotation** — a script's tracking requests are re-drawn from
-//!   [`tracking_endpoint_url`](crate::ecosystem::tracking_endpoint_url) on
+//!   [`tracking_endpoint_url`] on
 //!   their original hostname: new path, new query shape, same host, same
 //!   intent, still caught by the curated lists' generic rules.
 //! * **Pixel emergence** — a new document-initiated tracking pixel appears
 //!   on a page, aimed at a tracking-role host of the ecosystem. Appended to
-//!   [`Website::non_script_requests`] so existing scripts' behaviour — and
-//!   therefore their [content fingerprints](crate::fingerprint) — is
-//!   untouched.
+//!   [`Website::non_script_requests`](crate::model::Website::non_script_requests)
+//!   so existing scripts' behaviour — and therefore their
+//!   [content fingerprints](crate::fingerprint) — is untouched.
 //!
 //! Mutation is deterministic from `(seed, epoch)` alone: every epoch
 //! derives per-site RNGs the same way the generator does, so two runs from

@@ -55,12 +55,12 @@ pub mod prelude {
     pub use rewriter::{RewriterBuilder, RewrittenUrl, UrlRewriter};
     pub use scheduler::{Scheduler, SchedulerConfig, ScriptKeying};
     pub use trackersift::{
-        shard_index, Breakage, Classification, CommitStats, Decision, DecisionRequest,
-        DecisionSource, DeltaSnapshot, FollowerState, Granularity, HierarchicalClassifier,
-        IngestStats, KeyInterner, Labeler, ObserveOutcome, RatioHistogram, ResourceKey,
-        SensitivitySweep, ServiceStats, ShardedReader, ShardedWriter, Sifter, SifterBuilder,
-        SifterReader, SifterSnapshot, SifterWriter, SnapshotError, Stage, StageTimings, Study,
-        StudyConfig, Thresholds, Verdict, VerdictRequest, VerdictTable,
+        Breakage, Classification, CommitStats, Decision, DecisionRequest, DecisionSource,
+        DeltaSnapshot, FollowerState, Granularity, HierarchicalClassifier, IngestStats,
+        KeyInterner, Labeler, ObserveOutcome, RatioHistogram, ResourceKey, SensitivitySweep,
+        ServiceStats, Sifter, SifterBuilder, SifterReader, SifterSnapshot, SifterWriter,
+        SnapshotError, Stage, StageTimings, Study, StudyConfig, Thresholds, Verdict,
+        VerdictRequest, VerdictTable,
     };
     pub use trackersift_replica::{ReplicaConfig, ReplicaServer};
     pub use trackersift_server::{

@@ -1,24 +1,16 @@
-//! Property-based tests for the sharded writers and the delta-snapshot
-//! replication protocol (PR 10):
-//!
-//! * a [`ShardedReader`] answers **byte-identically** to the single-writer
-//!   sifter after any interleaving of observations and commits, as long as
-//!   the workload respects the partition invariant (scripts scoped to
-//!   their domain);
-//! * a follower that bootstraps from a full snapshot and then replays
-//!   deltas reproduces the primary's [`VerdictTable`] at **every**
-//!   advertised version — including across a primary restart (the
-//!   durability journal re-seeds the revision ring) and across ring-aged
-//!   spans, where the protocol's answer is a full re-bootstrap (the HTTP
-//!   `410 Gone` contract).
+//! Tests for the delta-snapshot replication protocol (PR 10): a follower
+//! that bootstraps from a full snapshot and then replays deltas reproduces
+//! the primary's [`VerdictTable`] at **every** advertised version —
+//! including across a primary restart (the durability journal re-seeds the
+//! revision ring) and across ring-aged spans, where the protocol's answer
+//! is a full re-bootstrap (the HTTP `410 Gone` contract) — and one epoch
+//! of drift travels in a small fraction of a full bootstrap's bytes.
 
 use proptest::prelude::*;
 use trackersift_suite::prelude::*;
 use trackersift_suite::trackersift::{frames, ApplyError};
 
 /// One synthetic observation, index-encoded so the strategies stay tiny.
-/// The script URL is derived from the domain — the partition invariant
-/// under which sharded answers are exact, not approximate.
 type Obs = (u8, u8, u8, u8, u8);
 
 fn parts(observation: Obs) -> (String, String, String, String, bool) {
@@ -52,59 +44,6 @@ fn probes(epochs: &[Vec<Obs>]) -> Vec<(String, String, String, String)> {
         }
     }
     seen.into_iter().collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Tentpole invariant: for domain-scoped workloads the sharded façade
-    /// is indistinguishable from the single writer — same `Decision`, same
-    /// `Verdict`, same rendered wire bytes — after interleaved commits.
-    #[test]
-    fn sharded_reader_is_byte_identical_to_the_single_writer(
-        epochs in arb_epochs(),
-        shards in 1usize..5,
-    ) {
-        let mut single = Sifter::builder().build();
-        let mut sharded = ShardedWriter::build(shards, |_| Sifter::builder().build());
-        for epoch in &epochs {
-            for &observation in epoch {
-                let (domain, hostname, script, method, tracking) = parts(observation);
-                single.observe_parts(&domain, &hostname, &script, &method, tracking);
-                sharded.observe_parts(&domain, &hostname, &script, &method, tracking);
-            }
-            single.commit();
-            sharded.commit();
-        }
-        prop_assert_eq!(sharded.cross_partition_scripts(), 0);
-        let reader = sharded.reader();
-        let requests = probes(&epochs);
-        let batch: Vec<DecisionRequest<'_>> = requests
-            .iter()
-            .map(|(d, h, s, m)| DecisionRequest::new(d, h, s, m))
-            .collect();
-        let decisions = reader.decide_batch(&batch);
-        for (request, sharded_decision) in batch.iter().zip(&decisions) {
-            let single_decision = single.decide(request);
-            prop_assert_eq!(&single_decision, sharded_decision, "{:?}", request);
-            // Byte identity, not just enum equality: the rendered wire
-            // payloads agree too.
-            prop_assert_eq!(
-                frames::decision_value(&single_decision).render(),
-                frames::decision_value(sharded_decision).render()
-            );
-            let verdict_request = VerdictRequest::new(
-                request.domain,
-                request.hostname,
-                request.script,
-                request.method,
-            );
-            prop_assert_eq!(
-                single.verdict(&verdict_request),
-                reader.verdict(&verdict_request)
-            );
-        }
-    }
 }
 
 /// Assert the follower's table reproduces the primary's current table:
@@ -294,4 +233,64 @@ fn aged_out_follower_rebootstraps_from_the_full_snapshot() {
         follower.table().decide(&request),
         pin.table().decide(&request)
     );
+}
+
+/// The protocol's reason to exist, as a size bound: on a primary trained
+/// by a seed crawl, one `EcosystemMutator` epoch of drift — the scripts the
+/// mutator re-homed, re-crawled under their new URLs — encodes to under a
+/// tenth of a full bootstrap's bytes, and a follower that applies
+/// full-then-delta lands on the primary's version. A delta that shipped
+/// the whole table would fail the bound.
+#[test]
+fn single_epoch_delta_is_under_a_tenth_of_a_full_bootstrap() {
+    const SEED: u64 = 2021;
+    let mut scheduler = Scheduler::new(SchedulerConfig::new(SEED).with_sites(120));
+    let (mut writer, reader) = scheduler.sifter_pair();
+    scheduler.tick(&mut writer);
+
+    let mut follower = FollowerState::new(None, None);
+    let full = frames::encode_delta_snapshot(&reader.pin().table().full_snapshot_delta());
+    follower
+        .apply(&frames::decode_delta_snapshot(&full).expect("decode full"))
+        .expect("bootstrap");
+    let previous_version = follower.version();
+
+    let mut corpus = scheduler.corpus().clone();
+    let report = EcosystemMutator::new(SEED, MutationConfig::default()).advance(&mut corpus, 1);
+    assert!(
+        !report.rotations.is_empty(),
+        "the epoch must re-home a script"
+    );
+    for rotation in &report.rotations {
+        let site = &corpus.websites[rotation.site];
+        let script = &site.scripts[rotation.script];
+        for (method, request) in script.planned_requests() {
+            writer.observe_url(
+                &request.url,
+                &site.hostname,
+                request.resource_type,
+                &rotation.new_url,
+                &script.methods[method].name,
+            );
+        }
+    }
+    writer.commit();
+
+    let pin = reader.pin();
+    let delta = pin
+        .table()
+        .delta_since(previous_version)
+        .expect("one epoch stays inside the ring");
+    assert!(!delta.changes.is_empty(), "the epoch must change a verdict");
+    let delta = frames::encode_delta_snapshot(&delta);
+    assert!(
+        delta.len() * 10 < full.len(),
+        "single-epoch delta ({} B) is not under 10% of a full bootstrap ({} B)",
+        delta.len(),
+        full.len()
+    );
+    follower
+        .apply(&frames::decode_delta_snapshot(&delta).expect("decode delta"))
+        .expect("apply delta");
+    assert_eq!(follower.table().version(), pin.table().version());
 }
