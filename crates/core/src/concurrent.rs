@@ -10,11 +10,11 @@
 //! * [`Sifter::into_concurrent`] / [`SifterBuilder::build_concurrent`](crate::service::SifterBuilder::build_concurrent)
 //!   return a cheaply-cloneable [`SifterReader`] (`Clone + Send + Sync`) and
 //!   one [`SifterWriter`];
-//! * readers serve [`SifterReader::verdict`] / [`SifterReader::verdict_batch`]
-//!   from an immutable [`VerdictTable`] reached through an atomically
-//!   swapped pointer — **no mutex or rwlock on the query path** — so a
-//!   reader never observes a half-applied commit and never waits for the
-//!   writer;
+//! * readers serve [`SifterReader::verdict`] / [`SifterReader::decide`]
+//!   by pinning the immutable [`VerdictTable`] behind an atomically
+//!   swapped pointer and forwarding to it — **no mutex or rwlock on the
+//!   query path** — so a reader never observes a half-applied commit and
+//!   never waits for the writer;
 //! * the writer keeps the sifter's incremental dirty-set machinery;
 //!   [`SifterWriter::commit`] reclassifies the dirty slice and publishes the
 //!   next table in one atomic swap.
@@ -40,13 +40,14 @@
 //! the protected table cannot be freed while pinned. Readers therefore
 //! never touch a reference count or a lock; the writer alone reclaims.
 //!
-//! One [`PinnedTable`] guard covers a whole [`SifterReader::verdict_batch`],
-//! so bulk serving amortises the two pin atomics across the batch. A pinned
-//! table is a consistent point-in-time state: its
-//! [`version`](VerdictTable::version) is the commit count, strictly
-//! increasing across publishes, which is what the stress tests use to prove
-//! atomic publication (every served verdict equals some committed state,
-//! never a torn mix).
+//! A [`PinnedTable`] guard derefs to the table it pins, so a batch is
+//! answered by holding one pin across it
+//! (`let pin = reader.pin(); for q in qs { pin.decide(q) }`), which also
+//! amortises the two pin atomics. A pinned table is a consistent
+//! point-in-time state: its [`version`](VerdictTable::version) is the
+//! commit count, strictly increasing across publishes, which is what the
+//! stress tests use to prove atomic publication (every served verdict
+//! equals some committed state, never a torn mix).
 //!
 //! The only lock in the module guards reader registration (clone/drop), the
 //! retire list, and a slow-path fallback used when a *single* reader handle
@@ -58,11 +59,12 @@ use crate::intern::FrozenKeys;
 use crate::journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport};
 use crate::label::LabeledRequest;
 use crate::revision::VerdictRevision;
-use crate::service::{CommitStats, ObserveOutcome, ServiceStats, Sifter, Verdict, VerdictRequest};
+use crate::service::{CommitStats, ObserveOutcome, ServiceStats, Sifter, Verdict};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::table::{ClassTable, SurrogatePlans, VerdictTable};
 use filterlist::ResourceType;
 use std::io;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -189,14 +191,14 @@ impl Sifter {
 /// ```
 /// use std::sync::Arc;
 /// use trackersift::concurrent::TablePublisher;
-/// use trackersift::{Sifter, VerdictRequest};
+/// use trackersift::{DecisionRequest, Sifter};
 ///
 /// let mut sifter = Sifter::builder().build();
 /// sifter.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
 /// sifter.commit();
 ///
 /// let (publisher, reader) = TablePublisher::new(Arc::new(sifter.verdict_table()));
-/// let query = VerdictRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
+/// let query = DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
 /// assert!(reader.verdict(&query).should_block());
 ///
 /// sifter.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", false);
@@ -240,7 +242,7 @@ impl TablePublisher {
 /// observable half-applied.
 ///
 /// ```
-/// use trackersift::{Sifter, VerdictRequest};
+/// use trackersift::{DecisionRequest, Sifter};
 ///
 /// let (mut writer, reader) = Sifter::builder().build_concurrent();
 /// writer.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
@@ -248,7 +250,7 @@ impl TablePublisher {
 ///
 /// let stats = writer.commit(); // reclassify the delta + publish atomically
 /// assert_eq!(stats.observations, 1);
-/// let query = VerdictRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
+/// let query = DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
 /// assert!(reader.verdict(&query).should_block());
 /// ```
 #[derive(Debug)]
@@ -272,7 +274,7 @@ pub struct SifterWriter {
     /// The class arrays of the last published table — what the next publish
     /// diffs against to record a [`VerdictRevision`].
     prev_classes: ClassTable,
-    /// The surrogate-plan map of the last published table — diffed by
+    /// The surrogate map of the last published table — its plans diffed by
     /// `Arc` identity at the next publish to record which plans the commit
     /// rebuilt ([`VerdictRevision::plans_touched`]). Pointer identity is a
     /// superset of payload changes: the sifter re-`Arc`s exactly the plans
@@ -300,10 +302,10 @@ fn plans_touched_between(
     keys: &FrozenKeys,
 ) -> Vec<Arc<str>> {
     let mut touched = Vec::new();
-    for (key, plan) in new {
+    for (key, entry) in new {
         let same = old
             .get(key)
-            .is_some_and(|previous| Arc::ptr_eq(previous, plan));
+            .is_some_and(|previous| Arc::ptr_eq(&previous.plan, &entry.plan));
         if !same {
             if let Some(string) = keys.shared_string_for_id(key.index() as u32) {
                 touched.push(string);
@@ -819,14 +821,14 @@ impl SifterWriter {
 ///
 /// `SifterReader` is `Clone + Send + Sync`: clone one handle per serving
 /// thread. Every query pins the current table through the handle's hazard
-/// slot (two atomic operations, no lock — see the [module docs](self)), and
-/// [`SifterReader::verdict_batch`] pins **once for the whole batch**, so a
-/// batch is answered from a single consistent committed state even while
-/// the writer publishes mid-batch.
+/// slot (two atomic operations, no lock — see the [module docs](self)) and
+/// forwards to it. To answer a batch from a single consistent committed
+/// state even while the writer publishes mid-batch, hold one
+/// [`SifterReader::pin`] across it.
 ///
 /// ```
 /// use std::thread;
-/// use trackersift::{Sifter, VerdictRequest};
+/// use trackersift::{DecisionRequest, Sifter};
 ///
 /// let (mut writer, reader) = Sifter::builder().build_concurrent();
 /// writer.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
@@ -837,7 +839,7 @@ impl SifterWriter {
 ///         let reader = reader.clone(); // one handle per thread
 ///         thread::spawn(move || {
 ///             let query =
-///                 VerdictRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
+///                 DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
 ///             reader.verdict(&query).should_block()
 ///         })
 ///     })
@@ -904,58 +906,19 @@ impl SifterReader {
     }
 
     /// Answer one verdict query against the current published table.
-    pub fn verdict(&self, request: &VerdictRequest<'_>) -> Verdict {
+    pub fn verdict(&self, request: &DecisionRequest<'_>) -> Verdict {
         self.pin().verdict(request)
     }
 
-    /// Serve a batch of verdicts (one output per input, in order) from a
-    /// single pinned table: the whole batch reflects exactly one committed
-    /// state, even if the writer publishes mid-batch.
-    pub fn verdict_batch(&self, requests: &[VerdictRequest<'_>]) -> Vec<Verdict> {
-        let mut out = Vec::new();
-        self.verdict_batch_into(requests, &mut out);
-        out
-    }
-
-    /// Serve a batch of verdicts into a reusable buffer (cleared first);
-    /// the batched analogue of [`Sifter::verdict_batch_into`], pinned once.
-    pub fn verdict_batch_into(&self, requests: &[VerdictRequest<'_>], out: &mut Vec<Verdict>) {
-        let pin = self.pin();
-        let table = pin.table();
-        out.clear();
-        out.reserve(requests.len());
-        for request in requests {
-            out.push(table.verdict(request));
-        }
-    }
-
-    /// Answer one enforcement decision against the current published table
-    /// — [`Sifter::decide`] served lock-free; see [`crate::decision`].
+    /// Answer one enforcement decision against the current published table;
+    /// see [`crate::decision`].
     pub fn decide(&self, request: &DecisionRequest<'_>) -> Decision {
         self.pin().decide(request)
-    }
-
-    /// Serve a batch of decisions (one output per input, in order) from a
-    /// single pinned table: the whole batch — surrogate payloads included —
-    /// reflects exactly one committed state, even if the writer publishes
-    /// mid-batch.
-    pub fn decide_batch(&self, requests: &[DecisionRequest<'_>]) -> Vec<Decision> {
-        let pin = self.pin();
-        let table = pin.table();
-        requests
-            .iter()
-            .map(|request| table.decide(request))
-            .collect()
     }
 
     /// The version (commit count) of the currently published table.
     pub fn version(&self) -> u64 {
         self.pin().version()
-    }
-
-    /// Observations folded into the currently published table.
-    pub fn committed(&self) -> u64 {
-        self.pin().committed()
     }
 }
 
@@ -989,8 +952,10 @@ enum Guard<'a> {
 
 /// A pinned, immutable [`VerdictTable`]: one consistent committed state,
 /// valid for the guard's lifetime no matter what the writer publishes.
-/// Created by [`SifterReader::pin`]; not `Send` (the pin belongs to the
-/// thread that took it).
+/// Derefs to the table, so `pin.verdict(..)`, `pin.decide(..)` and
+/// `pin.version()` are the table's own methods. Created by
+/// [`SifterReader::pin`]; not `Send` (the pin belongs to the thread that
+/// took it).
 #[derive(Debug)]
 pub struct PinnedTable<'a> {
     /// Hazard-protected pointer; null (unused) on the `Owned` path.
@@ -1009,30 +974,13 @@ impl PinnedTable<'_> {
             Guard::Owned(table) => table,
         }
     }
+}
 
-    /// Answer one verdict query against the pinned state.
-    pub fn verdict(&self, request: &VerdictRequest<'_>) -> Verdict {
-        self.table().verdict(request)
-    }
+impl Deref for PinnedTable<'_> {
+    type Target = VerdictTable;
 
-    /// Answer one enforcement decision against the pinned state.
-    pub fn decide(&self, request: &DecisionRequest<'_>) -> Decision {
-        self.table().decide(request)
-    }
-
-    /// The pinned table's version (commit count at publish time).
-    pub fn version(&self) -> u64 {
-        self.table().version()
-    }
-
-    /// Observations folded into the pinned state.
-    pub fn committed(&self) -> u64 {
-        self.table().committed()
-    }
-
-    /// Requests still attributed to mixed methods as of the pinned state.
-    pub fn unattributed(&self) -> u64 {
-        self.table().unattributed()
+    fn deref(&self) -> &VerdictTable {
+        self.table()
     }
 }
 
@@ -1049,10 +997,9 @@ impl Drop for PinnedTable<'_> {
 mod tests {
     use super::*;
     use crate::ratio::Classification;
-    use crate::service::VerdictRequest;
 
-    fn block_query<'a>() -> VerdictRequest<'a> {
-        VerdictRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send")
+    fn block_query<'a>() -> DecisionRequest<'a> {
+        DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send")
     }
 
     #[test]
@@ -1199,7 +1146,7 @@ mod tests {
         assert_eq!(writer.service_stats().version, 4);
         assert!(reader.verdict(&block_query()).should_block());
         assert_eq!(
-            reader.verdict(&VerdictRequest::new("old.com", "h.old.com", "s.js", "m")),
+            reader.verdict(&DecisionRequest::new("old.com", "h.old.com", "s.js", "m")),
             Verdict::Unknown
         );
 

@@ -16,12 +16,12 @@
 //!
 //! Callers used to stitch those together by hand. [`Decision`] is that
 //! composition, computed from a single [`DecisionRequest`] by
-//! [`Sifter::decide`](crate::service::Sifter::decide),
-//! [`SifterReader::decide`](crate::concurrent::SifterReader::decide), and
-//! [`VerdictTable::decide`](crate::table::VerdictTable::decide) — all three
-//! run the same code path, so in-process and concurrent (and, through
-//! `trackersift-server`, over-the-wire) decisions are byte-identical for
-//! the same committed state.
+//! [`VerdictTable::decide`](crate::table::VerdictTable::decide) — the one
+//! place a decision is made. A
+//! [`SifterReader`](crate::concurrent::SifterReader) (and, through
+//! `trackersift-server`, the wire) forwards to the table it pins, so
+//! in-process, concurrent and over-the-wire decisions are byte-identical
+//! for the same committed state.
 //!
 //! # The decision policy
 //!
@@ -48,12 +48,13 @@
 //! evidence" answer.
 
 use crate::hierarchy::Granularity;
-use crate::intern::{KeyResolver, ResourceKey};
+use crate::intern::{FrozenKeys, ResourceKey};
 use crate::label::LabeledRequest;
 use crate::ratio::Classification;
-use crate::service::{Verdict, VerdictRequest};
+use crate::service::Verdict;
 use crate::surrogate::SurrogateScript;
-use crate::table::{verdict_walk, verdict_walk_keyed, ClassTable};
+use crate::table::{verdict_walk, ClassTable};
+use filterlist::url::hostname_of;
 use filterlist::{FilterEngine, RequestLabel, ResourceType};
 use rewriter::{RewrittenUrl, UrlRewriter};
 use std::fmt;
@@ -121,13 +122,14 @@ impl<'a> DecisionRequest<'a> {
     }
 
     /// The query for a labeled request's attribution keys, URL included.
-    /// The backstop's source hostname is the *page* hostname (host of
-    /// `top_level_url`) — the same source the labeling stage matched
-    /// `$domain=` filter options against — falling back to the site's
-    /// registrable domain exactly as the labeler does for unparseable
-    /// page URLs.
+    /// The backstop's source hostname is the *page* hostname — derived from
+    /// `top_level_url` by the same [`hostname_of`] the labeling stage
+    /// matched `$domain=` filter options and party-ness against, so it is
+    /// `""` wherever the labeler passed `""` (a page URL with no
+    /// authority). Borrowed in the URL's own case; the filter request
+    /// lower-cases its source hostname itself.
     pub fn from_labeled(request: &'a LabeledRequest) -> Self {
-        let source = page_host(&request.top_level_url).unwrap_or(&request.site_domain);
+        let source = hostname_of(&request.top_level_url);
         DecisionRequest::new(
             &request.domain,
             &request.hostname,
@@ -135,11 +137,6 @@ impl<'a> DecisionRequest<'a> {
             &request.initiator_method,
         )
         .with_url(&request.url, source, request.resource_type)
-    }
-
-    /// The hierarchy-walk view of this query.
-    pub fn verdict_request(&self) -> VerdictRequest<'a> {
-        VerdictRequest::new(self.domain, self.hostname, self.script, self.method)
     }
 }
 
@@ -206,10 +203,10 @@ impl<'a> KeyedRequest<'a> {
         self
     }
 
-    /// Resolve a string request against a key resolver. Keys the resolver
-    /// does not know become `None` — exactly the misses the verdict walk
-    /// treats as "not observed".
-    pub fn resolve<K: KeyResolver + ?Sized>(keys: &K, request: &DecisionRequest<'a>) -> Self {
+    /// Resolve a string request against a table's frozen keys. Keys the
+    /// table never interned become `None` — exactly the misses the verdict
+    /// walk treats as "not observed".
+    pub fn resolve(keys: &FrozenKeys, request: &DecisionRequest<'a>) -> Self {
         KeyedRequest {
             domain: keys.key(request.domain),
             hostname: keys.key(request.hostname),
@@ -256,14 +253,16 @@ impl fmt::Display for DecisionSource {
 /// }
 /// sifter.commit();
 ///
+/// let table = sifter.verdict_table();
+///
 /// let request = DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
 /// assert_eq!(
-///     sifter.decide(&request),
+///     table.decide(&request),
 ///     Decision::Block(DecisionSource::Hierarchy(Granularity::Domain))
 /// );
 /// // Nothing known and no URL to fall back on: observe.
 /// assert_eq!(
-///     sifter.decide(&DecisionRequest::new("zzz.com", "a.zzz.com", "s", "m")),
+///     table.decide(&DecisionRequest::new("zzz.com", "a.zzz.com", "s", "m")),
 ///     Decision::Observe
 /// );
 /// ```
@@ -293,7 +292,7 @@ pub enum Decision {
     ///
     /// let request = DecisionRequest::new("hub.com", "new.hub.com", "s2.js", "m")
     ///     .with_url("https://new.hub.com/api?id=7&gclid=abc", "pub.com", ResourceType::Xhr);
-    /// match sifter.decide(&request) {
+    /// match sifter.verdict_table().decide(&request) {
     ///     Decision::Rewrite(rewritten) => {
     ///         assert_eq!(rewritten.url(), "https://new.hub.com/api?id=7");
     ///     }
@@ -369,47 +368,6 @@ impl fmt::Display for Decision {
     }
 }
 
-/// The one implementation of the decision policy, shared by every entry
-/// point: `Sifter::decide` (live interner, on-demand plan),
-/// `VerdictTable::decide` (frozen keys, precomputed plans), and through the
-/// latter every `SifterReader`. `plan_for` resolves a mixed script's
-/// surrogate plan; returning `None` (script committed mixed but with no
-/// member methods) falls back to the filter list.
-pub(crate) fn decide<K, P>(
-    keys: &K,
-    classes: &ClassTable,
-    engine: Option<&FilterEngine>,
-    rewriter: Option<&UrlRewriter>,
-    plan_for: P,
-    request: &DecisionRequest<'_>,
-) -> Decision
-where
-    K: KeyResolver + ?Sized,
-    P: FnOnce(ResourceKey) -> Option<Arc<SurrogateScript>>,
-{
-    // The script key must resolve when the walk settles at a mixed script
-    // — the walk only reaches script granularity through it — but a plan
-    // can still be absent (no member methods), in which case the backstop
-    // decides.
-    match policy_of(
-        verdict_walk(keys, classes, &request.verdict_request()),
-        || keys.key(request.script).and_then(plan_for),
-        || rewrite_of(rewriter, request.url),
-        || {
-            filter_backstop(
-                engine,
-                request.url,
-                request.source_hostname,
-                request.resource_type,
-            )
-        },
-    ) {
-        Resolved::Fixed(decision) => decision,
-        Resolved::Rewrite(rewritten) => Decision::Rewrite(rewritten),
-        Resolved::Surrogate(plan) => Decision::Surrogate(plan),
-    }
-}
-
 /// The outcome of the decision policy before the surrogate payload is
 /// materialised: either a fixed (non-surrogate) decision, or "serve this
 /// script's surrogate" with whatever representation `plan_for` produced —
@@ -425,16 +383,15 @@ pub(crate) enum Resolved<T> {
     Surrogate(T),
 }
 
-/// The one decision policy over a hierarchy verdict, shared by the string
-/// path ([`decide`]) and the keyed path ([`decide_keyed_with`]) so they
-/// cannot drift: tracking → block, functional → allow, mixed at
-/// script/method with a plan → surrogate, hierarchy-mixed with a URL that
-/// rewrites → rewrite, everything else → backstop.
+/// The decision policy over a hierarchy verdict: tracking → block,
+/// functional → allow, mixed at script/method with a plan → surrogate,
+/// hierarchy-mixed with a URL that rewrites → rewrite, everything else →
+/// backstop.
 ///
 /// `rewrite` is only consulted for *mixed* verdicts — an unknown resource
 /// has produced no evidence of mixed behaviour, so it goes straight to the
 /// backstop (which may still block it outright).
-pub(crate) fn policy_of<T>(
+fn policy_of<T>(
     verdict: Verdict,
     plan: impl FnOnce() -> Option<T>,
     rewrite: impl FnOnce() -> Option<Arc<RewrittenUrl>>,
@@ -470,24 +427,32 @@ pub(crate) fn policy_of<T>(
     }
 }
 
-/// The decision policy over pre-resolved keys — [`decide`] without a
-/// single string hash. Generic over the plan representation so the serving
-/// hot path can return preformatted response frames instead of cloning an
-/// `Arc<SurrogateScript>`.
-pub(crate) fn decide_keyed_with<K, T, P>(
-    keys: &K,
+impl From<Resolved<Arc<SurrogateScript>>> for Decision {
+    fn from(resolved: Resolved<Arc<SurrogateScript>>) -> Self {
+        match resolved {
+            Resolved::Fixed(decision) => decision,
+            Resolved::Rewrite(rewritten) => Decision::Rewrite(rewritten),
+            Resolved::Surrogate(plan) => Decision::Surrogate(plan),
+        }
+    }
+}
+
+/// The one entry into the decision policy: walk the hierarchy over
+/// pre-resolved keys, then apply [`policy_of`]. Generic over the plan
+/// representation so the serving hot path can return preformatted response
+/// frames instead of cloning an `Arc<SurrogateScript>`. `plan_for` resolves
+/// a mixed script's surrogate; `None` (script committed mixed but with no
+/// member methods) falls through to rewrite and backstop.
+pub(crate) fn decide_with<T>(
+    keys: &FrozenKeys,
     classes: &ClassTable,
     engine: Option<&FilterEngine>,
     rewriter: Option<&UrlRewriter>,
-    plan_for: P,
+    plan_for: impl FnOnce(ResourceKey) -> Option<T>,
     request: &KeyedRequest<'_>,
-) -> Resolved<T>
-where
-    K: KeyResolver + ?Sized,
-    P: FnOnce(ResourceKey) -> Option<T>,
-{
+) -> Resolved<T> {
     policy_of(
-        verdict_walk_keyed(keys, classes, request),
+        verdict_walk(keys, classes, request),
         || request.script.and_then(plan_for),
         || rewrite_of(rewriter, request.url),
         || {
@@ -510,22 +475,6 @@ fn rewrite_of(rewriter: Option<&UrlRewriter>, url: Option<&str>) -> Option<Arc<R
         (Some(rewriter), Some(url)) => rewriter.rewrite(url).map(Arc::new),
         _ => None,
     }
-}
-
-/// Borrowed hostname of a page URL (`scheme://[user@]host[:port]/…`);
-/// `None` when the URL has no authority. Mirrors the labeling stage's
-/// page-host derivation (`ParsedUrl::parse(top_level_url).hostname`)
-/// without allocating — the filter request lower-cases its source
-/// hostname itself, so a borrowed mixed-case slice matches identically.
-fn page_host(url: &str) -> Option<&str> {
-    let rest = url.split_once("://")?.1;
-    let authority = rest.split(['/', '?', '#']).next().unwrap_or(rest);
-    let host = match authority.rfind('@') {
-        Some(at) => &authority[at + 1..],
-        None => authority,
-    };
-    let host = host.split(':').next().unwrap_or(host);
-    (!host.is_empty()).then_some(host)
 }
 
 /// The filter-list backstop for hierarchy-unsettled requests: block on a
@@ -611,9 +560,9 @@ mod tests {
 
     #[test]
     fn tracking_and_functional_verdicts_map_to_block_and_allow() {
-        let sifter = trained();
+        let table = trained().verdict_table();
         assert_eq!(
-            sifter.decide(&DecisionRequest::new(
+            table.decide(&DecisionRequest::new(
                 "ads.com",
                 "px.ads.com",
                 "https://pub.com/a.js",
@@ -622,7 +571,7 @@ mod tests {
             Decision::Block(DecisionSource::Hierarchy(Granularity::Domain))
         );
         assert_eq!(
-            sifter.decide(&DecisionRequest::new(
+            table.decide(&DecisionRequest::new(
                 "cdn.com",
                 "a.cdn.com",
                 "https://pub.com/ui.js",
@@ -634,8 +583,8 @@ mod tests {
 
     #[test]
     fn mixed_scripts_get_a_surrogate_with_per_method_actions() {
-        let sifter = trained();
-        let decision = sifter.decide(&DecisionRequest::new(
+        let table = trained().verdict_table();
+        let decision = table.decide(&DecisionRequest::new(
             "hub.com",
             "w.hub.com",
             "https://pub.com/mixed.js",
@@ -665,13 +614,13 @@ mod tests {
 
     #[test]
     fn unsettled_requests_fall_back_to_the_filter_list_or_observe() {
-        let sifter = trained();
+        let table = trained().verdict_table();
         // Unknown domain, no URL: observe.
         let keys_only = DecisionRequest::new("zzz.com", "a.zzz.com", "s.js", "m");
-        assert_eq!(sifter.decide(&keys_only), Decision::Observe);
+        assert_eq!(table.decide(&keys_only), Decision::Observe);
         // Unknown domain, URL matching the list: block via the backstop.
         assert_eq!(
-            sifter.decide(&keys_only.with_url(
+            table.decide(&keys_only.with_url(
                 "https://px.blocked.example/p.gif",
                 "pub.com",
                 ResourceType::Image
@@ -680,7 +629,7 @@ mod tests {
         );
         // Unknown domain, URL not matching: allow via the backstop.
         assert_eq!(
-            sifter.decide(&keys_only.with_url(
+            table.decide(&keys_only.with_url(
                 "https://static.fine.example/app.css",
                 "pub.com",
                 ResourceType::Stylesheet
@@ -691,7 +640,7 @@ mod tests {
 
     #[test]
     fn mixed_at_coarse_granularity_uses_the_backstop_not_a_surrogate() {
-        let sifter = trained();
+        let table = trained().verdict_table();
         // Known-mixed domain, never-seen hostname: mixed at domain level.
         let request = DecisionRequest::new("hub.com", "new.hub.com", "s.js", "m").with_url(
             "https://new.hub.com/x",
@@ -699,7 +648,7 @@ mod tests {
             ResourceType::Xhr,
         );
         assert_eq!(
-            sifter.decide(&request),
+            table.decide(&request),
             Decision::Allow(DecisionSource::FilterList)
         );
     }
@@ -716,7 +665,7 @@ mod tests {
 
     #[test]
     fn mixed_requests_with_identifier_urls_are_rewritten() {
-        let sifter = trained_with_rewriter();
+        let table = trained_with_rewriter().verdict_table();
         // Known-mixed domain, never-seen hostname: mixed at domain level.
         let keys = DecisionRequest::new("hub.com", "new.hub.com", "s.js", "m");
         let tracking_url = keys.with_url(
@@ -724,7 +673,7 @@ mod tests {
             "pub.com",
             ResourceType::Xhr,
         );
-        match sifter.decide(&tracking_url) {
+        match table.decide(&tracking_url) {
             Decision::Rewrite(rewritten) => {
                 assert_eq!(rewritten.url(), "https://new.hub.com/x?id=1");
             }
@@ -733,15 +682,15 @@ mod tests {
         // Same hierarchy position, clean URL: falls through to the backstop.
         let clean_url = keys.with_url("https://new.hub.com/x?id=1", "pub.com", ResourceType::Xhr);
         assert_eq!(
-            sifter.decide(&clean_url),
+            table.decide(&clean_url),
             Decision::Allow(DecisionSource::FilterList)
         );
-        assert!(sifter.decide(&tracking_url).is_enforcing());
+        assert!(table.decide(&tracking_url).is_enforcing());
     }
 
     #[test]
     fn surrogates_take_precedence_over_rewrites_for_mixed_scripts() {
-        let sifter = trained_with_rewriter();
+        let table = trained_with_rewriter().verdict_table();
         let request = DecisionRequest::new(
             "hub.com",
             "w.hub.com",
@@ -755,12 +704,12 @@ mod tests {
         );
         // The mixed script has a surrogate plan; the identifier-carrying
         // URL must not demote it to a rewrite.
-        assert!(sifter.decide(&request).surrogate().is_some());
+        assert!(table.decide(&request).surrogate().is_some());
     }
 
     #[test]
     fn settled_verdicts_are_never_rewritten() {
-        let sifter = trained_with_rewriter();
+        let table = trained_with_rewriter().verdict_table();
         // Tracking domain with an identifier URL: still a block.
         let request = DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send")
             .with_url(
@@ -769,7 +718,7 @@ mod tests {
                 ResourceType::Image,
             );
         assert_eq!(
-            sifter.decide(&request),
+            table.decide(&request),
             Decision::Block(DecisionSource::Hierarchy(Granularity::Domain))
         );
         // Unknown resource with an identifier URL: backstop, not rewrite —
@@ -780,7 +729,7 @@ mod tests {
             ResourceType::Xhr,
         );
         assert_eq!(
-            sifter.decide(&unknown),
+            table.decide(&unknown),
             Decision::Allow(DecisionSource::FilterList)
         );
     }
@@ -798,13 +747,13 @@ mod tests {
             "pub.com",
             ResourceType::Xhr,
         );
-        assert_eq!(sifter.decide(&request), Decision::Observe);
+        assert_eq!(sifter.verdict_table().decide(&request), Decision::Observe);
     }
 
     #[test]
     fn decision_display_is_human_readable() {
-        let sifter = trained();
-        let block = sifter.decide(&DecisionRequest::new(
+        let table = trained().verdict_table();
+        let block = table.decide(&DecisionRequest::new(
             "ads.com",
             "px.ads.com",
             "https://pub.com/a.js",
@@ -812,7 +761,7 @@ mod tests {
         ));
         assert_eq!(block.to_string(), "block (hierarchy at Domain level)");
         assert_eq!(Decision::Observe.to_string(), "observe");
-        let surrogate = sifter.decide(&DecisionRequest::new(
+        let surrogate = table.decide(&DecisionRequest::new(
             "hub.com",
             "w.hub.com",
             "https://pub.com/mixed.js",
@@ -825,26 +774,46 @@ mod tests {
 
     #[test]
     fn from_labeled_carries_the_url_context() {
-        let requests = crate::testutil::figure1_requests();
+        let mut requests = crate::testutil::figure1_requests();
         let request = DecisionRequest::from_labeled(&requests[0]);
         assert!(request.url.is_some());
         assert_eq!(request.domain, requests[0].domain);
-        // The backstop source is the *page hostname* (what `$domain=`
-        // options matched at labeling time), not the registrable domain.
-        assert_eq!(
-            request.source_hostname,
-            filterlist::ParsedUrl::parse(&requests[0].top_level_url)
-                .expect("test fixture page url parses")
-                .hostname
-        );
+        // The backstop source is the *page hostname* exactly as the labeler
+        // derived it (what `$domain=` options and party-ness matched at
+        // labeling time) — never the registrable domain, and `""` where the
+        // labeler passed `""`.
+        for page in [
+            "https://www.pub.com/",
+            "https://[::1]:8080/",
+            "//cdn.pub.com/x",
+            "https:///path-only",
+            "not a url",
+            "HTTPS://WWW.PUB.COM:443/",
+            "https://user:pw@www.pub.com/",
+        ] {
+            requests[0].top_level_url = page.to_string();
+            let labeler_page_host = filterlist::ParsedUrl::parse(page)
+                .map(|u| u.hostname)
+                .unwrap_or_default();
+            assert!(
+                DecisionRequest::from_labeled(&requests[0])
+                    .source_hostname
+                    .eq_ignore_ascii_case(&labeler_page_host),
+                "for {page:?}"
+            );
+        }
     }
 
     #[test]
     fn page_host_extracts_the_authority_hostname() {
-        assert_eq!(page_host("https://www.pub.com/a/b?c"), Some("www.pub.com"));
-        assert_eq!(page_host("http://user@shop.com:8080/x"), Some("shop.com"));
-        assert_eq!(page_host("https://HOST.example"), Some("HOST.example"));
-        assert_eq!(page_host("not a url"), None);
-        assert_eq!(page_host("https:///path-only"), None);
+        assert_eq!(hostname_of("https://www.pub.com/a/b?c"), "www.pub.com");
+        assert_eq!(hostname_of("http://user@shop.com:8080/x"), "shop.com");
+        assert_eq!(hostname_of("https://HOST.example"), "HOST.example");
+        assert_eq!(hostname_of("not a url"), "");
+        assert_eq!(hostname_of("https:///path-only"), "");
+        assert_eq!(hostname_of("https://[::1]:8080/"), "[::1]");
+        assert_eq!(hostname_of("//cdn.pub.com/x"), "cdn.pub.com");
+        assert_eq!(hostname_of("HTTPS://WWW.PUB.COM:443/"), "WWW.PUB.COM");
+        assert_eq!(hostname_of("https://user:pw@www.pub.com/"), "www.pub.com");
     }
 }

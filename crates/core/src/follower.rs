@@ -24,12 +24,11 @@
 //! Surrogate frames are re-encoded from the shipped plans — frames are a
 //! pure function of the plan, so replica wire bytes match the primary's.
 
-use crate::frames::SurrogateFrames;
 use crate::hierarchy::Granularity;
 use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
 use crate::revision::{diff_revisions, plans_touched_in_span, RevisionChange, RevisionRangeError};
 use crate::surrogate::SurrogateScript;
-use crate::table::{ClassTable, SurrogateFrameMap, SurrogatePlans, VerdictTable};
+use crate::table::{ClassTable, SurrogateEntry, SurrogatePlans, VerdictTable};
 use filterlist::FilterEngine;
 use rewriter::UrlRewriter;
 use std::fmt;
@@ -109,9 +108,9 @@ impl VerdictTable {
         let mut plans: Vec<(Arc<str>, Option<Arc<SurrogateScript>>)> = self
             .surrogate_plans()
             .iter()
-            .filter_map(|(key, plan)| {
+            .filter_map(|(key, entry)| {
                 let script = self.keys().shared_string_for_id(key.index() as u32)?;
-                Some((script, Some(Arc::clone(plan))))
+                Some((script, Some(Arc::clone(&entry.plan))))
             })
             .collect();
         plans.sort_by(|a, b| a.0.cmp(&b.0));
@@ -166,7 +165,6 @@ pub struct FollowerState {
     interner: KeyInterner,
     classes: ClassTable,
     plans: SurrogatePlans,
-    frames: SurrogateFrameMap,
     version: u64,
     committed: u64,
     residue: u64,
@@ -216,7 +214,6 @@ impl FollowerState {
                 self.interner = KeyInterner::new();
                 self.classes = ClassTable::default();
                 self.plans = SurrogatePlans::default();
-                self.frames = SurrogateFrameMap::default();
                 self.frozen = None;
             }
             Some(baseline) => {
@@ -237,12 +234,11 @@ impl FollowerState {
             let key = self.interner.intern(script);
             match plan {
                 Some(plan) => {
-                    self.frames.insert(key, SurrogateFrames::new(plan));
-                    self.plans.insert(key, Arc::clone(plan));
+                    self.plans
+                        .insert(key, SurrogateEntry::new(Arc::clone(plan)));
                 }
                 None => {
                     self.plans.remove(&key);
-                    self.frames.remove(&key);
                 }
             }
         }
@@ -290,7 +286,6 @@ impl FollowerState {
             self.engine.clone(),
             self.rewriter.clone(),
             Arc::new(self.plans.clone()),
-            Arc::new(self.frames.clone()),
         );
         table.set_keys_epoch(self.keys_epoch);
         table
@@ -301,8 +296,8 @@ impl FollowerState {
 mod tests {
     use super::*;
     use crate::decision::DecisionRequest;
-    use crate::intern::KeyResolver;
     use crate::service::Sifter;
+    use crate::table::PrebuiltDecision;
 
     fn mixed_sifter(rounds: u64) -> Sifter {
         let mut sifter = Sifter::builder().build();
@@ -366,11 +361,11 @@ mod tests {
             );
         }
         // Frames re-encode byte-identically from the shipped plan.
-        let key = replica
-            .keys()
-            .key("https://pub.com/mixed.js")
-            .expect("script key");
-        let frames = replica.prebuilt().surrogate(key).expect("replica frames");
+        let PrebuiltDecision::Surrogate(frames) = replica.decide_prebuilt(&replica.resolve(
+            &DecisionRequest::new("hub.com", "w.hub.com", "https://pub.com/mixed.js", "novel"),
+        )) else {
+            panic!("the mixed script serves its surrogate frames");
+        };
         assert_eq!(
             frames.binary.as_ref(),
             crate::frames::encode_surrogate_payload(

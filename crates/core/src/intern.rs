@@ -62,26 +62,6 @@ impl ResourceKey {
     }
 }
 
-/// Read-only resolution of verdict-query strings to [`ResourceKey`]s — the
-/// lookup half of an interner, without the ability to intern.
-///
-/// Two implementations exist: the live [`KeyInterner`] (used by the
-/// single-threaded [`Sifter`](crate::service::Sifter), whose interner keeps
-/// growing between commits) and the immutable [`FrozenKeys`] view carried by
-/// every published [`VerdictTable`](crate::table::VerdictTable) (used by
-/// concurrent readers, which must never race the writer's interner). The
-/// shared verdict walk is generic over this trait, so both paths read
-/// through one implementation.
-pub trait KeyResolver {
-    /// Look up a string's key without interning it.
-    fn key(&self, key: &str) -> Option<ResourceKey>;
-
-    /// Look up the composed method key of an already-resolved
-    /// `(script, method-name)` pair without building the
-    /// `script :: method` string.
-    fn method_key(&self, script: ResourceKey, name: ResourceKey) -> Option<ResourceKey>;
-}
-
 /// An immutable, cheaply shareable snapshot of a [`KeyInterner`]'s lookup
 /// state: string → key plus the `(script, name)` → method-key pair cache.
 ///
@@ -103,6 +83,18 @@ pub struct FrozenKeys {
 }
 
 impl FrozenKeys {
+    /// Look up a string's key. Strings interned after the freeze miss.
+    pub fn key(&self, key: &str) -> Option<ResourceKey> {
+        self.lookup.get(key).copied()
+    }
+
+    /// Look up the composed method key of an already-resolved
+    /// `(script, method-name)` pair without building the
+    /// `script :: method` string.
+    pub fn method_key(&self, script: ResourceKey, name: ResourceKey) -> Option<ResourceKey> {
+        self.method_pairs.get(&(script, name)).copied()
+    }
+
     /// Number of distinct keys the snapshot resolves.
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -140,16 +132,6 @@ impl FrozenKeys {
     /// diffs resolve changed class-table slots back to key strings.
     pub fn shared_string_for_id(&self, id: u32) -> Option<Arc<str>> {
         self.strings.get(id as usize).cloned()
-    }
-}
-
-impl KeyResolver for FrozenKeys {
-    fn key(&self, key: &str) -> Option<ResourceKey> {
-        self.lookup.get(key).copied()
-    }
-
-    fn method_key(&self, script: ResourceKey, name: ResourceKey) -> Option<ResourceKey> {
-        self.method_pairs.get(&(script, name)).copied()
     }
 }
 
@@ -221,19 +203,6 @@ impl KeyInterner {
         self.lookup.get(key).copied()
     }
 
-    /// Look up the method-granularity key of a `(script, method)` pair
-    /// without interning — and without building the composed
-    /// `script :: method` string: three borrowed hash probes, zero
-    /// allocation. This is the serving hot path of
-    /// [`Sifter::verdict`](crate::service::Sifter::verdict).
-    ///
-    /// Returns `None` for pairs never seen by [`KeyInterner::intern_method`]
-    /// (interning only the composed string does not file the pair).
-    pub fn get_method(&self, script_url: &str, method: &str) -> Option<ResourceKey> {
-        let pair = (self.get(script_url)?, self.get(method)?);
-        self.method_pairs.get(&pair).copied()
-    }
-
     /// Resolve a symbol back to its string.
     ///
     /// # Panics
@@ -285,16 +254,6 @@ impl KeyInterner {
             .iter()
             .enumerate()
             .map(|(i, s)| (ResourceKey(i as u32), s.as_ref()))
-    }
-}
-
-impl KeyResolver for KeyInterner {
-    fn key(&self, key: &str) -> Option<ResourceKey> {
-        self.lookup.get(key).copied()
-    }
-
-    fn method_key(&self, script: ResourceKey, name: ResourceKey) -> Option<ResourceKey> {
-        self.method_pairs.get(&(script, name)).copied()
     }
 }
 
@@ -375,20 +334,17 @@ mod tests {
         assert_eq!(frozen.pair_count(), interner.pair_count());
         assert!(!frozen.is_empty());
 
-        // Everything present at freeze time resolves identically through
-        // both KeyResolver implementations.
+        // Everything present at freeze time resolves through the view.
         assert_eq!(frozen.key("ads.com"), Some(d));
-        assert_eq!(KeyResolver::key(&interner, "ads.com"), Some(d));
         let s = interner.get("s.js").unwrap();
         let name = interner.get("run").unwrap();
         assert_eq!(frozen.method_key(s, name), Some(m));
-        assert_eq!(KeyResolver::method_key(&interner, s, name), Some(m));
 
         // Keys interned after the freeze miss in the frozen view but hit in
         // the live interner — the staleness the pair/len counters detect.
         let late = interner.intern("late.com");
         assert_eq!(frozen.key("late.com"), None);
-        assert_eq!(KeyResolver::key(&interner, "late.com"), Some(late));
+        assert_eq!(interner.get("late.com"), Some(late));
         assert_ne!(frozen.len(), interner.len());
     }
 
@@ -410,17 +366,5 @@ mod tests {
         }
         assert_eq!(frozen.key_for_id(3), None);
         assert_eq!(frozen.key_for_id(u32::MAX), None);
-    }
-
-    #[test]
-    fn get_method_resolves_pairs_without_interning() {
-        let mut interner = KeyInterner::new();
-        assert_eq!(interner.get_method("s.js", "run"), None);
-        let id = interner.intern_method("s.js", "run");
-        let len = interner.len();
-        assert_eq!(interner.get_method("s.js", "run"), Some(id));
-        assert_eq!(interner.get_method("s.js", "other"), None);
-        assert_eq!(interner.get_method("other.js", "run"), None);
-        assert_eq!(interner.len(), len, "get_method must not intern");
     }
 }

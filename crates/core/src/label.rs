@@ -11,7 +11,8 @@
 
 use crate::memo::{CacheStats, LabelCache};
 use crawler::{CrawlDatabase, RequestWillBeSent, SiteCrawl};
-use filterlist::{FilterEngine, ParsedUrl, RequestLabel, ResourceType};
+use filterlist::url::hostname_of;
+use filterlist::{FilterEngine, RequestLabel, ResourceType};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -122,9 +123,7 @@ impl<'a> Labeler<'a> {
         site_domain: &str,
         request: &RequestWillBeSent,
     ) -> Option<LabeledRequest> {
-        let page_host = ParsedUrl::parse(&request.top_level_url)
-            .map(|u| u.hostname)
-            .unwrap_or_default();
+        let page_host = hostname_of(&request.top_level_url).to_ascii_lowercase();
         self.label_request_from(site_domain, request, &page_host)
     }
 
@@ -182,9 +181,7 @@ impl<'a> Labeler<'a> {
                 Some((top, _)) if *top == request.top_level_url
             );
             if memo_is_stale {
-                let host = ParsedUrl::parse(&request.top_level_url)
-                    .map(|u| u.hostname)
-                    .unwrap_or_default();
+                let host = hostname_of(&request.top_level_url).to_ascii_lowercase();
                 page_host_memo = Some((request.top_level_url.clone(), host));
             }
             let page_host = &page_host_memo.as_ref().expect("memo just filled").1;

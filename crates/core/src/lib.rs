@@ -63,25 +63,26 @@
 //!
 //! ## Serving
 //!
-//! A study is also a producer of long-lived verdict servers:
-//! [`Study::sifter`] trains a [`service::Sifter`] that answers
-//! `tracking / functional / mixed` per request by walking the hierarchy
-//! coarsest-to-finest — allocation-free for already-interned keys — and
-//! ingests new observations incrementally ([`service::Sifter::observe`] +
+//! A study is also a producer of long-lived serving state:
+//! [`Study::sifter`] trains a [`service::Sifter`], which ingests new
+//! observations incrementally ([`service::Sifter::observe`] +
 //! [`service::Sifter::commit`], provably equivalent to reclassifying from
-//! scratch). Trained state persists across restarts through the versioned
-//! [`snapshot::SifterSnapshot`]. For serving from many threads while
-//! ingestion continues, [`service::Sifter::into_concurrent`] splits the
-//! sifter into a [`concurrent::SifterWriter`] and lock-free
-//! [`concurrent::SifterReader`] handles with atomically published verdict
+//! scratch) and exports a [`table::VerdictTable`] — the one type that
+//! answers `tracking / functional / mixed` per request by resolving the
+//! query's four keys and walking the hierarchy coarsest-to-finest,
+//! allocation-free. Trained state persists across restarts through the
+//! versioned [`snapshot::SifterSnapshot`]. For serving from many threads
+//! while ingestion continues, [`service::Sifter::into_concurrent`] splits
+//! the sifter into a [`concurrent::SifterWriter`] and lock-free
+//! [`concurrent::SifterReader`] handles that pin atomically published
 //! tables.
 //!
 //! ```
-//! use trackersift::{Study, StudyConfig, VerdictRequest};
+//! use trackersift::{DecisionRequest, Study, StudyConfig};
 //!
 //! let study = Study::run(StudyConfig::small().with_sites(50));
-//! let sifter = study.sifter();
-//! let verdict = sifter.verdict(&VerdictRequest::from_labeled(&study.requests[0]));
+//! let table = study.sifter().verdict_table();
+//! let verdict = table.verdict(&DecisionRequest::from_labeled(&study.requests[0]));
 //! println!("{verdict}");
 //! ```
 
@@ -124,15 +125,12 @@ pub use frames::{FrameError, FrameReader, SurrogateFrames};
 pub use hierarchy::{
     ClassCounts, Granularity, HierarchicalClassifier, HierarchyResult, LevelResult, ResourceEntry,
 };
-pub use intern::{FrozenKeys, KeyInterner, KeyResolver, ResourceKey};
+pub use intern::{FrozenKeys, KeyInterner, ResourceKey};
 pub use journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport, ReplayReport};
 pub use label::{LabelStats, LabeledFrame, LabeledRequest, Labeler};
 pub use memo::{CacheStats, LabelCache};
 pub use metrics::{headline, table1, table2, HeadlineSummary, Table1Row, Table2Row};
-pub use pipeline::{
-    AnalysesStage, ClassifyStage, CrawlStage, GenerateStage, LabelStage, Study, StudyAnalyses,
-    StudyConfig,
-};
+pub use pipeline::{Study, StudyAnalyses, StudyConfig};
 pub use ratio::{Classification, Counts, Thresholds};
 pub use report::RatioHistogram;
 pub use revision::{
@@ -143,9 +141,8 @@ pub use rewriter::{RewriterBuilder, RewrittenUrl, UrlRewriter};
 pub use sensitivity::{SensitivityPoint, SensitivitySweep};
 pub use service::{
     CommitStats, IngestStats, ObserveOutcome, ServiceStats, Sifter, SifterBuilder, Verdict,
-    VerdictRequest,
 };
 pub use snapshot::{SifterSnapshot, SnapshotError};
-pub use stage::{Stage, StageRunner, StageTiming, StageTimings};
+pub use stage::{StageTiming, StageTimings};
 pub use surrogate::{generate_surrogates, MethodAction, SurrogateScript};
 pub use table::{ClassTable, PrebuiltDecision, PrebuiltResponses, VerdictTable};

@@ -1,20 +1,20 @@
 //! End-to-end study pipeline.
 //!
 //! [`Study::run`] wires the whole reproduction together as a chain of named,
-//! individually-timed [`Stage`]s, the way the paper's methodology section
+//! individually-timed steps, the way the paper's methodology section
 //! describes it:
 //!
 //! ```text
 //! generate ──▶ crawl ──▶ label ──▶ classify ──▶ (analyses on demand)
 //! ```
 //!
-//! * [`GenerateStage`] builds the synthetic corpus (stand-in for "crawl list");
-//! * [`CrawlStage`] loads every site on a worker pool sized by
+//! * `generate` builds the synthetic corpus (stand-in for "crawl list");
+//! * `crawl` loads every site on a worker pool sized by
 //!   [`ClusterConfig::workers`], capturing each script-initiated request with
 //!   its call stack;
-//! * [`LabelStage`] compiles the filter oracle (EasyList + EasyPrivacy +
-//!   ecosystem rules) and labels the crawl on the same worker pool;
-//! * [`ClassifyStage`] runs the hierarchical classifier over the labels.
+//! * `label` compiles the filter oracle (EasyList + EasyPrivacy + ecosystem
+//!   rules) and labels the crawl on the same worker pool;
+//! * `classify` runs the hierarchical classifier over the labels.
 //!
 //! Per-stage wall-clock timings are exposed on [`Study::timings`]; the
 //! downstream analyses (sensitivity sweep, call-stack analysis, surrogates,
@@ -30,7 +30,7 @@ use crate::memo::CacheStats;
 use crate::ratio::{Classification, Thresholds};
 use crate::sensitivity::SensitivitySweep;
 use crate::service::Sifter;
-use crate::stage::{Stage, StageRunner, StageTiming, StageTimings};
+use crate::stage::{StageTiming, StageTimings};
 use crate::surrogate::{generate_surrogates, SurrogateScript};
 use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase, CrawlSummary};
 use filterlist::FilterEngine;
@@ -90,80 +90,6 @@ impl StudyConfig {
     }
 }
 
-/// Stage 1: generate the corpus (the "100K websites").
-#[derive(Debug, Clone)]
-pub struct GenerateStage {
-    /// Corpus profile.
-    pub profile: CorpusProfile,
-    /// Corpus seed.
-    pub seed: u64,
-}
-
-impl Stage for GenerateStage {
-    const NAME: &'static str = "generate";
-    type Input<'a> = ();
-    type Output = WebCorpus;
-
-    fn run(&self, _input: ()) -> WebCorpus {
-        CorpusGenerator::generate(&self.profile, self.seed)
-    }
-}
-
-/// Stage 2: crawl every site, capturing requests and call stacks.
-#[derive(Debug, Clone)]
-pub struct CrawlStage {
-    /// Cluster (worker pool) configuration.
-    pub cluster: ClusterConfig,
-}
-
-impl Stage for CrawlStage {
-    const NAME: &'static str = "crawl";
-    type Input<'a> = &'a WebCorpus;
-    type Output = (CrawlDatabase, CrawlSummary);
-
-    fn run(&self, corpus: &WebCorpus) -> (CrawlDatabase, CrawlSummary) {
-        CrawlCluster::new(self.cluster.clone()).crawl_with_summary(corpus)
-    }
-}
-
-/// Stage 3: compile the filter oracle and label the crawl.
-#[derive(Debug, Clone)]
-pub struct LabelStage {
-    /// Worker threads for per-site parallel labeling (1 = sequential).
-    pub workers: usize,
-}
-
-impl Stage for LabelStage {
-    const NAME: &'static str = "label";
-    type Input<'a> = (&'a WebCorpus, &'a CrawlDatabase);
-    type Output = (FilterEngine, Vec<LabeledRequest>, LabelStats, CacheStats);
-
-    fn run(&self, (corpus, database): Self::Input<'_>) -> Self::Output {
-        let engine = filter_rules::engine_for(&corpus.ecosystem);
-        let labeler = Labeler::new(&engine);
-        let (requests, stats) = labeler.label_database_parallel(database, self.workers);
-        let cache_stats = labeler.cache_stats();
-        (engine, requests, stats, cache_stats)
-    }
-}
-
-/// Stage 4: hierarchical classification of the labeled requests.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassifyStage {
-    /// The classifier (thresholds) to apply.
-    pub classifier: HierarchicalClassifier,
-}
-
-impl Stage for ClassifyStage {
-    const NAME: &'static str = "classify";
-    type Input<'a> = &'a [LabeledRequest];
-    type Output = HierarchyResult;
-
-    fn run(&self, requests: &[LabeledRequest]) -> HierarchyResult {
-        self.classifier.classify(requests)
-    }
-}
-
 /// The bundled downstream analyses (stage 5, on demand).
 #[derive(Debug)]
 pub struct StudyAnalyses {
@@ -175,24 +101,6 @@ pub struct StudyAnalyses {
     pub surrogates: Vec<SurrogateScript>,
     /// Wall-clock timing of the analyses stage.
     pub timing: StageTiming,
-}
-
-/// Stage 5: the downstream analyses, bundled.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysesStage;
-
-impl Stage for AnalysesStage {
-    const NAME: &'static str = "analyses";
-    type Input<'a> = &'a Study;
-    type Output = (SensitivitySweep, CallStackAnalysis, Vec<SurrogateScript>);
-
-    fn run(&self, study: &Study) -> Self::Output {
-        (
-            study.sensitivity_sweep(),
-            study.callstack_analysis(),
-            study.surrogates(),
-        )
-    }
 }
 
 /// A fully materialised study: corpus, crawl, labels and classification.
@@ -224,29 +132,25 @@ pub struct Study {
 impl Study {
     /// Run the full pipeline for a configuration as named, timed stages.
     pub fn run(config: StudyConfig) -> Self {
-        let mut runner = StageRunner::new();
+        let mut timings = StageTimings::default();
 
-        let corpus = runner.run(
-            &GenerateStage {
-                profile: config.profile.clone(),
-                seed: config.seed,
-            },
-            (),
-        );
-        let (database, crawl_summary) = runner.run(
-            &CrawlStage {
-                cluster: config.cluster.clone(),
-            },
-            &corpus,
-        );
-        let (engine, requests, label_stats, label_cache_stats) = runner.run(
-            &LabelStage {
-                workers: config.cluster.workers,
-            },
-            (&corpus, &database),
-        );
-        let classifier = HierarchicalClassifier::new(config.thresholds);
-        let hierarchy = runner.run(&ClassifyStage { classifier }, &requests);
+        let corpus = timings.time("generate", || {
+            CorpusGenerator::generate(&config.profile, config.seed)
+        });
+        let (database, crawl_summary) = timings.time("crawl", || {
+            CrawlCluster::new(config.cluster.clone()).crawl_with_summary(&corpus)
+        });
+        let (engine, requests, label_stats, label_cache_stats) = timings.time("label", || {
+            let engine = filter_rules::engine_for(&corpus.ecosystem);
+            let labeler = Labeler::new(&engine);
+            let (requests, stats) =
+                labeler.label_database_parallel(&database, config.cluster.workers);
+            let cache_stats = labeler.cache_stats();
+            (engine, requests, stats, cache_stats)
+        });
+        let hierarchy = timings.time("classify", || {
+            HierarchicalClassifier::new(config.thresholds).classify(&requests)
+        });
 
         Study {
             config,
@@ -258,7 +162,7 @@ impl Study {
             label_stats,
             label_cache_stats,
             hierarchy,
-            timings: runner.finish(),
+            timings,
         }
     }
 
@@ -308,38 +212,32 @@ impl Study {
         generate_surrogates(&self.hierarchy, &self.requests)
     }
 
-    /// Run every downstream analysis as one timed [`AnalysesStage`].
+    /// Run every downstream analysis as one timed `analyses` stage.
     pub fn analyses(&self) -> StudyAnalyses {
-        let mut runner = StageRunner::new();
-        let (sensitivity, callstack, surrogates) = runner.run(&AnalysesStage, self);
-        // Look the timing up by stage name instead of positionally — the
-        // runner records one entry per executed stage and indexing `[0]`
-        // would silently (or loudly) break the moment another stage joins
-        // this runner. The lookup cannot miss (the stage just ran on this
-        // runner); assert that in debug builds but stay non-panicking in
-        // release, falling back to a zero duration.
-        let timing = runner.finish().timing(AnalysesStage::NAME);
-        debug_assert!(timing.is_some(), "analyses stage just ran on this runner");
-        let timing = timing.unwrap_or(StageTiming {
-            name: AnalysesStage::NAME,
-            duration: std::time::Duration::ZERO,
+        let mut timings = StageTimings::default();
+        let (sensitivity, callstack, surrogates) = timings.time("analyses", || {
+            (
+                self.sensitivity_sweep(),
+                self.callstack_analysis(),
+                self.surrogates(),
+            )
         });
         StudyAnalyses {
             sensitivity,
             callstack,
             surrogates,
-            timing,
+            timing: timings.all()[0],
         }
     }
 
-    /// Produce a serving [`Sifter`] trained on this study's labeled
-    /// requests — the bridge from the batch pipeline to the long-lived
-    /// query API. The study is the *producer*; the sifter (its
-    /// [`Sifter::hierarchy`] export, [`Sifter::verdict`] walk, and
-    /// [`Sifter::snapshot`] persistence) is how downstream consumers read
-    /// the trained state. The study's compiled filter engine rides along,
-    /// so [`Sifter::observe_url`] and the filter-list backstop of
-    /// [`Sifter::decide`] work out of the box.
+    /// Produce a [`Sifter`] trained on this study's labeled requests — the
+    /// bridge from the batch pipeline to the long-lived serving API. The
+    /// study is the *producer*; the sifter (its [`Sifter::hierarchy`]
+    /// export, the [`Sifter::verdict_table`] that answers verdict and
+    /// decision queries, and [`Sifter::snapshot`] persistence) is how
+    /// downstream consumers read the trained state. The study's compiled
+    /// filter engine rides along, so [`Sifter::observe_url`] and the table's
+    /// filter-list backstop work out of the box.
     pub fn sifter(&self) -> Sifter {
         let mut sifter = Sifter::builder()
             .thresholds(self.config.thresholds)
@@ -447,7 +345,7 @@ mod tests {
     #[test]
     fn study_produces_an_equivalent_sifter() {
         let study = study();
-        let sifter = study.sifter();
+        let mut sifter = study.sifter();
         // The sifter's committed export is exactly the study's hierarchy.
         assert_eq!(sifter.hierarchy(), study.hierarchy);
         assert_eq!(sifter.observed(), study.requests.len() as u64);
@@ -455,10 +353,11 @@ mod tests {
             sifter.unattributed_requests(),
             study.hierarchy.unattributed_requests
         );
-        // And it serves a verdict for every labeled request it was
+        // And its table serves a verdict for every labeled request it was
         // trained on.
+        let table = sifter.verdict_table();
         for request in &study.requests {
-            let verdict = sifter.verdict(&crate::service::VerdictRequest::from_labeled(request));
+            let verdict = table.verdict(&crate::decision::DecisionRequest::from_labeled(request));
             assert!(verdict.classification().is_some(), "{}", request.url);
         }
     }

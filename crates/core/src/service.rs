@@ -1,19 +1,15 @@
-//! The serving-oriented `Sifter` API: build once, answer millions of
-//! verdicts, ingest observations incrementally.
+//! The `Sifter`: the long-lived trainer behind every served verdict —
+//! observe, commit, export.
 //!
 //! [`Study::run`](crate::pipeline::Study) materialises the whole batch
 //! pipeline; a deployed content blocker or proxy instead needs a long-lived
-//! handle that answers "tracking, functional, or mixed?" per request. This
-//! module provides that handle:
+//! handle that ingests observations incrementally and exports the state
+//! that answers "tracking, functional, or mixed?" per request. This module
+//! provides that handle:
 //!
 //! * [`SifterBuilder`] — builder-pattern configuration (thresholds, filter
 //!   lists for raw-traffic labeling, pre-trained state from a
 //!   [`SifterSnapshot`]) producing a [`Sifter`];
-//! * [`Sifter::verdict`] — walks the hierarchy coarsest-to-finest (domain →
-//!   hostname → script → method) through interned keys. The hot path is
-//!   **allocation-free** for already-interned keys: every lookup is a borrow
-//!   of the query strings and the returned [`Verdict`] is `Copy`.
-//!   [`Sifter::verdict_batch`] serves bulk callers;
 //! * [`Sifter::observe`] + [`Sifter::commit`] — incremental ingestion.
 //!   `observe` accumulates [`Counts`] deltas and marks the touched resources
 //!   dirty; `commit` reclassifies **only** the dirty resources (and whatever
@@ -21,6 +17,11 @@
 //!   the full hierarchical classification. The equivalence tests prove that
 //!   any interleaving of `observe`/`commit` ends in exactly the state a
 //!   from-scratch [`HierarchicalClassifier::classify`] would produce;
+//! * [`Sifter::verdict_table`] — export the committed state as an immutable
+//!   [`VerdictTable`], the one type that answers
+//!   [`verdict`](VerdictTable::verdict) and [`decide`](VerdictTable::decide)
+//!   queries (see [`crate::table`]). The sifter itself answers none: ask the
+//!   exported table, or a reader of a concurrent pair;
 //! * [`Sifter::snapshot`] / [`SifterBuilder::restore`] — versioned
 //!   export/import of the trained state (see [`crate::snapshot`]), so a
 //!   serving process restarts without a re-crawl.
@@ -42,25 +43,16 @@
 //!
 //! # Serving concurrency
 //!
-//! A `Sifter` is `Send + Sync`; [`Sifter::verdict`] takes `&self` and never
-//! mutates, so an `Arc<Sifter>` serves concurrent readers without interior
-//! locking on the query path — but `observe`/`commit` take `&mut self`, so
-//! that sharing mode cannot ingest. For read-heavy deployments that must
-//! keep ingesting, split the sifter with [`Sifter::into_concurrent`] (or
+//! An exported [`VerdictTable`] never changes, so any number of threads may
+//! query one. For deployments that must keep ingesting while they serve,
+//! split the sifter with [`Sifter::into_concurrent`] (or
 //! [`SifterBuilder::build_concurrent`]) into a
 //! [`SifterWriter`](crate::concurrent::SifterWriter) and cheaply-cloneable
-//! [`SifterReader`](crate::concurrent::SifterReader) handles: readers serve
-//! from an immutable [`VerdictTable`] behind an atomically swapped pointer
-//! (no lock on the query path), and every commit publishes the next table
-//! in one atomic swap. See [`crate::concurrent`].
-//!
-//! All three read paths — `Sifter::verdict`, `SifterReader`, and the batch
-//! [`Study::sifter`](crate::pipeline::Study::sifter) bridge — walk the same
-//! flattened representation ([`crate::table`]): dense per-granularity class
-//! arrays indexed by interned key, patched in place by each commit.
+//! [`SifterReader`](crate::concurrent::SifterReader) handles: readers pin
+//! the current table behind an atomically swapped pointer (no lock on the
+//! query path), and every commit publishes the next table in one atomic
+//! swap. See [`crate::concurrent`].
 
-use crate::decision::{self, Decision, DecisionRequest};
-use crate::frames::SurrogateFrames;
 use crate::hierarchy::{
     Granularity, HierarchicalClassifier, HierarchyResult, LevelResult, ResourceEntry,
 };
@@ -69,7 +61,7 @@ use crate::label::LabeledRequest;
 use crate::ratio::{Classification, Counts, Thresholds};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::surrogate::{MethodPlan, SurrogateScript};
-use crate::table::{verdict_walk, ClassTable, VerdictTable};
+use crate::table::{ClassTable, SurrogateEntry, VerdictTable};
 use filterlist::tokens::TokenHashBuilder;
 use filterlist::{
     registrable_domain, FilterEngine, FilterRequest, ListKind, ParsedUrl, RequestLabel,
@@ -85,44 +77,7 @@ type KeyMap<V> = HashMap<ResourceKey, V, TokenHashBuilder>;
 type PairMap<V> = HashMap<(ResourceKey, ResourceKey), V, TokenHashBuilder>;
 type KeySet = HashSet<ResourceKey, TokenHashBuilder>;
 
-/// One verdict query: the four attribution keys of a request, borrowed from
-/// the caller. `domain` must be the registrable domain (eTLD+1) of
-/// `hostname`, exactly as [`LabeledRequest`] carries them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerdictRequest<'a> {
-    /// Registrable domain (eTLD+1) of the request URL.
-    pub domain: &'a str,
-    /// Full hostname of the request URL.
-    pub hostname: &'a str,
-    /// URL of the initiating script (innermost stack frame).
-    pub script: &'a str,
-    /// Method (function) name of the initiating frame.
-    pub method: &'a str,
-}
-
-impl<'a> VerdictRequest<'a> {
-    /// A query from explicit keys.
-    pub fn new(domain: &'a str, hostname: &'a str, script: &'a str, method: &'a str) -> Self {
-        VerdictRequest {
-            domain,
-            hostname,
-            script,
-            method,
-        }
-    }
-
-    /// The query for a labeled request's attribution keys.
-    pub fn from_labeled(request: &'a LabeledRequest) -> Self {
-        VerdictRequest {
-            domain: &request.domain,
-            hostname: &request.hostname,
-            script: &request.initiator_script,
-            method: &request.initiator_method,
-        }
-    }
-}
-
-/// The answer to one [`VerdictRequest`].
+/// The answer to one [`VerdictTable::verdict`] query.
 ///
 /// A verdict is decided at the *coarsest* granularity that settles it: a
 /// domain classified tracking answers every request under it, a mixed
@@ -347,7 +302,7 @@ impl SifterBuilder {
 
     /// Compile filter lists into the labeling oracle the sifter uses for
     /// [`Sifter::observe_url`] (raw-traffic ingestion) and the filter-list
-    /// backstop of [`Sifter::decide`].
+    /// backstop of [`VerdictTable::decide`].
     pub fn filter_lists(mut self, lists: &[(ListKind, &str)]) -> Self {
         self.engine = Some(Arc::new(FilterEngine::from_lists(lists)));
         self
@@ -368,9 +323,10 @@ impl SifterBuilder {
     }
 
     /// Use a compiled [`UrlRewriter`] as the rewrite arm of
-    /// [`Sifter::decide`]: mixed requests whose URLs carry identifier
-    /// parameters are answered with [`Decision::Rewrite`] instead of the
-    /// filter-list backstop. See [`crate::decision`] for where rewrites sit
+    /// [`VerdictTable::decide`]: mixed requests whose URLs carry identifier
+    /// parameters are answered with
+    /// [`Decision::Rewrite`](crate::decision::Decision::Rewrite) instead of
+    /// the filter-list backstop. See [`crate::decision`] for where rewrites sit
     /// in the policy (Allow < Rewrite < Surrogate < Block).
     pub fn rewriter(mut self, rewriter: UrlRewriter) -> Self {
         self.rewriter = Some(Arc::new(rewriter));
@@ -411,8 +367,7 @@ impl SifterBuilder {
             dirty_scripts: KeySet::default(),
             dirty_methods: KeySet::default(),
             classes: ClassTable::default(),
-            surrogate_plans: KeyMap::default(),
-            surrogate_frames: KeyMap::default(),
+            surrogates: KeyMap::default(),
             frozen: None,
             observed_requests: 0,
             committed_requests: 0,
@@ -469,9 +424,9 @@ impl SifterBuilder {
     }
 }
 
-/// A long-lived, `Send + Sync` verdict server over TrackerSift's trained
-/// hierarchical state. Built by [`SifterBuilder`]; see the [module
-/// docs](crate::service) for the full serving story.
+/// The long-lived trainer of TrackerSift's hierarchical state: observe,
+/// commit, export. Built by [`SifterBuilder`]; queries are answered by the
+/// [`VerdictTable`] it exports — see the [module docs](crate::service).
 #[derive(Debug)]
 pub struct Sifter {
     thresholds: Thresholds,
@@ -517,17 +472,14 @@ pub struct Sifter {
 
     // -- the flattened serving representation (see `crate::table`) --
     /// Dense committed classifications per granularity, patched in place by
-    /// each commit alongside the `*_entries` maps. `verdict` reads this.
+    /// each commit alongside the `*_entries` maps.
     classes: ClassTable,
-    /// Surrogate plans for every committed mixed script, maintained
-    /// incrementally by `commit` (only scripts whose classification or
-    /// member methods changed are rebuilt). `Arc` values so publishing a
-    /// [`VerdictTable`] clones pointers, not strings.
-    surrogate_plans: KeyMap<Arc<SurrogateScript>>,
-    /// The wire encodings of `surrogate_plans`, preformatted at commit
-    /// time in lockstep with the plans (same keys, same incremental
-    /// refresh) so serving a surrogate is a memcpy, not an encode.
-    surrogate_frames: KeyMap<SurrogateFrames>,
+    /// Surrogate plans (with their preformatted wire frames) for every
+    /// committed mixed script, maintained incrementally by `commit` (only
+    /// scripts whose classification or member methods changed are rebuilt).
+    /// `Arc` payloads so publishing a [`VerdictTable`] clones pointers, not
+    /// strings.
+    surrogates: KeyMap<SurrogateEntry>,
     /// Cached frozen key view for publishing [`VerdictTable`]s; refreshed
     /// lazily when the interner has grown since the last freeze.
     frozen: Option<Arc<FrozenKeys>>,
@@ -550,7 +502,8 @@ pub struct Sifter {
     conflicting_observations: u64,
 }
 
-// The serving contract: one Sifter shared across worker threads.
+// A sifter moves into the writer half of a concurrent pair, which worker
+// threads own.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Sifter>();
@@ -983,12 +936,11 @@ impl Sifter {
             );
             match mixed.then(|| self.plan_for_script(s)).flatten() {
                 Some(plan) => {
-                    self.surrogate_frames.insert(s, SurrogateFrames::new(&plan));
-                    self.surrogate_plans.insert(s, Arc::new(plan));
+                    self.surrogates
+                        .insert(s, SurrogateEntry::new(Arc::new(plan)));
                 }
                 None => {
-                    self.surrogate_plans.remove(&s);
-                    self.surrogate_frames.remove(&s);
+                    self.surrogates.remove(&s);
                 }
             }
         }
@@ -1023,59 +975,8 @@ impl Sifter {
     }
 
     // -----------------------------------------------------------------
-    // serving
+    // export
     // -----------------------------------------------------------------
-
-    /// Answer one verdict query by walking the committed hierarchy
-    /// coarsest-to-finest over the flattened class table (one string-key
-    /// lookup plus one dense array read per level — see [`crate::table`]).
-    /// Allocation-free: all keys resolve through the interner by borrowed
-    /// lookup, and the result is `Copy`.
-    pub fn verdict(&self, request: &VerdictRequest<'_>) -> Verdict {
-        verdict_walk(&self.interner, &self.classes, request)
-    }
-
-    /// Serve a batch of verdicts (one output per input, in order).
-    pub fn verdict_batch(&self, requests: &[VerdictRequest<'_>]) -> Vec<Verdict> {
-        let mut out = Vec::new();
-        self.verdict_batch_into(requests, &mut out);
-        out
-    }
-
-    /// Serve a batch of verdicts into a reusable buffer (cleared first), so
-    /// steady-state bulk serving performs no per-batch allocation once the
-    /// buffer has grown to the batch size.
-    pub fn verdict_batch_into(&self, requests: &[VerdictRequest<'_>], out: &mut Vec<Verdict>) {
-        out.clear();
-        out.reserve(requests.len());
-        for request in requests {
-            out.push(self.verdict(request));
-        }
-    }
-
-    /// The blessed enforcement entry point: compose the hierarchy verdict,
-    /// the surrogate plan for mixed scripts, and the filter-list backstop
-    /// into the action a blocker should take. See [`crate::decision`] for
-    /// the policy; [`SifterReader::decide`](crate::concurrent::SifterReader::decide)
-    /// answers identically (byte for byte) from the published table.
-    pub fn decide(&self, request: &DecisionRequest<'_>) -> Decision {
-        decision::decide(
-            &self.interner,
-            &self.classes,
-            self.engine.as_deref(),
-            self.rewriter.as_deref(),
-            |script| self.surrogate_plans.get(&script).cloned(),
-            request,
-        )
-    }
-
-    /// Serve a batch of decisions (one output per input, in order).
-    pub fn decide_batch(&self, requests: &[DecisionRequest<'_>]) -> Vec<Decision> {
-        requests
-            .iter()
-            .map(|request| self.decide(request))
-            .collect()
-    }
 
     /// Build the surrogate plan for one committed script from scratch: its
     /// member methods (in name order) with their committed classifications
@@ -1084,7 +985,7 @@ impl Sifter {
     /// uses. `None` when the script has no committed member methods (a
     /// surrogate with nothing to keep, stub, or guard is no surrogate).
     /// `commit` calls this for exactly the scripts a delta touched and
-    /// caches the results in `surrogate_plans`; the decision paths read
+    /// caches the results in `surrogates`; the exported table serves from
     /// the cache.
     ///
     /// Serving-side plans carry no call stacks, so guards for
@@ -1118,10 +1019,11 @@ impl Sifter {
     }
 
     /// Export the committed serving state as an immutable, point-in-time
-    /// [`VerdictTable`] — the unit the concurrent writer publishes and the
-    /// representation every read path shares. The frozen key view is cached
-    /// and re-cloned only when the interner has grown since the last call,
-    /// so successive exports after small commits stay cheap.
+    /// [`VerdictTable`] — the one type that answers verdict and decision
+    /// queries, and the unit the concurrent writer publishes. The frozen
+    /// key view is cached and re-cloned only when the interner has grown
+    /// since the last call, so successive exports after small commits stay
+    /// cheap.
     ///
     /// Scaling caveat: when a delta *did* intern new keys, the re-freeze
     /// clones the full string→key lookup — O(total keys), not O(delta). At
@@ -1149,14 +1051,9 @@ impl Sifter {
             self.residue_requests,
             self.engine.clone(),
             self.rewriter.clone(),
-            Arc::new(self.surrogate_plans.clone()),
-            Arc::new(self.surrogate_frames.clone()),
+            Arc::new(self.surrogates.clone()),
         )
     }
-
-    // -----------------------------------------------------------------
-    // export
-    // -----------------------------------------------------------------
 
     /// Materialise the committed state as a [`HierarchyResult`] — exactly
     /// what [`HierarchicalClassifier::classify`] over every committed
@@ -1293,7 +1190,7 @@ impl Sifter {
             self.hosts_of_domain.entry(d).or_default().push(h);
         }
         // 3. Method → (script, name) attribution; re-interning the pair
-        //    also repopulates the interner's pair cache for `get_method`.
+        //    also repopulates the interner's pair cache.
         for &(m_id, s_id, name_id) in &snapshot.methods {
             let (m, s, name) = (
                 key(&self.interner, m_id)?,
@@ -1398,6 +1295,8 @@ impl Sifter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::DecisionRequest;
+    use crate::frames::SurrogateFrames;
     use crate::testutil::{figure1_requests, labeled_request as req};
     use filterlist::RequestLabel;
 
@@ -1410,8 +1309,8 @@ mod tests {
 
     #[test]
     fn verdicts_walk_the_figure1_hierarchy() {
-        let sifter = trained(&figure1_requests());
-        let verdict = |d, h, s, m| sifter.verdict(&VerdictRequest::new(d, h, s, m));
+        let table = trained(&figure1_requests()).verdict_table();
+        let verdict = |d, h, s, m| table.verdict(&DecisionRequest::new(d, h, s, m));
 
         // Decided at domain level.
         assert_eq!(
@@ -1477,15 +1376,15 @@ mod tests {
 
     #[test]
     fn unknown_resources_fall_back_to_the_deepest_observed_level() {
-        let sifter = trained(&figure1_requests());
+        let table = trained(&figure1_requests()).verdict_table();
         // Never-seen domain.
         assert_eq!(
-            sifter.verdict(&VerdictRequest::new("zzz.com", "a.zzz.com", "s", "m")),
+            table.verdict(&DecisionRequest::new("zzz.com", "a.zzz.com", "s", "m")),
             Verdict::Unknown
         );
         // Known-mixed domain, never-seen hostname: mixed at domain level.
         assert_eq!(
-            sifter.verdict(&VerdictRequest::new(
+            table.verdict(&DecisionRequest::new(
                 "google.com",
                 "new.google.com",
                 "s",
@@ -1498,7 +1397,7 @@ mod tests {
         );
         // Known-mixed hostname, never-seen script: mixed at hostname level.
         assert_eq!(
-            sifter.verdict(&VerdictRequest::new(
+            table.verdict(&DecisionRequest::new(
                 "google.com",
                 "cdn.google.com",
                 "https://pub.com/new.js",
@@ -1511,7 +1410,7 @@ mod tests {
         );
         // Known-mixed script, never-seen method: mixed at script level.
         assert_eq!(
-            sifter.verdict(&VerdictRequest::new(
+            table.verdict(&DecisionRequest::new(
                 "google.com",
                 "cdn.google.com",
                 "https://pub.com/clone.js",
@@ -1543,7 +1442,9 @@ mod tests {
         sifter.observe_all(&requests);
         // Nothing committed yet: everything is unknown.
         assert_eq!(
-            sifter.verdict(&VerdictRequest::from_labeled(&requests[0])),
+            sifter
+                .verdict_table()
+                .verdict(&DecisionRequest::from_labeled(&requests[0])),
             Verdict::Unknown
         );
         assert_eq!(sifter.pending(), requests.len() as u64);
@@ -1552,7 +1453,9 @@ mod tests {
         assert!(stats.reclassified() > 0);
         assert_eq!(sifter.pending(), 0);
         assert_ne!(
-            sifter.verdict(&VerdictRequest::from_labeled(&requests[0])),
+            sifter
+                .verdict_table()
+                .verdict(&DecisionRequest::from_labeled(&requests[0])),
             Verdict::Unknown
         );
     }
@@ -1600,7 +1503,7 @@ mod tests {
         // hub.com is now tracking: no hostname-level members remain.
         assert_eq!(sifter.committed_resources(Granularity::Hostname), 0);
         assert_eq!(
-            sifter.verdict(&VerdictRequest::new(
+            sifter.verdict_table().verdict(&DecisionRequest::new(
                 "hub.com",
                 "f.hub.com",
                 "https://p.com/b.js",
@@ -1636,22 +1539,6 @@ mod tests {
     }
 
     #[test]
-    fn verdict_batch_matches_single_verdicts() {
-        let requests = figure1_requests();
-        let sifter = trained(&requests);
-        let queries: Vec<VerdictRequest<'_>> =
-            requests.iter().map(VerdictRequest::from_labeled).collect();
-        let batch = sifter.verdict_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for (query, verdict) in queries.iter().zip(&batch) {
-            assert_eq!(sifter.verdict(query), *verdict);
-        }
-        let mut buffer = Vec::new();
-        sifter.verdict_batch_into(&queries, &mut buffer);
-        assert_eq!(buffer, batch);
-    }
-
-    #[test]
     fn observe_url_labels_through_the_configured_engine() {
         let mut sifter = Sifter::builder()
             .filter_lists(&[(ListKind::EasyList, "||tracker.io^$third-party\n")])
@@ -1670,7 +1557,7 @@ mod tests {
         assert_eq!(sifter.observed(), 1);
         sifter.commit();
         assert_eq!(
-            sifter.verdict(&VerdictRequest::new(
+            sifter.verdict_table().verdict(&DecisionRequest::new(
                 "tracker.io",
                 "px.tracker.io",
                 "https://shop.com/app.js",
@@ -1734,7 +1621,12 @@ mod tests {
         assert_eq!(domains.resources[0].key, "a.com");
         assert_eq!(domains.resources[0].counts.total(), 3);
         assert_eq!(
-            sifter.verdict(&VerdictRequest::new("b.com", "cdn.shared.net", "s", "m")),
+            sifter.verdict_table().verdict(&DecisionRequest::new(
+                "b.com",
+                "cdn.shared.net",
+                "s",
+                "m"
+            )),
             Verdict::Unknown
         );
         assert_eq!(sifter.ingest_stats().conflicting_domains, 1);
@@ -1754,9 +1646,12 @@ mod tests {
                 .filter_map(|(&s, _)| Some((s, sifter.plan_for_script(s)?)))
                 .collect();
             let mut cached: Vec<(ResourceKey, SurrogateScript)> = sifter
-                .surrogate_plans
+                .surrogates
                 .iter()
-                .map(|(&s, plan)| (s, SurrogateScript::clone(plan)))
+                .map(|(&s, entry)| {
+                    assert_eq!(entry.frames, SurrogateFrames::new(&entry.plan));
+                    (s, SurrogateScript::clone(&entry.plan))
+                })
                 .collect();
             scratch.sort_by_key(|(s, _)| s.index());
             cached.sort_by_key(|(s, _)| s.index());
@@ -1770,7 +1665,7 @@ mod tests {
         }
         sifter.commit();
         assert_plans_fresh(&sifter);
-        assert_eq!(sifter.surrogate_plans.len(), 1);
+        assert_eq!(sifter.surrogates.len(), 1);
 
         // A new method on the same script without dirtying the script via
         // classification change: the plan must still refresh.
@@ -1813,8 +1708,8 @@ mod tests {
 
     #[test]
     fn verdict_display_is_human_readable() {
-        let sifter = trained(&figure1_requests());
-        let verdict = sifter.verdict(&VerdictRequest::new(
+        let table = trained(&figure1_requests()).verdict_table();
+        let verdict = table.verdict(&DecisionRequest::new(
             "ads.com",
             "px.ads.com",
             "https://pub.com/a.js",

@@ -1,42 +1,22 @@
-//! The staged execution engine behind [`crate::pipeline::Study`].
+//! Per-stage wall-clock timings of [`crate::pipeline::Study`].
 //!
-//! The study pipeline is a linear chain of typed stages —
+//! The study pipeline is a linear chain of steps —
 //!
 //! ```text
 //! generate ──▶ crawl ──▶ label ──▶ classify ──▶ (analyses)
 //! ```
 //!
-//! — each consuming the previous stage's output. A [`Stage`] is a named unit
-//! of work with typed input and output; a [`StageRunner`] executes stages and
-//! records per-stage wall-clock timings, which [`Study`](crate::pipeline::Study)
-//! exposes as [`StageTimings`] so every run reports where its time went.
-//! Later scaling work (sharding, async ingest, incremental reclassification)
-//! slots in as new `Stage` implementations without touching the driver.
+//! — each consuming the previous step's output. [`StageTimings::time`] runs
+//! one step as a closure and records its name and wall-clock duration;
+//! [`Study`](crate::pipeline::Study) exposes the record so every run
+//! reports where its time went.
 
 use std::time::{Duration, Instant};
-
-/// A named pipeline stage with typed input and output.
-///
-/// The input type is generic over a lifetime so stages can borrow from the
-/// accumulating study state (e.g. the crawl stage borrows the corpus).
-pub trait Stage {
-    /// Stage name as it appears in timing reports.
-    const NAME: &'static str;
-
-    /// What the stage consumes.
-    type Input<'a>;
-
-    /// What the stage produces.
-    type Output;
-
-    /// Execute the stage.
-    fn run(&self, input: Self::Input<'_>) -> Self::Output;
-}
 
 /// Wall-clock timing of one executed stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageTiming {
-    /// The stage's [`Stage::NAME`].
+    /// The stage's name as it appears in timing reports.
     pub name: &'static str,
     /// Wall-clock duration of the stage.
     pub duration: Duration,
@@ -49,6 +29,17 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// Run `work` as the stage `name`, recording its wall-clock duration.
+    pub fn time<T>(&mut self, name: &'static str, work: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let output = work();
+        self.timings.push(StageTiming {
+            name,
+            duration: start.elapsed(),
+        });
+        output
+    }
+
     /// All recorded timings, in execution order.
     pub fn all(&self) -> &[StageTiming] {
         &self.timings
@@ -94,72 +85,17 @@ impl StageTimings {
     }
 }
 
-/// Executes stages, recording a [`StageTiming`] per run.
-#[derive(Debug, Default)]
-pub struct StageRunner {
-    timings: Vec<StageTiming>,
-}
-
-impl StageRunner {
-    /// A fresh runner with no recorded timings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run one stage, recording its wall-clock duration.
-    pub fn run<S: Stage>(&mut self, stage: &S, input: S::Input<'_>) -> S::Output {
-        let start = Instant::now();
-        let output = stage.run(input);
-        self.timings.push(StageTiming {
-            name: S::NAME,
-            duration: start.elapsed(),
-        });
-        output
-    }
-
-    /// Finish, yielding the ordered timings.
-    pub fn finish(self) -> StageTimings {
-        StageTimings {
-            timings: self.timings,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Double;
-
-    impl Stage for Double {
-        const NAME: &'static str = "double";
-        type Input<'a> = &'a [u64];
-        type Output = Vec<u64>;
-
-        fn run(&self, input: &[u64]) -> Vec<u64> {
-            input.iter().map(|x| x * 2).collect()
-        }
-    }
-
-    struct Sum;
-
-    impl Stage for Sum {
-        const NAME: &'static str = "sum";
-        type Input<'a> = Vec<u64>;
-        type Output = u64;
-
-        fn run(&self, input: Vec<u64>) -> u64 {
-            input.into_iter().sum()
-        }
-    }
-
     #[test]
     fn stages_chain_and_record_timings() {
-        let mut runner = StageRunner::new();
-        let doubled = runner.run(&Double, &[1, 2, 3]);
-        let total = runner.run(&Sum, doubled);
+        let mut timings = StageTimings::default();
+        let input = [1u64, 2, 3];
+        let doubled: Vec<u64> = timings.time("double", || input.iter().map(|x| x * 2).collect());
+        let total: u64 = timings.time("sum", || doubled.into_iter().sum());
         assert_eq!(total, 12);
-        let timings = runner.finish();
         let names: Vec<&str> = timings.all().iter().map(|t| t.name).collect();
         assert_eq!(names, vec!["double", "sum"]);
         assert!(timings.duration("double").is_some());

@@ -1,36 +1,33 @@
 //! The flattened serving representation: dense per-granularity class
 //! arrays plus a frozen key lookup.
 //!
-//! PR 3's [`Sifter::verdict`](crate::service::Sifter::verdict) walked four
-//! `HashMap<ResourceKey, LevelEntry>` levels — a string hash *and* a key
-//! hash per granularity. This module replaces the per-query hierarchy-map
-//! walk with one representation every read path shares:
+//! Every verdict and every decision is answered here, by one type:
+//! [`VerdictTable`] resolves a query's four keys against its [`FrozenKeys`],
+//! walks the class arrays once and applies the decision policy once.
 //!
 //! * [`ClassTable`] — four dense `Vec<u8>` arrays (one per
 //!   [`Granularity`]), indexed by [`ResourceKey::index`]. Each byte encodes
 //!   "not a member of this level" or one of the three classifications, so a
 //!   level probe is a bounds-checked array read instead of a hash lookup.
 //!   The incremental commit patches exactly the dirty slots in place.
-//! * `verdict_walk` — the one implementation of the coarsest-to-finest
-//!   verdict walk, generic over [`KeyResolver`] so the single-threaded
-//!   sifter (live [`KeyInterner`](crate::intern::KeyInterner)) and the
-//!   concurrent readers (immutable [`FrozenKeys`]) execute identical logic.
+//! * `verdict_walk` — the coarsest-to-finest verdict walk over four
+//!   already-resolved keys.
 //! * [`VerdictTable`] — an immutable, point-in-time pairing of a
 //!   [`ClassTable`] with the [`FrozenKeys`] it was built against, plus the
-//!   commit version and request accounting. This is the unit the
-//!   [`SifterWriter`](crate::concurrent::SifterWriter) publishes atomically
-//!   and every [`SifterReader`](crate::concurrent::SifterReader) pins;
-//!   snapshot restore produces its state through the same commit path, so
-//!   batch, single-threaded, and concurrent serving all read through this
-//!   one representation.
+//!   commit version and request accounting. This is the unit
+//!   [`Sifter::verdict_table`](crate::service::Sifter::verdict_table)
+//!   exports, the [`SifterWriter`](crate::concurrent::SifterWriter)
+//!   publishes atomically and every
+//!   [`SifterReader`](crate::concurrent::SifterReader) pins; the reader and
+//!   its pin only forward to it.
 
 use crate::decision::{self, Decision, DecisionRequest, KeyedRequest, Resolved};
 use crate::frames::{self, SurrogateFrames, FIXED_COMBOS, SINGLE_HEADER_LEN};
 use crate::hierarchy::Granularity;
-use crate::intern::{FrozenKeys, KeyResolver, ResourceKey};
+use crate::intern::{FrozenKeys, ResourceKey};
 use crate::ratio::Classification;
 use crate::revision::{self, ChangeKind, RevisionChange, VerdictRevision};
-use crate::service::{Verdict, VerdictRequest};
+use crate::service::Verdict;
 use crate::surrogate::SurrogateScript;
 use crawler::json::{object, Value};
 use filterlist::tokens::TokenHashBuilder;
@@ -39,16 +36,26 @@ use rewriter::{RewrittenUrl, UrlRewriter};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The surrogate-plan map a table carries: `Arc` values shared with the
-/// sifter's incrementally maintained cache, so publishing a table after a
-/// commit clones pointers, not plan strings.
-pub(crate) type SurrogatePlans = HashMap<ResourceKey, Arc<SurrogateScript>, TokenHashBuilder>;
+/// A committed mixed script's surrogate plan together with its preformatted
+/// response frames. The frames are a pure function of the plan and are
+/// rebuilt exactly when the plan is, so the two live in one map entry.
+#[derive(Debug, Clone)]
+pub(crate) struct SurrogateEntry {
+    pub(crate) plan: Arc<SurrogateScript>,
+    pub(crate) frames: SurrogateFrames,
+}
 
-/// Per-key preformatted surrogate response frames, maintained beside
-/// [`SurrogatePlans`] by the sifter's commits (the frames of a plan only
-/// change when the plan itself is rebuilt) and shared into every published
-/// table by `Arc`.
-pub(crate) type SurrogateFrameMap = HashMap<ResourceKey, SurrogateFrames, TokenHashBuilder>;
+impl SurrogateEntry {
+    pub(crate) fn new(plan: Arc<SurrogateScript>) -> Self {
+        let frames = SurrogateFrames::new(&plan);
+        SurrogateEntry { plan, frames }
+    }
+}
+
+/// The surrogate map a table carries: `Arc` payloads shared with the
+/// sifter's incrementally maintained cache, so publishing a table after a
+/// commit clones pointers, not plan strings or response bytes.
+pub(crate) type SurrogatePlans = HashMap<ResourceKey, SurrogateEntry, TokenHashBuilder>;
 
 /// Byte code for "this key is not a member of the level".
 const ABSENT: u8 = 0;
@@ -149,85 +156,18 @@ impl ClassTable {
     }
 }
 
-/// The shared coarsest-to-finest verdict walk over a [`ClassTable`].
+/// The coarsest-to-finest verdict walk over a [`ClassTable`], for a request
+/// whose four keys are already resolved (`None` = "the table never interned
+/// this string").
 ///
-/// Semantics (identical to PR 3's hierarchy-map walk, now in one place):
-/// the walk stops at the first granularity whose classification is not
+/// The walk stops at the first granularity whose classification is not
 /// mixed; falling off the trained hierarchy below a mixed resource yields
 /// `Mixed` at the last observed granularity; an unknown (or uncommitted)
-/// domain yields [`Verdict::Unknown`].
-pub(crate) fn verdict_walk<K: KeyResolver + ?Sized>(
-    keys: &K,
-    classes: &ClassTable,
-    request: &VerdictRequest<'_>,
-) -> Verdict {
-    let Some(domain_class) = keys
-        .key(request.domain)
-        .and_then(|d| classes.class(Granularity::Domain, d))
-    else {
-        return Verdict::Unknown;
-    };
-    if domain_class != Classification::Mixed {
-        return Verdict::Decided {
-            classification: domain_class,
-            granularity: Granularity::Domain,
-        };
-    }
-    let Some(host_class) = keys
-        .key(request.hostname)
-        .and_then(|h| classes.class(Granularity::Hostname, h))
-    else {
-        return Verdict::Decided {
-            classification: Classification::Mixed,
-            granularity: Granularity::Domain,
-        };
-    };
-    if host_class != Classification::Mixed {
-        return Verdict::Decided {
-            classification: host_class,
-            granularity: Granularity::Hostname,
-        };
-    }
-    // The script key is resolved once and reused for the method-pair
-    // lookup below — one string hash fewer than resolving the composed
-    // `script :: method` key from scratch.
-    let script = keys.key(request.script);
-    let Some(script_class) = script.and_then(|s| classes.class(Granularity::Script, s)) else {
-        return Verdict::Decided {
-            classification: Classification::Mixed,
-            granularity: Granularity::Hostname,
-        };
-    };
-    if script_class != Classification::Mixed {
-        return Verdict::Decided {
-            classification: script_class,
-            granularity: Granularity::Script,
-        };
-    }
-    let method_class = keys
-        .key(request.method)
-        .and_then(|name| keys.method_key(script.expect("script key resolved above"), name))
-        .and_then(|m| classes.class(Granularity::Method, m));
-    match method_class {
-        Some(classification) => Verdict::Decided {
-            classification,
-            granularity: Granularity::Method,
-        },
-        None => Verdict::Decided {
-            classification: Classification::Mixed,
-            granularity: Granularity::Script,
-        },
-    }
-}
-
-/// The keyed twin of [`verdict_walk`]: identical semantics over a request
-/// whose four keys are already resolved (`None` = "that table never
-/// interned this string"), so id-form wire requests walk the hierarchy
-/// without a single string hash. The resolver is only consulted for the
+/// domain yields [`Verdict::Unknown`]. `keys` is only consulted for the
 /// `(script, method-name)` → composed-method-key pair lookup — a hash over
 /// two `Copy` ids.
-pub(crate) fn verdict_walk_keyed<K: KeyResolver + ?Sized>(
-    keys: &K,
+pub(crate) fn verdict_walk(
+    keys: &FrozenKeys,
     classes: &ClassTable,
     request: &KeyedRequest<'_>,
 ) -> Verdict {
@@ -295,17 +235,12 @@ pub(crate) fn verdict_walk_keyed<K: KeyResolver + ?Sized>(
 /// path answers with a `memcpy` of a prebuilt slice instead of walking a
 /// JSON tree or encoding a frame per request.
 ///
-/// Two families are prebuilt:
-///
-/// * the [`FIXED_COMBOS`] non-surrogate decisions (observe, allow/block ×
-///   hierarchy granularity or filter list) as **complete** single-decision
-///   bodies — JSON with the table version baked in, and 15-byte binary
-///   frames — plus version-free JSON fragments for batch assembly;
-/// * per-key **surrogate frames** (the JSON decision object and the binary
-///   payload of every committed mixed script's plan), maintained
-///   incrementally by the sifter beside the plans themselves and shared
-///   here by `Arc` — a commit that rebuilt three plans reformats three
-///   frames, not the whole map.
+/// Prebuilt here are the [`FIXED_COMBOS`] non-surrogate decisions (observe,
+/// allow/block × hierarchy granularity or filter list) as **complete**
+/// single-decision bodies — JSON with the table version baked in, and
+/// 15-byte binary frames — plus version-free JSON fragments for batch
+/// assembly. The per-key surrogate frames are version-free and live beside
+/// their plans in the table's surrogate map.
 ///
 /// The JSON bodies are produced by rendering the same [`Value`] trees the
 /// serialize-per-request path builds, so a preformatted answer is
@@ -327,12 +262,10 @@ pub struct PrebuiltResponses {
     /// `{"version":V,"decisions":[` — the prefix of a batch JSON body
     /// (append `]}` to close).
     json_batch_prefix: Arc<str>,
-    /// Per-key surrogate frames, shared with the sifter's cache.
-    surrogates: Arc<SurrogateFrameMap>,
 }
 
 impl PrebuiltResponses {
-    fn build(version: u64, surrogates: Arc<SurrogateFrameMap>) -> Self {
+    fn build(version: u64) -> Self {
         let render_single = |index: usize| -> Arc<str> {
             object(vec![
                 ("version", Value::number_u64(version)),
@@ -364,7 +297,6 @@ impl PrebuiltResponses {
             }),
             json_single_prefix,
             json_batch_prefix,
-            surrogates,
         }
     }
 
@@ -394,12 +326,6 @@ impl PrebuiltResponses {
     /// fragments and a closing `]}` to form a complete batch body.
     pub fn json_batch_prefix(&self) -> &str {
         &self.json_batch_prefix
-    }
-
-    /// The preformatted frames of a committed mixed script's surrogate
-    /// plan, if that key has one.
-    pub fn surrogate(&self, script: ResourceKey) -> Option<&SurrogateFrames> {
-        self.surrogates.get(&script)
     }
 }
 
@@ -449,9 +375,10 @@ pub struct VerdictTable {
     /// parameters; like the engine, immutable after build and shared by
     /// `Arc` with the exporting sifter.
     url_rewriter: Option<Arc<UrlRewriter>>,
-    /// Surrogate plans for every committed mixed script, maintained
-    /// incrementally by the sifter's commits and shared here so concurrent
-    /// readers serve [`Decision::Surrogate`] without touching the writer.
+    /// Surrogate plans (and their preformatted frames) for every committed
+    /// mixed script, maintained incrementally by the sifter's commits and
+    /// shared here so concurrent readers serve [`Decision::Surrogate`]
+    /// without touching the writer.
     surrogates: Arc<SurrogatePlans>,
     /// The writer's bounded revision ring as of this publish, ascending by
     /// version (`Arc` per revision: publishing clones pointers, not change
@@ -472,7 +399,6 @@ impl VerdictTable {
         engine: Option<Arc<FilterEngine>>,
         url_rewriter: Option<Arc<UrlRewriter>>,
         surrogates: Arc<SurrogatePlans>,
-        frames: Arc<SurrogateFrameMap>,
     ) -> Self {
         VerdictTable {
             keys,
@@ -485,17 +411,17 @@ impl VerdictTable {
             url_rewriter,
             surrogates,
             revisions: Vec::new(),
-            prebuilt: PrebuiltResponses::build(version, frames),
+            prebuilt: PrebuiltResponses::build(version),
         }
     }
 
     /// Rebase the table's published version (used by the concurrent writer
     /// to keep versions monotone across a snapshot restore, which resets
     /// the underlying commit count). Rebuilds the version-baked fixed
-    /// bodies; the per-key surrogate frames are version-free and shared.
+    /// bodies.
     pub(crate) fn set_version(&mut self, version: u64) {
         self.version = version;
-        self.prebuilt = PrebuiltResponses::build(version, Arc::clone(&self.prebuilt.surrogates));
+        self.prebuilt = PrebuiltResponses::build(version);
     }
 
     /// Stamp the key-id epoch (used by the concurrent writer, which owns
@@ -527,7 +453,7 @@ impl VerdictTable {
     /// one — the string-keyed lookup delta-snapshot assembly uses.
     pub fn surrogate_plan(&self, script: &str) -> Option<Arc<SurrogateScript>> {
         let key = self.keys.key(script)?;
-        self.surrogates.get(&key).cloned()
+        Some(Arc::clone(&self.surrogates.get(&key)?.plan))
     }
 
     /// The bounded ring of per-commit verdict revisions as of this publish,
@@ -537,24 +463,18 @@ impl VerdictTable {
         &self.revisions
     }
 
-    /// Answer one verdict query against this table's frozen state.
-    pub fn verdict(&self, request: &VerdictRequest<'_>) -> Verdict {
-        verdict_walk(self.keys.as_ref(), &self.classes, request)
+    /// Answer one verdict query against this table's frozen state: resolve
+    /// the four keys, walk coarsest-to-finest. The request's URL context is
+    /// ignored. Allocation-free; the returned [`Verdict`] is `Copy`.
+    pub fn verdict(&self, request: &DecisionRequest<'_>) -> Verdict {
+        verdict_walk(&self.keys, &self.classes, &self.resolve(request))
     }
 
-    /// Answer one enforcement decision against this table's frozen state —
-    /// the same composition as [`Sifter::decide`](crate::service::Sifter::decide)
-    /// (hierarchy verdict → surrogate plan for mixed scripts → filter-list
-    /// backstop), byte-identical for the same committed state.
+    /// Answer one enforcement decision against this table's frozen state
+    /// (hierarchy verdict → surrogate plan for mixed scripts → rewrite →
+    /// filter-list backstop; see [`crate::decision`]).
     pub fn decide(&self, request: &DecisionRequest<'_>) -> Decision {
-        decision::decide(
-            self.keys.as_ref(),
-            &self.classes,
-            self.engine.as_deref(),
-            self.url_rewriter.as_deref(),
-            |script| self.surrogates.get(&script).cloned(),
-            request,
-        )
+        self.decide_keyed(&self.resolve(request))
     }
 
     /// The frozen key table this table's classes are indexed by. Binary
@@ -580,27 +500,24 @@ impl VerdictTable {
     /// interner — the one-off translation [`VerdictTable::decide_keyed`]
     /// and [`VerdictTable::decide_prebuilt`] then serve without hashing.
     pub fn resolve<'a>(&self, request: &DecisionRequest<'a>) -> KeyedRequest<'a> {
-        KeyedRequest::resolve(self.keys.as_ref(), request)
+        KeyedRequest::resolve(&self.keys, request)
     }
 
-    /// [`VerdictTable::decide`] over pre-resolved keys: same policy, same
-    /// answer, zero string hashing. With keys from [`VerdictTable::resolve`]
-    /// on the same table this is exactly `decide`; with ids a wire client
-    /// cached under this table's [`keys_epoch`](VerdictTable::keys_epoch)
-    /// it is the binary hot path.
+    /// [`VerdictTable::decide`] over pre-resolved keys: zero string
+    /// hashing. With keys from [`VerdictTable::resolve`] on the same table
+    /// this is exactly `decide`; with ids a wire client cached under this
+    /// table's [`keys_epoch`](VerdictTable::keys_epoch) it is the binary hot
+    /// path.
     pub fn decide_keyed(&self, request: &KeyedRequest<'_>) -> Decision {
-        match decision::decide_keyed_with(
-            self.keys.as_ref(),
+        decision::decide_with(
+            &self.keys,
             &self.classes,
             self.engine.as_deref(),
             self.url_rewriter.as_deref(),
-            |script| self.surrogates.get(&script).cloned(),
+            |script| Some(Arc::clone(&self.surrogates.get(&script)?.plan)),
             request,
-        ) {
-            Resolved::Fixed(decision) => decision,
-            Resolved::Rewrite(rewritten) => Decision::Rewrite(rewritten),
-            Resolved::Surrogate(plan) => Decision::Surrogate(plan),
-        }
+        )
+        .into()
     }
 
     /// The serving hot path: decide over pre-resolved keys and answer with
@@ -609,12 +526,12 @@ impl VerdictTable {
     /// [`VerdictTable::decide_keyed`] returns, byte-identical once
     /// rendered.
     pub fn decide_prebuilt(&self, request: &KeyedRequest<'_>) -> PrebuiltDecision<'_> {
-        match decision::decide_keyed_with(
-            self.keys.as_ref(),
+        match decision::decide_with(
+            &self.keys,
             &self.classes,
             self.engine.as_deref(),
             self.url_rewriter.as_deref(),
-            |script| self.prebuilt.surrogates.get(&script),
+            |script| Some(&self.surrogates.get(&script)?.frames),
             request,
         ) {
             Resolved::Fixed(decision) => PrebuiltDecision::Fixed(
@@ -763,26 +680,6 @@ mod tests {
                 filterlist::ResourceType::Stylesheet,
             ),
         ]
-    }
-
-    #[test]
-    fn keyed_decisions_match_string_decisions() {
-        let table = trained_table();
-        let mut surrogates = 0;
-        let mut rewrites = 0;
-        for request in probe_requests() {
-            let keyed = table.resolve(&request);
-            let decision = table.decide(&request);
-            assert_eq!(table.decide_keyed(&keyed), decision, "for {request:?}");
-            if decision.surrogate().is_some() {
-                surrogates += 1;
-            }
-            if decision.rewrite().is_some() {
-                rewrites += 1;
-            }
-        }
-        assert!(surrogates > 0, "fixture must exercise the surrogate arm");
-        assert!(rewrites > 0, "fixture must exercise the rewrite arm");
     }
 
     #[test]

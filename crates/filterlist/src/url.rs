@@ -51,13 +51,9 @@ impl ParsedUrl {
         }
         let lower = raw.to_ascii_lowercase();
 
-        // Split off the scheme, remembering where the authority begins.
-        let (scheme, rest, rest_offset) = if let Some(idx) = lower.find("://") {
-            (lower[..idx].to_string(), &lower[idx + 3..], idx + 3)
-        } else if let Some(stripped) = lower.strip_prefix("//") {
-            ("https".to_string(), stripped, 2)
-        } else if let Some(idx) = lower.find(':') {
+        let Some(authority) = Authority::of(&lower) else {
             // Opaque URL such as `data:image/gif;base64,...` or `about:blank`.
+            let idx = lower.find(':')?;
             let scheme = lower[..idx].to_string();
             if !scheme
                 .chars()
@@ -75,27 +71,11 @@ impl ParsedUrl {
                 lower,
                 host_start: 0,
             });
-        } else {
-            return None;
         };
-
-        // Authority ends at the first `/`, `?` or `#`.
-        let authority_end = rest.find(['/', '?', '#']).unwrap_or(rest.len());
-        let authority = &rest[..authority_end];
-        let after_authority = &rest[authority_end..];
-
-        // Strip userinfo if present.
-        let (hostport, host_start) = match authority.rfind('@') {
-            Some(at) => (&authority[at + 1..], rest_offset + at + 1),
-            None => (authority, rest_offset),
-        };
-        let (hostname, port) = match hostport.rfind(':') {
-            Some(colon) if hostport[colon + 1..].chars().all(|c| c.is_ascii_digit()) => {
-                let port = hostport[colon + 1..].parse::<u16>().ok();
-                (hostport[..colon].to_string(), port)
-            }
-            _ => (hostport.to_string(), None),
-        };
+        let scheme = authority.scheme.to_string();
+        let hostname = authority.host.to_string();
+        let (port, host_start) = (authority.port, authority.host_start);
+        let after_authority = authority.rest;
 
         // Separate path / query / fragment.
         let without_fragment = match after_authority.find('#') {
@@ -140,6 +120,67 @@ impl ParsedUrl {
     pub fn is_https(&self) -> bool {
         self.scheme == "https" || self.scheme == "wss"
     }
+}
+
+/// The authority of a URL (`scheme://[user@]host[:port]`, or scheme-relative
+/// `//host…`), borrowed from the URL text. The one place the hostname is
+/// derived: [`ParsedUrl::parse`] and [`hostname_of`] both read it.
+struct Authority<'a> {
+    /// The scheme before `://`; `https` for a scheme-relative URL.
+    scheme: &'a str,
+    /// Hostname without userinfo or port, in the text's own case.
+    host: &'a str,
+    /// Byte offset of `host` within the URL.
+    host_start: usize,
+    /// Explicit port if present.
+    port: Option<u16>,
+    /// Everything after the authority (path, query, fragment).
+    rest: &'a str,
+}
+
+impl<'a> Authority<'a> {
+    /// `None` when `url` has neither a `://` separator nor a leading `//`.
+    fn of(url: &'a str) -> Option<Self> {
+        let (scheme, start) = if let Some(idx) = url.find("://") {
+            (&url[..idx], idx + 3)
+        } else if url.starts_with("//") {
+            ("https", 2)
+        } else {
+            return None;
+        };
+        // Authority ends at the first `/`, `?` or `#`.
+        let end = url[start..]
+            .find(['/', '?', '#'])
+            .map_or(url.len(), |idx| start + idx);
+        let authority = &url[start..end];
+        // Strip userinfo if present.
+        let (hostport, host_start) = match authority.rfind('@') {
+            Some(at) => (&authority[at + 1..], start + at + 1),
+            None => (authority, start),
+        };
+        let (host, port) = match hostport.rfind(':') {
+            Some(colon) if hostport[colon + 1..].chars().all(|c| c.is_ascii_digit()) => (
+                &hostport[..colon],
+                hostport[colon + 1..].parse::<u16>().ok(),
+            ),
+            _ => (hostport, None),
+        };
+        Some(Authority {
+            scheme,
+            host,
+            host_start,
+            port,
+            rest: &url[end..],
+        })
+    }
+}
+
+/// The hostname of a URL, borrowed in the URL's own case; `""` when the URL
+/// has no authority (opaque `data:` URLs, non-URLs). Equal, up to ASCII
+/// case, to `ParsedUrl::parse(url).map(|u| u.hostname).unwrap_or_default()`
+/// without allocating.
+pub fn hostname_of(url: &str) -> &str {
+    Authority::of(url.trim()).map_or("", |authority| authority.host)
 }
 
 impl fmt::Display for ParsedUrl {
@@ -209,6 +250,32 @@ mod tests {
         let u = ParsedUrl::parse("https://example.com/page?x=1#frag").unwrap();
         assert_eq!(u.query.as_deref(), Some("x=1"));
         assert_eq!(u.path, "/page");
+    }
+
+    #[test]
+    fn hostname_of_agrees_with_parse() {
+        for case in [
+            "https://cdn.example.com/assets/app.js?v=3",
+            "http://user:pw@tracker.ads.net:8080/pixel?id=1",
+            "//stats.wp.com/w.js",
+            "HTTPS://CDN.Example.COM:443/A.JS",
+            "https://[::1]:8080/",
+            "https://host:/x",
+            "  https://padded.example/  ",
+            "https:///path-only",
+            "data:image/gif;base64,R0lGODlhAQAB",
+            "not a url at all",
+            "",
+        ] {
+            let parsed = ParsedUrl::parse(case)
+                .map(|u| u.hostname)
+                .unwrap_or_default();
+            assert_eq!(
+                hostname_of(case).to_ascii_lowercase(),
+                parsed,
+                "for {case:?}"
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use filterlist::registrable_domain;
 use trackersift::{
-    Granularity, ObserveOutcome, Sifter, SifterReader, SifterWriter, Verdict, VerdictRequest,
+    DecisionRequest, Granularity, ObserveOutcome, Sifter, SifterReader, SifterWriter, Verdict,
 };
 use trackersift_server::{SchedulerDriver, SchedulerStats, TickSummary};
 use websim::{
@@ -201,7 +201,8 @@ impl Scheduler {
     /// hostname or domain granularity never consulted the script key, so
     /// rotation cannot orphan it.
     fn probe_retention(&mut self, rotations: &[ScriptRotation], writer: &SifterWriter) {
-        let sifter = writer.sifter();
+        let reader = writer.reader();
+        let table = reader.pin();
         for rotation in rotations {
             let script = &self.corpus.websites[rotation.site].scripts[rotation.script];
             let fingerprint;
@@ -220,7 +221,7 @@ impl Scheduler {
                 };
                 let domain = registrable_domain(host);
                 let method = &script.methods[method_index].name;
-                let before = sifter.verdict(&VerdictRequest::new(&domain, host, old_key, method));
+                let before = table.verdict(&DecisionRequest::new(&domain, host, old_key, method));
                 let fine = matches!(
                     before,
                     Verdict::Decided {
@@ -232,7 +233,7 @@ impl Scheduler {
                     continue;
                 }
                 self.stats.retention_probes += 1;
-                let after = sifter.verdict(&VerdictRequest::new(&domain, host, new_key, method));
+                let after = table.verdict(&DecisionRequest::new(&domain, host, new_key, method));
                 if after == before {
                     self.stats.retention_hits += 1;
                 }

@@ -92,19 +92,32 @@ impl fmt::Display for RevisionFetchError {
 
 impl std::error::Error for RevisionFetchError {}
 
+/// Which representation a typed fetch ([`Client::fetch_revisions`],
+/// [`Client::fetch_revision_diff`], [`Client::fetch_snapshot_since`]) asks
+/// the server for. Both decode to the same values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Encoding {
+    /// The canonical JSON documents.
+    Json,
+    /// The binary framing of [`trackersift::frames`].
+    Binary,
+}
+
+fn malformed(error: impl fmt::Display) -> RevisionFetchError {
+    RevisionFetchError::Malformed(error.to_string())
+}
+
 /// Parse the `200` JSON body of `GET /v1/revisions` into the table
 /// version and the revision ring.
 pub fn parse_revision_list(body: &[u8]) -> Result<(u64, Vec<VerdictRevision>), RevisionFetchError> {
     let value = parse_json_body(body)?;
-    frames::revision_list_from_value(&value)
-        .map_err(|error| RevisionFetchError::Malformed(error.to_string()))
+    frames::revision_list_from_value(&value).map_err(malformed)
 }
 
 /// Parse the `200` JSON body of `GET /v1/revisions?diff=a..b`.
 pub fn parse_revision_diff(body: &[u8]) -> Result<RevisionDiff, RevisionFetchError> {
     let value = parse_json_body(body)?;
-    frames::revision_diff_from_value(&value)
-        .map_err(|error| RevisionFetchError::Malformed(error.to_string()))
+    frames::revision_diff_from_value(&value).map_err(malformed)
 }
 
 /// Parse a `GET /v1/snapshot?since=v` JSON body. The `200` delta and the
@@ -112,14 +125,12 @@ pub fn parse_revision_diff(body: &[u8]) -> Result<RevisionDiff, RevisionFetchErr
 /// covers both; [`DeltaSnapshot::is_full`] tells them apart.
 pub fn parse_delta_snapshot(body: &[u8]) -> Result<DeltaSnapshot, RevisionFetchError> {
     let value = parse_json_body(body)?;
-    frames::delta_snapshot_from_value(&value)
-        .map_err(|error| RevisionFetchError::Malformed(error.to_string()))
+    frames::delta_snapshot_from_value(&value).map_err(malformed)
 }
 
 fn parse_json_body(body: &[u8]) -> Result<Value, RevisionFetchError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| RevisionFetchError::Malformed("body is not utf-8".to_string()))?;
-    Value::parse(text).map_err(|error| RevisionFetchError::Malformed(error.to_string()))
+    let text = std::str::from_utf8(body).map_err(|_| malformed("body is not utf-8"))?;
+    Value::parse(text).map_err(malformed)
 }
 
 /// One fully read response from the non-panicking request path.
@@ -202,17 +213,10 @@ impl Client {
         content_type: Option<&str>,
         body: &[u8],
     ) -> (u16, Vec<u8>) {
-        let content_type = content_type
-            .map(|value| format!("Content-Type: {value}\r\n"))
-            .unwrap_or_default();
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: verdicts\r\n{content_type}Content-Length: {}\r\n\r\n",
-            body.len()
-        );
-        let mut request = head.into_bytes();
-        request.extend_from_slice(body);
-        self.stream.write_all(&request).expect("write request");
-        self.read_response()
+        match self.try_request_bytes(method, target, content_type, body) {
+            Ok(response) => (response.status, response.body),
+            Err(error) => panic!("exchange with the verdict server: {error}"),
+        }
     }
 
     /// Complete the key-interning handshake: fetch `GET /v1/keys` and
@@ -249,17 +253,15 @@ impl Client {
 
     /// Fetch the published revision ring (`GET /v1/revisions`); returns
     /// the table version and the ring, oldest first.
-    pub fn fetch_revisions(&mut self) -> Result<(u64, Vec<VerdictRevision>), RevisionFetchError> {
-        let response = self
-            .try_request_bytes("GET", "/v1/revisions", None, b"")
-            .map_err(RevisionFetchError::Transport)?;
-        if response.status != 200 {
-            return Err(RevisionFetchError::Status(
-                response.status,
-                String::from_utf8_lossy(&response.body).into_owned(),
-            ));
+    pub fn fetch_revisions(
+        &mut self,
+        encoding: Encoding,
+    ) -> Result<(u64, Vec<VerdictRevision>), RevisionFetchError> {
+        let body = self.get("/v1/revisions", encoding, &[200])?;
+        match encoding {
+            Encoding::Json => parse_revision_list(&body),
+            Encoding::Binary => frames::decode_revision_list(&body).map_err(malformed),
         }
-        parse_revision_list(&response.body)
     }
 
     /// Fetch the drift between two published versions
@@ -270,41 +272,14 @@ impl Client {
         &mut self,
         from: u64,
         to: u64,
+        encoding: Encoding,
     ) -> Result<RevisionDiff, RevisionFetchError> {
         let target = format!("/v1/revisions?diff={from}..{to}");
-        let response = self
-            .try_request_bytes("GET", &target, None, b"")
-            .map_err(RevisionFetchError::Transport)?;
-        if response.status != 200 {
-            return Err(RevisionFetchError::Status(
-                response.status,
-                String::from_utf8_lossy(&response.body).into_owned(),
-            ));
+        let body = self.get(&target, encoding, &[200])?;
+        match encoding {
+            Encoding::Json => parse_revision_diff(&body),
+            Encoding::Binary => frames::decode_revision_diff(&body).map_err(malformed),
         }
-        parse_revision_diff(&response.body)
-    }
-
-    /// [`Client::fetch_revisions`] over the binary framing: the request
-    /// carries `Accept: application/x-trackersift-verdict` and the reply
-    /// decodes with [`frames::decode_revision_list`].
-    pub fn fetch_revisions_binary(
-        &mut self,
-    ) -> Result<(u64, Vec<VerdictRevision>), RevisionFetchError> {
-        let response = self.get_binary("/v1/revisions")?;
-        frames::decode_revision_list(&response.body)
-            .map_err(|error| RevisionFetchError::Malformed(error.to_string()))
-    }
-
-    /// [`Client::fetch_revision_diff`] over the binary framing.
-    pub fn fetch_revision_diff_binary(
-        &mut self,
-        from: u64,
-        to: u64,
-    ) -> Result<RevisionDiff, RevisionFetchError> {
-        let target = format!("/v1/revisions?diff={from}..{to}");
-        let response = self.get_binary(&target)?;
-        frames::decode_revision_diff(&response.body)
-            .map_err(|error| RevisionFetchError::Malformed(error.to_string()))
     }
 
     /// Fetch the dirty cells since published version `since`
@@ -317,66 +292,37 @@ impl Client {
     pub fn fetch_snapshot_since(
         &mut self,
         since: u64,
+        encoding: Encoding,
     ) -> Result<DeltaSnapshot, RevisionFetchError> {
         let target = format!("/v1/snapshot?since={since}");
-        let response = self
-            .try_request_bytes("GET", &target, None, b"")
-            .map_err(RevisionFetchError::Transport)?;
-        match response.status {
-            200 | 410 => parse_delta_snapshot(&response.body),
-            status => Err(RevisionFetchError::Status(
-                status,
-                String::from_utf8_lossy(&response.body).into_owned(),
-            )),
+        let body = self.get(&target, encoding, &[200, 410])?;
+        match encoding {
+            Encoding::Json => parse_delta_snapshot(&body),
+            Encoding::Binary => frames::decode_delta_snapshot(&body).map_err(malformed),
         }
     }
 
-    /// [`Client::fetch_snapshot_since`] over the binary framing.
-    pub fn fetch_snapshot_since_binary(
+    /// Issue a `GET` asking for `encoding` (binary adds
+    /// `Accept: application/x-trackersift-verdict`) and return the body of
+    /// a response whose status is one of `accepted`.
+    fn get(
         &mut self,
-        since: u64,
-    ) -> Result<DeltaSnapshot, RevisionFetchError> {
-        let target = format!("/v1/snapshot?since={since}");
-        let head = format!(
-            "GET {target} HTTP/1.1\r\nHost: verdicts\r\nAccept: {}\r\nContent-Length: 0\r\n\r\n",
-            wire::BINARY_CONTENT_TYPE
-        );
-        self.stream
-            .write_all(head.as_bytes())
-            .map_err(RevisionFetchError::Transport)?;
+        target: &str,
+        encoding: Encoding,
+        accepted: &[u16],
+    ) -> Result<Vec<u8>, RevisionFetchError> {
+        let accept =
+            (encoding == Encoding::Binary).then_some(("Accept", wire::BINARY_CONTENT_TYPE));
         let response = self
-            .try_read_response()
+            .exchange("GET", target, accept, b"")
             .map_err(RevisionFetchError::Transport)?;
-        match response.status {
-            200 | 410 => frames::decode_delta_snapshot(&response.body)
-                .map_err(|error| RevisionFetchError::Malformed(error.to_string())),
-            status => Err(RevisionFetchError::Status(
-                status,
-                String::from_utf8_lossy(&response.body).into_owned(),
-            )),
-        }
-    }
-
-    /// Issue a `GET` asking for the binary representation and insist on a
-    /// 200.
-    fn get_binary(&mut self, target: &str) -> Result<RawResponse, RevisionFetchError> {
-        let head = format!(
-            "GET {target} HTTP/1.1\r\nHost: verdicts\r\nAccept: {}\r\nContent-Length: 0\r\n\r\n",
-            wire::BINARY_CONTENT_TYPE
-        );
-        self.stream
-            .write_all(head.as_bytes())
-            .map_err(RevisionFetchError::Transport)?;
-        let response = self
-            .try_read_response()
-            .map_err(RevisionFetchError::Transport)?;
-        if response.status != 200 {
+        if !accepted.contains(&response.status) {
             return Err(RevisionFetchError::Status(
                 response.status,
                 String::from_utf8_lossy(&response.body).into_owned(),
             ));
         }
-        Ok(response)
+        Ok(response.body)
     }
 
     /// Post one binary decision record and decode the reply; returns
@@ -464,24 +410,31 @@ impl Client {
         content_type: Option<&str>,
         body: &[u8],
     ) -> io::Result<RawResponse> {
-        let content_type = content_type
-            .map(|value| format!("Content-Type: {value}\r\n"))
+        let content_type = content_type.map(|value| ("Content-Type", value));
+        self.exchange(method, target, content_type, body)
+    }
+
+    /// Write one request — the one place a request head is formatted —
+    /// with at most one header beyond `Host` and `Content-Length`, and read
+    /// the full response.
+    fn exchange(
+        &mut self,
+        method: &str,
+        target: &str,
+        header: Option<(&str, &str)>,
+        body: &[u8],
+    ) -> io::Result<RawResponse> {
+        let header = header
+            .map(|(name, value)| format!("{name}: {value}\r\n"))
             .unwrap_or_default();
         let head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: verdicts\r\n{content_type}Content-Length: {}\r\n\r\n",
+            "{method} {target} HTTP/1.1\r\nHost: verdicts\r\n{header}Content-Length: {}\r\n\r\n",
             body.len()
         );
         let mut request = head.into_bytes();
         request.extend_from_slice(body);
         self.stream.write_all(&request)?;
         self.try_read_response()
-    }
-
-    fn read_response(&mut self) -> (u16, Vec<u8>) {
-        match self.try_read_response() {
-            Ok(response) => (response.status, response.body),
-            Err(error) => panic!("read verdict-server response: {error}"),
-        }
     }
 
     fn try_read_response(&mut self) -> io::Result<RawResponse> {

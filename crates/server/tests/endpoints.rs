@@ -7,7 +7,7 @@ use crawler::json::Value;
 use proptest::prelude::*;
 use std::time::Duration;
 use trackersift::{Decision, DecisionRequest, Sifter};
-use trackersift_server::client::{Client, RetryPolicy, RetryingClient};
+use trackersift_server::client::{Client, Encoding, RetryPolicy, RetryingClient};
 use trackersift_server::wire::{
     self, BinaryKeys, BinaryRecord, DecisionMessage, ObservationMessage,
 };
@@ -379,7 +379,7 @@ fn snapshot_round_trips_over_the_wire() {
 
 #[test]
 fn binary_protocol_handshake_and_decisions() {
-    let local = trained_sifter();
+    let local = trained_sifter().verdict_table();
     let server = start_server(trained_sifter());
     let mut client = Client::connect(server.local_addr());
 
@@ -1088,7 +1088,9 @@ fn revisions_endpoint_matches_in_process_ring() {
     assert_eq!(body, r#"{"from":2,"to":2,"changes":[]}"#);
 
     // The binary framing carries the same ring and diff.
-    let (version, revisions) = client.fetch_revisions_binary().expect("binary ring");
+    let (version, revisions) = client
+        .fetch_revisions(Encoding::Binary)
+        .expect("binary ring");
     assert_eq!(version, local.published_version());
     let shared: Vec<_> = revisions.into_iter().map(std::sync::Arc::new).collect();
     assert_eq!(
@@ -1096,12 +1098,12 @@ fn revisions_endpoint_matches_in_process_ring() {
         frames::encode_revision_list(local.published_version(), local.revisions())
     );
     let diff = client
-        .fetch_revision_diff_binary(1, 2)
+        .fetch_revision_diff(1, 2, Encoding::Binary)
         .expect("binary diff");
     assert_eq!(diff, local_diff);
 
     // The typed client fetch agrees with the raw body.
-    let (version, revisions) = client.fetch_revisions().expect("typed fetch");
+    let (version, revisions) = client.fetch_revisions(Encoding::Json).expect("typed fetch");
     assert_eq!(version, 2);
     assert_eq!(revisions.len(), 1);
     assert_eq!(revisions[0].version(), 2);
@@ -1167,7 +1169,7 @@ fn revisions_endpoint_rejects_hostile_ranges() {
 
     // The typed client surfaces the same statuses.
     let mut client = Client::connect(server.local_addr());
-    match client.fetch_revision_diff(2, 1) {
+    match client.fetch_revision_diff(2, 1, Encoding::Json) {
         Err(trackersift_server::client::RevisionFetchError::Status(400, detail)) => {
             assert!(detail.contains("inverted"), "{detail}")
         }
@@ -1321,7 +1323,8 @@ proptest! {
         let local = Sifter::builder()
             .rewriter(trackersift::RewriterBuilder::new().default_rules().build())
             .restore(&snapshot)
-            .expect("restore locally");
+            .expect("restore locally")
+            .verdict_table();
 
         // Server side: one shared server (kept alive across proptest
         // cases; each case transfers its own state via PUT /v1/snapshot —
@@ -1451,13 +1454,19 @@ fn delta_snapshot_endpoint_contract() {
 
     // The typed client accepts both 200 (delta) and 410 (full) as data, in
     // JSON and binary framing alike.
-    let delta = client.fetch_snapshot_since(1).expect("JSON delta");
+    let delta = client
+        .fetch_snapshot_since(1, Encoding::Json)
+        .expect("JSON delta");
     assert_eq!(delta.since, Some(1));
     assert_eq!(delta.to, 2);
-    let binary = client.fetch_snapshot_since_binary(1).expect("binary delta");
+    let binary = client
+        .fetch_snapshot_since(1, Encoding::Binary)
+        .expect("binary delta");
     assert_eq!(binary.since, Some(1));
     assert_eq!(binary.changes.len(), delta.changes.len());
-    let full = client.fetch_snapshot_since(0).expect("aged span -> full");
+    let full = client
+        .fetch_snapshot_since(0, Encoding::Json)
+        .expect("aged span -> full");
     assert_eq!(full.since, None);
     assert_eq!(full.to, 2);
 

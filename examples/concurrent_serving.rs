@@ -32,13 +32,13 @@ fn main() {
     let (mut writer, reader) = sifter.into_concurrent();
     println!(
         "Trained on {} requests; published table version {}.",
-        reader.committed(),
+        reader.pin().committed(),
         reader.version(),
     );
 
     // 2. Serve from 4 threads while the writer ingests the live stream in
-    //    batches. Each `verdict_batch_into` pins one immutable table, so a
-    //    batch always reflects exactly one committed state — commits land
+    //    batches. Each batch holds one pin on one immutable table, so it
+    //    always reflects exactly one committed state — commits land
     //    atomically between batches, never inside one.
     let stop = AtomicBool::new(false);
     let start = Instant::now();
@@ -47,16 +47,17 @@ fn main() {
         for _ in 0..4 {
             let reader = reader.clone(); // one lock-free handle per thread
             let stop = &stop;
-            let queries: Vec<VerdictRequest<'_>> =
-                live.iter().map(VerdictRequest::from_labeled).collect();
+            let queries: Vec<DecisionRequest<'_>> =
+                live.iter().map(DecisionRequest::from_labeled).collect();
             workers.push(scope.spawn(move || {
-                let mut verdicts = Vec::new();
                 let mut served = 0u64;
                 let mut blocked = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    reader.verdict_batch_into(&queries, &mut verdicts);
-                    served += verdicts.len() as u64;
-                    blocked += verdicts.iter().filter(|v| v.should_block()).count() as u64;
+                    let pin = reader.pin();
+                    for query in &queries {
+                        blocked += u64::from(pin.verdict(query).should_block());
+                    }
+                    served += queries.len() as u64;
                 }
                 (served, blocked)
             }));

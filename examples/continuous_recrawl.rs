@@ -11,7 +11,7 @@
 
 use trackersift_suite::prelude::*;
 use trackersift_suite::trackersift::{diff_revisions, frames};
-use trackersift_suite::trackersift_server::client::Client;
+use trackersift_suite::trackersift_server::client::{Client, Encoding};
 
 const SEED: u64 = 7;
 const SITES: usize = 30;
@@ -86,7 +86,7 @@ fn main() {
     // 5. The typed client agrees, and the scheduler's gauges surface in
     //    /v1/stats.
     let typed = client
-        .fetch_revision_diff(oldest, newest)
+        .fetch_revision_diff(oldest, newest, Encoding::Json)
         .expect("typed diff");
     assert_eq!(typed, expected);
     let (status, stats) = client.request("GET", "/v1/stats", None);

@@ -30,7 +30,7 @@ fn main() {
     // 2. The study is a *producer* of serving handles: train a Sifter and
     //    read everything downstream through it. Its `hierarchy()` export is
     //    byte-identical to the study's own batch classification.
-    let sifter = study.sifter();
+    let mut sifter = study.sifter();
     let hierarchy = sifter.hierarchy();
     assert_eq!(hierarchy, study.hierarchy);
 
@@ -44,10 +44,11 @@ fn main() {
     print!("{}", render_headline(&trackersift::headline(&hierarchy)));
 
     // 5. Per-request verdicts — what a deployed blocker would ask. The
-    //    verdict walk is allocation-free for already-interned keys.
+    //    sifter exports a `VerdictTable`; the table answers, allocation-free.
+    let table = sifter.verdict_table();
     println!("\nSample verdicts:");
     for request in study.requests.iter().take(5) {
-        let verdict = sifter.verdict(&VerdictRequest::from_labeled(request));
+        let verdict = table.verdict(&DecisionRequest::from_labeled(request));
         println!(
             "  {:<60} -> {} ({})",
             request.url,

@@ -69,7 +69,7 @@ fn main() {
         "pub.com",
         ResourceType::Xhr,
     );
-    let decision = sifter.decide(&request);
+    let decision = sifter.verdict_table().decide(&request);
     let Decision::Rewrite(rewritten) = &decision else {
         panic!("mixed domain + identifier URL must rewrite, got {decision}");
     };
@@ -98,7 +98,10 @@ fn main() {
     let queries: Vec<DecisionRequest<'_>> =
         live.iter().map(DecisionRequest::from_labeled).collect();
     let (writer, reader) = served.into_concurrent();
-    let decisions = reader.decide_batch(&queries);
+    let decisions: Vec<Decision> = {
+        let pin = reader.pin();
+        queries.iter().map(|query| pin.decide(query)).collect()
+    };
     let mut counts = [0usize; 5];
     for decision in &decisions {
         let slot = match decision {

@@ -60,13 +60,14 @@ fn main() {
     assert_eq!(server.hierarchy(), sifter.hierarchy());
     println!("Restored: {} observations, serving.", server.observed());
 
-    // 4. Query: bulk verdicts over the live traffic. The per-verdict walk
-    //    is allocation-free; the reusable buffer makes the batch loop
-    //    allocation-free too.
-    let queries: Vec<VerdictRequest<'_>> = live.iter().map(VerdictRequest::from_labeled).collect();
-    let mut verdicts = Vec::new();
+    // 4. Query: export the committed state as a `VerdictTable` — the one
+    //    type that answers verdicts and decisions — and ask it in bulk over
+    //    the live traffic. The per-verdict walk is allocation-free.
+    let queries: Vec<DecisionRequest<'_>> =
+        live.iter().map(DecisionRequest::from_labeled).collect();
+    let table = server.verdict_table();
     let start = Instant::now();
-    server.verdict_batch_into(&queries, &mut verdicts);
+    let verdicts: Vec<Verdict> = queries.iter().map(|query| table.verdict(query)).collect();
     let elapsed = start.elapsed();
     let blocked = verdicts.iter().filter(|v| v.should_block()).count();
     let unknown = verdicts.iter().filter(|v| **v == Verdict::Unknown).count();
@@ -100,8 +101,8 @@ fn main() {
     assert_eq!(server.hierarchy(), study.hierarchy);
     println!("observe + commit == from-scratch classification: verified.");
 
-    // 6. Verdicts now reflect the new evidence.
-    let verdict = server.verdict(&VerdictRequest::from_labeled(&live[0]));
+    // 6. A table exported now reflects the new evidence.
+    let verdict = server.verdict_table().verdict(&queries[0]);
     println!("\nFirst live request now resolves to: {verdict}");
 
     // 7. Go concurrent: split the sifter into a writer and lock-free reader
@@ -120,14 +121,12 @@ fn main() {
 
     // 8. Enforce: the decision layer composes the verdict, the surrogate
     //    plan for mixed scripts, and the filter-list backstop into the one
-    //    action a blocker takes per request. `examples/verdict_server.rs`
-    //    serves exactly these decisions over HTTP.
-    let decisions = reader.decide_batch(
-        &live
-            .iter()
-            .map(DecisionRequest::from_labeled)
-            .collect::<Vec<_>>(),
-    );
+    //    action a blocker takes per request. Holding one pin answers the
+    //    whole batch from a single committed state.
+    //    `examples/verdict_server.rs` serves exactly these decisions over
+    //    HTTP.
+    let pin = reader.pin();
+    let decisions: Vec<Decision> = queries.iter().map(|query| pin.decide(query)).collect();
     let blocked = decisions
         .iter()
         .filter(|decision| matches!(decision, Decision::Block(_)))

@@ -15,11 +15,12 @@
 //! Parallel runs are deterministic: they produce byte-identical results to
 //! single-threaded runs.
 //!
-//! For deployment, the study is a producer of serving handles:
+//! For deployment, the study is a producer of serving state:
 //! [`trackersift::Study::sifter`] trains a [`trackersift::Sifter`] that
-//! answers per-request verdicts allocation-free, ingests new observations
-//! incrementally (`observe` + `commit`), and persists its trained state as
-//! a versioned [`trackersift::SifterSnapshot`].
+//! ingests new observations incrementally (`observe` + `commit`), exports
+//! the [`trackersift::VerdictTable`] that answers per-request verdicts and
+//! decisions allocation-free, and persists its trained state as a
+//! versioned [`trackersift::SifterSnapshot`].
 
 #![warn(missing_docs)]
 
@@ -59,8 +60,7 @@ pub mod prelude {
         DeltaSnapshot, FollowerState, Granularity, HierarchicalClassifier, IngestStats,
         KeyInterner, Labeler, ObserveOutcome, RatioHistogram, ResourceKey, SensitivitySweep,
         ServiceStats, Sifter, SifterBuilder, SifterReader, SifterSnapshot, SifterWriter,
-        SnapshotError, Stage, StageTimings, Study, StudyConfig, Thresholds, Verdict,
-        VerdictRequest, VerdictTable,
+        SnapshotError, StageTimings, Study, StudyConfig, Thresholds, Verdict, VerdictTable,
     };
     pub use trackersift_replica::{ReplicaConfig, ReplicaServer};
     pub use trackersift_server::{

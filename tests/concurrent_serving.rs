@@ -111,13 +111,16 @@ fn stress_readers_only_observe_whole_commits() {
     // Sequential mirror: the expected probe verdicts after each commit.
     let mut mirror = Sifter::builder().thresholds(thresholds).build();
     let mut expected: Vec<Vec<Verdict>> = Vec::with_capacity(stream.len() + 1);
-    let probe_queries: Vec<VerdictRequest<'_>> =
-        probes.iter().map(VerdictRequest::from_labeled).collect();
-    expected.push(mirror.verdict_batch(&probe_queries));
+    let probe_queries: Vec<DecisionRequest<'_>> =
+        probes.iter().map(DecisionRequest::from_labeled).collect();
+    let sweep = |table: VerdictTable| -> Vec<Verdict> {
+        probe_queries.iter().map(|q| table.verdict(q)).collect()
+    };
+    expected.push(sweep(mirror.verdict_table()));
     for batch in &stream {
         mirror.observe_all(batch);
         mirror.commit();
-        expected.push(mirror.verdict_batch(&probe_queries));
+        expected.push(sweep(mirror.verdict_table()));
     }
 
     // Concurrent run over the identical stream.
@@ -133,8 +136,8 @@ fn stress_readers_only_observe_whole_commits() {
             workers.push(scope.spawn(move || {
                 let mut served_batches = 0usize;
                 let mut last_version = 0u64;
-                let queries: Vec<VerdictRequest<'_>> =
-                    probes.iter().map(VerdictRequest::from_labeled).collect();
+                let queries: Vec<DecisionRequest<'_>> =
+                    probes.iter().map(DecisionRequest::from_labeled).collect();
                 let mut verdicts = Vec::new();
                 loop {
                     // Acquire pairs with the writer's Release store below,
@@ -194,7 +197,7 @@ fn stress_readers_only_observe_whole_commits() {
 /// Same shape as the verdict stress test, but for the enforcement layer:
 /// reader threads serve whole *decision* sweeps (surrogate payloads
 /// included) from one pin while the writer interleaves observe+commit.
-/// Every sweep must equal the sequential `Sifter::decide` output at
+/// Every sweep must equal the sequential sifter's exported-table decisions at
 /// exactly the pinned table's version — a decision served during a
 /// `commit()` always reflects one committed table, never a torn mix and
 /// never a state no commit produced.
@@ -219,11 +222,14 @@ fn stress_decisions_match_one_committed_version() {
         })
         .collect();
     let mut expected: Vec<Vec<Decision>> = Vec::with_capacity(stream.len() + 1);
-    expected.push(mirror.decide_batch(&probe_queries));
+    let sweep = |table: VerdictTable| -> Vec<Decision> {
+        probe_queries.iter().map(|q| table.decide(q)).collect()
+    };
+    expected.push(sweep(mirror.verdict_table()));
     for batch in &stream {
         mirror.observe_all(batch);
         mirror.commit();
-        expected.push(mirror.decide_batch(&probe_queries));
+        expected.push(sweep(mirror.verdict_table()));
     }
     // The pools are small and collide hard, so surrogates must actually
     // appear somewhere in the schedule for this test to mean anything.
@@ -295,8 +301,9 @@ fn stress_decisions_match_one_committed_version() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// After every commit, `SifterReader` verdicts are byte-identical to a
-    /// single-threaded `Sifter` fed the same observe/commit schedule.
+    /// After every commit, `SifterReader` verdicts are byte-identical to the
+    /// `verdict_table()` of a single-threaded `Sifter` fed the same
+    /// observe/commit schedule.
     #[test]
     fn reader_verdicts_are_byte_identical_to_the_sifter(
         picks in prop::collection::vec((0usize..5, 0usize..3, 0usize..5, 0usize..4, 0u64..2), 1..120),
@@ -308,8 +315,8 @@ proptest! {
             .iter()
             .map(|&(d, h, s, m, label)| observation(d, h, s, m, label == 1))
             .collect();
-        let queries: Vec<VerdictRequest<'_>> =
-            observations.iter().map(VerdictRequest::from_labeled).collect();
+        let queries: Vec<DecisionRequest<'_>> =
+            observations.iter().map(DecisionRequest::from_labeled).collect();
 
         let mut sifter = Sifter::builder().thresholds(thresholds).build();
         let (mut writer, reader) = Sifter::builder().thresholds(thresholds).build_concurrent();
@@ -320,15 +327,17 @@ proptest! {
                 let sequential_stats = sifter.commit();
                 let concurrent_stats = writer.commit();
                 prop_assert_eq!(sequential_stats, concurrent_stats);
-                let sequential = sifter.verdict_batch(&queries);
-                let concurrent = reader.verdict_batch(&queries);
+                let table = sifter.verdict_table();
+                let pin = reader.pin();
+                let sequential: Vec<Verdict> = queries.iter().map(|q| table.verdict(q)).collect();
+                let concurrent: Vec<Verdict> = queries.iter().map(|q| pin.verdict(q)).collect();
                 prop_assert_eq!(
                     format!("{sequential:?}").into_bytes(),
                     format!("{concurrent:?}").into_bytes(),
                     "reader and sifter verdicts must render to identical bytes"
                 );
-                prop_assert_eq!(reader.version(), sifter.commits());
-                prop_assert_eq!(reader.committed(), sifter.committed());
+                prop_assert_eq!(pin.version(), sifter.commits());
+                prop_assert_eq!(pin.committed(), sifter.committed());
             }
         }
         prop_assert_eq!(writer.sifter().hierarchy(), sifter.hierarchy());

@@ -2,6 +2,9 @@
 //! invariants: the filter pattern matcher, the ratio classifier, the
 //! hierarchy's conservation laws, and the crawl database round-trip.
 
+mod common;
+
+use common::expected_verdict;
 use proptest::prelude::*;
 use trackersift_suite::prelude::*;
 
@@ -285,7 +288,23 @@ proptest! {
                 // Every intermediate committed state equals classifying the
                 // prefix from scratch — not just the final one.
                 let scratch = classifier.classify(&observations[..=i]);
-                prop_assert_eq!(sifter.hierarchy(), scratch);
+                prop_assert_eq!(&sifter.hierarchy(), &scratch);
+                // And serves the oracle's verdict for every request of the
+                // stream: the observed prefix, and the not-yet-observed rest
+                // falling off the trained hierarchy wherever it does.
+                let table = sifter.verdict_table();
+                for request in &observations {
+                    prop_assert_eq!(
+                        table.verdict(&DecisionRequest::from_labeled(request)),
+                        expected_verdict(
+                            &scratch,
+                            &request.domain,
+                            &request.hostname,
+                            &request.initiator_script,
+                            &request.initiator_method,
+                        )
+                    );
+                }
             }
         }
         sifter.commit();
@@ -294,9 +313,10 @@ proptest! {
 
         // Verdicts agree with the hierarchy's residue accounting: the
         // mixed-at-method verdicts cover exactly the unattributed requests.
+        let table = sifter.verdict_table();
         let mut residue = 0u64;
         for request in &observations {
-            let verdict = sifter.verdict(&VerdictRequest::from_labeled(request));
+            let verdict = table.verdict(&DecisionRequest::from_labeled(request));
             prop_assert!(verdict.classification().is_some());
             if verdict
                 == (Verdict::Decided {

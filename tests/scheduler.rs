@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use trackersift::frames;
 use trackersift::{compose, diff_revisions, ChangeKind, RevisionChange, VerdictRevision};
-use trackersift_server::client::Client;
+use trackersift_server::client::{Client, Encoding};
 use trackersift_suite::prelude::*;
 
 /// A scheduler over a churny ecosystem: 35% of tracker scripts rotate CDNs
@@ -175,6 +175,14 @@ fn fingerprint_keying_survives_churn_where_url_keying_does_not() {
     );
     assert!(fingerprint.retention_probes >= 20, "{fingerprint:?}");
     assert!(url.retention_probes >= 20, "{url:?}");
+    // The probes read the published table, which between a commit and the
+    // next observe *is* the sifter's committed state: the counts are the
+    // ones the sifter-side probe produced for this seed.
+    assert_eq!(
+        (fingerprint.retention_probes, fingerprint.retention_hits),
+        (229, 229)
+    );
+    assert_eq!((url.retention_probes, url.retention_hits), (229, 0));
 
     let rate = |stats: SchedulerStats| stats.retention_hits as f64 / stats.retention_probes as f64;
     let fingerprint_rate = rate(fingerprint);
@@ -240,7 +248,9 @@ fn wire_drift_diffs_are_byte_identical_to_in_process() {
         frames::revision_list_value(twin_writer.published_version(), twin_writer.revisions())
             .render()
     );
-    let (version, served_ring) = client.fetch_revisions_binary().expect("binary ring");
+    let (version, served_ring) = client
+        .fetch_revisions(Encoding::Binary)
+        .expect("binary ring");
     assert_eq!(version, twin_writer.published_version());
     let served_ring: Vec<_> = served_ring.into_iter().map(Arc::new).collect();
     assert_eq!(
@@ -262,7 +272,7 @@ fn wire_drift_diffs_are_byte_identical_to_in_process() {
                 "{target}"
             );
             let diff = client
-                .fetch_revision_diff_binary(from, to)
+                .fetch_revision_diff(from, to, Encoding::Binary)
                 .expect("binary diff");
             assert_eq!(diff, expected, "{target} (binary)");
         }

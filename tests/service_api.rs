@@ -2,6 +2,9 @@
 //! the allocation-free hot-path guarantee, snapshot round-trips, and the
 //! observe/commit ≡ from-scratch equivalence on real pipeline output.
 
+mod common;
+
+use common::expected_verdict;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use trackersift_suite::prelude::*;
@@ -84,66 +87,66 @@ fn sifter_equals_from_scratch_classification_on_pipeline_output() {
 #[test]
 fn every_trained_request_gets_a_consistent_verdict() {
     let study = study(100, 21);
-    let sifter = study.sifter();
+    let mut sifter = study.sifter();
+    let table = sifter.verdict_table();
+    let (_writer, reader) = sifter.into_concurrent();
     let hierarchy = &study.hierarchy;
 
-    // Independently derive each request's expected classification by
-    // following the hierarchy result level by level.
     for request in &study.requests {
-        let verdict = sifter.verdict(&VerdictRequest::from_labeled(request));
-        let classification = verdict.classification().expect("trained request");
-        let granularity = verdict.granularity().expect("trained request");
+        let trained = table.verdict(&DecisionRequest::from_labeled(request));
+        assert!(trained.classification().is_some(), "trained request");
 
-        // The decided level must contain the request's key at that level,
-        // with exactly this classification.
-        let level = hierarchy.level(granularity);
-        let key = match granularity {
-            Granularity::Domain => request.domain.clone(),
-            Granularity::Hostname => request.hostname.clone(),
-            Granularity::Script => request.initiator_script.clone(),
-            Granularity::Method => trackersift::ResourceKey::method_label(
-                &request.initiator_script,
-                &request.initiator_method,
-            ),
-        };
-        let entry = level
-            .resources
-            .iter()
-            .find(|r| r.key == key)
-            .unwrap_or_else(|| panic!("{key} missing from {granularity} level"));
-        assert_eq!(entry.classification, classification, "{key}");
-        // Every coarser level must have classified the request mixed
-        // (otherwise the walk would have stopped there).
-        for coarser in Granularity::ALL.iter().take_while(|g| **g != granularity) {
-            let coarse_key = match coarser {
-                Granularity::Domain => request.domain.as_str(),
-                Granularity::Hostname => request.hostname.as_str(),
-                Granularity::Script => request.initiator_script.as_str(),
-                Granularity::Method => unreachable!("method is the finest level"),
-            };
-            let coarse = hierarchy
-                .level(*coarser)
-                .resources
-                .iter()
-                .find(|r| r.key == coarse_key)
-                .unwrap_or_else(|| panic!("{coarse_key} missing from {coarser} level"));
-            assert_eq!(coarse.classification, Classification::Mixed);
+        // Each request's expected verdict is derived independently, by
+        // following the from-scratch hierarchy level by level — for the
+        // trained request and for one probe that falls off the trained
+        // hierarchy at each level, through every way of asking: the table,
+        // the keyed policy, a reader.
+        let (d, h) = (request.domain.as_str(), request.hostname.as_str());
+        let (s, m) = (
+            request.initiator_script.as_str(),
+            request.initiator_method.as_str(),
+        );
+        let unseen_host = format!("never-seen.{d}");
+        for (d, h, s, m) in [
+            (d, h, s, m),
+            (d, h, s, "neverSeenMethod"),
+            (d, h, "https://never-seen.example/s.js", m),
+            (d, unseen_host.as_str(), s, m),
+            ("never-seen.example", h, s, m),
+        ] {
+            let query = DecisionRequest::new(d, h, s, m);
+            let expected = expected_verdict(hierarchy, d, h, s, m);
+            assert_eq!(table.verdict(&query), expected, "{query:?}");
+            assert_eq!(reader.verdict(&query), expected, "{query:?}");
+            let decision = table.decide_keyed(&table.resolve(&query));
+            match expected {
+                Verdict::Decided {
+                    classification: Classification::Tracking,
+                    granularity,
+                } => assert_eq!(
+                    decision,
+                    Decision::Block(DecisionSource::Hierarchy(granularity))
+                ),
+                Verdict::Decided {
+                    classification: Classification::Functional,
+                    granularity,
+                } => assert_eq!(
+                    decision,
+                    Decision::Allow(DecisionSource::Hierarchy(granularity))
+                ),
+                Verdict::Decided {
+                    classification: Classification::Mixed,
+                    granularity: Granularity::Script | Granularity::Method,
+                } => assert_eq!(
+                    decision.surrogate().map(|plan| plan.script_url.as_str()),
+                    Some(s),
+                    "{query:?}"
+                ),
+                // Mixed above script level or unknown, and no URL to fall
+                // back on.
+                _ => assert_eq!(decision, Decision::Observe, "{query:?}"),
+            }
         }
-    }
-}
-
-#[test]
-fn verdict_batch_is_order_preserving_at_scale() {
-    let study = study(80, 3);
-    let sifter = study.sifter();
-    let queries: Vec<VerdictRequest<'_>> = study
-        .requests
-        .iter()
-        .map(VerdictRequest::from_labeled)
-        .collect();
-    let batch = sifter.verdict_batch(&queries);
-    for (query, verdict) in queries.iter().zip(&batch) {
-        assert_eq!(sifter.verdict(query), *verdict);
     }
 }
 
@@ -154,11 +157,11 @@ fn verdict_batch_is_order_preserving_at_scale() {
 #[test]
 fn verdicts_for_interned_keys_do_not_allocate() {
     let study = study(60, 11);
-    let sifter = study.sifter();
-    let queries: Vec<VerdictRequest<'_>> = study
+    let table = study.sifter().verdict_table();
+    let queries: Vec<DecisionRequest<'_>> = study
         .requests
         .iter()
-        .map(VerdictRequest::from_labeled)
+        .map(DecisionRequest::from_labeled)
         .collect();
     assert!(!queries.is_empty());
 
@@ -166,14 +169,14 @@ fn verdicts_for_interned_keys_do_not_allocate() {
     // measurement honest about e.g. lazily-grown TLS).
     let mut blocked = 0usize;
     for query in &queries {
-        blocked += usize::from(sifter.verdict(query).should_block());
+        blocked += usize::from(table.verdict(query).should_block());
     }
 
     let (allocations, served) = allocations_during(|| {
         let mut decided = 0usize;
         for _ in 0..3 {
             for query in &queries {
-                decided += usize::from(sifter.verdict(query).classification().is_some());
+                decided += usize::from(table.verdict(query).classification().is_some());
             }
         }
         decided
@@ -181,23 +184,12 @@ fn verdicts_for_interned_keys_do_not_allocate() {
     assert_eq!(served, queries.len() * 3, "every query must be decided");
     assert_eq!(
         allocations, 0,
-        "Sifter::verdict allocated on already-interned keys ({blocked} blocked in warmup)"
+        "VerdictTable::verdict allocated on already-interned keys ({blocked} blocked in warmup)"
     );
 
-    // The batched entry point reuses a caller buffer: allocation-free once
-    // the buffer has grown to the batch size.
-    let mut buffer = Vec::new();
-    sifter.verdict_batch_into(&queries, &mut buffer);
-    let (allocations, _) = allocations_during(|| {
-        for _ in 0..3 {
-            sifter.verdict_batch_into(&queries, &mut buffer);
-        }
-    });
-    assert_eq!(allocations, 0, "verdict_batch_into must reuse the buffer");
-
-    // Unknown keys are also allocation-free (miss on the interner).
-    let miss = VerdictRequest::new("never.example", "x.never.example", "s.js", "m");
-    let (allocations, verdict) = allocations_during(|| sifter.verdict(&miss));
+    // Unknown keys are also allocation-free (miss on the frozen keys).
+    let miss = DecisionRequest::new("never.example", "x.never.example", "s.js", "m");
+    let (allocations, verdict) = allocations_during(|| table.verdict(&miss));
     assert_eq!(verdict, Verdict::Unknown);
     assert_eq!(allocations, 0, "unknown-key verdicts must not allocate");
 }
@@ -209,7 +201,7 @@ fn verdicts_for_interned_keys_do_not_allocate() {
 #[test]
 fn snapshot_round_trip_preserves_bytes_and_verdicts() {
     let base = study(90, 5);
-    let sifter = base.sifter();
+    let mut sifter = base.sifter();
 
     // Export → parse → re-export: byte-identical JSON.
     let snapshot = sifter.snapshot();
@@ -219,7 +211,7 @@ fn snapshot_round_trip_preserves_bytes_and_verdicts() {
     assert_eq!(parsed.to_json_string(), text);
 
     // Restore → identical committed state, verdicts, and re-export bytes.
-    let restored = Sifter::builder().restore(&parsed).expect("restore");
+    let mut restored = Sifter::builder().restore(&parsed).expect("restore");
     assert_eq!(restored.observed(), sifter.observed());
     assert_eq!(restored.hierarchy(), sifter.hierarchy());
     assert_eq!(restored.snapshot().to_json_string(), text);
@@ -228,9 +220,10 @@ fn snapshot_round_trip_preserves_bytes_and_verdicts() {
         format!("{:?}", sifter.hierarchy()).into_bytes(),
         "restored hierarchy must render to identical bytes"
     );
+    let (restored_table, table) = (restored.verdict_table(), sifter.verdict_table());
     for request in &base.requests {
-        let query = VerdictRequest::from_labeled(request);
-        assert_eq!(restored.verdict(&query), sifter.verdict(&query));
+        let query = DecisionRequest::from_labeled(request);
+        assert_eq!(restored_table.verdict(&query), table.verdict(&query));
     }
 
     // And the restored sifter keeps ingesting: train it further and check
