@@ -1,7 +1,7 @@
-//! Shared harness for the experiment-regeneration binaries.
+//! Shared harness for the experiment-regeneration binary (`paper`).
 //!
-//! Every binary regenerates one table or figure of the paper from the same
-//! deterministic study (same profile, same seed), so their outputs are
+//! Every subcommand regenerates one table or figure of the paper from the
+//! same deterministic study (same profile, same seed), so their outputs are
 //! mutually consistent and match what `EXPERIMENTS.md` records. The scale
 //! and seed can be overridden through environment variables:
 //!

@@ -19,6 +19,18 @@
 //!   [`SifterWriter::commit`] reclassifies the dirty slice and publishes the
 //!   next table in one atomic swap.
 //!
+//! # The write path
+//!
+//! [`SifterWriter::apply`] is journal-then-fold, written once: append the
+//! [`Observation`] to the attached journal (if any), then
+//! [`Sifter::apply`] it. `observe_parts` / `observe_url` wrap it, the
+//! verdict server's admin thread calls it with the records the wire
+//! decoded, and [`SifterWriter::open_durable`] replays the journal through
+//! it. A commit journals its marker, folds, publishes, and records one
+//! [`VerdictRevision`] through `record_revision` — the same recorder
+//! recovery runs for every replayed commit marker, so a recomputed ring
+//! entry equals the persisted one.
+//!
 //! # How publication stays safe without locks (hand-rolled, `std`-only)
 //!
 //! The shared state holds the current table as an `AtomicPtr` borrowed from
@@ -59,7 +71,7 @@ use crate::intern::FrozenKeys;
 use crate::journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport};
 use crate::label::LabeledRequest;
 use crate::revision::VerdictRevision;
-use crate::service::{CommitStats, ObserveOutcome, ServiceStats, Sifter, Verdict};
+use crate::service::{CommitStats, Observation, ObserveOutcome, ServiceStats, Sifter, Verdict};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::table::{ClassTable, SurrogatePlans, VerdictTable};
 use filterlist::ResourceType;
@@ -301,24 +313,17 @@ fn plans_touched_between(
     new: &SurrogatePlans,
     keys: &FrozenKeys,
 ) -> Vec<Arc<str>> {
-    let mut touched = Vec::new();
-    for (key, entry) in new {
+    let rebuilt = new.iter().filter_map(|(key, entry)| {
         let same = old
             .get(key)
             .is_some_and(|previous| Arc::ptr_eq(&previous.plan, &entry.plan));
-        if !same {
-            if let Some(string) = keys.shared_string_for_id(key.index() as u32) {
-                touched.push(string);
-            }
-        }
-    }
-    for key in old.keys() {
-        if !new.contains_key(key) {
-            if let Some(string) = keys.shared_string_for_id(key.index() as u32) {
-                touched.push(string);
-            }
-        }
-    }
+        (!same).then_some(key)
+    });
+    let dropped = old.keys().filter(|key| !new.contains_key(key));
+    let mut touched: Vec<Arc<str>> = rebuilt
+        .chain(dropped)
+        .filter_map(|key| keys.shared_string_for_id(key.index() as u32))
+        .collect();
     touched.sort();
     touched
 }
@@ -370,8 +375,9 @@ impl SifterWriter {
     }
 
     /// Ingest one observation by its four attribution keys and label; see
-    /// [`Sifter::observe_parts`]. With a durable store attached the
-    /// observation is journaled first (write-ahead).
+    /// [`Sifter::observe_parts`] and [`SifterWriter::apply`]. The borrowed
+    /// parts are copied into an owned [`Observation`] only for the journal:
+    /// without a durable store they fold as they are.
     pub fn observe_parts(
         &mut self,
         domain: &str,
@@ -380,23 +386,23 @@ impl SifterWriter {
         method: &str,
         tracking: bool,
     ) {
-        if self.durable.is_some() {
-            self.journal_record(JournalEntry::Parts {
-                domain: domain.to_string(),
-                hostname: hostname.to_string(),
-                script: script.to_string(),
-                method: method.to_string(),
-                tracking,
-            });
+        if self.durable.is_none() {
+            return self
+                .sifter
+                .observe_parts(domain, hostname, script, method, tracking);
         }
-        self.sifter
-            .observe_parts(domain, hostname, script, method, tracking);
+        self.apply(&Observation::Parts {
+            domain: domain.to_string(),
+            hostname: hostname.to_string(),
+            script: script.to_string(),
+            method: method.to_string(),
+            tracking,
+        });
     }
 
-    /// Label and ingest one raw request URL; see [`Sifter::observe_url`].
-    /// With a durable store attached the raw URL is journaled first and
-    /// replayed through the same labeling path on recovery, so recovery is
-    /// deterministic for a writer configured with the same engine.
+    /// Label and ingest one raw request URL; see [`Sifter::observe_url`]
+    /// and [`SifterWriter::apply`] (owned only for the journal, as
+    /// [`SifterWriter::observe_parts`]).
     pub fn observe_url(
         &mut self,
         url: &str,
@@ -405,22 +411,41 @@ impl SifterWriter {
         initiator_script: &str,
         initiator_method: &str,
     ) -> ObserveOutcome {
-        if self.durable.is_some() {
-            self.journal_record(JournalEntry::Url {
-                url: url.to_string(),
-                source_hostname: source_hostname.to_string(),
+        if self.durable.is_none() {
+            return self.sifter.observe_url(
+                url,
+                source_hostname,
                 resource_type,
-                script: initiator_script.to_string(),
-                method: initiator_method.to_string(),
-            });
+                initiator_script,
+                initiator_method,
+            );
         }
-        self.sifter.observe_url(
-            url,
-            source_hostname,
+        self.apply(&Observation::Url {
+            url: url.to_string(),
+            source_hostname: source_hostname.to_string(),
             resource_type,
-            initiator_script,
-            initiator_method,
-        )
+            script: initiator_script.to_string(),
+            method: initiator_method.to_string(),
+        })
+    }
+
+    /// Ingest one [`Observation`]: journal it (write-ahead, when a durable
+    /// store is attached), then fold it with [`Sifter::apply`] — the one
+    /// spelling of journal-then-fold. Every live observe path ends here,
+    /// and [`SifterWriter::open_durable`] replays a journaled observation
+    /// through this same call (before the store is attached, so nothing is
+    /// journaled twice); a raw URL is journaled raw and relabeled on
+    /// replay, so recovery is deterministic for a writer configured with
+    /// the same engine.
+    ///
+    /// A failed append is counted in [`JournalStats::write_errors`];
+    /// serving continues with degraded durability rather than dropping the
+    /// observation.
+    pub fn apply(&mut self, observation: &Observation) -> ObserveOutcome {
+        if let Some(durable) = &mut self.durable {
+            let _ = durable.journal.append_observation(observation);
+        }
+        self.sifter.apply(observation)
     }
 
     /// Fold all pending observations into the servable state
@@ -440,14 +465,12 @@ impl SifterWriter {
     /// instant either replays this commit in full on recovery (marker
     /// durable) or loses it in full (marker in the torn tail), never half.
     pub fn commit(&mut self) -> CommitStats {
-        if self.durable.is_some() {
-            let version = self.published_version() + 1;
-            self.journal_record(JournalEntry::Commit { version });
-            if let Some(durable) = &mut self.durable {
-                // Sync failures are counted in the journal stats; the
-                // commit proceeds with degraded durability.
-                let _ = durable.journal.sync();
-            }
+        let version = self.published_version() + 1;
+        if let Some(durable) = &mut self.durable {
+            // Append and sync failures are counted in the journal stats;
+            // the commit proceeds with degraded durability.
+            let _ = durable.journal.append(&JournalEntry::Commit { version });
+            let _ = durable.journal.sync();
         }
         let stats = self.sifter.commit();
         self.publish_current(true);
@@ -455,24 +478,12 @@ impl SifterWriter {
         // primary rebuilds its pre-crash diff history instead of collapsing
         // it. Derivable from the fold, so a torn tail here only costs the
         // persisted copy — recovery recomputes the same revision.
-        if self.durable.is_some() {
-            if let Some(revision) = self.revisions.last() {
-                let entry = JournalEntry::Revision {
-                    revision: (**revision).clone(),
-                };
-                self.journal_record(entry);
-            }
+        if let (Some(durable), Some(revision)) = (&mut self.durable, self.revisions.last()) {
+            let _ = durable.journal.append(&JournalEntry::Revision {
+                revision: (**revision).clone(),
+            });
         }
         stats
-    }
-
-    /// Append one record to the attached journal, if any. Failed appends
-    /// are counted in [`JournalStats::write_errors`]; serving continues
-    /// with degraded durability rather than dropping the observation.
-    fn journal_record(&mut self, entry: JournalEntry) {
-        if let Some(durable) = &mut self.durable {
-            let _ = durable.journal.append(&entry);
-        }
     }
 
     /// Attach write-ahead durability backed by the generation directory at
@@ -521,65 +532,39 @@ impl SifterWriter {
         // Rebuild the revision ring alongside the state: persisted ring
         // records install directly (checkpoint seeds + per-commit records),
         // and every replayed commit marker *recomputes* its revision from
-        // the replayed fold — so a torn-off revision record costs nothing,
-        // and `?diff=` spans from before the crash still answer.
-        let mut ring: Vec<Arc<VerdictRevision>> = Vec::new();
-        let mut prev_classes = self.prev_classes.clone();
-        let mut prev_plans = Arc::clone(&self.prev_plans);
+        // the replayed fold with the recorder live commits use — so a
+        // torn-off revision record costs nothing, and `?diff=` spans from
+        // before the crash still answer. A journal with records owns the
+        // ring: whatever the writer held before is replaced, not merged.
+        if report.replayed_records > 0 {
+            self.revisions.clear();
+        }
         // The published version the journal says the recovered state has;
         // used to rebase the version floor so versions (and the ring) stay
         // continuous across the restart instead of resetting.
         let mut journal_version: Option<u64> = None;
         for entry in entries {
             match entry {
-                JournalEntry::Parts {
-                    domain,
-                    hostname,
-                    script,
-                    method,
-                    tracking,
-                } => {
-                    self.sifter
-                        .observe_parts(&domain, &hostname, &script, &method, tracking);
-                }
-                JournalEntry::Url {
-                    url,
-                    source_hostname,
-                    resource_type,
-                    script,
-                    method,
-                } => {
-                    let _ = self.sifter.observe_url(
-                        &url,
-                        &source_hostname,
-                        resource_type,
-                        &script,
-                        &method,
-                    );
+                JournalEntry::Observation(observation) => {
+                    self.apply(&observation);
                 }
                 JournalEntry::Commit { version } => {
                     self.sifter.commit();
                     let table = self.sifter.verdict_table();
-                    let changes = table.classes().changes_since(&prev_classes, table.keys());
-                    let plans_touched =
-                        plans_touched_between(&prev_plans, table.surrogate_plans(), table.keys());
-                    prev_classes = table.classes().clone();
-                    prev_plans = Arc::clone(table.surrogate_plans());
-                    install_revision(
-                        &mut ring,
-                        Arc::new(VerdictRevision::with_plans(version, changes, plans_touched)),
-                        self.revision_capacity,
-                    );
+                    self.record_revision(&table, version);
                     journal_version = Some(version);
                 }
                 JournalEntry::Revision { revision } => {
                     journal_version = Some(journal_version.unwrap_or(0).max(revision.version()));
-                    install_revision(&mut ring, Arc::new(revision), self.revision_capacity);
+                    install_revision(
+                        &mut self.revisions,
+                        Arc::new(revision),
+                        self.revision_capacity,
+                    );
                 }
             }
         }
         if report.replayed_records > 0 {
-            self.revisions = ring;
             // Rebase the floor so the recovered state publishes at the
             // version the journal recorded for it — continuous with the
             // pre-crash numbering the ring entries carry.
@@ -676,33 +661,43 @@ impl SifterWriter {
     /// versions stay contiguous and any two are diffable). The restore path
     /// publishes *without* recording: a snapshot swap is a new world, not a
     /// drift event, so the ring is cleared instead. Journal recovery
-    /// ([`SifterWriter::open_durable`]) publishes once after the whole
-    /// replay, collapsing the replayed commits into a single revision.
+    /// ([`SifterWriter::open_durable`]) records one revision per replayed
+    /// commit marker itself and publishes once, without recording, after
+    /// the whole replay.
     fn publish_current(&mut self, record_revision: bool) {
         let floor = self.version_floor;
         let mut table = self.sifter.verdict_table();
         table.set_version(floor + table.version());
         table.set_keys_epoch(self.keys_epoch);
         if record_revision {
-            let changes = table
-                .classes()
-                .changes_since(&self.prev_classes, table.keys());
-            let plans_touched =
-                plans_touched_between(&self.prev_plans, table.surrogate_plans(), table.keys());
-            install_revision(
-                &mut self.revisions,
-                Arc::new(VerdictRevision::with_plans(
-                    table.version(),
-                    changes,
-                    plans_touched,
-                )),
-                self.revision_capacity,
-            );
+            self.record_revision(&table, table.version());
+        } else {
+            self.prev_classes = table.classes().clone();
+            self.prev_plans = Arc::clone(table.surrogate_plans());
         }
-        self.prev_classes = table.classes().clone();
-        self.prev_plans = Arc::clone(table.surrogate_plans());
         table.set_revisions(self.revisions.clone());
         self.shared.publish(Arc::new(table));
+    }
+
+    /// Record what a commit changed as revision `version`: diff `table`
+    /// against the classes and plans of the last recorded state, install
+    /// the result in the ring, and make `table` the next diff base. The one
+    /// recorder — a live commit calls it with the table it publishes,
+    /// recovery with the table each replayed commit marker folds to, so a
+    /// recomputed ring entry equals the one the live commit persisted.
+    fn record_revision(&mut self, table: &VerdictTable, version: u64) {
+        let changes = table
+            .classes()
+            .changes_since(&self.prev_classes, table.keys());
+        let plans_touched =
+            plans_touched_between(&self.prev_plans, table.surrogate_plans(), table.keys());
+        install_revision(
+            &mut self.revisions,
+            Arc::new(VerdictRevision::with_plans(version, changes, plans_touched)),
+            self.revision_capacity,
+        );
+        self.prev_classes = table.classes().clone();
+        self.prev_plans = Arc::clone(table.surrogate_plans());
     }
 
     /// The bounded ring of per-commit revisions, ascending by version —

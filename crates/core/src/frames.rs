@@ -356,7 +356,10 @@ pub fn decision_from_value(value: &Value) -> Result<Decision, JsonError> {
 // Binary encoding
 // ---------------------------------------------------------------------
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+/// Append a `u32`-length-prefixed byte string — the one spelling of the
+/// layout every binary format uses (these frames, the journal, the server's
+/// request records).
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
 }
@@ -817,14 +820,17 @@ pub fn revision_diff_from_value(value: &Value) -> Result<RevisionDiff, JsonError
     })
 }
 
-fn put_change(out: &mut Vec<u8>, change: &RevisionChange) {
+/// Encode one revision change: `g u8, old u8, new u8, u32-prefixed key`
+/// (shared by the revision frames and the journal's revision record).
+pub(crate) fn put_change(out: &mut Vec<u8>, change: &RevisionChange) {
     out.push(change.granularity.index() as u8);
     out.push(class_code(change.kind.old_class()));
     out.push(class_code(change.kind.new_class()));
     put_bytes(out, change.key.as_bytes());
 }
 
-fn read_change(reader: &mut FrameReader<'_>) -> Result<RevisionChange, FrameError> {
+/// Decode one revision change (the inverse of [`put_change`]).
+pub(crate) fn read_change(reader: &mut FrameReader<'_>) -> Result<RevisionChange, FrameError> {
     let granularity_code = reader.u8()? as usize;
     let granularity = *Granularity::ALL
         .get(granularity_code)

@@ -11,6 +11,15 @@
 //! marker and force an fsync, and boot replays the log on top of the last
 //! snapshot. `kill -9` at any instant loses at most the un-fsynced tail.
 //!
+//! # The write path
+//!
+//! The journal carries the write path's own values, not copies of them: an
+//! observation record is the [`Observation`] the wire decoded and
+//! [`Sifter::apply`](crate::service::Sifter::apply) folds, and a revision
+//! record's changes use the change layout of [`frames`] (the revision
+//! frames `GET /v1/revisions` serves). Recovery hands each replayed entry
+//! back to the call that journaled it.
+//!
 //! # Record format
 //!
 //! The journal is a flat sequence of length-prefixed, checksummed frames
@@ -26,10 +35,10 @@
 //!
 //! | kind | record | payload after the kind byte |
 //! |---|---|---|
-//! | `1` | [`JournalEntry::Parts`] | 4 strings + `u8` tracking flag |
-//! | `2` | [`JournalEntry::Url`] | url, source hostname, resource-type option name, script, method |
+//! | `1` | [`Observation::Parts`] | 4 strings + `u8` tracking flag |
+//! | `2` | [`Observation::Url`] | url, source hostname, resource-type option name, script, method |
 //! | `3` | [`JournalEntry::Commit`] | `u64` published version |
-//! | `4` | [`JournalEntry::Revision`] | `u64` version + per-key class changes + touched plan keys |
+//! | `4` | [`JournalEntry::Revision`] | `u64` version + per-key class changes ([`frames`]' change layout) + touched plan keys |
 //!
 //! # Torn-write recovery
 //!
@@ -45,14 +54,15 @@
 //! property by replaying journals truncated at *every* byte offset.
 
 use crate::failpoint;
-use crate::hierarchy::Granularity;
-use crate::ratio::Classification;
-use crate::revision::{ChangeKind, RevisionChange, VerdictRevision};
+use crate::frames::{self, FrameError, FrameReader};
+use crate::revision::VerdictRevision;
+use crate::service::Observation;
 use filterlist::tokens::fnv1a64;
 use filterlist::ResourceType;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Hard cap on one record's payload — a torn or corrupt length prefix
 /// claiming gigabytes must read as "torn tail", not as an allocation.
@@ -63,59 +73,13 @@ const KIND_URL: u8 = 2;
 const KIND_COMMIT: u8 = 3;
 const KIND_REVISION: u8 = 4;
 
-/// Wire code of an optional classification (`0` = absent / not a member).
-fn class_code(class: Option<Classification>) -> u8 {
-    match class {
-        None => 0,
-        Some(Classification::Tracking) => 1,
-        Some(Classification::Functional) => 2,
-        Some(Classification::Mixed) => 3,
-    }
-}
-
-fn class_of_code(code: u8) -> Option<Option<Classification>> {
-    match code {
-        0 => Some(None),
-        1 => Some(Some(Classification::Tracking)),
-        2 => Some(Some(Classification::Functional)),
-        3 => Some(Some(Classification::Mixed)),
-        _ => None,
-    }
-}
-
 /// One replayed journal record, in append order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalEntry {
-    /// A pre-labeled observation
-    /// ([`SifterWriter::observe_parts`](crate::concurrent::SifterWriter::observe_parts)).
-    Parts {
-        /// Registrable domain.
-        domain: String,
-        /// Full hostname.
-        hostname: String,
-        /// Initiating script URL.
-        script: String,
-        /// Initiating method name.
-        method: String,
-        /// The oracle label.
-        tracking: bool,
-    },
-    /// A raw-URL observation
-    /// ([`SifterWriter::observe_url`](crate::concurrent::SifterWriter::observe_url))
-    /// — replayed through the same labeling path, so recovery is
-    /// deterministic for a writer configured with the same engine.
-    Url {
-        /// The raw request URL.
-        url: String,
-        /// Hostname of the page issuing the request.
-        source_hostname: String,
-        /// Resource type of the request.
-        resource_type: ResourceType,
-        /// Initiating script URL.
-        script: String,
-        /// Initiating method name.
-        method: String,
-    },
+    /// An observation, journaled ahead of its fold by
+    /// [`SifterWriter::apply`](crate::concurrent::SifterWriter::apply) and
+    /// replayed through the same call.
+    Observation(Observation),
     /// A commit marker: every observation before it was folded into the
     /// servable state as the given published version.
     Commit {
@@ -261,7 +225,7 @@ impl Journal {
             // The checksum held, so the payload is exactly what was
             // appended; a payload that still fails to decode is treated as
             // end-of-clean-prefix too (replay never errors).
-            let Some(entry) = decode_payload(payload) else {
+            let Ok(entry) = decode_payload(payload) else {
                 break;
             };
             if matches!(entry, JournalEntry::Commit { .. }) {
@@ -300,12 +264,38 @@ impl Journal {
     /// docs). Errors are also counted in [`JournalStats::write_errors`] so
     /// a caller that chooses to keep serving still surfaces the degraded
     /// durability.
+    ///
+    /// A record whose payload exceeds the replay cap (16 MiB) is refused
+    /// with [`io::ErrorKind::InvalidInput`] and nothing is buffered: replay
+    /// would read its length prefix as a torn tail, and recovery would
+    /// truncate it *and every record after it*.
     pub fn append(&mut self, entry: &JournalEntry) -> io::Result<()> {
+        self.append_payload(encode_payload(entry))
+    }
+
+    /// [`Journal::append`] of `JournalEntry::Observation(observation.clone())`
+    /// without the clone: both run the same `encode_observation`.
+    pub(crate) fn append_observation(&mut self, observation: &Observation) -> io::Result<()> {
+        let mut payload = Vec::new();
+        encode_observation(&mut payload, observation);
+        self.append_payload(payload)
+    }
+
+    fn append_payload(&mut self, payload: Vec<u8>) -> io::Result<()> {
         if let Err(error) = failpoint::check_io("journal.append") {
             self.stats.write_errors += 1;
             return Err(error);
         }
-        let payload = encode_payload(entry);
+        if payload.len() > MAX_PAYLOAD_BYTES as usize {
+            self.stats.write_errors += 1;
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "journal record of {} bytes exceeds the {MAX_PAYLOAD_BYTES}-byte replay cap",
+                    payload.len()
+                ),
+            ));
+        }
         self.buffer
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.buffer.extend_from_slice(&payload);
@@ -400,7 +390,10 @@ impl Journal {
             self.stats.bytes = self.file_bytes;
             return Ok(());
         }
-        self.file.write_all(&self.buffer)?;
+        if let Err(error) = self.file.write_all(&self.buffer) {
+            self.stats.write_errors += 1;
+            return Err(error);
+        }
         self.file_bytes += self.buffer.len() as u64;
         self.buffer.clear();
         self.stats.bytes = self.file_bytes;
@@ -546,15 +539,10 @@ impl JournalStats {
     }
 }
 
-fn push_string(out: &mut Vec<u8>, text: &str) {
-    out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-    out.extend_from_slice(text.as_bytes());
-}
-
-fn encode_payload(entry: &JournalEntry) -> Vec<u8> {
-    let mut out = Vec::new();
-    match entry {
-        JournalEntry::Parts {
+fn encode_observation(out: &mut Vec<u8>, observation: &Observation) {
+    let put = |out: &mut Vec<u8>, text: &str| frames::put_bytes(out, text.as_bytes());
+    match observation {
+        Observation::Parts {
             domain,
             hostname,
             script,
@@ -562,13 +550,13 @@ fn encode_payload(entry: &JournalEntry) -> Vec<u8> {
             tracking,
         } => {
             out.push(KIND_PARTS);
-            push_string(&mut out, domain);
-            push_string(&mut out, hostname);
-            push_string(&mut out, script);
-            push_string(&mut out, method);
+            put(out, domain);
+            put(out, hostname);
+            put(out, script);
+            put(out, method);
             out.push(u8::from(*tracking));
         }
-        JournalEntry::Url {
+        Observation::Url {
             url,
             source_hostname,
             resource_type,
@@ -576,12 +564,19 @@ fn encode_payload(entry: &JournalEntry) -> Vec<u8> {
             method,
         } => {
             out.push(KIND_URL);
-            push_string(&mut out, url);
-            push_string(&mut out, source_hostname);
-            push_string(&mut out, resource_type.option_name());
-            push_string(&mut out, script);
-            push_string(&mut out, method);
+            put(out, url);
+            put(out, source_hostname);
+            put(out, resource_type.option_name());
+            put(out, script);
+            put(out, method);
         }
+    }
+}
+
+fn encode_payload(entry: &JournalEntry) -> Vec<u8> {
+    let mut out = Vec::new();
+    match entry {
+        JournalEntry::Observation(observation) => encode_observation(&mut out, observation),
         JournalEntry::Commit { version } => {
             out.push(KIND_COMMIT);
             out.extend_from_slice(&version.to_le_bytes());
@@ -591,94 +586,73 @@ fn encode_payload(entry: &JournalEntry) -> Vec<u8> {
             out.extend_from_slice(&revision.version().to_le_bytes());
             out.extend_from_slice(&(revision.changes().len() as u32).to_le_bytes());
             for change in revision.changes() {
-                out.push(change.granularity.index() as u8);
-                out.push(class_code(change.kind.old_class()));
-                out.push(class_code(change.kind.new_class()));
-                push_string(&mut out, &change.key);
+                frames::put_change(&mut out, change);
             }
             out.extend_from_slice(&(revision.plans_touched().len() as u32).to_le_bytes());
             for script in revision.plans_touched() {
-                push_string(&mut out, script);
+                frames::put_bytes(&mut out, script.as_bytes());
             }
         }
     }
     out
 }
 
-/// Decode one checksum-verified payload; `None` for anything that does
+/// Decode one checksum-verified payload; an error for anything that does
 /// not parse exactly (replay treats it as the end of the clean prefix).
-fn decode_payload(payload: &[u8]) -> Option<JournalEntry> {
-    let mut reader = crate::frames::FrameReader::new(payload);
-    let kind = reader.u8().ok()?;
-    let entry = match kind {
-        KIND_PARTS => {
-            let domain = reader.string().ok()?.to_string();
-            let hostname = reader.string().ok()?.to_string();
-            let script = reader.string().ok()?.to_string();
-            let method = reader.string().ok()?.to_string();
-            let tracking = match reader.u8().ok()? {
+fn decode_payload(payload: &[u8]) -> Result<JournalEntry, FrameError> {
+    let mut reader = FrameReader::new(payload);
+    let entry = match reader.u8()? {
+        KIND_PARTS => JournalEntry::Observation(Observation::Parts {
+            domain: reader.string()?.to_string(),
+            hostname: reader.string()?.to_string(),
+            script: reader.string()?.to_string(),
+            method: reader.string()?.to_string(),
+            tracking: match reader.u8()? {
                 0 => false,
                 1 => true,
-                _ => return None,
-            };
-            JournalEntry::Parts {
-                domain,
-                hostname,
-                script,
-                method,
-                tracking,
-            }
-        }
-        KIND_URL => {
-            let url = reader.string().ok()?.to_string();
-            let source_hostname = reader.string().ok()?.to_string();
-            let type_name = reader.string().ok()?;
-            let resource_type = ResourceType::ALL
-                .into_iter()
-                .find(|kind| kind.option_name() == type_name)?;
-            let script = reader.string().ok()?.to_string();
-            let method = reader.string().ok()?.to_string();
-            JournalEntry::Url {
-                url,
-                source_hostname,
-                resource_type,
-                script,
-                method,
-            }
-        }
+                other => return Err(FrameError(format!("tracking flag {other}"))),
+            },
+        }),
+        KIND_URL => JournalEntry::Observation(Observation::Url {
+            url: reader.string()?.to_string(),
+            source_hostname: reader.string()?.to_string(),
+            resource_type: {
+                let name = reader.string()?;
+                ResourceType::from_option_name(name)
+                    .ok_or_else(|| FrameError(format!("unknown resource type {name:?}")))?
+            },
+            script: reader.string()?.to_string(),
+            method: reader.string()?.to_string(),
+        }),
         KIND_COMMIT => JournalEntry::Commit {
-            version: reader.u64().ok()?,
+            version: reader.u64()?,
         },
         KIND_REVISION => {
-            let version = reader.u64().ok()?;
-            let change_count = reader.u32().ok()?;
-            let mut changes = Vec::new();
-            for _ in 0..change_count {
-                let granularity = *Granularity::ALL.get(reader.u8().ok()? as usize)?;
-                let old = class_of_code(reader.u8().ok()?)?;
-                let new = class_of_code(reader.u8().ok()?)?;
-                let kind = ChangeKind::of(old, new)?;
-                let key = reader.string().ok()?.to_string();
-                changes.push(RevisionChange::new(granularity, key, kind));
-            }
-            let plan_count = reader.u32().ok()?;
-            let mut plans_touched: Vec<std::sync::Arc<str>> = Vec::new();
-            for _ in 0..plan_count {
-                plans_touched.push(std::sync::Arc::from(reader.string().ok()?));
-            }
+            let version = reader.u64()?;
+            // A corrupt count ends the loop at the first read past the
+            // payload; nothing is allocated up front.
+            let changes = (0..reader.u32()?)
+                .map(|_| frames::read_change(&mut reader))
+                .collect::<Result<_, _>>()?;
+            let plans_touched = (0..reader.u32()?)
+                .map(|_| reader.string().map(Arc::from))
+                .collect::<Result<_, _>>()?;
             JournalEntry::Revision {
                 revision: VerdictRevision::with_plans(version, changes, plans_touched),
             }
         }
-        _ => return None,
+        other => return Err(FrameError(format!("unknown record kind {other}"))),
     };
-    reader.finish().ok()?;
-    Some(entry)
+    reader.finish()?;
+    Ok(entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::Granularity;
+    use crate::ratio::Classification;
+    use crate::revision::{ChangeKind, RevisionChange};
 
     fn temp_path(tag: &str) -> PathBuf {
         let nanos = std::time::SystemTime::now()
@@ -692,27 +666,26 @@ mod tests {
     }
 
     fn parts(n: u64) -> JournalEntry {
-        JournalEntry::Parts {
+        JournalEntry::Observation(Observation::Parts {
             domain: format!("d{n}.com"),
             hostname: format!("h{n}.d{n}.com"),
             script: format!("https://pub.com/s{n}.js"),
             method: "send".to_string(),
             tracking: n % 2 == 0,
-        }
+        })
     }
 
-    #[test]
-    fn round_trips_every_record_kind() {
-        let path = temp_path("roundtrip");
-        let entries = vec![
+    /// One record of each kind.
+    fn one_of_each_kind() -> Vec<JournalEntry> {
+        vec![
             parts(1),
-            JournalEntry::Url {
+            JournalEntry::Observation(Observation::Url {
                 url: "https://t.example/p.gif".into(),
                 source_hostname: "pub.com".into(),
                 resource_type: ResourceType::Image,
                 script: "https://pub.com/a.js".into(),
                 method: "beacon".into(),
-            },
+            }),
             JournalEntry::Commit { version: 7 },
             JournalEntry::Revision {
                 revision: VerdictRevision::with_plans(
@@ -737,7 +710,13 @@ mod tests {
                     vec![std::sync::Arc::from("https://pub.com/s1.js")],
                 ),
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn round_trips_every_record_kind() {
+        let path = temp_path("roundtrip");
+        let entries = one_of_each_kind();
         {
             let mut journal = Journal::open(&path, 1000).expect("open");
             for entry in &entries {
@@ -752,6 +731,41 @@ mod tests {
         assert_eq!(report.records, 4);
         assert_eq!(report.commits, 1);
         assert_eq!(report.torn_bytes, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The bytes the journal wrote for [`one_of_each_kind`] before its codec
+    /// moved onto `frames`' change layout and the shared [`Observation`]
+    /// (written by that commit's binary, not by this one).
+    const GOLDEN_JOURNAL_HEX: &str = concat!(
+        "3a000000010600000064312e636f6d0900000068312e64312e636f6d1500000068",
+        "747470733a2f2f7075622e636f6d2f73312e6a730400000073656e6400746e85f5",
+        "0c81681f52000000021700000068747470733a2f2f742e6578616d706c652f702e",
+        "676966070000007075622e636f6d05000000696d6167651400000068747470733a",
+        "2f2f7075622e636f6d2f612e6a7306000000626561636f6ee5cbf61e4329057509",
+        "00000003070000000000000035fef8d9b22c5fd677000000040700000000000000",
+        "030000000000030600000064312e636f6d0201031500000068747470733a2f2f70",
+        "75622e636f6d2f73312e6a730302001d00000068747470733a2f2f7075622e636f",
+        "6d2f73312e6a73203a3a2073656e64010000001500000068747470733a2f2f7075",
+        "622e636f6d2f73312e6a737e0559ecf95a6daf",
+    );
+
+    #[test]
+    fn the_on_disk_format_is_pinned_byte_for_byte() {
+        let golden: Vec<u8> = (0..GOLDEN_JOURNAL_HEX.len())
+            .step_by(2)
+            .map(|at| u8::from_str_radix(&GOLDEN_JOURNAL_HEX[at..at + 2], 16).expect("hex"))
+            .collect();
+        let (decoded, report) = Journal::replay_bytes(&golden);
+        assert_eq!(decoded, one_of_each_kind());
+        assert_eq!((report.valid_bytes, report.torn_bytes), (316, 0));
+        let path = temp_path("golden");
+        let mut journal = Journal::open(&path, 1000).expect("open");
+        for entry in &decoded {
+            journal.append(entry).expect("append");
+        }
+        journal.sync().expect("sync");
+        assert_eq!(std::fs::read(&path).expect("read"), golden);
         std::fs::remove_file(&path).ok();
     }
 

@@ -26,6 +26,21 @@
 //!   export/import of the trained state (see [`crate::snapshot`]), so a
 //!   serving process restarts without a re-crawl.
 //!
+//! # The write path
+//!
+//! One record, one fold, one class writer. Every observation is an owned
+//! [`Observation`] — what the wire decodes, what the journal carries, what
+//! recovery replays — and [`Sifter::apply`] is the one dispatch that folds
+//! it ([`Sifter::observe_parts`] / [`Sifter::observe_url`] underneath, for
+//! callers that hold borrowed parts). A fold accumulates count cells in
+//! `fold_cell`, which a snapshot restore feeds too. [`Sifter::commit`]
+//! walks the four levels coarsest first; a phase states only what differs
+//! per level — who is a member, what its counts are, whom a mixedness flip
+//! dirties — and `write_class` alone writes a committed class (entry map,
+//! dense class table, method residue) and reports the flip. The committed
+//! state of all four levels lives in one array indexed by
+//! [`Granularity::index`], so a fifth level is an entry, not a fifth copy.
+//!
 //! # How incremental commits stay equivalent to batch classification
 //!
 //! The hierarchy's levels are input-conditional: the hostname level only
@@ -62,6 +77,7 @@ use crate::ratio::{Classification, Counts, Thresholds};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::surrogate::{MethodPlan, SurrogateScript};
 use crate::table::{ClassTable, SurrogateEntry, VerdictTable};
+use crawler::json::{object, JsonError, Value};
 use filterlist::tokens::TokenHashBuilder;
 use filterlist::{
     registrable_domain, FilterEngine, FilterRequest, ListKind, ParsedUrl, RequestLabel,
@@ -196,6 +212,112 @@ impl ObserveOutcome {
     }
 }
 
+/// One observation, owned: the record every stage of the write path carries
+/// — decoded from `POST /v1/observations`, journaled ahead of the fold
+/// ([`JournalEntry::Observation`](crate::journal::JournalEntry::Observation)),
+/// folded by [`Sifter::apply`], and replayed through the same call on
+/// recovery.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Observation {
+    /// Pre-labeled attribution parts ([`Sifter::observe_parts`]).
+    Parts {
+        /// Registrable domain.
+        domain: String,
+        /// Full hostname.
+        hostname: String,
+        /// Initiating script URL.
+        script: String,
+        /// Initiating method name.
+        method: String,
+        /// The oracle label.
+        tracking: bool,
+    },
+    /// A raw URL for the configured filter engine to label
+    /// ([`Sifter::observe_url`]) — replayed through the same labeling path,
+    /// so recovery is deterministic for a writer configured with the same
+    /// engine.
+    Url {
+        /// The raw request URL.
+        url: String,
+        /// Hostname of the page issuing the request.
+        source_hostname: String,
+        /// Resource type of the request.
+        resource_type: ResourceType,
+        /// Initiating script URL.
+        script: String,
+        /// Initiating method name.
+        method: String,
+    },
+}
+
+impl Observation {
+    /// Encode as one row of a `POST /v1/observations` body.
+    pub fn to_json_value(&self) -> Value {
+        let string = |text: &String| Value::String(text.clone());
+        match self {
+            Observation::Parts {
+                domain,
+                hostname,
+                script,
+                method,
+                tracking,
+            } => object(vec![
+                ("domain", string(domain)),
+                ("hostname", string(hostname)),
+                ("script", string(script)),
+                ("method", string(method)),
+                ("tracking", Value::Bool(*tracking)),
+            ]),
+            Observation::Url {
+                url,
+                source_hostname,
+                resource_type,
+                script,
+                method,
+            } => object(vec![
+                ("url", string(url)),
+                ("source_hostname", string(source_hostname)),
+                (
+                    "resource_type",
+                    Value::String(resource_type.option_name().to_string()),
+                ),
+                ("script", string(script)),
+                ("method", string(method)),
+            ]),
+        }
+    }
+
+    /// Decode one row; the presence of a `url` field selects the raw-URL
+    /// form.
+    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        let string = |key: &str| Ok::<_, JsonError>(value.field(key)?.as_str()?.to_string());
+        if value.get("url").is_some() {
+            Ok(Observation::Url {
+                url: string("url")?,
+                source_hostname: string("source_hostname")?,
+                resource_type: {
+                    let name = value.field("resource_type")?.as_str()?;
+                    ResourceType::from_option_name(name)
+                        .ok_or_else(|| JsonError(format!("unknown resource type {name:?}")))?
+                },
+                script: string("script")?,
+                method: string("method")?,
+            })
+        } else {
+            Ok(Observation::Parts {
+                domain: string("domain")?,
+                hostname: string("hostname")?,
+                script: string("script")?,
+                method: string("method")?,
+                tracking: match value.field("tracking")? {
+                    Value::Bool(flag) => *flag,
+                    other => return Err(JsonError(format!("expected bool, got {other:?}"))),
+                },
+            })
+        }
+    }
+}
+
 /// Ingestion accounting across every observe path, including the requests
 /// that were *not* ingested and why — so a deployment can alarm on
 /// configuration problems (`no_engine`) separately from data problems
@@ -271,6 +393,22 @@ struct MethodMeta {
 struct LevelEntry {
     counts: Counts,
     classification: Classification,
+}
+
+impl LevelEntry {
+    fn is_mixed(&self) -> bool {
+        self.classification == Classification::Mixed
+    }
+}
+
+/// Add every dependent `dependents_of` lists for `key` to a finer level's
+/// dirty set — the downward propagation of a mixedness flip. (Free
+/// function: the dirty sets and the adjacency lists are disjoint fields of
+/// the sifter.)
+fn mark_dirty(dirty: &mut KeySet, dependents_of: &KeyMap<Vec<ResourceKey>>, key: ResourceKey) {
+    if let Some(dependents) = dependents_of.get(&key) {
+        dirty.extend(dependents.iter().copied());
+    }
 }
 
 /// Builder-pattern configuration of a [`Sifter`].
@@ -358,25 +496,14 @@ impl SifterBuilder {
             hosts_of_script: KeyMap::default(),
             hosts_of_method: KeyMap::default(),
             methods_of_script: KeyMap::default(),
-            domain_entries: KeyMap::default(),
-            host_entries: KeyMap::default(),
-            script_entries: KeyMap::default(),
-            method_entries: KeyMap::default(),
-            dirty_domains: KeySet::default(),
-            dirty_hosts: KeySet::default(),
-            dirty_scripts: KeySet::default(),
-            dirty_methods: KeySet::default(),
+            entries: Default::default(),
+            dirty: Default::default(),
             classes: ClassTable::default(),
             surrogates: KeyMap::default(),
             frozen: None,
-            observed_requests: 0,
-            committed_requests: 0,
+            ingest: IngestStats::default(),
             residue_requests: 0,
-            pending_observations: 0,
             commits: 0,
-            invalid_urls: 0,
-            no_engine_urls: 0,
-            conflicting_observations: 0,
         }
     }
 
@@ -454,25 +581,17 @@ pub struct Sifter {
     hosts_of_method: KeyMap<Vec<ResourceKey>>,
     methods_of_script: KeyMap<Vec<ResourceKey>>,
 
-    // -- committed serving state (updated only by `commit`) --
-    /// Every committed domain.
-    domain_entries: KeyMap<LevelEntry>,
-    /// Hostname-level members: hostnames whose domain is mixed.
-    host_entries: KeyMap<LevelEntry>,
-    /// Script-level members: scripts with requests through mixed hostnames.
-    script_entries: KeyMap<LevelEntry>,
-    /// Method-level members: methods of mixed scripts.
-    method_entries: KeyMap<LevelEntry>,
-
-    // -- dirty sets consumed by the next `commit` --
-    dirty_domains: KeySet,
-    dirty_hosts: KeySet,
-    dirty_scripts: KeySet,
-    dirty_methods: KeySet,
+    // -- committed serving state (written only by `write_class`) --
+    /// The members of each level, indexed by [`Granularity::index`]: every
+    /// committed domain; hostnames whose domain is mixed; scripts with
+    /// requests through mixed hostnames; methods of mixed scripts.
+    entries: [KeyMap<LevelEntry>; 4],
+    /// Per level, the resources the next `commit` reclassifies.
+    dirty: [KeySet; 4],
 
     // -- the flattened serving representation (see `crate::table`) --
-    /// Dense committed classifications per granularity, patched in place by
-    /// each commit alongside the `*_entries` maps.
+    /// Dense committed classifications per granularity, patched in place
+    /// alongside `entries`.
     classes: ClassTable,
     /// Surrogate plans (with their preformatted wire frames) for every
     /// committed mixed script, maintained incrementally by `commit` (only
@@ -484,22 +603,13 @@ pub struct Sifter {
     /// lazily when the interner has grown since the last freeze.
     frozen: Option<Arc<FrozenKeys>>,
 
-    /// Observations ever ingested (including pending).
-    observed_requests: u64,
-    /// Observations visible to the committed state.
-    committed_requests: u64,
+    /// The ingestion accounting every observe path and `commit` keep, in
+    /// the shape [`Sifter::ingest_stats`] reports it.
+    ingest: IngestStats,
     /// Committed requests still attributed to mixed methods (the residue).
     residue_requests: u64,
-    /// Observations since the last commit.
-    pending_observations: u64,
     /// Commits performed.
     commits: u64,
-    /// `observe_url` calls skipped: unparseable URL.
-    invalid_urls: u64,
-    /// `observe_url` calls skipped: no engine configured.
-    no_engine_urls: u64,
-    /// Observations whose hostname conflicted with its first-seen domain.
-    conflicting_observations: u64,
 }
 
 // A sifter moves into the writer half of a concurrent pair, which worker
@@ -528,17 +638,17 @@ impl Sifter {
 
     /// Observations ever ingested, including pending ones.
     pub fn observed(&self) -> u64 {
-        self.observed_requests
+        self.ingest.observed
     }
 
     /// Observations folded into the committed (servable) state.
     pub fn committed(&self) -> u64 {
-        self.committed_requests
+        self.ingest.committed
     }
 
     /// Observations waiting for the next [`Sifter::commit`].
     pub fn pending(&self) -> u64 {
-        self.pending_observations
+        self.ingest.pending
     }
 
     /// Commits performed so far.
@@ -557,20 +667,13 @@ impl Sifter {
     /// the first-seen domain (see [`Sifter::observe_parts`]); this counter
     /// is how a deployment notices the upstream attribution bug.
     pub fn conflicting_observations(&self) -> u64 {
-        self.conflicting_observations
+        self.ingest.conflicting_domains
     }
 
     /// The full ingestion accounting, including requests that were skipped
     /// and why (see [`IngestStats`]).
     pub fn ingest_stats(&self) -> IngestStats {
-        IngestStats {
-            observed: self.observed_requests,
-            committed: self.committed_requests,
-            pending: self.pending_observations,
-            invalid_urls: self.invalid_urls,
-            no_engine: self.no_engine_urls,
-            conflicting_domains: self.conflicting_observations,
-        }
+        self.ingest
     }
 
     /// One consolidated view of the serving state (ingest accounting,
@@ -579,15 +682,10 @@ impl Sifter {
     pub fn service_stats(&self) -> ServiceStats {
         ServiceStats {
             ingest: self.ingest_stats(),
-            conflicting_observations: self.conflicting_observations,
+            conflicting_observations: self.ingest.conflicting_domains,
             version: self.commits,
             unattributed: self.residue_requests,
-            resources: [
-                self.domain_entries.len(),
-                self.host_entries.len(),
-                self.script_entries.len(),
-                self.method_entries.len(),
-            ],
+            resources: Granularity::ALL.map(|level| self.committed_resources(level)),
         }
     }
 
@@ -603,12 +701,7 @@ impl Sifter {
 
     /// Number of committed member resources at a granularity.
     pub fn committed_resources(&self, granularity: Granularity) -> usize {
-        match granularity {
-            Granularity::Domain => self.domain_entries.len(),
-            Granularity::Hostname => self.host_entries.len(),
-            Granularity::Script => self.script_entries.len(),
-            Granularity::Method => self.method_entries.len(),
-        }
+        self.entries[granularity.index()].len()
     }
 
     // -----------------------------------------------------------------
@@ -652,11 +745,11 @@ impl Sifter {
         initiator_method: &str,
     ) -> ObserveOutcome {
         let Some(engine) = self.engine.as_ref() else {
-            self.no_engine_urls += 1;
+            self.ingest.no_engine += 1;
             return ObserveOutcome::NoEngine;
         };
         let Some(parsed) = ParsedUrl::parse(url) else {
-            self.invalid_urls += 1;
+            self.ingest.invalid_urls += 1;
             return ObserveOutcome::InvalidUrl;
         };
         let request = FilterRequest::from_parsed(parsed, source_hostname, resource_type);
@@ -696,7 +789,55 @@ impl Sifter {
         let s = self.interner.intern(script);
         let name = self.interner.intern(method);
         let m = self.interner.intern_method(script, method);
+        let mut counts = Counts::new();
+        counts.record(tracking);
+        self.fold_cell(claimed, h, s, name, m, counts);
+    }
 
+    /// Fold one [`Observation`] — the dispatch every caller that holds the
+    /// owned record goes through (the writer's
+    /// [`apply`](crate::concurrent::SifterWriter::apply), and through it
+    /// the server's admin thread and journal recovery). Pre-labeled parts
+    /// are always observed, under the label they carry.
+    pub fn apply(&mut self, observation: &Observation) -> ObserveOutcome {
+        match observation {
+            Observation::Parts {
+                domain,
+                hostname,
+                script,
+                method,
+                tracking,
+            } => {
+                self.observe_parts(domain, hostname, script, method, *tracking);
+                ObserveOutcome::Observed(if *tracking {
+                    RequestLabel::Tracking
+                } else {
+                    RequestLabel::Functional
+                })
+            }
+            Observation::Url {
+                url,
+                source_hostname,
+                resource_type,
+                script,
+                method,
+            } => self.observe_url(url, source_hostname, *resource_type, script, method),
+        }
+    }
+
+    /// Accumulate `counts` requests of method `m` (script `s`, method-name
+    /// symbol `name`) on hostname `h`: the one place the raw count cells,
+    /// the adjacency lists and the dirty sets grow. One observation is a
+    /// cell of one request; a snapshot restore feeds whole cells.
+    fn fold_cell(
+        &mut self,
+        claimed: ResourceKey,
+        h: ResourceKey,
+        s: ResourceKey,
+        name: ResourceKey,
+        m: ResourceKey,
+        counts: Counts,
+    ) {
         // Resolve the *effective* domain first: the hostname's first-seen
         // domain wins, so domain counts and hostname ownership can never
         // disagree.
@@ -704,14 +845,12 @@ impl Sifter {
             Entry::Occupied(mut entry) => {
                 let meta = entry.get_mut();
                 if meta.domain != claimed {
-                    self.conflicting_observations += 1;
+                    self.ingest.conflicting_domains += 1;
                 }
-                meta.counts.record(tracking);
+                meta.counts.merge(counts);
                 meta.domain
             }
             Entry::Vacant(entry) => {
-                let mut counts = Counts::new();
-                counts.record(tracking);
                 entry.insert(HostMeta {
                     domain: claimed,
                     counts,
@@ -720,38 +859,34 @@ impl Sifter {
                 claimed
             }
         };
-        self.domain_counts.entry(d).or_default().record(tracking);
+        self.domain_counts.entry(d).or_default().merge(counts);
         if let Entry::Vacant(entry) = self.method_meta.entry(m) {
             entry.insert(MethodMeta { script: s, name });
             self.methods_of_script.entry(s).or_default().push(m);
         }
         match self.script_host.entry((s, h)) {
-            Entry::Occupied(mut entry) => entry.get_mut().record(tracking),
+            Entry::Occupied(mut entry) => entry.get_mut().merge(counts),
             Entry::Vacant(entry) => {
-                let mut counts = Counts::new();
-                counts.record(tracking);
                 entry.insert(counts);
                 self.scripts_of_host.entry(h).or_default().push(s);
                 self.hosts_of_script.entry(s).or_default().push(h);
             }
         }
         match self.method_host.entry((m, h)) {
-            Entry::Occupied(mut entry) => entry.get_mut().record(tracking),
+            Entry::Occupied(mut entry) => entry.get_mut().merge(counts),
             Entry::Vacant(entry) => {
-                let mut counts = Counts::new();
-                counts.record(tracking);
                 entry.insert(counts);
                 self.methods_of_host.entry(h).or_default().push(m);
                 self.hosts_of_method.entry(m).or_default().push(h);
             }
         }
 
-        self.dirty_domains.insert(d);
-        self.dirty_hosts.insert(h);
-        self.dirty_scripts.insert(s);
-        self.dirty_methods.insert(m);
-        self.observed_requests += 1;
-        self.pending_observations += 1;
+        // One key per level, coarsest first ([`Granularity::index`]).
+        for (level, key) in [d, h, s, m].into_iter().enumerate() {
+            self.dirty[level].insert(key);
+        }
+        self.ingest.observed += counts.total();
+        self.ingest.pending += counts.total();
     }
 
     /// Fold all pending observations into the servable state by
@@ -759,181 +894,80 @@ impl Sifter {
     /// Classification flips at one level dirty exactly the dependent
     /// resources of the next, so the work is proportional to the delta (and
     /// its blast radius), never to the corpus.
+    ///
+    /// Each phase says only what differs per level — who is a member, what
+    /// its counts are, whom a mixedness flip dirties; `write_class` does the
+    /// rest.
     pub fn commit(&mut self) -> CommitStats {
         let mut stats = CommitStats {
-            observations: self.pending_observations,
+            observations: self.ingest.pending,
             ..CommitStats::default()
         };
+        let [_, hosts, scripts, methods] = Granularity::ALL.map(Granularity::index);
 
-        // Phase 1: domains. A mixedness flip changes the membership of the
-        // domain's entire hostname set.
-        let dirty_domains: Vec<ResourceKey> = self.dirty_domains.drain().collect();
-        stats.domains = dirty_domains.len();
-        for d in dirty_domains {
+        // Phase 1: domains. Every observed domain is a member; a flip
+        // changes the membership of the domain's entire hostname set.
+        let dirty = self.take_dirty(Granularity::Domain);
+        stats.domains = dirty.len();
+        for d in dirty {
             let counts = self.domain_counts[&d];
-            let classification = self
-                .thresholds
-                .classify(&counts)
-                .expect("observed domains have requests");
-            let previous = self.domain_entries.insert(
-                d,
-                LevelEntry {
-                    counts,
-                    classification,
-                },
-            );
-            self.classes
-                .set(Granularity::Domain, d, Some(classification));
-            let was_mixed =
-                matches!(previous, Some(e) if e.classification == Classification::Mixed);
-            if was_mixed != (classification == Classification::Mixed) {
-                if let Some(hosts) = self.hosts_of_domain.get(&d) {
-                    self.dirty_hosts.extend(hosts.iter().copied());
-                }
+            if self.write_class(Granularity::Domain, d, Some(counts)) {
+                mark_dirty(&mut self.dirty[hosts], &self.hosts_of_domain, d);
             }
         }
 
-        // Phase 2: hostnames. Membership = the owning domain is mixed; an
-        // *effective-mixedness* flip (member and itself mixed) changes
-        // which cells count toward every script/method seen on this host.
-        let dirty_hosts: Vec<ResourceKey> = self.dirty_hosts.drain().collect();
-        stats.hostnames = dirty_hosts.len();
-        for h in dirty_hosts {
+        // Phase 2: hostnames. Membership = the owning domain is mixed; a
+        // flip changes which cells count toward every script/method seen
+        // on this host.
+        let dirty = self.take_dirty(Granularity::Hostname);
+        stats.hostnames = dirty.len();
+        for h in dirty {
             let meta = self.host_meta[&h];
-            let member = matches!(
-                self.domain_entries.get(&meta.domain),
-                Some(e) if e.classification == Classification::Mixed
-            );
-            let was_effective = matches!(
-                self.host_entries.get(&h),
-                Some(e) if e.classification == Classification::Mixed
-            );
-            let now_effective = if member {
-                let classification = self
-                    .thresholds
-                    .classify(&meta.counts)
-                    .expect("observed hostnames have requests");
-                self.host_entries.insert(
-                    h,
-                    LevelEntry {
-                        counts: meta.counts,
-                        classification,
-                    },
-                );
-                self.classes
-                    .set(Granularity::Hostname, h, Some(classification));
-                classification == Classification::Mixed
-            } else {
-                self.host_entries.remove(&h);
-                self.classes.set(Granularity::Hostname, h, None);
-                false
-            };
-            if was_effective != now_effective {
-                if let Some(scripts) = self.scripts_of_host.get(&h) {
-                    self.dirty_scripts.extend(scripts.iter().copied());
-                }
-                if let Some(methods) = self.methods_of_host.get(&h) {
-                    self.dirty_methods.extend(methods.iter().copied());
-                }
+            let member = self
+                .is_mixed(Granularity::Domain, meta.domain)
+                .then_some(meta.counts);
+            if self.write_class(Granularity::Hostname, h, member) {
+                mark_dirty(&mut self.dirty[scripts], &self.scripts_of_host, h);
+                mark_dirty(&mut self.dirty[methods], &self.methods_of_host, h);
             }
         }
 
         // Phase 3: scripts. A script's level counts are the sum of its
-        // cells over currently effective-mixed hostnames; zero total means
-        // the script is not a member of the level at all.
-        let dirty_scripts: Vec<ResourceKey> = self.dirty_scripts.drain().collect();
-        stats.scripts = dirty_scripts.len();
+        // cells over currently mixed hostnames; zero total means the script
+        // is not a member of the level at all.
+        let dirty = self.take_dirty(Granularity::Script);
+        stats.scripts = dirty.len();
         // Scripts whose surrogate plan must be rebuilt after phase 4: the
         // reclassified scripts themselves, plus (below) the owning script
         // of every reclassified method. Everything else keeps its cached
         // plan, so plan maintenance stays proportional to the delta.
-        let mut plans_dirty: KeySet = dirty_scripts.iter().copied().collect();
-        for s in dirty_scripts {
+        let mut plans_dirty: KeySet = dirty.iter().copied().collect();
+        for s in dirty {
             let counts = self.member_counts(s, &self.hosts_of_script, &self.script_host);
-            let was_mixed = matches!(
-                self.script_entries.get(&s),
-                Some(e) if e.classification == Classification::Mixed
-            );
-            let now_mixed = if !counts.is_empty() {
-                let classification = self
-                    .thresholds
-                    .classify(&counts)
-                    .expect("nonzero counts classify");
-                self.script_entries.insert(
-                    s,
-                    LevelEntry {
-                        counts,
-                        classification,
-                    },
-                );
-                self.classes
-                    .set(Granularity::Script, s, Some(classification));
-                classification == Classification::Mixed
-            } else {
-                self.script_entries.remove(&s);
-                self.classes.set(Granularity::Script, s, None);
-                false
-            };
-            if was_mixed != now_mixed {
-                if let Some(methods) = self.methods_of_script.get(&s) {
-                    self.dirty_methods.extend(methods.iter().copied());
-                }
+            if self.write_class(Granularity::Script, s, Some(counts)) {
+                mark_dirty(&mut self.dirty[methods], &self.methods_of_script, s);
             }
         }
 
-        // Phase 4: methods. Membership = the owning script is mixed; mixed
-        // member methods are the residue.
-        let dirty_methods: Vec<ResourceKey> = self.dirty_methods.drain().collect();
-        stats.methods = dirty_methods.len();
-        for m in dirty_methods {
-            let meta = self.method_meta[&m];
-            plans_dirty.insert(meta.script);
-            if let Some(old) = self.method_entries.get(&m) {
-                if old.classification == Classification::Mixed {
-                    self.residue_requests -= old.counts.total();
-                }
-            }
-            let member = matches!(
-                self.script_entries.get(&meta.script),
-                Some(e) if e.classification == Classification::Mixed
-            );
-            if !member {
-                self.method_entries.remove(&m);
-                self.classes.set(Granularity::Method, m, None);
-                continue;
-            }
-            let counts = self.member_counts(m, &self.hosts_of_method, &self.method_host);
-            if counts.is_empty() {
-                self.method_entries.remove(&m);
-                self.classes.set(Granularity::Method, m, None);
-                continue;
-            }
-            let classification = self
-                .thresholds
-                .classify(&counts)
-                .expect("nonzero counts classify");
-            if classification == Classification::Mixed {
-                self.residue_requests += counts.total();
-            }
-            self.method_entries.insert(
-                m,
-                LevelEntry {
-                    counts,
-                    classification,
-                },
-            );
-            self.classes
-                .set(Granularity::Method, m, Some(classification));
+        // Phase 4: methods. Membership = the owning script is mixed (and
+        // the method has cells on mixed hostnames); mixed member methods
+        // are the residue.
+        let dirty = self.take_dirty(Granularity::Method);
+        stats.methods = dirty.len();
+        for m in dirty {
+            let script = self.method_meta[&m].script;
+            plans_dirty.insert(script);
+            let member = self
+                .is_mixed(Granularity::Script, script)
+                .then(|| self.member_counts(m, &self.hosts_of_method, &self.method_host));
+            self.write_class(Granularity::Method, m, member);
         }
 
         // Refresh the surrogate plans of exactly the scripts this commit
         // could have changed: a committed-mixed script (re)gains its plan,
         // everything else drops out of the map.
         for s in plans_dirty {
-            let mixed = matches!(
-                self.script_entries.get(&s),
-                Some(e) if e.classification == Classification::Mixed
-            );
+            let mixed = self.is_mixed(Granularity::Script, s);
             match mixed.then(|| self.plan_for_script(s)).flatten() {
                 Some(plan) => {
                     self.surrogates
@@ -945,14 +979,68 @@ impl Sifter {
             }
         }
 
-        self.committed_requests = self.observed_requests;
-        self.pending_observations = 0;
+        self.ingest.committed = self.ingest.observed;
+        self.ingest.pending = 0;
         self.commits += 1;
         stats
     }
 
-    /// Sum a resource's count cells over the currently effective-mixed
-    /// hostnames it was observed on.
+    /// Drain one level's dirty set for reclassification.
+    fn take_dirty(&mut self, level: Granularity) -> Vec<ResourceKey> {
+        self.dirty[level.index()].drain().collect()
+    }
+
+    /// Whether `key` is a committed member of `level` classified mixed —
+    /// the condition every finer level's membership hangs on.
+    fn is_mixed(&self, level: Granularity, key: ResourceKey) -> bool {
+        self.entries[level.index()]
+            .get(&key)
+            .is_some_and(LevelEntry::is_mixed)
+    }
+
+    /// Commit the class of `key` at `level`: classify `member`'s counts
+    /// (`None` or empty counts = not a member of the level), and write the
+    /// result to the entry map, the dense class table and the method-level
+    /// residue together — the only place any of the three changes. Returns
+    /// whether the key's mixedness flipped, i.e. whether the next level's
+    /// membership moved with it.
+    fn write_class(
+        &mut self,
+        level: Granularity,
+        key: ResourceKey,
+        member: Option<Counts>,
+    ) -> bool {
+        let entry = member
+            .filter(|counts| !counts.is_empty())
+            .map(|counts| LevelEntry {
+                counts,
+                classification: self
+                    .thresholds
+                    .classify(&counts)
+                    .expect("nonzero counts classify"),
+            });
+        let entries = &mut self.entries[level.index()];
+        let previous = match entry {
+            Some(entry) => entries.insert(key, entry),
+            None => entries.remove(&key),
+        };
+        let class = entry.map(|entry| entry.classification);
+        self.classes.set(level, key, class);
+        // Mixed member methods are the residue.
+        let mixed_requests = |entry: Option<LevelEntry>| {
+            entry
+                .filter(LevelEntry::is_mixed)
+                .map(|entry| entry.counts.total())
+        };
+        let (was, now) = (mixed_requests(previous), mixed_requests(entry));
+        if level == Granularity::Method {
+            self.residue_requests = self.residue_requests - was.unwrap_or(0) + now.unwrap_or(0);
+        }
+        was.is_some() != now.is_some()
+    }
+
+    /// Sum a resource's count cells over the currently mixed hostnames it
+    /// was observed on.
     fn member_counts(
         &self,
         key: ResourceKey,
@@ -962,11 +1050,7 @@ impl Sifter {
         let mut counts = Counts::new();
         if let Some(hosts) = hosts_of.get(&key) {
             for &h in hosts {
-                let effective = matches!(
-                    self.host_entries.get(&h),
-                    Some(e) if e.classification == Classification::Mixed
-                );
-                if effective {
+                if self.is_mixed(Granularity::Hostname, h) {
                     counts.merge(cells[&(key, h)]);
                 }
             }
@@ -998,7 +1082,7 @@ impl Sifter {
         let mut plans: Vec<MethodPlan> = methods
             .iter()
             .filter_map(|m| {
-                let entry = self.method_entries.get(m)?;
+                let entry = self.entries[Granularity::Method.index()].get(m)?;
                 Some(MethodPlan {
                     name: self.interner.resolve(self.method_meta[m].name).to_string(),
                     classification: entry.classification,
@@ -1047,7 +1131,7 @@ impl Sifter {
             keys,
             self.classes.clone(),
             self.commits,
-            self.committed_requests,
+            self.ingest.committed,
             self.residue_requests,
             self.engine.clone(),
             self.rewriter.clone(),
@@ -1061,20 +1145,16 @@ impl Sifter {
     /// tests pin down). This is how the report/metrics layer reads a
     /// sifter.
     pub fn hierarchy(&self) -> HierarchyResult {
-        let domain_level = self.level(Granularity::Domain, &self.domain_entries);
-        let hostname_level = self.level(Granularity::Hostname, &self.host_entries);
-        let script_level = self.level(Granularity::Script, &self.script_entries);
-        let method_level = self.level(Granularity::Method, &self.method_entries);
         HierarchyResult {
             thresholds: self.thresholds,
-            total_requests: self.committed_requests,
+            total_requests: self.ingest.committed,
             unattributed_requests: self.residue_requests,
-            levels: vec![domain_level, hostname_level, script_level, method_level],
+            levels: Granularity::ALL.map(|level| self.level(level)).into(),
         }
     }
 
-    fn level(&self, granularity: Granularity, entries: &KeyMap<LevelEntry>) -> LevelResult {
-        let resources: Vec<ResourceEntry> = entries
+    fn level(&self, granularity: Granularity) -> LevelResult {
+        let resources: Vec<ResourceEntry> = self.entries[granularity.index()]
             .iter()
             .map(|(&k, entry)| ResourceEntry {
                 key: self.interner.resolve(k).to_string(),
@@ -1083,7 +1163,7 @@ impl Sifter {
             })
             .collect();
         let input_requests = match granularity {
-            Granularity::Domain => self.committed_requests,
+            Granularity::Domain => self.ingest.committed,
             _ => resources.iter().map(|r| r.counts.total()).sum(),
         };
         LevelResult::from_entries(granularity, resources, input_requests)
@@ -1130,7 +1210,7 @@ impl Sifter {
         cells.sort_unstable();
         SifterSnapshot {
             threshold: self.thresholds.log_ratio,
-            observed: self.observed_requests,
+            observed: self.ingest.observed,
             keys,
             hostnames,
             methods,
@@ -1140,7 +1220,7 @@ impl Sifter {
 
     /// Rebuild state from a snapshot (empty sifter only) and commit it.
     fn load(&mut self, snapshot: &SifterSnapshot) -> Result<(), SnapshotError> {
-        debug_assert_eq!(self.observed_requests, 0, "load requires an empty sifter");
+        debug_assert_eq!(self.ingest.observed, 0, "load requires an empty sifter");
         // 1. Restore the interner verbatim so every persisted id resolves
         //    to the same string (and verdict/export bytes cannot drift).
         for (index, key) in snapshot.keys.iter().enumerate() {
@@ -1151,24 +1231,16 @@ impl Sifter {
                 )));
             }
         }
-        // Resolve a persisted id against the freshly-restored interner. A
-        // free function (not a closure) so the interner borrow ends at each
-        // call and `intern_method` below can still borrow mutably.
-        fn key_of(
-            interner: &KeyInterner,
-            keys: &[String],
-            id: u32,
-        ) -> Result<ResourceKey, SnapshotError> {
-            let index = id as usize;
-            if index >= keys.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "key id {id} out of range ({} keys)",
-                    keys.len()
-                )));
-            }
-            Ok(interner.get(&keys[index]).expect("restored above"))
-        }
-        let key = |interner: &KeyInterner, id: u32| key_of(interner, &snapshot.keys, id);
+        // Resolve a persisted id against the freshly-restored interner
+        // (passed in, so the borrow ends at each call and `intern_method`
+        // below can still borrow mutably).
+        let key = |interner: &KeyInterner, id: u32| match snapshot.keys.get(id as usize) {
+            Some(key) => Ok(interner.get(key).expect("restored above")),
+            None => Err(SnapshotError::Corrupt(format!(
+                "key id {id} out of range ({} keys)",
+                snapshot.keys.len()
+            ))),
+        };
         // 2. Hostname → domain ownership.
         for &(h_id, d_id) in &snapshot.hostnames {
             let (h, d) = (key(&self.interner, h_id)?, key(&self.interner, d_id)?);
@@ -1215,8 +1287,9 @@ impl Sifter {
             }
             self.methods_of_script.entry(s).or_default().push(m);
         }
-        // 4. Count cells, routed through the same accumulation structures
-        //    `observe` fills, then one commit reclassifies everything.
+        // 4. Count cells, folded by the same `fold_cell` that folds an
+        //    observation (hostnames and methods are registered above, so it
+        //    only accumulates), then one commit reclassifies everything.
         for &(m_id, h_id, tracking, functional) in &snapshot.cells {
             let (m, h) = (key(&self.interner, m_id)?, key(&self.interner, h_id)?);
             let counts = Counts {
@@ -1228,45 +1301,27 @@ impl Sifter {
                     "empty count cell for method id {m_id} on hostname id {h_id}"
                 )));
             }
-            let s = self
-                .method_meta
-                .get(&m)
-                .ok_or_else(|| {
-                    SnapshotError::Corrupt(format!("cell references unknown method id {m_id}"))
-                })?
-                .script;
-            let host = self.host_meta.get_mut(&h).ok_or_else(|| {
-                SnapshotError::Corrupt(format!("cell references unknown hostname id {h_id}"))
+            let method = *self.method_meta.get(&m).ok_or_else(|| {
+                SnapshotError::Corrupt(format!("cell references unknown method id {m_id}"))
             })?;
-            host.counts.merge(counts);
-            let d = host.domain;
-            self.domain_counts.entry(d).or_default().merge(counts);
-            match self.script_host.entry((s, h)) {
-                Entry::Occupied(mut entry) => entry.get_mut().merge(counts),
-                Entry::Vacant(entry) => {
-                    entry.insert(counts);
-                    self.scripts_of_host.entry(h).or_default().push(s);
-                    self.hosts_of_script.entry(s).or_default().push(h);
-                }
-            }
-            if self.method_host.insert((m, h), counts).is_some() {
+            let d = self
+                .host_meta
+                .get(&h)
+                .ok_or_else(|| {
+                    SnapshotError::Corrupt(format!("cell references unknown hostname id {h_id}"))
+                })?
+                .domain;
+            if self.method_host.contains_key(&(m, h)) {
                 return Err(SnapshotError::Corrupt(format!(
                     "duplicate count cell for method id {m_id} on hostname id {h_id}"
                 )));
             }
-            self.methods_of_host.entry(h).or_default().push(m);
-            self.hosts_of_method.entry(m).or_default().push(h);
-            self.dirty_domains.insert(d);
-            self.dirty_hosts.insert(h);
-            self.dirty_scripts.insert(s);
-            self.dirty_methods.insert(m);
-            self.observed_requests += counts.total();
-            self.pending_observations += counts.total();
+            self.fold_cell(d, h, method.script, method.name, m, counts);
         }
-        if self.observed_requests != snapshot.observed {
+        if self.ingest.observed != snapshot.observed {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot claims {} observations but its cells sum to {}",
-                snapshot.observed, self.observed_requests
+                snapshot.observed, self.ingest.observed
             )));
         }
         // Every hostname row must be backed by at least one cell: a
@@ -1639,12 +1694,12 @@ mod tests {
         // after every commit of a schedule that flips a script into and
         // out of mixedness.
         let assert_plans_fresh = |sifter: &Sifter| {
-            let mut scratch: Vec<(ResourceKey, SurrogateScript)> = sifter
-                .script_entries
-                .iter()
-                .filter(|(_, entry)| entry.classification == Classification::Mixed)
-                .filter_map(|(&s, _)| Some((s, sifter.plan_for_script(s)?)))
-                .collect();
+            let mut scratch: Vec<(ResourceKey, SurrogateScript)> = sifter.entries
+                [Granularity::Script.index()]
+            .iter()
+            .filter(|(_, entry)| entry.is_mixed())
+            .filter_map(|(&s, _)| Some((s, sifter.plan_for_script(s)?)))
+            .collect();
             let mut cached: Vec<(ResourceKey, SurrogateScript)> = sifter
                 .surrogates
                 .iter()

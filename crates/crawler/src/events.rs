@@ -162,10 +162,7 @@ mod codec {
     use filterlist::ResourceType;
 
     fn resource_type_from_name(name: &str) -> Result<ResourceType, JsonError> {
-        ResourceType::ALL
-            .iter()
-            .copied()
-            .find(|t| t.option_name() == name)
+        ResourceType::from_option_name(name)
             .ok_or_else(|| JsonError(format!("unknown resource type `{name}`")))
     }
 

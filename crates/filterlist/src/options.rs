@@ -78,29 +78,22 @@ impl RuleOptions {
                 None => (false, opt),
             };
             let lower = name.to_ascii_lowercase();
-            match lower.as_str() {
-                "script" | "image" | "stylesheet" | "xmlhttprequest" | "subdocument" | "font"
-                | "media" | "websocket" | "ping" | "document" | "other" | "object"
-                | "object-subrequest" | "background" => {
-                    let ty = match lower.as_str() {
-                        "script" => ResourceType::Script,
-                        "image" | "background" => ResourceType::Image,
-                        "stylesheet" => ResourceType::Stylesheet,
-                        "xmlhttprequest" => ResourceType::Xhr,
-                        "subdocument" => ResourceType::Subdocument,
-                        "font" => ResourceType::Font,
-                        "media" => ResourceType::Media,
-                        "websocket" => ResourceType::Websocket,
-                        "ping" => ResourceType::Ping,
-                        "document" => ResourceType::Document,
-                        _ => ResourceType::Other,
-                    };
-                    if negated {
-                        out.exclude_types.push(ty);
-                    } else {
-                        out.include_types.push(ty);
-                    }
+            // Canonical type names decode through `ResourceType`; the rest
+            // are the aliases filter lists also use.
+            let resource_type = match lower.as_str() {
+                "background" => Some(ResourceType::Image),
+                "object" | "object-subrequest" => Some(ResourceType::Other),
+                canonical => ResourceType::from_option_name(canonical),
+            };
+            if let Some(ty) = resource_type {
+                if negated {
+                    out.exclude_types.push(ty);
+                } else {
+                    out.include_types.push(ty);
                 }
+                continue;
+            }
+            match lower.as_str() {
                 "third-party" | "3p" => {
                     out.party = if negated {
                         PartyConstraint::FirstOnly

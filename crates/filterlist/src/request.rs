@@ -65,6 +65,15 @@ impl ResourceType {
             ResourceType::Other => "other",
         }
     }
+
+    /// The resource type a canonical option name denotes — the inverse of
+    /// [`ResourceType::option_name`], and the one decoder of every format
+    /// that stores a type by that name.
+    pub fn from_option_name(name: &str) -> Option<ResourceType> {
+        ResourceType::ALL
+            .into_iter()
+            .find(|kind| kind.option_name() == name)
+    }
 }
 
 impl fmt::Display for ResourceType {
@@ -223,5 +232,12 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), ResourceType::ALL.len());
+        for kind in ResourceType::ALL {
+            assert_eq!(
+                ResourceType::from_option_name(kind.option_name()),
+                Some(kind)
+            );
+        }
+        assert_eq!(ResourceType::from_option_name("Script"), None);
     }
 }

@@ -159,8 +159,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use trackersift::frames;
 use trackersift::{
-    diff_revisions, CommitStats, DeltaSnapshot, JournalStats, ObserveOutcome, RecoveryReport,
-    RevisionRangeError, ServiceStats, SifterReader, SifterSnapshot, SifterWriter,
+    diff_revisions, CommitStats, DeltaSnapshot, JournalStats, RecoveryReport, RevisionRangeError,
+    ServiceStats, SifterReader, SifterSnapshot, SifterWriter,
 };
 use wire::ObservationMessage;
 
@@ -730,41 +730,10 @@ fn admin_loop(
         match message {
             AdminMsg::Observe(observations, reply) => {
                 let mut accepted = 0u64;
-                let mut skipped = 0u64;
-                for observation in observations {
-                    match observation {
-                        ObservationMessage::Parts {
-                            domain,
-                            hostname,
-                            script,
-                            method,
-                            tracking,
-                        } => {
-                            writer.observe_parts(&domain, &hostname, &script, &method, tracking);
-                            accepted += 1;
-                        }
-                        ObservationMessage::Url {
-                            url,
-                            source_hostname,
-                            resource_type,
-                            script,
-                            method,
-                        } => {
-                            match writer.observe_url(
-                                &url,
-                                &source_hostname,
-                                resource_type,
-                                &script,
-                                &method,
-                            ) {
-                                ObserveOutcome::Observed(_) => accepted += 1,
-                                ObserveOutcome::NoEngine | ObserveOutcome::InvalidUrl => {
-                                    skipped += 1
-                                }
-                            }
-                        }
-                    }
+                for observation in &observations {
+                    accepted += u64::from(writer.apply(observation).was_observed());
                 }
+                let skipped = observations.len() as u64 - accepted;
                 let _ = reply.send((accepted, skipped, writer.sifter().pending()));
             }
             AdminMsg::Commit(reply) => {

@@ -56,23 +56,10 @@ fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(message.into()))
 }
 
-fn as_bool(value: &Value) -> Result<bool, JsonError> {
-    match value {
-        Value::Bool(flag) => Ok(*flag),
-        other => err(format!("expected bool, got {other:?}")),
-    }
-}
-
-fn string_field(value: &Value, key: &str) -> Result<String, JsonError> {
-    Ok(value.field(key)?.as_str()?.to_string())
-}
-
 /// Parse a resource type from its canonical filter-list option name
 /// (`script`, `image`, `xmlhttprequest`, …).
 pub fn resource_type_from_str(name: &str) -> Result<ResourceType, JsonError> {
-    ResourceType::ALL
-        .into_iter()
-        .find(|kind| kind.option_name() == name)
+    ResourceType::from_option_name(name)
         .ok_or_else(|| JsonError(format!("unknown resource type {name:?}")))
 }
 
@@ -589,10 +576,7 @@ pub fn decode_binary_request(body: &[u8]) -> Result<BinaryRequest<'_>, FrameErro
 }
 
 fn encode_record(out: &mut Vec<u8>, record: &BinaryRecord<'_>) {
-    let put_str = |out: &mut Vec<u8>, s: &str| {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    };
+    let put_str = |out: &mut Vec<u8>, s: &str| frames::put_bytes(out, s.as_bytes());
     match record.keys {
         BinaryKeys::Ids { .. } => out.push(FORM_IDS),
         BinaryKeys::Strings { .. } => out.push(FORM_STRINGS),
@@ -763,98 +747,10 @@ pub fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> String {
     .render()
 }
 
-/// One observation as it travels over `POST /v1/observations`: either
-/// pre-labeled attribution parts, or a raw URL for the server's filter
-/// engine to label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ObservationMessage {
-    /// Pre-labeled parts (`Sifter::observe_parts`).
-    Parts {
-        /// Registrable domain.
-        domain: String,
-        /// Full hostname.
-        hostname: String,
-        /// Initiating script URL.
-        script: String,
-        /// Initiating method name.
-        method: String,
-        /// The oracle label.
-        tracking: bool,
-    },
-    /// A raw URL for the server-side engine to label
-    /// (`Sifter::observe_url`).
-    Url {
-        /// The raw request URL.
-        url: String,
-        /// Hostname of the page issuing the request.
-        source_hostname: String,
-        /// Resource type of the request.
-        resource_type: ResourceType,
-        /// Initiating script URL.
-        script: String,
-        /// Initiating method name.
-        method: String,
-    },
-}
-
-impl ObservationMessage {
-    /// Encode for the request body.
-    pub fn to_json_value(&self) -> Value {
-        match self {
-            ObservationMessage::Parts {
-                domain,
-                hostname,
-                script,
-                method,
-                tracking,
-            } => object(vec![
-                ("domain", Value::String(domain.clone())),
-                ("hostname", Value::String(hostname.clone())),
-                ("script", Value::String(script.clone())),
-                ("method", Value::String(method.clone())),
-                ("tracking", Value::Bool(*tracking)),
-            ]),
-            ObservationMessage::Url {
-                url,
-                source_hostname,
-                resource_type,
-                script,
-                method,
-            } => object(vec![
-                ("url", Value::String(url.clone())),
-                ("source_hostname", Value::String(source_hostname.clone())),
-                (
-                    "resource_type",
-                    Value::String(resource_type.option_name().to_string()),
-                ),
-                ("script", Value::String(script.clone())),
-                ("method", Value::String(method.clone())),
-            ]),
-        }
-    }
-
-    /// Decode one observation; the presence of a `url` field selects the
-    /// raw-URL form.
-    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        if value.get("url").is_some() {
-            Ok(ObservationMessage::Url {
-                url: string_field(value, "url")?,
-                source_hostname: string_field(value, "source_hostname")?,
-                resource_type: resource_type_from_str(value.field("resource_type")?.as_str()?)?,
-                script: string_field(value, "script")?,
-                method: string_field(value, "method")?,
-            })
-        } else {
-            Ok(ObservationMessage::Parts {
-                domain: string_field(value, "domain")?,
-                hostname: string_field(value, "hostname")?,
-                script: string_field(value, "script")?,
-                method: string_field(value, "method")?,
-                tracking: as_bool(value.field("tracking")?)?,
-            })
-        }
-    }
-}
+/// One observation as it travels over `POST /v1/observations`: the core's
+/// [`Observation`](trackersift::Observation) record itself — the value the
+/// admin thread hands to the writer is the value the body decoded to.
+pub use trackersift::Observation as ObservationMessage;
 
 /// Encode the reply to `POST /v1/commit`.
 pub fn commit_to_json(stats: &CommitStats, version: u64) -> Value {

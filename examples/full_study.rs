@@ -1,5 +1,5 @@
 //! The full reproduction at configurable scale: every table and figure from
-//! one study, printed to stdout. Equivalent to the `experiments` binary in
+//! one study, printed to stdout. Equivalent to `paper all` in
 //! the bench crate but driven through the public library API, so it doubles
 //! as an end-to-end API example.
 //!

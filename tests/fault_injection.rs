@@ -21,7 +21,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use trackersift::{Journal, JournalEntry, Sifter};
+use trackersift::{
+    ChangeKind, Classification, Granularity, Journal, JournalEntry, Observation, RevisionChange,
+    Sifter, VerdictRevision,
+};
 
 /// Serialises the tests in this file: injected faults are process-global,
 /// and the prefix/SIGKILL tests write real journals that a concurrently
@@ -60,13 +63,13 @@ fn arb_entry() -> impl Strategy<Value = JournalEntry> {
             0u8..2,
         )
             .prop_map(|(domain, host, script, method, tracking)| {
-                JournalEntry::Parts {
+                JournalEntry::Observation(Observation::Parts {
                     domain,
                     hostname: host,
                     script,
                     method,
                     tracking: tracking == 1,
-                }
+                })
             }),
         (
             "[a-z]{1,10}",
@@ -74,14 +77,40 @@ fn arb_entry() -> impl Strategy<Value = JournalEntry> {
             "[a-z]{1,12}",
             "[a-z]{1,6}"
         )
-            .prop_map(|(path, source, script, method)| JournalEntry::Url {
-                url: format!("https://t.example/{path}"),
-                source_hostname: source,
-                resource_type: filterlist::ResourceType::Script,
-                script,
-                method,
+            .prop_map(|(path, source, script, method)| {
+                JournalEntry::Observation(Observation::Url {
+                    url: format!("https://t.example/{path}"),
+                    source_hostname: source,
+                    resource_type: filterlist::ResourceType::Script,
+                    script,
+                    method,
+                })
             }),
         (0u64..10_000).prop_map(|version| JournalEntry::Commit { version }),
+        (
+            0u64..10_000,
+            prop::collection::vec(("[a-z]{1,8}\\.com", 0usize..4, 0u8..3), 0..4),
+            "[a-z]{1,12}",
+        )
+            .prop_map(|(version, changes, plan)| {
+                let changes = changes
+                    .into_iter()
+                    .map(|(key, level, kind)| {
+                        let kind = match kind {
+                            0 => ChangeKind::Added(Classification::Mixed),
+                            1 => ChangeKind::Removed(Classification::Tracking),
+                            _ => ChangeKind::Flipped(
+                                Classification::Functional,
+                                Classification::Tracking,
+                            ),
+                        };
+                        RevisionChange::new(Granularity::ALL[level], key, kind)
+                    })
+                    .collect();
+                JournalEntry::Revision {
+                    revision: VerdictRevision::with_plans(version, changes, vec![plan.into()]),
+                }
+            }),
     ]
 }
 
@@ -124,6 +153,41 @@ proptest! {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// A record bigger than the replay cap (what a first commit adding a few
+/// hundred thousand keys produces as its revision) must be refused at
+/// append: were it written, replay would read its length prefix as a torn
+/// tail and recovery would truncate it *and the commit marker behind it*.
+#[test]
+fn an_oversized_record_is_refused_and_later_records_survive_recovery() {
+    let _guard = chaos_lock();
+    let oversized = JournalEntry::Revision {
+        revision: VerdictRevision::new(
+            1,
+            vec![RevisionChange::new(
+                Granularity::Domain,
+                "k".repeat(17 << 20),
+                ChangeKind::Added(Classification::Mixed),
+            )],
+        ),
+    };
+    let dir = temp_dir("oversized");
+    fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("journal.wal");
+    let mut journal = Journal::open(&path, 1000).expect("open");
+    let error = journal.append(&oversized).expect_err("over the replay cap");
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(journal.stats().write_errors, 1);
+    assert_eq!(journal.stats().appended, 0, "nothing was buffered");
+    let commit = JournalEntry::Commit { version: 1 };
+    journal.append(&commit).expect("append");
+    journal.sync().expect("sync");
+    drop(journal);
+    let (_journal, entries, report) = Journal::recover(&path, 1000).expect("recover");
+    assert_eq!(entries, vec![commit]);
+    assert_eq!((report.commits, report.torn_bytes), (1, 0));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

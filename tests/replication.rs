@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use trackersift_suite::prelude::*;
-use trackersift_suite::trackersift::{frames, ApplyError};
+use trackersift_suite::trackersift::{frames, ApplyError, DurableDir, Journal, JournalEntry};
 
 /// One synthetic observation, index-encoded so the strategies stay tiny.
 type Obs = (u8, u8, u8, u8, u8);
@@ -90,6 +90,22 @@ fn sync_follower(follower: &mut FollowerState, primary: &VerdictTable) -> Result
     Ok(full)
 }
 
+/// Rewrite the live journal of the durable store at `dir` without its
+/// `Revision` records, so the next recovery has to recompute every ring
+/// entry from the commit markers.
+fn strip_revision_records(dir: &std::path::Path) {
+    let path = DurableDir::open(dir).expect("open dir").journal_path();
+    let (entries, _) = Journal::replay(&path).expect("replay");
+    std::fs::remove_file(&path).expect("remove the journal");
+    let mut journal = Journal::open(&path, 1).expect("recreate the journal");
+    for entry in &entries {
+        if !matches!(entry, JournalEntry::Revision { .. }) {
+            journal.append(entry).expect("append");
+        }
+    }
+    journal.sync().expect("sync");
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -146,19 +162,38 @@ proptest! {
                 // journal's persisted revision records re-seed the ring,
                 // so a follower inside the retained span keeps syncing
                 // with deltas as if nothing happened.
+                //
+                // Recovered twice: from the journal as written, where the
+                // persisted revision records install over the recomputed
+                // ones, and from the journal without them, where every ring
+                // entry is recomputed from its commit marker by the
+                // recorder live commits use. Either way the ring is the
+                // pre-crash ring, entry for entry.
                 let version_before = reader.pin().table().version();
-                drop(writer);
-                drop(reader);
-                let pair = Sifter::builder().build_concurrent();
-                writer = pair.0;
-                reader = pair.1;
-                writer.set_revision_capacity(ring_capacity);
-                writer.open_durable(&dir, 1).expect("recover durable");
-                prop_assert_eq!(
-                    reader.pin().table().version(),
-                    version_before,
-                    "recovery rebased onto the journal's version numbering"
-                );
+                let ring_before = writer.revisions().to_vec();
+                for recompute in [false, true] {
+                    drop(writer);
+                    drop(reader);
+                    if recompute {
+                        strip_revision_records(&dir);
+                    }
+                    let pair = Sifter::builder().build_concurrent();
+                    writer = pair.0;
+                    reader = pair.1;
+                    writer.set_revision_capacity(ring_capacity);
+                    writer.open_durable(&dir, 1).expect("recover durable");
+                    prop_assert_eq!(
+                        reader.pin().table().version(),
+                        version_before,
+                        "recovery rebased onto the journal's version numbering"
+                    );
+                    prop_assert_eq!(
+                        writer.revisions(),
+                        &ring_before[..],
+                        "recompute = {}",
+                        recompute
+                    );
+                }
             }
 
             // The follower only polls on some epochs — skipped epochs make
