@@ -139,7 +139,7 @@ impl FrozenKeys {
 ///
 /// Both internal maps use the cheap FNV-based
 /// [`TokenHashBuilder`] rather than SipHash: interning sits on the hot
-/// paths of the labeling memo cache and the classification stage, where
+/// paths of the classification stage and the sifter's ingest, where
 /// hash-flooding resistance buys nothing and the default hasher's setup
 /// cost is measurable.
 #[derive(Debug, Clone, Default)]

@@ -100,7 +100,6 @@ pub mod hierarchy;
 pub mod intern;
 pub mod journal;
 pub mod label;
-pub mod memo;
 pub mod metrics;
 pub mod pipeline;
 pub mod ratio;
@@ -127,8 +126,7 @@ pub use hierarchy::{
 };
 pub use intern::{FrozenKeys, KeyInterner, ResourceKey};
 pub use journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport, ReplayReport};
-pub use label::{LabelStats, LabeledFrame, LabeledRequest, Labeler};
-pub use memo::{CacheStats, LabelCache};
+pub use label::{CacheStats, LabelStats, LabeledFrame, LabeledRequest, Labeler};
 pub use metrics::{headline, table1, table2, HeadlineSummary, Table1Row, Table2Row};
 pub use pipeline::{Study, StudyAnalyses, StudyConfig};
 pub use ratio::{Classification, Counts, Thresholds};

@@ -16,6 +16,13 @@
 //!   rules) and labels the crawl on the same worker pool;
 //! * `classify` runs the hierarchical classifier over the labels.
 //!
+//! `crawl → label` is the capture path, and a request exists once along it:
+//! the simulator emits one [`crawler::RequestWillBeSent`] per request, the
+//! crawl database takes the page load's vector by move, and the labeler
+//! turns each script-initiated record into one [`LabeledRequest`] through a
+//! single derivation (parse, oracle, hostname, registrable domain; see
+//! [`crate::label`]). No stage caches or copies a request on the way.
+//!
 //! Per-stage wall-clock timings are exposed on [`Study::timings`]; the
 //! downstream analyses (sensitivity sweep, call-stack analysis, surrogates,
 //! breakage) stay on-demand methods, bundled by [`Study::analyses`]. The
@@ -25,8 +32,7 @@ use crate::breakage::{analyze_breakage, BreakageStudy};
 use crate::callstack::{analyze_mixed_methods, CallStackAnalysis};
 use crate::hierarchy::{Granularity, HierarchicalClassifier, HierarchyResult, LevelResult};
 use crate::intern::KeyInterner;
-use crate::label::{LabelStats, LabeledRequest, Labeler};
-use crate::memo::CacheStats;
+use crate::label::{CacheStats, LabelStats, LabeledRequest, Labeler};
 use crate::ratio::{Classification, Thresholds};
 use crate::sensitivity::SensitivitySweep;
 use crate::service::Sifter;
@@ -85,7 +91,7 @@ impl StudyConfig {
     /// Override the worker-thread count used by the crawl and labeling
     /// stages (a `--threads`-style knob).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.cluster = self.cluster.with_threads(threads);
+        self.cluster = self.cluster.with_workers(threads);
         self
     }
 }
@@ -120,8 +126,8 @@ pub struct Study {
     pub requests: Vec<LabeledRequest>,
     /// Labeling statistics.
     pub label_stats: LabelStats,
-    /// Memo-cache hit/miss counters of the labeling stage (observational;
-    /// see [`CacheStats`]).
+    /// Oracle-evaluation counters of the labeling stage (see
+    /// [`CacheStats`]).
     pub label_cache_stats: CacheStats,
     /// The hierarchical classification result.
     pub hierarchy: HierarchyResult,
@@ -278,7 +284,7 @@ mod tests {
         assert_eq!(study.crawl_summary.sites, 100);
         assert!(study.label_stats.labeled() > 1_000);
         assert_eq!(study.hierarchy.total_requests, study.requests.len() as u64);
-        // Every script-initiated request went through the label memo cache.
+        // Every script-initiated request was evaluated against the oracle.
         assert_eq!(
             study.label_cache_stats.lookups(),
             (study.label_stats.labeled() + study.label_stats.excluded_unparseable) as u64

@@ -72,17 +72,14 @@ use crate::hierarchy::{
     Granularity, HierarchicalClassifier, HierarchyResult, LevelResult, ResourceEntry,
 };
 use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
-use crate::label::LabeledRequest;
+use crate::label::{label_url, LabeledRequest};
 use crate::ratio::{Classification, Counts, Thresholds};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::surrogate::{MethodPlan, SurrogateScript};
 use crate::table::{ClassTable, SurrogateEntry, VerdictTable};
 use crawler::json::{object, JsonError, Value};
 use filterlist::tokens::TokenHashBuilder;
-use filterlist::{
-    registrable_domain, FilterEngine, FilterRequest, ListKind, ParsedUrl, RequestLabel,
-    ResourceType,
-};
+use filterlist::{FilterEngine, ListKind, RequestLabel, ResourceType};
 use rewriter::UrlRewriter;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -748,14 +745,12 @@ impl Sifter {
             self.ingest.no_engine += 1;
             return ObserveOutcome::NoEngine;
         };
-        let Some(parsed) = ParsedUrl::parse(url) else {
+        let Some((label, hostname, domain)) =
+            label_url(engine, url, source_hostname, resource_type)
+        else {
             self.ingest.invalid_urls += 1;
             return ObserveOutcome::InvalidUrl;
         };
-        let request = FilterRequest::from_parsed(parsed, source_hostname, resource_type);
-        let label = engine.label(&request);
-        let hostname = request.into_url().hostname;
-        let domain = registrable_domain(&hostname);
         self.observe_parts(
             &domain,
             &hostname,

@@ -14,7 +14,7 @@ use crate::database::{CrawlDatabase, SiteCrawl};
 use crate::page_load::{LoadOptions, PageLoadSimulator};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use websim::WebCorpus;
+use websim::{WebCorpus, Website};
 
 /// Configuration for a crawl.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,8 +22,6 @@ pub struct ClusterConfig {
     /// Number of worker threads ("nodes"). Defaults to the number of
     /// available CPUs, capped at 13 in homage to the paper's cluster.
     pub workers: usize,
-    /// Base request id; each site's ids are offset deterministically from it.
-    pub base_request_id: u64,
 }
 
 impl Default for ClusterConfig {
@@ -33,7 +31,6 @@ impl Default for ClusterConfig {
             .unwrap_or(4);
         ClusterConfig {
             workers: cpus.clamp(1, 13),
-            base_request_id: 0,
         }
     }
 }
@@ -42,22 +39,14 @@ impl ClusterConfig {
     /// A single-threaded configuration (useful for debugging and as the
     /// reference the parallel runs are compared against).
     pub fn sequential() -> Self {
-        ClusterConfig {
-            workers: 1,
-            base_request_id: 0,
-        }
+        ClusterConfig { workers: 1 }
     }
 
-    /// Set the number of workers.
+    /// Set the number of workers: the same knob governs the crawl pool and
+    /// the parallel labeling stage.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
-    }
-
-    /// `--threads`-style alias for [`ClusterConfig::with_workers`]: the same
-    /// knob governs the crawl pool and the parallel labeling stage.
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_workers(threads)
     }
 }
 
@@ -94,6 +83,15 @@ pub fn with_worker_pool<R>(workers: usize, op: impl FnOnce() -> R) -> R {
     }
 }
 
+/// Load one site in a fresh simulator (stateless crawling). The request-id
+/// space is partitioned by rank, so ids are globally unique and
+/// deterministic.
+fn crawl_site(site: &Website, options: &LoadOptions) -> SiteCrawl {
+    let mut sim = PageLoadSimulator::new((site.rank as u64) * 1_000_000);
+    let result = sim.load_with(site, options);
+    SiteCrawl::from_load(site.rank, &site.url, &site.domain, result)
+}
+
 impl CrawlCluster {
     /// Create a cluster with the given configuration.
     pub fn new(config: ClusterConfig) -> Self {
@@ -110,51 +108,24 @@ impl CrawlCluster {
     /// Each site's request ids are derived from its rank, so results do not
     /// depend on scheduling.
     pub fn crawl_with(&self, corpus: &WebCorpus, options: &LoadOptions) -> CrawlDatabase {
-        if corpus.websites.is_empty() {
-            return CrawlDatabase::new();
-        }
         let workers = self.config.workers.min(corpus.websites.len()).max(1);
-        if workers == 1 {
-            return self.crawl_sequential(corpus, options);
-        }
-
-        let base = self.config.base_request_id;
-        let crawl_all = || {
+        let mut sites: Vec<SiteCrawl> = if workers == 1 {
             corpus
                 .websites
-                .par_iter()
-                .map(|site| {
-                    // A fresh simulator per page load = stateless crawling.
-                    // Request-id space is partitioned by rank so ids are
-                    // globally unique and deterministic.
-                    let mut sim = PageLoadSimulator::new(base + (site.rank as u64) * 1_000_000);
-                    let result = sim.load_with(site, options);
-                    SiteCrawl::from_load(site.rank, &site.url, &site.domain, &result)
-                })
-                .collect::<Vec<SiteCrawl>>()
+                .iter()
+                .map(|site| crawl_site(site, options))
+                .collect()
+        } else {
+            with_worker_pool(workers, || {
+                corpus
+                    .websites
+                    .par_iter()
+                    .map(|site| crawl_site(site, options))
+                    .collect()
+            })
         };
-        let sites = with_worker_pool(workers, crawl_all);
-        let mut db = CrawlDatabase { sites };
-        db.sites.sort_by_key(|s| s.rank);
-        db
-    }
-
-    fn crawl_sequential(&self, corpus: &WebCorpus, options: &LoadOptions) -> CrawlDatabase {
-        let mut db = CrawlDatabase::new();
-        for site in &corpus.websites {
-            let mut sim = PageLoadSimulator::new(
-                self.config.base_request_id + (site.rank as u64) * 1_000_000,
-            );
-            let result = sim.load_with(site, options);
-            db.sites.push(SiteCrawl::from_load(
-                site.rank,
-                &site.url,
-                &site.domain,
-                &result,
-            ));
-        }
-        db.sites.sort_by_key(|s| s.rank);
-        db
+        sites.sort_by_key(|s| s.rank);
+        CrawlDatabase { sites }
     }
 
     /// Crawl and also compute summary statistics.

@@ -22,27 +22,27 @@ pub struct SiteCrawl {
     pub page_url: String,
     /// Registrable domain of the site.
     pub site_domain: String,
-    /// Every `requestWillBeSent` captured during the load (responses are
-    /// dropped here: the analysis never uses them, matching the paper's
-    /// pipeline which only needs request metadata and call stacks).
+    /// Every `requestWillBeSent` captured during the load (the paper's
+    /// pipeline only needs request metadata and call stacks).
     pub requests: Vec<RequestWillBeSent>,
     /// Simulated page load time in milliseconds.
     pub load_time_ms: u64,
 }
 
 impl SiteCrawl {
-    /// Build a site crawl record from a page-load result.
+    /// Build a site crawl record from a page-load result, taking over its
+    /// captured requests.
     pub fn from_load(
         rank: usize,
         page_url: &str,
         site_domain: &str,
-        result: &PageLoadResult,
+        result: PageLoadResult,
     ) -> Self {
         SiteCrawl {
             rank,
             page_url: page_url.to_string(),
             site_domain: site_domain.to_string(),
-            requests: result.requests().cloned().collect(),
+            requests: result.requests,
             load_time_ms: result.load_time_ms,
         }
     }
@@ -212,7 +212,7 @@ mod tests {
                 site.rank,
                 &site.url,
                 &site.domain,
-                &result,
+                result,
             ));
         }
         db

@@ -2,11 +2,12 @@
 //!
 //! The paper's crawler is a purpose-built Chrome extension listening to two
 //! DevTools network events: `requestWillBeSent` (request metadata plus the
-//! initiator call stack) and `responseReceived` (response metadata). These
-//! types mirror the fields §3 enumerates: a unique `request_id`, the page's
-//! `top_level_url`, the `frame_url`, the `resource_type`, a timestamp, and a
-//! `call_stack` object with the initiator information and the stack trace
-//! for script-initiated requests.
+//! initiator call stack) and `responseReceived` (response metadata). The
+//! analysis reads only the former, so that is the one event kind captured
+//! here. [`RequestWillBeSent`] mirrors the fields §3 enumerates: a unique
+//! `request_id`, the page's `top_level_url`, the `frame_url`, the
+//! `resource_type`, a timestamp, and a `call_stack` object with the
+//! initiator information and the stack trace for script-initiated requests.
 
 use filterlist::ResourceType;
 use serde::{Deserialize, Serialize};
@@ -120,44 +121,9 @@ impl RequestWillBeSent {
     }
 }
 
-/// The `responseReceived` event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ResponseReceived {
-    /// Identifier matching the corresponding [`RequestWillBeSent`].
-    pub request_id: u64,
-    /// HTTP status code (the simulator answers 200 unless the resource was
-    /// blocked, in which case no response event is emitted at all).
-    pub status: u16,
-    /// Response MIME type.
-    pub mime_type: String,
-    /// Size of the response body in bytes (synthetic).
-    pub body_length: u64,
-    /// Milliseconds since the start of the page load.
-    pub timestamp_ms: u64,
-}
-
-/// A network event: either request or response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NetworkEvent {
-    /// A request is about to be sent.
-    Request(RequestWillBeSent),
-    /// A response arrived.
-    Response(ResponseReceived),
-}
-
-impl NetworkEvent {
-    /// The request id the event refers to.
-    pub fn request_id(&self) -> u64 {
-        match self {
-            NetworkEvent::Request(r) => r.request_id,
-            NetworkEvent::Response(r) => r.request_id,
-        }
-    }
-}
-
 mod codec {
     //! JSON codec impls for the event types (see [`crate::json`]).
-    use super::{CallStack, NetworkEvent, RequestWillBeSent, ResponseReceived, StackFrame};
+    use super::{CallStack, RequestWillBeSent, StackFrame};
     use crate::json::{object, FromJson, JsonError, ToJson, Value};
     use filterlist::ResourceType;
 
@@ -248,56 +214,6 @@ mod codec {
             })
         }
     }
-
-    impl ToJson for ResponseReceived {
-        fn to_json_value(&self) -> Value {
-            object(vec![
-                ("request_id", Value::number_u64(self.request_id)),
-                ("status", Value::Number(self.status as f64)),
-                ("mime_type", Value::String(self.mime_type.clone())),
-                ("body_length", Value::number_u64(self.body_length)),
-                ("timestamp_ms", Value::number_u64(self.timestamp_ms)),
-            ])
-        }
-    }
-
-    impl FromJson for ResponseReceived {
-        fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-            Ok(ResponseReceived {
-                request_id: value.field("request_id")?.as_u64()?,
-                status: value.field("status")?.as_u16()?,
-                mime_type: value.field("mime_type")?.as_str()?.to_string(),
-                body_length: value.field("body_length")?.as_u64()?,
-                timestamp_ms: value.field("timestamp_ms")?.as_u64()?,
-            })
-        }
-    }
-
-    impl ToJson for NetworkEvent {
-        fn to_json_value(&self) -> Value {
-            // Externally tagged, matching serde's default enum representation.
-            match self {
-                NetworkEvent::Request(r) => object(vec![("Request", r.to_json_value())]),
-                NetworkEvent::Response(r) => object(vec![("Response", r.to_json_value())]),
-            }
-        }
-    }
-
-    impl FromJson for NetworkEvent {
-        fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-            if let Some(request) = value.get("Request") {
-                Ok(NetworkEvent::Request(RequestWillBeSent::from_json_value(
-                    request,
-                )?))
-            } else if let Some(response) = value.get("Response") {
-                Ok(NetworkEvent::Response(ResponseReceived::from_json_value(
-                    response,
-                )?))
-            } else {
-                Err(JsonError("expected `Request` or `Response` variant".into()))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -343,7 +259,7 @@ mod tests {
 
     #[test]
     fn events_round_trip_through_json() {
-        let ev = NetworkEvent::Request(RequestWillBeSent {
+        let ev = RequestWillBeSent {
             request_id: 7,
             top_level_url: "https://site.com/".into(),
             frame_url: "https://site.com/".into(),
@@ -351,11 +267,10 @@ mod tests {
             resource_type: ResourceType::Xhr,
             call_stack: stack(),
             timestamp_ms: 120,
-        });
+        };
         let json = ev.to_json_value().render();
         let back =
-            NetworkEvent::from_json_value(&crate::json::Value::parse(&json).unwrap()).unwrap();
+            RequestWillBeSent::from_json_value(&crate::json::Value::parse(&json).unwrap()).unwrap();
         assert_eq!(ev, back);
-        assert_eq!(back.request_id(), 7);
     }
 }

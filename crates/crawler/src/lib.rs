@@ -5,12 +5,16 @@
 //! `responseReceived` DevTools events, including the initiator call stack of
 //! every script-initiated request, across a 13-node crawling cluster. This
 //! crate reproduces that measurement substrate against the synthetic corpus
-//! from `websim`:
+//! from `websim`. A request is recorded once and moved, never copied: the
+//! simulator pushes one [`RequestWillBeSent`] per request into
+//! [`PageLoadResult::requests`], [`SiteCrawl::from_load`] takes that vector
+//! by value, and the labeling stage reads it in place. Responses are not
+//! recorded; no stage of the analysis reads one.
 //!
 //! * [`events`] — the DevTools-style event types ([`RequestWillBeSent`],
-//!   [`ResponseReceived`], [`CallStack`], [`StackFrame`]);
+//!   [`CallStack`], [`StackFrame`]);
 //! * [`page_load`] — the per-page simulator that turns a
-//!   [`websim::Website`] into an event stream (with tag-manager ancestry,
+//!   [`websim::Website`] into its requests (with tag-manager ancestry,
 //!   async-stack prepending, and optional script/request blocking for
 //!   breakage experiments);
 //! * [`cluster`] — the parallel, stateless crawl orchestrator;
@@ -38,5 +42,5 @@ pub mod page_load;
 
 pub use cluster::{with_worker_pool, ClusterConfig, CrawlCluster, CrawlSummary};
 pub use database::{CrawlDatabase, SiteCrawl};
-pub use events::{CallStack, NetworkEvent, RequestWillBeSent, ResponseReceived, StackFrame};
+pub use events::{CallStack, RequestWillBeSent, StackFrame};
 pub use page_load::{LoadOptions, PageLoadResult, PageLoadSimulator};

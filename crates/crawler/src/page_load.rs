@@ -1,18 +1,19 @@
 //! Simulated page loads.
 //!
 //! [`PageLoadSimulator`] plays the role of the instrumented Chrome instance:
-//! it walks a [`websim::Website`] description and produces the stream of
-//! network events that loading the page would generate — parser-initiated
-//! document requests without call stacks, dynamically injected script
-//! fetches, and every script-initiated request with its full initiator call
-//! stack (including tag-manager ancestry and async-stack prepending).
+//! it walks a [`websim::Website`] description and produces the
+//! `requestWillBeSent` records that loading the page would generate —
+//! parser-initiated document requests without call stacks, dynamically
+//! injected script fetches, and every script-initiated request with its full
+//! initiator call stack (including tag-manager ancestry and async-stack
+//! prepending).
 //!
 //! Blocking is modelled the way a content blocker behaves at runtime: a
 //! blocked *script* never executes (none of its requests are issued and the
 //! features depending on it break); a blocked *request* is simply not sent.
 //! This is what the breakage analysis (paper Table 3) exercises.
 
-use crate::events::{CallStack, NetworkEvent, RequestWillBeSent, ResponseReceived, StackFrame};
+use crate::events::{CallStack, RequestWillBeSent, StackFrame};
 use filterlist::ResourceType;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -50,8 +51,8 @@ impl LoadOptions {
 /// The outcome of loading one page.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageLoadResult {
-    /// Every network event, in emission order.
-    pub events: Vec<NetworkEvent>,
+    /// Every request, in emission order.
+    pub requests: Vec<RequestWillBeSent>,
     /// Names of page features that worked during this load.
     pub working_features: Vec<String>,
     /// Names of features that broke (a required script did not execute),
@@ -62,17 +63,12 @@ pub struct PageLoadResult {
 }
 
 impl PageLoadResult {
-    /// Only the `requestWillBeSent` events.
-    pub fn requests(&self) -> impl Iterator<Item = &RequestWillBeSent> {
-        self.events.iter().filter_map(|e| match e {
-            NetworkEvent::Request(r) => Some(r),
-            NetworkEvent::Response(_) => None,
-        })
-    }
-
     /// Count of script-initiated requests.
     pub fn script_initiated_count(&self) -> usize {
-        self.requests().filter(|r| r.is_script_initiated()).count()
+        self.requests
+            .iter()
+            .filter(|r| r.is_script_initiated())
+            .count()
     }
 }
 
@@ -111,7 +107,6 @@ impl PageLoadSimulator {
             site,
             ResourceType::Document,
             CallStack::empty(),
-            "text/html",
         );
 
         // 2. Parser-initiated document requests (no call stack). TrackerSift
@@ -126,7 +121,6 @@ impl PageLoadSimulator {
                 site,
                 req.resource_type,
                 CallStack::empty(),
-                mime_for(req.resource_type),
             );
         }
 
@@ -151,14 +145,7 @@ impl PageLoadSimulator {
                     continue;
                 }
                 let stack = injection_stack(loader, loader_idx);
-                self.emit(
-                    &mut result,
-                    &loaded_url,
-                    site,
-                    ResourceType::Script,
-                    stack,
-                    "application/javascript",
-                );
+                self.emit(&mut result, &loaded_url, site, ResourceType::Script, stack);
             }
         }
 
@@ -189,7 +176,6 @@ impl PageLoadSimulator {
                         site,
                         request.resource_type,
                         stack,
-                        mime_for(request.resource_type),
                     );
                 }
             }
@@ -222,12 +208,11 @@ impl PageLoadSimulator {
         site: &Website,
         resource_type: ResourceType,
         call_stack: CallStack,
-        mime: &str,
     ) {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
         self.clock_ms += 3;
-        result.events.push(NetworkEvent::Request(RequestWillBeSent {
+        result.requests.push(RequestWillBeSent {
             request_id,
             top_level_url: site.url.clone(),
             frame_url: site.url.clone(),
@@ -235,15 +220,10 @@ impl PageLoadSimulator {
             resource_type,
             call_stack,
             timestamp_ms: self.clock_ms,
-        }));
+        });
+        // The response arrives 2 ms later; it is not recorded (nothing reads
+        // responses) but the next request and `load_time_ms` wait for it.
         self.clock_ms += 2;
-        result.events.push(NetworkEvent::Response(ResponseReceived {
-            request_id,
-            status: 200,
-            mime_type: mime.to_string(),
-            body_length: 256 + (url.len() as u64) * 7,
-            timestamp_ms: self.clock_ms,
-        }));
     }
 }
 
@@ -426,21 +406,6 @@ fn build_stack(
     }
 }
 
-fn mime_for(ty: ResourceType) -> &'static str {
-    match ty {
-        ResourceType::Script => "application/javascript",
-        ResourceType::Image => "image/png",
-        ResourceType::Stylesheet => "text/css",
-        ResourceType::Xhr => "application/json",
-        ResourceType::Subdocument | ResourceType::Document => "text/html",
-        ResourceType::Font => "font/woff2",
-        ResourceType::Media => "video/mp4",
-        ResourceType::Websocket => "application/octet-stream",
-        ResourceType::Ping => "text/plain",
-        ResourceType::Other => "application/octet-stream",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,17 +440,25 @@ mod tests {
         let mut sim = PageLoadSimulator::new(0);
         let mut last = None;
         for site in &corpus.websites {
-            for req in sim
-                .load(site)
-                .requests()
-                .map(|r| r.request_id)
-                .collect::<Vec<_>>()
-            {
+            for req in sim.load(site).requests.iter().map(|r| r.request_id) {
                 if let Some(prev) = last {
                     assert!(req > prev);
                 }
                 last = Some(req);
             }
+        }
+    }
+
+    #[test]
+    fn the_simulated_clock_steps_3ms_before_and_2ms_after_each_request() {
+        let corpus = small_corpus();
+        let mut sim = PageLoadSimulator::new(0);
+        for site in &corpus.websites {
+            let result = sim.load(site);
+            for (k, request) in result.requests.iter().enumerate() {
+                assert_eq!(request.timestamp_ms, 5 * k as u64 + 3, "{}", request.url);
+            }
+            assert_eq!(result.load_time_ms, 5 * result.requests.len() as u64);
         }
     }
 
@@ -496,7 +469,8 @@ mod tests {
         let site = &corpus.websites[0];
         let result = sim.load(site);
         let doc_reqs: Vec<_> = result
-            .requests()
+            .requests
+            .iter()
             .filter(|r| site.non_script_requests.iter().any(|p| p.url == r.url))
             .collect();
         assert!(!doc_reqs.is_empty());
@@ -524,7 +498,8 @@ mod tests {
                     // Every request issued by the loaded script must have the
                     // loader somewhere in its ancestral scripts.
                     let loaded_requests: Vec<_> = result
-                        .requests()
+                        .requests
+                        .iter()
                         .filter(|r| r.call_stack.initiator_script() == Some(loaded_url))
                         .collect();
                     for req in loaded_requests {
@@ -549,7 +524,7 @@ mod tests {
         let mut seen_async = false;
         for site in &corpus.websites {
             let result = sim.load(site);
-            for req in result.requests() {
+            for req in &result.requests {
                 if let Some(boundary) = req.call_stack.async_boundary {
                     assert!(boundary <= req.call_stack.frames.len());
                     assert!(boundary >= 1);
@@ -580,7 +555,8 @@ mod tests {
         assert!(treatment.script_initiated_count() < control.script_initiated_count());
         // None of the blocked script's requests were sent.
         assert!(treatment
-            .requests()
+            .requests
+            .iter()
             .all(|r| r.call_stack.initiator_script() != Some(app_url.as_str())));
     }
 
@@ -591,7 +567,8 @@ mod tests {
         let site = &corpus.websites[1];
         let control = sim.load(site);
         let victim = control
-            .requests()
+            .requests
+            .iter()
             .find(|r| r.is_script_initiated())
             .map(|r| r.url.clone())
             .expect("site has script-initiated requests");
@@ -599,9 +576,10 @@ mod tests {
         opts.blocked_request_urls.insert(victim.clone());
         let treatment = sim.load_with(site, &opts);
         assert!(treatment
-            .requests()
+            .requests
+            .iter()
             .all(|r| r.url != victim || !r.is_script_initiated()));
-        assert!(treatment.events.len() < control.events.len());
+        assert!(treatment.requests.len() < control.requests.len());
     }
 
     #[test]
@@ -629,7 +607,8 @@ mod tests {
             .map(|(_, r)| r.url.as_str())
             .collect();
         let emitted = result
-            .requests()
+            .requests
+            .iter()
             .filter(|r| urls.contains(&r.url.as_str()))
             .count();
         assert_eq!(emitted, urls.len());

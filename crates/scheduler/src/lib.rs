@@ -50,6 +50,7 @@
 #![warn(rust_2018_idioms)]
 
 use filterlist::registrable_domain;
+use filterlist::url::hostname_of;
 use trackersift::{
     DecisionRequest, Granularity, ObserveOutcome, Sifter, SifterReader, SifterWriter, Verdict,
 };
@@ -219,9 +220,9 @@ impl Scheduler {
                 let Some(host) = host_of(&request.url) else {
                     continue;
                 };
-                let domain = registrable_domain(host);
+                let domain = registrable_domain(&host);
                 let method = &script.methods[method_index].name;
-                let before = table.verdict(&DecisionRequest::new(&domain, host, old_key, method));
+                let before = table.verdict(&DecisionRequest::new(&domain, &host, old_key, method));
                 let fine = matches!(
                     before,
                     Verdict::Decided {
@@ -233,7 +234,7 @@ impl Scheduler {
                     continue;
                 }
                 self.stats.retention_probes += 1;
-                let after = table.verdict(&DecisionRequest::new(&domain, host, new_key, method));
+                let after = table.verdict(&DecisionRequest::new(&domain, &host, new_key, method));
                 if after == before {
                     self.stats.retention_hits += 1;
                 }
@@ -323,18 +324,12 @@ impl SchedulerDriver for Scheduler {
     }
 }
 
-/// The hostname of an `https://` / `http://` URL, or `None` for anything
-/// else (data URIs, garbage).
-fn host_of(url: &str) -> Option<&str> {
-    let rest = url
-        .strip_prefix("https://")
-        .or_else(|| url.strip_prefix("http://"))?;
-    let end = rest.find('/').unwrap_or(rest.len());
-    if end == 0 {
-        None
-    } else {
-        Some(&rest[..end])
-    }
+/// The hostname [`Sifter::observe_url`](trackersift::Sifter::observe_url)
+/// files a request under — [`hostname_of`], lower-cased — or `None` for a
+/// URL without one (data URIs, garbage).
+fn host_of(url: &str) -> Option<String> {
+    let host = hostname_of(url);
+    (!host.is_empty()).then(|| host.to_ascii_lowercase())
 }
 
 #[cfg(test)]
@@ -414,9 +409,15 @@ mod tests {
 
     #[test]
     fn host_of_parses_urls() {
-        assert_eq!(host_of("https://a.b.c/x?y=1"), Some("a.b.c"));
-        assert_eq!(host_of("http://a.b"), Some("a.b"));
+        assert_eq!(host_of("https://a.b.c/x?y=1").as_deref(), Some("a.b.c"));
+        assert_eq!(host_of("http://a.b").as_deref(), Some("a.b"));
         assert_eq!(host_of("data:text/plain,hi"), None);
         assert_eq!(host_of("https:///nohost"), None);
+        // The key `observe_url` observed, not the raw authority: no port, no
+        // userinfo, no query glued on, lower case.
+        assert_eq!(host_of("https://H.com:8080/x").as_deref(), Some("h.com"));
+        assert_eq!(host_of("https://u@h.com/x").as_deref(), Some("h.com"));
+        assert_eq!(host_of("https://h.com?x=1").as_deref(), Some("h.com"));
+        assert_eq!(host_of("https://H.com/x").as_deref(), Some("h.com"));
     }
 }

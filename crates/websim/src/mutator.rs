@@ -30,6 +30,7 @@
 
 use crate::ecosystem::{tracking_endpoint_url, Ecosystem, HostRole};
 use crate::model::{PlannedRequest, Purpose, ScriptArchetype, ScriptOrigin, WebCorpus};
+use filterlist::url::hostname_of;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -169,10 +170,10 @@ impl EcosystemMutator {
                             if request.intent != Purpose::Tracking {
                                 continue;
                             }
-                            let Some(host) = host_of(&request.url) else {
+                            let host = hostname_of(&request.url).to_string();
+                            if host.is_empty() {
                                 continue;
-                            };
-                            let host = host.to_string();
+                            }
                             let (url, resource_type) = tracking_endpoint_url(&host, &mut rng);
                             request.url = url;
                             request.resource_type = resource_type;
@@ -204,18 +205,6 @@ impl EcosystemMutator {
     }
 }
 
-/// The hostname of an `http(s)` URL.
-fn host_of(url: &str) -> Option<&str> {
-    let rest = url
-        .strip_prefix("https://")
-        .or_else(|| url.strip_prefix("http://"))?;
-    let end = rest.find('/').unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    Some(&rest[..end])
-}
-
 /// The registrable domain of `host`: the ecosystem service domain it
 /// belongs to, falling back to the last two DNS labels.
 fn registrable_domain(ecosystem: &Ecosystem, host: &str) -> String {
@@ -240,7 +229,10 @@ fn rotate_script_host<R: Rng + ?Sized>(
     epoch: u64,
     rng: &mut R,
 ) -> Option<String> {
-    let host = host_of(url)?;
+    let host = hostname_of(url);
+    if host.is_empty() {
+        return None;
+    }
     let domain = registrable_domain(ecosystem, host);
     let tail = &url[url.find(host)? + host.len()..];
     let k: u32 = rng.gen_range(0..16);
@@ -328,8 +320,9 @@ mod tests {
         let report = mutator.advance(&mut evolved, 1);
         assert!(!report.rotations.is_empty());
         for rotation in &report.rotations {
-            let old_host = host_of(&rotation.old_url).unwrap();
-            let new_host = host_of(&rotation.new_url).unwrap();
+            let old_host = hostname_of(&rotation.old_url);
+            let new_host = hostname_of(&rotation.new_url);
+            assert!(!old_host.is_empty() && !new_host.is_empty());
             assert_ne!(old_host, new_host);
             assert_eq!(
                 registrable_domain(&pristine.ecosystem, old_host),

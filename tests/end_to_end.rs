@@ -81,6 +81,28 @@ fn hierarchy_reproduces_the_papers_qualitative_shape() {
 }
 
 #[test]
+fn paper_corpus_reproduces_the_recorded_numbers() {
+    // The science as numbers: 500 sites of the paper profile at seed 2021,
+    // as `bench_e2e --workload study --seed 2021 --trace 1` prints them. A
+    // capture path that still captures the same web reproduces every one.
+    let study = Study::run(StudyConfig::default().with_sites(500));
+    assert_eq!(study.database.total_requests(), 25_966);
+    assert_eq!(study.label_stats.labeled(), 23_296);
+    assert_eq!(study.label_stats.tracking, 11_464);
+
+    let headline = trackersift_suite::trackersift::headline(&study.hierarchy);
+    for (name, got, want) in [
+        ("mixed domains", headline.mixed_domains_pct, 17.365),
+        ("mixed hostnames", headline.mixed_hostnames_pct, 43.915),
+        ("mixed scripts", headline.mixed_scripts_pct, 9.297),
+        ("mixed methods", headline.mixed_methods_pct, 19.590),
+        ("attributed", headline.requests_attributed_pct, 97.931),
+    ] {
+        assert!((got - want).abs() <= 0.001, "{name}: {got:.4}% ≠ {want}%");
+    }
+}
+
+#[test]
 fn figure3_histograms_are_three_peaked_at_domain_level() {
     let study = study(400, 2021);
     let histogram = RatioHistogram::paper_bins(study.hierarchy.level(Granularity::Domain));
