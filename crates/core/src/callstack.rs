@@ -47,11 +47,6 @@ impl NodeParticipation {
         self.tracking_traces > 0 && self.functional_traces == 0
     }
 
-    /// `true` when the node only ever appears in functional traces.
-    pub fn functional_only(&self) -> bool {
-        self.functional_traces > 0 && self.tracking_traces == 0
-    }
-
     /// `true` when the node appears in both kinds of trace.
     pub fn both(&self) -> bool {
         self.tracking_traces > 0 && self.functional_traces > 0

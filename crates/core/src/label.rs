@@ -182,17 +182,6 @@ impl<'a> Labeler<'a> {
         }
     }
 
-    /// Label one captured request. Returns `None` for requests the analysis
-    /// excludes (not script-initiated, or unparseable URL).
-    pub fn label_request(
-        &self,
-        site_domain: &str,
-        request: &RequestWillBeSent,
-    ) -> Option<LabeledRequest> {
-        let page_host = hostname_of(&request.top_level_url).to_ascii_lowercase();
-        self.label_request_from(site_domain, request, &page_host)
-    }
-
     /// Label one request whose page hostname the caller already derived
     /// (the per-site loop derives it once per distinct top-level URL).
     fn label_request_from(

@@ -363,13 +363,6 @@ pub struct ServiceStats {
     pub resources: [usize; 4],
 }
 
-impl ServiceStats {
-    /// Total committed member resources across all four granularities.
-    pub fn total_resources(&self) -> usize {
-        self.resources.iter().sum()
-    }
-}
-
 /// Unconditional per-hostname state: owning domain plus raw counts.
 #[derive(Debug, Clone, Copy)]
 struct HostMeta {

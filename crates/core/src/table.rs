@@ -542,11 +542,6 @@ impl VerdictTable {
         }
     }
 
-    /// Number of mixed scripts with a precomputed surrogate plan.
-    pub fn surrogate_count(&self) -> usize {
-        self.surrogates.len()
-    }
-
     /// The commit count of the sifter state this table snapshots. Strictly
     /// increasing across the tables a [`SifterWriter`](crate::concurrent::SifterWriter)
     /// publishes, so readers can order the states they observe.

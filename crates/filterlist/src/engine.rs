@@ -7,7 +7,7 @@
 //! overrides a blocking match from any list.
 
 use crate::index::RuleIndex;
-use crate::parser::{parse_list, ParseStats};
+use crate::parser::parse_list;
 use crate::request::{FilterRequest, ResourceType};
 use crate::rule::{FilterRule, ListKind};
 use serde::{Deserialize, Serialize};
@@ -70,7 +70,6 @@ pub struct FilterEngine {
     /// they live outside the blocking index and are consumed by the URL
     /// rewriter as a rule source.
     removeparam: Vec<FilterRule>,
-    stats: Vec<(ListKind, ParseStats)>,
 }
 
 // The engine is shared read-only across rayon workers during the parallel
@@ -93,22 +92,16 @@ impl FilterEngine {
             blocking: RuleIndex::build(blocking),
             exceptions: RuleIndex::build(exceptions),
             removeparam,
-            stats: Vec::new(),
         }
     }
 
     /// Build an engine from raw list texts, each tagged with its provenance.
     pub fn from_lists(lists: &[(ListKind, &str)]) -> Self {
         let mut rules = Vec::new();
-        let mut stats = Vec::new();
         for (kind, text) in lists {
-            let parsed = parse_list(text, *kind);
-            stats.push((*kind, parsed.stats));
-            rules.extend(parsed.rules);
+            rules.extend(parse_list(text, *kind).rules);
         }
-        let mut engine = Self::from_rules(rules);
-        engine.stats = stats;
-        engine
+        Self::from_rules(rules)
     }
 
     /// Build the engine the paper uses: the embedded EasyList + EasyPrivacy
@@ -146,22 +139,6 @@ impl FilterEngine {
     /// Number of exception rules.
     pub fn exception_rule_count(&self) -> usize {
         self.exceptions.len()
-    }
-
-    /// Per-list parse statistics (only populated when built from list text).
-    pub fn parse_stats(&self) -> &[(ListKind, ParseStats)] {
-        &self.stats
-    }
-
-    /// Iterate the blocking rules in insertion order (diagnostics and
-    /// benchmark baselines; not a hot path).
-    pub fn blocking_rules(&self) -> impl Iterator<Item = &FilterRule> {
-        self.blocking.rules()
-    }
-
-    /// Iterate the exception (`@@`) rules in insertion order.
-    pub fn exception_rules(&self) -> impl Iterator<Item = &FilterRule> {
-        self.exceptions.rules()
     }
 
     /// The `$removeparam=` modifier rules, in list order — the rule source a

@@ -147,11 +147,6 @@ impl RuleIndex {
         self.unindexed.len()
     }
 
-    /// Iterate over all rules (insertion order).
-    pub fn rules(&self) -> impl Iterator<Item = &FilterRule> {
-        self.rules.iter()
-    }
-
     /// Find the first rule (lowest insertion index) matching the request,
     /// scanning only candidate buckets. Allocation-free: the request's
     /// pre-computed token-hash set drives bucket selection directly, and the

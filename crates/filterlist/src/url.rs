@@ -2,7 +2,7 @@
 //!
 //! Filter rules in the Adblock Plus syntax match against the *full request
 //! URL* but frequently need the hostname (for `||` anchors and the
-//! `$domain=` option) and the scheme-relative remainder. We implement the
+//! `$domain=` option). We implement the
 //! small subset of URL handling the engine needs rather than pulling in a
 //! full `url` crate: the corpus only contains `http`/`https`/`data` URLs and
 //! never needs percent-decoding or IDNA.
@@ -13,24 +13,16 @@ use std::fmt;
 /// A parsed request URL.
 ///
 /// The original string is retained because pattern matching operates on the
-/// raw URL text (lower-cased); the structured fields are used for anchored
-/// matching and party determination.
+/// raw URL text (lower-cased); the hostname and its offset are used for
+/// anchored matching and party determination.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParsedUrl {
     /// The full original URL, exactly as given.
     pub raw: String,
     /// Lower-cased copy of the full URL used for case-insensitive matching.
     pub lower: String,
-    /// URL scheme (`http`, `https`, `data`, ...), lower-cased, without `:`.
-    pub scheme: String,
     /// Hostname (no port), lower-cased. Empty for opaque URLs such as `data:`.
     pub hostname: String,
-    /// Explicit port if present.
-    pub port: Option<u16>,
-    /// Path component beginning with `/` (or empty for opaque URLs).
-    pub path: String,
-    /// Query string without the leading `?`, if present.
-    pub query: Option<String>,
     /// Byte offset of `hostname` within `lower` (and `raw` — lower-casing is
     /// ASCII-only and length-preserving). `0` for opaque URLs with no
     /// hostname. Pre-computed at parse time so `||` hostname anchoring never
@@ -43,7 +35,7 @@ impl ParsedUrl {
     ///
     /// Returns `None` when the input does not look like a URL at all (no
     /// scheme separator and no leading `//`). Scheme-relative URLs
-    /// (`//cdn.example.com/x.js`) are accepted and treated as `https`.
+    /// (`//cdn.example.com/x.js`) are accepted.
     pub fn parse(input: &str) -> Option<Self> {
         let raw = input.trim().to_string();
         if raw.is_empty() {
@@ -54,8 +46,7 @@ impl ParsedUrl {
         let Some(authority) = Authority::of(&lower) else {
             // Opaque URL such as `data:image/gif;base64,...` or `about:blank`.
             let idx = lower.find(':')?;
-            let scheme = lower[..idx].to_string();
-            if !scheme
+            if !lower[..idx]
                 .chars()
                 .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-')
             {
@@ -63,62 +54,19 @@ impl ParsedUrl {
             }
             return Some(ParsedUrl {
                 raw,
-                scheme,
                 hostname: String::new(),
-                port: None,
-                path: lower[idx + 1..].to_string(),
-                query: None,
                 lower,
                 host_start: 0,
             });
         };
-        let scheme = authority.scheme.to_string();
         let hostname = authority.host.to_string();
-        let (port, host_start) = (authority.port, authority.host_start);
-        let after_authority = authority.rest;
-
-        // Separate path / query / fragment.
-        let without_fragment = match after_authority.find('#') {
-            Some(idx) => &after_authority[..idx],
-            None => after_authority,
-        };
-        let (path, query) = match without_fragment.find('?') {
-            Some(idx) => (
-                without_fragment[..idx].to_string(),
-                Some(without_fragment[idx + 1..].to_string()),
-            ),
-            None => (without_fragment.to_string(), None),
-        };
-        let path = if path.is_empty() {
-            "/".to_string()
-        } else {
-            path
-        };
-
+        let host_start = authority.host_start;
         Some(ParsedUrl {
             raw,
             lower,
-            scheme,
             hostname,
-            port,
-            path,
-            query,
             host_start,
         })
-    }
-
-    /// The part of the URL that `||` host anchors are allowed to match:
-    /// hostname plus everything after it.
-    pub fn host_and_after(&self) -> String {
-        match self.lower.find("://") {
-            Some(idx) => self.lower[idx + 3..].to_string(),
-            None => self.lower.clone(),
-        }
-    }
-
-    /// `true` when the URL uses a secure scheme.
-    pub fn is_https(&self) -> bool {
-        self.scheme == "https" || self.scheme == "wss"
     }
 }
 
@@ -126,25 +74,19 @@ impl ParsedUrl {
 /// `//host…`), borrowed from the URL text. The one place the hostname is
 /// derived: [`ParsedUrl::parse`] and [`hostname_of`] both read it.
 struct Authority<'a> {
-    /// The scheme before `://`; `https` for a scheme-relative URL.
-    scheme: &'a str,
     /// Hostname without userinfo or port, in the text's own case.
     host: &'a str,
     /// Byte offset of `host` within the URL.
     host_start: usize,
-    /// Explicit port if present.
-    port: Option<u16>,
-    /// Everything after the authority (path, query, fragment).
-    rest: &'a str,
 }
 
 impl<'a> Authority<'a> {
     /// `None` when `url` has neither a `://` separator nor a leading `//`.
     fn of(url: &'a str) -> Option<Self> {
-        let (scheme, start) = if let Some(idx) = url.find("://") {
-            (&url[..idx], idx + 3)
+        let start = if let Some(idx) = url.find("://") {
+            idx + 3
         } else if url.starts_with("//") {
-            ("https", 2)
+            2
         } else {
             return None;
         };
@@ -158,20 +100,14 @@ impl<'a> Authority<'a> {
             Some(at) => (&authority[at + 1..], start + at + 1),
             None => (authority, start),
         };
-        let (host, port) = match hostport.rfind(':') {
-            Some(colon) if hostport[colon + 1..].chars().all(|c| c.is_ascii_digit()) => (
-                &hostport[..colon],
-                hostport[colon + 1..].parse::<u16>().ok(),
-            ),
-            _ => (hostport, None),
+        // An all-digit tail after the last `:` is a port, not hostname.
+        let host = match hostport.rfind(':') {
+            Some(colon) if hostport[colon + 1..].chars().all(|c| c.is_ascii_digit()) => {
+                &hostport[..colon]
+            }
+            _ => hostport,
         };
-        Some(Authority {
-            scheme,
-            host,
-            host_start,
-            port,
-            rest: &url[end..],
-        })
+        Some(Authority { host, host_start })
     }
 }
 
@@ -196,40 +132,25 @@ mod tests {
     #[test]
     fn parses_basic_https_url() {
         let u = ParsedUrl::parse("https://cdn.example.com/assets/app.js?v=3").unwrap();
-        assert_eq!(u.scheme, "https");
         assert_eq!(u.hostname, "cdn.example.com");
-        assert_eq!(u.path, "/assets/app.js");
-        assert_eq!(u.query.as_deref(), Some("v=3"));
-        assert_eq!(u.port, None);
     }
 
     #[test]
     fn parses_url_with_port_and_userinfo() {
         let u = ParsedUrl::parse("http://user:pw@tracker.ads.net:8080/pixel?id=1").unwrap();
         assert_eq!(u.hostname, "tracker.ads.net");
-        assert_eq!(u.port, Some(8080));
-        assert_eq!(u.path, "/pixel");
     }
 
     #[test]
     fn parses_scheme_relative_url() {
         let u = ParsedUrl::parse("//stats.wp.com/w.js").unwrap();
-        assert_eq!(u.scheme, "https");
         assert_eq!(u.hostname, "stats.wp.com");
-        assert_eq!(u.path, "/w.js");
     }
 
     #[test]
     fn parses_data_url_as_opaque() {
         let u = ParsedUrl::parse("data:image/gif;base64,R0lGODlhAQAB").unwrap();
-        assert_eq!(u.scheme, "data");
         assert!(u.hostname.is_empty());
-    }
-
-    #[test]
-    fn bare_path_defaults_to_slash() {
-        let u = ParsedUrl::parse("https://example.org").unwrap();
-        assert_eq!(u.path, "/");
     }
 
     #[test]
@@ -243,13 +164,6 @@ mod tests {
     fn rejects_non_urls() {
         assert!(ParsedUrl::parse("").is_none());
         assert!(ParsedUrl::parse("not a url at all").is_none());
-    }
-
-    #[test]
-    fn fragment_is_stripped() {
-        let u = ParsedUrl::parse("https://example.com/page?x=1#frag").unwrap();
-        assert_eq!(u.query.as_deref(), Some("x=1"));
-        assert_eq!(u.path, "/page");
     }
 
     #[test]
@@ -276,12 +190,6 @@ mod tests {
                 "for {case:?}"
             );
         }
-    }
-
-    #[test]
-    fn host_and_after_drops_scheme() {
-        let u = ParsedUrl::parse("https://ads.example.com/banner.png").unwrap();
-        assert_eq!(u.host_and_after(), "ads.example.com/banner.png");
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl Scheduler {
         &self.corpus
     }
 
-    /// The epoch the next [`tick`](Scheduler::tick) will crawl.
-    pub fn next_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// A writer/reader pair whose filter engine matches this scheduler's
     /// ecosystem — the counterpart the loop is meant to feed. The engine
     /// covers the simulated tracking services on top of the built-in

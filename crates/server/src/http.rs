@@ -25,8 +25,7 @@
 //! nothing; [`HttpRequest`] is that view copied out for callers that need
 //! to keep it.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Read};
 
 /// Hard cap on the request line + headers. Generous for machine clients
 /// (our own wire format needs well under 1 KiB) while bounding what a
@@ -330,15 +329,6 @@ impl HttpResponse {
         );
         out.extend_from_slice(&self.body);
         keep_alive
-    }
-
-    /// Serialise the response straight to a blocking stream (used by the
-    /// doc examples and simple clients; the server renders into buffers).
-    pub fn write_to(&self, stream: &mut TcpStream, request_keep_alive: bool) -> io::Result<()> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        self.render_into(&mut out, request_keep_alive);
-        stream.write_all(&out)?;
-        stream.flush()
     }
 }
 

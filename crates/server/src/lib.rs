@@ -79,12 +79,13 @@
 //! the revision ring the table already carries (no writer round-trip).
 //! When `v` has aged out of the bounded ring the server answers `410
 //! Gone` whose body is a *full* snapshot envelope in the same shape —
-//! the typed re-bootstrap signal a follower applies directly. A server
-//! started with [`VerdictServer::start_replica`] serves decisions from a
-//! table published by an external follower loop (see the
-//! `trackersift-replica` crate): every mutating endpoint answers `409
-//! Conflict`, and `GET /v1/stats` gains a `"replication"` section with
-//! the upstream address and version lag.
+//! the typed re-bootstrap signal a follower applies directly.
+//! [`VerdictServer::follow`] is the other end: it bootstraps a
+//! [`client::ReplicaClient`] from a primary, serves the followed tables
+//! read-only, and keeps polling deltas on a `replica-sync` thread. Every
+//! endpoint that needs the writer answers `409 Conflict` there, and
+//! `GET /v1/stats` renders the upstream address and version lag under
+//! `"replication"`.
 //!
 //! # Crash-only serving
 //!
@@ -143,7 +144,10 @@ pub mod client;
 pub mod decide;
 pub mod http;
 pub mod poller;
+mod replica;
 pub mod wire;
+
+pub use replica::ReplicaConfig;
 
 use crawler::json::{object, Value};
 use http::{HttpResponse, RequestParser, RequestView};
@@ -447,9 +451,6 @@ struct AdminStats {
     /// Scheduler gauges plus the duration of the last tick in
     /// microseconds, when a scheduler is attached.
     scheduler: Option<(SchedulerStats, u64)>,
-    /// Per-commit-loop `(published version, commits)` pairs behind the
-    /// body's `"shards"` section — one entry, the admin thread's writer.
-    shards: Vec<(u64, u64)>,
 }
 
 /// Work routed to the admin thread (the single [`SifterWriter`] owner).
@@ -457,10 +458,40 @@ enum AdminMsg {
     Observe(Vec<ObservationMessage>, Sender<(u64, u64, u64)>),
     Commit(Sender<(CommitStats, u64)>),
     Export(Sender<String>),
-    Import(Box<SifterSnapshot>, Sender<Result<(u64, u64, u64), String>>),
+    /// Replies `(version, observations, dropped_pending)`, or the error
+    /// response: `400` for a refused document, `500` for a restored one
+    /// whose checkpoint failed.
+    Import(
+        Box<SifterSnapshot>,
+        Sender<Result<(u64, u64, u64), HttpResponse>>,
+    ),
     /// Run one scheduler tick; `None` when no scheduler is attached.
     Tick(Sender<Option<TickSummary>>),
     Stats(Sender<AdminStats>),
+}
+
+/// What a worker serves as. Only [`Role::Primary`] holds a sender to the
+/// admin thread, so a handler that needs the writer has to match on the
+/// role to reach it — and a replica answering such an endpoint `409` is the
+/// other arm of that match ([`Worker::on_primary`]).
+#[derive(Clone)]
+enum Role {
+    Primary {
+        admin: Sender<AdminMsg>,
+        /// What boot recovery replayed, for `"durability"` in the stats.
+        recovery: Option<RecoveryReport>,
+    },
+    /// Tables published by a follower loop, whose gauges these are.
+    Replica(Arc<ReplicaStatus>),
+}
+
+/// What the worker pool is booted over.
+enum Source {
+    /// The writer the `verdict-admin` thread will own, with the re-crawl
+    /// scheduler that rides along on it.
+    Writer(Box<SifterWriter>, Option<Box<dyn SchedulerDriver>>),
+    /// Tables somebody else publishes: a read-only replica.
+    Follower(SifterReader, Arc<ReplicaStatus>),
 }
 
 /// A running verdict server; dropping (or [`VerdictServer::shutdown`])
@@ -470,8 +501,11 @@ pub struct VerdictServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
-    admin: Option<JoinHandle<()>>,
+    /// The thread that feeds the workers' tables: `verdict-admin` on a
+    /// primary, `replica-sync` on a [`VerdictServer::follow`] replica.
+    feeder: Option<JoinHandle<()>>,
     recovery: Option<RecoveryReport>,
+    replica: Option<Arc<ReplicaStatus>>,
 }
 
 impl VerdictServer {
@@ -486,7 +520,7 @@ impl VerdictServer {
     /// fsynced observation of the previous life; the report of what was
     /// recovered is kept on the handle ([`VerdictServer::recovery`]).
     pub fn start(writer: SifterWriter, config: ServerConfig) -> io::Result<VerdictServer> {
-        VerdictServer::start_inner(writer, config, None)
+        VerdictServer::boot(config, Source::Writer(Box::new(writer), None))
     }
 
     /// [`VerdictServer::start`] with a re-crawl scheduler attached: the
@@ -498,77 +532,36 @@ impl VerdictServer {
         config: ServerConfig,
         scheduler: Box<dyn SchedulerDriver>,
     ) -> io::Result<VerdictServer> {
-        VerdictServer::start_inner(writer, config, Some(scheduler))
+        VerdictServer::boot(config, Source::Writer(Box::new(writer), Some(scheduler)))
     }
 
-    /// Start a **read-only replica server**: the worker pool serves
-    /// decisions, keys, revisions, and delta snapshots from `reader`'s
-    /// published tables (kept fresh by an external follower loop — see the
-    /// `trackersift-replica` crate), every mutating endpoint answers
-    /// `409 Conflict` pointing at the primary, and `GET /v1/stats` renders
-    /// the `status` gauges under `"replication"`. No admin thread is
-    /// spawned: a replica has no writer to own.
+    /// Start a **read-only replica server** over tables the caller
+    /// publishes: the worker pool serves decisions, keys, revisions, and
+    /// delta snapshots from `reader`, every endpoint that needs the writer
+    /// answers `409 Conflict` pointing at the primary, and `GET /v1/stats`
+    /// renders the `status` gauges under `"replication"`. No admin thread
+    /// is spawned: a replica has no writer to own.
+    /// [`VerdictServer::follow`] is this plus the loop that keeps `reader`
+    /// fresh.
     pub fn start_replica(
         reader: SifterReader,
         status: Arc<ReplicaStatus>,
         config: ServerConfig,
     ) -> io::Result<VerdictServer> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let worker_count = config.workers.max(1);
-        let counters: Arc<Vec<ServingCounters>> = Arc::new(
-            (0..worker_count)
-                .map(|_| ServingCounters::default())
-                .collect(),
-        );
-        // The channel exists only to satisfy the worker shape; with the
-        // receiver dropped here, any (impossible) admin call fails closed.
-        let (admin_tx, _) = mpsc::channel();
-        let mut server = VerdictServer {
-            addr,
-            stop: Arc::new(AtomicBool::new(false)),
-            workers: Vec::with_capacity(worker_count),
-            admin: None,
-            recovery: None,
-        };
-        let spawned = spawn_workers(
-            &mut server,
-            &listener,
-            &reader,
-            &admin_tx,
-            &counters,
-            &Arc::new(Gauges::default()),
-            &Arc::new(None),
-            &config,
-            Some(status),
-        );
-        match spawned {
-            Ok(()) => Ok(server),
-            Err(error) => {
-                server.stop_and_join();
-                Err(error)
-            }
-        }
+        VerdictServer::boot(config, Source::Follower(reader, status))
     }
 
-    fn start_inner(
-        mut writer: SifterWriter,
-        config: ServerConfig,
-        scheduler: Option<Box<dyn SchedulerDriver>>,
-    ) -> io::Result<VerdictServer> {
-        let recovery = match &config.durability {
-            Some(durability) => Some(writer.open_durable(&durability.dir, durability.sync_every)?),
-            None => None,
+    /// The one boot path of both roles: recover, bind, spawn what feeds
+    /// the tables, spawn the pool.
+    fn boot(config: ServerConfig, mut source: Source) -> io::Result<VerdictServer> {
+        let recovery = match (&mut source, &config.durability) {
+            (Source::Writer(writer, _), Some(durability)) => {
+                Some(writer.open_durable(&durability.dir, durability.sync_every)?)
+            }
+            _ => None,
         };
-        let checkpoint_bytes = config
-            .durability
-            .as_ref()
-            .map_or(0, |durability| durability.checkpoint_bytes);
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let worker_count = config.workers.max(1);
         let counters: Arc<Vec<ServingCounters>> = Arc::new(
             (0..worker_count)
@@ -576,40 +569,68 @@ impl VerdictServer {
                 .collect(),
         );
         let gauges = Arc::new(Gauges::default());
-        let recovery_shared: Arc<Option<RecoveryReport>> = Arc::new(recovery.clone());
-        let reader = writer.reader();
-        let (admin_tx, admin_rx) = mpsc::channel();
-        let admin = thread::Builder::new()
-            .name("verdict-admin".to_string())
-            .spawn(move || admin_loop(writer, admin_rx, checkpoint_bytes, scheduler))?;
-
         // Build the handle before spawning workers so a mid-startup
         // failure (fd exhaustion on try_clone, spawn refusal) tears down
         // whatever already started instead of leaking live threads on a
         // bound port.
         let mut server = VerdictServer {
-            addr,
-            stop,
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
             workers: Vec::with_capacity(worker_count),
-            admin: Some(admin),
-            recovery,
+            feeder: None,
+            recovery: recovery.clone(),
+            replica: None,
         };
-        let spawned = spawn_workers(
-            &mut server,
-            &listener,
-            &reader,
-            &admin_tx,
-            &counters,
-            &gauges,
-            &recovery_shared,
-            &config,
-            None,
-        );
+        let (reader, role) = match source {
+            Source::Writer(writer, scheduler) => {
+                let checkpoint_bytes = config
+                    .durability
+                    .as_ref()
+                    .map_or(0, |durability| durability.checkpoint_bytes);
+                let reader = writer.reader();
+                let (admin, admin_rx) = mpsc::channel();
+                server.feeder = Some(
+                    thread::Builder::new()
+                        .name("verdict-admin".to_string())
+                        .spawn(move || {
+                            admin_loop(*writer, admin_rx, checkpoint_bytes, scheduler)
+                        })?,
+                );
+                (reader, Role::Primary { admin, recovery })
+            }
+            Source::Follower(reader, status) => {
+                server.replica = Some(Arc::clone(&status));
+                (reader, Role::Replica(status))
+            }
+        };
+        let spawned = (0..worker_count).try_for_each(|index| -> io::Result<()> {
+            let worker = Worker {
+                listener: listener.try_clone()?,
+                reader: reader.clone(),
+                role: role.clone(),
+                stop: Arc::clone(&server.stop),
+                counters: Arc::clone(&counters),
+                gauges: Arc::clone(&gauges),
+                index,
+                max_body_bytes: config.max_body_bytes,
+                read_timeout: config.read_timeout,
+                max_connections: config.max_connections,
+                max_inflight: config.max_inflight,
+                retry_after: config.retry_after,
+                drain_timeout: config.drain_timeout,
+            };
+            server.workers.push(
+                thread::Builder::new()
+                    .name(format!("verdict-worker-{index}"))
+                    .spawn(move || worker.run())?,
+            );
+            Ok(())
+        });
         // The workers hold the only remaining admin senders: when they
         // exit, the admin loop's receiver disconnects and the admin thread
         // exits. (Dropped before any join, or the admin would never see
         // the disconnect.)
-        drop(admin_tx);
+        drop(role);
         match spawned {
             Ok(()) => Ok(server),
             Err(error) => {
@@ -630,6 +651,12 @@ impl VerdictServer {
         self.recovery.as_ref()
     }
 
+    /// The live sync gauges of a replica (shared with its workers' stats
+    /// rendering); `None` on a primary.
+    pub fn replica_status(&self) -> Option<&ReplicaStatus> {
+        self.replica.as_deref()
+    }
+
     /// Stop accepting, drain gracefully, and join every thread: requests
     /// already on the wire finish and flush (bounded by
     /// [`ServerConfig::drain_timeout`]), idle connections close, and the
@@ -647,8 +674,8 @@ impl VerdictServer {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        if let Some(admin) = self.admin.take() {
-            let _ = admin.join();
+        if let Some(feeder) = self.feeder.take() {
+            let _ = feeder.join();
         }
     }
 }
@@ -657,49 +684,6 @@ impl Drop for VerdictServer {
     fn drop(&mut self) {
         self.stop_and_join();
     }
-}
-
-/// Spawn the worker pool onto `server.workers` — the shared tail of both
-/// [`VerdictServer::start`] (primary, `replica: None`) and
-/// [`VerdictServer::start_replica`]. Built before any join logic runs so a
-/// mid-startup failure tears down whatever already started.
-#[allow(clippy::too_many_arguments)]
-fn spawn_workers(
-    server: &mut VerdictServer,
-    listener: &TcpListener,
-    reader: &SifterReader,
-    admin_tx: &Sender<AdminMsg>,
-    counters: &Arc<Vec<ServingCounters>>,
-    gauges: &Arc<Gauges>,
-    recovery_shared: &Arc<Option<RecoveryReport>>,
-    config: &ServerConfig,
-    replica: Option<Arc<ReplicaStatus>>,
-) -> io::Result<()> {
-    for index in 0..config.workers.max(1) {
-        let worker = Worker {
-            listener: listener.try_clone()?,
-            reader: reader.clone(),
-            admin: admin_tx.clone(),
-            stop: Arc::clone(&server.stop),
-            counters: Arc::clone(counters),
-            gauges: Arc::clone(gauges),
-            recovery: Arc::clone(recovery_shared),
-            replica: replica.clone(),
-            index,
-            max_body_bytes: config.max_body_bytes,
-            read_timeout: config.read_timeout,
-            max_connections: config.max_connections,
-            max_inflight: config.max_inflight,
-            retry_after: config.retry_after,
-            drain_timeout: config.drain_timeout,
-        };
-        server.workers.push(
-            thread::Builder::new()
-                .name(format!("verdict-worker-{index}"))
-                .spawn(move || worker.run())?,
-        );
-    }
-    Ok(())
 }
 
 /// Rotate the journal into a fresh snapshot generation once it outgrows
@@ -747,15 +731,21 @@ fn admin_loop(
             AdminMsg::Import(snapshot, reply) => {
                 let result = writer
                     .restore_snapshot(&snapshot)
-                    .map_err(|error| error.to_string())
+                    .map_err(bad_request)
                     .and_then(|dropped_pending| {
                         // A restored state is not durable until it is
                         // checkpointed into its own generation — the old
                         // journal belongs to the pre-restore state. Only
-                        // report success once that checkpoint lands.
+                        // report success once that checkpoint lands; its
+                        // failure is the server's (the document was fine
+                        // and is already being served), hence the `500`.
                         if writer.durable_generation().is_some() {
                             writer.checkpoint().map_err(|error| {
-                                format!("snapshot restored but not checkpointed: {error}")
+                                HttpResponse::error(
+                                    500,
+                                    "Internal Server Error",
+                                    &format!("snapshot restored but not checkpointed: {error}"),
+                                )
                             })?;
                         }
                         Ok((
@@ -787,7 +777,6 @@ fn admin_loop(
                     scheduler: scheduler
                         .as_ref()
                         .map(|driver| (driver.stats(), last_tick_micros)),
-                    shards: vec![(writer.published_version(), writer.sifter().commits())],
                 });
             }
         }
@@ -943,19 +932,15 @@ impl AcceptBackoff {
 }
 
 /// One serving worker: a readiness-polled event loop multiplexing its
-/// connections, touching only its own reader handle (and the admin channel
-/// for write endpoints).
+/// connections, touching only its own reader handle (and, through its
+/// role, the admin channel for write endpoints).
 struct Worker {
     listener: TcpListener,
     reader: SifterReader,
-    admin: Sender<AdminMsg>,
+    role: Role,
     stop: Arc<AtomicBool>,
     counters: Arc<Vec<ServingCounters>>,
     gauges: Arc<Gauges>,
-    recovery: Arc<Option<RecoveryReport>>,
-    /// `Some` on a read-only replica server: mutating endpoints answer
-    /// `409` and the stats body renders these gauges.
-    replica: Option<Arc<ReplicaStatus>>,
     index: usize,
     max_body_bytes: usize,
     read_timeout: Duration,
@@ -1239,29 +1224,10 @@ impl Worker {
         keep_alive: bool,
         out: &mut Vec<u8>,
     ) -> Option<HttpResponse> {
-        // A replica owns no writer: every mutating endpoint is refused
-        // with a typed conflict before any routing happens, so the
-        // read-only guarantee cannot rot as routes are added.
-        if self.replica.is_some() {
-            let mutating = matches!(
-                (request.method, request.target),
-                ("POST", "/v1/observations" | "/v1/commit" | "/v1/tick")
-                    | ("PUT", "/v1/snapshot")
-                    | ("GET", "/v1/snapshot")
-            );
-            if mutating {
-                return Some(HttpResponse::error(
-                    409,
-                    "Conflict",
-                    "read-only replica: apply mutations on the primary \
-                     (delta snapshots stay available via /v1/snapshot?since=)",
-                ));
-            }
-        }
         let batch = match (request.method, request.target) {
             ("POST", "/v1/decisions") => false,
             ("POST", "/v1/decisions:batch") => true,
-            _ => return Some(self.route_other(request)),
+            _ => return Some(self.route_other(request).unwrap_or_else(|refusal| refusal)),
         };
         // The lock-free hot path. One pin covers the whole request: every
         // decision of a batch (surrogate payloads included) reflects
@@ -1281,33 +1247,29 @@ impl Worker {
     }
 
     /// Every endpoint that is not a decision: cold enough to build its
-    /// answer as an owned [`HttpResponse`].
-    fn route_other(&self, request: &RequestView<'_>) -> HttpResponse {
-        match (request.method, request.target) {
-            ("GET", "/healthz") => HttpResponse::text("ok"),
-            ("GET", "/v1/keys") => self.keys(),
-            ("POST", "/v1/observations") => self.observe(request),
-            ("POST", "/v1/commit") => self.commit(),
-            ("GET", "/v1/snapshot") => self.export_snapshot(),
-            ("PUT", "/v1/snapshot") => self.import_snapshot(request),
-            // The snapshot and revisions targets carry their queries
-            // verbatim, so these matches are prefix guards instead of
-            // exact strings (the exact arms above win for bare targets).
-            ("GET", target) if is_snapshot_target(target) => self.delta_snapshot(request),
-            ("GET", target) if is_revisions_target(target) => self.revisions(request),
-            ("POST", "/v1/tick") => self.tick(),
-            ("GET", "/v1/stats") => match &self.replica {
-                Some(status) => self.replica_stats(status),
-                None => self.stats(),
-            },
-            (_, target) if is_revisions_target(target) || is_snapshot_target(target) => {
-                HttpResponse::error(
-                    405,
-                    "Method Not Allowed",
-                    &format!("{} does not support {}", request.target, request.method),
-                )
-            }
-            (
+    /// answer as an owned [`HttpResponse`], which is the answer on either
+    /// side of the `Result` (`Err` is just the early way out of a handler).
+    /// Only `/v1/snapshot` and `/v1/revisions` take a query; any other
+    /// target carrying one is no route at all.
+    fn route_other(&self, request: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
+        let (path, query) = match request.target.split_once('?') {
+            Some((path, query)) => (path, Some(query)),
+            None => (request.target, None),
+        };
+        match (request.method, path, query) {
+            ("GET", "/healthz", None) => Ok(HttpResponse::text("ok")),
+            ("GET", "/v1/keys", None) => Ok(self.keys()),
+            ("POST", "/v1/observations", None) => Self::observe(self.admin()?, request),
+            ("POST", "/v1/commit", None) => Self::commit(self.admin()?),
+            ("GET", "/v1/snapshot", None) => Self::export_snapshot(self.admin()?),
+            ("PUT", "/v1/snapshot", None) => Self::import_snapshot(self.admin()?, request),
+            ("GET", "/v1/snapshot", Some(query)) => self.delta_snapshot(request, query),
+            ("GET", "/v1/revisions", query) => self.revisions(request, query),
+            ("POST", "/v1/tick", None) => Self::tick(self.admin()?),
+            ("GET", "/v1/stats", None) => self.stats(),
+            (_, "/v1/revisions", _)
+            | (_, "/v1/snapshot", _)
+            | (
                 _,
                 "/healthz"
                 | "/v1/decisions"
@@ -1315,15 +1277,34 @@ impl Worker {
                 | "/v1/keys"
                 | "/v1/observations"
                 | "/v1/commit"
-                | "/v1/snapshot"
                 | "/v1/tick"
                 | "/v1/stats",
-            ) => HttpResponse::error(
+                None,
+            ) => Err(HttpResponse::error(
                 405,
                 "Method Not Allowed",
                 &format!("{} does not support {}", request.target, request.method),
-            ),
-            _ => HttpResponse::error(404, "Not Found", &format!("no route {}", request.target)),
+            )),
+            _ => Err(HttpResponse::error(
+                404,
+                "Not Found",
+                &format!("no route {}", request.target),
+            )),
+        }
+    }
+
+    /// The way to the writer, which only a primary has. A handler that
+    /// needs it asks here first, so on a replica the endpoint conflicts
+    /// before the request is even looked at — whichever endpoint it is.
+    fn admin(&self) -> Result<&Sender<AdminMsg>, HttpResponse> {
+        match &self.role {
+            Role::Primary { admin, .. } => Ok(admin),
+            Role::Replica(_) => Err(HttpResponse::error(
+                409,
+                "Conflict",
+                "read-only replica: apply mutations on the primary \
+                 (delta snapshots stay available via /v1/snapshot?since=)",
+            )),
         }
     }
 
@@ -1346,12 +1327,6 @@ impl Worker {
         }
     }
 
-    /// Parse a JSON request body into a tree (→ 400 on failure).
-    fn parse_body(request: &RequestView<'_>) -> Result<Value, HttpResponse> {
-        Value::parse(decide::body_text(request)?)
-            .map_err(|error| HttpResponse::error(400, "Bad Request", &error.to_string()))
-    }
-
     /// `GET /v1/keys`: the key-interning handshake. The reply's `keys[i]`
     /// is the string with id `i` in the pinned table; `epoch` scopes the
     /// ids' validity.
@@ -1365,60 +1340,48 @@ impl Worker {
         ))
     }
 
-    fn observe(&self, request: &RequestView<'_>) -> HttpResponse {
-        let body = match Self::parse_body(request) {
-            Ok(body) => body,
-            Err(response) => return response,
-        };
-        let rows = match body.field("observations").and_then(|rows| rows.as_array()) {
-            Ok(rows) => rows,
-            Err(error) => return HttpResponse::error(400, "Bad Request", &error.to_string()),
-        };
-        let mut observations = Vec::with_capacity(rows.len());
-        for row in rows {
-            match ObservationMessage::from_json_value(row) {
-                Ok(observation) => observations.push(observation),
-                Err(error) => return HttpResponse::error(400, "Bad Request", &error.to_string()),
-            }
-        }
-        match self.admin_call(|reply| AdminMsg::Observe(observations, reply)) {
-            Some((accepted, skipped, pending)) => HttpResponse::json(
-                object(vec![
-                    ("accepted", Value::number_u64(accepted)),
-                    ("skipped", Value::number_u64(skipped)),
-                    ("pending", Value::number_u64(pending)),
-                ])
-                .render(),
-            ),
-            None => Self::admin_unavailable(),
-        }
+    fn observe(
+        admin: &Sender<AdminMsg>,
+        request: &RequestView<'_>,
+    ) -> Result<HttpResponse, HttpResponse> {
+        let body = Value::parse(decide::body_text(request)?).map_err(bad_request)?;
+        let observations = body
+            .field("observations")
+            .and_then(|rows| rows.as_array())
+            .map_err(bad_request)?
+            .iter()
+            .map(ObservationMessage::from_json_value)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(bad_request)?;
+        let (accepted, skipped, pending) =
+            admin_call(admin, |reply| AdminMsg::Observe(observations, reply))?;
+        let reply = numbers(&[
+            ("accepted", accepted),
+            ("skipped", skipped),
+            ("pending", pending),
+        ]);
+        Ok(HttpResponse::json(object(reply).render()))
     }
 
-    fn commit(&self) -> HttpResponse {
-        match self.admin_call(AdminMsg::Commit) {
-            Some((stats, version)) => {
-                HttpResponse::json(wire::commit_to_json(&stats, version).render())
-            }
-            None => Self::admin_unavailable(),
-        }
+    fn commit(admin: &Sender<AdminMsg>) -> Result<HttpResponse, HttpResponse> {
+        let (stats, version) = admin_call(admin, AdminMsg::Commit)?;
+        Ok(HttpResponse::json(
+            wire::commit_to_json(&stats, version).render(),
+        ))
     }
 
     /// `POST /v1/tick`: run one scheduler tick on the admin thread. A
     /// server with no scheduler attached answers `400`.
-    fn tick(&self) -> HttpResponse {
-        match self.admin_call(AdminMsg::Tick) {
-            Some(Some(summary)) => HttpResponse::json(
-                object(vec![
-                    ("epoch", Value::number_u64(summary.epoch)),
-                    ("observations", Value::number_u64(summary.observations)),
-                    ("drift_events", Value::number_u64(summary.drift_events)),
-                    ("version", Value::number_u64(summary.version)),
-                ])
-                .render(),
-            ),
-            Some(None) => HttpResponse::error(400, "Bad Request", "no scheduler attached"),
-            None => Self::admin_unavailable(),
-        }
+    fn tick(admin: &Sender<AdminMsg>) -> Result<HttpResponse, HttpResponse> {
+        let summary = admin_call(admin, AdminMsg::Tick)?
+            .ok_or_else(|| bad_request("no scheduler attached"))?;
+        let reply = numbers(&[
+            ("epoch", summary.epoch),
+            ("observations", summary.observations),
+            ("drift_events", summary.drift_events),
+            ("version", summary.version),
+        ]);
+        Ok(HttpResponse::json(object(reply).render()))
     }
 
     /// `GET /v1/revisions`: the pinned table's revision ring, or — with
@@ -1427,32 +1390,38 @@ impl Worker {
     /// to set a `Content-Type` on, `Accept:` [`wire::BINARY_CONTENT_TYPE`]
     /// selects the binary frames. An inverted range is a `400`, a range
     /// the bounded ring no longer covers a `404`.
-    fn revisions(&self, request: &RequestView<'_>) -> HttpResponse {
+    fn revisions(
+        &self,
+        request: &RequestView<'_>,
+        query: Option<&str>,
+    ) -> Result<HttpResponse, HttpResponse> {
         let binary = request.header("accept") == Some(wire::BINARY_CONTENT_TYPE);
-        let range = match parse_revisions_query(request.target) {
-            Ok(range) => range,
-            Err(detail) => return HttpResponse::error(400, "Bad Request", &detail),
-        };
+        let range = query
+            .map(|query| single_param(query, "diff", parse_diff_range))
+            .transpose()
+            .map_err(bad_request)?;
         let pin = self.reader.pin();
         let table = pin.table();
         let ring = table.revisions();
         match range {
-            None if binary => HttpResponse::bytes(
+            None if binary => Ok(HttpResponse::bytes(
                 wire::BINARY_CONTENT_TYPE,
                 frames::encode_revision_list(table.version(), ring),
-            ),
-            None => HttpResponse::json(frames::revision_list_value(table.version(), ring).render()),
+            )),
+            None => Ok(HttpResponse::json(
+                frames::revision_list_value(table.version(), ring).render(),
+            )),
             Some((from, to)) => match diff_revisions(ring, from, to) {
-                Ok(diff) if binary => HttpResponse::bytes(
+                Ok(diff) if binary => Ok(HttpResponse::bytes(
                     wire::BINARY_CONTENT_TYPE,
                     frames::encode_revision_diff(&diff),
-                ),
-                Ok(diff) => HttpResponse::json(frames::revision_diff_value(&diff).render()),
-                Err(error @ RevisionRangeError::Inverted { .. }) => {
-                    HttpResponse::error(400, "Bad Request", &error.to_string())
-                }
+                )),
+                Ok(diff) => Ok(HttpResponse::json(
+                    frames::revision_diff_value(&diff).render(),
+                )),
+                Err(error @ RevisionRangeError::Inverted { .. }) => Err(bad_request(error)),
                 Err(error @ RevisionRangeError::Unknown { .. }) => {
-                    HttpResponse::error(404, "Not Found", &error.to_string())
+                    Err(HttpResponse::error(404, "Not Found", &error.to_string()))
                 }
             },
         }
@@ -1466,12 +1435,16 @@ impl Worker {
     /// ring the answer is `410 Gone` whose body is a *full* snapshot
     /// envelope — the typed re-bootstrap signal — so a lagging follower
     /// recovers in the same round trip that told it the diff is gone.
-    fn delta_snapshot(&self, request: &RequestView<'_>) -> HttpResponse {
+    fn delta_snapshot(
+        &self,
+        request: &RequestView<'_>,
+        query: &str,
+    ) -> Result<HttpResponse, HttpResponse> {
         let binary = request.header("accept") == Some(wire::BINARY_CONTENT_TYPE);
-        let since = match parse_snapshot_query(request.target) {
-            Ok(since) => since,
-            Err(detail) => return HttpResponse::error(400, "Bad Request", &detail),
+        let parse_since = |value: &str| {
+            http::parse_digits(value).ok_or_else(|| format!("bad snapshot version {value:?}"))
         };
+        let since = single_param(query, "since", parse_since).map_err(bad_request)?;
         let pin = self.reader.pin();
         let table = pin.table();
         let encode = |delta: &DeltaSnapshot| {
@@ -1489,7 +1462,7 @@ impl Worker {
                 self.counters[self.index]
                     .snapshot_deltas
                     .fetch_add(1, Ordering::Relaxed);
-                encode(&delta)
+                Ok(encode(&delta))
             }
             Err(RevisionRangeError::Unknown { .. }) => {
                 self.counters[self.index]
@@ -1498,375 +1471,265 @@ impl Worker {
                 let mut response = encode(&table.full_snapshot_delta());
                 response.status = 410;
                 response.reason = "Gone";
-                response
+                Ok(response)
             }
-            Err(error @ RevisionRangeError::Inverted { .. }) => {
-                HttpResponse::error(400, "Bad Request", &error.to_string())
-            }
+            Err(error @ RevisionRangeError::Inverted { .. }) => Err(bad_request(error)),
         }
     }
 
-    fn export_snapshot(&self) -> HttpResponse {
-        match self.admin_call(AdminMsg::Export) {
-            Some(snapshot) => HttpResponse::json(snapshot),
-            None => Self::admin_unavailable(),
-        }
+    fn export_snapshot(admin: &Sender<AdminMsg>) -> Result<HttpResponse, HttpResponse> {
+        Ok(HttpResponse::json(admin_call(admin, AdminMsg::Export)?))
     }
 
-    fn import_snapshot(&self, request: &RequestView<'_>) -> HttpResponse {
-        let text = match std::str::from_utf8(request.body) {
-            Ok(text) => text,
-            Err(_) => {
-                return HttpResponse::error(400, "Bad Request", "snapshot is not valid utf-8")
-            }
-        };
+    fn import_snapshot(
+        admin: &Sender<AdminMsg>,
+        request: &RequestView<'_>,
+    ) -> Result<HttpResponse, HttpResponse> {
+        let text = std::str::from_utf8(request.body)
+            .map_err(|_| bad_request("snapshot is not valid utf-8"))?;
         // Parse + structural validation happen here on the worker, so the
         // admin thread only ever sees well-formed snapshots.
-        let snapshot = match SifterSnapshot::parse(text) {
-            Ok(snapshot) => snapshot,
-            Err(error) => return HttpResponse::error(400, "Bad Request", &error.to_string()),
-        };
-        match self.admin_call(|reply| AdminMsg::Import(Box::new(snapshot), reply)) {
-            Some(Ok((version, observations, dropped_pending))) => HttpResponse::json(
-                object(vec![
-                    ("restored", Value::Bool(true)),
-                    ("version", Value::number_u64(version)),
-                    ("observations", Value::number_u64(observations)),
-                    ("dropped_pending", Value::number_u64(dropped_pending)),
-                ])
-                .render(),
-            ),
-            Some(Err(detail)) => HttpResponse::error(400, "Bad Request", &detail),
-            None => Self::admin_unavailable(),
-        }
+        let snapshot = SifterSnapshot::parse(text).map_err(bad_request)?;
+        let (version, observations, dropped_pending) =
+            admin_call(admin, |reply| AdminMsg::Import(Box::new(snapshot), reply))??;
+        let mut reply = vec![("restored", Value::Bool(true))];
+        reply.extend(numbers(&[
+            ("version", version),
+            ("observations", observations),
+            ("dropped_pending", dropped_pending),
+        ]));
+        Ok(HttpResponse::json(object(reply).render()))
     }
 
-    /// The per-worker `"workers"` array and the `"admission"` object that
-    /// both flavours of `GET /v1/stats` carry.
-    fn workers_and_admission(&self) -> (Value, Value) {
+    /// `GET /v1/stats` for either role. `"workers"` and `"admission"` are
+    /// one document; the head is the writer's [`ServiceStats`] on a
+    /// primary (one admin round trip) and the pinned table's counts on a
+    /// replica, and the sections after them are the role's own.
+    fn stats(&self) -> Result<HttpResponse, HttpResponse> {
+        let load = |gauge: &AtomicU64| gauge.load(Ordering::Relaxed);
         let mut worker_restarts = 0u64;
         let mut shed_connections = 0u64;
         let mut shed_requests = 0u64;
+        let mut snapshot_deltas = 0u64;
+        let mut snapshot_fulls = 0u64;
         let workers: Vec<Value> = self
             .counters
             .iter()
             .map(|counters| {
-                let restarts = counters.restarts.load(Ordering::Relaxed);
-                let conns_shed = counters.shed_connections.load(Ordering::Relaxed);
-                let requests_shed = counters.shed_requests.load(Ordering::Relaxed);
+                let restarts = load(&counters.restarts);
+                let conns_shed = load(&counters.shed_connections);
+                let requests_shed = load(&counters.shed_requests);
                 worker_restarts += restarts;
                 shed_connections += conns_shed;
                 shed_requests += requests_shed;
-                object(vec![
-                    (
-                        "requests",
-                        Value::number_u64(counters.requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "decisions",
-                        Value::number_u64(counters.decisions.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "errors",
-                        Value::number_u64(counters.errors.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "accept_failures",
-                        Value::number_u64(counters.accept_failures.load(Ordering::Relaxed)),
-                    ),
-                    ("restarts", Value::number_u64(restarts)),
-                    ("shed_connections", Value::number_u64(conns_shed)),
-                    ("shed_requests", Value::number_u64(requests_shed)),
-                ])
+                snapshot_deltas += load(&counters.snapshot_deltas);
+                snapshot_fulls += load(&counters.snapshot_fulls);
+                object(numbers(&[
+                    ("requests", load(&counters.requests)),
+                    ("decisions", load(&counters.decisions)),
+                    ("errors", load(&counters.errors)),
+                    ("accept_failures", load(&counters.accept_failures)),
+                    ("restarts", restarts),
+                    ("shed_connections", conns_shed),
+                    ("shed_requests", requests_shed),
+                ]))
             })
             .collect();
-        let admission = object(vec![
-            (
-                "active_connections",
-                Value::number_u64(self.gauges.active_connections.load(Ordering::Relaxed)),
-            ),
-            (
-                "inflight",
-                Value::number_u64(self.gauges.inflight.load(Ordering::Relaxed)),
-            ),
-            (
-                "max_connections",
-                Value::number_u64(self.max_connections as u64),
-            ),
-            ("max_inflight", Value::number_u64(self.max_inflight as u64)),
-            ("worker_restarts", Value::number_u64(worker_restarts)),
-            ("shed_connections", Value::number_u64(shed_connections)),
-            ("shed_requests", Value::number_u64(shed_requests)),
-        ]);
-        (Value::Array(workers), admission)
-    }
-
-    fn stats(&self) -> HttpResponse {
-        let Some(stats) = self.admin_call(AdminMsg::Stats) else {
-            return Self::admin_unavailable();
-        };
-        let mut value = wire::service_stats_to_json(&stats.service);
-        let (workers, admission) = self.workers_and_admission();
-        let mut snapshot_deltas = 0u64;
-        let mut snapshot_fulls = 0u64;
-        for counters in self.counters.iter() {
-            snapshot_deltas += counters.snapshot_deltas.load(Ordering::Relaxed);
-            snapshot_fulls += counters.snapshot_fulls.load(Ordering::Relaxed);
-        }
-        if let Value::Object(fields) = &mut value {
-            fields.push(("workers".to_string(), workers));
-            fields.push(("admission".to_string(), admission));
-            if let Some(generation) = stats.generation {
-                let journal = stats.journal.unwrap_or_default();
-                let mut durability = vec![
-                    ("generation", Value::number_u64(generation)),
-                    (
-                        "journal",
-                        object(vec![
-                            ("appended", Value::number_u64(journal.appended)),
-                            ("synced", Value::number_u64(journal.synced)),
-                            ("syncs", Value::number_u64(journal.syncs)),
-                            ("write_errors", Value::number_u64(journal.write_errors)),
-                            ("sync_errors", Value::number_u64(journal.sync_errors)),
-                            ("rotations", Value::number_u64(journal.rotations)),
-                            ("bytes", Value::number_u64(journal.bytes)),
-                        ]),
-                    ),
-                ];
-                if let Some(recovery) = &*self.recovery {
-                    durability.push((
-                        "recovery",
-                        object(vec![
+        let admission = object(numbers(&[
+            ("active_connections", load(&self.gauges.active_connections)),
+            ("inflight", load(&self.gauges.inflight)),
+            ("max_connections", self.max_connections as u64),
+            ("max_inflight", self.max_inflight as u64),
+            ("worker_restarts", worker_restarts),
+            ("shed_connections", shed_connections),
+            ("shed_requests", shed_requests),
+        ]));
+        let (head, sections) = match &self.role {
+            Role::Primary { admin, recovery } => {
+                let stats = admin_call(admin, AdminMsg::Stats)?;
+                let mut sections = Vec::new();
+                if let Some(generation) = stats.generation {
+                    let journal = stats.journal.unwrap_or_default();
+                    let mut durability = vec![
+                        ("generation", Value::number_u64(generation)),
+                        (
+                            "journal",
+                            object(numbers(&[
+                                ("appended", journal.appended),
+                                ("synced", journal.synced),
+                                ("syncs", journal.syncs),
+                                ("write_errors", journal.write_errors),
+                                ("sync_errors", journal.sync_errors),
+                                ("rotations", journal.rotations),
+                                ("bytes", journal.bytes),
+                            ])),
+                        ),
+                    ];
+                    if let Some(recovery) = recovery {
+                        let mut report = vec![
                             ("generation", Value::number_u64(recovery.generation)),
                             ("restored_snapshot", Value::Bool(recovery.restored_snapshot)),
-                            (
-                                "snapshot_observations",
-                                Value::number_u64(recovery.snapshot_observations),
-                            ),
-                            (
-                                "replayed_records",
-                                Value::number_u64(recovery.replayed_records),
-                            ),
-                            (
-                                "replayed_commits",
-                                Value::number_u64(recovery.replayed_commits),
-                            ),
-                            ("torn_bytes", Value::number_u64(recovery.torn_bytes)),
-                        ]),
-                    ));
+                        ];
+                        report.extend(numbers(&[
+                            ("snapshot_observations", recovery.snapshot_observations),
+                            ("replayed_records", recovery.replayed_records),
+                            ("replayed_commits", recovery.replayed_commits),
+                            ("torn_bytes", recovery.torn_bytes),
+                        ]));
+                        durability.push(("recovery", object(report)));
+                    }
+                    sections.push(("durability", object(durability)));
                 }
-                fields.push(("durability".to_string(), object(durability)));
-            }
-            if let Some((scheduler, last_tick_micros)) = &stats.scheduler {
-                fields.push((
-                    "scheduler".to_string(),
+                if let Some((scheduler, last_tick_micros)) = stats.scheduler {
+                    let mut gauges = numbers(&[
+                        ("epoch", scheduler.epoch),
+                        ("ticks", scheduler.ticks),
+                        ("last_tick_micros", last_tick_micros),
+                        ("rotated_cdn_scripts", scheduler.rotated_cdn_scripts),
+                        ("rotated_paths", scheduler.rotated_paths),
+                        ("emerged_pixels", scheduler.emerged_pixels),
+                        ("drift_events", scheduler.drift_events),
+                    ]);
+                    gauges.push((
+                        "retention",
+                        object(numbers(&[
+                            ("probes", scheduler.retention_probes),
+                            ("hits", scheduler.retention_hits),
+                        ])),
+                    ));
+                    sections.push(("scheduler", object(gauges)));
+                }
+                // Pinned after the admin's reply, so the ring is never older
+                // than the version that reply reports.
+                let pin = self.reader.pin();
+                let ring = pin.table().revisions();
+                sections.push((
+                    "replication",
                     object(vec![
-                        ("epoch", Value::number_u64(scheduler.epoch)),
-                        ("ticks", Value::number_u64(scheduler.ticks)),
-                        ("last_tick_micros", Value::number_u64(*last_tick_micros)),
+                        ("role", Value::String("primary".to_string())),
                         (
-                            "rotated_cdn_scripts",
-                            Value::number_u64(scheduler.rotated_cdn_scripts),
+                            "ring",
+                            object(numbers(&[
+                                ("len", ring.len() as u64),
+                                (
+                                    "oldest",
+                                    ring.first().map_or(0, |revision| revision.version()),
+                                ),
+                                (
+                                    "newest",
+                                    ring.last().map_or(0, |revision| revision.version()),
+                                ),
+                            ])),
                         ),
-                        ("rotated_paths", Value::number_u64(scheduler.rotated_paths)),
                         (
-                            "emerged_pixels",
-                            Value::number_u64(scheduler.emerged_pixels),
-                        ),
-                        ("drift_events", Value::number_u64(scheduler.drift_events)),
-                        (
-                            "retention",
-                            object(vec![
-                                ("probes", Value::number_u64(scheduler.retention_probes)),
-                                ("hits", Value::number_u64(scheduler.retention_hits)),
-                            ]),
+                            "snapshots",
+                            object(numbers(&[
+                                ("deltas", snapshot_deltas),
+                                ("fulls", snapshot_fulls),
+                            ])),
                         ),
                     ]),
                 ));
+                (wire::service_stats_to_json(&stats.service), sections)
             }
-            fields.push((
-                "shards".to_string(),
-                object(vec![
-                    ("count", Value::number_u64(stats.shards.len() as u64)),
-                    (
-                        "writers",
-                        Value::Array(
-                            stats
-                                .shards
-                                .iter()
-                                .map(|(version, commits)| {
-                                    object(vec![
-                                        ("version", Value::number_u64(*version)),
-                                        ("commits", Value::number_u64(*commits)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-            let pin = self.reader.pin();
-            let ring = pin.table().revisions();
-            fields.push((
-                "replication".to_string(),
-                object(vec![
-                    ("role", Value::String("primary".to_string())),
-                    (
-                        "ring",
-                        object(vec![
-                            ("len", Value::number_u64(ring.len() as u64)),
-                            (
-                                "oldest",
-                                Value::number_u64(
-                                    ring.first().map_or(0, |revision| revision.version()),
-                                ),
-                            ),
-                            (
-                                "newest",
-                                Value::number_u64(
-                                    ring.last().map_or(0, |revision| revision.version()),
-                                ),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "snapshots",
-                        object(vec![
-                            ("deltas", Value::number_u64(snapshot_deltas)),
-                            ("fulls", Value::number_u64(snapshot_fulls)),
-                        ]),
-                    ),
-                ]),
-            ));
-        }
-        HttpResponse::json(value.render())
-    }
-
-    /// The replica flavour of `GET /v1/stats`: no admin thread exists, so
-    /// the body is assembled from the pinned table, the worker counters,
-    /// and the follower's [`ReplicaStatus`] gauges. The `"replication"`
-    /// section carries `role: "replica"` plus the sync-loop counters.
-    fn replica_stats(&self, status: &ReplicaStatus) -> HttpResponse {
-        let pin = self.reader.pin();
-        let table = pin.table();
-        let (workers, admission) = self.workers_and_admission();
-        let value = object(vec![
-            ("version", Value::number_u64(table.version())),
-            ("committed", Value::number_u64(table.committed())),
-            ("residue", Value::number_u64(table.unattributed())),
-            ("workers", workers),
-            ("admission", admission),
-            (
-                "replication",
-                object(vec![
+            Role::Replica(status) => {
+                let pin = self.reader.pin();
+                let table = pin.table();
+                let mut replication = vec![
                     ("role", Value::String("replica".to_string())),
                     ("upstream", Value::String(status.upstream().to_string())),
-                    (
-                        "upstream_version",
-                        Value::number_u64(status.upstream_version.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "applied_version",
-                        Value::number_u64(status.applied_version()),
-                    ),
-                    ("lag", Value::number_u64(status.lag())),
-                    (
-                        "polls",
-                        Value::number_u64(status.polls.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "deltas_applied",
-                        Value::number_u64(status.deltas_applied.load(Ordering::Relaxed)),
-                    ),
-                    ("bootstraps", Value::number_u64(status.bootstraps())),
-                    ("sync_errors", Value::number_u64(status.sync_errors())),
-                ]),
-            ),
-        ]);
-        HttpResponse::json(value.render())
-    }
-
-    /// Round-trip a message to the admin thread; `None` means it is gone.
-    fn admin_call<T>(&self, build: impl FnOnce(Sender<T>) -> AdminMsg) -> Option<T> {
-        let (tx, rx) = mpsc::channel();
-        self.admin.send(build(tx)).ok()?;
-        rx.recv().ok()
-    }
-
-    fn admin_unavailable() -> HttpResponse {
-        HttpResponse::error(500, "Internal Server Error", "admin thread unavailable")
-    }
-}
-
-/// Whether a request target addresses `/v1/revisions` (with or without a
-/// query string).
-fn is_revisions_target(target: &str) -> bool {
-    target == "/v1/revisions" || target.starts_with("/v1/revisions?")
-}
-
-/// Whether a request target addresses `/v1/snapshot` *with* a query
-/// string. The bare target keeps its exact-match routes (`GET` full JSON
-/// export, `PUT` import); only the queried form reaches the delta handler.
-fn is_snapshot_target(target: &str) -> bool {
-    target.starts_with("/v1/snapshot?")
-}
-
-/// Parse the query of a `/v1/snapshot?since=v` target into the baseline
-/// version. The bare target never reaches this (exact-match routes win),
-/// so a missing or malformed `since` is a client error.
-fn parse_snapshot_query(target: &str) -> Result<u64, String> {
-    let query = target
-        .strip_prefix("/v1/snapshot?")
-        .ok_or_else(|| format!("bad target {target:?}"))?;
-    let mut since = None;
-    for pair in query.split('&') {
-        let Some((key, value)) = pair.split_once('=') else {
-            return Err(format!("malformed query parameter {pair:?}"));
+                ];
+                replication.extend(numbers(&[
+                    ("upstream_version", load(&status.upstream_version)),
+                    ("applied_version", status.applied_version()),
+                    ("lag", status.lag()),
+                    ("polls", load(&status.polls)),
+                    ("deltas_applied", load(&status.deltas_applied)),
+                    ("bootstraps", status.bootstraps()),
+                    ("sync_errors", status.sync_errors()),
+                ]));
+                (
+                    object(numbers(&[
+                        ("version", table.version()),
+                        ("committed", table.committed()),
+                        ("residue", table.unattributed()),
+                    ])),
+                    vec![("replication", object(replication))],
+                )
+            }
         };
-        if key != "since" {
-            return Err(format!("unknown query parameter {key:?}"));
-        }
-        if since.is_some() {
-            return Err("duplicate since parameter".to_string());
-        }
-        since = Some(
-            http::parse_digits(value).ok_or_else(|| format!("bad snapshot version {value:?}"))?,
+        let Value::Object(mut fields) = head else {
+            unreachable!("both heads are built by `object`");
+        };
+        fields.push(("workers".to_string(), Value::Array(workers)));
+        fields.push(("admission".to_string(), admission));
+        fields.extend(
+            sections
+                .into_iter()
+                .map(|(name, section)| (name.to_string(), section)),
         );
+        Ok(HttpResponse::json(Value::Object(fields).render()))
     }
-    since.ok_or_else(|| "empty query string".to_string())
 }
 
-/// Parse the query of a `/v1/revisions` target: no query lists the ring,
-/// `?diff=a..b` selects a drift diff, anything else is a client error
+/// Named numbers as the fields of a JSON [`object`], in the order given.
+fn numbers<'n>(fields: &[(&'n str, u64)]) -> Vec<(&'n str, Value)> {
+    fields
+        .iter()
+        .map(|&(name, count)| (name, Value::number_u64(count)))
+        .collect()
+}
+
+/// Round-trip a message to the admin thread; the `500` means it is gone.
+fn admin_call<T>(
+    admin: &Sender<AdminMsg>,
+    build: impl FnOnce(Sender<T>) -> AdminMsg,
+) -> Result<T, HttpResponse> {
+    let (tx, rx) = mpsc::channel();
+    let reply = admin.send(build(tx)).ok().and_then(|()| rx.recv().ok());
+    reply.ok_or_else(|| {
+        HttpResponse::error(500, "Internal Server Error", "admin thread unavailable")
+    })
+}
+
+/// The `400` whose detail is `reason`.
+fn bad_request(reason: impl ToString) -> HttpResponse {
+    HttpResponse::error(400, "Bad Request", &reason.to_string())
+}
+
+/// Read the one parameter `name` that a query string must consist of,
+/// through `parse`. Anything else the query carries is a client error
 /// (the `400` detail string).
-fn parse_revisions_query(target: &str) -> Result<Option<(u64, u64)>, String> {
-    let query = match target.strip_prefix("/v1/revisions") {
-        Some("") => return Ok(None),
-        Some(rest) => rest
-            .strip_prefix('?')
-            .ok_or_else(|| format!("bad target {target:?}"))?,
-        None => return Err(format!("bad target {target:?}")),
-    };
-    let mut range = None;
+fn single_param<T>(
+    query: &str,
+    name: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut found = None;
     for pair in query.split('&') {
         let Some((key, value)) = pair.split_once('=') else {
             return Err(format!("malformed query parameter {pair:?}"));
         };
-        if key != "diff" {
+        if key != name {
             return Err(format!("unknown query parameter {key:?}"));
         }
-        if range.is_some() {
-            return Err("duplicate diff parameter".to_string());
+        if found.is_some() {
+            return Err(format!("duplicate {name} parameter"));
         }
-        let Some((from, to)) = value.split_once("..") else {
-            return Err(format!("diff range {value:?} is not of the form a..b"));
-        };
-        let version = |text: &str| {
-            http::parse_digits::<u64>(text).ok_or_else(|| format!("bad revision version {text:?}"))
-        };
-        range = Some((version(from)?, version(to)?));
+        found = Some(parse(value)?);
     }
-    Ok(Some(range.ok_or_else(|| "empty query string".to_string())?))
+    found.ok_or_else(|| "empty query string".to_string())
+}
+
+/// The `a..b` of `GET /v1/revisions?diff=a..b`.
+fn parse_diff_range(value: &str) -> Result<(u64, u64), String> {
+    let Some((from, to)) = value.split_once("..") else {
+        return Err(format!("diff range {value:?} is not of the form a..b"));
+    };
+    let version = |text: &str| {
+        http::parse_digits::<u64>(text).ok_or_else(|| format!("bad revision version {text:?}"))
+    };
+    Ok((version(from)?, version(to)?))
 }
 
 #[cfg(test)]

@@ -49,7 +49,6 @@ use std::borrow::Cow;
 use trackersift::frames::{self, PROTO_VERSION, RECORD_HEADER_LEN};
 use trackersift::{
     CommitStats, Decision, DecisionRequest, FrameError, FrameReader, FrozenKeys, ServiceStats,
-    SurrogateScript,
 };
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
@@ -349,17 +348,6 @@ pub fn decode_decision_batch<'a>(
     }
     reader.finish()?;
     rows.unwrap_or_else(|| err("missing field `requests`"))
-}
-
-/// Encode a surrogate payload. (Delegates to the canonical encoding in
-/// [`trackersift::frames`], shared with the commit-time preformatter.)
-pub fn surrogate_to_json(script: &SurrogateScript) -> Value {
-    frames::surrogate_value(script)
-}
-
-/// Decode a surrogate payload.
-pub fn surrogate_from_json(value: &Value) -> Result<SurrogateScript, JsonError> {
-    frames::surrogate_from_value(value)
 }
 
 /// Encode a decision. The encoding is canonical (field order fixed), so
@@ -804,7 +792,7 @@ pub fn service_stats_to_json(stats: &ServiceStats) -> Value {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use trackersift::{DecisionSource, Granularity, MethodAction};
+    use trackersift::{DecisionSource, Granularity, MethodAction, SurrogateScript};
 
     #[test]
     fn decision_encodings_round_trip() {

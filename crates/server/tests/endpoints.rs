@@ -801,66 +801,62 @@ fn stats_exposes_admission_budgets_and_worker_health() {
     server.shutdown();
 }
 
-/// A primary and a replica render `workers[0]` and `admission` of
-/// `GET /v1/stats` with the same keys in the same order, and the primary's
-/// body still describes its one writer under `"shards"`.
+/// A primary and a replica render `"workers"` and `"admission"` of
+/// `GET /v1/stats` as the same bytes, around the sections their role
+/// adds — whole-body goldens for a 1-worker primary (no durability, no
+/// scheduler) and a `start_replica` server over the same trained reader,
+/// each after one decision on the connection that then asks for the stats
+/// (hence 2 requests, 1 in flight). Nothing sits between `"admission"`
+/// and `"replication"` on this primary: the section that described the
+/// writers of the deleted multi-writer front end is gone.
 #[test]
 fn primary_and_replica_stats_share_the_worker_and_admission_shape() {
-    fn keys(value: &Value) -> Vec<&str> {
-        match value {
-            Value::Object(fields) => fields.iter().map(|(key, _)| key.as_str()).collect(),
-            other => panic!("expected an object, got {other:?}"),
-        }
-    }
-    let primary = start_server(trained_sifter());
+    let config = || ServerConfig {
+        workers: 1,
+        ..ServerConfig::ephemeral()
+    };
+    let (writer, _reader) = trained_sifter().into_concurrent();
+    let primary = VerdictServer::start(writer, config()).expect("start primary");
     let (_writer, reader) = trained_sifter().into_concurrent();
     let replica = VerdictServer::start_replica(
         reader,
         std::sync::Arc::new(ReplicaStatus::new("127.0.0.1:1")),
-        ServerConfig::ephemeral(),
+        config(),
     )
     .expect("start replica server");
-    let [primary_body, replica_body] = [&primary, &replica].map(|server| {
-        let (status, body) = Client::connect(server.local_addr()).request("GET", "/v1/stats", None);
+    let query = r#"{"domain":"ads.com","hostname":"px.ads.com","script":"https://pub.com/a.js","method":"send"}"#;
+    let bodies = [&primary, &replica].map(|server| {
+        let mut client = Client::connect(server.local_addr());
+        let (status, _) = client.request("POST", "/v1/decisions", Some(query));
+        assert_eq!(status, 200);
+        let (status, body) = client.request("GET", "/v1/stats", None);
         assert_eq!(status, 200);
         body
     });
-    for body in [&primary_body, &replica_body] {
-        let stats = Value::parse(body).expect("stats json");
-        assert_eq!(
-            keys(&stats.field("workers").unwrap().as_array().unwrap()[0]),
-            [
-                "requests",
-                "decisions",
-                "errors",
-                "accept_failures",
-                "restarts",
-                "shed_connections",
-                "shed_requests"
-            ],
-            "{body}"
-        );
-        assert_eq!(
-            keys(stats.field("admission").unwrap()),
-            [
-                "active_connections",
-                "inflight",
-                "max_connections",
-                "max_inflight",
-                "worker_restarts",
-                "shed_connections",
-                "shed_requests"
-            ],
-            "{body}"
-        );
-    }
-    assert!(
-        primary_body.contains(r#""shards":{"count":1,"#),
-        "{primary_body}"
+    let shared = concat!(
+        r#""workers":[{"requests":2,"decisions":1,"errors":0,"accept_failures":0,"#,
+        r#""restarts":0,"shed_connections":0,"shed_requests":0}],"#,
+        r#""admission":{"active_connections":1,"inflight":1,"max_connections":1024,"#,
+        r#""max_inflight":256,"worker_restarts":0,"shed_connections":0,"shed_requests":0},"#,
     );
-    assert!(
-        replica_body.contains(r#""role":"replica""#),
-        "{replica_body}"
+    let expected_primary = [
+        r#"{"version":1,"ingest":{"observed":26,"committed":26,"pending":0,"invalid_urls":0,"no_engine":0},"#,
+        r#""conflicting_observations":0,"unattributed":4,"#,
+        r#""resources":{"domains":3,"hostnames":1,"scripts":1,"methods":3},"#,
+        shared,
+        r#""replication":{"role":"primary","ring":{"len":0,"oldest":0,"newest":0},"#,
+        r#""snapshots":{"deltas":0,"fulls":0}}}"#,
+    ];
+    let expected_replica = [
+        r#"{"version":1,"committed":26,"residue":4,"#,
+        shared,
+        r#""replication":{"role":"replica","upstream":"127.0.0.1:1","upstream_version":0,"#,
+        r#""applied_version":0,"lag":0,"polls":0,"deltas_applied":0,"bootstraps":0,"sync_errors":0}}"#,
+    ];
+    // One assertion, so a drift in the shared part shows on both roles.
+    assert_eq!(
+        bodies,
+        [expected_primary.concat(), expected_replica.concat()]
     );
     primary.shutdown();
     replica.shutdown();
@@ -1264,6 +1260,64 @@ fn tick_endpoint_drives_the_attached_scheduler() {
     assert!(stats.field("scheduler").is_err());
     plain.shutdown();
     server.shutdown();
+}
+
+/// The sections only a durable, scheduled primary renders keep their
+/// place in the document and their key order. Every number is masked to
+/// `N`: journal sizes depend on the run and `last_tick_micros` is a clock.
+#[test]
+fn stats_sections_of_a_durable_scheduled_primary_keep_their_key_order() {
+    let dir = std::env::temp_dir().join(format!(
+        "trackersift-server-stats-order-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (writer, _reader) = trained_sifter().into_concurrent();
+    let server = VerdictServer::start_with_scheduler(
+        writer,
+        ServerConfig {
+            workers: 1,
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..ServerConfig::ephemeral()
+        },
+        Box::new(CountingScheduler { ticks: 0 }),
+    )
+    .expect("start durable scheduled server");
+    let mut client = Client::connect(server.local_addr());
+    let (status, _) = client.request("POST", "/v1/tick", None);
+    assert_eq!(status, 200);
+    let (status, body) = client.request("GET", "/v1/stats", None);
+    assert_eq!(status, 200);
+    let mut masked = String::new();
+    for c in body.chars() {
+        if !c.is_ascii_digit() {
+            masked.push(c);
+        } else if !masked.ends_with('N') {
+            masked.push('N');
+        }
+    }
+    let (_, tail) = masked
+        .split_once(r#""admission":{"#)
+        .and_then(|(_, rest)| rest.split_once("},"))
+        .expect("admission section");
+    assert_eq!(
+        tail,
+        concat!(
+            r#""durability":{"generation":N,"#,
+            r#""journal":{"appended":N,"synced":N,"syncs":N,"write_errors":N,"#,
+            r#""sync_errors":N,"rotations":N,"bytes":N},"#,
+            r#""recovery":{"generation":N,"restored_snapshot":false,"snapshot_observations":N,"#,
+            r#""replayed_records":N,"replayed_commits":N,"torn_bytes":N}},"#,
+            r#""scheduler":{"epoch":N,"ticks":N,"last_tick_micros":N,"rotated_cdn_scripts":N,"#,
+            r#""rotated_paths":N,"emerged_pixels":N,"drift_events":N,"#,
+            r#""retention":{"probes":N,"hits":N}},"#,
+            r#""replication":{"role":"primary","ring":{"len":N,"oldest":N,"newest":N},"#,
+            r#""snapshots":{"deltas":N,"fulls":N}}}"#,
+        ),
+        "{body}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Deterministic observation tuples from a splitmix-style stream.

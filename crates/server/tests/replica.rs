@@ -1,0 +1,102 @@
+//! `VerdictServer::follow` end to end over loopback: a replica bootstraps
+//! before it serves, follows the primary's commits through the poll loop,
+//! and refuses everything that needs the writer.
+
+use std::thread;
+use std::time::{Duration, Instant};
+use trackersift::Sifter;
+use trackersift_server::client::Client;
+use trackersift_server::{ReplicaConfig, ServerConfig, VerdictServer};
+
+#[test]
+fn a_replica_bootstraps_serves_and_refuses_writes() {
+    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let primary = VerdictServer::start(
+        writer,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::ephemeral()
+        },
+    )
+    .expect("primary");
+    let mut upstream = Client::connect(primary.local_addr());
+    let body = concat!(
+        r#"{"observations":[{"domain":"ads.com","hostname":"px.ads.com","#,
+        r#""script":"https://pub.com/a.js","method":"send","tracking":true}]}"#,
+    );
+    let (status, _) = upstream.request("POST", "/v1/observations", Some(body));
+    assert_eq!(status, 200);
+    let (status, _) = upstream.request("POST", "/v1/commit", None);
+    assert_eq!(status, 200);
+
+    let mut config = ReplicaConfig::new(primary.local_addr().to_string());
+    config.server.workers = 1;
+    config.poll_interval = Duration::from_millis(25);
+    let replica = VerdictServer::follow(config, None, None).expect("replica starts");
+    let gauges = replica.replica_status().expect("a follower has gauges");
+    // The bootstrap sync is part of startup, not of the first poll.
+    assert_eq!(gauges.applied_version(), 1);
+
+    // The replica serves the primary's verdict...
+    let mut client = Client::connect(replica.local_addr());
+    let query = concat!(
+        r#"{"domain":"ads.com","hostname":"px.ads.com","#,
+        r#""script":"https://pub.com/a.js","method":"send"}"#,
+    );
+    let (status, decision) = client.request("POST", "/v1/decisions", Some(query));
+    assert_eq!(status, 200);
+    assert!(decision.contains(r#""action":"block""#), "got {decision}");
+
+    // ...and reports its role in stats...
+    let (status, stats) = client.request("GET", "/v1/stats", None);
+    assert_eq!(status, 200);
+    assert!(stats.contains(r#""role":"replica""#), "got {stats}");
+
+    // ...keeps serving delta snapshots to followers of its own (the span
+    // is either in its ring or answered with the full envelope)...
+    let (status, delta) = client.request("GET", "/v1/snapshot?since=1", None);
+    assert!(matches!(status, 200 | 410), "{status}: {delta}");
+
+    // ...and refuses whatever needs the writer with a typed conflict,
+    // while the method table still answers first for unknown methods.
+    // (Errors close the connection, so each case reconnects.)
+    for (method, target, body, expected) in [
+        ("POST", "/v1/observations", Some(body), 409),
+        ("POST", "/v1/commit", None, 409),
+        ("GET", "/v1/snapshot", None, 409),
+        ("DELETE", "/v1/commit", None, 405),
+    ] {
+        let (status, detail) = Client::connect(replica.local_addr()).request(method, target, body);
+        assert_eq!(status, expected, "{method} {target}: {detail}");
+    }
+
+    // A second commit on the primary flows through the poll loop.
+    let body2 = concat!(
+        r#"{"observations":[{"domain":"cdn.net","hostname":"a.cdn.net","#,
+        r#""script":"https://pub.com/b.js","method":"load","tracking":false}]}"#,
+    );
+    let (status, _) = upstream.request("POST", "/v1/observations", Some(body2));
+    assert_eq!(status, 200);
+    let (status, _) = upstream.request("POST", "/v1/commit", None);
+    assert_eq!(status, 200);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while gauges.applied_version() < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "replica never caught up: {}",
+            gauges.applied_version()
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+    let query2 = concat!(
+        r#"{"domain":"cdn.net","hostname":"a.cdn.net","#,
+        r#""script":"https://pub.com/b.js","method":"load"}"#,
+    );
+    let (status, decision) = client.request("POST", "/v1/decisions", Some(query2));
+    assert_eq!(status, 200);
+    assert!(decision.contains(r#""action":"allow""#), "got {decision}");
+
+    drop((client, upstream));
+    replica.shutdown();
+    primary.shutdown();
+}

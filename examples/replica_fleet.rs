@@ -7,46 +7,30 @@
 //! cargo run --release --example replica_fleet
 //! ```
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 use trackersift_suite::prelude::*;
-use trackersift_suite::trackersift_replica::{start, ReplicaConfig, ReplicaServer};
+use trackersift_suite::trackersift_server::client::Client;
 
-/// Issue one HTTP/1.1 request and return (status code, body bytes).
-fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut reply = Vec::new();
-    stream.read_to_end(&mut reply).expect("read reply");
-    let text = String::from_utf8_lossy(&reply);
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let split = reply
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    (status, reply[split + 4..].to_vec())
+/// Issue one HTTP/1.1 request on a fresh connection and return (status
+/// code, body).
+fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
+    Client::connect(addr).request(method, target, Some(body))
+}
+
+/// The sync gauges of a server started with `VerdictServer::follow`.
+fn gauges(replica: &VerdictServer) -> &ReplicaStatus {
+    replica.replica_status().expect("a follower has gauges")
 }
 
 /// Wait until `replica` has applied `version` (bounded).
-fn await_version(replica: &ReplicaServer, version: u64) {
+fn await_version(replica: &VerdictServer, version: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while replica.status().applied_version() < version {
+    while gauges(replica).applied_version() < version {
         assert!(
             Instant::now() < deadline,
             "replica stuck at version {}",
-            replica.status().applied_version()
+            gauges(replica).applied_version()
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -69,15 +53,15 @@ fn main() {
     println!("primary on http://{}", primary.local_addr());
 
     // 2. Two replicas bootstrap from it (full snapshot, then delta polls).
-    let fleet: Vec<ReplicaServer> = (0..2)
+    let fleet: Vec<VerdictServer> = (0..2)
         .map(|i| {
             let mut config = ReplicaConfig::new(primary.local_addr().to_string());
             config.poll_interval = Duration::from_millis(25);
-            let replica = start(config).expect("replica bootstrap");
+            let replica = VerdictServer::follow(config, None, None).expect("replica bootstrap");
             println!(
                 "replica {i} on http://{} at version {}",
                 replica.local_addr(),
-                replica.status().applied_version()
+                gauges(&replica).applied_version()
             );
             replica
         })
@@ -130,7 +114,7 @@ fn main() {
     assert_eq!(status, 200);
     let (status, commit) = http(primary.local_addr(), "POST", "/v1/commit", "");
     assert_eq!(status, 200);
-    println!("primary commit -> {}", String::from_utf8_lossy(&commit));
+    println!("primary commit -> {commit}");
     for replica in &fleet {
         await_version(replica, 2);
     }
@@ -144,9 +128,9 @@ fn main() {
         );
         println!(
             "replica {i} caught up: version {}, bootstraps {}, lag {}",
-            replica.status().applied_version(),
-            replica.status().bootstraps(),
-            replica.status().lag()
+            gauges(replica).applied_version(),
+            gauges(replica).bootstraps(),
+            gauges(replica).lag()
         );
     }
 
@@ -154,10 +138,7 @@ fn main() {
     //    primary.
     let (status, detail) = http(fleet[0].local_addr(), "POST", "/v1/commit", "");
     assert_eq!(status, 409);
-    println!(
-        "replica refuses mutation: 409 {}",
-        String::from_utf8_lossy(&detail)
-    );
+    println!("replica refuses mutation: 409 {detail}");
 
     for replica in fleet {
         replica.shutdown();

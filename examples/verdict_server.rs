@@ -42,16 +42,16 @@ fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (String, St
 /// `--replica-of` mode: follow a primary until killed, reporting the
 /// replication gauges once per second.
 fn run_replica(upstream: &str) -> ! {
-    let replica = trackersift_suite::trackersift_replica::start(ReplicaConfig::new(upstream))
+    let replica = VerdictServer::follow(ReplicaConfig::new(upstream), None, None)
         .expect("replica bootstrap (is the primary running?)");
+    let status = replica.replica_status().expect("a follower has gauges");
     println!(
         "Replica of {} serving on http://{}",
-        replica.status().upstream(),
+        status.upstream(),
         replica.local_addr()
     );
     loop {
         std::thread::sleep(std::time::Duration::from_secs(1));
-        let status = replica.status();
         println!(
             "  applied version {} (lag {}, bootstraps {}, sync errors {})",
             status.applied_version(),

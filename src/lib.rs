@@ -40,11 +40,9 @@ pub use rewriter;
 /// call-stack analysis, surrogates, breakage.
 pub use trackersift;
 
-/// The HTTP/1.1 verdict server over lock-free reader handles.
+/// The HTTP/1.1 verdict server over lock-free reader handles, as a
+/// primary or as a read-only replica following one.
 pub use trackersift_server;
-
-/// The read-only replica fleet driver (delta-snapshot follower loop).
-pub use trackersift_replica;
 
 /// The continuous re-crawl loop over an evolving websim web.
 pub use scheduler;
@@ -62,9 +60,9 @@ pub mod prelude {
         ServiceStats, Sifter, SifterBuilder, SifterReader, SifterSnapshot, SifterWriter,
         SnapshotError, StageTimings, Study, StudyConfig, Thresholds, Verdict, VerdictTable,
     };
-    pub use trackersift_replica::{ReplicaConfig, ReplicaServer};
     pub use trackersift_server::{
-        ReplicaStatus, SchedulerDriver, SchedulerStats, ServerConfig, TickSummary, VerdictServer,
+        ReplicaConfig, ReplicaStatus, SchedulerDriver, SchedulerStats, ServerConfig, TickSummary,
+        VerdictServer,
     };
     pub use websim::{
         CorpusGenerator, CorpusProfile, EcosystemMutator, MutationConfig, Purpose, ScriptArchetype,

@@ -503,4 +503,51 @@ mod chaos {
         assert_eq!(writer.sifter().observed(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// `PUT /v1/snapshot` whose checkpoint fails: the document was valid
+    /// and is already being served, so the failure is the server's (`500`),
+    /// not the client's (`400`) — and a retry on a healed disk lands.
+    #[test]
+    fn restored_but_not_checkpointed_snapshot_is_a_server_error() {
+        let _guard = chaos_lock();
+        failpoint::clear_all();
+        let dir = temp_dir("import-checkpoint-fail");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let snapshot = trained_writer().snapshot().to_json_string();
+        let (writer, _reader) = Sifter::builder().build_concurrent();
+        let server = VerdictServer::start(
+            writer,
+            ServerConfig {
+                durability: Some(trackersift_server::DurabilityConfig::new(&dir)),
+                ..serving_config()
+            },
+        )
+        .expect("start durable server");
+
+        failpoint::set(
+            "snapshot.write",
+            Action::io_error(ErrorKind::Other, Some(1)),
+        );
+        let mut client = Client::connect(server.local_addr());
+        let (status, body) = client.request("PUT", "/v1/snapshot", Some(&snapshot));
+        failpoint::clear_all();
+        assert_eq!(status, 500, "{body}");
+        assert!(
+            body.contains("snapshot restored but not checkpointed"),
+            "{body}"
+        );
+
+        // The restore itself happened: the trained version is published.
+        let mut client = Client::connect(server.local_addr());
+        let (status, stats) = client.request("GET", "/v1/stats", None);
+        assert_eq!(status, 200);
+        assert!(stats.starts_with(r#"{"version":1,"#), "{stats}");
+        assert!(stats.contains(r#""observed":5,"#), "{stats}");
+
+        let (status, body) = client.request("PUT", "/v1/snapshot", Some(&snapshot));
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains(r#""restored":true"#), "{body}");
+        server.shutdown();
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
