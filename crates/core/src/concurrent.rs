@@ -22,11 +22,11 @@
 //! # The write path
 //!
 //! [`SifterWriter::apply`] is journal-then-fold, written once: append the
-//! [`Observation`] to the attached journal (if any), then
-//! [`Sifter::apply`] it. `observe_parts` / `observe_url` wrap it, the
-//! verdict server's admin thread calls it with the records the wire
-//! decoded, and [`SifterWriter::open_durable`] replays the journal through
-//! it. A commit journals its marker, folds, publishes, and records one
+//! [`ObservationRef`] to the attached journal (if any), then
+//! [`Sifter::apply`] it — the same borrowed record, with or without a
+//! journal. `observe_parts` / `observe_url` wrap it, the verdict server's
+//! admin thread calls it with the rows of the batch the wire decoded, and
+//! [`SifterWriter::open_durable`] replays the journal through it. A commit journals its marker, folds, publishes, and records one
 //! [`VerdictRevision`] through `record_revision` — the same recorder
 //! recovery runs for every replayed commit marker, so a recomputed ring
 //! entry equals the persisted one.
@@ -71,7 +71,7 @@ use crate::intern::FrozenKeys;
 use crate::journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport};
 use crate::label::LabeledRequest;
 use crate::revision::VerdictRevision;
-use crate::service::{CommitStats, Observation, ObserveOutcome, ServiceStats, Sifter, Verdict};
+use crate::service::{CommitStats, ObservationRef, ObserveOutcome, ServiceStats, Sifter, Verdict};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::table::{ClassTable, SurrogatePlans, VerdictTable};
 use filterlist::ResourceType;
@@ -375,9 +375,7 @@ impl SifterWriter {
     }
 
     /// Ingest one observation by its four attribution keys and label; see
-    /// [`Sifter::observe_parts`] and [`SifterWriter::apply`]. The borrowed
-    /// parts are copied into an owned [`Observation`] only for the journal:
-    /// without a durable store they fold as they are.
+    /// [`Sifter::observe_parts`] and [`SifterWriter::apply`].
     pub fn observe_parts(
         &mut self,
         domain: &str,
@@ -386,23 +384,17 @@ impl SifterWriter {
         method: &str,
         tracking: bool,
     ) {
-        if self.durable.is_none() {
-            return self
-                .sifter
-                .observe_parts(domain, hostname, script, method, tracking);
-        }
-        self.apply(&Observation::Parts {
-            domain: domain.to_string(),
-            hostname: hostname.to_string(),
-            script: script.to_string(),
-            method: method.to_string(),
+        self.apply(ObservationRef::Parts {
+            domain,
+            hostname,
+            script,
+            method,
             tracking,
         });
     }
 
     /// Label and ingest one raw request URL; see [`Sifter::observe_url`]
-    /// and [`SifterWriter::apply`] (owned only for the journal, as
-    /// [`SifterWriter::observe_parts`]).
+    /// and [`SifterWriter::apply`].
     pub fn observe_url(
         &mut self,
         url: &str,
@@ -411,25 +403,16 @@ impl SifterWriter {
         initiator_script: &str,
         initiator_method: &str,
     ) -> ObserveOutcome {
-        if self.durable.is_none() {
-            return self.sifter.observe_url(
-                url,
-                source_hostname,
-                resource_type,
-                initiator_script,
-                initiator_method,
-            );
-        }
-        self.apply(&Observation::Url {
-            url: url.to_string(),
-            source_hostname: source_hostname.to_string(),
+        self.apply(ObservationRef::Url {
+            url,
+            source_hostname,
             resource_type,
-            script: initiator_script.to_string(),
-            method: initiator_method.to_string(),
+            script: initiator_script,
+            method: initiator_method,
         })
     }
 
-    /// Ingest one [`Observation`]: journal it (write-ahead, when a durable
+    /// Ingest one [`ObservationRef`]: journal it (write-ahead, when a durable
     /// store is attached), then fold it with [`Sifter::apply`] — the one
     /// spelling of journal-then-fold. Every live observe path ends here,
     /// and [`SifterWriter::open_durable`] replays a journaled observation
@@ -441,7 +424,7 @@ impl SifterWriter {
     /// A failed append is counted in [`JournalStats::write_errors`];
     /// serving continues with degraded durability rather than dropping the
     /// observation.
-    pub fn apply(&mut self, observation: &Observation) -> ObserveOutcome {
+    pub fn apply(&mut self, observation: ObservationRef<'_>) -> ObserveOutcome {
         if let Some(durable) = &mut self.durable {
             let _ = durable.journal.append_observation(observation);
         }
@@ -546,7 +529,7 @@ impl SifterWriter {
         for entry in entries {
             match entry {
                 JournalEntry::Observation(observation) => {
-                    self.apply(&observation);
+                    self.apply(observation.as_ref());
                 }
                 JournalEntry::Commit { version } => {
                     self.sifter.commit();
@@ -598,12 +581,12 @@ impl SifterWriter {
     /// generation (snapshot + its full journal) or the new one; never from
     /// a mixed pair.
     pub fn checkpoint(&mut self) -> io::Result<u64> {
-        if self.durable.is_none() {
+        let Some(_) = self.durable else {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "no durable store attached",
             ));
-        }
+        };
         if self.sifter.pending() > 0 {
             self.commit();
         }

@@ -14,11 +14,15 @@
 //! # The write path
 //!
 //! The journal carries the write path's own values, not copies of them: an
-//! observation record is the [`Observation`] the wire decoded and
-//! [`Sifter::apply`](crate::service::Sifter::apply) folds, and a revision
-//! record's changes use the change layout of [`frames`] (the revision
-//! frames `GET /v1/revisions` serves). Recovery hands each replayed entry
-//! back to the call that journaled it.
+//! observation record is encoded straight from the [`ObservationRef`]
+//! [`Sifter::apply`](crate::service::Sifter::apply) is about to fold, and a
+//! revision record's changes use the change layout of [`frames`] (the
+//! revision frames `GET /v1/revisions` serves). Every record is framed in
+//! place in the append buffer — length placeholder, payload, length patched,
+//! checksum over the payload's slice — so an append allocates only when the
+//! buffer has to grow. Replay decodes an observation into the owned
+//! [`Observation`] and recovery lends it back to the call that journaled
+//! it.
 //!
 //! # Record format
 //!
@@ -56,7 +60,7 @@
 use crate::failpoint;
 use crate::frames::{self, FrameError, FrameReader};
 use crate::revision::VerdictRevision;
-use crate::service::Observation;
+use crate::service::{Observation, ObservationRef};
 use filterlist::tokens::fnv1a64;
 use filterlist::ResourceType;
 use std::fs::{File, OpenOptions};
@@ -270,37 +274,38 @@ impl Journal {
     /// would read its length prefix as a torn tail, and recovery would
     /// truncate it *and every record after it*.
     pub fn append(&mut self, entry: &JournalEntry) -> io::Result<()> {
-        self.append_payload(encode_payload(entry))
+        self.append_framed(|out| encode_payload(out, entry))
     }
 
-    /// [`Journal::append`] of `JournalEntry::Observation(observation.clone())`
-    /// without the clone: both run the same `encode_observation`.
-    pub(crate) fn append_observation(&mut self, observation: &Observation) -> io::Result<()> {
-        let mut payload = Vec::new();
-        encode_observation(&mut payload, observation);
-        self.append_payload(payload)
+    /// [`Journal::append`] of `JournalEntry::Observation(..)` for a record
+    /// that is only borrowed: both run the same `encode_observation`.
+    pub(crate) fn append_observation(&mut self, observation: ObservationRef<'_>) -> io::Result<()> {
+        self.append_framed(|out| encode_observation(out, observation))
     }
 
-    fn append_payload(&mut self, payload: Vec<u8>) -> io::Result<()> {
+    /// Frame the payload `encode` writes, in place at the end of the buffer.
+    fn append_framed(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         if let Err(error) = failpoint::check_io("journal.append") {
             self.stats.write_errors += 1;
             return Err(error);
         }
-        if payload.len() > MAX_PAYLOAD_BYTES as usize {
+        let frame_at = self.buffer.len();
+        self.buffer.extend_from_slice(&[0; 4]);
+        encode(&mut self.buffer);
+        let payload_len = self.buffer.len() - frame_at - 4;
+        if payload_len > MAX_PAYLOAD_BYTES as usize {
+            self.buffer.truncate(frame_at);
             self.stats.write_errors += 1;
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "journal record of {} bytes exceeds the {MAX_PAYLOAD_BYTES}-byte replay cap",
-                    payload.len()
+                    "journal record of {payload_len} bytes exceeds the {MAX_PAYLOAD_BYTES}-byte replay cap"
                 ),
             ));
         }
-        self.buffer
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buffer.extend_from_slice(&payload);
-        self.buffer
-            .extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        self.buffer[frame_at..frame_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        let checksum = fnv1a64(&self.buffer[frame_at + 4..]);
+        self.buffer.extend_from_slice(&checksum.to_le_bytes());
         self.stats.appended += 1;
         self.stats.bytes = self.file_bytes + self.buffer.len() as u64;
         self.unsynced += 1;
@@ -539,10 +544,10 @@ impl JournalStats {
     }
 }
 
-fn encode_observation(out: &mut Vec<u8>, observation: &Observation) {
+fn encode_observation(out: &mut Vec<u8>, observation: ObservationRef<'_>) {
     let put = |out: &mut Vec<u8>, text: &str| frames::put_bytes(out, text.as_bytes());
     match observation {
-        Observation::Parts {
+        ObservationRef::Parts {
             domain,
             hostname,
             script,
@@ -554,9 +559,9 @@ fn encode_observation(out: &mut Vec<u8>, observation: &Observation) {
             put(out, hostname);
             put(out, script);
             put(out, method);
-            out.push(u8::from(*tracking));
+            out.push(u8::from(tracking));
         }
-        Observation::Url {
+        ObservationRef::Url {
             url,
             source_hostname,
             resource_type,
@@ -573,10 +578,9 @@ fn encode_observation(out: &mut Vec<u8>, observation: &Observation) {
     }
 }
 
-fn encode_payload(entry: &JournalEntry) -> Vec<u8> {
-    let mut out = Vec::new();
+fn encode_payload(out: &mut Vec<u8>, entry: &JournalEntry) {
     match entry {
-        JournalEntry::Observation(observation) => encode_observation(&mut out, observation),
+        JournalEntry::Observation(observation) => encode_observation(out, observation.as_ref()),
         JournalEntry::Commit { version } => {
             out.push(KIND_COMMIT);
             out.extend_from_slice(&version.to_le_bytes());
@@ -586,15 +590,14 @@ fn encode_payload(entry: &JournalEntry) -> Vec<u8> {
             out.extend_from_slice(&revision.version().to_le_bytes());
             out.extend_from_slice(&(revision.changes().len() as u32).to_le_bytes());
             for change in revision.changes() {
-                frames::put_change(&mut out, change);
+                frames::put_change(out, change);
             }
             out.extend_from_slice(&(revision.plans_touched().len() as u32).to_le_bytes());
             for script in revision.plans_touched() {
-                frames::put_bytes(&mut out, script.as_bytes());
+                frames::put_bytes(out, script.as_bytes());
             }
         }
     }
-    out
 }
 
 /// Decode one checksum-verified payload; an error for anything that does
@@ -767,6 +770,61 @@ mod tests {
         journal.sync().expect("sync");
         assert_eq!(std::fs::read(&path).expect("read"), golden);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `append_observation` of a borrowed record writes the bytes `append`
+    /// writes for the owned entry — both forms, across `sync_every` flushes,
+    /// and after a refused oversized record, which leaves nothing behind.
+    #[test]
+    fn borrowed_and_owned_appends_write_identical_bytes() {
+        let entries: Vec<JournalEntry> = one_of_each_kind()
+            .into_iter()
+            .chain((2..9).map(parts))
+            .collect();
+        let oversized = Observation::Parts {
+            domain: "x".repeat(MAX_PAYLOAD_BYTES as usize),
+            hostname: String::new(),
+            script: String::new(),
+            method: String::new(),
+            tracking: true,
+        };
+        let (owned_path, borrowed_path) = (temp_path("owned"), temp_path("borrowed"));
+        // `sync_every` of 3 puts flushes between and inside the runs.
+        let mut owned = Journal::open(&owned_path, 3).expect("open");
+        let mut borrowed = Journal::open(&borrowed_path, 3).expect("open");
+        for (at, entry) in entries.iter().enumerate() {
+            if at == 5 {
+                let refused = borrowed
+                    .append_observation(oversized.as_ref())
+                    .expect_err("past the replay cap");
+                assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+                owned
+                    .append(&JournalEntry::Observation(oversized.clone()))
+                    .expect_err("past the replay cap");
+                assert_eq!(borrowed.buffer, owned.buffer, "nothing of it is buffered");
+            }
+            owned.append(entry).expect("append");
+            match entry {
+                JournalEntry::Observation(observation) => {
+                    borrowed.append_observation(observation.as_ref())
+                }
+                other => borrowed.append(other),
+            }
+            .expect("append");
+            assert_eq!(borrowed.buffer, owned.buffer, "after record {at}");
+            assert_eq!(borrowed.stats(), owned.stats(), "after record {at}");
+        }
+        assert_eq!(owned.stats().write_errors, 1);
+        assert_eq!(owned.stats().syncs, 3, "11 records, synced every 3");
+        owned.sync().expect("sync");
+        borrowed.sync().expect("sync");
+        let bytes = std::fs::read(&owned_path).expect("read");
+        assert_eq!(std::fs::read(&borrowed_path).expect("read"), bytes);
+        let (replayed, report) = Journal::replay_bytes(&bytes);
+        assert_eq!(replayed, entries);
+        assert_eq!(report.torn_bytes, 0);
+        std::fs::remove_file(&owned_path).ok();
+        std::fs::remove_file(&borrowed_path).ok();
     }
 
     #[test]

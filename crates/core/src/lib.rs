@@ -138,8 +138,8 @@ pub use revision::{
 pub use rewriter::{RewriterBuilder, RewrittenUrl, UrlRewriter};
 pub use sensitivity::{SensitivityPoint, SensitivitySweep};
 pub use service::{
-    CommitStats, IngestStats, Observation, ObserveOutcome, ServiceStats, Sifter, SifterBuilder,
-    Verdict,
+    CommitStats, IngestStats, Observation, ObservationRef, ObserveOutcome, ServiceStats, Sifter,
+    SifterBuilder, Verdict,
 };
 pub use snapshot::{SifterSnapshot, SnapshotError};
 pub use stage::{StageTiming, StageTimings};

@@ -28,11 +28,16 @@
 //!
 //! # The write path
 //!
-//! One record, one fold, one class writer. Every observation is an owned
-//! [`Observation`] — what the wire decodes, what the journal carries, what
-//! recovery replays — and [`Sifter::apply`] is the one dispatch that folds
-//! it ([`Sifter::observe_parts`] / [`Sifter::observe_url`] underneath, for
-//! callers that hold borrowed parts). A fold accumulates count cells in
+//! One record, one fold, one class writer. Every observation travels as a
+//! borrowed [`ObservationRef`] — a view of wherever its strings already lie:
+//! the arena a `POST /v1/observations` body decoded into, a caller's
+//! `&str`s, or the owned [`Observation`] recovery replays — and
+//! [`Sifter::apply`] is the one dispatch that folds it
+//! ([`Sifter::observe_parts`] / [`Sifter::observe_url`] underneath, for
+//! callers that hold the parts). A raw URL is labeled through a
+//! [`RequestScratch`] the sifter keeps, and its hostname and domain are
+//! slices of that view, so a fold whose keys are already interned allocates
+//! nothing. A fold accumulates count cells in
 //! `fold_cell`, which a snapshot restore feeds too. [`Sifter::commit`]
 //! walks the four levels coarsest first; a phase states only what differs
 //! per level — who is a member, what its counts are, whom a mixedness flip
@@ -79,7 +84,7 @@ use crate::surrogate::{MethodPlan, SurrogateScript};
 use crate::table::{ClassTable, SurrogateEntry, VerdictTable};
 use crawler::json::{object, JsonError, Value};
 use filterlist::tokens::TokenHashBuilder;
-use filterlist::{FilterEngine, ListKind, RequestLabel, ResourceType};
+use filterlist::{FilterEngine, ListKind, RequestLabel, RequestScratch, ResourceType};
 use rewriter::UrlRewriter;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -209,11 +214,10 @@ impl ObserveOutcome {
     }
 }
 
-/// One observation, owned: the record every stage of the write path carries
-/// — decoded from `POST /v1/observations`, journaled ahead of the fold
-/// ([`JournalEntry::Observation`](crate::journal::JournalEntry::Observation)),
-/// folded by [`Sifter::apply`], and replayed through the same call on
-/// recovery.
+/// The owned form of [`ObservationRef`]: what a client builds to render a
+/// `POST /v1/observations` row, and what journal replay decodes
+/// ([`JournalEntry::Observation`](crate::journal::JournalEntry::Observation))
+/// before lending it back to the write path with [`Observation::as_ref`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Observation {
     /// Pre-labeled attribution parts ([`Sifter::observe_parts`]).
@@ -247,7 +251,77 @@ pub enum Observation {
     },
 }
 
+/// One observation, borrowed: the record every stage of the write path
+/// carries — read out of the decoded `POST /v1/observations` body, journaled
+/// ahead of the fold, folded by [`Sifter::apply`], and replayed through the
+/// same call on recovery. `Copy`, so a stage hands it on without touching
+/// the strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObservationRef<'a> {
+    /// Pre-labeled attribution parts ([`Sifter::observe_parts`]).
+    Parts {
+        /// Registrable domain.
+        domain: &'a str,
+        /// Full hostname.
+        hostname: &'a str,
+        /// Initiating script URL.
+        script: &'a str,
+        /// Initiating method name.
+        method: &'a str,
+        /// The oracle label.
+        tracking: bool,
+    },
+    /// A raw URL for the configured filter engine to label
+    /// ([`Sifter::observe_url`]) — replayed through the same labeling path,
+    /// so recovery is deterministic for a writer configured with the same
+    /// engine.
+    Url {
+        /// The raw request URL.
+        url: &'a str,
+        /// Hostname of the page issuing the request.
+        source_hostname: &'a str,
+        /// Resource type of the request.
+        resource_type: ResourceType,
+        /// Initiating script URL.
+        script: &'a str,
+        /// Initiating method name.
+        method: &'a str,
+    },
+}
+
 impl Observation {
+    /// Lend the record to the write path.
+    pub fn as_ref(&self) -> ObservationRef<'_> {
+        match self {
+            Observation::Parts {
+                domain,
+                hostname,
+                script,
+                method,
+                tracking,
+            } => ObservationRef::Parts {
+                domain,
+                hostname,
+                script,
+                method,
+                tracking: *tracking,
+            },
+            Observation::Url {
+                url,
+                source_hostname,
+                resource_type,
+                script,
+                method,
+            } => ObservationRef::Url {
+                url,
+                source_hostname,
+                resource_type: *resource_type,
+                script,
+                method,
+            },
+        }
+    }
+
     /// Encode as one row of a `POST /v1/observations` body.
     pub fn to_json_value(&self) -> Value {
         let string = |text: &String| Value::String(text.clone());
@@ -285,7 +359,8 @@ impl Observation {
     }
 
     /// Decode one row; the presence of a `url` field selects the raw-URL
-    /// form.
+    /// form. The verdict server decodes rows in place instead and no longer
+    /// calls this; it stays as the oracle that decoder is tested against.
     pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
         let string = |key: &str| Ok::<_, JsonError>(value.field(key)?.as_str()?.to_string());
         if value.get("url").is_some() {
@@ -361,6 +436,24 @@ pub struct ServiceStats {
     /// Committed member resources per granularity, indexed by
     /// [`Granularity::index`].
     pub resources: [usize; 4],
+}
+
+/// The keys of one observation, in [`Sifter::fold_cell`]'s order: claimed
+/// domain, hostname, script, method name, composed method.
+fn intern_keys(
+    interner: &mut KeyInterner,
+    domain: &str,
+    hostname: &str,
+    script: &str,
+    method: &str,
+) -> [ResourceKey; 5] {
+    [
+        interner.intern(domain),
+        interner.intern(hostname),
+        interner.intern(script),
+        interner.intern(method),
+        interner.intern_method(script, method),
+    ]
 }
 
 /// Unconditional per-hostname state: owning domain plus raw counts.
@@ -473,6 +566,7 @@ impl SifterBuilder {
         Sifter {
             thresholds: self.thresholds,
             engine: self.engine,
+            scratch: RequestScratch::new(),
             rewriter: self.rewriter,
             interner: KeyInterner::new(),
             domain_counts: KeyMap::default(),
@@ -548,6 +642,8 @@ impl SifterBuilder {
 pub struct Sifter {
     thresholds: Thresholds,
     engine: Option<Arc<FilterEngine>>,
+    /// The buffers [`Sifter::observe_url`] builds each request's view in.
+    scratch: RequestScratch,
     rewriter: Option<Arc<UrlRewriter>>,
     interner: KeyInterner,
 
@@ -734,23 +830,30 @@ impl Sifter {
         initiator_script: &str,
         initiator_method: &str,
     ) -> ObserveOutcome {
-        let Some(engine) = self.engine.as_ref() else {
+        let Some(engine) = self.engine.as_deref() else {
             self.ingest.no_engine += 1;
             return ObserveOutcome::NoEngine;
         };
-        let Some((label, hostname, domain)) =
-            label_url(engine, url, source_hostname, resource_type)
-        else {
+        let Some((label, hostname, domain)) = label_url(
+            engine,
+            &mut self.scratch,
+            url,
+            source_hostname,
+            resource_type,
+        ) else {
             self.ingest.invalid_urls += 1;
             return ObserveOutcome::InvalidUrl;
         };
-        self.observe_parts(
-            &domain,
-            &hostname,
+        // The keys borrow the scratch, so they are interned before the fold
+        // takes the whole sifter.
+        let keys = intern_keys(
+            &mut self.interner,
+            domain,
+            hostname,
             initiator_script,
             initiator_method,
-            label.is_tracking(),
         );
+        self.fold_one(keys, label.is_tracking());
         ObserveOutcome::Observed(label)
     }
 
@@ -772,44 +875,45 @@ impl Sifter {
         method: &str,
         tracking: bool,
     ) {
-        let claimed = self.interner.intern(domain);
-        let h = self.interner.intern(hostname);
-        let s = self.interner.intern(script);
-        let name = self.interner.intern(method);
-        let m = self.interner.intern_method(script, method);
+        let keys = intern_keys(&mut self.interner, domain, hostname, script, method);
+        self.fold_one(keys, tracking);
+    }
+
+    /// Fold one observation's [`intern_keys`] as a cell of one request.
+    fn fold_one(&mut self, [claimed, h, s, name, m]: [ResourceKey; 5], tracking: bool) {
         let mut counts = Counts::new();
         counts.record(tracking);
         self.fold_cell(claimed, h, s, name, m, counts);
     }
 
-    /// Fold one [`Observation`] — the dispatch every caller that holds the
-    /// owned record goes through (the writer's
+    /// Fold one [`ObservationRef`] — the dispatch every caller that holds
+    /// the record goes through (the writer's
     /// [`apply`](crate::concurrent::SifterWriter::apply), and through it
     /// the server's admin thread and journal recovery). Pre-labeled parts
     /// are always observed, under the label they carry.
-    pub fn apply(&mut self, observation: &Observation) -> ObserveOutcome {
+    pub fn apply(&mut self, observation: ObservationRef<'_>) -> ObserveOutcome {
         match observation {
-            Observation::Parts {
+            ObservationRef::Parts {
                 domain,
                 hostname,
                 script,
                 method,
                 tracking,
             } => {
-                self.observe_parts(domain, hostname, script, method, *tracking);
-                ObserveOutcome::Observed(if *tracking {
+                self.observe_parts(domain, hostname, script, method, tracking);
+                ObserveOutcome::Observed(if tracking {
                     RequestLabel::Tracking
                 } else {
                     RequestLabel::Functional
                 })
             }
-            Observation::Url {
+            ObservationRef::Url {
                 url,
                 source_hostname,
                 resource_type,
                 script,
                 method,
-            } => self.observe_url(url, source_hostname, *resource_type, script, method),
+            } => self.observe_url(url, source_hostname, resource_type, script, method),
         }
     }
 

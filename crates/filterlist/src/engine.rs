@@ -8,9 +8,10 @@
 
 use crate::index::RuleIndex;
 use crate::parser::parse_list;
-use crate::request::{FilterRequest, ResourceType};
+use crate::request::{FilterRequest, RequestScratch, RequestView, ResourceType};
 use crate::rule::{FilterRule, ListKind};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// The label TrackerSift assigns to a single network request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -154,6 +155,7 @@ impl FilterEngine {
 
     /// Evaluate a request, returning the full outcome.
     pub fn evaluate(&self, request: &FilterRequest) -> MatchOutcome {
+        let request = &request.view();
         match self.blocking.first_match(request) {
             Some(block) => match self.exceptions.first_match(request) {
                 Some(exc) => MatchOutcome::Excepted {
@@ -173,31 +175,45 @@ impl FilterEngine {
     ///
     /// This is the hot path of the labeling stage: unlike
     /// [`FilterEngine::evaluate`], it never clones rule text — the match
-    /// scan itself is allocation-free, so labeling a pre-built request
-    /// performs zero allocations.
-    pub fn label(&self, request: &FilterRequest) -> RequestLabel {
+    /// scan itself is allocation-free, so labeling a built view performs
+    /// zero allocations.
+    pub fn label_view(&self, request: &RequestView<'_>) -> RequestLabel {
         match self.blocking.first_match(request) {
             Some(_) if self.exceptions.first_match(request).is_none() => RequestLabel::Tracking,
             _ => RequestLabel::Functional,
         }
     }
 
-    /// Convenience: label a raw URL issued from `source_hostname`.
+    /// [`FilterEngine::label_view`] of an owned request.
+    pub fn label(&self, request: &FilterRequest) -> RequestLabel {
+        self.label_view(&request.view())
+    }
+
+    /// Label a raw URL issued from `source_hostname`; an unparseable URL is
+    /// functional. The view is built in a per-thread [`RequestScratch`], so
+    /// a thread that keeps calling this (a verdict worker answering the
+    /// filter-list backstop) stops allocating once the scratch is warm.
     pub fn label_url(
         &self,
         url: &str,
         source_hostname: &str,
         resource_type: ResourceType,
     ) -> RequestLabel {
-        match FilterRequest::new(url, source_hostname, resource_type) {
-            Some(req) => self.label(&req),
-            None => RequestLabel::Functional,
+        thread_local! {
+            static SCRATCH: RefCell<RequestScratch> = const { RefCell::new(RequestScratch::new()) };
         }
+        SCRATCH.with_borrow_mut(
+            |scratch| match scratch.view(url, source_hostname, resource_type) {
+                Some(request) => self.label_view(&request),
+                None => RequestLabel::Functional,
+            },
+        )
     }
 
     /// Reference implementation used by tests/benches: linear scan without
     /// the token index.
     pub fn evaluate_linear(&self, request: &FilterRequest) -> MatchOutcome {
+        let request = &request.view();
         match self.blocking.first_match_linear(request) {
             Some(block) => match self.exceptions.first_match_linear(request) {
                 Some(exc) => MatchOutcome::Excepted {

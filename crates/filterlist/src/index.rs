@@ -13,8 +13,8 @@
 //! * the rule is filed under its *rarest* token hash (fewest other rules),
 //!   which keeps bucket sizes small;
 //! * rules with no usable token fall back to an "always check" list;
-//! * at query time the URL's pre-computed token-hash set
-//!   ([`FilterRequest::token_hashes`]) selects the candidate buckets — no
+//! * at query time the URL's token-hash set
+//!   ([`RequestView::token_hashes`]) selects the candidate buckets — no
 //!   `String` is built, no candidate list is materialised.
 //!
 //! Because a rule's index token is by construction a maximal alphanumeric
@@ -25,7 +25,7 @@
 //! full pattern match, so they cannot cause false positives either (see
 //! `forced_hash_collision_changes_nothing`).
 
-use crate::request::FilterRequest;
+use crate::request::RequestView;
 use crate::rule::FilterRule;
 use crate::tokens::TokenHashBuilder;
 use std::collections::HashMap;
@@ -152,7 +152,7 @@ impl RuleIndex {
     /// pre-computed token-hash set drives bucket selection directly, and the
     /// running minimum replaces the old sort-and-dedup candidate list while
     /// returning the same rule a linear scan would.
-    pub fn first_match(&self, request: &FilterRequest) -> Option<&FilterRule> {
+    pub fn first_match(&self, request: &RequestView<'_>) -> Option<&FilterRule> {
         let mut best = u32::MAX;
         let mut found = false;
         for &idx in &self.unindexed {
@@ -161,7 +161,7 @@ impl RuleIndex {
                 found = true;
             }
         }
-        for &hash in request.token_hashes() {
+        for &hash in request.token_hashes {
             if !self.presence.may_contain(hash) {
                 continue;
             }
@@ -179,9 +179,9 @@ impl RuleIndex {
 
     /// Collect every rule matching the request (used by diagnostics and the
     /// report module, not by the hot path).
-    pub fn all_matches(&self, request: &FilterRequest) -> Vec<&FilterRule> {
+    pub fn all_matches(&self, request: &RequestView<'_>) -> Vec<&FilterRule> {
         let mut candidates: Vec<u32> = self.unindexed.clone();
-        for &hash in request.token_hashes() {
+        for &hash in request.token_hashes {
             if !self.presence.may_contain(hash) {
                 continue;
             }
@@ -200,7 +200,7 @@ impl RuleIndex {
 
     /// Linear scan over every rule — the reference implementation the index
     /// is validated against and the baseline for the ablation benchmark.
-    pub fn first_match_linear(&self, request: &FilterRequest) -> Option<&FilterRule> {
+    pub fn first_match_linear(&self, request: &RequestView<'_>) -> Option<&FilterRule> {
         self.rules.iter().find(|r| r.matches(request))
     }
 
@@ -221,7 +221,7 @@ impl RuleIndex {
 mod tests {
     use super::*;
     use crate::parser::parse_rule;
-    use crate::request::ResourceType;
+    use crate::request::{FilterRequest, ResourceType};
     use crate::rule::ListKind;
     use crate::tokens::fnv1a64;
 
@@ -245,13 +245,13 @@ mod tests {
             "/pixel?",
         ]));
         assert!(idx
-            .first_match(&req("https://www.google-analytics.com/analytics.js"))
+            .first_match(&req("https://www.google-analytics.com/analytics.js").view())
             .is_some());
         assert!(idx
-            .first_match(&req("https://static.doubleclick.net/instream/ad_status.js"))
+            .first_match(&req("https://static.doubleclick.net/instream/ad_status.js").view())
             .is_some());
         assert!(idx
-            .first_match(&req("https://cdn.shop.com/app.js"))
+            .first_match(&req("https://cdn.shop.com/app.js").view())
             .is_none());
     }
 
@@ -279,8 +279,8 @@ mod tests {
         for u in urls {
             let r = req(u);
             assert_eq!(
-                idx.first_match(&r).map(|x| x.text.clone()),
-                idx.first_match_linear(&r).map(|x| x.text.clone()),
+                idx.first_match(&r.view()).map(|x| x.text.clone()),
+                idx.first_match_linear(&r.view()).map(|x| x.text.clone()),
                 "index and linear scan disagree for {u}"
             );
         }
@@ -295,10 +295,10 @@ mod tests {
         let idx = RuleIndex::build(rules(&["/ads"]));
         assert_eq!(idx.unindexed_len(), 1);
         let r = req("https://x.com/adserver/x.js");
-        assert!(idx.first_match(&r).is_some());
+        assert!(idx.first_match(&r.view()).is_some());
         assert_eq!(
-            idx.first_match(&r).map(|x| x.text.clone()),
-            idx.first_match_linear(&r).map(|x| x.text.clone()),
+            idx.first_match(&r.view()).map(|x| x.text.clone()),
+            idx.first_match_linear(&r.view()).map(|x| x.text.clone()),
         );
     }
 
@@ -309,8 +309,11 @@ mod tests {
         // minimum must still return the first-inserted rule.
         let idx = RuleIndex::build(rules(&["/zzztoken/", "/aaatoken/"]));
         let r = req("https://x.com/zzztoken/aaatoken/a.js");
-        assert_eq!(idx.first_match(&r).unwrap().text, "/zzztoken/");
-        assert_eq!(idx.first_match_linear(&r).unwrap().text, "/zzztoken/");
+        assert_eq!(idx.first_match(&r.view()).unwrap().text, "/zzztoken/");
+        assert_eq!(
+            idx.first_match_linear(&r.view()).unwrap().text,
+            "/zzztoken/"
+        );
     }
 
     #[test]
@@ -319,14 +322,14 @@ mod tests {
         let idx = RuleIndex::build(rules(&["/t?$image"]));
         assert_eq!(idx.unindexed_len(), 1);
         let r = FilterRequest::new("https://x.com/t?id=2", "pub.com", ResourceType::Image).unwrap();
-        assert!(idx.first_match(&r).is_some());
+        assert!(idx.first_match(&r.view()).is_some());
     }
 
     #[test]
     fn all_matches_returns_every_hit() {
         let idx = RuleIndex::build(rules(&["||ads.net^", "/banner/", "||ads.net/banner/"]));
         let r = req("https://ads.net/banner/1.png");
-        assert_eq!(idx.all_matches(&r).len(), 3);
+        assert_eq!(idx.all_matches(&r.view()).len(), 3);
     }
 
     #[test]
@@ -354,13 +357,15 @@ mod tests {
         for u in urls {
             let r = req(u);
             assert_eq!(
-                extended.first_match(&r).map(|x| x.text.clone()),
-                scratch.first_match(&r).map(|x| x.text.clone()),
+                extended.first_match(&r.view()).map(|x| x.text.clone()),
+                scratch.first_match(&r.view()).map(|x| x.text.clone()),
                 "extended and from-scratch index disagree for {u}"
             );
             assert_eq!(
-                extended.first_match(&r).map(|x| x.text.clone()),
-                extended.first_match_linear(&r).map(|x| x.text.clone()),
+                extended.first_match(&r.view()).map(|x| x.text.clone()),
+                extended
+                    .first_match_linear(&r.view())
+                    .map(|x| x.text.clone()),
                 "extended index and linear scan disagree for {u}"
             );
         }
@@ -378,19 +383,19 @@ mod tests {
         let a = req("https://x.com/aaatoken/a.js");
         let z = req("https://x.com/zzztoken/z.js");
         let neither = req("https://x.com/other/o.js");
-        assert_eq!(idx.first_match(&a).unwrap().text, "/aaatoken/");
-        assert_eq!(idx.first_match(&z).unwrap().text, "/zzztoken/");
-        assert!(idx.first_match(&neither).is_none());
+        assert_eq!(idx.first_match(&a.view()).unwrap().text, "/aaatoken/");
+        assert_eq!(idx.first_match(&z.view()).unwrap().text, "/zzztoken/");
+        assert!(idx.first_match(&neither.view()).is_none());
         // All-matches never double-reports a rule that now sits in two
         // buckets reachable from one URL.
         let both = req("https://x.com/aaatoken/zzztoken/b.js");
-        assert_eq!(idx.all_matches(&both).len(), 2);
+        assert_eq!(idx.all_matches(&both.view()).len(), 2);
     }
 
     #[test]
     fn empty_index() {
         let idx = RuleIndex::build(Vec::new());
         assert!(idx.is_empty());
-        assert!(idx.first_match(&req("https://x.com/a.js")).is_none());
+        assert!(idx.first_match(&req("https://x.com/a.js").view()).is_none());
     }
 }

@@ -15,6 +15,9 @@
 //! * [`tokens`] is the shared zero-allocation tokenizer: both rule filing
 //!   and query-time candidate selection hash the same maximal alphanumeric
 //!   runs, so the two sides cannot drift;
+//! * [`request`] is what rules are evaluated against: a borrowed
+//!   [`RequestView`], built per request into a reusable [`RequestScratch`]
+//!   or lent by the owned [`FilterRequest`];
 //! * [`index`] stores rules in a token-hash index so matching stays fast at
 //!   crawl scale and allocation-free per query;
 //! * [`engine::FilterEngine`] combines blocking and exception rules and
@@ -55,6 +58,6 @@ pub mod url;
 pub use domain::{is_third_party, registrable_domain};
 pub use engine::{FilterEngine, MatchOutcome, RequestLabel};
 pub use parser::{parse_list, parse_rule, ParseStats, ParsedList};
-pub use request::{FilterRequest, ResourceType};
+pub use request::{FilterRequest, RequestScratch, RequestView, ResourceType};
 pub use rule::{FilterRule, ListKind};
-pub use url::ParsedUrl;
+pub use url::{ParsedUrl, UrlView};

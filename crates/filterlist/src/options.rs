@@ -8,7 +8,7 @@
 //! mainstream blockers when they meet options they do not understand).
 
 use crate::domain::hostname_within;
-use crate::request::{FilterRequest, ResourceType};
+use crate::request::{RequestView, ResourceType};
 use serde::{Deserialize, Serialize};
 
 /// Tri-state constraint on request party-ness.
@@ -157,7 +157,7 @@ impl RuleOptions {
     }
 
     /// Evaluate every option constraint against a request.
-    pub fn matches(&self, request: &FilterRequest) -> bool {
+    pub fn matches(&self, request: &RequestView<'_>) -> bool {
         // Resource type constraints.
         if !self.include_types.is_empty() && !self.include_types.contains(&request.resource_type) {
             return false;
@@ -173,19 +173,19 @@ impl RuleOptions {
         match self.party {
             PartyConstraint::Any => {}
             PartyConstraint::ThirdOnly => {
-                if !request.is_third_party() {
+                if !request.third_party {
                     return false;
                 }
             }
             PartyConstraint::FirstOnly => {
-                if request.is_third_party() {
+                if request.third_party {
                     return false;
                 }
             }
         }
         // $domain= constraint applies to the initiator page hostname.
         if !self.domains.is_empty() {
-            let source = &request.source_hostname;
+            let source = request.source_hostname;
             let mut any_positive = false;
             let mut positive_hit = false;
             for entry in &self.domains {
@@ -212,6 +212,7 @@ impl RuleOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::FilterRequest;
 
     fn req(url: &str, source: &str, ty: ResourceType) -> FilterRequest {
         FilterRequest::new(url, source, ty).unwrap()
@@ -283,64 +284,57 @@ mod tests {
     #[test]
     fn type_constraint_enforced() {
         let o = RuleOptions::parse("script");
-        assert!(o.matches(&req("https://t.co/x.js", "a.com", ResourceType::Script)));
-        assert!(!o.matches(&req("https://t.co/x.gif", "a.com", ResourceType::Image)));
+        assert!(o.matches(&req("https://t.co/x.js", "a.com", ResourceType::Script).view()));
+        assert!(!o.matches(&req("https://t.co/x.gif", "a.com", ResourceType::Image).view()));
     }
 
     #[test]
     fn party_constraint_enforced() {
         let o = RuleOptions::parse("third-party");
-        assert!(o.matches(&req(
-            "https://tracker.net/p",
-            "site.com",
-            ResourceType::Image
-        )));
-        assert!(!o.matches(&req(
-            "https://cdn.site.com/p",
-            "www.site.com",
-            ResourceType::Image
-        )));
+        assert!(o.matches(&req("https://tracker.net/p", "site.com", ResourceType::Image).view()));
+        assert!(!o.matches(
+            &req(
+                "https://cdn.site.com/p",
+                "www.site.com",
+                ResourceType::Image
+            )
+            .view()
+        ));
     }
 
     #[test]
     fn domain_constraint_enforced() {
         let o = RuleOptions::parse("domain=news.com|~sports.news.com");
-        assert!(o.matches(&req(
-            "https://x.net/a.js",
-            "www.news.com",
-            ResourceType::Script
-        )));
-        assert!(!o.matches(&req(
-            "https://x.net/a.js",
-            "live.sports.news.com",
-            ResourceType::Script
-        )));
-        assert!(!o.matches(&req(
-            "https://x.net/a.js",
-            "other.org",
-            ResourceType::Script
-        )));
+        assert!(o.matches(&req("https://x.net/a.js", "www.news.com", ResourceType::Script).view()));
+        assert!(!o.matches(
+            &req(
+                "https://x.net/a.js",
+                "live.sports.news.com",
+                ResourceType::Script
+            )
+            .view()
+        ));
+        assert!(!o.matches(&req("https://x.net/a.js", "other.org", ResourceType::Script).view()));
     }
 
     #[test]
     fn negated_only_domain_list_allows_everything_else() {
         let o = RuleOptions::parse("domain=~blog.example.com");
-        assert!(o.matches(&req(
-            "https://x.net/a.js",
-            "other.org",
-            ResourceType::Script
-        )));
-        assert!(!o.matches(&req(
-            "https://x.net/a.js",
-            "blog.example.com",
-            ResourceType::Script
-        )));
+        assert!(o.matches(&req("https://x.net/a.js", "other.org", ResourceType::Script).view()));
+        assert!(!o.matches(
+            &req(
+                "https://x.net/a.js",
+                "blog.example.com",
+                ResourceType::Script
+            )
+            .view()
+        ));
     }
 
     #[test]
     fn popup_rules_do_not_match_subresources() {
         let o = RuleOptions::parse("popup");
-        assert!(!o.matches(&req("https://x.net/a.js", "a.com", ResourceType::Script)));
-        assert!(o.matches(&req("https://x.net/", "a.com", ResourceType::Document)));
+        assert!(!o.matches(&req("https://x.net/a.js", "a.com", ResourceType::Script).view()));
+        assert!(o.matches(&req("https://x.net/", "a.com", ResourceType::Document).view()));
     }
 }

@@ -19,6 +19,7 @@
 //! same strategy production blockers use and is linear in practice because
 //! segments are short.
 
+use crate::url::UrlView;
 use serde::{Deserialize, Serialize};
 
 /// How the start of a pattern is anchored.
@@ -394,10 +395,10 @@ impl Pattern {
 
     /// Match the pattern against a parsed URL.
     ///
-    /// Matching reads the URL's pre-computed lower-cased text (or the raw
-    /// spelling for `$match-case` rules) and, for `||` rules, its hostname
-    /// and stored hostname offset — no intermediate strings are built.
-    pub fn matches(&self, url: &crate::url::ParsedUrl) -> bool {
+    /// Matching reads the URL's lower-cased text (or the raw spelling for
+    /// `$match-case` rules) and, for `||` rules, its hostname and hostname
+    /// offset — no intermediate strings are built.
+    pub fn matches(&self, url: &UrlView<'_>) -> bool {
         let text: &[u8] = if self.case_sensitive {
             url.raw.as_bytes()
         } else {
@@ -501,7 +502,7 @@ impl Pattern {
         }
     }
 
-    fn match_hostname_anchored(&self, text: &[u8], url: &crate::url::ParsedUrl) -> bool {
+    fn match_hostname_anchored(&self, text: &[u8], url: &UrlView<'_>) -> bool {
         if self.host_prefix.is_empty() {
             // Degenerate `||` rule; treat as unanchored.
             return self.match_unanchored(text);
@@ -512,7 +513,7 @@ impl Pattern {
         // label continues (e.g. `||ads.` style rules). We cover both by
         // scanning label boundaries in place; the hostname's byte offset in
         // the URL text was computed when the URL was parsed.
-        let hostname = &url.hostname;
+        let hostname = url.hostname;
         let hbytes = hostname.as_bytes();
         let hp = self.host_prefix.as_str();
         let mut idx = 0;
@@ -540,7 +541,7 @@ mod tests {
     fn m(pattern: &str, url: &str) -> bool {
         let p = Pattern::compile(pattern, false);
         let parsed = crate::url::ParsedUrl::parse(url).expect("test URL should parse");
-        p.matches(&parsed)
+        p.matches(&parsed.view())
     }
 
     #[test]
@@ -601,9 +602,9 @@ mod tests {
     fn case_sensitive_when_requested() {
         let p = Pattern::compile("/Banner/", true);
         let lower = crate::url::ParsedUrl::parse("https://x.com/banner/1.png").unwrap();
-        assert!(!p.matches(&lower));
+        assert!(!p.matches(&lower.view()));
         let upper = crate::url::ParsedUrl::parse("https://x.com/Banner/1.png").unwrap();
-        assert!(p.matches(&upper));
+        assert!(p.matches(&upper.view()));
     }
 
     #[test]

@@ -1,7 +1,19 @@
-//! The request view that filter rules are evaluated against.
+//! The request that filter rules are evaluated against.
+//!
+//! Matching reads a borrowed [`RequestView`]: the URL text, its lower-cased
+//! form, the hostname slice, the page's hostname, the resource type, the
+//! URL's token hashes and the party bit. Two producers build it, through
+//! the same helpers, so they cannot disagree:
+//!
+//! * [`RequestScratch::view`] derives it from `&str`s into buffers the
+//!   caller keeps — the hot paths (labeling a crawl, ingesting raw URLs,
+//!   the decision backstop) build a view per request and allocate nothing
+//!   once the buffers are warm;
+//! * the owned [`FilterRequest`] stores the same fields and lends them out
+//!   with [`FilterRequest::view`], for callers that keep a request around.
 
 use crate::domain::is_third_party;
-use crate::url::ParsedUrl;
+use crate::url::{locate_host, ParsedUrl, UrlView};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -82,26 +94,114 @@ impl fmt::Display for ResourceType {
     }
 }
 
-/// A single network request as seen by the filter engine.
-///
-/// This mirrors what a content blocker sees at `onBeforeRequest` time: the
-/// request URL, the URL of the document that issued it, and the resource
-/// type. Party-ness (first vs third) is derived from the two hostnames.
-///
-/// The request pre-computes everything the hot match path needs exactly
-/// once, at construction: the lower-cased URL lives in [`ParsedUrl`], and
-/// the URL's token-hash set (sorted, deduplicated) is stored here so
-/// evaluating the request against any number of rule indices allocates
-/// nothing.
+/// One network request as rule matching reads it, borrowed. This mirrors
+/// what a content blocker sees at `onBeforeRequest` time: the request URL,
+/// the hostname of the document that issued it, and the resource type;
+/// party-ness (first vs third) and the URL's token-hash set are derived
+/// once, when the view is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestView<'a> {
+    /// The parsed request URL.
+    pub url: UrlView<'a>,
+    /// Hostname of the page (frame) the request originates from,
+    /// lower-cased.
+    pub source_hostname: &'a str,
+    /// Resource type reported by the browser.
+    pub resource_type: ResourceType,
+    /// Sorted, deduplicated token hashes of the lower-cased URL
+    /// ([`crate::tokens`]): they select the candidate rule buckets.
+    pub token_hashes: &'a [u64],
+    /// Whether the request crosses a registrable-domain boundary.
+    pub third_party: bool,
+}
+
+/// Replace `out` with the sorted, deduplicated token hashes of `lower`.
+fn fill_token_hashes(out: &mut Vec<u64>, lower: &str) {
+    out.clear();
+    out.extend(crate::tokens::token_hashes(lower).map(|t| t.hash));
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// `text` lower-cased: itself when it has no upper-case ASCII, otherwise a
+/// copy folded in `buffer`.
+fn lowered<'a>(text: &'a str, buffer: &'a mut String) -> &'a str {
+    if !text.bytes().any(|b| b.is_ascii_uppercase()) {
+        return text;
+    }
+    buffer.clear();
+    buffer.push_str(text);
+    buffer.make_ascii_lowercase();
+    buffer
+}
+
+/// The reusable buffers behind [`RequestScratch::view`]: keep one per
+/// thread or per loop and building a view stops allocating once they have
+/// grown to the longest URL seen.
+#[derive(Debug, Default)]
+pub struct RequestScratch {
+    /// Lower-cased URL; written only for a URL with upper-case ASCII.
+    lower: String,
+    /// Lower-cased page hostname; written only when it has upper-case ASCII.
+    source: String,
+    hashes: Vec<u64>,
+}
+
+impl RequestScratch {
+    /// Empty buffers.
+    pub const fn new() -> Self {
+        RequestScratch {
+            lower: String::new(),
+            source: String::new(),
+            hashes: Vec::new(),
+        }
+    }
+
+    /// Build the view of one request, borrowing `url` and
+    /// `source_hostname` wherever they are already lower-case. Equal field
+    /// for field to `FilterRequest::new(..).map(|r| r.view())`, `None`
+    /// (unparseable URL) included.
+    pub fn view<'a>(
+        &'a mut self,
+        url: &'a str,
+        source_hostname: &'a str,
+        resource_type: ResourceType,
+    ) -> Option<RequestView<'a>> {
+        let raw = url.trim();
+        if raw.is_empty() {
+            return None;
+        }
+        let lower = lowered(raw, &mut self.lower);
+        let (hostname, host_start) = locate_host(lower)?;
+        fill_token_hashes(&mut self.hashes, lower);
+        let source_hostname = lowered(source_hostname, &mut self.source);
+        Some(RequestView {
+            url: UrlView {
+                raw,
+                lower,
+                hostname,
+                host_start,
+            },
+            source_hostname,
+            resource_type,
+            token_hashes: &self.hashes,
+            third_party: is_third_party(hostname, source_hostname),
+        })
+    }
+}
+
+/// A network request, owned: the fields of [`RequestView`] computed once at
+/// construction and kept, so evaluating the request against any number of
+/// rule indices allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FilterRequest {
-    /// Parsed request URL. Crate-private: `token_hashes` and `third_party`
-    /// are derived from it at construction, so external mutation would
-    /// silently desynchronise matching.
-    pub(crate) url: ParsedUrl,
+    /// Parsed request URL. Private: `token_hashes` and `third_party` are
+    /// derived from it at construction, so mutation would silently
+    /// desynchronise matching.
+    url: ParsedUrl,
     /// Hostname of the page (frame) the request originates from,
-    /// lower-cased. Crate-private for the same reason as `url`.
-    pub(crate) source_hostname: String,
+    /// lower-cased. Private for the same reason as `url`.
+    source_hostname: String,
     /// Resource type reported by the browser.
     pub resource_type: ResourceType,
     /// Sorted, deduplicated token hashes of the lower-cased URL, computed
@@ -125,14 +225,10 @@ impl FilterRequest {
         ))
     }
 
-    /// Build a request from an already-parsed URL, taking ownership (no
-    /// [`ParsedUrl`] clone on the labeling hot path).
+    /// Build a request from an already-parsed URL, taking ownership.
     pub fn from_parsed(url: ParsedUrl, source_hostname: &str, resource_type: ResourceType) -> Self {
-        let mut hashes: Vec<u64> = crate::tokens::token_hashes(&url.lower)
-            .map(|t| t.hash)
-            .collect();
-        hashes.sort_unstable();
-        hashes.dedup();
+        let mut hashes = Vec::new();
+        fill_token_hashes(&mut hashes, &url.lower);
         let source_hostname = source_hostname.to_ascii_lowercase();
         let third_party = is_third_party(&url.hostname, &source_hostname);
         FilterRequest {
@@ -144,30 +240,15 @@ impl FilterRequest {
         }
     }
 
-    /// The parsed request URL.
-    pub fn url(&self) -> &ParsedUrl {
-        &self.url
-    }
-
-    /// Take the parsed URL back out of the request (no clone).
-    pub fn into_url(self) -> ParsedUrl {
-        self.url
-    }
-
-    /// Lower-cased hostname of the page (frame) that issued the request.
-    pub fn source_hostname(&self) -> &str {
-        &self.source_hostname
-    }
-
-    /// The URL's pre-computed token-hash set (sorted, deduplicated).
-    pub fn token_hashes(&self) -> &[u64] {
-        &self.token_hashes
-    }
-
-    /// `true` if the request crosses a registrable-domain boundary
-    /// (pre-computed at construction).
-    pub fn is_third_party(&self) -> bool {
-        self.third_party
+    /// Lend the request to rule matching.
+    pub fn view(&self) -> RequestView<'_> {
+        RequestView {
+            url: self.url.view(),
+            source_hostname: &self.source_hostname,
+            resource_type: self.resource_type,
+            token_hashes: &self.token_hashes,
+            third_party: self.third_party,
+        }
     }
 }
 
@@ -183,7 +264,7 @@ mod tests {
             ResourceType::Script,
         )
         .unwrap();
-        assert!(r.is_third_party());
+        assert!(r.view().third_party);
 
         let r = FilterRequest::new(
             "https://static.example.com/app.js",
@@ -191,7 +272,7 @@ mod tests {
             ResourceType::Script,
         )
         .unwrap();
-        assert!(!r.is_third_party());
+        assert!(!r.view().third_party);
     }
 
     #[test]
@@ -209,7 +290,7 @@ mod tests {
             ResourceType::Script,
         )
         .unwrap();
-        let hashes = r.token_hashes();
+        let hashes = r.view().token_hashes;
         assert!(hashes.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
         assert!(hashes.contains(&fnv1a64(b"cdn")));
         assert!(hashes.contains(&fnv1a64(b"com")));

@@ -2,7 +2,7 @@
 
 use crate::options::RuleOptions;
 use crate::pattern::Pattern;
-use crate::request::FilterRequest;
+use crate::request::RequestView;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -50,11 +50,8 @@ pub struct FilterRule {
 impl FilterRule {
     /// Evaluate the rule against a request: both the URL pattern and every
     /// option constraint must hold.
-    pub fn matches(&self, request: &FilterRequest) -> bool {
-        if !self.options.matches(request) {
-            return false;
-        }
-        self.pattern.matches(&request.url)
+    pub fn matches(&self, request: &RequestView<'_>) -> bool {
+        self.options.matches(request) && self.pattern.matches(&request.url)
     }
 
     /// Token hashes used to place the rule into the
@@ -74,7 +71,7 @@ impl fmt::Display for FilterRule {
 mod tests {
     use super::*;
     use crate::parser::parse_rule;
-    use crate::request::ResourceType;
+    use crate::request::{FilterRequest, ResourceType};
 
     fn rule(text: &str) -> FilterRule {
         parse_rule(text, ListKind::EasyList, 1).expect("rule should parse")
@@ -87,32 +84,39 @@ mod tests {
     #[test]
     fn pattern_and_options_both_required() {
         let r = rule("||tracker.example^$script");
-        assert!(r.matches(&req(
-            "https://tracker.example/t.js",
-            "a.com",
-            ResourceType::Script
-        )));
-        assert!(!r.matches(&req(
-            "https://tracker.example/t.gif",
-            "a.com",
-            ResourceType::Image
-        )));
-        assert!(!r.matches(&req(
-            "https://other.example/t.js",
-            "a.com",
-            ResourceType::Script
-        )));
+        assert!(r.matches(
+            &req(
+                "https://tracker.example/t.js",
+                "a.com",
+                ResourceType::Script
+            )
+            .view()
+        ));
+        assert!(!r.matches(
+            &req(
+                "https://tracker.example/t.gif",
+                "a.com",
+                ResourceType::Image
+            )
+            .view()
+        ));
+        assert!(
+            !r.matches(&req("https://other.example/t.js", "a.com", ResourceType::Script).view())
+        );
     }
 
     #[test]
     fn exception_rules_flagged() {
         let r = rule("@@||cdn.example.com/jquery.js$script");
         assert!(r.exception);
-        assert!(r.matches(&req(
-            "https://cdn.example.com/jquery.js",
-            "a.com",
-            ResourceType::Script
-        )));
+        assert!(r.matches(
+            &req(
+                "https://cdn.example.com/jquery.js",
+                "a.com",
+                ResourceType::Script
+            )
+            .view()
+        ));
     }
 
     #[test]

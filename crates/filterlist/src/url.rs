@@ -42,25 +42,8 @@ impl ParsedUrl {
             return None;
         }
         let lower = raw.to_ascii_lowercase();
-
-        let Some(authority) = Authority::of(&lower) else {
-            // Opaque URL such as `data:image/gif;base64,...` or `about:blank`.
-            let idx = lower.find(':')?;
-            if !lower[..idx]
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-')
-            {
-                return None;
-            }
-            return Some(ParsedUrl {
-                raw,
-                hostname: String::new(),
-                lower,
-                host_start: 0,
-            });
-        };
-        let hostname = authority.host.to_string();
-        let host_start = authority.host_start;
+        let (hostname, host_start) = locate_host(&lower)?;
+        let hostname = hostname.to_string();
         Some(ParsedUrl {
             raw,
             lower,
@@ -68,11 +51,60 @@ impl ParsedUrl {
             host_start,
         })
     }
+
+    /// The borrowed view pattern matching reads.
+    pub fn view(&self) -> UrlView<'_> {
+        UrlView {
+            raw: &self.raw,
+            lower: &self.lower,
+            hostname: &self.hostname,
+            host_start: self.host_start,
+        }
+    }
+}
+
+/// A parsed URL, borrowed: what [`crate::pattern::Pattern::matches`] reads.
+/// [`ParsedUrl::view`] lends one out of the owned form;
+/// [`crate::request::RequestScratch::view`] derives one from a `&str`
+/// without copying the URL (unless it has upper-case ASCII to fold).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UrlView<'a> {
+    /// The URL text, trimmed, in its own case (`$match-case` rules).
+    pub raw: &'a str,
+    /// The URL text lower-cased; the same slice as `raw` when the URL has
+    /// no upper-case ASCII.
+    pub lower: &'a str,
+    /// Hostname (no port), lower-cased; empty for opaque URLs.
+    pub hostname: &'a str,
+    /// Byte offset of `hostname` within `lower` and `raw`; `0` for opaque
+    /// URLs.
+    pub host_start: usize,
+}
+
+/// Where the hostname lies in a trimmed URL: `(hostname, byte offset)`,
+/// `("", 0)` for an opaque URL such as `data:image/gif;base64,...` or
+/// `about:blank`, `None` for text that is not a URL at all. The one
+/// derivation every URL reader in this crate shares.
+pub(crate) fn locate_host(url: &str) -> Option<(&str, usize)> {
+    if let Some(authority) = Authority::of(url) {
+        return Some((authority.host, authority.host_start));
+    }
+    url[..url.find(':')?]
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || b == b'+' || b == b'-')
+        .then_some(("", 0))
+}
+
+/// `ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )` (RFC 3986 §3.1).
+fn is_scheme(text: &str) -> bool {
+    let mut bytes = text.bytes();
+    bytes.next().is_some_and(|b| b.is_ascii_alphabetic())
+        && bytes.all(|b| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.'))
 }
 
 /// The authority of a URL (`scheme://[user@]host[:port]`, or scheme-relative
 /// `//host…`), borrowed from the URL text. The one place the hostname is
-/// derived: [`ParsedUrl::parse`] and [`hostname_of`] both read it.
+/// derived: [`locate_host`] and [`hostname_of`] both read it.
 struct Authority<'a> {
     /// Hostname without userinfo or port, in the text's own case.
     host: &'a str,
@@ -81,14 +113,14 @@ struct Authority<'a> {
 }
 
 impl<'a> Authority<'a> {
-    /// `None` when `url` has neither a `://` separator nor a leading `//`.
+    /// `None` when `url` has neither a scheme followed by `://` nor a
+    /// leading `//`. A `://` further in (a URL carried in a query or in an
+    /// opaque URL's data) is not the scheme separator.
     fn of(url: &'a str) -> Option<Self> {
-        let start = if let Some(idx) = url.find("://") {
-            idx + 3
-        } else if url.starts_with("//") {
-            2
-        } else {
-            return None;
+        let start = match url.find("://") {
+            Some(idx) if is_scheme(&url[..idx]) => idx + 3,
+            _ if url.starts_with("//") => 2,
+            _ => return None,
         };
         // Authority ends at the first `/`, `?` or `#`.
         let end = url[start..]
@@ -180,6 +212,14 @@ mod tests {
             "data:image/gif;base64,R0lGODlhAQAB",
             "not a url at all",
             "",
+            // A `://` that is not preceded by a scheme is data, not the
+            // scheme separator.
+            "//cdn.example.com/r?u=https://tracker.io/p",
+            "data:text/html,<a href=http://evil.com/>",
+            "mailto:a@b.c?x=http://evil.com/",
+            "/r?u=https://tracker.io/p",
+            "https://cdn.example.com/r?u=http://tracker.io/p",
+            "view-source+x.y://host.example/",
         ] {
             let parsed = ParsedUrl::parse(case)
                 .map(|u| u.hostname)
@@ -190,6 +230,29 @@ mod tests {
                 "for {case:?}"
             );
         }
+    }
+
+    #[test]
+    fn an_embedded_scheme_separator_does_not_move_the_host() {
+        let host = |url| ParsedUrl::parse(url).map(|u| u.hostname);
+        assert_eq!(
+            host("//cdn.example.com/r?u=https://tracker.io/p").as_deref(),
+            Some("cdn.example.com")
+        );
+        assert_eq!(
+            host("https://cdn.example.com/r?u=http://tracker.io/p").as_deref(),
+            Some("cdn.example.com")
+        );
+        assert_eq!(
+            host("data:text/html,<a href=http://evil.com/>").as_deref(),
+            Some("")
+        );
+        assert_eq!(host("mailto:a@b.c?x=http://evil.com/").as_deref(), Some(""));
+        assert_eq!(host("/r?u=https://tracker.io/p"), None);
+        assert_eq!(
+            host("view-source+x.y://host.example/").as_deref(),
+            Some("host.example")
+        );
     }
 
     #[test]

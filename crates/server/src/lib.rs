@@ -15,7 +15,10 @@
 //!   clients cost 512 fds, not 512 stacks;
 //! * a single **admin thread** owning the [`SifterWriter`]; observation
 //!   ingest, commits, and snapshot import/export are serialised through a
-//!   channel to it, and every commit publishes atomically to all workers;
+//!   channel to it, and every commit publishes atomically to all workers.
+//!   A worker decodes a `POST /v1/observations` body into one
+//!   [`wire::ObservationBatch`] arena and sends that; the admin thread
+//!   journals, labels and folds its rows where they lie;
 //! * a hand-rolled HTTP layer ([`http`]), a JSON wire format and a
 //!   length-prefixed **binary protocol** ([`wire`]) — the container has no
 //!   registry access, and a verdict server needs very little HTTP.
@@ -166,7 +169,7 @@ use trackersift::{
     diff_revisions, CommitStats, DeltaSnapshot, JournalStats, RecoveryReport, RevisionRangeError,
     ServiceStats, SifterReader, SifterSnapshot, SifterWriter,
 };
-use wire::ObservationMessage;
+use wire::ObservationBatch;
 
 /// Configuration of a [`VerdictServer`].
 ///
@@ -455,7 +458,7 @@ struct AdminStats {
 
 /// Work routed to the admin thread (the single [`SifterWriter`] owner).
 enum AdminMsg {
-    Observe(Vec<ObservationMessage>, Sender<(u64, u64, u64)>),
+    Observe(ObservationBatch, Sender<(u64, u64, u64)>),
     Commit(Sender<(CommitStats, u64)>),
     Export(Sender<String>),
     /// Replies `(version, observations, dropped_pending)`, or the error
@@ -714,7 +717,7 @@ fn admin_loop(
         match message {
             AdminMsg::Observe(observations, reply) => {
                 let mut accepted = 0u64;
-                for observation in &observations {
+                for observation in observations.iter() {
                     accepted += u64::from(writer.apply(observation).was_observed());
                 }
                 let skipped = observations.len() as u64 - accepted;
@@ -1340,19 +1343,14 @@ impl Worker {
         ))
     }
 
+    /// `POST /v1/observations`: the batch goes to the admin thread only
+    /// once the whole body has decoded, so a bad row applies nothing.
     fn observe(
         admin: &Sender<AdminMsg>,
         request: &RequestView<'_>,
     ) -> Result<HttpResponse, HttpResponse> {
-        let body = Value::parse(decide::body_text(request)?).map_err(bad_request)?;
-        let observations = body
-            .field("observations")
-            .and_then(|rows| rows.as_array())
-            .map_err(bad_request)?
-            .iter()
-            .map(ObservationMessage::from_json_value)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(bad_request)?;
+        let observations =
+            wire::decode_observation_batch(decide::body_text(request)?).map_err(bad_request)?;
         let (accepted, skipped, pending) =
             admin_call(admin, |reply| AdminMsg::Observe(observations, reply))?;
         let reply = numbers(&[

@@ -13,7 +13,11 @@
 //! messages ([`DecisionMessage`], [`BinaryRequest`]) for clients and tools,
 //! and in place ([`DecisionQuery`], [`decode_decision_batch`],
 //! [`BinaryRecords`]) for the worker, which borrows the request body and
-//! allocates nothing per request or per row.
+//! allocates nothing per request or per row. Observations likewise: owned
+//! [`ObservationMessage`]s for clients, and for the worker
+//! [`decode_observation_batch`], which streams the body's rows into one
+//! [`ObservationBatch`] arena — the single copy an observation's strings
+//! make between the socket and the fold.
 //!
 //! # The binary protocol
 //!
@@ -48,7 +52,8 @@ use filterlist::ResourceType;
 use std::borrow::Cow;
 use trackersift::frames::{self, PROTO_VERSION, RECORD_HEADER_LEN};
 use trackersift::{
-    CommitStats, Decision, DecisionRequest, FrameError, FrameReader, FrozenKeys, ServiceStats,
+    CommitStats, Decision, DecisionRequest, FrameError, FrameReader, FrozenKeys, ObservationRef,
+    ServiceStats,
 };
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
@@ -735,10 +740,199 @@ pub fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> String {
     .render()
 }
 
-/// One observation as it travels over `POST /v1/observations`: the core's
-/// [`Observation`](trackersift::Observation) record itself — the value the
-/// admin thread hands to the writer is the value the body decoded to.
+/// One observation as a client builds it for `POST /v1/observations`: the
+/// core's owned [`Observation`](trackersift::Observation) record. The server
+/// decodes a body with [`decode_observation_batch`] instead.
 pub use trackersift::Observation as ObservationMessage;
+
+/// What distinguishes the two forms of an observation row once its four
+/// strings are in the arena.
+#[derive(Debug, Clone, Copy)]
+enum RowForm {
+    /// domain, hostname, script, method.
+    Parts { tracking: bool },
+    /// url, source hostname, script, method.
+    Url { resource_type: ResourceType },
+}
+
+#[derive(Debug, Clone, Copy)]
+struct BatchRow {
+    form: RowForm,
+    /// Where each of the row's four strings ends in the arena; the first
+    /// begins where the previous row's last one ended.
+    ends: [usize; 4],
+}
+
+/// The decoded body of one `POST /v1/observations`: every row's strings
+/// appended to one `String`, plus a row table of offsets into it. This is
+/// what crosses from the worker to the admin thread, which folds the rows
+/// as [`ObservationRef`]s borrowed from the arena — two allocations that
+/// grow, whatever the row count.
+#[derive(Debug, Default)]
+pub struct ObservationBatch {
+    text: String,
+    rows: Vec<BatchRow>,
+}
+
+impl ObservationBatch {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` for a body whose `observations` array is empty.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn push(&mut self, form: RowForm, strings: [&str; 4]) {
+        let ends = strings.map(|string| {
+            self.text.push_str(string);
+            self.text.len()
+        });
+        self.rows.push(BatchRow { form, ends });
+    }
+
+    /// The rows in body order, borrowed from the arena.
+    pub fn iter(&self) -> impl Iterator<Item = ObservationRef<'_>> {
+        let mut start = 0;
+        self.rows.iter().map(move |row| {
+            let [a, b, script, method] = row.ends.map(|end| {
+                let string = &self.text[start..end];
+                start = end;
+                string
+            });
+            match row.form {
+                RowForm::Parts { tracking } => ObservationRef::Parts {
+                    domain: a,
+                    hostname: b,
+                    script,
+                    method,
+                    tracking,
+                },
+                RowForm::Url { resource_type } => ObservationRef::Url {
+                    url: a,
+                    source_hostname: b,
+                    resource_type,
+                    script,
+                    method,
+                },
+            }
+        })
+    }
+}
+
+/// Read the observation row at the cursor and append it to `batch`. Outer
+/// and inner errors as in [`DecisionQuery::read`]; a row that is not an
+/// observation appends nothing. Accepts and rejects exactly what
+/// [`ObservationMessage::from_json_value`] does on the parsed row, with the
+/// same error.
+fn read_observation<'a>(
+    reader: &mut Reader<'a>,
+    batch: &mut ObservationBatch,
+) -> Result<Result<(), JsonError>, JsonError> {
+    let [mut domain, mut hostname, mut script, mut method, mut url, mut source_hostname, mut resource_type]: [Slot<'a>; 7] =
+        Default::default();
+    let mut tracking: Option<Result<bool, JsonError>> = None;
+    if reader.peek()? == Kind::Object {
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            let slot = match key.as_ref() {
+                "domain" => &mut domain,
+                "hostname" => &mut hostname,
+                "script" => &mut script,
+                "method" => &mut method,
+                "url" => &mut url,
+                "source_hostname" => &mut source_hostname,
+                "resource_type" => &mut resource_type,
+                "tracking" if tracking.is_none() => {
+                    tracking = Some(if reader.peek()? == Kind::Bool {
+                        Ok(reader.bool()?)
+                    } else {
+                        let other = reader.value()?;
+                        err(format!("expected bool, got {other:?}"))
+                    });
+                    continue;
+                }
+                _ => {
+                    reader.skip_value()?;
+                    continue;
+                }
+            };
+            read_slot(reader, slot)?;
+        }
+    } else {
+        // No field is found in a non-object (`Value::get`).
+        reader.skip_value()?;
+    }
+    // The order `ObservationMessage::from_json_value` reports errors in.
+    let assemble = || {
+        if let Some(url) = url {
+            let (url, source_hostname) = (url?, required(source_hostname, "source_hostname")?);
+            let resource_type = resource_type_from_str(&required(resource_type, "resource_type")?)?;
+            let (script, method) = (required(script, "script")?, required(method, "method")?);
+            batch.push(
+                RowForm::Url { resource_type },
+                [&url, &source_hostname, &script, &method],
+            );
+        } else {
+            let (domain, hostname) = (required(domain, "domain")?, required(hostname, "hostname")?);
+            let (script, method) = (required(script, "script")?, required(method, "method")?);
+            let tracking = tracking.unwrap_or_else(|| err("missing field `tracking`"))?;
+            batch.push(
+                RowForm::Parts { tracking },
+                [&domain, &hostname, &script, &method],
+            );
+        }
+        Ok(())
+    };
+    Ok(assemble())
+}
+
+/// Decode a `POST /v1/observations` body (`{"observations":[…]}`) into one
+/// [`ObservationBatch`], with no [`Value`] tree and no string of its own per
+/// row. It accepts and rejects exactly what [`Value::parse`] followed by
+/// [`ObservationMessage::from_json_value`] on each row does, with the same
+/// error for the same body and the precedence of parsing a tree first —
+/// syntax anywhere in the body, then `observations`, then the rows in order.
+/// The whole body is checked before anything is returned, so a bad row at
+/// any index yields no batch at all.
+pub fn decode_observation_batch(text: &str) -> Result<ObservationBatch, JsonError> {
+    let mut reader = Reader::new(text);
+    // No string outgrows the body it was unescaped from.
+    let mut batch = ObservationBatch {
+        text: String::with_capacity(text.len()),
+        rows: Vec::new(),
+    };
+    let mut rows: Option<Result<(), JsonError>> = None;
+    if reader.peek()? == Kind::Object {
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            if key != "observations" || rows.is_some() {
+                reader.skip_value()?;
+            } else if reader.peek()? == Kind::Array {
+                let mut decoded = Ok(());
+                reader.begin_array()?;
+                while reader.next_element()? {
+                    if decoded.is_ok() {
+                        decoded = read_observation(&mut reader, &mut batch)?;
+                    } else {
+                        reader.skip_value()?;
+                    }
+                }
+                rows = Some(decoded);
+            } else {
+                let other = reader.value()?;
+                rows = Some(err(format!("expected array, got {other:?}")));
+            }
+        }
+    } else {
+        reader.skip_value()?;
+    }
+    reader.finish()?;
+    rows.unwrap_or_else(|| err("missing field `observations`"))?;
+    Ok(batch)
+}
 
 /// Encode the reply to `POST /v1/commit`.
 pub fn commit_to_json(stats: &CommitStats, version: u64) -> Value {

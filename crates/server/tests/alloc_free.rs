@@ -2,16 +2,24 @@
 //! connection's parser to response bytes in its output buffer, a JSON or
 //! binary decision that resolves to a preformatted answer touches no heap
 //! once the two buffers are warm — and the bytes are the ones the owned,
-//! tree-building API renders.
+//! tree-building API renders. The write path allocates per batch, not per
+//! row: a `POST /v1/observations` body decodes into one arena, and
+//! journaling, labeling and folding its rows on a warm writer touch no heap
+//! at all.
 
 use crawler::json::{object, Value};
 use filterlist::ListKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use trackersift::{PrebuiltDecision, RewriterBuilder, Sifter, SifterReader, VerdictTable};
+use trackersift::{
+    Decision, DecisionSource, PrebuiltDecision, RewriterBuilder, Sifter, SifterReader, VerdictTable,
+};
 use trackersift_server::decide;
 use trackersift_server::http::{HttpResponse, RequestParser};
-use trackersift_server::wire::{self, BinaryKeys, BinaryRecord, DecisionMessage};
+use trackersift_server::wire::{
+    self, BinaryKeys, BinaryRecord, DecisionMessage, ObservationMessage,
+};
+use trackersift_server::DurabilityConfig;
 
 // ---------------------------------------------------------------------------
 // A counting allocator (the pattern of the suite's `tests/service_api.rs`):
@@ -85,11 +93,9 @@ fn trained() -> SifterReader {
     sifter.into_concurrent().1
 }
 
-/// Queries with URL context that the hierarchy settles — the requests
-/// whose whole cost is the server's. (A request the hierarchy leaves open
-/// goes on to the filter-list backstop, and building the filter engine's
-/// own request allocates; that is the filterlist crate's cost, not a
-/// layer of this path.)
+/// Queries with URL context: three the hierarchy settles, then two it has
+/// never seen a key of, which go on to the filter-list backstop — one the
+/// list blocks, one (with upper-case to fold) it allows.
 fn messages() -> Vec<DecisionMessage> {
     let with_url = |message: DecisionMessage, url: &str| {
         message.with_url(url, "pub.com", filterlist::ResourceType::Image)
@@ -108,6 +114,24 @@ fn messages() -> Vec<DecisionMessage> {
         with_url(
             DecisionMessage::new("ads.com", "new.ads.com", "https://pub.com/b.js", "fire"),
             "https://new.ads.com/collect",
+        ),
+        with_url(
+            DecisionMessage::new(
+                "blocked.example",
+                "px.blocked.example",
+                "https://pub.com/z.js",
+                "go",
+            ),
+            "https://px.blocked.example/t.gif?id=1",
+        ),
+        with_url(
+            DecisionMessage::new(
+                "unseen.example",
+                "cdn.unseen.example",
+                "https://pub.com/z.js",
+                "go",
+            ),
+            "HTTPS://CDN.Unseen.Example/Logo.PNG",
         ),
     ]
 }
@@ -164,6 +188,17 @@ fn a_pipelined_flight_of_decisions_allocates_nothing() {
             "{message:?}"
         );
     }
+    let backstop: Vec<Decision> = messages[3..]
+        .iter()
+        .map(|message| reader.decide(&message.as_request()))
+        .collect();
+    assert_eq!(
+        backstop,
+        [
+            Decision::Block(DecisionSource::FilterList),
+            Decision::Allow(DecisionSource::FilterList)
+        ]
+    );
 
     // JSON with URL context, then id-form binary frames for the same keys.
     let id = |name: &str| {
@@ -236,8 +271,86 @@ fn a_pipelined_flight_of_decisions_allocates_nothing() {
     assert_eq!(out, expected);
     assert_eq!(
         allocations, 0,
-        "parse -> decode -> resolve -> decide_prebuilt -> render must not allocate"
+        "parse -> decode -> resolve -> decide_prebuilt (filter-list backstop included) -> render must not allocate"
     );
+}
+
+#[test]
+fn the_write_path_allocates_per_batch_not_per_row() {
+    const ROWS: usize = 1_000;
+    let rows: Vec<String> = (0..ROWS)
+        .map(|n| {
+            ObservationMessage::Url {
+                url: format!(
+                    "https://px{}.Tracker{}.example/collect/{n}?id={n}",
+                    n % 7,
+                    n % 40
+                ),
+                source_hostname: format!("www.site{}.com", n % 25),
+                resource_type: filterlist::ResourceType::ALL[n % 11],
+                script: format!("fp:{:016x}", (n % 90) as u64 * 0x9E37_79B9),
+                method: format!("m{}", n % 5),
+            }
+            .to_json_value()
+            .render()
+        })
+        .collect();
+    let body = format!(r#"{{"observations":[{}]}}"#, rows.join(","));
+
+    let (allocations, batch) =
+        allocations_during(|| wire::decode_observation_batch(&body).expect("a valid body"));
+    assert_eq!(batch.len(), ROWS);
+    assert!(
+        allocations <= 64,
+        "decoding {ROWS} rows took {allocations} allocations: the arena and the row table grow, nothing else"
+    );
+
+    let dir = std::env::temp_dir().join(format!(
+        "trackersift-alloc-free-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut writer, _reader) = Sifter::builder()
+        .filter_lists(&[(
+            ListKind::EasyList,
+            "||tracker7.example^$third-party\n/collect/1\n",
+        )])
+        .build_concurrent();
+    writer
+        .open_durable(&dir, DurabilityConfig::new(&dir).sync_every)
+        .expect("open the durable directory");
+    // The first pass interns the keys, creates the count cells and grows the
+    // journal buffer and the label scratch.
+    for row in batch.iter() {
+        assert!(writer.apply(row).was_observed());
+    }
+    writer.commit();
+    let appended = writer.journal_stats().expect("durable").appended;
+
+    let (allocations, tracking) = allocations_during(|| {
+        batch
+            .iter()
+            .filter(|row| {
+                writer
+                    .apply(*row)
+                    .label()
+                    .is_some_and(|label| label.is_tracking())
+            })
+            .count()
+    });
+    assert!(tracking > 0 && tracking < ROWS, "{tracking} rows tracking");
+    assert_eq!(
+        writer.journal_stats().expect("durable").appended,
+        appended + ROWS as u64
+    );
+    assert_eq!(writer.sifter().pending(), ROWS as u64);
+    assert_eq!(
+        allocations, 0,
+        "journal -> label -> intern -> fold of a known row must not allocate"
+    );
+    drop(writer);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

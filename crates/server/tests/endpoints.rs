@@ -862,6 +862,92 @@ fn primary_and_replica_stats_share_the_worker_and_admission_shape() {
     replica.shutdown();
 }
 
+/// A batch is all or nothing: with row *k* of 1,000 malformed — first,
+/// middle or last — `POST /v1/observations` answers the `400` the tree
+/// decoder's error makes, and no row before *k* was applied or journaled.
+#[test]
+fn a_malformed_row_anywhere_in_a_batch_applies_nothing() {
+    const ROWS: usize = 1_000;
+    let dir = std::env::temp_dir().join(format!(
+        "trackersift-server-all-or-nothing-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let server = VerdictServer::start(
+        writer,
+        ServerConfig {
+            workers: 1,
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..ServerConfig::ephemeral()
+        },
+    )
+    .expect("start durable server");
+    // An error response closes its connection, so every step dials anew.
+    let connect = || Client::connect(server.local_addr());
+    let state = || {
+        let (status, body) = connect().request("GET", "/v1/stats", None);
+        assert_eq!(status, 200);
+        let stats = Value::parse(&body).expect("stats json");
+        let number = |path: &[&str]| {
+            let mut value = &stats;
+            for key in path {
+                value = value.field(key).expect("stats field");
+            }
+            value.as_u64().expect("a count")
+        };
+        (
+            number(&["ingest", "observed"]),
+            number(&["ingest", "pending"]),
+            number(&["durability", "journal", "appended"]),
+        )
+    };
+    let good: Vec<String> = (0..ROWS)
+        .map(|n| {
+            ObservationMessage::Parts {
+                domain: format!("d{}.com", n % 50),
+                hostname: format!("h{n}.d{}.com", n % 50),
+                script: "https://pub.com/a.js".into(),
+                method: "send".into(),
+                tracking: n % 3 == 0,
+            }
+            .to_json_value()
+            .render()
+        })
+        .collect();
+    let body_of = |rows: &[String]| format!(r#"{{"observations":[{}]}}"#, rows.join(","));
+
+    let before = state();
+    for k in [0, ROWS / 2, ROWS - 1] {
+        let mut rows = good.clone();
+        rows[k] = rows[k].replace(r#""method":"send""#, r#""method":7"#);
+        let body = body_of(&rows);
+        let reference = Value::parse(&body)
+            .expect("well-formed JSON")
+            .field("observations")
+            .and_then(Value::as_array)
+            .expect("an array")
+            .iter()
+            .map(ObservationMessage::from_json_value)
+            .collect::<Result<Vec<_>, _>>()
+            .expect_err("row k is not an observation");
+        let (status, reply) = connect().request("POST", "/v1/observations", Some(&body));
+        assert_eq!(
+            (status, reply),
+            (400, format!(r#"{{"error":"{reference}"}}"#)),
+            "bad row at {k}"
+        );
+        assert_eq!(state(), before, "bad row at {k}");
+    }
+
+    let (status, reply) = connect().request("POST", "/v1/observations", Some(&body_of(&good)));
+    assert_eq!(status, 200);
+    assert_eq!(reply, r#"{"accepted":1000,"skipped":0,"pending":1000}"#);
+    assert_eq!(state(), (before.0 + 1000, before.1 + 1000, before.2 + 1000));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The crash-recovery loop over the wire: observations committed against a
 /// durable server survive a full stop/start cycle on the same directory,
 /// and the reboot's recovery report is visible in `/v1/stats`.

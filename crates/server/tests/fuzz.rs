@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 use trackersift::{Sifter, SifterReader};
 use trackersift_server::client::Client;
-use trackersift_server::wire::{self, DecisionMessage, DecisionQuery};
+use trackersift_server::wire::{self, DecisionMessage, DecisionQuery, ObservationMessage};
 use trackersift_server::{ServerConfig, VerdictServer};
 
 fn start_server() -> VerdictServer {
@@ -275,7 +275,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The borrowed decision decoder against the tree it replaced
+// The borrowed decoders against the trees they replaced
 // ---------------------------------------------------------------------
 
 /// Per-case generator state (xorshift64*), seeded by the property's input.
@@ -442,6 +442,83 @@ fn query_object(g: &mut Gen) -> String {
     format!("{{{}{}{}}}", g.space(), fields.join(&separator), g.space())
 }
 
+/// An observation row of either form: fields missing, duplicated, of the
+/// wrong type, unknown, in any order, and now and then the other form's
+/// fields mixed in (any `url` selects the raw-URL form).
+fn observation_object(g: &mut Gen) -> String {
+    if g.chance(3) {
+        // Not an object at all.
+        return any_value(g, 0);
+    }
+    let (parts, url) = if g.chance(50) { (96, 4) } else { (8, 96) };
+    let keys = [
+        ("domain", "ads.com", parts),
+        ("hostname", "px.ads.com", parts),
+        ("tracking", "", parts),
+        ("script", "https://pub.com/a.js", 97),
+        ("method", "send", 97),
+        ("url", "https://px.ads.com/p?id=1", url),
+        ("source_hostname", "pub.com", url),
+        ("resource_type", "", url),
+    ];
+    let mut fields = Vec::new();
+    for (key, base, presence) in keys {
+        let copies = usize::from(g.chance(presence)) + usize::from(g.chance(6));
+        for _ in 0..copies {
+            fields.push(match key {
+                "tracking" if g.chance(94) => {
+                    format!("\"tracking\":{}{}", g.space(), g.pick(&["true", "false"]))
+                }
+                "tracking" => format!("\"tracking\":{}", any_value(g, 0)),
+                // Spelled exactly most of the time: a suffix `known_field`
+                // may add makes a name no type has.
+                "resource_type" if g.chance(85) => {
+                    let name = g.pick(&["script", "image", "xmlhttprequest", "ping", "other"]);
+                    format!("\"resource_type\":\"{name}\"")
+                }
+                "resource_type" => known_field(g, key, "warp-drive"),
+                _ => known_field(g, key, base),
+            });
+        }
+    }
+    for _ in 0..g.below(3) {
+        fields.push(format!(
+            "{}:{}",
+            string_literal(g, "extra"),
+            any_value(g, 0)
+        ));
+    }
+    for at in (1..fields.len()).rev() {
+        fields.swap(at, g.below(at + 1));
+    }
+    let separator = format!("{},{}", g.space(), g.space());
+    format!("{{{}{}{}}}", g.space(), fields.join(&separator), g.space())
+}
+
+/// A batch body around `rows` under `key`: the array now and then not an
+/// array, the key duplicated, joined by other members, or missing — then
+/// [`mutate`]d.
+fn batch_body(g: &mut Gen, key: &str, rows: &[String]) -> String {
+    let array = match g.below(20) {
+        0 => any_value(g, 0),
+        _ => format!("[{}]", rows.join(",")),
+    };
+    let mut members = vec![format!("\"{key}\":{array}")];
+    if g.chance(10) {
+        // Only the first occurrence counts, wherever it stands.
+        members.push(format!("\"{key}\":{}", any_value(g, 0)));
+    }
+    if g.chance(20) {
+        let at = g.below(members.len() + 1);
+        members.insert(at, format!("\"hint\":{}", any_value(g, 0)));
+    }
+    if g.chance(3) {
+        members.remove(0);
+    }
+    let body = format!("{{{}}}", members.join(","));
+    mutate(g, body)
+}
+
 /// Damage a rendered body: cut it short, append to it, or overwrite one
 /// byte with a structural character.
 fn mutate(g: &mut Gen, mut body: String) -> String {
@@ -516,6 +593,17 @@ fn reference_batch(text: &str) -> Result<Vec<Fields>, JsonError> {
         .collect()
 }
 
+/// What `POST /v1/observations` decoded before the streaming decoder
+/// existed.
+fn reference_observations(text: &str) -> Result<Vec<ObservationMessage>, JsonError> {
+    let body = Value::parse(text)?;
+    body.field("observations")?
+        .as_array()?
+        .iter()
+        .map(ObservationMessage::from_json_value)
+        .collect()
+}
+
 /// The endpoint's answer to `body` against what the reference decode
 /// predicts: the in-process decisions rendered for `Ok`, a `400` carrying
 /// the reference's error text otherwise.
@@ -579,24 +667,7 @@ proptest! {
         assert_endpoint_agrees(server, reader, "/v1/decisions", &single, &expected.map(|row| vec![row]));
 
         let rows: Vec<String> = (0..g.below(5)).map(|_| query_object(&mut g)).collect();
-        let requests = match g.below(20) {
-            0 => any_value(&mut g, 0),
-            _ => format!("[{}]", rows.join(",")),
-        };
-        let mut members = vec![format!("\"requests\":{requests}")];
-        if g.chance(10) {
-            // Only the first `requests` counts, wherever it stands.
-            members.push(format!("\"requests\":{}", any_value(&mut g, 0)));
-        }
-        if g.chance(20) {
-            let at = g.below(members.len() + 1);
-            members.insert(at, format!("\"hint\":{}", any_value(&mut g, 0)));
-        }
-        if g.chance(3) {
-            members.remove(0);
-        }
-        let batch = format!("{{{}}}", members.join(","));
-        let batch = mutate(&mut g, batch);
+        let batch = batch_body(&mut g, "requests", &rows);
         let expected = reference_batch(&batch);
         let mut streamed = Vec::new();
         let decoded = wire::decode_decision_batch(&batch, |query| streamed.push(query_fields(query)))
@@ -606,5 +677,51 @@ proptest! {
             });
         prop_assert_eq!(&decoded, &expected, "{}", batch);
         assert_endpoint_agrees(server, reader, "/v1/decisions:batch", &batch, &expected);
+    }
+
+    /// The streaming observation decoder accepts exactly the bodies that
+    /// parsing a tree and decoding an `ObservationMessage` from each row
+    /// accepts, reads the same rows out of them, rejects the others with the
+    /// same error — and `POST /v1/observations`, which decodes through it,
+    /// answers that error as its `400` and counts every row of a good body.
+    #[test]
+    fn streaming_observation_decoder_matches_the_tree_decoder(seed in 1u64..u64::MAX) {
+        static SERVER: std::sync::OnceLock<VerdictServer> = std::sync::OnceLock::new();
+        let server = SERVER.get_or_init(start_server);
+        let mut g = Gen(seed);
+
+        let rows: Vec<String> = (0..g.below(6)).map(|_| observation_object(&mut g)).collect();
+        let body = batch_body(&mut g, "observations", &rows);
+        let expected = reference_observations(&body);
+        match (wire::decode_observation_batch(&body), &expected) {
+            (Ok(batch), Ok(rows)) => {
+                prop_assert_eq!(batch.len(), rows.len(), "{}", body);
+                prop_assert!(batch.iter().eq(rows.iter().map(ObservationMessage::as_ref)), "{}", body);
+            }
+            (decoded, expected) => {
+                prop_assert_eq!(decoded.err(), expected.as_ref().err().cloned(), "{}", body)
+            }
+        }
+
+        let mut client = Client::connect(server.local_addr());
+        let (status, answer) = client.request("POST", "/v1/observations", Some(&body));
+        match expected {
+            Ok(rows) => {
+                prop_assert_eq!(status, 200, "{}", body);
+                let reply = Value::parse(&answer).expect("a JSON reply");
+                let count = |key| reply.field(key).and_then(Value::as_u64).expect("a count");
+                // No engine on this server: raw-URL rows are skipped.
+                let parts = rows
+                    .iter()
+                    .filter(|row| matches!(row, ObservationMessage::Parts { .. }))
+                    .count();
+                prop_assert_eq!(count("accepted"), parts as u64, "{}", body);
+                prop_assert_eq!(count("skipped"), (rows.len() - parts) as u64, "{}", body);
+            }
+            Err(error) => {
+                let expected = object(vec![("error", Value::String(error.to_string()))]);
+                prop_assert_eq!((status, answer), (400, expected.render()), "{}", body);
+            }
+        }
     }
 }

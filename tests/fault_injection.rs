@@ -245,28 +245,28 @@ fn sigkill_mid_commit_preserves_every_advertised_commit() {
     // Let it get a few commits out, then pull the plug mid-flight.
     let progress_path = dir.join("progress");
     let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let advertised = fs::read_to_string(&progress_path)
+    let read_progress = || {
+        fs::read_to_string(&progress_path)
             .ok()
             .and_then(|text| text.trim().parse::<u64>().ok())
-            .unwrap_or(0);
+    };
+    let seen = loop {
+        let advertised = read_progress().unwrap_or(0);
         if advertised >= 3 {
-            break;
+            break advertised;
         }
         assert!(
             Instant::now() < deadline,
             "child writer never reached 3 commits"
         );
         std::thread::sleep(Duration::from_millis(20));
-    }
+    };
     child.kill().expect("SIGKILL the child writer");
     let _ = child.wait();
 
-    let advertised: u64 = fs::read_to_string(&progress_path)
-        .expect("progress file")
-        .trim()
-        .parse()
-        .expect("progress is a number");
+    // `fs::write` truncates before it writes: a kill between the two leaves
+    // the file empty, and the last count read is then the one advertised.
+    let advertised = read_progress().unwrap_or(seen);
 
     // Reboot on the same directory: every advertised commit (and all of
     // its observations) must be there; a torn tail past the last fsync is

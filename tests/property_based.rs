@@ -45,6 +45,45 @@ fn arb_rule() -> impl Strategy<Value = String> {
     ]
 }
 
+/// URLs as a crawl or a hostile client spells them: any case, userinfo,
+/// ports, trailing-dot and IP hosts, scheme-relative, opaque, with a second
+/// `://` further in, or not URLs at all.
+fn arb_raw_url() -> impl Strategy<Value = String> {
+    let scheme = prop_oneof![
+        "https://",
+        "HTTP://",
+        "//",
+        "wss://",
+        " https://",
+        "data:",
+        "About:",
+        "",
+        "[a-z+.-]{0,5}:",
+    ];
+    let userinfo = prop_oneof!["", "", "user@", "User:Pw@"];
+    let host = prop_oneof![
+        "[a-zA-Z]{1,8}(\\.[a-zA-Z]{1,8}){0,3}\\.?",
+        "[a-z]{2,6}\\.site\\.com",
+        "[a-z]{2,6}\\.io",
+        "[a-z]{2,6}\\.bbc\\.co\\.uk",
+        "[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}",
+        "\\[::1\\]",
+        "",
+    ];
+    let port = prop_oneof!["", "", ":8080", ":", ":80a"];
+    let rest = prop_oneof![
+        "",
+        "/[a-zA-Z0-9/._-]{0,20}",
+        "/r\\?u=https://[a-z]{2,6}\\.io/p",
+        "\\?[a-z]{1,5}=[A-Za-z0-9]{0,8}",
+        "#frag",
+        "\\PC{0,20}",
+    ];
+    (scheme, userinfo, host, port, rest).prop_map(|(scheme, userinfo, host, port, rest)| {
+        format!("{scheme}{userinfo}{host}{port}{rest}")
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -123,6 +162,38 @@ proptest! {
                     extended.evaluate_linear(&request).label()
                 );
             }
+        }
+    }
+
+    /// The borrowed request the hot paths build in a reused scratch is the
+    /// owned request, field for field (an unparseable URL included), and
+    /// labels through the index as the owned one does through the linear
+    /// scan — whatever the previous request left in the buffers.
+    #[test]
+    fn scratch_view_equals_the_owned_request(
+        rules in prop::collection::vec(arb_rule(), 0..6),
+        urls in prop::collection::vec(arb_raw_url(), 1..6),
+        source in prop_oneof!["site.com", "Sub.Site.COM", "site.com.", "", "[a-z]{2,6}\\.io"],
+        kind in 0usize..11,
+    ) {
+        let text = format!(
+            "{}\n||io^$third-party\n/r?u=\n:8080\n/A$match-case\n|https://$image\n|data:\n@@||site.com^$domain=site.com",
+            rules.join("\n")
+        );
+        let engine = FilterEngine::from_lists(&[(filterlist::ListKind::EasyList, text.as_str())]);
+        let kind = ResourceType::ALL[kind];
+        let mut scratch = filterlist::RequestScratch::new();
+        for url in &urls {
+            let owned = FilterRequest::new(url, &source, kind);
+            let view = scratch.view(url, &source, kind);
+            prop_assert_eq!(view, owned.as_ref().map(FilterRequest::view), "{:?} from {:?}", url, source);
+            let expected = owned
+                .as_ref()
+                .map_or(RequestLabel::Functional, |owned| engine.evaluate_linear(owned).label());
+            if let Some(view) = view {
+                prop_assert_eq!(engine.label_view(&view), expected, "{:?} from {:?}", url, source);
+            }
+            prop_assert_eq!(engine.label_url(url, &source, kind), expected, "{:?} from {:?}", url, source);
         }
     }
 
