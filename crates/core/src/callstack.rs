@@ -163,8 +163,8 @@ pub fn build_call_graph<'a>(
             .stack
             .iter()
             .map(|f| CallGraphNode {
-                script_url: f.script_url.clone(),
-                method: f.method.clone(),
+                script_url: f.script_url.to_string(),
+                method: f.method.to_string(),
             })
             .collect();
         for node in &nodes {
@@ -201,8 +201,8 @@ pub fn analyze_mixed_methods(residue: &[&LabeledRequest]) -> CallStackAnalysis {
         .map(|requests| {
             let first = requests[0];
             let node = CallGraphNode {
-                script_url: first.initiator_script.clone(),
-                method: first.initiator_method.clone(),
+                script_url: first.initiator_script.to_string(),
+                method: first.initiator_method.to_string(),
             };
             let graph = build_call_graph(&node.script_url, &node.method, requests.into_iter());
             (node, graph)

@@ -777,7 +777,7 @@ mod tests {
         let mut requests = crate::testutil::figure1_requests();
         let request = DecisionRequest::from_labeled(&requests[0]);
         assert!(request.url.is_some());
-        assert_eq!(request.domain, requests[0].domain);
+        assert_eq!(request.domain, &*requests[0].domain);
         // The backstop source is the *page hostname* exactly as the labeler
         // derived it (what `$domain=` options and party-ness matched at
         // labeling time) — never the registrable domain, and `""` where the
@@ -791,7 +791,7 @@ mod tests {
             "HTTPS://WWW.PUB.COM:443/",
             "https://user:pw@www.pub.com/",
         ] {
-            requests[0].top_level_url = page.to_string();
+            requests[0].top_level_url = page.into();
             let labeler_page_host = filterlist::ParsedUrl::parse(page)
                 .map(|u| u.hostname)
                 .unwrap_or_default();

@@ -16,6 +16,12 @@
 //! * **Method** — only requests initiated by mixed scripts, keyed by
 //!   `(script URL, method name)`.
 //!
+//! Each level is one pass: every request's key is interned once (one hash of
+//! the key string, in the [`KeyInterner`] all four levels share), the
+//! interned symbol indexes a dense count vector, and the requests that flow
+//! down are picked through a dense mixed bit per symbol. No key is hashed
+//! twice at a level and no string is built per request.
+//!
 //! The per-level separation factor and the cumulative separation reproduce
 //! the paper's Table 1; the per-level unique-resource class counts reproduce
 //! Table 2; the per-resource ratios feed the Figure 3 histograms.
@@ -24,7 +30,6 @@ use crate::intern::{KeyInterner, ResourceKey};
 use crate::label::LabeledRequest;
 use crate::ratio::{Classification, Counts, Thresholds};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// The four granularities of the hierarchy, coarsest first.
@@ -358,8 +363,79 @@ impl HierarchicalClassifier {
     /// count labels, classify each resource, and return the level result
     /// plus the requests that belong to mixed resources (the next level's
     /// input).
+    ///
+    /// Each request's key is interned once, into `keys`; an interned key is
+    /// its own index, so the counts accumulate in a dense vector and the
+    /// next level's input is filtered through a dense mixed bit — no second
+    /// interning pass and no map beyond the interner's own. Resources come
+    /// out in first-seen order, which [`LevelResult::from_entries`] sorts
+    /// away.
     fn classify_level<'a>(
         &self,
+        granularity: Granularity,
+        input: &[&'a LabeledRequest],
+        interner: &mut KeyInterner,
+    ) -> (LevelResult, Vec<&'a LabeledRequest>) {
+        let keys: Vec<ResourceKey> = input
+            .iter()
+            .map(|request| granularity.request_key(request, interner))
+            .collect();
+
+        let mut counts = vec![Counts::default(); interner.len()];
+        let mut first_seen: Vec<ResourceKey> = Vec::new();
+        for (key, request) in keys.iter().zip(input) {
+            let cell = &mut counts[key.index()];
+            if cell.is_empty() {
+                first_seen.push(*key);
+            }
+            cell.record(request.is_tracking());
+        }
+
+        let mut mixed = vec![false; interner.len()];
+        let resources: Vec<ResourceEntry> = first_seen
+            .into_iter()
+            .map(|key| {
+                let counts = counts[key.index()];
+                let classification = self
+                    .thresholds
+                    .classify(&counts)
+                    .expect("grouped resources have requests");
+                mixed[key.index()] = classification == Classification::Mixed;
+                ResourceEntry {
+                    key: interner.resolve(key).to_string(),
+                    counts,
+                    classification,
+                }
+            })
+            .collect();
+
+        let next: Vec<&LabeledRequest> = keys
+            .iter()
+            .zip(input)
+            .filter(|(key, _)| mixed[key.index()])
+            .map(|(_, request)| *request)
+            .collect();
+
+        (
+            LevelResult::from_entries(granularity, resources, input.len() as u64),
+            next,
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{figure1_requests, labeled_request};
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
+
+    /// The two-pass level routine [`HierarchicalClassifier::classify_level`]
+    /// replaced, kept as its oracle: group through a `HashMap`, collect the
+    /// mixed keys in a `HashSet`, then intern every request's key a second
+    /// time to filter the next level's input.
+    fn classify_level_two_pass<'a>(
+        classifier: &HierarchicalClassifier,
         granularity: Granularity,
         input: &[&'a LabeledRequest],
         interner: &mut KeyInterner,
@@ -371,12 +447,11 @@ impl HierarchicalClassifier {
                 .or_default()
                 .record(request.is_tracking());
         }
-
         let mut mixed_keys: HashSet<ResourceKey> = HashSet::new();
         let resources: Vec<ResourceEntry> = groups
             .into_iter()
             .map(|(id, counts)| {
-                let classification = self
+                let classification = classifier
                     .thresholds
                     .classify(&counts)
                     .expect("grouped resources have requests");
@@ -390,29 +465,86 @@ impl HierarchicalClassifier {
                 }
             })
             .collect();
-
-        // Every key below was interned during grouping, so this pass does a
-        // pure lookup — no allocation per request.
-        let mut next: Vec<&LabeledRequest> = Vec::new();
-        if !mixed_keys.is_empty() {
-            for request in input.iter().copied() {
-                if mixed_keys.contains(&granularity.request_key(request, interner)) {
-                    next.push(request);
-                }
-            }
-        }
-
+        let next = input
+            .iter()
+            .copied()
+            .filter(|request| mixed_keys.contains(&granularity.request_key(request, interner)))
+            .collect();
         (
             LevelResult::from_entries(granularity, resources, input.len() as u64),
             next,
         )
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testutil::figure1_requests;
+    /// Requests over small key pools. Host 0 of a domain *is* the domain
+    /// string, so a key can be interned at one level and met again at the
+    /// next; scripts and methods are always first seen below the level that
+    /// interned the hostnames. `mode` skews the labels so that whole levels
+    /// come out pure (the levels below are empty) or all mixed.
+    fn arb_requests() -> impl Strategy<Value = Vec<LabeledRequest>> {
+        let request = (0usize..4, 0usize..3, 0usize..4, 0usize..3, 0u64..2);
+        (prop::collection::vec(request, 0..120), 0usize..4).prop_map(|(keys, mode)| {
+            keys.into_iter()
+                .enumerate()
+                .map(|(id, (domain, host, script, method, coin))| {
+                    let domain_key = format!("d{domain}.com");
+                    let hostname = match host {
+                        0 => domain_key.clone(),
+                        _ => format!("h{host}.{domain_key}"),
+                    };
+                    let tracking = match mode {
+                        0 => coin == 1,
+                        1 => true,
+                        2 => domain % 2 == 0,
+                        _ => (script + method) % 2 == 0,
+                    };
+                    let mut request = labeled_request(
+                        &domain_key,
+                        &hostname,
+                        &format!("https://pub.com/s{script}.js"),
+                        &format!("m{method}"),
+                        tracking,
+                    );
+                    request.request_id = id as u64;
+                    request
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_pass_dense_levels_equal_the_two_pass_oracle(
+            requests in arb_requests(),
+            threshold in 0.3f64..3.0,
+        ) {
+            let classifier = HierarchicalClassifier::new(Thresholds::new(threshold));
+            let ids = |requests: &[&LabeledRequest]| -> Vec<u64> {
+                requests.iter().map(|r| r.request_id).collect()
+            };
+            // Level by level down the hierarchy, each side with its own
+            // interner: the keys' numbering may differ, the results may not.
+            let (mut dense_keys, mut oracle_keys) = (KeyInterner::new(), KeyInterner::new());
+            let mut input: Vec<&LabeledRequest> = requests.iter().collect();
+            for granularity in Granularity::ALL {
+                let (level, next) = classifier.classify_level(granularity, &input, &mut dense_keys);
+                let (expected, expected_next) =
+                    classify_level_two_pass(&classifier, granularity, &input, &mut oracle_keys);
+                prop_assert_eq!(&level, &expected);
+                prop_assert_eq!(ids(&next), ids(&expected_next));
+                input = next;
+            }
+            // The flat ablation enters each level with a fresh interner.
+            let all: Vec<&LabeledRequest> = requests.iter().collect();
+            for granularity in Granularity::ALL {
+                let expected =
+                    classify_level_two_pass(&classifier, granularity, &all, &mut KeyInterner::new());
+                prop_assert_eq!(classifier.classify_flat(granularity, &all), expected.0);
+            }
+        }
+    }
 
     #[test]
     fn granularity_index_matches_position_in_all() {

@@ -7,7 +7,15 @@
 //! path. A [`KeyInterner`] replaces those allocations with cheap [`ResourceKey`]
 //! symbols: each distinct string is stored once and every subsequent
 //! occurrence resolves to a `Copy` integer id with a single hash lookup and
-//! zero allocation.
+//! zero allocation. A symbol is its string's position in first-seen order
+//! ([`ResourceKey::index`]), so whoever holds symbols can keep per-key
+//! state in a dense vector instead of a second map — the batch classifier
+//! does, level by level.
+//!
+//! The lookup maps hash with [`TokenHashBuilder`], which folds a string
+//! eight bytes per multiply and a symbol in one; it is unkeyed, and ids come
+//! from first-seen order, never from hash order, so nothing observable —
+//! `GET /v1/keys`, snapshots, revision diffs — depends on it.
 //!
 //! Method keys are composed through [`ResourceKey::method_label`] — the one
 //! shared constructor of the `script :: method` format — so producers
@@ -137,7 +145,7 @@ impl FrozenKeys {
 
 /// An append-only string interner for resource keys.
 ///
-/// Both internal maps use the cheap FNV-based
+/// Both internal maps use the cheap word-at-a-time
 /// [`TokenHashBuilder`] rather than SipHash: interning sits on the hot
 /// paths of the classification stage and the sifter's ingest, where
 /// hash-flooding resistance buys nothing and the default hasher's setup
@@ -260,6 +268,7 @@ impl KeyInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn round_trip_resolves_to_the_original_string() {
@@ -366,5 +375,125 @@ mod tests {
         }
         assert_eq!(frozen.key_for_id(3), None);
         assert_eq!(frozen.key_for_id(u32::MAX), None);
+    }
+
+    /// Every string the 500-site paper corpus (seed 2021) interns on its
+    /// way into a sifter — domains, hostnames, script URLs, method names and
+    /// composed method keys, in first-seen order.
+    fn paper_corpus_keys() -> KeyInterner {
+        use crawler::{ClusterConfig, CrawlCluster};
+        use websim::{filter_rules, CorpusGenerator, CorpusProfile};
+        let corpus = CorpusGenerator::generate(&CorpusProfile::paper().with_sites(500), 2021);
+        let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
+        let engine = filter_rules::engine_for(&corpus.ecosystem);
+        let (requests, _) = crate::label::Labeler::new(&engine).label_database(&db);
+        let mut interner = KeyInterner::new();
+        for request in &requests {
+            interner.intern(&request.domain);
+            interner.intern(&request.hostname);
+            interner.intern_method(&request.initiator_script, &request.initiator_method);
+        }
+        interner
+    }
+
+    /// The byte-at-a-time hasher the interner's maps used before the folded
+    /// one (FNV-1a steps from a zero state, the same Fibonacci `finish`),
+    /// kept as the yardstick the folded hash must not fall behind.
+    #[derive(Default)]
+    struct FnvReference(u64);
+
+    impl std::hash::Hasher for FnvReference {
+        fn finish(&self) -> u64 {
+            self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Pearson's chi-square of `hashes` spread over `bins` by `bin_of`:
+    /// about `bins - 1` for a uniform spread, larger the lumpier it is.
+    fn chi_square(hashes: &[u64], bins: usize, bin_of: impl Fn(u64) -> usize) -> f64 {
+        let mut load = vec![0u64; bins];
+        for &hash in hashes {
+            load[bin_of(hash)] += 1;
+        }
+        let expected = hashes.len() as f64 / bins as f64;
+        load.iter()
+            .map(|&n| (n as f64 - expected).powi(2) / expected)
+            .sum()
+    }
+
+    #[test]
+    fn the_folded_hash_spreads_the_paper_corpus_keys_no_worse_than_fnv() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let interner = paper_corpus_keys();
+        let keys: Vec<&str> = interner.iter().map(|(_, key)| key).collect();
+        assert!(keys.len() > 10_000, "{} keys", keys.len());
+        let folded: Vec<u64> = keys.iter().map(|k| TokenHashBuilder.hash_one(k)).collect();
+        let fnv = BuildHasherDefault::<FnvReference>::default();
+        let fnv: Vec<u64> = keys.iter().map(|k| fnv.hash_one(k)).collect();
+
+        // No two keys share a full hash under either.
+        let distinct = |hashes: &[u64]| hashes.iter().collect::<HashSet<_>>().len();
+        assert_eq!(distinct(&folded), keys.len());
+        assert_eq!(distinct(&fnv), keys.len());
+
+        // The map reads a hash at its two ends: the low bits choose the
+        // bucket, the top seven are the tag compared before the key is. A
+        // uniform spread reads chi-square ≈ bins − 1 with a standard
+        // deviation of √(2·(bins − 1)); the folded hash must be within
+        // four of those of uniform, or no lumpier than FNV was.
+        for (name, bins, bin_of) in [
+            (
+                "low 12 bits",
+                4096,
+                (|h| (h & 0xfff) as usize) as fn(u64) -> usize,
+            ),
+            ("top 7 bits", 128, |h| (h >> 57) as usize),
+        ] {
+            let uniform = (bins - 1) as f64 + 4.0 * (2.0 * (bins - 1) as f64).sqrt();
+            let (ours, theirs) = (
+                chi_square(&folded, bins, bin_of),
+                chi_square(&fnv, bins, bin_of),
+            );
+            assert!(
+                ours <= uniform.max(theirs),
+                "{name}: folded {ours:.0}, FNV {theirs:.0}, uniform bound {uniform:.0}"
+            );
+        }
+        let occupied = |hashes: &[u64]| {
+            hashes
+                .iter()
+                .map(|h| h & 0xfff)
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        assert!(occupied(&folded) >= occupied(&fnv));
+    }
+
+    #[test]
+    fn frozen_keys_round_trip_every_key_of_the_paper_corpus() {
+        let interner = paper_corpus_keys();
+        let frozen = interner.freeze();
+        assert_eq!(frozen.len(), interner.len());
+        for (key, string) in interner.iter() {
+            assert_eq!(frozen.key(string), Some(key), "{string}");
+            assert_eq!(interner.get(string), Some(key), "{string}");
+            // Ids are first-seen positions, whatever the hash order.
+            assert_eq!(frozen.key_for_id(key.index() as u32), Some(key));
+            if let Some((script, method)) = string.split_once(ResourceKey::METHOD_SEPARATOR) {
+                let pair = (frozen.key(script), frozen.key(method));
+                let (Some(script), Some(method)) = pair else {
+                    panic!("{string}: parts not interned");
+                };
+                assert_eq!(frozen.method_key(script, method), Some(key), "{string}");
+            }
+        }
+        assert!(frozen.pair_count() > 1_000);
+        assert_eq!(frozen.key("never-seen.example"), None);
     }
 }

@@ -10,38 +10,45 @@
 //! analysis of Figure 5.
 //!
 //! The capture path, end to end: a `websim` site is loaded by
-//! [`crawler::PageLoadSimulator`] into a vector of [`RequestWillBeSent`]
+//! [`crawler::PageLoadSimulator`] into a vector of [`crawler::RequestWillBeSent`]
 //! records, [`SiteCrawl::from_load`] takes that vector by move, and
 //! [`Labeler::label_site`] turns each script-initiated record into one
 //! [`LabeledRequest`] through the crate-private `label_url` — the single
-//! place that parses the URL, asks the oracle, and derives the hostname and
-//! registrable domain.
+//! place that builds the request view, asks the oracle, and reads the
+//! hostname and registrable domain off the view.
 //! [`Sifter::observe_url`](crate::service::Sifter::observe_url) calls the
 //! same function, so the batch and the serving side cannot label one request
 //! two ways. `label_url` copies nothing: the request is a
 //! [`filterlist::RequestView`] built in a [`RequestScratch`] the caller
 //! keeps (one per site here, one per sifter there), and the hostname and
-//! domain it hands back are slices of that view — the only strings a labeled
-//! request costs are the ones [`LabeledRequest`] itself owns. Nothing is
-//! memoized: the oracle key is
+//! domain it hands back are slices of that view.
+//!
+//! A labeled request copies no string either. The crawl allocated every
+//! string once per page load — the page URL, each script URL, each method
+//! name, each request URL — as an `Arc<str>`, and [`LabeledRequest`] and its
+//! [`LabeledFrame`]s point at those same allocations. The two derived keys,
+//! hostname and registrable domain, are allocated once per distinct hostname
+//! per site and shared by that site's requests; the site's own domain once
+//! per site. What a labeled request costs on the heap is its frame vector.
+//! Nothing is memoized: the oracle key is
 //! `(url, page host, type)` and every site has its own host, so a cache in
 //! front of it answered 0 of 246,164 lookups on the corpora in this tree.
 
-use crawler::{CrawlDatabase, RequestWillBeSent, SiteCrawl};
-use filterlist::domain::registrable_suffix;
+use crawler::{CrawlDatabase, SiteCrawl};
 use filterlist::url::hostname_of;
 use filterlist::{FilterEngine, RequestLabel, RequestScratch, ResourceType};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One frame of the initiator stack, reduced to what the analysis needs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LabeledFrame {
     /// Script URL of the frame.
-    pub script_url: String,
+    pub script_url: Arc<str>,
     /// Method (function) name; may be empty for anonymous frames.
-    pub method: String,
+    pub method: Arc<str>,
 }
 
 /// A script-initiated request with its oracle label and attribution keys.
@@ -50,21 +57,21 @@ pub struct LabeledRequest {
     /// Unique request id from the crawl.
     pub request_id: u64,
     /// URL of the page that issued the request.
-    pub top_level_url: String,
+    pub top_level_url: Arc<str>,
     /// Registrable domain of the page.
-    pub site_domain: String,
+    pub site_domain: Arc<str>,
     /// The request URL.
-    pub url: String,
+    pub url: Arc<str>,
     /// Registrable domain (eTLD+1) of the request URL.
-    pub domain: String,
+    pub domain: Arc<str>,
     /// Hostname of the request URL.
-    pub hostname: String,
+    pub hostname: Arc<str>,
     /// Resource type.
     pub resource_type: ResourceType,
     /// URL of the script that initiated the request (innermost stack frame).
-    pub initiator_script: String,
+    pub initiator_script: Arc<str>,
     /// Name of the method that initiated the request (innermost frame).
-    pub initiator_method: String,
+    pub initiator_method: Arc<str>,
     /// The full stack, innermost first.
     pub stack: Vec<LabeledFrame>,
     /// Index of the first asynchronous-parent frame, if any.
@@ -115,20 +122,21 @@ impl LabelStats {
 /// Label one URL against the oracle and derive its attribution keys:
 /// `(label, hostname, registrable domain)`, or `None` when the URL cannot be
 /// parsed (the analysis excludes such requests). The hostname is the view's
-/// (lower-cased) and the domain a suffix of it, both borrowed from `scratch`
-/// or from `url` itself.
+/// (lower-cased) and the domain the suffix of it the view compared for
+/// party-ness, both borrowed from `scratch` or from `url` itself.
 pub(crate) fn label_url<'a>(
     engine: &FilterEngine,
     scratch: &'a mut RequestScratch,
     url: &'a str,
-    source_hostname: &'a str,
+    source_hostname: &str,
     resource_type: ResourceType,
 ) -> Option<(RequestLabel, &'a str, &'a str)> {
     let request = scratch.view(url, source_hostname, resource_type)?;
-    let hostname = request.url.hostname;
-    // `registrable_domain` of a lower-case hostname, without the copy.
-    let domain = registrable_suffix(hostname.trim_end_matches('.'));
-    Some((engine.label_view(&request), hostname, domain))
+    Some((
+        engine.label_view(&request),
+        request.url.hostname,
+        request.domain,
+    ))
 }
 
 /// Oracle-evaluation counters of a [`Labeler`].
@@ -187,83 +195,90 @@ impl<'a> Labeler<'a> {
         }
     }
 
-    /// Label one request whose page hostname the caller already derived
-    /// (the per-site loop derives it once per distinct top-level URL).
-    fn label_request_from(
-        &self,
-        scratch: &mut RequestScratch,
-        site_domain: &str,
-        request: &RequestWillBeSent,
-        page_host: &str,
-    ) -> Option<LabeledRequest> {
-        let frame = request.call_stack.initiator_frame()?;
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let (label, hostname, domain) = label_url(
-            self.engine,
-            scratch,
-            &request.url,
-            page_host,
-            request.resource_type,
-        )?;
-        Some(LabeledRequest {
-            request_id: request.request_id,
-            top_level_url: request.top_level_url.clone(),
-            site_domain: site_domain.to_string(),
-            url: request.url.clone(),
-            domain: domain.to_string(),
-            hostname: hostname.to_string(),
-            resource_type: request.resource_type,
-            initiator_script: frame.script_url.clone(),
-            initiator_method: frame.function_name.clone(),
-            stack: request
-                .call_stack
-                .frames
-                .iter()
-                .map(|f| LabeledFrame {
-                    script_url: f.script_url.clone(),
-                    method: f.function_name.clone(),
-                })
-                .collect(),
-            async_boundary: request.call_stack.async_boundary,
-            label,
-        })
-    }
-
-    /// Label every request of one crawled site.
+    /// Label every request of one crawled site. The labeled requests point
+    /// at the crawl records' strings; see the [module docs](self) for the few
+    /// this allocates.
     pub fn label_site(&self, site: &SiteCrawl) -> (Vec<LabeledRequest>, LabelStats) {
         let mut stats = LabelStats::default();
         let mut out = Vec::with_capacity(site.requests.len());
         let mut scratch = RequestScratch::new();
+        let site_domain: Arc<str> = Arc::from(site.site_domain.as_str());
+        // The `(hostname, domain)` pairs this site's requests have derived
+        // so far. A page talks to a few dozen hosts: a scan beats a map.
+        let mut hosts: Vec<(Arc<str>, Arc<str>)> = Vec::new();
         // Requests of one site overwhelmingly share their top-level URL; a
         // one-entry memo avoids re-parsing it per request.
-        let mut page_host_memo: Option<(&str, String)> = None;
+        let mut page_host_memo: Option<(&str, &str)> = None;
         for request in &site.requests {
             stats.total_requests += 1;
-            if !request.is_script_initiated() {
+            let Some(frame) = request.call_stack.initiator_frame() else {
                 stats.excluded_non_script += 1;
                 continue;
-            }
-            let memo_is_stale = !matches!(
-                &page_host_memo,
-                Some((top, _)) if *top == request.top_level_url
-            );
-            if memo_is_stale {
-                let host = hostname_of(&request.top_level_url).to_ascii_lowercase();
-                page_host_memo = Some((&request.top_level_url, host));
-            }
-            let page_host = &page_host_memo.as_ref().expect("memo just filled").1;
-            match self.label_request_from(&mut scratch, &site.site_domain, request, page_host) {
-                Some(labeled) => {
-                    if labeled.is_tracking() {
-                        stats.tracking += 1;
-                    } else {
-                        stats.functional += 1;
-                    }
-                    out.push(labeled);
+            };
+            let page_host = match page_host_memo {
+                Some((top, host)) if *top == *request.top_level_url => host,
+                _ => {
+                    let host = hostname_of(&request.top_level_url);
+                    page_host_memo = Some((&request.top_level_url, host));
+                    host
                 }
-                None => stats.excluded_unparseable += 1,
+            };
+            let Some((label, hostname, domain)) = label_url(
+                self.engine,
+                &mut scratch,
+                &request.url,
+                page_host,
+                request.resource_type,
+            ) else {
+                stats.excluded_unparseable += 1;
+                continue;
+            };
+            let known = match hosts.iter().position(|(known, _)| **known == *hostname) {
+                Some(known) => known,
+                None => {
+                    // Hostnames of one domain share the domain's copy too.
+                    let domain = match hosts.iter().find(|(_, known)| **known == *domain) {
+                        Some((_, known)) => Arc::clone(known),
+                        None => Arc::from(domain),
+                    };
+                    hosts.push((Arc::from(hostname), domain));
+                    hosts.len() - 1
+                }
+            };
+            let (hostname, domain) = hosts[known].clone();
+            if label.is_tracking() {
+                stats.tracking += 1;
+            } else {
+                stats.functional += 1;
             }
+            out.push(LabeledRequest {
+                request_id: request.request_id,
+                top_level_url: Arc::clone(&request.top_level_url),
+                site_domain: Arc::clone(&site_domain),
+                url: Arc::clone(&request.url),
+                domain,
+                hostname,
+                resource_type: request.resource_type,
+                initiator_script: Arc::clone(&frame.script_url),
+                initiator_method: Arc::clone(&frame.function_name),
+                stack: request
+                    .call_stack
+                    .frames
+                    .iter()
+                    .map(|f| LabeledFrame {
+                        script_url: Arc::clone(&f.script_url),
+                        method: Arc::clone(&f.function_name),
+                    })
+                    .collect(),
+                async_boundary: request.call_stack.async_boundary,
+                label,
+            });
         }
+        // One oracle evaluation per script-initiated request, counted once
+        // per site: workers labeling in parallel share this counter.
+        let evaluations = stats.labeled() + stats.excluded_unparseable;
+        self.evaluations
+            .fetch_add(evaluations as u64, Ordering::Relaxed);
         (out, stats)
     }
 
@@ -362,7 +377,7 @@ mod tests {
         let mut agree = 0usize;
         let mut total = 0usize;
         for request in &requests {
-            if let Some(intent) = intents.get(&request.url) {
+            if let Some(intent) = intents.get(&*request.url) {
                 total += 1;
                 let expected_tracking = *intent == Purpose::Tracking;
                 if expected_tracking == request.is_tracking() {
@@ -387,6 +402,43 @@ mod tests {
             assert!(!r.stack.is_empty());
             assert_eq!(r.stack[0].script_url, r.initiator_script);
             assert_eq!(r.stack[0].method, r.initiator_method);
+        }
+    }
+
+    #[test]
+    fn labeled_requests_point_at_the_crawl_records_strings() {
+        let (_corpus, db, engine) = setup();
+        let labeler = Labeler::new(&engine);
+        for site in &db.sites {
+            let (labeled, _) = labeler.label_site(site);
+            let mut records = site.script_initiated();
+            for request in &labeled {
+                let record = records
+                    .find(|record| record.request_id == request.request_id)
+                    .expect("labeled requests keep the crawl's order");
+                let frame = record
+                    .call_stack
+                    .initiator_frame()
+                    .expect("script-initiated");
+                assert!(Arc::ptr_eq(&request.url, &record.url));
+                assert!(Arc::ptr_eq(&request.top_level_url, &record.top_level_url));
+                assert!(Arc::ptr_eq(&request.initiator_script, &frame.script_url));
+                assert!(Arc::ptr_eq(&request.initiator_method, &frame.function_name));
+                for (labeled, crawled) in request.stack.iter().zip(&record.call_stack.frames) {
+                    assert!(Arc::ptr_eq(&labeled.script_url, &crawled.script_url));
+                    assert!(Arc::ptr_eq(&labeled.method, &crawled.function_name));
+                }
+                // The derived keys and the site's domain exist once per site.
+                assert!(Arc::ptr_eq(&request.site_domain, &labeled[0].site_domain));
+                for other in &labeled {
+                    if other.hostname == request.hostname {
+                        assert!(Arc::ptr_eq(&other.hostname, &request.hostname));
+                    }
+                    if other.domain == request.domain {
+                        assert!(Arc::ptr_eq(&other.domain, &request.domain));
+                    }
+                }
+            }
         }
     }
 

@@ -22,7 +22,7 @@
 //! | §5 breakage analysis (Table 3) | [`breakage`] |
 //! | §5 call-stack analysis (Fig. 5) | [`callstack`] |
 //! | §5 surrogate scripts | [`surrogate`] |
-//! | staged execution engine | [`stage`], [`pipeline`] |
+//! | staged execution engine | [`pipeline`] |
 //! | resource-key interning | [`intern`] |
 //! | serving API (verdicts + incremental ingestion) | [`service`] |
 //! | enforcement decisions (allow / block / surrogate / observe) | [`decision`] |
@@ -36,7 +36,7 @@
 //! ## Execution model
 //!
 //! [`Study::run`] executes the pipeline as a chain of named, individually
-//! timed stages — `generate → crawl → label → classify` (see [`stage`]) —
+//! timed stages — `generate → crawl → label → classify` (see [`pipeline::StageTimings`]) —
 //! with the downstream analyses bundled behind [`Study::analyses`]. The
 //! crawl and labeling stages run on a worker pool sized by the study's
 //! [`ClusterConfig`](crawler::ClusterConfig) `workers` knob, and are
@@ -108,7 +108,6 @@ pub mod revision;
 pub mod sensitivity;
 pub mod service;
 pub mod snapshot;
-pub mod stage;
 pub mod surrogate;
 pub mod table;
 
@@ -128,7 +127,7 @@ pub use intern::{FrozenKeys, KeyInterner, ResourceKey};
 pub use journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport, ReplayReport};
 pub use label::{CacheStats, LabelStats, LabeledFrame, LabeledRequest, Labeler};
 pub use metrics::{headline, table1, table2, HeadlineSummary, Table1Row, Table2Row};
-pub use pipeline::{Study, StudyAnalyses, StudyConfig};
+pub use pipeline::{StageTiming, StageTimings, Study, StudyAnalyses, StudyConfig};
 pub use ratio::{Classification, Counts, Thresholds};
 pub use report::RatioHistogram;
 pub use revision::{
@@ -142,6 +141,5 @@ pub use service::{
     SifterBuilder, Verdict,
 };
 pub use snapshot::{SifterSnapshot, SnapshotError};
-pub use stage::{StageTiming, StageTimings};
 pub use surrogate::{generate_surrogates, MethodAction, SurrogateScript};
 pub use table::{ClassTable, PrebuiltDecision, PrebuiltResponses, VerdictTable};

@@ -117,7 +117,7 @@ mod tests {
             request_id: 0,
             top_level_url: "https://www.pub.com/".into(),
             site_domain: "pub.com".into(),
-            url: format!("https://{hostname}/x"),
+            url: format!("https://{hostname}/x").into(),
             domain: domain.into(),
             hostname: hostname.into(),
             resource_type: ResourceType::Xhr,

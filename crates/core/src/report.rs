@@ -253,9 +253,9 @@ mod tests {
             request_id: 0,
             top_level_url: "https://www.pub.com/".into(),
             site_domain: "pub.com".into(),
-            url: format!("https://x.{domain}/y"),
+            url: format!("https://x.{domain}/y").into(),
             domain: domain.into(),
-            hostname: format!("x.{domain}"),
+            hostname: format!("x.{domain}").into(),
             resource_type: ResourceType::Xhr,
             initiator_script: "https://www.pub.com/app.js".into(),
             initiator_method: "m".into(),

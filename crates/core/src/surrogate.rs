@@ -197,9 +197,12 @@ pub fn generate_surrogates(
     {
         // All requests initiated by this script (any target), grouped by method.
         let mut by_method: HashMap<&str, Vec<&LabeledRequest>> = HashMap::new();
-        for request in requests.iter().filter(|r| r.initiator_script == script.key) {
+        for request in requests
+            .iter()
+            .filter(|r| *r.initiator_script == *script.key)
+        {
             by_method
-                .entry(request.initiator_method.as_str())
+                .entry(&*request.initiator_method)
                 .or_default()
                 .push(request);
         }
@@ -281,7 +284,7 @@ mod tests {
             request_id: 0,
             top_level_url: "https://www.pub.com/".into(),
             site_domain: "pub.com".into(),
-            url: format!("https://{hostname}/x"),
+            url: format!("https://{hostname}/x").into(),
             domain: "hub.com".into(),
             hostname: hostname.into(),
             resource_type: ResourceType::Xhr,

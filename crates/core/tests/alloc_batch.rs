@@ -1,0 +1,111 @@
+//! What the batch path costs on the heap. Labeling copies no string — a
+//! labeled request points at the strings its crawl record already holds —
+//! so a labeled request costs its frame vector and a share of its site's
+//! few per-host keys; and the classifier allocates per distinct resource
+//! key, never per request.
+
+use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase};
+use filterlist::FilterEngine;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use trackersift::{HierarchicalClassifier, LabeledRequest, Labeler, Thresholds};
+use websim::{filter_rules, CorpusGenerator, CorpusProfile};
+
+// ---------------------------------------------------------------------------
+// A counting allocator (the pattern of `crates/server/tests/alloc_free.rs`):
+// the counter is thread-local, so tests running concurrently on other
+// threads cannot perturb a measurement.
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: delegates every operation to `System`; the only addition is a
+// thread-local counter bump, which itself never allocates (const-initialised
+// TLS).
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(|c| c.get());
+    let result = f();
+    let after = ALLOCATIONS.with(|c| c.get());
+    (after - before, result)
+}
+
+/// A 60-site crawl and the filter engine of its ecosystem.
+fn crawl() -> (CrawlDatabase, FilterEngine) {
+    let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(60), 2021);
+    let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
+    (db, filter_rules::engine_for(&corpus.ecosystem))
+}
+
+#[test]
+fn labeling_a_crawl_costs_at_most_four_allocations_per_request() {
+    let (db, engine) = crawl();
+    let labeler = Labeler::new(&engine);
+    // The crawl is warm — every string it will lend out is allocated — and
+    // the first pass shows the labeler keeps nothing that a second could
+    // reuse: both cost the same.
+    let (first, (requests, _)) = allocations_during(|| labeler.label_database(&db));
+    let (second, _) = allocations_during(|| labeler.label_database(&db));
+    assert_eq!(first, second);
+    assert!(requests.len() > 1_000, "{} labeled", requests.len());
+    // The string-copying labeler paid about eleven: seven strings and the
+    // frame vector with two more per frame.
+    let per_request = second as f64 / requests.len() as f64;
+    assert!(
+        per_request <= 4.0,
+        "{per_request:.2} allocations per request"
+    );
+}
+
+#[test]
+fn classification_allocates_per_distinct_key_not_per_request() {
+    let (db, engine) = crawl();
+    let (requests, _) = Labeler::new(&engine).label_database(&db);
+    let classifier = HierarchicalClassifier::new(Thresholds::paper());
+    let (once, hierarchy) = allocations_during(|| classifier.classify(&requests));
+    let resources: usize = hierarchy.levels.iter().map(|l| l.resources.len()).sum();
+
+    // Per distinct key: its interned copy, its entry's copy, and for a
+    // method the composed label and its two parts — plus the growth of the
+    // interner's tables and a handful of vectors per level.
+    assert!(
+        once <= 6 * resources as u64 + 128,
+        "{once} allocations for {resources} resources"
+    );
+    assert!((once as usize) < requests.len());
+
+    // The same requests three times over: three times the requests at every
+    // level, not one key more. Only the per-level vectors grow.
+    let tripled: Vec<LabeledRequest> = (0..3).flat_map(|_| requests.iter().cloned()).collect();
+    let (thrice, tripled_hierarchy) = allocations_during(|| classifier.classify(&tripled));
+    assert_eq!(
+        tripled_hierarchy.total_requests,
+        3 * hierarchy.total_requests
+    );
+    assert!(
+        thrice <= once + 32,
+        "{once} allocations for the crawl, {thrice} for three of it"
+    );
+}

@@ -145,6 +145,7 @@ impl CrawlCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{FromJson, ToJson, Value};
     use websim::{CorpusGenerator, CorpusProfile};
 
     fn corpus(sites: usize) -> WebCorpus {
@@ -178,6 +179,20 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), before);
+    }
+
+    #[test]
+    fn a_crawled_site_renders_the_bytes_the_string_owning_records_did() {
+        // Rendered from the same crawl when every record owned its strings:
+        // sharing them must not move a byte of the persisted document.
+        let fixture = include_str!("../tests/fixtures/site_crawl.json");
+        let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(40), 11);
+        let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
+        let site = &db.sites[30];
+        assert_eq!(site.to_json_value().render(), fixture);
+        let decoded = SiteCrawl::from_json_value(&Value::parse(fixture).unwrap()).unwrap();
+        assert_eq!(&decoded, site);
+        assert_eq!(decoded.to_json_value().render(), fixture);
     }
 
     #[test]

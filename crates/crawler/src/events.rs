@@ -8,18 +8,29 @@
 //! `request_id`, the page's `top_level_url`, the `frame_url`, the
 //! `resource_type`, a timestamp, and a `call_stack` object with the
 //! initiator information and the stack trace for script-initiated requests.
+//!
+//! The strings of a record are `Arc<str>`: a page load allocates its page
+//! URL once, each script URL and method name once
+//! ([`crate::PageLoadSimulator::load_with`]), and every record and stack
+//! frame of that load points at those copies — as does everything
+//! downstream that keeps a request (the labeler's `LabeledRequest` clones
+//! the pointers, not the bytes). Only the request URL is a record's own.
+//! The JSON codec below reads and writes them as plain strings; a decoded
+//! crawl owns one allocation per field, which costs memory, not
+//! correctness.
 
 use filterlist::ResourceType;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One frame of a JavaScript call stack.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StackFrame {
     /// URL of the script the frame belongs to (for inline scripts this is
     /// the document URL, exactly as DevTools reports it).
-    pub script_url: String,
+    pub script_url: Arc<str>,
     /// Function (method) name; empty for anonymous frames.
-    pub function_name: String,
+    pub function_name: Arc<str>,
     /// 1-based line number within the script (synthetic but stable).
     pub line: u32,
     /// 1-based column number within the script (synthetic but stable).
@@ -29,8 +40,8 @@ pub struct StackFrame {
 impl StackFrame {
     /// Construct a frame.
     pub fn new(
-        script_url: impl Into<String>,
-        function_name: impl Into<String>,
+        script_url: impl Into<Arc<str>>,
+        function_name: impl Into<Arc<str>>,
         line: u32,
         column: u32,
     ) -> Self {
@@ -78,7 +89,7 @@ impl CallStack {
 
     /// The URL of the script that issued the request (innermost frame).
     pub fn initiator_script(&self) -> Option<&str> {
-        self.initiator_frame().map(|f| f.script_url.as_str())
+        self.initiator_frame().map(|f| &*f.script_url)
     }
 
     /// All distinct script URLs appearing anywhere in the stack, innermost
@@ -86,8 +97,8 @@ impl CallStack {
     pub fn ancestral_scripts(&self) -> Vec<&str> {
         let mut seen = Vec::new();
         for frame in &self.frames {
-            if !seen.contains(&frame.script_url.as_str()) {
-                seen.push(frame.script_url.as_str());
+            if !seen.contains(&&*frame.script_url) {
+                seen.push(&*frame.script_url);
             }
         }
         seen
@@ -100,11 +111,11 @@ pub struct RequestWillBeSent {
     /// Unique identifier of the request within the crawl.
     pub request_id: u64,
     /// URL of the page being crawled.
-    pub top_level_url: String,
+    pub top_level_url: Arc<str>,
     /// URL of the document (frame) the request was issued from.
-    pub frame_url: String,
+    pub frame_url: Arc<str>,
     /// The request URL.
-    pub url: String,
+    pub url: Arc<str>,
     /// Resource type reported by the browser.
     pub resource_type: ResourceType,
     /// Initiator call stack (empty for parser-initiated requests).
@@ -135,8 +146,11 @@ mod codec {
     impl ToJson for StackFrame {
         fn to_json_value(&self) -> Value {
             object(vec![
-                ("script_url", Value::String(self.script_url.clone())),
-                ("function_name", Value::String(self.function_name.clone())),
+                ("script_url", Value::String(self.script_url.to_string())),
+                (
+                    "function_name",
+                    Value::String(self.function_name.to_string()),
+                ),
                 ("line", Value::Number(self.line as f64)),
                 ("column", Value::Number(self.column as f64)),
             ])
@@ -146,8 +160,8 @@ mod codec {
     impl FromJson for StackFrame {
         fn from_json_value(value: &Value) -> Result<Self, JsonError> {
             Ok(StackFrame {
-                script_url: value.field("script_url")?.as_str()?.to_string(),
-                function_name: value.field("function_name")?.as_str()?.to_string(),
+                script_url: value.field("script_url")?.as_str()?.into(),
+                function_name: value.field("function_name")?.as_str()?.into(),
                 line: value.field("line")?.as_u32()?,
                 column: value.field("column")?.as_u32()?,
             })
@@ -188,9 +202,12 @@ mod codec {
         fn to_json_value(&self) -> Value {
             object(vec![
                 ("request_id", Value::number_u64(self.request_id)),
-                ("top_level_url", Value::String(self.top_level_url.clone())),
-                ("frame_url", Value::String(self.frame_url.clone())),
-                ("url", Value::String(self.url.clone())),
+                (
+                    "top_level_url",
+                    Value::String(self.top_level_url.to_string()),
+                ),
+                ("frame_url", Value::String(self.frame_url.to_string())),
+                ("url", Value::String(self.url.to_string())),
                 (
                     "resource_type",
                     Value::String(self.resource_type.option_name().to_string()),
@@ -205,9 +222,9 @@ mod codec {
         fn from_json_value(value: &Value) -> Result<Self, JsonError> {
             Ok(RequestWillBeSent {
                 request_id: value.field("request_id")?.as_u64()?,
-                top_level_url: value.field("top_level_url")?.as_str()?.to_string(),
-                frame_url: value.field("frame_url")?.as_str()?.to_string(),
-                url: value.field("url")?.as_str()?.to_string(),
+                top_level_url: value.field("top_level_url")?.as_str()?.into(),
+                frame_url: value.field("frame_url")?.as_str()?.into(),
+                url: value.field("url")?.as_str()?.into(),
                 resource_type: resource_type_from_name(value.field("resource_type")?.as_str()?)?,
                 call_stack: CallStack::from_json_value(value.field("call_stack")?)?,
                 timestamp_ms: value.field("timestamp_ms")?.as_u64()?,
@@ -235,7 +252,7 @@ mod tests {
     #[test]
     fn initiator_is_innermost_frame() {
         let s = stack();
-        assert_eq!(s.initiator_frame().unwrap().function_name, "m2");
+        assert_eq!(&*s.initiator_frame().unwrap().function_name, "m2");
         assert_eq!(s.initiator_script().unwrap(), "https://cdn.x.com/clone.js");
     }
 

@@ -17,7 +17,8 @@ use crate::events::{CallStack, RequestWillBeSent, StackFrame};
 use filterlist::ResourceType;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use websim::{FeatureImportance, PageScript, ScriptMethodSpec, Website};
+use std::sync::Arc;
+use websim::{FeatureImportance, PageScript, Website};
 
 /// Options controlling one page load.
 #[derive(Debug, Clone, Default)]
@@ -99,12 +100,21 @@ impl PageLoadSimulator {
     pub fn load_with(&mut self, site: &Website, options: &LoadOptions) -> PageLoadResult {
         self.clock_ms = 0;
         let mut result = PageLoadResult::default();
+        // The strings this load's records share: every request points at one
+        // copy of the page URL, every frame at one copy of its script's URL
+        // and of its method's name.
+        let page: Arc<str> = Arc::from(site.url.as_str());
+        let scripts: Vec<ScriptStrings> = site
+            .scripts
+            .iter()
+            .map(|script| ScriptStrings::of(script, &page))
+            .collect();
 
         // 1. The document itself.
         self.emit(
             &mut result,
-            &site.url,
-            site,
+            Arc::clone(&page),
+            &page,
             ResourceType::Document,
             CallStack::empty(),
         );
@@ -117,8 +127,8 @@ impl PageLoadSimulator {
             }
             self.emit(
                 &mut result,
-                &req.url,
-                site,
+                Arc::from(req.url.as_str()),
+                &page,
                 req.resource_type,
                 CallStack::empty(),
             );
@@ -140,12 +150,21 @@ impl PageLoadSimulator {
                 if !executed[loaded_idx] {
                     continue;
                 }
-                let loaded_url = site.scripts[loaded_idx].origin.url().to_string();
-                if options.blocked_request_urls.contains(&loaded_url) {
+                let loaded_url = &scripts[loaded_idx].url;
+                if options.blocked_request_urls.contains(&**loaded_url) {
                     continue;
                 }
-                let stack = injection_stack(loader, loader_idx);
-                self.emit(&mut result, &loaded_url, site, ResourceType::Script, stack);
+                let stack = CallStack {
+                    frames: vec![scripts[loader_idx].bootstrap_frame()],
+                    async_boundary: None,
+                };
+                self.emit(
+                    &mut result,
+                    Arc::clone(loaded_url),
+                    &page,
+                    ResourceType::Script,
+                    stack,
+                );
             }
         }
 
@@ -155,7 +174,7 @@ impl PageLoadSimulator {
             if !executed[idx] {
                 continue;
             }
-            let ancestor_frames = ancestor_stack(site, idx, &executed);
+            let ancestor_frames = ancestor_stack(site, idx, &executed, &scripts);
             for (method_idx, method) in script.methods.iter().enumerate() {
                 let caller_chain = caller_chain(script, method_idx);
                 for request in &method.requests {
@@ -163,8 +182,8 @@ impl PageLoadSimulator {
                         continue;
                     }
                     let stack = build_stack(
-                        script,
-                        method,
+                        &scripts[idx],
+                        method_idx,
                         &caller_chain,
                         &ancestor_frames,
                         request.is_async,
@@ -172,8 +191,8 @@ impl PageLoadSimulator {
                     );
                     self.emit(
                         &mut result,
-                        &request.url,
-                        site,
+                        Arc::from(request.url.as_str()),
+                        &page,
                         request.resource_type,
                         stack,
                     );
@@ -204,8 +223,8 @@ impl PageLoadSimulator {
     fn emit(
         &mut self,
         result: &mut PageLoadResult,
-        url: &str,
-        site: &Website,
+        url: Arc<str>,
+        page: &Arc<str>,
         resource_type: ResourceType,
         call_stack: CallStack,
     ) {
@@ -214,9 +233,9 @@ impl PageLoadSimulator {
         self.clock_ms += 3;
         result.requests.push(RequestWillBeSent {
             request_id,
-            top_level_url: site.url.clone(),
-            frame_url: site.url.clone(),
-            url: url.to_string(),
+            top_level_url: Arc::clone(page),
+            frame_url: Arc::clone(page),
+            url,
             resource_type,
             call_stack,
             timestamp_ms: self.clock_ms,
@@ -224,6 +243,60 @@ impl PageLoadSimulator {
         // The response arrives 2 ms later; it is not recorded (nothing reads
         // responses) but the next request and `load_time_ms` wait for it.
         self.clock_ms += 2;
+    }
+}
+
+/// One script's URL and method names, allocated once per load; the stack
+/// frames built from them clone pointers.
+struct ScriptStrings {
+    url: Arc<str>,
+    /// Indexed as `PageScript::methods`.
+    methods: Vec<Arc<str>>,
+}
+
+impl ScriptStrings {
+    /// An inline script reports the document's URL: it shares the page's
+    /// copy.
+    fn of(script: &PageScript, page: &Arc<str>) -> Self {
+        let url = script.origin.url();
+        ScriptStrings {
+            url: if url == &**page {
+                Arc::clone(page)
+            } else {
+                Arc::from(url)
+            },
+            methods: script
+                .methods
+                .iter()
+                .map(|m| Arc::from(m.name.as_str()))
+                .collect(),
+        }
+    }
+
+    /// The frame of this script's method `method_idx`. Line and column derive
+    /// from the method's position so they are stable and distinct.
+    fn frame(&self, method_idx: usize) -> StackFrame {
+        StackFrame {
+            script_url: Arc::clone(&self.url),
+            function_name: Arc::clone(&self.methods[method_idx]),
+            line: (method_idx as u32 + 1) * 10,
+            column: 1,
+        }
+    }
+
+    /// The frame an injecting call comes from: the script's first method
+    /// (bootstrap), anonymous when it has none.
+    fn bootstrap_frame(&self) -> StackFrame {
+        let function_name = self
+            .methods
+            .first()
+            .map_or_else(|| Arc::from(""), Arc::clone);
+        StackFrame {
+            script_url: Arc::clone(&self.url),
+            function_name,
+            line: 1,
+            column: 1,
+        }
     }
 }
 
@@ -270,24 +343,13 @@ fn executed_scripts(site: &Website, options: &LoadOptions) -> Vec<bool> {
     executed
 }
 
-/// Stack for the fetch of a dynamically injected script.
-fn injection_stack(loader: &PageScript, _loader_idx: usize) -> CallStack {
-    let url = loader.origin.url();
-    let mut frames = Vec::new();
-    // The injecting call comes from the loader's first method (bootstrap).
-    if let Some(method) = loader.methods.first() {
-        frames.push(StackFrame::new(url, method.name.clone(), 1, 1));
-    } else {
-        frames.push(StackFrame::new(url, "", 1, 1));
-    }
-    CallStack {
-        frames,
-        async_boundary: None,
-    }
-}
-
 /// Frames contributed by the scripts that (transitively) injected `idx`.
-fn ancestor_stack(site: &Website, idx: usize, executed: &[bool]) -> Vec<StackFrame> {
+fn ancestor_stack(
+    site: &Website,
+    idx: usize,
+    executed: &[bool],
+    scripts: &[ScriptStrings],
+) -> Vec<StackFrame> {
     let mut frames = Vec::new();
     let mut current = idx;
     let mut guard = 0;
@@ -304,18 +366,7 @@ fn ancestor_stack(site: &Website, idx: usize, executed: &[bool]) -> Vec<StackFra
             .map(|(l, _)| l);
         match loader {
             Some(l) => {
-                let loader_script = &site.scripts[l];
-                let method_name = loader_script
-                    .methods
-                    .first()
-                    .map(|m| m.name.clone())
-                    .unwrap_or_default();
-                frames.push(StackFrame::new(
-                    loader_script.origin.url(),
-                    method_name,
-                    1,
-                    1,
-                ));
+                frames.push(scripts[l].bootstrap_frame());
                 current = l;
             }
             None => break,
@@ -351,53 +402,27 @@ fn caller_chain(script: &PageScript, method_idx: usize) -> Vec<usize> {
     chain
 }
 
-/// Build the full call stack for one request.
+/// Build the full call stack for one request issued by method `method_idx`
+/// of `script`.
 fn build_stack(
-    script: &PageScript,
-    method: &ScriptMethodSpec,
+    script: &ScriptStrings,
+    method_idx: usize,
     caller_chain: &[usize],
     ancestor_frames: &[StackFrame],
     is_async: bool,
     via_caller: Option<&str>,
 ) -> CallStack {
-    let url = script.origin.url();
-    let mut frames = Vec::new();
-    // Innermost: the method issuing the request. Line/column derive from the
-    // method's position so they are stable and distinct.
-    let method_pos = script
-        .methods
-        .iter()
-        .position(|m| std::ptr::eq(m, method))
-        .unwrap_or(0);
-    frames.push(StackFrame::new(
-        url,
-        method.name.clone(),
-        (method_pos as u32 + 1) * 10,
-        1,
-    ));
+    // Innermost: the method issuing the request.
+    let mut frames = vec![script.frame(method_idx)];
     // Per-request calling context: the method that invoked this dispatcher
     // for this particular request (shared-transport pattern).
     if let Some(caller) = via_caller {
-        if let Some(pos) = script.methods.iter().position(|m| m.name == caller) {
-            frames.push(StackFrame::new(
-                url,
-                caller.to_string(),
-                (pos as u32 + 1) * 10,
-                1,
-            ));
-        } else {
-            frames.push(StackFrame::new(url, caller.to_string(), 1, 1));
+        match script.methods.iter().position(|name| &**name == caller) {
+            Some(pos) => frames.push(script.frame(pos)),
+            None => frames.push(StackFrame::new(Arc::clone(&script.url), caller, 1, 1)),
         }
     }
-    for &caller in caller_chain {
-        let caller_method = &script.methods[caller];
-        frames.push(StackFrame::new(
-            url,
-            caller_method.name.clone(),
-            (caller as u32 + 1) * 10,
-            1,
-        ));
-    }
+    frames.extend(caller_chain.iter().map(|&caller| script.frame(caller)));
     let sync_len = frames.len();
     frames.extend(ancestor_frames.iter().cloned());
     CallStack {
@@ -463,6 +488,34 @@ mod tests {
     }
 
     #[test]
+    fn one_load_shares_one_copy_of_each_page_script_and_method_string() {
+        let corpus = small_corpus();
+        let mut sim = PageLoadSimulator::new(0);
+        for site in &corpus.websites {
+            let result = sim.load(site);
+            let page = &result.requests[0].top_level_url;
+            for request in &result.requests {
+                assert!(Arc::ptr_eq(&request.top_level_url, page));
+                assert!(Arc::ptr_eq(&request.frame_url, page));
+            }
+            // As many script-URL allocations as script URLs, and no more
+            // method-name allocations than the site's scripts have methods,
+            // however many frames name them.
+            let frames = || result.requests.iter().flat_map(|r| &r.call_stack.frames);
+            let allocations = |field: fn(&StackFrame) -> &Arc<str>| {
+                let pointers: HashSet<*const u8> =
+                    frames().map(|f| Arc::as_ptr(field(f)).cast()).collect();
+                pointers.len()
+            };
+            let urls: HashSet<&str> = frames().map(|f| &*f.script_url).collect();
+            assert_eq!(allocations(|f| &f.script_url), urls.len());
+            let methods: usize = site.scripts.iter().map(|s| s.methods.len()).sum();
+            assert!(allocations(|f| &f.function_name) <= methods);
+            assert!(frames().count() > methods, "{}", site.domain);
+        }
+    }
+
+    #[test]
     fn document_requests_have_no_call_stack() {
         let corpus = small_corpus();
         let mut sim = PageLoadSimulator::new(0);
@@ -471,7 +524,7 @@ mod tests {
         let doc_reqs: Vec<_> = result
             .requests
             .iter()
-            .filter(|r| site.non_script_requests.iter().any(|p| p.url == r.url))
+            .filter(|r| site.non_script_requests.iter().any(|p| *p.url == *r.url))
             .collect();
         assert!(!doc_reqs.is_empty());
         assert!(doc_reqs.iter().all(|r| !r.is_script_initiated()));
@@ -573,7 +626,7 @@ mod tests {
             .map(|r| r.url.clone())
             .expect("site has script-initiated requests");
         let mut opts = LoadOptions::unblocked();
-        opts.blocked_request_urls.insert(victim.clone());
+        opts.blocked_request_urls.insert(victim.to_string());
         let treatment = sim.load_with(site, &opts);
         assert!(treatment
             .requests
@@ -609,7 +662,7 @@ mod tests {
         let emitted = result
             .requests
             .iter()
-            .filter(|r| urls.contains(&r.url.as_str()))
+            .filter(|r| urls.contains(&&*r.url))
             .count();
         assert_eq!(emitted, urls.len());
     }

@@ -7,30 +7,31 @@
 //! multi-label suffixes that appear in the paper's examples and in the
 //! generated ecosystem, falling back to the last two labels otherwise.
 
-use std::collections::HashSet;
-use std::sync::OnceLock;
-
 /// Multi-label public suffixes recognised by [`registrable_domain`].
 ///
 /// This is intentionally a curated subset of the Public Suffix List: the
 /// suffixes that actually occur in the paper's examples (`co.uk`, `com.au`,
 /// `com.br`, `com.mx`, `co.jp`) plus other common country-code second-level
 /// registrations so that real-world URLs fed to the engine behave sensibly.
+/// Sorted, so a lookup is a binary search over a static slice.
 const MULTI_LABEL_SUFFIXES: &[&str] = &[
-    "co.uk", "org.uk", "ac.uk", "gov.uk", "me.uk", "net.uk", "com.au", "net.au", "org.au",
-    "edu.au", "gov.au", "com.br", "net.br", "org.br", "gov.br", "com.mx", "org.mx", "gob.mx",
-    "co.jp", "ne.jp", "or.jp", "ac.jp", "go.jp", "co.in", "net.in", "org.in", "gen.in", "firm.in",
-    "co.kr", "or.kr", "ne.kr", "com.cn", "net.cn", "org.cn", "gov.cn", "com.tw", "org.tw",
-    "net.tw", "co.za", "org.za", "net.za", "com.ar", "com.co", "com.pe", "com.ve", "com.ec",
-    "com.uy", "com.tr", "net.tr", "org.tr", "com.sg", "com.my", "com.ph", "com.vn", "com.hk",
-    "com.pk", "net.pk", "org.pk", "co.id", "or.id", "web.id", "com.ua", "net.ua", "org.ua",
-    "in.ua", "com.pl", "net.pl", "org.pl", "co.il", "org.il", "net.il", "co.nz", "net.nz",
-    "org.nz", "com.eg", "com.sa", "com.ng", "com.gh", "com.bd", "com.np",
+    "ac.jp", "ac.uk", "co.id", "co.il", "co.in", "co.jp", "co.kr", "co.nz", "co.uk", "co.za",
+    "com.ar", "com.au", "com.bd", "com.br", "com.cn", "com.co", "com.ec", "com.eg", "com.gh",
+    "com.hk", "com.mx", "com.my", "com.ng", "com.np", "com.pe", "com.ph", "com.pk", "com.pl",
+    "com.sa", "com.sg", "com.tr", "com.tw", "com.ua", "com.uy", "com.ve", "com.vn", "edu.au",
+    "firm.in", "gen.in", "go.jp", "gob.mx", "gov.au", "gov.br", "gov.cn", "gov.uk", "in.ua",
+    "me.uk", "ne.jp", "ne.kr", "net.au", "net.br", "net.cn", "net.il", "net.in", "net.nz",
+    "net.pk", "net.pl", "net.tr", "net.tw", "net.ua", "net.uk", "net.za", "or.id", "or.jp",
+    "or.kr", "org.au", "org.br", "org.cn", "org.il", "org.in", "org.mx", "org.nz", "org.pk",
+    "org.pl", "org.tr", "org.tw", "org.ua", "org.uk", "org.za", "web.id",
 ];
 
-fn suffix_set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| MULTI_LABEL_SUFFIXES.iter().copied().collect())
+/// Shortest and longest entry of [`MULTI_LABEL_SUFFIXES`] in bytes: most
+/// last-two-label pairs (`google.com`) fall outside and skip the search.
+const SUFFIX_LEN: std::ops::RangeInclusive<usize> = 5..=7;
+
+fn is_multi_label_suffix(last_two: &str) -> bool {
+    SUFFIX_LEN.contains(&last_two.len()) && MULTI_LABEL_SUFFIXES.binary_search(&last_two).is_ok()
 }
 
 /// Returns `true` if `hostname` is syntactically a plausible DNS hostname.
@@ -49,12 +50,18 @@ pub fn is_valid_hostname(hostname: &str) -> bool {
     })
 }
 
-/// Returns `true` when the hostname is an IPv4 literal (no eTLD+1 exists).
+/// Returns `true` when the hostname is an IPv4 literal (no eTLD+1 exists):
+/// four dot-separated runs of ASCII digits, each at most 255. Digits only —
+/// `u8::from_str` alone would also take a leading `+`.
 pub fn is_ip_literal(hostname: &str) -> bool {
     let mut parts = 0usize;
     for part in hostname.split('.') {
         parts += 1;
-        if parts > 4 || part.is_empty() || part.parse::<u8>().is_err() {
+        if parts > 4
+            || part.is_empty()
+            || !part.bytes().all(|b| b.is_ascii_digit())
+            || part.parse::<u8>().is_err()
+        {
             return false;
         }
     }
@@ -87,7 +94,7 @@ pub fn registrable_suffix(hostname: &str) -> &str {
         return hostname;
     }
     let last_two = &hostname[dots[1] + 1..];
-    if suffix_set().contains(last_two) {
+    if is_multi_label_suffix(last_two) {
         // Known multi-label suffix: keep three labels (or the whole
         // hostname when it has exactly three).
         if found == 3 {
@@ -230,7 +237,37 @@ mod tests {
     #[test]
     fn ip_literal_detection() {
         assert!(is_ip_literal("10.0.0.1"));
+        assert!(is_ip_literal("255.255.255.255"));
+        assert!(is_ip_literal("010.0.0.001"));
         assert!(!is_ip_literal("10.0.0"));
+        assert!(!is_ip_literal("10.0.0.1.2"));
+        assert!(!is_ip_literal("10.0.0.256"));
+        assert!(!is_ip_literal("10..0.1"));
         assert!(!is_ip_literal("a.b.c.d"));
+    }
+
+    #[test]
+    fn a_signed_number_is_not_an_ip_part() {
+        // Rust's integer parser takes a leading `+`; a hostname part does
+        // not. Such a host is keyed like every other non-IP host: by its
+        // last two labels.
+        for host in ["+1.+2.+3.+4", "+1.2.3.4", "1.2.3.+4", "-1.2.3.4"] {
+            assert!(!is_ip_literal(host), "{host}");
+        }
+        assert_eq!(registrable_suffix("+1.2.3.4"), "3.4");
+        assert_eq!(registrable_domain("+1.+2.+3.+4"), "+3.+4");
+        assert!(!is_third_party("+1.2.3.4", "x.3.4"));
+        assert!(is_third_party("1.2.3.4", "x.3.4"));
+    }
+
+    #[test]
+    fn the_suffix_table_is_sorted_and_within_its_length_bounds() {
+        assert!(MULTI_LABEL_SUFFIXES.windows(2).all(|w| w[0] < w[1]));
+        let lengths = MULTI_LABEL_SUFFIXES.iter().map(|s| s.len());
+        assert_eq!(lengths.clone().min(), Some(*SUFFIX_LEN.start()));
+        assert_eq!(lengths.max(), Some(*SUFFIX_LEN.end()));
+        assert_eq!(MULTI_LABEL_SUFFIXES.len(), 80);
+        assert!(is_multi_label_suffix("co.uk") && is_multi_label_suffix("firm.in"));
+        assert!(!is_multi_label_suffix("wp.com") && !is_multi_label_suffix("google.com"));
     }
 }

@@ -1,21 +1,24 @@
 //! The request that filter rules are evaluated against.
 //!
 //! Matching reads a borrowed [`RequestView`]: the URL text, its lower-cased
-//! form, the hostname slice, the page's hostname, the resource type, the
-//! URL's token hashes and the party bit. Two producers build it, through
-//! the same helpers, so they cannot disagree:
+//! form, the hostname slice and its registrable domain, the page's hostname,
+//! the resource type, the URL's token hashes and the party bit. Two
+//! producers build it, through the same helpers, so they cannot disagree:
 //!
 //! * [`RequestScratch::view`] derives it from `&str`s into buffers the
 //!   caller keeps — the hot paths (labeling a crawl, ingesting raw URLs,
 //!   the decision backstop) build a view per request and allocate nothing
-//!   once the buffers are warm;
+//!   once the buffers are warm. The page side (lower-cased hostname, its
+//!   registrable domain) is remembered from one view to the next, so a run
+//!   of requests from one page derives it once;
 //! * the owned [`FilterRequest`] stores the same fields and lends them out
 //!   with [`FilterRequest::view`], for callers that keep a request around.
 
-use crate::domain::is_third_party;
+use crate::domain::registrable_suffix;
 use crate::url::{locate_host, ParsedUrl, UrlView};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Resource type of a network request, mirroring the DevTools
 /// `resource_type` field the paper's crawler records.
@@ -103,6 +106,11 @@ impl fmt::Display for ResourceType {
 pub struct RequestView<'a> {
     /// The parsed request URL.
     pub url: UrlView<'a>,
+    /// Registrable domain (eTLD+1) of the URL's hostname, trailing dots
+    /// dropped — a slice of the hostname. The request side of
+    /// `third_party`, and the key the classification hierarchy files the
+    /// request under.
+    pub domain: &'a str,
     /// Hostname of the page (frame) the request originates from,
     /// lower-cased.
     pub source_hostname: &'a str,
@@ -135,6 +143,21 @@ fn lowered<'a>(text: &'a str, buffer: &'a mut String) -> &'a str {
     buffer
 }
 
+/// Where the registrable domain of a lower-case `hostname` lies within it:
+/// [`registrable_suffix`] of the hostname without its trailing dots, which
+/// is what [`crate::domain::registrable_domain`] copies out.
+fn domain_range(hostname: &str) -> Range<usize> {
+    let end = hostname.trim_end_matches('.').len();
+    end - registrable_suffix(&hostname[..end]).len()..end
+}
+
+/// Whether a request crosses a registrable-domain boundary, from the two
+/// sides' domains: [`crate::domain::is_third_party`] of two lower-case
+/// hostnames, without deriving either domain again.
+fn crosses_domains(hostname: &str, domain: &str, page_hostname: &str, page_domain: &str) -> bool {
+    !hostname.is_empty() && !page_hostname.is_empty() && domain != page_domain
+}
+
 /// The reusable buffers behind [`RequestScratch::view`]: keep one per
 /// thread or per loop and building a view stops allocating once they have
 /// grown to the longest URL seen.
@@ -142,8 +165,12 @@ fn lowered<'a>(text: &'a str, buffer: &'a mut String) -> &'a str {
 pub struct RequestScratch {
     /// Lower-cased URL; written only for a URL with upper-case ASCII.
     lower: String,
-    /// Lower-cased page hostname; written only when it has upper-case ASCII.
+    /// The page hostname of the last view, lower-cased. Requests arrive in
+    /// runs from one page, so the next view usually finds its page side
+    /// here already.
     source: String,
+    /// Where `source`'s registrable domain lies within it.
+    source_domain: Range<usize>,
     hashes: Vec<u64>,
 }
 
@@ -153,6 +180,7 @@ impl RequestScratch {
         RequestScratch {
             lower: String::new(),
             source: String::new(),
+            source_domain: 0..0,
             hashes: Vec::new(),
         }
     }
@@ -164,7 +192,7 @@ impl RequestScratch {
     pub fn view<'a>(
         &'a mut self,
         url: &'a str,
-        source_hostname: &'a str,
+        source_hostname: &str,
         resource_type: ResourceType,
     ) -> Option<RequestView<'a>> {
         let raw = url.trim();
@@ -174,7 +202,15 @@ impl RequestScratch {
         let lower = lowered(raw, &mut self.lower);
         let (hostname, host_start) = locate_host(lower)?;
         fill_token_hashes(&mut self.hashes, lower);
-        let source_hostname = lowered(source_hostname, &mut self.source);
+        if !source_hostname.eq_ignore_ascii_case(&self.source) {
+            self.source.clear();
+            self.source.push_str(source_hostname);
+            self.source.make_ascii_lowercase();
+            self.source_domain = domain_range(&self.source);
+        }
+        let source_hostname = self.source.as_str();
+        let domain = &hostname[domain_range(hostname)];
+        let source_domain = &source_hostname[self.source_domain.clone()];
         Some(RequestView {
             url: UrlView {
                 raw,
@@ -182,10 +218,11 @@ impl RequestScratch {
                 hostname,
                 host_start,
             },
+            domain,
             source_hostname,
             resource_type,
             token_hashes: &self.hashes,
-            third_party: is_third_party(hostname, source_hostname),
+            third_party: crosses_domains(hostname, domain, source_hostname, source_domain),
         })
     }
 }
@@ -202,6 +239,8 @@ pub struct FilterRequest {
     /// Hostname of the page (frame) the request originates from,
     /// lower-cased. Private for the same reason as `url`.
     source_hostname: String,
+    /// Where the hostname's registrable domain lies within it.
+    domain: Range<usize>,
     /// Resource type reported by the browser.
     pub resource_type: ResourceType,
     /// Sorted, deduplicated token hashes of the lower-cased URL, computed
@@ -230,10 +269,17 @@ impl FilterRequest {
         let mut hashes = Vec::new();
         fill_token_hashes(&mut hashes, &url.lower);
         let source_hostname = source_hostname.to_ascii_lowercase();
-        let third_party = is_third_party(&url.hostname, &source_hostname);
+        let domain = domain_range(&url.hostname);
+        let third_party = crosses_domains(
+            &url.hostname,
+            &url.hostname[domain.clone()],
+            &source_hostname,
+            &source_hostname[domain_range(&source_hostname)],
+        );
         FilterRequest {
             url,
             source_hostname,
+            domain,
             resource_type,
             token_hashes: hashes.into_boxed_slice(),
             third_party,
@@ -244,6 +290,7 @@ impl FilterRequest {
     pub fn view(&self) -> RequestView<'_> {
         RequestView {
             url: self.url.view(),
+            domain: &self.url.hostname[self.domain.clone()],
             source_hostname: &self.source_hostname,
             resource_type: self.resource_type,
             token_hashes: &self.token_hashes,
@@ -273,6 +320,48 @@ mod tests {
         )
         .unwrap();
         assert!(!r.view().third_party);
+    }
+
+    #[test]
+    fn party_ness_from_the_two_domains_equals_is_third_party() {
+        let hosts = [
+            "",
+            ".",
+            "wp.com",
+            "stats.wp.com",
+            "stats.wp.com.",
+            "wp.com..",
+            "a.shop.example.co.uk",
+            "example.co.uk",
+            "co.uk",
+            "localhost",
+            "10.0.0.1",
+            "10.0.0.1.",
+            "+1.2.3.4",
+            "9.9.3.4",
+            "[::1]",
+            "bücher.example",
+        ];
+        for request in hosts {
+            for page in hosts {
+                let crossed = crosses_domains(
+                    request,
+                    &request[domain_range(request)],
+                    page,
+                    &page[domain_range(page)],
+                );
+                assert_eq!(
+                    crossed,
+                    crate::domain::is_third_party(request, page),
+                    "{request:?} from {page:?}"
+                );
+            }
+            assert_eq!(
+                &request[domain_range(request)],
+                crate::domain::registrable_domain(request),
+                "{request:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! candidate rule is still verified with a full pattern match before it can
 //! affect the result. The index tests exercise this with a forced-collision
 //! case.
+//!
+//! The module also holds the workspace's one non-default hasher,
+//! [`TokenHashBuilder`]: the rule index keys its maps by token hash with it,
+//! and the classification and serving layers key theirs by string and by
+//! interned id.
 
 /// Minimum length of an indexable token (alphanumeric run).
 pub const TOKEN_MIN_LEN: usize = 3;
@@ -120,12 +125,30 @@ pub fn token_hashes(text: &str) -> TokenHashes<'_> {
     TokenHashes::new(text.as_bytes())
 }
 
-/// A [`std::hash::BuildHasher`] for maps keyed by token hashes.
+/// The crate's one [`std::hash::BuildHasher`]: for the rule index's maps
+/// keyed by token hashes, and for every string- or id-keyed map on the
+/// classification and serving paths (the key interner, the sifter's count
+/// cells, the frozen key table).
 ///
-/// The `u64` keys are already FNV-mixed, so running them through SipHash
-/// again (the `HashMap` default) wastes most of a bucket probe. This hasher
-/// applies one Fibonacci multiply as a finaliser — enough to spread FNV's
-/// weaker low bits across the table index — and nothing else.
+/// It is unkeyed — the same bytes hash the same in every process — so it
+/// belongs only where hash-flooding resistance buys nothing; SipHash's
+/// per-lookup set-up and byte loop are what it saves. Three kinds of key
+/// reach it:
+///
+/// * `u64` token hashes ([`std::hash::Hasher::write_u64`]) are already
+///   FNV-mixed: they are XORed in and spread by the one Fibonacci multiply
+///   of `finish`, nothing else;
+/// * small integer ids (`write_u32`, `write_u8` — interner symbols, the
+///   `0xff` a `str` ends its hash with) cost one folded multiply each;
+/// * byte strings (`write`) are folded eight bytes per step, after their
+///   length; the last step reads the key's final bytes in place.
+///
+/// The step is a 64×64→128 multiply whose halves are XORed together: the
+/// table takes its bucket index from the hash's *low* bits and its tag from
+/// the top seven, and a plain multiplicative step leaves the low bits a
+/// function of each word's low bytes alone (`https://` would choose the
+/// bucket). Folding the high half back carries every input bit into both
+/// ends.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TokenHashBuilder;
 
@@ -137,25 +160,87 @@ impl std::hash::BuildHasher for TokenHashBuilder {
     }
 }
 
+/// Multiplier of the folded step (wyhash's first secret: odd, no short bit
+/// pattern).
+const FOLD_MULTIPLIER: u64 = 0xA076_1D64_78BD_642F;
+
+/// `a × b` as a 128-bit product, high half XOR low half.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
 /// Hasher produced by [`TokenHashBuilder`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TokenHashHasher(u64);
 
+impl TokenHashHasher {
+    /// Fold one 64-bit word into the state.
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = folded_multiply(self.0 ^ word, FOLD_MULTIPLIER);
+    }
+}
+
 impl std::hash::Hasher for TokenHashHasher {
     fn finish(&self) -> u64 {
-        // Fibonacci (golden-ratio) multiplicative spread: one multiply
-        // fixes up the weaker low bits of both the FNV fold and raw u64
-        // keys (e.g. sequential interner ids) before the table masks them.
+        // Fibonacci (golden-ratio) multiplicative spread: the only mixing a
+        // raw `write_u64` key gets before the table masks it.
         self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        // Fallback for composite keys (tuples of small ids): FNV-1a fold.
-        for &b in bytes {
-            self.0 = fnv1a64_step(self.0, b);
+        // The length goes in first, offset so that it is never the zero
+        // word: keys that differ only in length, or only by trailing NULs,
+        // part ways here, and the tail below may then overlap bytes already
+        // folded without two keys ever folding the same words.
+        let len = bytes.len();
+        self.fold((len as u64).wrapping_add(FOLD_MULTIPLIER));
+        if len >= 8 {
+            // Whole words, then the key's last eight bytes — which overlap
+            // the word before them unless the length is a multiple of
+            // eight. Reading the tail in place keeps it one load: a copy
+            // into a zero-padded buffer is a `memcpy` call and a
+            // store-forwarding stall per key, which cost the serving path
+            // more than the fold saved it.
+            let mut rest = bytes;
+            while rest.len() > 8 {
+                self.fold(u64::from_le_bytes(
+                    rest[..8].try_into().expect("an 8-byte slice"),
+                ));
+                rest = &rest[8..];
+            }
+            self.fold(u64::from_le_bytes(
+                bytes[len - 8..].try_into().expect("an 8-byte slice"),
+            ));
+        } else if len >= 4 {
+            // The first and the last four bytes cover all of four to seven.
+            let head = u32::from_le_bytes(bytes[..4].try_into().expect("a 4-byte slice"));
+            let tail = u32::from_le_bytes(bytes[len - 4..].try_into().expect("a 4-byte slice"));
+            self.fold(u64::from(head) | u64::from(tail) << 32);
+        } else if len > 0 {
+            // First, middle and last byte cover all of one to three.
+            self.fold(
+                u64::from(bytes[0])
+                    | u64::from(bytes[len / 2]) << 8
+                    | u64::from(bytes[len - 1]) << 16,
+            );
         }
     }
 
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.fold(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.0 ^= n;
     }
@@ -216,5 +301,103 @@ mod tests {
     fn non_ascii_breaks_runs() {
         // The ü (2 UTF-8 bytes, non-alphanumeric ASCII) splits the run.
         assert_eq!(hashes("abcüdef"), vec![fnv1a64(b"abc"), fnv1a64(b"def")]);
+    }
+
+    fn hash_of<T: std::hash::Hash + ?Sized>(key: &T) -> u64 {
+        use std::hash::BuildHasher;
+        TokenHashBuilder.hash_one(key)
+    }
+
+    /// Table position (low 12 bits) and tag (top 7 bits) — the two parts of
+    /// a hash the map reads.
+    fn slot(hash: u64) -> (u64, u64) {
+        (hash & 0xfff, hash >> 57)
+    }
+
+    #[test]
+    fn near_identical_byte_keys_land_apart() {
+        // Only the last byte of an 8-byte word differs.
+        let words: Vec<[u8; 16]> = (0..=255u8)
+            .map(|last| {
+                let mut key = *b"https://cdn.x.io";
+                key[7] = last;
+                key
+            })
+            .collect();
+        let mut buckets: Vec<u64> = words.iter().map(|k| slot(hash_of(&k[..])).0).collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert!(
+            buckets.len() > 240,
+            "256 keys hit {} buckets",
+            buckets.len()
+        );
+
+        // Only the length differs, or only trailing NULs.
+        let zeros = [0u8; 24];
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=zeros.len() {
+            assert!(seen.insert(hash_of(&zeros[..len])), "all-zero key of {len}");
+        }
+        for tail in 0..8 {
+            let mut key = b"wp.com".to_vec();
+            key.resize(6 + tail, 0);
+            assert!(seen.insert(hash_of(&key[..])), "{tail} trailing NULs");
+        }
+        // Every byte of a key of every length reaches the hash: the tail
+        // reads (last eight, first and last four, first-middle-last) leave
+        // none out.
+        let key: Vec<u8> = (1..=24).collect();
+        for len in 1..=key.len() {
+            for at in 0..len {
+                let mut other = key[..len].to_vec();
+                other[at] ^= 0x40;
+                assert_ne!(
+                    hash_of(&key[..len]),
+                    hash_of(&other[..]),
+                    "byte {at} of {len}"
+                );
+            }
+        }
+        assert_ne!(slot(hash_of("wp.com")), slot(hash_of("wp.com\0")));
+        assert_ne!(slot(hash_of("abcdefgh")), slot(hash_of("abcdefgi")));
+        // A `(str, str)` key keeps its boundary.
+        assert_ne!(hash_of(&("ab", "c")), hash_of(&("a", "bc")));
+    }
+
+    #[test]
+    fn sequential_ids_and_id_pairs_fill_the_table_evenly() {
+        // Interner symbols are small consecutive integers; 4096 of them
+        // into 4096 buckets should leave about 1/e empty, like random keys.
+        let occupied = |hashes: Vec<u64>| {
+            let mut buckets: Vec<u64> = hashes.into_iter().map(|h| slot(h).0).collect();
+            buckets.sort_unstable();
+            buckets.dedup();
+            buckets.len()
+        };
+        let ids = occupied((0u32..4096).map(|id| hash_of(&id)).collect());
+        assert!(ids > 2450, "ids occupy {ids} of 4096 buckets");
+        let pairs = occupied(
+            (0u32..64)
+                .flat_map(|a| (0u32..64).map(move |b| hash_of(&(a, b + 1000))))
+                .collect(),
+        );
+        assert!(pairs > 2450, "pairs occupy {pairs} of 4096 buckets");
+        let mut tags = [0u32; 128];
+        for id in 0u32..4096 {
+            tags[slot(hash_of(&id)).1 as usize] += 1;
+        }
+        assert!(tags.iter().all(|&n| (8..=64).contains(&n)), "{tags:?}");
+    }
+
+    #[test]
+    fn token_hash_keys_keep_their_single_multiply() {
+        use std::hash::Hasher;
+        let mut hasher = TokenHashHasher::default();
+        hasher.write_u64(fnv1a64(b"analytics"));
+        assert_eq!(
+            hasher.finish(),
+            fnv1a64(b"analytics").wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        );
     }
 }

@@ -1,5 +1,7 @@
-//! The wire deployment loop: train a sifter, start the HTTP/1.1 verdict
-//! server on its lock-free reader handles, and talk to it the way any
+//! The deployment loop, end to end: train a `Sifter`, persist and reload
+//! its trained state, query verdicts in bulk, keep ingesting while several
+//! threads serve from lock-free reader handles, and finally put the same
+//! handles behind the HTTP/1.1 verdict server and talk to it the way any
 //! client would — over a raw `TcpStream`, no HTTP library required.
 //!
 //! ```sh
@@ -17,6 +19,9 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
+use std::time::{Duration, Instant};
 use trackersift_suite::prelude::*;
 
 /// Issue one HTTP/1.1 request and return (status line, body).
@@ -71,26 +76,134 @@ fn main() {
         run_replica(upstream);
     }
 
-    // 1. Train on a synthetic study and split into the concurrent pair.
+    // 1. Train: run the batch pipeline once and produce a serving handle.
+    //    Hold back the last 20% of the labeled traffic to replay later as
+    //    the "live" stream.
     let study = Study::run(StudyConfig {
-        profile: CorpusProfile::small().with_sites(300),
-        seed: 11,
+        profile: CorpusProfile::small().with_sites(400),
+        seed: 7,
         ..StudyConfig::default()
     });
+    let split = study.requests.len() * 8 / 10;
+    let (historical, live) = study.requests.split_at(split);
     let mut sifter = Sifter::builder()
         .thresholds(study.config.thresholds)
         .build();
-    sifter.observe_all(&study.requests);
+    sifter.observe_all(historical);
     sifter.commit();
-    let (writer, _reader) = sifter.into_concurrent();
+    // One consolidated stats struct — the same source of truth the server's
+    // /v1/stats endpoint serializes.
+    let stats = sifter.service_stats();
+    println!(
+        "Trained on {} requests: {} domains / {} hostnames / {} scripts / {} methods committed.",
+        stats.ingest.committed,
+        stats.resources[Granularity::Domain.index()],
+        stats.resources[Granularity::Hostname.index()],
+        stats.resources[Granularity::Script.index()],
+        stats.resources[Granularity::Method.index()],
+    );
 
-    // 2. Serve: fixed worker pool, one lock-free reader handle per worker,
-    //    the writer owned by the admin thread.
+    // 2. Snapshot and reload: export the trained state (versioned JSON) as
+    //    a long-running service would on shutdown; a fresh process restores
+    //    it and serves immediately — no re-crawl, bitwise-identical state.
+    let snapshot = sifter.snapshot();
+    let path = std::env::temp_dir().join("trackersift_sifter.json");
+    std::fs::write(&path, snapshot.to_json_string()).expect("write snapshot");
+    println!(
+        "Snapshot v{} written to {} ({} keys, {} count cells).",
+        SifterSnapshot::FORMAT_VERSION,
+        path.display(),
+        snapshot.key_count(),
+        snapshot.cell_count(),
+    );
+    let text = std::fs::read_to_string(&path).expect("read snapshot");
+    let reloaded = SifterSnapshot::parse(&text).expect("parse snapshot");
+    let mut restored = Sifter::builder().restore(&reloaded).expect("restore");
+    assert_eq!(restored.hierarchy(), sifter.hierarchy());
+
+    // 3. Query in-process: the committed state exports as a `VerdictTable`,
+    //    the one type that answers verdicts and decisions. The per-verdict
+    //    walk is allocation-free.
+    let queries: Vec<DecisionRequest<'_>> =
+        live.iter().map(DecisionRequest::from_labeled).collect();
+    let table = restored.verdict_table();
+    let start = Instant::now();
+    let blocked = queries
+        .iter()
+        .filter(|query| table.verdict(query).should_block())
+        .count();
+    let elapsed = start.elapsed();
+    println!(
+        "Served {} verdicts in {elapsed:.2?} ({:.0} verdicts/sec): {blocked} block.",
+        queries.len(),
+        queries.len() as f64 / elapsed.as_secs_f64().max(1e-9),
+    );
+
+    // 4. Go concurrent: split into a writer and cloneable lock-free reader
+    //    handles, and serve from 4 threads while the writer ingests the
+    //    live stream. Each batch holds one pin on one immutable table, so
+    //    it always reflects exactly one committed state — commits land
+    //    atomically between batches, never inside one.
+    let (mut writer, reader) = restored.into_concurrent();
+    let stop = AtomicBool::new(false);
+    let start = Instant::now();
+    thread::scope(|scope| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let (reader, stop, queries) = (reader.clone(), &stop, &queries);
+                scope.spawn(move || {
+                    let mut served = 0u64;
+                    while !stop.load(Ordering::Acquire) {
+                        let pin = reader.pin();
+                        for query in queries {
+                            std::hint::black_box(pin.decide(query));
+                        }
+                        served += queries.len() as u64;
+                    }
+                    served
+                })
+            })
+            .collect();
+        for chunk in live.chunks(500) {
+            writer.observe_all(chunk);
+            let stats = writer.commit();
+            println!(
+                "commit v{}: +{} observations, {} resources reclassified",
+                writer.sifter().commits(),
+                stats.observations,
+                stats.reclassified(),
+            );
+            thread::sleep(Duration::from_millis(2));
+        }
+        stop.store(true, Ordering::Release);
+        let served: u64 = workers
+            .into_iter()
+            .map(|worker| worker.join().expect("reader thread"))
+            .sum();
+        println!(
+            "4 readers served {served} decisions in {:.2?} while {} commits published.",
+            start.elapsed(),
+            writer.sifter().commits(),
+        );
+    });
+
+    // 5. Incremental ingestion is exactly a batch retrain over everything.
+    let mut scratch = Sifter::builder()
+        .thresholds(study.config.thresholds)
+        .build();
+    scratch.observe_all(&study.requests);
+    scratch.commit();
+    assert_eq!(writer.sifter().hierarchy(), scratch.hierarchy());
+    assert_eq!(writer.sifter().hierarchy(), study.hierarchy);
+    println!("observe + commit == from-scratch classification: verified.");
+
+    // 6. Serve over the wire: fixed worker pool, one lock-free reader
+    //    handle per worker, the writer owned by the admin thread.
     let server = VerdictServer::start(writer, ServerConfig::ephemeral()).expect("start server");
     let addr = server.local_addr();
-    println!("Verdict server listening on http://{addr}");
+    println!("\nVerdict server listening on http://{addr}");
 
-    // 3. Liveness + one decision for a request from the corpus.
+    // 7. Liveness + one decision for a request from the corpus.
     let (status, body) = http(addr, "GET", "/healthz", "");
     println!("GET /healthz -> {status} {body}");
 
@@ -102,12 +215,12 @@ fn main() {
     let (status, body) = http(addr, "POST", "/v1/decisions", &query);
     println!("POST /v1/decisions -> {status}\n  {body}");
 
-    // 4. Stats: the same ServiceStats the in-process API exposes, plus
+    // 8. Stats: the same ServiceStats the in-process API exposes, plus
     //    per-worker counters.
     let (_, stats) = http(addr, "GET", "/v1/stats", "");
     println!("GET /v1/stats ->\n  {stats}");
 
-    // 5. Snapshot save/load over the wire: export the trained state, then
+    // 9. Snapshot save/load over the wire: export the trained state, then
     //    import it back (e.g. into a standby replica).
     let (_, snapshot) = http(addr, "GET", "/v1/snapshot", "");
     let path = std::env::temp_dir().join("trackersift_server_snapshot.json");
@@ -121,7 +234,7 @@ fn main() {
     let (status, body) = http(addr, "PUT", "/v1/snapshot", &restored);
     println!("PUT /v1/snapshot -> {status} {body}");
 
-    // 6. Ingest over the wire, commit, and watch the served table move on.
+    // 10. Ingest over the wire, commit, and watch the served table move on.
     let observation = r#"{"observations":[
         {"domain":"freshtracker.com","hostname":"px.freshtracker.com",
          "script":"https://pub.com/app.js","method":"beacon","tracking":true}

@@ -8,7 +8,7 @@
 //!
 //! The pipeline itself is a staged, parallel execution engine:
 //! [`trackersift::Study::run`] chains named, individually timed stages
-//! (`generate → crawl → label → classify`, see [`trackersift::stage`]),
+//! (`generate → crawl → label → classify`, see [`trackersift::StageTimings`]),
 //! runs the crawl and labeling stages on a worker pool sized by
 //! [`crawler::ClusterConfig::workers`], and groups requests by interned
 //! [`trackersift::ResourceKey`] symbols instead of per-request strings.

@@ -12,6 +12,7 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 use trackersift::{LabeledFrame, LabeledRequest};
@@ -27,15 +28,15 @@ fn observation(
     method: usize,
     tracking: bool,
 ) -> LabeledRequest {
-    let hostname = format!("h{host}.d{domain}.com");
-    let script = format!("https://pub.com/s{script}.js");
-    let method = format!("m{method}");
+    let hostname: Arc<str> = format!("h{host}.d{domain}.com").into();
+    let script: Arc<str> = format!("https://pub.com/s{script}.js").into();
+    let method: Arc<str> = format!("m{method}").into();
     LabeledRequest {
         request_id: 0,
         top_level_url: "https://www.pub.com/".into(),
         site_domain: "pub.com".into(),
-        url: format!("https://{hostname}/x"),
-        domain: format!("d{domain}.com"),
+        url: format!("https://{hostname}/x").into(),
+        domain: format!("d{domain}.com").into(),
         hostname,
         resource_type: ResourceType::Xhr,
         initiator_script: script.clone(),

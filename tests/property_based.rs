@@ -6,6 +6,7 @@ mod common;
 
 use common::expected_verdict;
 use proptest::prelude::*;
+use std::sync::Arc;
 use trackersift_suite::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -67,6 +68,8 @@ fn arb_raw_url() -> impl Strategy<Value = String> {
         "[a-z]{2,6}\\.io",
         "[a-z]{2,6}\\.bbc\\.co\\.uk",
         "[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}",
+        // A sign makes it a name, not an address (`u8::from_str` takes `+1`).
+        "\\+[0-9]{1,2}\\.\\+?[0-9]{1,2}\\.[0-9]{1,2}\\.[0-9]{1,2}",
         "\\[::1\\]",
         "",
     ];
@@ -168,12 +171,21 @@ proptest! {
     /// The borrowed request the hot paths build in a reused scratch is the
     /// owned request, field for field (an unparseable URL included), and
     /// labels through the index as the owned one does through the linear
-    /// scan — whatever the previous request left in the buffers.
+    /// scan — whatever the previous request left in the buffers, the page
+    /// hostname the scratch remembers included: each URL is viewed from the
+    /// page of the view before it (the memo hits, in another case or not)
+    /// and then from the next page (it misses).
     #[test]
     fn scratch_view_equals_the_owned_request(
         rules in prop::collection::vec(arb_rule(), 0..6),
         urls in prop::collection::vec(arb_raw_url(), 1..6),
-        source in prop_oneof!["site.com", "Sub.Site.COM", "site.com.", "", "[a-z]{2,6}\\.io"],
+        sources in prop::collection::vec(
+            prop_oneof![
+                "site.com", "Sub.Site.COM", "SUB.site.com", "site.com.", "", "[a-z]{2,6}\\.io",
+                "10.0.0.1", "+1.2.3.4", "x.bbc.co.uk",
+            ],
+            1..4,
+        ),
         kind in 0usize..11,
     ) {
         let text = format!(
@@ -183,9 +195,12 @@ proptest! {
         let engine = FilterEngine::from_lists(&[(filterlist::ListKind::EasyList, text.as_str())]);
         let kind = ResourceType::ALL[kind];
         let mut scratch = filterlist::RequestScratch::new();
-        for url in &urls {
-            let owned = FilterRequest::new(url, &source, kind);
-            let view = scratch.view(url, &source, kind);
+        let pages = urls.iter().enumerate().flat_map(|(i, url)| {
+            [i, i + 1].map(|page| (url, &sources[page % sources.len()]))
+        });
+        for (url, source) in pages {
+            let owned = FilterRequest::new(url, source, kind);
+            let view = scratch.view(url, source, kind);
             prop_assert_eq!(view, owned.as_ref().map(FilterRequest::view), "{:?} from {:?}", url, source);
             let expected = owned
                 .as_ref()
@@ -193,7 +208,7 @@ proptest! {
             if let Some(view) = view {
                 prop_assert_eq!(engine.label_view(&view), expected, "{:?} from {:?}", url, source);
             }
-            prop_assert_eq!(engine.label_url(url, &source, kind), expected, "{:?} from {:?}", url, source);
+            prop_assert_eq!(engine.label_url(url, source, kind), expected, "{:?} from {:?}", url, source);
         }
     }
 
@@ -310,16 +325,16 @@ proptest! {
 fn arb_observation() -> impl Strategy<Value = trackersift::LabeledRequest> {
     ((0usize..5, 0usize..3), (0usize..5, 0usize..4, 0u64..2)).prop_map(
         |((domain, host), (script, method, label))| {
-            let hostname = format!("h{host}.d{domain}.com");
-            let script = format!("https://pub.com/s{script}.js");
-            let method = format!("m{method}");
+            let hostname: Arc<str> = format!("h{host}.d{domain}.com").into();
+            let script: Arc<str> = format!("https://pub.com/s{script}.js").into();
+            let method: Arc<str> = format!("m{method}").into();
             let tracking = label == 1;
             trackersift::LabeledRequest {
                 request_id: 0,
                 top_level_url: "https://www.pub.com/".into(),
                 site_domain: "pub.com".into(),
-                url: format!("https://{hostname}/x"),
-                domain: format!("d{domain}.com"),
+                url: format!("https://{hostname}/x").into(),
+                domain: format!("d{domain}.com").into(),
                 hostname,
                 resource_type: ResourceType::Xhr,
                 initiator_script: script.clone(),

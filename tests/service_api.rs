@@ -101,11 +101,8 @@ fn every_trained_request_gets_a_consistent_verdict() {
         // trained request and for one probe that falls off the trained
         // hierarchy at each level, through every way of asking: the table,
         // the keyed policy, a reader.
-        let (d, h) = (request.domain.as_str(), request.hostname.as_str());
-        let (s, m) = (
-            request.initiator_script.as_str(),
-            request.initiator_method.as_str(),
-        );
+        let (d, h) = (&*request.domain, &*request.hostname);
+        let (s, m) = (&*request.initiator_script, &*request.initiator_method);
         let unseen_host = format!("never-seen.{d}");
         for (d, h, s, m) in [
             (d, h, s, m),
