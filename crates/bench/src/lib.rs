@@ -9,6 +9,9 @@
 //!   crawled 100K, the default keeps every binary under a minute on a
 //!   laptop while preserving the distributional shape);
 //! * `TRACKERSIFT_SEED` — corpus seed (default 2021).
+//!
+//! A variable that is set but does not parse stops the binary with exit
+//! code 2 instead of running the default scale under the wrong name.
 
 use trackersift::{Study, StudyConfig};
 use websim::CorpusProfile;
@@ -19,13 +22,36 @@ pub const DEFAULT_SITES: usize = 5_000;
 /// Seed used unless overridden.
 pub const DEFAULT_SEED: u64 = 2021;
 
-/// Read a `usize` knob from the environment, falling back to `default`
-/// when unset or unparseable (shared by the bench binaries).
+/// One knob's value: `default` when the variable is unset, an error naming
+/// the variable and the value when it is set to something that does not
+/// parse (a mistyped scale must not silently run the default).
+fn parse_knob<T: std::str::FromStr>(
+    name: &str,
+    value: Option<String>,
+    default: T,
+) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(text) => text
+            .parse()
+            .map_err(|_| format!("{name}={text:?} is not a valid number")),
+    }
+}
+
+/// Read a knob from the environment through [`parse_knob`]; an unparseable
+/// value is reported on stderr and exits 2.
+fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let value = std::env::var_os(name).map(|raw| raw.to_string_lossy().into_owned());
+    parse_knob(name, value, default).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
+}
+
+/// Read a `usize` knob from the environment: `default` when unset, exit 2
+/// when set but unparseable (shared by the bench binaries).
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_knob(name, default)
 }
 
 /// Read the experiment scale from the environment.
@@ -35,10 +61,7 @@ pub fn sites_from_env() -> usize {
 
 /// Read the experiment seed from the environment.
 pub fn seed_from_env() -> u64 {
-    std::env::var("TRACKERSIFT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
+    env_knob("TRACKERSIFT_SEED", DEFAULT_SEED)
 }
 
 /// The study configuration the experiment binaries share.
@@ -83,5 +106,23 @@ mod tests {
         }
         let config = experiment_config();
         assert!(config.profile.validate().is_ok());
+    }
+
+    #[test]
+    fn a_set_but_unparseable_knob_is_an_error_not_the_default() {
+        let parse = |value: Option<&str>| {
+            parse_knob(
+                "TRACKERSIFT_SITES",
+                value.map(str::to_string),
+                DEFAULT_SITES,
+            )
+        };
+        assert_eq!(parse(None), Ok(DEFAULT_SITES));
+        assert_eq!(parse(Some("300")), Ok(300));
+        for typo in ["2OO", "", "-1", "3e2"] {
+            let message = parse(Some(typo)).expect_err(typo);
+            assert!(message.contains("TRACKERSIFT_SITES"), "{message}");
+            assert!(message.contains(typo), "{message}");
+        }
     }
 }

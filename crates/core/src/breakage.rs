@@ -14,12 +14,11 @@
 use crate::hierarchy::{Granularity, HierarchyResult};
 use crate::ratio::Classification;
 use crawler::{LoadOptions, PageLoadSimulator};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use websim::{FeatureImportance, WebCorpus, Website};
 
 /// Breakage grade for one website.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Breakage {
     /// Core functionality broke.
     Major,
@@ -40,7 +39,7 @@ impl std::fmt::Display for Breakage {
 }
 
 /// One row of the breakage table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakageRow {
     /// The website.
     pub website: String,
@@ -53,7 +52,7 @@ pub struct BreakageRow {
 }
 
 /// The whole breakage study.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BreakageStudy {
     /// One row per sampled website.
     pub rows: Vec<BreakageRow>,

@@ -13,11 +13,10 @@
 
 use crate::intern::{KeyInterner, ResourceKey};
 use crate::label::LabeledRequest;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// A node of the merged call graph: one `(script, method)` pair.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CallGraphNode {
     /// Script URL.
     pub script_url: String,
@@ -33,7 +32,7 @@ impl CallGraphNode {
 }
 
 /// Participation of a node in tracking / functional request traces.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeParticipation {
     /// Number of tracking-request traces the node appears in.
     pub tracking_traces: u64,
@@ -54,7 +53,7 @@ impl NodeParticipation {
 }
 
 /// The merged call graph for one mixed method.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallGraph {
     /// The mixed method the graph was built for.
     pub root: Option<CallGraphNode>,
@@ -108,7 +107,7 @@ impl CallGraph {
 }
 
 /// Result of analysing every mixed method in a request set.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallStackAnalysis {
     /// Per-mixed-method call graphs, keyed by `(script, method)`.
     pub graphs: Vec<(CallGraphNode, CallGraph)>,

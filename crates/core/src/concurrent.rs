@@ -785,13 +785,6 @@ impl SifterWriter {
             ..self.sifter.service_stats()
         }
     }
-
-    /// Dissolve the pair and take the sifter back. Existing readers keep
-    /// serving the last published table indefinitely; no further commits
-    /// will reach them.
-    pub fn into_sifter(self) -> Sifter {
-        self.sifter
-    }
 }
 
 /// A lock-free verdict-serving handle over the writer's last published
@@ -1084,8 +1077,8 @@ mod tests {
             true,
         );
         writer.commit();
-        let sifter = writer.into_sifter();
-        assert_eq!(sifter.commits(), 1);
+        assert_eq!(writer.sifter().commits(), 1);
+        drop(writer);
         // The writer is gone; the reader keeps serving the last table.
         assert!(reader.verdict(&block_query()).should_block());
         assert_eq!(reader.clone().version(), 1);

@@ -312,16 +312,6 @@ pub enum Decision {
 }
 
 impl Decision {
-    /// `true` when the blocker should not deliver the original resource
-    /// (blocked outright, replaced by a surrogate, or redirected to a
-    /// rewritten URL).
-    pub fn is_enforcing(&self) -> bool {
-        matches!(
-            self,
-            Decision::Block(_) | Decision::Surrogate(_) | Decision::Rewrite(_)
-        )
-    }
-
     /// The source that settled an allow/block, if this is one.
     pub fn source(&self) -> Option<DecisionSource> {
         match self {
@@ -609,7 +599,6 @@ mod tests {
         assert_eq!(names, sorted);
         assert!(plan.suppressed_tracking_requests >= 6);
         assert!(plan.preserved_functional_requests >= 6);
-        assert!(decision.is_enforcing());
     }
 
     #[test]
@@ -685,7 +674,6 @@ mod tests {
             table.decide(&clean_url),
             Decision::Allow(DecisionSource::FilterList)
         );
-        assert!(table.decide(&tracking_url).is_enforcing());
     }
 
     #[test]

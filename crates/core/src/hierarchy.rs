@@ -29,11 +29,10 @@
 use crate::intern::{KeyInterner, ResourceKey};
 use crate::label::LabeledRequest;
 use crate::ratio::{Classification, Counts, Thresholds};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four granularities of the hierarchy, coarsest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Granularity {
     /// eTLD+1 of the request URL.
     Domain,
@@ -102,7 +101,7 @@ impl fmt::Display for Granularity {
 }
 
 /// Counts split by classification outcome.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassCounts {
     /// Tracking-classified.
     pub tracking: u64,
@@ -148,7 +147,7 @@ impl ClassCounts {
 }
 
 /// One classified resource at some granularity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceEntry {
     /// Attribution key: domain, hostname, script URL, or `script :: method`.
     pub key: String,
@@ -169,7 +168,7 @@ impl ResourceEntry {
 }
 
 /// The result of classifying one granularity level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelResult {
     /// Which granularity this is.
     pub granularity: Granularity,
@@ -231,15 +230,6 @@ impl LevelResult {
         self.resource_counts.separation_factor()
     }
 
-    /// The keys of the mixed resources at this level.
-    pub fn mixed_keys(&self) -> Vec<&str> {
-        self.resources
-            .iter()
-            .filter(|r| r.classification == Classification::Mixed)
-            .map(|r| r.key.as_str())
-            .collect()
-    }
-
     /// Resources of a given class, sorted by total request volume
     /// descending (useful for "notable domains" style reporting).
     pub fn top_resources(&self, class: Classification, n: usize) -> Vec<&ResourceEntry> {
@@ -255,7 +245,7 @@ impl LevelResult {
 }
 
 /// The complete hierarchy result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyResult {
     /// Thresholds used.
     pub thresholds: Thresholds,

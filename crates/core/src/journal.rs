@@ -132,7 +132,8 @@ pub struct JournalStats {
     /// `fsync` failures (the batch stays unsynced until a later sync
     /// succeeds).
     pub sync_errors: u64,
-    /// Rotations (truncations after a successful checkpoint).
+    /// Rotations (checkpoints that moved appends to a fresh generation's
+    /// journal).
     pub rotations: u64,
     /// Bytes currently in the journal file (including unflushed buffer).
     pub bytes: u64,
@@ -148,7 +149,6 @@ pub struct JournalStats {
 /// on the ingest path.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     file: File,
     /// Appended-but-unflushed frame bytes.
     buffer: Vec<u8>,
@@ -178,7 +178,6 @@ impl Journal {
             .open(&path)?;
         let file_bytes = file.seek(SeekFrom::End(0))?;
         Ok(Journal {
-            path,
             file,
             buffer: Vec::new(),
             unsynced: 0,
@@ -333,33 +332,6 @@ impl Journal {
         self.stats.synced = self.stats.appended;
         self.unsynced = 0;
         Ok(())
-    }
-
-    /// Truncate the journal to empty — call only once a checkpoint
-    /// (snapshot export) covering every journaled record is durable.
-    pub fn rotate(&mut self) -> io::Result<()> {
-        self.buffer.clear();
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::End(0))?;
-        self.file.sync_data()?;
-        self.file_bytes = 0;
-        self.unsynced = 0;
-        self.wedged = false;
-        self.stats.rotations += 1;
-        self.stats.bytes = 0;
-        self.stats.synced = self.stats.appended;
-        Ok(())
-    }
-
-    /// Bytes currently journaled (including the unflushed buffer) — the
-    /// rotation-threshold input for auto-checkpointing.
-    pub fn len_bytes(&self) -> u64 {
-        self.stats.bytes
-    }
-
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Lifetime activity counters.
@@ -850,7 +822,7 @@ mod tests {
 
         let (mut journal, recovered, report) = Journal::recover(&path, 1).expect("recover");
         assert_eq!(recovered.len(), 4);
-        assert_eq!(report.valid_bytes, journal.len_bytes());
+        assert_eq!(report.valid_bytes, journal.stats().bytes);
         // Appends after recovery extend the clean prefix.
         journal.append(&parts(9)).expect("append");
         journal.sync().expect("sync");
@@ -887,23 +859,6 @@ mod tests {
             }
             assert_eq!(report.valid_bytes + report.torn_bytes, cut as u64);
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn rotation_empties_the_file() {
-        let path = temp_path("rotate");
-        let mut journal = Journal::open(&path, 1000).expect("open");
-        journal.append(&parts(1)).expect("append");
-        journal.sync().expect("sync");
-        assert!(journal.len_bytes() > 0);
-        journal.rotate().expect("rotate");
-        assert_eq!(journal.len_bytes(), 0);
-        assert_eq!(journal.stats().rotations, 1);
-        drop(journal);
-        let (entries, report) = Journal::replay(&path).expect("replay");
-        assert!(entries.is_empty());
-        assert_eq!(report.valid_bytes, 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -38,12 +38,11 @@ use crawler::{CrawlDatabase, SiteCrawl};
 use filterlist::url::hostname_of;
 use filterlist::{FilterEngine, RequestLabel, RequestScratch, ResourceType};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One frame of the initiator stack, reduced to what the analysis needs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabeledFrame {
     /// Script URL of the frame.
     pub script_url: Arc<str>,
@@ -52,7 +51,7 @@ pub struct LabeledFrame {
 }
 
 /// A script-initiated request with its oracle label and attribution keys.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledRequest {
     /// Unique request id from the crawl.
     pub request_id: u64,
@@ -88,7 +87,7 @@ impl LabeledRequest {
 }
 
 /// Statistics from labeling a crawl.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelStats {
     /// Requests seen in the crawl database (script-initiated or not).
     pub total_requests: usize,

@@ -4,10 +4,9 @@
 //! mixed methods, 98% of requests attributed).
 
 use crate::hierarchy::{Granularity, HierarchyResult};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1 (requests per class at a granularity).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Granularity of the row.
     pub granularity: Granularity,
@@ -24,7 +23,7 @@ pub struct Table1Row {
 }
 
 /// One row of Table 2 (unique resources per class at a granularity).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Granularity of the row.
     pub granularity: Granularity,
@@ -39,7 +38,7 @@ pub struct Table2Row {
 }
 
 /// The headline numbers the abstract reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadlineSummary {
     /// Percent of domains classified mixed.
     pub mixed_domains_pct: f64,

@@ -252,12 +252,6 @@ impl Study {
         HierarchicalClassifier::new(self.config.thresholds)
     }
 
-    /// Re-run only the classification with different thresholds (cheap: the
-    /// classifier is `Copy`, only the threshold field changes).
-    pub fn reclassify(&self, thresholds: Thresholds) -> HierarchyResult {
-        HierarchicalClassifier::new(thresholds).classify(&self.requests)
-    }
-
     /// The Figure 4 sensitivity sweep.
     pub fn sensitivity_sweep(&self) -> SensitivitySweep {
         SensitivitySweep::paper_sweep(&self.requests)
@@ -445,7 +439,7 @@ mod tests {
     #[test]
     fn reclassify_with_paper_thresholds_is_byte_identical() {
         let study = study();
-        let again = study.reclassify(Thresholds::paper());
+        let again = study.classifier().classify(&study.requests);
         assert_eq!(again, study.hierarchy);
         // Byte-level regression guard: the reclassified hierarchy renders to
         // exactly the same bytes as the original, so resource ordering and

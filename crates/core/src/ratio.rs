@@ -14,11 +14,10 @@
 //! the next finer granularity. The threshold is configurable because the
 //! paper's Figure 4 sweeps it from 1.0 to 3.0.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Classification outcome for a resource at some granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Classification {
     /// Overwhelmingly tracking (`ratio ≥ threshold`).
     Tracking,
@@ -39,7 +38,7 @@ impl fmt::Display for Classification {
 }
 
 /// Request counts accumulated for one resource.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counts {
     /// Number of tracking-labeled requests.
     pub tracking: u64,
@@ -111,7 +110,7 @@ impl Counts {
 }
 
 /// Classification thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// The symmetric threshold on the common-log ratio. The paper's default
     /// is 2 (i.e. 100×).

@@ -8,12 +8,11 @@ use crate::hierarchy::{Granularity, HierarchyResult, LevelResult};
 use crate::metrics::{table1, table2, HeadlineSummary};
 use crate::ratio::Classification;
 use crate::sensitivity::SensitivitySweep;
-use serde::{Deserialize, Serialize};
 
 /// A histogram over the common-log ratio of resources at one granularity —
 /// the data behind Figure 3. Resources with infinite ratios (no functional
 /// or no tracking requests at all) land in the two overflow bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatioHistogram {
     /// Granularity the histogram describes.
     pub granularity: Granularity,

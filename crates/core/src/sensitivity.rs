@@ -10,10 +10,9 @@
 use crate::hierarchy::{Granularity, HierarchicalClassifier};
 use crate::label::LabeledRequest;
 use crate::ratio::Thresholds;
-use serde::{Deserialize, Serialize};
 
 /// One point of the sensitivity sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityPoint {
     /// The symmetric threshold this point was computed at.
     pub threshold: f64,
@@ -35,7 +34,7 @@ impl SensitivityPoint {
 }
 
 /// The whole sweep.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SensitivitySweep {
     /// Points in ascending threshold order.
     pub points: Vec<SensitivityPoint>,
@@ -47,22 +46,22 @@ impl SensitivitySweep {
     pub fn run(requests: &[LabeledRequest], start: f64, end: f64, step: f64) -> Self {
         assert!(step > 0.0, "step must be positive");
         assert!(start > 0.0 && end >= start, "invalid sweep range");
-        let mut points = Vec::new();
-        let mut threshold = start;
-        while threshold <= end + 1e-9 {
-            let result = HierarchicalClassifier::new(Thresholds::new(threshold)).classify(requests);
-            let share = |g: Granularity| result.level(g).resource_counts.mixed_share();
-            points.push(SensitivityPoint {
-                threshold: (threshold * 10.0).round() / 10.0,
-                mixed_share: [
-                    share(Granularity::Domain),
-                    share(Granularity::Hostname),
-                    share(Granularity::Script),
-                    share(Granularity::Method),
-                ],
-            });
-            threshold += step;
-        }
+        // Each threshold comes from its index, not from a running sum: a
+        // sum drifts (the 11th `+= 0.1` is 2.000000000000001), and a point
+        // must classify at exactly the threshold it reports.
+        let points = (0u32..)
+            .map(|i| start + f64::from(i) * step)
+            .take_while(|&threshold| threshold <= end + 1e-9)
+            .map(|threshold| {
+                let result =
+                    HierarchicalClassifier::new(Thresholds::new(threshold)).classify(requests);
+                SensitivityPoint {
+                    threshold,
+                    mixed_share: Granularity::ALL
+                        .map(|g| result.level(g).resource_counts.mixed_share()),
+                }
+            })
+            .collect();
         SensitivitySweep { points }
     }
 
@@ -90,6 +89,7 @@ impl SensitivitySweep {
 mod tests {
     use super::*;
     use crate::label::Labeler;
+    use crate::testutil::labeled_request;
     use crawler::{ClusterConfig, CrawlCluster};
     use websim::{filter_rules, CorpusGenerator, CorpusProfile};
 
@@ -107,6 +107,30 @@ mod tests {
         assert_eq!(sweep.points.len(), 21);
         assert!((sweep.points[0].threshold - 1.0).abs() < 1e-9);
         assert!((sweep.points.last().unwrap().threshold - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_sweep_point_classifies_exactly_as_its_reported_threshold() {
+        // One resource at 100 tracking : 1 functional (log ratio exactly
+        // 2.0) and its mirror image: pure at the paper's threshold, so the
+        // sweep's 2.0 point must not call them mixed.
+        let mut requests = Vec::new();
+        for (domain, majority_tracking) in [("ads.com", true), ("cdn.com", false)] {
+            for n in 0..101 {
+                let tracking = (n < 100) == majority_tracking;
+                requests.push(labeled_request(domain, domain, "s.js", "m", tracking));
+            }
+        }
+        let sweep = SensitivitySweep::paper_sweep(&requests);
+        for point in &sweep.points {
+            let result =
+                HierarchicalClassifier::new(Thresholds::new(point.threshold)).classify(&requests);
+            let expected = Granularity::ALL.map(|g| result.level(g).resource_counts.mixed_share());
+            assert_eq!(point.mixed_share, expected, "at {}", point.threshold);
+        }
+        let at_default = &sweep.points[10];
+        assert_eq!(at_default.threshold, Thresholds::paper().log_ratio);
+        assert_eq!(at_default.share(Granularity::Domain), 0.0);
     }
 
     #[test]

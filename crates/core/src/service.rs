@@ -716,12 +716,6 @@ impl Sifter {
         self.thresholds
     }
 
-    /// `true` when a filter engine was configured (enables
-    /// [`Sifter::observe_url`]).
-    pub fn has_engine(&self) -> bool {
-        self.engine.is_some()
-    }
-
     /// Observations ever ingested, including pending ones.
     pub fn observed(&self) -> u64 {
         self.ingest.observed
@@ -1690,7 +1684,7 @@ mod tests {
         let mut sifter = Sifter::builder()
             .filter_lists(&[(ListKind::EasyList, "||tracker.io^$third-party\n")])
             .build();
-        assert!(sifter.has_engine());
+        assert!(sifter.engine.is_some());
         let outcome = sifter.observe_url(
             "https://px.tracker.io/beacon?x=1",
             "shop.com",
@@ -1731,7 +1725,7 @@ mod tests {
     #[test]
     fn observe_url_without_an_engine_reports_the_configuration_gap() {
         let mut sifter = Sifter::builder().build();
-        assert!(!sifter.has_engine());
+        assert!(sifter.engine.is_none());
         let outcome = sifter.observe_url(
             "https://px.tracker.io/beacon",
             "shop.com",

@@ -50,7 +50,7 @@
 //! render to byte-identical snapshots — the round-trip property the
 //! service tests pin down.
 
-use crawler::json::{object, FromJson, JsonError, ToJson, Value};
+use crawler::json::{object, JsonError, Value};
 use std::fmt;
 
 /// Errors from decoding or restoring a snapshot.
@@ -235,8 +235,9 @@ fn envelope_error(value: &Value) -> Option<SnapshotError> {
     None
 }
 
-impl ToJson for SifterSnapshot {
-    fn to_json_value(&self) -> Value {
+impl SifterSnapshot {
+    /// Build the JSON representation.
+    pub fn to_json_value(&self) -> Value {
         object(vec![
             ("format", Value::String(Self::FORMAT.to_string())),
             (
@@ -296,10 +297,9 @@ impl ToJson for SifterSnapshot {
             ),
         ])
     }
-}
 
-impl FromJson for SifterSnapshot {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    /// Decode from a JSON node.
+    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
         // Delegate acceptance to the shared envelope check (one source of
         // truth with `SifterSnapshot::parse`); the two field reads below
         // only enforce presence and type.

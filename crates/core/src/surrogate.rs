@@ -15,11 +15,10 @@ use crate::hierarchy::{Granularity, HierarchyResult};
 use crate::intern::ResourceKey;
 use crate::label::LabeledRequest;
 use crate::ratio::Classification;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What the surrogate does with one method of the original script.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MethodAction {
     /// The method is functional: kept verbatim.
     Keep,
@@ -37,7 +36,7 @@ pub enum MethodAction {
 }
 
 /// The surrogate plan for one mixed script.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurrogateScript {
     /// URL of the original mixed script.
     pub script_url: String,

@@ -13,11 +13,10 @@
 use crate::database::{CrawlDatabase, SiteCrawl};
 use crate::page_load::{LoadOptions, PageLoadSimulator};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use websim::{WebCorpus, Website};
 
 /// Configuration for a crawl.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of worker threads ("nodes"). Defaults to the number of
     /// available CPUs, capped at 13 in homage to the paper's cluster.
@@ -51,7 +50,7 @@ impl ClusterConfig {
 }
 
 /// Summary statistics of a finished crawl.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CrawlSummary {
     /// Sites crawled.
     pub sites: usize,
@@ -145,7 +144,7 @@ impl CrawlCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{FromJson, ToJson, Value};
+    use crate::json::Value;
     use websim::{CorpusGenerator, CorpusProfile};
 
     fn corpus(sites: usize) -> WebCorpus {

@@ -3,18 +3,16 @@
 //! The paper stores every captured event in a database that the (post hoc,
 //! offline) hierarchical analysis then consumes. [`CrawlDatabase`] is that
 //! store: one [`SiteCrawl`] per website, holding the site metadata and the
-//! raw request events. It serialises to JSON so crawls can be persisted and
-//! re-analysed without re-crawling.
+//! raw request events. It renders to and decodes from JSON text
+//! ([`CrawlDatabase::to_json`] / [`CrawlDatabase::from_json`]), so a crawl
+//! can be kept and re-analysed without re-crawling.
 
 use crate::events::RequestWillBeSent;
-use crate::json::{object, FromJson, JsonError, ToJson, Value};
+use crate::json::{object, JsonError, Value};
 use crate::page_load::PageLoadResult;
-use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
-use std::path::Path;
 
 /// Everything recorded while crawling one website.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteCrawl {
     /// Rank of the site in the crawl list.
     pub rank: usize,
@@ -51,10 +49,45 @@ impl SiteCrawl {
     pub fn script_initiated(&self) -> impl Iterator<Item = &RequestWillBeSent> {
         self.requests.iter().filter(|r| r.is_script_initiated())
     }
+
+    /// Build the JSON representation.
+    pub fn to_json_value(&self) -> Value {
+        object(vec![
+            ("rank", Value::Number(self.rank as f64)),
+            ("page_url", Value::String(self.page_url.clone())),
+            ("site_domain", Value::String(self.site_domain.clone())),
+            (
+                "requests",
+                Value::Array(
+                    self.requests
+                        .iter()
+                        .map(RequestWillBeSent::to_json_value)
+                        .collect(),
+                ),
+            ),
+            ("load_time_ms", Value::number_u64(self.load_time_ms)),
+        ])
+    }
+
+    /// Decode from a JSON node.
+    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        Ok(SiteCrawl {
+            rank: value.field("rank")?.as_usize()?,
+            page_url: value.field("page_url")?.as_str()?.to_string(),
+            site_domain: value.field("site_domain")?.as_str()?.to_string(),
+            requests: value
+                .field("requests")?
+                .as_array()?
+                .iter()
+                .map(RequestWillBeSent::from_json_value)
+                .collect::<Result<_, _>>()?,
+            load_time_ms: value.field("load_time_ms")?.as_u64()?,
+        })
+    }
 }
 
 /// The whole crawl.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrawlDatabase {
     /// Per-site records, ordered by site rank.
     pub sites: Vec<SiteCrawl>,
@@ -97,13 +130,6 @@ impl CrawlDatabase {
         self.sites.sort_by_key(|s| s.rank);
     }
 
-    /// Merge another database into this one (used by the cluster to combine
-    /// per-worker shards).
-    pub fn merge(&mut self, other: CrawlDatabase) {
-        self.sites.extend(other.sites);
-        self.sites.sort_by_key(|s| s.rank);
-    }
-
     /// Average simulated page load time across sites, in milliseconds.
     pub fn average_load_time_ms(&self) -> f64 {
         if self.sites.is_empty() {
@@ -117,8 +143,8 @@ impl CrawlDatabase {
     }
 
     /// Serialise to JSON (via the deterministic [`crate::json`] codec).
-    pub fn to_json(&self) -> Result<String, JsonError> {
-        Ok(self.to_json_value().render())
+    pub fn to_json(&self) -> String {
+        self.to_json_value().render()
     }
 
     /// Deserialise from JSON.
@@ -126,65 +152,16 @@ impl CrawlDatabase {
         Self::from_json_value(&Value::parse(json)?)
     }
 
-    /// Write the database to a file as JSON.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let json = self.to_json().map_err(std::io::Error::other)?;
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(json.as_bytes())
-    }
-
-    /// Load a database previously written with [`CrawlDatabase::save`].
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        let mut file = std::fs::File::open(path)?;
-        let mut json = String::new();
-        file.read_to_string(&mut json)?;
-        Self::from_json(&json).map_err(std::io::Error::other)
-    }
-}
-
-impl ToJson for SiteCrawl {
-    fn to_json_value(&self) -> Value {
-        object(vec![
-            ("rank", Value::Number(self.rank as f64)),
-            ("page_url", Value::String(self.page_url.clone())),
-            ("site_domain", Value::String(self.site_domain.clone())),
-            (
-                "requests",
-                Value::Array(self.requests.iter().map(ToJson::to_json_value).collect()),
-            ),
-            ("load_time_ms", Value::number_u64(self.load_time_ms)),
-        ])
-    }
-}
-
-impl FromJson for SiteCrawl {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        Ok(SiteCrawl {
-            rank: value.field("rank")?.as_usize()?,
-            page_url: value.field("page_url")?.as_str()?.to_string(),
-            site_domain: value.field("site_domain")?.as_str()?.to_string(),
-            requests: value
-                .field("requests")?
-                .as_array()?
-                .iter()
-                .map(RequestWillBeSent::from_json_value)
-                .collect::<Result<_, _>>()?,
-            load_time_ms: value.field("load_time_ms")?.as_u64()?,
-        })
-    }
-}
-
-impl ToJson for CrawlDatabase {
-    fn to_json_value(&self) -> Value {
+    /// Build the JSON representation.
+    pub fn to_json_value(&self) -> Value {
         object(vec![(
             "sites",
-            Value::Array(self.sites.iter().map(ToJson::to_json_value).collect()),
+            Value::Array(self.sites.iter().map(SiteCrawl::to_json_value).collect()),
         )])
     }
-}
 
-impl FromJson for CrawlDatabase {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    /// Decode from a JSON node.
+    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
         Ok(CrawlDatabase {
             sites: value
                 .field("sites")?
@@ -230,37 +207,9 @@ mod tests {
     #[test]
     fn database_round_trips_through_json() {
         let db = db();
-        let json = db.to_json().unwrap();
+        let json = db.to_json();
         let back = CrawlDatabase::from_json(&json).unwrap();
         assert_eq!(db, back);
-    }
-
-    #[test]
-    fn save_and_load_round_trip() {
-        let db = db();
-        let dir = std::env::temp_dir().join("trackersift-test-db");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("crawl.json");
-        db.save(&path).unwrap();
-        let back = CrawlDatabase::load(&path).unwrap();
-        assert_eq!(db, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn merge_keeps_rank_order() {
-        let db = db();
-        let mut left = CrawlDatabase::new();
-        let mut right = CrawlDatabase::new();
-        for (i, site) in db.sites.iter().enumerate() {
-            if i % 2 == 0 {
-                left.sites.push(site.clone());
-            } else {
-                right.sites.push(site.clone());
-            }
-        }
-        left.merge(right);
-        assert_eq!(left, db);
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! correctness.
 
 use filterlist::ResourceType;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One frame of a JavaScript call stack.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StackFrame {
     /// URL of the script the frame belongs to (for inline scripts this is
     /// the document URL, exactly as DevTools reports it).
@@ -62,7 +61,7 @@ impl StackFrame {
 /// frames (the paper: "the stack trace that preceded the request is
 /// prepended" to the ancestry), with `async_boundary` recording where the
 /// synchronous portion ends.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CallStack {
     /// Stack frames, innermost first.
     pub frames: Vec<StackFrame>,
@@ -91,22 +90,10 @@ impl CallStack {
     pub fn initiator_script(&self) -> Option<&str> {
         self.initiator_frame().map(|f| &*f.script_url)
     }
-
-    /// All distinct script URLs appearing anywhere in the stack, innermost
-    /// first — the "ancestral scripts" the paper also labels.
-    pub fn ancestral_scripts(&self) -> Vec<&str> {
-        let mut seen = Vec::new();
-        for frame in &self.frames {
-            if !seen.contains(&&*frame.script_url) {
-                seen.push(&*frame.script_url);
-            }
-        }
-        seen
-    }
 }
 
 /// The `requestWillBeSent` event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestWillBeSent {
     /// Unique identifier of the request within the crawl.
     pub request_id: u64,
@@ -135,7 +122,7 @@ impl RequestWillBeSent {
 mod codec {
     //! JSON codec impls for the event types (see [`crate::json`]).
     use super::{CallStack, RequestWillBeSent, StackFrame};
-    use crate::json::{object, FromJson, JsonError, ToJson, Value};
+    use crate::json::{object, JsonError, Value};
     use filterlist::ResourceType;
 
     fn resource_type_from_name(name: &str) -> Result<ResourceType, JsonError> {
@@ -143,8 +130,9 @@ mod codec {
             .ok_or_else(|| JsonError(format!("unknown resource type `{name}`")))
     }
 
-    impl ToJson for StackFrame {
-        fn to_json_value(&self) -> Value {
+    impl StackFrame {
+        /// Build the JSON representation.
+        pub fn to_json_value(&self) -> Value {
             object(vec![
                 ("script_url", Value::String(self.script_url.to_string())),
                 (
@@ -155,10 +143,9 @@ mod codec {
                 ("column", Value::Number(self.column as f64)),
             ])
         }
-    }
 
-    impl FromJson for StackFrame {
-        fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        /// Decode from a JSON node.
+        pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
             Ok(StackFrame {
                 script_url: value.field("script_url")?.as_str()?.into(),
                 function_name: value.field("function_name")?.as_str()?.into(),
@@ -168,19 +155,19 @@ mod codec {
         }
     }
 
-    impl ToJson for CallStack {
-        fn to_json_value(&self) -> Value {
-            let frames = Value::Array(self.frames.iter().map(ToJson::to_json_value).collect());
+    impl CallStack {
+        /// Build the JSON representation.
+        pub fn to_json_value(&self) -> Value {
+            let frames = Value::Array(self.frames.iter().map(StackFrame::to_json_value).collect());
             let boundary = match self.async_boundary {
                 Some(i) => Value::Number(i as f64),
                 None => Value::Null,
             };
             object(vec![("frames", frames), ("async_boundary", boundary)])
         }
-    }
 
-    impl FromJson for CallStack {
-        fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        /// Decode from a JSON node.
+        pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
             let frames = value
                 .field("frames")?
                 .as_array()?
@@ -198,8 +185,9 @@ mod codec {
         }
     }
 
-    impl ToJson for RequestWillBeSent {
-        fn to_json_value(&self) -> Value {
+    impl RequestWillBeSent {
+        /// Build the JSON representation.
+        pub fn to_json_value(&self) -> Value {
             object(vec![
                 ("request_id", Value::number_u64(self.request_id)),
                 (
@@ -216,10 +204,9 @@ mod codec {
                 ("timestamp_ms", Value::number_u64(self.timestamp_ms)),
             ])
         }
-    }
 
-    impl FromJson for RequestWillBeSent {
-        fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        /// Decode from a JSON node.
+        pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
             Ok(RequestWillBeSent {
                 request_id: value.field("request_id")?.as_u64()?,
                 top_level_url: value.field("top_level_url")?.as_str()?.into(),
@@ -236,7 +223,6 @@ mod codec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{FromJson, ToJson};
 
     fn stack() -> CallStack {
         CallStack {
@@ -254,18 +240,6 @@ mod tests {
         let s = stack();
         assert_eq!(&*s.initiator_frame().unwrap().function_name, "m2");
         assert_eq!(s.initiator_script().unwrap(), "https://cdn.x.com/clone.js");
-    }
-
-    #[test]
-    fn ancestral_scripts_deduplicate_in_order() {
-        let s = stack();
-        assert_eq!(
-            s.ancestral_scripts(),
-            vec![
-                "https://cdn.x.com/clone.js",
-                "https://tm.example/gtm.js?id=1"
-            ]
-        );
     }
 
     #[test]

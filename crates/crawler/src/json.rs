@@ -4,9 +4,10 @@
 //! database serialises through this hand-rolled codec instead of
 //! `serde_json`. The format is plain JSON — objects keep insertion order and
 //! the writer is deterministic, so equal databases always render to equal
-//! bytes (a property the persistence tests rely on). The [`ToJson`] /
-//! [`FromJson`] traits are implemented by the event and database types in
-//! [`crate::events`] and [`crate::database`].
+//! bytes (a property the persistence tests rely on). A type with a JSON form
+//! has an inherent `to_json_value` / `from_json_value` pair over [`Value`],
+//! as the event and database types in [`crate::events`] and
+//! [`crate::database`] do.
 //!
 //! There is one tokenizer, the pull [`Reader`]: [`Value::parse`] builds its
 //! tree through it, and a consumer that wants a few fields of a document on
@@ -47,18 +48,6 @@ impl std::error::Error for JsonError {}
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(message.into()))
-}
-
-/// Types that render to a JSON [`Value`].
-pub trait ToJson {
-    /// Build the JSON representation.
-    fn to_json_value(&self) -> Value;
-}
-
-/// Types that decode from a JSON [`Value`].
-pub trait FromJson: Sized {
-    /// Decode from a JSON node.
-    fn from_json_value(value: &Value) -> Result<Self, JsonError>;
 }
 
 impl Value {

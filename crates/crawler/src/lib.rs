@@ -18,8 +18,9 @@
 //!   async-stack prepending, and optional script/request blocking for
 //!   breakage experiments);
 //! * [`cluster`] — the parallel, stateless crawl orchestrator;
-//! * [`database`] — the crawl database the offline analysis consumes, with
-//!   JSON persistence.
+//! * [`database`] — the crawl database the offline analysis consumes;
+//! * [`json`] — the deterministic JSON codec the database and the events
+//!   render to and decode from.
 //!
 //! ```
 //! use crawler::{ClusterConfig, CrawlCluster};

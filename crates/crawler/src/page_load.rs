@@ -15,7 +15,6 @@
 
 use crate::events::{CallStack, RequestWillBeSent, StackFrame};
 use filterlist::ResourceType;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
 use websim::{FeatureImportance, PageScript, Website};
@@ -50,7 +49,7 @@ impl LoadOptions {
 }
 
 /// The outcome of loading one page.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageLoadResult {
     /// Every request, in emission order.
     pub requests: Vec<RequestWillBeSent>,
@@ -61,16 +60,6 @@ pub struct PageLoadResult {
     pub broken_features: Vec<(String, FeatureImportance)>,
     /// Simulated time until the `onLoad` event fired, in milliseconds.
     pub load_time_ms: u64,
-}
-
-impl PageLoadResult {
-    /// Count of script-initiated requests.
-    pub fn script_initiated_count(&self) -> usize {
-        self.requests
-            .iter()
-            .filter(|r| r.is_script_initiated())
-            .count()
-    }
 }
 
 /// The page-load simulator. Stateless between loads (the paper's crawler
@@ -440,6 +429,14 @@ mod tests {
         CorpusGenerator::generate(&CorpusProfile::small().with_sites(40), 11)
     }
 
+    fn script_initiated(result: &PageLoadResult) -> usize {
+        result
+            .requests
+            .iter()
+            .filter(|r| r.is_script_initiated())
+            .count()
+    }
+
     #[test]
     fn every_planned_script_request_is_emitted_when_unblocked() {
         let corpus = small_corpus();
@@ -447,7 +444,7 @@ mod tests {
         for site in &corpus.websites {
             let result = sim.load(site);
             assert_eq!(
-                result.script_initiated_count(),
+                script_initiated(&result),
                 site.script_initiated_request_count() + dynamic_injections(site),
                 "site {}",
                 site.domain
@@ -558,8 +555,9 @@ mod tests {
                     for req in loaded_requests {
                         assert!(
                             req.call_stack
-                                .ancestral_scripts()
-                                .contains(&loader.origin.url()),
+                                .frames
+                                .iter()
+                                .any(|f| &*f.script_url == loader.origin.url()),
                             "request {} lacks loader ancestry",
                             req.url
                         );
@@ -605,7 +603,7 @@ mod tests {
 
         assert!(control.broken_features.is_empty());
         assert!(!treatment.broken_features.is_empty());
-        assert!(treatment.script_initiated_count() < control.script_initiated_count());
+        assert!(script_initiated(&treatment) < script_initiated(&control));
         // None of the blocked script's requests were sent.
         assert!(treatment
             .requests

@@ -10,11 +10,10 @@ use crate::index::RuleIndex;
 use crate::parser::parse_list;
 use crate::request::{FilterRequest, RequestScratch, RequestView, ResourceType};
 use crate::rule::{FilterRule, ListKind};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// The label TrackerSift assigns to a single network request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestLabel {
     /// The request matched EasyList or EasyPrivacy (and no exception).
     Tracking,
@@ -30,7 +29,7 @@ impl RequestLabel {
 }
 
 /// The detailed outcome of evaluating a request against the engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatchOutcome {
     /// A blocking rule matched and no exception rule overrode it.
     Blocked {
@@ -132,25 +131,10 @@ impl FilterEngine {
         self.blocking.len() + self.exceptions.len()
     }
 
-    /// Number of blocking rules.
-    pub fn blocking_rule_count(&self) -> usize {
-        self.blocking.len()
-    }
-
-    /// Number of exception rules.
-    pub fn exception_rule_count(&self) -> usize {
-        self.exceptions.len()
-    }
-
     /// The `$removeparam=` modifier rules, in list order — the rule source a
     /// URL rewriter consumes (they take no part in [`FilterEngine::label`]).
     pub fn removeparam_rules(&self) -> &[FilterRule] {
         &self.removeparam
-    }
-
-    /// Number of `$removeparam=` modifier rules.
-    pub fn removeparam_rule_count(&self) -> usize {
-        self.removeparam.len()
     }
 
     /// Evaluate a request, returning the full outcome.
@@ -376,14 +360,8 @@ mod tests {
             FilterEngine::from_lists(&[(ListKind::EasyList, base), (ListKind::Custom, extra_text)]);
 
         assert_eq!(extended.rule_count(), scratch.rule_count());
-        assert_eq!(
-            extended.blocking_rule_count(),
-            scratch.blocking_rule_count()
-        );
-        assert_eq!(
-            extended.exception_rule_count(),
-            scratch.exception_rule_count()
-        );
+        assert_eq!(extended.blocking.len(), scratch.blocking.len());
+        assert_eq!(extended.exceptions.len(), scratch.exceptions.len());
         let cases = [
             ("https://tracker.io/t.js", ResourceType::Script),
             ("https://tracker.io/lib/ok.js", ResourceType::Script),
@@ -411,8 +389,8 @@ mod tests {
     #[test]
     fn removeparam_rules_are_modifiers_not_blockers() {
         let e = engine("*$removeparam=gclid\n||shop.example^$removeparam=utm_*\n||tracker.io^\n");
-        assert_eq!(e.removeparam_rule_count(), 2);
-        assert_eq!(e.blocking_rule_count(), 1);
+        assert_eq!(e.removeparam_rules().len(), 2);
+        assert_eq!(e.blocking.len(), 1);
         // A global removeparam rule must not label arbitrary requests.
         let r = req(
             "https://images.shop.com/logo.png?gclid=abc",
@@ -431,8 +409,8 @@ mod tests {
         let mut e = engine("||tracker.io^\n");
         let extra = crate::parser::parse_list("*$removeparam=fbclid\n", ListKind::Custom);
         e.extend_with_rules(extra.rules);
-        assert_eq!(e.removeparam_rule_count(), 1);
-        assert_eq!(e.blocking_rule_count(), 1);
+        assert_eq!(e.removeparam_rules().len(), 1);
+        assert_eq!(e.blocking.len(), 1);
     }
 
     #[test]

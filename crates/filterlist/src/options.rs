@@ -9,10 +9,9 @@
 
 use crate::domain::hostname_within;
 use crate::request::{RequestView, ResourceType};
-use serde::{Deserialize, Serialize};
 
 /// Tri-state constraint on request party-ness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartyConstraint {
     /// Rule applies regardless of party.
     #[default]
@@ -25,7 +24,7 @@ pub enum PartyConstraint {
 
 /// A single entry of the `$domain=` option: either an allowed initiator
 /// domain or (when prefixed with `~`) an excluded one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainEntry {
     /// The domain text, lower-cased, without the `~` prefix.
     pub domain: String,
@@ -34,7 +33,7 @@ pub struct DomainEntry {
 }
 
 /// Parsed rule options.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RuleOptions {
     /// Resource types the rule is restricted to (`$script,image`). Empty
     /// means "any type".

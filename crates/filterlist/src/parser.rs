@@ -15,10 +15,9 @@
 use crate::options::RuleOptions;
 use crate::pattern::Pattern;
 use crate::rule::{FilterRule, ListKind};
-use serde::{Deserialize, Serialize};
 
 /// Statistics from parsing one list.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParseStats {
     /// Total lines read.
     pub lines: usize,

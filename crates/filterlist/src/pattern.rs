@@ -20,10 +20,9 @@
 //! segments are short.
 
 use crate::url::UrlView;
-use serde::{Deserialize, Serialize};
 
 /// How the start of a pattern is anchored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Anchor {
     /// Unanchored: the pattern may match anywhere in the URL.
     None,
@@ -35,7 +34,7 @@ pub enum Anchor {
 }
 
 /// One element of a compiled pattern segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Atom {
     /// A literal (already lower-cased unless `match_case`) byte.
     Literal(u8),
@@ -50,7 +49,7 @@ enum Atom {
 /// scans skip through the text on the prefix's statistically rarest byte
 /// instead of probing every offset. Most real filter segments are entirely
 /// literal, so the atom-by-atom loop only runs for `^` separators.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Segment {
     atoms: Vec<Atom>,
     /// Longest all-literal prefix of `atoms`, contiguous for memcmp.
@@ -226,7 +225,7 @@ pub fn is_separator_byte(b: u8) -> bool {
 }
 
 /// A compiled URL pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pattern {
     /// Original pattern text, trimmed but with anchors (`||`, `|`) still
     /// present. [`Pattern::index_token_hashes`] depends on this: it strips

@@ -16,13 +16,12 @@
 
 use crate::domain::registrable_suffix;
 use crate::url::{locate_host, ParsedUrl, UrlView};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
 /// Resource type of a network request, mirroring the DevTools
 /// `resource_type` field the paper's crawler records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceType {
     /// JavaScript file.
     Script,
@@ -230,7 +229,7 @@ impl RequestScratch {
 /// A network request, owned: the fields of [`RequestView`] computed once at
 /// construction and kept, so evaluating the request against any number of
 /// rule indices allocates nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterRequest {
     /// Parsed request URL. Private: `token_hashes` and `third_party` are
     /// derived from it at construction, so mutation would silently

@@ -3,14 +3,13 @@
 use crate::options::RuleOptions;
 use crate::pattern::Pattern;
 use crate::request::RequestView;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which list a rule came from. The paper uses EasyList (advertising) and
 /// EasyPrivacy (tracking); both map to the "tracking" label, but keeping the
 /// provenance lets reports distinguish ad-blocking hits from pure tracking
 /// hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ListKind {
     /// EasyList — advertising.
     EasyList,
@@ -31,7 +30,7 @@ impl fmt::Display for ListKind {
 }
 
 /// A parsed network filter rule (blocking or exception).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FilterRule {
     /// The original rule text, as it appeared in the list.
     pub text: String,

@@ -7,7 +7,6 @@
 //! full `url` crate: the corpus only contains `http`/`https`/`data` URLs and
 //! never needs percent-decoding or IDNA.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A parsed request URL.
@@ -15,7 +14,7 @@ use std::fmt;
 /// The original string is retained because pattern matching operates on the
 /// raw URL text (lower-cased); the hostname and its offset are used for
 /// anchored matching and party determination.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ParsedUrl {
     /// The full original URL, exactly as given.
     pub raw: String,

@@ -85,11 +85,6 @@ impl RewrittenUrl {
     pub fn url(&self) -> &str {
         &self.url
     }
-
-    /// Consume the wrapper, returning the owned URL string.
-    pub fn into_url(self) -> String {
-        self.url
-    }
 }
 
 impl fmt::Display for RewrittenUrl {

@@ -339,7 +339,8 @@ mod tests {
     fn rewritten(rw: &super::UrlRewriter, url: &str) -> String {
         rw.rewrite(url)
             .unwrap_or_else(|| panic!("{url} should rewrite"))
-            .into_url()
+            .url()
+            .to_string()
     }
 
     #[test]

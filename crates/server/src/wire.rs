@@ -355,17 +355,6 @@ pub fn decode_decision_batch<'a>(
     rows.unwrap_or_else(|| err("missing field `requests`"))
 }
 
-/// Encode a decision. The encoding is canonical (field order fixed), so
-/// equal decisions render to byte-identical JSON.
-pub fn decision_to_json(decision: &Decision) -> Value {
-    frames::decision_value(decision)
-}
-
-/// Decode a decision.
-pub fn decision_from_json(value: &Value) -> Result<Decision, JsonError> {
-    frames::decision_from_value(value)
-}
-
 // ---------------------------------------------------------------------
 // Binary protocol
 // ---------------------------------------------------------------------
@@ -444,15 +433,6 @@ pub struct BinaryRequest<'a> {
     pub epoch: u64,
     /// The decision records.
     pub records: Vec<BinaryRecord<'a>>,
-}
-
-impl BinaryRequest<'_> {
-    /// Whether any record uses interned ids (and thus the epoch matters).
-    pub fn uses_ids(&self) -> bool {
-        self.records
-            .iter()
-            .any(|record| matches!(record.keys, BinaryKeys::Ids { .. }))
-    }
 }
 
 /// A binary request body decoded record by record, borrowing the body:
@@ -1014,11 +994,11 @@ mod tests {
             ))),
         ];
         for decision in decisions {
-            let text = decision_to_json(&decision).render();
-            let back = decision_from_json(&Value::parse(&text).unwrap()).unwrap();
+            let text = frames::decision_value(&decision).render();
+            let back = frames::decision_from_value(&Value::parse(&text).unwrap()).unwrap();
             assert_eq!(back, decision);
             // Canonical encoding: re-rendering is byte-identical.
-            assert_eq!(decision_to_json(&back).render(), text);
+            assert_eq!(frames::decision_value(&back).render(), text);
         }
     }
 
@@ -1120,7 +1100,9 @@ mod tests {
 
     #[test]
     fn unknown_discriminants_are_rejected() {
-        assert!(decision_from_json(&Value::parse(r#"{"action":"explode"}"#).unwrap()).is_err());
+        assert!(
+            frames::decision_from_value(&Value::parse(r#"{"action":"explode"}"#).unwrap()).is_err()
+        );
         assert!(resource_type_from_str("warp-drive").is_err());
         assert!(resource_type_from_code(250).is_err());
     }
@@ -1155,14 +1137,12 @@ mod tests {
         assert!(!decoded.batch);
         assert_eq!(decoded.epoch, 7);
         assert_eq!(decoded.records, vec![string_record]);
-        assert!(!decoded.uses_ids());
 
         let batch = encode_binary_batch(9, &[id_record, string_record]);
         let decoded = decode_binary_request(&batch).expect("batch decodes");
         assert!(decoded.batch);
         assert_eq!(decoded.epoch, 9);
         assert_eq!(decoded.records, vec![id_record, string_record]);
-        assert!(decoded.uses_ids());
 
         // Every truncation fails cleanly, never panics.
         for cut in 0..batch.len() {

@@ -162,7 +162,7 @@ fn serve(parser: &mut RequestParser, table: &VerdictTable, batch: bool, out: &mu
 fn reference_json(reader: &SifterReader, rows: &[DecisionMessage], batch: bool) -> Vec<u8> {
     let decisions: Vec<Value> = rows
         .iter()
-        .map(|message| wire::decision_to_json(&reader.decide(&message.as_request())))
+        .map(|message| trackersift::frames::decision_value(&reader.decide(&message.as_request())))
         .collect();
     let version = ("version", Value::number_u64(reader.version()));
     let body = if batch {

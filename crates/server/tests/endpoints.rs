@@ -1527,10 +1527,10 @@ proptest! {
                         // canonical encoding of the local decision...
                         prop_assert_eq!(
                             served.render(),
-                            wire::decision_to_json(&expected).render()
+                            trackersift::frames::decision_value(&expected).render()
                         );
                         // ...and deserialises back to an equal Decision.
-                        let decoded = wire::decision_from_json(served).expect("decode decision");
+                        let decoded = trackersift::frames::decision_from_value(served).expect("decode decision");
                         prop_assert_eq!(&decoded, &expected);
 
                         // The binary codec agrees too, in both key forms.

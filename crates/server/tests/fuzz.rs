@@ -622,7 +622,7 @@ fn assert_endpoint_agrees(
         if let Some(url) = url {
             message = message.with_url(url, source_hostname, *resource_type);
         }
-        wire::decision_to_json(&reader.decide(&message.as_request()))
+        trackersift::frames::decision_value(&reader.decide(&message.as_request()))
     };
     let version = ("version", Value::number_u64(reader.version()));
     let expected = match expected {

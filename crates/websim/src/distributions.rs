@@ -58,17 +58,6 @@ impl Zipf {
             Err(i) => i.min(self.cumulative.len() - 1),
         }
     }
-
-    /// The probability mass of a rank (useful for tests).
-    pub fn pmf(&self, rank: usize) -> f64 {
-        let total = *self.cumulative.last().expect("non-empty");
-        let lo = if rank == 0 {
-            0.0
-        } else {
-            self.cumulative[rank - 1]
-        };
-        (self.cumulative[rank] - lo) / total
-    }
 }
 
 /// Log-normal sampler via Box–Muller; used for per-resource request volumes.
@@ -162,13 +151,6 @@ mod tests {
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[10] > counts[90]);
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = Zipf::new(50, 1.2);
-        let total: f64 = (0..50).map(|r| z.pmf(r)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

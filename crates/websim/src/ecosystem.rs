@@ -14,10 +14,9 @@ use crate::model::Purpose;
 use crate::names::NameFactory;
 use filterlist::ResourceType;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The archetype of a third-party service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceKind {
     /// Pure advertising network (doubleclick-like).
     AdNetwork,
@@ -61,7 +60,7 @@ impl ServiceKind {
 }
 
 /// The role a hostname plays within its service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostRole {
     /// Serves only tracking endpoints (e.g. `pixel.wp.com`).
     Tracking,
@@ -72,7 +71,7 @@ pub enum HostRole {
 }
 
 /// One hostname belonging to a service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostSpec {
     /// Fully qualified hostname.
     pub hostname: String,
@@ -81,7 +80,7 @@ pub struct HostSpec {
 }
 
 /// A third-party service in the ecosystem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Service {
     /// Stable index of the service within the ecosystem.
     pub id: usize,
@@ -114,7 +113,7 @@ impl Service {
 }
 
 /// The complete third-party ecosystem.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ecosystem {
     /// Every service, indexed by `Service::id`.
     pub services: Vec<Service>,

@@ -429,7 +429,7 @@ fn generate_document_requests(
 }
 
 /// Aggregate statistics about a corpus (generator-side ground truth).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorpusStats {
     /// Number of websites.
     pub websites: usize,

@@ -11,11 +11,10 @@
 //! oracle behaves like the intent it encodes.
 
 use filterlist::ResourceType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ground-truth intent of a planned request (generator-side knowledge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Purpose {
     /// Advertising / tracking behaviour.
     Tracking,
@@ -33,7 +32,7 @@ impl fmt::Display for Purpose {
 }
 
 /// A network request a script method will issue during the page load.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedRequest {
     /// Full request URL.
     pub url: String,
@@ -51,12 +50,11 @@ pub struct PlannedRequest {
     /// arrive via different callers — the calling-context signal the paper's
     /// Figure 5 call-stack analysis exploits. The crawler inserts the caller
     /// as an extra stack frame directly above the issuing method.
-    #[serde(default)]
     pub via_caller: Option<String>,
 }
 
 /// A method (named function) inside a script.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScriptMethodSpec {
     /// JavaScript-style method name (e.g. `sendBeacon`, `Pa.xhrRequest`).
     pub name: String,
@@ -79,7 +77,7 @@ impl ScriptMethodSpec {
 }
 
 /// How a script arrived on the page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScriptOrigin {
     /// A classic `<script src="...">` external script.
     External {
@@ -113,21 +111,11 @@ impl ScriptOrigin {
             ScriptOrigin::Bundled { url, .. } => url,
         }
     }
-
-    /// `true` for inline snippets.
-    pub fn is_inline(&self) -> bool {
-        matches!(self, ScriptOrigin::Inline { .. })
-    }
-
-    /// `true` for bundles.
-    pub fn is_bundled(&self) -> bool {
-        matches!(self, ScriptOrigin::Bundled { .. })
-    }
 }
 
 /// Generator-side expectation of how a script should end up classified.
 /// Used only for corpus statistics and tests, never by the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScriptArchetype {
     /// Issues only tracking requests (analytics tags, ad loaders).
     Tracking,
@@ -138,7 +126,7 @@ pub enum ScriptArchetype {
 }
 
 /// A script as it exists on one particular page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageScript {
     /// Where the script came from.
     pub origin: ScriptOrigin,
@@ -170,7 +158,7 @@ impl PageScript {
 /// How important a page feature is — the paper's breakage rubric
 /// distinguishes core functionality (search bar, navigation, images) from
 /// secondary functionality (comments, widgets, video players).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureImportance {
     /// Core functionality: navigation, search, page images, page load itself.
     Core,
@@ -179,7 +167,7 @@ pub enum FeatureImportance {
 }
 
 /// A user-visible page feature and the scripts it needs to work.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Feature {
     /// Human-readable feature name (e.g. "image carousel", "comment section").
     pub name: String,
@@ -191,7 +179,7 @@ pub struct Feature {
 }
 
 /// One website (landing page) in the corpus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Website {
     /// Popularity rank within the corpus (0 = most popular).
     pub rank: usize,
@@ -216,18 +204,10 @@ impl Website {
     pub fn script_initiated_request_count(&self) -> usize {
         self.scripts.iter().map(|s| s.planned_request_count()).sum()
     }
-
-    /// Number of scripts whose archetype is [`ScriptArchetype::Mixed`].
-    pub fn mixed_script_count(&self) -> usize {
-        self.scripts
-            .iter()
-            .filter(|s| s.archetype == ScriptArchetype::Mixed)
-            .count()
-    }
 }
 
 /// The whole corpus: websites plus the third-party ecosystem they embed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WebCorpus {
     /// Every website in the corpus (index = rank).
     pub websites: Vec<Website>,
@@ -286,8 +266,7 @@ mod tests {
         };
         assert_eq!(ext.url(), "https://cdn.x.com/a.js");
         assert_eq!(inl.url(), "https://site.com/");
-        assert!(inl.is_inline());
-        assert!(bun.is_bundled());
+        assert_eq!(bun.url(), "https://site.com/app.abc.js");
     }
 
     #[test]
@@ -334,6 +313,5 @@ mod tests {
             )],
         };
         assert_eq!(site.script_initiated_request_count(), 0);
-        assert_eq!(site.mixed_script_count(), 0);
     }
 }

@@ -33,10 +33,9 @@ use crate::model::{PlannedRequest, Purpose, ScriptArchetype, ScriptOrigin, WebCo
 use filterlist::url::hostname_of;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-epoch mutation probabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MutationConfig {
     /// Probability that an external tracking script rotates to a fresh CDN
     /// subdomain in a given epoch.
@@ -72,7 +71,7 @@ impl MutationConfig {
 }
 
 /// One script whose origin URL moved to a fresh CDN subdomain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScriptRotation {
     /// Index of the website in the corpus.
     pub site: usize,
@@ -85,7 +84,7 @@ pub struct ScriptRotation {
 }
 
 /// What one epoch of mutation did to the corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MutationReport {
     /// The epoch the mutation was applied for.
     pub epoch: u64,

@@ -6,10 +6,8 @@
 //! and the calibration that approximates the paper's Tables 1–2 is explicit
 //! and inspectable.
 
-use serde::{Deserialize, Serialize};
-
 /// All generation parameters for a [`crate::generator::CorpusGenerator`] run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusProfile {
     /// Number of websites (landing pages) to generate.
     pub sites: usize,
@@ -267,7 +265,7 @@ impl Default for CorpusProfile {
 }
 
 /// Absolute service counts derived from a profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EcosystemCounts {
     /// Pure advertising networks.
     pub ad_networks: usize,
@@ -347,9 +345,6 @@ mod tests {
 
     #[test]
     fn profile_clones_compare_equal_and_overrides_stick() {
-        // (The serde round-trip test lived here; JSON persistence now goes
-        // through crawler::json, which does not cover profiles. Equality and
-        // builder overrides are what the pipeline actually relies on.)
         let p = CorpusProfile::paper();
         assert_eq!(p, p.clone());
         let overridden = p.clone().with_sites(123);

@@ -680,10 +680,10 @@ mod tests {
             &mut rng,
         );
         assert_eq!(s.archetype, ScriptArchetype::Mixed);
-        assert!(s.origin.is_bundled());
-        if let ScriptOrigin::Bundled { modules, .. } = &s.origin {
-            assert!(modules.iter().any(|m| m.ends_with("-pixel")));
-        }
+        let ScriptOrigin::Bundled { modules, .. } = &s.origin else {
+            panic!("expected a bundle, got {:?}", s.origin);
+        };
+        assert!(modules.iter().any(|m| m.ends_with("-pixel")));
     }
 
     #[test]

@@ -300,7 +300,7 @@ proptest! {
     fn crawl_database_round_trips_for_random_corpora(seed in 0u64..1_000, sites in 5usize..25) {
         let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(sites), seed);
         let db = CrawlCluster::new(ClusterConfig::default()).crawl(&corpus);
-        let json = db.to_json().unwrap();
+        let json = db.to_json();
         let back = CrawlDatabase::from_json(&json).unwrap();
         prop_assert_eq!(db, back);
     }
