@@ -72,7 +72,7 @@ pub enum RevisionFetchError {
     Status(u16, String),
     /// The exchange failed at the transport layer.
     Transport(io::Error),
-    /// The `200` body did not parse as the expected canonical shape.
+    /// The body did not decode as the expected binary frame.
     Malformed(String),
 }
 
@@ -92,45 +92,33 @@ impl fmt::Display for RevisionFetchError {
 
 impl std::error::Error for RevisionFetchError {}
 
-/// Which representation a typed fetch ([`Client::fetch_revisions`],
-/// [`Client::fetch_revision_diff`], [`Client::fetch_snapshot_since`]) asks
-/// the server for. Both decode to the same values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Encoding {
-    /// The canonical JSON documents.
-    Json,
-    /// The binary framing of [`trackersift::frames`].
-    Binary,
-}
+/// The one header every typed fetch adds: Rust callers read the binary
+/// framing of [`trackersift::frames`]; the JSON documents the same
+/// endpoints serve without it are for inspection.
+const ACCEPT_BINARY: Option<(&str, &str)> = Some(("Accept", wire::BINARY_CONTENT_TYPE));
 
 fn malformed(error: impl fmt::Display) -> RevisionFetchError {
     RevisionFetchError::Malformed(error.to_string())
 }
 
-/// Parse the `200` JSON body of `GET /v1/revisions` into the table
-/// version and the revision ring.
-pub fn parse_revision_list(body: &[u8]) -> Result<(u64, Vec<VerdictRevision>), RevisionFetchError> {
-    let value = parse_json_body(body)?;
-    frames::revision_list_from_value(&value).map_err(malformed)
+/// The body of a response whose status is one of `accepted`.
+fn body_of(response: RawResponse, accepted: &[u16]) -> Result<Vec<u8>, RevisionFetchError> {
+    if !accepted.contains(&response.status) {
+        return Err(RevisionFetchError::Status(
+            response.status,
+            String::from_utf8_lossy(&response.body).into_owned(),
+        ));
+    }
+    Ok(response.body)
 }
 
-/// Parse the `200` JSON body of `GET /v1/revisions?diff=a..b`.
-pub fn parse_revision_diff(body: &[u8]) -> Result<RevisionDiff, RevisionFetchError> {
-    let value = parse_json_body(body)?;
-    frames::revision_diff_from_value(&value).map_err(malformed)
-}
-
-/// Parse a `GET /v1/snapshot?since=v` JSON body. The `200` delta and the
-/// `410 Gone` full envelope share one canonical shape, so one parser
-/// covers both; [`DeltaSnapshot::is_full`] tells them apart.
-pub fn parse_delta_snapshot(body: &[u8]) -> Result<DeltaSnapshot, RevisionFetchError> {
-    let value = parse_json_body(body)?;
-    frames::delta_snapshot_from_value(&value).map_err(malformed)
-}
-
-fn parse_json_body(body: &[u8]) -> Result<Value, RevisionFetchError> {
-    let text = std::str::from_utf8(body).map_err(|_| malformed("body is not utf-8"))?;
-    Value::parse(text).map_err(malformed)
+/// Decode the answer to a binary `GET /v1/snapshot?since=v`. The `200`
+/// delta and the `410 Gone` full envelope share one frame layout, so both
+/// decode here and [`DeltaSnapshot::is_full`] tells them apart; any other
+/// status is a [`RevisionFetchError::Status`].
+fn snapshot_of(response: RawResponse) -> Result<DeltaSnapshot, RevisionFetchError> {
+    let body = body_of(response, &[200, 410])?;
+    frames::decode_delta_snapshot(&body).map_err(malformed)
 }
 
 /// One fully read response from the non-panicking request path.
@@ -253,15 +241,9 @@ impl Client {
 
     /// Fetch the published revision ring (`GET /v1/revisions`); returns
     /// the table version and the ring, oldest first.
-    pub fn fetch_revisions(
-        &mut self,
-        encoding: Encoding,
-    ) -> Result<(u64, Vec<VerdictRevision>), RevisionFetchError> {
-        let body = self.get("/v1/revisions", encoding, &[200])?;
-        match encoding {
-            Encoding::Json => parse_revision_list(&body),
-            Encoding::Binary => frames::decode_revision_list(&body).map_err(malformed),
-        }
+    pub fn fetch_revisions(&mut self) -> Result<(u64, Vec<VerdictRevision>), RevisionFetchError> {
+        let body = body_of(self.get_binary("/v1/revisions")?, &[200])?;
+        frames::decode_revision_list(&body).map_err(malformed)
     }
 
     /// Fetch the drift between two published versions
@@ -272,57 +254,31 @@ impl Client {
         &mut self,
         from: u64,
         to: u64,
-        encoding: Encoding,
     ) -> Result<RevisionDiff, RevisionFetchError> {
         let target = format!("/v1/revisions?diff={from}..{to}");
-        let body = self.get(&target, encoding, &[200])?;
-        match encoding {
-            Encoding::Json => parse_revision_diff(&body),
-            Encoding::Binary => frames::decode_revision_diff(&body).map_err(malformed),
-        }
+        let body = body_of(self.get_binary(&target)?, &[200])?;
+        frames::decode_revision_diff(&body).map_err(malformed)
     }
 
     /// Fetch the dirty cells since published version `since`
     /// (`GET /v1/snapshot?since=v`). Both a `200` (delta) and a
     /// `410 Gone` (the baseline aged out of the bounded ring; the body is
-    /// a full snapshot envelope) parse into a [`DeltaSnapshot`] and
+    /// a full snapshot envelope) decode into a [`DeltaSnapshot`] and
     /// return `Ok` — [`DeltaSnapshot::is_full`] tells which arrived, and
     /// a full one means the follower must re-bootstrap. Any other status
     /// is a [`RevisionFetchError::Status`].
     pub fn fetch_snapshot_since(
         &mut self,
         since: u64,
-        encoding: Encoding,
     ) -> Result<DeltaSnapshot, RevisionFetchError> {
         let target = format!("/v1/snapshot?since={since}");
-        let body = self.get(&target, encoding, &[200, 410])?;
-        match encoding {
-            Encoding::Json => parse_delta_snapshot(&body),
-            Encoding::Binary => frames::decode_delta_snapshot(&body).map_err(malformed),
-        }
+        snapshot_of(self.get_binary(&target)?)
     }
 
-    /// Issue a `GET` asking for `encoding` (binary adds
-    /// `Accept: application/x-trackersift-verdict`) and return the body of
-    /// a response whose status is one of `accepted`.
-    fn get(
-        &mut self,
-        target: &str,
-        encoding: Encoding,
-        accepted: &[u16],
-    ) -> Result<Vec<u8>, RevisionFetchError> {
-        let accept =
-            (encoding == Encoding::Binary).then_some(("Accept", wire::BINARY_CONTENT_TYPE));
-        let response = self
-            .exchange("GET", target, accept, b"")
-            .map_err(RevisionFetchError::Transport)?;
-        if !accepted.contains(&response.status) {
-            return Err(RevisionFetchError::Status(
-                response.status,
-                String::from_utf8_lossy(&response.body).into_owned(),
-            ));
-        }
-        Ok(response.body)
+    /// Issue a `GET` asking for the binary framing.
+    fn get_binary(&mut self, target: &str) -> Result<RawResponse, RevisionFetchError> {
+        self.exchange("GET", target, ACCEPT_BINARY, b"")
+            .map_err(RevisionFetchError::Transport)
     }
 
     /// Post one binary decision record and decode the reply; returns
@@ -567,21 +523,22 @@ impl RetryingClient {
         self.retries_spent
     }
 
-    /// Issue one request, retrying per the policy. Returns the final
-    /// response — which may still be a `503` if the budget or attempt
-    /// limit ran out while the server was shedding — or the final
-    /// transport error.
+    /// Issue one request, retrying per the policy, with at most one header
+    /// beyond `Host` and `Content-Length` (as [`Client`] writes it).
+    /// Returns the final response — which may still be a `503` if the
+    /// budget or attempt limit ran out while the server was shedding — or
+    /// the final transport error.
     pub fn request(
         &mut self,
         method: &str,
         target: &str,
-        content_type: Option<&str>,
+        header: Option<(&str, &str)>,
         body: &[u8],
     ) -> io::Result<RawResponse> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let result = self.attempt_once(method, target, content_type, body);
+            let result = self.attempt_once(method, target, header, body);
             let retry_hint = match &result {
                 // Only a shed response is worth retrying among successful
                 // exchanges: other statuses (200, 4xx) are final answers.
@@ -614,7 +571,7 @@ impl RetryingClient {
         &mut self,
         method: &str,
         target: &str,
-        content_type: Option<&str>,
+        header: Option<(&str, &str)>,
         body: &[u8],
     ) -> io::Result<RawResponse> {
         if self.conn.is_none() {
@@ -623,7 +580,7 @@ impl RetryingClient {
             self.conn = Some(client);
         }
         let conn = self.conn.as_mut().expect("connection just established");
-        conn.try_request_bytes(method, target, content_type, body)
+        conn.exchange(method, target, header, body)
     }
 
     /// The sleep before retry number `attempt`: exponential from
@@ -690,7 +647,10 @@ pub struct SyncReport {
 
 /// The follower loop in client form: bootstrap from a primary's full
 /// snapshot, then poll `GET /v1/snapshot?since=<local version>` and apply
-/// each delta into a local [`FollowerState`].
+/// each delta into a local [`FollowerState`]. Every poll asks for the
+/// binary framing (`Accept: application/x-trackersift-verdict`) and decodes
+/// it with [`frames::decode_delta_snapshot`]; a body that is anything else
+/// is a [`RevisionFetchError::Malformed`] and leaves the state untouched.
 ///
 /// Every fetch goes through a [`RetryingClient`], so shed (`503`)
 /// responses and transport drops back off and retry under the configured
@@ -761,26 +721,19 @@ impl ReplicaClient {
         self.state.bootstraps()
     }
 
-    /// One poll round: fetch the delta since the local version and apply
-    /// it. Returns what changed; on [`SyncError::Apply`] the local state
-    /// is untouched and the next round self-corrects by fetching from the
+    /// One poll round: fetch the binary delta since the local version and
+    /// apply it. Returns what changed; on any error the local state is
+    /// untouched and the next round self-corrects by fetching from the
     /// still-current local version.
     pub fn sync(&mut self) -> Result<SyncReport, SyncError> {
         let from = self.state.version();
         let target = format!("/v1/snapshot?since={from}");
-        let response = self
+        let delta = self
             .http
-            .request("GET", &target, None, b"")
-            .map_err(|error| SyncError::Fetch(RevisionFetchError::Transport(error)))?;
-        let delta = match response.status {
-            200 | 410 => parse_delta_snapshot(&response.body).map_err(SyncError::Fetch)?,
-            status => {
-                return Err(SyncError::Fetch(RevisionFetchError::Status(
-                    status,
-                    String::from_utf8_lossy(&response.body).into_owned(),
-                )))
-            }
-        };
+            .request("GET", &target, ACCEPT_BINARY, b"")
+            .map_err(RevisionFetchError::Transport)
+            .and_then(snapshot_of)
+            .map_err(SyncError::Fetch)?;
         let full = delta.is_full();
         let changes = delta.changes.len() as u64;
         self.state.apply(&delta).map_err(SyncError::Apply)?;
@@ -807,84 +760,100 @@ impl ReplicaClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
     use trackersift::{ChangeKind, Classification, Granularity, RevisionChange};
 
-    /// Golden fixture: the canonical `GET /v1/revisions` body for a ring
-    /// of two revisions (an add, then a flip + a removal).
-    const REVISION_LIST_FIXTURE: &str = concat!(
-        r#"{"version":3,"revisions":["#,
-        r#"{"version":2,"changes":[{"granularity":"Script","key":"https://cdn.t.io/a.js","added":"tracking"}]},"#,
-        r#"{"version":3,"changes":[{"granularity":"Domain","key":"t.io","from":"mixed","to":"tracking"},"#,
-        r#"{"granularity":"Hostname","key":"px.t.io","removed":"functional"}]}"#,
-        r#"]}"#
-    );
-
-    /// Golden fixture: the canonical `GET /v1/revisions?diff=1..3` body.
-    const REVISION_DIFF_FIXTURE: &str = concat!(
-        r#"{"from":1,"to":3,"changes":["#,
-        r#"{"granularity":"Domain","key":"t.io","from":"mixed","to":"tracking"},"#,
-        r#"{"granularity":"Script","key":"https://cdn.t.io/a.js","added":"tracking"}"#,
-        r#"]}"#
-    );
+    /// A primary that answers the requests of one connection with the
+    /// canned `(status, body)` responses in order, then hangs up and hands
+    /// back the request heads it was sent.
+    fn fake_primary(
+        responses: Vec<(u16, Vec<u8>)>,
+    ) -> (SocketAddr, thread::JoinHandle<Vec<String>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake primary");
+        let addr = listener.local_addr().expect("fake primary address");
+        let primary = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("the follower connects");
+            let mut heads = Vec::new();
+            for (status, body) in responses {
+                let mut head = Vec::new();
+                let mut byte = [0u8; 1];
+                while !head.ends_with(b"\r\n\r\n") {
+                    stream
+                        .read_exact(&mut byte)
+                        .expect("a complete request head");
+                    head.push(byte[0]);
+                }
+                heads.push(String::from_utf8(head).expect("utf-8 request head"));
+                let reply = format!(
+                    "HTTP/1.1 {status} -\r\nContent-Length: {}\r\n\r\n",
+                    body.len()
+                );
+                stream.write_all(reply.as_bytes()).expect("write head");
+                stream.write_all(&body).expect("write body");
+            }
+            heads
+        });
+        (addr, primary)
+    }
 
     #[test]
-    fn revision_list_fixture_parses() {
-        let (version, ring) =
-            parse_revision_list(REVISION_LIST_FIXTURE.as_bytes()).expect("fixture parses");
-        assert_eq!(version, 3);
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring[0].version(), 2);
-        assert_eq!(
-            ring[0].changes(),
-            &[RevisionChange::new(
-                Granularity::Script,
-                "https://cdn.t.io/a.js",
+    fn the_replica_speaks_binary_and_survives_hostile_bytes() {
+        let full = DeltaSnapshot {
+            since: None,
+            to: 5,
+            committed: 40,
+            residue: 2,
+            changes: Vec::new(),
+            plans: Vec::new(),
+        };
+        let delta = DeltaSnapshot {
+            since: Some(5),
+            to: 6,
+            changes: vec![RevisionChange::new(
+                Granularity::Domain,
+                "ads.com",
                 ChangeKind::Added(Classification::Tracking),
-            )]
-        );
-        assert_eq!(ring[1].version(), 3);
-        assert_eq!(ring[1].changes().len(), 2);
-        // Round trip: re-rendering the parsed ring is byte-identical.
-        let shared: Vec<_> = ring.into_iter().map(std::sync::Arc::new).collect();
-        assert_eq!(
-            frames::revision_list_value(3, &shared).render(),
-            REVISION_LIST_FIXTURE
-        );
-    }
-
-    #[test]
-    fn revision_diff_fixture_parses() {
-        let diff = parse_revision_diff(REVISION_DIFF_FIXTURE.as_bytes()).expect("fixture parses");
-        assert_eq!((diff.from, diff.to), (1, 3));
-        assert_eq!(diff.changes.len(), 2);
-        assert_eq!(
-            diff.changes[0].kind,
-            ChangeKind::Flipped(Classification::Mixed, Classification::Tracking)
-        );
-        assert_eq!(
-            frames::revision_diff_value(&diff).render(),
-            REVISION_DIFF_FIXTURE
-        );
-    }
-
-    #[test]
-    fn malformed_revision_bodies_are_typed_errors() {
-        let cases: [&[u8]; 4] = [
-            b"\xff\xfe not utf-8",
-            b"{\"version\":3",
-            br#"{"version":3,"revisions":[{"version":1,"changes":[{"granularity":"Planet","key":"x","added":"tracking"}]}]}"#,
-            br#"{"revisions":[]}"#,
-        ];
-        for body in cases {
-            assert!(matches!(
-                parse_revision_list(body),
-                Err(RevisionFetchError::Malformed(_))
-            ));
-        }
-        assert!(matches!(
-            parse_revision_diff(br#"{"from":2,"to":1,"changes":"what"}"#),
-            Err(RevisionFetchError::Malformed(_))
+            )],
+            ..full.clone()
+        };
+        let frame = frames::encode_delta_snapshot(&delta);
+        // The bootstrap, every truncation of the delta, the same delta as
+        // the JSON document the endpoint serves without `Accept`, and
+        // finally the delta itself.
+        let mut responses = vec![(410, frames::encode_delta_snapshot(&full))];
+        responses.extend((0..frame.len()).map(|cut| (200, frame[..cut].to_vec())));
+        responses.push((
+            200,
+            frames::delta_snapshot_value(&delta).render().into_bytes(),
         ));
+        let hostile = responses.len() - 1;
+        responses.push((200, frame));
+        let (addr, primary) = fake_primary(responses);
+
+        let mut replica = ReplicaClient::new(addr, RetryPolicy::default(), None, None);
+        let report = replica.sync().expect("bootstrap from the 410 body");
+        assert_eq!((report.from, report.to, report.full), (0, 5, true));
+        for _ in 0..hostile {
+            assert!(matches!(
+                replica.sync(),
+                Err(SyncError::Fetch(RevisionFetchError::Malformed(_)))
+            ));
+            assert_eq!(replica.version(), 5);
+            assert_eq!(replica.table().version(), 5);
+        }
+        let report = replica.sync().expect("the intact delta still applies");
+        assert_eq!((report.from, report.to, report.full), (5, 6, false));
+        assert_eq!(replica.retries_spent(), 0);
+
+        let heads = primary.join().expect("fake primary");
+        let head = |since: u64| {
+            format!(
+                "GET /v1/snapshot?since={since} HTTP/1.1\r\nHost: verdicts\r\n\
+                 Accept: application/x-trackersift-verdict\r\nContent-Length: 0\r\n\r\n"
+            )
+        };
+        assert_eq!(heads[0], head(0));
+        assert!(heads[1..].iter().all(|asked| *asked == head(5)));
     }
 
     #[test]

@@ -340,17 +340,17 @@ impl ReplicaStatus {
         &self.upstream
     }
 
-    /// Record one completed sync poll: the version the upstream advertised
-    /// and what was applied locally.
-    pub fn record_sync(&self, upstream_version: u64, applied_version: u64, full: bool) {
+    /// Record one completed sync poll. A successful poll applies whatever
+    /// the upstream advertised, so both versions read `report.to`; a poll
+    /// of an idle primary (`from == to`) applies nothing and counts as a
+    /// poll only.
+    pub fn record_sync(&self, report: &client::SyncReport) {
         self.polls.fetch_add(1, Ordering::Relaxed);
-        self.upstream_version
-            .store(upstream_version, Ordering::Relaxed);
-        self.applied_version
-            .store(applied_version, Ordering::Relaxed);
-        if full {
+        self.upstream_version.store(report.to, Ordering::Relaxed);
+        self.applied_version.store(report.to, Ordering::Relaxed);
+        if report.full {
             self.bootstraps.fetch_add(1, Ordering::Relaxed);
-        } else {
+        } else if report.to != report.from {
             self.deltas_applied.fetch_add(1, Ordering::Relaxed);
         }
     }

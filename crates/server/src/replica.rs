@@ -1,6 +1,6 @@
 //! The follower loop behind [`VerdictServer::follow`]: a
 //! [`ReplicaClient`] bootstraps from the primary's full snapshot and then
-//! polls `GET /v1/snapshot?since=<local version>` for deltas
+//! polls `GET /v1/snapshot?since=<local version>` for binary deltas
 //! (re-bootstrapping whenever the primary answers `410 Gone`), a
 //! [`TablePublisher`] publishes each applied state atomically to the
 //! workers' reader handles, and the workers serve it read-only.
@@ -92,7 +92,7 @@ impl VerdictServer {
             .sync()
             .map_err(|error| io::Error::other(error.to_string()))?;
         let status = Arc::new(ReplicaStatus::new(config.upstream));
-        status.record_sync(report.to, report.to, report.full);
+        status.record_sync(&report);
         let (publisher, reader) = TablePublisher::new(Arc::new(client.table()));
         let mut server =
             VerdictServer::boot(config.server, Source::Follower(reader, Arc::clone(&status)))?;
@@ -128,7 +128,7 @@ fn sync_loop(
                 if report.to != report.from || report.full {
                     publisher.publish(Arc::new(client.table()));
                 }
-                status.record_sync(report.to, report.to, report.full);
+                status.record_sync(&report);
             }
             Err(_) => status.record_error(),
         }

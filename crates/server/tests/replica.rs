@@ -2,11 +2,30 @@
 //! before it serves, follows the primary's commits through the poll loop,
 //! and refuses everything that needs the writer.
 
+use crawler::json::Value;
 use std::thread;
 use std::time::{Duration, Instant};
 use trackersift::Sifter;
 use trackersift_server::client::Client;
 use trackersift_server::{ReplicaConfig, ServerConfig, VerdictServer};
+
+/// `(polls, deltas_applied)` as the replica's `GET /v1/stats` reports them,
+/// once the follower loop has polled `at_least` times.
+fn sync_gauges(client: &mut Client, at_least: u64) -> (u64, u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, stats) = client.request("GET", "/v1/stats", None);
+        assert_eq!(status, 200);
+        let stats = Value::parse(&stats).expect("stats are json");
+        let replication = stats.field("replication").expect("replication section");
+        let gauge = |name| replication.field(name).and_then(Value::as_u64).expect(name);
+        if gauge("polls") >= at_least {
+            return (gauge("polls"), gauge("deltas_applied"));
+        }
+        assert!(Instant::now() < deadline, "stuck below {at_least} polls");
+        thread::sleep(Duration::from_millis(10));
+    }
+}
 
 #[test]
 fn a_replica_bootstraps_serves_and_refuses_writes() {
@@ -70,6 +89,11 @@ fn a_replica_bootstraps_serves_and_refuses_writes() {
         assert_eq!(status, expected, "{method} {target}: {detail}");
     }
 
+    // Polls of an idle primary apply nothing and are not counted as deltas
+    // (the startup sync was one: the span 0 -> 1 was still in the ring).
+    let (polls, idle) = sync_gauges(&mut client, 1);
+    assert_eq!(sync_gauges(&mut client, polls + 3).1, idle);
+
     // A second commit on the primary flows through the poll loop.
     let body2 = concat!(
         r#"{"observations":[{"domain":"cdn.net","hostname":"a.cdn.net","#,
@@ -95,6 +119,9 @@ fn a_replica_bootstraps_serves_and_refuses_writes() {
     let (status, decision) = client.request("POST", "/v1/decisions", Some(query2));
     assert_eq!(status, 200);
     assert!(decision.contains(r#""action":"allow""#), "got {decision}");
+    // That was one delta, and the idle polls after it add none.
+    let (polls, _) = sync_gauges(&mut client, 0);
+    assert_eq!(sync_gauges(&mut client, polls + 2).1, idle + 1);
 
     drop((client, upstream));
     replica.shutdown();

@@ -11,7 +11,7 @@
 
 use trackersift_suite::prelude::*;
 use trackersift_suite::trackersift::{diff_revisions, frames};
-use trackersift_suite::trackersift_server::client::{Client, Encoding};
+use trackersift_suite::trackersift_server::client::Client;
 
 const SEED: u64 = 7;
 const SITES: usize = 30;
@@ -83,10 +83,10 @@ fn main() {
         expected.changes.len()
     );
 
-    // 5. The typed client agrees, and the scheduler's gauges surface in
-    //    /v1/stats.
+    // 5. The typed client decodes the binary framing of the same diff, and
+    //    the scheduler's gauges surface in /v1/stats.
     let typed = client
-        .fetch_revision_diff(oldest, newest, Encoding::Json)
+        .fetch_revision_diff(oldest, newest)
         .expect("typed diff");
     assert_eq!(typed, expected);
     let (status, stats) = client.request("GET", "/v1/stats", None);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use trackersift::frames;
 use trackersift::{compose, diff_revisions, ChangeKind, RevisionChange, VerdictRevision};
-use trackersift_server::client::{Client, Encoding};
+use trackersift_server::client::Client;
 use trackersift_suite::prelude::*;
 
 /// A scheduler over a churny ecosystem: 35% of tracker scripts rotate CDNs
@@ -248,9 +248,7 @@ fn wire_drift_diffs_are_byte_identical_to_in_process() {
         frames::revision_list_value(twin_writer.published_version(), twin_writer.revisions())
             .render()
     );
-    let (version, served_ring) = client
-        .fetch_revisions(Encoding::Binary)
-        .expect("binary ring");
+    let (version, served_ring) = client.fetch_revisions().expect("binary ring");
     assert_eq!(version, twin_writer.published_version());
     let served_ring: Vec<_> = served_ring.into_iter().map(Arc::new).collect();
     assert_eq!(
@@ -271,9 +269,7 @@ fn wire_drift_diffs_are_byte_identical_to_in_process() {
                 frames::revision_diff_value(&expected).render(),
                 "{target}"
             );
-            let diff = client
-                .fetch_revision_diff(from, to, Encoding::Binary)
-                .expect("binary diff");
+            let diff = client.fetch_revision_diff(from, to).expect("binary diff");
             assert_eq!(diff, expected, "{target} (binary)");
         }
     }
