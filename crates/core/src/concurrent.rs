@@ -24,12 +24,15 @@
 //! [`SifterWriter::apply`] is journal-then-fold, written once: append the
 //! [`ObservationRef`] to the attached journal (if any), then
 //! [`Sifter::apply`] it — the same borrowed record, with or without a
-//! journal. `observe_parts` / `observe_url` wrap it, the verdict server's
-//! admin thread calls it with the rows of the batch the wire decoded, and
-//! [`SifterWriter::open_durable`] replays the journal through it. A commit journals its marker, folds, publishes, and records one
-//! [`VerdictRevision`] through `record_revision` — the same recorder
-//! recovery runs for every replayed commit marker, so a recomputed ring
-//! entry equals the persisted one.
+//! journal. `observe_parts` / `observe_url` wrap it and
+//! [`SifterWriter::open_durable`] replays the journal through it.
+//! [`SifterWriter::apply_batch`] is the same for rows acknowledged
+//! together — the verdict server's admin thread passes it the batch the
+//! wire decoded: journal every row, fsync once, then fold, so the reply
+//! never runs ahead of the disk. A commit journals its marker, folds,
+//! publishes, and records one [`VerdictRevision`] through
+//! `record_revision` — the same recorder recovery runs for every replayed
+//! commit marker, so a recomputed ring entry equals the persisted one.
 //!
 //! # How publication stays safe without locks (hand-rolled, `std`-only)
 //!
@@ -431,6 +434,29 @@ impl SifterWriter {
         self.sifter.apply(observation)
     }
 
+    /// Ingest a batch acknowledged as one (a verdict server's
+    /// `POST /v1/observations`): journal every row, flush and fsync once,
+    /// then fold the rows with [`Sifter::apply`] — nothing folds before the
+    /// batch is on disk, so a caller that replies after this returns never
+    /// acknowledges a row a crash can lose. `sync_every` does not apply
+    /// inside a batch. Returns how many rows were observed (as
+    /// [`ObserveOutcome::was_observed`]).
+    ///
+    /// A failed append or fsync is counted in the journal stats and the
+    /// rows still fold: degraded durability, as [`SifterWriter::apply`].
+    pub fn apply_batch<'a, I>(&mut self, rows: I) -> u64
+    where
+        I: IntoIterator<Item = ObservationRef<'a>>,
+        I::IntoIter: Clone,
+    {
+        let rows = rows.into_iter();
+        if let Some(durable) = &mut self.durable {
+            let _ = durable.journal.append_batch(rows.clone());
+        }
+        rows.filter(|&row| self.sifter.apply(row).was_observed())
+            .count() as u64
+    }
+
     /// Fold all pending observations into the servable state
     /// (reclassification work proportional to the dirty slice, as
     /// [`Sifter::commit`]) and publish the new [`VerdictTable`] to every
@@ -475,9 +501,11 @@ impl SifterWriter {
     /// journal's clean prefix on top of it (truncating a torn tail), and
     /// publish the recovered state to every reader in one atomic swap.
     ///
-    /// `sync_every` batches fsyncs on the ingest path: the journal is
-    /// forced to disk every that-many records and at every commit marker.
-    /// A `kill -9` at any instant loses at most the un-fsynced tail.
+    /// Every [`SifterWriter::apply_batch`] and every commit is on disk
+    /// before it returns; `sync_every` bounds only records applied one at a
+    /// time ([`SifterWriter::apply`] and the `observe*` calls), which are
+    /// forced to disk every that-many records. A `kill -9` at any instant
+    /// loses at most fewer than `sync_every` of those.
     ///
     /// Call once, at boot, before serving; attaching twice is an error.
     pub fn open_durable(
@@ -1185,6 +1213,31 @@ mod tests {
         // pending again, exactly as before the crash.
         assert!(reader.verdict(&block_query()).should_block());
         assert_eq!(writer.sifter().pending(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `apply_batch` returns with every row on disk, past `sync_every` or
+    /// short of it, after one fsync — no commit, no shutdown sync needed.
+    #[test]
+    fn a_batch_is_on_disk_when_apply_batch_returns() {
+        let dir = temp_dir("batch");
+        let (mut writer, _reader) = Sifter::builder().build_concurrent();
+        writer.open_durable(&dir, 64).expect("open durable");
+        let hosts: Vec<String> = (0..100).map(|n| format!("h{n}.ads.com")).collect();
+        let accepted = writer.apply_batch(hosts.iter().map(|hostname| ObservationRef::Parts {
+            domain: "ads.com",
+            hostname,
+            script: "https://pub.com/a.js",
+            method: "send",
+            tracking: true,
+        }));
+        assert_eq!(accepted, 100);
+        assert_eq!(writer.sifter().pending(), 100);
+        let stats = writer.journal_stats().expect("journal stats");
+        assert_eq!((stats.appended, stats.synced, stats.syncs), (100, 100, 1));
+        let path = DurableDir::open(&dir).expect("dir").journal_path();
+        let (entries, report) = Journal::replay(&path).expect("replay");
+        assert_eq!((entries.len(), report.torn_bytes), (100, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

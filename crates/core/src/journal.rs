@@ -6,10 +6,22 @@
 //! observations in memory and folds them in at `commit()`; a process crash
 //! between snapshots silently loses everything since the last export. The
 //! [`Journal`] closes that gap with the classic write-ahead discipline:
-//! every observation is appended (and periodically fsynced) to an
-//! append-only log *before* it mutates writer state, commits append a
-//! marker and force an fsync, and boot replays the log on top of the last
-//! snapshot. `kill -9` at any instant loses at most the un-fsynced tail.
+//! every observation is appended to an append-only log *before* it mutates
+//! writer state, and boot replays the log on top of the last snapshot.
+//!
+//! # The durability contract
+//!
+//! **Every acknowledged batch and commit is on disk before its reply;
+//! `sync_every` bounds only records applied one at a time.** A batch
+//! ([`SifterWriter::apply_batch`](crate::concurrent::SifterWriter::apply_batch),
+//! what a verdict server's `POST /v1/observations` runs) is framed whole,
+//! flushed and fsynced once, then folded; a commit appends its marker and
+//! fsyncs before the fold it covers. Only records applied one at a time
+//! (the library `observe*` calls, a scheduler tick's re-crawl, whose
+//! acknowledgement is its closing commit) wait in the buffer for the
+//! `sync_every`-th record, so `kill -9` at any instant loses at most fewer
+//! than `sync_every` of those — never a record whose batch or commit was
+//! acknowledged.
 //!
 //! # The write path
 //!
@@ -143,10 +155,17 @@ pub struct JournalStats {
 /// markers; see the [module docs](self) for the format and recovery
 /// semantics.
 ///
-/// Appends are buffered in memory and flushed to the file either when the
-/// batch threshold (`sync_every` records) is reached or when a commit
-/// marker forces a sync — the fsync batching that makes journaling cheap
-/// on the ingest path.
+/// Appends are buffered in memory and reach the disk at three sync points:
+/// the end of a batch (`append_batch`, one fsync however many records it
+/// holds), an explicit [`Journal::sync`] (commit markers, checkpoints,
+/// shutdown), and — for records appended one at a time only — the
+/// `sync_every`-th unsynced record.
+///
+/// The buffer keeps its capacity across flushes, so a warm batch no larger
+/// than the last one appends without allocating. It holds at most one
+/// batch plus fewer than `sync_every` single records; on a verdict server a
+/// batch is one `POST /v1/observations` body, whose rows frame into no more
+/// bytes than their JSON, so the buffer is bounded by `max_body_bytes`.
 #[derive(Debug)]
 pub struct Journal {
     file: File,
@@ -154,7 +173,8 @@ pub struct Journal {
     buffer: Vec<u8>,
     /// Records buffered since the last completed fsync.
     unsynced: u64,
-    /// Force a sync once this many records are unsynced.
+    /// Force a sync once this many records appended one at a time are
+    /// unsynced (a batch syncs at its end instead).
     sync_every: u64,
     /// Bytes durably in the file (flushed; not necessarily fsynced).
     file_bytes: u64,
@@ -282,8 +302,38 @@ impl Journal {
         self.append_framed(|out| encode_observation(out, observation))
     }
 
-    /// Frame the payload `encode` writes, in place at the end of the buffer.
+    /// Journal a batch acknowledged as one: frame every observation with no
+    /// count-based sync, then flush and fsync once — the batch is on disk
+    /// when this returns `Ok`, whatever its length against `sync_every`.
+    /// The bytes are the ones [`Journal::append_observation`] writes for
+    /// the same records one by one. A record that cannot be framed is
+    /// counted in [`JournalStats::write_errors`] and skipped, as `append`
+    /// refuses it; the returned error is the sync's.
+    pub(crate) fn append_batch<'a>(
+        &mut self,
+        observations: impl IntoIterator<Item = ObservationRef<'a>>,
+    ) -> io::Result<()> {
+        for observation in observations {
+            let _ = self.frame(|out| encode_observation(out, observation));
+        }
+        if self.unsynced == 0 {
+            return Ok(());
+        }
+        self.sync()
+    }
+
+    /// Frame the payload `encode` writes, then sync once `sync_every`
+    /// records are unsynced.
     fn append_framed(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        self.frame(encode)?;
+        if self.unsynced >= self.sync_every {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Frame the payload `encode` writes, in place at the end of the buffer.
+    fn frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         if let Err(error) = failpoint::check_io("journal.append") {
             self.stats.write_errors += 1;
             return Err(error);
@@ -308,9 +358,6 @@ impl Journal {
         self.stats.appended += 1;
         self.stats.bytes = self.file_bytes + self.buffer.len() as u64;
         self.unsynced += 1;
-        if self.unsynced >= self.sync_every {
-            self.sync()?;
-        }
         Ok(())
     }
 
@@ -797,6 +844,49 @@ mod tests {
         assert_eq!(report.torn_bytes, 0);
         std::fs::remove_file(&owned_path).ok();
         std::fs::remove_file(&borrowed_path).ok();
+    }
+
+    /// A batch writes the bytes its records appended one by one write (so
+    /// the golden pin above covers it too) with one fsync, however far past
+    /// `sync_every` it runs.
+    #[test]
+    fn a_batch_writes_the_same_bytes_with_one_fsync() {
+        let observations: Vec<Observation> = one_of_each_kind()
+            .into_iter()
+            .chain((2..12).map(parts))
+            .filter_map(|entry| match entry {
+                JournalEntry::Observation(observation) => Some(observation),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(observations.len(), 12);
+        let (single_path, batch_path) = (temp_path("single"), temp_path("batch"));
+        let mut single = Journal::open(&single_path, 3).expect("open");
+        let mut batch = Journal::open(&batch_path, 3).expect("open");
+        for observation in &observations {
+            single
+                .append_observation(observation.as_ref())
+                .expect("append");
+        }
+        single.sync().expect("sync");
+        batch
+            .append_batch(observations.iter().map(Observation::as_ref))
+            .expect("batch");
+        assert_eq!(
+            single.stats().syncs,
+            4 + 1,
+            "every 3 records, then the tail"
+        );
+        assert_eq!(batch.stats().syncs, 1, "one fsync for the whole batch");
+        assert_eq!(batch.stats().synced, 12);
+        assert_eq!(
+            std::fs::read(&batch_path).expect("read"),
+            std::fs::read(&single_path).expect("read")
+        );
+        batch.append_batch([]).expect("an empty batch");
+        assert_eq!(batch.stats().syncs, 1, "nothing unsynced, no fsync");
+        std::fs::remove_file(&single_path).ok();
+        std::fs::remove_file(&batch_path).ok();
     }
 
     #[test]

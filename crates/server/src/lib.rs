@@ -18,7 +18,8 @@
 //!   channel to it, and every commit publishes atomically to all workers.
 //!   A worker decodes a `POST /v1/observations` body into one
 //!   [`wire::ObservationBatch`] arena and sends that; the admin thread
-//!   journals, labels and folds its rows where they lie;
+//!   journals its rows where they lie, fsyncs once, then labels and folds
+//!   them, and only then replies;
 //! * a hand-rolled HTTP layer ([`http`]), a JSON wire format and a
 //!   length-prefixed **binary protocol** ([`wire`]) — the container has no
 //!   registry access, and a verdict server needs very little HTTP.
@@ -96,11 +97,15 @@
 //!
 //! * **Durability** ([`DurabilityConfig`]): observations are written to a
 //!   checksummed write-ahead journal *before* they mutate trainer state,
-//!   commit markers are fsynced before the fold they cover, and boot
-//!   replays snapshot + journal (tolerating a torn tail). `kill -9` loses
-//!   at most the un-fsynced journal tail; a clean [`VerdictServer::shutdown`]
-//!   merely syncs that tail — it deliberately restarts into the same
-//!   state a crash would.
+//!   and boot replays snapshot + journal (tolerating a torn tail). Every
+//!   acknowledged batch and commit is on disk before its reply: a
+//!   `POST /v1/observations` batch is fsynced once before it folds, a
+//!   commit marker before the fold it covers. `sync_every` bounds only
+//!   records applied one at a time (a scheduler tick's re-crawl, whose
+//!   acknowledgement is its closing commit), so `kill -9` never loses an
+//!   acknowledged write; a clean [`VerdictServer::shutdown`] merely syncs
+//!   the journal — it deliberately restarts into the same state a crash
+//!   would.
 //! * **Self-healing workers**: a panic in a worker's event loop costs the
 //!   connection that triggered it, never the worker — the loop is
 //!   respawned (counted as `restarts` in `GET /v1/stats`) and its
@@ -250,15 +255,18 @@ impl ServerConfig {
 ///
 /// The directory holds LevelDB-style generations — a `CURRENT` pointer
 /// file, `snapshot-<g>.json`, `journal-<g>.wal` — managed by
-/// [`trackersift::DurableDir`]. A `kill -9` at any byte boundary loses at
-/// most the journal tail that was never fsynced.
+/// [`trackersift::DurableDir`]. Every acknowledged batch and commit is on
+/// disk before its reply, so a `kill -9` at any byte boundary loses no
+/// acknowledged write.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// The generation directory (created if missing).
     pub dir: PathBuf,
-    /// fsync cadence: flush + sync the journal after this many appended
-    /// records (commit markers always sync immediately). `1` = sync every
-    /// record (maximum durability, minimum throughput).
+    /// fsync cadence for records applied one at a time (a scheduler tick's
+    /// re-crawl): flush + sync the journal after this many of them. It
+    /// bounds nothing else — a `POST /v1/observations` batch syncs once at
+    /// its end and a commit marker syncs immediately, both before their
+    /// reply. `1` = sync every such record.
     pub sync_every: u64,
     /// Rotate the journal into a fresh snapshot generation at the first
     /// commit after the journal file exceeds this many bytes (`0` = never
@@ -268,8 +276,8 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durability in `dir` with the default cadence: sync every 64
-    /// records, checkpoint past 8 MiB of journal.
+    /// Durability in `dir` with the default cadence: sync every 64 records
+    /// applied one at a time, checkpoint past 8 MiB of journal.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
@@ -716,10 +724,8 @@ fn admin_loop(
     while let Ok(message) = rx.recv() {
         match message {
             AdminMsg::Observe(observations, reply) => {
-                let mut accepted = 0u64;
-                for observation in observations.iter() {
-                    accepted += u64::from(writer.apply(observation).was_observed());
-                }
+                // On disk before the reply: the acknowledgement is the sync.
+                let accepted = writer.apply_batch(observations.iter());
                 let skipped = observations.len() as u64 - accepted;
                 let _ = reply.send((accepted, skipped, writer.sifter().pending()));
             }

@@ -774,7 +774,7 @@ impl ObservationBatch {
     }
 
     /// The rows in body order, borrowed from the arena.
-    pub fn iter(&self) -> impl Iterator<Item = ObservationRef<'_>> {
+    pub fn iter(&self) -> impl Iterator<Item = ObservationRef<'_>> + Clone {
         let mut start = 0;
         self.rows.iter().map(move |row| {
             let [a, b, script, method] = row.ends.map(|end| {

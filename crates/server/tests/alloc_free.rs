@@ -4,8 +4,8 @@
 //! once the two buffers are warm — and the bytes are the ones the owned,
 //! tree-building API renders. The write path allocates per batch, not per
 //! row: a `POST /v1/observations` body decodes into one arena, and
-//! journaling, labeling and folding its rows on a warm writer touch no heap
-//! at all.
+//! journaling its rows, syncing them once, labeling and folding them on a
+//! warm writer touch no heap at all.
 
 use crawler::json::{object, Value};
 use filterlist::ListKind;
@@ -321,13 +321,27 @@ fn the_write_path_allocates_per_batch_not_per_row() {
         .open_durable(&dir, DurabilityConfig::new(&dir).sync_every)
         .expect("open the durable directory");
     // The first pass interns the keys, creates the count cells and grows the
-    // journal buffer and the label scratch.
-    for row in batch.iter() {
-        assert!(writer.apply(row).was_observed());
-    }
+    // journal buffer (to the whole batch: it is synced once, at its end)
+    // and the label scratch.
+    assert_eq!(writer.apply_batch(batch.iter()), ROWS as u64);
+    writer.commit();
+    let journal = writer.journal_stats().expect("durable");
+
+    let (allocations, accepted) = allocations_during(|| writer.apply_batch(batch.iter()));
+    assert_eq!(accepted, ROWS as u64);
+    let after = writer.journal_stats().expect("durable");
+    assert_eq!(after.appended, journal.appended + ROWS as u64);
+    assert_eq!(after.syncs, journal.syncs + 1, "one fsync for the batch");
+    assert_eq!(writer.sifter().pending(), ROWS as u64);
+    assert_eq!(
+        allocations, 0,
+        "journal -> fsync -> label -> intern -> fold of a known batch must not allocate"
+    );
     writer.commit();
     let appended = writer.journal_stats().expect("durable").appended;
 
+    // A record applied one at a time takes the same path, syncing every
+    // `sync_every` into the buffer the batch grew.
     let (allocations, tracking) = allocations_during(|| {
         batch
             .iter()

@@ -1049,6 +1049,97 @@ fn durable_server_recovers_observations_after_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An acknowledged `POST /v1/observations` is on disk before its reply:
+/// with no commit and no shutdown, the live journal already replays every
+/// row, a boot from a copy of the directory (the bytes a `kill -9` would
+/// leave) has them all pending again, and a batch of 1,000 costs one fsync.
+#[test]
+fn an_acknowledged_batch_is_on_disk_before_its_reply() {
+    let temp = |tag: &str| {
+        std::env::temp_dir().join(format!(
+            "trackersift-server-acked-{tag}-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ))
+    };
+    let (dir, crash_image) = (temp("live"), temp("crash-image"));
+    let config = |dir: &std::path::Path| ServerConfig {
+        workers: 1,
+        durability: Some(DurabilityConfig::new(dir)),
+        ..ServerConfig::ephemeral()
+    };
+    let body_of = |rows: std::ops::Range<usize>| {
+        let rows: Vec<String> = rows
+            .map(|n| {
+                ObservationMessage::Parts {
+                    domain: format!("d{}.com", n % 50),
+                    hostname: format!("h{n}.d{}.com", n % 50),
+                    script: "https://pub.com/a.js".into(),
+                    method: "send".into(),
+                    tracking: n % 3 == 0,
+                }
+                .to_json_value()
+                .render()
+            })
+            .collect();
+        format!(r#"{{"observations":[{}]}}"#, rows.join(","))
+    };
+    let stat = |client: &mut Client, path: &[&str]| {
+        let (status, body) = client.request("GET", "/v1/stats", None);
+        assert_eq!(status, 200);
+        let stats = Value::parse(&body).expect("stats json");
+        let mut value = &stats;
+        for key in path {
+            value = value.field(key).expect("stats field");
+        }
+        value.as_u64().expect("a count")
+    };
+
+    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let server = VerdictServer::start(writer, config(&dir)).expect("boot");
+    let mut client = Client::connect(server.local_addr());
+    let (status, reply) = client.request("POST", "/v1/observations", Some(&body_of(0..100)));
+    assert_eq!(status, 200);
+    assert_eq!(reply, r#"{"accepted":100,"skipped":0,"pending":100}"#);
+
+    let (entries, report) =
+        trackersift::Journal::replay(&dir.join("journal-0.wal")).expect("replay the live journal");
+    assert_eq!(report.torn_bytes, 0);
+    assert_eq!(entries.len(), 100);
+    assert!(entries
+        .iter()
+        .all(|entry| matches!(entry, trackersift::JournalEntry::Observation(_))));
+
+    std::fs::create_dir_all(&crash_image).expect("mkdir");
+    for file in std::fs::read_dir(&dir).expect("list the directory") {
+        let file = file.expect("directory entry");
+        std::fs::copy(file.path(), crash_image.join(file.file_name())).expect("copy");
+    }
+    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let reboot = VerdictServer::start(writer, config(&crash_image)).expect("boot the image");
+    let pending = stat(
+        &mut Client::connect(reboot.local_addr()),
+        &["ingest", "pending"],
+    );
+    assert_eq!(pending, 100, "every acknowledged row is recovered");
+    reboot.shutdown();
+
+    let syncs = stat(&mut client, &["durability", "journal", "syncs"]);
+    let (status, _) = client.request("POST", "/v1/observations", Some(&body_of(100..1100)));
+    assert_eq!(status, 200);
+    assert_eq!(
+        stat(&mut client, &["durability", "journal", "syncs"]),
+        syncs + 1,
+        "one fsync per acknowledged batch"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash_image);
+}
+
 /// A minimal in-test scheduler: each tick learns one fresh tracking chain
 /// and commits, so version and drift advance deterministically without
 /// pulling the real `scheduler` crate into this crate's dev-dependencies.

@@ -311,6 +311,7 @@ mod chaos {
     use super::*;
     use std::io::ErrorKind;
     use trackersift::failpoint::{self, Action};
+    use trackersift::ObservationRef;
     use trackersift_server::client::Client;
     use trackersift_server::{ServerConfig, VerdictServer};
 
@@ -410,6 +411,40 @@ mod chaos {
         assert!(stats.sync_errors >= 1, "sync failures surface in stats");
         // With the fault gone, durability recovers on the next sync.
         writer.sync_journal().expect("a later sync succeeds");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The batch's one fsync failing is counted once, and the rows still
+    /// fold: the degraded-durability rule single records follow.
+    #[test]
+    fn a_failed_batch_fsync_is_counted_once_and_the_rows_still_fold() {
+        let _guard = chaos_lock();
+        failpoint::clear_all();
+        let dir = temp_dir("batch-fsync");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let (mut writer, _reader) = Sifter::builder().build_concurrent();
+        writer.open_durable(&dir, 64).expect("open durable");
+        let scripts: Vec<String> = (0..100)
+            .map(|n| format!("https://pub.com/s{n}.js"))
+            .collect();
+        let rows = scripts.iter().map(|script| ObservationRef::Parts {
+            domain: "ads.com",
+            hostname: "px.ads.com",
+            script,
+            method: "send",
+            tracking: true,
+        });
+        failpoint::set("journal.sync", Action::io_error(ErrorKind::Other, Some(1)));
+        let accepted = writer.apply_batch(rows);
+        failpoint::clear_all();
+        assert_eq!(accepted, 100);
+        assert_eq!(writer.sifter().pending(), 100);
+        let stats = writer.journal_stats().expect("durable writer has stats");
+        assert_eq!((stats.sync_errors, stats.syncs), (1, 0));
+        assert_eq!((stats.appended, stats.synced), (100, 0));
+        writer.sync_journal().expect("a later sync succeeds");
+        let stats = writer.journal_stats().expect("durable writer has stats");
+        assert_eq!((stats.syncs, stats.synced), (1, 100));
         let _ = fs::remove_dir_all(&dir);
     }
 
