@@ -444,6 +444,17 @@ impl SifterWriter {
     ///
     /// A failed append or fsync is counted in the journal stats and the
     /// rows still fold: degraded durability, as [`SifterWriter::apply`].
+    ///
+    /// URL rows are labeled through [`Sifter::observe_url`]'s memo: a row
+    /// whose exact `(url, source_hostname, resource_type)` was labeled in
+    /// this commit interval or the previous one reuses that label and its
+    /// interned hostname and domain. An entry lives until the second commit
+    /// after its triple was last seen (a stream that does not commit ends
+    /// an interval every 65,536 remembered triples), so the memo holds at
+    /// most two intervals' distinct triples, their bytes in an arena within
+    /// 1.5× one interval's key bytes on a re-crawl. The journal still
+    /// records every row raw, so recovery relabels — through the same memo —
+    /// to the same state.
     pub fn apply_batch<'a, I>(&mut self, rows: I) -> u64
     where
         I: IntoIterator<Item = ObservationRef<'a>>,

@@ -30,9 +30,23 @@
 //! hostname and registrable domain, are allocated once per distinct hostname
 //! per site and shared by that site's requests; the site's own domain once
 //! per site. What a labeled request costs on the heap is its frame vector.
-//! Nothing is memoized: the oracle key is
-//! `(url, page host, type)` and every site has its own host, so a cache in
-//! front of it answered 0 of 246,164 lookups on the corpora in this tree.
+//!
+//! The batch side memoizes nothing: the oracle key is `(url, page host,
+//! type)` and every site has its own host, so no key repeats within one
+//! crawl, and the batch label cache that used to sit in front of
+//! [`Labeler`] answered 0 of 246,164 lookups on the corpora in this tree.
+//! The reuse is across crawls instead. A serving writer re-crawling the
+//! same web every epoch sees ≈ 90% of an epoch's triples again in the next
+//! one (87–92% per epoch on the `ingest_replicate` input), so
+//! [`Sifter::observe_url`](crate::service::Sifter::observe_url) keeps a
+//! private memo whose lifetime is the commit interval: a triple labeled in
+//! the current or the previous interval is answered from it, with the
+//! hostname and domain keys it was interned under, and one unseen for a
+//! whole interval is forgotten. It holds each remembered URL once, in an
+//! arena it compacts instead of growing past dead bytes, and each page host
+//! once, so it stays within 1.5× the key bytes of the last interval's rows
+//! plus one index table. The [`Labeler`] and the decision backstop never
+//! consult it.
 
 use crawler::{CrawlDatabase, SiteCrawl};
 use filterlist::url::hostname_of;

@@ -100,6 +100,7 @@ pub mod hierarchy;
 pub mod intern;
 pub mod journal;
 pub mod label;
+mod memo;
 pub mod metrics;
 pub mod pipeline;
 pub mod ratio;

@@ -78,6 +78,7 @@ use crate::hierarchy::{
 };
 use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
 use crate::label::{label_url, LabeledRequest};
+use crate::memo::{LabelMemo, Remembered};
 use crate::ratio::{Classification, Counts, Thresholds};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::surrogate::{MethodPlan, SurrogateScript};
@@ -409,6 +410,10 @@ pub struct IngestStats {
     /// Observations whose hostname arrived under a different registrable
     /// domain than first seen (ingested under the first-seen domain).
     pub conflicting_domains: u64,
+    /// [`Sifter::observe_url`] calls answered by the label memo: the
+    /// triple was labeled in this commit interval or the previous one, so
+    /// the filter engine was not asked again. Not part of `/v1/stats`.
+    pub labels_reused: u64,
 }
 
 /// One consolidated view of a serving sifter's operational state — what a
@@ -439,17 +444,20 @@ pub struct ServiceStats {
 }
 
 /// The keys of one observation, in [`Sifter::fold_cell`]'s order: claimed
-/// domain, hostname, script, method name, composed method.
+/// domain, hostname, script, method name, composed method. Every observe
+/// path interns the claimed domain and then the hostname before calling
+/// this (a label-memo hit reuses the ids its triple interned then), so key
+/// ids do not depend on which path a row takes.
 fn intern_keys(
     interner: &mut KeyInterner,
-    domain: &str,
-    hostname: &str,
+    domain: ResourceKey,
+    hostname: ResourceKey,
     script: &str,
     method: &str,
 ) -> [ResourceKey; 5] {
     [
-        interner.intern(domain),
-        interner.intern(hostname),
+        domain,
+        hostname,
         interner.intern(script),
         interner.intern(method),
         interner.intern_method(script, method),
@@ -567,6 +575,7 @@ impl SifterBuilder {
             thresholds: self.thresholds,
             engine: self.engine,
             scratch: RequestScratch::new(),
+            labels: LabelMemo::default(),
             rewriter: self.rewriter,
             interner: KeyInterner::new(),
             domain_counts: KeyMap::default(),
@@ -644,6 +653,9 @@ pub struct Sifter {
     engine: Option<Arc<FilterEngine>>,
     /// The buffers [`Sifter::observe_url`] builds each request's view in.
     scratch: RequestScratch,
+    /// What [`Sifter::observe_url`] labeled each triple as in this commit
+    /// interval and the previous one (see the `memo` module).
+    labels: LabelMemo,
     rewriter: Option<Arc<UrlRewriter>>,
     interner: KeyInterner,
 
@@ -816,6 +828,21 @@ impl Sifter {
     /// ([`ObserveOutcome::InvalidUrl`], excluded exactly as the batch
     /// labeling stage excludes it) — and every skip is counted in
     /// [`Sifter::ingest_stats`].
+    ///
+    /// The label is remembered for a commit interval and the next: a
+    /// `(url, source_hostname, resource_type)` triple, compared byte for
+    /// byte, that was labeled in this interval or the previous one is
+    /// answered with that label and its already-interned hostname and
+    /// domain, without building the request view or asking the engine
+    /// (counted in [`IngestStats::labels_reused`]). [`Sifter::commit`] ends
+    /// an interval, and so does every 65,536th remembered triple of a
+    /// stream that does not commit. The memo holds the URLs of at most two
+    /// intervals' distinct triples, once each, in an arena it grows to no
+    /// more than 1.25× their bytes, each page host once, and one index
+    /// table of 25 bytes a slot; on a re-crawl the arena stays within 1.5×
+    /// the key bytes of the last interval's rows. The engine never changes
+    /// under a sifter, so a remembered label is the label; unparseable URLs
+    /// are not remembered.
     pub fn observe_url(
         &mut self,
         url: &str,
@@ -828,27 +855,49 @@ impl Sifter {
             self.ingest.no_engine += 1;
             return ObserveOutcome::NoEngine;
         };
-        let Some((label, hostname, domain)) = label_url(
-            engine,
-            &mut self.scratch,
-            url,
-            source_hostname,
-            resource_type,
-        ) else {
-            self.ingest.invalid_urls += 1;
-            return ObserveOutcome::InvalidUrl;
+        let hash = LabelMemo::hash(url, source_hostname, resource_type);
+        let remembered = match self.labels.get(hash, url, source_hostname, resource_type) {
+            Some(remembered) => {
+                self.ingest.labels_reused += 1;
+                remembered
+            }
+            None => {
+                let Some((label, hostname, domain)) = label_url(
+                    engine,
+                    &mut self.scratch,
+                    url,
+                    source_hostname,
+                    resource_type,
+                ) else {
+                    self.ingest.invalid_urls += 1;
+                    return ObserveOutcome::InvalidUrl;
+                };
+                let domain = self.interner.intern(domain);
+                let remembered = Remembered {
+                    label,
+                    hostname: self.interner.intern(hostname),
+                    domain,
+                };
+                self.labels
+                    .insert(hash, url, source_hostname, resource_type, remembered);
+                remembered
+            }
         };
-        // The keys borrow the scratch, so they are interned before the fold
-        // takes the whole sifter.
         let keys = intern_keys(
             &mut self.interner,
-            domain,
-            hostname,
+            remembered.domain,
+            remembered.hostname,
             initiator_script,
             initiator_method,
         );
-        self.fold_one(keys, label.is_tracking());
-        ObserveOutcome::Observed(label)
+        self.fold_one(keys, remembered.label.is_tracking());
+        ObserveOutcome::Observed(remembered.label)
+    }
+
+    /// The label memo's `(arena, index table)` bytes.
+    #[cfg(test)]
+    pub(crate) fn label_memo_footprint(&self) -> (usize, usize) {
+        self.labels.footprint()
     }
 
     /// Ingest one observation given its four attribution keys and label.
@@ -869,6 +918,8 @@ impl Sifter {
         method: &str,
         tracking: bool,
     ) {
+        let domain = self.interner.intern(domain);
+        let hostname = self.interner.intern(hostname);
         let keys = intern_keys(&mut self.interner, domain, hostname, script, method);
         self.fold_one(keys, tracking);
     }
@@ -983,7 +1034,8 @@ impl Sifter {
     ///
     /// Each phase says only what differs per level — who is a member, what
     /// its counts are, whom a mixedness flip dirties; `write_class` does the
-    /// rest.
+    /// rest. A commit also ends the interval of [`Sifter::observe_url`]'s
+    /// label memo, which is a counter bump.
     pub fn commit(&mut self) -> CommitStats {
         let mut stats = CommitStats {
             observations: self.ingest.pending,
@@ -1068,6 +1120,7 @@ impl Sifter {
         self.ingest.committed = self.ingest.observed;
         self.ingest.pending = 0;
         self.commits += 1;
+        self.labels.flip();
         stats
     }
 
@@ -1720,6 +1773,110 @@ mod tests {
         assert_eq!(stats.observed, 1);
         assert_eq!(stats.invalid_urls, 1);
         assert_eq!(stats.no_engine, 0);
+    }
+
+    #[test]
+    fn a_label_is_reused_for_its_commit_interval_and_the_next() {
+        let mut sifter = Sifter::builder()
+            .filter_lists(&[(ListKind::EasyList, "||tracker.io^$third-party\n")])
+            .build();
+        let epoch = [
+            ("https://px.tracker.io/a", "shop.com", ResourceType::Image),
+            (
+                "https://cdn.shop.com/b.js",
+                "shop.com",
+                ResourceType::Script,
+            ),
+            // Other bytes for the same request: remembered on their own.
+            ("HTTPS://PX.Tracker.IO/a", "shop.com", ResourceType::Image),
+            ("https://px.tracker.io/a", "tracker.io", ResourceType::Image),
+            ("notaurl", "shop.com", ResourceType::Image),
+        ];
+        let observe_epoch = |sifter: &mut Sifter| {
+            for (url, page, kind) in epoch {
+                sifter.observe_url(url, page, kind, "https://shop.com/app.js", "send");
+            }
+            let stats = sifter.ingest_stats();
+            (stats.labels_reused, stats.invalid_urls)
+        };
+        assert_eq!(observe_epoch(&mut sifter), (0, 1));
+        sifter.commit();
+        // A second identical epoch reuses every row but the unparseable one.
+        assert_eq!(observe_epoch(&mut sifter), (4, 2));
+        sifter.commit();
+        // Seen in the interval just closed, so still remembered.
+        assert_eq!(observe_epoch(&mut sifter), (8, 3));
+        // An interval without the triples: they are labeled again after it.
+        sifter.commit();
+        sifter.commit();
+        assert_eq!(observe_epoch(&mut sifter), (8, 4));
+        // Within one interval, a repeat is reused too.
+        assert_eq!(observe_epoch(&mut sifter), (12, 5));
+        sifter.commit();
+        assert_eq!(sifter.observed(), 5 * 4);
+        assert_eq!(sifter.ingest_stats().no_engine, 0);
+    }
+
+    /// The harness's re-crawl — every planned request of a churny corpus,
+    /// fingerprint-keyed, one commit per epoch — keeps the memo's arena
+    /// within 1.5× the key bytes of the last interval's rows.
+    #[test]
+    fn the_label_memo_stays_within_its_bound_over_churny_epochs() {
+        use websim::{
+            filter_rules, fingerprint_key, CorpusGenerator, CorpusProfile, EcosystemMutator,
+            MutationConfig,
+        };
+        let seed = 2021;
+        let mut corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(40), seed);
+        let mut sifter = Sifter::builder()
+            .engine(filter_rules::engine_for(&corpus.ecosystem))
+            .build();
+        let mutator = EcosystemMutator::new(seed, MutationConfig::churny());
+        for epoch in 0..=120 {
+            if epoch > 0 {
+                mutator.advance(&mut corpus, epoch);
+            }
+            let (mut rows, mut key_bytes) = (0usize, 0usize);
+            for site in &corpus.websites {
+                let page_key = format!("page:{}", site.hostname);
+                let mut crawl = Vec::new();
+                for script in &site.scripts {
+                    let key = fingerprint_key(script);
+                    for (method, request) in script.planned_requests() {
+                        let name = script.methods[method].name.as_str();
+                        crawl.push((&request.url, request.resource_type, key.clone(), name));
+                    }
+                }
+                for request in &site.non_script_requests {
+                    crawl.push((
+                        &request.url,
+                        request.resource_type,
+                        page_key.clone(),
+                        "html",
+                    ));
+                }
+                for (url, kind, script, method) in crawl {
+                    sifter.observe_url(url, &site.hostname, kind, &script, method);
+                    rows += 1;
+                    key_bytes += url.len() + site.hostname.len();
+                }
+            }
+            sifter.commit();
+            let (arena, index) = sifter.label_memo_footprint();
+            assert!(
+                2 * arena <= 3 * key_bytes,
+                "epoch {epoch}: arena {arena} B for {key_bytes} B of keys"
+            );
+            // At most four 25-byte buckets a row: two intervals' triples,
+            // the sweep's headroom and a power-of-two table.
+            assert!(
+                index <= 100 * rows,
+                "epoch {epoch}: index table {index} B for {rows} rows"
+            );
+        }
+        let stats = sifter.ingest_stats();
+        let reused = stats.labels_reused as f64 / stats.observed as f64;
+        assert!(reused > 0.85, "only {reused:.3} of the rows were reused");
     }
 
     #[test]

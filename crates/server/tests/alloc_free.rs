@@ -400,3 +400,47 @@ fn a_batch_does_not_allocate_per_row() {
         "a warm batch allocates nothing, whatever its row count"
     );
 }
+
+/// A re-crawl posts the rows the last commit interval already labeled: the
+/// writer's label memo answers each of them, and promoting them into the
+/// new interval allocates nothing — the commit reserved the room.
+#[test]
+fn a_relabeled_batch_is_promoted_without_allocating() {
+    const ROWS: usize = 1_000;
+    let rows: Vec<String> = (0..ROWS)
+        .map(|n| {
+            ObservationMessage::Url {
+                url: format!("https://px{}.Tracker{}.example/pixel/{n}", n % 3, n % 30),
+                source_hostname: format!("www.site{}.com", n % 20),
+                resource_type: filterlist::ResourceType::ALL[n % 11],
+                script: format!("fp:{:016x}", (n % 60) as u64),
+                method: format!("m{}", n % 4),
+            }
+            .to_json_value()
+            .render()
+        })
+        .collect();
+    let body = format!(r#"{{"observations":[{}]}}"#, rows.join(","));
+    let batch = wire::decode_observation_batch(&body).expect("a valid body");
+    let (mut writer, _reader) = Sifter::builder()
+        .filter_lists(&[(ListKind::EasyList, "||tracker3.example^\n")])
+        .build_concurrent();
+    assert_eq!(writer.apply_batch(batch.iter()), ROWS as u64);
+    writer.commit();
+    assert_eq!(writer.sifter().ingest_stats().labels_reused, 0);
+
+    for interval in 1..=2u64 {
+        let (allocations, accepted) = allocations_during(|| writer.apply_batch(batch.iter()));
+        assert_eq!(accepted, ROWS as u64);
+        assert_eq!(
+            writer.sifter().ingest_stats().labels_reused,
+            interval * ROWS as u64,
+            "every row of the re-crawl is answered by the memo"
+        );
+        assert_eq!(
+            allocations, 0,
+            "interval {interval}: memo hit -> promote -> intern -> fold of a known batch must not allocate"
+        );
+        writer.commit();
+    }
+}

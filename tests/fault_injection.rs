@@ -4,9 +4,10 @@
 //!
 //! * **Always-on** tests that need no special build: the byte-level
 //!   torn-tail property (a journal truncated at *every* byte offset
-//!   replays to a clean prefix of the original entries) and a real
+//!   replays to a clean prefix of the original entries), a real
 //!   `SIGKILL` crash test that murders a committing writer process and
-//!   proves every fsynced commit survives the reboot.
+//!   proves every fsynced commit survives the reboot, and a restart whose
+//!   replayed URL rows go through the label memo.
 //! * **`--features failpoints`** tests that thread injected faults
 //!   (I/O errors, short writes, byte-budget cuts, panics) through the
 //!   journal, snapshot, poller, and worker code paths via
@@ -299,6 +300,121 @@ fn sigkill_mid_commit_preserves_every_advertised_commit() {
         trackersift::Decision::Block(_)
     ));
     drop(pin);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Recovery through the label memo: journal replay feeds raw URL rows back
+// through `observe_url`, whose memo then answers re-crawled triples. The
+// recovered state must be the one a writer labeling every row afresh ends in.
+// ---------------------------------------------------------------------------
+
+/// Epoch `epoch` of a re-crawl: 120 URL rows, some unparseable; a tenth
+/// of them move to a fresh URL each epoch and the tenth moved the epoch
+/// before moves back, the rest are spelled as in the epoch before.
+fn recrawl_epoch(epoch: usize) -> Vec<Observation> {
+    (0..120)
+        .map(|n| {
+            let generation = if n % 10 == epoch % 10 { epoch } else { 0 };
+            let url = match n % 17 {
+                0 => "notaurl".to_string(),
+                1 => format!("HTTPS://PX{}.Tracker.io/g{generation}/{n}", n % 3),
+                _ => format!("https://px{}.tracker{}.io/g{generation}/{n}", n % 3, n % 5),
+            };
+            Observation::Url {
+                url,
+                source_hostname: format!("www.site{}.com", n % 7),
+                resource_type: filterlist::ResourceType::ALL[n % 4],
+                script: format!("fp:{:04x}", n % 9),
+                method: ["send", "load"][n % 2].to_string(),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn recovery_replays_url_rows_through_the_label_memo() {
+    let _guard = chaos_lock();
+    let engine = std::sync::Arc::new(filterlist::FilterEngine::from_lists(&[(
+        filterlist::ListKind::EasyList,
+        "||tracker1.io^$third-party\n/g3/\n@@||tracker2.io^",
+    )]));
+    let dir = temp_dir("memo");
+    let epochs: Vec<Vec<Observation>> = (1..=6).map(recrawl_epoch).collect();
+    {
+        let (mut writer, _reader) = Sifter::builder()
+            .shared_engine(std::sync::Arc::clone(&engine))
+            .build_concurrent();
+        writer.open_durable(&dir, 64).expect("open durable");
+        for (at, rows) in epochs.iter().enumerate() {
+            // Acknowledged batches and rows applied one at a time alike.
+            if at % 2 == 0 {
+                writer.apply_batch(rows.iter().map(Observation::as_ref));
+            } else {
+                for row in rows {
+                    writer.apply(row.as_ref());
+                }
+            }
+            writer.commit();
+        }
+        let stats = writer.sifter().ingest_stats();
+        assert!(
+            stats.labels_reused >= 5 * 80,
+            "the re-crawls were answered by the memo: {stats:?}"
+        );
+        // Dropped without a shutdown sync: a restart is a crash here.
+    }
+    let (mut recovered, recovered_reader) = Sifter::builder()
+        .shared_engine(std::sync::Arc::clone(&engine))
+        .build_concurrent();
+    let report = recovered.open_durable(&dir, 64).expect("recover");
+    assert_eq!(report.replayed_commits, epochs.len() as u64);
+
+    // The reference labels every row afresh and folds it as parts.
+    let (mut fresh, fresh_reader) = Sifter::builder().build_concurrent();
+    for rows in &epochs {
+        for row in rows {
+            let Observation::Url {
+                url,
+                source_hostname,
+                resource_type,
+                script,
+                method,
+            } = row
+            else {
+                unreachable!("a re-crawl posts URL rows");
+            };
+            let Some(request) =
+                filterlist::FilterRequest::new(url, source_hostname, *resource_type)
+            else {
+                continue;
+            };
+            let view = request.view();
+            let label = engine.label_url(url, source_hostname, *resource_type);
+            fresh.observe_parts(
+                view.domain,
+                view.url.hostname,
+                script,
+                method,
+                label.is_tracking(),
+            );
+        }
+        fresh.commit();
+    }
+    assert_eq!(
+        recovered.snapshot().to_json_string(),
+        fresh.snapshot().to_json_string()
+    );
+    let keys = |reader: &trackersift::SifterReader| -> Vec<String> {
+        let pin = reader.pin();
+        pin.keys().iter().map(|(_, key)| key.to_string()).collect()
+    };
+    assert_eq!(keys(&recovered_reader), keys(&fresh_reader));
+    let ring = |writer: &trackersift::SifterWriter| -> Vec<VerdictRevision> {
+        writer.revisions().iter().map(|r| (**r).clone()).collect()
+    };
+    assert_eq!(ring(&recovered), ring(&fresh));
+    assert_eq!(recovered.published_version(), fresh.published_version());
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -431,3 +431,102 @@ proptest! {
         prop_assert_eq!(restored.snapshot().to_json_string(), text);
     }
 }
+
+// ---------------------------------------------------------------------------
+// service: the writer's label memo ≡ labeling every row afresh.
+// ---------------------------------------------------------------------------
+
+/// A `(url, page host, type)` triple as clients spell it: one of a few
+/// requests, in any case, with blanks around it, or no URL at all.
+fn arb_memo_triple() -> impl Strategy<Value = (String, String, ResourceType)> {
+    let request = prop_oneof![
+        "https://px\\.tracker\\.io/[a-c]",
+        "https://cdn\\.shop\\.com/[a-c]\\.js",
+        "https://static\\.bbc\\.co\\.uk/[a-c]",
+        "//px\\.tracker\\.io/collect/[a-c]",
+    ];
+    let page = prop_oneof!["shop.com", "SHOP.com", "tracker.io", "news.bbc.co.uk", ""];
+    (request, 0usize..8, page, 0usize..3).prop_map(|(url, spelling, page, kind)| {
+        let url = match spelling {
+            2 => url.to_ascii_uppercase(),
+            3 => format!(" {url}"),
+            4 => format!("{url}\t"),
+            5 => "notaurl".to_string(),
+            6 => "   ".to_string(),
+            _ => url,
+        };
+        let kind = [ResourceType::Script, ResourceType::Image, ResourceType::Xhr][kind];
+        (url, page.to_string(), kind)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A writer whose `observe_url` answers repeated triples from its memo
+    /// ends every commit exactly where a sifter fed `observe_parts` with
+    /// the engine's label for every row does: the same snapshot bytes, the
+    /// same key ids in the same order, the same ingest accounting. The memo
+    /// answers exactly the parseable rows whose triple, byte for byte, was
+    /// seen in the same or the previous commit interval.
+    #[test]
+    fn the_label_memo_equals_labeling_every_row(
+        drawn in prop::collection::vec(arb_memo_triple(), 1..6),
+        ops in prop::collection::vec((0usize..10, 0usize..4), 1..80),
+    ) {
+        let engine = Arc::new(FilterEngine::from_lists(&[(
+            ListKind::EasyList,
+            "||tracker.io^$third-party\n/collect/\n@@||tracker.io/b\n|https://$image",
+        )]));
+        // The first request again under another page host and another type.
+        let (url, page, kind) = drawn[0].clone();
+        let mut pool = drawn;
+        pool.push((url.clone(), format!("www.{page}"), kind));
+        pool.push((url, page, ResourceType::Ping));
+
+        let (mut writer, reader) = Sifter::builder().shared_engine(Arc::clone(&engine)).build_concurrent();
+        let mut oracle = Sifter::builder().build();
+        let (mut invalid, mut reused) = (0u64, 0u64);
+        let mut current = std::collections::HashSet::new();
+        let mut previous = std::collections::HashSet::new();
+        for (op, attribution) in ops {
+            // Seven in ten ops observe a row; the rest commit, empty or not.
+            if op >= 7 {
+                writer.commit();
+                oracle.commit();
+                previous = std::mem::take(&mut current);
+                prop_assert_eq!(writer.snapshot().to_json_string(), oracle.snapshot().to_json_string());
+                let keys = |table: &VerdictTable| -> Vec<(usize, String)> {
+                    table.keys().iter().map(|(key, text)| (key.index(), text.to_string())).collect()
+                };
+                prop_assert_eq!(keys(&reader.pin()), keys(&oracle.verdict_table()));
+                prop_assert_eq!(
+                    writer.sifter().ingest_stats(),
+                    IngestStats { invalid_urls: invalid, labels_reused: reused, ..oracle.ingest_stats() }
+                );
+                continue;
+            }
+            let (url, page, kind) = &pool[op % pool.len()];
+            let script = ["https://shop.com/app.js", "fp:00c0ffee"][attribution % 2];
+            let method = ["send", "load"][attribution / 2];
+            let outcome = writer.observe_url(url, page, *kind, script, method);
+            match FilterRequest::new(url, page, *kind) {
+                Some(request) => {
+                    let view = request.view();
+                    let label = engine.label_url(url, page, *kind);
+                    prop_assert_eq!(outcome, ObserveOutcome::Observed(label));
+                    oracle.observe_parts(view.domain, view.url.hostname, script, method, label.is_tracking());
+                    let triple = (url.clone(), page.clone(), *kind);
+                    if previous.contains(&triple) || current.contains(&triple) {
+                        reused += 1;
+                    }
+                    current.insert(triple);
+                }
+                None => {
+                    prop_assert_eq!(outcome, ObserveOutcome::InvalidUrl);
+                    invalid += 1;
+                }
+            }
+        }
+    }
+}
