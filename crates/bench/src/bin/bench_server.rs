@@ -29,7 +29,7 @@
 use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
-use trackersift::{Sifter, Study, StudyConfig};
+use trackersift::{ObservationRef, Sifter, Study, StudyConfig};
 use trackersift_bench::env_usize;
 use trackersift_server::client::Client;
 use trackersift_server::wire::DecisionMessage;
@@ -179,7 +179,7 @@ fn main() {
         let mut sifter = Sifter::builder()
             .thresholds(study.config.thresholds)
             .build();
-        sifter.observe_all(&study.requests);
+        sifter.apply_batch(study.requests.iter().map(ObservationRef::from));
         sifter.commit();
         let (writer, _reader) = sifter.into_concurrent();
         VerdictServer::start(writer, config).expect("start verdict server")

@@ -2,9 +2,9 @@
 //! [`SifterWriter`] with atomically published verdict tables.
 //!
 //! A deployed blocker or proxy is read-dominated with a trickle of writes:
-//! millions of verdict queries per second, an `observe`+`commit` batch every
+//! millions of verdict queries per second, an `apply_batch`+`commit` every
 //! few seconds. Wrapping a [`Sifter`] in an `RwLock` makes every commit (and
-//! even every observe) stall all verdict traffic. This module splits the
+//! even every apply) stall all verdict traffic. This module splits the
 //! sifter instead:
 //!
 //! * [`Sifter::into_concurrent`] / [`SifterBuilder::build_concurrent`](crate::service::SifterBuilder::build_concurrent)
@@ -24,15 +24,17 @@
 //! [`SifterWriter::apply`] is journal-then-fold, written once: append the
 //! [`ObservationRef`] to the attached journal (if any), then
 //! [`Sifter::apply`] it — the same borrowed record, with or without a
-//! journal. `observe_parts` / `observe_url` wrap it and
-//! [`SifterWriter::open_durable`] replays the journal through it.
+//! journal; [`SifterWriter::open_durable`] replays the journal through it.
 //! [`SifterWriter::apply_batch`] is the same for rows acknowledged
 //! together — the verdict server's admin thread passes it the batch the
-//! wire decoded: journal every row, fsync once, then fold, so the reply
-//! never runs ahead of the disk. A commit journals its marker, folds,
-//! publishes, and records one [`VerdictRevision`] through
-//! `record_revision` — the same recorder recovery runs for every replayed
-//! commit marker, so a recomputed ring entry equals the persisted one.
+//! wire decoded, a scheduler tick its re-crawl: journal every row, fsync
+//! once, then [`Sifter::apply_batch`], so the reply never runs ahead of
+//! the disk. The writer declares the sifter's write calls — `apply`,
+//! `apply_batch` and `commit` — and nothing else that writes. A commit
+//! journals its marker, folds, publishes, and records one
+//! [`VerdictRevision`] through `record_revision` — the same recorder
+//! recovery runs for every replayed commit marker, so a recomputed ring
+//! entry equals the persisted one.
 //!
 //! # How publication stays safe without locks (hand-rolled, `std`-only)
 //!
@@ -72,12 +74,10 @@
 use crate::decision::{Decision, DecisionRequest};
 use crate::intern::FrozenKeys;
 use crate::journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport};
-use crate::label::LabeledRequest;
 use crate::revision::VerdictRevision;
 use crate::service::{CommitStats, ObservationRef, ObserveOutcome, ServiceStats, Sifter, Verdict};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::table::{ClassTable, SurrogatePlans, VerdictTable};
-use filterlist::ResourceType;
 use std::io;
 use std::ops::Deref;
 use std::path::PathBuf;
@@ -206,17 +206,20 @@ impl Sifter {
 /// ```
 /// use std::sync::Arc;
 /// use trackersift::concurrent::TablePublisher;
-/// use trackersift::{DecisionRequest, Sifter};
+/// use trackersift::{DecisionRequest, ObservationRef, Sifter};
 ///
+/// let row = |tracking| {
+///     ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", tracking)
+/// };
 /// let mut sifter = Sifter::builder().build();
-/// sifter.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
+/// sifter.apply(row(true));
 /// sifter.commit();
 ///
 /// let (publisher, reader) = TablePublisher::new(Arc::new(sifter.verdict_table()));
 /// let query = DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
 /// assert!(reader.verdict(&query).should_block());
 ///
-/// sifter.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", false);
+/// sifter.apply(row(false));
 /// sifter.commit();
 /// publisher.publish(Arc::new(sifter.verdict_table())); // readers swap atomically
 /// assert_eq!(reader.version(), 2);
@@ -248,8 +251,9 @@ impl TablePublisher {
 
 /// The single ingestion handle of a concurrent sifter pair.
 ///
-/// Wraps the [`Sifter`]'s incremental machinery: `observe*` buffers count
-/// deltas and dirty marks exactly as [`Sifter::observe`] does, and
+/// Wraps the [`Sifter`]'s incremental machinery: [`SifterWriter::apply`]
+/// and [`SifterWriter::apply_batch`] buffer count deltas and dirty marks
+/// exactly as [`Sifter::apply`] does, and
 /// [`SifterWriter::commit`] reclassifies only the dirty slice, then
 /// publishes the resulting [`VerdictTable`] to every reader in one atomic
 /// swap. Readers keep serving the previous table until the swap, and batches
@@ -257,11 +261,12 @@ impl TablePublisher {
 /// observable half-applied.
 ///
 /// ```
-/// use trackersift::{DecisionRequest, Sifter};
+/// use trackersift::{DecisionRequest, ObservationRef, Sifter};
 ///
 /// let (mut writer, reader) = Sifter::builder().build_concurrent();
-/// writer.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
-/// assert_eq!(writer.sifter().pending(), 1);
+/// let row = ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
+/// writer.apply(row);
+/// assert_eq!(writer.sifter().ingest_stats().pending, 1);
 ///
 /// let stats = writer.commit(); // reclassify the delta + publish atomically
 /// assert_eq!(stats.observations, 1);
@@ -357,68 +362,12 @@ fn install_revision(
 }
 
 impl SifterWriter {
-    /// Ingest one labeled request (buffered until the next
-    /// [`SifterWriter::commit`]); see [`Sifter::observe`]. With a durable
-    /// store attached the observation is journaled first (write-ahead).
-    pub fn observe(&mut self, request: &LabeledRequest) {
-        self.observe_parts(
-            &request.domain,
-            &request.hostname,
-            &request.initiator_script,
-            &request.initiator_method,
-            request.is_tracking(),
-        );
-    }
-
-    /// Ingest a batch of labeled requests; see [`Sifter::observe_all`].
-    pub fn observe_all<'a>(&mut self, requests: impl IntoIterator<Item = &'a LabeledRequest>) {
-        for request in requests {
-            self.observe(request);
-        }
-    }
-
-    /// Ingest one observation by its four attribution keys and label; see
-    /// [`Sifter::observe_parts`] and [`SifterWriter::apply`].
-    pub fn observe_parts(
-        &mut self,
-        domain: &str,
-        hostname: &str,
-        script: &str,
-        method: &str,
-        tracking: bool,
-    ) {
-        self.apply(ObservationRef::Parts {
-            domain,
-            hostname,
-            script,
-            method,
-            tracking,
-        });
-    }
-
-    /// Label and ingest one raw request URL; see [`Sifter::observe_url`]
-    /// and [`SifterWriter::apply`].
-    pub fn observe_url(
-        &mut self,
-        url: &str,
-        source_hostname: &str,
-        resource_type: ResourceType,
-        initiator_script: &str,
-        initiator_method: &str,
-    ) -> ObserveOutcome {
-        self.apply(ObservationRef::Url {
-            url,
-            source_hostname,
-            resource_type,
-            script: initiator_script,
-            method: initiator_method,
-        })
-    }
-
     /// Ingest one [`ObservationRef`]: journal it (write-ahead, when a durable
     /// store is attached), then fold it with [`Sifter::apply`] — the one
-    /// spelling of journal-then-fold. Every live observe path ends here,
-    /// and [`SifterWriter::open_durable`] replays a journaled observation
+    /// spelling of journal-then-fold for a single row, and the only write a
+    /// durable writer journals one row at a time (synced every
+    /// `sync_every` rows, see [`SifterWriter::open_durable`]).
+    /// [`SifterWriter::open_durable`] replays a journaled observation
     /// through this same call (before the store is attached, so nothing is
     /// journaled twice); a raw URL is journaled raw and relabeled on
     /// replay, so recovery is deterministic for a writer configured with
@@ -435,17 +384,18 @@ impl SifterWriter {
     }
 
     /// Ingest a batch acknowledged as one (a verdict server's
-    /// `POST /v1/observations`): journal every row, flush and fsync once,
-    /// then fold the rows with [`Sifter::apply`] — nothing folds before the
-    /// batch is on disk, so a caller that replies after this returns never
-    /// acknowledges a row a crash can lose. `sync_every` does not apply
-    /// inside a batch. Returns how many rows were observed (as
+    /// `POST /v1/observations`, a scheduler tick's re-crawl): journal every
+    /// row, flush and fsync once, then fold the rows with
+    /// [`Sifter::apply_batch`] — nothing folds before the batch is on disk,
+    /// so a caller that replies after this returns never acknowledges a row
+    /// a crash can lose. `sync_every` does not apply inside a batch.
+    /// Returns how many rows were observed (as
     /// [`ObserveOutcome::was_observed`]).
     ///
     /// A failed append or fsync is counted in the journal stats and the
     /// rows still fold: degraded durability, as [`SifterWriter::apply`].
     ///
-    /// URL rows are labeled through [`Sifter::observe_url`]'s memo: a row
+    /// URL rows are labeled through [`Sifter::apply`]'s memo: a row
     /// whose exact `(url, source_hostname, resource_type)` was labeled in
     /// this commit interval or the previous one reuses that label and its
     /// interned hostname and domain. An entry lives until the second commit
@@ -464,8 +414,7 @@ impl SifterWriter {
         if let Some(durable) = &mut self.durable {
             let _ = durable.journal.append_batch(rows.clone());
         }
-        rows.filter(|&row| self.sifter.apply(row).was_observed())
-            .count() as u64
+        self.sifter.apply_batch(rows)
     }
 
     /// Fold all pending observations into the servable state
@@ -513,10 +462,11 @@ impl SifterWriter {
     /// publish the recovered state to every reader in one atomic swap.
     ///
     /// Every [`SifterWriter::apply_batch`] and every commit is on disk
-    /// before it returns; `sync_every` bounds only records applied one at a
-    /// time ([`SifterWriter::apply`] and the `observe*` calls), which are
-    /// forced to disk every that-many records. A `kill -9` at any instant
-    /// loses at most fewer than `sync_every` of those.
+    /// before it returns. The only rows journaled one at a time are a
+    /// library caller's [`SifterWriter::apply`]; `sync_every` forces those
+    /// to disk every that-many rows, so a `kill -9` at any instant loses at
+    /// most fewer than `sync_every` of them. Every server path —
+    /// `POST /v1/observations` and `POST /v1/tick` — journals batches.
     ///
     /// Call once, at boot, before serving; attaching twice is an error.
     pub fn open_durable(
@@ -626,7 +576,7 @@ impl SifterWriter {
                 "no durable store attached",
             ));
         };
-        if self.sifter.pending() > 0 {
+        if self.sifter.ingest_stats().pending > 0 {
             self.commit();
         }
         let snapshot_json = self.sifter.snapshot().to_json_string();
@@ -781,7 +731,7 @@ impl SifterWriter {
             builder = builder.shared_rewriter(rewriter);
         }
         let restored = builder.restore(snapshot)?;
-        let dropped_pending = self.sifter.pending();
+        let dropped_pending = self.sifter.ingest_stats().pending;
         // The restored sifter has committed exactly once; place that commit
         // one past the last published version.
         self.version_floor = (self.published_version() + 1).saturating_sub(restored.commits());
@@ -809,12 +759,6 @@ impl SifterWriter {
         &self.sifter
     }
 
-    /// Export the trained state as a versioned snapshot; see
-    /// [`Sifter::snapshot`].
-    pub fn snapshot(&self) -> SifterSnapshot {
-        self.sifter.snapshot()
-    }
-
     /// One consolidated view of the serving state; the `version` field is
     /// the *published* table version (monotone across
     /// [`SifterWriter::restore_snapshot`]), see [`ServiceStats`].
@@ -838,10 +782,11 @@ impl SifterWriter {
 ///
 /// ```
 /// use std::thread;
-/// use trackersift::{DecisionRequest, Sifter};
+/// use trackersift::{DecisionRequest, ObservationRef, Sifter};
 ///
 /// let (mut writer, reader) = Sifter::builder().build_concurrent();
-/// writer.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
+/// let row = ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
+/// writer.apply(row);
 /// writer.commit();
 ///
 /// let workers: Vec<_> = (0..4)
@@ -1007,9 +952,21 @@ impl Drop for PinnedTable<'_> {
 mod tests {
     use super::*;
     use crate::ratio::Classification;
+    use filterlist::ResourceType;
 
     fn block_query<'a>() -> DecisionRequest<'a> {
         DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send")
+    }
+
+    /// An observation of the request [`block_query`] asks about.
+    fn block_row(tracking: bool) -> ObservationRef<'static> {
+        ObservationRef::parts(
+            "ads.com",
+            "px.ads.com",
+            "https://pub.com/a.js",
+            "send",
+            tracking,
+        )
     }
 
     #[test]
@@ -1018,13 +975,7 @@ mod tests {
         assert_eq!(reader.version(), 0);
         assert_eq!(reader.verdict(&block_query()), Verdict::Unknown);
 
-        writer.observe_parts(
-            "ads.com",
-            "px.ads.com",
-            "https://pub.com/a.js",
-            "send",
-            true,
-        );
+        writer.apply(block_row(true));
         // Buffered: readers still see the old table.
         assert_eq!(reader.verdict(&block_query()), Verdict::Unknown);
         writer.commit();
@@ -1040,13 +991,7 @@ mod tests {
     #[test]
     fn a_pinned_table_survives_later_publishes_unchanged() {
         let (mut writer, reader) = Sifter::builder().build_concurrent();
-        writer.observe_parts(
-            "ads.com",
-            "px.ads.com",
-            "https://pub.com/a.js",
-            "send",
-            true,
-        );
+        writer.apply(block_row(true));
         writer.commit();
 
         let pin = reader.pin();
@@ -1056,13 +1001,7 @@ mod tests {
         // Publish twice more while the pin is held: the pinned state must
         // not move, while fresh pins see the newest table.
         for _ in 0..2 {
-            writer.observe_parts(
-                "ads.com",
-                "px.ads.com",
-                "https://pub.com/a.js",
-                "send",
-                false,
-            );
+            writer.apply(block_row(false));
             writer.commit();
         }
         assert_eq!(pin.version(), 1);
@@ -1080,13 +1019,7 @@ mod tests {
     #[test]
     fn concurrent_pins_on_one_handle_fall_back_safely() {
         let (mut writer, reader) = Sifter::builder().build_concurrent();
-        writer.observe_parts(
-            "ads.com",
-            "px.ads.com",
-            "https://pub.com/a.js",
-            "send",
-            true,
-        );
+        writer.apply(block_row(true));
         writer.commit();
 
         // Second pin on the same handle while the first is alive: the slot
@@ -1108,13 +1041,7 @@ mod tests {
     #[test]
     fn readers_outlive_the_writer_on_the_last_published_table() {
         let (mut writer, reader) = Sifter::builder().build_concurrent();
-        writer.observe_parts(
-            "ads.com",
-            "px.ads.com",
-            "https://pub.com/a.js",
-            "send",
-            true,
-        );
+        writer.apply(block_row(true));
         writer.commit();
         assert_eq!(writer.sifter().commits(), 1);
         drop(writer);
@@ -1127,25 +1054,31 @@ mod tests {
     fn restore_snapshot_swaps_state_monotonically_and_reports_dropped_pending() {
         // A trained source sifter to export.
         let mut source = Sifter::builder().build();
-        source.observe_parts(
-            "ads.com",
-            "px.ads.com",
-            "https://pub.com/a.js",
-            "send",
-            true,
-        );
+        source.apply(block_row(true));
         source.commit();
         let snapshot = source.snapshot();
 
         // A running pair with some history and a buffered observation.
         let (mut writer, reader) = Sifter::builder().build_concurrent();
         for _ in 0..3 {
-            writer.observe_parts("old.com", "h.old.com", "s.js", "m", false);
+            writer.apply(ObservationRef::parts(
+                "old.com",
+                "h.old.com",
+                "s.js",
+                "m",
+                false,
+            ));
             writer.commit();
         }
         assert_eq!(reader.version(), 3);
-        writer.observe_parts("old.com", "h.old.com", "s.js", "m", false);
-        assert_eq!(writer.sifter().pending(), 1);
+        writer.apply(ObservationRef::parts(
+            "old.com",
+            "h.old.com",
+            "s.js",
+            "m",
+            false,
+        ));
+        assert_eq!(writer.sifter().ingest_stats().pending, 1);
 
         // The swap reports the discarded pending observation, publishes
         // atomically, and versions keep increasing (never a reset to 1).
@@ -1161,13 +1094,7 @@ mod tests {
         );
 
         // Later commits keep climbing from the rebased floor.
-        writer.observe_parts(
-            "ads.com",
-            "px.ads.com",
-            "https://pub.com/a.js",
-            "send",
-            true,
-        );
+        writer.apply(block_row(true));
         writer.commit();
         assert_eq!(reader.version(), 5);
     }
@@ -1191,23 +1118,17 @@ mod tests {
             let report = writer.open_durable(&dir, 1).expect("open durable");
             assert!(!report.restored_snapshot);
             assert_eq!(report.replayed_records, 0);
-            writer.observe_parts(
-                "ads.com",
-                "px.ads.com",
-                "https://pub.com/a.js",
-                "send",
-                true,
-            );
+            writer.apply(block_row(true));
             writer.commit();
             // One more observation, fsynced (sync_every = 1) but never
             // committed; then the process "crashes" (drop, no shutdown).
-            writer.observe_parts(
+            writer.apply(ObservationRef::parts(
                 "ads.com",
                 "px2.ads.com",
                 "https://pub.com/a.js",
                 "send",
                 true,
-            );
+            ));
             let stats = writer.journal_stats().expect("journal stats");
             assert_eq!(
                 stats.appended, 4,
@@ -1223,7 +1144,7 @@ mod tests {
         // The committed observation serves again; the uncommitted one is
         // pending again, exactly as before the crash.
         assert!(reader.verdict(&block_query()).should_block());
-        assert_eq!(writer.sifter().pending(), 1);
+        assert_eq!(writer.sifter().ingest_stats().pending, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1235,15 +1156,11 @@ mod tests {
         let (mut writer, _reader) = Sifter::builder().build_concurrent();
         writer.open_durable(&dir, 64).expect("open durable");
         let hosts: Vec<String> = (0..100).map(|n| format!("h{n}.ads.com")).collect();
-        let accepted = writer.apply_batch(hosts.iter().map(|hostname| ObservationRef::Parts {
-            domain: "ads.com",
-            hostname,
-            script: "https://pub.com/a.js",
-            method: "send",
-            tracking: true,
+        let accepted = writer.apply_batch(hosts.iter().map(|hostname| {
+            ObservationRef::parts("ads.com", hostname, "https://pub.com/a.js", "send", true)
         }));
         assert_eq!(accepted, 100);
-        assert_eq!(writer.sifter().pending(), 100);
+        assert_eq!(writer.sifter().ingest_stats().pending, 100);
         let stats = writer.journal_stats().expect("journal stats");
         assert_eq!((stats.appended, stats.synced, stats.syncs), (100, 100, 1));
         let path = DurableDir::open(&dir).expect("dir").journal_path();
@@ -1258,13 +1175,7 @@ mod tests {
         {
             let (mut writer, _reader) = Sifter::builder().build_concurrent();
             writer.open_durable(&dir, 4).expect("open durable");
-            writer.observe_parts(
-                "ads.com",
-                "px.ads.com",
-                "https://pub.com/a.js",
-                "send",
-                true,
-            );
+            writer.apply(block_row(true));
             // checkpoint() commits the pending observation itself.
             let generation = writer.checkpoint().expect("checkpoint");
             assert_eq!(generation, 1);
@@ -1285,7 +1196,7 @@ mod tests {
             "the seeded ring record replays; no observations do"
         );
         assert!(reader.verdict(&block_query()).should_block());
-        assert_eq!(writer.sifter().pending(), 0);
+        assert_eq!(writer.sifter().ingest_stats().pending, 0);
         // The ring survived the checkpoint + restart: versions stay
         // continuous and the pre-crash span still answers.
         assert_eq!(writer.published_version(), 1);
@@ -1301,13 +1212,13 @@ mod tests {
             let (mut writer, _reader) = Sifter::builder().build_concurrent();
             writer.open_durable(&dir, 1).expect("open durable");
             for i in 0..3 {
-                writer.observe_parts(
+                writer.apply(ObservationRef::parts(
                     &format!("d{i}.com"),
                     &format!("h.d{i}.com"),
                     "https://pub.com/s.js",
                     "m",
                     true,
-                );
+                ));
                 writer.commit();
             }
             assert_eq!(writer.published_version(), 3);
@@ -1334,7 +1245,13 @@ mod tests {
             "one pure-tracking domain added per commit across the span"
         );
         // New commits keep extending the same numbering.
-        writer.observe_parts("d9.com", "h.d9.com", "https://pub.com/s.js", "m", true);
+        writer.apply(ObservationRef::parts(
+            "d9.com",
+            "h.d9.com",
+            "https://pub.com/s.js",
+            "m",
+            true,
+        ));
         writer.commit();
         assert_eq!(writer.published_version(), 4);
         assert_eq!(writer.revisions().last().expect("ring entry").version(), 4);
@@ -1348,18 +1265,24 @@ mod tests {
             let (mut writer, _reader) = Sifter::builder().build_concurrent();
             writer.open_durable(&dir, 1).expect("open durable");
             for i in 0..2 {
-                writer.observe_parts(
+                writer.apply(ObservationRef::parts(
                     &format!("d{i}.com"),
                     &format!("h.d{i}.com"),
                     "https://pub.com/s.js",
                     "m",
                     true,
-                );
+                ));
                 writer.commit();
             }
             writer.checkpoint().expect("checkpoint");
             // One more commit after the checkpoint, then crash.
-            writer.observe_parts("d2.com", "h.d2.com", "https://pub.com/s.js", "m", true);
+            writer.apply(ObservationRef::parts(
+                "d2.com",
+                "h.d2.com",
+                "https://pub.com/s.js",
+                "m",
+                true,
+            ));
             writer.commit();
         }
         let (mut writer, _reader) = Sifter::builder().build_concurrent();
@@ -1380,23 +1303,23 @@ mod tests {
     }
 
     #[test]
-    fn writer_observe_paths_mirror_the_sifter() {
+    fn writer_apply_mirrors_the_sifter() {
         let (mut writer, _reader) = Sifter::builder().build_concurrent();
         assert_eq!(
-            writer.observe_url(
+            writer.apply(ObservationRef::url(
                 "https://x.test/a",
                 "pub.com",
                 ResourceType::Script,
                 "s.js",
                 "m"
-            ),
+            )),
             ObserveOutcome::NoEngine
         );
-        writer.observe_parts("a.com", "h.a.com", "s.js", "m", true);
-        assert_eq!(writer.sifter().pending(), 1);
+        writer.apply(ObservationRef::parts("a.com", "h.a.com", "s.js", "m", true));
+        assert_eq!(writer.sifter().ingest_stats().pending, 1);
         let stats = writer.commit();
         assert_eq!(stats.observations, 1);
-        assert_eq!(writer.snapshot().observations(), 1);
+        assert_eq!(writer.sifter().snapshot().observations(), 1);
         assert_eq!(writer.sifter().ingest_stats().no_engine, 1);
     }
 }

@@ -245,12 +245,13 @@ impl fmt::Display for DecisionSource {
 /// filter engine, and surrogate generation.
 ///
 /// ```
-/// use trackersift::{Decision, DecisionRequest, DecisionSource, Granularity, Sifter};
+/// use trackersift::{
+///     Decision, DecisionRequest, DecisionSource, Granularity, ObservationRef, Sifter,
+/// };
 ///
 /// let mut sifter = Sifter::builder().build();
-/// for _ in 0..5 {
-///     sifter.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
-/// }
+/// let row = ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
+/// sifter.apply_batch([row; 5]);
 /// sifter.commit();
 ///
 /// let table = sifter.verdict_table();
@@ -278,7 +279,7 @@ pub enum Decision {
     /// bump.
     ///
     /// ```
-    /// use trackersift::{Decision, DecisionRequest, Sifter};
+    /// use trackersift::{Decision, DecisionRequest, ObservationRef, Sifter};
     /// use rewriter::RewriterBuilder;
     /// use filterlist::ResourceType;
     ///
@@ -286,8 +287,9 @@ pub enum Decision {
     ///     .rewriter(RewriterBuilder::new().default_rules().build())
     ///     .build();
     /// // Train hub.com to a *mixed* verdict at domain level.
-    /// sifter.observe_parts("hub.com", "w.hub.com", "s.js", "m", true);
-    /// sifter.observe_parts("hub.com", "w.hub.com", "s.js", "m", false);
+    /// for tracking in [true, false] {
+    ///     sifter.apply(ObservationRef::parts("hub.com", "w.hub.com", "s.js", "m", tracking));
+    /// }
     /// sifter.commit();
     ///
     /// let request = DecisionRequest::new("hub.com", "new.hub.com", "s2.js", "m")
@@ -487,7 +489,7 @@ fn filter_backstop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::Sifter;
+    use crate::service::{ObservationRef, Sifter};
     use crate::surrogate::MethodAction;
     use filterlist::ListKind;
 
@@ -499,50 +501,50 @@ mod tests {
             .build();
         // Pure tracking domain.
         for _ in 0..5 {
-            sifter.observe_parts(
+            sifter.apply(ObservationRef::parts(
                 "ads.com",
                 "px.ads.com",
                 "https://pub.com/a.js",
                 "send",
                 true,
-            );
+            ));
         }
         // Pure functional domain.
         for _ in 0..5 {
-            sifter.observe_parts(
+            sifter.apply(ObservationRef::parts(
                 "cdn.com",
                 "a.cdn.com",
                 "https://pub.com/ui.js",
                 "load",
                 false,
-            );
+            ));
         }
         // Mixed domain -> mixed hostname -> mixed script with a tracking, a
         // functional, and a mixed method.
         for _ in 0..6 {
-            sifter.observe_parts(
+            sifter.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "track",
                 true,
-            );
-            sifter.observe_parts(
+            ));
+            sifter.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "render",
                 false,
-            );
+            ));
         }
         for flag in [true, false, true, false] {
-            sifter.observe_parts(
+            sifter.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "dispatch",
                 flag,
-            );
+            ));
         }
         sifter.commit();
         sifter
@@ -725,8 +727,10 @@ mod tests {
     #[test]
     fn decisions_without_an_engine_observe_instead_of_guessing() {
         let mut sifter = Sifter::builder().build();
-        sifter.observe_parts("a.com", "h.a.com", "s.js", "m", true);
-        sifter.observe_parts("a.com", "h.a.com", "s.js", "m", false);
+        sifter.apply(ObservationRef::parts("a.com", "h.a.com", "s.js", "m", true));
+        sifter.apply(ObservationRef::parts(
+            "a.com", "h.a.com", "s.js", "m", false,
+        ));
         sifter.commit();
         // Mixed at hostname level (single hostname, mixed), no engine: even
         // with a URL there is nothing to match against.

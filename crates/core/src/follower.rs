@@ -296,33 +296,33 @@ impl FollowerState {
 mod tests {
     use super::*;
     use crate::decision::DecisionRequest;
-    use crate::service::Sifter;
+    use crate::service::{ObservationRef, Sifter};
     use crate::table::PrebuiltDecision;
 
     fn mixed_sifter(rounds: u64) -> Sifter {
         let mut sifter = Sifter::builder().build();
         for n in 0..rounds {
-            sifter.observe_parts(
+            sifter.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "track",
                 true,
-            );
-            sifter.observe_parts(
+            ));
+            sifter.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "render",
                 n % 2 == 0,
-            );
-            sifter.observe_parts(
+            ));
+            sifter.apply(ObservationRef::parts(
                 "ads.com",
                 "px.ads.com",
                 "https://pub.com/a.js",
                 "send",
                 true,
-            );
+            ));
         }
         sifter.commit();
         sifter
@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn deltas_chain_exactly_and_mismatches_are_typed() {
         let (mut writer, _reader) = Sifter::builder().build_concurrent();
-        writer.observe_parts("a.com", "h.a.com", "s.js", "m", true);
+        writer.apply(ObservationRef::parts("a.com", "h.a.com", "s.js", "m", true));
         writer.commit();
         let table = writer.reader().pin().table().clone();
         let full = table.full_snapshot_delta();
@@ -389,7 +389,9 @@ mod tests {
         follower.apply(&full).expect("bootstrap");
         assert_eq!(follower.version(), 1);
 
-        writer.observe_parts("b.com", "h.b.com", "s.js", "m", false);
+        writer.apply(ObservationRef::parts(
+            "b.com", "h.b.com", "s.js", "m", false,
+        ));
         writer.commit();
         let next = writer.reader().pin().table().clone();
         let delta = next.delta_since(1).expect("covered span");
@@ -417,20 +419,20 @@ mod tests {
     fn a_delta_from_zero_chains_on_a_fresh_follower() {
         let (mut writer, reader) = Sifter::builder().build_concurrent();
         for n in 0..3u64 {
-            writer.observe_parts(
+            writer.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "track",
                 true,
-            );
-            writer.observe_parts(
+            ));
+            writer.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "render",
                 n % 2 == 0,
-            );
+            ));
             writer.commit();
         }
         let pin = reader.pin();

@@ -190,7 +190,7 @@ impl LevelResult {
     /// This is the *single* constructor both the batch classifier and the
     /// incremental [`Sifter`](crate::service::Sifter) export go through, so
     /// the two can never drift apart on ordering or accounting — the
-    /// foundation of the observe/commit ≡ from-scratch equivalence the
+    /// foundation of the apply/commit ≡ from-scratch equivalence the
     /// service tests assert.
     pub fn from_entries(
         granularity: Granularity,

@@ -16,9 +16,9 @@
 //! [`LabeledRequest`] through the crate-private `label_url` — the single
 //! place that builds the request view, asks the oracle, and reads the
 //! hostname and registrable domain off the view.
-//! [`Sifter::observe_url`](crate::service::Sifter::observe_url) calls the
-//! same function, so the batch and the serving side cannot label one request
-//! two ways. `label_url` copies nothing: the request is a
+//! [`Sifter::apply`](crate::service::Sifter::apply) calls the same
+//! function for a raw-URL row, so the batch and the serving side cannot
+//! label one request two ways. `label_url` copies nothing: the request is a
 //! [`filterlist::RequestView`] built in a [`RequestScratch`] the caller
 //! keeps (one per site here, one per sifter there), and the hostname and
 //! domain it hands back are slices of that view.
@@ -38,7 +38,7 @@
 //! The reuse is across crawls instead. A serving writer re-crawling the
 //! same web every epoch sees ≈ 90% of an epoch's triples again in the next
 //! one (87–92% per epoch on the `ingest_replicate` input), so
-//! [`Sifter::observe_url`](crate::service::Sifter::observe_url) keeps a
+//! [`Sifter::apply`](crate::service::Sifter::apply) keeps a
 //! private memo whose lifetime is the commit interval: a triple labeled in
 //! the current or the previous interval is answered from it, with the
 //! hostname and domain keys it was interned under, and one unseen for a

@@ -65,7 +65,7 @@
 //!
 //! A study is also a producer of long-lived serving state:
 //! [`Study::sifter`] trains a [`service::Sifter`], which ingests new
-//! observations incrementally ([`service::Sifter::observe`] +
+//! observations incrementally ([`service::Sifter::apply`] +
 //! [`service::Sifter::commit`], provably equivalent to reclassifying from
 //! scratch) and exports a [`table::VerdictTable`] — the one type that
 //! answers `tracking / functional / mixed` per request by resolving the

@@ -1,4 +1,4 @@
-//! The serving writer's label memo: what [`Sifter::observe_url`] labeled a
+//! The serving writer's label memo: what [`Sifter::apply`] labeled a raw
 //! `(url, page host, resource type)` triple as in this commit interval and
 //! the one before it.
 //!
@@ -30,7 +30,7 @@
 //! A lookup compares the stored bytes, so a hash collision can only cost a
 //! miss: a colliding triple is labeled afresh and not remembered.
 //!
-//! [`Sifter::observe_url`]: crate::service::Sifter::observe_url
+//! [`Sifter::apply`]: crate::service::Sifter::apply
 
 use crate::intern::ResourceKey;
 use filterlist::tokens::TokenHashBuilder;

@@ -37,7 +37,7 @@ use crate::intern::KeyInterner;
 use crate::label::{CacheStats, LabelStats, LabeledRequest, Labeler};
 use crate::ratio::{Classification, Thresholds};
 use crate::sensitivity::SensitivitySweep;
-use crate::service::Sifter;
+use crate::service::{ObservationRef, Sifter};
 use crate::surrogate::{generate_surrogates, SurrogateScript};
 use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase, CrawlSummary};
 use filterlist::FilterEngine;
@@ -310,14 +310,14 @@ impl Study {
     /// export, the [`Sifter::verdict_table`] that answers verdict and
     /// decision queries, and [`Sifter::snapshot`] persistence) is how
     /// downstream consumers read the trained state. The study's compiled
-    /// filter engine rides along, so [`Sifter::observe_url`] and the table's
-    /// filter-list backstop work out of the box.
+    /// filter engine rides along, so raw-URL [`Sifter::apply`] and the
+    /// table's filter-list backstop work out of the box.
     pub fn sifter(&self) -> Sifter {
         let mut sifter = Sifter::builder()
             .thresholds(self.config.thresholds)
             .engine(self.engine.clone())
             .build();
-        sifter.observe_all(&self.requests);
+        sifter.apply_batch(self.requests.iter().map(ObservationRef::from));
         sifter.commit();
         sifter
     }
@@ -422,7 +422,7 @@ mod tests {
         let mut sifter = study.sifter();
         // The sifter's committed export is exactly the study's hierarchy.
         assert_eq!(sifter.hierarchy(), study.hierarchy);
-        assert_eq!(sifter.observed(), study.requests.len() as u64);
+        assert_eq!(sifter.ingest_stats().observed, study.requests.len() as u64);
         assert_eq!(
             sifter.unattributed_requests(),
             study.hierarchy.unattributed_requests

@@ -1,5 +1,5 @@
 //! The `Sifter`: the long-lived trainer behind every served verdict —
-//! observe, commit, export.
+//! apply, commit, export.
 //!
 //! [`Study::run`](crate::pipeline::Study) materialises the whole batch
 //! pipeline; a deployed content blocker or proxy instead needs a long-lived
@@ -10,13 +10,14 @@
 //! * [`SifterBuilder`] — builder-pattern configuration (thresholds, filter
 //!   lists for raw-traffic labeling, pre-trained state from a
 //!   [`SifterSnapshot`]) producing a [`Sifter`];
-//! * [`Sifter::observe`] + [`Sifter::commit`] — incremental ingestion.
-//!   `observe` accumulates [`Counts`] deltas and marks the touched resources
-//!   dirty; `commit` reclassifies **only** the dirty resources (and whatever
-//!   their classification flips invalidate downstream), instead of re-running
-//!   the full hierarchical classification. The equivalence tests prove that
-//!   any interleaving of `observe`/`commit` ends in exactly the state a
-//!   from-scratch [`HierarchicalClassifier::classify`] would produce;
+//! * [`Sifter::apply`] / [`Sifter::apply_batch`] + [`Sifter::commit`] —
+//!   incremental ingestion. `apply` accumulates [`Counts`] deltas and marks
+//!   the touched resources dirty; `commit` reclassifies **only** the dirty
+//!   resources (and whatever their classification flips invalidate
+//!   downstream), instead of re-running the full hierarchical
+//!   classification. The equivalence tests prove that any interleaving of
+//!   `apply`/`commit` ends in exactly the state a from-scratch
+//!   [`HierarchicalClassifier::classify`] would produce;
 //! * [`Sifter::verdict_table`] — export the committed state as an immutable
 //!   [`VerdictTable`], the one type that answers
 //!   [`verdict`](VerdictTable::verdict) and [`decide`](VerdictTable::decide)
@@ -31,10 +32,10 @@
 //! One record, one fold, one class writer. Every observation travels as a
 //! borrowed [`ObservationRef`] — a view of wherever its strings already lie:
 //! the arena a `POST /v1/observations` body decoded into, a caller's
-//! `&str`s, or the owned [`Observation`] recovery replays — and
-//! [`Sifter::apply`] is the one dispatch that folds it
-//! ([`Sifter::observe_parts`] / [`Sifter::observe_url`] underneath, for
-//! callers that hold the parts). A raw URL is labeled through a
+//! `&str`s ([`ObservationRef::parts`], [`ObservationRef::url`]), a
+//! [`LabeledRequest`], or the owned [`Observation`] recovery replays — and
+//! [`Sifter::apply`] is the one call that folds it ([`Sifter::apply_batch`]
+//! folds many). A raw URL is labeled through a
 //! [`RequestScratch`] the sifter keeps, and its hostname and domain are
 //! slices of that view, so a fold whose keys are already interned allocates
 //! nothing. A fold accumulates count cells in
@@ -179,7 +180,7 @@ impl CommitStats {
     }
 }
 
-/// What happened to one [`Sifter::observe_url`] call.
+/// What happened to one [`Sifter::apply`] call.
 ///
 /// Raw-URL ingestion can fail for two very different reasons that the old
 /// `Option<RequestLabel>` return conflated: the sifter may have no labeling
@@ -221,7 +222,7 @@ impl ObserveOutcome {
 /// before lending it back to the write path with [`Observation::as_ref`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Observation {
-    /// Pre-labeled attribution parts ([`Sifter::observe_parts`]).
+    /// Pre-labeled attribution parts ([`ObservationRef::parts`]).
     Parts {
         /// Registrable domain.
         domain: String,
@@ -235,7 +236,7 @@ pub enum Observation {
         tracking: bool,
     },
     /// A raw URL for the configured filter engine to label
-    /// ([`Sifter::observe_url`]) — replayed through the same labeling path,
+    /// ([`ObservationRef::url`]) — replayed through the same labeling path,
     /// so recovery is deterministic for a writer configured with the same
     /// engine.
     Url {
@@ -259,7 +260,7 @@ pub enum Observation {
 /// the strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObservationRef<'a> {
-    /// Pre-labeled attribution parts ([`Sifter::observe_parts`]).
+    /// Pre-labeled attribution parts ([`ObservationRef::parts`]).
     Parts {
         /// Registrable domain.
         domain: &'a str,
@@ -273,7 +274,7 @@ pub enum ObservationRef<'a> {
         tracking: bool,
     },
     /// A raw URL for the configured filter engine to label
-    /// ([`Sifter::observe_url`]) — replayed through the same labeling path,
+    /// ([`ObservationRef::url`]) — replayed through the same labeling path,
     /// so recovery is deterministic for a writer configured with the same
     /// engine.
     Url {
@@ -290,6 +291,59 @@ pub enum ObservationRef<'a> {
     },
 }
 
+impl<'a> ObservationRef<'a> {
+    /// A pre-labeled observation of its four attribution keys. `domain`
+    /// should be the registrable domain of `hostname`; see
+    /// [`Sifter::apply`] for what happens when it is not.
+    pub fn parts(
+        domain: &'a str,
+        hostname: &'a str,
+        script: &'a str,
+        method: &'a str,
+        tracking: bool,
+    ) -> Self {
+        ObservationRef::Parts {
+            domain,
+            hostname,
+            script,
+            method,
+            tracking,
+        }
+    }
+
+    /// A raw request for the configured filter engine to label: the
+    /// request `url`, the hostname of the page that issued it, its
+    /// resource type, and the initiating script and method.
+    pub fn url(
+        url: &'a str,
+        source_hostname: &'a str,
+        resource_type: ResourceType,
+        script: &'a str,
+        method: &'a str,
+    ) -> Self {
+        ObservationRef::Url {
+            url,
+            source_hostname,
+            resource_type,
+            script,
+            method,
+        }
+    }
+}
+
+/// A request the labeling stage produced, observed under its oracle label.
+impl<'a> From<&'a LabeledRequest> for ObservationRef<'a> {
+    fn from(request: &'a LabeledRequest) -> Self {
+        ObservationRef::parts(
+            &request.domain,
+            &request.hostname,
+            &request.initiator_script,
+            &request.initiator_method,
+            request.is_tracking(),
+        )
+    }
+}
+
 impl Observation {
     /// Lend the record to the write path.
     pub fn as_ref(&self) -> ObservationRef<'_> {
@@ -300,26 +354,14 @@ impl Observation {
                 script,
                 method,
                 tracking,
-            } => ObservationRef::Parts {
-                domain,
-                hostname,
-                script,
-                method,
-                tracking: *tracking,
-            },
+            } => ObservationRef::parts(domain, hostname, script, method, *tracking),
             Observation::Url {
                 url,
                 source_hostname,
                 resource_type,
                 script,
                 method,
-            } => ObservationRef::Url {
-                url,
-                source_hostname,
-                resource_type: *resource_type,
-                script,
-                method,
-            },
+            } => ObservationRef::url(url, source_hostname, *resource_type, script, method),
         }
     }
 
@@ -391,10 +433,11 @@ impl Observation {
     }
 }
 
-/// Ingestion accounting across every observe path, including the requests
+/// Ingestion accounting of every [`Sifter::apply`], including the requests
 /// that were *not* ingested and why — so a deployment can alarm on
 /// configuration problems (`no_engine`) separately from data problems
-/// (`invalid_urls`, `conflicting_domains`).
+/// (`invalid_urls`, `conflicting_domains`). The one account of the write
+/// path: read it with [`Sifter::ingest_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Observations ever ingested, including pending ones.
@@ -403,14 +446,16 @@ pub struct IngestStats {
     pub committed: u64,
     /// Observations waiting for the next commit.
     pub pending: u64,
-    /// [`Sifter::observe_url`] calls skipped because the URL did not parse.
+    /// [`ObservationRef::Url`] rows skipped because the URL did not parse.
     pub invalid_urls: u64,
-    /// [`Sifter::observe_url`] calls skipped because no engine is configured.
+    /// [`ObservationRef::Url`] rows skipped because no engine is configured.
     pub no_engine: u64,
     /// Observations whose hostname arrived under a different registrable
-    /// domain than first seen (ingested under the first-seen domain).
+    /// domain than first seen (ingested under the first-seen domain). This
+    /// is how a deployment notices the upstream attribution bug; `/v1/stats`
+    /// reports it as `conflicting_observations`.
     pub conflicting_domains: u64,
-    /// [`Sifter::observe_url`] calls answered by the label memo: the
+    /// [`ObservationRef::Url`] rows answered by the label memo: the
     /// triple was labeled in this commit interval or the previous one, so
     /// the filter engine was not asked again. Not part of `/v1/stats`.
     pub labels_reused: u64,
@@ -429,10 +474,6 @@ pub struct IngestStats {
 pub struct ServiceStats {
     /// Full ingestion accounting, including skipped requests.
     pub ingest: IngestStats,
-    /// Observations whose hostname conflicted with its first-seen domain
-    /// (also available as `ingest.conflicting_domains`; surfaced at top
-    /// level because deployments alarm on it).
-    pub conflicting_observations: u64,
     /// The servable table version (commit count, or published version for
     /// the concurrent writer).
     pub version: u64,
@@ -441,27 +482,6 @@ pub struct ServiceStats {
     /// Committed member resources per granularity, indexed by
     /// [`Granularity::index`].
     pub resources: [usize; 4],
-}
-
-/// The keys of one observation, in [`Sifter::fold_cell`]'s order: claimed
-/// domain, hostname, script, method name, composed method. Every observe
-/// path interns the claimed domain and then the hostname before calling
-/// this (a label-memo hit reuses the ids its triple interned then), so key
-/// ids do not depend on which path a row takes.
-fn intern_keys(
-    interner: &mut KeyInterner,
-    domain: ResourceKey,
-    hostname: ResourceKey,
-    script: &str,
-    method: &str,
-) -> [ResourceKey; 5] {
-    [
-        domain,
-        hostname,
-        interner.intern(script),
-        interner.intern(method),
-        interner.intern_method(script, method),
-    ]
 }
 
 /// Unconditional per-hostname state: owning domain plus raw counts.
@@ -508,7 +528,7 @@ fn mark_dirty(dirty: &mut KeySet, dependents_of: &KeyMap<Vec<ResourceKey>>, key:
 /// use trackersift::{Sifter, Thresholds};
 ///
 /// let sifter = Sifter::builder().thresholds(Thresholds::paper()).build();
-/// assert_eq!(sifter.observed(), 0);
+/// assert_eq!(sifter.ingest_stats().observed, 0);
 /// ```
 #[derive(Debug, Default)]
 pub struct SifterBuilder {
@@ -530,7 +550,7 @@ impl SifterBuilder {
     }
 
     /// Compile filter lists into the labeling oracle the sifter uses for
-    /// [`Sifter::observe_url`] (raw-traffic ingestion) and the filter-list
+    /// [`ObservationRef::Url`] rows (raw-traffic ingestion) and the filter-list
     /// backstop of [`VerdictTable::decide`].
     pub fn filter_lists(mut self, lists: &[(ListKind, &str)]) -> Self {
         self.engine = Some(Arc::new(FilterEngine::from_lists(lists)));
@@ -609,7 +629,7 @@ impl SifterBuilder {
     /// let (writer, reader) = Sifter::builder()
     ///     .thresholds(Thresholds::paper())
     ///     .build_concurrent();
-    /// assert_eq!(writer.sifter().observed(), 0);
+    /// assert_eq!(writer.sifter().ingest_stats().observed, 0);
     /// assert_eq!(reader.version(), 0);
     /// ```
     pub fn build_concurrent(
@@ -644,22 +664,22 @@ impl SifterBuilder {
     }
 }
 
-/// The long-lived trainer of TrackerSift's hierarchical state: observe,
+/// The long-lived trainer of TrackerSift's hierarchical state: apply,
 /// commit, export. Built by [`SifterBuilder`]; queries are answered by the
 /// [`VerdictTable`] it exports — see the [module docs](crate::service).
 #[derive(Debug)]
 pub struct Sifter {
     thresholds: Thresholds,
     engine: Option<Arc<FilterEngine>>,
-    /// The buffers [`Sifter::observe_url`] builds each request's view in.
+    /// The buffers [`Sifter::apply`] builds each raw request's view in.
     scratch: RequestScratch,
-    /// What [`Sifter::observe_url`] labeled each triple as in this commit
+    /// What [`Sifter::apply`] labeled each raw triple as in this commit
     /// interval and the previous one (see the `memo` module).
     labels: LabelMemo,
     rewriter: Option<Arc<UrlRewriter>>,
     interner: KeyInterner,
 
-    // -- raw accumulated observations (updated by `observe`) --
+    // -- raw accumulated observations (updated by `apply`) --
     /// Unconditional counts per domain.
     domain_counts: KeyMap<Counts>,
     /// Owning domain + unconditional counts per hostname.
@@ -701,7 +721,7 @@ pub struct Sifter {
     /// lazily when the interner has grown since the last freeze.
     frozen: Option<Arc<FrozenKeys>>,
 
-    /// The ingestion accounting every observe path and `commit` keep, in
+    /// The ingestion accounting [`Sifter::apply`] and `commit` keep, in
     /// the shape [`Sifter::ingest_stats`] reports it.
     ingest: IngestStats,
     /// Committed requests still attributed to mixed methods (the residue).
@@ -728,21 +748,6 @@ impl Sifter {
         self.thresholds
     }
 
-    /// Observations ever ingested, including pending ones.
-    pub fn observed(&self) -> u64 {
-        self.ingest.observed
-    }
-
-    /// Observations folded into the committed (servable) state.
-    pub fn committed(&self) -> u64 {
-        self.ingest.committed
-    }
-
-    /// Observations waiting for the next [`Sifter::commit`].
-    pub fn pending(&self) -> u64 {
-        self.ingest.pending
-    }
-
     /// Commits performed so far.
     pub fn commits(&self) -> u64 {
         self.commits
@@ -752,14 +757,6 @@ impl Sifter {
     /// "<2% residue".
     pub fn unattributed_requests(&self) -> u64 {
         self.residue_requests
-    }
-
-    /// Observations whose hostname was seen under a different registrable
-    /// domain than its first-seen one. Such observations are ingested under
-    /// the first-seen domain (see [`Sifter::observe_parts`]); this counter
-    /// is how a deployment notices the upstream attribution bug.
-    pub fn conflicting_observations(&self) -> u64 {
-        self.ingest.conflicting_domains
     }
 
     /// The full ingestion accounting, including requests that were skipped
@@ -774,7 +771,6 @@ impl Sifter {
     pub fn service_stats(&self) -> ServiceStats {
         ServiceStats {
             ingest: self.ingest_stats(),
-            conflicting_observations: self.ingest.conflicting_domains,
             version: self.commits,
             unattributed: self.residue_requests,
             resources: Granularity::ALL.map(|level| self.committed_resources(level)),
@@ -800,30 +796,26 @@ impl Sifter {
     // ingestion
     // -----------------------------------------------------------------
 
-    /// Ingest one labeled request. The observation is buffered into count
+    /// Ingest one observation: intern its keys and buffer it into count
     /// deltas and dirty marks; verdicts do not change until the next
-    /// [`Sifter::commit`].
-    pub fn observe(&mut self, request: &LabeledRequest) {
-        self.observe_parts(
-            &request.domain,
-            &request.hostname,
-            &request.initiator_script,
-            &request.initiator_method,
-            request.is_tracking(),
-        );
-    }
-
-    /// Ingest a batch of labeled requests (see [`Sifter::observe`]).
-    pub fn observe_all<'a>(&mut self, requests: impl IntoIterator<Item = &'a LabeledRequest>) {
-        for request in requests {
-            self.observe(request);
-        }
-    }
-
-    /// Ingest one raw (unlabeled) request: label it with the configured
-    /// filter engine, derive the hostname / registrable domain, and observe
-    /// the result. The returned [`ObserveOutcome`] distinguishes "labeled
-    /// and observed" from the two skip reasons — no engine configured
+    /// [`Sifter::commit`]. The one call every write goes through — the
+    /// writer's [`apply`](crate::concurrent::SifterWriter::apply), and
+    /// through it the server's admin thread and journal recovery.
+    ///
+    /// [`ObservationRef::Parts`] are always observed, under the label they
+    /// carry. Their `domain` should be the registrable domain of `hostname`
+    /// — the invariant every [`LabeledRequest`] produced by the labeling
+    /// stage satisfies by construction. When a hostname arrives under a
+    /// *different* domain than it was first observed with, the sifter
+    /// degrades gracefully instead of corrupting the hierarchy (a hostname
+    /// must belong to exactly one domain): the observation is credited to
+    /// the first-seen domain and the event is counted in
+    /// [`IngestStats::conflicting_domains`].
+    ///
+    /// An [`ObservationRef::Url`] is labeled with the configured filter
+    /// engine, and its hostname and registrable domain derived from the
+    /// URL. The returned [`ObserveOutcome`] distinguishes "labeled and
+    /// observed" from the two skip reasons — no engine configured
     /// ([`ObserveOutcome::NoEngine`]) and unparseable URL
     /// ([`ObserveOutcome::InvalidUrl`], excluded exactly as the batch
     /// labeling stage excludes it) — and every skip is counted in
@@ -843,101 +835,11 @@ impl Sifter {
     /// the key bytes of the last interval's rows. The engine never changes
     /// under a sifter, so a remembered label is the label; unparseable URLs
     /// are not remembered.
-    pub fn observe_url(
-        &mut self,
-        url: &str,
-        source_hostname: &str,
-        resource_type: ResourceType,
-        initiator_script: &str,
-        initiator_method: &str,
-    ) -> ObserveOutcome {
-        let Some(engine) = self.engine.as_deref() else {
-            self.ingest.no_engine += 1;
-            return ObserveOutcome::NoEngine;
-        };
-        let hash = LabelMemo::hash(url, source_hostname, resource_type);
-        let remembered = match self.labels.get(hash, url, source_hostname, resource_type) {
-            Some(remembered) => {
-                self.ingest.labels_reused += 1;
-                remembered
-            }
-            None => {
-                let Some((label, hostname, domain)) = label_url(
-                    engine,
-                    &mut self.scratch,
-                    url,
-                    source_hostname,
-                    resource_type,
-                ) else {
-                    self.ingest.invalid_urls += 1;
-                    return ObserveOutcome::InvalidUrl;
-                };
-                let domain = self.interner.intern(domain);
-                let remembered = Remembered {
-                    label,
-                    hostname: self.interner.intern(hostname),
-                    domain,
-                };
-                self.labels
-                    .insert(hash, url, source_hostname, resource_type, remembered);
-                remembered
-            }
-        };
-        let keys = intern_keys(
-            &mut self.interner,
-            remembered.domain,
-            remembered.hostname,
-            initiator_script,
-            initiator_method,
-        );
-        self.fold_one(keys, remembered.label.is_tracking());
-        ObserveOutcome::Observed(remembered.label)
-    }
-
-    /// The label memo's `(arena, index table)` bytes.
-    #[cfg(test)]
-    pub(crate) fn label_memo_footprint(&self) -> (usize, usize) {
-        self.labels.footprint()
-    }
-
-    /// Ingest one observation given its four attribution keys and label.
-    ///
-    /// `domain` should be the registrable domain of `hostname` — the
-    /// invariant every [`LabeledRequest`] produced by the labeling stage
-    /// satisfies by construction. When a hostname arrives under a
-    /// *different* domain than it was first observed with, the sifter
-    /// degrades gracefully instead of corrupting the hierarchy (a hostname
-    /// must belong to exactly one domain): the observation is credited to
-    /// the first-seen domain and the event is counted in
-    /// [`Sifter::conflicting_observations`].
-    pub fn observe_parts(
-        &mut self,
-        domain: &str,
-        hostname: &str,
-        script: &str,
-        method: &str,
-        tracking: bool,
-    ) {
-        let domain = self.interner.intern(domain);
-        let hostname = self.interner.intern(hostname);
-        let keys = intern_keys(&mut self.interner, domain, hostname, script, method);
-        self.fold_one(keys, tracking);
-    }
-
-    /// Fold one observation's [`intern_keys`] as a cell of one request.
-    fn fold_one(&mut self, [claimed, h, s, name, m]: [ResourceKey; 5], tracking: bool) {
-        let mut counts = Counts::new();
-        counts.record(tracking);
-        self.fold_cell(claimed, h, s, name, m, counts);
-    }
-
-    /// Fold one [`ObservationRef`] — the dispatch every caller that holds
-    /// the record goes through (the writer's
-    /// [`apply`](crate::concurrent::SifterWriter::apply), and through it
-    /// the server's admin thread and journal recovery). Pre-labeled parts
-    /// are always observed, under the label they carry.
     pub fn apply(&mut self, observation: ObservationRef<'_>) -> ObserveOutcome {
-        match observation {
+        // Both arms intern the claimed domain and then the hostname (a
+        // label-memo hit reuses the ids its triple interned then), so key
+        // ids do not depend on which form a row takes.
+        let (domain, hostname, script, method, label) = match observation {
             ObservationRef::Parts {
                 domain,
                 hostname,
@@ -945,12 +847,14 @@ impl Sifter {
                 method,
                 tracking,
             } => {
-                self.observe_parts(domain, hostname, script, method, tracking);
-                ObserveOutcome::Observed(if tracking {
+                let domain = self.interner.intern(domain);
+                let hostname = self.interner.intern(hostname);
+                let label = if tracking {
                     RequestLabel::Tracking
                 } else {
                     RequestLabel::Functional
-                })
+                };
+                (domain, hostname, script, method, label)
             }
             ObservationRef::Url {
                 url,
@@ -958,8 +862,75 @@ impl Sifter {
                 resource_type,
                 script,
                 method,
-            } => self.observe_url(url, source_hostname, resource_type, script, method),
-        }
+            } => {
+                let Some(engine) = self.engine.as_deref() else {
+                    self.ingest.no_engine += 1;
+                    return ObserveOutcome::NoEngine;
+                };
+                let hash = LabelMemo::hash(url, source_hostname, resource_type);
+                let remembered = match self.labels.get(hash, url, source_hostname, resource_type) {
+                    Some(remembered) => {
+                        self.ingest.labels_reused += 1;
+                        remembered
+                    }
+                    None => {
+                        let Some((label, hostname, domain)) = label_url(
+                            engine,
+                            &mut self.scratch,
+                            url,
+                            source_hostname,
+                            resource_type,
+                        ) else {
+                            self.ingest.invalid_urls += 1;
+                            return ObserveOutcome::InvalidUrl;
+                        };
+                        let domain = self.interner.intern(domain);
+                        let remembered = Remembered {
+                            label,
+                            hostname: self.interner.intern(hostname),
+                            domain,
+                        };
+                        self.labels
+                            .insert(hash, url, source_hostname, resource_type, remembered);
+                        remembered
+                    }
+                };
+                let Remembered {
+                    label,
+                    hostname,
+                    domain,
+                } = remembered;
+                (domain, hostname, script, method, label)
+            }
+        };
+        let s = self.interner.intern(script);
+        let name = self.interner.intern(method);
+        let m = self.interner.intern_method(script, method);
+        let mut counts = Counts::new();
+        counts.record(label.is_tracking());
+        self.fold_cell(domain, hostname, s, name, m, counts);
+        ObserveOutcome::Observed(label)
+    }
+
+    /// [`Sifter::apply`] every row, in order; returns how many were
+    /// observed (as [`ObserveOutcome::was_observed`]).
+    pub fn apply_batch<'a>(&mut self, rows: impl IntoIterator<Item = ObservationRef<'a>>) -> u64 {
+        rows.into_iter()
+            .filter(|&row| self.apply(row).was_observed())
+            .count() as u64
+    }
+
+    /// [`Sifter::apply_batch`] of labeled requests. New code calls
+    /// `apply_batch`; this stays until ROADMAP item 1(e) moves the benchmark
+    /// harness (`bench_e2e`'s `study.rs` and `serve.rs`) off it.
+    pub fn observe_all<'a>(&mut self, requests: impl IntoIterator<Item = &'a LabeledRequest>) {
+        self.apply_batch(requests.into_iter().map(ObservationRef::from));
+    }
+
+    /// The label memo's `(arena, index table)` bytes.
+    #[cfg(test)]
+    pub(crate) fn label_memo_footprint(&self) -> (usize, usize) {
+        self.labels.footprint()
     }
 
     /// Accumulate `counts` requests of method `m` (script `s`, method-name
@@ -1034,7 +1005,7 @@ impl Sifter {
     ///
     /// Each phase says only what differs per level — who is a member, what
     /// its counts are, whom a mixedness flip dirties; `write_class` does the
-    /// rest. A commit also ends the interval of [`Sifter::observe_url`]'s
+    /// rest. A commit also ends the interval of [`Sifter::apply`]'s
     /// label memo, which is a counter bump.
     pub fn commit(&mut self) -> CommitStats {
         let mut stats = CommitStats {
@@ -1464,7 +1435,7 @@ impl Sifter {
             )));
         }
         // Every hostname row must be backed by at least one cell: a
-        // zero-count hostname is unrepresentable through `observe`, and a
+        // zero-count hostname is unrepresentable through `apply`, and a
         // later mixedness flip of its domain would ask the classifier for
         // an (undefined) verdict on empty counts.
         for &(h_id, _) in &snapshot.hostnames {
@@ -1496,7 +1467,7 @@ mod tests {
 
     fn trained(requests: &[LabeledRequest]) -> Sifter {
         let mut sifter = Sifter::builder().build();
-        sifter.observe_all(requests);
+        sifter.apply_batch(requests.iter().map(ObservationRef::from));
         sifter.commit();
         sifter
     }
@@ -1633,7 +1604,7 @@ mod tests {
     fn observations_become_visible_only_at_commit() {
         let requests = figure1_requests();
         let mut sifter = Sifter::builder().build();
-        sifter.observe_all(&requests);
+        sifter.apply_batch(requests.iter().map(ObservationRef::from));
         // Nothing committed yet: everything is unknown.
         assert_eq!(
             sifter
@@ -1641,11 +1612,11 @@ mod tests {
                 .verdict(&DecisionRequest::from_labeled(&requests[0])),
             Verdict::Unknown
         );
-        assert_eq!(sifter.pending(), requests.len() as u64);
+        assert_eq!(sifter.ingest_stats().pending, requests.len() as u64);
         let stats = sifter.commit();
         assert_eq!(stats.observations, requests.len() as u64);
         assert!(stats.reclassified() > 0);
-        assert_eq!(sifter.pending(), 0);
+        assert_eq!(sifter.ingest_stats().pending, 0);
         assert_ne!(
             sifter
                 .verdict_table()
@@ -1678,14 +1649,14 @@ mod tests {
                 false,
             ));
         }
-        sifter.observe_all(&all);
+        sifter.apply_batch(all.iter().map(ObservationRef::from));
         sifter.commit();
         assert_eq!(sifter.hierarchy(), sifter.classifier().classify(&all));
         assert!(sifter.committed_resources(Granularity::Hostname) > 0);
 
         for _ in 0..100 {
             let r = req("hub.com", "t.hub.com", "https://p.com/a.js", "send", true);
-            sifter.observe(&r);
+            sifter.apply(ObservationRef::from(&r));
             all.push(r);
         }
         let stats = sifter.commit();
@@ -1715,13 +1686,13 @@ mod tests {
         let requests = figure1_requests();
         let mut sifter = trained(&requests);
         // One more observation on an already-classified pure domain.
-        sifter.observe(&req(
+        sifter.apply(ObservationRef::from(&req(
             "ads.com",
             "px.ads.com",
             "https://pub.com/a.js",
             "t",
             true,
-        ));
+        )));
         let stats = sifter.commit();
         assert_eq!(stats.observations, 1);
         // Only the four directly-touched resources get reclassified; no
@@ -1733,22 +1704,22 @@ mod tests {
     }
 
     #[test]
-    fn observe_url_labels_through_the_configured_engine() {
+    fn a_url_row_is_labeled_through_the_configured_engine() {
         let mut sifter = Sifter::builder()
             .filter_lists(&[(ListKind::EasyList, "||tracker.io^$third-party\n")])
             .build();
         assert!(sifter.engine.is_some());
-        let outcome = sifter.observe_url(
+        let outcome = sifter.apply(ObservationRef::url(
             "https://px.tracker.io/beacon?x=1",
             "shop.com",
             ResourceType::Script,
             "https://shop.com/app.js",
             "send",
-        );
+        ));
         assert_eq!(outcome, ObserveOutcome::Observed(RequestLabel::Tracking));
         assert_eq!(outcome.label(), Some(RequestLabel::Tracking));
         assert!(outcome.was_observed());
-        assert_eq!(sifter.observed(), 1);
+        assert_eq!(sifter.ingest_stats().observed, 1);
         sifter.commit();
         assert_eq!(
             sifter.verdict_table().verdict(&DecisionRequest::new(
@@ -1765,10 +1736,15 @@ mod tests {
         // Unparseable URLs are excluded, exactly like the batch labeler —
         // and reported as such, not conflated with a missing engine.
         assert_eq!(
-            sifter.observe_url("notaurl", "shop.com", ResourceType::Script, "s", "m"),
+            sifter.apply(ObservationRef::url(
+                "notaurl",
+                "shop.com",
+                ResourceType::Script,
+                "s",
+                "m"
+            )),
             ObserveOutcome::InvalidUrl
         );
-        assert_eq!(sifter.observed(), 1);
         let stats = sifter.ingest_stats();
         assert_eq!(stats.observed, 1);
         assert_eq!(stats.invalid_urls, 1);
@@ -1794,7 +1770,13 @@ mod tests {
         ];
         let observe_epoch = |sifter: &mut Sifter| {
             for (url, page, kind) in epoch {
-                sifter.observe_url(url, page, kind, "https://shop.com/app.js", "send");
+                sifter.apply(ObservationRef::url(
+                    url,
+                    page,
+                    kind,
+                    "https://shop.com/app.js",
+                    "send",
+                ));
             }
             let stats = sifter.ingest_stats();
             (stats.labels_reused, stats.invalid_urls)
@@ -1813,7 +1795,7 @@ mod tests {
         // Within one interval, a repeat is reused too.
         assert_eq!(observe_epoch(&mut sifter), (12, 5));
         sifter.commit();
-        assert_eq!(sifter.observed(), 5 * 4);
+        assert_eq!(sifter.ingest_stats().observed, 5 * 4);
         assert_eq!(sifter.ingest_stats().no_engine, 0);
     }
 
@@ -1856,7 +1838,13 @@ mod tests {
                     ));
                 }
                 for (url, kind, script, method) in crawl {
-                    sifter.observe_url(url, &site.hostname, kind, &script, method);
+                    sifter.apply(ObservationRef::url(
+                        url,
+                        &site.hostname,
+                        kind,
+                        &script,
+                        method,
+                    ));
                     rows += 1;
                     key_bytes += url.len() + site.hostname.len();
                 }
@@ -1880,20 +1868,20 @@ mod tests {
     }
 
     #[test]
-    fn observe_url_without_an_engine_reports_the_configuration_gap() {
+    fn a_url_row_without_an_engine_reports_the_configuration_gap() {
         let mut sifter = Sifter::builder().build();
         assert!(sifter.engine.is_none());
-        let outcome = sifter.observe_url(
+        let outcome = sifter.apply(ObservationRef::url(
             "https://px.tracker.io/beacon",
             "shop.com",
             ResourceType::Script,
             "s",
             "m",
-        );
+        ));
         assert_eq!(outcome, ObserveOutcome::NoEngine);
         assert_eq!(outcome.label(), None);
         assert!(!outcome.was_observed());
-        assert_eq!(sifter.observed(), 0);
+        assert_eq!(sifter.ingest_stats().observed, 0);
         assert_eq!(sifter.ingest_stats().no_engine, 1);
         assert_eq!(sifter.ingest_stats().invalid_urls, 0);
     }
@@ -1905,11 +1893,19 @@ mod tests {
         // hostname, every observation still counts, and the conflict is
         // surfaced through a counter.
         let mut sifter = Sifter::builder().build();
-        sifter.observe_parts("a.com", "cdn.shared.net", "https://p.com/s.js", "m", true);
-        sifter.observe_parts("b.com", "cdn.shared.net", "https://p.com/s.js", "m", true);
-        sifter.observe_parts("a.com", "cdn.shared.net", "https://p.com/s.js", "m", false);
-        assert_eq!(sifter.conflicting_observations(), 1);
-        assert_eq!(sifter.observed(), 3);
+        sifter.apply_batch([("a.com", true), ("b.com", true), ("a.com", false)].map(
+            |(domain, tracking)| {
+                ObservationRef::parts(
+                    domain,
+                    "cdn.shared.net",
+                    "https://p.com/s.js",
+                    "m",
+                    tracking,
+                )
+            },
+        ));
+        assert_eq!(sifter.ingest_stats().conflicting_domains, 1);
+        assert_eq!(sifter.ingest_stats().observed, 3);
         sifter.commit();
         // All three observations are credited to the first-seen domain;
         // the conflicting domain never becomes a committed resource.
@@ -1956,10 +1952,19 @@ mod tests {
             assert_eq!(cached, scratch);
         };
 
+        let hub = |method, tracking| {
+            ObservationRef::parts(
+                "hub.com",
+                "w.hub.com",
+                "https://p.com/m.js",
+                method,
+                tracking,
+            )
+        };
         let mut sifter = Sifter::builder().thresholds(Thresholds::new(1.0)).build();
         // Mixed domain -> mixed hostname -> mixed script: plan appears.
         for flag in [true, false, true, false, true, false] {
-            sifter.observe_parts("hub.com", "w.hub.com", "https://p.com/m.js", "go", flag);
+            sifter.apply(hub("go", flag));
         }
         sifter.commit();
         assert_plans_fresh(&sifter);
@@ -1967,20 +1972,20 @@ mod tests {
 
         // A new method on the same script without dirtying the script via
         // classification change: the plan must still refresh.
-        sifter.observe_parts("hub.com", "w.hub.com", "https://p.com/m.js", "extra", true);
+        sifter.apply(hub("extra", true));
         sifter.commit();
         assert_plans_fresh(&sifter);
 
         // Flood the script with tracking until it leaves mixedness: the
         // plan must drop out.
         for _ in 0..60 {
-            sifter.observe_parts("hub.com", "w.hub.com", "https://p.com/m.js", "go", true);
+            sifter.apply(hub("go", true));
         }
         sifter.commit();
         assert_plans_fresh(&sifter);
 
         // And an unrelated commit leaves the (empty) cache consistent.
-        sifter.observe_parts("a.com", "h.a.com", "s.js", "m", true);
+        sifter.apply(ObservationRef::parts("a.com", "h.a.com", "s.js", "m", true));
         sifter.commit();
         assert_plans_fresh(&sifter);
     }
@@ -1989,7 +1994,7 @@ mod tests {
     fn restore_rejects_hostnames_without_cells() {
         // A crafted snapshot whose second hostname has no count cells must
         // be rejected with a typed error: such a hostname is
-        // unrepresentable through `observe`, and if it slipped through, a
+        // unrepresentable through `apply`, and if it slipped through, a
         // mixedness flip of the shared domain would later ask the
         // classifier for a verdict on empty counts.
         let text = concat!(

@@ -161,7 +161,7 @@ impl SifterSnapshot {
 
     /// Structural validation beyond JSON well-formedness: every row must
     /// reference an in-range key id, every count cell must carry at least
-    /// one request (a zero cell is unrepresentable through `observe` and is
+    /// one request (a zero cell is unrepresentable through `apply` and is
     /// the signature of a truncated export), and the cells must sum to the
     /// claimed observation total without overflowing. Importing such a
     /// document used to fail only at restore time (or, for the zero-cell
@@ -435,7 +435,7 @@ mod tests {
 
     #[test]
     fn truncated_count_cells_are_rejected_at_parse_time() {
-        // A zero-count cell is unrepresentable through `observe`: the
+        // A zero-count cell is unrepresentable through `apply`: the
         // signature of a truncated export.
         let text = sample()
             .to_json_string()

@@ -596,49 +596,50 @@ mod tests {
     /// policy reachable (pure tracking/functional domains, a mixed script
     /// with a surrogate plan, a filter-list backstop).
     fn trained_table() -> VerdictTable {
+        use crate::service::{ObservationRef, Sifter};
         use filterlist::ListKind;
-        let mut sifter = crate::service::Sifter::builder()
+        let mut sifter = Sifter::builder()
             .filter_lists(&[(ListKind::EasyList, "||blocked.example^\n")])
             .rewriter(rewriter::RewriterBuilder::new().default_rules().build())
             .build();
         for _ in 0..5 {
-            sifter.observe_parts(
+            sifter.apply(ObservationRef::parts(
                 "ads.com",
                 "px.ads.com",
                 "https://pub.com/a.js",
                 "send",
                 true,
-            );
-            sifter.observe_parts(
+            ));
+            sifter.apply(ObservationRef::parts(
                 "cdn.com",
                 "a.cdn.com",
                 "https://pub.com/ui.js",
                 "load",
                 false,
-            );
+            ));
         }
         for flag in [true, false, true, false, true, false] {
-            sifter.observe_parts(
+            sifter.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "track",
                 true,
-            );
-            sifter.observe_parts(
+            ));
+            sifter.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "render",
                 false,
-            );
-            sifter.observe_parts(
+            ));
+            sifter.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/mixed.js",
                 "dispatch",
                 flag,
-            );
+            ));
         }
         sifter.commit();
         sifter.verdict_table()

@@ -6,8 +6,8 @@
 //! loop: a [`Scheduler`] owns a [websim] corpus and an
 //! [`EcosystemMutator`], and each [`tick`](Scheduler::tick) advances the
 //! simulated web one epoch, re-crawls every site through a
-//! [`SifterWriter`]'s observe/commit path, and reads the verdict drift the
-//! epoch caused out of the writer's revision ring.
+//! [`SifterWriter`]'s `apply_batch`/`commit` path, and reads the verdict
+//! drift the epoch caused out of the writer's revision ring.
 //!
 //! Two attribution keyings are supported, selected by [`ScriptKeying`]:
 //!
@@ -52,7 +52,7 @@
 use filterlist::registrable_domain;
 use filterlist::url::hostname_of;
 use trackersift::{
-    DecisionRequest, Granularity, ObserveOutcome, Sifter, SifterReader, SifterWriter, Verdict,
+    DecisionRequest, Granularity, ObservationRef, Sifter, SifterReader, SifterWriter, Verdict,
 };
 use trackersift_server::{SchedulerDriver, SchedulerStats, TickSummary};
 use websim::{
@@ -241,41 +241,48 @@ impl Scheduler {
     /// Observe every planned request in the corpus: script-initiated
     /// requests under the keying-selected script key, document-initiated
     /// requests (pixels, stylesheets) under a per-page pseudo-key so that
-    /// emerged pixels drive drift too.
+    /// emerged pixels drive drift too. The tick's rows go to the writer as
+    /// one [`SifterWriter::apply_batch`] — journaled, fsynced once, then
+    /// folded — borrowing the corpus and one key string per script and
+    /// page; a durable writer's journal buffer holds one tick's frames.
+    /// Returns how many rows were observed.
     fn crawl(&self, writer: &mut SifterWriter) -> u64 {
-        let mut observations = 0u64;
+        // Every site's script keys, then its page key, in crawl order.
+        let keys: Vec<String> = self
+            .corpus
+            .websites
+            .iter()
+            .flat_map(|site| {
+                let page_key = format!("page:{}", site.hostname);
+                site.scripts
+                    .iter()
+                    .map(|script| self.script_key(script))
+                    .chain([page_key])
+            })
+            .collect();
+        let mut keys = keys.iter();
+        let mut rows = Vec::new();
         for site in &self.corpus.websites {
+            let source = site.hostname.as_str();
             for script in &site.scripts {
-                let key = self.script_key(script);
-                for (method_index, request) in script.planned_requests() {
+                let key = keys.next().expect("a key per script");
+                rows.extend(script.planned_requests().map(|(method_index, request)| {
                     let method = &script.methods[method_index].name;
-                    let outcome = writer.observe_url(
-                        &request.url,
-                        &site.hostname,
-                        request.resource_type,
-                        &key,
-                        method,
-                    );
-                    if matches!(outcome, ObserveOutcome::Observed(_)) {
-                        observations += 1;
-                    }
-                }
+                    ObservationRef::url(&request.url, source, request.resource_type, key, method)
+                }));
             }
-            let page_key = format!("page:{}", site.hostname);
-            for request in &site.non_script_requests {
-                let outcome = writer.observe_url(
+            let page_key = keys.next().expect("a key per page");
+            rows.extend(site.non_script_requests.iter().map(|request| {
+                ObservationRef::url(
                     &request.url,
-                    &site.hostname,
+                    source,
                     request.resource_type,
-                    &page_key,
+                    page_key,
                     "html",
-                );
-                if matches!(outcome, ObserveOutcome::Observed(_)) {
-                    observations += 1;
-                }
-            }
+                )
+            }));
         }
-        observations
+        writer.apply_batch(rows)
     }
 }
 
@@ -319,8 +326,8 @@ impl SchedulerDriver for Scheduler {
     }
 }
 
-/// The hostname [`Sifter::observe_url`](trackersift::Sifter::observe_url)
-/// files a request under — [`hostname_of`], lower-cased — or `None` for a
+/// The hostname [`Sifter::apply`](trackersift::Sifter::apply) files a raw
+/// request under — [`hostname_of`], lower-cased — or `None` for a
 /// URL without one (data URIs, garbage).
 fn host_of(url: &str) -> Option<String> {
     let host = hostname_of(url);
@@ -331,6 +338,7 @@ fn host_of(url: &str) -> Option<String> {
 mod tests {
     use super::*;
     use trackersift::frames::encode_revision_list;
+    use trackersift_server::DurabilityConfig;
 
     fn churny_config(keying: ScriptKeying) -> SchedulerConfig {
         SchedulerConfig::new(11)
@@ -402,13 +410,57 @@ mod tests {
         assert!(run(ScriptKeying::Url) <= 0.1);
     }
 
+    /// A tick journals its re-crawl as one batch: one fsync for the rows,
+    /// however many there are against `sync_every`, and one for the commit
+    /// marker. The directory then recovers the live writer's state, key ids
+    /// and version included.
+    #[test]
+    fn a_durable_tick_syncs_its_rows_once_and_recovers_them() {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .expect("clock")
+            .as_nanos();
+        let dir = std::env::temp_dir().join(format!(
+            "scheduler-durable-tick-{}-{nanos}",
+            std::process::id()
+        ));
+        let sync_every = DurabilityConfig::new(&dir).sync_every;
+        let mut scheduler = Scheduler::new(churny_config(ScriptKeying::Fingerprint));
+        let (mut writer, reader) = scheduler.sifter_pair();
+        writer.open_durable(&dir, sync_every).expect("open durable");
+        for _ in 0..3 {
+            let before = writer.journal_stats().expect("durable");
+            let summary = scheduler.tick(&mut writer);
+            let after = writer.journal_stats().expect("durable");
+            assert!(summary.observations > sync_every);
+            assert_eq!(after.syncs, before.syncs + 2, "the batch and the commit");
+            assert_eq!(after.synced, after.appended - 1, "all but the ring record");
+        }
+        let keys = |reader: &SifterReader| -> Vec<String> {
+            let pin = reader.pin();
+            pin.keys().iter().map(|(_, key)| key.to_string()).collect()
+        };
+        let (live, live_keys) = (writer.sifter().snapshot(), keys(&reader));
+        let version = writer.published_version();
+        drop(writer);
+        let (mut recovered, recovered_reader) = scheduler.sifter_pair();
+        recovered.open_durable(&dir, sync_every).expect("recover");
+        assert_eq!(
+            recovered.sifter().snapshot().to_json_string(),
+            live.to_json_string()
+        );
+        assert_eq!(keys(&recovered_reader), live_keys);
+        assert_eq!(recovered.published_version(), version);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn host_of_parses_urls() {
         assert_eq!(host_of("https://a.b.c/x?y=1").as_deref(), Some("a.b.c"));
         assert_eq!(host_of("http://a.b").as_deref(), Some("a.b"));
         assert_eq!(host_of("data:text/plain,hi"), None);
         assert_eq!(host_of("https:///nohost"), None);
-        // The key `observe_url` observed, not the raw authority: no port, no
+        // The key a raw-URL `apply` observed, not the raw authority: no port, no
         // userinfo, no query glued on, lower case.
         assert_eq!(host_of("https://H.com:8080/x").as_deref(), Some("h.com"));
         assert_eq!(host_of("https://u@h.com/x").as_deref(), Some("h.com"));

@@ -99,11 +99,12 @@
 //!   checksummed write-ahead journal *before* they mutate trainer state,
 //!   and boot replays snapshot + journal (tolerating a torn tail). Every
 //!   acknowledged batch and commit is on disk before its reply: a
-//!   `POST /v1/observations` batch is fsynced once before it folds, a
-//!   commit marker before the fold it covers. `sync_every` bounds only
-//!   records applied one at a time (a scheduler tick's re-crawl, whose
-//!   acknowledgement is its closing commit), so `kill -9` never loses an
-//!   acknowledged write; a clean [`VerdictServer::shutdown`] merely syncs
+//!   `POST /v1/observations` batch, like the re-crawl of a
+//!   `POST /v1/tick`, is fsynced once before it folds, a commit marker
+//!   before the fold it covers. Every server path journals batches — the
+//!   only rows journaled one at a time are a library caller's
+//!   `SifterWriter::apply` — so `kill -9` never loses an acknowledged
+//!   write; a clean [`VerdictServer::shutdown`] merely syncs
 //!   the journal — it deliberately restarts into the same state a crash
 //!   would.
 //! * **Self-healing workers**: a panic in a worker's event loop costs the
@@ -121,11 +122,12 @@
 //! ```
 //! use std::io::{Read, Write};
 //! use std::net::TcpStream;
-//! use trackersift::Sifter;
+//! use trackersift::{ObservationRef, Sifter};
 //! use trackersift_server::{ServerConfig, VerdictServer};
 //!
 //! let (mut writer, _reader) = Sifter::builder().build_concurrent();
-//! writer.observe_parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
+//! let row = ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
+//! writer.apply(row);
 //! writer.commit();
 //!
 //! let server = VerdictServer::start(writer, ServerConfig::ephemeral()).unwrap();
@@ -262,11 +264,13 @@ impl ServerConfig {
 pub struct DurabilityConfig {
     /// The generation directory (created if missing).
     pub dir: PathBuf,
-    /// fsync cadence for records applied one at a time (a scheduler tick's
-    /// re-crawl): flush + sync the journal after this many of them. It
-    /// bounds nothing else — a `POST /v1/observations` batch syncs once at
-    /// its end and a commit marker syncs immediately, both before their
-    /// reply. `1` = sync every such record.
+    /// fsync cadence for records applied one at a time
+    /// (`SifterWriter::apply`): flush + sync the journal after this many of
+    /// them. The server's own paths never apply one at a time — a
+    /// `POST /v1/observations` batch and the `scheduler` crate's tick each
+    /// sync once at their end, a commit marker syncs immediately, all
+    /// before their reply — so it bounds only a [`SchedulerDriver`] that
+    /// applies row by row. `1` = sync every such record.
     pub sync_every: u64,
     /// Rotate the journal into a fresh snapshot generation at the first
     /// commit after the journal file exceeds this many bytes (`0` = never
@@ -727,7 +731,7 @@ fn admin_loop(
                 // On disk before the reply: the acknowledgement is the sync.
                 let accepted = writer.apply_batch(observations.iter());
                 let skipped = observations.len() as u64 - accepted;
-                let _ = reply.send((accepted, skipped, writer.sifter().pending()));
+                let _ = reply.send((accepted, skipped, writer.sifter().ingest_stats().pending));
             }
             AdminMsg::Commit(reply) => {
                 let stats = writer.commit();
@@ -735,7 +739,7 @@ fn admin_loop(
                 maybe_checkpoint(&mut writer, checkpoint_bytes);
             }
             AdminMsg::Export(reply) => {
-                let _ = reply.send(writer.snapshot().to_json_string());
+                let _ = reply.send(writer.sifter().snapshot().to_json_string());
             }
             AdminMsg::Import(snapshot, reply) => {
                 let result = writer
@@ -759,7 +763,7 @@ fn admin_loop(
                         }
                         Ok((
                             writer.published_version(),
-                            writer.sifter().observed(),
+                            writer.sifter().ingest_stats().observed,
                             dropped_pending,
                         ))
                     });

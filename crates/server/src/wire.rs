@@ -783,20 +783,12 @@ impl ObservationBatch {
                 string
             });
             match row.form {
-                RowForm::Parts { tracking } => ObservationRef::Parts {
-                    domain: a,
-                    hostname: b,
-                    script,
-                    method,
-                    tracking,
-                },
-                RowForm::Url { resource_type } => ObservationRef::Url {
-                    url: a,
-                    source_hostname: b,
-                    resource_type,
-                    script,
-                    method,
-                },
+                RowForm::Parts { tracking } => {
+                    ObservationRef::parts(a, b, script, method, tracking)
+                }
+                RowForm::Url { resource_type } => {
+                    ObservationRef::url(a, b, resource_type, script, method)
+                }
             }
         })
     }
@@ -947,7 +939,7 @@ pub fn service_stats_to_json(stats: &ServiceStats) -> Value {
         ),
         (
             "conflicting_observations",
-            Value::number_u64(stats.conflicting_observations),
+            Value::number_u64(stats.ingest.conflicting_domains),
         ),
         ("unattributed", Value::number_u64(stats.unattributed)),
         (

@@ -12,7 +12,8 @@ use filterlist::ListKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use trackersift::{
-    Decision, DecisionSource, PrebuiltDecision, RewriterBuilder, Sifter, SifterReader, VerdictTable,
+    Decision, DecisionSource, ObservationRef, PrebuiltDecision, RewriterBuilder, Sifter,
+    SifterReader, VerdictTable,
 };
 use trackersift_server::decide;
 use trackersift_server::http::{HttpResponse, RequestParser};
@@ -74,20 +75,20 @@ fn trained() -> SifterReader {
         .rewriter(RewriterBuilder::new().default_rules().build())
         .build();
     for _ in 0..5 {
-        sifter.observe_parts(
+        sifter.apply(ObservationRef::parts(
             "ads.com",
             "px.ads.com",
             "https://pub.com/a.js",
             "send",
             true,
-        );
-        sifter.observe_parts(
+        ));
+        sifter.apply(ObservationRef::parts(
             "cdn.com",
             "a.cdn.com",
             "https://pub.com/ui.js",
             "load",
             false,
-        );
+        ));
     }
     sifter.commit();
     sifter.into_concurrent().1
@@ -332,7 +333,7 @@ fn the_write_path_allocates_per_batch_not_per_row() {
     let after = writer.journal_stats().expect("durable");
     assert_eq!(after.appended, journal.appended + ROWS as u64);
     assert_eq!(after.syncs, journal.syncs + 1, "one fsync for the batch");
-    assert_eq!(writer.sifter().pending(), ROWS as u64);
+    assert_eq!(writer.sifter().ingest_stats().pending, ROWS as u64);
     assert_eq!(
         allocations, 0,
         "journal -> fsync -> label -> intern -> fold of a known batch must not allocate"
@@ -358,7 +359,7 @@ fn the_write_path_allocates_per_batch_not_per_row() {
         writer.journal_stats().expect("durable").appended,
         appended + ROWS as u64
     );
-    assert_eq!(writer.sifter().pending(), ROWS as u64);
+    assert_eq!(writer.sifter().ingest_stats().pending, ROWS as u64);
     assert_eq!(
         allocations, 0,
         "journal -> label -> intern -> fold of a known row must not allocate"

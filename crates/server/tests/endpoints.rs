@@ -6,7 +6,7 @@
 use crawler::json::Value;
 use proptest::prelude::*;
 use std::time::Duration;
-use trackersift::{Decision, DecisionRequest, Sifter};
+use trackersift::{Decision, DecisionRequest, ObservationRef, Sifter};
 use trackersift_server::client::{Client, RetryPolicy, RetryingClient};
 use trackersift_server::wire::{
     self, BinaryKeys, BinaryRecord, DecisionMessage, ObservationMessage,
@@ -19,45 +19,45 @@ use trackersift_server::{DurabilityConfig, ReplicaStatus, ServerConfig, VerdictS
 fn trained_sifter() -> Sifter {
     let mut sifter = Sifter::builder().build();
     for _ in 0..5 {
-        sifter.observe_parts(
+        sifter.apply(ObservationRef::parts(
             "ads.com",
             "px.ads.com",
             "https://pub.com/a.js",
             "send",
             true,
-        );
-        sifter.observe_parts(
+        ));
+        sifter.apply(ObservationRef::parts(
             "cdn.com",
             "a.cdn.com",
             "https://pub.com/ui.js",
             "load",
             false,
-        );
+        ));
     }
     for _ in 0..6 {
-        sifter.observe_parts(
+        sifter.apply(ObservationRef::parts(
             "hub.com",
             "w.hub.com",
             "https://pub.com/mixed.js",
             "track",
             true,
-        );
-        sifter.observe_parts(
+        ));
+        sifter.apply(ObservationRef::parts(
             "hub.com",
             "w.hub.com",
             "https://pub.com/mixed.js",
             "render",
             false,
-        );
+        ));
     }
     for flag in [true, false, true, false] {
-        sifter.observe_parts(
+        sifter.apply(ObservationRef::parts(
             "hub.com",
             "w.hub.com",
             "https://pub.com/mixed.js",
             "dispatch",
             flag,
-        );
+        ));
     }
     sifter.commit();
     sifter
@@ -1152,13 +1152,13 @@ impl trackersift_server::SchedulerDriver for CountingScheduler {
         let epoch = self.ticks;
         self.ticks += 1;
         for _ in 0..5 {
-            writer.observe_parts(
+            writer.apply(ObservationRef::parts(
                 &format!("t{epoch}.com"),
                 &format!("px.t{epoch}.com"),
                 &format!("https://pub.com/t{epoch}.js"),
                 &format!("fire{epoch}"),
                 true,
-            );
+            ));
         }
         writer.commit();
         let version = writer.published_version();
@@ -1199,13 +1199,13 @@ fn revisions_endpoint_matches_in_process_ring() {
     // wire side will ingest.
     let (mut local, _local_reader) = trained_sifter().into_concurrent();
     for _ in 0..5 {
-        local.observe_parts(
+        local.apply(ObservationRef::parts(
             "new.com",
             "px.new.com",
             "https://pub.com/n.js",
             "fire",
             true,
-        );
+        ));
     }
     local.commit();
 
@@ -1540,7 +1540,7 @@ proptest! {
             .build();
         let stream = observations(count, seed);
         for (domain, hostname, script, method, tracking) in &stream {
-            trained.observe_parts(domain, hostname, script, method, *tracking);
+            trained.apply(ObservationRef::parts(domain, hostname, script, method, *tracking));
         }
         trained.commit();
         let snapshot = trained.snapshot();

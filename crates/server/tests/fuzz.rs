@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
-use trackersift::{Sifter, SifterReader};
+use trackersift::{ObservationRef, Sifter, SifterReader};
 use trackersift_server::client::Client;
 use trackersift_server::wire::{self, DecisionMessage, DecisionQuery, ObservationMessage};
 use trackersift_server::{ServerConfig, VerdictServer};
@@ -20,13 +20,13 @@ fn start_server() -> VerdictServer {
 fn start_server_with_reader() -> (VerdictServer, SifterReader) {
     let mut sifter = Sifter::builder().build();
     for _ in 0..5 {
-        sifter.observe_parts(
+        sifter.apply(ObservationRef::parts(
             "ads.com",
             "px.ads.com",
             "https://pub.com/a.js",
             "send",
             true,
-        );
+        ));
     }
     sifter.commit();
     let (writer, reader) = sifter.into_concurrent();

@@ -46,7 +46,7 @@ fn main() {
     let mut sifter = Sifter::builder()
         .thresholds(study.config.thresholds)
         .build();
-    sifter.observe_all(&study.requests);
+    sifter.apply_batch(study.requests.iter().map(ObservationRef::from));
     sifter.commit();
     let (writer, _reader) = sifter.into_concurrent();
     let primary = VerdictServer::start(writer, ServerConfig::ephemeral()).expect("primary");

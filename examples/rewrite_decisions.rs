@@ -61,7 +61,13 @@ fn main() {
         .rewriter(RewriterBuilder::new().default_rules().build())
         .build();
     for flag in [true, false, true, false, true, false] {
-        sifter.observe_parts("hub.com", "w.hub.com", "s.js", "sync", flag);
+        sifter.apply(ObservationRef::parts(
+            "hub.com",
+            "w.hub.com",
+            "s.js",
+            "sync",
+            flag,
+        ));
     }
     sifter.commit();
     let request = DecisionRequest::new("hub.com", "z.hub.com", "s2.js", "m").with_url(
@@ -93,7 +99,7 @@ fn main() {
         .engine(study.engine.clone())
         .rewriter(RewriterBuilder::new().default_rules().build())
         .build();
-    served.observe_all(historical);
+    served.apply_batch(historical.iter().map(ObservationRef::from));
     served.commit();
     let queries: Vec<DecisionRequest<'_>> =
         live.iter().map(DecisionRequest::from_labeled).collect();

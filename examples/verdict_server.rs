@@ -89,7 +89,7 @@ fn main() {
     let mut sifter = Sifter::builder()
         .thresholds(study.config.thresholds)
         .build();
-    sifter.observe_all(historical);
+    sifter.apply_batch(historical.iter().map(ObservationRef::from));
     sifter.commit();
     // One consolidated stats struct — the same source of truth the server's
     // /v1/stats endpoint serializes.
@@ -165,7 +165,7 @@ fn main() {
             })
             .collect();
         for chunk in live.chunks(500) {
-            writer.observe_all(chunk);
+            writer.apply_batch(chunk.iter().map(ObservationRef::from));
             let stats = writer.commit();
             println!(
                 "commit v{}: +{} observations, {} resources reclassified",
@@ -191,7 +191,7 @@ fn main() {
     let mut scratch = Sifter::builder()
         .thresholds(study.config.thresholds)
         .build();
-    scratch.observe_all(&study.requests);
+    scratch.apply_batch(study.requests.iter().map(ObservationRef::from));
     scratch.commit();
     assert_eq!(writer.sifter().hierarchy(), scratch.hierarchy());
     assert_eq!(writer.sifter().hierarchy(), study.hierarchy);

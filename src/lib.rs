@@ -17,7 +17,7 @@
 //!
 //! For deployment, the study is a producer of serving state:
 //! [`trackersift::Study::sifter`] trains a [`trackersift::Sifter`] that
-//! ingests new observations incrementally (`observe` + `commit`), exports
+//! ingests new observations incrementally (`apply` + `commit`), exports
 //! the [`trackersift::VerdictTable`] that answers per-request verdicts and
 //! decisions allocation-free, and persists its trained state as a
 //! versioned [`trackersift::SifterSnapshot`].
@@ -56,9 +56,10 @@ pub mod prelude {
     pub use trackersift::{
         Breakage, Classification, CommitStats, Decision, DecisionRequest, DecisionSource,
         DeltaSnapshot, FollowerState, Granularity, HierarchicalClassifier, IngestStats,
-        KeyInterner, Labeler, ObserveOutcome, RatioHistogram, ResourceKey, SensitivitySweep,
-        ServiceStats, Sifter, SifterBuilder, SifterReader, SifterSnapshot, SifterWriter,
-        SnapshotError, StageTimings, Study, StudyConfig, Thresholds, Verdict, VerdictTable,
+        KeyInterner, Labeler, ObservationRef, ObserveOutcome, RatioHistogram, ResourceKey,
+        SensitivitySweep, ServiceStats, Sifter, SifterBuilder, SifterReader, SifterSnapshot,
+        SifterWriter, SnapshotError, StageTimings, Study, StudyConfig, Thresholds, Verdict,
+        VerdictTable,
     };
     pub use trackersift_server::{
         ReplicaConfig, ReplicaStatus, SchedulerDriver, SchedulerStats, ServerConfig, TickSummary,

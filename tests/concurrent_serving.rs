@@ -98,7 +98,7 @@ fn probe_pool() -> Vec<LabeledRequest> {
 }
 
 /// N reader threads serve the full probe set in a loop while the writer
-/// interleaves observe+commit. Every batch of served verdicts must equal
+/// interleaves apply+commit. Every batch of served verdicts must equal
 /// the sequential classification at exactly the version the batch pinned
 /// (atomic publication: pre- or post-commit state, never a torn mix), and
 /// the versions each thread observes must be monotone.
@@ -119,7 +119,7 @@ fn stress_readers_only_observe_whole_commits() {
     };
     expected.push(sweep(mirror.verdict_table()));
     for batch in &stream {
-        mirror.observe_all(batch);
+        mirror.apply_batch(batch.iter().map(ObservationRef::from));
         mirror.commit();
         expected.push(sweep(mirror.verdict_table()));
     }
@@ -174,7 +174,7 @@ fn stress_readers_only_observe_whole_commits() {
         }
 
         for batch in &stream {
-            writer.observe_all(batch);
+            writer.apply_batch(batch.iter().map(ObservationRef::from));
             writer.commit();
             // Give the (possibly single-core) scheduler a chance to run
             // readers between commits so versions actually interleave.
@@ -228,7 +228,7 @@ fn stress_decisions_match_one_committed_version() {
     };
     expected.push(sweep(mirror.verdict_table()));
     for batch in &stream {
-        mirror.observe_all(batch);
+        mirror.apply_batch(batch.iter().map(ObservationRef::from));
         mirror.commit();
         expected.push(sweep(mirror.verdict_table()));
     }
@@ -287,7 +287,7 @@ fn stress_decisions_match_one_committed_version() {
         }
 
         for batch in &stream {
-            writer.observe_all(batch);
+            writer.apply_batch(batch.iter().map(ObservationRef::from));
             writer.commit();
             thread::sleep(Duration::from_micros(500));
         }
@@ -322,8 +322,8 @@ proptest! {
         let mut sifter = Sifter::builder().thresholds(thresholds).build();
         let (mut writer, reader) = Sifter::builder().thresholds(thresholds).build_concurrent();
         for (i, request) in observations.iter().enumerate() {
-            sifter.observe(request);
-            writer.observe(request);
+            sifter.apply(request.into());
+            writer.apply(request.into());
             if (i + 1) % commit_every == 0 || i + 1 == observations.len() {
                 let sequential_stats = sifter.commit();
                 let concurrent_stats = writer.commit();
@@ -338,7 +338,7 @@ proptest! {
                     "reader and sifter verdicts must render to identical bytes"
                 );
                 prop_assert_eq!(pin.version(), sifter.commits());
-                prop_assert_eq!(pin.committed(), sifter.committed());
+                prop_assert_eq!(pin.committed(), sifter.ingest_stats().committed);
             }
         }
         prop_assert_eq!(writer.sifter().hierarchy(), sifter.hierarchy());

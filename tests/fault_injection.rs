@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use trackersift::{
-    ChangeKind, Classification, Granularity, Journal, JournalEntry, Observation, RevisionChange,
-    Sifter, VerdictRevision,
+    ChangeKind, Classification, Granularity, Journal, JournalEntry, Observation, ObservationRef,
+    RevisionChange, Sifter, VerdictRevision,
 };
 
 /// Serialises the tests in this file: injected faults are process-global,
@@ -200,7 +200,7 @@ fn an_oversized_record_is_refused_and_later_records_survive_recovery() {
 /// Observations per commit round in the SIGKILL child.
 const SIGKILL_BATCH: u64 = 8;
 
-/// The child half of the SIGKILL test: an infinite observe/commit loop that
+/// The child half of the SIGKILL test: an infinite apply/commit loop that
 /// only runs when re-executed by the parent with `CHAOS_SIGKILL_DIR` set
 /// (a no-op pass in a normal test run).
 #[test]
@@ -219,7 +219,13 @@ fn sigkill_child_writer() {
     loop {
         for i in 0..SIGKILL_BATCH {
             let script = format!("https://pub.com/gen-{committed}-{i}.js");
-            writer.observe_parts("ads.com", "px.ads.com", &script, "send", true);
+            writer.apply(ObservationRef::parts(
+                "ads.com",
+                "px.ads.com",
+                &script,
+                "send",
+                true,
+            ));
         }
         writer.commit();
         committed += 1;
@@ -282,9 +288,9 @@ fn sigkill_mid_commit_preserves_every_advertised_commit() {
         report.replayed_commits
     );
     assert!(
-        writer.sifter().observed() >= advertised * SIGKILL_BATCH,
+        writer.sifter().ingest_stats().observed >= advertised * SIGKILL_BATCH,
         "recovered {} observations, child advertised {}",
-        writer.sifter().observed(),
+        writer.sifter().ingest_stats().observed,
         advertised * SIGKILL_BATCH
     );
     // The recovered state serves: the domain the child trained is blocked.
@@ -305,7 +311,7 @@ fn sigkill_mid_commit_preserves_every_advertised_commit() {
 
 // ---------------------------------------------------------------------------
 // Recovery through the label memo: journal replay feeds raw URL rows back
-// through `observe_url`, whose memo then answers re-crawled triples. The
+// through `apply`, whose memo then answers re-crawled triples. The
 // recovered state must be the one a writer labeling every row afresh ends in.
 // ---------------------------------------------------------------------------
 
@@ -391,19 +397,19 @@ fn recovery_replays_url_rows_through_the_label_memo() {
             };
             let view = request.view();
             let label = engine.label_url(url, source_hostname, *resource_type);
-            fresh.observe_parts(
+            fresh.apply(ObservationRef::parts(
                 view.domain,
                 view.url.hostname,
                 script,
                 method,
                 label.is_tracking(),
-            );
+            ));
         }
         fresh.commit();
     }
     assert_eq!(
-        recovered.snapshot().to_json_string(),
-        fresh.snapshot().to_json_string()
+        recovered.sifter().snapshot().to_json_string(),
+        fresh.sifter().snapshot().to_json_string()
     );
     let keys = |reader: &trackersift::SifterReader| -> Vec<String> {
         let pin = reader.pin();
@@ -442,13 +448,13 @@ mod chaos {
     fn trained_writer() -> trackersift::SifterWriter {
         let (mut writer, _reader) = Sifter::builder().build_concurrent();
         for _ in 0..5 {
-            writer.observe_parts(
+            writer.apply(ObservationRef::parts(
                 "ads.com",
                 "px.ads.com",
                 "https://pub.com/a.js",
                 "send",
                 true,
-            );
+            ));
         }
         writer.commit();
         writer
@@ -464,13 +470,13 @@ mod chaos {
             let (mut writer, _reader) = Sifter::builder().build_concurrent();
             writer.open_durable(&dir, 1).expect("open durable");
             for _ in 0..5 {
-                writer.observe_parts(
+                writer.apply(ObservationRef::parts(
                     "ads.com",
                     "px.ads.com",
                     "https://pub.com/a.js",
                     "send",
                     true,
-                );
+                ));
             }
             writer.commit();
             // Cut the write path after 7 more bytes: mid-frame, exactly as
@@ -478,13 +484,13 @@ mod chaos {
             // vanishes, like writes of a process that is already dead.
             failpoint::set("journal.cut", Action::cut_after(7));
             for _ in 0..5 {
-                writer.observe_parts(
+                writer.apply(ObservationRef::parts(
                     "cdn.com",
                     "a.cdn.com",
                     "https://pub.com/ui.js",
                     "load",
                     false,
-                );
+                ));
             }
             writer.commit();
             failpoint::clear_all();
@@ -497,7 +503,7 @@ mod chaos {
             report.replayed_records, 7,
             "5 observations + 1 marker + 1 revision"
         );
-        assert_eq!(writer.sifter().observed(), 5);
+        assert_eq!(writer.sifter().ingest_stats().observed, 5);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -510,13 +516,13 @@ mod chaos {
         let (mut writer, reader) = Sifter::builder().build_concurrent();
         writer.open_durable(&dir, 1).expect("open durable");
         failpoint::set("journal.sync", Action::io_error(ErrorKind::Other, Some(2)));
-        writer.observe_parts(
+        writer.apply(ObservationRef::parts(
             "ads.com",
             "px.ads.com",
             "https://pub.com/a.js",
             "send",
             true,
-        );
+        ));
         writer.commit();
         failpoint::clear_all();
         // Serving continued right through the failed fsync…
@@ -543,18 +549,14 @@ mod chaos {
         let scripts: Vec<String> = (0..100)
             .map(|n| format!("https://pub.com/s{n}.js"))
             .collect();
-        let rows = scripts.iter().map(|script| ObservationRef::Parts {
-            domain: "ads.com",
-            hostname: "px.ads.com",
-            script,
-            method: "send",
-            tracking: true,
-        });
+        let rows = scripts
+            .iter()
+            .map(|script| ObservationRef::parts("ads.com", "px.ads.com", script, "send", true));
         failpoint::set("journal.sync", Action::io_error(ErrorKind::Other, Some(1)));
         let accepted = writer.apply_batch(rows);
         failpoint::clear_all();
         assert_eq!(accepted, 100);
-        assert_eq!(writer.sifter().pending(), 100);
+        assert_eq!(writer.sifter().ingest_stats().pending, 100);
         let stats = writer.journal_stats().expect("durable writer has stats");
         assert_eq!((stats.sync_errors, stats.syncs), (1, 0));
         assert_eq!((stats.appended, stats.synced), (100, 0));
@@ -619,22 +621,22 @@ mod chaos {
         {
             let (mut writer, _reader) = Sifter::builder().build_concurrent();
             writer.open_durable(&dir, 1).expect("open durable");
-            writer.observe_parts(
+            writer.apply(ObservationRef::parts(
                 "ads.com",
                 "px.ads.com",
                 "https://pub.com/a.js",
                 "send",
                 true,
-            );
+            ));
             writer.commit();
             assert_eq!(writer.checkpoint().expect("healthy checkpoint"), 1);
-            writer.observe_parts(
+            writer.apply(ObservationRef::parts(
                 "hub.com",
                 "w.hub.com",
                 "https://pub.com/m.js",
                 "track",
                 true,
-            );
+            ));
             writer.commit();
             // The next snapshot write dies; the rotation must not happen.
             failpoint::set(
@@ -651,7 +653,7 @@ mod chaos {
         assert_eq!(report.generation, 1);
         assert!(report.restored_snapshot);
         assert_eq!(report.replayed_commits, 1, "the post-checkpoint commit");
-        assert_eq!(writer.sifter().observed(), 2);
+        assert_eq!(writer.sifter().ingest_stats().observed, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -664,7 +666,7 @@ mod chaos {
         failpoint::clear_all();
         let dir = temp_dir("import-checkpoint-fail");
         fs::create_dir_all(&dir).expect("mkdir");
-        let snapshot = trained_writer().snapshot().to_json_string();
+        let snapshot = trained_writer().sifter().snapshot().to_json_string();
         let (writer, _reader) = Sifter::builder().build_concurrent();
         let server = VerdictServer::start(
             writer,

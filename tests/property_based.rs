@@ -315,7 +315,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// service: interleaved observe()/commit() ≡ from-scratch classification.
+// service: interleaved apply()/apply_batch()/commit() ≡ from-scratch
+// classification.
 // ---------------------------------------------------------------------------
 
 /// A synthetic labeled request drawn from small key pools, so random
@@ -362,35 +363,44 @@ proptest! {
         observations in prop::collection::vec(arb_observation(), 1..150),
         commit_every in 1usize..12,
         threshold in 0.5f64..3.0,
+        // Per chunk between commits: 1 folds it whole, 0 row by row.
+        batched in prop::collection::vec(0u8..2, 150..151),
     ) {
         let thresholds = Thresholds::new(threshold);
         let classifier = HierarchicalClassifier::new(thresholds);
         let mut sifter = Sifter::builder().thresholds(thresholds).build();
 
-        for (i, request) in observations.iter().enumerate() {
-            sifter.observe(request);
-            if (i + 1) % commit_every == 0 {
-                sifter.commit();
-                // Every intermediate committed state equals classifying the
-                // prefix from scratch — not just the final one.
-                let scratch = classifier.classify(&observations[..=i]);
-                prop_assert_eq!(&sifter.hierarchy(), &scratch);
-                // And serves the oracle's verdict for every request of the
-                // stream: the observed prefix, and the not-yet-observed rest
-                // falling off the trained hierarchy wherever it does.
-                let table = sifter.verdict_table();
-                for request in &observations {
-                    prop_assert_eq!(
-                        table.verdict(&DecisionRequest::from_labeled(request)),
-                        expected_verdict(
-                            &scratch,
-                            &request.domain,
-                            &request.hostname,
-                            &request.initiator_script,
-                            &request.initiator_method,
-                        )
-                    );
+        let mut folded = 0;
+        for (chunk, rows) in observations.chunks(commit_every).enumerate() {
+            if batched[chunk] == 1 {
+                let observed = sifter.apply_batch(rows.iter().map(ObservationRef::from));
+                prop_assert_eq!(observed, rows.len() as u64);
+            } else {
+                for r in rows {
+                    sifter.apply(r.into());
                 }
+            }
+            folded += rows.len();
+            sifter.commit();
+            // Every intermediate committed state equals classifying the
+            // prefix from scratch — not just the final one.
+            let scratch = classifier.classify(&observations[..folded]);
+            prop_assert_eq!(&sifter.hierarchy(), &scratch);
+            // And serves the oracle's verdict for every request of the
+            // stream: the observed prefix, and the not-yet-observed rest
+            // falling off the trained hierarchy wherever it does.
+            let table = sifter.verdict_table();
+            for request in &observations {
+                prop_assert_eq!(
+                    table.verdict(&DecisionRequest::from_labeled(request)),
+                    expected_verdict(
+                        &scratch,
+                        &request.domain,
+                        &request.hostname,
+                        &request.initiator_script,
+                        &request.initiator_method,
+                    )
+                );
             }
         }
         sifter.commit();
@@ -421,7 +431,7 @@ proptest! {
         observations in prop::collection::vec(arb_observation(), 1..100),
     ) {
         let mut sifter = Sifter::builder().build();
-        sifter.observe_all(&observations);
+        sifter.apply_batch(observations.iter().map(ObservationRef::from));
         sifter.commit();
         let snapshot = sifter.snapshot();
         let text = snapshot.to_json_string();
@@ -463,8 +473,8 @@ fn arb_memo_triple() -> impl Strategy<Value = (String, String, ResourceType)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A writer whose `observe_url` answers repeated triples from its memo
-    /// ends every commit exactly where a sifter fed `observe_parts` with
+    /// A writer whose raw-URL `apply` answers repeated triples from its memo
+    /// ends every commit exactly where a sifter fed `ObservationRef::parts` with
     /// the engine's label for every row does: the same snapshot bytes, the
     /// same key ids in the same order, the same ingest accounting. The memo
     /// answers exactly the parseable rows whose triple, byte for byte, was
@@ -495,7 +505,7 @@ proptest! {
                 writer.commit();
                 oracle.commit();
                 previous = std::mem::take(&mut current);
-                prop_assert_eq!(writer.snapshot().to_json_string(), oracle.snapshot().to_json_string());
+                prop_assert_eq!(writer.sifter().snapshot().to_json_string(), oracle.snapshot().to_json_string());
                 let keys = |table: &VerdictTable| -> Vec<(usize, String)> {
                     table.keys().iter().map(|(key, text)| (key.index(), text.to_string())).collect()
                 };
@@ -509,13 +519,13 @@ proptest! {
             let (url, page, kind) = &pool[op % pool.len()];
             let script = ["https://shop.com/app.js", "fp:00c0ffee"][attribution % 2];
             let method = ["send", "load"][attribution / 2];
-            let outcome = writer.observe_url(url, page, *kind, script, method);
+            let outcome = writer.apply(ObservationRef::url(url, page, *kind, script, method));
             match FilterRequest::new(url, page, *kind) {
                 Some(request) => {
                     let view = request.view();
                     let label = engine.label_url(url, page, *kind);
                     prop_assert_eq!(outcome, ObserveOutcome::Observed(label));
-                    oracle.observe_parts(view.domain, view.url.hostname, script, method, label.is_tracking());
+                    oracle.apply(ObservationRef::parts(view.domain, view.url.hostname, script, method, label.is_tracking()));
                     let triple = (url.clone(), page.clone(), *kind);
                     if previous.contains(&triple) || current.contains(&triple) {
                         reused += 1;

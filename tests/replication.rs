@@ -152,7 +152,7 @@ proptest! {
         for (index, epoch) in epochs.iter().enumerate() {
             for &observation in epoch {
                 let (domain, hostname, script, method, tracking) = parts(observation);
-                writer.observe_parts(&domain, &hostname, &script, &method, tracking);
+                writer.apply(ObservationRef::parts(&domain, &hostname, &script, &method, tracking));
             }
             writer.commit();
 
@@ -225,13 +225,13 @@ proptest! {
 fn aged_out_follower_rebootstraps_from_the_full_snapshot() {
     let (mut writer, reader) = Sifter::builder().build_concurrent();
     writer.set_revision_capacity(2);
-    writer.observe_parts(
+    writer.apply(ObservationRef::parts(
         "ads.com",
         "px.ads.com",
         "https://ads.com/a.js",
         "send",
         true,
-    );
+    ));
     writer.commit();
 
     let mut follower = FollowerState::new(None, None);
@@ -243,13 +243,13 @@ fn aged_out_follower_rebootstraps_from_the_full_snapshot() {
     // Five more commits against a capacity-2 ring: version 1 ages out.
     for n in 0..5 {
         let domain = format!("d{n}.com");
-        writer.observe_parts(
+        writer.apply(ObservationRef::parts(
             &domain,
             &format!("h.{domain}"),
             &format!("https://{domain}/s.js"),
             "send",
             n % 2 == 0,
-        );
+        ));
         writer.commit();
     }
     let pin = reader.pin();
@@ -300,13 +300,13 @@ fn single_epoch_delta_is_under_a_tenth_of_a_full_bootstrap() {
         let site = &corpus.websites[rotation.site];
         let script = &site.scripts[rotation.script];
         for (method, request) in script.planned_requests() {
-            writer.observe_url(
+            writer.apply(ObservationRef::url(
                 &request.url,
                 &site.hostname,
                 request.resource_type,
                 &rotation.new_url,
                 &script.methods[method].name,
-            );
+            ));
         }
     }
     writer.commit();

@@ -1,6 +1,6 @@
 //! Integration tests of the serving API: verdict semantics at study scale,
 //! the allocation-free hot-path guarantee, snapshot round-trips, and the
-//! observe/commit ≡ from-scratch equivalence on real pipeline output.
+//! apply/commit ≡ from-scratch equivalence on real pipeline output.
 
 mod common;
 
@@ -72,13 +72,13 @@ fn sifter_equals_from_scratch_classification_on_pipeline_output() {
     let sifter = study.sifter();
     assert_eq!(sifter.hierarchy(), study.hierarchy);
 
-    // Splitting the same requests into arbitrary observe/commit batches
+    // Splitting the same requests into arbitrary apply/commit batches
     // must converge to the identical committed state.
     let mut incremental = Sifter::builder()
         .thresholds(study.config.thresholds)
         .build();
     for chunk in study.requests.chunks(997) {
-        incremental.observe_all(chunk);
+        incremental.apply_batch(chunk.iter().map(ObservationRef::from));
         incremental.commit();
     }
     assert_eq!(incremental.hierarchy(), study.hierarchy);
@@ -209,7 +209,10 @@ fn snapshot_round_trip_preserves_bytes_and_verdicts() {
 
     // Restore → identical committed state, verdicts, and re-export bytes.
     let mut restored = Sifter::builder().restore(&parsed).expect("restore");
-    assert_eq!(restored.observed(), sifter.observed());
+    assert_eq!(
+        restored.ingest_stats().observed,
+        sifter.ingest_stats().observed
+    );
     assert_eq!(restored.hierarchy(), sifter.hierarchy());
     assert_eq!(restored.snapshot().to_json_string(), text);
     assert_eq!(
@@ -227,10 +230,15 @@ fn snapshot_round_trip_preserves_bytes_and_verdicts() {
     // it still matches a from-scratch sifter over the combined stream.
     let extra = study(30, 99);
     let mut grown = Sifter::builder().restore(&parsed).expect("restore");
-    grown.observe_all(&extra.requests);
+    grown.apply_batch(extra.requests.iter().map(ObservationRef::from));
     grown.commit();
     let mut scratch = Sifter::builder().thresholds(base.config.thresholds).build();
-    scratch.observe_all(base.requests.iter().chain(&extra.requests));
+    scratch.apply_batch(
+        base.requests
+            .iter()
+            .chain(&extra.requests)
+            .map(ObservationRef::from),
+    );
     scratch.commit();
     assert_eq!(grown.hierarchy(), scratch.hierarchy());
 }
