@@ -31,10 +31,12 @@
 //! once, then [`Sifter::apply_batch`], so the reply never runs ahead of
 //! the disk. The writer declares the sifter's write calls — `apply`,
 //! `apply_batch` and `commit` — and nothing else that writes. A commit
-//! journals its marker, folds, publishes, and records one
-//! [`VerdictRevision`] through `record_revision` — the same recorder
-//! recovery runs for every replayed commit marker, so a recomputed ring
-//! entry equals the persisted one.
+//! journals its marker, folds, installs one [`VerdictRevision`] and
+//! publishes. The revision is what the fold wrote: `write_class` reports
+//! each class change as it makes it and the plan refresh each plan it
+//! rebuilds or drops, so no table is diffed against another. Recovery
+//! installs the same record after every replayed commit marker, so a
+//! recomputed ring entry equals the persisted one.
 //!
 //! # How publication stays safe without locks (hand-rolled, `std`-only)
 //!
@@ -72,12 +74,11 @@
 //! intended mode — and the fallback never runs).
 
 use crate::decision::{Decision, DecisionRequest};
-use crate::intern::FrozenKeys;
 use crate::journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport};
 use crate::revision::VerdictRevision;
 use crate::service::{CommitStats, ObservationRef, ObserveOutcome, ServiceStats, Sifter, Verdict};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
-use crate::table::{ClassTable, SurrogatePlans, VerdictTable};
+use crate::table::VerdictTable;
 use std::io;
 use std::ops::Deref;
 use std::path::PathBuf;
@@ -172,10 +173,7 @@ impl Sifter {
     /// threads. The current committed state is published immediately, so
     /// readers serve from the first instant.
     pub fn into_concurrent(mut self) -> (SifterWriter, SifterReader) {
-        let table = Arc::new(self.verdict_table());
-        let prev_classes = table.classes().clone();
-        let prev_plans = Arc::clone(table.surrogate_plans());
-        let shared = Arc::new(Shared::new(table));
+        let shared = Arc::new(Shared::new(Arc::new(self.verdict_table())));
         let reader = SifterReader::register(Arc::clone(&shared));
         (
             SifterWriter {
@@ -184,8 +182,6 @@ impl Sifter {
                 version_floor: 0,
                 keys_epoch: 0,
                 durable: None,
-                prev_classes,
-                prev_plans,
                 revisions: Vec::new(),
                 revision_capacity: DEFAULT_REVISION_CAPACITY,
             },
@@ -291,15 +287,6 @@ pub struct SifterWriter {
     /// Write-ahead durability, attached by [`SifterWriter::open_durable`];
     /// `None` for an in-memory writer (no behaviour change, no I/O).
     durable: Option<Durable>,
-    /// The class arrays of the last published table — what the next publish
-    /// diffs against to record a [`VerdictRevision`].
-    prev_classes: ClassTable,
-    /// The surrogate map of the last published table — its plans diffed by
-    /// `Arc` identity at the next publish to record which plans the commit
-    /// rebuilt ([`VerdictRevision::plans_touched`]). Pointer identity is a
-    /// superset of payload changes: the sifter re-`Arc`s exactly the plans
-    /// its commit rebuilt and shares the rest.
-    prev_plans: Arc<SurrogatePlans>,
     /// The bounded revision ring, ascending by published version. A
     /// snapshot (`Arc` clones) is attached to every published table.
     revisions: Vec<Arc<VerdictRevision>>,
@@ -311,30 +298,6 @@ pub struct SifterWriter {
 /// drift history `GET /v1/revisions` can serve; tune with
 /// [`SifterWriter::set_revision_capacity`].
 pub const DEFAULT_REVISION_CAPACITY: usize = 64;
-
-/// The script keys whose surrogate plan differs between two published plan
-/// maps, by `Arc` identity — exactly the plans the intervening commit
-/// rebuilt (the sifter shares untouched plans pointer-for-pointer).
-/// Resolved to sorted key strings through the table's frozen keys.
-fn plans_touched_between(
-    old: &SurrogatePlans,
-    new: &SurrogatePlans,
-    keys: &FrozenKeys,
-) -> Vec<Arc<str>> {
-    let rebuilt = new.iter().filter_map(|(key, entry)| {
-        let same = old
-            .get(key)
-            .is_some_and(|previous| Arc::ptr_eq(&previous.plan, &entry.plan));
-        (!same).then_some(key)
-    });
-    let dropped = old.keys().filter(|key| !new.contains_key(key));
-    let mut touched: Vec<Arc<str>> = rebuilt
-        .chain(dropped)
-        .filter_map(|key| keys.shared_string_for_id(key.index() as u32))
-        .collect();
-    touched.sort();
-    touched
-}
 
 /// Append `revision` to a bounded ring, overriding an existing entry with
 /// the same (newest) version and ignoring stale out-of-order versions —
@@ -433,6 +396,9 @@ impl SifterWriter {
     /// journal is **fsynced before the in-memory fold** — so a crash at any
     /// instant either replays this commit in full on recovery (marker
     /// durable) or loses it in full (marker in the torn tail), never half.
+    ///
+    /// The commit's ring entry is what the fold wrote, recorded before the
+    /// publish so the new table carries it.
     pub fn commit(&mut self) -> CommitStats {
         let version = self.published_version() + 1;
         if let Some(durable) = &mut self.durable {
@@ -442,8 +408,9 @@ impl SifterWriter {
             let _ = durable.journal.sync();
         }
         let stats = self.sifter.commit();
-        self.publish_current(true);
-        // Persist the ring entry the publish just recorded, so a restarted
+        self.record_revision(version);
+        self.publish();
+        // Persist the ring entry the commit just recorded, so a restarted
         // primary rebuilds its pre-crash diff history instead of collapsing
         // it. Derivable from the fold, so a torn tail here only costs the
         // persisted copy — recovery recomputes the same revision.
@@ -503,9 +470,9 @@ impl SifterWriter {
         report.torn_bytes = replay.torn_bytes;
         // Rebuild the revision ring alongside the state: persisted ring
         // records install directly (checkpoint seeds + per-commit records),
-        // and every replayed commit marker *recomputes* its revision from
-        // the replayed fold with the recorder live commits use — so a
-        // torn-off revision record costs nothing, and `?diff=` spans from
+        // and every replayed commit marker *recomputes* its revision — what
+        // the replayed fold wrote — with the recorder live commits use, so
+        // a torn-off revision record costs nothing, and `?diff=` spans from
         // before the crash still answer. A journal with records owns the
         // ring: whatever the writer held before is replaced, not merged.
         if report.replayed_records > 0 {
@@ -522,8 +489,7 @@ impl SifterWriter {
                 }
                 JournalEntry::Commit { version } => {
                     self.sifter.commit();
-                    let table = self.sifter.verdict_table();
-                    self.record_revision(&table, version);
+                    self.record_revision(version);
                     journal_version = Some(version);
                 }
                 JournalEntry::Revision { revision } => {
@@ -549,7 +515,7 @@ impl SifterWriter {
                     self.keys_epoch = self.version_floor + 1;
                 }
             }
-            self.publish_current(false);
+            self.publish();
         }
         self.durable = Some(Durable {
             dir,
@@ -624,52 +590,35 @@ impl SifterWriter {
             .map(|durable| durable.dir.generation())
     }
 
-    /// Export the current committed state (version rebased onto the floor)
-    /// and publish it to every reader in one atomic swap.
-    ///
-    /// With `record_revision` set, the per-key class changes since the last
-    /// publish are recorded as one [`VerdictRevision`] in the bounded ring
-    /// (every commit records one, even when nothing changed, so ring
-    /// versions stay contiguous and any two are diffable). The restore path
-    /// publishes *without* recording: a snapshot swap is a new world, not a
-    /// drift event, so the ring is cleared instead. Journal recovery
-    /// ([`SifterWriter::open_durable`]) records one revision per replayed
-    /// commit marker itself and publishes once, without recording, after
-    /// the whole replay.
-    fn publish_current(&mut self, record_revision: bool) {
-        let floor = self.version_floor;
+    /// Export the current committed state (version rebased onto the floor),
+    /// attach the revision ring as it stands, and publish the table to
+    /// every reader in one atomic swap. Publishing records nothing: a
+    /// commit records its revision before it publishes, a snapshot restore
+    /// is a new world rather than drift (it clears the ring), and journal
+    /// recovery records one revision per replayed commit marker and
+    /// publishes once after the whole replay.
+    fn publish(&mut self) {
         let mut table = self.sifter.verdict_table();
-        table.set_version(floor + table.version());
+        table.set_version(self.version_floor + table.version());
         table.set_keys_epoch(self.keys_epoch);
-        if record_revision {
-            self.record_revision(&table, table.version());
-        } else {
-            self.prev_classes = table.classes().clone();
-            self.prev_plans = Arc::clone(table.surrogate_plans());
-        }
         table.set_revisions(self.revisions.clone());
         self.shared.publish(Arc::new(table));
     }
 
-    /// Record what a commit changed as revision `version`: diff `table`
-    /// against the classes and plans of the last recorded state, install
-    /// the result in the ring, and make `table` the next diff base. The one
-    /// recorder — a live commit calls it with the table it publishes,
-    /// recovery with the table each replayed commit marker folds to, so a
-    /// recomputed ring entry equals the one the live commit persisted.
-    fn record_revision(&mut self, table: &VerdictTable, version: u64) {
-        let changes = table
-            .classes()
-            .changes_since(&self.prev_classes, table.keys());
-        let plans_touched =
-            plans_touched_between(&self.prev_plans, table.surrogate_plans(), table.keys());
+    /// Install what the sifter's last commit wrote as revision `version`:
+    /// the class changes `write_class` reported as it made them and the
+    /// plans the commit rebuilt or dropped ([`Sifter::commit`]), not a diff
+    /// of two tables. Every commit records one, even when nothing changed,
+    /// so ring versions stay contiguous and any two are diffable. The one
+    /// recorder — a live commit and each replayed commit marker call it
+    /// right after the fold, so a recomputed ring entry equals the one the
+    /// live commit persisted.
+    fn record_revision(&mut self, version: u64) {
         install_revision(
             &mut self.revisions,
-            Arc::new(VerdictRevision::with_plans(version, changes, plans_touched)),
+            Arc::new(self.sifter.revision(version)),
             self.revision_capacity,
         );
-        self.prev_classes = table.classes().clone();
-        self.prev_plans = Arc::clone(table.surrogate_plans());
     }
 
     /// The bounded ring of per-commit revisions, ascending by version —
@@ -743,7 +692,7 @@ impl SifterWriter {
         // one: drop the ring (its key ids belong to the old epoch anyway)
         // and publish without recording a revision.
         self.revisions.clear();
-        self.publish_current(false);
+        self.publish();
         Ok(dropped_pending)
     }
 
@@ -1300,6 +1249,67 @@ mod tests {
             "a span predating the checkpoint still answers"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A commit's revision is what its fold wrote: a domain flip, every
+    /// membership the flip takes away below it, and the plan it drops.
+    #[test]
+    fn a_revision_records_the_flips_and_dropped_plans_of_its_commit() {
+        use crate::hierarchy::Granularity::{Domain, Hostname, Method, Script};
+        use crate::intern::ResourceKey;
+        use crate::revision::ChangeKind::{Added, Flipped, Removed};
+        use Classification::{Functional, Mixed, Tracking};
+        const SCRIPT: &str = "https://pub.com/mixed.js";
+        let row = |method, tracking| {
+            ObservationRef::parts("hub.com", "w.hub.com", SCRIPT, method, tracking)
+        };
+        let (mut writer, reader) = Sifter::builder().build_concurrent();
+        let recorded = |writer: &SifterWriter| {
+            let revision = writer.revisions().last().expect("a ring entry");
+            let changes: Vec<_> = revision
+                .changes()
+                .iter()
+                .map(|change| (change.granularity, change.key.to_string(), change.kind))
+                .collect();
+            (changes, revision.plans_touched().to_vec())
+        };
+        let track = ResourceKey::method_label(SCRIPT, "track");
+        let render = ResourceKey::method_label(SCRIPT, "render");
+
+        writer.apply(row("track", true));
+        writer.apply(row("render", false));
+        writer.commit();
+        assert!(reader.pin().surrogate_plan(SCRIPT).is_some());
+        assert_eq!(
+            recorded(&writer),
+            (
+                vec![
+                    (Domain, "hub.com".to_string(), Added(Mixed)),
+                    (Hostname, "w.hub.com".to_string(), Added(Mixed)),
+                    (Script, SCRIPT.to_string(), Added(Mixed)),
+                    (Method, render.clone(), Added(Functional)),
+                    (Method, track.clone(), Added(Tracking)),
+                ],
+                vec![Arc::from(SCRIPT)]
+            )
+        );
+
+        writer.apply_batch(std::iter::repeat(row("render", false)).take(1000));
+        writer.commit();
+        assert!(reader.pin().surrogate_plan(SCRIPT).is_none());
+        assert_eq!(
+            recorded(&writer),
+            (
+                vec![
+                    (Domain, "hub.com".to_string(), Flipped(Mixed, Functional)),
+                    (Hostname, "w.hub.com".to_string(), Removed(Mixed)),
+                    (Script, SCRIPT.to_string(), Removed(Mixed)),
+                    (Method, render, Removed(Functional)),
+                    (Method, track, Removed(Tracking)),
+                ],
+                vec![Arc::from(SCRIPT)]
+            )
+        );
     }
 
     #[test]

@@ -102,9 +102,7 @@ impl VerdictTable {
     /// plan. Applying it on an empty [`FollowerState`] reproduces this
     /// table's every decision.
     pub fn full_snapshot_delta(&self) -> DeltaSnapshot {
-        let changes = self
-            .classes()
-            .changes_since(&ClassTable::default(), self.keys());
+        let changes = self.classes().additions(self.keys());
         let mut plans: Vec<(Arc<str>, Option<Arc<SurrogateScript>>)> = self
             .surrogate_plans()
             .iter()
@@ -266,19 +264,8 @@ impl FollowerState {
     /// primary's exact committed version. The frozen key view is cached
     /// across calls and re-cloned only when a delta interned new keys.
     pub fn table(&mut self) -> VerdictTable {
-        let stale = match &self.frozen {
-            Some(frozen) => {
-                frozen.len() != self.interner.len()
-                    || frozen.pair_count() != self.interner.pair_count()
-            }
-            None => true,
-        };
-        if stale {
-            self.frozen = Some(Arc::new(self.interner.freeze()));
-        }
-        let keys = Arc::clone(self.frozen.as_ref().expect("frozen view refreshed above"));
         let mut table = VerdictTable::new(
-            keys,
+            self.interner.frozen(&mut self.frozen),
             self.classes.clone(),
             self.version,
             self.committed,

@@ -136,8 +136,8 @@ impl FrozenKeys {
     }
 
     /// The string of a dense key id, shared (refcount bump, no copy), or
-    /// `None` for ids the snapshot never assigned. This is how revision
-    /// diffs resolve changed class-table slots back to key strings.
+    /// `None` for ids the snapshot never assigned. This is how a bootstrap
+    /// snapshot resolves class-table slots and plan keys back to strings.
     pub fn shared_string_for_id(&self, id: u32) -> Option<Arc<str>> {
         self.strings.get(id as usize).cloned()
     }
@@ -236,6 +236,20 @@ impl KeyInterner {
             lookup: self.lookup.clone(),
             method_pairs: self.method_pairs.clone(),
             strings: self.strings.clone(),
+        }
+    }
+
+    /// The frozen view cached in `slot`, re-frozen first when the interner
+    /// has grown since it was taken — the one freeze cache the sifter and
+    /// a replica's follower publish their tables through.
+    pub(crate) fn frozen(&self, slot: &mut Option<Arc<FrozenKeys>>) -> Arc<FrozenKeys> {
+        match slot {
+            Some(frozen)
+                if frozen.len() == self.len() && frozen.pair_count() == self.pair_count() =>
+            {
+                Arc::clone(frozen)
+            }
+            _ => Arc::clone(slot.insert(Arc::new(self.freeze()))),
         }
     }
 

@@ -10,9 +10,11 @@
 //!   ([`ChangeKind::Removed`]), or flipped classification
 //!   ([`ChangeKind::Flipped`] with old → new).
 //! * [`VerdictRevision`] — every change one commit made, stamped with the
-//!   published table version it produced. The concurrent writer records one
-//!   revision per publish (even an empty one), so version chains stay
-//!   contiguous, and keeps a bounded ring of them attached to the published
+//!   published table version it produced. It is the commit's own record,
+//!   not a diff of two tables: the sifter's class writer reports each
+//!   change as it writes it. The concurrent writer installs one revision
+//!   per commit (even an empty one), so version chains stay contiguous,
+//!   and keeps a bounded ring of them attached to the published
 //!   [`VerdictTable`](crate::table::VerdictTable).
 //! * [`compose`] / [`diff_revisions`] — the diff algebra: transitions
 //!   compose by chaining old → new per `(granularity, key)` and dropping
@@ -117,7 +119,7 @@ pub(crate) fn sort_changes(changes: &mut [RevisionChange]) {
 /// Every per-key class change one commit made, stamped with the published
 /// table version that commit produced.
 ///
-/// The concurrent writer records one revision per publish — including
+/// The concurrent writer records one revision per commit — including
 /// commits that changed nothing — so the ring's versions are contiguous
 /// and any two of them are diffable. Changes are held in canonical
 /// (granularity, key) order.
@@ -144,10 +146,11 @@ pub(crate) fn sort_changes(changes: &mut [RevisionChange]) {
 pub struct VerdictRevision {
     version: u64,
     changes: Vec<RevisionChange>,
-    /// Script keys whose surrogate plan was rebuilt by this commit.
-    /// Plans embed per-method counts, so they can change *without* any
-    /// class transition; delta snapshots use this set to know which
-    /// plans to re-ship. Sorted, deduplicated.
+    /// Script keys whose surrogate plan this commit rebuilt or dropped, as
+    /// the commit's plan refresh recorded them. Plans embed per-method
+    /// counts, so they can change *without* any class transition; delta
+    /// snapshots use this set to know which plans to re-ship. Sorted,
+    /// deduplicated.
     plans_touched: Vec<Arc<str>>,
 }
 

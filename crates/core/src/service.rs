@@ -81,6 +81,7 @@ use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
 use crate::label::{label_url, LabeledRequest};
 use crate::memo::{LabelMemo, Remembered};
 use crate::ratio::{Classification, Counts, Thresholds};
+use crate::revision::{ChangeKind, RevisionChange, VerdictRevision};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::surrogate::{MethodPlan, SurrogateScript};
 use crate::table::{ClassTable, SurrogateEntry, VerdictTable};
@@ -614,6 +615,8 @@ impl SifterBuilder {
             classes: ClassTable::default(),
             surrogates: KeyMap::default(),
             frozen: None,
+            changed: Vec::new(),
+            plans_changed: Vec::new(),
             ingest: IngestStats::default(),
             residue_requests: 0,
             commits: 0,
@@ -720,6 +723,13 @@ pub struct Sifter {
     /// Cached frozen key view for publishing [`VerdictTable`]s; refreshed
     /// lazily when the interner has grown since the last freeze.
     frozen: Option<Arc<FrozenKeys>>,
+
+    // -- what the last `commit` wrote (cleared at its start) --
+    /// Every class change `write_class` made, as it made it.
+    changed: Vec<(Granularity, ResourceKey, ChangeKind)>,
+    /// Every script whose surrogate plan the plan refresh rebuilt or
+    /// dropped.
+    plans_changed: Vec<ResourceKey>,
 
     /// The ingestion accounting [`Sifter::apply`] and `commit` keep, in
     /// the shape [`Sifter::ingest_stats`] reports it.
@@ -1007,11 +1017,20 @@ impl Sifter {
     /// its counts are, whom a mixedness flip dirties; `write_class` does the
     /// rest. A commit also ends the interval of [`Sifter::apply`]'s
     /// label memo, which is a counter bump.
+    ///
+    /// The commit keeps what it wrote — each class change as `write_class`
+    /// makes it, each plan the refresh rebuilds or drops — until the next
+    /// commit starts; the concurrent writer turns that record into the
+    /// commit's [`VerdictRevision`]. Each level's dirty set is drained
+    /// once and a flip only dirties finer levels, so a `(level, key)` is
+    /// written at most once per commit and the record is the net change.
     pub fn commit(&mut self) -> CommitStats {
         let mut stats = CommitStats {
             observations: self.ingest.pending,
             ..CommitStats::default()
         };
+        self.changed.clear();
+        self.plans_changed.clear();
         let [_, hosts, scripts, methods] = Granularity::ALL.map(Granularity::index);
 
         // Phase 1: domains. Every observed domain is a member; a flip
@@ -1077,14 +1096,16 @@ impl Sifter {
         // everything else drops out of the map.
         for s in plans_dirty {
             let mixed = self.is_mixed(Granularity::Script, s);
-            match mixed.then(|| self.plan_for_script(s)).flatten() {
+            let changed = match mixed.then(|| self.plan_for_script(s)).flatten() {
                 Some(plan) => {
                     self.surrogates
                         .insert(s, SurrogateEntry::new(Arc::new(plan)));
+                    true
                 }
-                None => {
-                    self.surrogates.remove(&s);
-                }
+                None => self.surrogates.remove(&s).is_some(),
+            };
+            if changed {
+                self.plans_changed.push(s);
             }
         }
 
@@ -1111,7 +1132,8 @@ impl Sifter {
     /// Commit the class of `key` at `level`: classify `member`'s counts
     /// (`None` or empty counts = not a member of the level), and write the
     /// result to the entry map, the dense class table and the method-level
-    /// residue together — the only place any of the three changes. Returns
+    /// residue together — the only place any of the three changes — and
+    /// record the class change, if any, for the commit's revision. Returns
     /// whether the key's mixedness flipped, i.e. whether the next level's
     /// membership moved with it.
     fn write_class(
@@ -1136,6 +1158,9 @@ impl Sifter {
         };
         let class = entry.map(|entry| entry.classification);
         self.classes.set(level, key, class);
+        if let Some(kind) = ChangeKind::of(previous.map(|entry| entry.classification), class) {
+            self.changed.push((level, key, kind));
+        }
         // Mixed member methods are the residue.
         let mixed_requests = |entry: Option<LevelEntry>| {
             entry
@@ -1226,19 +1251,8 @@ impl Sifter {
     /// unchanged buckets across freezes is the known next optimisation if
     /// novel-key churn ever dominates commit latency.
     pub fn verdict_table(&mut self) -> VerdictTable {
-        let stale = match &self.frozen {
-            Some(frozen) => {
-                frozen.len() != self.interner.len()
-                    || frozen.pair_count() != self.interner.pair_count()
-            }
-            None => true,
-        };
-        if stale {
-            self.frozen = Some(Arc::new(self.interner.freeze()));
-        }
-        let keys = Arc::clone(self.frozen.as_ref().expect("frozen view refreshed above"));
         VerdictTable::new(
-            keys,
+            self.interner.frozen(&mut self.frozen),
             self.classes.clone(),
             self.commits,
             self.ingest.committed,
@@ -1247,6 +1261,27 @@ impl Sifter {
             self.rewriter.clone(),
             Arc::new(self.surrogates.clone()),
         )
+    }
+
+    /// What the last [`Sifter::commit`] wrote, as revision `version`: the
+    /// class changes `write_class` recorded and the scripts whose plans it
+    /// rebuilt or dropped, keyed by the strings the frozen view shares.
+    pub(crate) fn revision(&self, version: u64) -> VerdictRevision {
+        let changes = self
+            .changed
+            .iter()
+            .map(|&(granularity, key, kind)| RevisionChange {
+                granularity,
+                key: self.interner.resolve_shared(key),
+                kind,
+            })
+            .collect();
+        let plans = self
+            .plans_changed
+            .iter()
+            .map(|&script| self.interner.resolve_shared(script))
+            .collect();
+        VerdictRevision::with_plans(version, changes, plans)
     }
 
     /// Materialise the committed state as a [`HierarchyResult`] — exactly

@@ -124,21 +124,15 @@ impl ClassTable {
             .count()
     }
 
-    /// Every per-key class transition from `old` to `self`, resolved to key
-    /// strings through `keys` (the frozen view `self` was committed
-    /// against; ids are append-only stable within an epoch, so it resolves
-    /// every id `old` knew too). Canonical (granularity, key) order —
-    /// this is what one [`VerdictRevision`](crate::revision::VerdictRevision)
-    /// records per commit.
-    pub(crate) fn changes_since(&self, old: &ClassTable, keys: &FrozenKeys) -> Vec<RevisionChange> {
+    /// Every member of every level as a [`ChangeKind::Added`] change,
+    /// resolved to key strings through `keys` (the frozen view `self` was
+    /// committed against), in canonical (granularity, key) order — the
+    /// change list of a bootstrap snapshot, which starts from nothing.
+    pub(crate) fn additions(&self, keys: &FrozenKeys) -> Vec<RevisionChange> {
         let mut changes = Vec::new();
         for granularity in Granularity::ALL {
-            let before = &old.levels[granularity.index()];
-            let after = &self.levels[granularity.index()];
-            for index in 0..before.len().max(after.len()) {
-                let from = classification_of(before.get(index).copied().unwrap_or(ABSENT));
-                let to = classification_of(after.get(index).copied().unwrap_or(ABSENT));
-                let Some(kind) = ChangeKind::of(from, to) else {
+            for (index, &code) in self.levels[granularity.index()].iter().enumerate() {
+                let Some(class) = classification_of(code) else {
                     continue;
                 };
                 let Some(key) = keys.shared_string_for_id(index as u32) else {
@@ -147,7 +141,7 @@ impl ClassTable {
                 changes.push(RevisionChange {
                     granularity,
                     key,
-                    kind,
+                    kind: ChangeKind::Added(class),
                 });
             }
         }
@@ -437,8 +431,8 @@ impl VerdictTable {
         self.revisions = revisions;
     }
 
-    /// This table's committed class arrays (what the writer diffs between
-    /// publishes to record a revision).
+    /// This table's committed class arrays (what a bootstrap snapshot lists
+    /// as additions).
     pub(crate) fn classes(&self) -> &ClassTable {
         &self.classes
     }

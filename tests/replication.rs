@@ -6,9 +6,14 @@
 //! is a full re-bootstrap (the HTTP `410 Gone` contract) — and one epoch
 //! of drift travels in a small fraction of a full bootstrap's bytes.
 
+mod common;
+
+use common::{model_changes, model_of, Model};
 use proptest::prelude::*;
 use trackersift_suite::prelude::*;
-use trackersift_suite::trackersift::{frames, ApplyError, DurableDir, Journal, JournalEntry};
+use trackersift_suite::trackersift::{
+    frames, ApplyError, DurableDir, Journal, JournalEntry, VerdictRevision,
+};
 
 /// One synthetic observation, index-encoded so the strategies stay tiny.
 type Obs = (u8, u8, u8, u8, u8);
@@ -71,6 +76,37 @@ fn assert_tables_agree(
             frames::decision_value(&theirs).render(),
             frames::decision_value(&ours).render()
         );
+    }
+}
+
+/// Check what one commit recorded against oracles that never look at the
+/// recorder: its changes are the model diff of the from-scratch hierarchy
+/// before and after the commit, and every probe script whose surrogate plan
+/// differs between the tables published before and after is among the
+/// plans it touched.
+fn assert_commit_recorded(
+    revision: &VerdictRevision,
+    (model_before, model_after): (&Model, &Model),
+    (table_before, table_after): (&VerdictTable, &VerdictTable),
+    requests: &[(String, String, String, String)],
+) {
+    assert_eq!(
+        revision.changes(),
+        &model_changes(model_before, model_after)[..],
+        "version {}",
+        revision.version()
+    );
+    for (_, _, script, _) in requests {
+        if table_before.surrogate_plan(script) != table_after.surrogate_plan(script) {
+            assert!(
+                revision
+                    .plans_touched()
+                    .iter()
+                    .any(|touched| touched.as_ref() == script),
+                "version {}: the plan of {script} changed but is not touched",
+                revision.version()
+            );
+        }
     }
 }
 
@@ -150,11 +186,19 @@ proptest! {
         }
 
         for (index, epoch) in epochs.iter().enumerate() {
+            let model_before = model_of(&writer.sifter().hierarchy());
+            let table_before = reader.pin().table().clone();
             for &observation in epoch {
                 let (domain, hostname, script, method, tracking) = parts(observation);
                 writer.apply(ObservationRef::parts(&domain, &hostname, &script, &method, tracking));
             }
             writer.commit();
+            assert_commit_recorded(
+                writer.revisions().last().expect("the commit recorded a revision"),
+                (&model_before, &model_of(&writer.sifter().hierarchy())),
+                (&table_before, reader.pin().table()),
+                &requests,
+            );
 
             if index == restart_after {
                 // Primary restart: drop the writer, recover a fresh one

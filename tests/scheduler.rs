@@ -4,9 +4,12 @@
 //! URL keying, and the drift served over `GET /v1/revisions?diff=` is
 //! byte-identical to the in-process fold.
 
+mod common;
+
+use common::{model_changes, Model};
 use crawler::json::Value;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 use trackersift::frames;
@@ -50,6 +53,14 @@ fn same_seed_schedulers_produce_byte_identical_rings() {
         first_ring, second_ring,
         "revision rings must be byte-identical"
     );
+    // And identical across code changes: the ring's length and FNV-1a
+    // digest as recorded for this seed. A change that is meant to alter
+    // the ring re-records both and states so in CHANGES.md.
+    assert_eq!(first_ring.len(), 6324);
+    assert_eq!(
+        filterlist::tokens::fnv1a64(&first_ring),
+        0xc611_7927_547e_42d5
+    );
     assert_eq!(first_stats, second_stats);
     // And the run was not trivial: the ecosystem drifted every epoch after
     // the seed crawl.
@@ -63,10 +74,6 @@ fn same_seed_schedulers_produce_byte_identical_rings() {
 // diff(b,c)), and the direct diff must equal the plain state delta.
 // ---------------------------------------------------------------------------
 
-/// Classification state per (granularity index, key) — the independent
-/// model the algebra is checked against.
-type Model = BTreeMap<(usize, String), Classification>;
-
 fn class_of(code: u8) -> Option<Classification> {
     match code % 4 {
         0 => None,
@@ -74,18 +81,6 @@ fn class_of(code: u8) -> Option<Classification> {
         2 => Some(Classification::Functional),
         _ => Some(Classification::Mixed),
     }
-}
-
-/// The transitions between two model states, in the canonical
-/// (granularity, key) order the core sorts by.
-fn model_changes(before: &Model, after: &Model) -> Vec<RevisionChange> {
-    let keys: BTreeSet<&(usize, String)> = before.keys().chain(after.keys()).collect();
-    keys.into_iter()
-        .filter_map(|key| {
-            ChangeKind::of(before.get(key).copied(), after.get(key).copied())
-                .map(|kind| RevisionChange::new(Granularity::ALL[key.0], key.1.as_str(), kind))
-        })
-        .collect()
 }
 
 proptest! {
