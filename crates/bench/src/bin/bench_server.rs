@@ -237,7 +237,6 @@ fn main() {
     let overload_server = start_server(ServerConfig {
         workers,
         max_connections: overload_budget,
-        retry_after: 1,
         ..ServerConfig::ephemeral()
     });
     let overload_clients = overload_budget * 2;

@@ -140,30 +140,6 @@ impl Shared {
             slots: Mutex::new(Vec::new()),
         }
     }
-
-    /// Swap in `table` as the current one and reclaim every retired table
-    /// no hazard slot protects.
-    fn publish(&self, table: Arc<VerdictTable>) {
-        let next = Arc::as_ptr(&table) as *mut VerdictTable;
-        let previous = {
-            let mut owner = self.owner.lock().expect("table owner lock");
-            let previous = std::mem::replace(&mut *owner, table);
-            self.current.store(next, Ordering::SeqCst);
-            previous
-        };
-        let mut retired = self.retired.lock().expect("retire list lock");
-        retired.push(previous);
-        let slots = self.slots.lock().expect("hazard registry lock");
-        // Keep (only) the tables some reader still pins; dropping the rest
-        // here is safe because a pin is visible to this scan before its
-        // validation load can succeed (see the module docs).
-        retired.retain(|old| {
-            let old = Arc::as_ptr(old) as *mut VerdictTable;
-            slots
-                .iter()
-                .any(|slot| slot.protected.load(Ordering::SeqCst) == old)
-        });
-    }
 }
 
 impl Sifter {
@@ -173,12 +149,11 @@ impl Sifter {
     /// threads. The current committed state is published immediately, so
     /// readers serve from the first instant.
     pub fn into_concurrent(mut self) -> (SifterWriter, SifterReader) {
-        let shared = Arc::new(Shared::new(Arc::new(self.verdict_table())));
-        let reader = SifterReader::register(Arc::clone(&shared));
+        let (publisher, reader) = TablePublisher::new(Arc::new(self.verdict_table()));
         (
             SifterWriter {
                 sifter: self,
-                shared,
+                publisher,
                 version_floor: 0,
                 keys_epoch: 0,
                 durable: None,
@@ -190,14 +165,13 @@ impl Sifter {
     }
 }
 
-/// A standalone publication handle over the same hazard-pointer machinery
-/// the [`SifterWriter`] uses: swap complete [`VerdictTable`]s in, mint
-/// lock-free [`SifterReader`]s out.
+/// The one publication handle over the hazard-pointer machinery: swap
+/// complete [`VerdictTable`]s in, mint lock-free [`SifterReader`]s out.
 ///
-/// This is the primitive a **replica** builds on: a follower that
-/// reconstructs tables from a primary's delta snapshots (rather than from
-/// local commits) still publishes them atomically to any number of serving
-/// threads, with identical pin/reclaim semantics.
+/// The [`SifterWriter`] publishes through one, and so does a **replica**:
+/// a follower that reconstructs tables from a primary's delta snapshots
+/// (rather than from local commits) publishes them atomically to any
+/// number of serving threads, with identical pin/reclaim semantics.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -228,15 +202,37 @@ pub struct TablePublisher {
 impl TablePublisher {
     /// Publish `table` as the initial state and mint the first reader.
     pub fn new(table: Arc<VerdictTable>) -> (TablePublisher, SifterReader) {
-        let shared = Arc::new(Shared::new(table));
-        let reader = SifterReader::register(Arc::clone(&shared));
-        (TablePublisher { shared }, reader)
+        let publisher = TablePublisher {
+            shared: Arc::new(Shared::new(table)),
+        };
+        let reader = publisher.reader();
+        (publisher, reader)
     }
 
     /// Atomically swap `table` in as the current state; readers pinned to
-    /// the previous table finish on it, fresh pins see the new one.
+    /// the previous table finish on it, fresh pins see the new one. Every
+    /// retired table no hazard slot protects is reclaimed here.
     pub fn publish(&self, table: Arc<VerdictTable>) {
-        self.shared.publish(table);
+        let shared = &self.shared;
+        let next = Arc::as_ptr(&table) as *mut VerdictTable;
+        let previous = {
+            let mut owner = shared.owner.lock().expect("table owner lock");
+            let previous = std::mem::replace(&mut *owner, table);
+            shared.current.store(next, Ordering::SeqCst);
+            previous
+        };
+        let mut retired = shared.retired.lock().expect("retire list lock");
+        retired.push(previous);
+        let slots = shared.slots.lock().expect("hazard registry lock");
+        // Keep (only) the tables some reader still pins; dropping the rest
+        // here is safe because a pin is visible to this scan before its
+        // validation load can succeed (see the module docs).
+        retired.retain(|old| {
+            let old = Arc::as_ptr(old) as *mut VerdictTable;
+            slots
+                .iter()
+                .any(|slot| slot.protected.load(Ordering::SeqCst) == old)
+        });
     }
 
     /// Mint another reader handle (equivalent to cloning any existing one).
@@ -272,7 +268,7 @@ impl TablePublisher {
 #[derive(Debug)]
 pub struct SifterWriter {
     sifter: Sifter,
-    shared: Arc<Shared>,
+    publisher: TablePublisher,
     /// Added to the sifter's commit count to form the *published* table
     /// version. Zero until a [`SifterWriter::restore_snapshot`] replaces
     /// the sifter (resetting its commit count); then bumped so published
@@ -590,19 +586,21 @@ impl SifterWriter {
             .map(|durable| durable.dir.generation())
     }
 
-    /// Export the current committed state (version rebased onto the floor),
-    /// attach the revision ring as it stands, and publish the table to
-    /// every reader in one atomic swap. Publishing records nothing: a
-    /// commit records its revision before it publishes, a snapshot restore
-    /// is a new world rather than drift (it clears the ring), and journal
-    /// recovery records one revision per replayed commit marker and
-    /// publishes once after the whole replay.
+    /// Build the current committed state as one complete table — at the
+    /// published version, under the writer's key epoch, carrying the
+    /// revision ring as it stands — and publish it to every reader in one
+    /// atomic swap. Publishing records nothing: a commit records its
+    /// revision before it publishes, a snapshot restore is a new world
+    /// rather than drift (it clears the ring), and journal recovery records
+    /// one revision per replayed commit marker and publishes once after the
+    /// whole replay.
     fn publish(&mut self) {
-        let mut table = self.sifter.verdict_table();
-        table.set_version(self.version_floor + table.version());
-        table.set_keys_epoch(self.keys_epoch);
-        table.set_revisions(self.revisions.clone());
-        self.shared.publish(Arc::new(table));
+        let table = self.sifter.table_at(
+            self.published_version(),
+            self.keys_epoch,
+            self.revisions.clone(),
+        );
+        self.publisher.publish(Arc::new(table));
     }
 
     /// Install what the sifter's last commit wrote as revision `version`:
@@ -698,7 +696,7 @@ impl SifterWriter {
 
     /// Mint another reader handle (equivalent to cloning any existing one).
     pub fn reader(&self) -> SifterReader {
-        SifterReader::register(Arc::clone(&self.shared))
+        self.publisher.reader()
     }
 
     /// Read-only access to the underlying sifter, for inspection and
@@ -827,8 +825,13 @@ impl SifterReader {
 }
 
 impl Clone for SifterReader {
+    /// Mint a fresh handle (own hazard slot) over the same publication,
+    /// exactly as [`TablePublisher::reader`] does.
     fn clone(&self) -> Self {
-        SifterReader::register(Arc::clone(&self.shared))
+        TablePublisher {
+            shared: Arc::clone(&self.shared),
+        }
+        .reader()
     }
 }
 
@@ -1046,6 +1049,48 @@ mod tests {
         writer.apply(block_row(true));
         writer.commit();
         assert_eq!(reader.version(), 5);
+    }
+
+    /// A restore rebases the published version past the sifter's own
+    /// commit count and bumps the key epoch; the one table built for it
+    /// carries both, down to every version-baked prebuilt body.
+    #[test]
+    fn a_restored_table_is_built_at_its_published_version_and_key_epoch() {
+        use crate::frames::{self, FIXED_COMBOS};
+        let mut source = Sifter::builder().build();
+        source.apply(block_row(true));
+        source.commit();
+        let snapshot = source.snapshot();
+
+        let (mut writer, reader) = Sifter::builder().build_concurrent();
+        for _ in 0..2 {
+            writer.apply(block_row(false));
+            writer.commit();
+        }
+        writer.restore_snapshot(&snapshot).expect("restore");
+        assert!(writer.version_floor > 0, "the restore rebased the version");
+
+        let pin = reader.pin();
+        assert_eq!(pin.version(), 3);
+        assert_ne!(pin.version(), writer.sifter().commits());
+        assert_eq!(pin.keys_epoch(), writer.keys_epoch);
+        assert_ne!(pin.keys_epoch(), 0, "the restore bumped the epoch");
+        let head = format!("{{\"version\":{},", pin.version());
+        let prebuilt = pin.prebuilt();
+        for index in 0..FIXED_COMBOS {
+            assert_eq!(
+                prebuilt.binary_single(index),
+                &frames::encode_fixed_single(&frames::fixed_decision(index), pin.version()),
+                "binary body {index}"
+            );
+            assert!(
+                prebuilt.json_single(index).starts_with(&head),
+                "json body {index}: {}",
+                prebuilt.json_single(index)
+            );
+        }
+        assert!(prebuilt.json_single_prefix().starts_with(&head));
+        assert!(prebuilt.json_batch_prefix().starts_with(&head));
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

@@ -26,9 +26,9 @@
 
 use crate::hierarchy::Granularity;
 use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
-use crate::revision::{diff_revisions, plans_touched_in_span, RevisionChange, RevisionRangeError};
+use crate::revision::{diff_revisions, RevisionChange, RevisionRangeError};
 use crate::surrogate::SurrogateScript;
-use crate::table::{ClassTable, SurrogateEntry, SurrogatePlans, VerdictTable};
+use crate::table::{ClassTable, SurrogateEntry, SurrogatePlans, TableParts, VerdictTable};
 use filterlist::FilterEngine;
 use rewriter::UrlRewriter;
 use std::fmt;
@@ -80,12 +80,19 @@ impl VerdictTable {
     /// follower re-bootstraps.
     pub fn delta_since(&self, since: u64) -> Result<DeltaSnapshot, RevisionRangeError> {
         let diff = diff_revisions(self.revisions(), since, self.version())?;
-        let plans = plans_touched_in_span(self.revisions(), since, self.version())
+        // The span is covered, so the ring entries past `since` are exactly
+        // its commits; re-ship the current plan of every script they touched.
+        let mut scripts: Vec<&Arc<str>> = self
+            .revisions()
+            .iter()
+            .filter(|revision| revision.version() > since)
+            .flat_map(|revision| revision.plans_touched())
+            .collect();
+        scripts.sort();
+        scripts.dedup();
+        let plans = scripts
             .into_iter()
-            .map(|script| {
-                let plan = self.surrogate_plan(&script);
-                (script, plan)
-            })
+            .map(|script| (Arc::clone(script), self.surrogate_plan(script)))
             .collect();
         Ok(DeltaSnapshot {
             since: Some(since),
@@ -261,21 +268,23 @@ impl FollowerState {
     }
 
     /// Publish the mirrored state as an immutable [`VerdictTable`] at the
-    /// primary's exact committed version. The frozen key view is cached
-    /// across calls and re-cloned only when a delta interned new keys.
+    /// primary's exact committed version, under the local key epoch and
+    /// with no revision ring (a follower applies net deltas, not commits).
+    /// The frozen key view is cached across calls and re-cloned only when
+    /// a delta interned new keys.
     pub fn table(&mut self) -> VerdictTable {
-        let mut table = VerdictTable::new(
-            self.interner.frozen(&mut self.frozen),
-            self.classes.clone(),
-            self.version,
-            self.committed,
-            self.residue,
-            self.engine.clone(),
-            self.rewriter.clone(),
-            Arc::new(self.plans.clone()),
-        );
-        table.set_keys_epoch(self.keys_epoch);
-        table
+        VerdictTable::new(TableParts {
+            keys: self.interner.frozen(&mut self.frozen),
+            classes: self.classes.clone(),
+            version: self.version,
+            committed: self.committed,
+            residue: self.residue,
+            keys_epoch: self.keys_epoch,
+            engine: self.engine.clone(),
+            url_rewriter: self.rewriter.clone(),
+            surrogates: Arc::new(self.plans.clone()),
+            revisions: Vec::new(),
+        })
     }
 }
 

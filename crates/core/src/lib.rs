@@ -132,8 +132,8 @@ pub use pipeline::{StageTiming, StageTimings, Study, StudyAnalyses, StudyConfig}
 pub use ratio::{Classification, Counts, Thresholds};
 pub use report::RatioHistogram;
 pub use revision::{
-    compose, diff_revisions, plans_touched_in_span, ChangeKind, RevisionChange, RevisionDiff,
-    RevisionRangeError, VerdictRevision,
+    compose, diff_revisions, ChangeKind, RevisionChange, RevisionDiff, RevisionRangeError,
+    VerdictRevision,
 };
 pub use rewriter::{RewriterBuilder, RewrittenUrl, UrlRewriter};
 pub use sensitivity::{SensitivityPoint, SensitivitySweep};

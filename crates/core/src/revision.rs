@@ -324,21 +324,6 @@ pub fn diff_revisions(
     })
 }
 
-/// The union of [`VerdictRevision::plans_touched`] over the span
-/// `from` (exclusive) to `to` (inclusive), sorted and deduplicated.
-/// Callers validate the span with [`diff_revisions`] first; an
-/// uncovered span simply unions whatever the ring still holds.
-pub fn plans_touched_in_span(ring: &[Arc<VerdictRevision>], from: u64, to: u64) -> Vec<Arc<str>> {
-    let mut touched: Vec<Arc<str>> = ring
-        .iter()
-        .filter(|revision| revision.version() > from && revision.version() <= to)
-        .flat_map(|revision| revision.plans_touched().iter().cloned())
-        .collect();
-    touched.sort();
-    touched.dedup();
-    touched
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

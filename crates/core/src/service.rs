@@ -84,7 +84,7 @@ use crate::ratio::{Classification, Counts, Thresholds};
 use crate::revision::{ChangeKind, RevisionChange, VerdictRevision};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::surrogate::{MethodPlan, SurrogateScript};
-use crate::table::{ClassTable, SurrogateEntry, VerdictTable};
+use crate::table::{ClassTable, SurrogateEntry, TableParts, VerdictTable};
 use crawler::json::{object, JsonError, Value};
 use filterlist::tokens::TokenHashBuilder;
 use filterlist::{FilterEngine, ListKind, RequestLabel, RequestScratch, ResourceType};
@@ -1251,16 +1251,30 @@ impl Sifter {
     /// unchanged buckets across freezes is the known next optimisation if
     /// novel-key churn ever dominates commit latency.
     pub fn verdict_table(&mut self) -> VerdictTable {
-        VerdictTable::new(
-            self.interner.frozen(&mut self.frozen),
-            self.classes.clone(),
-            self.commits,
-            self.ingest.committed,
-            self.residue_requests,
-            self.engine.clone(),
-            self.rewriter.clone(),
-            Arc::new(self.surrogates.clone()),
-        )
+        self.table_at(self.commits, 0, Vec::new())
+    }
+
+    /// [`Sifter::verdict_table`] published as `version` under key epoch
+    /// `keys_epoch` with the revision ring `revisions` — what the
+    /// concurrent writer publishes, built complete in one construction.
+    pub(crate) fn table_at(
+        &mut self,
+        version: u64,
+        keys_epoch: u64,
+        revisions: Vec<Arc<VerdictRevision>>,
+    ) -> VerdictTable {
+        VerdictTable::new(TableParts {
+            keys: self.interner.frozen(&mut self.frozen),
+            classes: self.classes.clone(),
+            version,
+            committed: self.ingest.committed,
+            residue: self.residue_requests,
+            keys_epoch,
+            engine: self.engine.clone(),
+            url_rewriter: self.rewriter.clone(),
+            surrogates: Arc::new(self.surrogates.clone()),
+            revisions,
+        })
     }
 
     /// What the last [`Sifter::commit`] wrote, as revision `version`: the

@@ -376,59 +376,60 @@ pub struct VerdictTable {
     surrogates: Arc<SurrogatePlans>,
     /// The writer's bounded revision ring as of this publish, ascending by
     /// version (`Arc` per revision: publishing clones pointers, not change
-    /// lists). Empty for tables exported outside a concurrent writer.
+    /// lists). Empty for tables exported outside a concurrent writer and
+    /// for a replica's tables.
     revisions: Vec<Arc<VerdictRevision>>,
-    /// Preformatted response bodies (version baked), rebuilt per table.
+    /// Preformatted response bodies (version baked), rendered once when
+    /// the table is built.
     prebuilt: PrebuiltResponses,
 }
 
+/// Everything a [`VerdictTable`] is built from, by name: the one
+/// constructor's argument. A table is complete at construction — version,
+/// key epoch and revision ring included — and never patched afterwards.
+#[derive(Debug)]
+pub(crate) struct TableParts {
+    pub(crate) keys: Arc<FrozenKeys>,
+    pub(crate) classes: ClassTable,
+    pub(crate) version: u64,
+    pub(crate) committed: u64,
+    pub(crate) residue: u64,
+    pub(crate) keys_epoch: u64,
+    pub(crate) engine: Option<Arc<FilterEngine>>,
+    pub(crate) url_rewriter: Option<Arc<UrlRewriter>>,
+    pub(crate) surrogates: Arc<SurrogatePlans>,
+    pub(crate) revisions: Vec<Arc<VerdictRevision>>,
+}
+
 impl VerdictTable {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        keys: Arc<FrozenKeys>,
-        classes: ClassTable,
-        version: u64,
-        committed: u64,
-        residue: u64,
-        engine: Option<Arc<FilterEngine>>,
-        url_rewriter: Option<Arc<UrlRewriter>>,
-        surrogates: Arc<SurrogatePlans>,
-    ) -> Self {
+    /// Build a table from its parts, rendering the version-baked
+    /// [`PrebuiltResponses`] once.
+    pub(crate) fn new(parts: TableParts) -> Self {
+        let TableParts {
+            keys,
+            classes,
+            version,
+            committed,
+            residue,
+            keys_epoch,
+            engine,
+            url_rewriter,
+            surrogates,
+            revisions,
+        } = parts;
         VerdictTable {
             keys,
             classes,
             version,
             committed,
             residue,
-            keys_epoch: 0,
+            keys_epoch,
             engine,
             url_rewriter,
             surrogates,
-            revisions: Vec::new(),
+            revisions,
             prebuilt: PrebuiltResponses::build(version),
         }
-    }
-
-    /// Rebase the table's published version (used by the concurrent writer
-    /// to keep versions monotone across a snapshot restore, which resets
-    /// the underlying commit count). Rebuilds the version-baked fixed
-    /// bodies.
-    pub(crate) fn set_version(&mut self, version: u64) {
-        self.version = version;
-        self.prebuilt = PrebuiltResponses::build(version);
-    }
-
-    /// Stamp the key-id epoch (used by the concurrent writer, which owns
-    /// the epoch counter).
-    pub(crate) fn set_keys_epoch(&mut self, epoch: u64) {
-        self.keys_epoch = epoch;
-    }
-
-    /// Attach the writer's revision-ring snapshot (used by the concurrent
-    /// writer at publish time, so `GET /v1/revisions` serves lock-free from
-    /// the pinned table).
-    pub(crate) fn set_revisions(&mut self, revisions: Vec<Arc<VerdictRevision>>) {
-        self.revisions = revisions;
     }
 
     /// This table's committed class arrays (what a bootstrap snapshot lists

@@ -260,7 +260,8 @@ impl Client {
         frames::decode_revision_diff(&body).map_err(malformed)
     }
 
-    /// Fetch the dirty cells since published version `since`
+    /// Fetch the net class changes and touched surrogate plans since
+    /// published version `since`
     /// (`GET /v1/snapshot?since=v`). Both a `200` (delta) and a
     /// `410 Gone` (the baseline aged out of the bounded ring; the body is
     /// a full snapshot envelope) decode into a [`DeltaSnapshot`] and

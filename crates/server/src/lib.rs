@@ -44,7 +44,7 @@
 //! | `POST /v1/observations` | buffer observations into the writer |
 //! | `POST /v1/commit` | fold observations in + publish atomically |
 //! | `GET /v1/snapshot` | export the trained state (versioned JSON) |
-//! | `GET /v1/snapshot?since=v` | delta snapshot for replicas: dirty cells since version `v` (JSON or binary) |
+//! | `GET /v1/snapshot?since=v` | delta snapshot for replicas: net class changes and touched surrogate plans since `v` (JSON or binary) |
 //! | `PUT /v1/snapshot` | validate + restore a snapshot, publish atomically |
 //! | `GET /v1/revisions` | the published revision ring; `?diff=a..b` folds a drift diff |
 //! | `POST /v1/tick` | advance the attached re-crawl scheduler one epoch |
@@ -213,12 +213,6 @@ pub struct ServerConfig {
     /// `503` + `Retry-After` (JSON or a binary shed frame, matching the
     /// request's protocol) but keeps its connection.
     pub max_inflight: usize,
-    /// The `Retry-After` hint (seconds) attached to every shed response.
-    pub retry_after: u32,
-    /// Upper bound on the graceful drain at shutdown: requests already on
-    /// the wire get this long to finish and flush before the workers give
-    /// up and close.
-    pub drain_timeout: Duration,
     /// Crash durability. `Some` attaches a write-ahead observation journal
     /// (see [`trackersift::journal`]) to the writer before serving starts:
     /// the boot replays the previous generation's snapshot + journal, and
@@ -235,8 +229,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             max_connections: 1024,
             max_inflight: 256,
-            retry_after: 1,
-            drain_timeout: Duration::from_secs(2),
             durability: None,
         }
     }
@@ -272,24 +264,34 @@ pub struct DurabilityConfig {
     /// before their reply — so it bounds only a [`SchedulerDriver`] that
     /// applies row by row. `1` = sync every such record.
     pub sync_every: u64,
-    /// Rotate the journal into a fresh snapshot generation at the first
-    /// commit after the journal file exceeds this many bytes (`0` = never
-    /// auto-checkpoint). Rotation happens only at commit boundaries so an
-    /// auto-checkpoint never publishes uncommitted observations.
-    pub checkpoint_bytes: u64,
 }
 
 impl DurabilityConfig {
     /// Durability in `dir` with the default cadence: sync every 64 records
-    /// applied one at a time, checkpoint past 8 MiB of journal.
+    /// applied one at a time. Whatever the cadence, the journal is
+    /// checkpointed into a fresh generation once it reaches 8 MiB.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             sync_every: 64,
-            checkpoint_bytes: 8 * 1024 * 1024,
         }
     }
 }
+
+/// The `Retry-After` hint (seconds) attached to every shed response, in
+/// the header and in the JSON or binary shed body.
+const RETRY_AFTER_SECS: u32 = 1;
+
+/// Upper bound on the graceful drain at shutdown: requests already on the
+/// wire get this long to finish and flush before the workers give up and
+/// close.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// A durable server rotates its journal into a fresh snapshot generation at
+/// the first commit (or tick) after the journal file reaches this many
+/// bytes. Rotation happens only at commit boundaries, so an
+/// auto-checkpoint never publishes uncommitted observations.
+const CHECKPOINT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Per-worker serving counters, readable lock-free from any thread and
 /// exposed by `GET /v1/stats`.
@@ -558,6 +560,11 @@ impl VerdictServer {
     /// is spawned: a replica has no writer to own.
     /// [`VerdictServer::follow`] is this plus the loop that keeps `reader`
     /// fresh.
+    ///
+    /// A replica's tables carry no revision ring: `GET /v1/revisions`
+    /// lists none, and every `GET /v1/snapshot?since=v` is answered `410
+    /// Gone` with the full snapshot envelope. A follower of a replica
+    /// therefore re-bootstraps on every poll.
     pub fn start_replica(
         reader: SifterReader,
         status: Arc<ReplicaStatus>,
@@ -598,18 +605,12 @@ impl VerdictServer {
         };
         let (reader, role) = match source {
             Source::Writer(writer, scheduler) => {
-                let checkpoint_bytes = config
-                    .durability
-                    .as_ref()
-                    .map_or(0, |durability| durability.checkpoint_bytes);
                 let reader = writer.reader();
                 let (admin, admin_rx) = mpsc::channel();
                 server.feeder = Some(
                     thread::Builder::new()
                         .name("verdict-admin".to_string())
-                        .spawn(move || {
-                            admin_loop(*writer, admin_rx, checkpoint_bytes, scheduler)
-                        })?,
+                        .spawn(move || admin_loop(*writer, admin_rx, scheduler))?,
                 );
                 (reader, Role::Primary { admin, recovery })
             }
@@ -631,8 +632,6 @@ impl VerdictServer {
                 read_timeout: config.read_timeout,
                 max_connections: config.max_connections,
                 max_inflight: config.max_inflight,
-                retry_after: config.retry_after,
-                drain_timeout: config.drain_timeout,
             };
             server.workers.push(
                 thread::Builder::new()
@@ -673,9 +672,9 @@ impl VerdictServer {
     }
 
     /// Stop accepting, drain gracefully, and join every thread: requests
-    /// already on the wire finish and flush (bounded by
-    /// [`ServerConfig::drain_timeout`]), idle connections close, and the
-    /// admin thread syncs the journal tail on its way out. Deliberately
+    /// already on the wire finish and flush (for at most 2 s), idle
+    /// connections close, and the admin thread syncs the journal tail on
+    /// its way out. Deliberately
     /// **no** checkpoint on shutdown: a clean stop restarts into exactly
     /// the state a crash at the same instant would (crash-only design).
     pub fn shutdown(mut self) {
@@ -701,17 +700,15 @@ impl Drop for VerdictServer {
     }
 }
 
-/// Rotate the journal into a fresh snapshot generation once it outgrows
-/// `checkpoint_bytes`. Called only right after a commit, so the fold the
-/// checkpoint performs is a no-op and never publishes uncommitted state;
-/// a failed rotation is absorbed (the old generation keeps working and
-/// the error shows up in the journal counters at the next attempt).
-fn maybe_checkpoint(writer: &mut SifterWriter, checkpoint_bytes: u64) {
-    if checkpoint_bytes == 0 {
-        return;
-    }
+/// Rotate the journal into a fresh snapshot generation once it reaches
+/// [`CHECKPOINT_BYTES`] (never, without a durable store). Called only right
+/// after a commit, so the fold the checkpoint performs is a no-op and never
+/// publishes uncommitted state; a failed rotation is absorbed (the old
+/// generation keeps working and the error shows up in the journal counters
+/// at the next attempt).
+fn maybe_checkpoint(writer: &mut SifterWriter) {
     let journal_bytes = writer.journal_stats().map_or(0, |stats| stats.bytes);
-    if journal_bytes >= checkpoint_bytes {
+    if journal_bytes >= CHECKPOINT_BYTES {
         let _ = writer.checkpoint();
     }
 }
@@ -721,7 +718,6 @@ fn maybe_checkpoint(writer: &mut SifterWriter, checkpoint_bytes: u64) {
 fn admin_loop(
     mut writer: SifterWriter,
     rx: mpsc::Receiver<AdminMsg>,
-    checkpoint_bytes: u64,
     mut scheduler: Option<Box<dyn SchedulerDriver>>,
 ) {
     let mut last_tick_micros = 0u64;
@@ -736,7 +732,7 @@ fn admin_loop(
             AdminMsg::Commit(reply) => {
                 let stats = writer.commit();
                 let _ = reply.send((stats, writer.published_version()));
-                maybe_checkpoint(&mut writer, checkpoint_bytes);
+                maybe_checkpoint(&mut writer);
             }
             AdminMsg::Export(reply) => {
                 let _ = reply.send(writer.sifter().snapshot().to_json_string());
@@ -779,7 +775,7 @@ fn admin_loop(
                 let ticked = summary.is_some();
                 let _ = reply.send(summary);
                 if ticked {
-                    maybe_checkpoint(&mut writer, checkpoint_bytes);
+                    maybe_checkpoint(&mut writer);
                 }
             }
             AdminMsg::Stats(reply) => {
@@ -959,8 +955,6 @@ struct Worker {
     read_timeout: Duration,
     max_connections: usize,
     max_inflight: usize,
-    retry_after: u32,
-    drain_timeout: Duration,
 }
 
 /// Upper bound on one poll wait, so the stop flag is observed promptly.
@@ -1048,11 +1042,11 @@ impl Worker {
     }
 
     /// Graceful drain after the stop flag: connections with a response
-    /// still queued or a request mid-parse get up to `drain_timeout` to
+    /// still queued or a request mid-parse get up to [`DRAIN_TIMEOUT`] to
     /// finish and flush; idle keep-alive connections close immediately.
     /// Bounded so a wedged peer cannot hold shutdown hostage.
     fn drain(&self, conns: &mut Vec<Conn>, poller: &mut Poller) {
-        let deadline = Instant::now() + self.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         conns.retain(|conn| !conn.dead && (conn.pending_out() || conn.parser.mid_request()));
         while !conns.is_empty() {
             let now = Instant::now();
@@ -1106,7 +1100,7 @@ impl Worker {
                             .shed_connections
                             .fetch_add(1, Ordering::Relaxed);
                         let mut out = Vec::new();
-                        HttpResponse::shed(self.retry_after, "connection budget exhausted", true)
+                        HttpResponse::shed(RETRY_AFTER_SECS, "connection budget exhausted", true)
                             .render_into(&mut out, false);
                         let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
                         let _ = stream.write_all(&out);
@@ -1329,14 +1323,14 @@ impl Worker {
         if request.header("content-type") == Some(wire::BINARY_CONTENT_TYPE) {
             let mut response = HttpResponse::bytes(
                 wire::BINARY_CONTENT_TYPE,
-                wire::encode_binary_shed(self.retry_after),
+                wire::encode_binary_shed(RETRY_AFTER_SECS),
             );
             response.status = 503;
             response.reason = "Service Unavailable";
-            response.retry_after = Some(self.retry_after);
+            response.retry_after = Some(RETRY_AFTER_SECS);
             response
         } else {
-            HttpResponse::shed(self.retry_after, "in-flight budget exhausted", false)
+            HttpResponse::shed(RETRY_AFTER_SECS, "in-flight budget exhausted", false)
         }
     }
 

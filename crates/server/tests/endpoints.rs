@@ -586,7 +586,6 @@ fn overload_sheds_connections_with_retry_after() {
         ServerConfig {
             workers: 1,
             max_connections: 2,
-            retry_after: 3,
             read_timeout: Duration::from_secs(5),
             ..ServerConfig::ephemeral()
         },
@@ -617,9 +616,9 @@ fn overload_sheds_connections_with_retry_after() {
         reply.starts_with("HTTP/1.1 503 Service Unavailable"),
         "expected connection shed, got {reply:?}"
     );
-    assert!(reply.contains("Retry-After: 3"), "missing hint: {reply:?}");
+    assert!(reply.contains("Retry-After: 1"), "missing hint: {reply:?}");
     assert!(
-        reply.contains(r#""retry_after":3"#),
+        reply.contains(r#""retry_after":1"#),
         "missing body hint: {reply:?}"
     );
 
@@ -655,7 +654,6 @@ fn overload_sheds_requests_but_keeps_the_connection() {
             // A zero budget sheds every request — the deterministic way to
             // exercise the shed path without a load generator.
             max_inflight: 0,
-            retry_after: 2,
             ..ServerConfig::ephemeral()
         },
     )
@@ -665,7 +663,7 @@ fn overload_sheds_requests_but_keeps_the_connection() {
     let query = r#"{"domain":"ads.com","hostname":"px.ads.com","script":"https://pub.com/a.js","method":"send"}"#;
     let (status, body) = client.request("POST", "/v1/decisions", Some(query));
     assert_eq!(status, 503);
-    assert!(body.contains(r#""retry_after":2"#), "shed body: {body}");
+    assert!(body.contains(r#""retry_after":1"#), "shed body: {body}");
 
     // Same connection, next request: still alive, still shedding.
     let (status, _) = client.request("GET", "/healthz", None);
@@ -691,7 +689,7 @@ fn overload_sheds_requests_but_keeps_the_connection() {
     assert_eq!(status, 503);
     assert_eq!(
         wire::decode_binary_shed(&body).expect("binary shed frame"),
-        2
+        1
     );
 
     // A retrying client backs off per the Retry-After hint (capped by its
@@ -709,7 +707,7 @@ fn overload_sheds_requests_but_keeps_the_connection() {
         .request("GET", "/healthz", None, b"")
         .expect("transport stayed healthy");
     assert_eq!(response.status, 503);
-    assert_eq!(response.retry_after, Some(2));
+    assert_eq!(response.retry_after, Some(1));
     assert_eq!(retrying.retries_spent(), 2, "retried up to max_attempts");
     server.shutdown();
 }

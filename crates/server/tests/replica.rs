@@ -5,7 +5,7 @@
 use crawler::json::Value;
 use std::thread;
 use std::time::{Duration, Instant};
-use trackersift::Sifter;
+use trackersift::{frames, Sifter};
 use trackersift_server::client::Client;
 use trackersift_server::{ReplicaConfig, ServerConfig, VerdictServer};
 
@@ -71,10 +71,29 @@ fn a_replica_bootstraps_serves_and_refuses_writes() {
     assert_eq!(status, 200);
     assert!(stats.contains(r#""role":"replica""#), "got {stats}");
 
-    // ...keeps serving delta snapshots to followers of its own (the span
-    // is either in its ring or answered with the full envelope)...
-    let (status, delta) = client.request("GET", "/v1/snapshot?since=1", None);
-    assert!(matches!(status, 200 | 410), "{status}: {delta}");
+    // ...and answers followers of its own from tables that carry no
+    // revision ring: no revisions to list, and every `?since=` span is a
+    // `410 Gone` carrying the full envelope at the replica's version, the
+    // same state the primary's delta from 0 carries...
+    let (status, revisions) = client.request("GET", "/v1/revisions", None);
+    assert_eq!(
+        (status, revisions.as_str()),
+        (200, r#"{"version":1,"revisions":[]}"#)
+    );
+    let (status, envelope) = client.request("GET", "/v1/snapshot?since=1", None);
+    assert_eq!(status, 410, "{envelope}");
+    let full = client
+        .fetch_snapshot_since(1)
+        .expect("410 carries the full envelope");
+    assert!(full.is_full());
+    assert_eq!(full.to, gauges.applied_version());
+    assert_eq!(envelope, frames::delta_snapshot_value(&full).render());
+    let primary_delta = upstream.fetch_snapshot_since(0).expect("primary delta");
+    assert_eq!(primary_delta.since, Some(0));
+    assert_eq!(
+        (&full.changes, &full.plans),
+        (&primary_delta.changes, &primary_delta.plans)
+    );
 
     // ...and refuses whatever needs the writer with a typed conflict,
     // while the method table still answers first for unknown methods.
