@@ -1,4 +1,4 @@
-//! Concurrent serving: lock-free [`SifterReader`] handles plus a single
+//! Concurrent serving: per-thread [`SifterReader`] handles plus a single
 //! [`SifterWriter`] with atomically published verdict tables.
 //!
 //! A deployed blocker or proxy is read-dominated with a trickle of writes:
@@ -8,12 +8,13 @@
 //! sifter instead:
 //!
 //! * [`Sifter::into_concurrent`] / [`SifterBuilder::build_concurrent`](crate::service::SifterBuilder::build_concurrent)
-//!   return a cheaply-cloneable [`SifterReader`] (`Clone + Send + Sync`) and
-//!   one [`SifterWriter`];
+//!   return a cheaply-cloneable [`SifterReader`] (`Clone + Send`, one
+//!   handle per serving thread) and one [`SifterWriter`];
 //! * readers serve [`SifterReader::verdict`] / [`SifterReader::decide`]
-//!   by pinning the immutable [`VerdictTable`] behind an atomically
-//!   swapped pointer and forwarding to it — **no mutex or rwlock on the
-//!   query path** — so a reader never observes a half-applied commit and
+//!   by pinning the immutable [`VerdictTable`] their handle caches and
+//!   forwarding to it — **no lock on a pin unless a table was published
+//!   since the handle's last pin**, and then one uncontended acquisition
+//!   picks it up — so a reader never observes a half-applied commit and
 //!   never waits for the writer;
 //! * the writer keeps the sifter's incremental dirty-set machinery;
 //!   [`SifterWriter::commit`] reclassifies the dirty slice and publishes the
@@ -38,40 +39,39 @@
 //! installs the same record after every replayed commit marker, so a
 //! recomputed ring entry equals the persisted one.
 //!
-//! # How publication stays safe without locks (hand-rolled, `std`-only)
+//! # How publication works
 //!
-//! The shared state holds the current table as an `AtomicPtr` borrowed from
-//! an owning `Arc`. The classic hazard with such a pointer is reclamation:
-//! a reader that loaded the pointer must not have the table freed under it.
-//! Rather than pull in `arc-swap` or epoch machinery, each reader handle
-//! owns a **hazard slot**:
+//! The shared state is the current table's `Arc` under one mutex plus a
+//! count of publishes. Each reader handle caches the `Arc` it last pinned
+//! and the count it saw then:
 //!
-//! 1. a reader pins by storing the loaded pointer into its slot and then
-//!    re-checking that the pointer is still current (retrying on the rare
-//!    race with a publish) — two `SeqCst` atomic operations, no lock;
-//! 2. the writer publishes by swapping the pointer and moving the previous
-//!    table onto a retire list; it frees a retired table only when no
-//!    hazard slot protects it.
+//! 1. a pin loads the count (one `Acquire` load). If it has not moved, the
+//!    pin serves the cached table: no lock, no reference count touched. If
+//!    it has, the pin takes the mutex once and clones the new `Arc` into
+//!    its cache;
+//! 2. a publish swaps the table under the mutex, moves the previous one
+//!    onto the publisher's retire list, drops every retired table no
+//!    handle caches any more (`Arc::strong_count` is 1), then bumps the
+//!    count with `Release`.
 //!
-//! Because the hazard store happens *before* the validation load, and the
-//! writer's swap happens *before* its hazard scan (all `SeqCst`), a reader
-//! that validated successfully is guaranteed visible to every later scan —
-//! the protected table cannot be freed while pinned. Readers therefore
-//! never touch a reference count or a lock; the writer alone reclaims.
+//! A handle only ever swaps its cached table for the current one, so while
+//! the publisher lives the last reference to a retired table is the retire
+//! list's: no table is freed on a serving thread. A retired table lives
+//! until every handle has pinned past it, and the writer frees it at the
+//! first publish after that — an idle handle holds one table.
 //!
-//! A [`PinnedTable`] guard derefs to the table it pins, so a batch is
-//! answered by holding one pin across it
-//! (`let pin = reader.pin(); for q in qs { pin.decide(q) }`), which also
-//! amortises the two pin atomics. A pinned table is a consistent
-//! point-in-time state: its [`version`](VerdictTable::version) is the
-//! commit count, strictly increasing across publishes, which is what the
-//! stress tests use to prove atomic publication (every served verdict
-//! equals some committed state, never a torn mix).
-//!
-//! The only lock in the module guards reader registration (clone/drop), the
-//! retire list, and a slow-path fallback used when a *single* reader handle
-//! is pinned from two threads at once (clone the reader per thread — the
-//! intended mode — and the fallback never runs).
+//! A [`PinnedTable`] derefs to the table it pins, so a batch is answered
+//! by holding one pin across it
+//! (`let pin = reader.pin(); for q in qs { pin.decide(q) }`). A pinned
+//! table is a consistent point-in-time state: its
+//! [`version`](VerdictTable::version) is the commit count, strictly
+//! increasing across publishes, which is what the stress tests use to
+//! prove atomic publication (every served verdict equals some committed
+//! state, never a torn mix). A pin taken while another pin of the same
+//! handle is alive serves the outer pin's table, still one committed
+//! version; the next pin after both drop picks up what was published
+//! meanwhile. `SifterReader` is `Send` but not `Sync`, so the type itself
+//! enforces one handle per thread.
 
 use crate::decision::{Decision, DecisionRequest};
 use crate::journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport};
@@ -79,11 +79,11 @@ use crate::revision::VerdictRevision;
 use crate::service::{CommitStats, ObservationRef, ObserveOutcome, ServiceStats, Sifter, Verdict};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::table::VerdictTable;
+use std::cell::{Cell, Ref, RefCell};
 use std::io;
 use std::ops::Deref;
 use std::path::PathBuf;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The writer's attached durable store: the generation directory plus the
@@ -98,48 +98,14 @@ struct Durable {
     base_stats: JournalStats,
 }
 
-/// One reader's hazard slot: the table pointer it is currently reading (if
-/// any), visible to the writer's reclamation scan.
-#[derive(Debug)]
-struct HazardSlot {
-    /// Exclusive-use flag: a pin claims the slot with a CAS so two threads
-    /// sharing one reader handle cannot corrupt each other's hazard.
-    claimed: AtomicBool,
-    /// The table this slot protects; null when not pinned.
-    protected: AtomicPtr<VerdictTable>,
-}
-
-impl HazardSlot {
-    fn new() -> Self {
-        HazardSlot {
-            claimed: AtomicBool::new(false),
-            protected: AtomicPtr::new(ptr::null_mut()),
-        }
-    }
-}
-
-/// State shared by the writer and every reader. The `owner` mutex holds the
-/// `Arc` that keeps the current table alive; `current` caches its raw
-/// pointer for the lock-free read path.
+/// State shared by the publisher and every reader handle.
 #[derive(Debug)]
 struct Shared {
-    current: AtomicPtr<VerdictTable>,
-    owner: Mutex<Arc<VerdictTable>>,
-    /// Previously published tables that may still be pinned by a reader.
-    retired: Mutex<Vec<Arc<VerdictTable>>>,
-    /// Every live reader's hazard slot, scanned before reclaiming.
-    slots: Mutex<Vec<Arc<HazardSlot>>>,
-}
-
-impl Shared {
-    fn new(table: Arc<VerdictTable>) -> Self {
-        Shared {
-            current: AtomicPtr::new(Arc::as_ptr(&table) as *mut VerdictTable),
-            owner: Mutex::new(table),
-            retired: Mutex::new(Vec::new()),
-            slots: Mutex::new(Vec::new()),
-        }
-    }
+    /// The current table.
+    current: Mutex<Arc<VerdictTable>>,
+    /// How many tables were published after the first; a handle that saw
+    /// this count at its last pin still caches the current table.
+    published: AtomicU64,
 }
 
 impl Sifter {
@@ -165,8 +131,9 @@ impl Sifter {
     }
 }
 
-/// The one publication handle over the hazard-pointer machinery: swap
-/// complete [`VerdictTable`]s in, mint lock-free [`SifterReader`]s out.
+/// The one publication handle: swap complete [`VerdictTable`]s in, mint
+/// [`SifterReader`]s out, and free retired tables once no handle caches
+/// them (see the [module docs](self)).
 ///
 /// The [`SifterWriter`] publishes through one, and so does a **replica**:
 /// a follower that reconstructs tables from a primary's delta snapshots
@@ -197,47 +164,45 @@ impl Sifter {
 #[derive(Debug)]
 pub struct TablePublisher {
     shared: Arc<Shared>,
+    /// Previously published tables, held until no handle caches them, so
+    /// the last reference to a table is never a serving thread's.
+    retired: Mutex<Vec<Arc<VerdictTable>>>,
 }
 
 impl TablePublisher {
     /// Publish `table` as the initial state and mint the first reader.
     pub fn new(table: Arc<VerdictTable>) -> (TablePublisher, SifterReader) {
         let publisher = TablePublisher {
-            shared: Arc::new(Shared::new(table)),
+            shared: Arc::new(Shared {
+                current: Mutex::new(table),
+                published: AtomicU64::new(0),
+            }),
+            retired: Mutex::new(Vec::new()),
         };
         let reader = publisher.reader();
         (publisher, reader)
     }
 
-    /// Atomically swap `table` in as the current state; readers pinned to
-    /// the previous table finish on it, fresh pins see the new one. Every
-    /// retired table no hazard slot protects is reclaimed here.
+    /// Atomically swap `table` in as the current state; pins already
+    /// holding the previous table finish on it, the next pin of every
+    /// handle sees the new one. Every retired table no handle caches any
+    /// more is freed here.
     pub fn publish(&self, table: Arc<VerdictTable>) {
-        let shared = &self.shared;
-        let next = Arc::as_ptr(&table) as *mut VerdictTable;
-        let previous = {
-            let mut owner = shared.owner.lock().expect("table owner lock");
-            let previous = std::mem::replace(&mut *owner, table);
-            shared.current.store(next, Ordering::SeqCst);
-            previous
-        };
-        let mut retired = shared.retired.lock().expect("retire list lock");
+        let previous =
+            std::mem::replace(&mut *self.shared.current.lock().expect("table lock"), table);
+        let mut retired = self.retired.lock().expect("retire list lock");
         retired.push(previous);
-        let slots = shared.slots.lock().expect("hazard registry lock");
-        // Keep (only) the tables some reader still pins; dropping the rest
-        // here is safe because a pin is visible to this scan before its
-        // validation load can succeed (see the module docs).
-        retired.retain(|old| {
-            let old = Arc::as_ptr(old) as *mut VerdictTable;
-            slots
-                .iter()
-                .any(|slot| slot.protected.load(Ordering::SeqCst) == old)
-        });
+        // A retired table is never handed out again, so a count of 1 (this
+        // list's) cannot grow back.
+        retired.retain(|old| Arc::strong_count(old) > 1);
+        // Release after the swap, paired with the Acquire load in `pin`: a
+        // pin that sees this count locks after the swap and clones `table`.
+        self.shared.published.fetch_add(1, Ordering::Release);
     }
 
     /// Mint another reader handle (equivalent to cloning any existing one).
     pub fn reader(&self) -> SifterReader {
-        SifterReader::register(Arc::clone(&self.shared))
+        SifterReader::new(Arc::clone(&self.shared))
     }
 }
 
@@ -717,15 +682,23 @@ impl SifterWriter {
     }
 }
 
-/// A lock-free verdict-serving handle over the writer's last published
+/// A verdict-serving handle over the writer's last published
 /// [`VerdictTable`].
 ///
-/// `SifterReader` is `Clone + Send + Sync`: clone one handle per serving
-/// thread. Every query pins the current table through the handle's hazard
-/// slot (two atomic operations, no lock — see the [module docs](self)) and
+/// `SifterReader` is `Clone + Send`: clone one handle per serving thread.
+/// Every query pins the table the handle caches, refreshing it first if a
+/// table was published since the handle's last pin — one atomic load, and
+/// a lock only on that refresh (see the [module docs](self)) — and
 /// forwards to it. To answer a batch from a single consistent committed
 /// state even while the writer publishes mid-batch, hold one
 /// [`SifterReader::pin`] across it.
+///
+/// A handle is not `Sync`, so threads cannot share one by reference:
+///
+/// ```compile_fail,E0277
+/// fn shared<T: Sync>() {}
+/// shared::<trackersift::SifterReader>();
+/// ```
 ///
 /// ```
 /// use std::thread;
@@ -750,61 +723,46 @@ impl SifterWriter {
 ///     assert!(worker.join().unwrap());
 /// }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SifterReader {
     shared: Arc<Shared>,
-    slot: Arc<HazardSlot>,
+    /// The publish count at the pin that cached `cached`. Read before the
+    /// table it goes with, so it never runs ahead of that table.
+    seen: Cell<u64>,
+    /// The table this handle last pinned.
+    cached: RefCell<Arc<VerdictTable>>,
 }
 
 impl SifterReader {
-    /// Create a handle with a fresh hazard slot and register the slot for
-    /// the writer's reclamation scans.
-    fn register(shared: Arc<Shared>) -> Self {
-        let slot = Arc::new(HazardSlot::new());
-        shared
-            .slots
-            .lock()
-            .expect("hazard registry lock")
-            .push(Arc::clone(&slot));
-        SifterReader { shared, slot }
+    fn new(shared: Arc<Shared>) -> Self {
+        let seen = shared.published.load(Ordering::Acquire);
+        let cached = Arc::clone(&shared.current.lock().expect("table lock"));
+        SifterReader {
+            shared,
+            seen: Cell::new(seen),
+            cached: RefCell::new(cached),
+        }
     }
 
     /// Pin the current table for a sequence of reads. The returned guard
     /// serves any number of verdicts from one consistent committed state;
-    /// the writer can publish concurrently without affecting it. Dropping
-    /// the guard releases the table for reclamation.
+    /// the writer can publish concurrently without affecting it.
     ///
-    /// Fast path (handle not pinned elsewhere): two `SeqCst` atomics, no
-    /// lock. If this *same* handle is concurrently pinned from another
-    /// thread, the pin falls back to cloning the table's `Arc` under a
-    /// mutex — clone the reader per thread to stay on the lock-free path.
+    /// One `Acquire` load when nothing was published since this handle's
+    /// last pin; otherwise one lock acquisition clones the new table's
+    /// `Arc` into the handle. A pin taken while another pin of this handle
+    /// is alive serves that outer pin's table.
     pub fn pin(&self) -> PinnedTable<'_> {
-        if self
-            .slot
-            .claimed
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            loop {
-                let table = self.shared.current.load(Ordering::SeqCst);
-                self.slot.protected.store(table, Ordering::SeqCst);
-                // Validate after announcing the hazard: success means every
-                // later reclamation scan sees the hazard, so `table` cannot
-                // be freed while this guard lives.
-                if self.shared.current.load(Ordering::SeqCst) == table {
-                    return PinnedTable {
-                        table,
-                        guard: Guard::Hazard(&self.slot),
-                    };
-                }
-                // Lost a race with a publish: retarget and revalidate.
+        let published = self.shared.published.load(Ordering::Acquire);
+        if published != self.seen.get() {
+            // Busy only under an outer pin, which keeps its table; the next
+            // pin after it drops refreshes.
+            if let Ok(mut cached) = self.cached.try_borrow_mut() {
+                *cached = Arc::clone(&self.shared.current.lock().expect("table lock"));
+                self.seen.set(published);
             }
         }
-        let table = Arc::clone(&self.shared.owner.lock().expect("table owner lock"));
-        PinnedTable {
-            table: ptr::null_mut(),
-            guard: Guard::Owned(table),
-        }
+        PinnedTable(self.cached.borrow())
     }
 
     /// Answer one verdict query against the current published table.
@@ -824,62 +782,34 @@ impl SifterReader {
     }
 }
 
-impl Clone for SifterReader {
-    /// Mint a fresh handle (own hazard slot) over the same publication,
-    /// exactly as [`TablePublisher::reader`] does.
-    fn clone(&self) -> Self {
-        TablePublisher {
-            shared: Arc::clone(&self.shared),
-        }
-        .reader()
-    }
-}
-
-impl Drop for SifterReader {
-    fn drop(&mut self) {
-        let mut slots = self.shared.slots.lock().expect("hazard registry lock");
-        slots.retain(|slot| !Arc::ptr_eq(slot, &self.slot));
-    }
-}
-
-// The serving contract: reader handles are shared across worker threads.
+// The serving contract: a reader handle moves to the thread it serves on;
+// the writer and the publisher may be moved or shared.
 const _: () = {
+    const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SifterReader>();
+    assert_send::<SifterReader>();
     assert_send_sync::<SifterWriter>();
+    assert_send_sync::<TablePublisher>();
 };
-
-/// Keeps a [`PinnedTable`]'s table alive: either the reader's hazard slot
-/// (fast path) or an owned `Arc` (slow path).
-#[derive(Debug)]
-enum Guard<'a> {
-    Hazard(&'a HazardSlot),
-    Owned(Arc<VerdictTable>),
-}
 
 /// A pinned, immutable [`VerdictTable`]: one consistent committed state,
 /// valid for the guard's lifetime no matter what the writer publishes.
 /// Derefs to the table, so `pin.verdict(..)`, `pin.decide(..)` and
 /// `pin.version()` are the table's own methods. Created by
-/// [`SifterReader::pin`]; not `Send` (the pin belongs to the thread that
-/// took it).
+/// [`SifterReader::pin`]; not `Send`, because the pin borrows its handle's
+/// cache on the thread that took it:
+///
+/// ```compile_fail,E0277
+/// fn sent<T: Send>() {}
+/// sent::<trackersift::PinnedTable<'static>>();
+/// ```
 #[derive(Debug)]
-pub struct PinnedTable<'a> {
-    /// Hazard-protected pointer; null (unused) on the `Owned` path.
-    table: *mut VerdictTable,
-    guard: Guard<'a>,
-}
+pub struct PinnedTable<'a>(Ref<'a, Arc<VerdictTable>>);
 
 impl PinnedTable<'_> {
     /// The pinned table.
     pub fn table(&self) -> &VerdictTable {
-        match &self.guard {
-            // SAFETY: the hazard slot announced `self.table` *before* the
-            // pin validated it as current, so the writer's reclamation scan
-            // retains it until the slot is cleared — which only `drop` does.
-            Guard::Hazard(_) => unsafe { &*self.table },
-            Guard::Owned(table) => table,
-        }
+        &self.0
     }
 }
 
@@ -888,15 +818,6 @@ impl Deref for PinnedTable<'_> {
 
     fn deref(&self) -> &VerdictTable {
         self.table()
-    }
-}
-
-impl Drop for PinnedTable<'_> {
-    fn drop(&mut self) {
-        if let Guard::Hazard(slot) = &self.guard {
-            slot.protected.store(ptr::null_mut(), Ordering::SeqCst);
-            slot.claimed.store(false, Ordering::Release);
-        }
     }
 }
 
@@ -969,25 +890,74 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pins_on_one_handle_fall_back_safely() {
+    fn a_nested_pin_serves_the_outer_table_across_a_publish() {
         let (mut writer, reader) = Sifter::builder().build_concurrent();
         writer.apply(block_row(true));
         writer.commit();
 
-        // Second pin on the same handle while the first is alive: the slot
-        // is claimed, so it must take the owned fallback — and still serve
-        // the same published state.
-        let first = reader.pin();
-        let second = reader.pin();
-        assert_eq!(first.version(), second.version());
+        let outer = reader.pin();
+        writer.apply(block_row(false));
+        writer.commit();
+        // The outer pin holds the handle's cache, so a pin taken inside it
+        // serves that same committed version, not a mix of two.
+        let inner = reader.pin();
+        assert_eq!((outer.version(), inner.version()), (1, 1));
+        assert!(inner.verdict(&block_query()).should_block());
+        drop(inner);
+        drop(outer);
+        // The next pin after both drop sees the newest version.
+        let pin = reader.pin();
+        assert_eq!(pin.version(), 2);
         assert_eq!(
-            first.verdict(&block_query()),
-            second.verdict(&block_query())
+            pin.verdict(&block_query()).classification(),
+            Some(Classification::Mixed)
         );
-        drop(first);
-        drop(second);
-        // The slot is free again: the fast path works afterwards.
-        assert_eq!(reader.pin().version(), 1);
+    }
+
+    /// A retired table lives while any handle caches it, the writer frees
+    /// it at the first publish after every handle has pinned past it, and
+    /// handles that outlive the publisher keep serving.
+    #[test]
+    fn a_retired_table_is_freed_once_every_handle_has_pinned_past_it() {
+        let mut sifter = Sifter::builder().build();
+        let mut next_table = || {
+            sifter.commit();
+            Arc::new(sifter.verdict_table())
+        };
+        let first = next_table();
+        let first_weak = Arc::downgrade(&first);
+        let (publisher, idle) = TablePublisher::new(first);
+        let busy = idle.clone();
+
+        let second = next_table();
+        let second_weak = Arc::downgrade(&second);
+        publisher.publish(second);
+        assert_eq!(busy.version(), 2);
+        publisher.publish(next_table());
+        assert!(
+            first_weak.upgrade().is_some(),
+            "the idle handle still caches version 1"
+        );
+        assert_eq!(idle.version(), 3);
+        assert!(
+            first_weak.upgrade().is_some(),
+            "a pinning handle never frees a table; the next publish does"
+        );
+
+        publisher.publish(next_table());
+        assert!(
+            first_weak.upgrade().is_none(),
+            "every handle pinned past it"
+        );
+        assert!(
+            second_weak.upgrade().is_some(),
+            "the busy handle still caches version 2"
+        );
+
+        drop(publisher);
+        assert_eq!((busy.version(), idle.version()), (4, 4));
+        assert!(second_weak.upgrade().is_none());
+        assert_eq!(busy.clone().version(), 4);
     }
 
     #[test]

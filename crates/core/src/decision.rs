@@ -202,21 +202,6 @@ impl<'a> KeyedRequest<'a> {
         self.resource_type = resource_type;
         self
     }
-
-    /// Resolve a string request against a table's frozen keys. Keys the
-    /// table never interned become `None` — exactly the misses the verdict
-    /// walk treats as "not observed".
-    pub fn resolve(keys: &FrozenKeys, request: &DecisionRequest<'a>) -> Self {
-        KeyedRequest {
-            domain: keys.key(request.domain),
-            hostname: keys.key(request.hostname),
-            script: keys.key(request.script),
-            method: keys.key(request.method),
-            url: request.url,
-            source_hostname: request.source_hostname,
-            resource_type: request.resource_type,
-        }
-    }
 }
 
 /// What decided a [`Decision::Allow`] / [`Decision::Block`].

@@ -27,7 +27,7 @@
 //! | serving API (verdicts + incremental ingestion) | [`service`] |
 //! | enforcement decisions (allow / block / surrogate / observe) | [`decision`] |
 //! | flattened verdict tables (shared read representation) | [`table`] |
-//! | concurrent serving (lock-free readers + atomic publish) | [`concurrent`] |
+//! | concurrent serving (per-thread cached readers + atomic publish) | [`concurrent`] |
 //! | per-commit verdict revisions + drift diffs | [`revision`] |
 //! | trained-state persistence (versioned) | [`snapshot`] |
 //! | crash durability (write-ahead journal + checkpoints) | [`journal`] |
@@ -73,9 +73,11 @@
 //! allocation-free. Trained state persists across restarts through the
 //! versioned [`snapshot::SifterSnapshot`]. For serving from many threads
 //! while ingestion continues, [`service::Sifter::into_concurrent`] splits
-//! the sifter into a [`concurrent::SifterWriter`] and lock-free
+//! the sifter into a [`concurrent::SifterWriter`] and per-thread
 //! [`concurrent::SifterReader`] handles that pin atomically published
-//! tables.
+//! tables. A pin takes no lock unless a table was published since the
+//! handle's last pin, and then one uncontended acquisition picks it up; a
+//! retired table lives until every handle has pinned past it.
 //!
 //! ```
 //! use trackersift::{DecisionRequest, Study, StudyConfig};
@@ -86,6 +88,7 @@
 //! println!("{verdict}");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -69,10 +69,12 @@
 //! split the sifter with [`Sifter::into_concurrent`] (or
 //! [`SifterBuilder::build_concurrent`]) into a
 //! [`SifterWriter`](crate::concurrent::SifterWriter) and cheaply-cloneable
-//! [`SifterReader`](crate::concurrent::SifterReader) handles: readers pin
-//! the current table behind an atomically swapped pointer (no lock on the
-//! query path), and every commit publishes the next table in one atomic
-//! swap. See [`crate::concurrent`].
+//! [`SifterReader`](crate::concurrent::SifterReader) handles, one per
+//! serving thread: a pin serves the table the handle cached, taking no
+//! lock unless a table was published since its last pin (then one
+//! uncontended acquisition picks it up), and every commit publishes the
+//! next table in one atomic swap. A retired table lives until every handle
+//! has pinned past it. See [`crate::concurrent`].
 
 use crate::hierarchy::{
     Granularity, HierarchicalClassifier, HierarchyResult, LevelResult, ResourceEntry,

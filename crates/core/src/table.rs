@@ -494,8 +494,19 @@ impl VerdictTable {
     /// Resolve a string request's keys against this table's frozen
     /// interner — the one-off translation [`VerdictTable::decide_keyed`]
     /// and [`VerdictTable::decide_prebuilt`] then serve without hashing.
+    /// Keys the table never interned become `None`, exactly the misses the
+    /// verdict walk treats as "not observed".
     pub fn resolve<'a>(&self, request: &DecisionRequest<'a>) -> KeyedRequest<'a> {
-        KeyedRequest::resolve(&self.keys, request)
+        let keys = &self.keys;
+        KeyedRequest {
+            domain: keys.key(request.domain),
+            hostname: keys.key(request.hostname),
+            script: keys.key(request.script),
+            method: keys.key(request.method),
+            url: request.url,
+            source_hostname: request.source_hostname,
+            resource_type: request.resource_type,
+        }
     }
 
     /// [`VerdictTable::decide`] over pre-resolved keys: zero string

@@ -50,7 +50,7 @@ pub(crate) fn body_text<'a>(request: &RequestView<'a>) -> Result<&'a str, HttpRe
         .map_err(|_| HttpResponse::error(400, "Bad Request", "request body is not valid utf-8"))
 }
 
-/// `POST /v1/decisions`, JSON: the lock-free hot path — decode the
+/// `POST /v1/decisions`, JSON: the hot path — decode the
 /// query in place, one pin, one keyed walk, one copy of a preformatted
 /// body into the connection buffer. Nothing on it allocates unless the
 /// decision is a rewrite; the reported version is the pinned table's.

@@ -9,9 +9,12 @@
 //! * a **fixed worker pool** of readiness-polled event loops ([`poller`]):
 //!   each worker multiplexes hundreds of nonblocking keep-alive
 //!   connections over one `poll(2)` set and owns a cloned
-//!   [`SifterReader`] — the decision path (`POST /v1/decisions`) touches
-//!   no lock: poll, parse, pin the published table, copy a preformatted
-//!   response, respond. No thread-per-connection anywhere: 512 idle
+//!   [`SifterReader`] — the decision path (`POST /v1/decisions`) is poll,
+//!   parse, pin the published table, copy a preformatted response,
+//!   respond, and the pin takes no lock unless a table was published since
+//!   the worker's last pin (then one uncontended acquisition picks it up;
+//!   an idle worker holds its last table until it pins again). No
+//!   thread-per-connection anywhere: 512 idle
 //!   clients cost 512 fds, not 512 stacks;
 //! * a single **admin thread** owning the [`SifterWriter`]; observation
 //!   ingest, commits, and snapshot import/export are serialised through a
@@ -38,7 +41,7 @@
 //!
 //! | endpoint | role |
 //! |---|---|
-//! | `POST /v1/decisions` | one enforcement decision (lock-free; JSON or binary) |
+//! | `POST /v1/decisions` | one enforcement decision (no lock between publishes; JSON or binary) |
 //! | `POST /v1/decisions:batch` | many decisions from one pinned table (JSON or binary) |
 //! | `GET /v1/keys` | key-interning handshake for binary id-form requests |
 //! | `POST /v1/observations` | buffer observations into the writer |
@@ -196,8 +199,9 @@ pub struct ServerConfig {
     /// Bind address (`host:port`; port `0` picks an ephemeral port).
     pub addr: String,
     /// Number of event-loop workers, each multiplexing its share of the
-    /// connections over one poll set with its own lock-free
-    /// [`SifterReader`] handle. Clamped to at least 1.
+    /// connections over one poll set with its own [`SifterReader`] handle,
+    /// whose pins lock only to pick up a newly published table. Clamped to
+    /// at least 1.
     pub workers: usize,
     /// Maximum accepted request body, in bytes (larger requests get `413`).
     pub max_body_bytes: usize,
@@ -1236,7 +1240,7 @@ impl Worker {
             ("POST", "/v1/decisions:batch") => true,
             _ => return Some(self.route_other(request).unwrap_or_else(|refusal| refusal)),
         };
-        // The lock-free hot path. One pin covers the whole request: every
+        // The hot path. One pin covers the whole request: every
         // decision of a batch (surrogate payloads included) reflects
         // exactly one committed table version, the one it reports.
         let pin = self.reader.pin();
@@ -1429,9 +1433,9 @@ impl Worker {
         }
     }
 
-    /// `GET /v1/snapshot?since=v`: the dirty cells between published
-    /// version `v` and the pinned table's current version, assembled from
-    /// the revision ring, plus every surrogate plan the span touched. JSON
+    /// `GET /v1/snapshot?since=v`: the net class changes and touched
+    /// surrogate plans between published version `v` and the pinned
+    /// table's current version, assembled from the revision ring. JSON
     /// by default, binary frames via `Accept:`
     /// [`wire::BINARY_CONTENT_TYPE`]. When `v` has aged out of the bounded
     /// ring the answer is `410 Gone` whose body is a *full* snapshot

@@ -7,8 +7,9 @@ use crawler::json::{object, JsonError, Value};
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
-use trackersift::{ObservationRef, Sifter, SifterReader};
+use trackersift::{ObservationRef, Sifter, SifterReader, VerdictTable};
 use trackersift_server::client::Client;
 use trackersift_server::wire::{self, DecisionMessage, DecisionQuery, ObservationMessage};
 use trackersift_server::{ServerConfig, VerdictServer};
@@ -609,7 +610,7 @@ fn reference_observations(text: &str) -> Result<Vec<ObservationMessage>, JsonErr
 /// the reference's error text otherwise.
 fn assert_endpoint_agrees(
     server: &VerdictServer,
-    reader: &SifterReader,
+    table: &VerdictTable,
     target: &str,
     body: &str,
     expected: &Result<Vec<Fields>, JsonError>,
@@ -622,9 +623,9 @@ fn assert_endpoint_agrees(
         if let Some(url) = url {
             message = message.with_url(url, source_hostname, *resource_type);
         }
-        trackersift::frames::decision_value(&reader.decide(&message.as_request()))
+        trackersift::frames::decision_value(&table.decide(&message.as_request()))
     };
-    let version = ("version", Value::number_u64(reader.version()));
+    let version = ("version", Value::number_u64(table.version()));
     let expected = match expected {
         Ok(rows) if target.ends_with(":batch") => (
             200,
@@ -655,8 +656,13 @@ proptest! {
     /// and the endpoints, which decode through it, answer accordingly.
     #[test]
     fn borrowed_decoder_matches_the_tree_decoder(seed in 1u64..u64::MAX) {
-        static SERVER: std::sync::OnceLock<(VerdictServer, SifterReader)> = std::sync::OnceLock::new();
-        let (server, reader) = SERVER.get_or_init(start_server_with_reader);
+        // Never committed to, so the table it boots with is its reference.
+        static SERVER: std::sync::OnceLock<(VerdictServer, Arc<VerdictTable>)> = std::sync::OnceLock::new();
+        let (server, table) = SERVER.get_or_init(|| {
+            let (server, reader) = start_server_with_reader();
+            let table = Arc::new(reader.pin().table().clone());
+            (server, table)
+        });
         let mut g = Gen(seed);
 
         let single = query_object(&mut g);
@@ -664,7 +670,7 @@ proptest! {
         let expected = reference_single(&single);
         let decoded = DecisionQuery::parse(&single).map(|query| query_fields(&query));
         prop_assert_eq!(&decoded, &expected, "{}", single);
-        assert_endpoint_agrees(server, reader, "/v1/decisions", &single, &expected.map(|row| vec![row]));
+        assert_endpoint_agrees(server, table, "/v1/decisions", &single, &expected.map(|row| vec![row]));
 
         let rows: Vec<String> = (0..g.below(5)).map(|_| query_object(&mut g)).collect();
         let batch = batch_body(&mut g, "requests", &rows);
@@ -676,7 +682,7 @@ proptest! {
                 streamed
             });
         prop_assert_eq!(&decoded, &expected, "{}", batch);
-        assert_endpoint_agrees(server, reader, "/v1/decisions:batch", &batch, &expected);
+        assert_endpoint_agrees(server, table, "/v1/decisions:batch", &batch, &expected);
     }
 
     /// The streaming observation decoder accepts exactly the bodies that

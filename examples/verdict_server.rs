@@ -1,6 +1,6 @@
 //! The deployment loop, end to end: train a `Sifter`, persist and reload
 //! its trained state, query verdicts in bulk, keep ingesting while several
-//! threads serve from lock-free reader handles, and finally put the same
+//! threads serve from per-thread reader handles, and finally put the same
 //! handles behind the HTTP/1.1 verdict server and talk to it the way any
 //! client would — over a raw `TcpStream`, no HTTP library required.
 //!
@@ -139,7 +139,7 @@ fn main() {
         queries.len() as f64 / elapsed.as_secs_f64().max(1e-9),
     );
 
-    // 4. Go concurrent: split into a writer and cloneable lock-free reader
+    // 4. Go concurrent: split into a writer and cloneable reader
     //    handles, and serve from 4 threads while the writer ingests the
     //    live stream. Each batch holds one pin on one immutable table, so
     //    it always reflects exactly one committed state — commits land
@@ -197,7 +197,7 @@ fn main() {
     assert_eq!(writer.sifter().hierarchy(), study.hierarchy);
     println!("observe + commit == from-scratch classification: verified.");
 
-    // 6. Serve over the wire: fixed worker pool, one lock-free reader
+    // 6. Serve over the wire: fixed worker pool, one reader
     //    handle per worker, the writer owned by the admin thread.
     let server = VerdictServer::start(writer, ServerConfig::ephemeral()).expect("start server");
     let addr = server.local_addr();

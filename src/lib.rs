@@ -40,7 +40,7 @@ pub use rewriter;
 /// call-stack analysis, surrogates, breakage.
 pub use trackersift;
 
-/// The HTTP/1.1 verdict server over lock-free reader handles, as a
+/// The HTTP/1.1 verdict server over per-thread reader handles, as a
 /// primary or as a read-only replica following one.
 pub use trackersift_server;
 
