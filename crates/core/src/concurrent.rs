@@ -75,7 +75,7 @@
 
 use crate::decision::{Decision, DecisionRequest};
 use crate::journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport};
-use crate::revision::VerdictRevision;
+use crate::revision::{install_revision, VerdictRevision};
 use crate::service::{CommitStats, ObservationRef, ObserveOutcome, ServiceStats, Sifter, Verdict};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::table::VerdictTable;
@@ -255,35 +255,11 @@ pub struct SifterWriter {
     revision_capacity: usize,
 }
 
-/// How many per-commit revisions a writer retains by default. Bounds the
-/// drift history `GET /v1/revisions` can serve; tune with
-/// [`SifterWriter::set_revision_capacity`].
+/// How many revisions a writer retains by default (one per commit), and
+/// the bound on a [`FollowerState`](crate::follower::FollowerState)'s ring
+/// (one per applied delta). Bounds the drift history `GET /v1/revisions`
+/// can serve; tune a writer's with [`SifterWriter::set_revision_capacity`].
 pub const DEFAULT_REVISION_CAPACITY: usize = 64;
-
-/// Append `revision` to a bounded ring, overriding an existing entry with
-/// the same (newest) version and ignoring stale out-of-order versions —
-/// the one install path both live publishes and journal recovery use, so
-/// persisted ring records and recomputed ones cannot double up.
-fn install_revision(
-    ring: &mut Vec<Arc<VerdictRevision>>,
-    revision: Arc<VerdictRevision>,
-    capacity: usize,
-) {
-    match ring.last() {
-        Some(last) if last.version() == revision.version() => {
-            let slot = ring.last_mut().expect("ring has a last entry");
-            *slot = revision;
-            return;
-        }
-        Some(last) if last.version() > revision.version() => return,
-        _ => {}
-    }
-    if ring.len() >= capacity {
-        let excess = ring.len() + 1 - capacity;
-        ring.drain(..excess);
-    }
-    ring.push(revision);
-}
 
 impl SifterWriter {
     /// Ingest one [`ObservationRef`]: journal it (write-ahead, when a durable
@@ -455,11 +431,7 @@ impl SifterWriter {
                 }
                 JournalEntry::Revision { revision } => {
                     journal_version = Some(journal_version.unwrap_or(0).max(revision.version()));
-                    install_revision(
-                        &mut self.revisions,
-                        Arc::new(revision),
-                        self.revision_capacity,
-                    );
+                    install_revision(&mut self.revisions, revision, self.revision_capacity);
                 }
             }
         }
@@ -577,11 +549,8 @@ impl SifterWriter {
     /// right after the fold, so a recomputed ring entry equals the one the
     /// live commit persisted.
     fn record_revision(&mut self, version: u64) {
-        install_revision(
-            &mut self.revisions,
-            Arc::new(self.sifter.revision(version)),
-            self.revision_capacity,
-        );
+        let revision = self.sifter.revision(version);
+        install_revision(&mut self.revisions, revision, self.revision_capacity);
     }
 
     /// The bounded ring of per-commit revisions, ascending by version —
@@ -1204,7 +1173,7 @@ mod tests {
         );
         let diff = crate::revision::diff_revisions(writer.revisions(), 0, 3).expect("full span");
         assert_eq!(
-            diff.changes.len(),
+            diff.changes().len(),
             3,
             "one pure-tracking domain added per commit across the span"
         );

@@ -18,15 +18,21 @@
 //!   committed version** (the consistency guarantee a replica offers:
 //!   never a torn or interpolated state).
 //!
+//! A follower records each delta it applies as one revision over the span
+//! it covered, so its tables carry a ring too: a follower can be followed.
+//!
 //! The follower re-interns every key string locally, so its dense id space
 //! is its own (clients of a replica fetch keys from that replica); the
 //! filter engine and URL rewriter are re-attached locally, not shipped.
 //! Surrogate frames are re-encoded from the shipped plans — frames are a
 //! pure function of the plan, so replica wire bytes match the primary's.
 
+use crate::concurrent::DEFAULT_REVISION_CAPACITY;
 use crate::hierarchy::Granularity;
 use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
-use crate::revision::{diff_revisions, RevisionChange, RevisionRangeError};
+use crate::revision::{
+    diff_revisions, install_revision, RevisionChange, RevisionRangeError, VerdictRevision,
+};
 use crate::surrogate::SurrogateScript;
 use crate::table::{ClassTable, SurrogateEntry, SurrogatePlans, TableParts, VerdictTable};
 use filterlist::FilterEngine;
@@ -72,26 +78,23 @@ impl VerdictTable {
     /// Assemble the delta from committed version `since` (exclusive) to
     /// this table's version, from the revision ring this table carries.
     ///
-    /// Errors exactly as [`diff_revisions`]: an
-    /// [`Inverted`](RevisionRangeError::Inverted) range is a caller bug
-    /// (HTTP 400); an [`Unknown`](RevisionRangeError::Unknown) range means
-    /// `since` aged out of the bounded ring — the server answers that with
-    /// `410 Gone` plus [`VerdictTable::full_snapshot_delta`], and the
-    /// follower re-bootstraps.
+    /// A table anchors its own version once it has one (`v > 0`): `since ==
+    /// v` is an empty delta, ring or not. Otherwise this errors as
+    /// [`diff_revisions`]: an [`Inverted`](RevisionRangeError::Inverted)
+    /// range is a caller bug (HTTP 400); an
+    /// [`Unknown`](RevisionRangeError::Unknown) `since` aged out of the ring
+    /// or was skipped by a follower — the server answers `410 Gone` plus
+    /// [`VerdictTable::full_snapshot_delta`], and the follower re-bootstraps.
     pub fn delta_since(&self, since: u64) -> Result<DeltaSnapshot, RevisionRangeError> {
-        let diff = diff_revisions(self.revisions(), since, self.version())?;
-        // The span is covered, so the ring entries past `since` are exactly
-        // its commits; re-ship the current plan of every script they touched.
-        let mut scripts: Vec<&Arc<str>> = self
-            .revisions()
+        let span = if since > 0 && since == self.version() {
+            VerdictRevision::spanning(since, since, Vec::new(), Vec::new())
+        } else {
+            diff_revisions(self.revisions(), since, self.version())?
+        };
+        // Re-ship the current plan of every script the span touched.
+        let plans = span
+            .plans_touched()
             .iter()
-            .filter(|revision| revision.version() > since)
-            .flat_map(|revision| revision.plans_touched())
-            .collect();
-        scripts.sort();
-        scripts.dedup();
-        let plans = scripts
-            .into_iter()
             .map(|script| (Arc::clone(script), self.surrogate_plan(script)))
             .collect();
         Ok(DeltaSnapshot {
@@ -99,7 +102,7 @@ impl VerdictTable {
             to: self.version(),
             committed: self.committed(),
             residue: self.unattributed(),
-            changes: diff.changes,
+            changes: span.changes().to_vec(),
             plans,
         })
     }
@@ -170,6 +173,9 @@ pub struct FollowerState {
     interner: KeyInterner,
     classes: ClassTable,
     plans: SurrogatePlans,
+    /// One revision per applied delta, bounded by
+    /// [`DEFAULT_REVISION_CAPACITY`]; a bootstrap clears it.
+    revisions: Vec<Arc<VerdictRevision>>,
     version: u64,
     committed: u64,
     residue: u64,
@@ -200,8 +206,9 @@ impl FollowerState {
         self.bootstraps
     }
 
-    /// Apply a snapshot: a full one (re)bootstraps from scratch, a delta
-    /// extends the held version. Deltas must chain exactly —
+    /// Apply a snapshot: a full one (re)bootstraps from scratch and clears
+    /// the ring, a delta extends the held version and rings the span it
+    /// covers (an idle one covers none). Deltas must chain exactly —
     /// `delta.since == Some(held version)` — anything else is a typed
     /// [`ApplyError`] and leaves the state untouched. (A fresh follower
     /// holds version 0, which *is* the primary's empty pre-commit state,
@@ -219,16 +226,16 @@ impl FollowerState {
                 self.interner = KeyInterner::new();
                 self.classes = ClassTable::default();
                 self.plans = SurrogatePlans::default();
+                self.revisions.clear();
                 self.frozen = None;
             }
-            Some(baseline) => {
-                if baseline != self.version {
-                    return Err(ApplyError::BaselineMismatch {
-                        held: self.version,
-                        baseline,
-                    });
-                }
+            Some(baseline) if baseline != self.version => {
+                return Err(ApplyError::BaselineMismatch {
+                    held: self.version,
+                    baseline,
+                });
             }
+            Some(_) => {}
         }
         for change in &snapshot.changes {
             let key = self.intern_change_key(change.granularity, &change.key);
@@ -246,6 +253,12 @@ impl FollowerState {
                     self.plans.remove(&key);
                 }
             }
+        }
+        if let Some(since) = snapshot.since.filter(|&since| since < snapshot.to) {
+            let plans = snapshot.plans.iter().map(|plan| plan.0.clone()).collect();
+            let changes = snapshot.changes.clone();
+            let span = VerdictRevision::spanning(since, snapshot.to, changes, plans);
+            install_revision(&mut self.revisions, span, DEFAULT_REVISION_CAPACITY);
         }
         self.version = snapshot.to;
         self.committed = snapshot.committed;
@@ -269,9 +282,9 @@ impl FollowerState {
 
     /// Publish the mirrored state as an immutable [`VerdictTable`] at the
     /// primary's exact committed version, under the local key epoch and
-    /// with no revision ring (a follower applies net deltas, not commits).
-    /// The frozen key view is cached across calls and re-cloned only when
-    /// a delta interned new keys.
+    /// carrying the ring of deltas applied since the last bootstrap. The
+    /// frozen key view is cached across calls and re-cloned only when a
+    /// delta interned new keys.
     pub fn table(&mut self) -> VerdictTable {
         VerdictTable::new(TableParts {
             keys: self.interner.frozen(&mut self.frozen),
@@ -283,7 +296,7 @@ impl FollowerState {
             engine: self.engine.clone(),
             url_rewriter: self.rewriter.clone(),
             surrogates: Arc::new(self.plans.clone()),
-            revisions: Vec::new(),
+            revisions: self.revisions.clone(),
         })
     }
 }
@@ -444,6 +457,64 @@ mod tests {
         for request in probes() {
             assert_eq!(replica.decide(&request), table.decide(&request));
         }
+    }
+
+    /// A follower's table anchors the version it bootstrapped at, records
+    /// each delta as one span, and records nothing for an idle delta — which
+    /// would otherwise overwrite the span it arrived after.
+    #[test]
+    fn a_follower_rings_the_spans_it_applied() {
+        let (mut writer, reader) = Sifter::builder().build_concurrent();
+        let mut commit = |domain: &str| {
+            writer.apply(ObservationRef::parts(domain, "h.x", "s.js", "m", true));
+            writer.commit();
+        };
+        commit("a.com");
+        let mut follower = FollowerState::new(None, None);
+        follower
+            .apply(&reader.pin().table().full_snapshot_delta())
+            .expect("bootstrap");
+        let bootstrapped = follower.table();
+        assert!(bootstrapped.revisions().is_empty());
+        assert!(bootstrapped
+            .delta_since(1)
+            .expect("own version")
+            .changes
+            .is_empty());
+        assert_eq!(
+            bootstrapped.delta_since(0),
+            Err(RevisionRangeError::Unknown { from: 0, to: 1 })
+        );
+
+        commit("b.com");
+        commit("c.com");
+        let primary = reader.pin().table().clone();
+        follower
+            .apply(&primary.delta_since(1).expect("covered span"))
+            .expect("delta");
+        let ring: Vec<(u64, u64)> = follower
+            .table()
+            .revisions()
+            .iter()
+            .map(|revision| (revision.since(), revision.version()))
+            .collect();
+        assert_eq!(ring, [(1, 3)]);
+        assert_eq!(
+            follower.table().delta_since(1).expect("oldest baseline"),
+            primary.delta_since(1).expect("primary baseline")
+        );
+        assert!(follower.table().delta_since(2).is_err(), "2 was skipped");
+
+        let before = follower.table().revisions().to_vec();
+        follower
+            .apply(&primary.delta_since(3).expect("idle"))
+            .expect("idle delta");
+        assert_eq!(follower.table().revisions(), &before[..]);
+
+        follower
+            .apply(&primary.full_snapshot_delta())
+            .expect("re-bootstrap");
+        assert!(follower.table().revisions().is_empty());
     }
 
     #[test]

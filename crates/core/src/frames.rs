@@ -48,10 +48,14 @@
 //!
 //! The drift endpoints (`GET /v1/revisions` and `GET /v1/revisions?diff=`)
 //! share the same canonical-encoding discipline. A binary revision body is
-//! `proto u8`, kind byte ([`REVISION_KIND_LIST`] or [`REVISION_KIND_DIFF`]),
-//! then for a list `table version u64` + `revision count u32` + per revision
-//! `version u64`, `change count u32` and its changes; for a diff `from u64`,
-//! `to u64`, `change count u32` and the net changes. One change is
+//! `proto u8`, kind byte ([`REVISION_KIND_LIST`], [`REVISION_KIND_SPANS`]
+//! or [`REVISION_KIND_DIFF`]), then for a list `table version u64` +
+//! `revision count u32` + per revision `version u64`, `change count u32`
+//! and its changes; for a diff `from u64`, `to u64`, `change count u32` and
+//! the net changes. A list whose revisions each span one version (every
+//! primary's) uses [`REVISION_KIND_LIST`]; one where some revision spans
+//! more (a follower's, one per applied delta) uses [`REVISION_KIND_SPANS`],
+//! whose records carry `since u64` before `version u64`. One change is
 //! `granularity code u8` (the [`Granularity`] index), `old class code u8`,
 //! `new class code u8` (`0` absent, `1` tracking, `2` functional, `3`
 //! mixed) and the `u32`-length-prefixed key string; decoders reject codes
@@ -70,7 +74,7 @@ use crate::decision::{Decision, DecisionSource};
 use crate::follower::DeltaSnapshot;
 use crate::hierarchy::Granularity;
 use crate::ratio::Classification;
-use crate::revision::{ChangeKind, RevisionChange, RevisionDiff, VerdictRevision};
+use crate::revision::{ChangeKind, RevisionChange, VerdictRevision};
 use crate::surrogate::{MethodAction, SurrogateScript};
 use crawler::json::{object, Value};
 use rewriter::RewrittenUrl;
@@ -587,6 +591,15 @@ pub fn decode_decision(action: u8, source: u8, payload: &[u8]) -> Result<Decisio
 pub const REVISION_KIND_LIST: u8 = 0x10;
 /// Frame kind byte of a binary revision-diff response body.
 pub const REVISION_KIND_DIFF: u8 = 0x11;
+/// Frame kind byte of a binary revision-list response body whose records
+/// carry their baseline (some revision spans more than one version).
+pub const REVISION_KIND_SPANS: u8 = 0x14;
+
+/// Whether a revision covers exactly one version, `(v-1, v]` — what every
+/// commit records, so its baseline goes without saying on the wire.
+fn spans_one_version(revision: &VerdictRevision) -> bool {
+    revision.version().checked_sub(revision.since()) == Some(1)
+}
 
 fn class_code(class: Option<Classification>) -> u8 {
     match class {
@@ -631,40 +644,36 @@ pub fn change_value(change: &RevisionChange) -> Value {
 
 /// Encode the published revision ring as the canonical JSON body of
 /// `GET /v1/revisions`: the current table version plus every ring entry
-/// with its changes, field order fixed.
+/// with its changes, field order fixed. An entry spanning more than one
+/// version leads with its baseline as `"from"`.
 pub fn revision_list_value(version: u64, ring: &[Arc<VerdictRevision>]) -> Value {
+    let entry = |revision: &Arc<VerdictRevision>| {
+        let mut fields = Vec::with_capacity(3);
+        if !spans_one_version(revision) {
+            fields.push(("from", Value::number_u64(revision.since())));
+        }
+        fields.push(("version", Value::number_u64(revision.version())));
+        fields.push(("changes", changes_value(revision.changes())));
+        object(fields)
+    };
     object(vec![
         ("version", Value::number_u64(version)),
-        (
-            "revisions",
-            Value::Array(
-                ring.iter()
-                    .map(|revision| {
-                        object(vec![
-                            ("version", Value::number_u64(revision.version())),
-                            (
-                                "changes",
-                                Value::Array(revision.changes().iter().map(change_value).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("revisions", Value::Array(ring.iter().map(entry).collect())),
     ])
 }
 
-/// Encode a revision diff as the canonical JSON body of
+/// Encode a revision over `(from, to]` as the canonical JSON body of
 /// `GET /v1/revisions?diff=a..b`.
-pub fn revision_diff_value(diff: &RevisionDiff) -> Value {
+pub fn revision_diff_value(diff: &VerdictRevision) -> Value {
     object(vec![
-        ("from", Value::number_u64(diff.from)),
-        ("to", Value::number_u64(diff.to)),
-        (
-            "changes",
-            Value::Array(diff.changes.iter().map(change_value).collect()),
-        ),
+        ("from", Value::number_u64(diff.since())),
+        ("to", Value::number_u64(diff.version())),
+        ("changes", changes_value(diff.changes())),
     ])
+}
+
+fn changes_value(changes: &[RevisionChange]) -> Value {
+    Value::Array(changes.iter().map(change_value).collect())
 }
 
 /// Encode one revision change: `g u8, old u8, new u8, u32-prefixed key`
@@ -690,29 +699,39 @@ pub(crate) fn read_change(reader: &mut FrameReader<'_>) -> Result<RevisionChange
     Ok(RevisionChange::new(granularity, key, kind))
 }
 
-fn expect_revision_header(reader: &mut FrameReader<'_>, kind: u8) -> Result<(), FrameError> {
+/// Read a revision body's protocol and kind bytes; the kind must be one
+/// of `kinds`.
+fn revision_kind(reader: &mut FrameReader<'_>, kinds: &[u8]) -> Result<u8, FrameError> {
     let proto = reader.u8()?;
     if proto != PROTO_VERSION {
         return Err(FrameError(format!("unsupported protocol version {proto}")));
     }
-    let got = reader.u8()?;
-    if got != kind {
+    let kind = reader.u8()?;
+    if !kinds.contains(&kind) {
         return Err(FrameError(format!(
-            "frame kind {got:#04x}, expected {kind:#04x}"
+            "frame kind {kind:#04x}, expected one of {kinds:02x?}"
         )));
     }
-    Ok(())
+    Ok(kind)
 }
 
 /// Encode the revision ring as the binary body of `GET /v1/revisions`
 /// (layout in the [module docs](self)).
 pub fn encode_revision_list(version: u64, ring: &[Arc<VerdictRevision>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(14 + ring.len() * 16);
+    let spans = !ring.iter().all(|revision| spans_one_version(revision));
+    let mut out = Vec::with_capacity(14 + ring.len() * 24);
     out.push(PROTO_VERSION);
-    out.push(REVISION_KIND_LIST);
+    out.push(if spans {
+        REVISION_KIND_SPANS
+    } else {
+        REVISION_KIND_LIST
+    });
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(ring.len() as u32).to_le_bytes());
     for revision in ring {
+        if spans {
+            out.extend_from_slice(&revision.since().to_le_bytes());
+        }
         out.extend_from_slice(&revision.version().to_le_bytes());
         out.extend_from_slice(&(revision.changes().len() as u32).to_le_bytes());
         for change in revision.changes() {
@@ -722,47 +741,60 @@ pub fn encode_revision_list(version: u64, ring: &[Arc<VerdictRevision>]) -> Vec<
     out
 }
 
-/// Decode a binary revision-list body back into `(table version, ring)`.
+/// Decode a binary revision-list body of either kind back into
+/// `(table version, ring)`.
 pub fn decode_revision_list(bytes: &[u8]) -> Result<(u64, Vec<VerdictRevision>), FrameError> {
     let mut reader = FrameReader::new(bytes);
-    expect_revision_header(&mut reader, REVISION_KIND_LIST)?;
+    let kinds = [REVISION_KIND_LIST, REVISION_KIND_SPANS];
+    let spans = revision_kind(&mut reader, &kinds)? == REVISION_KIND_SPANS;
     let version = reader.u64()?;
     let count = reader.u32()? as usize;
     // Hostile counts cannot force huge allocations: every revision record
     // needs at least 12 bytes and every change at least 7.
     let mut revisions = Vec::with_capacity(count.min(reader.remaining() / 12));
     for _ in 0..count {
+        let since = if spans { Some(reader.u64()?) } else { None };
         let revision_version = reader.u64()?;
         let change_count = reader.u32()? as usize;
         let mut changes = Vec::with_capacity(change_count.min(reader.remaining() / 7));
         for _ in 0..change_count {
             changes.push(read_change(&mut reader)?);
         }
-        revisions.push(VerdictRevision::new(revision_version, changes));
+        revisions.push(match since {
+            Some(since) if since >= revision_version => {
+                return Err(FrameError(format!(
+                    "revision span {since}..{revision_version} covers no version"
+                )));
+            }
+            Some(since) => VerdictRevision::spanning(since, revision_version, changes, Vec::new()),
+            None => VerdictRevision::new(revision_version, changes),
+        });
     }
     reader.finish()?;
     Ok((version, revisions))
 }
 
-/// Encode a revision diff as the binary body of
-/// `GET /v1/revisions?diff=a..b` (layout in the [module docs](self)).
-pub fn encode_revision_diff(diff: &RevisionDiff) -> Vec<u8> {
-    let mut out = Vec::with_capacity(22 + diff.changes.len() * 16);
+/// Encode a revision over `(from, to]` as the binary body of
+/// `GET /v1/revisions?diff=a..b` (layout in the [module docs](self)). The
+/// plans it touched stay off the wire.
+pub fn encode_revision_diff(diff: &VerdictRevision) -> Vec<u8> {
+    let mut out = Vec::with_capacity(22 + diff.changes().len() * 16);
     out.push(PROTO_VERSION);
     out.push(REVISION_KIND_DIFF);
-    out.extend_from_slice(&diff.from.to_le_bytes());
-    out.extend_from_slice(&diff.to.to_le_bytes());
-    out.extend_from_slice(&(diff.changes.len() as u32).to_le_bytes());
-    for change in &diff.changes {
+    out.extend_from_slice(&diff.since().to_le_bytes());
+    out.extend_from_slice(&diff.version().to_le_bytes());
+    out.extend_from_slice(&(diff.changes().len() as u32).to_le_bytes());
+    for change in diff.changes() {
         put_change(&mut out, change);
     }
     out
 }
 
-/// Decode a binary revision-diff body.
-pub fn decode_revision_diff(bytes: &[u8]) -> Result<RevisionDiff, FrameError> {
+/// Decode a binary revision-diff body (into a revision that touched no
+/// plans: the frame does not carry them).
+pub fn decode_revision_diff(bytes: &[u8]) -> Result<VerdictRevision, FrameError> {
     let mut reader = FrameReader::new(bytes);
-    expect_revision_header(&mut reader, REVISION_KIND_DIFF)?;
+    revision_kind(&mut reader, &[REVISION_KIND_DIFF])?;
     let from = reader.u64()?;
     let to = reader.u64()?;
     let count = reader.u32()? as usize;
@@ -771,7 +803,7 @@ pub fn decode_revision_diff(bytes: &[u8]) -> Result<RevisionDiff, FrameError> {
         changes.push(read_change(&mut reader)?);
     }
     reader.finish()?;
-    Ok(RevisionDiff { from, to, changes })
+    Ok(VerdictRevision::spanning(from, to, changes, Vec::new()))
 }
 
 // ---------------------------------------------------------------------
@@ -1143,12 +1175,57 @@ mod tests {
             revision_list_value(3, &ring[..2]).render(),
             REVISION_LIST_FIXTURE
         );
-        let diff = RevisionDiff {
-            from: 1,
-            to: 3,
-            changes: vec![ring[1].changes()[0].clone(), ring[0].changes()[0].clone()],
-        };
+        let diff = VerdictRevision::spanning(
+            1,
+            3,
+            vec![ring[1].changes()[0].clone(), ring[0].changes()[0].clone()],
+            Vec::new(),
+        );
         assert_eq!(revision_diff_value(&diff).render(), REVISION_DIFF_FIXTURE);
+    }
+
+    /// A follower's ring: the delta it applied over `(1,3]`, then one over
+    /// `(3,4]`. Only the wider span names its baseline in JSON, and the
+    /// binary list switches to the kind whose records carry one.
+    #[test]
+    fn a_ring_of_wider_spans_carries_its_baselines() {
+        let ring = sample_ring();
+        let follower = vec![
+            Arc::new(VerdictRevision::spanning(
+                1,
+                3,
+                [ring[0].changes(), ring[1].changes()].concat(),
+                Vec::new(),
+            )),
+            Arc::clone(&ring[2]),
+        ];
+        assert_eq!(
+            revision_list_value(4, &follower).render(),
+            concat!(
+                r#"{"version":4,"revisions":["#,
+                r#"{"from":1,"version":3,"changes":[{"granularity":"Domain","key":"t.io","from":"mixed","to":"tracking"},"#,
+                r#"{"granularity":"Hostname","key":"px.t.io","removed":"functional"},"#,
+                r#"{"granularity":"Script","key":"https://cdn.t.io/a.js","added":"tracking"}]},"#,
+                r#"{"version":4,"changes":[]}]}"#
+            )
+        );
+        let payload = encode_revision_list(4, &follower);
+        assert_eq!(payload[1], REVISION_KIND_SPANS);
+        let (version, back) = decode_revision_list(&payload).expect("span list decodes");
+        assert_eq!(version, 4);
+        assert_eq!(
+            back,
+            follower.iter().map(|r| (**r).clone()).collect::<Vec<_>>()
+        );
+        for cut in 0..payload.len() {
+            assert!(decode_revision_list(&payload[..cut]).is_err());
+        }
+        // A span must cover a version: baseline 3 on version 3 is refused.
+        let mut empty = payload.clone();
+        empty[14..22].copy_from_slice(&3u64.to_le_bytes());
+        assert!(decode_revision_list(&empty).is_err());
+        // A primary's ring keeps the one-version kind.
+        assert_eq!(encode_revision_list(4, &ring)[1], REVISION_KIND_LIST);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! | enforcement decisions (allow / block / surrogate / observe) | [`decision`] |
 //! | flattened verdict tables (shared read representation) | [`table`] |
 //! | concurrent serving (per-thread cached readers + atomic publish) | [`concurrent`] |
-//! | per-commit verdict revisions + drift diffs | [`revision`] |
+//! | verdict revisions over version spans + drift diffs | [`revision`] |
 //! | trained-state persistence (versioned) | [`snapshot`] |
 //! | crash durability (write-ahead journal + checkpoints) | [`journal`] |
 //! | deterministic fault injection (feature-gated) | [`failpoint`] |
@@ -135,8 +135,7 @@ pub use pipeline::{StageTiming, StageTimings, Study, StudyAnalyses, StudyConfig}
 pub use ratio::{Classification, Counts, Thresholds};
 pub use report::RatioHistogram;
 pub use revision::{
-    compose, diff_revisions, ChangeKind, RevisionChange, RevisionDiff, RevisionRangeError,
-    VerdictRevision,
+    compose, diff_revisions, ChangeKind, RevisionChange, RevisionRangeError, VerdictRevision,
 };
 pub use rewriter::{RewriterBuilder, RewrittenUrl, UrlRewriter};
 pub use sensitivity::{SensitivityPoint, SensitivitySweep};

@@ -1,4 +1,4 @@
-//! Verdict revisions: per-commit drift records over the published state.
+//! Verdict revisions: drift records over spans of the published state.
 //!
 //! A one-shot study classifies once and stops; a serving deployment watches
 //! the web *change under it* — trackers rotate CDNs, lists catch up, mixed
@@ -9,19 +9,21 @@
 //!   the key entered the level ([`ChangeKind::Added`]), left it
 //!   ([`ChangeKind::Removed`]), or flipped classification
 //!   ([`ChangeKind::Flipped`] with old → new).
-//! * [`VerdictRevision`] — every change one commit made, stamped with the
-//!   published table version it produced. It is the commit's own record,
-//!   not a diff of two tables: the sifter's class writer reports each
-//!   change as it writes it. The concurrent writer installs one revision
-//!   per commit (even an empty one), so version chains stay contiguous,
-//!   and keeps a bounded ring of them attached to the published
-//!   [`VerdictTable`](crate::table::VerdictTable).
+//! * [`VerdictRevision`] — every change over one span of published
+//!   versions, `(since, version]`. A commit's revision spans one version
+//!   and is the commit's own record, not a diff of two tables: the
+//!   sifter's class writer reports each change as it writes it. The
+//!   concurrent writer installs one per commit (even an empty one), so its
+//!   ring has a boundary at every version; a follower installs one per
+//!   delta it applies. Either keeps a bounded ring of them attached to the
+//!   published [`VerdictTable`](crate::table::VerdictTable).
 //! * [`compose`] / [`diff_revisions`] — the diff algebra: transitions
 //!   compose by chaining old → new per `(granularity, key)` and dropping
-//!   identities, so the drift between *any* two ring versions is the fold
-//!   of the revisions between them. Composition is associative —
-//!   `diff(a,c) == compose(diff(a,b), diff(b,c))` — which the property
-//!   tests pin against an independent model.
+//!   identities, so the drift between *any* two span boundaries of a ring
+//!   is the fold of the revisions between them — itself a revision.
+//!   Composition is associative — `diff(a,c) == compose(diff(a,b),
+//!   diff(b,c))` — which the property tests pin against an independent
+//!   model.
 //!
 //! Changes are kept in one canonical order (granularity coarsest-first,
 //! then key string) so two runs from the same seed produce byte-identical
@@ -85,7 +87,7 @@ impl fmt::Display for ChangeKind {
 }
 
 /// One per-key class transition recorded by a commit (or produced by
-/// composing several commits' transitions).
+/// composing several spans' transitions).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RevisionChange {
     /// The hierarchy level the key changed at.
@@ -116,13 +118,15 @@ pub(crate) fn sort_changes(changes: &mut [RevisionChange]) {
     });
 }
 
-/// Every per-key class change one commit made, stamped with the published
-/// table version that commit produced.
+/// Every per-key class change over one span of published versions: from
+/// the baseline `since` (exclusive) to `version` (inclusive).
 ///
-/// The concurrent writer records one revision per commit — including
-/// commits that changed nothing — so the ring's versions are contiguous
-/// and any two of them are diffable. Changes are held in canonical
-/// (granularity, key) order.
+/// A commit records one revision spanning `(v-1, v]` — including commits
+/// that changed nothing — so a primary's ring has a boundary at every
+/// version. A follower records each delta it applies as one revision over
+/// the span that delta covered, and [`diff_revisions`] composes any run of
+/// them into one more. Changes are held in canonical (granularity, key)
+/// order.
 ///
 /// ```
 /// use trackersift::{ChangeKind, Classification, Granularity, RevisionChange, VerdictRevision};
@@ -135,7 +139,7 @@ pub(crate) fn sort_changes(changes: &mut [RevisionChange]) {
 ///         ChangeKind::Added(Classification::Tracking),
 ///     )],
 /// );
-/// assert_eq!(revision.version(), 7);
+/// assert_eq!((revision.since(), revision.version()), (6, 7));
 /// assert_eq!(revision.changes().len(), 1);
 /// assert_eq!(
 ///     revision.changes()[0].kind.new_class(),
@@ -144,10 +148,11 @@ pub(crate) fn sort_changes(changes: &mut [RevisionChange]) {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerdictRevision {
+    since: u64,
     version: u64,
     changes: Vec<RevisionChange>,
-    /// Script keys whose surrogate plan this commit rebuilt or dropped, as
-    /// the commit's plan refresh recorded them. Plans embed per-method
+    /// Script keys whose surrogate plan the span rebuilt or dropped, as
+    /// each commit's plan refresh recorded them. Plans embed per-method
     /// counts, so they can change *without* any class transition; delta
     /// snapshots use this set to know which plans to re-ship. Sorted,
     /// deduplicated.
@@ -155,15 +160,27 @@ pub struct VerdictRevision {
 }
 
 impl VerdictRevision {
-    /// A revision from explicit parts; changes are sorted into the
-    /// canonical (granularity, key) order.
+    /// One commit's revision, `(version - 1, version]`, from explicit
+    /// parts; changes are sorted into the canonical (granularity, key)
+    /// order.
     pub fn new(version: u64, changes: Vec<RevisionChange>) -> Self {
         VerdictRevision::with_plans(version, changes, Vec::new())
     }
 
-    /// A revision that also records which scripts' surrogate plans the
-    /// commit rebuilt (see [`VerdictRevision::plans_touched`]).
+    /// One commit's revision that also records which scripts' surrogate
+    /// plans the commit rebuilt (see [`VerdictRevision::plans_touched`]).
     pub fn with_plans(
+        version: u64,
+        changes: Vec<RevisionChange>,
+        plans_touched: Vec<Arc<str>>,
+    ) -> Self {
+        VerdictRevision::spanning(version.saturating_sub(1), version, changes, plans_touched)
+    }
+
+    /// The revision over `(since, version]`: what one applied delta, or a
+    /// composition of several commits, changed.
+    pub fn spanning(
+        since: u64,
         version: u64,
         mut changes: Vec<RevisionChange>,
         mut plans_touched: Vec<Arc<str>>,
@@ -172,45 +189,64 @@ impl VerdictRevision {
         plans_touched.sort();
         plans_touched.dedup();
         VerdictRevision {
+            since,
             version,
             changes,
             plans_touched,
         }
     }
 
-    /// The published table version this revision's commit produced.
+    /// The baseline version (exclusive): the state this span starts after.
+    pub fn since(&self) -> u64 {
+        self.since
+    }
+
+    /// The published table version the span ends at.
     pub fn version(&self) -> u64 {
         self.version
     }
 
-    /// The per-key transitions, in canonical order.
+    /// The net per-key transitions over the span, in canonical order.
     pub fn changes(&self) -> &[RevisionChange] {
         &self.changes
     }
 
-    /// Script keys whose surrogate plan this commit rebuilt or removed,
+    /// Script keys whose surrogate plan the span rebuilt or removed,
     /// sorted. A superset of the script-level class changes: plans embed
     /// per-method request counts, which drift without class flips.
     pub fn plans_touched(&self) -> &[Arc<str>] {
         &self.plans_touched
     }
 
-    /// `true` when the commit changed no classifications.
+    /// `true` when the span changed no classifications.
     pub fn is_empty(&self) -> bool {
         self.changes.is_empty()
     }
 }
 
-/// The net drift between two revisions of the ring.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RevisionDiff {
-    /// The baseline version (exclusive): state *after* this version.
-    pub from: u64,
-    /// The target version (inclusive).
-    pub to: u64,
-    /// Net per-key transitions from `from` to `to`, canonical order,
-    /// identities dropped.
-    pub changes: Vec<RevisionChange>,
+/// Append `revision` to a bounded ring, overriding an existing entry with
+/// the same (newest) version and ignoring stale out-of-order versions —
+/// the one install path live commits, journal recovery and followers use,
+/// so persisted ring records and recomputed ones cannot double up.
+pub(crate) fn install_revision(
+    ring: &mut Vec<Arc<VerdictRevision>>,
+    revision: VerdictRevision,
+    capacity: usize,
+) {
+    match ring.last() {
+        Some(last) if last.version() == revision.version() => {
+            let slot = ring.last_mut().expect("ring has a last entry");
+            *slot = Arc::new(revision);
+            return;
+        }
+        Some(last) if last.version() > revision.version() => return,
+        _ => {}
+    }
+    if ring.len() >= capacity {
+        let excess = ring.len() + 1 - capacity;
+        ring.drain(..excess);
+    }
+    ring.push(Arc::new(revision));
 }
 
 /// Why a requested revision diff could not be answered.
@@ -223,8 +259,9 @@ pub enum RevisionRangeError {
         /// Requested target version.
         to: u64,
     },
-    /// The range is not fully covered by the bounded revision ring (the
-    /// revisions fell off the ring or were never produced — HTTP 404).
+    /// An end of the range is not a span boundary of the revision ring: it
+    /// fell off the bounded ring, was never produced, or lies inside a
+    /// span a follower applied as one delta (HTTP 404).
     Unknown {
         /// Requested baseline version.
         from: u64,
@@ -287,41 +324,48 @@ pub fn compose(first: &[RevisionChange], second: &[RevisionChange]) -> Vec<Revis
     collect_net(net)
 }
 
-/// The net drift from version `from` (exclusive) to version `to`
-/// (inclusive), folded over a contiguous ascending revision ring.
+/// The revision over `(from, to]`, composed from a contiguous ascending
+/// revision ring: the net changes of the spans between the two versions
+/// and the union of the plans they touched.
 ///
-/// `from == to` yields an empty diff as long as `from` is a version the
-/// ring can anchor (between one-before-oldest and newest). A backwards
-/// range is [`RevisionRangeError::Inverted`]; a range not fully covered by
-/// the ring is [`RevisionRangeError::Unknown`].
+/// Both ends must be span boundaries — the oldest entry's baseline or any
+/// entry's version — and `from == to` on a boundary is an empty revision.
+/// A baseline inside a span is [`RevisionRangeError::Unknown`]: the span
+/// holds only its net change, so a key that flipped and flipped back
+/// inside it would be missing from the answer. A backwards range is
+/// [`RevisionRangeError::Inverted`].
 pub fn diff_revisions(
     ring: &[Arc<VerdictRevision>],
     from: u64,
     to: u64,
-) -> Result<RevisionDiff, RevisionRangeError> {
+) -> Result<VerdictRevision, RevisionRangeError> {
     if from > to {
         return Err(RevisionRangeError::Inverted { from, to });
     }
-    let (Some(oldest), Some(newest)) = (ring.first(), ring.last()) else {
+    // The ring index of the first span after `version`, when it is a
+    // boundary.
+    let after = |version: u64| match ring.first() {
+        Some(oldest) if oldest.since() == version => Some(0),
+        _ => ring
+            .iter()
+            .position(|revision| revision.version() == version)
+            .map(|index| index + 1),
+    };
+    let Some(spans) = after(from)
+        .zip(after(to))
+        .and_then(|(start, end)| ring.get(start..end))
+    else {
         return Err(RevisionRangeError::Unknown { from, to });
     };
-    // `from` is a baseline: the state *after* version `from`. The oldest
-    // baseline the ring can reconstruct is one before its oldest revision.
-    let floor = oldest.version().saturating_sub(1);
-    if from < floor || to > newest.version() {
-        return Err(RevisionRangeError::Unknown { from, to });
-    }
     let mut net = NetMap::new();
-    for revision in ring {
-        if revision.version() > from && revision.version() <= to {
-            fold_changes(&mut net, revision.changes());
-        }
+    for revision in spans {
+        fold_changes(&mut net, revision.changes());
     }
-    Ok(RevisionDiff {
-        from,
-        to,
-        changes: collect_net(net),
-    })
+    let plans = spans
+        .iter()
+        .flat_map(|revision| revision.plans_touched().iter().cloned())
+        .collect();
+    Ok(VerdictRevision::spanning(from, to, collect_net(net), plans))
 }
 
 #[cfg(test)]
@@ -440,8 +484,8 @@ mod tests {
         ]);
         let full = diff_revisions(&ring, 2, 5).expect("full span");
         assert_eq!(
-            full.changes,
-            vec![change(
+            full.changes(),
+            [change(
                 Granularity::Domain,
                 "a.com",
                 ChangeKind::Added(Mixed)
@@ -449,15 +493,72 @@ mod tests {
         );
         let tail = diff_revisions(&ring, 4, 5).expect("tail span");
         assert_eq!(
-            tail.changes,
-            vec![change(
+            tail.changes(),
+            [change(
                 Granularity::Domain,
                 "a.com",
                 ChangeKind::Flipped(Tracking, Mixed)
             )]
         );
         let empty = diff_revisions(&ring, 4, 4).expect("empty span");
-        assert!(empty.changes.is_empty());
+        assert!(empty.is_empty());
+        assert_eq!((empty.since(), empty.version()), (4, 4));
+    }
+
+    /// A follower that applied `(2,5]` as one delta holds only its net
+    /// change: `x.com` went Tracking -> Mixed -> Tracking inside it, so the
+    /// span records nothing for `x.com`. A baseline inside the span would
+    /// answer as if `x.com` never moved, so it is refused; the boundaries
+    /// answer, with the union of the plans their spans touched.
+    #[test]
+    fn diff_refuses_a_baseline_inside_a_span() {
+        use Classification::*;
+        let ring = ring(vec![
+            VerdictRevision::spanning(
+                2,
+                5,
+                vec![change(
+                    Granularity::Domain,
+                    "y.com",
+                    ChangeKind::Added(Mixed),
+                )],
+                vec![Arc::from("https://y.com/a.js")],
+            ),
+            VerdictRevision::spanning(
+                5,
+                6,
+                vec![change(
+                    Granularity::Domain,
+                    "x.com",
+                    ChangeKind::Flipped(Tracking, Functional),
+                )],
+                vec![Arc::from("https://x.com/b.js")],
+            ),
+        ]);
+        assert_eq!(
+            diff_revisions(&ring, 3, 6),
+            Err(RevisionRangeError::Unknown { from: 3, to: 6 })
+        );
+        assert_eq!(
+            diff_revisions(&ring, 2, 4),
+            Err(RevisionRangeError::Unknown { from: 2, to: 4 }),
+            "a target inside a span is no boundary either"
+        );
+        let whole = diff_revisions(&ring, 2, 6).expect("oldest baseline");
+        assert_eq!((whole.since(), whole.version()), (2, 6));
+        assert_eq!(whole.changes().len(), 2);
+        assert_eq!(
+            whole.plans_touched(),
+            [
+                Arc::from("https://x.com/b.js"),
+                Arc::from("https://y.com/a.js")
+            ]
+        );
+        let tail = diff_revisions(&ring, 5, 6).expect("interior boundary");
+        assert_eq!(tail, *ring[1]);
+        assert!(diff_revisions(&ring, 6, 6)
+            .expect("newest boundary")
+            .is_empty());
     }
 
     #[test]

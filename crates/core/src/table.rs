@@ -451,8 +451,9 @@ impl VerdictTable {
         Some(Arc::clone(&self.surrogates.get(&key)?.plan))
     }
 
-    /// The bounded ring of per-commit verdict revisions as of this publish,
-    /// ascending by version. Diff any two covered versions with
+    /// The bounded ring of verdict revisions as of this publish, ascending
+    /// by version: one per commit on a writer, one per applied delta on a
+    /// follower. Diff any two span boundaries with
     /// [`diff_revisions`](crate::revision::diff_revisions).
     pub fn revisions(&self) -> &[Arc<VerdictRevision>] {
         &self.revisions

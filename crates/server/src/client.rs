@@ -24,8 +24,7 @@ use std::thread;
 use std::time::Duration;
 use trackersift::frames;
 use trackersift::{
-    ApplyError, Decision, DeltaSnapshot, FollowerState, RevisionDiff, UrlRewriter, VerdictRevision,
-    VerdictTable,
+    ApplyError, Decision, DeltaSnapshot, FollowerState, UrlRewriter, VerdictRevision, VerdictTable,
 };
 
 /// The client half of the `GET /v1/keys` interning handshake: the server's
@@ -247,14 +246,15 @@ impl Client {
     }
 
     /// Fetch the drift between two published versions
-    /// (`GET /v1/revisions?diff=from..to`). An inverted range surfaces as
-    /// [`RevisionFetchError::Status`] with `400`, a range outside the
-    /// bounded ring as `404`.
+    /// (`GET /v1/revisions?diff=from..to`) as the revision over that span;
+    /// the frame does not carry the plans it touched. An inverted range
+    /// surfaces as [`RevisionFetchError::Status`] with `400`, a range whose
+    /// ends are not span boundaries of the bounded ring as `404`.
     pub fn fetch_revision_diff(
         &mut self,
         from: u64,
         to: u64,
-    ) -> Result<RevisionDiff, RevisionFetchError> {
+    ) -> Result<VerdictRevision, RevisionFetchError> {
         let target = format!("/v1/revisions?diff={from}..{to}");
         let body = body_of(self.get_binary(&target)?, &[200])?;
         frames::decode_revision_diff(&body).map_err(malformed)

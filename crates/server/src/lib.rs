@@ -84,9 +84,10 @@
 //! net class transitions and touched surrogate plans between committed
 //! version `v` and the pinned table's version, assembled worker-side from
 //! the revision ring the table already carries (no writer round-trip).
-//! When `v` has aged out of the bounded ring the server answers `410
+//! When `v` is no span boundary of that ring the server answers `410
 //! Gone` whose body is a *full* snapshot envelope in the same shape —
-//! the typed re-bootstrap signal a follower applies directly.
+//! the typed re-bootstrap signal a follower applies directly. A replica's
+//! ring holds the deltas it applied, so a replica can be followed too.
 //! [`VerdictServer::follow`] is the other end: it bootstraps a
 //! [`client::ReplicaClient`] from a primary, serves the followed tables
 //! read-only, and keeps polling deltas on a `replica-sync` thread. Every
@@ -564,11 +565,6 @@ impl VerdictServer {
     /// is spawned: a replica has no writer to own.
     /// [`VerdictServer::follow`] is this plus the loop that keeps `reader`
     /// fresh.
-    ///
-    /// A replica's tables carry no revision ring: `GET /v1/revisions`
-    /// lists none, and every `GET /v1/snapshot?since=v` is answered `410
-    /// Gone` with the full snapshot envelope. A follower of a replica
-    /// therefore re-bootstraps on every poll.
     pub fn start_replica(
         reader: SifterReader,
         status: Arc<ReplicaStatus>,
@@ -1395,7 +1391,7 @@ impl Worker {
     /// one net change set. JSON by default; since a `GET` carries no body
     /// to set a `Content-Type` on, `Accept:` [`wire::BINARY_CONTENT_TYPE`]
     /// selects the binary frames. An inverted range is a `400`, a range
-    /// the bounded ring no longer covers a `404`.
+    /// whose ends are not span boundaries of the bounded ring a `404`.
     fn revisions(
         &self,
         request: &RequestView<'_>,
@@ -1437,8 +1433,8 @@ impl Worker {
     /// surrogate plans between published version `v` and the pinned
     /// table's current version, assembled from the revision ring. JSON
     /// by default, binary frames via `Accept:`
-    /// [`wire::BINARY_CONTENT_TYPE`]. When `v` has aged out of the bounded
-    /// ring the answer is `410 Gone` whose body is a *full* snapshot
+    /// [`wire::BINARY_CONTENT_TYPE`]. When `v` is no span boundary of the
+    /// bounded ring the answer is `410 Gone` whose body is a *full* snapshot
     /// envelope — the typed re-bootstrap signal — so a lagging follower
     /// recovers in the same round trip that told it the diff is gone.
     fn delta_snapshot(
@@ -1463,17 +1459,14 @@ impl Worker {
                 HttpResponse::json(frames::delta_snapshot_value(delta).render())
             }
         };
+        let counters = &self.counters[self.index];
         match table.delta_since(since) {
             Ok(delta) => {
-                self.counters[self.index]
-                    .snapshot_deltas
-                    .fetch_add(1, Ordering::Relaxed);
+                counters.snapshot_deltas.fetch_add(1, Ordering::Relaxed);
                 Ok(encode(&delta))
             }
             Err(RevisionRangeError::Unknown { .. }) => {
-                self.counters[self.index]
-                    .snapshot_fulls
-                    .fetch_add(1, Ordering::Relaxed);
+                counters.snapshot_fulls.fetch_add(1, Ordering::Relaxed);
                 let mut response = encode(&table.full_snapshot_delta());
                 response.status = 410;
                 response.reason = "Gone";
@@ -1510,7 +1503,9 @@ impl Worker {
     /// `GET /v1/stats` for either role. `"workers"` and `"admission"` are
     /// one document; the head is the writer's [`ServiceStats`] on a
     /// primary (one admin round trip) and the pinned table's counts on a
-    /// replica, and the sections after them are the role's own.
+    /// replica. The sections after them are the role's own, and the last,
+    /// `"replication"`, ends in one block for both roles: the pinned
+    /// table's ring and the snapshots this server has served.
     fn stats(&self) -> Result<HttpResponse, HttpResponse> {
         let load = |gauge: &AtomicU64| gauge.load(Ordering::Relaxed);
         let mut worker_restarts = 0u64;
@@ -1550,7 +1545,8 @@ impl Worker {
             ("shed_connections", shed_connections),
             ("shed_requests", shed_requests),
         ]));
-        let (head, sections) = match &self.role {
+        let pin;
+        let (head, mut sections, mut replication) = match &self.role {
             Role::Primary { admin, recovery } => {
                 let stats = admin_call(admin, AdminMsg::Stats)?;
                 let mut sections = Vec::new();
@@ -1607,45 +1603,18 @@ impl Worker {
                 }
                 // Pinned after the admin's reply, so the ring is never older
                 // than the version that reply reports.
-                let pin = self.reader.pin();
-                let ring = pin.table().revisions();
-                sections.push((
-                    "replication",
-                    object(vec![
-                        ("role", Value::String("primary".to_string())),
-                        (
-                            "ring",
-                            object(numbers(&[
-                                ("len", ring.len() as u64),
-                                (
-                                    "oldest",
-                                    ring.first().map_or(0, |revision| revision.version()),
-                                ),
-                                (
-                                    "newest",
-                                    ring.last().map_or(0, |revision| revision.version()),
-                                ),
-                            ])),
-                        ),
-                        (
-                            "snapshots",
-                            object(numbers(&[
-                                ("deltas", snapshot_deltas),
-                                ("fulls", snapshot_fulls),
-                            ])),
-                        ),
-                    ]),
-                ));
-                (wire::service_stats_to_json(&stats.service), sections)
+                pin = self.reader.pin();
+                let role = vec![("role", Value::String("primary".to_string()))];
+                (wire::service_stats_to_json(&stats.service), sections, role)
             }
             Role::Replica(status) => {
-                let pin = self.reader.pin();
+                pin = self.reader.pin();
                 let table = pin.table();
-                let mut replication = vec![
+                let mut role = vec![
                     ("role", Value::String("replica".to_string())),
                     ("upstream", Value::String(status.upstream().to_string())),
                 ];
-                replication.extend(numbers(&[
+                role.extend(numbers(&[
                     ("upstream_version", load(&status.upstream_version)),
                     ("applied_version", status.applied_version()),
                     ("lag", status.lag()),
@@ -1654,16 +1623,23 @@ impl Worker {
                     ("bootstraps", status.bootstraps()),
                     ("sync_errors", status.sync_errors()),
                 ]));
-                (
-                    object(numbers(&[
-                        ("version", table.version()),
-                        ("committed", table.committed()),
-                        ("residue", table.unattributed()),
-                    ])),
-                    vec![("replication", object(replication))],
-                )
+                let head = object(numbers(&[
+                    ("version", table.version()),
+                    ("committed", table.committed()),
+                    ("residue", table.unattributed()),
+                ]));
+                (head, Vec::new(), role)
             }
         };
+        let ring = pin.table().revisions();
+        let span = numbers(&[
+            ("len", ring.len() as u64),
+            ("oldest", ring.first().map_or(0, |oldest| oldest.version())),
+            ("newest", ring.last().map_or(0, |newest| newest.version())),
+        ]);
+        let served = numbers(&[("deltas", snapshot_deltas), ("fulls", snapshot_fulls)]);
+        replication.extend([("ring", object(span)), ("snapshots", object(served))]);
+        sections.push(("replication", object(replication)));
         let Value::Object(mut fields) = head else {
             unreachable!("both heads are built by `object`");
         };

@@ -1,7 +1,7 @@
 //! The follower loop behind [`VerdictServer::follow`]: a
-//! [`ReplicaClient`] bootstraps from the primary's full snapshot and then
-//! polls `GET /v1/snapshot?since=<local version>` for binary deltas
-//! (re-bootstrapping whenever the primary answers `410 Gone`), a
+//! [`ReplicaClient`] bootstraps from its upstream's (a primary's or a
+//! replica's) full snapshot and then polls `GET /v1/snapshot?since=<local
+//! version>` for binary deltas (re-bootstrapping on `410 Gone`), a
 //! [`TablePublisher`] publishes each applied state atomically to the
 //! workers' reader handles, and the workers serve it read-only.
 //!
@@ -25,7 +25,7 @@ use trackersift::{TablePublisher, UrlRewriter};
 /// how to serve the result.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
-    /// The primary's address (`host:port`).
+    /// The upstream's address (`host:port`): a primary or a replica.
     pub upstream: String,
     /// Delay between delta polls once bootstrapped.
     pub poll_interval: Duration,

@@ -801,12 +801,14 @@ fn stats_exposes_admission_budgets_and_worker_health() {
 
 /// A primary and a replica render `"workers"` and `"admission"` of
 /// `GET /v1/stats` as the same bytes, around the sections their role
-/// adds — whole-body goldens for a 1-worker primary (no durability, no
-/// scheduler) and a `start_replica` server over the same trained reader,
-/// each after one decision on the connection that then asks for the stats
-/// (hence 2 requests, 1 in flight). Nothing sits between `"admission"`
-/// and `"replication"` on this primary: the section that described the
-/// writers of the deleted multi-writer front end is gone.
+/// adds, and close `"replication"` with the same `"ring"` and
+/// `"snapshots"` block — whole-body goldens for a 1-worker primary (no
+/// durability, no scheduler) and a `start_replica` server over the same
+/// trained reader, each after one decision on the connection that then
+/// asks for the stats (hence 2 requests, 1 in flight). Nothing sits
+/// between `"admission"` and `"replication"` on this primary: the section
+/// that described the writers of the deleted multi-writer front end is
+/// gone.
 #[test]
 fn primary_and_replica_stats_share_the_worker_and_admission_shape() {
     let config = || ServerConfig {
@@ -837,19 +839,24 @@ fn primary_and_replica_stats_share_the_worker_and_admission_shape() {
         r#""admission":{"active_connections":1,"inflight":1,"max_connections":1024,"#,
         r#""max_inflight":256,"worker_restarts":0,"shed_connections":0,"shed_requests":0},"#,
     );
+    let ring_and_snapshots = concat!(
+        r#""ring":{"len":0,"oldest":0,"newest":0},"#,
+        r#""snapshots":{"deltas":0,"fulls":0}}}"#,
+    );
     let expected_primary = [
         r#"{"version":1,"ingest":{"observed":26,"committed":26,"pending":0,"invalid_urls":0,"no_engine":0},"#,
         r#""conflicting_observations":0,"unattributed":4,"#,
         r#""resources":{"domains":3,"hostnames":1,"scripts":1,"methods":3},"#,
         shared,
-        r#""replication":{"role":"primary","ring":{"len":0,"oldest":0,"newest":0},"#,
-        r#""snapshots":{"deltas":0,"fulls":0}}}"#,
+        r#""replication":{"role":"primary","#,
+        ring_and_snapshots,
     ];
     let expected_replica = [
         r#"{"version":1,"committed":26,"residue":4,"#,
         shared,
         r#""replication":{"role":"replica","upstream":"127.0.0.1:1","upstream_version":0,"#,
-        r#""applied_version":0,"lag":0,"polls":0,"deltas_applied":0,"bootstraps":0,"sync_errors":0}}"#,
+        r#""applied_version":0,"lag":0,"polls":0,"deltas_applied":0,"bootstraps":0,"sync_errors":0,"#,
+        ring_and_snapshots,
     ];
     // One assertion, so a drift in the shared part shows on both roles.
     assert_eq!(

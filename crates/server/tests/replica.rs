@@ -1,13 +1,14 @@
 //! `VerdictServer::follow` end to end over loopback: a replica bootstraps
 //! before it serves, follows the primary's commits through the poll loop,
-//! and refuses everything that needs the writer.
+//! refuses everything that needs the writer, and can itself be followed.
 
 use crawler::json::Value;
+use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
-use trackersift::{frames, Sifter};
+use trackersift::{ObservationRef, Sifter};
 use trackersift_server::client::Client;
-use trackersift_server::{ReplicaConfig, ServerConfig, VerdictServer};
+use trackersift_server::{ReplicaConfig, ReplicaStatus, ServerConfig, VerdictServer};
 
 /// `(polls, deltas_applied)` as the replica's `GET /v1/stats` reports them,
 /// once the follower loop has polled `at_least` times.
@@ -71,29 +72,20 @@ fn a_replica_bootstraps_serves_and_refuses_writes() {
     assert_eq!(status, 200);
     assert!(stats.contains(r#""role":"replica""#), "got {stats}");
 
-    // ...and answers followers of its own from tables that carry no
-    // revision ring: no revisions to list, and every `?since=` span is a
-    // `410 Gone` carrying the full envelope at the replica's version, the
-    // same state the primary's delta from 0 carries...
-    let (status, revisions) = client.request("GET", "/v1/revisions", None);
-    assert_eq!(
-        (status, revisions.as_str()),
-        (200, r#"{"version":1,"revisions":[]}"#)
-    );
-    let (status, envelope) = client.request("GET", "/v1/snapshot?since=1", None);
-    assert_eq!(status, 410, "{envelope}");
-    let full = client
-        .fetch_snapshot_since(1)
-        .expect("410 carries the full envelope");
-    assert!(full.is_full());
-    assert_eq!(full.to, gauges.applied_version());
-    assert_eq!(envelope, frames::delta_snapshot_value(&full).render());
-    let primary_delta = upstream.fetch_snapshot_since(0).expect("primary delta");
-    assert_eq!(primary_delta.since, Some(0));
-    assert_eq!(
-        (&full.changes, &full.plans),
-        (&primary_delta.changes, &primary_delta.plans)
-    );
+    // ...and answers followers of its own from the ring of deltas it
+    // applied: the startup sync applied the span 0 -> 1 as one delta, so
+    // the replica lists, diffs and ships exactly the bytes the primary does...
+    for target in [
+        "/v1/revisions",
+        "/v1/revisions?diff=0..1",
+        "/v1/snapshot?since=0",
+        "/v1/snapshot?since=1",
+    ] {
+        let served = client.request("GET", target, None);
+        assert_eq!(served.0, 200, "{target}: {}", served.1);
+        assert_eq!(served, upstream.request("GET", target, None), "{target}");
+    }
+    assert!(!client.fetch_snapshot_since(1).expect("a delta").is_full());
 
     // ...and refuses whatever needs the writer with a typed conflict,
     // while the method table still answers first for unknown methods.
@@ -143,6 +135,99 @@ fn a_replica_bootstraps_serves_and_refuses_writes() {
     assert_eq!(sync_gauges(&mut client, polls + 2).1, idle + 1);
 
     drop((client, upstream));
+    replica.shutdown();
+    primary.shutdown();
+}
+
+/// A one-worker replica of `upstream` that polls every 25 ms.
+fn follow(upstream: SocketAddr) -> VerdictServer {
+    let mut config = ReplicaConfig::new(upstream.to_string());
+    config.server.workers = 1;
+    config.poll_interval = Duration::from_millis(25);
+    VerdictServer::follow(config, None, None).expect("replica starts")
+}
+
+/// Wait (bounded) until `gauges` report `version` applied.
+fn await_version(gauges: &ReplicaStatus, version: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while gauges.applied_version() < version {
+        assert!(
+            Instant::now() < deadline,
+            "stuck at version {}",
+            gauges.applied_version()
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The loopback chain primary -> replica -> replica. The primary trained
+/// before it started, so its ring is empty and the first replica
+/// bootstraps from a full snapshot; the second then bootstraps once from
+/// the first and follows it by deltas alone — across three primary
+/// commits and at least ten polls — deciding byte-identically to the
+/// primary at every version it applies.
+#[test]
+fn a_replica_of_a_replica_bootstraps_once_and_follows_by_deltas() {
+    let mut sifter = Sifter::builder().build();
+    sifter.apply(ObservationRef::parts(
+        "ads.com",
+        "px.ads.com",
+        "https://ads.com/s.js",
+        "send",
+        true,
+    ));
+    sifter.commit();
+    let (writer, _reader) = sifter.into_concurrent();
+    let primary = VerdictServer::start(
+        writer,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::ephemeral()
+        },
+    )
+    .expect("primary");
+    let replica = follow(primary.local_addr());
+    let chained = follow(replica.local_addr());
+    let gauges = chained.replica_status().expect("a follower has gauges");
+    let mut upstream = Client::connect(primary.local_addr());
+    let mut client = Client::connect(chained.local_addr());
+
+    let query = |domain: &str| {
+        format!(
+            r#"{{"domain":"{domain}","hostname":"px.{domain}","script":"https://{domain}/s.js","method":"send"}}"#
+        )
+    };
+    let mut domains = vec!["ads.com".to_string()];
+    for version in 1..=4u64 {
+        if version > 1 {
+            let domain = format!("d{version}.com");
+            let body = format!(
+                r#"{{"observations":[{{"domain":"{domain}","hostname":"px.{domain}","script":"https://{domain}/s.js","method":"send","tracking":{}}}]}}"#,
+                version % 2 == 0
+            );
+            assert_eq!(
+                upstream.request("POST", "/v1/observations", Some(&body)).0,
+                200
+            );
+            assert_eq!(upstream.request("POST", "/v1/commit", None).0, 200);
+            domains.push(domain);
+        }
+        await_version(gauges, version);
+        for domain in &domains {
+            let (status, ours) = client.request("POST", "/v1/decisions", Some(&query(domain)));
+            assert_eq!(status, 200);
+            let theirs = upstream.request("POST", "/v1/decisions", Some(&query(domain)));
+            assert_eq!((status, ours), theirs, "{domain} at version {version}");
+        }
+    }
+    let (polls, deltas) = sync_gauges(&mut client, 10);
+    assert!(polls >= 10);
+    assert_eq!(deltas, 3, "one delta per primary commit");
+    assert_eq!(gauges.bootstraps(), 1, "the chain bootstraps once");
+    assert_eq!(gauges.sync_errors(), 0);
+
+    drop((client, upstream));
+    chained.shutdown();
     replica.shutdown();
     primary.shutdown();
 }

@@ -80,7 +80,7 @@ fn main() {
     assert_eq!(diff, frames::revision_diff_value(&expected).render());
     println!(
         "GET {target} -> {} changes across {EPOCHS} epochs, byte-identical to diff_revisions()",
-        expected.changes.len()
+        expected.changes().len()
     );
 
     // 5. The typed client decodes the binary framing of the same diff, and
@@ -88,7 +88,11 @@ fn main() {
     let typed = client
         .fetch_revision_diff(oldest, newest)
         .expect("typed diff");
-    assert_eq!(typed, expected);
+    // The frame carries the span and its changes, not the plans it touched.
+    assert_eq!(
+        frames::encode_revision_diff(&typed),
+        frames::encode_revision_diff(&expected)
+    );
     let (status, stats) = client.request("GET", "/v1/stats", None);
     assert_eq!(status, 200);
     assert!(stats.contains("\"scheduler\":"), "{stats}");

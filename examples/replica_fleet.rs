@@ -1,7 +1,9 @@
-//! A primary plus a two-replica fleet over loopback: the replicas
-//! bootstrap from the primary's full snapshot, track its commits through
-//! delta snapshots, and — the consistency contract — answer every query
-//! **byte-identically** to the primary once they hold the same version.
+//! A primary plus a two-replica chain over loopback: the first replica
+//! bootstraps from the primary's full snapshot, the second from the first
+//! replica's, and both then track the primary's commits through delta
+//! snapshots — the second from the ring of deltas the first applied — and
+//! (the consistency contract) answer every query **byte-identically** to
+//! the primary once they hold the same version.
 //!
 //! ```sh
 //! cargo run --release --example replica_fleet
@@ -52,20 +54,21 @@ fn main() {
     let primary = VerdictServer::start(writer, ServerConfig::ephemeral()).expect("primary");
     println!("primary on http://{}", primary.local_addr());
 
-    // 2. Two replicas bootstrap from it (full snapshot, then delta polls).
-    let fleet: Vec<VerdictServer> = (0..2)
-        .map(|i| {
-            let mut config = ReplicaConfig::new(primary.local_addr().to_string());
-            config.poll_interval = Duration::from_millis(25);
-            let replica = VerdictServer::follow(config, None, None).expect("replica bootstrap");
-            println!(
-                "replica {i} on http://{} at version {}",
-                replica.local_addr(),
-                gauges(&replica).applied_version()
-            );
-            replica
-        })
-        .collect();
+    // 2. Replica 0 bootstraps from the primary, replica 1 from replica 0
+    //    (full snapshot, then delta polls).
+    let mut fleet: Vec<VerdictServer> = Vec::new();
+    for i in 0..2 {
+        let upstream = fleet.last().unwrap_or(&primary).local_addr();
+        let mut config = ReplicaConfig::new(upstream.to_string());
+        config.poll_interval = Duration::from_millis(25);
+        let replica = VerdictServer::follow(config, None, None).expect("replica bootstrap");
+        println!(
+            "replica {i} on http://{} follows {upstream} at version {}",
+            replica.local_addr(),
+            gauges(&replica).applied_version()
+        );
+        fleet.push(replica);
+    }
 
     // 3. Byte-identity at the same version: every fleet member answers a
     //    sample of corpus queries with exactly the primary's bytes.
@@ -125,6 +128,13 @@ fn main() {
         assert_eq!(
             primary_body, replica_body,
             "replica {i} diverged after drift"
+        );
+        // The drift arrived as a delta: each replica bootstrapped once, at
+        // startup, and the second one followed the first's ring.
+        assert_eq!(
+            gauges(replica).bootstraps(),
+            1,
+            "replica {i} re-bootstrapped"
         );
         println!(
             "replica {i} caught up: version {}, bootstraps {}, lag {}",

@@ -12,7 +12,7 @@ use common::{model_changes, model_of, Model};
 use proptest::prelude::*;
 use trackersift_suite::prelude::*;
 use trackersift_suite::trackersift::{
-    frames, ApplyError, DurableDir, Journal, JournalEntry, VerdictRevision,
+    diff_revisions, frames, ApplyError, DurableDir, Journal, JournalEntry, VerdictRevision,
 };
 
 /// One synthetic observation, index-encoded so the strategies stay tiny.
@@ -126,6 +126,44 @@ fn sync_follower(follower: &mut FollowerState, primary: &VerdictTable) -> Result
     Ok(full)
 }
 
+/// Check what a follower's table serves its own followers against the
+/// primary's table at the same version: every version it anchors — its own
+/// and each span boundary of the ring of deltas it applied — answers
+/// `delta_since` with the primary's bytes, and every diff between two
+/// boundaries is the primary's revision over that span, plans included,
+/// wherever the primary's bounded ring still holds the span.
+fn assert_anchors_match(replica: &VerdictTable, primary: &VerdictTable) {
+    assert_eq!(replica.version(), primary.version());
+    let ring = replica.revisions();
+    let boundaries: Vec<u64> = ring
+        .first()
+        .map(|oldest| oldest.since())
+        .into_iter()
+        .chain(ring.iter().map(|revision| revision.version()))
+        .collect();
+    for anchor in boundaries.iter().copied().chain([replica.version()]) {
+        let ours = replica
+            .delta_since(anchor)
+            .expect("a follower answers what it anchors");
+        if let Ok(theirs) = primary.delta_since(anchor) {
+            assert_eq!(
+                frames::encode_delta_snapshot(&ours),
+                frames::encode_delta_snapshot(&theirs),
+                "?since={anchor} at version {}",
+                replica.version()
+            );
+        }
+    }
+    for (index, &from) in boundaries.iter().enumerate() {
+        for &to in &boundaries[index..] {
+            let ours = diff_revisions(ring, from, to).expect("boundaries diff");
+            if let Ok(theirs) = diff_revisions(primary.revisions(), from, to) {
+                assert_eq!(ours, theirs, "?diff={from}..{to}");
+            }
+        }
+    }
+}
+
 /// Rewrite the live journal of the durable store at `dir` without its
 /// `Revision` records, so the next recovery has to recompute every ring
 /// entry from the commit markers.
@@ -161,11 +199,13 @@ proptest! {
     /// sync cadence (skipped epochs produce multi-commit deltas), any
     /// restart point (the journal re-seeds the ring across the restart),
     /// and any ring capacity (aged-out spans re-bootstrap via the full
-    /// snapshot and still land exactly).
+    /// snapshot and still land exactly). A second follower follows the
+    /// first at its own cadence, from the ring of deltas the first applied.
     #[test]
     fn replica_reproduces_every_advertised_version(
         epochs in arb_epochs(),
         syncs in prop::collection::vec(0u8..2, 5..6),
+        chain_syncs in prop::collection::vec(0u8..2, 5..6),
         restart_after in 0usize..5,
         ring_capacity in 1usize..5,
     ) {
@@ -176,6 +216,7 @@ proptest! {
         writer.open_durable(&dir, 1).expect("open durable");
 
         let mut follower = FollowerState::new(None, None);
+        let mut chained = FollowerState::new(None, None);
         let mut full_syncs = 0usize;
         {
             let pin = reader.pin();
@@ -249,8 +290,20 @@ proptest! {
                     full_syncs += 1;
                 }
                 assert_tables_agree(pin.table(), &follower.table(), &requests);
+                let replica = follower.table();
+                assert_anchors_match(&replica, pin.table());
+                if chain_syncs[index % chain_syncs.len()] == 1 || index + 1 == epochs.len() {
+                    sync_follower(&mut chained, &replica).expect("chained sync");
+                    assert_tables_agree(&replica, &chained.table(), &requests);
+                }
             }
         }
+
+        // The second follower ends on the same version, and re-bootstrapped
+        // only after the first did: the first follower's initial bootstrap
+        // left the second one a ring to follow.
+        prop_assert_eq!(chained.version(), follower.version());
+        prop_assert!(chained.bootstraps() < follower.bootstraps());
 
         // The follower ends byte-identical to the primary's final table.
         let pin = reader.pin();
