@@ -40,6 +40,7 @@
 //! | `journal.open` | opening/recovering a journal | open fails |
 //! | `snapshot.write` | writing a checkpoint temp file | write fails |
 //! | `snapshot.rename` | publishing a checkpoint via rename | rename fails |
+//! | `dir.sync` | `fsync` of the durable directory after a create or rename | sync fails |
 //! | `poller.wait` | the worker event loop's `poll(2)` | wait fails (worker naps + rebuilds) |
 //! | `worker.request` | per parsed request, before routing | injected worker panic |
 

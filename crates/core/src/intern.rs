@@ -196,13 +196,24 @@ impl KeyInterner {
     /// After the first occurrence of a pair, this is two hash lookups on
     /// `Copy` keys — the composed `script :: method` string is never rebuilt.
     pub fn intern_method(&mut self, script_url: &str, method: &str) -> ResourceKey {
-        let pair = (self.intern(script_url), self.intern(method));
-        if let Some(&id) = self.method_pairs.get(&pair) {
+        let (script, name) = (self.intern(script_url), self.intern(method));
+        self.intern_method_pair(script, name)
+    }
+
+    /// [`KeyInterner::intern_method`] for a pair whose two strings are
+    /// already interned: a caller that needs the script and name keys
+    /// itself interns each once, not twice.
+    pub(crate) fn intern_method_pair(
+        &mut self,
+        script: ResourceKey,
+        name: ResourceKey,
+    ) -> ResourceKey {
+        if let Some(&id) = self.method_pairs.get(&(script, name)) {
             return id;
         }
-        let composed = ResourceKey::method_label(script_url, method);
+        let composed = ResourceKey::method_label(self.resolve(script), self.resolve(name));
         let id = self.intern(&composed);
-        self.method_pairs.insert(pair, id);
+        self.method_pairs.insert((script, name), id);
         id
     }
 

@@ -45,7 +45,13 @@
 //! |---|---|
 //! | 4 | `len` — payload length |
 //! | `len` | payload (first byte is the record kind) |
-//! | 8 | FNV-1a 64 checksum of the payload ([`filterlist::tokens::fnv1a64`], the same hash the filter index uses) |
+//! | 8 | checksum of the payload: [`filterlist::tokens::fold_bytes`]`(0, payload)`, the byte fold of the key maps' hasher (one multiply per eight bytes) |
+//!
+//! Journals written before the checksum moved to the word fold carry the
+//! payload's 64-bit FNV-1a there instead. Replay accepts either, so an
+//! upgraded primary replays its pre-upgrade journal whole rather than
+//! truncating it at the first old frame; everything it appends is
+//! word-folded.
 //!
 //! Payloads (strings are `u32`-length-prefixed UTF-8):
 //!
@@ -73,7 +79,7 @@ use crate::failpoint;
 use crate::frames::{self, FrameError, FrameReader};
 use crate::revision::VerdictRevision;
 use crate::service::{Observation, ObservationRef};
-use filterlist::tokens::fnv1a64;
+use filterlist::tokens::fold_bytes;
 use filterlist::ResourceType;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -167,7 +173,10 @@ pub struct JournalStats {
 /// batch is either one `POST /v1/observations` body, whose rows frame into
 /// no more bytes than their JSON, so `max_body_bytes` bounds it, or one
 /// scheduler tick's re-crawl: one frame per planned request of the corpus,
-/// ≈ 1.4 MB at 200 sites (10,314 rows of 138.6 bytes).
+/// ≈ 1.4 MB at 200 sites (an epoch of the evolving 200-site web is 10,047
+/// rows of 141.1 bytes averaged over its first 3 epochs, 10,314 of 138.6
+/// over its first 30). Framing a row costs its encode and one checksum pass
+/// over the payload, folded eight bytes per multiply.
 #[derive(Debug)]
 pub struct Journal {
     file: File,
@@ -244,7 +253,11 @@ impl Journal {
                 break;
             };
             let checksum = u64::from_le_bytes(checksum_bytes.try_into().expect("8 bytes"));
-            if fnv1a64(payload) != checksum {
+            // A frame appended before the checksum became the word fold
+            // carries the payload's FNV-1a (see the module docs).
+            let intact = checksum == fold_bytes(0, payload)
+                || checksum == filterlist::tokens::fnv1a64(payload);
+            if !intact {
                 break;
             }
             // The checksum held, so the payload is exactly what was
@@ -355,7 +368,7 @@ impl Journal {
             ));
         }
         self.buffer[frame_at..frame_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        let checksum = fnv1a64(&self.buffer[frame_at + 4..]);
+        let checksum = fold_bytes(0, &self.buffer[frame_at + 4..]);
         self.buffer.extend_from_slice(&checksum.to_le_bytes());
         self.stats.appended += 1;
         self.stats.bytes = self.file_bytes + self.buffer.len() as u64;
@@ -427,11 +440,24 @@ impl Journal {
     }
 }
 
-/// Write `bytes` to `path` atomically: temp file, `fsync`, rename. A
+/// Write `bytes` to `path` atomically: temp file, `fsync`, rename, then
+/// `fsync` of the directory, so the rename itself outlives a power cut. A
 /// crash at any instant leaves either the old file or the new one, never
 /// a half-written hybrid. (Threaded with the `snapshot.write` /
-/// `snapshot.rename` failpoints.)
+/// `snapshot.rename` / `dir.sync` failpoints.) An error from the directory
+/// sync means the new file is in place but may not survive a power cut.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    replace(path, bytes)?;
+    sync_dir(
+        path.parent()
+            .filter(|dir| !dir.as_os_str().is_empty())
+            .unwrap_or(Path::new(".")),
+    )
+}
+
+/// [`write_atomic`] without the directory sync: on `Err`, `path` still
+/// holds what it held before.
+fn replace(path: &Path, bytes: &[u8]) -> io::Result<()> {
     failpoint::check_io("snapshot.write")?;
     let tmp = path.with_extension("tmp");
     let mut file = File::create(&tmp)?;
@@ -440,6 +466,17 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     drop(file);
     failpoint::check_io("snapshot.rename")?;
     std::fs::rename(&tmp, path)
+}
+
+/// `fsync` a directory, making the creates, renames and unlinks in it so
+/// far durable (unix; elsewhere only the `dir.sync` failpoint runs).
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    failpoint::check_io("dir.sync")?;
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
 }
 
 /// What booting a durable store recovered, for observability: did a
@@ -473,11 +510,13 @@ pub struct RecoveryReport {
 /// | `journal-<g>.wal` | observations journaled since that checkpoint |
 ///
 /// [`DurableDir::advance`] builds the next generation's pair completely
-/// (snapshot written + fsynced, fresh journal created) **before**
-/// atomically flipping `CURRENT` — so a crash at any point during a
-/// checkpoint boots from a consistent older or newer pair, never from a
-/// new snapshot with a stale journal (which would double-count every
-/// replayed observation).
+/// (fresh journal created, snapshot written + fsynced, directory fsynced)
+/// **before** atomically flipping `CURRENT`, and fsyncs the directory
+/// again before removing the old pair — so a crash or power cut at any
+/// point during a checkpoint boots from a consistent older or newer pair,
+/// never from a new snapshot with a stale journal (which would
+/// double-count every replayed observation) or a `CURRENT` whose files
+/// are gone.
 #[derive(Debug)]
 pub struct DurableDir {
     dir: PathBuf,
@@ -519,17 +558,21 @@ impl DurableDir {
         self.dir.join(format!("journal-{}.wal", self.generation))
     }
 
-    /// Publish the next checkpoint generation: write `snapshot_json`
-    /// atomically, create a fresh empty journal, then flip `CURRENT`.
+    /// Publish the next checkpoint generation: create a fresh empty
+    /// journal, write `snapshot_json` atomically, then flip `CURRENT`.
     /// Returns the new generation's journal. On error the live generation
     /// is unchanged (the half-built next generation is garbage a later
     /// `advance` overwrites).
+    ///
+    /// The directory is synced after the new pair is in place and again
+    /// after the flip, and only then is the previous pair removed: until
+    /// the flip is durable, a power cut may boot the previous generation,
+    /// so its files must still be there. If that second sync fails, the
+    /// flip has already happened — it is what a reboot reads — so the new
+    /// generation is returned with the failure counted in its
+    /// [`JournalStats::sync_errors`], and the previous pair stays.
     pub fn advance(&mut self, snapshot_json: &str, sync_every: u64) -> io::Result<Journal> {
         let next = self.generation + 1;
-        write_atomic(
-            &self.dir.join(format!("snapshot-{next}.json")),
-            snapshot_json.as_bytes(),
-        )?;
         let journal_path = self.dir.join(format!("journal-{next}.wal"));
         // A crashed earlier attempt at this generation may have left a
         // stale journal; the new generation starts empty.
@@ -538,11 +581,20 @@ impl DurableDir {
             Err(error) if error.kind() == io::ErrorKind::NotFound => {}
             Err(error) => return Err(error),
         }
-        let journal = Journal::open(&journal_path, sync_every)?;
-        write_atomic(&self.dir.join("CURRENT"), next.to_string().as_bytes())?;
+        let mut journal = Journal::open(&journal_path, sync_every)?;
+        // Its directory sync covers the journal's creation too.
+        write_atomic(
+            &self.dir.join(format!("snapshot-{next}.json")),
+            snapshot_json.as_bytes(),
+        )?;
+        replace(&self.dir.join("CURRENT"), next.to_string().as_bytes())?;
         let previous = self.generation;
         self.generation = next;
-        // The old pair is unreachable once CURRENT flipped; removal is
+        if sync_dir(&self.dir).is_err() {
+            journal.stats.sync_errors += 1;
+            return Ok(journal);
+        }
+        // The old pair is unreachable once the flip is durable; removal is
         // best-effort cleanup, not correctness.
         let _ = std::fs::remove_file(self.dir.join(format!("snapshot-{previous}.json")));
         let _ = std::fs::remove_file(self.dir.join(format!("journal-{previous}.wal")));
@@ -760,7 +812,9 @@ mod tests {
 
     /// The bytes the journal wrote for [`one_of_each_kind`] before its codec
     /// moved onto `frames`' change layout and the shared [`Observation`]
-    /// (written by that commit's binary, not by this one).
+    /// (written by that commit's binary, not by this one), when every
+    /// checksum was the payload's FNV-1a: the journal an upgraded primary
+    /// boots from.
     const GOLDEN_JOURNAL_HEX: &str = concat!(
         "3a000000010600000064312e636f6d0900000068312e64312e636f6d1500000068",
         "747470733a2f2f7075622e636f6d2f73312e6a730400000073656e6400746e85f5",
@@ -774,12 +828,45 @@ mod tests {
         "622e636f6d2f73312e6a737e0559ecf95a6daf",
     );
 
+    /// The bytes the journal writes for [`one_of_each_kind`]: the 316 bytes
+    /// of [`GOLDEN_JOURNAL_HEX`] with only the four checksums changed, to
+    /// the word fold.
+    const GOLDEN_JOURNAL_FOLDED_HEX: &str = concat!(
+        "3a000000010600000064312e636f6d0900000068312e64312e636f6d1500000068",
+        "747470733a2f2f7075622e636f6d2f73312e6a730400000073656e640083c7691e",
+        "00ff319a52000000021700000068747470733a2f2f742e6578616d706c652f702e",
+        "676966070000007075622e636f6d05000000696d6167651400000068747470733a",
+        "2f2f7075622e636f6d2f612e6a7306000000626561636f6e61a702aff556bb4609",
+        "000000030700000000000000687cfe7f2e8615cc77000000040700000000000000",
+        "030000000000030600000064312e636f6d0201031500000068747470733a2f2f70",
+        "75622e636f6d2f73312e6a730302001d00000068747470733a2f2f7075622e636f",
+        "6d2f73312e6a73203a3a2073656e64010000001500000068747470733a2f2f7075",
+        "622e636f6d2f73312e6a73c0f83d6f91908a72",
+    );
+
+    fn hex_bytes(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|at| u8::from_str_radix(&hex[at..at + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    /// The byte range of every frame of a clean journal image; a frame's
+    /// checksum is its last eight bytes.
+    fn frame_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut spans = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+            spans.push(at..at + 12 + len as usize);
+            at = spans.last().expect("pushed").end;
+        }
+        spans
+    }
+
     #[test]
     fn the_on_disk_format_is_pinned_byte_for_byte() {
-        let golden: Vec<u8> = (0..GOLDEN_JOURNAL_HEX.len())
-            .step_by(2)
-            .map(|at| u8::from_str_radix(&GOLDEN_JOURNAL_HEX[at..at + 2], 16).expect("hex"))
-            .collect();
+        let golden = hex_bytes(GOLDEN_JOURNAL_FOLDED_HEX);
         let (decoded, report) = Journal::replay_bytes(&golden);
         assert_eq!(decoded, one_of_each_kind());
         assert_eq!((report.valid_bytes, report.torn_bytes), (316, 0));
@@ -791,6 +878,140 @@ mod tests {
         journal.sync().expect("sync");
         assert_eq!(std::fs::read(&path).expect("read"), golden);
         std::fs::remove_file(&path).ok();
+
+        // Against the pre-change bytes, only the checksums moved: the same
+        // frames, lengths and payloads.
+        let legacy = hex_bytes(GOLDEN_JOURNAL_HEX);
+        let spans = frame_spans(&golden);
+        assert_eq!(frame_spans(&legacy), spans);
+        assert_eq!(spans.len(), 4);
+        for span in spans {
+            let payload = span.start..span.end - 8;
+            assert_eq!(legacy[payload.clone()], golden[payload]);
+            assert_ne!(
+                legacy[span.end - 8..span.end],
+                golden[span.end - 8..span.end]
+            );
+        }
+    }
+
+    /// A journal written before the checksum moved to the word fold replays
+    /// whole, and an upgraded writer appends after it rather than
+    /// truncating it; a checksum that matches neither hash, in either part,
+    /// still ends the clean prefix.
+    #[test]
+    fn a_pre_change_journal_replays_whole_and_takes_new_frames() {
+        let legacy = hex_bytes(GOLDEN_JOURNAL_HEX);
+        let (decoded, report) = Journal::replay_bytes(&legacy);
+        assert_eq!(decoded, one_of_each_kind());
+        assert_eq!((report.valid_bytes, report.torn_bytes), (316, 0));
+
+        let path = temp_path("upgrade");
+        std::fs::write(&path, &legacy).expect("write");
+        let (mut journal, recovered, report) = Journal::recover(&path, 1000).expect("recover");
+        assert_eq!(recovered, one_of_each_kind());
+        assert_eq!(report.torn_bytes, 0, "nothing truncated");
+        let later: Vec<JournalEntry> = (2..6).map(parts).collect();
+        for entry in &later {
+            journal.append(entry).expect("append");
+        }
+        journal.sync().expect("sync");
+        let mixed = std::fs::read(&path).expect("read");
+        std::fs::remove_file(&path).ok();
+        let all: Vec<JournalEntry> = one_of_each_kind().into_iter().chain(later).collect();
+        let (replayed, report) = Journal::replay_bytes(&mixed);
+        assert_eq!(replayed, all);
+        assert_eq!(report.torn_bytes, 0);
+
+        for (at, span) in frame_spans(&mixed).into_iter().enumerate() {
+            let mut corrupt = mixed.clone();
+            corrupt[span.end - 8] ^= 1;
+            let (replayed, report) = Journal::replay_bytes(&corrupt);
+            assert_eq!(replayed, all[..at], "frame {at}");
+            assert_eq!(report.valid_bytes, span.start as u64, "frame {at}");
+        }
+    }
+
+    /// The checksum is the key maps' hasher run over the payload, before
+    /// its finishing multiply: a change to that hasher fails here (and at
+    /// the golden above) instead of silently changing the journal format.
+    #[test]
+    fn the_checksum_is_the_map_hashers_byte_fold() {
+        use filterlist::tokens::TokenHashBuilder;
+        use std::hash::{BuildHasher, Hasher};
+        let path = temp_path("fold");
+        let mut journal = Journal::open(&path, 1000).expect("open");
+        // Payloads of 9 bytes (the commit) and of every length from 18 to
+        // 161: whole words with and without an overlapping tail.
+        let entries = one_of_each_kind().into_iter().chain((0..144).map(|n| {
+            JournalEntry::Observation(Observation::Parts {
+                domain: "d".repeat(n),
+                hostname: String::new(),
+                script: String::new(),
+                method: String::new(),
+                tracking: false,
+            })
+        }));
+        for entry in entries {
+            journal.append(&entry).expect("append");
+        }
+        let spans = frame_spans(&journal.buffer);
+        assert_eq!(spans.len(), 148);
+        for span in spans {
+            let payload = &journal.buffer[span.start + 4..span.end - 8];
+            let checksum = u64::from_le_bytes(
+                journal.buffer[span.end - 8..span.end]
+                    .try_into()
+                    .expect("8 bytes"),
+            );
+            assert_eq!(checksum, fold_bytes(0, payload));
+            let mut hasher = TokenHashBuilder.build_hasher();
+            hasher.write(payload);
+            assert_eq!(
+                hasher.finish(),
+                checksum.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                "a payload of {} bytes",
+                payload.len()
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A durable directory whose journal holds the pre-change bytes — what
+    /// an upgraded primary finds at its first boot — opens, applies and
+    /// commits, then reopens to the same snapshot and version.
+    #[test]
+    fn a_durable_directory_of_pre_change_frames_reopens_to_the_same_state() {
+        use crate::service::Sifter;
+        let dir = temp_path("upgrade-dir").with_extension("d");
+        let store = DurableDir::open(&dir).expect("open");
+        std::fs::write(store.journal_path(), hex_bytes(GOLDEN_JOURNAL_HEX)).expect("write");
+        let (snapshot, version) = {
+            let (mut writer, _reader) = Sifter::builder().build_concurrent();
+            let report = writer.open_durable(&dir, 1).expect("open durable");
+            assert_eq!((report.replayed_records, report.replayed_commits), (4, 1));
+            assert_eq!(report.torn_bytes, 0);
+            assert_eq!(writer.published_version(), 7);
+            writer.apply(ObservationRef::parts(
+                "d2.com",
+                "h2.d2.com",
+                "https://pub.com/s2.js",
+                "send",
+                true,
+            ));
+            writer.commit();
+            (
+                writer.sifter().snapshot().to_json_string(),
+                writer.published_version(),
+            )
+        };
+        assert_eq!(version, 8);
+        let (mut writer, reader) = Sifter::builder().build_concurrent();
+        let report = writer.open_durable(&dir, 1).expect("reopen");
+        assert_eq!((report.replayed_commits, report.torn_bytes), (2, 0));
+        assert_eq!(writer.sifter().snapshot().to_json_string(), snapshot);
+        assert_eq!((writer.published_version(), reader.version()), (8, 8));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `append_observation` of a borrowed record writes the bytes `append`

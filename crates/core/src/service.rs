@@ -917,7 +917,7 @@ impl Sifter {
         };
         let s = self.interner.intern(script);
         let name = self.interner.intern(method);
-        let m = self.interner.intern_method(script, method);
+        let m = self.interner.intern_method_pair(s, name);
         let mut counts = Counts::new();
         counts.record(label.is_tracking());
         self.fold_cell(domain, hostname, s, name, m, counts);
@@ -1393,8 +1393,8 @@ impl Sifter {
             }
         }
         // Resolve a persisted id against the freshly-restored interner
-        // (passed in, so the borrow ends at each call and `intern_method`
-        // below can still borrow mutably).
+        // (passed in, so the borrow ends at each call and
+        // `intern_method_pair` below can still borrow mutably).
         let key = |interner: &KeyInterner, id: u32| match snapshot.keys.get(id as usize) {
             Some(key) => Ok(interner.get(key).expect("restored above")),
             None => Err(SnapshotError::Corrupt(format!(
@@ -1430,9 +1430,7 @@ impl Sifter {
                 key(&self.interner, s_id)?,
                 key(&self.interner, name_id)?,
             );
-            let script_str = self.interner.resolve_shared(s);
-            let name_str = self.interner.resolve_shared(name);
-            if self.interner.intern_method(&script_str, &name_str) != m {
+            if self.interner.intern_method_pair(s, name) != m {
                 return Err(SnapshotError::Corrupt(format!(
                     "method id {m_id} does not compose from script id {s_id} + name id {name_id}"
                 )));

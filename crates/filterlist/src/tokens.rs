@@ -20,7 +20,8 @@
 //! The module also holds the workspace's one non-default hasher,
 //! [`TokenHashBuilder`]: the rule index keys its maps by token hash with it,
 //! and the classification and serving layers key theirs by string and by
-//! interned id.
+//! interned id. Its byte fold, [`fold_bytes`], is also the observation
+//! journal's frame checksum.
 
 /// Minimum length of an indexable token (alphanumeric run).
 pub const TOKEN_MIN_LEN: usize = 3;
@@ -31,7 +32,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hash a byte slice with 64-bit FNV-1a (the same fold the tokenizer applies
-/// incrementally). Exposed so tests can compute the hash of a known token.
+/// incrementally). Exposed so tests can compute the hash of a known token,
+/// and so journal replay can still verify the frames written when it was
+/// the journal's checksum.
 #[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
@@ -141,7 +144,11 @@ pub fn token_hashes(text: &str) -> TokenHashes<'_> {
 /// * small integer ids (`write_u32`, `write_u8` — interner symbols, the
 ///   `0xff` a `str` ends its hash with) cost one folded multiply each;
 /// * byte strings (`write`) are folded eight bytes per step, after their
-///   length; the last step reads the key's final bytes in place.
+///   length; the last step reads the key's final bytes in place. This is
+///   [`fold_bytes`], which the observation journal also runs to checksum
+///   its frames — so the byte fold is a persisted format, not only a
+///   table's private choice, and changing it changes every journal frame
+///   written after the change (the known-answer tests fail first).
 ///
 /// The step is a 64×64→128 multiply whose halves are XORed together: the
 /// table takes its bucket index from the hash's *low* bits and its tag from
@@ -171,17 +178,70 @@ fn folded_multiply(a: u64, b: u64) -> u64 {
     (product as u64) ^ ((product >> 64) as u64)
 }
 
+/// Fold one 64-bit word into `state`.
+#[inline]
+fn fold_word(state: u64, word: u64) -> u64 {
+    folded_multiply(state ^ word, FOLD_MULTIPLIER)
+}
+
+/// Fold a byte string into the word-folded hash state `state` and return
+/// the new state: one folded multiply for the length, then one per eight
+/// bytes, where FNV-1a spends a multiply on every byte.
+///
+/// This is the step [`TokenHashBuilder`]'s hasher runs for every byte key
+/// ([`std::hash::Hasher::write`]), and it is persisted: the observation
+/// journal checksums each frame's payload as `fold_bytes(0, payload)`. Its
+/// output for a given input must therefore never change; known-answer
+/// tests pin it. It is the same on every platform — words are read
+/// little-endian and the length is folded as a `u64`. (Not
+/// `BuildHasher::hash_one(&[u8])`, which first writes a native-endian
+/// `usize` length of its own.)
+#[inline]
+pub fn fold_bytes(state: u64, bytes: &[u8]) -> u64 {
+    // The length goes in first, offset so that it is never the zero
+    // word: keys that differ only in length, or only by trailing NULs,
+    // part ways here, and the tail below may then overlap bytes already
+    // folded without two keys ever folding the same words.
+    let len = bytes.len();
+    let mut state = fold_word(state, (len as u64).wrapping_add(FOLD_MULTIPLIER));
+    if len >= 8 {
+        // Whole words, then the key's last eight bytes — which overlap
+        // the word before them unless the length is a multiple of
+        // eight. Reading the tail in place keeps it one load: a copy
+        // into a zero-padded buffer is a `memcpy` call and a
+        // store-forwarding stall per key, which cost the serving path
+        // more than the fold saved it.
+        let mut rest = bytes;
+        while rest.len() > 8 {
+            state = fold_word(
+                state,
+                u64::from_le_bytes(rest[..8].try_into().expect("an 8-byte slice")),
+            );
+            rest = &rest[8..];
+        }
+        fold_word(
+            state,
+            u64::from_le_bytes(bytes[len - 8..].try_into().expect("an 8-byte slice")),
+        )
+    } else if len >= 4 {
+        // The first and the last four bytes cover all of four to seven.
+        let head = u32::from_le_bytes(bytes[..4].try_into().expect("a 4-byte slice"));
+        let tail = u32::from_le_bytes(bytes[len - 4..].try_into().expect("a 4-byte slice"));
+        fold_word(state, u64::from(head) | u64::from(tail) << 32)
+    } else if len > 0 {
+        // First, middle and last byte cover all of one to three.
+        fold_word(
+            state,
+            u64::from(bytes[0]) | u64::from(bytes[len / 2]) << 8 | u64::from(bytes[len - 1]) << 16,
+        )
+    } else {
+        state
+    }
+}
+
 /// Hasher produced by [`TokenHashBuilder`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TokenHashHasher(u64);
-
-impl TokenHashHasher {
-    /// Fold one 64-bit word into the state.
-    #[inline]
-    fn fold(&mut self, word: u64) {
-        self.0 = folded_multiply(self.0 ^ word, FOLD_MULTIPLIER);
-    }
-}
 
 impl std::hash::Hasher for TokenHashHasher {
     fn finish(&self) -> u64 {
@@ -192,52 +252,17 @@ impl std::hash::Hasher for TokenHashHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        // The length goes in first, offset so that it is never the zero
-        // word: keys that differ only in length, or only by trailing NULs,
-        // part ways here, and the tail below may then overlap bytes already
-        // folded without two keys ever folding the same words.
-        let len = bytes.len();
-        self.fold((len as u64).wrapping_add(FOLD_MULTIPLIER));
-        if len >= 8 {
-            // Whole words, then the key's last eight bytes — which overlap
-            // the word before them unless the length is a multiple of
-            // eight. Reading the tail in place keeps it one load: a copy
-            // into a zero-padded buffer is a `memcpy` call and a
-            // store-forwarding stall per key, which cost the serving path
-            // more than the fold saved it.
-            let mut rest = bytes;
-            while rest.len() > 8 {
-                self.fold(u64::from_le_bytes(
-                    rest[..8].try_into().expect("an 8-byte slice"),
-                ));
-                rest = &rest[8..];
-            }
-            self.fold(u64::from_le_bytes(
-                bytes[len - 8..].try_into().expect("an 8-byte slice"),
-            ));
-        } else if len >= 4 {
-            // The first and the last four bytes cover all of four to seven.
-            let head = u32::from_le_bytes(bytes[..4].try_into().expect("a 4-byte slice"));
-            let tail = u32::from_le_bytes(bytes[len - 4..].try_into().expect("a 4-byte slice"));
-            self.fold(u64::from(head) | u64::from(tail) << 32);
-        } else if len > 0 {
-            // First, middle and last byte cover all of one to three.
-            self.fold(
-                u64::from(bytes[0])
-                    | u64::from(bytes[len / 2]) << 8
-                    | u64::from(bytes[len - 1]) << 16,
-            );
-        }
+        self.0 = fold_bytes(self.0, bytes);
     }
 
     #[inline]
     fn write_u8(&mut self, n: u8) {
-        self.fold(u64::from(n));
+        self.0 = fold_word(self.0, u64::from(n));
     }
 
     #[inline]
     fn write_u32(&mut self, n: u32) {
-        self.fold(u64::from(n));
+        self.0 = fold_word(self.0, u64::from(n));
     }
 
     #[inline]
@@ -388,6 +413,29 @@ mod tests {
             tags[slot(hash_of(&id)).1 as usize] += 1;
         }
         assert!(tags.iter().all(|&n| (8..=64).contains(&n)), "{tags:?}");
+    }
+
+    /// The fold is persisted (the journal's frame checksum), so its answers
+    /// are pinned: prefixes of one 141-byte sample — a journal URL row's
+    /// length — through every branch of the fold: empty, one to three
+    /// bytes, four to seven, whole words with and without an overlapping
+    /// tail.
+    #[test]
+    fn fold_bytes_gives_its_known_answers() {
+        let sample: Vec<u8> = (0..141u32).map(|at| (at * 37 + 11) as u8).collect();
+        for (len, answer) in [
+            (0, 0xf47c_dffd_9671_363d),
+            (1, 0x4750_4588_76d1_3726),
+            (3, 0xeef1_b6b1_b2c7_490c),
+            (4, 0x322c_6a78_6d8e_12d4),
+            (7, 0x4270_4949_9db6_97fb),
+            (8, 0xa8a2_d355_2f29_addc),
+            (9, 0x1667_c859_8efc_4545),
+            (16, 0x5f1f_0895_b835_3eae),
+            (141, 0xe16e_203d_8354_bee7),
+        ] {
+            assert_eq!(fold_bytes(0, &sample[..len]), answer, "length {len}");
+        }
     }
 
     #[test]

@@ -612,49 +612,56 @@ mod chaos {
         server.shutdown();
     }
 
+    /// A checkpoint that fails writing the next snapshot, renaming it into
+    /// place, or syncing the directory that holds the new pair leaves the
+    /// live generation serving and booting.
     #[test]
     fn failed_checkpoint_keeps_the_previous_generation_serving() {
         let _guard = chaos_lock();
-        failpoint::clear_all();
-        let dir = temp_dir("checkpoint-fail");
-        fs::create_dir_all(&dir).expect("mkdir");
-        {
-            let (mut writer, _reader) = Sifter::builder().build_concurrent();
-            writer.open_durable(&dir, 1).expect("open durable");
-            writer.apply(ObservationRef::parts(
-                "ads.com",
-                "px.ads.com",
-                "https://pub.com/a.js",
-                "send",
-                true,
-            ));
-            writer.commit();
-            assert_eq!(writer.checkpoint().expect("healthy checkpoint"), 1);
-            writer.apply(ObservationRef::parts(
-                "hub.com",
-                "w.hub.com",
-                "https://pub.com/m.js",
-                "track",
-                true,
-            ));
-            writer.commit();
-            // The next snapshot write dies; the rotation must not happen.
-            failpoint::set(
-                "snapshot.write",
-                Action::io_error(ErrorKind::Other, Some(1)),
-            );
-            assert!(writer.checkpoint().is_err());
+        for point in ["snapshot.write", "snapshot.rename", "dir.sync"] {
             failpoint::clear_all();
-            assert_eq!(writer.durable_generation(), Some(1), "generation unchanged");
+            let dir = temp_dir("checkpoint-fail");
+            fs::create_dir_all(&dir).expect("mkdir");
+            {
+                let (mut writer, _reader) = Sifter::builder().build_concurrent();
+                writer.open_durable(&dir, 1).expect("open durable");
+                writer.apply(ObservationRef::parts(
+                    "ads.com",
+                    "px.ads.com",
+                    "https://pub.com/a.js",
+                    "send",
+                    true,
+                ));
+                writer.commit();
+                assert_eq!(writer.checkpoint().expect("healthy checkpoint"), 1);
+                writer.apply(ObservationRef::parts(
+                    "hub.com",
+                    "w.hub.com",
+                    "https://pub.com/m.js",
+                    "track",
+                    true,
+                ));
+                writer.commit();
+                // The next checkpoint dies at `point`; the rotation must
+                // not happen.
+                failpoint::set(point, Action::io_error(ErrorKind::Other, Some(1)));
+                assert!(writer.checkpoint().is_err(), "{point}");
+                failpoint::clear_all();
+                assert_eq!(writer.durable_generation(), Some(1), "{point}");
+            }
+            // Reboot: generation 1's snapshot + journal still carry
+            // everything.
+            let (mut writer, _reader) = Sifter::builder().build_concurrent();
+            let report = writer.open_durable(&dir, 1).expect("recover");
+            assert_eq!(report.generation, 1, "{point}");
+            assert!(report.restored_snapshot, "{point}");
+            assert_eq!(
+                report.replayed_commits, 1,
+                "{point}: the post-checkpoint commit"
+            );
+            assert_eq!(writer.sifter().ingest_stats().observed, 2, "{point}");
+            let _ = fs::remove_dir_all(&dir);
         }
-        // Reboot: generation 1's snapshot + journal still carry everything.
-        let (mut writer, _reader) = Sifter::builder().build_concurrent();
-        let report = writer.open_durable(&dir, 1).expect("recover");
-        assert_eq!(report.generation, 1);
-        assert!(report.restored_snapshot);
-        assert_eq!(report.replayed_commits, 1, "the post-checkpoint commit");
-        assert_eq!(writer.sifter().ingest_stats().observed, 2);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// `PUT /v1/snapshot` whose checkpoint fails: the document was valid
