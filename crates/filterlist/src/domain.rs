@@ -52,8 +52,13 @@ pub fn is_valid_hostname(hostname: &str) -> bool {
 
 /// Returns `true` when the hostname is an IPv4 literal (no eTLD+1 exists):
 /// four dot-separated runs of ASCII digits, each at most 255. Digits only —
-/// `u8::from_str` alone would also take a leading `+`.
+/// `u8::from_str` alone would also take a leading `+`. A hostname whose
+/// last byte is not a digit — nearly every name — is answered before it is
+/// split.
 pub fn is_ip_literal(hostname: &str) -> bool {
+    if !hostname.as_bytes().last().is_some_and(u8::is_ascii_digit) {
+        return false;
+    }
     let mut parts = 0usize;
     for part in hostname.split('.') {
         parts += 1;

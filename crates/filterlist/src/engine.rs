@@ -428,6 +428,24 @@ mod tests {
     }
 
     #[test]
+    fn a_host_anchor_with_a_multi_byte_first_character_labels_without_panicking() {
+        let e = engine("||ü.example.com/ads/\n");
+        for (url, expected) in [
+            ("https://ü.example.com/other.js", RequestLabel::Functional),
+            ("https://ü.example.com/ads/a.js", RequestLabel::Tracking),
+            ("https://cdn.ü.example.com/ads/a.js", RequestLabel::Tracking),
+        ] {
+            assert_eq!(
+                e.label_url(url, "shop.com", ResourceType::Script),
+                expected,
+                "{url}"
+            );
+            let r = req(url, "shop.com", ResourceType::Script);
+            assert_eq!(e.evaluate_linear(&r).label(), expected, "{url}");
+        }
+    }
+
+    #[test]
     fn label_url_handles_unparseable_urls() {
         let e = engine("||tracker.io^\n");
         assert_eq!(

@@ -13,9 +13,11 @@
 //! * the rule is filed under its *rarest* token hash (fewest other rules),
 //!   which keeps bucket sizes small;
 //! * rules with no usable token fall back to an "always check" list;
-//! * at query time the URL's token-hash set
-//!   ([`RequestView::token_hashes`]) selects the candidate buckets — no
-//!   `String` is built, no candidate list is materialised.
+//! * at query time the URL's token hashes ([`RequestView::token_hashes`],
+//!   in text order, repeats kept) select the candidate buckets — no
+//!   `String` is built, no candidate list is materialised, and nothing is
+//!   sorted: a repeated token revisits a bucket, and the running minimum
+//!   still returns the lowest matching rule.
 //!
 //! Because a rule's index token is by construction a maximal alphanumeric
 //! run of every URL the rule can match, the index never causes false
@@ -149,7 +151,7 @@ impl RuleIndex {
 
     /// Find the first rule (lowest insertion index) matching the request,
     /// scanning only candidate buckets. Allocation-free: the request's
-    /// pre-computed token-hash set drives bucket selection directly, and the
+    /// pre-computed token hashes drive bucket selection directly, and the
     /// running minimum replaces the old sort-and-dedup candidate list while
     /// returning the same rule a linear scan would.
     pub fn first_match(&self, request: &RequestView<'_>) -> Option<&FilterRule> {

@@ -14,10 +14,10 @@
 //! * [`parser`] turns list text into [`rule::FilterRule`]s;
 //! * [`tokens`] is the shared zero-allocation tokenizer: both rule filing
 //!   and query-time candidate selection hash the same maximal alphanumeric
-//!   runs, so the two sides cannot drift;
+//!   runs, folded through one byte table, so the two sides cannot drift;
 //! * [`request`] is what rules are evaluated against: a borrowed
 //!   [`RequestView`], built per request into a reusable [`RequestScratch`]
-//!   or lent by the owned [`FilterRequest`];
+//!   in one pass over the URL, or lent by the owned [`FilterRequest`];
 //! * [`index`] stores rules in a token-hash index so matching stays fast at
 //!   crawl scale and allocation-free per query;
 //! * [`engine::FilterEngine`] combines blocking and exception rules and

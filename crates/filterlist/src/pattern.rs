@@ -506,36 +506,104 @@ impl Pattern {
             // Degenerate `||` rule; treat as unanchored.
             return self.match_unanchored(text);
         }
-        // The request hostname must equal the host prefix or end with
-        // `.host_prefix` — i.e. the anchor sits at a label boundary — OR the
-        // host prefix may itself be a hostname prefix ending where a deeper
-        // label continues (e.g. `||ads.` style rules). We cover both by
-        // scanning label boundaries in place; the hostname's byte offset in
-        // the URL text was computed when the URL was parsed.
-        let hostname = url.hostname;
-        let hbytes = hostname.as_bytes();
-        let hp = self.host_prefix.as_str();
-        let mut idx = 0;
-        while let Some(found) = hostname[idx..].find(hp) {
-            let at = idx + found;
-            if at == 0 || hbytes[at - 1] == b'.' {
-                let start = url.host_start + at;
-                if start <= text.len() && self.match_from(text, start) {
-                    return true;
-                }
-            }
-            idx = at + 1;
-            if idx >= hostname.len() {
-                break;
-            }
-        }
-        false
+        // The anchor sits at a label boundary of the request hostname —
+        // its start or just after a `.` — where the host prefix begins
+        // (`||ads.com` at `sub.ads.com`, and `||ads.` style rules, whose
+        // prefix ends where a deeper label continues). The hostname's byte
+        // offset in the URL text was computed when the URL was parsed.
+        anchor_offsets(url.hostname.as_bytes(), self.host_prefix.as_bytes()).any(|at| {
+            let start = url.host_start + at;
+            start <= text.len() && self.match_from(text, start)
+        })
     }
+}
+
+/// The offsets of `hostname`, in increasing order, at which a `||` rule
+/// with host prefix `prefix` may anchor: the label starts (offset 0 and
+/// each offset after a `.`) where `prefix` begins. Comparing bytes at label
+/// starts visits every position a substring search for `prefix` would
+/// accept, without setting a searcher up per call, and never slices inside
+/// a multi-byte character.
+fn anchor_offsets<'h>(hostname: &'h [u8], prefix: &'h [u8]) -> impl Iterator<Item = usize> + 'h {
+    let dots = hostname.iter().enumerate().filter(|&(_, &b)| b == b'.');
+    std::iter::once(0)
+        .chain(dots.map(|(dot, _)| dot + 1))
+        .filter(move |&at| hostname[at..].starts_with(prefix))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The substring-search loop [`anchor_offsets`] replaced, kept as its
+    /// oracle, with one repair: the next search starts at the next char
+    /// boundary, where the original sliced one byte past the match and
+    /// panicked inside a multi-byte first character.
+    fn reference_anchor_offsets(hostname: &str, prefix: &str) -> Vec<usize> {
+        let hbytes = hostname.as_bytes();
+        let mut offsets = Vec::new();
+        let mut idx = 0;
+        while let Some(found) = hostname[idx..].find(prefix) {
+            let at = idx + found;
+            if at == 0 || hbytes[at - 1] == b'.' {
+                offsets.push(at);
+            }
+            idx = at + 1;
+            while !hostname.is_char_boundary(idx) {
+                idx += 1;
+            }
+            if idx >= hostname.len() {
+                break;
+            }
+        }
+        offsets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Hosts and prefixes over a small alphabet, so that prefixes recur
+        /// inside labels, across dots and overlapping themselves.
+        #[test]
+        fn label_starts_are_the_offsets_the_substring_search_accepted(
+            hostname in "[ab.üA]{0,14}",
+            prefix in "[ab.ü]{1,4}",
+        ) {
+            let scanned: Vec<usize> =
+                anchor_offsets(hostname.as_bytes(), prefix.as_bytes()).collect();
+            prop_assert_eq!(
+                scanned,
+                reference_anchor_offsets(&hostname, &prefix),
+                "{:?} in {:?}", prefix, hostname
+            );
+        }
+
+        #[test]
+        fn label_starts_agree_on_hostname_shaped_text(
+            labels in prop::collection::vec(prop_oneof!["[a-c]{0,3}", "ü", "[0-9]{1,3}", "\\+1"], 0..6),
+            trailing in "\\.{0,2}",
+            take in 0usize..12,
+            len in 1usize..8,
+        ) {
+            let hostname = format!("{}{trailing}", labels.join("."));
+            // A prefix cut out of the hostname itself, at char boundaries.
+            let chars: Vec<char> = hostname.chars().collect();
+            let prefix: String = if chars.is_empty() {
+                "a".to_string()
+            } else {
+                let from = take % chars.len();
+                chars[from..(from + len).min(chars.len())].iter().collect()
+            };
+            let scanned: Vec<usize> =
+                anchor_offsets(hostname.as_bytes(), prefix.as_bytes()).collect();
+            prop_assert_eq!(
+                scanned,
+                reference_anchor_offsets(&hostname, &prefix),
+                "{:?} in {:?}", prefix, hostname
+            );
+        }
+    }
 
     fn m(pattern: &str, url: &str) -> bool {
         let p = Pattern::compile(pattern, false);
@@ -569,6 +637,21 @@ mod tests {
         assert!(m("||ads.com^", "https://sub.ads.com/x"));
         assert!(!m("||ads.com^", "https://badads.com/x"));
         assert!(!m("||ads.com^", "https://example.com/ads.com/x"));
+    }
+
+    #[test]
+    fn a_host_prefix_starting_with_a_multi_byte_character_anchors_without_panicking() {
+        // The search loop resumed one byte past a match, inside the `ü`.
+        assert!(!m("||ü.example.com/ads/", "https://ü.example.com/other.js"));
+        assert!(m("||ü.example.com/ads/", "https://ü.example.com/ads/x.js"));
+        assert!(m(
+            "||ü.example.com/ads/",
+            "https://cdn.ü.example.com/ads/x.js"
+        ));
+        assert!(!m(
+            "||ü.example.com/ads/",
+            "https://xü.example.com/ads/x.js"
+        ));
     }
 
     #[test]

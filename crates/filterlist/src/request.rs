@@ -8,13 +8,16 @@
 //! * [`RequestScratch::view`] derives it from `&str`s into buffers the
 //!   caller keeps — the hot paths (labeling a crawl, ingesting raw URLs,
 //!   the decision backstop) build a view per request and allocate nothing
-//!   once the buffers are warm. The page side (lower-cased hostname, its
-//!   registrable domain) is remembered from one view to the next, so a run
-//!   of requests from one page derives it once;
+//!   once the buffers are warm. One scan of the URL hashes its tokens and
+//!   tells whether it has upper-case ASCII; only such a URL is copied, to
+//!   be lower-cased. The page side (lower-cased hostname, its registrable
+//!   domain) is remembered from one view to the next, so a run of requests
+//!   from one page derives it once;
 //! * the owned [`FilterRequest`] stores the same fields and lends them out
 //!   with [`FilterRequest::view`], for callers that keep a request around.
 
 use crate::domain::registrable_suffix;
+use crate::tokens::hash_tokens_into;
 use crate::url::{locate_host, ParsedUrl, UrlView};
 use std::fmt;
 use std::ops::Range;
@@ -115,31 +118,14 @@ pub struct RequestView<'a> {
     pub source_hostname: &'a str,
     /// Resource type reported by the browser.
     pub resource_type: ResourceType,
-    /// Sorted, deduplicated token hashes of the lower-cased URL
-    /// ([`crate::tokens`]): they select the candidate rule buckets.
+    /// Token hashes of the URL ([`crate::tokens`]) in text order, repeats
+    /// kept: they select the candidate rule buckets. Neither reader needs a
+    /// set — [`crate::index::RuleIndex::first_match`] keeps the lowest
+    /// matching rule index and `all_matches` dedups its candidates — so no
+    /// builder sorts them.
     pub token_hashes: &'a [u64],
     /// Whether the request crosses a registrable-domain boundary.
     pub third_party: bool,
-}
-
-/// Replace `out` with the sorted, deduplicated token hashes of `lower`.
-fn fill_token_hashes(out: &mut Vec<u64>, lower: &str) {
-    out.clear();
-    out.extend(crate::tokens::token_hashes(lower).map(|t| t.hash));
-    out.sort_unstable();
-    out.dedup();
-}
-
-/// `text` lower-cased: itself when it has no upper-case ASCII, otherwise a
-/// copy folded in `buffer`.
-fn lowered<'a>(text: &'a str, buffer: &'a mut String) -> &'a str {
-    if !text.bytes().any(|b| b.is_ascii_uppercase()) {
-        return text;
-    }
-    buffer.clear();
-    buffer.push_str(text);
-    buffer.make_ascii_lowercase();
-    buffer
 }
 
 /// Where the registrable domain of a lower-case `hostname` lies within it:
@@ -198,9 +184,17 @@ impl RequestScratch {
         if raw.is_empty() {
             return None;
         }
-        let lower = lowered(raw, &mut self.lower);
+        // One scan of the URL hashes its tokens and tells whether it has
+        // upper-case ASCII to fold; only such a URL is copied.
+        let lower = if hash_tokens_into(raw.as_bytes(), &mut self.hashes) {
+            self.lower.clear();
+            self.lower.push_str(raw);
+            self.lower.make_ascii_lowercase();
+            self.lower.as_str()
+        } else {
+            raw
+        };
         let (hostname, host_start) = locate_host(lower)?;
-        fill_token_hashes(&mut self.hashes, lower);
         if !source_hostname.eq_ignore_ascii_case(&self.source) {
             self.source.clear();
             self.source.push_str(source_hostname);
@@ -242,8 +236,8 @@ pub struct FilterRequest {
     domain: Range<usize>,
     /// Resource type reported by the browser.
     pub resource_type: ResourceType,
-    /// Sorted, deduplicated token hashes of the lower-cased URL, computed
-    /// once at construction ([`crate::tokens`]).
+    /// Token hashes of the URL in text order, repeats kept, computed once
+    /// at construction ([`crate::tokens`]).
     token_hashes: Box<[u64]>,
     /// Whether the request crosses a registrable-domain boundary, computed
     /// once at construction so `$third-party` rules don't re-derive both
@@ -266,7 +260,7 @@ impl FilterRequest {
     /// Build a request from an already-parsed URL, taking ownership.
     pub fn from_parsed(url: ParsedUrl, source_hostname: &str, resource_type: ResourceType) -> Self {
         let mut hashes = Vec::new();
-        fill_token_hashes(&mut hashes, &url.lower);
+        hash_tokens_into(url.raw.as_bytes(), &mut hashes);
         let source_hostname = source_hostname.to_ascii_lowercase();
         let domain = domain_range(&url.hostname);
         let third_party = crosses_domains(
@@ -369,21 +363,21 @@ mod tests {
     }
 
     #[test]
-    fn token_hashes_are_sorted_deduplicated_and_case_insensitive() {
+    fn token_hashes_are_in_text_order_repeats_kept_and_case_insensitive() {
         use crate::tokens::fnv1a64;
-        // `com` appears twice; the set stores it once.
-        let r = FilterRequest::new(
-            "HTTPS://CDN.Example.COM/com/Analytics.js",
-            "example.com",
-            ResourceType::Script,
-        )
-        .unwrap();
+        // `com` appears twice; the list keeps both, where the URL has them.
+        let url = "HTTPS://CDN.Example.COM/com/Analytics.js";
+        let r = FilterRequest::new(url, "example.com", ResourceType::Script).unwrap();
         let hashes = r.view().token_hashes;
-        assert!(hashes.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        assert!(hashes.contains(&fnv1a64(b"cdn")));
-        assert!(hashes.contains(&fnv1a64(b"com")));
-        assert!(hashes.contains(&fnv1a64(b"analytics")));
-        assert_eq!(hashes.iter().filter(|&&h| h == fnv1a64(b"com")).count(), 1);
+        let expected: Vec<u64> = ["https", "cdn", "example", "com", "com", "analytics"]
+            .iter()
+            .map(|token| fnv1a64(token.as_bytes()))
+            .collect();
+        assert_eq!(hashes, &expected[..]);
+        assert_eq!(hashes.iter().filter(|&&h| h == fnv1a64(b"com")).count(), 2);
+        let mut scratch = RequestScratch::new();
+        let view = scratch.view(url, "example.com", ResourceType::Script);
+        assert_eq!(view.map(|v| v.token_hashes), Some(&expected[..]));
     }
 
     #[test]

@@ -50,6 +50,53 @@ fn fnv1a64_step(hash: u64, b: u8) -> u64 {
     (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
 }
 
+/// Each ASCII alphanumeric byte's lower case; 0 for every other byte. One
+/// load answers both questions the tokenizer asks of a byte — does it
+/// continue a run, and what does the hash fold — so the scan has one branch
+/// per byte instead of a class test and a case fold.
+static FOLD: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        if byte.is_ascii_alphanumeric() {
+            table[b] = byte.to_ascii_lowercase();
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Replace `out` with the token hashes of `text` in text order, repeats
+/// kept — what [`TokenHashes`] yields, collected in the same single pass
+/// that reports whether any token byte is upper-case ASCII, i.e. whether
+/// `text` differs from its ASCII lower case at all. The request builders
+/// read both from one scan of the URL.
+pub(crate) fn hash_tokens_into(text: &[u8], out: &mut Vec<u64>) -> bool {
+    out.clear();
+    let mut folded_any = false;
+    let mut hash = FNV_OFFSET;
+    let mut run = 0usize;
+    for &b in text {
+        let folded = FOLD[usize::from(b)];
+        if folded != 0 {
+            folded_any |= folded != b;
+            hash = fnv1a64_step(hash, folded);
+            run += 1;
+        } else {
+            if run >= TOKEN_MIN_LEN {
+                out.push(hash);
+            }
+            hash = FNV_OFFSET;
+            run = 0;
+        }
+    }
+    if run >= TOKEN_MIN_LEN {
+        out.push(hash);
+    }
+    folded_any
+}
+
 /// One maximal alphanumeric run found by [`TokenHashes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
@@ -98,7 +145,7 @@ impl Iterator for TokenHashes<'_> {
     fn next(&mut self) -> Option<Token> {
         loop {
             // Skip to the next alphanumeric byte.
-            while self.pos < self.text.len() && !self.text[self.pos].is_ascii_alphanumeric() {
+            while self.pos < self.text.len() && FOLD[usize::from(self.text[self.pos])] == 0 {
                 self.pos += 1;
             }
             if self.pos >= self.text.len() {
@@ -106,8 +153,12 @@ impl Iterator for TokenHashes<'_> {
             }
             let start = self.pos;
             let mut hash = FNV_OFFSET;
-            while self.pos < self.text.len() && self.text[self.pos].is_ascii_alphanumeric() {
-                hash = fnv1a64_step(hash, self.text[self.pos].to_ascii_lowercase());
+            while let Some(&b) = self.text.get(self.pos) {
+                let folded = FOLD[usize::from(b)];
+                if folded == 0 {
+                    break;
+                }
+                hash = fnv1a64_step(hash, folded);
                 self.pos += 1;
             }
             if self.pos - start >= TOKEN_MIN_LEN {
@@ -274,6 +325,50 @@ impl std::hash::Hasher for TokenHashHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The tokenizer spelled out byte by byte, as it was before the fold
+    /// table: a run is ASCII alphanumeric bytes, folded to lower case.
+    fn reference_tokens(text: &[u8]) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        let mut start = 0;
+        while start < text.len() {
+            let run = text[start..]
+                .iter()
+                .take_while(|b| b.is_ascii_alphanumeric())
+                .count();
+            if run >= TOKEN_MIN_LEN {
+                let lower: Vec<u8> = text[start..start + run]
+                    .iter()
+                    .map(u8::to_ascii_lowercase)
+                    .collect();
+                tokens.push(Token {
+                    start,
+                    end: start + run,
+                    hash: fnv1a64(&lower),
+                });
+            }
+            start += run.max(1);
+        }
+        tokens
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn the_fold_table_tokenizes_arbitrary_bytes_as_the_byte_fold_does(
+            text in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..48),
+        ) {
+            let expected = reference_tokens(&text);
+            prop_assert_eq!(TokenHashes::new(&text).collect::<Vec<_>>(), expected.clone());
+            let mut hashes = vec![1, 2, 3];
+            let folded = hash_tokens_into(&text, &mut hashes);
+            let expected_hashes: Vec<u64> = expected.iter().map(|t| t.hash).collect();
+            prop_assert_eq!(hashes, expected_hashes);
+            prop_assert_eq!(folded, text.iter().any(u8::is_ascii_uppercase));
+        }
+    }
 
     fn hashes(text: &str) -> Vec<u64> {
         token_hashes(text).map(|t| t.hash).collect()

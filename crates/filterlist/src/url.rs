@@ -114,31 +114,41 @@ struct Authority<'a> {
 impl<'a> Authority<'a> {
     /// `None` when `url` has neither a scheme followed by `://` nor a
     /// leading `//`. A `://` further in (a URL carried in a query or in an
-    /// opaque URL's data) is not the scheme separator.
+    /// opaque URL's data) is not the scheme separator: a scheme admits no
+    /// `:`, so only the URL's first `:` can begin it. Every delimiter is
+    /// ASCII, so the scans are byte scans and their offsets char
+    /// boundaries.
     fn of(url: &'a str) -> Option<Self> {
-        let start = match url.find("://") {
-            Some(idx) if is_scheme(&url[..idx]) => idx + 3,
-            _ if url.starts_with("//") => 2,
+        let bytes = url.as_bytes();
+        let start = match bytes.iter().position(|&b| b == b':') {
+            Some(colon) if bytes[colon + 1..].starts_with(b"//") && is_scheme(&url[..colon]) => {
+                colon + 3
+            }
+            _ if bytes.starts_with(b"//") => 2,
             _ => return None,
         };
         // Authority ends at the first `/`, `?` or `#`.
-        let end = url[start..]
-            .find(['/', '?', '#'])
+        let end = bytes[start..]
+            .iter()
+            .position(|&b| matches!(b, b'/' | b'?' | b'#'))
             .map_or(url.len(), |idx| start + idx);
-        let authority = &url[start..end];
         // Strip userinfo if present.
-        let (hostport, host_start) = match authority.rfind('@') {
-            Some(at) => (&authority[at + 1..], start + at + 1),
-            None => (authority, start),
-        };
+        let host_start = bytes[start..end]
+            .iter()
+            .rposition(|&b| b == b'@')
+            .map_or(start, |at| start + at + 1);
+        let hostport = &bytes[host_start..end];
         // An all-digit tail after the last `:` is a port, not hostname.
-        let host = match hostport.rfind(':') {
-            Some(colon) if hostport[colon + 1..].chars().all(|c| c.is_ascii_digit()) => {
-                &hostport[..colon]
+        let host_end = match hostport.iter().rposition(|&b| b == b':') {
+            Some(colon) if hostport[colon + 1..].iter().all(u8::is_ascii_digit) => {
+                host_start + colon
             }
-            _ => hostport,
+            _ => end,
         };
-        Some(Authority { host, host_start })
+        Some(Authority {
+            host: &url[host_start..host_end],
+            host_start,
+        })
     }
 }
 
@@ -159,6 +169,90 @@ impl fmt::Display for ParsedUrl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `str::find` derivation [`Authority::of`] replaced, kept as its
+    /// oracle: `(host, host_start)`.
+    fn reference_authority(url: &str) -> Option<(&str, usize)> {
+        let start = match url.find("://") {
+            Some(idx) if is_scheme(&url[..idx]) => idx + 3,
+            _ if url.starts_with("//") => 2,
+            _ => return None,
+        };
+        let end = url[start..]
+            .find(['/', '?', '#'])
+            .map_or(url.len(), |idx| start + idx);
+        let authority = &url[start..end];
+        let (hostport, host_start) = match authority.rfind('@') {
+            Some(at) => (&authority[at + 1..], start + at + 1),
+            None => (authority, start),
+        };
+        let host = match hostport.rfind(':') {
+            Some(colon) if hostport[colon + 1..].chars().all(|c| c.is_ascii_digit()) => {
+                &hostport[..colon]
+            }
+            _ => hostport,
+        };
+        Some((host, host_start))
+    }
+
+    /// URL-shaped text built to reach every branch of the authority scan:
+    /// mixed case, userinfo, ports, `[::1]`, scheme-relative, a `://` in a
+    /// query or in opaque data, `data:`/`mailto:`, trailing dots, signed IP
+    /// parts, non-ASCII.
+    fn arb_url_text() -> impl Strategy<Value = String> {
+        let scheme = prop_oneof![
+            "https://",
+            "HTTP://",
+            "//",
+            "/",
+            "",
+            "data:",
+            "mailto:",
+            "view-source+x.y://",
+            "[-a-zA-Z+.]{0,4}:",
+            "ü://",
+            "h:ttp://",
+        ];
+        let userinfo = prop_oneof!["", "", "user@", "User:Pw@", "a@b@", "ü@"];
+        let host = prop_oneof![
+            "[a-zA-Z]{1,6}(\\.[a-zA-Z]{1,6}){0,3}\\.?",
+            "[a-z]{1,4}\\.\\.",
+            "\\+[0-9]{1,2}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}",
+            "[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}",
+            "\\[::1\\]",
+            "bücher\\.example",
+            "",
+        ];
+        let port = prop_oneof!["", "", ":8080", ":", ":80a", "::1", ":ü"];
+        let rest = prop_oneof![
+            "",
+            "/[-a-zA-Z0-9/._:@]{0,12}",
+            "\\?u=https://[a-z]{2,6}\\.io/p",
+            "/r\\?u=//x\\.io:1@y",
+            "#frag://z",
+            "\\PC{0,16}",
+        ];
+        (scheme, userinfo, host, port, rest).prop_map(|(scheme, userinfo, host, port, rest)| {
+            format!("{scheme}{userinfo}{host}{port}{rest}")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn the_byte_scan_finds_the_authority_the_str_search_did(url in arb_url_text()) {
+            let scanned = Authority::of(&url).map(|a| (a.host, a.host_start));
+            prop_assert_eq!(scanned, reference_authority(&url), "{:?}", url);
+        }
+
+        #[test]
+        fn the_byte_scan_agrees_on_arbitrary_text(url in "\\PC{0,24}") {
+            let scanned = Authority::of(&url).map(|a| (a.host, a.host_start));
+            prop_assert_eq!(scanned, reference_authority(&url), "{:?}", url);
+        }
+    }
 
     #[test]
     fn parses_basic_https_url() {

@@ -7,6 +7,8 @@ mod common;
 use common::expected_verdict;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use trackersift_suite::filterlist::url::hostname_of;
+use trackersift_suite::filterlist::RequestScratch;
 use trackersift_suite::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -189,6 +191,47 @@ fn verdicts_for_interned_keys_do_not_allocate() {
     let (allocations, verdict) = allocations_during(|| table.verdict(&miss));
     assert_eq!(verdict, Verdict::Unknown);
     assert_eq!(allocations, 0, "unknown-key verdicts must not allocate");
+}
+
+#[test]
+fn labeling_a_crawl_through_a_warm_scratch_does_not_allocate() {
+    // The label stage of the paper-profile study (500 sites, seed 2021):
+    // build each request's view in one reused scratch and ask the oracle.
+    let study = Study::run(StudyConfig::default().with_sites(500));
+    let rows: Vec<(&str, &str, ResourceType)> = study
+        .requests
+        .iter()
+        .map(|request| {
+            let page = hostname_of(&request.top_level_url);
+            (&*request.url, page, request.resource_type)
+        })
+        .collect();
+    // Some URLs have upper-case bytes, so the lower-case copy is exercised.
+    let folded = rows
+        .iter()
+        .filter(|(url, ..)| url.bytes().any(|b| b.is_ascii_uppercase()))
+        .count();
+    assert!(folded > 1000, "{folded} URLs with upper-case bytes");
+
+    let engine = &study.engine;
+    let label_all = |scratch: &mut RequestScratch| {
+        let mut tracking = 0usize;
+        for &(url, page, kind) in &rows {
+            let view = scratch.view(url, page, kind).expect("a labeled URL parses");
+            tracking += usize::from(engine.label_view(&view).is_tracking());
+        }
+        tracking
+    };
+    let mut scratch = RequestScratch::new();
+    assert_eq!(label_all(&mut scratch), study.label_stats.tracking);
+    let (allocations, tracking) = allocations_during(|| label_all(&mut scratch));
+    assert_eq!(tracking, study.label_stats.tracking);
+    assert_eq!(
+        allocations,
+        0,
+        "RequestScratch::view + label_view allocated over {} warm requests",
+        rows.len()
+    );
 }
 
 // ---------------------------------------------------------------------------
