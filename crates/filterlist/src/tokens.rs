@@ -68,33 +68,15 @@ static FOLD: [u8; 256] = {
 };
 
 /// Replace `out` with the token hashes of `text` in text order, repeats
-/// kept — what [`TokenHashes`] yields, collected in the same single pass
-/// that reports whether any token byte is upper-case ASCII, i.e. whether
-/// `text` differs from its ASCII lower case at all. The request builders
-/// read both from one scan of the URL.
+/// kept — collected from [`TokenHashes`], whose scan also reports whether
+/// any byte is upper-case ASCII, i.e. whether `text` differs from its ASCII
+/// lower case at all. The request builders read both from one scan of the
+/// URL.
 pub(crate) fn hash_tokens_into(text: &[u8], out: &mut Vec<u64>) -> bool {
     out.clear();
-    let mut folded_any = false;
-    let mut hash = FNV_OFFSET;
-    let mut run = 0usize;
-    for &b in text {
-        let folded = FOLD[usize::from(b)];
-        if folded != 0 {
-            folded_any |= folded != b;
-            hash = fnv1a64_step(hash, folded);
-            run += 1;
-        } else {
-            if run >= TOKEN_MIN_LEN {
-                out.push(hash);
-            }
-            hash = FNV_OFFSET;
-            run = 0;
-        }
-    }
-    if run >= TOKEN_MIN_LEN {
-        out.push(hash);
-    }
-    folded_any
+    let mut tokens = TokenHashes::new(text);
+    out.extend(tokens.by_ref().map(|t| t.hash));
+    tokens.folded
 }
 
 /// One maximal alphanumeric run found by [`TokenHashes`].
@@ -130,12 +112,20 @@ impl Token {
 pub struct TokenHashes<'a> {
     text: &'a [u8],
     pos: usize,
+    /// Whether a byte scanned so far is upper-case ASCII. Upper-case bytes
+    /// are alphanumeric, so the run loop visits every one of them, short
+    /// runs included; once the iterator is exhausted this covers `text`.
+    folded: bool,
 }
 
 impl<'a> TokenHashes<'a> {
     /// Tokenize a byte slice.
     pub fn new(text: &'a [u8]) -> Self {
-        TokenHashes { text, pos: 0 }
+        TokenHashes {
+            text,
+            pos: 0,
+            folded: false,
+        }
     }
 }
 
@@ -158,6 +148,7 @@ impl Iterator for TokenHashes<'_> {
                 if folded == 0 {
                     break;
                 }
+                self.folded |= folded != b;
                 hash = fnv1a64_step(hash, folded);
                 self.pos += 1;
             }
