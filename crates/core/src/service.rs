@@ -1337,7 +1337,11 @@ impl Sifter {
     /// export after [`Sifter::commit`] to round-trip the exact serving
     /// state.
     pub fn snapshot(&self) -> SifterSnapshot {
-        let keys: Vec<String> = self.interner.iter().map(|(_, s)| s.to_string()).collect();
+        let keys: Vec<Arc<str>> = self
+            .interner
+            .iter()
+            .map(|(key, _)| self.interner.resolve_shared(key))
+            .collect();
         let mut hostnames: Vec<(u32, u32)> = self
             .host_meta
             .iter()

@@ -18,8 +18,16 @@
 //!
 //! # Format and versioning
 //!
-//! Snapshots serialise through the dependency-free [`crawler::json`] codec
-//! as a single JSON object:
+//! A snapshot is one JSON object. [`SifterSnapshot::to_json_string`]
+//! streams it straight into one buffer sized up front, through the
+//! tree-less writers of the dependency-free [`crawler::json`] codec
+//! ([`write_string`](crawler::json::write_string),
+//! [`write_u64`](crawler::json::write_u64),
+//! [`write_number`](crawler::json::write_number)): no
+//! [`Value`] tree, no vector per row. The keys are shared with the
+//! sifter's interner (`Arc<str>`), so an export copies each key string
+//! once, into the text. [`SifterSnapshot::parse`] reads it back through
+//! [`Value::parse`].
 //!
 //! ```json
 //! {
@@ -50,8 +58,9 @@
 //! render to byte-identical snapshots — the round-trip property the
 //! service tests pin down.
 
-use crawler::json::{object, JsonError, Value};
+use crawler::json::{self, JsonError, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from decoding or restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,8 +112,8 @@ pub struct SifterSnapshot {
     pub(crate) threshold: f64,
     /// Total observations the state accumulates.
     pub(crate) observed: u64,
-    /// Interner string table, in id order.
-    pub(crate) keys: Vec<String>,
+    /// Interner string table, in id order, shared with the interner.
+    pub(crate) keys: Vec<Arc<str>>,
     /// `(hostname id, domain id)` rows, sorted.
     pub(crate) hostnames: Vec<(u32, u32)>,
     /// `(method id, script id, method-name id)` rows, sorted.
@@ -140,9 +149,57 @@ impl SifterSnapshot {
         self.cells.len()
     }
 
-    /// Render to the canonical (deterministic) JSON text.
+    /// Render to the canonical (deterministic) JSON text, streamed into one
+    /// buffer (see the [module docs](self)).
+    ///
+    /// # Panics
+    /// Panics if `observed` or a count exceeds 2^53, or the threshold is not
+    /// finite: JSON cannot carry either exactly.
     pub fn to_json_string(&self) -> String {
-        self.to_json_value().render()
+        let mut out = Vec::with_capacity(self.text_len_bound());
+        out.extend_from_slice(b"{\"format\":");
+        json::write_string(&mut out, Self::FORMAT);
+        out.extend_from_slice(b",\"version\":");
+        json::write_u64(&mut out, u64::from(Self::FORMAT_VERSION));
+        out.extend_from_slice(b",\"threshold\":");
+        json::write_number(&mut out, self.threshold);
+        out.extend_from_slice(b",\"observed\":");
+        json::write_u64(&mut out, self.observed);
+        out.extend_from_slice(b",\"keys\":[");
+        for (i, key) in self.keys.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            json::write_string(&mut out, key);
+        }
+        out.extend_from_slice(b"],\"hostnames\":");
+        write_rows(&mut out, &self.hostnames, |&(h, d)| [h.into(), d.into()]);
+        out.extend_from_slice(b",\"methods\":");
+        write_rows(&mut out, &self.methods, |&(m, s, n)| {
+            [m.into(), s.into(), n.into()]
+        });
+        out.extend_from_slice(b",\"cells\":");
+        write_rows(&mut out, &self.cells, |&(m, h, t, f)| {
+            [m.into(), h.into(), t, f]
+        });
+        out.push(b'}');
+        String::from_utf8(out).expect("the JSON writers emit UTF-8")
+    }
+
+    /// The capacity the text is written into: its length or more, unless a
+    /// key needs an escape or the threshold prints long. An id has no more
+    /// digits than the key count, a count in a consistent snapshot no more
+    /// than `observed`, and the envelope takes under 256 bytes.
+    fn text_len_bound(&self) -> usize {
+        let digits = |n: u64| n.checked_ilog10().map_or(1, |log| log as usize + 1);
+        let id = digits(self.keys.len() as u64);
+        let count = digits(self.observed);
+        // A key, its quotes and its comma; a row, its brackets and commas.
+        let keys: usize = self.keys.iter().map(|key| key.len() + 3).sum();
+        256 + keys
+            + self.hostnames.len() * (2 * id + 4)
+            + self.methods.len() * (3 * id + 5)
+            + self.cells.len() * (2 * id + 2 * count + 6)
     }
 
     /// Parse from JSON text, validating format marker, version, and
@@ -235,69 +292,26 @@ fn envelope_error(value: &Value) -> Option<SnapshotError> {
     None
 }
 
-impl SifterSnapshot {
-    /// Build the JSON representation.
-    pub fn to_json_value(&self) -> Value {
-        object(vec![
-            ("format", Value::String(Self::FORMAT.to_string())),
-            (
-                "version",
-                Value::number_u64(u64::from(Self::FORMAT_VERSION)),
-            ),
-            ("threshold", Value::Number(self.threshold)),
-            ("observed", Value::number_u64(self.observed)),
-            (
-                "keys",
-                Value::Array(self.keys.iter().map(|k| Value::String(k.clone())).collect()),
-            ),
-            (
-                "hostnames",
-                Value::Array(
-                    self.hostnames
-                        .iter()
-                        .map(|&(h, d)| {
-                            Value::Array(vec![
-                                Value::number_u64(u64::from(h)),
-                                Value::number_u64(u64::from(d)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "methods",
-                Value::Array(
-                    self.methods
-                        .iter()
-                        .map(|&(m, s, n)| {
-                            Value::Array(vec![
-                                Value::number_u64(u64::from(m)),
-                                Value::number_u64(u64::from(s)),
-                                Value::number_u64(u64::from(n)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cells",
-                Value::Array(
-                    self.cells
-                        .iter()
-                        .map(|&(m, h, t, f)| {
-                            Value::Array(vec![
-                                Value::number_u64(u64::from(m)),
-                                Value::number_u64(u64::from(h)),
-                                Value::number_u64(t),
-                                Value::number_u64(f),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+/// Write `rows` as a JSON array with one array of integers per row.
+fn write_rows<T, const N: usize>(out: &mut Vec<u8>, rows: &[T], fields: impl Fn(&T) -> [u64; N]) {
+    out.push(b'[');
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(b'[');
+        for (j, field) in fields(row).into_iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            json::write_u64(out, field);
+        }
+        out.push(b']');
     }
+    out.push(b']');
+}
 
+impl SifterSnapshot {
     /// Decode from a JSON node.
     pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
         // Delegate acceptance to the shared envelope check (one source of
@@ -317,7 +331,7 @@ impl SifterSnapshot {
             .field("keys")?
             .as_array()?
             .iter()
-            .map(|k| k.as_str().map(str::to_string))
+            .map(|k| k.as_str().map(Arc::from))
             .collect::<Result<Vec<_>, _>>()?;
         let hostnames = value
             .field("hostnames")?
@@ -378,6 +392,189 @@ impl SifterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crawler::json::object;
+    use proptest::prelude::*;
+
+    /// The tree encoder the streaming writer replaced, kept as its oracle.
+    fn tree_oracle(snapshot: &SifterSnapshot) -> Value {
+        let ids = |ids: &[u32]| {
+            Value::Array(
+                ids.iter()
+                    .map(|&id| Value::number_u64(u64::from(id)))
+                    .collect(),
+            )
+        };
+        object(vec![
+            ("format", Value::String(SifterSnapshot::FORMAT.to_string())),
+            (
+                "version",
+                Value::number_u64(u64::from(SifterSnapshot::FORMAT_VERSION)),
+            ),
+            ("threshold", Value::Number(snapshot.threshold)),
+            ("observed", Value::number_u64(snapshot.observed)),
+            (
+                "keys",
+                Value::Array(
+                    snapshot
+                        .keys
+                        .iter()
+                        .map(|k| Value::String(k.to_string()))
+                        .collect(),
+                ),
+            ),
+            (
+                "hostnames",
+                Value::Array(
+                    snapshot
+                        .hostnames
+                        .iter()
+                        .map(|&(h, d)| ids(&[h, d]))
+                        .collect(),
+                ),
+            ),
+            (
+                "methods",
+                Value::Array(
+                    snapshot
+                        .methods
+                        .iter()
+                        .map(|&(m, s, n)| ids(&[m, s, n]))
+                        .collect(),
+                ),
+            ),
+            (
+                "cells",
+                Value::Array(
+                    snapshot
+                        .cells
+                        .iter()
+                        .map(|&(m, h, t, f)| {
+                            Value::Array(vec![
+                                Value::number_u64(u64::from(m)),
+                                Value::number_u64(u64::from(h)),
+                                Value::number_u64(t),
+                                Value::number_u64(f),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    /// A key character: every byte the writer escapes, 0x20 and 0x7f
+    /// beside them, multi-byte UTF-8, and plain runs.
+    fn key_char(index: usize) -> char {
+        match index {
+            0..=0x20 => char::from(index as u8),
+            0x21 => '"',
+            0x22 => '\\',
+            0x23 => '\u{7f}',
+            0x24 => 'é',
+            0x25 => '中',
+            0x26 => '🦀',
+            _ => 'a',
+        }
+    }
+
+    /// Keys of 0–40 characters, so escapes land at every offset of a word.
+    fn arb_keys() -> impl Strategy<Value = Vec<Arc<str>>> {
+        prop::collection::vec(
+            prop::collection::vec(0usize..48, 0..41).prop_map(|chars| {
+                Arc::<str>::from(chars.into_iter().map(key_char).collect::<String>())
+            }),
+            0..12,
+        )
+    }
+
+    /// Counts from small to exactly 2^53.
+    fn arb_count() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..4,
+            0u64..(1 << 53) + 1,
+            (1u64 << 53) - 2..(1 << 53) + 1
+        ]
+    }
+
+    fn arb_threshold() -> impl Strategy<Value = f64> {
+        const PICKED: [f64; 8] = [2.0, 1.5, 0.25, 0.0, 3.0, 1e-7, 1e300, 123.456];
+        prop_oneof![(0usize..PICKED.len()).prop_map(|i| PICKED[i]), 0.0f64..8.0]
+    }
+
+    /// `snapshot` with its ids brought into range and its counts clamped
+    /// so they sum to at most 2^53, empty cells dropped and `observed`
+    /// set to the sum: a snapshot `parse` accepts.
+    fn made_valid(mut snapshot: SifterSnapshot) -> SifterSnapshot {
+        let keys = snapshot.keys.len() as u32;
+        if keys == 0 {
+            snapshot.hostnames.clear();
+            snapshot.methods.clear();
+            snapshot.cells.clear();
+        }
+        let id = |id: u32| id % keys.max(1);
+        for (h, d) in &mut snapshot.hostnames {
+            (*h, *d) = (id(*h), id(*d));
+        }
+        for (m, s, n) in &mut snapshot.methods {
+            (*m, *s, *n) = (id(*m), id(*s), id(*n));
+        }
+        let mut budget = 1u64 << 53;
+        snapshot.cells.retain_mut(|(m, h, t, f)| {
+            (*m, *h) = (id(*m), id(*h));
+            *t = (*t).min(budget);
+            budget -= *t;
+            *f = (*f).min(budget);
+            budget -= *f;
+            *t + *f > 0
+        });
+        snapshot.observed = (1 << 53) - budget;
+        snapshot
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_streamed_text_is_the_tree_oracles_render(
+            keys in arb_keys(),
+            threshold in arb_threshold(),
+            observed in arb_count(),
+            hostnames in prop::collection::vec((0u32..u32::MAX, 0u32..u32::MAX), 0..8),
+            methods in prop::collection::vec((0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX), 0..8),
+            cells in prop::collection::vec(
+                (0u32..u32::MAX, 0u32..u32::MAX, arb_count(), arb_count()),
+                0..8,
+            ),
+        ) {
+            // Any rows, in range or not: the same bytes as the tree.
+            let wild = SifterSnapshot { threshold, observed, keys, hostnames, methods, cells };
+            prop_assert_eq!(wild.to_json_string(), tree_oracle(&wild).render());
+            // A consistent snapshot also parses back to itself.
+            let valid = made_valid(wild);
+            let text = valid.to_json_string();
+            prop_assert_eq!(&text, &tree_oracle(&valid).render());
+            prop_assert_eq!(SifterSnapshot::parse(&text), Ok(valid));
+        }
+    }
+
+    #[test]
+    fn the_paper_corpus_snapshot_is_the_tree_oracles_render() {
+        // The snapshot `bench_e2e --workload study` exports every iteration:
+        // 500 sites of the paper profile at seed 2021.
+        let study = crate::Study::run(crate::StudyConfig::default().with_sites(500));
+        let snapshot = study.sifter().snapshot();
+        let text = snapshot.to_json_string();
+        assert_eq!(text.len(), 980_235);
+        assert!(text == tree_oracle(&snapshot).render());
+    }
+
+    #[test]
+    #[should_panic(expected = "2^53")]
+    fn a_count_above_2_pow_53_is_refused_at_encode() {
+        let mut snapshot = sample();
+        snapshot.cells[0].2 = (1 << 53) + 1;
+        snapshot.to_json_string();
+    }
 
     fn sample() -> SifterSnapshot {
         SifterSnapshot {

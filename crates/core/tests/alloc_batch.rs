@@ -2,13 +2,14 @@
 //! labeled request points at the strings its crawl record already holds —
 //! so a labeled request costs its frame vector and a share of its site's
 //! few per-host keys; and the classifier allocates per distinct resource
-//! key, never per request.
+//! key, never per request. Exporting a trained sifter's snapshot costs a
+//! handful of buffers, never one per key or row.
 
 use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase};
 use filterlist::FilterEngine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use trackersift::{HierarchicalClassifier, LabeledRequest, Labeler, Thresholds};
+use trackersift::{HierarchicalClassifier, LabeledRequest, Labeler, Sifter, Thresholds};
 use websim::{filter_rules, CorpusGenerator, CorpusProfile};
 
 // ---------------------------------------------------------------------------
@@ -52,16 +53,16 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (after - before, result)
 }
 
-/// A 60-site crawl and the filter engine of its ecosystem.
-fn crawl() -> (CrawlDatabase, FilterEngine) {
-    let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(60), 2021);
+/// A crawl of `sites` sites and the filter engine of its ecosystem.
+fn crawl(sites: usize) -> (CrawlDatabase, FilterEngine) {
+    let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(sites), 2021);
     let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
     (db, filter_rules::engine_for(&corpus.ecosystem))
 }
 
 #[test]
 fn labeling_a_crawl_costs_at_most_four_allocations_per_request() {
-    let (db, engine) = crawl();
+    let (db, engine) = crawl(60);
     let labeler = Labeler::new(&engine);
     // The crawl is warm — every string it will lend out is allocated — and
     // the first pass shows the labeler keeps nothing that a second could
@@ -81,7 +82,7 @@ fn labeling_a_crawl_costs_at_most_four_allocations_per_request() {
 
 #[test]
 fn classification_allocates_per_distinct_key_not_per_request() {
-    let (db, engine) = crawl();
+    let (db, engine) = crawl(60);
     let (requests, _) = Labeler::new(&engine).label_database(&db);
     let classifier = HierarchicalClassifier::new(Thresholds::paper());
     let (once, hierarchy) = allocations_during(|| classifier.classify(&requests));
@@ -108,4 +109,24 @@ fn classification_allocates_per_distinct_key_not_per_request() {
         thrice <= once + 32,
         "{once} allocations for the crawl, {thrice} for three of it"
     );
+}
+
+#[test]
+fn exporting_a_snapshot_allocates_a_handful_of_buffers() {
+    let (db, engine) = crawl(200);
+    let (requests, _) = Labeler::new(&engine).label_database(&db);
+    let mut sifter = Sifter::builder().thresholds(Thresholds::paper()).build();
+    sifter.observe_all(&requests);
+    sifter.commit();
+    let (allocations, text) = allocations_during(|| sifter.snapshot().to_json_string());
+    let snapshot = sifter.snapshot();
+    assert!(
+        snapshot.key_count() > 1_000,
+        "{} keys",
+        snapshot.key_count()
+    );
+    assert!(text.len() > 100_000, "{} bytes", text.len());
+    // Four row vectors (keys, hostnames, methods, cells) and the text: no
+    // key copy, no vector per row.
+    assert!(allocations <= 8, "{allocations} allocations");
 }

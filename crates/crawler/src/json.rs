@@ -7,7 +7,10 @@
 //! bytes (a property the persistence tests rely on). A type with a JSON form
 //! has an inherent `to_json_value` / `from_json_value` pair over [`Value`],
 //! as the event and database types in [`crate::events`] and
-//! [`crate::database`] do.
+//! [`crate::database`] do. A large document on a hot path is written
+//! straight into a byte buffer instead, with no tree, through
+//! [`write_string`], [`write_u64`] and [`write_number`] — the same
+//! renderers [`Value::render`] uses, so the bytes cannot differ.
 //!
 //! There is one tokenizer, the pull [`Reader`]: [`Value::parse`] builds its
 //! tree through it, and a consumer that wants a few fields of a document on
@@ -15,7 +18,6 @@
 //! instead, borrowing the strings and building no tree.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,10 +62,7 @@ impl Value {
     /// # Panics
     /// Panics if `value` exceeds 2^53.
     pub fn number_u64(value: u64) -> Value {
-        assert!(
-            value <= 1 << 53,
-            "integer {value} exceeds 2^53 and is not exactly representable in JSON"
-        );
+        assert_exact_integer(value);
         Value::Number(value as f64)
     }
 
@@ -129,17 +128,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => {
-                assert!(
-                    n.is_finite(),
-                    "non-finite number {n} is not representable in JSON"
-                );
-                if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
+            Value::Number(n) => render_number(*n, out),
             Value::String(s) => render_string(s, out),
             Value::Array(items) => {
                 out.push('[');
@@ -175,15 +164,22 @@ impl Value {
     }
 }
 
-/// What a string literal is rendered into: the `String` of
-/// [`Value::render`], or the byte buffer of [`write_string`].
+/// What JSON text is rendered into: the `String` of [`Value::render`], or
+/// the byte buffer of the tree-less writers ([`write_string`],
+/// [`write_u64`], [`write_number`]).
 trait Sink {
     fn put(&mut self, text: &str);
+    /// Append bytes that are all ASCII.
+    fn put_ascii(&mut self, ascii: &[u8]);
 }
 
 impl Sink for String {
     fn put(&mut self, text: &str) {
         self.push_str(text);
+    }
+
+    fn put_ascii(&mut self, ascii: &[u8]) {
+        self.push_str(std::str::from_utf8(ascii).expect("ASCII is UTF-8"));
     }
 }
 
@@ -191,36 +187,114 @@ impl Sink for Vec<u8> {
     fn put(&mut self, text: &str) {
         self.extend_from_slice(text.as_bytes());
     }
+
+    fn put_ascii(&mut self, ascii: &[u8]) {
+        self.extend_from_slice(ascii);
+    }
+}
+
+const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+
+/// Flags the bytes of `word` below `n` (at most 0x80): `(x - n·0x01…) &
+/// !x & 0x80…` has its lowest set bit in the lowest such byte. Bits above
+/// it may be borrows, so only the lowest is read.
+fn bytes_below(word: u64, n: u8) -> u64 {
+    word.wrapping_sub(ONES * u64::from(n)) & !word & HIGHS
+}
+
+/// The position of the first byte at or after `at` that ends a literal
+/// run — `"`, `\` or, with `controls`, any byte below 0x20 — or
+/// `bytes.len()` if none does. Multi-byte UTF-8 units are all >= 0x80 and
+/// never match, so the position is a char boundary. Eight bytes are tested
+/// per step: a byte of `word ^ pattern` is zero exactly where `word` holds
+/// the pattern's byte.
+#[inline]
+fn literal_run_end(bytes: &[u8], mut at: usize, controls: bool) -> usize {
+    while let Some(chunk) = bytes.get(at..at + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte slice"));
+        let mut found = bytes_below(word ^ (ONES * u64::from(b'"')), 1)
+            | bytes_below(word ^ (ONES * u64::from(b'\\')), 1);
+        if controls {
+            found |= bytes_below(word, 0x20);
+        }
+        if found != 0 {
+            return at + found.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    let rest = &bytes[at..];
+    at + rest
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20))
+        .unwrap_or(rest.len())
 }
 
 fn render_string(s: &str, out: &mut impl Sink) {
-    out.put("\"");
+    out.put_ascii(b"\"");
     // Copy the runs between escapes whole; every escaped character is one
     // ASCII byte, so the run boundaries are char boundaries.
+    let bytes = s.as_bytes();
     let mut run_start = 0;
-    for (at, byte) in s.bytes().enumerate() {
-        let escape = match byte {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
+    loop {
+        let at = literal_run_end(bytes, run_start, true);
         out.put(&s[run_start..at]);
-        if escape.is_empty() {
-            const HEX: &[u8; 16] = b"0123456789abcdef";
-            let digits = [HEX[usize::from(byte >> 4)], HEX[usize::from(byte & 0xf)]];
-            out.put("\\u00");
-            out.put(std::str::from_utf8(&digits).expect("hex digits are ascii"));
-        } else {
-            out.put(escape);
+        let Some(&byte) = bytes.get(at) else {
+            break;
+        };
+        match byte {
+            b'"' => out.put_ascii(b"\\\""),
+            b'\\' => out.put_ascii(b"\\\\"),
+            b'\n' => out.put_ascii(b"\\n"),
+            b'\r' => out.put_ascii(b"\\r"),
+            b'\t' => out.put_ascii(b"\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let (high, low) = (HEX[usize::from(byte >> 4)], HEX[usize::from(byte & 0xf)]);
+                out.put_ascii(&[b'\\', b'u', b'0', b'0', high, low]);
+            }
         }
         run_start = at + 1;
     }
-    out.put(&s[run_start..]);
-    out.put("\"");
+    out.put_ascii(b"\"");
+}
+
+fn render_u64(n: u64, out: &mut impl Sink) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.put_ascii(&digits[at..]);
+}
+
+fn render_number(n: f64, out: &mut impl Sink) {
+    assert!(
+        n.is_finite(),
+        "non-finite number {n} is not representable in JSON"
+    );
+    if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+        let integer = n as i64;
+        if integer < 0 {
+            out.put_ascii(b"-");
+        }
+        render_u64(integer.unsigned_abs(), out);
+    } else {
+        out.put(&n.to_string());
+    }
+}
+
+fn assert_exact_integer(value: u64) {
+    assert!(
+        value <= 1 << 53,
+        "integer {value} exceeds 2^53 and is not exactly representable in JSON"
+    );
 }
 
 /// Append `s` to a byte buffer as a JSON string literal, quotes and
@@ -228,6 +302,27 @@ fn render_string(s: &str, out: &mut impl Sink) {
 /// [`Value::String`], for responses assembled without a tree.
 pub fn write_string(out: &mut Vec<u8>, s: &str) {
     render_string(s, out);
+}
+
+/// Append `n` to a byte buffer as a JSON integer — byte-identical to how
+/// [`Value::render`] writes [`Value::number_u64`]`(n)`.
+///
+/// # Panics
+/// Panics if `n` exceeds 2^53, as [`Value::number_u64`] does.
+#[inline]
+pub fn write_u64(out: &mut Vec<u8>, n: u64) {
+    assert_exact_integer(n);
+    render_u64(n, out);
+}
+
+/// Append `n` to a byte buffer as a JSON number — byte-identical to how
+/// [`Value::render`] writes a [`Value::Number`]: an integral value within
+/// 2^53 as an integer, any other in Rust's shortest round-trip form.
+///
+/// # Panics
+/// Panics if `n` is not finite.
+pub fn write_number(out: &mut Vec<u8>, n: f64) {
+    render_number(n, out);
 }
 
 /// Maximum container nesting the reader accepts. Crawl databases nest four
@@ -383,33 +478,11 @@ impl<'a> Reader<'a> {
             .map_err(|_| JsonError(format!("invalid number `{text}`")))
     }
 
-    /// Advance to the next `"` or `\` (or the end of the document).
-    /// Multi-byte UTF-8 units are all >= 0x80 and can never collide with
-    /// either, so a byte scan is safe, the cursor stops on a char boundary,
-    /// and string reading stays linear in the document size. Eight bytes
-    /// are tested per step: a byte of `word ^ pattern` is zero exactly
-    /// where `word` holds the pattern's byte, and `(x - 0x01…) & !x &
-    /// 0x80…` has its lowest set bit in the lowest zero byte of `x`.
+    /// Advance to the next `"` or `\` (or the end of the document), eight
+    /// bytes a step; the cursor stops on a char boundary and string reading
+    /// stays linear in the document size.
     fn skip_literal_run(&mut self) {
-        const ONES: u64 = u64::from_le_bytes([0x01; 8]);
-        const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
-        let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
-        let bytes = self.text.as_bytes();
-        while let Some(chunk) = bytes.get(self.pos..self.pos + 8) {
-            let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte slice"));
-            let found = zero_bytes(word ^ (ONES * u64::from(b'"')))
-                | zero_bytes(word ^ (ONES * u64::from(b'\\')));
-            if found != 0 {
-                self.pos += found.trailing_zeros() as usize / 8;
-                return;
-            }
-            self.pos += 8;
-        }
-        let rest = &bytes[self.pos..];
-        self.pos += rest
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\')
-            .unwrap_or(rest.len());
+        self.pos = literal_run_end(self.text.as_bytes(), self.pos, false);
     }
 
     /// Consume a string. The result borrows from the document unless the
@@ -706,6 +779,95 @@ mod tests {
         assert_eq!(bytes, rendered.as_bytes());
         assert!(rendered.contains("\\u001f") && rendered.contains("\\n"));
         assert_eq!(Value::parse(&rendered).unwrap().as_str().unwrap(), original);
+    }
+
+    /// The byte-at-a-time escaper the word scan replaced.
+    fn reference_render_string(s: &str) -> String {
+        let mut out = vec![b'"'];
+        for byte in s.bytes() {
+            match byte {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                0..=0x1f => out.extend_from_slice(format!("\\u{byte:04x}").as_bytes()),
+                _ => out.push(byte),
+            }
+        }
+        out.push(b'"');
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn render_string_equals_a_byte_at_a_time_escaper_at_every_alignment() {
+        // Every byte the scan stops on, and its neighbours 0x20 and 0x7f,
+        // at every offset into an eight-byte step, after ASCII and
+        // multi-byte runs alike, alone, repeated and back to back.
+        let specials: Vec<char> = (0u8..=0x20)
+            .chain([b'"', b'\\', 0x7f])
+            .map(char::from)
+            .collect();
+        for filler in ["a", "é", "🦀", " ~"] {
+            for run in 0..20 {
+                let plain = filler.repeat(run);
+                for &special in &specials {
+                    for text in [
+                        plain.clone(),
+                        format!("{plain}{special}"),
+                        format!("{plain}{special}{plain}"),
+                        format!("{special}{plain}{special}{special}"),
+                    ] {
+                        let mut rendered = String::new();
+                        render_string(&text, &mut rendered);
+                        assert_eq!(rendered, reference_render_string(&text), "{text:?}");
+                        let mut bytes = Vec::new();
+                        write_string(&mut bytes, &text);
+                        assert_eq!(bytes, rendered.as_bytes());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn number_writers_match_the_formatting_they_replaced() {
+        for n in [0u64, 1, 9, 10, 99, 12_345, u64::from(u32::MAX), 1 << 53] {
+            let mut bytes = Vec::new();
+            write_u64(&mut bytes, n);
+            assert_eq!(bytes, n.to_string().as_bytes());
+            assert_eq!(Value::number_u64(n).render(), n.to_string());
+        }
+        for n in [
+            0.0f64,
+            -0.0,
+            2.0,
+            -7.0,
+            1.5,
+            0.25,
+            0.1,
+            -2.5,
+            1e-7,
+            1e300,
+            9007199254740994.0,
+        ] {
+            let formatted = if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            };
+            let mut bytes = Vec::new();
+            write_number(&mut bytes, n);
+            assert_eq!(bytes, formatted.as_bytes());
+            assert_eq!(Value::Number(n).render(), formatted);
+            assert_eq!(Value::parse(&formatted).unwrap(), Value::Number(n));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2^53")]
+    fn the_integer_writer_refuses_what_number_u64_refuses() {
+        write_u64(&mut Vec::new(), (1u64 << 53) + 1);
     }
 
     #[test]
