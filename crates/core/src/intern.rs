@@ -10,7 +10,7 @@
 //! zero allocation. A symbol is its string's position in first-seen order
 //! ([`ResourceKey::index`]), so whoever holds symbols can keep per-key
 //! state in a dense vector instead of a second map — the batch classifier
-//! does, level by level.
+//! and the sifter do.
 //!
 //! The lookup maps hash with [`TokenHashBuilder`], which folds a string
 //! eight bytes per multiply and a symbol in one; it is unkeyed, and ids come
@@ -189,6 +189,18 @@ impl KeyInterner {
         self.strings.push(Arc::clone(&stored));
         self.lookup.insert(stored, id);
         id
+    }
+
+    /// [`KeyInterner::intern`] that first tries `hint`, the id the caller
+    /// expects `key` to have (the sifter passes the key it interned for the
+    /// previous row): when that id's string is `key`, no hash is taken.
+    /// Strings are stored once each, so the answer is the id `intern` would
+    /// return, whatever the hint — absent, stale or another key's.
+    pub(crate) fn intern_hinted(&mut self, hint: Option<ResourceKey>, key: &str) -> ResourceKey {
+        match hint {
+            Some(id) if self.strings.get(id.index()).is_some_and(|s| **s == *key) => id,
+            _ => self.intern(key),
+        }
     }
 
     /// Intern the method-granularity key for a `(script, method)` pair.
@@ -400,6 +412,33 @@ mod tests {
         }
         assert_eq!(frozen.key_for_id(3), None);
         assert_eq!(frozen.key_for_id(u32::MAX), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_hinted_intern_returns_the_id_intern_would(
+            keys in proptest::collection::vec(0usize..6, 0..40),
+            hints in proptest::collection::vec(proptest::option::of(0u32..8), 40..41),
+        ) {
+            // Two interners fed the same sequence, one with a hint per key:
+            // absent, the previous key's id, another key's id, or an id no
+            // key has yet (stale).
+            let (mut plain, mut hinted) = (KeyInterner::new(), KeyInterner::new());
+            let mut previous = None;
+            for (&key, &hint) in keys.iter().zip(&hints) {
+                let key = format!("k{key}");
+                let hint = match hint {
+                    Some(0) => previous,
+                    other => other.map(ResourceKey),
+                };
+                let id = hinted.intern_hinted(hint, &key);
+                proptest::prop_assert_eq!(id, plain.intern(&key));
+                proptest::prop_assert_eq!(hinted.len(), plain.len());
+                previous = Some(id);
+            }
+        }
     }
 
     /// Every string the 500-site paper corpus (seed 2021) interns on its

@@ -38,14 +38,17 @@
 //! folds many). A raw URL is labeled through a
 //! [`RequestScratch`] the sifter keeps, and its hostname and domain are
 //! slices of that view, so a fold whose keys are already interned allocates
-//! nothing. A fold accumulates count cells in
+//! nothing. A fold accumulates one count cell per `(method, hostname)` in
 //! `fold_cell`, which a snapshot restore feeds too. [`Sifter::commit`]
 //! walks the four levels coarsest first; a phase states only what differs
 //! per level — who is a member, what its counts are, whom a mixedness flip
-//! dirties — and `write_class` alone writes a committed class (entry map,
-//! dense class table, method residue) and reports the flip. The committed
-//! state of all four levels lives in one array indexed by
-//! [`Granularity::index`], so a fifth level is an entry, not a fifth copy.
+//! dirties — and `write_class` alone writes a committed class (member
+//! counts, dense class table, member count, method residue) and reports
+//! the flip. The committed state of all four levels lives in one array
+//! indexed by [`Granularity::index`], so a fifth level is an entry, not a
+//! fifth copy. No per-key state is hashed: a key is already a dense id, so
+//! each level keeps a slot table indexed by [`ResourceKey::index`] and its
+//! keys' state in vectors indexed by slot.
 //!
 //! # How incremental commits stay equivalent to batch classification
 //!
@@ -55,12 +58,14 @@
 //! domain, so domain- and hostname-level counts are unconditional and can
 //! be accumulated directly. A script, however, fires requests at many
 //! hostnames, and only the slice that flows through mixed hostnames counts
-//! at script level. The sifter therefore keeps the per-`(script, hostname)`
-//! and per-`(method, hostname)` count cells, and a commit recomputes a
-//! dirty script or method by summing its cells over the currently-mixed
-//! hostnames. Classification flips propagate downward through adjacency
-//! lists (domain → its hostnames → their scripts → their methods), so a
-//! commit touches exactly the resources whose verdicts could have changed.
+//! at script level. The sifter therefore keeps one count cell per
+//! `(method, hostname)`, and a commit recomputes a dirty method by summing
+//! its cells over the currently-mixed hostnames, and a dirty script by
+//! summing its methods' — a method key determines its script, so that is
+//! the script's own slice. Classification flips propagate downward through
+//! adjacency lists (domain → its hostnames → the methods on them, and each
+//! method's script), so a commit touches exactly the resources whose
+//! verdicts could have changed.
 //!
 //! # Serving concurrency
 //!
@@ -91,14 +96,9 @@ use crawler::json::{object, JsonError, Value};
 use filterlist::tokens::TokenHashBuilder;
 use filterlist::{FilterEngine, ListKind, RequestLabel, RequestScratch, ResourceType};
 use rewriter::UrlRewriter;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-type KeyMap<V> = HashMap<ResourceKey, V, TokenHashBuilder>;
-type PairMap<V> = HashMap<(ResourceKey, ResourceKey), V, TokenHashBuilder>;
-type KeySet = HashSet<ResourceKey, TokenHashBuilder>;
 
 /// The answer to one [`VerdictTable::verdict`] query.
 ///
@@ -502,26 +502,89 @@ struct MethodMeta {
     name: ResourceKey,
 }
 
-/// Committed (servable) state of one resource at one level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LevelEntry {
-    counts: Counts,
-    classification: Classification,
+/// The keys one [`Sifter::apply`] interned, which the next row's strings
+/// are compared with before they are hashed: rows of one page arrive
+/// together.
+#[derive(Debug, Clone, Copy)]
+struct RowKeys {
+    domain: ResourceKey,
+    hostname: ResourceKey,
+    script: ResourceKey,
+    name: ResourceKey,
+    method: ResourceKey,
 }
 
-impl LevelEntry {
-    fn is_mixed(&self) -> bool {
-        self.classification == Classification::Mixed
+/// Keys marked for the next commit, in first-marked order, with one mark
+/// per key so each is listed once. Clearing keeps the list's capacity, so
+/// marking the same keys again allocates nothing.
+#[derive(Debug, Default)]
+struct DirtySet {
+    keys: Vec<ResourceKey>,
+    marked: Vec<bool>,
+}
+
+impl DirtySet {
+    fn insert(&mut self, key: ResourceKey) {
+        let index = key.index();
+        if index >= self.marked.len() {
+            self.marked.resize(index + 1, false);
+        }
+        if !std::mem::replace(&mut self.marked[index], true) {
+            self.keys.push(key);
+        }
+    }
+
+    fn clear(&mut self) {
+        for key in self.keys.drain(..) {
+            self.marked[key.index()] = false;
+        }
     }
 }
 
-/// Add every dependent `dependents_of` lists for `key` to a finer level's
-/// dirty set — the downward propagation of a mixedness flip. (Free
-/// function: the dirty sets and the adjacency lists are disjoint fields of
-/// the sifter.)
-fn mark_dirty(dirty: &mut KeySet, dependents_of: &KeyMap<Vec<ResourceKey>>, key: ResourceKey) {
-    if let Some(dependents) = dependents_of.get(&key) {
-        dirty.extend(dependents.iter().copied());
+/// The keys folded at one level, each given a dense slot in first-seen
+/// order, and each slot's committed counts. A slot indexes its key's
+/// state in the level's vectors, which are sized by the level's keys, not
+/// by the interner's: on a crawl about one key in eight is a domain or a
+/// hostname, and more than half are method keys.
+#[derive(Debug, Default)]
+struct Level {
+    /// Slot per interned key, indexed by [`ResourceKey::index`];
+    /// `Level::NONE` for keys never folded at this level.
+    slots: Vec<u32>,
+    /// The committed counts of each slot's key; empty counts mean "not a
+    /// member" (a member's class is in the sifter's class table).
+    committed: Vec<Counts>,
+}
+
+impl Level {
+    const NONE: u32 = u32::MAX;
+
+    fn slot(&self, key: ResourceKey) -> Option<usize> {
+        match self.slots.get(key.index()) {
+            Some(&slot) if slot != Self::NONE => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    /// Give `key`, which has none, the next slot.
+    fn add(&mut self, key: ResourceKey) -> usize {
+        let index = key.index();
+        if index >= self.slots.len() {
+            self.slots.resize(index + 1, Self::NONE);
+        }
+        let slot = self.committed.len();
+        self.slots[index] = slot as u32;
+        self.committed.push(Counts::new());
+        slot
+    }
+
+    /// `(key id, slot)` of every key folded at this level, in id order.
+    fn iter(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != Self::NONE)
+            .map(|(key, &slot)| (key as u32, slot as usize))
     }
 }
 
@@ -601,21 +664,20 @@ impl SifterBuilder {
             labels: LabelMemo::default(),
             rewriter: self.rewriter,
             interner: KeyInterner::new(),
-            domain_counts: KeyMap::default(),
-            host_meta: KeyMap::default(),
-            method_meta: KeyMap::default(),
-            script_host: PairMap::default(),
-            method_host: PairMap::default(),
-            hosts_of_domain: KeyMap::default(),
-            scripts_of_host: KeyMap::default(),
-            methods_of_host: KeyMap::default(),
-            hosts_of_script: KeyMap::default(),
-            hosts_of_method: KeyMap::default(),
-            methods_of_script: KeyMap::default(),
-            entries: Default::default(),
+            last_row: None,
+            levels: Default::default(),
+            domain_counts: Vec::new(),
+            hosts_of_domain: Vec::new(),
+            host_meta: Vec::new(),
+            methods_of_host: Vec::new(),
+            methods_of_script: Vec::new(),
+            method_meta: Vec::new(),
+            cells: Vec::new(),
+            members: [0; 4],
             dirty: Default::default(),
+            plans_dirty: DirtySet::default(),
             classes: ClassTable::default(),
-            surrogates: KeyMap::default(),
+            surrogates: HashMap::default(),
             frozen: None,
             changed: Vec::new(),
             plans_changed: Vec::new(),
@@ -683,45 +745,53 @@ pub struct Sifter {
     labels: LabelMemo,
     rewriter: Option<Arc<UrlRewriter>>,
     interner: KeyInterner,
+    /// The keys the last [`Sifter::apply`] interned (see [`RowKeys`]).
+    last_row: Option<RowKeys>,
 
-    // -- raw accumulated observations (updated by `apply`) --
-    /// Unconditional counts per domain.
-    domain_counts: KeyMap<Counts>,
-    /// Owning domain + unconditional counts per hostname.
-    host_meta: KeyMap<HostMeta>,
-    /// Script and name symbols per method key.
-    method_meta: KeyMap<MethodMeta>,
-    /// Count cells per `(script, hostname)` pair.
-    script_host: PairMap<Counts>,
-    /// Count cells per `(method, hostname)` pair.
-    method_host: PairMap<Counts>,
-
-    // -- adjacency (first-seen order, deduplicated by the cell maps) --
-    hosts_of_domain: KeyMap<Vec<ResourceKey>>,
-    scripts_of_host: KeyMap<Vec<ResourceKey>>,
-    methods_of_host: KeyMap<Vec<ResourceKey>>,
-    hosts_of_script: KeyMap<Vec<ResourceKey>>,
-    hosts_of_method: KeyMap<Vec<ResourceKey>>,
-    methods_of_script: KeyMap<Vec<ResourceKey>>,
+    // -- accumulated observations, grown only by `fold_cell` and the two
+    // `register_*` calls it makes on a new hostname or method --
+    /// Per level, indexed by [`Granularity::index`]: the slot of every key
+    /// folded at that level, and each slot's committed counts. The members
+    /// are every committed domain; hostnames whose domain is mixed; scripts
+    /// with requests through mixed hostnames; methods of mixed scripts.
+    /// Every vector below is indexed by the slot of its level.
+    levels: [Level; 4],
+    /// Per domain: unconditional counts, and its hostnames in first-seen
+    /// order.
+    domain_counts: Vec<Counts>,
+    hosts_of_domain: Vec<Vec<ResourceKey>>,
+    /// Per hostname: owning domain + unconditional counts, and the methods
+    /// with a cell on it in first-seen order.
+    host_meta: Vec<HostMeta>,
+    methods_of_host: Vec<Vec<ResourceKey>>,
+    /// Per script: its methods in first-seen order.
+    methods_of_script: Vec<Vec<ResourceKey>>,
+    /// Per method: its script and name symbols, and the one count cell
+    /// store — one `(hostname, counts)` cell per hostname the method was
+    /// observed on, in first-seen order. A script's cells are its methods'.
+    method_meta: Vec<MethodMeta>,
+    cells: Vec<Vec<(ResourceKey, Counts)>>,
 
     // -- committed serving state (written only by `write_class`) --
-    /// The members of each level, indexed by [`Granularity::index`]: every
-    /// committed domain; hostnames whose domain is mixed; scripts with
-    /// requests through mixed hostnames; methods of mixed scripts.
-    entries: [KeyMap<LevelEntry>; 4],
+    /// Member keys per level, indexed by [`Granularity::index`].
+    members: [usize; 4],
     /// Per level, the resources the next `commit` reclassifies.
-    dirty: [KeySet; 4],
+    dirty: [DirtySet; 4],
+    /// Scripts whose surrogate plan the running `commit` must rebuild;
+    /// empty between commits.
+    plans_dirty: DirtySet,
 
     // -- the flattened serving representation (see `crate::table`) --
     /// Dense committed classifications per granularity, patched in place
-    /// alongside `entries`.
+    /// alongside the levels' committed counts — the one copy of every
+    /// committed class.
     classes: ClassTable,
     /// Surrogate plans (with their preformatted wire frames) for every
     /// committed mixed script, maintained incrementally by `commit` (only
     /// scripts whose classification or member methods changed are rebuilt).
     /// `Arc` payloads so publishing a [`VerdictTable`] clones pointers, not
     /// strings.
-    surrogates: KeyMap<SurrogateEntry>,
+    surrogates: HashMap<ResourceKey, SurrogateEntry, TokenHashBuilder>,
     /// Cached frozen key view for publishing [`VerdictTable`]s; refreshed
     /// lazily when the interner has grown since the last freeze.
     frozen: Option<Arc<FrozenKeys>>,
@@ -801,7 +871,7 @@ impl Sifter {
 
     /// Number of committed member resources at a granularity.
     pub fn committed_resources(&self, granularity: Granularity) -> usize {
-        self.entries[granularity.index()].len()
+        self.members[granularity.index()]
     }
 
     // -----------------------------------------------------------------
@@ -850,7 +920,9 @@ impl Sifter {
     pub fn apply(&mut self, observation: ObservationRef<'_>) -> ObserveOutcome {
         // Both arms intern the claimed domain and then the hostname (a
         // label-memo hit reuses the ids its triple interned then), so key
-        // ids do not depend on which form a row takes.
+        // ids do not depend on which form a row takes. Each string is first
+        // compared with the key the previous row interned for it.
+        let last = self.last_row;
         let (domain, hostname, script, method, label) = match observation {
             ObservationRef::Parts {
                 domain,
@@ -859,8 +931,10 @@ impl Sifter {
                 method,
                 tracking,
             } => {
-                let domain = self.interner.intern(domain);
-                let hostname = self.interner.intern(hostname);
+                let domain = self.interner.intern_hinted(last.map(|r| r.domain), domain);
+                let hostname = self
+                    .interner
+                    .intern_hinted(last.map(|r| r.hostname), hostname);
                 let label = if tracking {
                     RequestLabel::Tracking
                 } else {
@@ -915,9 +989,19 @@ impl Sifter {
                 (domain, hostname, script, method, label)
             }
         };
-        let s = self.interner.intern(script);
-        let name = self.interner.intern(method);
-        let m = self.interner.intern_method_pair(s, name);
+        let s = self.interner.intern_hinted(last.map(|r| r.script), script);
+        let name = self.interner.intern_hinted(last.map(|r| r.name), method);
+        let m = match last {
+            Some(row) if (row.script, row.name) == (s, name) => row.method,
+            _ => self.interner.intern_method_pair(s, name),
+        };
+        self.last_row = Some(RowKeys {
+            domain,
+            hostname,
+            script: s,
+            name,
+            method: m,
+        });
         let mut counts = Counts::new();
         counts.record(label.is_tracking());
         self.fold_cell(domain, hostname, s, name, m, counts);
@@ -946,9 +1030,10 @@ impl Sifter {
     }
 
     /// Accumulate `counts` requests of method `m` (script `s`, method-name
-    /// symbol `name`) on hostname `h`: the one place the raw count cells,
-    /// the adjacency lists and the dirty sets grow. One observation is a
-    /// cell of one request; a snapshot restore feeds whole cells.
+    /// symbol `name`) on hostname `h`: the one place the count cells — one
+    /// per `(method, hostname)` — the adjacency lists and the dirty sets
+    /// grow. One observation is a cell of one request; a snapshot restore
+    /// feeds whole cells.
     fn fold_cell(
         &mut self,
         claimed: ResourceKey,
@@ -958,46 +1043,32 @@ impl Sifter {
         m: ResourceKey,
         counts: Counts,
     ) {
+        let [domains, hosts, _, methods] = Granularity::ALL.map(Granularity::index);
         // Resolve the *effective* domain first: the hostname's first-seen
         // domain wins, so domain counts and hostname ownership can never
         // disagree.
-        let d = match self.host_meta.entry(h) {
-            Entry::Occupied(mut entry) => {
-                let meta = entry.get_mut();
-                if meta.domain != claimed {
-                    self.ingest.conflicting_domains += 1;
-                }
-                meta.counts.merge(counts);
-                meta.domain
-            }
-            Entry::Vacant(entry) => {
-                entry.insert(HostMeta {
-                    domain: claimed,
-                    counts,
-                });
-                self.hosts_of_domain.entry(claimed).or_default().push(h);
-                claimed
-            }
+        let hs = match self.levels[hosts].slot(h) {
+            Some(hs) => hs,
+            None => self.register_host(h, claimed),
         };
-        self.domain_counts.entry(d).or_default().merge(counts);
-        if let Entry::Vacant(entry) = self.method_meta.entry(m) {
-            entry.insert(MethodMeta { script: s, name });
-            self.methods_of_script.entry(s).or_default().push(m);
+        let meta = &mut self.host_meta[hs];
+        if meta.domain != claimed {
+            self.ingest.conflicting_domains += 1;
         }
-        match self.script_host.entry((s, h)) {
-            Entry::Occupied(mut entry) => entry.get_mut().merge(counts),
-            Entry::Vacant(entry) => {
-                entry.insert(counts);
-                self.scripts_of_host.entry(h).or_default().push(s);
-                self.hosts_of_script.entry(s).or_default().push(h);
-            }
-        }
-        match self.method_host.entry((m, h)) {
-            Entry::Occupied(mut entry) => entry.get_mut().merge(counts),
-            Entry::Vacant(entry) => {
-                entry.insert(counts);
-                self.methods_of_host.entry(h).or_default().push(m);
-                self.hosts_of_method.entry(m).or_default().push(h);
+        meta.counts.merge(counts);
+        let d = meta.domain;
+        let ds = self.levels[domains].slot(d).expect("a hostname's domain");
+        self.domain_counts[ds].merge(counts);
+        let ms = match self.levels[methods].slot(m) {
+            Some(ms) => ms,
+            None => self.register_method(m, s, name),
+        };
+        let cells = &mut self.cells[ms];
+        match cells.iter_mut().find(|(host, _)| *host == h) {
+            Some((_, cell)) => cell.merge(counts),
+            None => {
+                cells.push((h, counts));
+                self.methods_of_host[hs].push(m);
             }
         }
 
@@ -1007,6 +1078,45 @@ impl Sifter {
         }
         self.ingest.observed += counts.total();
         self.ingest.pending += counts.total();
+    }
+
+    /// Give hostname `h` a slot owned by domain `d` (which gets one too if
+    /// it has none), with no counts yet; returns the hostname's slot.
+    fn register_host(&mut self, h: ResourceKey, d: ResourceKey) -> usize {
+        let [domains, hosts, ..] = Granularity::ALL.map(Granularity::index);
+        let ds = match self.levels[domains].slot(d) {
+            Some(ds) => ds,
+            None => {
+                self.domain_counts.push(Counts::new());
+                self.hosts_of_domain.push(Vec::new());
+                self.levels[domains].add(d)
+            }
+        };
+        self.hosts_of_domain[ds].push(h);
+        self.host_meta.push(HostMeta {
+            domain: d,
+            counts: Counts::new(),
+        });
+        self.methods_of_host.push(Vec::new());
+        self.levels[hosts].add(h)
+    }
+
+    /// Give method `m` of script `s` (which gets a slot too if it has
+    /// none) a slot with no cells yet; returns the method's slot.
+    fn register_method(&mut self, m: ResourceKey, s: ResourceKey, name: ResourceKey) -> usize {
+        let [_, _, scripts, methods] = Granularity::ALL.map(Granularity::index);
+        let ss = match self.levels[scripts].slot(s) {
+            Some(ss) => ss,
+            None => {
+                self.methods_of_script.push(Vec::new());
+                self.levels[scripts].add(s)
+            }
+        };
+        self.methods_of_script[ss].push(m);
+        self.method_meta.push(MethodMeta { script: s, name });
+        // Most methods are only ever seen on one hostname.
+        self.cells.push(Vec::with_capacity(1));
+        self.levels[methods].add(m)
     }
 
     /// Fold all pending observations into the servable state by
@@ -1033,70 +1143,91 @@ impl Sifter {
         };
         self.changed.clear();
         self.plans_changed.clear();
-        let [_, hosts, scripts, methods] = Granularity::ALL.map(Granularity::index);
+        let [domains, hosts, scripts, methods] = Granularity::ALL.map(Granularity::index);
+
+        // Each phase walks its level's dirty list by position: a phase
+        // marks only finer levels, so its own list stays put until it is
+        // cleared.
 
         // Phase 1: domains. Every observed domain is a member; a flip
         // changes the membership of the domain's entire hostname set.
-        let dirty = self.take_dirty(Granularity::Domain);
-        stats.domains = dirty.len();
-        for d in dirty {
-            let counts = self.domain_counts[&d];
-            if self.write_class(Granularity::Domain, d, Some(counts)) {
-                mark_dirty(&mut self.dirty[hosts], &self.hosts_of_domain, d);
+        stats.domains = self.dirty[domains].keys.len();
+        for i in 0..stats.domains {
+            let d = self.dirty[domains].keys[i];
+            let ds = self.slot(Granularity::Domain, d);
+            if self.write_class(Granularity::Domain, d, Some(self.domain_counts[ds])) {
+                for &h in &self.hosts_of_domain[ds] {
+                    self.dirty[hosts].insert(h);
+                }
             }
         }
+        self.dirty[domains].clear();
 
         // Phase 2: hostnames. Membership = the owning domain is mixed; a
-        // flip changes which cells count toward every script/method seen
-        // on this host.
-        let dirty = self.take_dirty(Granularity::Hostname);
-        stats.hostnames = dirty.len();
-        for h in dirty {
-            let meta = self.host_meta[&h];
+        // flip changes which cells count toward every method seen on this
+        // host, and so toward each method's script.
+        stats.hostnames = self.dirty[hosts].keys.len();
+        for i in 0..stats.hostnames {
+            let h = self.dirty[hosts].keys[i];
+            let hs = self.slot(Granularity::Hostname, h);
+            let meta = self.host_meta[hs];
             let member = self
                 .is_mixed(Granularity::Domain, meta.domain)
                 .then_some(meta.counts);
             if self.write_class(Granularity::Hostname, h, member) {
-                mark_dirty(&mut self.dirty[scripts], &self.scripts_of_host, h);
-                mark_dirty(&mut self.dirty[methods], &self.methods_of_host, h);
+                for &m in &self.methods_of_host[hs] {
+                    let ms = self.levels[methods].slot(m).expect("a folded method");
+                    self.dirty[methods].insert(m);
+                    self.dirty[scripts].insert(self.method_meta[ms].script);
+                }
             }
         }
+        self.dirty[hosts].clear();
 
         // Phase 3: scripts. A script's level counts are the sum of its
-        // cells over currently mixed hostnames; zero total means the script
-        // is not a member of the level at all.
-        let dirty = self.take_dirty(Granularity::Script);
-        stats.scripts = dirty.len();
-        // Scripts whose surrogate plan must be rebuilt after phase 4: the
-        // reclassified scripts themselves, plus (below) the owning script
-        // of every reclassified method. Everything else keeps its cached
-        // plan, so plan maintenance stays proportional to the delta.
-        let mut plans_dirty: KeySet = dirty.iter().copied().collect();
-        for s in dirty {
-            let counts = self.member_counts(s, &self.hosts_of_script, &self.script_host);
+        // methods' cells over currently mixed hostnames; zero total means
+        // the script is not a member of the level at all. Each reclassified
+        // script's surrogate plan is rebuilt after phase 4, and so is the
+        // plan of each reclassified method's script (below). Everything
+        // else keeps its cached plan, so plan maintenance stays
+        // proportional to the delta.
+        stats.scripts = self.dirty[scripts].keys.len();
+        for i in 0..stats.scripts {
+            let s = self.dirty[scripts].keys[i];
+            let ss = self.slot(Granularity::Script, s);
+            self.plans_dirty.insert(s);
+            let mut counts = Counts::new();
+            for &m in &self.methods_of_script[ss] {
+                counts.merge(self.member_counts(m));
+            }
             if self.write_class(Granularity::Script, s, Some(counts)) {
-                mark_dirty(&mut self.dirty[methods], &self.methods_of_script, s);
+                for &m in &self.methods_of_script[ss] {
+                    self.dirty[methods].insert(m);
+                }
             }
         }
+        self.dirty[scripts].clear();
 
         // Phase 4: methods. Membership = the owning script is mixed (and
         // the method has cells on mixed hostnames); mixed member methods
         // are the residue.
-        let dirty = self.take_dirty(Granularity::Method);
-        stats.methods = dirty.len();
-        for m in dirty {
-            let script = self.method_meta[&m].script;
-            plans_dirty.insert(script);
+        stats.methods = self.dirty[methods].keys.len();
+        for i in 0..stats.methods {
+            let m = self.dirty[methods].keys[i];
+            let script = self.method_meta[self.slot(Granularity::Method, m)].script;
+            self.plans_dirty.insert(script);
             let member = self
                 .is_mixed(Granularity::Script, script)
-                .then(|| self.member_counts(m, &self.hosts_of_method, &self.method_host));
+                .then(|| self.member_counts(m));
             self.write_class(Granularity::Method, m, member);
         }
+        self.dirty[methods].clear();
 
         // Refresh the surrogate plans of exactly the scripts this commit
         // could have changed: a committed-mixed script (re)gains its plan,
         // everything else drops out of the map.
-        for s in plans_dirty {
+        for i in 0..self.plans_dirty.keys.len() {
+            let s = self.plans_dirty.keys[i];
             let mixed = self.is_mixed(Granularity::Script, s);
             let changed = match mixed.then(|| self.plan_for_script(s)).flatten() {
                 Some(plan) => {
@@ -1110,6 +1241,7 @@ impl Sifter {
                 self.plans_changed.push(s);
             }
         }
+        self.plans_dirty.clear();
 
         self.ingest.committed = self.ingest.observed;
         self.ingest.pending = 0;
@@ -1118,78 +1250,65 @@ impl Sifter {
         stats
     }
 
-    /// Drain one level's dirty set for reclassification.
-    fn take_dirty(&mut self, level: Granularity) -> Vec<ResourceKey> {
-        self.dirty[level.index()].drain().collect()
+    /// The slot of `key`, which was folded at `level`.
+    fn slot(&self, level: Granularity, key: ResourceKey) -> usize {
+        self.levels[level.index()]
+            .slot(key)
+            .expect("a folded key has a slot")
     }
 
     /// Whether `key` is a committed member of `level` classified mixed —
     /// the condition every finer level's membership hangs on.
     fn is_mixed(&self, level: Granularity, key: ResourceKey) -> bool {
-        self.entries[level.index()]
-            .get(&key)
-            .is_some_and(LevelEntry::is_mixed)
+        self.classes.class(level, key) == Some(Classification::Mixed)
     }
 
     /// Commit the class of `key` at `level`: classify `member`'s counts
     /// (`None` or empty counts = not a member of the level), and write the
-    /// result to the entry map, the dense class table and the method-level
-    /// residue together — the only place any of the three changes — and
-    /// record the class change, if any, for the commit's revision. Returns
-    /// whether the key's mixedness flipped, i.e. whether the next level's
-    /// membership moved with it.
+    /// result to the member counts, the dense class table, the member
+    /// count and the method-level residue together — the only place any of
+    /// them changes — and record the class change, if any, for the
+    /// commit's revision. Returns whether the key's mixedness flipped, i.e.
+    /// whether the next level's membership moved with it.
     fn write_class(
         &mut self,
         level: Granularity,
         key: ResourceKey,
         member: Option<Counts>,
     ) -> bool {
-        let entry = member
-            .filter(|counts| !counts.is_empty())
-            .map(|counts| LevelEntry {
-                counts,
-                classification: self
-                    .thresholds
-                    .classify(&counts)
-                    .expect("nonzero counts classify"),
-            });
-        let entries = &mut self.entries[level.index()];
-        let previous = match entry {
-            Some(entry) => entries.insert(key, entry),
-            None => entries.remove(&key),
-        };
-        let class = entry.map(|entry| entry.classification);
+        let counts = member.unwrap_or_default();
+        let class = (!counts.is_empty()).then(|| {
+            self.thresholds
+                .classify(&counts)
+                .expect("nonzero counts classify")
+        });
+        let previous = self.classes.class(level, key);
+        let slot = self.slot(level, key);
+        let previous_counts =
+            std::mem::replace(&mut self.levels[level.index()].committed[slot], counts);
         self.classes.set(level, key, class);
-        if let Some(kind) = ChangeKind::of(previous.map(|entry| entry.classification), class) {
+        let members = &mut self.members[level.index()];
+        *members = *members + usize::from(class.is_some()) - usize::from(previous.is_some());
+        if let Some(kind) = ChangeKind::of(previous, class) {
             self.changed.push((level, key, kind));
         }
         // Mixed member methods are the residue.
-        let mixed_requests = |entry: Option<LevelEntry>| {
-            entry
-                .filter(LevelEntry::is_mixed)
-                .map(|entry| entry.counts.total())
-        };
-        let (was, now) = (mixed_requests(previous), mixed_requests(entry));
+        let mixed = |class| class == Some(Classification::Mixed);
         if level == Granularity::Method {
-            self.residue_requests = self.residue_requests - was.unwrap_or(0) + now.unwrap_or(0);
+            let requests = |class, counts: Counts| if mixed(class) { counts.total() } else { 0 };
+            self.residue_requests = self.residue_requests - requests(previous, previous_counts)
+                + requests(class, counts);
         }
-        was.is_some() != now.is_some()
+        mixed(previous) != mixed(class)
     }
 
-    /// Sum a resource's count cells over the currently mixed hostnames it
+    /// Sum a method's count cells over the currently mixed hostnames it
     /// was observed on.
-    fn member_counts(
-        &self,
-        key: ResourceKey,
-        hosts_of: &KeyMap<Vec<ResourceKey>>,
-        cells: &PairMap<Counts>,
-    ) -> Counts {
+    fn member_counts(&self, m: ResourceKey) -> Counts {
         let mut counts = Counts::new();
-        if let Some(hosts) = hosts_of.get(&key) {
-            for &h in hosts {
-                if self.is_mixed(Granularity::Hostname, h) {
-                    counts.merge(cells[&(key, h)]);
-                }
+        for &(h, cell) in &self.cells[self.slot(Granularity::Method, m)] {
+            if self.is_mixed(Granularity::Hostname, h) {
+                counts.merge(cell);
             }
         }
         counts
@@ -1215,20 +1334,23 @@ impl Sifter {
     /// suppress nothing, exactly the conservative degradation the batch
     /// path applies when divergence analysis finds nothing.
     fn plan_for_script(&self, script: ResourceKey) -> Option<SurrogateScript> {
-        let methods = self.methods_of_script.get(&script)?;
-        let mut plans: Vec<MethodPlan> = methods
-            .iter()
-            .filter_map(|m| {
-                let entry = self.entries[Granularity::Method.index()].get(m)?;
-                Some(MethodPlan {
-                    name: self.interner.resolve(self.method_meta[m].name).to_string(),
-                    classification: entry.classification,
-                    tracking: entry.counts.tracking,
-                    functional: entry.counts.functional,
-                    blocked_callers: Vec::new(),
-                })
+        let methods = &self.levels[Granularity::Method.index()];
+        let mut plans: Vec<MethodPlan> = self.methods_of_script
+            [self.slot(Granularity::Script, script)]
+        .iter()
+        .filter_map(|&m| {
+            let classification = self.classes.class(Granularity::Method, m)?;
+            let ms = methods.slot(m)?;
+            let counts = methods.committed[ms];
+            Some(MethodPlan {
+                name: self.interner.resolve(self.method_meta[ms].name).to_string(),
+                classification,
+                tracking: counts.tracking,
+                functional: counts.functional,
+                blocked_callers: Vec::new(),
             })
-            .collect();
+        })
+        .collect();
         if plans.is_empty() {
             return None;
         }
@@ -1315,12 +1437,16 @@ impl Sifter {
     }
 
     fn level(&self, granularity: Granularity) -> LevelResult {
-        let resources: Vec<ResourceEntry> = self.entries[granularity.index()]
+        let level = &self.levels[granularity.index()];
+        let resources: Vec<ResourceEntry> = self
+            .interner
             .iter()
-            .map(|(&k, entry)| ResourceEntry {
-                key: self.interner.resolve(k).to_string(),
-                counts: entry.counts,
-                classification: entry.classification,
+            .filter_map(|(k, key)| {
+                Some(ResourceEntry {
+                    classification: self.classes.class(granularity, k)?,
+                    key: key.to_string(),
+                    counts: level.committed[level.slot(k)?],
+                })
             })
             .collect();
         let input_requests = match granularity {
@@ -1342,43 +1468,39 @@ impl Sifter {
             .iter()
             .map(|(key, _)| self.interner.resolve_shared(key))
             .collect();
-        let mut hostnames: Vec<(u32, u32)> = self
-            .host_meta
-            .iter()
-            .map(|(&h, meta)| (h.index() as u32, meta.domain.index() as u32))
-            .collect();
-        hostnames.sort_unstable();
-        let mut methods: Vec<(u32, u32, u32)> = self
-            .method_meta
-            .iter()
-            .map(|(&m, meta)| {
-                (
-                    m.index() as u32,
-                    meta.script.index() as u32,
-                    meta.name.index() as u32,
-                )
-            })
-            .collect();
-        methods.sort_unstable();
-        let mut cells: Vec<(u32, u32, u64, u64)> = self
-            .method_host
-            .iter()
-            .map(|(&(m, h), counts)| {
-                (
-                    m.index() as u32,
-                    h.index() as u32,
-                    counts.tracking,
-                    counts.functional,
-                )
-            })
-            .collect();
-        cells.sort_unstable();
+        // Rows come out in id order (cells by method, then hostname), each
+        // vector sized before it is filled.
+        let (hosts, methods) = (
+            &self.levels[Granularity::Hostname.index()],
+            &self.levels[Granularity::Method.index()],
+        );
+        let mut hostnames = Vec::with_capacity(self.host_meta.len());
+        hostnames.extend(
+            hosts
+                .iter()
+                .map(|(h, hs)| (h, self.host_meta[hs].domain.index() as u32)),
+        );
+        let mut method_rows = Vec::with_capacity(self.method_meta.len());
+        method_rows.extend(methods.iter().map(|(m, ms)| {
+            let meta = self.method_meta[ms];
+            (m, meta.script.index() as u32, meta.name.index() as u32)
+        }));
+        let mut cells = Vec::with_capacity(self.cells.iter().map(Vec::len).sum());
+        for (m, ms) in methods.iter() {
+            let first = cells.len();
+            cells.extend(
+                self.cells[ms]
+                    .iter()
+                    .map(|&(h, counts)| (m, h.index() as u32, counts.tracking, counts.functional)),
+            );
+            cells[first..].sort_unstable();
+        }
         SifterSnapshot {
             threshold: self.thresholds.log_ratio,
             observed: self.ingest.observed,
             keys,
             hostnames,
-            methods,
+            methods: method_rows,
             cells,
         }
     }
@@ -1409,22 +1531,12 @@ impl Sifter {
         // 2. Hostname → domain ownership.
         for &(h_id, d_id) in &snapshot.hostnames {
             let (h, d) = (key(&self.interner, h_id)?, key(&self.interner, d_id)?);
-            if self
-                .host_meta
-                .insert(
-                    h,
-                    HostMeta {
-                        domain: d,
-                        counts: Counts::new(),
-                    },
-                )
-                .is_some()
-            {
+            if self.levels[Granularity::Hostname.index()].slot(h).is_some() {
                 return Err(SnapshotError::Corrupt(format!(
                     "hostname id {h_id} listed twice"
                 )));
             }
-            self.hosts_of_domain.entry(d).or_default().push(h);
+            self.register_host(h, d);
         }
         // 3. Method → (script, name) attribution; re-interning the pair
         //    also repopulates the interner's pair cache.
@@ -1439,16 +1551,12 @@ impl Sifter {
                     "method id {m_id} does not compose from script id {s_id} + name id {name_id}"
                 )));
             }
-            if self
-                .method_meta
-                .insert(m, MethodMeta { script: s, name })
-                .is_some()
-            {
+            if self.levels[Granularity::Method.index()].slot(m).is_some() {
                 return Err(SnapshotError::Corrupt(format!(
                     "method id {m_id} listed twice"
                 )));
             }
-            self.methods_of_script.entry(s).or_default().push(m);
+            self.register_method(m, s, name);
         }
         // 4. Count cells, folded by the same `fold_cell` that folds an
         //    observation (hostnames and methods are registered above, so it
@@ -1464,21 +1572,22 @@ impl Sifter {
                     "empty count cell for method id {m_id} on hostname id {h_id}"
                 )));
             }
-            let method = *self.method_meta.get(&m).ok_or_else(|| {
-                SnapshotError::Corrupt(format!("cell references unknown method id {m_id}"))
-            })?;
-            let d = self
-                .host_meta
-                .get(&h)
+            let ms = self.levels[Granularity::Method.index()]
+                .slot(m)
+                .ok_or_else(|| {
+                    SnapshotError::Corrupt(format!("cell references unknown method id {m_id}"))
+                })?;
+            let hs = self.levels[Granularity::Hostname.index()]
+                .slot(h)
                 .ok_or_else(|| {
                     SnapshotError::Corrupt(format!("cell references unknown hostname id {h_id}"))
-                })?
-                .domain;
-            if self.method_host.contains_key(&(m, h)) {
+                })?;
+            if self.cells[ms].iter().any(|&(host, _)| host == h) {
                 return Err(SnapshotError::Corrupt(format!(
                     "duplicate count cell for method id {m_id} on hostname id {h_id}"
                 )));
             }
+            let (method, d) = (self.method_meta[ms], self.host_meta[hs].domain);
             self.fold_cell(d, h, method.script, method.name, m, counts);
         }
         if self.ingest.observed != snapshot.observed {
@@ -1493,7 +1602,10 @@ impl Sifter {
         // an (undefined) verdict on empty counts.
         for &(h_id, _) in &snapshot.hostnames {
             let h = key(&self.interner, h_id)?;
-            if self.host_meta[&h].counts.is_empty() {
+            if self.host_meta[self.slot(Granularity::Hostname, h)]
+                .counts
+                .is_empty()
+            {
                 return Err(SnapshotError::Corrupt(format!(
                     "hostname id {h_id} has no count cells"
                 )));
@@ -1517,6 +1629,7 @@ mod tests {
     use crate::frames::SurrogateFrames;
     use crate::testutil::{figure1_requests, labeled_request as req};
     use filterlist::RequestLabel;
+    use proptest::prelude::*;
 
     fn trained(requests: &[LabeledRequest]) -> Sifter {
         let mut sifter = Sifter::builder().build();
@@ -1756,6 +1869,152 @@ mod tests {
         assert_eq!(stats.methods, 1);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Rows over small key pools — host 0 of a domain is the domain
+        /// string itself, and `op == 11` claims the next domain for the
+        /// hostname — with commits (`op == 0`) at random points, and a
+        /// restore of the snapshot taken at the first commit from
+        /// `twin_at` on, which then follows the same rows.
+        #[test]
+        fn the_cell_store_equals_a_pair_map_fold_at_every_commit(
+            ops in prop::collection::vec((0usize..12, 0usize..3, 0usize..3, 0usize..4, 0usize..3), 0..80),
+            twin_at in 0usize..80,
+            threshold in 0.3f64..3.0,
+        ) {
+            let mut sifter = Sifter::builder().thresholds(Thresholds::new(threshold)).build();
+            let mut twin: Option<Sifter> = None;
+            // Every row so far under its hostname's first-seen domain, and
+            // the (method, hostname) fold of them.
+            let mut rows: Vec<LabeledRequest> = Vec::new();
+            let mut owner: HashMap<String, String> = HashMap::new();
+            let mut oracle: HashMap<(String, String), Counts> = HashMap::new();
+            for (i, &(op, d, h, s, m)) in ops.iter().enumerate() {
+                if op != 0 {
+                    let domain = format!("d{d}.com");
+                    let hostname = match h {
+                        0 => domain.clone(),
+                        _ => format!("h{h}.{domain}"),
+                    };
+                    let claimed = match op {
+                        11 => format!("d{}.com", (d + 1) % 3),
+                        _ => domain,
+                    };
+                    let (script, method) = (format!("https://p.com/s{s}.js"), format!("m{m}"));
+                    let tracking = op % 2 == 1;
+                    let row = ObservationRef::parts(&claimed, &hostname, &script, &method, tracking);
+                    sifter.apply(row);
+                    if let Some(twin) = &mut twin {
+                        twin.apply(row);
+                    }
+                    let effective = owner.entry(hostname.clone()).or_insert(claimed);
+                    rows.push(req(effective, &hostname, &script, &method, tracking));
+                    oracle
+                        .entry((ResourceKey::method_label(&script, &method), hostname))
+                        .or_default()
+                        .record(tracking);
+                }
+                if op != 0 && i + 1 < ops.len() && !(twin.is_none() && i >= twin_at) {
+                    continue;
+                }
+                sifter.commit();
+                prop_assert_eq!(sifter.hierarchy(), sifter.classifier().classify(&rows));
+                let snapshot = sifter.snapshot();
+                let key = |id: u32| snapshot.keys[id as usize].to_string();
+                let cells: HashMap<(String, String), Counts> = snapshot
+                    .cells
+                    .iter()
+                    .map(|&(m, h, tracking, functional)| {
+                        ((key(m), key(h)), Counts { tracking, functional })
+                    })
+                    .collect();
+                prop_assert_eq!(cells.len(), snapshot.cells.len());
+                prop_assert_eq!(&cells, &oracle);
+                let text = snapshot.to_json_string();
+                let restored = Sifter::builder().restore(&snapshot).unwrap();
+                prop_assert_eq!(restored.snapshot().to_json_string(), text.clone());
+                prop_assert_eq!(restored.hierarchy(), sifter.hierarchy());
+                match &mut twin {
+                    Some(twin) => {
+                        twin.commit();
+                        prop_assert_eq!(twin.snapshot().to_json_string(), text);
+                        prop_assert_eq!(twin.hierarchy(), sifter.hierarchy());
+                    }
+                    None if i >= twin_at => twin = Some(restored),
+                    None => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hostname_flip_reclassifies_exactly_the_scripts_and_methods_on_it() {
+        // hub.com stays mixed throughout; t.hub.com starts tracking-only and
+        // flips to mixed. Its scripts and methods are found through the
+        // methods on the host — script D is also seen on f.hub.com, script
+        // C only there.
+        let rows = [
+            ("t.hub.com", "https://p.com/a.js", "a1", true),
+            ("t.hub.com", "https://p.com/a.js", "a2", true),
+            ("t.hub.com", "https://p.com/b.js", "b1", true),
+            ("t.hub.com", "https://p.com/d.js", "d1", true),
+            ("f.hub.com", "https://p.com/c.js", "c1", false),
+            ("f.hub.com", "https://p.com/d.js", "d1", false),
+        ];
+        let mut all: Vec<LabeledRequest> = rows
+            .iter()
+            .cycle()
+            .take(4 * rows.len())
+            .map(|&(host, script, method, tracking)| req("hub.com", host, script, method, tracking))
+            .collect();
+        let mut sifter = Sifter::builder().thresholds(Thresholds::new(1.0)).build();
+        sifter.apply_batch(all.iter().map(ObservationRef::from));
+        sifter.commit();
+        let class = |sifter: &Sifter, level, key: &str| {
+            let key = sifter.interner.get(key).unwrap();
+            sifter.classes.class(level, key)
+        };
+        assert_eq!(
+            class(&sifter, Granularity::Domain, "hub.com"),
+            Some(Classification::Mixed)
+        );
+        assert_eq!(
+            class(&sifter, Granularity::Hostname, "t.hub.com"),
+            Some(Classification::Tracking)
+        );
+
+        let flip: Vec<LabeledRequest> = (0..12)
+            .map(|_| req("hub.com", "t.hub.com", "https://p.com/a.js", "a1", false))
+            .collect();
+        sifter.apply_batch(flip.iter().map(ObservationRef::from));
+        all.extend(flip);
+        let stats = sifter.commit();
+        assert_eq!(
+            class(&sifter, Granularity::Domain, "hub.com"),
+            Some(Classification::Mixed)
+        );
+        assert_eq!(
+            class(&sifter, Granularity::Hostname, "t.hub.com"),
+            Some(Classification::Mixed)
+        );
+        let on_host = |pick: fn(&LabeledRequest) -> String| {
+            all.iter()
+                .filter(|r| r.hostname.as_ref() == "t.hub.com")
+                .map(pick)
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
+        assert_eq!((stats.domains, stats.hostnames), (1, 1));
+        assert_eq!(stats.scripts, on_host(|r| r.initiator_script.to_string()));
+        assert_eq!(
+            stats.methods,
+            on_host(|r| ResourceKey::method_label(&r.initiator_script, &r.initiator_method))
+        );
+        assert_eq!((stats.scripts, stats.methods), (3, 4));
+        assert_eq!(sifter.hierarchy(), sifter.classifier().classify(&all));
+    }
+
     #[test]
     fn a_url_row_is_labeled_through_the_configured_engine() {
         let mut sifter = Sifter::builder()
@@ -1986,12 +2245,12 @@ mod tests {
         // after every commit of a schedule that flips a script into and
         // out of mixedness.
         let assert_plans_fresh = |sifter: &Sifter| {
-            let mut scratch: Vec<(ResourceKey, SurrogateScript)> = sifter.entries
-                [Granularity::Script.index()]
-            .iter()
-            .filter(|(_, entry)| entry.is_mixed())
-            .filter_map(|(&s, _)| Some((s, sifter.plan_for_script(s)?)))
-            .collect();
+            let mut scratch: Vec<(ResourceKey, SurrogateScript)> = sifter
+                .interner
+                .iter()
+                .filter(|&(s, _)| sifter.is_mixed(Granularity::Script, s))
+                .filter_map(|(s, _)| Some((s, sifter.plan_for_script(s)?)))
+                .collect();
             let mut cached: Vec<(ResourceKey, SurrogateScript)> = sifter
                 .surrogates
                 .iter()
