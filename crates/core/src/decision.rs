@@ -419,7 +419,9 @@ impl From<Resolved<Arc<SurrogateScript>>> for Decision {
 /// representation so the serving hot path can return preformatted response
 /// frames instead of cloning an `Arc<SurrogateScript>`. `plan_for` resolves
 /// a mixed script's surrogate; `None` (script committed mixed but with no
-/// member methods) falls through to rewrite and backstop.
+/// member methods) falls through to rewrite and backstop. Inlined into
+/// each serving entry point, so a decision pays no call for the policy.
+#[inline]
 pub(crate) fn decide_with<T>(
     keys: &FrozenKeys,
     classes: &ClassTable,

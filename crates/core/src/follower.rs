@@ -117,7 +117,7 @@ impl VerdictTable {
             .surrogate_plans()
             .iter()
             .filter_map(|(key, entry)| {
-                let script = self.keys().shared_string_for_id(key.index() as u32)?;
+                let script = Arc::from(self.keys().string(*key)?);
                 Some((script, Some(Arc::clone(&entry.plan))))
             })
             .collect();

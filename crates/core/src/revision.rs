@@ -93,8 +93,9 @@ pub struct RevisionChange {
     /// The hierarchy level the key changed at.
     pub granularity: Granularity,
     /// The resource key string (domain, hostname, script URL, or composed
-    /// `script :: method` label). Shared, not copied, with the frozen key
-    /// table it was resolved from.
+    /// `script :: method` label), copied out of the key store when the
+    /// commit (or bootstrap) recorded the change, so a revision outlives
+    /// the store it was resolved from.
     pub key: Arc<str>,
     /// What happened to the key's classification.
     pub kind: ChangeKind,

@@ -993,7 +993,9 @@ impl Sifter {
         let name = self.interner.intern_hinted(last.map(|r| r.name), method);
         let m = match last {
             Some(row) if (row.script, row.name) == (s, name) => row.method,
-            _ => self.interner.intern_method_pair(s, name),
+            _ => self
+                .interner
+                .intern_method_pair((s, script), (name, method)),
         };
         self.last_row = Some(RowKeys {
             domain,
@@ -1369,10 +1371,11 @@ impl Sifter {
     /// cheap.
     ///
     /// Scaling caveat: when a delta *did* intern new keys, the re-freeze
-    /// clones the full string→key lookup — O(total keys), not O(delta). At
-    /// corpus scale that is a bulk `HashMap` clone sharing the `Arc<str>`
-    /// storage (no string copies); a layered/persistent lookup that shares
-    /// unchanged buckets across freezes is the known next optimisation if
+    /// copies the key store's id and lookup tables — O(total keys), not
+    /// O(delta), though as a few flat buffer copies with no per-key
+    /// allocation or refcount. Key bytes are copied only from the open
+    /// arena chunk (at most 64 KiB); sealed chunks are shared. A frozen
+    /// base plus a per-commit delta of new ids is the known next step if
     /// novel-key churn ever dominates commit latency.
     pub fn verdict_table(&mut self) -> VerdictTable {
         self.table_at(self.commits, 0, Vec::new())
@@ -1403,21 +1406,22 @@ impl Sifter {
 
     /// What the last [`Sifter::commit`] wrote, as revision `version`: the
     /// class changes `write_class` recorded and the scripts whose plans it
-    /// rebuilt or dropped, keyed by the strings the frozen view shares.
+    /// rebuilt or dropped, each key string copied out of the interner —
+    /// O(changes), whatever the number of keys.
     pub(crate) fn revision(&self, version: u64) -> VerdictRevision {
         let changes = self
             .changed
             .iter()
             .map(|&(granularity, key, kind)| RevisionChange {
                 granularity,
-                key: self.interner.resolve_shared(key),
+                key: Arc::from(self.interner.resolve(key)),
                 kind,
             })
             .collect();
         let plans = self
             .plans_changed
             .iter()
-            .map(|&script| self.interner.resolve_shared(script))
+            .map(|&script| Arc::from(self.interner.resolve(script)))
             .collect();
         VerdictRevision::with_plans(version, changes, plans)
     }
@@ -1463,11 +1467,7 @@ impl Sifter {
     /// export after [`Sifter::commit`] to round-trip the exact serving
     /// state.
     pub fn snapshot(&self) -> SifterSnapshot {
-        let keys: Vec<Arc<str>> = self
-            .interner
-            .iter()
-            .map(|(key, _)| self.interner.resolve_shared(key))
-            .collect();
+        let keys = self.interner.freeze_strings();
         // Rows come out in id order (cells by method, then hostname), each
         // vector sized before it is filled.
         let (hosts, methods) = (
@@ -1510,27 +1510,24 @@ impl Sifter {
         debug_assert_eq!(self.ingest.observed, 0, "load requires an empty sifter");
         // 1. Restore the interner verbatim so every persisted id resolves
         //    to the same string (and verdict/export bytes cannot drift).
-        for (index, key) in snapshot.keys.iter().enumerate() {
+        //    The snapshot's keys are distinct and this interner is empty,
+        //    so each string gets its persisted id back.
+        for (persisted, key) in snapshot.keys.iter() {
             let id = self.interner.intern(key);
-            if id.index() != index {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate interner key {key:?} at index {index}"
-                )));
-            }
+            debug_assert_eq!(id, persisted);
         }
-        // Resolve a persisted id against the freshly-restored interner
-        // (passed in, so the borrow ends at each call and
-        // `intern_method_pair` below can still borrow mutably).
-        let key = |interner: &KeyInterner, id: u32| match snapshot.keys.get(id as usize) {
-            Some(key) => Ok(interner.get(key).expect("restored above")),
-            None => Err(SnapshotError::Corrupt(format!(
-                "key id {id} out of range ({} keys)",
-                snapshot.keys.len()
-            ))),
+        let key = |id: u32| {
+            snapshot.keys.key_for_id(id).ok_or_else(|| {
+                SnapshotError::Corrupt(format!(
+                    "key id {id} out of range ({} keys)",
+                    snapshot.keys.len()
+                ))
+            })
         };
+        let string = |key: ResourceKey| snapshot.keys.string(key).expect("bounds-checked");
         // 2. Hostname → domain ownership.
         for &(h_id, d_id) in &snapshot.hostnames {
-            let (h, d) = (key(&self.interner, h_id)?, key(&self.interner, d_id)?);
+            let (h, d) = (key(h_id)?, key(d_id)?);
             if self.levels[Granularity::Hostname.index()].slot(h).is_some() {
                 return Err(SnapshotError::Corrupt(format!(
                     "hostname id {h_id} listed twice"
@@ -1541,12 +1538,12 @@ impl Sifter {
         // 3. Method → (script, name) attribution; re-interning the pair
         //    also repopulates the interner's pair cache.
         for &(m_id, s_id, name_id) in &snapshot.methods {
-            let (m, s, name) = (
-                key(&self.interner, m_id)?,
-                key(&self.interner, s_id)?,
-                key(&self.interner, name_id)?,
-            );
-            if self.interner.intern_method_pair(s, name) != m {
+            let (m, s, name) = (key(m_id)?, key(s_id)?, key(name_id)?);
+            if self
+                .interner
+                .intern_method_pair((s, string(s)), (name, string(name)))
+                != m
+            {
                 return Err(SnapshotError::Corrupt(format!(
                     "method id {m_id} does not compose from script id {s_id} + name id {name_id}"
                 )));
@@ -1562,7 +1559,7 @@ impl Sifter {
         //    observation (hostnames and methods are registered above, so it
         //    only accumulates), then one commit reclassifies everything.
         for &(m_id, h_id, tracking, functional) in &snapshot.cells {
-            let (m, h) = (key(&self.interner, m_id)?, key(&self.interner, h_id)?);
+            let (m, h) = (key(m_id)?, key(h_id)?);
             let counts = Counts {
                 tracking,
                 functional,
@@ -1601,7 +1598,7 @@ impl Sifter {
         // later mixedness flip of its domain would ask the classifier for
         // an (undefined) verdict on empty counts.
         for &(h_id, _) in &snapshot.hostnames {
-            let h = key(&self.interner, h_id)?;
+            let h = key(h_id)?;
             if self.host_meta[self.slot(Granularity::Hostname, h)]
                 .counts
                 .is_empty()
@@ -1636,6 +1633,30 @@ mod tests {
         sifter.apply_batch(requests.iter().map(ObservationRef::from));
         sifter.commit();
         sifter
+    }
+
+    #[test]
+    fn key_ids_and_snapshot_text_do_not_depend_on_the_hash_seed() {
+        use crawler::{ClusterConfig, CrawlCluster};
+        use websim::{filter_rules, CorpusGenerator, CorpusProfile};
+        let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(40), 2021);
+        let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
+        let engine = filter_rules::engine_for(&corpus.ecosystem);
+        let (requests, _) = crate::label::Labeler::new(&engine).label_database(&db);
+        let seeded = |seed| {
+            let mut sifter = Sifter::builder().build();
+            sifter.interner = KeyInterner::with_seed(seed);
+            sifter.apply_batch(requests.iter().map(ObservationRef::from));
+            sifter.commit();
+            sifter
+        };
+        let (mut a, mut b) = (seeded(0), seeded(0x9E37_79B9_7F4A_7C15));
+        // Enough keys for the table to have grown twice.
+        assert!(a.interner.len() > 512, "{} keys", a.interner.len());
+        assert!(a.interner.iter().eq(b.interner.iter()));
+        let (a_keys, b_keys) = (a.verdict_table(), b.verdict_table());
+        assert!(a_keys.keys().iter().eq(b_keys.keys().iter()));
+        assert_eq!(a.snapshot().to_json_string(), b.snapshot().to_json_string());
     }
 
     #[test]
@@ -1921,7 +1942,10 @@ mod tests {
                 sifter.commit();
                 prop_assert_eq!(sifter.hierarchy(), sifter.classifier().classify(&rows));
                 let snapshot = sifter.snapshot();
-                let key = |id: u32| snapshot.keys[id as usize].to_string();
+                let key = |id: u32| {
+                    let key = snapshot.keys.key_for_id(id).unwrap();
+                    snapshot.keys.string(key).unwrap().to_string()
+                };
                 let cells: HashMap<(String, String), Counts> = snapshot
                     .cells
                     .iter()

@@ -24,10 +24,13 @@
 //! ([`write_string`](crawler::json::write_string),
 //! [`write_u64`](crawler::json::write_u64),
 //! [`write_number`](crawler::json::write_number)): no
-//! [`Value`] tree, no vector per row. The keys are shared with the
-//! sifter's interner (`Arc<str>`), so an export copies each key string
-//! once, into the text. [`SifterSnapshot::parse`] reads it back through
-//! [`Value::parse`].
+//! [`Value`] tree, no vector per row. The keys are a [`FrozenKeys`] view of
+//! the sifter's interner that shares its sealed arena chunks and copies
+//! only the open chunk and the span table (an export never looks a string
+//! up, so the view is frozen without a lookup table), and an export copies
+//! each key's bytes once, into the text. [`SifterSnapshot::parse`] reads it back
+//! through [`Value::parse`], interning the keys into a view of their own;
+//! a key listed twice is [`SnapshotError::Corrupt`].
 //!
 //! ```json
 //! {
@@ -58,9 +61,9 @@
 //! render to byte-identical snapshots — the round-trip property the
 //! service tests pin down.
 
+use crate::intern::{FrozenKeys, KeyInterner};
 use crawler::json::{self, JsonError, Value};
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from decoding or restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,20 +109,35 @@ impl From<JsonError> for SnapshotError {
 
 /// Exported trained state of a [`Sifter`](crate::service::Sifter); see the
 /// [module docs](self) for the format.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SifterSnapshot {
     /// The symmetric log-ratio threshold in force.
     pub(crate) threshold: f64,
     /// Total observations the state accumulates.
     pub(crate) observed: u64,
-    /// Interner string table, in id order, shared with the interner.
-    pub(crate) keys: Vec<Arc<str>>,
+    /// Interner string table, in id order: a view sharing the interner's
+    /// sealed chunks, frozen without its lookup table and pair cache.
+    pub(crate) keys: FrozenKeys,
     /// `(hostname id, domain id)` rows, sorted.
     pub(crate) hostnames: Vec<(u32, u32)>,
     /// `(method id, script id, method-name id)` rows, sorted.
     pub(crate) methods: Vec<(u32, u32, u32)>,
     /// `(method id, hostname id, tracking, functional)` rows, sorted.
     pub(crate) cells: Vec<(u32, u32, u64, u64)>,
+}
+
+/// Equal snapshots list the same key strings in the same id order and the
+/// same rows; the views' hash seeds are not compared.
+impl PartialEq for SifterSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.threshold == other.threshold
+            && self.observed == other.observed
+            && self.keys.len() == other.keys.len()
+            && self.keys.iter().eq(other.keys.iter())
+            && self.hostnames == other.hostnames
+            && self.methods == other.methods
+            && self.cells == other.cells
+    }
 }
 
 impl SifterSnapshot {
@@ -166,8 +184,8 @@ impl SifterSnapshot {
         out.extend_from_slice(b",\"observed\":");
         json::write_u64(&mut out, self.observed);
         out.extend_from_slice(b",\"keys\":[");
-        for (i, key) in self.keys.iter().enumerate() {
-            if i > 0 {
+        for (id, key) in self.keys.iter() {
+            if id.index() > 0 {
                 out.push(b',');
             }
             json::write_string(&mut out, key);
@@ -195,7 +213,7 @@ impl SifterSnapshot {
         let id = digits(self.keys.len() as u64);
         let count = digits(self.observed);
         // A key, its quotes and its comma; a row, its brackets and commas.
-        let keys: usize = self.keys.iter().map(|key| key.len() + 3).sum();
+        let keys: usize = self.keys.iter().map(|(_, key)| key.len() + 3).sum();
         256 + keys
             + self.hostnames.len() * (2 * id + 4)
             + self.methods.len() * (3 * id + 5)
@@ -205,13 +223,7 @@ impl SifterSnapshot {
     /// Parse from JSON text, validating format marker, version, and
     /// structural consistency (see [`SifterSnapshot::validate`]).
     pub fn parse(text: &str) -> Result<Self, SnapshotError> {
-        let value = Value::parse(text)?;
-        // Validate the envelope first so format/version mismatches surface
-        // as their precise variants rather than generic JSON errors.
-        if let Some(error) = envelope_error(&value) {
-            return Err(error);
-        }
-        let snapshot = Self::from_json_value(&value)?;
+        let snapshot = Self::decode(&Value::parse(text)?)?;
         snapshot.validate()?;
         Ok(snapshot)
     }
@@ -312,27 +324,41 @@ fn write_rows<T, const N: usize>(out: &mut Vec<u8>, rows: &[T], fields: impl Fn(
 }
 
 impl SifterSnapshot {
-    /// Decode from a JSON node.
+    /// Decode from a JSON node. The errors [`SifterSnapshot::parse`] types
+    /// — a wrong envelope, a key listed twice — come back as their text.
     pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        // Delegate acceptance to the shared envelope check (one source of
-        // truth with `SifterSnapshot::parse`); the two field reads below
-        // only enforce presence and type.
+        Self::decode(value).map_err(|error| match error {
+            SnapshotError::Json(error) => error,
+            other => JsonError(other.to_string()),
+        })
+    }
+
+    /// Decode from a JSON node, the envelope checked first so that format
+    /// and version mismatches surface as their precise variants rather
+    /// than generic JSON errors.
+    fn decode(value: &Value) -> Result<Self, SnapshotError> {
         if let Some(error) = envelope_error(value) {
-            return Err(JsonError(error.to_string()));
+            return Err(error);
         }
+        // The envelope check returns `None` for missing or mistyped
+        // fields; these two reads report them.
         let _ = value.field("format")?.as_str()?;
         let _ = value.field("version")?.as_u64()?;
         let threshold = match value.field("threshold")? {
             Value::Number(n) => *n,
-            other => return Err(JsonError(format!("expected number, got {other:?}"))),
+            other => return Err(JsonError(format!("expected number, got {other:?}")).into()),
         };
         let observed = value.field("observed")?.as_u64()?;
-        let keys = value
-            .field("keys")?
-            .as_array()?
-            .iter()
-            .map(|k| k.as_str().map(Arc::from))
-            .collect::<Result<Vec<_>, _>>()?;
+        let listed = value.field("keys")?.as_array()?;
+        let mut keys = KeyInterner::with_capacity(listed.len());
+        for (index, key) in listed.iter().enumerate() {
+            let key = key.as_str()?;
+            if keys.intern(key).index() != index {
+                return Err(SnapshotError::Corrupt(format!(
+                    "duplicate interner key {key:?} at index {index}"
+                )));
+            }
+        }
         let hostnames = value
             .field("hostnames")?
             .as_array()?
@@ -381,7 +407,7 @@ impl SifterSnapshot {
         Ok(SifterSnapshot {
             threshold,
             observed,
-            keys,
+            keys: keys.freeze_strings(),
             hostnames,
             methods,
             cells,
@@ -418,7 +444,7 @@ mod tests {
                     snapshot
                         .keys
                         .iter()
-                        .map(|k| Value::String(k.to_string()))
+                        .map(|(_, k)| Value::String(k.to_string()))
                         .collect(),
                 ),
             ),
@@ -478,13 +504,23 @@ mod tests {
     }
 
     /// Keys of 0–40 characters, so escapes land at every offset of a word.
-    fn arb_keys() -> impl Strategy<Value = Vec<Arc<str>>> {
+    /// A key drawn twice is listed once: a key view holds distinct keys.
+    fn arb_keys() -> impl Strategy<Value = FrozenKeys> {
         prop::collection::vec(
-            prop::collection::vec(0usize..48, 0..41).prop_map(|chars| {
-                Arc::<str>::from(chars.into_iter().map(key_char).collect::<String>())
-            }),
+            prop::collection::vec(0usize..48, 0..41)
+                .prop_map(|chars| chars.into_iter().map(key_char).collect::<String>()),
             0..12,
         )
+        .prop_map(|keys| frozen(&keys))
+    }
+
+    /// The view a snapshot of `keys`, in this order, carries.
+    fn frozen(keys: &[impl AsRef<str>]) -> FrozenKeys {
+        let mut interner = KeyInterner::new();
+        for key in keys {
+            interner.intern(key.as_ref());
+        }
+        interner.freeze_strings()
     }
 
     /// Counts from small to exactly 2^53.
@@ -580,13 +616,13 @@ mod tests {
         SifterSnapshot {
             threshold: 2.0,
             observed: 7,
-            keys: vec![
-                "ads.com".into(),
-                "px.ads.com".into(),
-                "https://p.com/a.js".into(),
-                "send".into(),
-                "https://p.com/a.js :: send".into(),
-            ],
+            keys: frozen(&[
+                "ads.com",
+                "px.ads.com",
+                "https://p.com/a.js",
+                "send",
+                "https://p.com/a.js :: send",
+            ]),
             hostnames: vec![(1, 0)],
             methods: vec![(4, 2, 3)],
             cells: vec![(4, 1, 7, 0)],
@@ -628,6 +664,16 @@ mod tests {
             SifterSnapshot::parse(&text),
             Err(SnapshotError::Corrupt(message)) if message.contains("out of range")
         ));
+    }
+
+    #[test]
+    fn a_key_listed_twice_is_rejected_at_parse_time() {
+        let text = sample().to_json_string().replace("\"send\"", "\"ads.com\"");
+        assert!(matches!(
+            SifterSnapshot::parse(&text),
+            Err(SnapshotError::Corrupt(message)) if message.contains("duplicate interner key")
+        ));
+        assert!(SifterSnapshot::from_json_value(&Value::parse(&text).unwrap()).is_err());
     }
 
     #[test]

@@ -124,23 +124,21 @@ impl ClassTable {
             .count()
     }
 
-    /// Every member of every level as a [`ChangeKind::Added`] change,
-    /// resolved to key strings through `keys` (the frozen view `self` was
+    /// Every member of every level as a [`ChangeKind::Added`] change, its
+    /// key string copied out of `keys` (the frozen view `self` was
     /// committed against), in canonical (granularity, key) order — the
     /// change list of a bootstrap snapshot, which starts from nothing.
     pub(crate) fn additions(&self, keys: &FrozenKeys) -> Vec<RevisionChange> {
         let mut changes = Vec::new();
         for granularity in Granularity::ALL {
-            for (index, &code) in self.levels[granularity.index()].iter().enumerate() {
+            let level = &self.levels[granularity.index()];
+            for ((_, key), &code) in keys.iter().zip(level) {
                 let Some(class) = classification_of(code) else {
-                    continue;
-                };
-                let Some(key) = keys.shared_string_for_id(index as u32) else {
                     continue;
                 };
                 changes.push(RevisionChange {
                     granularity,
-                    key,
+                    key: Arc::from(key),
                     kind: ChangeKind::Added(class),
                 });
             }

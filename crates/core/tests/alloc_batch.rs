@@ -2,14 +2,18 @@
 //! labeled request points at the strings its crawl record already holds —
 //! so a labeled request costs its frame vector and a share of its site's
 //! few per-host keys; and the classifier allocates per distinct resource
-//! key, never per request. Exporting a trained sifter's snapshot costs a
-//! handful of buffers, never one per key or row.
+//! key, never per request. The key store allocates per arena chunk and per
+//! table growth, never per key, and freezing it copies a fixed number of
+//! buffers. Exporting a trained sifter's snapshot costs a handful of
+//! buffers, never one per key or row.
 
 use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase};
 use filterlist::FilterEngine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use trackersift::{HierarchicalClassifier, LabeledRequest, Labeler, Sifter, Thresholds};
+use trackersift::{
+    HierarchicalClassifier, KeyInterner, LabeledRequest, Labeler, Sifter, Thresholds,
+};
 use websim::{filter_rules, CorpusGenerator, CorpusProfile};
 
 // ---------------------------------------------------------------------------
@@ -126,7 +130,44 @@ fn exporting_a_snapshot_allocates_a_handful_of_buffers() {
         snapshot.key_count()
     );
     assert!(text.len() > 100_000, "{} bytes", text.len());
-    // Four row vectors (keys, hostnames, methods, cells) and the text: no
-    // key copy, no vector per row.
+    // The key view's three buffers (chunk list, open chunk, spans), three
+    // row vectors (hostnames, methods, cells) and the text: no key copy, no
+    // vector per row.
     assert!(allocations <= 8, "{allocations} allocations");
+}
+
+/// Every key a sifter interns for `requests`: domain, hostname, script,
+/// method name and composed method key.
+fn intern_all(interner: &mut KeyInterner, requests: &[LabeledRequest]) {
+    for request in requests {
+        interner.intern(&request.domain);
+        interner.intern(&request.hostname);
+        interner.intern_method(&request.initiator_script, &request.initiator_method);
+    }
+}
+
+#[test]
+fn interning_allocates_per_chunk_and_table_growth_not_per_key() {
+    // 300 sites: the smallest round crawl with over 5,000 keys.
+    let (db, engine) = crawl(300);
+    let (requests, _) = Labeler::new(&engine).label_database(&db);
+    let mut interner = KeyInterner::new();
+    let (allocations, ()) = allocations_during(|| intern_all(&mut interner, &requests));
+    assert!(interner.len() > 5_000, "{} keys", interner.len());
+    assert!(
+        allocations <= 64,
+        "{allocations} allocations for {} keys",
+        interner.len()
+    );
+
+    // A freeze copies the same buffers whatever the key count: the chunk
+    // list, the open chunk, the spans, the table's tags and slots and the
+    // pair cache.
+    let (frozen, view) = allocations_during(|| interner.freeze());
+    assert_eq!(view.len(), interner.len());
+    let mut small = KeyInterner::new();
+    intern_all(&mut small, &requests[..1]);
+    let (frozen_small, _) = allocations_during(|| small.freeze());
+    assert_eq!(frozen, frozen_small);
+    assert!(frozen <= 6, "{frozen} allocations per freeze");
 }

@@ -47,7 +47,7 @@
 //! payload), or `u8 proto, u64 version, u32 count` followed by 6-byte
 //! record headers (+ payloads) for batches.
 
-use crawler::json::{object, JsonError, Kind, Reader, Value};
+use crawler::json::{self, object, JsonError, Kind, Reader, Value};
 use filterlist::ResourceType;
 use std::borrow::Cow;
 use trackersift::frames::{self, PROTO_VERSION, RECORD_HEADER_LEN};
@@ -704,20 +704,27 @@ pub fn decode_binary_shed(body: &[u8]) -> Result<u32, FrameError> {
 /// Encode the `GET /v1/keys` handshake reply: the key-id table of the
 /// serving verdict table. `keys[i]` is the string whose interned id is
 /// `i`; the epoch scopes every id's validity (a restore bumps it).
+///
+/// The reply is streamed into one buffer, each key read straight out of
+/// the frozen view's arena: no `Value` tree and no string per key.
 pub fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> String {
-    object(vec![
-        ("epoch", Value::number_u64(epoch)),
-        ("version", Value::number_u64(version)),
-        (
-            "keys",
-            Value::Array(
-                keys.iter()
-                    .map(|(_, name)| Value::String(name.to_string()))
-                    .collect(),
-            ),
-        ),
-    ])
-    .render()
+    // Each key, its quotes and its comma, unless it needs escapes; two
+    // integers and the envelope take under 80 bytes.
+    let bound = 80 + keys.iter().map(|(_, key)| key.len() + 3).sum::<usize>();
+    let mut out = Vec::with_capacity(bound);
+    out.extend_from_slice(b"{\"epoch\":");
+    json::write_u64(&mut out, epoch);
+    out.extend_from_slice(b",\"version\":");
+    json::write_u64(&mut out, version);
+    out.extend_from_slice(b",\"keys\":[");
+    for (id, key) in keys.iter() {
+        if id.index() > 0 {
+            out.push(b',');
+        }
+        json::write_string(&mut out, key);
+    }
+    out.extend_from_slice(b"]}");
+    String::from_utf8(out).expect("the JSON writers emit UTF-8")
 }
 
 /// One observation as a client builds it for `POST /v1/observations`: the
@@ -1198,5 +1205,64 @@ mod tests {
         let mut trailing = frame;
         trailing.push(0);
         assert!(decode_binary_shed(&trailing).is_err());
+    }
+
+    /// The tree encoder `keys_to_json` replaced, kept as its oracle.
+    fn keys_tree_oracle(epoch: u64, version: u64, keys: &FrozenKeys) -> String {
+        object(vec![
+            ("epoch", Value::number_u64(epoch)),
+            ("version", Value::number_u64(version)),
+            (
+                "keys",
+                Value::Array(
+                    keys.iter()
+                        .map(|(_, name)| Value::String(name.to_string()))
+                        .collect(),
+                ),
+            ),
+        ])
+        .render()
+    }
+
+    #[test]
+    fn the_streamed_keys_reply_is_the_tree_oracles_render() {
+        use trackersift::KeyInterner;
+        // Every byte the writer escapes, in runs of every length up to a
+        // word and beyond, beside quotes, backslashes, 0x7f and multi-byte
+        // UTF-8 at both ends of a key.
+        let controls: String = (0u8..=0x20).map(char::from).collect();
+        let mut keys = vec![
+            String::new(),
+            "ads.com".to_string(),
+            "quo\"te".to_string(),
+            "back\\slash\\".to_string(),
+            "\"\\\u{7f}".to_string(),
+            "é中🦀".to_string(),
+            "🦀https://p.com/a.js :: sénd\u{1}".to_string(),
+            controls.clone(),
+        ];
+        keys.extend((0..=controls.len()).map(|len| format!("k{}", &controls[..len])));
+        let mut interner = KeyInterner::new();
+        let mut views = vec![interner.freeze()];
+        for key in &keys {
+            interner.intern(key);
+            views.push(interner.freeze());
+        }
+        for view in &views {
+            for (epoch, version) in [(0, 0), (3, 17), (1 << 53, 1 << 53)] {
+                assert_eq!(
+                    keys_to_json(epoch, version, view),
+                    keys_tree_oracle(epoch, version, view)
+                );
+            }
+        }
+        assert_eq!(
+            keys_to_json(2, 9, &views[5]),
+            concat!(
+                r#"{"epoch":2,"version":9,"keys":["","ads.com","quo\"te","#,
+                r#""back\\slash\\","\"\\"#,
+                "\u{7f}\"]}"
+            )
+        );
     }
 }
