@@ -238,7 +238,7 @@ fn ablation_stack_propagation(study: &Study) {
             let mut r = r.clone();
             if let Some(outer) = r.stack.last() {
                 r.initiator_script = outer.script_url.clone();
-                r.initiator_method = outer.method.clone();
+                r.initiator_method = outer.function_name.clone();
             }
             r
         })

@@ -163,7 +163,7 @@ pub fn build_call_graph<'a>(
             .iter()
             .map(|f| CallGraphNode {
                 script_url: f.script_url.to_string(),
-                method: f.method.to_string(),
+                method: f.function_name.to_string(),
             })
             .collect();
         for node in &nodes {
@@ -214,7 +214,7 @@ pub fn analyze_mixed_methods(residue: &[&LabeledRequest]) -> CallStackAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::LabeledFrame;
+    use crawler::StackFrame;
     use filterlist::{RequestLabel, ResourceType};
 
     /// Reproduce the paper's Figure 5 example: requests `ads-2` (tracking)
@@ -234,10 +234,7 @@ mod tests {
             initiator_method: stack[0].1.into(),
             stack: stack
                 .iter()
-                .map(|(s, m)| LabeledFrame {
-                    script_url: (*s).into(),
-                    method: (*m).into(),
-                })
+                .map(|(s, m)| StackFrame::new(*s, *m, 1, 1))
                 .collect(),
             async_boundary: None,
             label: if tracking {

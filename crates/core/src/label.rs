@@ -23,13 +23,15 @@
 //! keeps (one per site here, one per sifter there), and the hostname and
 //! domain it hands back are slices of that view.
 //!
-//! A labeled request copies no string either. The crawl allocated every
-//! string once per page load — the page URL, each script URL, each method
-//! name, each request URL — as an `Arc<str>`, and [`LabeledRequest`] and its
-//! [`LabeledFrame`]s point at those same allocations. The two derived keys,
-//! hostname and registrable domain, are allocated once per distinct hostname
-//! per site and shared by that site's requests; the site's own domain once
-//! per site. What a labeled request costs on the heap is its frame vector.
+//! A labeled request copies no string and no stack either. The crawl
+//! allocated every string once per page load — the page URL, each script
+//! URL, each method name, each request URL — as an `Arc<str>`, and each
+//! call site's stack once as an `Arc<[StackFrame]>`; [`LabeledRequest`]
+//! points at those same allocations. The two derived keys, hostname and
+//! registrable domain, are allocated once per distinct hostname per site and
+//! shared by that site's requests; the site's own domain once per site.
+//! [`Labeler::label_database`] writes every row into one vector sized up
+//! front, so a labeled request costs no allocation of its own.
 //!
 //! The batch side memoizes nothing: the oracle key is `(url, page host,
 //! type)` and every site has its own host, so no key repeats within one
@@ -48,21 +50,12 @@
 //! plus one index table. The [`Labeler`] and the decision backstop never
 //! consult it.
 
-use crawler::{CrawlDatabase, SiteCrawl};
+use crawler::{CrawlDatabase, SiteCrawl, StackFrame};
 use filterlist::url::hostname_of;
 use filterlist::{FilterEngine, RequestLabel, RequestScratch, ResourceType};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// One frame of the initiator stack, reduced to what the analysis needs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LabeledFrame {
-    /// Script URL of the frame.
-    pub script_url: Arc<str>,
-    /// Method (function) name; may be empty for anonymous frames.
-    pub method: Arc<str>,
-}
 
 /// A script-initiated request with its oracle label and attribution keys.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,8 +78,9 @@ pub struct LabeledRequest {
     pub initiator_script: Arc<str>,
     /// Name of the method that initiated the request (innermost frame).
     pub initiator_method: Arc<str>,
-    /// The full stack, innermost first.
-    pub stack: Vec<LabeledFrame>,
+    /// The full stack, innermost first: the crawl record's own frames,
+    /// shared with every request of the same call site.
+    pub stack: Arc<[StackFrame]>,
     /// Index of the first asynchronous-parent frame, if any.
     pub async_boundary: Option<usize>,
     /// The oracle label.
@@ -209,16 +203,25 @@ impl<'a> Labeler<'a> {
     }
 
     /// Label every request of one crawled site. The labeled requests point
-    /// at the crawl records' strings; see the [module docs](self) for the few
-    /// this allocates.
+    /// at the crawl records' strings and stacks; see the [module
+    /// docs](self) for the few this allocates.
     pub fn label_site(&self, site: &SiteCrawl) -> (Vec<LabeledRequest>, LabelStats) {
-        let mut stats = LabelStats::default();
         let mut out = Vec::with_capacity(site.requests.len());
+        let stats = self.label_site_into(site, &mut out);
+        (out, stats)
+    }
+
+    /// [`Labeler::label_site`], appending to `out`.
+    fn label_site_into(&self, site: &SiteCrawl, out: &mut Vec<LabeledRequest>) -> LabelStats {
+        let mut stats = LabelStats::default();
         let mut scratch = RequestScratch::new();
         let site_domain: Arc<str> = Arc::from(site.site_domain.as_str());
         // The `(hostname, domain)` pairs this site's requests have derived
-        // so far. A page talks to a few dozen hosts: a scan beats a map.
+        // so far. A page talks to a few dozen hosts: a scan beats a map, and
+        // most rows repeat the previous row's host, so that one is tried
+        // first.
         let mut hosts: Vec<(Arc<str>, Arc<str>)> = Vec::new();
+        let mut last_host = 0;
         // Requests of one site overwhelmingly share their top-level URL; a
         // one-entry memo avoids re-parsing it per request.
         let mut page_host_memo: Option<(&str, &str)> = None;
@@ -246,19 +249,22 @@ impl<'a> Labeler<'a> {
                 stats.excluded_unparseable += 1;
                 continue;
             };
-            let known = match hosts.iter().position(|(known, _)| **known == *hostname) {
-                Some(known) => known,
-                None => {
-                    // Hostnames of one domain share the domain's copy too.
-                    let domain = match hosts.iter().find(|(_, known)| **known == *domain) {
-                        Some((_, known)) => Arc::clone(known),
-                        None => Arc::from(domain),
-                    };
-                    hosts.push((Arc::from(hostname), domain));
-                    hosts.len() - 1
-                }
-            };
-            let (hostname, domain) = hosts[known].clone();
+            let hit = |(known, _): &(Arc<str>, Arc<str>)| **known == *hostname;
+            if !hosts.get(last_host).is_some_and(hit) {
+                last_host = match hosts.iter().position(hit) {
+                    Some(known) => known,
+                    None => {
+                        // Hostnames of one domain share the domain's copy too.
+                        let domain = match hosts.iter().find(|(_, known)| **known == *domain) {
+                            Some((_, known)) => Arc::clone(known),
+                            None => Arc::from(domain),
+                        };
+                        hosts.push((Arc::from(hostname), domain));
+                        hosts.len() - 1
+                    }
+                };
+            }
+            let (hostname, domain) = hosts[last_host].clone();
             if label.is_tracking() {
                 stats.tracking += 1;
             } else {
@@ -274,15 +280,7 @@ impl<'a> Labeler<'a> {
                 resource_type: request.resource_type,
                 initiator_script: Arc::clone(&frame.script_url),
                 initiator_method: Arc::clone(&frame.function_name),
-                stack: request
-                    .call_stack
-                    .frames
-                    .iter()
-                    .map(|f| LabeledFrame {
-                        script_url: Arc::clone(&f.script_url),
-                        method: Arc::clone(&f.function_name),
-                    })
-                    .collect(),
+                stack: Arc::clone(&request.call_stack.frames),
                 async_boundary: request.call_stack.async_boundary,
                 label,
             });
@@ -292,14 +290,18 @@ impl<'a> Labeler<'a> {
         let evaluations = stats.labeled() + stats.excluded_unparseable;
         self.evaluations
             .fetch_add(evaluations as u64, Ordering::Relaxed);
-        (out, stats)
+        stats
     }
 
     /// Label every script-initiated request in a crawl database,
-    /// sequentially.
+    /// sequentially, into one vector sized for the whole crawl.
     pub fn label_database(&self, db: &CrawlDatabase) -> (Vec<LabeledRequest>, LabelStats) {
-        let per_site: Vec<_> = db.sites.iter().map(|site| self.label_site(site)).collect();
-        Self::merge_site_results(per_site, db.script_initiated_requests())
+        let mut stats = LabelStats::default();
+        let mut out = Vec::with_capacity(db.script_initiated_requests());
+        for site in &db.sites {
+            stats.merge(self.label_site_into(site, &mut out));
+        }
+        (out, stats)
     }
 
     /// Label every script-initiated request in parallel across sites on a
@@ -323,15 +325,8 @@ impl<'a> Labeler<'a> {
                 .collect::<Vec<_>>()
         };
         let per_site = crawler::with_worker_pool(workers, label_all);
-        Self::merge_site_results(per_site, db.script_initiated_requests())
-    }
-
-    fn merge_site_results(
-        per_site: Vec<(Vec<LabeledRequest>, LabelStats)>,
-        capacity: usize,
-    ) -> (Vec<LabeledRequest>, LabelStats) {
         let mut stats = LabelStats::default();
-        let mut out = Vec::with_capacity(capacity);
+        let mut out = Vec::with_capacity(db.script_initiated_requests());
         for (requests, site_stats) in per_site {
             out.extend(requests);
             stats.merge(site_stats);
@@ -414,7 +409,7 @@ mod tests {
             assert!(!r.initiator_script.is_empty());
             assert!(!r.stack.is_empty());
             assert_eq!(r.stack[0].script_url, r.initiator_script);
-            assert_eq!(r.stack[0].method, r.initiator_method);
+            assert_eq!(r.stack[0].function_name, r.initiator_method);
         }
     }
 
@@ -437,9 +432,11 @@ mod tests {
                 assert!(Arc::ptr_eq(&request.top_level_url, &record.top_level_url));
                 assert!(Arc::ptr_eq(&request.initiator_script, &frame.script_url));
                 assert!(Arc::ptr_eq(&request.initiator_method, &frame.function_name));
-                for (labeled, crawled) in request.stack.iter().zip(&record.call_stack.frames) {
+                assert!(Arc::ptr_eq(&request.stack, &record.call_stack.frames));
+                for (labeled, crawled) in request.stack.iter().zip(record.call_stack.frames.iter())
+                {
                     assert!(Arc::ptr_eq(&labeled.script_url, &crawled.script_url));
-                    assert!(Arc::ptr_eq(&labeled.method, &crawled.function_name));
+                    assert!(Arc::ptr_eq(&labeled.function_name, &crawled.function_name));
                 }
                 // The derived keys and the site's domain exist once per site.
                 assert!(Arc::ptr_eq(&request.site_domain, &labeled[0].site_domain));

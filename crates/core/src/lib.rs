@@ -129,7 +129,7 @@ pub use hierarchy::{
 };
 pub use intern::{FrozenKeys, KeyInterner, ResourceKey};
 pub use journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport, ReplayReport};
-pub use label::{CacheStats, LabelStats, LabeledFrame, LabeledRequest, Labeler};
+pub use label::{CacheStats, LabelStats, LabeledRequest, Labeler};
 pub use metrics::{headline, table1, table2, HeadlineSummary, Table1Row, Table2Row};
 pub use pipeline::{StageTiming, StageTimings, Study, StudyAnalyses, StudyConfig};
 pub use ratio::{Classification, Counts, Thresholds};

@@ -102,8 +102,10 @@ pub fn headline(result: &HierarchyResult) -> HeadlineSummary {
 mod tests {
     use super::*;
     use crate::hierarchy::HierarchicalClassifier;
-    use crate::label::{LabeledFrame, LabeledRequest};
+    use crate::label::LabeledRequest;
+    use crawler::StackFrame;
     use filterlist::{RequestLabel, ResourceType};
+    use std::sync::Arc;
 
     fn req(
         domain: &str,
@@ -122,10 +124,7 @@ mod tests {
             resource_type: ResourceType::Xhr,
             initiator_script: script.into(),
             initiator_method: method.into(),
-            stack: vec![LabeledFrame {
-                script_url: script.into(),
-                method: method.into(),
-            }],
+            stack: Arc::from([StackFrame::new(script, method, 1, 1)]),
             async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking

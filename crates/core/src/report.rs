@@ -243,9 +243,11 @@ pub fn render_notable(level: &LevelResult, per_class: usize) -> String {
 mod tests {
     use super::*;
     use crate::hierarchy::HierarchicalClassifier;
-    use crate::label::{LabeledFrame, LabeledRequest};
+    use crate::label::LabeledRequest;
     use crate::metrics::headline;
+    use crawler::StackFrame;
     use filterlist::{RequestLabel, ResourceType};
+    use std::sync::Arc;
 
     fn req(domain: &str, tracking: bool) -> LabeledRequest {
         LabeledRequest {
@@ -258,10 +260,7 @@ mod tests {
             resource_type: ResourceType::Xhr,
             initiator_script: "https://www.pub.com/app.js".into(),
             initiator_method: "m".into(),
-            stack: vec![LabeledFrame {
-                script_url: "https://www.pub.com/app.js".into(),
-                method: "m".into(),
-            }],
+            stack: Arc::from([StackFrame::new("https://www.pub.com/app.js", "m", 1, 1)]),
             async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking

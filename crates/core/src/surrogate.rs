@@ -259,7 +259,8 @@ pub fn generate_surrogates(
 mod tests {
     use super::*;
     use crate::hierarchy::HierarchicalClassifier;
-    use crate::label::{LabeledFrame, LabeledRequest};
+    use crate::label::LabeledRequest;
+    use crawler::StackFrame;
     use filterlist::{RequestLabel, ResourceType};
 
     fn req(
@@ -269,15 +270,9 @@ mod tests {
         tracking: bool,
         extra_frame: Option<(&str, &str)>,
     ) -> LabeledRequest {
-        let mut stack = vec![LabeledFrame {
-            script_url: script.into(),
-            method: method.into(),
-        }];
+        let mut stack = vec![StackFrame::new(script, method, 1, 1)];
         if let Some((s, m)) = extra_frame {
-            stack.push(LabeledFrame {
-                script_url: s.into(),
-                method: m.into(),
-            });
+            stack.push(StackFrame::new(s, m, 1, 1));
         }
         LabeledRequest {
             request_id: 0,
@@ -289,7 +284,7 @@ mod tests {
             resource_type: ResourceType::Xhr,
             initiator_script: script.into(),
             initiator_method: method.into(),
-            stack,
+            stack: stack.into(),
             async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking

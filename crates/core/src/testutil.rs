@@ -3,8 +3,10 @@
 //! (`hierarchy`) and the serving-API tests (`service`) so the two suites
 //! provably exercise the same scenario.
 
-use crate::label::{LabeledFrame, LabeledRequest};
+use crate::label::LabeledRequest;
+use crawler::StackFrame;
 use filterlist::{RequestLabel, ResourceType};
+use std::sync::Arc;
 
 /// A hand-built labeled request with explicit attribution keys.
 pub(crate) fn labeled_request(
@@ -24,10 +26,7 @@ pub(crate) fn labeled_request(
         resource_type: ResourceType::Xhr,
         initiator_script: script.into(),
         initiator_method: method.into(),
-        stack: vec![LabeledFrame {
-            script_url: script.into(),
-            method: method.into(),
-        }],
+        stack: Arc::from([StackFrame::new(script, method, 1, 1)]),
         async_boundary: None,
         label: if tracking {
             RequestLabel::Tracking

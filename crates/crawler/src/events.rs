@@ -15,9 +15,14 @@
 //! frame of that load points at those copies — as does everything
 //! downstream that keeps a request (the labeler's `LabeledRequest` clones
 //! the pointers, not the bytes). Only the request URL is a record's own.
-//! The JSON codec below reads and writes them as plain strings; a decoded
-//! crawl owns one allocation per field, which costs memory, not
-//! correctness.
+//!
+//! A stack is shared the same way: [`CallStack::frames`] is an
+//! `Arc<[StackFrame]>` built once per call site of a load (one script
+//! method, issuing synchronously or not, through one caller), and every
+//! request that call site issues holds a pointer to it. The JSON codec
+//! below reads and writes strings and stacks by value; a decoded crawl owns
+//! one allocation per field and one stack per request, which costs memory,
+//! not correctness.
 
 use filterlist::ResourceType;
 use std::sync::Arc;
@@ -61,13 +66,24 @@ impl StackFrame {
 /// frames (the paper: "the stack trace that preceded the request is
 /// prepended" to the ancestry), with `async_boundary` recording where the
 /// synchronous portion ends.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallStack {
-    /// Stack frames, innermost first.
-    pub frames: Vec<StackFrame>,
+    /// Stack frames, innermost first. Shared: a page load builds one slice
+    /// per call site and every request the call site issues points at it.
+    pub frames: Arc<[StackFrame]>,
     /// Index of the first frame that belongs to the asynchronous parent
-    /// stack, if the request was issued from an async continuation.
+    /// stack, if the request was issued from an async continuation; at most
+    /// `frames.len()`.
     pub async_boundary: Option<usize>,
+}
+
+impl Default for CallStack {
+    fn default() -> Self {
+        CallStack {
+            frames: Arc::from([]),
+            async_boundary: None,
+        }
+    }
 }
 
 impl CallStack {
@@ -124,6 +140,7 @@ mod codec {
     use super::{CallStack, RequestWillBeSent, StackFrame};
     use crate::json::{object, JsonError, Value};
     use filterlist::ResourceType;
+    use std::sync::Arc;
 
     fn resource_type_from_name(name: &str) -> Result<ResourceType, JsonError> {
         ResourceType::from_option_name(name)
@@ -166,9 +183,10 @@ mod codec {
             object(vec![("frames", frames), ("async_boundary", boundary)])
         }
 
-        /// Decode from a JSON node.
+        /// Decode from a JSON node. A boundary past the last frame is
+        /// refused: no page load records one.
         pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-            let frames = value
+            let frames: Arc<[StackFrame]> = value
                 .field("frames")?
                 .as_array()?
                 .iter()
@@ -178,6 +196,12 @@ mod codec {
                 Value::Null => None,
                 number => Some(number.as_usize()?),
             };
+            if let Some(boundary) = async_boundary.filter(|&b| b > frames.len()) {
+                return Err(JsonError(format!(
+                    "async_boundary {boundary} is past the stack's {} frames",
+                    frames.len()
+                )));
+            }
             Ok(CallStack {
                 frames,
                 async_boundary,
@@ -226,11 +250,11 @@ mod tests {
 
     fn stack() -> CallStack {
         CallStack {
-            frames: vec![
+            frames: Arc::from([
                 StackFrame::new("https://cdn.x.com/clone.js", "m2", 10, 4),
                 StackFrame::new("https://cdn.x.com/clone.js", "init", 2, 1),
                 StackFrame::new("https://tm.example/gtm.js?id=1", "bootstrap", 1, 1),
-            ],
+            ]),
             async_boundary: None,
         }
     }
@@ -263,5 +287,22 @@ mod tests {
         let back =
             RequestWillBeSent::from_json_value(&crate::json::Value::parse(&json).unwrap()).unwrap();
         assert_eq!(ev, back);
+    }
+
+    #[test]
+    fn a_boundary_past_the_last_frame_is_refused() {
+        let decode = |boundary: usize| {
+            let stack = CallStack {
+                async_boundary: Some(boundary),
+                ..stack()
+            };
+            let json = stack.to_json_value().render();
+            CallStack::from_json_value(&crate::json::Value::parse(&json).unwrap())
+        };
+        let len = stack().frames.len();
+        // A boundary at the end means the whole recorded stack is synchronous.
+        assert_eq!(decode(len).unwrap().async_boundary, Some(len));
+        let error = decode(len + 1).unwrap_err();
+        assert!(error.0.contains("async_boundary 4"), "{error}");
     }
 }

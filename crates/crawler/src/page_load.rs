@@ -86,9 +86,16 @@ impl PageLoadSimulator {
     }
 
     /// Load a page under the given blocking options.
+    ///
+    /// Each call site's stack is built once, in one allocation, and shared
+    /// by every request the call site issues (see [`crate::events`]).
     pub fn load_with(&mut self, site: &Website, options: &LoadOptions) -> PageLoadResult {
         self.clock_ms = 0;
         let mut result = PageLoadResult::default();
+        let injections: usize = site.scripts.iter().map(|s| s.loads_scripts.len()).sum();
+        result.requests.reserve(
+            1 + site.non_script_requests.len() + injections + site.script_initiated_request_count(),
+        );
         // The strings this load's records share: every request points at one
         // copy of the page URL, every frame at one copy of its script's URL
         // and of its method's name.
@@ -98,6 +105,7 @@ impl PageLoadSimulator {
             .iter()
             .map(|script| ScriptStrings::of(script, &page))
             .collect();
+        let no_stack = CallStack::empty();
 
         // 1. The document itself.
         self.emit(
@@ -105,7 +113,7 @@ impl PageLoadSimulator {
             Arc::clone(&page),
             &page,
             ResourceType::Document,
-            CallStack::empty(),
+            no_stack.clone(),
         );
 
         // 2. Parser-initiated document requests (no call stack). TrackerSift
@@ -119,7 +127,7 @@ impl PageLoadSimulator {
                 Arc::from(req.url.as_str()),
                 &page,
                 req.resource_type,
-                CallStack::empty(),
+                no_stack.clone(),
             );
         }
 
@@ -130,11 +138,13 @@ impl PageLoadSimulator {
 
         // 4. Dynamic script injection: a script listed in `loads_scripts`
         //    of an executing script is fetched *by* that script, so the
-        //    fetch itself is a script-initiated request.
+        //    fetch itself is a script-initiated request. Every fetch of one
+        //    loader comes from its bootstrap frame: one stack per loader.
         for (loader_idx, loader) in site.scripts.iter().enumerate() {
             if !executed[loader_idx] {
                 continue;
             }
+            let mut bootstrap: Option<CallStack> = None;
             for &loaded_idx in &loader.loads_scripts {
                 if !executed[loaded_idx] {
                     continue;
@@ -143,41 +153,61 @@ impl PageLoadSimulator {
                 if options.blocked_request_urls.contains(&**loaded_url) {
                     continue;
                 }
-                let stack = CallStack {
-                    frames: vec![scripts[loader_idx].bootstrap_frame()],
+                let stack = bootstrap.get_or_insert_with(|| CallStack {
+                    frames: Arc::from([scripts[loader_idx].bootstrap_frame()]),
                     async_boundary: None,
-                };
+                });
                 self.emit(
                     &mut result,
                     Arc::clone(loaded_url),
                     &page,
                     ResourceType::Script,
-                    stack,
+                    stack.clone(),
                 );
             }
         }
 
         // 5. Script execution: every method's planned requests, each with
-        //    its synthesized call stack.
+        //    its call site's stack. A method's call sites differ only in
+        //    `is_async` and `via_caller`, so a short list per method finds
+        //    the stack a request shares.
+        let mut call_sites: Vec<(bool, Option<&str>, CallStack)> = Vec::new();
+        let mut frames: Vec<StackFrame> = Vec::new();
         for (idx, script) in site.scripts.iter().enumerate() {
             if !executed[idx] {
                 continue;
             }
             let ancestor_frames = ancestor_stack(site, idx, &executed, &scripts);
             for (method_idx, method) in script.methods.iter().enumerate() {
+                if method.requests.is_empty() {
+                    continue;
+                }
+                call_sites.clear();
                 let caller_chain = caller_chain(script, method_idx);
                 for request in &method.requests {
                     if options.blocked_request_urls.contains(&request.url) {
                         continue;
                     }
-                    let stack = build_stack(
-                        &scripts[idx],
-                        method_idx,
-                        &caller_chain,
-                        &ancestor_frames,
-                        request.is_async,
-                        request.via_caller.as_deref(),
-                    );
+                    let via_caller = request.via_caller.as_deref();
+                    let known = call_sites.iter().find(|(is_async, via, _)| {
+                        (*is_async, *via) == (request.is_async, via_caller)
+                    });
+                    let stack = match known {
+                        Some((_, _, stack)) => stack.clone(),
+                        None => {
+                            let stack = build_stack(
+                                &mut frames,
+                                &scripts[idx],
+                                method_idx,
+                                &caller_chain,
+                                &ancestor_frames,
+                                request.is_async,
+                                via_caller,
+                            );
+                            call_sites.push((request.is_async, via_caller, stack.clone()));
+                            stack
+                        }
+                    };
                     self.emit(
                         &mut result,
                         Arc::from(request.url.as_str()),
@@ -391,9 +421,11 @@ fn caller_chain(script: &PageScript, method_idx: usize) -> Vec<usize> {
     chain
 }
 
-/// Build the full call stack for one request issued by method `method_idx`
-/// of `script`.
+/// Build the call stack of one call site of method `method_idx` of
+/// `script`, in one allocation: the frames are gathered in `frames`, a
+/// buffer the load reuses, and copied into the shared slice.
 fn build_stack(
+    frames: &mut Vec<StackFrame>,
     script: &ScriptStrings,
     method_idx: usize,
     caller_chain: &[usize],
@@ -401,8 +433,9 @@ fn build_stack(
     is_async: bool,
     via_caller: Option<&str>,
 ) -> CallStack {
+    frames.clear();
     // Innermost: the method issuing the request.
-    let mut frames = vec![script.frame(method_idx)];
+    frames.push(script.frame(method_idx));
     // Per-request calling context: the method that invoked this dispatcher
     // for this particular request (shared-transport pattern).
     if let Some(caller) = via_caller {
@@ -415,7 +448,7 @@ fn build_stack(
     let sync_len = frames.len();
     frames.extend(ancestor_frames.iter().cloned());
     CallStack {
-        frames,
+        frames: Arc::from(frames.as_slice()),
         async_boundary: if is_async { Some(sync_len) } else { None },
     }
 }
@@ -498,7 +531,12 @@ mod tests {
             // As many script-URL allocations as script URLs, and no more
             // method-name allocations than the site's scripts have methods,
             // however many frames name them.
-            let frames = || result.requests.iter().flat_map(|r| &r.call_stack.frames);
+            let frames = || {
+                result
+                    .requests
+                    .iter()
+                    .flat_map(|r| r.call_stack.frames.iter())
+            };
             let allocations = |field: fn(&StackFrame) -> &Arc<str>| {
                 let pointers: HashSet<*const u8> =
                     frames().map(|f| Arc::as_ptr(field(f)).cast()).collect();
@@ -510,6 +548,64 @@ mod tests {
             assert!(allocations(|f| &f.function_name) <= methods);
             assert!(frames().count() > methods, "{}", site.domain);
         }
+    }
+
+    #[test]
+    fn one_call_site_shares_one_stack_within_a_load() {
+        let corpus = small_corpus();
+        let mut sim = PageLoadSimulator::new(0);
+        let (mut shared, mut split_by_async, mut split_by_caller) = (0, 0, 0);
+        for site in &corpus.websites {
+            let result = sim.load(site);
+            // Unblocked, every script executes and the script-issued
+            // requests close the load, in planned order.
+            let planned = site.script_initiated_request_count();
+            let mut issued = result.requests[result.requests.len() - planned..].iter();
+            for method in site.scripts.iter().flat_map(|s| &s.methods) {
+                let requests: Vec<_> = method
+                    .requests
+                    .iter()
+                    .map(|planned| {
+                        let issued = issued.next().expect("one record per planned request");
+                        assert_eq!(*issued.url, planned.url);
+                        (planned, &issued.call_stack.frames)
+                    })
+                    .collect();
+                for (k, (a, a_frames)) in requests.iter().enumerate() {
+                    for (b, b_frames) in &requests[k + 1..] {
+                        let one_site = (a.is_async, &a.via_caller) == (b.is_async, &b.via_caller);
+                        assert_eq!(Arc::ptr_eq(a_frames, b_frames), one_site, "{}", a.url);
+                        if one_site {
+                            shared += 1;
+                        } else if a.is_async != b.is_async {
+                            split_by_async += 1;
+                        } else {
+                            split_by_caller += 1;
+                        }
+                    }
+                }
+            }
+            // Every script one loader injects is fetched from the same stack;
+            // the fetches follow the parser-initiated requests, loader by
+            // loader.
+            let mut fetches = result.requests[1 + site.non_script_requests.len()..].iter();
+            for loader in &site.scripts {
+                let stacks: Vec<_> = loader
+                    .loads_scripts
+                    .iter()
+                    .map(|&loaded| {
+                        let fetch = fetches.next().expect("one fetch per injection");
+                        assert_eq!(*fetch.url, *site.scripts[loaded].origin.url());
+                        &fetch.call_stack.frames
+                    })
+                    .collect();
+                assert!(stacks.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])));
+            }
+        }
+        assert!(
+            shared > 0 && split_by_async > 0 && split_by_caller > 0,
+            "{shared} shared, {split_by_async} split by is_async, {split_by_caller} by via_caller"
+        );
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! * **Reader ≡ Sifter** — after every commit, a `SifterReader` answers
 //!   byte-identically to a single-threaded `Sifter` fed the same stream.
 
+use crawler::StackFrame;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-use trackersift::{LabeledFrame, LabeledRequest};
+use trackersift::LabeledRequest;
 use trackersift_suite::prelude::*;
 
 /// A synthetic labeled request drawn from small key pools (mirrors the
@@ -41,10 +42,7 @@ fn observation(
         resource_type: ResourceType::Xhr,
         initiator_script: script.clone(),
         initiator_method: method.clone(),
-        stack: vec![LabeledFrame {
-            script_url: script,
-            method,
-        }],
+        stack: Arc::from([StackFrame::new(script, method, 1, 1)]),
         async_boundary: None,
         label: if tracking {
             RequestLabel::Tracking

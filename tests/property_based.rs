@@ -340,10 +340,7 @@ fn arb_observation() -> impl Strategy<Value = trackersift::LabeledRequest> {
                 resource_type: ResourceType::Xhr,
                 initiator_script: script.clone(),
                 initiator_method: method.clone(),
-                stack: vec![trackersift::LabeledFrame {
-                    script_url: script,
-                    method,
-                }],
+                stack: Arc::from([crawler::StackFrame::new(script, method, 1, 1)]),
                 async_boundary: None,
                 label: if tracking {
                     RequestLabel::Tracking
