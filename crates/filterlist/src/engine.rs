@@ -157,14 +157,17 @@ impl FilterEngine {
 
     /// Evaluate a request and return only the binary label.
     ///
-    /// This is the hot path of the labeling stage: unlike
-    /// [`FilterEngine::evaluate`], it never clones rule text — the match
-    /// scan itself is allocation-free, so labeling a built view performs
-    /// zero allocations.
+    /// This is the hot path of the labeling stage. The label depends only
+    /// on whether some blocking rule matches and no exception does, so
+    /// unlike [`FilterEngine::evaluate`] it names no rule: each index is
+    /// asked [`RuleIndex::any_match`], which stops at the first rule that
+    /// matches, and no rule text is cloned. The match scan is
+    /// allocation-free, so labeling a built view performs zero allocations.
     pub fn label_view(&self, request: &RequestView<'_>) -> RequestLabel {
-        match self.blocking.first_match(request) {
-            Some(_) if self.exceptions.first_match(request).is_none() => RequestLabel::Tracking,
-            _ => RequestLabel::Functional,
+        if self.blocking.any_match(request) && !self.exceptions.any_match(request) {
+            RequestLabel::Tracking
+        } else {
+            RequestLabel::Functional
         }
     }
 
@@ -443,6 +446,15 @@ mod tests {
             let r = req(url, "shop.com", ResourceType::Script);
             assert_eq!(e.evaluate_linear(&r).label(), expected, "{url}");
         }
+    }
+
+    #[test]
+    fn the_paper_lists_have_no_always_checked_rule() {
+        // Every rule of EasyList + EasyPrivacy is reached through a token
+        // or a run-prefix bucket; none is checked on every request.
+        let e = FilterEngine::easylist_easyprivacy();
+        assert_eq!(e.blocking.unindexed_len(), 0);
+        assert_eq!(e.exceptions.unindexed_len(), 0);
     }
 
     #[test]

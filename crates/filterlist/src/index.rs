@@ -12,19 +12,28 @@
 //!   can never drift);
 //! * the rule is filed under its *rarest* token hash (fewest other rules),
 //!   which keeps bucket sizes small;
-//! * rules with no usable token fall back to an "always check" list;
-//! * at query time the URL's token hashes ([`RequestView::token_hashes`],
-//!   in text order, repeats kept) select the candidate buckets — no
-//!   `String` is built, no candidate list is materialised, and nothing is
-//!   sorted: a repeated token revisits a bucket, and the running minimum
-//!   still returns the lowest matching rule.
+//! * a rule with no run bounded on both sides is filed under the *run
+//!   prefix* (first three bytes) of a run bounded on the left
+//!   ([`crate::pattern::Pattern::index_run_prefixes`]), in a second bucket
+//!   map: `/banner300x250` matches `/banner300x250x.gif`, whose run is
+//!   longer but starts at the same byte. Only a rule with no left-bounded
+//!   run at all (`ads/`, `/t?`) is checked on every request; the paper's
+//!   lists have none;
+//! * at query time the URL's token hashes ([`RequestView::token_hashes`])
+//!   and run prefixes ([`RequestView::run_prefixes`]), in text order,
+//!   repeats kept, select the candidate buckets — no `String` is built, no
+//!   candidate list is materialised, and nothing is sorted: a repeated
+//!   token revisits a bucket, and the running minimum across both maps and
+//!   the always-checked list still returns the lowest matching rule.
+//!   [`RuleIndex::any_match`], which a label needs, stops at the first.
 //!
 //! Because a rule's index token is by construction a maximal alphanumeric
-//! run of every URL the rule can match, the index never causes false
-//! negatives — a property the test-suite checks by comparing against a
-//! linear scan (`index_agrees_with_linear_scan`) and with property tests.
-//! Hash collisions only merge buckets: extra candidates are rejected by the
-//! full pattern match, so they cannot cause false positives either (see
+//! run of every URL the rule can match, and its run prefix the prefix of
+//! one, the index never causes false negatives — a property the test-suite
+//! checks by comparing against a linear scan
+//! (`index_agrees_with_linear_scan`) and with property tests. Hash
+//! collisions only merge buckets: extra candidates are rejected by the full
+//! pattern match, so they cannot cause false positives either (see
 //! `forced_hash_collision_changes_nothing`).
 
 use crate::request::RequestView;
@@ -79,22 +88,67 @@ impl PresenceFilter {
     }
 }
 
+/// One kind of index key (token hash or run prefix): its buckets, the
+/// presence filter in front of them, and how many rules carry each key.
+#[derive(Debug, Clone, Default)]
+struct Buckets {
+    /// key → indices into the index's `rules`. Each rule appears in at most
+    /// one bucket of one map (its rarest key at filing time).
+    map: TokenHashMap<Vec<u32>>,
+    /// One-bit-per-bucket-key pre-filter consulted before `map`.
+    presence: PresenceFilter,
+    /// key → number of rules carrying that key, maintained across
+    /// [`RuleIndex::extend`] so later insertions still file under their
+    /// rarest key without a full rebuild.
+    freq: TokenHashMap<u32>,
+}
+
+impl Buckets {
+    /// Count one rule's keys.
+    fn count(&mut self, keys: &[u64]) {
+        for &key in keys {
+            *self.freq.entry(key).or_insert(0) += 1;
+        }
+    }
+
+    /// File rule `idx` under the rarest of `keys` (first wins on ties, so
+    /// filing is deterministic for a given insertion order); `false` when
+    /// there is no key.
+    fn file(&mut self, keys: &[u64], idx: u32) -> bool {
+        let rarest = keys
+            .iter()
+            .min_by_key(|key| self.freq.get(key).copied().unwrap_or(u32::MAX));
+        match rarest {
+            Some(&key) => {
+                self.presence.insert(key);
+                self.map.entry(key).or_default().push(idx);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The buckets `keys` select, in key order, repeats kept.
+    #[inline]
+    fn hits<'a>(&'a self, keys: &'a [u64]) -> impl Iterator<Item = &'a [u32]> + 'a {
+        keys.iter()
+            .filter(|&&key| self.presence.may_contain(key))
+            .filter_map(|key| self.map.get(key))
+            .map(Vec::as_slice)
+    }
+}
+
 /// A token-hash-indexed collection of filter rules.
 #[derive(Debug, Clone, Default)]
 pub struct RuleIndex {
     /// All rules, in insertion order.
     rules: Vec<FilterRule>,
-    /// token hash → indices into `rules`. Each rule appears in at most one
-    /// bucket (its rarest token at filing time).
-    buckets: TokenHashMap<Vec<u32>>,
-    /// Rules that could not be indexed and must always be checked.
+    /// Rules filed under a run bounded on both sides, by token hash.
+    tokens: Buckets,
+    /// Rules with no such run, filed under a left-bounded run's prefix.
+    prefixes: Buckets,
+    /// Rules with no left-bounded run, checked on every request.
     unindexed: Vec<u32>,
-    /// token hash → number of rules carrying that token, maintained across
-    /// [`RuleIndex::extend`] so later insertions still file under their
-    /// rarest token without a full rebuild.
-    freq: TokenHashMap<u32>,
-    /// One-bit-per-bucket-key pre-filter consulted before `buckets`.
-    presence: PresenceFilter,
 }
 
 impl RuleIndex {
@@ -105,31 +159,33 @@ impl RuleIndex {
         index
     }
 
-    /// Append rules to the index incrementally: token frequencies are
+    /// Append rules to the index incrementally: key frequencies are
     /// updated and only the new rules are filed — existing rules, buckets
     /// and the unindexed list are untouched.
     pub fn extend(&mut self, extra: Vec<FilterRule>) {
         let start = self.rules.len();
-        let per_rule: Vec<Vec<u64>> = extra.iter().map(|r| r.index_token_hashes()).collect();
-        for hashes in &per_rule {
-            for &hash in hashes {
-                *self.freq.entry(hash).or_insert(0) += 1;
-            }
+        // A rule's token hashes, or — when it has none — its run prefixes.
+        let per_rule: Vec<(Vec<u64>, Vec<u64>)> = extra
+            .iter()
+            .map(|rule| {
+                let hashes = rule.index_token_hashes();
+                let prefixes = if hashes.is_empty() {
+                    rule.pattern.index_run_prefixes()
+                } else {
+                    Vec::new()
+                };
+                (hashes, prefixes)
+            })
+            .collect();
+        for (hashes, prefixes) in &per_rule {
+            self.tokens.count(hashes);
+            self.prefixes.count(prefixes);
         }
         self.rules.extend(extra);
-        for (offset, hashes) in per_rule.into_iter().enumerate() {
+        for (offset, (hashes, prefixes)) in per_rule.into_iter().enumerate() {
             let idx = u32::try_from(start + offset).expect("more than u32::MAX rules");
-            // File under the rarest token (first wins on ties, so filing is
-            // deterministic for a given insertion order).
-            match hashes
-                .iter()
-                .min_by_key(|hash| self.freq.get(hash).copied().unwrap_or(u32::MAX))
-            {
-                Some(&best) => {
-                    self.presence.insert(best);
-                    self.buckets.entry(best).or_default().push(idx);
-                }
-                None => self.unindexed.push(idx),
+            if !self.tokens.file(&hashes, idx) && !self.prefixes.file(&prefixes, idx) {
+                self.unindexed.push(idx);
             }
         }
     }
@@ -144,53 +200,57 @@ impl RuleIndex {
         self.rules.is_empty()
     }
 
-    /// Number of rules that could not be indexed by token.
+    /// Number of rules reached through neither key kind, which every
+    /// request checks.
     pub fn unindexed_len(&self) -> usize {
         self.unindexed.len()
     }
 
+    /// The candidate buckets of a request: the token buckets its token
+    /// hashes select, then the prefix buckets its run prefixes select, then
+    /// the always-checked list.
+    #[inline]
+    fn candidates<'a>(&'a self, request: &RequestView<'a>) -> impl Iterator<Item = &'a [u32]> {
+        self.tokens
+            .hits(request.token_hashes)
+            .chain(self.prefixes.hits(request.run_prefixes))
+            .chain(std::iter::once(self.unindexed.as_slice()))
+    }
+
     /// Find the first rule (lowest insertion index) matching the request,
     /// scanning only candidate buckets. Allocation-free: the request's
-    /// pre-computed token hashes drive bucket selection directly, and the
-    /// running minimum replaces the old sort-and-dedup candidate list while
-    /// returning the same rule a linear scan would.
+    /// pre-computed token hashes and run prefixes drive bucket selection
+    /// directly, and the running minimum across every bucket of both key
+    /// kinds replaces a sort-and-dedup candidate list while returning the
+    /// same rule a linear scan would.
     pub fn first_match(&self, request: &RequestView<'_>) -> Option<&FilterRule> {
-        let mut best = u32::MAX;
-        let mut found = false;
-        for &idx in &self.unindexed {
-            if (!found || idx < best) && self.rules[idx as usize].matches(request) {
-                best = idx;
-                found = true;
-            }
-        }
-        for &hash in request.token_hashes {
-            if !self.presence.may_contain(hash) {
-                continue;
-            }
-            if let Some(bucket) = self.buckets.get(&hash) {
-                for &idx in bucket {
-                    if (!found || idx < best) && self.rules[idx as usize].matches(request) {
-                        best = idx;
-                        found = true;
-                    }
+        let mut best: Option<u32> = None;
+        for bucket in self.candidates(request) {
+            for &idx in bucket {
+                if best.map_or(true, |best| idx < best) && self.rules[idx as usize].matches(request)
+                {
+                    best = Some(idx);
                 }
             }
         }
-        found.then(|| &self.rules[best as usize])
+        best.map(|idx| &self.rules[idx as usize])
+    }
+
+    /// Whether any rule matches the request: the candidates of
+    /// [`RuleIndex::first_match`], probed in the same order, stopping at the
+    /// first rule that matches. A label needs no more.
+    pub fn any_match(&self, request: &RequestView<'_>) -> bool {
+        self.candidates(request).any(|bucket| {
+            bucket
+                .iter()
+                .any(|&idx| self.rules[idx as usize].matches(request))
+        })
     }
 
     /// Collect every rule matching the request (used by diagnostics and the
     /// report module, not by the hot path).
     pub fn all_matches(&self, request: &RequestView<'_>) -> Vec<&FilterRule> {
-        let mut candidates: Vec<u32> = self.unindexed.clone();
-        for &hash in request.token_hashes {
-            if !self.presence.may_contain(hash) {
-                continue;
-            }
-            if let Some(bucket) = self.buckets.get(&hash) {
-                candidates.extend_from_slice(bucket);
-            }
-        }
+        let mut candidates: Vec<u32> = self.candidates(request).flatten().copied().collect();
         candidates.sort_unstable();
         candidates.dedup();
         candidates
@@ -211,11 +271,12 @@ impl RuleIndex {
     /// token involved hashed to one shared value. Test-only.
     #[cfg(test)]
     fn force_collision(&mut self, a: u64, b: u64) {
-        let mut merged = self.buckets.remove(&a).unwrap_or_default();
-        merged.extend(self.buckets.remove(&b).unwrap_or_default());
+        let buckets = &mut self.tokens.map;
+        let mut merged = buckets.remove(&a).unwrap_or_default();
+        merged.extend(buckets.remove(&b).unwrap_or_default());
         merged.sort_unstable();
-        self.buckets.insert(a, merged.clone());
-        self.buckets.insert(b, merged);
+        buckets.insert(a, merged.clone());
+        buckets.insert(b, merged);
     }
 }
 
@@ -291,11 +352,12 @@ mod tests {
     #[test]
     fn unbounded_pattern_tokens_cannot_cause_false_negatives() {
         // `/ads` matches `/adserver/…`, but `ads` is not a token of that
-        // URL. The boundary-aware tokenizer files the rule as unindexed, so
-        // the indexed scan still finds it (regression: the old string-token
-        // index missed this).
+        // URL. The boundary-aware tokenizer files the rule under the run
+        // prefix `ads` instead, which `adserver` shares, so the indexed scan
+        // still finds it (regression: the old string-token index missed
+        // this).
         let idx = RuleIndex::build(rules(&["/ads"]));
-        assert_eq!(idx.unindexed_len(), 1);
+        assert_eq!(idx.unindexed_len(), 0);
         let r = req("https://x.com/adserver/x.js");
         assert!(idx.first_match(&r.view()).is_some());
         assert_eq!(
@@ -319,12 +381,51 @@ mod tests {
     }
 
     #[test]
+    fn left_bounded_rules_are_reached_through_their_run_prefix() {
+        // `/banner300x250` has no run bounded on both sides; it is filed
+        // under `ban`, the prefix of every URL run that can hold it.
+        let idx = RuleIndex::build(rules(&["/banner300x250"]));
+        assert_eq!(idx.unindexed_len(), 0);
+        for (url, hit) in [
+            ("https://img.shop.com/banner300x250.png", true),
+            ("https://img.shop.com/Banner300x250x.png", true),
+            ("https://img.shop.com/xbanner300x250.png", false),
+            ("https://img.shop.com/banner/300x250.png", false),
+        ] {
+            let r = req(url);
+            assert_eq!(idx.first_match(&r.view()).is_some(), hit, "{url}");
+            assert_eq!(idx.any_match(&r.view()), hit, "{url}");
+            assert_eq!(idx.first_match_linear(&r.view()).is_some(), hit, "{url}");
+        }
+    }
+
+    #[test]
+    fn the_lowest_index_wins_across_key_kinds() {
+        // One rule of each kind (always checked, run prefix, token), all
+        // matching one URL, rotated so that each kind in turn holds the
+        // lowest index.
+        for texts in [
+            ["/t?", "/adserv", "/adserver/"],
+            ["/adserv", "/adserver/", "/t?"],
+            ["/adserver/", "/t?", "/adserv"],
+        ] {
+            let idx = RuleIndex::build(rules(&texts));
+            let r = req("https://x.com/adserver/t?id=1");
+            assert_eq!(idx.first_match(&r.view()).unwrap().text, texts[0]);
+            assert!(idx.any_match(&r.view()));
+            assert_eq!(idx.all_matches(&r.view()).len(), 3);
+        }
+    }
+
+    #[test]
     fn unindexed_rules_are_still_checked() {
         // A rule whose pattern has no token of length >= 3.
-        let idx = RuleIndex::build(rules(&["/t?$image"]));
-        assert_eq!(idx.unindexed_len(), 1);
+        let idx = RuleIndex::build(rules(&["/t?$image", "ads/"]));
+        assert_eq!(idx.unindexed_len(), 2);
         let r = FilterRequest::new("https://x.com/t?id=2", "pub.com", ResourceType::Image).unwrap();
         assert!(idx.first_match(&r.view()).is_some());
+        assert!(idx.any_match(&r.view()));
+        assert!(idx.any_match(&req("https://x.com/myads/a.js").view()));
     }
 
     #[test]
@@ -399,5 +500,6 @@ mod tests {
         let idx = RuleIndex::build(Vec::new());
         assert!(idx.is_empty());
         assert!(idx.first_match(&req("https://x.com/a.js").view()).is_none());
+        assert!(!idx.any_match(&req("https://x.com/a.js").view()));
     }
 }

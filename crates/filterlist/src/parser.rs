@@ -190,6 +190,33 @@ mod tests {
     fn drops_match_all_rules() {
         assert!(parse_rule("*", ListKind::EasyList, 1).is_none());
         assert!(parse_rule("*$script", ListKind::EasyList, 1).is_some());
+        // Anchors and wildcards alone match every URL too; a constraining
+        // option admits each, as it admits `*`.
+        for pattern in ["*", "||", "|", "||*", "|*", "*|", "||*|", "|||"] {
+            assert!(
+                parse_rule(pattern, ListKind::EasyList, 1).is_none(),
+                "{pattern}"
+            );
+            let constrained = format!("{pattern}$third-party");
+            assert!(
+                parse_rule(&constrained, ListKind::EasyList, 1).is_some(),
+                "{constrained}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bare_anchor_labels_nothing() {
+        let engine = crate::FilterEngine::from_lists(&[(ListKind::EasyList, "||\n|\n*|\n")]);
+        assert_eq!(engine.rule_count(), 0);
+        assert_eq!(
+            engine.label_url(
+                "https://news.example/article.html",
+                "news.example",
+                crate::ResourceType::Document
+            ),
+            crate::RequestLabel::Functional
+        );
     }
 
     #[test]

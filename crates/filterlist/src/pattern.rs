@@ -342,11 +342,11 @@ impl Pattern {
     }
 
     /// `true` when the pattern contains no constraining text at all and
-    /// would match every URL (e.g. the rule was just `*`).
+    /// would match every URL: it has no literal and no `^`, only anchors and
+    /// wildcards (`*`, `||`, `|*`, `*|`, `||*|`). An anchor alone constrains
+    /// nothing — every URL has a start, an end and a hostname.
     pub fn is_match_all(&self) -> bool {
-        self.anchor == Anchor::None
-            && !self.end_anchored
-            && self.segments.iter().all(|s| s.atoms.is_empty())
+        self.segments.iter().all(|s| s.atoms.is_empty())
     }
 
     /// Extract "quality token" hashes for the rule index, using the same
@@ -362,19 +362,42 @@ impl Pattern {
     /// matches `/adserver/x.png`, whose URL token is `adserver`, not `ads`,
     /// so filing the rule under `ads` would be a false negative. (The old
     /// string tokenizer had exactly that bug.) Rules with no bounded run
-    /// fall back to the index's always-checked list.
+    /// fall back to [`Pattern::index_run_prefixes`].
     pub fn index_token_hashes(&self) -> Vec<u64> {
-        // Tokens are hashed lower-cased: URL tokenisation lower-cases too,
-        // so case-sensitive rules still index soundly.
+        self.left_bounded_runs()
+            .filter_map(|(token, right_bounded)| right_bounded.then_some(token.hash))
+            .collect()
+    }
+
+    /// The run prefixes ([`crate::tokens::Token::prefix`]) of the pattern's
+    /// runs that are bounded on the left, in pattern order: the rule index's
+    /// key for a rule with no run bounded on both sides.
+    ///
+    /// A left-bounded run starts a maximal alphanumeric run in every
+    /// matching URL — the byte before it is a non-wildcard separator, or the
+    /// run starts at an anchor — so the URL run holding it starts at the
+    /// same byte, is at least as long, and shares its first three bytes.
+    /// `/banner300x250` is filed under `ban`; `ads/` and `*ads` have no such
+    /// run and stay always-checked.
+    pub fn index_run_prefixes(&self) -> Vec<u64> {
+        self.left_bounded_runs()
+            .map(|(token, _)| token.prefix)
+            .collect()
+    }
+
+    /// The pattern's left-bounded runs, each with whether it is also
+    /// bounded on the right. A side is bounded when the adjacent pattern
+    /// byte is not `*`, or when the pattern edge there is anchored. Tokens
+    /// are hashed lower-cased: URL tokenisation lower-cases too, so
+    /// case-sensitive rules still index soundly.
+    fn left_bounded_runs(&self) -> impl Iterator<Item = (crate::tokens::Token, bool)> + '_ {
         let text = self
             .source
             .strip_prefix("||")
             .or_else(|| self.source.strip_prefix('|'))
             .unwrap_or(&self.source);
-        let text = text.strip_suffix('|').unwrap_or(text);
-        let bytes = text.as_bytes();
-        let mut out = Vec::new();
-        for token in crate::tokens::TokenHashes::new(bytes) {
+        let bytes = text.strip_suffix('|').unwrap_or(text).as_bytes();
+        crate::tokens::TokenHashes::new(bytes).filter_map(move |token| {
             let left_bounded = if token.start == 0 {
                 self.anchor != Anchor::None
             } else {
@@ -385,11 +408,8 @@ impl Pattern {
             } else {
                 bytes[token.end] != b'*'
             };
-            if left_bounded && right_bounded {
-                out.push(token.hash);
-            }
-        }
-        out
+            left_bounded.then_some((token, right_bounded))
+        })
     }
 
     /// Match the pattern against a parsed URL.
@@ -691,8 +711,19 @@ mod tests {
 
     #[test]
     fn match_all_detection() {
-        assert!(Pattern::compile("*", false).is_match_all());
-        assert!(!Pattern::compile("||a.com^", false).is_match_all());
+        // Anchors and wildcards alone constrain nothing.
+        for pattern in ["*", "||", "|", "||*", "|*", "*|", "||*|", "|||", "**"] {
+            assert!(Pattern::compile(pattern, false).is_match_all(), "{pattern}");
+            for url in ["https://news.example/article.html", "http://a.io"] {
+                assert!(m(pattern, url), "{pattern} on {url}");
+            }
+        }
+        for pattern in ["||a.com^", "^", "|^", "||^", "/", "|a"] {
+            assert!(
+                !Pattern::compile(pattern, false).is_match_all(),
+                "{pattern}"
+            );
+        }
     }
 
     #[test]
@@ -754,6 +785,30 @@ mod tests {
             Pattern::compile("/banner/*/track.gif", false).index_token_hashes(),
             vec![fnv1a64(b"banner"), fnv1a64(b"track")]
         );
+    }
+
+    #[test]
+    fn index_run_prefixes_take_the_first_three_bytes_of_left_bounded_runs() {
+        use crate::tokens::fnv1a64;
+        let prefixes = |pattern: &str| Pattern::compile(pattern, false).index_run_prefixes();
+        assert_eq!(prefixes("/banner300x250"), vec![fnv1a64(b"ban")]);
+        assert_eq!(prefixes("/ads"), vec![fnv1a64(b"ads")]);
+        // Anchors bound the left edge; case folds as the URL side does.
+        assert_eq!(prefixes("|Https"), vec![fnv1a64(b"htt")]);
+        assert_eq!(
+            prefixes("||ads.example/track"),
+            vec![fnv1a64(b"ads"), fnv1a64(b"exa"), fnv1a64(b"tra")]
+        );
+        // A `^` bounds like any separator; a wildcard does not.
+        assert_eq!(
+            prefixes("^utm_source"),
+            vec![fnv1a64(b"utm"), fnv1a64(b"sou")]
+        );
+        assert_eq!(prefixes("/ban*ner300"), vec![fnv1a64(b"ban")]);
+        // No run bounded on the left.
+        for pattern in ["ads/", "banner300x250", "*ads", "/t?", "|*ads"] {
+            assert!(prefixes(pattern).is_empty(), "{pattern}");
+        }
     }
 
     #[test]

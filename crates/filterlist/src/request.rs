@@ -2,7 +2,8 @@
 //!
 //! Matching reads a borrowed [`RequestView`]: the URL text, its lower-cased
 //! form, the hostname slice and its registrable domain, the page's hostname,
-//! the resource type, the URL's token hashes and the party bit. Two
+//! the resource type, the URL's token hashes and run prefixes, and the
+//! party bit. Two
 //! producers build it, through the same helpers, so they cannot disagree:
 //!
 //! * [`RequestScratch::view`] derives it from `&str`s into buffers the
@@ -119,11 +120,16 @@ pub struct RequestView<'a> {
     /// Resource type reported by the browser.
     pub resource_type: ResourceType,
     /// Token hashes of the URL ([`crate::tokens`]) in text order, repeats
-    /// kept: they select the candidate rule buckets. Neither reader needs a
-    /// set — [`crate::index::RuleIndex::first_match`] keeps the lowest
-    /// matching rule index and `all_matches` dedups its candidates — so no
-    /// builder sorts them.
+    /// kept: they select the candidate buckets of rules filed under a run
+    /// bounded on both sides. No reader needs a set —
+    /// [`crate::index::RuleIndex::first_match`] keeps the lowest matching
+    /// rule index, `any_match` stops at the first and `all_matches` dedups
+    /// its candidates — so no builder sorts them.
     pub token_hashes: &'a [u64],
+    /// The run prefix ([`crate::tokens::Token::prefix`]) of each token, in
+    /// the same order as `token_hashes`: they select the candidate buckets
+    /// of rules filed under a run bounded only on the left.
+    pub run_prefixes: &'a [u64],
     /// Whether the request crosses a registrable-domain boundary.
     pub third_party: bool,
 }
@@ -157,6 +163,7 @@ pub struct RequestScratch {
     /// Where `source`'s registrable domain lies within it.
     source_domain: Range<usize>,
     hashes: Vec<u64>,
+    prefixes: Vec<u64>,
 }
 
 impl RequestScratch {
@@ -167,6 +174,7 @@ impl RequestScratch {
             source: String::new(),
             source_domain: 0..0,
             hashes: Vec::new(),
+            prefixes: Vec::new(),
         }
     }
 
@@ -184,9 +192,10 @@ impl RequestScratch {
         if raw.is_empty() {
             return None;
         }
-        // One scan of the URL hashes its tokens and tells whether it has
-        // upper-case ASCII to fold; only such a URL is copied.
-        let lower = if hash_tokens_into(raw.as_bytes(), &mut self.hashes) {
+        // One scan of the URL hashes its tokens and their run prefixes and
+        // tells whether it has upper-case ASCII to fold; only such a URL is
+        // copied.
+        let lower = if hash_tokens_into(raw.as_bytes(), &mut self.hashes, &mut self.prefixes) {
             self.lower.clear();
             self.lower.push_str(raw);
             self.lower.make_ascii_lowercase();
@@ -215,6 +224,7 @@ impl RequestScratch {
             source_hostname,
             resource_type,
             token_hashes: &self.hashes,
+            run_prefixes: &self.prefixes,
             third_party: crosses_domains(hostname, domain, source_hostname, source_domain),
         })
     }
@@ -239,6 +249,8 @@ pub struct FilterRequest {
     /// Token hashes of the URL in text order, repeats kept, computed once
     /// at construction ([`crate::tokens`]).
     token_hashes: Box<[u64]>,
+    /// Each token's run prefix, in the same order.
+    run_prefixes: Box<[u64]>,
     /// Whether the request crosses a registrable-domain boundary, computed
     /// once at construction so `$third-party` rules don't re-derive both
     /// eTLD+1s per candidate rule.
@@ -259,8 +271,8 @@ impl FilterRequest {
 
     /// Build a request from an already-parsed URL, taking ownership.
     pub fn from_parsed(url: ParsedUrl, source_hostname: &str, resource_type: ResourceType) -> Self {
-        let mut hashes = Vec::new();
-        hash_tokens_into(url.raw.as_bytes(), &mut hashes);
+        let (mut hashes, mut prefixes) = (Vec::new(), Vec::new());
+        hash_tokens_into(url.raw.as_bytes(), &mut hashes, &mut prefixes);
         let source_hostname = source_hostname.to_ascii_lowercase();
         let domain = domain_range(&url.hostname);
         let third_party = crosses_domains(
@@ -275,6 +287,7 @@ impl FilterRequest {
             domain,
             resource_type,
             token_hashes: hashes.into_boxed_slice(),
+            run_prefixes: prefixes.into_boxed_slice(),
             third_party,
         }
     }
@@ -287,6 +300,7 @@ impl FilterRequest {
             source_hostname: &self.source_hostname,
             resource_type: self.resource_type,
             token_hashes: &self.token_hashes,
+            run_prefixes: &self.run_prefixes,
             third_party: self.third_party,
         }
     }
@@ -378,6 +392,21 @@ mod tests {
         let mut scratch = RequestScratch::new();
         let view = scratch.view(url, "example.com", ResourceType::Script);
         assert_eq!(view.map(|v| v.token_hashes), Some(&expected[..]));
+    }
+
+    #[test]
+    fn run_prefixes_follow_the_token_hashes() {
+        use crate::tokens::fnv1a64;
+        let url = "HTTPS://CDN.Example.COM/com/Analytics.js";
+        let r = FilterRequest::new(url, "example.com", ResourceType::Script).unwrap();
+        let expected: Vec<u64> = ["htt", "cdn", "exa", "com", "com", "ana"]
+            .iter()
+            .map(|prefix| fnv1a64(prefix.as_bytes()))
+            .collect();
+        assert_eq!(r.view().run_prefixes, &expected[..]);
+        let mut scratch = RequestScratch::new();
+        let view = scratch.view(url, "example.com", ResourceType::Script);
+        assert_eq!(view.map(|v| v.run_prefixes), Some(&expected[..]));
     }
 
     #[test]

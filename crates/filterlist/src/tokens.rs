@@ -9,7 +9,10 @@
 //! [`TOKEN_MIN_LEN`], lower-cased, and it is represented not as an owned
 //! `String` but as its 64-bit FNV-1a hash, computed incrementally while
 //! scanning. Tokenizing a URL therefore allocates nothing: the iterator
-//! walks the byte slice once and yields `u64`s.
+//! walks the byte slice once and yields `u64`s. Each token also carries its
+//! *run prefix*, the hash of its first [`TOKEN_MIN_LEN`] bytes, which keys
+//! the rules whose run is bounded only on the left
+//! ([`crate::pattern::Pattern::index_run_prefixes`]).
 //!
 //! Hash collisions (two distinct tokens with the same hash) are harmless by
 //! construction: colliding tokens merely share a candidate bucket, and every
@@ -67,15 +70,24 @@ static FOLD: [u8; 256] = {
     table
 };
 
-/// Replace `out` with the token hashes of `text` in text order, repeats
+/// Replace `hashes` with the token hashes of `text` and `prefixes` with
+/// their run prefixes ([`Token::prefix`]), both in text order, repeats
 /// kept — collected from [`TokenHashes`], whose scan also reports whether
 /// any byte is upper-case ASCII, i.e. whether `text` differs from its ASCII
-/// lower case at all. The request builders read both from one scan of the
-/// URL.
-pub(crate) fn hash_tokens_into(text: &[u8], out: &mut Vec<u64>) -> bool {
-    out.clear();
+/// lower case at all. The request builders read all three from one scan of
+/// the URL.
+pub(crate) fn hash_tokens_into(
+    text: &[u8],
+    hashes: &mut Vec<u64>,
+    prefixes: &mut Vec<u64>,
+) -> bool {
+    hashes.clear();
+    prefixes.clear();
     let mut tokens = TokenHashes::new(text);
-    out.extend(tokens.by_ref().map(|t| t.hash));
+    for token in tokens.by_ref() {
+        hashes.push(token.hash);
+        prefixes.push(token.prefix);
+    }
     tokens.folded
 }
 
@@ -88,6 +100,11 @@ pub struct Token {
     pub end: usize,
     /// FNV-1a hash of the lower-cased run.
     pub hash: u64,
+    /// FNV-1a hash of the run's first [`TOKEN_MIN_LEN`] lower-cased bytes:
+    /// the scan's hash state at the run's third byte. A rule whose run is
+    /// bounded only on the left is filed under this key, since the URL run
+    /// holding it starts at the same byte.
+    pub prefix: u64,
 }
 
 impl Token {
@@ -143,6 +160,7 @@ impl Iterator for TokenHashes<'_> {
             }
             let start = self.pos;
             let mut hash = FNV_OFFSET;
+            let mut prefix = FNV_OFFSET;
             while let Some(&b) = self.text.get(self.pos) {
                 let folded = FOLD[usize::from(b)];
                 if folded == 0 {
@@ -151,12 +169,16 @@ impl Iterator for TokenHashes<'_> {
                 self.folded |= folded != b;
                 hash = fnv1a64_step(hash, folded);
                 self.pos += 1;
+                if self.pos - start == TOKEN_MIN_LEN {
+                    prefix = hash;
+                }
             }
             if self.pos - start >= TOKEN_MIN_LEN {
                 return Some(Token {
                     start,
                     end: self.pos,
                     hash,
+                    prefix,
                 });
             }
             // Run too short: keep scanning.
@@ -337,6 +359,7 @@ mod tests {
                     start,
                     end: start + run,
                     hash: fnv1a64(&lower),
+                    prefix: fnv1a64(&lower[..TOKEN_MIN_LEN]),
                 });
             }
             start += run.max(1);
@@ -353,10 +376,12 @@ mod tests {
         ) {
             let expected = reference_tokens(&text);
             prop_assert_eq!(TokenHashes::new(&text).collect::<Vec<_>>(), expected.clone());
-            let mut hashes = vec![1, 2, 3];
-            let folded = hash_tokens_into(&text, &mut hashes);
+            let (mut hashes, mut prefixes) = (vec![1, 2, 3], vec![4]);
+            let folded = hash_tokens_into(&text, &mut hashes, &mut prefixes);
             let expected_hashes: Vec<u64> = expected.iter().map(|t| t.hash).collect();
+            let expected_prefixes: Vec<u64> = expected.iter().map(|t| t.prefix).collect();
             prop_assert_eq!(hashes, expected_hashes);
+            prop_assert_eq!(prefixes, expected_prefixes);
             prop_assert_eq!(folded, text.iter().any(u8::is_ascii_uppercase));
         }
     }

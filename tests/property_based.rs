@@ -25,13 +25,17 @@ fn arb_url() -> impl Strategy<Value = String> {
 
 /// Rule patterns that stress the hashed index's boundary analysis: plain
 /// substrings (whose leading/trailing runs must not become index tokens),
-/// separator-bounded paths, host anchors, and wildcards.
+/// separator-bounded paths, host anchors, and wildcards — each filed under
+/// a token, under a run prefix, or on the always-checked list — and a
+/// quarter of them as `@@` exceptions, so exceptions take every key kind
+/// too.
 fn arb_rule() -> impl Strategy<Value = String> {
-    prop_oneof![
-        // Unanchored substring, unbounded on both sides (e.g. `adserver`).
+    let pattern = prop_oneof![
+        // Unanchored substring, unbounded on both sides (e.g. `adserver`):
+        // always checked.
         "[a-z]{3,10}",
         // Left-bounded path fragment (`/ads` — historically a false
-        // negative of the string-bucket index).
+        // negative of the string-bucket index): run-prefix keyed.
         "/[a-z]{3,8}",
         // Fully bounded path (`/ads/`).
         "/[a-z]{3,8}/",
@@ -39,11 +43,22 @@ fn arb_rule() -> impl Strategy<Value = String> {
         "/[a-z]{3,8}\\?",
         // Host anchor (`||ads.example^`).
         "\\|\\|[a-z]{3,8}\\.[a-z]{2,6}\\^",
+        // Host anchor with an open path (`||ads.example/track`).
+        "\\|\\|[a-z]{3,8}\\.[a-z]{2,6}/[a-z]{3,8}",
+        // URL-start anchor with an open host (`|https://ads`).
+        "\\|https://[a-z]{3,8}",
+        // Separator on the right only (`ads^`): always checked.
+        "[a-z]{3,8}\\^",
         // Wildcard in the middle (`/ban*ner/`).
         "/[a-z]{2,4}\\*[a-z]{2,4}/",
         // End anchored (`.js|`-style).
         "[a-z]{2,5}\\.[a-z]{2,3}\\|",
-    ]
+        // Case-sensitive, upper case (`/Banner$match-case`): the index
+        // keys it lower-cased, as it keys the URL.
+        "/[A-Z][a-zA-Z]{2,7}\\$match-case",
+    ];
+    (prop_oneof!["", "", "", "@@"], pattern)
+        .prop_map(|(marker, pattern)| format!("{marker}{pattern}"))
 }
 
 /// URLs as a crawl or a hostile client spells them: any case, userinfo,
@@ -112,10 +127,18 @@ proptest! {
         // Random URLs rarely collide with random rules, so also derive
         // adversarial URLs from each rule: one that embeds its literal text
         // exactly, one that extends the trailing run (`/ads` vs
-        // `/adserver`), and one that uses it as a hostname.
+        // `/adserver`), one that uses it as a hostname, one that starts the
+        // URL with it, and one that embeds every rule's text at once, so
+        // that rules of different key kinds and exceptions match together
+        // and the lowest index must win.
         let mut probes = urls.clone();
+        let mut all = String::new();
         for rule in &rules {
-            let frag: String = rule
+            let pattern = rule.strip_prefix("@@").unwrap_or(rule);
+            let pattern = pattern.split('$').next().unwrap_or(pattern);
+            let frag: String = pattern
+                .trim_start_matches('|')
+                .trim_start_matches("https://")
                 .chars()
                 .filter(|c| c.is_ascii_alphanumeric() || *c == '.' || *c == '/')
                 .collect();
@@ -126,13 +149,25 @@ proptest! {
             probes.push(format!("https://www.shop.com/{frag}?x=1"));
             probes.push(format!("https://www.shop.com/{frag}tail/img.png"));
             probes.push(format!("https://pre{frag}/asset.js"));
+            probes.push(format!("https://{frag}/x.js"));
+            all.push('/');
+            all.push_str(frag);
         }
+        probes.push(format!("https://www.shop.com{all}/?x=1"));
         for url in &probes {
             if let Some(request) = FilterRequest::new(url, &source, ResourceType::Script) {
+                let linear = engine.evaluate_linear(&request);
                 prop_assert_eq!(
-                    engine.evaluate(&request).label(),
-                    engine.evaluate_linear(&request).label(),
+                    &engine.evaluate(&request),
+                    &linear,
                     "hashed index and linear scan disagree for rule set {:?} on {}",
+                    rules,
+                    url
+                );
+                prop_assert_eq!(
+                    engine.label(&request),
+                    linear.label(),
+                    "the existence probe and linear scan disagree for rule set {:?} on {}",
                     rules,
                     url
                 );
