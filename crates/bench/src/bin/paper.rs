@@ -35,21 +35,18 @@ fn main() {
 /// and method granularities, with per-level and cumulative separation
 /// factors.
 fn table1(study: &Study) {
-    // Read the classification through the serving API: the sifter's
-    // committed export is byte-identical to the study's batch hierarchy.
-    let hierarchy = study.sifter().hierarchy();
-    print!("{}", render_table1(&hierarchy));
+    let hierarchy = &study.hierarchy;
+    print!("{}", render_table1(hierarchy));
     println!();
-    print!("{}", render_headline(&trackersift::headline(&hierarchy)));
+    print!("{}", render_headline(&trackersift::headline(hierarchy)));
 }
 
 /// **Table 2**: classification of unique *resources* (domains, hostnames,
 /// scripts, methods) with per-level separation factors, plus the "notable
 /// resources" listing from the paper's prose.
 fn table2(study: &Study) {
-    // Read through the serving API, as `table1` does.
-    let hierarchy = study.sifter().hierarchy();
-    print!("{}", render_table2(&hierarchy));
+    let hierarchy = &study.hierarchy;
+    print!("{}", render_table2(hierarchy));
     println!();
     for granularity in [Granularity::Domain, Granularity::Hostname] {
         print!("{}", render_notable(hierarchy.level(granularity), 5));

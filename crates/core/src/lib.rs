@@ -37,7 +37,8 @@
 //!
 //! [`Study::run`] executes the pipeline as a chain of named, individually
 //! timed stages — `generate → crawl → label → classify` (see [`pipeline::StageTimings`]) —
-//! with the downstream analyses bundled behind [`Study::analyses`]. The
+//! with each downstream analysis an on-demand `Study` method
+//! ([`Study::sensitivity_sweep`], [`Study::callstack_analysis`], …). The
 //! crawl and labeling stages run on a worker pool sized by the study's
 //! [`ClusterConfig`](crawler::ClusterConfig) `workers` knob, and are
 //! deterministic: a parallel run produces byte-identical results to a
@@ -131,7 +132,7 @@ pub use intern::{FrozenKeys, KeyInterner, ResourceKey};
 pub use journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport, ReplayReport};
 pub use label::{CacheStats, LabelStats, LabeledRequest, Labeler};
 pub use metrics::{headline, table1, table2, HeadlineSummary, Table1Row, Table2Row};
-pub use pipeline::{StageTiming, StageTimings, Study, StudyAnalyses, StudyConfig};
+pub use pipeline::{StageTiming, StageTimings, Study, StudyConfig};
 pub use ratio::{Classification, Counts, Thresholds};
 pub use report::RatioHistogram;
 pub use revision::{

@@ -5,7 +5,7 @@
 //! describes it:
 //!
 //! ```text
-//! generate ──▶ crawl ──▶ label ──▶ classify ──▶ (analyses on demand)
+//! generate ──▶ crawl ──▶ label ──▶ classify ──▶ (analysis methods on demand)
 //! ```
 //!
 //! * `generate` builds the synthetic corpus (stand-in for "crawl list");
@@ -27,14 +27,15 @@
 //! its name and wall-clock duration; the record is exposed on
 //! [`Study::timings`], so every run reports where its time went. The
 //! downstream analyses (sensitivity sweep, call-stack analysis, surrogates,
-//! breakage) stay on-demand methods, bundled by [`Study::analyses`]. The
-//! bench binaries and the examples are thin wrappers over this type.
+//! breakage) are not stages: each is a `Study` method that runs when it is
+//! called. The bench binaries and the examples are thin wrappers over this
+//! type.
 
 use crate::breakage::{analyze_breakage, BreakageStudy};
 use crate::callstack::{analyze_mixed_methods, CallStackAnalysis};
 use crate::hierarchy::{Granularity, HierarchicalClassifier, HierarchyResult, LevelResult};
 use crate::intern::KeyInterner;
-use crate::label::{CacheStats, LabelStats, LabeledRequest, Labeler};
+use crate::label::{LabelStats, LabeledRequest, Labeler};
 use crate::ratio::{Classification, Thresholds};
 use crate::sensitivity::SensitivitySweep;
 use crate::service::{ObservationRef, Sifter};
@@ -74,35 +75,6 @@ impl StageTimings {
     /// All recorded timings, in execution order.
     pub fn all(&self) -> &[StageTiming] {
         &self.timings
-    }
-
-    /// The full timing record of a stage by name, if it ran. Non-panicking
-    /// lookup — prefer this over indexing into [`StageTimings::all`], which
-    /// bakes in assumptions about which stages ran and in what order.
-    pub fn timing(&self, name: &str) -> Option<StageTiming> {
-        self.timings.iter().find(|t| t.name == name).copied()
-    }
-
-    /// The duration of a stage by name, if it ran.
-    pub fn duration(&self, name: &str) -> Option<Duration> {
-        self.timing(name).map(|t| t.duration)
-    }
-
-    /// Total wall-clock time across all recorded stages.
-    pub fn total(&self) -> Duration {
-        self.timings.iter().map(|t| t.duration).sum()
-    }
-
-    /// Throughput of a stage in units per second: `units` (sites, requests,
-    /// …) divided by the stage's wall-clock duration. `None` when the stage
-    /// did not run or its recorded duration is zero.
-    pub fn rate(&self, name: &str, units: u64) -> Option<f64> {
-        let secs = self.duration(name)?.as_secs_f64();
-        if secs > 0.0 {
-            Some(units as f64 / secs)
-        } else {
-            None
-        }
     }
 
     /// A one-line human-readable summary, e.g.
@@ -170,19 +142,6 @@ impl StudyConfig {
     }
 }
 
-/// The bundled downstream analyses (stage 5, on demand).
-#[derive(Debug)]
-pub struct StudyAnalyses {
-    /// The Figure 4 threshold-sensitivity sweep.
-    pub sensitivity: SensitivitySweep,
-    /// The Figure 5 call-stack analysis of the mixed-method residue.
-    pub callstack: CallStackAnalysis,
-    /// Surrogate scripts for every mixed script.
-    pub surrogates: Vec<SurrogateScript>,
-    /// Wall-clock timing of the analyses stage.
-    pub timing: StageTiming,
-}
-
 /// A fully materialised study: corpus, crawl, labels and classification.
 #[derive(Debug)]
 pub struct Study {
@@ -200,9 +159,6 @@ pub struct Study {
     pub requests: Vec<LabeledRequest>,
     /// Labeling statistics.
     pub label_stats: LabelStats,
-    /// Oracle-evaluation counters of the labeling stage (see
-    /// [`CacheStats`]).
-    pub label_cache_stats: CacheStats,
     /// The hierarchical classification result.
     pub hierarchy: HierarchyResult,
     /// Per-stage wall-clock timings of the run.
@@ -220,13 +176,11 @@ impl Study {
         let (database, crawl_summary) = timings.time("crawl", || {
             CrawlCluster::new(config.cluster.clone()).crawl_with_summary(&corpus)
         });
-        let (engine, requests, label_stats, label_cache_stats) = timings.time("label", || {
+        let (engine, requests, label_stats) = timings.time("label", || {
             let engine = filter_rules::engine_for(&corpus.ecosystem);
-            let labeler = Labeler::new(&engine);
             let (requests, stats) =
-                labeler.label_database_parallel(&database, config.cluster.workers);
-            let cache_stats = labeler.cache_stats();
-            (engine, requests, stats, cache_stats)
+                Labeler::new(&engine).label_database_parallel(&database, config.cluster.workers);
+            (engine, requests, stats)
         });
         let hierarchy = timings.time("classify", || {
             HierarchicalClassifier::new(config.thresholds).classify(&requests)
@@ -240,16 +194,9 @@ impl Study {
             crawl_summary,
             requests,
             label_stats,
-            label_cache_stats,
             hierarchy,
             timings,
         }
-    }
-
-    /// The classifier in force — a cheap `Copy`, derived from the config so
-    /// there is exactly one source of truth for the thresholds.
-    pub fn classifier(&self) -> HierarchicalClassifier {
-        HierarchicalClassifier::new(self.config.thresholds)
     }
 
     /// The Figure 4 sensitivity sweep.
@@ -286,24 +233,6 @@ impl Study {
         generate_surrogates(&self.hierarchy, &self.requests)
     }
 
-    /// Run every downstream analysis as one timed `analyses` stage.
-    pub fn analyses(&self) -> StudyAnalyses {
-        let mut timings = StageTimings::default();
-        let (sensitivity, callstack, surrogates) = timings.time("analyses", || {
-            (
-                self.sensitivity_sweep(),
-                self.callstack_analysis(),
-                self.surrogates(),
-            )
-        });
-        StudyAnalyses {
-            sensitivity,
-            callstack,
-            surrogates,
-            timing: timings.all()[0],
-        }
-    }
-
     /// Produce a [`Sifter`] trained on this study's labeled requests — the
     /// bridge from the batch pipeline to the long-lived serving API. The
     /// study is the *producer*; the sifter (its [`Sifter::hierarchy`]
@@ -330,10 +259,10 @@ impl Study {
 
     /// Flat (non-hierarchical) classification at a single granularity over
     /// *all* script-initiated requests — the ablation baseline showing why
-    /// the progressive hierarchy matters. Reuses the study's classifier.
+    /// the progressive hierarchy matters, at the study's thresholds.
     pub fn flat_classification(&self, granularity: Granularity) -> LevelResult {
         let all: Vec<&LabeledRequest> = self.requests.iter().collect();
-        self.classifier().classify_flat(granularity, &all)
+        HierarchicalClassifier::new(self.config.thresholds).classify_flat(granularity, &all)
     }
 }
 
@@ -352,11 +281,6 @@ mod tests {
         assert_eq!(study.crawl_summary.sites, 100);
         assert!(study.label_stats.labeled() > 1_000);
         assert_eq!(study.hierarchy.total_requests, study.requests.len() as u64);
-        // Every script-initiated request was evaluated against the oracle.
-        assert_eq!(
-            study.label_cache_stats.lookups(),
-            (study.label_stats.labeled() + study.label_stats.excluded_unparseable) as u64
-        );
         // All four downstream analyses run.
         assert_eq!(study.sensitivity_sweep().points.len(), 21);
         let breakage = study.breakage_study(5);
@@ -377,10 +301,6 @@ mod tests {
                 timing.name
             );
         }
-        assert!(study.timings.total() >= study.timings.duration("crawl").unwrap());
-        let analyses = study.analyses();
-        assert_eq!(analyses.timing.name, "analyses");
-        assert_eq!(analyses.sensitivity.points.len(), 21);
     }
 
     #[test]
@@ -439,7 +359,7 @@ mod tests {
     #[test]
     fn reclassify_with_paper_thresholds_is_byte_identical() {
         let study = study();
-        let again = study.classifier().classify(&study.requests);
+        let again = HierarchicalClassifier::new(study.config.thresholds).classify(&study.requests);
         assert_eq!(again, study.hierarchy);
         // Byte-level regression guard: the reclassified hierarchy renders to
         // exactly the same bytes as the original, so resource ordering and
@@ -459,14 +379,6 @@ mod tests {
         assert_eq!(total, 12);
         let names: Vec<&str> = timings.all().iter().map(|t| t.name).collect();
         assert_eq!(names, vec!["double", "sum"]);
-        assert!(timings.duration("double").is_some());
-        assert!(timings.duration("missing").is_none());
-        assert_eq!(timings.timing("sum").unwrap().name, "sum");
-        assert!(timings.timing("missing").is_none());
-        assert!(timings.total() >= timings.duration("sum").unwrap());
         assert!(timings.summary().contains("double"));
-        let rate = timings.rate("double", 3_000).expect("stage ran");
-        assert!(rate > 0.0);
-        assert!(timings.rate("missing", 10).is_none());
     }
 }

@@ -2,14 +2,17 @@
 //!
 //! The paper checks that the choice of the ±2 log-ratio threshold is stable
 //! by sweeping it from 1.0 to 3.0 in steps of 0.1 and plotting the share of
-//! scripts classified as mixed; the curve plateaus around 2. This module
-//! reruns the full hierarchy at each threshold and records the mixed share
-//! at every granularity (the paper reports "similar trends" for the other
-//! levels).
+//! scripts classified as mixed; the curve plateaus around 2. The sweep here
+//! is that fixed 21-point grid: it reruns the full hierarchy at each
+//! threshold and records the mixed share at every granularity (the paper
+//! reports "similar trends" for the other levels).
 
 use crate::hierarchy::{Granularity, HierarchicalClassifier};
 use crate::label::LabeledRequest;
 use crate::ratio::Thresholds;
+
+/// Points of the paper's grid: thresholds 1.0, 1.1, …, 3.0.
+const PAPER_POINTS: u32 = 21;
 
 /// One point of the sensitivity sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,12 +27,7 @@ pub struct SensitivityPoint {
 impl SensitivityPoint {
     /// Mixed share at one granularity.
     pub fn share(&self, granularity: Granularity) -> f64 {
-        match granularity {
-            Granularity::Domain => self.mixed_share[0],
-            Granularity::Hostname => self.mixed_share[1],
-            Granularity::Script => self.mixed_share[2],
-            Granularity::Method => self.mixed_share[3],
-        }
+        self.mixed_share[granularity.index()]
     }
 }
 
@@ -41,18 +39,15 @@ pub struct SensitivitySweep {
 }
 
 impl SensitivitySweep {
-    /// Run the sweep over `requests` for thresholds `start..=end` in steps
-    /// of `step` (the paper uses 1.0..=3.0 step 0.1).
-    pub fn run(requests: &[LabeledRequest], start: f64, end: f64, step: f64) -> Self {
-        assert!(step > 0.0, "step must be positive");
-        assert!(start > 0.0 && end >= start, "invalid sweep range");
+    /// The paper's sweep over `requests`: the hierarchy at each threshold
+    /// from 1.0 to 3.0 in steps of 0.1.
+    pub fn paper_sweep(requests: &[LabeledRequest]) -> Self {
         // Each threshold comes from its index, not from a running sum: a
         // sum drifts (the 11th `+= 0.1` is 2.000000000000001), and a point
         // must classify at exactly the threshold it reports.
-        let points = (0u32..)
-            .map(|i| start + f64::from(i) * step)
-            .take_while(|&threshold| threshold <= end + 1e-9)
-            .map(|threshold| {
+        let points = (0..PAPER_POINTS)
+            .map(|i| {
+                let threshold = 1.0 + f64::from(i) * 0.1;
                 let result =
                     HierarchicalClassifier::new(Thresholds::new(threshold)).classify(requests);
                 SensitivityPoint {
@@ -65,12 +60,7 @@ impl SensitivitySweep {
         SensitivitySweep { points }
     }
 
-    /// The paper's sweep: 1.0 to 3.0 in steps of 0.1.
-    pub fn paper_sweep(requests: &[LabeledRequest]) -> Self {
-        Self::run(requests, 1.0, 3.0, 0.1)
-    }
-
-    /// Maximum absolute change in script-level mixed share between
+    /// Maximum absolute change in the mixed share at `granularity` between
     /// consecutive thresholds within `[from, to]` — the "plateau" metric:
     /// small values around the default threshold mean the choice is stable.
     pub fn max_step_change(&self, granularity: Granularity, from: f64, to: f64) -> f64 {
@@ -105,8 +95,16 @@ mod tests {
         let requests = requests();
         let sweep = SensitivitySweep::paper_sweep(&requests);
         assert_eq!(sweep.points.len(), 21);
-        assert!((sweep.points[0].threshold - 1.0).abs() < 1e-9);
-        assert!((sweep.points.last().unwrap().threshold - 3.0).abs() < 1e-9);
+        // Bit-exact: each threshold is derived from its index.
+        for (i, point) in (0u32..).zip(&sweep.points) {
+            assert_eq!(
+                point.threshold.to_bits(),
+                (1.0 + f64::from(i) * 0.1).to_bits(),
+                "point {i}"
+            );
+        }
+        assert_eq!(sweep.points[0].threshold, 1.0);
+        assert_eq!(sweep.points[20].threshold, 3.0);
     }
 
     #[test]
@@ -137,7 +135,7 @@ mod tests {
     fn mixed_share_never_decreases_with_larger_threshold() {
         // Widening the mixed band can only add resources to it.
         let requests = requests();
-        let sweep = SensitivitySweep::run(&requests, 1.0, 3.0, 0.5);
+        let sweep = SensitivitySweep::paper_sweep(&requests);
         for g in Granularity::ALL {
             // Note: at finer levels the *input set* changes with the
             // threshold (more mixed parents feed more requests down), so the
@@ -158,17 +156,11 @@ mod tests {
     #[test]
     fn shares_are_percentages() {
         let requests = requests();
-        let sweep = SensitivitySweep::run(&requests, 1.5, 2.5, 0.5);
+        let sweep = SensitivitySweep::paper_sweep(&requests);
         for p in &sweep.points {
             for s in p.mixed_share {
                 assert!((0.0..=100.0).contains(&s), "{s}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "step must be positive")]
-    fn zero_step_rejected() {
-        let _ = SensitivitySweep::run(&[], 1.0, 3.0, 0.0);
     }
 }

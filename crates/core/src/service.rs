@@ -17,7 +17,8 @@
 //!   downstream), instead of re-running the full hierarchical
 //!   classification. The equivalence tests prove that any interleaving of
 //!   `apply`/`commit` ends in exactly the state a from-scratch
-//!   [`HierarchicalClassifier::classify`] would produce;
+//!   [`HierarchicalClassifier::classify`](crate::hierarchy::HierarchicalClassifier::classify)
+//!   would produce;
 //! * [`Sifter::verdict_table`] — export the committed state as an immutable
 //!   [`VerdictTable`], the one type that answers
 //!   [`verdict`](VerdictTable::verdict) and [`decide`](VerdictTable::decide)
@@ -81,9 +82,7 @@
 //! next table in one atomic swap. A retired table lives until every handle
 //! has pinned past it. See [`crate::concurrent`].
 
-use crate::hierarchy::{
-    Granularity, HierarchicalClassifier, HierarchyResult, LevelResult, ResourceEntry,
-};
+use crate::hierarchy::{Granularity, HierarchyResult, LevelResult, ResourceEntry};
 use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
 use crate::label::{label_url, LabeledRequest};
 use crate::memo::{LabelMemo, Remembered};
@@ -1427,7 +1426,7 @@ impl Sifter {
     }
 
     /// Materialise the committed state as a [`HierarchyResult`] — exactly
-    /// what [`HierarchicalClassifier::classify`] over every committed
+    /// what [`crate::hierarchy::HierarchicalClassifier::classify`] over every committed
     /// observation would return, byte for byte (the equivalence the service
     /// tests pin down). This is how the report/metrics layer reads a
     /// sifter.
@@ -1611,12 +1610,6 @@ impl Sifter {
         self.commit();
         Ok(())
     }
-
-    /// From-scratch reference classification over an explicit request set —
-    /// what the tests compare incremental commits against.
-    pub fn classifier(&self) -> HierarchicalClassifier {
-        HierarchicalClassifier::new(self.thresholds)
-    }
 }
 
 #[cfg(test)]
@@ -1624,9 +1617,16 @@ mod tests {
     use super::*;
     use crate::decision::DecisionRequest;
     use crate::frames::SurrogateFrames;
+    use crate::hierarchy::HierarchicalClassifier;
     use crate::testutil::{figure1_requests, labeled_request as req};
     use filterlist::RequestLabel;
     use proptest::prelude::*;
+
+    /// The from-scratch classification of `rows` at the sifter's
+    /// thresholds: what an incremental commit must equal.
+    fn scratch(sifter: &Sifter, rows: &[LabeledRequest]) -> HierarchyResult {
+        HierarchicalClassifier::new(sifter.thresholds()).classify(rows)
+    }
 
     fn trained(requests: &[LabeledRequest]) -> Sifter {
         let mut sifter = Sifter::builder().build();
@@ -1779,11 +1779,11 @@ mod tests {
     fn hierarchy_export_equals_from_scratch_classification() {
         let requests = figure1_requests();
         let sifter = trained(&requests);
-        let scratch = sifter.classifier().classify(&requests);
-        assert_eq!(sifter.hierarchy(), scratch);
+        let expected = scratch(&sifter, &requests);
+        assert_eq!(sifter.hierarchy(), expected);
         assert_eq!(
             sifter.unattributed_requests(),
-            scratch.unattributed_requests
+            expected.unattributed_requests
         );
     }
 
@@ -1838,7 +1838,7 @@ mod tests {
         }
         sifter.apply_batch(all.iter().map(ObservationRef::from));
         sifter.commit();
-        assert_eq!(sifter.hierarchy(), sifter.classifier().classify(&all));
+        assert_eq!(sifter.hierarchy(), scratch(&sifter, &all));
         assert!(sifter.committed_resources(Granularity::Hostname) > 0);
 
         for _ in 0..100 {
@@ -1851,7 +1851,7 @@ mod tests {
             stats.hostnames >= 2,
             "domain flip must dirty both hostnames"
         );
-        assert_eq!(sifter.hierarchy(), sifter.classifier().classify(&all));
+        assert_eq!(sifter.hierarchy(), scratch(&sifter, &all));
         // hub.com is now tracking: no hostname-level members remain.
         assert_eq!(sifter.committed_resources(Granularity::Hostname), 0);
         assert_eq!(
@@ -1940,7 +1940,7 @@ mod tests {
                     continue;
                 }
                 sifter.commit();
-                prop_assert_eq!(sifter.hierarchy(), sifter.classifier().classify(&rows));
+                prop_assert_eq!(sifter.hierarchy(), scratch(&sifter, &rows));
                 let snapshot = sifter.snapshot();
                 let key = |id: u32| {
                     let key = snapshot.keys.key_for_id(id).unwrap();
@@ -2036,7 +2036,7 @@ mod tests {
             on_host(|r| ResourceKey::method_label(&r.initiator_script, &r.initiator_method))
         );
         assert_eq!((stats.scripts, stats.methods), (3, 4));
-        assert_eq!(sifter.hierarchy(), sifter.classifier().classify(&all));
+        assert_eq!(sifter.hierarchy(), scratch(&sifter, &all));
     }
 
     #[test]
