@@ -121,6 +121,18 @@ impl<'a> DecisionRequest<'a> {
         self
     }
 
+    /// The attribution key string at `level` (the method *name* at
+    /// [`Granularity::Method`]).
+    #[inline]
+    pub(crate) fn key(&self, level: Granularity) -> &'a str {
+        match level {
+            Granularity::Domain => self.domain,
+            Granularity::Hostname => self.hostname,
+            Granularity::Script => self.script,
+            Granularity::Method => self.method,
+        }
+    }
+
     /// The query for a labeled request's attribution keys, URL included.
     /// The backstop's source hostname is the *page* hostname — derived from
     /// `top_level_url` by the same [`hostname_of`] the labeling stage
@@ -141,8 +153,10 @@ impl<'a> DecisionRequest<'a> {
 }
 
 /// A decision query whose four attribution keys are already resolved to
-/// [`ResourceKey`]s of one specific table — `None` marks a key that table
-/// never interned (an unknown resource).
+/// [`ResourceKey`]s of one specific table. `None` marks a key that table
+/// never interned (an unknown resource), or, from
+/// [`VerdictTable::resolve`](crate::table::VerdictTable::resolve), a key
+/// below the level where the verdict walk stops, which nothing reads.
 ///
 /// This is the hot-path form of [`DecisionRequest`]: a binary wire client
 /// that completed the key-interning handshake sends numeric ids, and the
@@ -201,6 +215,18 @@ impl<'a> KeyedRequest<'a> {
         self.source_hostname = source_hostname;
         self.resource_type = resource_type;
         self
+    }
+
+    /// The resolved key at `level` (the method-*name* key at
+    /// [`Granularity::Method`]).
+    #[inline]
+    pub(crate) fn key(&self, level: Granularity) -> Option<ResourceKey> {
+        match level {
+            Granularity::Domain => self.domain,
+            Granularity::Hostname => self.hostname,
+            Granularity::Script => self.script,
+            Granularity::Method => self.method,
+        }
     }
 }
 
@@ -431,7 +457,7 @@ pub(crate) fn decide_with<T>(
     request: &KeyedRequest<'_>,
 ) -> Resolved<T> {
     policy_of(
-        verdict_walk(keys, classes, request),
+        verdict_walk(keys, classes, |level| request.key(level)),
         || request.script.and_then(plan_for),
         || rewrite_of(rewriter, request.url),
         || {

@@ -2,16 +2,18 @@
 //! arrays plus a frozen key lookup.
 //!
 //! Every verdict and every decision is answered here, by one type:
-//! [`VerdictTable`] resolves a query's four keys against its [`FrozenKeys`],
-//! walks the class arrays once and applies the decision policy once.
+//! [`VerdictTable`] resolves a query's keys against its [`FrozenKeys`] as
+//! far as the walk down its class arrays goes, and applies the decision
+//! policy once.
 //!
 //! * [`ClassTable`] — four dense `Vec<u8>` arrays (one per
 //!   [`Granularity`]), indexed by [`ResourceKey::index`]. Each byte encodes
 //!   "not a member of this level" or one of the three classifications, so a
 //!   level probe is a bounds-checked array read instead of a hash lookup.
 //!   The incremental commit patches exactly the dirty slots in place.
-//! * `verdict_walk` — the coarsest-to-finest verdict walk over four
-//!   already-resolved keys.
+//! * `verdict_walk` — the coarsest-to-finest verdict walk, asking for each
+//!   level's key as it reaches it: string resolve and keyed decide share
+//!   it.
 //! * [`VerdictTable`] — an immutable, point-in-time pairing of a
 //!   [`ClassTable`] with the [`FrozenKeys`] it was built against, plus the
 //!   commit version and request accounting. This is the unit
@@ -148,9 +150,11 @@ impl ClassTable {
     }
 }
 
-/// The coarsest-to-finest verdict walk over a [`ClassTable`], for a request
-/// whose four keys are already resolved (`None` = "the table never interned
-/// this string").
+/// The coarsest-to-finest verdict walk over a [`ClassTable`]. `key_at`
+/// yields the request's key at each level the walk reaches, coarsest
+/// first and only as far as the walk goes (`None` = "the table never
+/// interned this string"); at [`Granularity::Method`] it yields the
+/// method-*name* key.
 ///
 /// The walk stops at the first granularity whose classification is not
 /// mixed; falling off the trained hierarchy below a mixed resource yields
@@ -158,14 +162,14 @@ impl ClassTable {
 /// domain yields [`Verdict::Unknown`]. `keys` is only consulted for the
 /// `(script, method-name)` → composed-method-key pair lookup — a hash over
 /// two `Copy` ids.
+#[inline]
 pub(crate) fn verdict_walk(
     keys: &FrozenKeys,
     classes: &ClassTable,
-    request: &KeyedRequest<'_>,
+    mut key_at: impl FnMut(Granularity) -> Option<ResourceKey>,
 ) -> Verdict {
-    let Some(domain_class) = request
-        .domain
-        .and_then(|d| classes.class(Granularity::Domain, d))
+    let Some(domain_class) =
+        key_at(Granularity::Domain).and_then(|d| classes.class(Granularity::Domain, d))
     else {
         return Verdict::Unknown;
     };
@@ -175,9 +179,8 @@ pub(crate) fn verdict_walk(
             granularity: Granularity::Domain,
         };
     }
-    let Some(host_class) = request
-        .hostname
-        .and_then(|h| classes.class(Granularity::Hostname, h))
+    let Some(host_class) =
+        key_at(Granularity::Hostname).and_then(|h| classes.class(Granularity::Hostname, h))
     else {
         return Verdict::Decided {
             classification: Classification::Mixed,
@@ -190,10 +193,8 @@ pub(crate) fn verdict_walk(
             granularity: Granularity::Hostname,
         };
     }
-    let Some(script_class) = request
-        .script
-        .and_then(|s| classes.class(Granularity::Script, s))
-    else {
+    let script = key_at(Granularity::Script);
+    let Some(script_class) = script.and_then(|s| classes.class(Granularity::Script, s)) else {
         return Verdict::Decided {
             classification: Classification::Mixed,
             granularity: Granularity::Hostname,
@@ -205,11 +206,8 @@ pub(crate) fn verdict_walk(
             granularity: Granularity::Script,
         };
     }
-    let method_class = request
-        .method
-        .and_then(|name| {
-            keys.method_key(request.script.expect("script class resolved above"), name)
-        })
+    let method_class = key_at(Granularity::Method)
+        .and_then(|name| keys.method_key(script?, name))
         .and_then(|m| classes.class(Granularity::Method, m));
     match method_class {
         Some(classification) => Verdict::Decided {
@@ -457,11 +455,14 @@ impl VerdictTable {
         &self.revisions
     }
 
-    /// Answer one verdict query against this table's frozen state: resolve
-    /// the four keys, walk coarsest-to-finest. The request's URL context is
-    /// ignored. Allocation-free; the returned [`Verdict`] is `Copy`.
+    /// Answer one verdict query against this table's frozen state: walk
+    /// coarsest-to-finest, looking each level's key up as the walk reaches
+    /// it. The request's URL context is ignored. Allocation-free; the
+    /// returned [`Verdict`] is `Copy`.
     pub fn verdict(&self, request: &DecisionRequest<'_>) -> Verdict {
-        verdict_walk(&self.keys, &self.classes, &self.resolve(request))
+        verdict_walk(&self.keys, &self.classes, |level| {
+            self.keys.key(request.key(level))
+        })
     }
 
     /// Answer one enforcement decision against this table's frozen state
@@ -493,15 +494,27 @@ impl VerdictTable {
     /// Resolve a string request's keys against this table's frozen
     /// interner — the one-off translation [`VerdictTable::decide_keyed`]
     /// and [`VerdictTable::decide_prebuilt`] then serve without hashing.
-    /// Keys the table never interned become `None`, exactly the misses the
-    /// verdict walk treats as "not observed".
+    ///
+    /// Keys are looked up level by level, only as far as the verdict walk
+    /// reads them: the domain always, the hostname under a domain
+    /// committed mixed, the script under a mixed hostname, the method name
+    /// under a mixed script. A key the table never interned and a key
+    /// below where the walk stops both come back `None`, so a request
+    /// settled at its domain costs one string lookup, not four. Deciding
+    /// the result on this table is exactly deciding the request.
     pub fn resolve<'a>(&self, request: &DecisionRequest<'a>) -> KeyedRequest<'a> {
-        let keys = &self.keys;
+        let mut found = [None; 4];
+        verdict_walk(&self.keys, &self.classes, |level| {
+            let key = self.keys.key(request.key(level));
+            found[level.index()] = key;
+            key
+        });
+        let [domain, hostname, script, method] = found;
         KeyedRequest {
-            domain: keys.key(request.domain),
-            hostname: keys.key(request.hostname),
-            script: keys.key(request.script),
-            method: keys.key(request.method),
+            domain,
+            hostname,
+            script,
+            method,
             url: request.url,
             source_hostname: request.source_hostname,
             resource_type: request.resource_type,
@@ -623,6 +636,24 @@ mod tests {
                 false,
             ));
         }
+        // A settled level under each mixed one: a tracking hostname of
+        // the mixed domain, a functional script of the mixed hostname.
+        for _ in 0..5 {
+            sifter.apply(ObservationRef::parts(
+                "hub.com",
+                "px.hub.com",
+                "https://pub.com/p.js",
+                "send",
+                true,
+            ));
+            sifter.apply(ObservationRef::parts(
+                "hub.com",
+                "w.hub.com",
+                "https://pub.com/widget.js",
+                "draw",
+                false,
+            ));
+        }
         for flag in [true, false, true, false, true, false] {
             sifter.apply(ObservationRef::parts(
                 "hub.com",
@@ -726,6 +757,202 @@ mod tests {
                 frames::decision_value(&decision).render(),
                 "for {request:?}"
             );
+        }
+    }
+
+    /// The resolve the walk-driven one replaced, kept as its oracle: all
+    /// four keys looked up before the walk starts.
+    fn eager_resolve<'a>(table: &VerdictTable, request: &DecisionRequest<'a>) -> KeyedRequest<'a> {
+        let keys = &table.keys;
+        KeyedRequest {
+            domain: keys.key(request.domain),
+            hostname: keys.key(request.hostname),
+            script: keys.key(request.script),
+            method: keys.key(request.method),
+            url: request.url,
+            source_hostname: request.source_hostname,
+            resource_type: request.resource_type,
+        }
+    }
+
+    /// Check `request` against the eager oracle: `resolve` holds exactly
+    /// the keys the walk reads, each as the eager lookup has it, and every
+    /// answer — verdict, decision, prebuilt decision — is the oracle's.
+    /// Returns the verdict and whether `resolve` skipped a key the eager
+    /// lookup found.
+    fn assert_matches_eager(
+        table: &VerdictTable,
+        request: &DecisionRequest<'_>,
+    ) -> (Verdict, bool) {
+        let eager = eager_resolve(table, request);
+        let keyed = table.resolve(request);
+        let mut read = Vec::new();
+        let verdict = verdict_walk(&table.keys, &table.classes, |level| {
+            read.push(level);
+            eager.key(level)
+        });
+        for level in Granularity::ALL {
+            let expected = eager.key(level).filter(|_| read.contains(&level));
+            assert_eq!(keyed.key(level), expected, "{level:?} of {request:?}");
+        }
+        if read == [Granularity::Domain] {
+            assert_eq!(
+                (keyed.hostname, keyed.script, keyed.method),
+                (None, None, None),
+                "domain-settled {request:?}"
+            );
+        }
+        assert_eq!(
+            (keyed.url, keyed.source_hostname, keyed.resource_type),
+            (eager.url, eager.source_hostname, eager.resource_type)
+        );
+        assert_eq!(table.verdict(request), verdict, "{request:?}");
+        assert_eq!(
+            table.decide(request),
+            table.decide_keyed(&eager),
+            "{request:?}"
+        );
+        assert_eq!(
+            table.decide_prebuilt(&keyed),
+            table.decide_prebuilt(&eager),
+            "{request:?}"
+        );
+        let skipped = Granularity::ALL
+            .into_iter()
+            .any(|level| keyed.key(level).is_none() && eager.key(level).is_some());
+        (verdict, skipped)
+    }
+
+    /// Per level: settled keys, a mixed one, a string the table interned
+    /// for another level (or under a settled parent), and an unknown one.
+    const DOMAINS: [&str; 4] = ["ads.com", "cdn.com", "hub.com", "zzz.com"];
+    const HOSTNAMES: [&str; 4] = ["px.hub.com", "w.hub.com", "a.cdn.com", "new.hub.com"];
+    const SCRIPTS: [&str; 4] = [
+        "https://pub.com/widget.js",
+        "https://pub.com/mixed.js",
+        "https://pub.com/a.js",
+        "s2.js",
+    ];
+    const METHODS: [&str; 5] = ["track", "render", "dispatch", "load", "novel"];
+
+    /// No URL, a clean one, one carrying identifiers, one the filter list
+    /// blocks.
+    fn with_context<'a>(request: DecisionRequest<'a>, url: usize) -> DecisionRequest<'a> {
+        use filterlist::ResourceType;
+        match url {
+            0 => request,
+            1 => request.with_url(
+                "https://static.fine.example/app.css",
+                "pub.com",
+                ResourceType::Stylesheet,
+            ),
+            2 => request.with_url(
+                "https://new.hub.com/api?id=7&gclid=abc&utm_source=mail",
+                "pub.com",
+                ResourceType::Xhr,
+            ),
+            _ => request.with_url(
+                "https://px.blocked.example/p.gif",
+                "pub.com",
+                ResourceType::Image,
+            ),
+        }
+    }
+
+    #[test]
+    fn resolve_reads_only_what_the_walk_reads_and_decides_as_the_eager_lookup() {
+        let table = trained_table();
+        let mut settled = Vec::new();
+        let queries = DOMAINS.len() * HOSTNAMES.len() * SCRIPTS.len() * METHODS.len() * 4;
+        let mut skipped = 0;
+        for n in 0..queries {
+            let request = with_context(
+                DecisionRequest::new(
+                    DOMAINS[n % 4],
+                    HOSTNAMES[n / 4 % 4],
+                    SCRIPTS[n / 16 % 4],
+                    METHODS[n / 64 % 5],
+                ),
+                n / 320,
+            );
+            let (verdict, skipped_a_key) = assert_matches_eager(&table, &request);
+            skipped += usize::from(skipped_a_key);
+            if !settled.contains(&verdict) {
+                settled.push(verdict);
+            }
+        }
+        // The grid settles at every level, mixed and not, and most
+        // queries skip a key the eager lookup found.
+        for level in Granularity::ALL {
+            for mixed in [false, true] {
+                assert!(
+                    settled.iter().any(|verdict| matches!(
+                        verdict,
+                        Verdict::Decided { classification, granularity }
+                            if *granularity == level
+                                && (*classification == Classification::Mixed) == mixed
+                    )),
+                    "nothing settles at {level:?} (mixed: {mixed})"
+                );
+            }
+        }
+        assert!(settled.contains(&Verdict::Unknown));
+        assert!(
+            skipped > queries / 2,
+            "{skipped} of {queries} queries skipped a key"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Tables trained on rows over small pools — d0 mostly tracking, d1
+        /// mostly functional, d2 split by method — at a drawn threshold,
+        /// then queried with keys known or unknown at each level (index 3,
+        /// and hostname 2, is a string no row used), with and without URL
+        /// context.
+        #[test]
+        fn resolve_decides_as_the_eager_lookup_on_trained_tables(
+            rows in proptest::collection::vec((0usize..3, 0usize..2, 0usize..3, 0usize..3, 0usize..4), 0..60),
+            threshold in 0.3f64..3.0,
+            queries in proptest::collection::vec((0usize..4, 0usize..4, 0usize..4, 0usize..4, 0usize..4), 1..24),
+        ) {
+            use crate::ratio::Thresholds;
+            use crate::service::{ObservationRef, Sifter};
+            use filterlist::ListKind;
+            let mut sifter = Sifter::builder()
+                .thresholds(Thresholds::new(threshold))
+                .filter_lists(&[(ListKind::EasyList, "||blocked.example^\n")])
+                .rewriter(rewriter::RewriterBuilder::new().default_rules().build())
+                .build();
+            let domain = |d: usize| format!("d{d}.com");
+            let hostname = |d: usize, h: usize| format!("h{h}.d{d}.com");
+            let script = |s: usize| format!("https://p.com/s{s}.js");
+            let method = |m: usize| format!("m{m}");
+            for &(d, h, s, m, coin) in &rows {
+                let tracking = match d {
+                    0 => coin != 0,
+                    1 => coin == 0,
+                    _ => m == 0 || (m == 2 && coin % 2 == 0),
+                };
+                sifter.apply(ObservationRef::parts(
+                    &domain(d),
+                    &hostname(d, h),
+                    &script(s),
+                    &method(m),
+                    tracking,
+                ));
+            }
+            sifter.commit();
+            let table = sifter.verdict_table();
+            for &(d, h, s, m, url) in &queries {
+                let strings = (domain(d), hostname(d % 3, h), script(s), method(m));
+                let request = with_context(
+                    DecisionRequest::new(&strings.0, &strings.1, &strings.2, &strings.3),
+                    url,
+                );
+                assert_matches_eager(&table, &request);
+            }
         }
     }
 

@@ -204,20 +204,17 @@ fn bytes_below(word: u64, n: u8) -> u64 {
 }
 
 /// The position of the first byte at or after `at` that ends a literal
-/// run — `"`, `\` or, with `controls`, any byte below 0x20 — or
-/// `bytes.len()` if none does. Multi-byte UTF-8 units are all >= 0x80 and
-/// never match, so the position is a char boundary. Eight bytes are tested
-/// per step: a byte of `word ^ pattern` is zero exactly where `word` holds
-/// the pattern's byte.
+/// run — `"`, `\` or any byte below 0x20 — or `bytes.len()` if none
+/// does. Multi-byte UTF-8 units are all >= 0x80 and never match, so the
+/// position is a char boundary. Eight bytes are tested per step: a byte of
+/// `word ^ pattern` is zero exactly where `word` holds the pattern's byte.
 #[inline]
-fn literal_run_end(bytes: &[u8], mut at: usize, controls: bool) -> usize {
+fn literal_run_end(bytes: &[u8], mut at: usize) -> usize {
     while let Some(chunk) = bytes.get(at..at + 8) {
         let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte slice"));
-        let mut found = bytes_below(word ^ (ONES * u64::from(b'"')), 1)
-            | bytes_below(word ^ (ONES * u64::from(b'\\')), 1);
-        if controls {
-            found |= bytes_below(word, 0x20);
-        }
+        let found = bytes_below(word ^ (ONES * u64::from(b'"')), 1)
+            | bytes_below(word ^ (ONES * u64::from(b'\\')), 1)
+            | bytes_below(word, 0x20);
         if found != 0 {
             return at + found.trailing_zeros() as usize / 8;
         }
@@ -226,7 +223,7 @@ fn literal_run_end(bytes: &[u8], mut at: usize, controls: bool) -> usize {
     let rest = &bytes[at..];
     at + rest
         .iter()
-        .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20))
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
         .unwrap_or(rest.len())
 }
 
@@ -237,7 +234,7 @@ fn render_string(s: &str, out: &mut impl Sink) {
     let bytes = s.as_bytes();
     let mut run_start = 0;
     loop {
-        let at = literal_run_end(bytes, run_start, true);
+        let at = literal_run_end(bytes, run_start);
         out.put(&s[run_start..at]);
         let Some(&byte) = bytes.get(at) else {
             break;
@@ -478,15 +475,16 @@ impl<'a> Reader<'a> {
             .map_err(|_| JsonError(format!("invalid number `{text}`")))
     }
 
-    /// Advance to the next `"` or `\` (or the end of the document), eight
-    /// bytes a step; the cursor stops on a char boundary and string reading
-    /// stays linear in the document size.
+    /// Advance to the next `"`, `\` or control byte (or the end of the
+    /// document), eight bytes a step; the cursor stops on a char boundary
+    /// and string reading stays linear in the document size.
     fn skip_literal_run(&mut self) {
-        self.pos = literal_run_end(self.text.as_bytes(), self.pos, false);
+        self.pos = literal_run_end(self.text.as_bytes(), self.pos);
     }
 
     /// Consume a string. The result borrows from the document unless the
-    /// literal contains an escape, which forces an unescaped copy.
+    /// literal contains an escape, which forces an unescaped copy. A byte
+    /// below 0x20 must be escaped (RFC 8259 §7); a raw one is an error.
     pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.skip_whitespace();
         self.expect(b'"')?;
@@ -505,7 +503,13 @@ impl<'a> Reader<'a> {
                     self.pos += 1;
                     return Ok(Cow::Owned(out));
                 }
-                _ => out.push(self.escape()?),
+                Some(b'\\') => out.push(self.escape()?),
+                Some(control) => {
+                    return err(format!(
+                        "unescaped control character {control:#04x} in string at byte {}",
+                        self.pos
+                    ))
+                }
             }
             let run_start = self.pos;
             self.skip_literal_run();
@@ -947,6 +951,45 @@ mod tests {
             let skipped = reader.skip_value().and_then(|()| reader.finish());
             assert_eq!(skipped.err(), Value::parse(text).err(), "{text}");
         }
+    }
+
+    #[test]
+    fn raw_control_bytes_in_strings_are_refused_and_escaped_ones_parse() {
+        // RFC 8259 §7: a byte below 0x20 inside a string must be escaped.
+        // Put one in a value, in a key, after an escape and deep into a run
+        // (past the eight-byte scan steps), for every such byte.
+        for byte in 0u8..0x20 {
+            let control = char::from(byte);
+            let long = "x".repeat(19);
+            for (raw, at) in [
+                (format!("\"a{control}b\""), 2),
+                (format!("{{\"k{control}\":1}}"), 3),
+                (format!("[\"\\n{control}\"]"), 4),
+                (format!("\"{long}{control}\""), 20),
+            ] {
+                let error = Value::parse(&raw).unwrap_err();
+                assert_eq!(
+                    error.0,
+                    format!("unescaped control character {byte:#04x} in string at byte {at}"),
+                    "{raw:?}"
+                );
+                let mut reader = Reader::new(&raw);
+                let skipped = reader.skip_value().and_then(|()| reader.finish());
+                assert_eq!(skipped.err(), Some(error), "{raw:?}");
+            }
+            // Escaped, the same byte is ordinary string content, and the
+            // writer's escape of it reads back.
+            let escaped = format!("\"a\\u{byte:04x}b\"");
+            let expected = format!("a{control}b");
+            assert_eq!(Value::parse(&escaped).unwrap().as_str().unwrap(), expected);
+            let mut rendered = String::new();
+            render_string(&expected, &mut rendered);
+            assert_eq!(Value::parse(&rendered).unwrap().as_str().unwrap(), expected);
+        }
+        assert_eq!(
+            Value::parse("\"a\u{7f}b\"").unwrap().as_str().unwrap(),
+            "a\u{7f}b"
+        );
     }
 
     #[test]

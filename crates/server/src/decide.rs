@@ -6,10 +6,14 @@
 //! the query is decoded in place from the request body ([`DecisionQuery`],
 //! [`BinaryRecords`]), decided against the pinned table's preformatted
 //! answers, and head and body are appended straight to the connection's
-//! output buffer. A body whose length is only known once it is written
-//! (a batch, a rewritten URL) is written first and gets its head rotated
-//! in front of it; a request that turns out malformed after some of its
-//! answer was written has that part truncated away again.
+//! output buffer. A string-keyed query (JSON, or a string-form binary
+//! record) has its keys looked up level by level only as far as the
+//! verdict walk goes, so one settled at its domain costs one key lookup;
+//! an id-form record's keys are bounds checks. A body whose length is
+//! only known once it is written (a batch, a rewritten URL) is written
+//! first and gets its head rotated in front of it; a request that turns
+//! out malformed after some of its answer was written has that part
+//! truncated away again.
 
 use crate::http::{self, HttpResponse, RequestView};
 use crate::wire::{self, BinaryKeys, BinaryRecord, BinaryRecords, DecisionQuery};

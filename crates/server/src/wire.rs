@@ -1039,6 +1039,63 @@ mod tests {
     }
 
     #[test]
+    fn raw_control_bytes_are_refused_by_every_json_decoder() {
+        // The writer escapes a BEL in `method` as `\u0007`, which every
+        // decoder reads back; the raw byte (RFC 8259 §7) is an error, the
+        // same one parsing a tree first reports.
+        let row = DecisionMessage::new("a.com", "h.a.com", "s.js", "m\u{7}")
+            .to_json_value()
+            .render();
+        let observation = ObservationMessage::Parts {
+            domain: "a.com".into(),
+            hostname: "h.a.com".into(),
+            script: "s.js".into(),
+            method: "m\u{7}".into(),
+            tracking: true,
+        }
+        .to_json_value()
+        .render();
+        assert!(row.contains("\\u0007") && observation.contains("\\u0007"));
+        let raw = |escaped: &str| escaped.replace("\\u0007", "\u{7}");
+        let batch = format!(r#"{{"requests":[{row},{row}]}}"#);
+        let observations = format!(r#"{{"observations":[{observation}]}}"#);
+
+        assert_eq!(DecisionQuery::parse(&row).unwrap().method, "m\u{7}");
+        let mut methods = Vec::new();
+        assert_eq!(
+            decode_decision_batch(&batch, |query| methods.push(query.method.to_string())),
+            Ok(2)
+        );
+        assert_eq!(methods, ["m\u{7}", "m\u{7}"]);
+        let decoded = decode_observation_batch(&observations).unwrap();
+        assert!(matches!(
+            decoded.iter().collect::<Vec<_>>()[..],
+            [ObservationRef::Parts {
+                method: "m\u{7}",
+                ..
+            }]
+        ));
+
+        let tree_error = |text: &str| Value::parse(text).unwrap_err();
+        let error = DecisionQuery::parse(&raw(&row)).unwrap_err();
+        assert!(
+            error.0.starts_with("unescaped control character 0x07"),
+            "{error}"
+        );
+        assert_eq!(error, tree_error(&raw(&row)));
+        let mut seen = 0;
+        assert_eq!(
+            decode_decision_batch(&raw(&batch), |_| seen += 1),
+            Err(tree_error(&raw(&batch)))
+        );
+        assert_eq!(seen, 0, "no row is decided before the bad byte");
+        assert_eq!(
+            decode_observation_batch(&raw(&observations)).err(),
+            Some(tree_error(&raw(&observations)))
+        );
+    }
+
+    #[test]
     fn observation_messages_round_trip() {
         let messages = vec![
             ObservationMessage::Parts {
