@@ -262,8 +262,8 @@ fn ablation_stack_propagation(study: &Study) {
 }
 
 /// Every experiment (Tables 1–3, Figures 3–5 and the headline summary) from
-/// the one shared study, as the paper-vs-measured comparison that
-/// `EXPERIMENTS.md` records. This is the one-shot reproduction driver.
+/// the one shared study: the one-shot reproduction driver README's
+/// Quickstart runs.
 fn all(study: &Study) {
     println!("================================================================");
     println!(" TrackerSift reproduction — full experiment run");

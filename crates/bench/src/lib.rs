@@ -2,16 +2,18 @@
 //!
 //! Every subcommand regenerates one table or figure of the paper from the
 //! same deterministic study (same profile, same seed), so their outputs are
-//! mutually consistent and match what `EXPERIMENTS.md` records. The scale
-//! and seed can be overridden through environment variables:
+//! mutually consistent and match the `all` driver's summary (README,
+//! Quickstart). The scale and seed can be overridden through environment
+//! variables:
 //!
 //! * `TRACKERSIFT_SITES` — number of websites (default 5000; the paper
 //!   crawled 100K, the default keeps every binary under a minute on a
 //!   laptop while preserving the distributional shape);
 //! * `TRACKERSIFT_SEED` — corpus seed (default 2021).
 //!
-//! A variable that is set but does not parse stops the binary with exit
-//! code 2 instead of running the default scale under the wrong name.
+//! A variable that is set but does not parse, or a scale the generator
+//! refuses (`TRACKERSIFT_SITES=0`), stops the binary with exit code 2
+//! instead of running the default scale under the wrong name or panicking.
 
 use trackersift::{Study, StudyConfig};
 use websim::CorpusProfile;
@@ -38,14 +40,19 @@ fn parse_knob<T: std::str::FromStr>(
     }
 }
 
+/// The knob's value; an error is reported on stderr and exits 2.
+fn or_exit<T>(knob: Result<T, String>) -> T {
+    knob.unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
+}
+
 /// Read a knob from the environment through [`parse_knob`]; an unparseable
 /// value is reported on stderr and exits 2.
 fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
     let value = std::env::var_os(name).map(|raw| raw.to_string_lossy().into_owned());
-    parse_knob(name, value, default).unwrap_or_else(|message| {
-        eprintln!("{message}");
-        std::process::exit(2);
-    })
+    or_exit(parse_knob(name, value, default))
 }
 
 /// Read a `usize` knob from the environment: `default` when unset, exit 2
@@ -55,19 +62,29 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 }
 
 /// Read the experiment scale from the environment.
-pub fn sites_from_env() -> usize {
+fn sites_from_env() -> usize {
     env_usize("TRACKERSIFT_SITES", DEFAULT_SITES)
 }
 
 /// Read the experiment seed from the environment.
-pub fn seed_from_env() -> u64 {
+fn seed_from_env() -> u64 {
     env_knob("TRACKERSIFT_SEED", DEFAULT_SEED)
 }
 
+/// The paper profile at `sites` sites, or an error naming
+/// `TRACKERSIFT_SITES` when the generator would refuse that scale.
+fn paper_profile(sites: usize) -> Result<CorpusProfile, String> {
+    let profile = CorpusProfile::paper().with_sites(sites);
+    profile
+        .validate()
+        .map_err(|reason| format!("TRACKERSIFT_SITES={sites}: {reason}"))?;
+    Ok(profile)
+}
+
 /// The study configuration the experiment binaries share.
-pub fn experiment_config() -> StudyConfig {
+fn experiment_config() -> StudyConfig {
     StudyConfig {
-        profile: CorpusProfile::paper().with_sites(sites_from_env()),
+        profile: or_exit(paper_profile(sites_from_env())),
         seed: seed_from_env(),
         ..StudyConfig::default()
     }
@@ -124,5 +141,13 @@ mod tests {
             assert!(message.contains("TRACKERSIFT_SITES"), "{message}");
             assert!(message.contains(typo), "{message}");
         }
+    }
+
+    #[test]
+    fn a_scale_the_generator_refuses_is_an_error_not_a_panic() {
+        let message = paper_profile(0).expect_err("zero sites");
+        assert!(message.contains("TRACKERSIFT_SITES"), "{message}");
+        assert!(message.contains("at least one site"), "{message}");
+        assert_eq!(paper_profile(300).map(|profile| profile.sites), Ok(300));
     }
 }

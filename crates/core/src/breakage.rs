@@ -168,7 +168,7 @@ pub fn grade_site(site: &Website, blocked_scripts: &[String]) -> BreakageRow {
 
 /// The short display form of a script URL (`main.js`, `app.9115af43.js`),
 /// matching how the paper's Table 3 names scripts.
-pub fn short_script_name(url: &str) -> String {
+fn short_script_name(url: &str) -> String {
     let no_query = url.split(['?', '#']).next().unwrap_or(url);
     let last = no_query.rsplit('/').next().unwrap_or(no_query);
     if last.is_empty() {

@@ -42,7 +42,7 @@ pub struct NodeParticipation {
 
 impl NodeParticipation {
     /// `true` when the node only ever appears in tracking traces.
-    pub fn tracking_only(&self) -> bool {
+    fn tracking_only(&self) -> bool {
         self.tracking_traces > 0 && self.functional_traces == 0
     }
 

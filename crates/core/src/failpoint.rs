@@ -89,11 +89,6 @@ impl Action {
         Action::IoError { kind, times }
     }
 
-    /// An [`Action::ShortIo`] clamping transfers to `max` bytes.
-    pub fn short_io(max: usize, times: Option<u32>) -> Action {
-        Action::ShortIo { max, times }
-    }
-
     /// An [`Action::Panic`] firing `times` times.
     pub fn panic(times: Option<u32>) -> Action {
         Action::Panic { times }
@@ -248,7 +243,13 @@ mod enabled {
 
         #[test]
         fn clamp_shortens_transfers() {
-            set("t.short", Action::short_io(3, Some(1)));
+            set(
+                "t.short",
+                Action::ShortIo {
+                    max: 3,
+                    times: Some(1),
+                },
+            );
             assert_eq!(clamp("t.short", 100), 3);
             assert_eq!(clamp("t.short", 100), 100);
             clear_all();

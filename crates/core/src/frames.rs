@@ -8,9 +8,9 @@
 //!
 //! * **JSON** (encoders only — the server writes it for people and foreign
 //!   clients, and golden literals in this module's tests pin its bytes):
-//!   [`decision_value`] / [`surrogate_value`] render a [`Decision`] to the
-//!   exact [`Value`] tree the verdict server has always served (field order
-//!   fixed, so equal decisions render to byte-identical JSON).
+//!   [`decision_value`] renders a [`Decision`], surrogate plan included,
+//!   to the exact [`Value`] tree the verdict server has always served
+//!   (field order fixed, so equal decisions render to byte-identical JSON).
 //! * **Binary** (what Rust code reads): a compact length-prefixed framing.
 //!   Every fixed decision is one of [`FIXED_COMBOS`] fixed `(action,
 //!   source)` pairs — a two-byte code — while a surrogate decision carries
@@ -207,7 +207,7 @@ fn method_action_value(action: &MethodAction) -> Value {
 }
 
 /// Encode a surrogate payload as its canonical JSON object.
-pub fn surrogate_value(script: &SurrogateScript) -> Value {
+fn surrogate_value(script: &SurrogateScript) -> Value {
     object(vec![
         ("script_url", Value::String(script.script_url.clone())),
         (
@@ -457,7 +457,7 @@ pub fn rewrite_payload_len(rewritten: &RewrittenUrl) -> u32 {
 }
 
 /// Decode the binary payload of a rewrite decision frame.
-pub fn decode_rewrite_payload(bytes: &[u8]) -> Result<RewrittenUrl, FrameError> {
+fn decode_rewrite_payload(bytes: &[u8]) -> Result<RewrittenUrl, FrameError> {
     let mut reader = FrameReader::new(bytes);
     let url = reader.string()?.to_string();
     reader.finish()?;
@@ -465,7 +465,7 @@ pub fn decode_rewrite_payload(bytes: &[u8]) -> Result<RewrittenUrl, FrameError> 
 }
 
 /// Decode the binary payload of a surrogate decision frame.
-pub fn decode_surrogate_payload(bytes: &[u8]) -> Result<SurrogateScript, FrameError> {
+fn decode_surrogate_payload(bytes: &[u8]) -> Result<SurrogateScript, FrameError> {
     let mut reader = FrameReader::new(bytes);
     let script_url = reader.string()?.to_string();
     let method_count = reader.u32()? as usize;
@@ -623,7 +623,7 @@ fn class_of_code(code: u8) -> Result<Option<Classification>, FrameError> {
 /// Encode one revision change as its canonical JSON object: additions as
 /// `{"granularity":…,"key":…,"added":…}`, removals with `"removed"`, and
 /// classification flips with `"from"` / `"to"`.
-pub fn change_value(change: &RevisionChange) -> Value {
+fn change_value(change: &RevisionChange) -> Value {
     let mut fields = vec![
         (
             "granularity",

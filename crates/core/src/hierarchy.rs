@@ -82,7 +82,7 @@ impl Granularity {
     /// method keys go through [`ResourceKey::method_label`] via the
     /// interner, so no `format!`-built strings appear on the per-request
     /// path.
-    pub fn request_key(self, request: &LabeledRequest, interner: &mut KeyInterner) -> ResourceKey {
+    fn request_key(self, request: &LabeledRequest, interner: &mut KeyInterner) -> ResourceKey {
         match self {
             Granularity::Domain => interner.intern(&request.domain),
             Granularity::Hostname => interner.intern(&request.hostname),

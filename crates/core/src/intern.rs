@@ -357,7 +357,7 @@ impl FrozenKeys {
     }
 
     /// Number of `(script, name)` pairs the snapshot resolves.
-    pub fn pair_count(&self) -> usize {
+    fn pair_count(&self) -> usize {
         self.pairs.len()
     }
 
@@ -663,7 +663,7 @@ impl KeyInterner {
     /// Number of `(script, name)` method pairs filed by
     /// [`KeyInterner::intern_method`]. Together with [`KeyInterner::len`]
     /// this tells a cached [`FrozenKeys`] whether it is stale.
-    pub fn pair_count(&self) -> usize {
+    fn pair_count(&self) -> usize {
         self.pairs.len()
     }
 

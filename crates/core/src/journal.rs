@@ -446,7 +446,7 @@ impl Journal {
 /// a half-written hybrid. (Threaded with the `snapshot.write` /
 /// `snapshot.rename` / `dir.sync` failpoints.) An error from the directory
 /// sync means the new file is in place but may not survive a power cut.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     replace(path, bytes)?;
     sync_dir(
         path.parent()

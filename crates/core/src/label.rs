@@ -12,7 +12,7 @@
 //! The capture path, end to end: a `websim` site is loaded by
 //! [`crawler::PageLoadSimulator`] into a vector of [`crawler::RequestWillBeSent`]
 //! records, [`SiteCrawl::from_load`] takes that vector by move, and
-//! [`Labeler::label_site`] turns each script-initiated record into one
+//! [`Labeler`] turns each script-initiated record into one
 //! [`LabeledRequest`] through the crate-private `label_url` — the single
 //! place that builds the request view, asks the oracle, and reads the
 //! hostname and registrable domain off the view.
@@ -205,7 +205,7 @@ impl<'a> Labeler<'a> {
     /// Label every request of one crawled site. The labeled requests point
     /// at the crawl records' strings and stacks; see the [module
     /// docs](self) for the few this allocates.
-    pub fn label_site(&self, site: &SiteCrawl) -> (Vec<LabeledRequest>, LabelStats) {
+    fn label_site(&self, site: &SiteCrawl) -> (Vec<LabeledRequest>, LabelStats) {
         let mut out = Vec::with_capacity(site.requests.len());
         let stats = self.label_site_into(site, &mut out);
         (out, stats)

@@ -1,8 +1,8 @@
 //! Rendering of tables, histograms and figure data.
 //!
 //! The bench binaries print the same rows and series the paper reports; this
-//! module holds the shared formatting so the output of `table1`, `figure3`
-//! etc. is consistent and easily diffed against `EXPERIMENTS.md`.
+//! module holds the shared formatting so the output of the `paper` binary's
+//! `table1`, `figure3` etc. is consistent and easily diffed between runs.
 
 use crate::hierarchy::{Granularity, HierarchyResult, LevelResult};
 use crate::metrics::{table1, table2, HeadlineSummary};
@@ -33,7 +33,7 @@ pub struct RatioHistogram {
 impl RatioHistogram {
     /// Build the Figure 3 histogram for one level: bins of width `bin_width`
     /// covering `[min, max)`.
-    pub fn from_level(level: &LevelResult, min: f64, max: f64, bin_width: f64) -> Self {
+    fn from_level(level: &LevelResult, min: f64, max: f64, bin_width: f64) -> Self {
         assert!(bin_width > 0.0 && max > min, "invalid histogram geometry");
         let bin_count = ((max - min) / bin_width).ceil() as usize;
         let mut histogram = RatioHistogram {

@@ -106,7 +106,7 @@ impl CrawlCluster {
     ///
     /// Each site's request ids are derived from its rank, so results do not
     /// depend on scheduling.
-    pub fn crawl_with(&self, corpus: &WebCorpus, options: &LoadOptions) -> CrawlDatabase {
+    fn crawl_with(&self, corpus: &WebCorpus, options: &LoadOptions) -> CrawlDatabase {
         let workers = self.config.workers.min(corpus.websites.len()).max(1);
         let mut sites: Vec<SiteCrawl> = if workers == 1 {
             corpus

@@ -55,7 +55,7 @@ pub fn is_valid_hostname(hostname: &str) -> bool {
 /// `u8::from_str` alone would also take a leading `+`. A hostname whose
 /// last byte is not a digit — nearly every name — is answered before it is
 /// split.
-pub fn is_ip_literal(hostname: &str) -> bool {
+fn is_ip_literal(hostname: &str) -> bool {
     if !hostname.as_bytes().last().is_some_and(u8::is_ascii_digit) {
         return false;
     }

@@ -83,7 +83,7 @@ const _: () = {
 
 impl FilterEngine {
     /// Build an engine from already-parsed rules.
-    pub fn from_rules(rules: Vec<FilterRule>) -> Self {
+    fn from_rules(rules: Vec<FilterRule>) -> Self {
         let (removeparam, rest): (Vec<_>, Vec<_>) = rules
             .into_iter()
             .partition(|r| !r.options.removeparam.is_empty());

@@ -220,7 +220,7 @@ impl Segment {
 
 /// Separator class for `^`: anything that is not a letter, digit, or one of
 /// `_`, `-`, `.`, `%`.
-pub fn is_separator_byte(b: u8) -> bool {
+fn is_separator_byte(b: u8) -> bool {
     !(b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' || b == b'%')
 }
 
@@ -334,11 +334,6 @@ impl Pattern {
     /// The start anchor kind.
     pub fn anchor(&self) -> Anchor {
         self.anchor
-    }
-
-    /// The hostname prefix a `||` rule requires (empty otherwise).
-    pub fn host_prefix(&self) -> &str {
-        &self.host_prefix
     }
 
     /// `true` when the pattern contains no constraining text at all and

@@ -168,7 +168,7 @@ impl Client {
     /// Bound every subsequent read *and* write on this connection (`None`
     /// blocks forever). A request that exceeds the bound fails with
     /// `WouldBlock`/`TimedOut` instead of hanging its caller.
-    pub fn set_request_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+    fn set_request_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.set_read_timeout(timeout)?;
         self.stream.set_write_timeout(timeout)
     }

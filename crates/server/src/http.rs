@@ -153,7 +153,7 @@ impl<'a> RequestView<'a> {
     }
 
     /// Copy the request out of the parser's buffer.
-    pub fn to_owned(&self) -> HttpRequest {
+    fn to_owned(self) -> HttpRequest {
         HttpRequest {
             method: self.method.to_string(),
             target: self.target.to_string(),

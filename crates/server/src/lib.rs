@@ -6,7 +6,7 @@
 //! dependency-free HTTP/1.1 server over [`std::net::TcpListener`] built
 //! directly on the concurrent split from `trackersift::concurrent`:
 //!
-//! * a **fixed worker pool** of readiness-polled event loops ([`poller`]):
+//! * a **fixed worker pool** of readiness-polled event loops (`poller`):
 //!   each worker multiplexes hundreds of nonblocking keep-alive
 //!   connections over one `poll(2)` set and owns a cloned
 //!   [`SifterReader`] — the decision path (`POST /v1/decisions`) is poll,
@@ -157,7 +157,7 @@
 pub mod client;
 pub mod decide;
 pub mod http;
-pub mod poller;
+mod poller;
 mod replica;
 pub mod wire;
 

@@ -62,14 +62,14 @@ fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
 
 /// Parse a resource type from its canonical filter-list option name
 /// (`script`, `image`, `xmlhttprequest`, …).
-pub fn resource_type_from_str(name: &str) -> Result<ResourceType, JsonError> {
+fn resource_type_from_str(name: &str) -> Result<ResourceType, JsonError> {
     ResourceType::from_option_name(name)
         .ok_or_else(|| JsonError(format!("unknown resource type {name:?}")))
 }
 
 /// Encode a resource type as its binary wire code (index into
 /// [`ResourceType::ALL`]).
-pub fn resource_type_code(kind: ResourceType) -> u8 {
+fn resource_type_code(kind: ResourceType) -> u8 {
     ResourceType::ALL
         .into_iter()
         .position(|candidate| candidate == kind)
@@ -77,7 +77,7 @@ pub fn resource_type_code(kind: ResourceType) -> u8 {
 }
 
 /// Decode a binary resource-type code.
-pub fn resource_type_from_code(code: u8) -> Result<ResourceType, FrameError> {
+fn resource_type_from_code(code: u8) -> Result<ResourceType, FrameError> {
     ResourceType::ALL
         .get(code as usize)
         .copied()

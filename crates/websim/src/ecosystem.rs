@@ -38,7 +38,7 @@ pub enum ServiceKind {
 
 impl ServiceKind {
     /// `true` when every request to this service is tracking by intent.
-    pub fn is_pure_tracking(&self) -> bool {
+    fn is_pure_tracking(&self) -> bool {
         matches!(
             self,
             ServiceKind::AdNetwork
@@ -46,11 +46,6 @@ impl ServiceKind {
                 | ServiceKind::TagManager
                 | ServiceKind::ConsentManager
         )
-    }
-
-    /// `true` when every request to this service is functional by intent.
-    pub fn is_pure_functional(&self) -> bool {
-        matches!(self, ServiceKind::FunctionalCdn | ServiceKind::ApiService)
     }
 
     /// `true` for the mixed platform archetypes.
@@ -560,7 +555,9 @@ mod tests {
             if s.kind.is_pure_tracking() {
                 assert!(s.listed_in_filters, "{:?} should be listed", s.kind);
             }
-            if s.kind.is_platform() || s.kind.is_pure_functional() {
+            let pure_functional =
+                matches!(s.kind, ServiceKind::FunctionalCdn | ServiceKind::ApiService);
+            if s.kind.is_platform() || pure_functional {
                 assert!(!s.listed_in_filters, "{:?} should not be listed", s.kind);
             }
         }

@@ -17,7 +17,7 @@ use filterlist::{parse_rule, FilterRule, ListKind};
 
 /// Render the synthetic rules as filter-list text (useful for persisting a
 /// reproducible "list snapshot" next to a crawl).
-pub fn ecosystem_rules_text(ecosystem: &Ecosystem) -> String {
+fn ecosystem_rules_text(ecosystem: &Ecosystem) -> String {
     let mut out = String::from("! Synthetic ecosystem rules generated for this corpus\n");
     for service in &ecosystem.services {
         if service.listed_in_filters {
@@ -33,7 +33,7 @@ pub fn ecosystem_rules_text(ecosystem: &Ecosystem) -> String {
 
 /// Parse the synthetic rules into [`FilterRule`]s ready to extend a
 /// [`filterlist::FilterEngine`].
-pub fn ecosystem_rules(ecosystem: &Ecosystem) -> Vec<FilterRule> {
+fn ecosystem_rules(ecosystem: &Ecosystem) -> Vec<FilterRule> {
     ecosystem_rules_text(ecosystem)
         .lines()
         .enumerate()

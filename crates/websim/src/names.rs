@@ -106,7 +106,7 @@ impl NameFactory {
     }
 
     /// A content-hash-looking hex string of the given length (webpack style).
-    pub fn content_hash<R: Rng + ?Sized>(rng: &mut R, len: usize) -> String {
+    fn content_hash<R: Rng + ?Sized>(rng: &mut R, len: usize) -> String {
         const HEX: &[u8] = b"0123456789abcdef";
         (0..len)
             .map(|_| HEX[rng.gen_range(0..16usize)] as char)

@@ -574,7 +574,7 @@ pub fn inline_snippet<R: Rng + ?Sized>(
 /// Reroute roughly half of each purpose's requests through a single shared
 /// dispatcher method (`<x>.xhrRequest`), creating a *mixed method* — the
 /// paper's `Pa.xhrRequest` example.
-pub fn add_shared_dispatcher<R: Rng + ?Sized>(script: &mut PageScript, rng: &mut R) {
+fn add_shared_dispatcher<R: Rng + ?Sized>(script: &mut PageScript, rng: &mut R) {
     let mut moved: Vec<PlannedRequest> = Vec::new();
     for method in &mut script.methods {
         if method.requests.len() < 2 {
