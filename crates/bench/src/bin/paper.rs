@@ -5,8 +5,9 @@
 
 use trackersift::report::{
     render_headline, render_notable, render_sensitivity_csv, render_table1, render_table2,
+    RatioHistogram,
 };
-use trackersift::{Granularity, HierarchicalClassifier, LabeledRequest, RatioHistogram, Study};
+use trackersift::{Granularity, HierarchicalClassifier, LabeledRequest, Study};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();

@@ -15,14 +15,16 @@
 //! refuses (`TRACKERSIFT_SITES=0`), stops the binary with exit code 2
 //! instead of running the default scale under the wrong name or panicking.
 
+#![warn(unreachable_pub)]
+
 use trackersift::{Study, StudyConfig};
 use websim::CorpusProfile;
 
 /// Number of sites used by experiment binaries unless overridden.
-pub const DEFAULT_SITES: usize = 5_000;
+pub(crate) const DEFAULT_SITES: usize = 5_000;
 
 /// Seed used unless overridden.
-pub const DEFAULT_SEED: u64 = 2021;
+pub(crate) const DEFAULT_SEED: u64 = 2021;
 
 /// One knob's value: `default` when the variable is unset, an error naming
 /// the variable and the value when it is set to something that does not

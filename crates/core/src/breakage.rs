@@ -89,7 +89,7 @@ impl BreakageStudy {
 /// Sampling is deterministic: sites are taken in rank order among those that
 /// qualify (the paper samples randomly; rank order keeps the experiment
 /// reproducible without an extra seed).
-pub fn analyze_breakage(
+pub(crate) fn analyze_breakage(
     corpus: &WebCorpus,
     result: &HierarchyResult,
     sample_size: usize,

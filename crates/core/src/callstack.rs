@@ -19,9 +19,9 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CallGraphNode {
     /// Script URL.
-    pub script_url: String,
+    pub(crate) script_url: String,
     /// Method name.
-    pub method: String,
+    pub(crate) method: String,
 }
 
 impl CallGraphNode {
@@ -37,7 +37,7 @@ pub struct NodeParticipation {
     /// Number of tracking-request traces the node appears in.
     pub tracking_traces: u64,
     /// Number of functional-request traces the node appears in.
-    pub functional_traces: u64,
+    pub(crate) functional_traces: u64,
 }
 
 impl NodeParticipation {
@@ -47,7 +47,7 @@ impl NodeParticipation {
     }
 
     /// `true` when the node appears in both kinds of trace.
-    pub fn both(&self) -> bool {
+    pub(crate) fn both(&self) -> bool {
         self.tracking_traces > 0 && self.functional_traces > 0
     }
 }
@@ -56,12 +56,12 @@ impl NodeParticipation {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallGraph {
     /// The mixed method the graph was built for.
-    pub root: Option<CallGraphNode>,
+    pub(crate) root: Option<CallGraphNode>,
     /// Participation counts per node.
-    pub nodes: HashMap<CallGraphNode, NodeParticipation>,
+    pub(crate) nodes: HashMap<CallGraphNode, NodeParticipation>,
     /// Caller → callee edges (edges point from the outer frame to the inner
     /// frame, i.e. towards the request).
-    pub edges: HashSet<(CallGraphNode, CallGraphNode)>,
+    pub(crate) edges: HashSet<(CallGraphNode, CallGraphNode)>,
 }
 
 impl CallGraph {
@@ -143,7 +143,7 @@ impl CallStackAnalysis {
 /// is the initiating method itself. Async parent frames are included — the
 /// paper prepends the preceding stack for asynchronous requests precisely so
 /// this analysis sees the full ancestry.
-pub fn build_call_graph<'a>(
+pub(crate) fn build_call_graph<'a>(
     script_url: &str,
     method: &str,
     requests: impl Iterator<Item = &'a LabeledRequest>,
@@ -188,7 +188,7 @@ pub fn build_call_graph<'a>(
 ///
 /// Grouping goes through a [`KeyInterner`], so each request costs two hash
 /// lookups on `Copy` symbols instead of cloning its `(String, String)` pair.
-pub fn analyze_mixed_methods(residue: &[&LabeledRequest]) -> CallStackAnalysis {
+pub(crate) fn analyze_mixed_methods(residue: &[&LabeledRequest]) -> CallStackAnalysis {
     let mut interner = KeyInterner::new();
     let mut by_method: HashMap<ResourceKey, Vec<&LabeledRequest>> = HashMap::new();
     for request in residue {

@@ -7,7 +7,7 @@
 //! even every apply) stall all verdict traffic. This module splits the
 //! sifter instead:
 //!
-//! * [`Sifter::into_concurrent`] / [`SifterBuilder::build_concurrent`](crate::service::SifterBuilder::build_concurrent)
+//! * [`Sifter::into_concurrent`] / [`SifterBuilder::build_concurrent`](crate::SifterBuilder::build_concurrent)
 //!   return a cheaply-cloneable [`SifterReader`] (`Clone + Send`, one
 //!   handle per serving thread) and one [`SifterWriter`];
 //! * readers serve [`SifterReader::verdict`] / [`SifterReader::decide`]
@@ -142,8 +142,7 @@ impl Sifter {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use trackersift::concurrent::TablePublisher;
-/// use trackersift::{DecisionRequest, ObservationRef, Sifter};
+/// use trackersift::{DecisionRequest, ObservationRef, Sifter, TablePublisher};
 ///
 /// let row = |tracking| {
 ///     ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", tracking)
@@ -201,7 +200,7 @@ impl TablePublisher {
     }
 
     /// Mint another reader handle (equivalent to cloning any existing one).
-    pub fn reader(&self) -> SifterReader {
+    pub(crate) fn reader(&self) -> SifterReader {
         SifterReader::new(Arc::clone(&self.shared))
     }
 }
@@ -256,7 +255,7 @@ pub struct SifterWriter {
 }
 
 /// How many revisions a writer retains by default (one per commit), and
-/// the bound on a [`FollowerState`](crate::follower::FollowerState)'s ring
+/// the bound on a [`FollowerState`](crate::FollowerState)'s ring
 /// (one per applied delta). Bounds the drift history `GET /v1/revisions`
 /// can serve; tune a writer's with [`SifterWriter::set_revision_capacity`].
 pub const DEFAULT_REVISION_CAPACITY: usize = 64;
@@ -290,7 +289,7 @@ impl SifterWriter {
     /// so a caller that replies after this returns never acknowledges a row
     /// a crash can lose. `sync_every` does not apply inside a batch.
     /// Returns how many rows were observed (as
-    /// [`ObserveOutcome::was_observed`]).
+    /// `ObserveOutcome::was_observed`).
     ///
     /// A failed append or fsync is counted in the journal stats and the
     /// rows still fold: degraded durability, as [`SifterWriter::apply`].
@@ -584,7 +583,7 @@ impl SifterWriter {
     ///
     /// The configured filter engine is kept (shared, not recompiled); the
     /// snapshot's thresholds take effect, exactly as
-    /// [`SifterBuilder::restore`](crate::service::SifterBuilder::restore).
+    /// [`SifterBuilder::restore`](crate::SifterBuilder::restore).
     /// Readers never observe a half-imported state: they keep serving the
     /// previous table until the single publish, and published versions stay
     /// strictly increasing across the swap (the restored state appears as
@@ -635,7 +634,7 @@ impl SifterWriter {
 
     /// Read-only access to the underlying sifter, for inspection and
     /// export: [`Sifter::hierarchy`], [`Sifter::ingest_stats`],
-    /// [`Sifter::committed_resources`], …
+    /// `Sifter::committed_resources`, …
     pub fn sifter(&self) -> &Sifter {
         &self.sifter
     }
@@ -740,7 +739,7 @@ impl SifterReader {
     }
 
     /// Answer one enforcement decision against the current published table;
-    /// see [`crate::decision`].
+    /// see [`crate::Decision`].
     pub fn decide(&self, request: &DecisionRequest<'_>) -> Decision {
         self.pin().decide(request)
     }

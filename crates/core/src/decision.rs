@@ -1,7 +1,7 @@
 //! The enforcement layer: one blessed entry point turning a request into
 //! the action a blocker should take.
 //!
-//! [`Verdict::should_block`](crate::service::Verdict::should_block) is too
+//! [`Verdict::should_block`](crate::Verdict::should_block) is too
 //! blunt for deployment: it collapses TrackerSift's whole point — *mixed*
 //! resources deserve finer treatment than block-or-allow — into a boolean.
 //! A real blocker composes three sources of truth per request:
@@ -16,7 +16,7 @@
 //!
 //! Callers used to stitch those together by hand. [`Decision`] is that
 //! composition, computed from a single [`DecisionRequest`] by
-//! [`VerdictTable::decide`](crate::table::VerdictTable::decide) — the one
+//! [`VerdictTable::decide`](crate::VerdictTable::decide) — the one
 //! place a decision is made. A
 //! [`SifterReader`](crate::concurrent::SifterReader) (and, through
 //! `trackersift-server`, the wire) forwards to the table it pins, so
@@ -54,8 +54,7 @@ use crate::ratio::Classification;
 use crate::service::Verdict;
 use crate::surrogate::SurrogateScript;
 use crate::table::{verdict_walk, ClassTable};
-use filterlist::url::hostname_of;
-use filterlist::{FilterEngine, RequestLabel, ResourceType};
+use filterlist::{hostname_of, FilterEngine, RequestLabel, ResourceType};
 use rewriter::{RewrittenUrl, UrlRewriter};
 use std::fmt;
 use std::sync::Arc;
@@ -155,33 +154,33 @@ impl<'a> DecisionRequest<'a> {
 /// A decision query whose four attribution keys are already resolved to
 /// [`ResourceKey`]s of one specific table. `None` marks a key that table
 /// never interned (an unknown resource), or, from
-/// [`VerdictTable::resolve`](crate::table::VerdictTable::resolve), a key
+/// [`VerdictTable::resolve`](crate::VerdictTable::resolve), a key
 /// below the level where the verdict walk stops, which nothing reads.
 ///
 /// This is the hot-path form of [`DecisionRequest`]: a binary wire client
 /// that completed the key-interning handshake sends numeric ids, and the
 /// server answers without hashing a single string. Build one from numeric
-/// ids via [`FrozenKeys::key_for_id`](crate::intern::FrozenKeys::key_for_id)
+/// ids via [`FrozenKeys::key_for_id`](crate::FrozenKeys::key_for_id)
 /// or from strings via
-/// [`VerdictTable::resolve`](crate::table::VerdictTable::resolve).
+/// [`VerdictTable::resolve`](crate::VerdictTable::resolve).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyedRequest<'a> {
     /// Resolved registrable-domain key.
-    pub domain: Option<ResourceKey>,
+    pub(crate) domain: Option<ResourceKey>,
     /// Resolved hostname key.
-    pub hostname: Option<ResourceKey>,
+    pub(crate) hostname: Option<ResourceKey>,
     /// Resolved initiating-script key.
-    pub script: Option<ResourceKey>,
+    pub(crate) script: Option<ResourceKey>,
     /// Resolved method-*name* key (the composed `script :: method` key is
     /// looked up from the `(script, name)` pair during the walk).
-    pub method: Option<ResourceKey>,
+    pub(crate) method: Option<ResourceKey>,
     /// Raw request URL for the filter-list backstop, if carried.
-    pub url: Option<&'a str>,
+    pub(crate) url: Option<&'a str>,
     /// Hostname of the page issuing the request; ignored unless `url` is
     /// set.
-    pub source_hostname: &'a str,
+    pub(crate) source_hostname: &'a str,
     /// Resource type of the request; ignored unless `url` is set.
-    pub resource_type: ResourceType,
+    pub(crate) resource_type: ResourceType,
 }
 
 impl<'a> KeyedRequest<'a> {
@@ -252,7 +251,7 @@ impl fmt::Display for DecisionSource {
 
 /// The action a blocker should take for one [`DecisionRequest`] — the one
 /// blessed enforcement entry point, replacing ad-hoc composition of
-/// [`Verdict::should_block`](crate::service::Verdict::should_block), the
+/// [`Verdict::should_block`](crate::Verdict::should_block), the
 /// filter engine, and surrogate generation.
 ///
 /// ```
@@ -337,14 +336,6 @@ impl Decision {
     pub fn surrogate(&self) -> Option<&SurrogateScript> {
         match self {
             Decision::Surrogate(script) => Some(script.as_ref()),
-            _ => None,
-        }
-    }
-
-    /// The rewritten URL, when the decision carries one.
-    pub fn rewrite(&self) -> Option<&RewrittenUrl> {
-        match self {
-            Decision::Rewrite(rewritten) => Some(rewritten.as_ref()),
             _ => None,
         }
     }

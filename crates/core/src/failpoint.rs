@@ -3,16 +3,16 @@
 //! A crash-only server earns its guarantees by being *tested against*
 //! faults, not by hoping they never happen. This module is the seam the
 //! fault-injection harness (`tests/fault_injection.rs`) uses to inject
-//! failures at precise points: short reads/writes, `EINTR`/`WouldBlock`
-//! storms, fsync failures, worker panics, and write cut-offs that simulate
-//! a crash at an exact journal byte offset.
+//! failures at precise points: `EINTR`/`WouldBlock` storms, fsync
+//! failures, worker panics, and write cut-offs that simulate a crash at an
+//! exact journal byte offset.
 //!
 //! # Zero cost when disabled
 //!
 //! The whole module is gated on the `failpoints` cargo feature. Without
 //! the feature every function below is an `#[inline(always)]` no-op stub
-//! — `check_io` returns `Ok(())`, [`clamp`] returns its input, and the
-//! compiler removes the calls entirely. Production builds pay nothing.
+//! — `check_io` returns `Ok(())`, `write_allowance` returns its input, and
+//! the compiler removes the calls entirely. Production builds pay nothing.
 //!
 //! With `--features failpoints`, a process-global registry maps failpoint
 //! names to armed [`Action`]s. Tests arm a point, drive the system, and
@@ -61,13 +61,6 @@ pub enum Action {
         /// The error kind each armed hit produces.
         kind: std::io::ErrorKind,
         /// Remaining armed hits; `None` fails forever.
-        times: Option<u32>,
-    },
-    /// Clamp an I/O length to at most `max` bytes (short read/write).
-    ShortIo {
-        /// Maximum bytes the clamped operation may transfer.
-        max: usize,
-        /// Remaining armed hits; `None` clamps forever.
         times: Option<u32>,
     },
     /// Panic at the site (worker self-healing tests).
@@ -120,11 +113,6 @@ mod enabled {
             .insert(name.to_string(), action);
     }
 
-    /// Disarm `name` (a no-op if it was not armed).
-    pub fn clear(name: &str) {
-        registry().lock().expect("failpoint registry").remove(name);
-    }
-
     /// Disarm every failpoint — call between tests sharing a process.
     pub fn clear_all() {
         registry().lock().expect("failpoint registry").clear();
@@ -163,24 +151,6 @@ mod enabled {
         }
     }
 
-    /// Clamp an I/O length at a short-read/short-write site.
-    pub fn clamp(name: &str, len: usize) -> usize {
-        let mut registry = registry().lock().expect("failpoint registry");
-        let Some(Action::ShortIo { max, times }) = registry.get_mut(name) else {
-            return len;
-        };
-        let max = *max;
-        let (fires, exhausted) = consume(times);
-        if exhausted {
-            registry.remove(name);
-        }
-        if fires {
-            len.min(max)
-        } else {
-            len
-        }
-    }
-
     /// Panic at the site when `name` is armed with [`Action::Panic`].
     pub fn maybe_panic(name: &str) {
         let fires = {
@@ -202,7 +172,7 @@ mod enabled {
     /// How many of `want` bytes the site may transfer under an armed
     /// [`Action::CutAfter`] budget; bytes past the budget are the caller's
     /// simulated crash tail (drop them, do not error).
-    pub fn write_allowance(name: &str, want: usize) -> usize {
+    pub(crate) fn write_allowance(name: &str, want: usize) -> usize {
         let mut registry = registry().lock().expect("failpoint registry");
         let Some(Action::CutAfter { budget }) = registry.get_mut(name) else {
             return want;
@@ -240,20 +210,6 @@ mod enabled {
             );
             clear_all();
         }
-
-        #[test]
-        fn clamp_shortens_transfers() {
-            set(
-                "t.short",
-                Action::ShortIo {
-                    max: 3,
-                    times: Some(1),
-                },
-            );
-            assert_eq!(clamp("t.short", 100), 3);
-            assert_eq!(clamp("t.short", 100), 100);
-            clear_all();
-        }
     }
 }
 
@@ -268,10 +224,6 @@ mod disabled {
 
     /// No-op without the `failpoints` feature.
     #[inline(always)]
-    pub fn clear(_name: &str) {}
-
-    /// No-op without the `failpoints` feature.
-    #[inline(always)]
     pub fn clear_all() {}
 
     /// Always `Ok` without the `failpoints` feature.
@@ -280,19 +232,13 @@ mod disabled {
         Ok(())
     }
 
-    /// Identity without the `failpoints` feature.
-    #[inline(always)]
-    pub fn clamp(_name: &str, len: usize) -> usize {
-        len
-    }
-
     /// No-op without the `failpoints` feature.
     #[inline(always)]
     pub fn maybe_panic(_name: &str) {}
 
     /// Identity without the `failpoints` feature.
     #[inline(always)]
-    pub fn write_allowance(_name: &str, want: usize) -> usize {
+    pub(crate) fn write_allowance(_name: &str, want: usize) -> usize {
         want
     }
 }

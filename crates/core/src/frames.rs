@@ -1,7 +1,7 @@
 //! Canonical wire encodings of enforcement decisions — the one place the
 //! JSON decision objects and the binary decision frames are produced, so
 //! the serving paths that preformat responses at commit time (see
-//! [`crate::table`]) and the wire layer that decodes the frames back
+//! [`crate::VerdictTable`]) and the wire layer that decodes the frames back
 //! (`trackersift-server::wire`) cannot drift apart byte-wise.
 //!
 //! Two encodings live here, two encoders and one decoder per envelope:
@@ -12,7 +12,7 @@
 //!   to the exact [`Value`] tree the verdict server has always served
 //!   (field order fixed, so equal decisions render to byte-identical JSON).
 //! * **Binary** (what Rust code reads): a compact length-prefixed framing.
-//!   Every fixed decision is one of [`FIXED_COMBOS`] fixed `(action,
+//!   Every fixed decision is one of `FIXED_COMBOS` fixed `(action,
 //!   source)` pairs — a two-byte code — while a surrogate decision carries
 //!   a length-prefixed payload ([`encode_surrogate_payload`]) holding the
 //!   full plan and a rewrite decision carries a length-prefixed payload
@@ -48,13 +48,13 @@
 //!
 //! The drift endpoints (`GET /v1/revisions` and `GET /v1/revisions?diff=`)
 //! share the same canonical-encoding discipline. A binary revision body is
-//! `proto u8`, kind byte ([`REVISION_KIND_LIST`], [`REVISION_KIND_SPANS`]
-//! or [`REVISION_KIND_DIFF`]), then for a list `table version u64` +
+//! `proto u8`, kind byte (`REVISION_KIND_LIST`, `REVISION_KIND_SPANS`
+//! or `REVISION_KIND_DIFF`), then for a list `table version u64` +
 //! `revision count u32` + per revision `version u64`, `change count u32`
 //! and its changes; for a diff `from u64`, `to u64`, `change count u32` and
 //! the net changes. A list whose revisions each span one version (every
-//! primary's) uses [`REVISION_KIND_LIST`]; one where some revision spans
-//! more (a follower's, one per applied delta) uses [`REVISION_KIND_SPANS`],
+//! primary's) uses `REVISION_KIND_LIST`; one where some revision spans
+//! more (a follower's, one per applied delta) uses `REVISION_KIND_SPANS`,
 //! whose records carry `since u64` before `version u64`. One change is
 //! `granularity code u8` (the [`Granularity`] index), `old class code u8`,
 //! `new class code u8` (`0` absent, `1` tracking, `2` functional, `3`
@@ -90,11 +90,11 @@ pub const SINGLE_HEADER_LEN: usize = 15;
 pub const RECORD_HEADER_LEN: usize = 6;
 
 /// Action code: let the request through, keep observing.
-pub const ACTION_OBSERVE: u8 = 0;
+pub(crate) const ACTION_OBSERVE: u8 = 0;
 /// Action code: allow.
-pub const ACTION_ALLOW: u8 = 1;
+pub(crate) const ACTION_ALLOW: u8 = 1;
 /// Action code: block.
-pub const ACTION_BLOCK: u8 = 2;
+pub(crate) const ACTION_BLOCK: u8 = 2;
 /// Action code: replace the script with the surrogate in the payload.
 pub const ACTION_SURROGATE: u8 = 3;
 /// Action code: load the rewritten URL in the payload instead of the
@@ -104,12 +104,12 @@ pub const ACTION_REWRITE: u8 = 4;
 /// Source code for decisions that carry no source (observe / surrogate).
 pub const SOURCE_NONE: u8 = 0;
 /// Source code for the filter-list backstop.
-pub const SOURCE_FILTER_LIST: u8 = 5;
+pub(crate) const SOURCE_FILTER_LIST: u8 = 5;
 
 /// Number of fixed (payload-free) `(action, source)` combinations:
 /// observe, plus allow/block × (4 hierarchy granularities + filter list).
 /// Surrogate and rewrite decisions carry payloads and are not fixed.
-pub const FIXED_COMBOS: usize = 11;
+pub(crate) const FIXED_COMBOS: usize = 11;
 
 fn source_code(source: DecisionSource) -> u8 {
     match source {
@@ -145,7 +145,7 @@ pub fn codes_of(decision: &Decision) -> (u8, u8) {
 /// The dense index of a fixed decision into the preformatted response
 /// tables (`0..FIXED_COMBOS`); `None` for the payload-carrying decisions
 /// (surrogate, rewrite).
-pub fn fixed_index(decision: &Decision) -> Option<usize> {
+pub(crate) fn fixed_index(decision: &Decision) -> Option<usize> {
     match decision {
         Decision::Observe => Some(0),
         Decision::Allow(source) => Some(source_code(*source) as usize),
@@ -160,7 +160,7 @@ pub fn fixed_index(decision: &Decision) -> Option<usize> {
 ///
 /// # Panics
 /// Panics if `index >= FIXED_COMBOS`.
-pub fn fixed_decision(index: usize) -> Decision {
+pub(crate) fn fixed_decision(index: usize) -> Decision {
     match index {
         0 => Decision::Observe,
         1..=5 => Decision::Allow(source_of_code(index as u8).expect("codes 1..=5 have sources")),
@@ -319,7 +319,7 @@ pub fn encode_surrogate_payload(script: &SurrogateScript) -> Vec<u8> {
 /// A surrogate plan preformatted in both wire encodings, built once when
 /// the plan is (re)computed at commit time and shared by `Arc` between the
 /// sifter's cache and every published
-/// [`VerdictTable`](crate::table::VerdictTable). Serving a surrogate
+/// [`VerdictTable`](crate::VerdictTable). Serving a surrogate
 /// decision then copies these slices instead of re-encoding the plan per
 /// request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -335,7 +335,7 @@ pub struct SurrogateFrames {
 
 impl SurrogateFrames {
     /// Preformat both encodings of a surrogate plan.
-    pub fn new(script: &SurrogateScript) -> Self {
+    pub(crate) fn new(script: &SurrogateScript) -> Self {
         let json = object(vec![
             ("action", Value::String("surrogate".to_string())),
             ("surrogate", surrogate_value(script)),
@@ -588,12 +588,12 @@ pub fn decode_decision(action: u8, source: u8, payload: &[u8]) -> Result<Decisio
 // ---------------------------------------------------------------------
 
 /// Frame kind byte of a binary revision-list response body.
-pub const REVISION_KIND_LIST: u8 = 0x10;
+pub(crate) const REVISION_KIND_LIST: u8 = 0x10;
 /// Frame kind byte of a binary revision-diff response body.
-pub const REVISION_KIND_DIFF: u8 = 0x11;
+pub(crate) const REVISION_KIND_DIFF: u8 = 0x11;
 /// Frame kind byte of a binary revision-list response body whose records
 /// carry their baseline (some revision spans more than one version).
-pub const REVISION_KIND_SPANS: u8 = 0x14;
+pub(crate) const REVISION_KIND_SPANS: u8 = 0x14;
 
 /// Whether a revision covers exactly one version, `(v-1, v]` — what every
 /// commit records, so its baseline goes without saying on the wire.
@@ -811,9 +811,9 @@ pub fn decode_revision_diff(bytes: &[u8]) -> Result<VerdictRevision, FrameError>
 // ---------------------------------------------------------------------
 
 /// Frame kind byte of a binary delta-snapshot body (`?since=` hit).
-pub const SNAPSHOT_KIND_DELTA: u8 = 0x12;
+pub(crate) const SNAPSHOT_KIND_DELTA: u8 = 0x12;
 /// Frame kind byte of a binary full-snapshot body (bootstrap / `410 Gone`).
-pub const SNAPSHOT_KIND_FULL: u8 = 0x13;
+pub(crate) const SNAPSHOT_KIND_FULL: u8 = 0x13;
 
 /// Encode a [`DeltaSnapshot`] as its canonical JSON envelope: a `kind`
 /// discriminator (`"delta"` carries `from`, `"full"` does not), the target
@@ -861,7 +861,7 @@ pub fn delta_snapshot_value(snapshot: &DeltaSnapshot) -> Value {
 }
 
 /// Encode a [`DeltaSnapshot`] as its binary body: `proto u8`, kind byte
-/// ([`SNAPSHOT_KIND_DELTA`] carries `from u64`, [`SNAPSHOT_KIND_FULL`]
+/// (`SNAPSHOT_KIND_DELTA` carries `from u64`, `SNAPSHOT_KIND_FULL`
 /// does not), `to u64`, `committed u64`, `residue u64`, `change count u32`
 /// + changes, `plan count u32` + per plan the `u32`-prefixed script key,
 ///   a presence byte, and (when present) the `u32`-length-prefixed

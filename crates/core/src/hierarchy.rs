@@ -55,7 +55,7 @@ impl Granularity {
 
     /// The position of this granularity in [`Granularity::ALL`] (coarsest =
     /// 0). This is the array index the flattened
-    /// [`VerdictTable`](crate::table::VerdictTable) uses for its dense
+    /// [`VerdictTable`](crate::VerdictTable) uses for its dense
     /// per-granularity class arrays.
     pub fn index(self) -> usize {
         match self {
@@ -118,7 +118,7 @@ impl ClassCounts {
     }
 
     /// Add `n` to the bucket for `class`.
-    pub fn add(&mut self, class: Classification, n: u64) {
+    pub(crate) fn add(&mut self, class: Classification, n: u64) {
         match class {
             Classification::Tracking => self.tracking += n,
             Classification::Functional => self.functional += n,
@@ -128,7 +128,7 @@ impl ClassCounts {
 
     /// Fraction of the total that is *not* mixed (i.e. separated), in
     /// percent. Returns 0 when empty.
-    pub fn separation_factor(&self) -> f64 {
+    pub(crate) fn separation_factor(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             return 0.0;
@@ -160,7 +160,7 @@ pub struct ResourceEntry {
 impl ResourceEntry {
     /// The log-ratio of the resource (always defined — resources only exist
     /// because at least one request was attributed to them).
-    pub fn log_ratio(&self) -> f64 {
+    pub(crate) fn log_ratio(&self) -> f64 {
         self.counts
             .log_ratio()
             .expect("resources have at least one request")
@@ -188,11 +188,11 @@ impl LevelResult {
     /// tallies the per-class resource/request counts.
     ///
     /// This is the *single* constructor both the batch classifier and the
-    /// incremental [`Sifter`](crate::service::Sifter) export go through, so
+    /// incremental [`Sifter`](crate::Sifter) export go through, so
     /// the two can never drift apart on ordering or accounting — the
     /// foundation of the apply/commit ≡ from-scratch equivalence the
     /// service tests assert.
-    pub fn from_entries(
+    pub(crate) fn from_entries(
         granularity: Granularity,
         mut resources: Vec<ResourceEntry>,
         input_requests: u64,
@@ -248,7 +248,7 @@ impl LevelResult {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyResult {
     /// Thresholds used.
-    pub thresholds: Thresholds,
+    pub(crate) thresholds: Thresholds,
     /// Per-level results, coarsest first (Domain, Hostname, Script, Method).
     pub levels: Vec<LevelResult>,
     /// Total script-initiated requests that entered the analysis.
@@ -300,7 +300,7 @@ impl HierarchyResult {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HierarchicalClassifier {
     /// Thresholds applied at every level.
-    pub thresholds: Thresholds,
+    pub(crate) thresholds: Thresholds,
 }
 
 impl HierarchicalClassifier {
@@ -340,7 +340,7 @@ impl HierarchicalClassifier {
 
     /// Classify a single granularity over an arbitrary request set — the
     /// flat baseline of the flat-vs-hierarchical ablation.
-    pub fn classify_flat(
+    pub(crate) fn classify_flat(
         &self,
         granularity: Granularity,
         input: &[&LabeledRequest],

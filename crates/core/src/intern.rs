@@ -69,7 +69,7 @@ pub struct ResourceKey(u32);
 impl ResourceKey {
     /// The separator between the script URL and the method name in a
     /// method-granularity key.
-    pub const METHOD_SEPARATOR: &'static str = " :: ";
+    pub(crate) const METHOD_SEPARATOR: &'static str = " :: ";
 
     /// The one shared constructor of the method-granularity key format.
     ///
@@ -289,7 +289,7 @@ fn debug_keys<'a>(
 /// An immutable, cheaply shareable snapshot of a [`KeyInterner`]: string →
 /// key, id → string and the `(script, name)` → method-key pair cache.
 ///
-/// A [`VerdictTable`](crate::table::VerdictTable) pins one of these so a
+/// A [`VerdictTable`](crate::VerdictTable) pins one of these so a
 /// concurrent reader resolves query strings against exactly the key space
 /// its dense class arrays were built for — keys interned after the freeze
 /// simply miss, which the verdict walk already treats as "not observed".
@@ -299,7 +299,7 @@ fn debug_keys<'a>(
 /// no per-key allocation. The writer re-freezes only when the interner has
 /// grown since the last published table.
 ///
-/// The view a [`SifterSnapshot`](crate::snapshot::SifterSnapshot) carries
+/// The view a [`SifterSnapshot`](crate::SifterSnapshot) carries
 /// is frozen without the lookup table, which an export never reads: it is
 /// rebuilt from the spans the first time the view looks a string up.
 #[derive(Clone, Default)]
@@ -325,7 +325,7 @@ impl FrozenKeys {
 
     /// Look up a string's key. Strings interned after the freeze miss.
     #[inline]
-    pub fn key(&self, key: &str) -> Option<ResourceKey> {
+    pub(crate) fn key(&self, key: &str) -> Option<ResourceKey> {
         let key = key.as_bytes();
         let hash = fold_bytes(self.seed, key);
         self.table().find(&self.chunks, "", hash, key).ok()
@@ -335,7 +335,7 @@ impl FrozenKeys {
     /// `(script, method-name)` pair without building the
     /// `script :: method` string.
     #[inline]
-    pub fn method_key(&self, script: ResourceKey, name: ResourceKey) -> Option<ResourceKey> {
+    pub(crate) fn method_key(&self, script: ResourceKey, name: ResourceKey) -> Option<ResourceKey> {
         self.pairs.get(&(script, name)).copied()
     }
 
@@ -383,8 +383,8 @@ impl fmt::Debug for FrozenKeys {
     }
 }
 
-/// An append-only string interner for resource keys; see the
-/// [module docs](self) for how it stores them.
+/// An append-only string interner for resource keys; see the module docs
+/// of `intern.rs` for how it stores them.
 #[derive(Clone)]
 pub struct KeyInterner {
     /// Full chunks, shared with every frozen view taken since each sealed.
@@ -414,7 +414,7 @@ impl KeyInterner {
     }
 
     /// An empty interner with room for `capacity` distinct keys.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let mut interner = Self::new();
         interner.resize(slots_for(capacity));
         interner
@@ -600,7 +600,8 @@ impl KeyInterner {
     }
 
     /// Look up a string without interning it.
-    pub fn get(&self, key: &str) -> Option<ResourceKey> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, key: &str) -> Option<ResourceKey> {
         self.find(fold_bytes(self.seed, key.as_bytes()), key.as_bytes())
             .ok()
     }
@@ -609,7 +610,7 @@ impl KeyInterner {
     ///
     /// # Panics
     /// Panics if `key` came from a different interner and is out of range.
-    pub fn resolve(&self, key: ResourceKey) -> &str {
+    pub(crate) fn resolve(&self, key: ResourceKey) -> &str {
         text(&self.sealed, &self.open, self.spans[key.index()])
     }
 
@@ -673,7 +674,7 @@ impl KeyInterner {
     }
 
     /// Iterate `(key, string)` pairs in first-seen (id) order.
-    pub fn iter(&self) -> impl Iterator<Item = (ResourceKey, &str)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ResourceKey, &str)> {
         iter(&self.sealed, &self.open, &self.spans)
     }
 }

@@ -1,7 +1,7 @@
 //! Write-ahead observation journal: crash durability for the serving
 //! state.
 //!
-//! A [`Sifter`](crate::service::Sifter) behind a
+//! A [`Sifter`](crate::Sifter) behind a
 //! [`SifterWriter`](crate::concurrent::SifterWriter) accumulates
 //! observations in memory and folds them in at `commit()`; a process crash
 //! between snapshots silently loses everything since the last export. The
@@ -27,7 +27,7 @@
 //!
 //! The journal carries the write path's own values, not copies of them: an
 //! observation record is encoded straight from the [`ObservationRef`]
-//! [`Sifter::apply`](crate::service::Sifter::apply) is about to fold, and a
+//! [`Sifter::apply`](crate::Sifter::apply) is about to fold, and a
 //! revision record's changes use the change layout of [`frames`] (the
 //! revision frames `GET /v1/revisions` serves). Every record is framed in
 //! place in the append buffer — length placeholder, payload, length patched,
@@ -125,7 +125,7 @@ pub enum JournalEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayReport {
     /// Records decoded from the clean prefix.
-    pub records: u64,
+    pub(crate) records: u64,
     /// Commit markers among them.
     pub commits: u64,
     /// Bytes of clean prefix (the recovery truncation point).
@@ -158,8 +158,8 @@ pub struct JournalStats {
 }
 
 /// An append-only, checksummed write-ahead log of observations and commit
-/// markers; see the [module docs](self) for the format and recovery
-/// semantics.
+/// markers; see the module docs of `journal.rs` for the format and
+/// recovery semantics.
 ///
 /// Appends are buffered in memory and reach the disk at three sync points:
 /// the end of a batch (`append_batch`, one fsync however many records it
@@ -509,7 +509,7 @@ pub struct RecoveryReport {
 /// | `snapshot-<g>.json` | the checkpoint snapshot (absent for generation 0) |
 /// | `journal-<g>.wal` | observations journaled since that checkpoint |
 ///
-/// [`DurableDir::advance`] builds the next generation's pair completely
+/// `DurableDir::advance` builds the next generation's pair completely
 /// (fresh journal created, snapshot written + fsynced, directory fsynced)
 /// **before** atomically flipping `CURRENT`, and fsyncs the directory
 /// again before removing the old pair — so a crash or power cut at any
@@ -543,13 +543,13 @@ impl DurableDir {
     }
 
     /// The live checkpoint generation.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
     /// Path of the live generation's snapshot (may not exist for
     /// generation 0, which has no checkpoint yet).
-    pub fn snapshot_path(&self) -> PathBuf {
+    pub(crate) fn snapshot_path(&self) -> PathBuf {
         self.dir.join(format!("snapshot-{}.json", self.generation))
     }
 
@@ -571,7 +571,7 @@ impl DurableDir {
     /// flip has already happened — it is what a reboot reads — so the new
     /// generation is returned with the failure counted in its
     /// [`JournalStats::sync_errors`], and the previous pair stays.
-    pub fn advance(&mut self, snapshot_json: &str, sync_every: u64) -> io::Result<Journal> {
+    pub(crate) fn advance(&mut self, snapshot_json: &str, sync_every: u64) -> io::Result<Journal> {
         let next = self.generation + 1;
         let journal_path = self.dir.join(format!("journal-{next}.wal"));
         // A crashed earlier attempt at this generation may have left a
@@ -606,7 +606,7 @@ impl JournalStats {
     /// Fold another stats block into this one (used to keep lifetime
     /// totals across journal rotations, where each generation starts a
     /// fresh [`Journal`]).
-    pub fn accumulate(&mut self, other: &JournalStats) {
+    pub(crate) fn accumulate(&mut self, other: &JournalStats) {
         self.appended += other.appended;
         self.synced += other.synced;
         self.syncs += other.syncs;

@@ -16,7 +16,7 @@
 //! [`LabeledRequest`] through the crate-private `label_url` — the single
 //! place that builds the request view, asks the oracle, and reads the
 //! hostname and registrable domain off the view.
-//! [`Sifter::apply`](crate::service::Sifter::apply) calls the same
+//! [`Sifter::apply`](crate::Sifter::apply) calls the same
 //! function for a raw-URL row, so the batch and the serving side cannot
 //! label one request two ways. `label_url` copies nothing: the request is a
 //! [`filterlist::RequestView`] built in a [`RequestScratch`] the caller
@@ -40,7 +40,7 @@
 //! The reuse is across crawls instead. A serving writer re-crawling the
 //! same web every epoch sees ≈ 90% of an epoch's triples again in the next
 //! one (87–92% per epoch on the `ingest_replicate` input), so
-//! [`Sifter::apply`](crate::service::Sifter::apply) keeps a
+//! [`Sifter::apply`](crate::Sifter::apply) keeps a
 //! private memo whose lifetime is the commit interval: a triple labeled in
 //! the current or the previous interval is answered from it, with the
 //! hostname and domain keys it was interned under, and one unseen for a
@@ -51,8 +51,7 @@
 //! consult it.
 
 use crawler::{CrawlDatabase, SiteCrawl, StackFrame};
-use filterlist::url::hostname_of;
-use filterlist::{FilterEngine, RequestLabel, RequestScratch, ResourceType};
+use filterlist::{hostname_of, FilterEngine, RequestLabel, RequestScratch, ResourceType};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,7 +88,7 @@ pub struct LabeledRequest {
 
 impl LabeledRequest {
     /// `true` when the oracle labeled this request tracking.
-    pub fn is_tracking(&self) -> bool {
+    pub(crate) fn is_tracking(&self) -> bool {
         self.label.is_tracking()
     }
 }
@@ -98,11 +97,11 @@ impl LabeledRequest {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelStats {
     /// Requests seen in the crawl database (script-initiated or not).
-    pub total_requests: usize,
+    pub(crate) total_requests: usize,
     /// Requests excluded because no script initiated them.
     pub excluded_non_script: usize,
     /// Requests excluded because their URL could not be parsed.
-    pub excluded_unparseable: usize,
+    pub(crate) excluded_unparseable: usize,
     /// Script-initiated requests labeled tracking.
     pub tracking: usize,
     /// Script-initiated requests labeled functional.
@@ -117,7 +116,7 @@ impl LabelStats {
 
     /// Merge another site's statistics into this one (used when labeling
     /// sites in parallel).
-    pub fn merge(&mut self, other: LabelStats) {
+    pub(crate) fn merge(&mut self, other: LabelStats) {
         self.total_requests += other.total_requests;
         self.excluded_non_script += other.excluded_non_script;
         self.excluded_unparseable += other.excluded_unparseable;
@@ -156,14 +155,14 @@ pub(crate) fn label_url<'a>(
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Always 0: nothing is answered from a cache.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Oracle evaluations.
     pub misses: u64,
 }
 
 impl CacheStats {
     /// Total lookups.
-    pub fn lookups(&self) -> u64 {
+    pub(crate) fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
 

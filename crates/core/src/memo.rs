@@ -30,7 +30,7 @@
 //! A lookup compares the stored bytes, so a hash collision can only cost a
 //! miss: a colliding triple is labeled afresh and not remembered.
 //!
-//! [`Sifter::apply`]: crate::service::Sifter::apply
+//! [`Sifter::apply`]: crate::Sifter::apply
 
 use crate::intern::ResourceKey;
 use filterlist::tokens::TokenHashBuilder;

@@ -9,32 +9,32 @@ use crate::hierarchy::{Granularity, HierarchyResult};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Granularity of the row.
-    pub granularity: Granularity,
+    pub(crate) granularity: Granularity,
     /// Requests attributed to tracking resources.
-    pub tracking: u64,
+    pub(crate) tracking: u64,
     /// Requests attributed to functional resources.
-    pub functional: u64,
+    pub(crate) functional: u64,
     /// Requests attributed to mixed resources (passed to the next level).
-    pub mixed: u64,
+    pub(crate) mixed: u64,
     /// Separation factor over this level's input requests, percent.
-    pub separation_factor: f64,
+    pub(crate) separation_factor: f64,
     /// Cumulative separation over all script-initiated requests, percent.
-    pub cumulative_separation: f64,
+    pub(crate) cumulative_separation: f64,
 }
 
 /// One row of Table 2 (unique resources per class at a granularity).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Granularity of the row.
-    pub granularity: Granularity,
+    pub(crate) granularity: Granularity,
     /// Resources classified tracking.
-    pub tracking: u64,
+    pub(crate) tracking: u64,
     /// Resources classified functional.
-    pub functional: u64,
+    pub(crate) functional: u64,
     /// Resources classified mixed.
-    pub mixed: u64,
+    pub(crate) mixed: u64,
     /// Separation factor over unique resources, percent.
-    pub separation_factor: f64,
+    pub(crate) separation_factor: f64,
 }
 
 /// The headline numbers the abstract reports.

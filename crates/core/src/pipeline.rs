@@ -47,11 +47,11 @@ use websim::{filter_rules, CorpusGenerator, CorpusProfile, WebCorpus};
 
 /// Wall-clock timing of one executed stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageTiming {
+pub(crate) struct StageTiming {
     /// The stage's name as it appears in timing reports.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Wall-clock duration of the stage.
-    pub duration: Duration,
+    pub(crate) duration: Duration,
 }
 
 /// Ordered per-stage timings of a pipeline run.
@@ -62,7 +62,7 @@ pub struct StageTimings {
 
 impl StageTimings {
     /// Run `work` as the stage `name`, recording its wall-clock duration.
-    pub fn time<T>(&mut self, name: &'static str, work: impl FnOnce() -> T) -> T {
+    pub(crate) fn time<T>(&mut self, name: &'static str, work: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let output = work();
         self.timings.push(StageTiming {
@@ -70,11 +70,6 @@ impl StageTimings {
             duration: start.elapsed(),
         });
         output
-    }
-
-    /// All recorded timings, in execution order.
-    pub fn all(&self) -> &[StageTiming] {
-        &self.timings
     }
 
     /// A one-line human-readable summary, e.g.
@@ -292,9 +287,9 @@ mod tests {
     #[test]
     fn stages_are_named_and_timed() {
         let study = study();
-        let names: Vec<&str> = study.timings.all().iter().map(|t| t.name).collect();
+        let names: Vec<&str> = study.timings.timings.iter().map(|t| t.name).collect();
         assert_eq!(names, vec!["generate", "crawl", "label", "classify"]);
-        for timing in study.timings.all() {
+        for timing in &study.timings.timings {
             assert!(
                 timing.duration.as_nanos() > 0,
                 "{} has no timing",
@@ -343,10 +338,6 @@ mod tests {
         // The sifter's committed export is exactly the study's hierarchy.
         assert_eq!(sifter.hierarchy(), study.hierarchy);
         assert_eq!(sifter.ingest_stats().observed, study.requests.len() as u64);
-        assert_eq!(
-            sifter.unattributed_requests(),
-            study.hierarchy.unattributed_requests
-        );
         // And its table serves a verdict for every labeled request it was
         // trained on.
         let table = sifter.verdict_table();
@@ -377,7 +368,7 @@ mod tests {
         let doubled: Vec<u64> = timings.time("double", || input.iter().map(|x| x * 2).collect());
         let total: u64 = timings.time("sum", || doubled.into_iter().sum());
         assert_eq!(total, 12);
-        let names: Vec<&str> = timings.all().iter().map(|t| t.name).collect();
+        let names: Vec<&str> = timings.timings.iter().map(|t| t.name).collect();
         assert_eq!(names, vec!["double", "sum"]);
         assert!(timings.summary().contains("double"));
     }

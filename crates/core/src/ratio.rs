@@ -48,12 +48,12 @@ pub struct Counts {
 
 impl Counts {
     /// A zeroed counter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Counts::default()
     }
 
     /// Record one request with the given label.
-    pub fn record(&mut self, tracking: bool) {
+    pub(crate) fn record(&mut self, tracking: bool) {
         if tracking {
             self.tracking += 1;
         } else {
@@ -67,14 +67,14 @@ impl Counts {
     }
 
     /// `true` when no request has been recorded. Empty counters classify to
-    /// `None`; the incremental [`Sifter`](crate::service::Sifter) uses this
+    /// `None`; the incremental [`Sifter`](crate::Sifter) uses this
     /// as the "not a member of this level" test.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total() == 0
     }
 
     /// Merge another counter into this one.
-    pub fn merge(&mut self, other: Counts) {
+    pub(crate) fn merge(&mut self, other: Counts) {
         self.tracking += other.tracking;
         self.functional += other.functional;
     }
@@ -85,7 +85,7 @@ impl Counts {
     /// plotting Figure 3: a resource with zero functional requests has ratio
     /// `+∞`, zero tracking requests `-∞`, and a resource with no requests at
     /// all is undefined (`None`).
-    pub fn log_ratio(&self) -> Option<f64> {
+    pub(crate) fn log_ratio(&self) -> Option<f64> {
         match (self.tracking, self.functional) {
             (0, 0) => None,
             (0, _) => Some(f64::NEG_INFINITY),
@@ -97,7 +97,7 @@ impl Counts {
     /// Classify under the given (symmetric) threshold.
     ///
     /// Returns `None` for resources that received no requests.
-    pub fn classify(&self, threshold: f64) -> Option<Classification> {
+    pub(crate) fn classify(&self, threshold: f64) -> Option<Classification> {
         let ratio = self.log_ratio()?;
         Some(if ratio >= threshold {
             Classification::Tracking
@@ -114,7 +114,7 @@ impl Counts {
 pub struct Thresholds {
     /// The symmetric threshold on the common-log ratio. The paper's default
     /// is 2 (i.e. 100×).
-    pub log_ratio: f64,
+    pub(crate) log_ratio: f64,
 }
 
 impl Default for Thresholds {

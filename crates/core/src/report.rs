@@ -15,19 +15,19 @@ use crate::sensitivity::SensitivitySweep;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RatioHistogram {
     /// Granularity the histogram describes.
-    pub granularity: Granularity,
+    pub(crate) granularity: Granularity,
     /// Lower edge of the first finite bin.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Upper edge of the last finite bin.
-    pub max: f64,
+    pub(crate) max: f64,
     /// Width of each finite bin.
-    pub bin_width: f64,
+    pub(crate) bin_width: f64,
     /// Count of resources with ratio `-∞` or below `min`.
-    pub underflow: u64,
+    pub(crate) underflow: u64,
     /// Counts of the finite bins.
-    pub bins: Vec<u64>,
+    pub(crate) bins: Vec<u64>,
     /// Count of resources with ratio `+∞` or above `max`.
-    pub overflow: u64,
+    pub(crate) overflow: u64,
 }
 
 impl RatioHistogram {

@@ -16,7 +16,7 @@
 //!   concurrent writer installs one per commit (even an empty one), so its
 //!   ring has a boundary at every version; a follower installs one per
 //!   delta it applies. Either keeps a bounded ring of them attached to the
-//!   published [`VerdictTable`](crate::table::VerdictTable).
+//!   published [`VerdictTable`](crate::VerdictTable).
 //! * [`compose`] / [`diff_revisions`] — the diff algebra: transitions
 //!   compose by chaining old → new per `(granularity, key)` and dropping
 //!   identities, so the drift between *any* two span boundaries of a ring
@@ -58,7 +58,7 @@ impl ChangeKind {
     }
 
     /// The classification before the change (`None` for additions).
-    pub fn old_class(&self) -> Option<Classification> {
+    pub(crate) fn old_class(&self) -> Option<Classification> {
         match self {
             ChangeKind::Added(_) => None,
             ChangeKind::Removed(class) => Some(*class),
@@ -91,12 +91,12 @@ impl fmt::Display for ChangeKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RevisionChange {
     /// The hierarchy level the key changed at.
-    pub granularity: Granularity,
+    pub(crate) granularity: Granularity,
     /// The resource key string (domain, hostname, script URL, or composed
     /// `script :: method` label), copied out of the key store when the
     /// commit (or bootstrap) recorded the change, so a revision outlives
     /// the store it was resolved from.
-    pub key: Arc<str>,
+    pub(crate) key: Arc<str>,
     /// What happened to the key's classification.
     pub kind: ChangeKind,
 }
@@ -180,7 +180,7 @@ impl VerdictRevision {
 
     /// The revision over `(since, version]`: what one applied delta, or a
     /// composition of several commits, changed.
-    pub fn spanning(
+    pub(crate) fn spanning(
         since: u64,
         version: u64,
         mut changes: Vec<RevisionChange>,
@@ -217,11 +217,6 @@ impl VerdictRevision {
     /// per-method request counts, which drift without class flips.
     pub fn plans_touched(&self) -> &[Arc<str>] {
         &self.plans_touched
-    }
-
-    /// `true` when the span changed no classifications.
-    pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
     }
 }
 
@@ -502,7 +497,7 @@ mod tests {
             )]
         );
         let empty = diff_revisions(&ring, 4, 4).expect("empty span");
-        assert!(empty.is_empty());
+        assert!(empty.changes.is_empty());
         assert_eq!((empty.since(), empty.version()), (4, 4));
     }
 
@@ -559,6 +554,7 @@ mod tests {
         assert_eq!(tail, *ring[1]);
         assert!(diff_revisions(&ring, 6, 6)
             .expect("newest boundary")
+            .changes
             .is_empty());
     }
 

@@ -16,17 +16,17 @@ const PAPER_POINTS: u32 = 21;
 
 /// One point of the sensitivity sweep.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SensitivityPoint {
+pub(crate) struct SensitivityPoint {
     /// The symmetric threshold this point was computed at.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Percentage of unique resources classified mixed, per granularity in
     /// [domain, hostname, script, method] order.
-    pub mixed_share: [f64; 4],
+    pub(crate) mixed_share: [f64; 4],
 }
 
 impl SensitivityPoint {
     /// Mixed share at one granularity.
-    pub fn share(&self, granularity: Granularity) -> f64 {
+    pub(crate) fn share(&self, granularity: Granularity) -> f64 {
         self.mixed_share[granularity.index()]
     }
 }
@@ -35,13 +35,13 @@ impl SensitivityPoint {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SensitivitySweep {
     /// Points in ascending threshold order.
-    pub points: Vec<SensitivityPoint>,
+    pub(crate) points: Vec<SensitivityPoint>,
 }
 
 impl SensitivitySweep {
     /// The paper's sweep over `requests`: the hierarchy at each threshold
     /// from 1.0 to 3.0 in steps of 0.1.
-    pub fn paper_sweep(requests: &[LabeledRequest]) -> Self {
+    pub(crate) fn paper_sweep(requests: &[LabeledRequest]) -> Self {
         // Each threshold comes from its index, not from a running sum: a
         // sum drifts (the 11th `+= 0.1` is 2.000000000000001), and a point
         // must classify at exactly the threshold it reports.

@@ -1,7 +1,7 @@
 //! The `Sifter`: the long-lived trainer behind every served verdict —
 //! apply, commit, export.
 //!
-//! [`Study::run`](crate::pipeline::Study) materialises the whole batch
+//! [`Study::run`](crate::Study) materialises the whole batch
 //! pipeline; a deployed content blocker or proxy instead needs a long-lived
 //! handle that ingests observations incrementally and exports the state
 //! that answers "tracking, functional, or mixed?" per request. This module
@@ -17,7 +17,7 @@
 //!   downstream), instead of re-running the full hierarchical
 //!   classification. The equivalence tests prove that any interleaving of
 //!   `apply`/`commit` ends in exactly the state a from-scratch
-//!   [`HierarchicalClassifier::classify`](crate::hierarchy::HierarchicalClassifier::classify)
+//!   [`HierarchicalClassifier::classify`](crate::HierarchicalClassifier::classify)
 //!   would produce;
 //! * [`Sifter::verdict_table`] — export the committed state as an immutable
 //!   [`VerdictTable`], the one type that answers
@@ -130,14 +130,6 @@ impl Verdict {
         }
     }
 
-    /// The granularity that decided the verdict.
-    pub fn granularity(&self) -> Option<Granularity> {
-        match self {
-            Verdict::Decided { granularity, .. } => Some(*granularity),
-            Verdict::Unknown => None,
-        }
-    }
-
     /// `true` when a blocker acting on this verdict should block the
     /// request (classified tracking at some granularity).
     pub fn should_block(&self) -> bool {
@@ -213,14 +205,14 @@ impl ObserveOutcome {
     }
 
     /// `true` when the request was ingested.
-    pub fn was_observed(&self) -> bool {
+    pub(crate) fn was_observed(&self) -> bool {
         matches!(self, ObserveOutcome::Observed(_))
     }
 }
 
 /// The owned form of [`ObservationRef`]: what a client builds to render a
 /// `POST /v1/observations` row, and what journal replay decodes
-/// ([`JournalEntry::Observation`](crate::journal::JournalEntry::Observation))
+/// ([`JournalEntry::Observation`](crate::JournalEntry::Observation))
 /// before lending it back to the write path with [`Observation::as_ref`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Observation {
@@ -604,7 +596,7 @@ pub struct SifterBuilder {
 
 impl SifterBuilder {
     /// A builder with the paper's thresholds and no filter engine.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -639,8 +631,8 @@ impl SifterBuilder {
     /// Use a compiled [`UrlRewriter`] as the rewrite arm of
     /// [`VerdictTable::decide`]: mixed requests whose URLs carry identifier
     /// parameters are answered with
-    /// [`Decision::Rewrite`](crate::decision::Decision::Rewrite) instead of
-    /// the filter-list backstop. See [`crate::decision`] for where rewrites sit
+    /// [`Decision::Rewrite`](crate::Decision::Rewrite) instead of
+    /// the filter-list backstop. See [`crate::Decision`] for where rewrites sit
     /// in the policy (Allow < Rewrite < Surrogate < Block).
     pub fn rewriter(mut self, rewriter: UrlRewriter) -> Self {
         self.rewriter = Some(Arc::new(rewriter));
@@ -649,7 +641,7 @@ impl SifterBuilder {
 
     /// Share an already-compiled rewriter (no copy) across sifter rebuilds,
     /// mirroring [`SifterBuilder::shared_engine`].
-    pub fn shared_rewriter(mut self, rewriter: Arc<UrlRewriter>) -> Self {
+    pub(crate) fn shared_rewriter(mut self, rewriter: Arc<UrlRewriter>) -> Self {
         self.rewriter = Some(rewriter);
         self
     }
@@ -732,7 +724,7 @@ impl SifterBuilder {
 
 /// The long-lived trainer of TrackerSift's hierarchical state: apply,
 /// commit, export. Built by [`SifterBuilder`]; queries are answered by the
-/// [`VerdictTable`] it exports — see the [module docs](crate::service).
+/// [`VerdictTable`] it exports — see the module docs of `service.rs`.
 #[derive(Debug)]
 pub struct Sifter {
     thresholds: Thresholds,
@@ -824,20 +816,9 @@ impl Sifter {
         SifterBuilder::new()
     }
 
-    /// The thresholds in force.
-    pub fn thresholds(&self) -> Thresholds {
-        self.thresholds
-    }
-
     /// Commits performed so far.
     pub fn commits(&self) -> u64 {
         self.commits
-    }
-
-    /// Committed requests still attributed to mixed methods — the paper's
-    /// "<2% residue".
-    pub fn unattributed_requests(&self) -> u64 {
-        self.residue_requests
     }
 
     /// The full ingestion accounting, including requests that were skipped
@@ -869,7 +850,7 @@ impl Sifter {
     }
 
     /// Number of committed member resources at a granularity.
-    pub fn committed_resources(&self, granularity: Granularity) -> usize {
+    pub(crate) fn committed_resources(&self, granularity: Granularity) -> usize {
         self.members[granularity.index()]
     }
 
@@ -1010,7 +991,7 @@ impl Sifter {
     }
 
     /// [`Sifter::apply`] every row, in order; returns how many were
-    /// observed (as [`ObserveOutcome::was_observed`]).
+    /// observed (as `ObserveOutcome::was_observed`).
     pub fn apply_batch<'a>(&mut self, rows: impl IntoIterator<Item = ObservationRef<'a>>) -> u64 {
         rows.into_iter()
             .filter(|&row| self.apply(row).was_observed())
@@ -1426,7 +1407,7 @@ impl Sifter {
     }
 
     /// Materialise the committed state as a [`HierarchyResult`] — exactly
-    /// what [`crate::hierarchy::HierarchicalClassifier::classify`] over every committed
+    /// what [`crate::HierarchicalClassifier::classify`] over every committed
     /// observation would return, byte for byte (the equivalence the service
     /// tests pin down). This is how the report/metrics layer reads a
     /// sifter.
@@ -1625,7 +1606,7 @@ mod tests {
     /// The from-scratch classification of `rows` at the sifter's
     /// thresholds: what an incremental commit must equal.
     fn scratch(sifter: &Sifter, rows: &[LabeledRequest]) -> HierarchyResult {
-        HierarchicalClassifier::new(sifter.thresholds()).classify(rows)
+        HierarchicalClassifier::new(sifter.thresholds).classify(rows)
     }
 
     fn trained(requests: &[LabeledRequest]) -> Sifter {
@@ -1781,10 +1762,6 @@ mod tests {
         let sifter = trained(&requests);
         let expected = scratch(&sifter, &requests);
         assert_eq!(sifter.hierarchy(), expected);
-        assert_eq!(
-            sifter.unattributed_requests(),
-            expected.unattributed_requests
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Versioned persistence of trained [`Sifter`](crate::service::Sifter)
+//! Versioned persistence of trained [`Sifter`](crate::Sifter)
 //! state.
 //!
 //! A [`SifterSnapshot`] captures everything a serving process needs to
 //! answer verdicts after a restart without re-crawling or re-labeling: the
 //! interner's string table (so resource ids — and therefore verdicts and
-//! [`hierarchy`](crate::service::Sifter::hierarchy) exports — are bitwise
+//! [`hierarchy`](crate::Sifter::hierarchy) exports — are bitwise
 //! stable across the round-trip), the hostname → domain and method →
 //! (script, name) attributions, and the finest-granularity count cells
 //! (per `(method, hostname)` pair). Every coarser count is a sum of those
@@ -12,7 +12,7 @@
 //! through the sifter's normal accumulation path and commits once. That
 //! commit also (re)builds the flattened [`crate::table`] representation, so
 //! a restored sifter — and any [`SifterReader`](crate::concurrent::SifterReader)
-//! split off it via [`Sifter::into_concurrent`](crate::service::Sifter::into_concurrent)
+//! split off it via [`Sifter::into_concurrent`](crate::Sifter::into_concurrent)
 //! — serves through exactly the same verdict tables as the process that
 //! exported the snapshot.
 //!
@@ -107,8 +107,8 @@ impl From<JsonError> for SnapshotError {
     }
 }
 
-/// Exported trained state of a [`Sifter`](crate::service::Sifter); see the
-/// [module docs](self) for the format.
+/// Exported trained state of a [`Sifter`](crate::Sifter); see the
+/// module docs of `snapshot.rs` for the format.
 #[derive(Debug, Clone)]
 pub struct SifterSnapshot {
     /// The symmetric log-ratio threshold in force.
@@ -142,15 +142,10 @@ impl PartialEq for SifterSnapshot {
 
 impl SifterSnapshot {
     /// The fixed format marker.
-    pub const FORMAT: &'static str = "trackersift.sifter";
+    pub(crate) const FORMAT: &'static str = "trackersift.sifter";
 
     /// The schema version this build writes and reads.
     pub const FORMAT_VERSION: u32 = 1;
-
-    /// The classification threshold stored in the snapshot.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
 
     /// Total observations the snapshot carries.
     pub fn observations(&self) -> u64 {
@@ -168,7 +163,7 @@ impl SifterSnapshot {
     }
 
     /// Render to the canonical (deterministic) JSON text, streamed into one
-    /// buffer (see the [module docs](self)).
+    /// buffer (see the module docs of `snapshot.rs`).
     ///
     /// # Panics
     /// Panics if `observed` or a count exceeds 2^53, or the threshold is not
@@ -221,7 +216,7 @@ impl SifterSnapshot {
     }
 
     /// Parse from JSON text, validating format marker, version, and
-    /// structural consistency (see [`SifterSnapshot::validate`]).
+    /// structural consistency (see `SifterSnapshot::validate`).
     pub fn parse(text: &str) -> Result<Self, SnapshotError> {
         let snapshot = Self::decode(&Value::parse(text)?)?;
         snapshot.validate()?;
@@ -236,7 +231,7 @@ impl SifterSnapshot {
     /// document used to fail only at restore time (or, for the zero-cell
     /// case, silently skew later reclassification); [`SifterSnapshot::parse`]
     /// now rejects it up front with a typed [`SnapshotError::Corrupt`].
-    pub fn validate(&self) -> Result<(), SnapshotError> {
+    pub(crate) fn validate(&self) -> Result<(), SnapshotError> {
         let keys = self.keys.len();
         let check = |id: u32, what: &str| -> Result<(), SnapshotError> {
             if (id as usize) < keys {
@@ -324,15 +319,6 @@ fn write_rows<T, const N: usize>(out: &mut Vec<u8>, rows: &[T], fields: impl Fn(
 }
 
 impl SifterSnapshot {
-    /// Decode from a JSON node. The errors [`SifterSnapshot::parse`] types
-    /// — a wrong envelope, a key listed twice — come back as their text.
-    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        Self::decode(value).map_err(|error| match error {
-            SnapshotError::Json(error) => error,
-            other => JsonError(other.to_string()),
-        })
-    }
-
     /// Decode from a JSON node, the envelope checked first so that format
     /// and version mismatches surface as their precise variants rather
     /// than generic JSON errors.
@@ -673,7 +659,6 @@ mod tests {
             SifterSnapshot::parse(&text),
             Err(SnapshotError::Corrupt(message)) if message.contains("duplicate interner key")
         ));
-        assert!(SifterSnapshot::from_json_value(&Value::parse(&text).unwrap()).is_err());
     }
 
     #[test]

@@ -58,16 +58,16 @@ pub struct SurrogateScript {
 #[derive(Debug, Clone)]
 pub(crate) struct MethodPlan {
     /// Method name.
-    pub name: String,
+    pub(crate) name: String,
     /// The method-level classification driving the action.
-    pub classification: Classification,
+    pub(crate) classification: Classification,
     /// Tracking requests attributed to the method.
-    pub tracking: u64,
+    pub(crate) tracking: u64,
     /// Functional requests attributed to the method.
-    pub functional: u64,
+    pub(crate) functional: u64,
     /// `script @ method` labels of tracking-only divergence points (empty
     /// when no call-stack evidence is available).
-    pub blocked_callers: Vec<String>,
+    pub(crate) blocked_callers: Vec<String>,
 }
 
 impl SurrogateScript {
@@ -174,7 +174,7 @@ impl SurrogateScript {
 /// `requests` must be the same labeled requests the hierarchy was computed
 /// from; they provide the per-method request counts and the stacks for the
 /// guard predicates.
-pub fn generate_surrogates(
+pub(crate) fn generate_surrogates(
     result: &HierarchyResult,
     requests: &[LabeledRequest],
 ) -> Vec<SurrogateScript> {

@@ -17,7 +17,7 @@
 //! * [`VerdictTable`] — an immutable, point-in-time pairing of a
 //!   [`ClassTable`] with the [`FrozenKeys`] it was built against, plus the
 //!   commit version and request accounting. This is the unit
-//!   [`Sifter::verdict_table`](crate::service::Sifter::verdict_table)
+//!   [`Sifter::verdict_table`](crate::Sifter::verdict_table)
 //!   exports, the [`SifterWriter`](crate::concurrent::SifterWriter)
 //!   publishes atomically and every
 //!   [`SifterReader`](crate::concurrent::SifterReader) pins; the reader and
@@ -91,7 +91,11 @@ impl ClassTable {
     /// The committed classification of `key` at `granularity`, or `None`
     /// when the key is not a member of that level.
     #[inline]
-    pub fn class(&self, granularity: Granularity, key: ResourceKey) -> Option<Classification> {
+    pub(crate) fn class(
+        &self,
+        granularity: Granularity,
+        key: ResourceKey,
+    ) -> Option<Classification> {
         self.levels[granularity.index()]
             .get(key.index())
             .copied()
@@ -116,14 +120,6 @@ impl ClassTable {
             level.resize(index + 1, ABSENT);
         }
         level[index] = classification.map_or(ABSENT, code_of);
-    }
-
-    /// Number of member keys at a granularity (non-absent slots).
-    pub fn members(&self, granularity: Granularity) -> usize {
-        self.levels[granularity.index()]
-            .iter()
-            .filter(|&&code| code != ABSENT)
-            .count()
     }
 
     /// Every member of every level as a [`ChangeKind::Added`] change, its
@@ -225,7 +221,7 @@ pub(crate) fn verdict_walk(
 /// path answers with a `memcpy` of a prebuilt slice instead of walking a
 /// JSON tree or encoding a frame per request.
 ///
-/// Prebuilt here are the [`FIXED_COMBOS`] non-surrogate decisions (observe,
+/// Prebuilt here are the `FIXED_COMBOS` non-surrogate decisions (observe,
 /// allow/block × hierarchy granularity or filter list) as **complete**
 /// single-decision bodies — JSON with the table version baked in, and
 /// 15-byte binary frames — plus version-free JSON fragments for batch
@@ -340,7 +336,7 @@ pub enum PrebuiltDecision<'a> {
 /// paired with the [`FrozenKeys`] view it was built against, plus the
 /// commit version and request accounting of that commit.
 ///
-/// Produced by [`Sifter::verdict_table`](crate::service::Sifter::verdict_table)
+/// Produced by [`Sifter::verdict_table`](crate::Sifter::verdict_table)
 /// and published atomically by
 /// [`SifterWriter::commit`](crate::concurrent::SifterWriter::commit); a
 /// table never changes after construction, so any number of threads may
@@ -450,7 +446,7 @@ impl VerdictTable {
     /// The bounded ring of verdict revisions as of this publish, ascending
     /// by version: one per commit on a writer, one per applied delta on a
     /// follower. Diff any two span boundaries with
-    /// [`diff_revisions`](crate::revision::diff_revisions).
+    /// [`diff_revisions`](crate::diff_revisions).
     pub fn revisions(&self) -> &[Arc<VerdictRevision>] {
         &self.revisions
     }
@@ -467,7 +463,7 @@ impl VerdictTable {
 
     /// Answer one enforcement decision against this table's frozen state
     /// (hierarchy verdict → surrogate plan for mixed scripts → rewrite →
-    /// filter-list backstop; see [`crate::decision`]).
+    /// filter-list backstop; see [`crate::Decision`]).
     pub fn decide(&self, request: &DecisionRequest<'_>) -> Decision {
         self.decide_keyed(&self.resolve(request))
     }
@@ -577,11 +573,6 @@ impl VerdictTable {
     pub fn unattributed(&self) -> u64 {
         self.residue
     }
-
-    /// Number of member resources at a granularity.
-    pub fn members(&self, granularity: Granularity) -> usize {
-        self.classes.members(granularity)
-    }
 }
 
 #[cfg(test)]
@@ -607,7 +598,7 @@ mod tests {
         assert_eq!(table.class(Granularity::Domain, key), None);
         // Clearing an untouched slot does not grow the array.
         table.set(Granularity::Script, ResourceKey::test_key(1000), None);
-        assert_eq!(table.members(Granularity::Script), 0);
+        assert!(table.levels[Granularity::Script.index()].is_empty());
     }
 
     /// The decision fixture of `crate::decision`'s tests: every arm of the
@@ -747,8 +738,10 @@ mod tests {
                     sf.json.to_string()
                 }
                 PrebuiltDecision::Rewrite(rewritten) => {
-                    let expected = decision.rewrite().expect("prebuilt rewrite arm");
-                    assert_eq!(rewritten.as_ref(), expected, "for {request:?}");
+                    let Decision::Rewrite(expected) = &decision else {
+                        panic!("prebuilt rewrite arm for {request:?}");
+                    };
+                    assert_eq!(&rewritten, expected, "for {request:?}");
                     frames::rewrite_value(&rewritten).render()
                 }
             };
@@ -954,22 +947,5 @@ mod tests {
                 assert_matches_eager(&table, &request);
             }
         }
-    }
-
-    #[test]
-    fn members_counts_non_absent_slots() {
-        let mut table = ClassTable::default();
-        table.set(
-            Granularity::Method,
-            ResourceKey::test_key(0),
-            Some(Classification::Mixed),
-        );
-        table.set(
-            Granularity::Method,
-            ResourceKey::test_key(7),
-            Some(Classification::Tracking),
-        );
-        table.set(Granularity::Method, ResourceKey::test_key(7), None);
-        assert_eq!(table.members(Granularity::Method), 1);
     }
 }

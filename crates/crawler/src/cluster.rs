@@ -59,7 +59,7 @@ pub struct CrawlSummary {
     /// Script-initiated requests captured.
     pub script_initiated_requests: usize,
     /// Average simulated page load time (ms).
-    pub average_load_time_ms: f64,
+    pub(crate) average_load_time_ms: f64,
     /// Workers used.
     pub workers: usize,
 }
@@ -173,7 +173,12 @@ mod tests {
     fn request_ids_are_globally_unique() {
         let corpus = corpus(30);
         let db = CrawlCluster::new(ClusterConfig::default().with_workers(4)).crawl(&corpus);
-        let mut ids: Vec<u64> = db.requests().map(|(_, r)| r.request_id).collect();
+        let mut ids: Vec<u64> = db
+            .sites
+            .iter()
+            .flat_map(|s| &s.requests)
+            .map(|r| r.request_id)
+            .collect();
         let before = ids.len();
         ids.sort_unstable();
         ids.dedup();

@@ -15,22 +15,22 @@ use crate::page_load::PageLoadResult;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteCrawl {
     /// Rank of the site in the crawl list.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Landing page URL.
-    pub page_url: String,
+    pub(crate) page_url: String,
     /// Registrable domain of the site.
     pub site_domain: String,
     /// Every `requestWillBeSent` captured during the load (the paper's
     /// pipeline only needs request metadata and call stacks).
     pub requests: Vec<RequestWillBeSent>,
     /// Simulated page load time in milliseconds.
-    pub load_time_ms: u64,
+    pub(crate) load_time_ms: u64,
 }
 
 impl SiteCrawl {
     /// Build a site crawl record from a page-load result, taking over its
     /// captured requests.
-    pub fn from_load(
+    pub(crate) fn from_load(
         rank: usize,
         page_url: &str,
         site_domain: &str,
@@ -51,7 +51,7 @@ impl SiteCrawl {
     }
 
     /// Build the JSON representation.
-    pub fn to_json_value(&self) -> Value {
+    pub(crate) fn to_json_value(&self) -> Value {
         object(vec![
             ("rank", Value::Number(self.rank as f64)),
             ("page_url", Value::String(self.page_url.clone())),
@@ -70,7 +70,7 @@ impl SiteCrawl {
     }
 
     /// Decode from a JSON node.
-    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json_value(value: &Value) -> Result<Self, JsonError> {
         Ok(SiteCrawl {
             rank: value.field("rank")?.as_usize()?,
             page_url: value.field("page_url")?.as_str()?.to_string(),
@@ -94,11 +94,6 @@ pub struct CrawlDatabase {
 }
 
 impl CrawlDatabase {
-    /// Create an empty database.
-    pub fn new() -> Self {
-        CrawlDatabase::default()
-    }
-
     /// Number of crawled sites.
     pub fn site_count(&self) -> usize {
         self.sites.len()
@@ -117,21 +112,8 @@ impl CrawlDatabase {
             .sum()
     }
 
-    /// Iterate over every captured request with its site.
-    pub fn requests(&self) -> impl Iterator<Item = (&SiteCrawl, &RequestWillBeSent)> {
-        self.sites
-            .iter()
-            .flat_map(|s| s.requests.iter().map(move |r| (s, r)))
-    }
-
-    /// Add a site record, keeping the database ordered by rank.
-    pub fn push(&mut self, site: SiteCrawl) {
-        self.sites.push(site);
-        self.sites.sort_by_key(|s| s.rank);
-    }
-
     /// Average simulated page load time across sites, in milliseconds.
-    pub fn average_load_time_ms(&self) -> f64 {
+    pub(crate) fn average_load_time_ms(&self) -> f64 {
         if self.sites.is_empty() {
             return 0.0;
         }
@@ -153,7 +135,7 @@ impl CrawlDatabase {
     }
 
     /// Build the JSON representation.
-    pub fn to_json_value(&self) -> Value {
+    pub(crate) fn to_json_value(&self) -> Value {
         object(vec![(
             "sites",
             Value::Array(self.sites.iter().map(SiteCrawl::to_json_value).collect()),
@@ -161,7 +143,7 @@ impl CrawlDatabase {
     }
 
     /// Decode from a JSON node.
-    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json_value(value: &Value) -> Result<Self, JsonError> {
         Ok(CrawlDatabase {
             sites: value
                 .field("sites")?
@@ -182,17 +164,12 @@ mod tests {
     fn db() -> CrawlDatabase {
         let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(20), 3);
         let mut sim = PageLoadSimulator::new(0);
-        let mut db = CrawlDatabase::new();
-        for site in &corpus.websites {
-            let result = sim.load(site);
-            db.push(SiteCrawl::from_load(
-                site.rank,
-                &site.url,
-                &site.domain,
-                result,
-            ));
-        }
-        db
+        let sites = corpus
+            .websites
+            .iter()
+            .map(|site| SiteCrawl::from_load(site.rank, &site.url, &site.domain, sim.load(site)))
+            .collect();
+        CrawlDatabase { sites }
     }
 
     #[test]
@@ -210,15 +187,5 @@ mod tests {
         let json = db.to_json();
         let back = CrawlDatabase::from_json(&json).unwrap();
         assert_eq!(db, back);
-    }
-
-    #[test]
-    fn push_keeps_rank_order() {
-        let db = db();
-        let mut shuffled = CrawlDatabase::new();
-        for site in db.sites.iter().rev() {
-            shuffled.push(site.clone());
-        }
-        assert_eq!(shuffled, db);
     }
 }

@@ -36,9 +36,9 @@ pub struct StackFrame {
     /// Function (method) name; empty for anonymous frames.
     pub function_name: Arc<str>,
     /// 1-based line number within the script (synthetic but stable).
-    pub line: u32,
+    pub(crate) line: u32,
     /// 1-based column number within the script (synthetic but stable).
-    pub column: u32,
+    pub(crate) column: u32,
 }
 
 impl StackFrame {
@@ -88,12 +88,12 @@ impl Default for CallStack {
 
 impl CallStack {
     /// An empty stack (used for requests that are not script-initiated).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         CallStack::default()
     }
 
     /// `true` when there is at least one script frame.
-    pub fn is_script_initiated(&self) -> bool {
+    pub(crate) fn is_script_initiated(&self) -> bool {
         !self.frames.is_empty()
     }
 
@@ -103,7 +103,8 @@ impl CallStack {
     }
 
     /// The URL of the script that issued the request (innermost frame).
-    pub fn initiator_script(&self) -> Option<&str> {
+    #[cfg(test)]
+    pub(crate) fn initiator_script(&self) -> Option<&str> {
         self.initiator_frame().map(|f| &*f.script_url)
     }
 }
@@ -116,7 +117,7 @@ pub struct RequestWillBeSent {
     /// URL of the page being crawled.
     pub top_level_url: Arc<str>,
     /// URL of the document (frame) the request was issued from.
-    pub frame_url: Arc<str>,
+    pub(crate) frame_url: Arc<str>,
     /// The request URL.
     pub url: Arc<str>,
     /// Resource type reported by the browser.
@@ -124,13 +125,13 @@ pub struct RequestWillBeSent {
     /// Initiator call stack (empty for parser-initiated requests).
     pub call_stack: CallStack,
     /// Milliseconds since the start of the page load (simulated clock).
-    pub timestamp_ms: u64,
+    pub(crate) timestamp_ms: u64,
 }
 
 impl RequestWillBeSent {
     /// `true` when a script initiated this request (the only requests the
     /// paper's analysis keeps).
-    pub fn is_script_initiated(&self) -> bool {
+    pub(crate) fn is_script_initiated(&self) -> bool {
         self.call_stack.is_script_initiated()
     }
 }
@@ -149,7 +150,7 @@ mod codec {
 
     impl StackFrame {
         /// Build the JSON representation.
-        pub fn to_json_value(&self) -> Value {
+        pub(crate) fn to_json_value(&self) -> Value {
             object(vec![
                 ("script_url", Value::String(self.script_url.to_string())),
                 (
@@ -162,7 +163,7 @@ mod codec {
         }
 
         /// Decode from a JSON node.
-        pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        pub(crate) fn from_json_value(value: &Value) -> Result<Self, JsonError> {
             Ok(StackFrame {
                 script_url: value.field("script_url")?.as_str()?.into(),
                 function_name: value.field("function_name")?.as_str()?.into(),
@@ -174,7 +175,7 @@ mod codec {
 
     impl CallStack {
         /// Build the JSON representation.
-        pub fn to_json_value(&self) -> Value {
+        pub(crate) fn to_json_value(&self) -> Value {
             let frames = Value::Array(self.frames.iter().map(StackFrame::to_json_value).collect());
             let boundary = match self.async_boundary {
                 Some(i) => Value::Number(i as f64),
@@ -185,7 +186,7 @@ mod codec {
 
         /// Decode from a JSON node. A boundary past the last frame is
         /// refused: no page load records one.
-        pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        pub(crate) fn from_json_value(value: &Value) -> Result<Self, JsonError> {
             let frames: Arc<[StackFrame]> = value
                 .field("frames")?
                 .as_array()?
@@ -211,7 +212,7 @@ mod codec {
 
     impl RequestWillBeSent {
         /// Build the JSON representation.
-        pub fn to_json_value(&self) -> Value {
+        pub(crate) fn to_json_value(&self) -> Value {
             object(vec![
                 ("request_id", Value::number_u64(self.request_id)),
                 (
@@ -230,7 +231,7 @@ mod codec {
         }
 
         /// Decode from a JSON node.
-        pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        pub(crate) fn from_json_value(value: &Value) -> Result<Self, JsonError> {
             Ok(RequestWillBeSent {
                 request_id: value.field("request_id")?.as_u64()?,
                 top_level_url: value.field("top_level_url")?.as_str()?.into(),

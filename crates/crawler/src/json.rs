@@ -6,8 +6,8 @@
 //! the writer is deterministic, so equal databases always render to equal
 //! bytes (a property the persistence tests rely on). A type with a JSON form
 //! has an inherent `to_json_value` / `from_json_value` pair over [`Value`],
-//! as the event and database types in [`crate::events`] and
-//! [`crate::database`] do. A large document on a hot path is written
+//! as the event and database types ([`crate::RequestWillBeSent`],
+//! [`crate::CrawlDatabase`]) do. A large document on a hot path is written
 //! straight into a byte buffer instead, with no tree, through
 //! [`write_string`], [`write_u64`] and [`write_number`] — the same
 //! renderers [`Value::render`] uses, so the bytes cannot differ.
@@ -91,7 +91,7 @@ impl Value {
     }
 
     /// The value as a usize.
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
+    pub(crate) fn as_usize(&self) -> Result<usize, JsonError> {
         Ok(self.as_u64()? as usize)
     }
 
@@ -438,7 +438,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume `null`.
-    pub fn null(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn null(&mut self) -> Result<(), JsonError> {
         self.skip_whitespace();
         if self.keyword("null") {
             Ok(())
@@ -460,7 +460,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume a number.
-    pub fn number(&mut self) -> Result<f64, JsonError> {
+    pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
         self.skip_whitespace();
         let start = self.pos;
         if self.peek_byte() == Some(b'-') {

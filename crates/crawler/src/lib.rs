@@ -7,18 +7,18 @@
 //! crate reproduces that measurement substrate against the synthetic corpus
 //! from `websim`. A request is recorded once and moved, never copied: the
 //! simulator pushes one [`RequestWillBeSent`] per request into
-//! [`PageLoadResult::requests`], [`SiteCrawl::from_load`] takes that vector
+//! `PageLoadResult::requests`, `SiteCrawl::from_load` takes that vector
 //! by value, and the labeling stage reads it in place. Responses are not
 //! recorded; no stage of the analysis reads one.
 //!
-//! * [`events`] — the DevTools-style event types ([`RequestWillBeSent`],
-//!   [`CallStack`], [`StackFrame`]);
-//! * [`page_load`] — the per-page simulator that turns a
+//! * the DevTools-style event types ([`RequestWillBeSent`], [`CallStack`],
+//!   [`StackFrame`]);
+//! * [`PageLoadSimulator`] — the per-page simulator that turns a
 //!   [`websim::Website`] into its requests (with tag-manager ancestry,
 //!   async-stack prepending, and optional script/request blocking for
 //!   breakage experiments);
-//! * [`cluster`] — the parallel, stateless crawl orchestrator;
-//! * [`database`] — the crawl database the offline analysis consumes;
+//! * [`CrawlCluster`] — the parallel, stateless crawl orchestrator;
+//! * [`CrawlDatabase`] — the crawl database the offline analysis consumes;
 //! * [`json`] — the deterministic JSON codec the database and the events
 //!   render to and decode from.
 //!
@@ -33,13 +33,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
-pub mod cluster;
-pub mod database;
-pub mod events;
+mod cluster;
+mod database;
+mod events;
 pub mod json;
-pub mod page_load;
+mod page_load;
 
 pub use cluster::{with_worker_pool, ClusterConfig, CrawlCluster, CrawlSummary};
 pub use database::{CrawlDatabase, SiteCrawl};

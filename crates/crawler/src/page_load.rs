@@ -23,14 +23,14 @@ use websim::{FeatureImportance, PageScript, Website};
 #[derive(Debug, Clone, Default)]
 pub struct LoadOptions {
     /// Script URLs that are blocked (the script does not execute at all).
-    pub blocked_script_urls: HashSet<String>,
+    pub(crate) blocked_script_urls: HashSet<String>,
     /// Exact request URLs that are blocked (the request is not sent).
-    pub blocked_request_urls: HashSet<String>,
+    pub(crate) blocked_request_urls: HashSet<String>,
 }
 
 impl LoadOptions {
     /// No blocking: the control condition.
-    pub fn unblocked() -> Self {
+    pub(crate) fn unblocked() -> Self {
         LoadOptions::default()
     }
 
@@ -52,14 +52,14 @@ impl LoadOptions {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageLoadResult {
     /// Every request, in emission order.
-    pub requests: Vec<RequestWillBeSent>,
+    pub(crate) requests: Vec<RequestWillBeSent>,
     /// Names of page features that worked during this load.
-    pub working_features: Vec<String>,
+    pub(crate) working_features: Vec<String>,
     /// Names of features that broke (a required script did not execute),
     /// with their importance.
     pub broken_features: Vec<(String, FeatureImportance)>,
     /// Simulated time until the `onLoad` event fired, in milliseconds.
-    pub load_time_ms: u64,
+    pub(crate) load_time_ms: u64,
 }
 
 /// The page-load simulator. Stateless between loads (the paper's crawler
@@ -88,7 +88,7 @@ impl PageLoadSimulator {
     /// Load a page under the given blocking options.
     ///
     /// Each call site's stack is built once, in one allocation, and shared
-    /// by every request the call site issues (see [`crate::events`]).
+    /// by every request the call site issues (see [`crate::CallStack`]).
     pub fn load_with(&mut self, site: &Website, options: &LoadOptions) -> PageLoadResult {
         self.clock_ms = 0;
         let mut result = PageLoadResult::default();

@@ -137,7 +137,7 @@ pub fn registrable_domain(hostname: &str) -> String {
 /// `||` host anchors: `cdn.google.com` is within `google.com` but
 /// `notgoogle.com` is not. Comparison is ASCII case-insensitive without
 /// building lowered copies.
-pub fn hostname_within(hostname: &str, domain: &str) -> bool {
+pub(crate) fn hostname_within(hostname: &str, domain: &str) -> bool {
     if hostname.eq_ignore_ascii_case(domain) {
         return true;
     }
@@ -151,8 +151,10 @@ pub fn hostname_within(hostname: &str, domain: &str) -> bool {
 /// that issued it: the request hostname's registrable domain differs from
 /// the page hostname's registrable domain. Allocation-free for normalised
 /// hostnames (the common case — [`crate::url::ParsedUrl`] and
-/// [`crate::request::FilterRequest`] lower-case theirs at construction).
-pub fn is_third_party(request_hostname: &str, page_hostname: &str) -> bool {
+/// [`crate::FilterRequest`] lower-case theirs at construction).
+/// The reference the request view's party-ness is tested against.
+#[cfg(test)]
+pub(crate) fn is_third_party(request_hostname: &str, page_hostname: &str) -> bool {
     if request_hostname.is_empty() || page_hostname.is_empty() {
         return false;
     }

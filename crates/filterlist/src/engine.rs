@@ -160,7 +160,7 @@ impl FilterEngine {
     /// This is the hot path of the labeling stage. The label depends only
     /// on whether some blocking rule matches and no exception does, so
     /// unlike [`FilterEngine::evaluate`] it names no rule: each index is
-    /// asked [`RuleIndex::any_match`], which stops at the first rule that
+    /// asked `RuleIndex::any_match`, which stops at the first rule that
     /// matches, and no rule text is cloned. The match scan is
     /// allocation-free, so labeling a built view performs zero allocations.
     pub fn label_view(&self, request: &RequestView<'_>) -> RequestLabel {

@@ -7,14 +7,14 @@
 //! the query path allocates nothing:
 //!
 //! * every rule contributes the FNV-1a hashes of its *bounded* alphanumeric
-//!   runs of length ≥ 3 ([`crate::pattern::Pattern::index_token_hashes`] —
+//!   runs of length ≥ 3 ([`crate::Pattern::index_token_hashes`] —
 //!   the same [`crate::tokens`] tokenizer the query side uses, so the two
 //!   can never drift);
 //! * the rule is filed under its *rarest* token hash (fewest other rules),
 //!   which keeps bucket sizes small;
 //! * a rule with no run bounded on both sides is filed under the *run
 //!   prefix* (first three bytes) of a run bounded on the left
-//!   ([`crate::pattern::Pattern::index_run_prefixes`]), in a second bucket
+//!   ([`crate::Pattern::index_run_prefixes`]), in a second bucket
 //!   map: `/banner300x250` matches `/banner300x250x.gif`, whose run is
 //!   longer but starts at the same byte. Only a rule with no left-bounded
 //!   run at all (`ads/`, `/t?`) is checked on every request; the paper's
@@ -140,7 +140,7 @@ impl Buckets {
 
 /// A token-hash-indexed collection of filter rules.
 #[derive(Debug, Clone, Default)]
-pub struct RuleIndex {
+pub(crate) struct RuleIndex {
     /// All rules, in insertion order.
     rules: Vec<FilterRule>,
     /// Rules filed under a run bounded on both sides, by token hash.
@@ -153,7 +153,7 @@ pub struct RuleIndex {
 
 impl RuleIndex {
     /// Build an index over a set of rules.
-    pub fn build(rules: Vec<FilterRule>) -> Self {
+    pub(crate) fn build(rules: Vec<FilterRule>) -> Self {
         let mut index = RuleIndex::default();
         index.extend(rules);
         index
@@ -162,7 +162,7 @@ impl RuleIndex {
     /// Append rules to the index incrementally: key frequencies are
     /// updated and only the new rules are filed — existing rules, buckets
     /// and the unindexed list are untouched.
-    pub fn extend(&mut self, extra: Vec<FilterRule>) {
+    pub(crate) fn extend(&mut self, extra: Vec<FilterRule>) {
         let start = self.rules.len();
         // A rule's token hashes, or — when it has none — its run prefixes.
         let per_rule: Vec<(Vec<u64>, Vec<u64>)> = extra
@@ -191,18 +191,14 @@ impl RuleIndex {
     }
 
     /// Number of rules stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rules.len()
-    }
-
-    /// `true` when the index holds no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 
     /// Number of rules reached through neither key kind, which every
     /// request checks.
-    pub fn unindexed_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn unindexed_len(&self) -> usize {
         self.unindexed.len()
     }
 
@@ -223,7 +219,7 @@ impl RuleIndex {
     /// directly, and the running minimum across every bucket of both key
     /// kinds replaces a sort-and-dedup candidate list while returning the
     /// same rule a linear scan would.
-    pub fn first_match(&self, request: &RequestView<'_>) -> Option<&FilterRule> {
+    pub(crate) fn first_match(&self, request: &RequestView<'_>) -> Option<&FilterRule> {
         let mut best: Option<u32> = None;
         for bucket in self.candidates(request) {
             for &idx in bucket {
@@ -239,7 +235,7 @@ impl RuleIndex {
     /// Whether any rule matches the request: the candidates of
     /// [`RuleIndex::first_match`], probed in the same order, stopping at the
     /// first rule that matches. A label needs no more.
-    pub fn any_match(&self, request: &RequestView<'_>) -> bool {
+    pub(crate) fn any_match(&self, request: &RequestView<'_>) -> bool {
         self.candidates(request).any(|bucket| {
             bucket
                 .iter()
@@ -247,22 +243,9 @@ impl RuleIndex {
         })
     }
 
-    /// Collect every rule matching the request (used by diagnostics and the
-    /// report module, not by the hot path).
-    pub fn all_matches(&self, request: &RequestView<'_>) -> Vec<&FilterRule> {
-        let mut candidates: Vec<u32> = self.candidates(request).flatten().copied().collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates
-            .into_iter()
-            .map(|idx| &self.rules[idx as usize])
-            .filter(|r| r.matches(request))
-            .collect()
-    }
-
     /// Linear scan over every rule — the reference implementation the index
     /// is validated against and the baseline for the ablation benchmark.
-    pub fn first_match_linear(&self, request: &RequestView<'_>) -> Option<&FilterRule> {
+    pub(crate) fn first_match_linear(&self, request: &RequestView<'_>) -> Option<&FilterRule> {
         self.rules.iter().find(|r| r.matches(request))
     }
 
@@ -291,8 +274,7 @@ mod tests {
     fn rules(texts: &[&str]) -> Vec<FilterRule> {
         texts
             .iter()
-            .enumerate()
-            .filter_map(|(i, t)| parse_rule(t, ListKind::EasyList, i + 1))
+            .filter_map(|t| parse_rule(t, ListKind::EasyList))
             .collect()
     }
 
@@ -413,7 +395,7 @@ mod tests {
             let r = req("https://x.com/adserver/t?id=1");
             assert_eq!(idx.first_match(&r.view()).unwrap().text, texts[0]);
             assert!(idx.any_match(&r.view()));
-            assert_eq!(idx.all_matches(&r.view()).len(), 3);
+            assert!(idx.rules.iter().all(|rule| rule.matches(&r.view())));
         }
     }
 
@@ -426,13 +408,6 @@ mod tests {
         assert!(idx.first_match(&r.view()).is_some());
         assert!(idx.any_match(&r.view()));
         assert!(idx.any_match(&req("https://x.com/myads/a.js").view()));
-    }
-
-    #[test]
-    fn all_matches_returns_every_hit() {
-        let idx = RuleIndex::build(rules(&["||ads.net^", "/banner/", "||ads.net/banner/"]));
-        let r = req("https://ads.net/banner/1.png");
-        assert_eq!(idx.all_matches(&r.view()).len(), 3);
     }
 
     #[test]
@@ -489,16 +464,12 @@ mod tests {
         assert_eq!(idx.first_match(&a.view()).unwrap().text, "/aaatoken/");
         assert_eq!(idx.first_match(&z.view()).unwrap().text, "/zzztoken/");
         assert!(idx.first_match(&neither.view()).is_none());
-        // All-matches never double-reports a rule that now sits in two
-        // buckets reachable from one URL.
-        let both = req("https://x.com/aaatoken/zzztoken/b.js");
-        assert_eq!(idx.all_matches(&both.view()).len(), 2);
     }
 
     #[test]
     fn empty_index() {
         let idx = RuleIndex::build(Vec::new());
-        assert!(idx.is_empty());
+        assert_eq!(idx.len(), 0);
         assert!(idx.first_match(&req("https://x.com/a.js").view()).is_none());
         assert!(!idx.any_match(&req("https://x.com/a.js").view()));
     }

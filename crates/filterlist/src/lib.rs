@@ -9,22 +9,23 @@
 //! The implementation is self-contained — no regex crate, no `url` crate —
 //! and mirrors the architecture of production blockers:
 //!
-//! * [`pattern`] compiles the ABP pattern language (`||`, `|`, `^`, `*`);
-//! * [`options`] evaluates `$script`, `$third-party`, `$domain=`, …;
-//! * [`parser`] turns list text into [`rule::FilterRule`]s;
+//! * [`Pattern`] compiles the ABP pattern language (`||`, `|`, `^`, `*`);
+//! * [`RuleOptions`] evaluates `$script`, `$third-party`, `$domain=`, …;
+//! * [`parse_list`] turns list text into [`FilterRule`]s;
 //! * [`tokens`] is the shared zero-allocation tokenizer: both rule filing
 //!   and query-time candidate selection hash the same maximal alphanumeric
 //!   runs, folded through one byte table, so the two sides cannot drift;
-//! * [`request`] is what rules are evaluated against: a borrowed
-//!   [`RequestView`], built per request into a reusable [`RequestScratch`]
-//!   in one pass over the URL, or lent by the owned [`FilterRequest`];
-//! * [`index`] stores rules in a token-hash index so matching stays fast at
+//! * rules are evaluated against a borrowed [`RequestView`], built per
+//!   request into a reusable [`RequestScratch`] in one pass over the URL,
+//!   or lent by the owned [`FilterRequest`];
+//! * a token-hash index (`index.rs`) stores rules so matching stays fast at
 //!   crawl scale and allocation-free per query;
-//! * [`engine::FilterEngine`] combines blocking and exception rules and
-//!   exposes the binary [`engine::RequestLabel`] oracle;
-//! * [`lists`] embeds curated EasyList / EasyPrivacy snapshots;
-//! * [`domain`] provides the eTLD+1 and third-party helpers shared by the
-//!   rest of the workspace.
+//! * [`FilterEngine`] combines blocking and exception rules and
+//!   exposes the binary [`RequestLabel`] oracle;
+//! * [`FilterEngine::easylist_easyprivacy`] loads the embedded curated
+//!   EasyList / EasyPrivacy snapshots;
+//! * [`registrable_domain`] and [`hostname_of`] are the eTLD+1 and URL
+//!   helpers shared by the rest of the workspace.
 //!
 //! ## Quick example
 //!
@@ -41,23 +42,26 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
-pub mod domain;
-pub mod engine;
-pub mod index;
-pub mod lists;
-pub mod options;
-pub mod parser;
-pub mod pattern;
-pub mod request;
-pub mod rule;
+mod domain;
+mod engine;
+mod index;
+mod lists;
+mod options;
+mod parser;
+mod pattern;
+mod request;
+mod rule;
 pub mod tokens;
-pub mod url;
+mod url;
 
-pub use domain::{is_third_party, registrable_domain};
+pub use domain::{is_valid_hostname, registrable_domain, registrable_suffix};
 pub use engine::{FilterEngine, MatchOutcome, RequestLabel};
-pub use parser::{parse_list, parse_rule, ParseStats, ParsedList};
+pub use options::{DomainEntry, RuleOptions};
+pub use parser::{parse_list, parse_rule, ParsedList};
+pub use pattern::Pattern;
 pub use request::{FilterRequest, RequestScratch, RequestView, ResourceType};
 pub use rule::{FilterRule, ListKind};
-pub use url::{ParsedUrl, UrlView};
+pub use url::{hostname_of, ParsedUrl, UrlView};

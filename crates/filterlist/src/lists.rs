@@ -10,10 +10,10 @@
 //! in the paper plus the generic endpoint shapes the synthetic corpus emits.
 
 /// Curated EasyList snapshot (advertising rules).
-pub const EASYLIST_CURATED: &str = include_str!("../data/easylist_curated.txt");
+pub(crate) const EASYLIST_CURATED: &str = include_str!("../data/easylist_curated.txt");
 
 /// Curated EasyPrivacy snapshot (tracking rules).
-pub const EASYPRIVACY_CURATED: &str = include_str!("../data/easyprivacy_curated.txt");
+pub(crate) const EASYPRIVACY_CURATED: &str = include_str!("../data/easyprivacy_curated.txt");
 
 #[cfg(test)]
 mod tests {

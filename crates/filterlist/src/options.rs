@@ -12,7 +12,7 @@ use crate::request::{RequestView, ResourceType};
 
 /// Tri-state constraint on request party-ness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartyConstraint {
+pub(crate) enum PartyConstraint {
     /// Rule applies regardless of party.
     #[default]
     Any,
@@ -37,35 +37,35 @@ pub struct DomainEntry {
 pub struct RuleOptions {
     /// Resource types the rule is restricted to (`$script,image`). Empty
     /// means "any type".
-    pub include_types: Vec<ResourceType>,
+    pub(crate) include_types: Vec<ResourceType>,
     /// Resource types the rule explicitly excludes (`$~script`).
-    pub exclude_types: Vec<ResourceType>,
+    pub(crate) exclude_types: Vec<ResourceType>,
     /// First/third-party constraint.
-    pub party: PartyConstraint,
+    pub(crate) party: PartyConstraint,
     /// `$domain=` constraints on the *initiator* (page) hostname.
     pub domains: Vec<DomainEntry>,
     /// `$match-case`: pattern matching becomes case sensitive.
-    pub match_case: bool,
+    pub(crate) match_case: bool,
     /// `$popup` and other options that only make sense for document-level
     /// blocking; rules carrying them are kept but never match network
     /// requests of other types.
-    pub popup: bool,
+    pub(crate) popup: bool,
     /// `$removeparam=` entries: query parameters a rewriter should strip
     /// from matching URLs instead of blocking the request. A trailing `*`
     /// marks a prefix rule (`utm_*`). Rules carrying this option are
     /// *modifiers*, not blockers — the engine files them separately (see
-    /// [`crate::engine::FilterEngine::removeparam_rules`]) and they never
+    /// [`crate::FilterEngine::removeparam_rules`]) and they never
     /// label a request as tracking.
     pub removeparam: Vec<String>,
     /// Number of unknown / unsupported options encountered while parsing.
     /// A rule with unsupported options is dropped by the parser, mirroring
     /// how blockers skip rules they cannot honour safely.
-    pub unsupported: usize,
+    pub(crate) unsupported: usize,
 }
 
 impl RuleOptions {
     /// Parse the comma-separated option list that follows `$` in a rule.
-    pub fn parse(options: &str) -> Self {
+    pub(crate) fn parse(options: &str) -> Self {
         let mut out = RuleOptions::default();
         for raw in options.split(',') {
             let opt = raw.trim();
@@ -139,10 +139,10 @@ impl RuleOptions {
                         out.removeparam.push(value.to_ascii_lowercase());
                     }
                 }
-                // Options we recognise but deliberately treat as "no-op for
-                // network classification" — they alter *how* a blocker acts,
-                // not *whether* the request is an ad/tracker.
-                "important" | "badfilter" | "generichide" | "genericblock" => {}
+                // Unknown options, and `important`, `badfilter`,
+                // `generichide` and `genericblock`: each changes which other
+                // rules apply, which the engine does not model, so the rule
+                // is dropped rather than read as a plain block or exception.
                 _ => out.unsupported += 1,
             }
         }
@@ -151,12 +151,12 @@ impl RuleOptions {
 
     /// `true` when this rule can never be evaluated faithfully (it carried
     /// options the engine does not implement).
-    pub fn has_unsupported(&self) -> bool {
+    pub(crate) fn has_unsupported(&self) -> bool {
         self.unsupported > 0
     }
 
     /// Evaluate every option constraint against a request.
-    pub fn matches(&self, request: &RequestView<'_>) -> bool {
+    pub(crate) fn matches(&self, request: &RequestView<'_>) -> bool {
         // Resource type constraints.
         if !self.include_types.is_empty() && !self.include_types.contains(&request.resource_type) {
             return false;

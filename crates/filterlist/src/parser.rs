@@ -18,19 +18,19 @@ use crate::rule::{FilterRule, ListKind};
 
 /// Statistics from parsing one list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParseStats {
+pub(crate) struct ParseStats {
     /// Total lines read.
-    pub lines: usize,
+    pub(crate) lines: usize,
     /// Comment / header / empty lines.
-    pub comments: usize,
+    pub(crate) comments: usize,
     /// Cosmetic (element hiding) rules skipped.
-    pub cosmetic: usize,
+    pub(crate) cosmetic: usize,
     /// Network rules successfully parsed.
-    pub network_rules: usize,
+    pub(crate) network_rules: usize,
     /// Exception (`@@`) rules among the parsed network rules.
-    pub exceptions: usize,
+    pub(crate) exceptions: usize,
     /// Rules dropped because of unsupported options or empty patterns.
-    pub dropped: usize,
+    pub(crate) dropped: usize,
 }
 
 /// Result of parsing a list: the usable rules plus statistics.
@@ -39,14 +39,14 @@ pub struct ParsedList {
     /// Parsed, usable network rules.
     pub rules: Vec<FilterRule>,
     /// Parse statistics.
-    pub stats: ParseStats,
+    pub(crate) stats: ParseStats,
 }
 
 /// Classify a single line and parse it into a rule if it is a network rule.
 ///
 /// Returns `None` for comments, cosmetic rules, and rules the engine cannot
 /// honour.
-pub fn parse_rule(line: &str, list: ListKind, line_no: usize) -> Option<FilterRule> {
+pub fn parse_rule(line: &str, list: ListKind) -> Option<FilterRule> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('!') || trimmed.starts_with('[') {
         return None;
@@ -120,14 +120,13 @@ pub fn parse_rule(line: &str, list: ListKind, line_no: usize) -> Option<FilterRu
         options,
         exception,
         list,
-        line: line_no,
     })
 }
 
 /// Parse a whole filter list.
 pub fn parse_list(text: &str, list: ListKind) -> ParsedList {
     let mut out = ParsedList::default();
-    for (idx, line) in text.lines().enumerate() {
+    for line in text.lines() {
         out.stats.lines += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('!') || trimmed.starts_with('[') {
@@ -142,7 +141,7 @@ pub fn parse_list(text: &str, list: ListKind) -> ParsedList {
             out.stats.cosmetic += 1;
             continue;
         }
-        match parse_rule(trimmed, list, idx + 1) {
+        match parse_rule(trimmed, list) {
             Some(rule) => {
                 if rule.exception {
                     out.stats.exceptions += 1;
@@ -180,26 +179,34 @@ mod tests {
 
     #[test]
     fn drops_unsupported_options() {
-        assert!(parse_rule("||x.com^$redirect=noop.js", ListKind::EasyList, 1).is_none());
-        let list = "||x.com^$redirect=noop.js\n";
-        let parsed = parse_list(list, ListKind::EasyList);
-        assert_eq!(parsed.stats.dropped, 1);
+        let rules = [
+            "||x.com^$redirect=noop.js",
+            "||x.com^$badfilter",
+            "||x.com^$important",
+            "@@||x.com^$generichide",
+            "@@||x.com^$genericblock",
+        ];
+        for rule in rules {
+            assert!(parse_rule(rule, ListKind::EasyList).is_none(), "{rule}");
+        }
+        let parsed = parse_list(&rules.join("\n"), ListKind::EasyList);
+        assert_eq!(parsed.stats.dropped, rules.len());
     }
 
     #[test]
     fn drops_match_all_rules() {
-        assert!(parse_rule("*", ListKind::EasyList, 1).is_none());
-        assert!(parse_rule("*$script", ListKind::EasyList, 1).is_some());
+        assert!(parse_rule("*", ListKind::EasyList).is_none());
+        assert!(parse_rule("*$script", ListKind::EasyList).is_some());
         // Anchors and wildcards alone match every URL too; a constraining
         // option admits each, as it admits `*`.
         for pattern in ["*", "||", "|", "||*", "|*", "*|", "||*|", "|||"] {
             assert!(
-                parse_rule(pattern, ListKind::EasyList, 1).is_none(),
+                parse_rule(pattern, ListKind::EasyList).is_none(),
                 "{pattern}"
             );
             let constrained = format!("{pattern}$third-party");
             assert!(
-                parse_rule(&constrained, ListKind::EasyList, 1).is_some(),
+                parse_rule(&constrained, ListKind::EasyList).is_some(),
                 "{constrained}"
             );
         }
@@ -221,14 +228,13 @@ mod tests {
 
     #[test]
     fn global_removeparam_rules_parse() {
-        let r = parse_rule("*$removeparam=gclid", ListKind::EasyPrivacy, 1).unwrap();
+        let r = parse_rule("*$removeparam=gclid", ListKind::EasyPrivacy).unwrap();
         assert_eq!(r.options.removeparam, vec!["gclid".to_string()]);
-        let prefix = parse_rule("*$removeparam=utm_*", ListKind::EasyPrivacy, 2).unwrap();
+        let prefix = parse_rule("*$removeparam=utm_*", ListKind::EasyPrivacy).unwrap();
         assert_eq!(prefix.options.removeparam, vec!["utm_*".to_string()]);
         let scoped = parse_rule(
             "||shop.example^$removeparam=mc_eid,domain=news.example",
             ListKind::Custom,
-            3,
         )
         .unwrap();
         assert_eq!(scoped.options.removeparam, vec!["mc_eid".to_string()]);
@@ -238,20 +244,19 @@ mod tests {
     #[test]
     fn dollar_inside_pattern_without_options_is_kept() {
         // `$` followed by non-option characters stays part of the pattern.
-        let r = parse_rule("/path/$weird/file.js", ListKind::EasyList, 1);
+        let r = parse_rule("/path/$weird/file.js", ListKind::EasyList);
         // `weird/file.js` contains '/', so it is not an option list.
         assert!(r.is_some());
     }
 
     #[test]
     fn options_are_attached() {
-        let r = parse_rule("||cdn.net^$script,third-party", ListKind::EasyList, 7).unwrap();
-        assert_eq!(r.line, 7);
+        let r = parse_rule("||cdn.net^$script,third-party", ListKind::EasyList).unwrap();
         assert_eq!(r.options.include_types.len(), 1);
     }
 
     #[test]
     fn empty_pattern_is_dropped() {
-        assert!(parse_rule("$script", ListKind::EasyList, 1).is_none());
+        assert!(parse_rule("$script", ListKind::EasyList).is_none());
     }
 }

@@ -23,7 +23,7 @@ use crate::url::UrlView;
 
 /// How the start of a pattern is anchored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Anchor {
+pub(crate) enum Anchor {
     /// Unanchored: the pattern may match anywhere in the URL.
     None,
     /// `|pattern`: must match at the first byte of the URL.
@@ -244,7 +244,7 @@ pub struct Pattern {
 
 impl Pattern {
     /// Compile a pattern string (anchors included) into a matcher.
-    pub fn compile(raw: &str, case_sensitive: bool) -> Pattern {
+    pub(crate) fn compile(raw: &str, case_sensitive: bool) -> Pattern {
         let mut text = raw.trim().to_string();
         let mut anchor = Anchor::None;
         let mut end_anchored = false;
@@ -326,16 +326,6 @@ impl Pattern {
         }
     }
 
-    /// The raw pattern text the rule was compiled from.
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
-    /// The start anchor kind.
-    pub fn anchor(&self) -> Anchor {
-        self.anchor
-    }
-
     /// `true` when the pattern contains no constraining text at all and
     /// would match every URL: it has no literal and no `^`, only anchors and
     /// wildcards (`*`, `||`, `|*`, `*|`, `||*|`). An anchor alone constrains
@@ -358,7 +348,7 @@ impl Pattern {
     /// so filing the rule under `ads` would be a false negative. (The old
     /// string tokenizer had exactly that bug.) Rules with no bounded run
     /// fall back to [`Pattern::index_run_prefixes`].
-    pub fn index_token_hashes(&self) -> Vec<u64> {
+    pub(crate) fn index_token_hashes(&self) -> Vec<u64> {
         self.left_bounded_runs()
             .filter_map(|(token, right_bounded)| right_bounded.then_some(token.hash))
             .collect()
@@ -374,7 +364,7 @@ impl Pattern {
     /// same byte, is at least as long, and shares its first three bytes.
     /// `/banner300x250` is filed under `ban`; `ads/` and `*ads` have no such
     /// run and stay always-checked.
-    pub fn index_run_prefixes(&self) -> Vec<u64> {
+    pub(crate) fn index_run_prefixes(&self) -> Vec<u64> {
         self.left_bounded_runs()
             .map(|(token, _)| token.prefix)
             .collect()
@@ -412,7 +402,7 @@ impl Pattern {
     /// Matching reads the URL's lower-cased text (or the raw spelling for
     /// `$match-case` rules) and, for `||` rules, its hostname and hostname
     /// offset — no intermediate strings are built.
-    pub fn matches(&self, url: &UrlView<'_>) -> bool {
+    pub(crate) fn matches(&self, url: &UrlView<'_>) -> bool {
         let text: &[u8] = if self.case_sensitive {
             url.raw.as_bytes()
         } else {

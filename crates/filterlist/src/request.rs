@@ -116,22 +116,22 @@ pub struct RequestView<'a> {
     pub domain: &'a str,
     /// Hostname of the page (frame) the request originates from,
     /// lower-cased.
-    pub source_hostname: &'a str,
+    pub(crate) source_hostname: &'a str,
     /// Resource type reported by the browser.
-    pub resource_type: ResourceType,
+    pub(crate) resource_type: ResourceType,
     /// Token hashes of the URL ([`crate::tokens`]) in text order, repeats
     /// kept: they select the candidate buckets of rules filed under a run
     /// bounded on both sides. No reader needs a set —
     /// [`crate::index::RuleIndex::first_match`] keeps the lowest matching
     /// rule index, `any_match` stops at the first and `all_matches` dedups
     /// its candidates — so no builder sorts them.
-    pub token_hashes: &'a [u64],
+    pub(crate) token_hashes: &'a [u64],
     /// The run prefix ([`crate::tokens::Token::prefix`]) of each token, in
     /// the same order as `token_hashes`: they select the candidate buckets
     /// of rules filed under a run bounded only on the left.
-    pub run_prefixes: &'a [u64],
+    pub(crate) run_prefixes: &'a [u64],
     /// Whether the request crosses a registrable-domain boundary.
-    pub third_party: bool,
+    pub(crate) third_party: bool,
 }
 
 /// Where the registrable domain of a lower-case `hostname` lies within it:
@@ -143,7 +143,7 @@ fn domain_range(hostname: &str) -> Range<usize> {
 }
 
 /// Whether a request crosses a registrable-domain boundary, from the two
-/// sides' domains: [`crate::domain::is_third_party`] of two lower-case
+/// sides' domains: `domain::is_third_party` of two lower-case
 /// hostnames, without deriving either domain again.
 fn crosses_domains(hostname: &str, domain: &str, page_hostname: &str, page_domain: &str) -> bool {
     !hostname.is_empty() && !page_hostname.is_empty() && domain != page_domain
@@ -245,7 +245,7 @@ pub struct FilterRequest {
     /// Where the hostname's registrable domain lies within it.
     domain: Range<usize>,
     /// Resource type reported by the browser.
-    pub resource_type: ResourceType,
+    pub(crate) resource_type: ResourceType,
     /// Token hashes of the URL in text order, repeats kept, computed once
     /// at construction ([`crate::tokens`]).
     token_hashes: Box<[u64]>,

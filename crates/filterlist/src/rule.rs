@@ -39,23 +39,21 @@ pub struct FilterRule {
     /// Parsed `$` options.
     pub options: RuleOptions,
     /// `true` for `@@` exception (allow) rules.
-    pub exception: bool,
+    pub(crate) exception: bool,
     /// Which list the rule came from.
-    pub list: ListKind,
-    /// Line number in the source list (1-based), for diagnostics.
-    pub line: usize,
+    pub(crate) list: ListKind,
 }
 
 impl FilterRule {
     /// Evaluate the rule against a request: both the URL pattern and every
     /// option constraint must hold.
-    pub fn matches(&self, request: &RequestView<'_>) -> bool {
+    pub(crate) fn matches(&self, request: &RequestView<'_>) -> bool {
         self.options.matches(request) && self.pattern.matches(&request.url)
     }
 
     /// Token hashes used to place the rule into the
     /// [`crate::index::RuleIndex`].
-    pub fn index_token_hashes(&self) -> Vec<u64> {
+    pub(crate) fn index_token_hashes(&self) -> Vec<u64> {
         self.pattern.index_token_hashes()
     }
 }
@@ -73,7 +71,7 @@ mod tests {
     use crate::request::{FilterRequest, ResourceType};
 
     fn rule(text: &str) -> FilterRule {
-        parse_rule(text, ListKind::EasyList, 1).expect("rule should parse")
+        parse_rule(text, ListKind::EasyList).expect("rule should parse")
     }
 
     fn req(url: &str, source: &str, ty: ResourceType) -> FilterRequest {

@@ -1,18 +1,18 @@
 //! The shared zero-allocation tokenizer behind the rule index.
 //!
 //! Both sides of the token index — filing rules at build time
-//! ([`crate::pattern::Pattern::index_token_hashes`]) and selecting candidate
-//! buckets at query time ([`crate::request::FilterRequest`]) — must agree
+//! (`Pattern::index_token_hashes`) and selecting candidate
+//! buckets at query time ([`crate::FilterRequest`]) — must agree
 //! exactly on what a token is, or the index silently develops false
 //! negatives. This module is the single definition both sides use: a token
 //! is a maximal run of ASCII alphanumeric bytes of length ≥
-//! [`TOKEN_MIN_LEN`], lower-cased, and it is represented not as an owned
+//! `TOKEN_MIN_LEN`, lower-cased, and it is represented not as an owned
 //! `String` but as its 64-bit FNV-1a hash, computed incrementally while
 //! scanning. Tokenizing a URL therefore allocates nothing: the iterator
 //! walks the byte slice once and yields `u64`s. Each token also carries its
-//! *run prefix*, the hash of its first [`TOKEN_MIN_LEN`] bytes, which keys
+//! *run prefix*, the hash of its first `TOKEN_MIN_LEN` bytes, which keys
 //! the rules whose run is bounded only on the left
-//! ([`crate::pattern::Pattern::index_run_prefixes`]).
+//! (`Pattern::index_run_prefixes`).
 //!
 //! Hash collisions (two distinct tokens with the same hash) are harmless by
 //! construction: colliding tokens merely share a candidate bucket, and every
@@ -27,7 +27,7 @@
 //! journal's frame checksum.
 
 /// Minimum length of an indexable token (alphanumeric run).
-pub const TOKEN_MIN_LEN: usize = 3;
+pub(crate) const TOKEN_MIN_LEN: usize = 3;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -95,34 +95,22 @@ pub(crate) fn hash_tokens_into(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// Byte offset of the first byte of the run.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Byte offset one past the last byte of the run.
     pub end: usize,
     /// FNV-1a hash of the lower-cased run.
     pub hash: u64,
-    /// FNV-1a hash of the run's first [`TOKEN_MIN_LEN`] lower-cased bytes:
+    /// FNV-1a hash of the run's first `TOKEN_MIN_LEN` lower-cased bytes:
     /// the scan's hash state at the run's third byte. A rule whose run is
     /// bounded only on the left is filed under this key, since the URL run
     /// holding it starts at the same byte.
-    pub prefix: u64,
-}
-
-impl Token {
-    /// Length of the run in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// `true` when the run is empty (never produced by the tokenizer).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
+    pub(crate) prefix: u64,
 }
 
 /// Zero-allocation iterator over the tokens of a byte slice.
 ///
 /// Yields every maximal ASCII-alphanumeric run of length ≥
-/// [`TOKEN_MIN_LEN`], hashing the lower-cased bytes incrementally. Non-ASCII
+/// `TOKEN_MIN_LEN`, hashing the lower-cased bytes incrementally. Non-ASCII
 /// bytes and ASCII punctuation both terminate runs, exactly as the original
 /// string tokenizer did.
 #[derive(Debug, Clone)]

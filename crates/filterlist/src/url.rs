@@ -17,16 +17,16 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ParsedUrl {
     /// The full original URL, exactly as given.
-    pub raw: String,
+    pub(crate) raw: String,
     /// Lower-cased copy of the full URL used for case-insensitive matching.
-    pub lower: String,
+    pub(crate) lower: String,
     /// Hostname (no port), lower-cased. Empty for opaque URLs such as `data:`.
     pub hostname: String,
     /// Byte offset of `hostname` within `lower` (and `raw` — lower-casing is
     /// ASCII-only and length-preserving). `0` for opaque URLs with no
     /// hostname. Pre-computed at parse time so `||` hostname anchoring never
     /// re-scans the URL for the authority.
-    pub host_start: usize,
+    pub(crate) host_start: usize,
 }
 
 impl ParsedUrl {
@@ -52,7 +52,7 @@ impl ParsedUrl {
     }
 
     /// The borrowed view pattern matching reads.
-    pub fn view(&self) -> UrlView<'_> {
+    pub(crate) fn view(&self) -> UrlView<'_> {
         UrlView {
             raw: &self.raw,
             lower: &self.lower,
@@ -62,22 +62,22 @@ impl ParsedUrl {
     }
 }
 
-/// A parsed URL, borrowed: what [`crate::pattern::Pattern::matches`] reads.
-/// [`ParsedUrl::view`] lends one out of the owned form;
-/// [`crate::request::RequestScratch::view`] derives one from a `&str`
+/// A parsed URL, borrowed: what `Pattern::matches` reads.
+/// `ParsedUrl::view` lends one out of the owned form;
+/// [`crate::RequestScratch::view`] derives one from a `&str`
 /// without copying the URL (unless it has upper-case ASCII to fold).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UrlView<'a> {
     /// The URL text, trimmed, in its own case (`$match-case` rules).
-    pub raw: &'a str,
+    pub(crate) raw: &'a str,
     /// The URL text lower-cased; the same slice as `raw` when the URL has
     /// no upper-case ASCII.
-    pub lower: &'a str,
+    pub(crate) lower: &'a str,
     /// Hostname (no port), lower-cased; empty for opaque URLs.
     pub hostname: &'a str,
     /// Byte offset of `hostname` within `lower` and `raw`; `0` for opaque
     /// URLs.
-    pub host_start: usize,
+    pub(crate) host_start: usize,
 }
 
 /// Where the hostname lies in a trimmed URL: `(hostname, byte offset)`,

@@ -1,7 +1,6 @@
 //! Rule assembly for [`UrlRewriter`].
 
-use filterlist::domain::registrable_domain;
-use filterlist::rule::FilterRule;
+use filterlist::{registrable_domain, FilterRule};
 use std::collections::HashMap;
 
 use crate::rewriter::RuleSet;
@@ -10,16 +9,15 @@ use crate::UrlRewriter;
 /// Builder for a [`UrlRewriter`]: collect rules, then
 /// [`build`](RewriterBuilder::build) the compiled, shareable form.
 ///
-/// Rules come from four sources, freely combined:
+/// Rules come from three sources, freely combined:
 ///
 /// * [`strip_param`](Self::strip_param) / [`strip_prefix`](Self::strip_prefix)
 ///   — global parameter names and name prefixes;
-/// * [`strip_param_on`](Self::strip_param_on) — per-site rules, keyed by the
-///   registrable domain of the request URL;
 /// * [`unwrap_param`](Self::unwrap_param) — redirect-wrapper parameters whose
 ///   value is the real destination;
 /// * [`filter_rules`](Self::filter_rules) — EasyList-style `$removeparam=`
-///   rules, e.g. straight from
+///   rules, global or per site (keyed by the registrable domain of the
+///   request URL), e.g. straight from
 ///   [`FilterEngine::removeparam_rules`](filterlist::FilterEngine::removeparam_rules).
 ///
 /// ```
@@ -115,7 +113,7 @@ impl RewriterBuilder {
     /// Strip a parameter only from URLs under `domain` (compared by
     /// registrable domain, so `shop.example` covers `www.shop.example`).
     /// A trailing `*` in `name` makes it a prefix rule.
-    pub fn strip_param_on(mut self, domain: &str, name: &str) -> Self {
+    pub(crate) fn strip_param_on(mut self, domain: &str, name: &str) -> Self {
         let set = self
             .per_site
             .entry(registrable_domain(&domain.to_ascii_lowercase()))

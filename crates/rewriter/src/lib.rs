@@ -51,6 +51,7 @@
 //! umbrella crate's suite).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
 mod builder;

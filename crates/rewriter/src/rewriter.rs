@@ -8,7 +8,7 @@
 //! fires does the rewriter parse query segments, and only when a segment
 //! actually matches a rule does it build the replacement string.
 
-use filterlist::domain::registrable_suffix;
+use filterlist::registrable_suffix;
 use filterlist::tokens::{token_hashes, TokenHashBuilder, TokenHashes};
 use std::collections::{HashMap, HashSet};
 
@@ -30,6 +30,7 @@ impl RuleSet {
         self.exact.is_empty() && self.prefixes.is_empty()
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.exact.len() + self.prefixes.len()
     }
@@ -143,12 +144,6 @@ const _: () = {
 };
 
 impl UrlRewriter {
-    /// Start building a rewriter (alias for
-    /// [`RewriterBuilder::new`](crate::RewriterBuilder::new)).
-    pub fn builder() -> crate::RewriterBuilder {
-        crate::RewriterBuilder::new()
-    }
-
     /// Assemble the compiled form: store the rule sets and derive the
     /// trigger-hash prescreen from every rule name.
     pub(crate) fn assemble(
@@ -198,15 +193,11 @@ impl UrlRewriter {
     }
 
     /// Total number of rules (global + per-site + unwrap parameters).
-    pub fn rule_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn rule_count(&self) -> usize {
         self.global.len()
             + self.per_site.values().map(RuleSet::len).sum::<usize>()
             + self.unwrap.len()
-    }
-
-    /// `true` when no rule is configured (every URL passes through).
-    pub fn is_empty(&self) -> bool {
-        self.rule_count() == 0
     }
 
     /// Rewrite a URL to its tracking-free form.
@@ -494,7 +485,7 @@ mod tests {
     #[test]
     fn empty_rewriter_changes_nothing() {
         let rw = RewriterBuilder::new().build();
-        assert!(rw.is_empty());
+        assert_eq!(rw.rule_count(), 0);
         assert!(rw
             .rewrite("https://a.example/x?utm_source=1&gclid=2")
             .is_none());

@@ -47,10 +47,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
-use filterlist::registrable_domain;
-use filterlist::url::hostname_of;
+use filterlist::{hostname_of, registrable_domain};
 use trackersift::{
     DecisionRequest, Granularity, ObservationRef, Sifter, SifterReader, SifterWriter, Verdict,
 };
@@ -78,13 +78,13 @@ pub enum ScriptKeying {
 pub struct SchedulerConfig {
     /// Seed for both corpus generation and mutation. Two schedulers built
     /// from equal configs evolve byte-identically.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of websites in the simulated corpus.
-    pub sites: usize,
+    pub(crate) sites: usize,
     /// Per-epoch mutation rates.
-    pub mutation: MutationConfig,
+    pub(crate) mutation: MutationConfig,
     /// Attribution keying for script-initiated requests.
-    pub keying: ScriptKeying,
+    pub(crate) keying: ScriptKeying,
 }
 
 impl SchedulerConfig {
@@ -126,7 +126,7 @@ impl SchedulerConfig {
 /// and ticked over the wire with `POST /v1/tick`; the drift each epoch
 /// causes is then diffable with `GET /v1/revisions?diff=a..b`.
 ///
-/// Everything is deterministic from [`SchedulerConfig::seed`]: the corpus,
+/// Everything is deterministic from `SchedulerConfig::seed`: the corpus,
 /// every mutation epoch, the crawl order, and therefore the writer's entire
 /// revision ring.
 #[derive(Debug)]

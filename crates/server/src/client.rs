@@ -129,7 +129,7 @@ pub struct RawResponse {
     /// (`503`) responses.
     pub retry_after: Option<u32>,
     /// The response body.
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 /// A keep-alive HTTP/1.1 client connection.
@@ -636,14 +636,14 @@ impl std::error::Error for SyncError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncReport {
     /// The local version before the round.
-    pub from: u64,
+    pub(crate) from: u64,
     /// The committed primary version held after applying.
     pub to: u64,
     /// Whether the round applied a full (re)bootstrap envelope — either
     /// the very first sync or a `410 Gone` after falling behind the ring.
     pub full: bool,
     /// Per-key class transitions the round applied.
-    pub changes: u64,
+    pub(crate) changes: u64,
 }
 
 /// The follower loop in client form: bootstrap from a primary's full
@@ -751,11 +751,6 @@ impl ReplicaClient {
     pub fn table(&mut self) -> VerdictTable {
         self.state.table()
     }
-
-    /// Total retries the underlying [`RetryingClient`] has spent.
-    pub fn retries_spent(&self) -> u64 {
-        self.http.retries_spent()
-    }
 }
 
 #[cfg(test)]
@@ -844,7 +839,7 @@ mod tests {
         }
         let report = replica.sync().expect("the intact delta still applies");
         assert_eq!((report.from, report.to, report.full), (5, 6, false));
-        assert_eq!(replica.retries_spent(), 0);
+        assert_eq!(replica.http.retries_spent(), 0);
 
         let heads = primary.join().expect("fake primary");
         let head = |since: u64| {

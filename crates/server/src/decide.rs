@@ -4,7 +4,7 @@
 //! hot path — a verdict lookup sits in front of every network request a
 //! page makes — so they are served without building anything on the heap:
 //! the query is decoded in place from the request body ([`DecisionQuery`],
-//! [`BinaryRecords`]), decided against the pinned table's preformatted
+//! `BinaryRecords`), decided against the pinned table's preformatted
 //! answers, and head and body are appended straight to the connection's
 //! output buffer. A string-keyed query (JSON, or a string-form binary
 //! record) has its keys looked up level by level only as far as the
@@ -17,8 +17,8 @@
 
 use crate::http::{self, HttpResponse, RequestView};
 use crate::wire::{self, BinaryKeys, BinaryRecord, BinaryRecords, DecisionQuery};
-use trackersift::frames::{self, PROTO_VERSION};
-use trackersift::{DecisionRequest, FrameError, KeyedRequest, PrebuiltDecision, VerdictTable};
+use trackersift::frames::{self, FrameError, PROTO_VERSION};
+use trackersift::{DecisionRequest, KeyedRequest, PrebuiltDecision, VerdictTable};
 
 const JSON_CONTENT_TYPE: &str = "application/json";
 

@@ -5,7 +5,7 @@
 //! input instead of feature-complete:
 //!
 //! * request line + headers, CRLF-framed, with a hard cap on header bytes
-//!   ([`MAX_HEADER_BYTES`]) so a drip-feeding client cannot balloon memory;
+//!   (`MAX_HEADER_BYTES`) so a drip-feeding client cannot balloon memory;
 //! * bodies framed by `Content-Length` only, capped by the server config;
 //!   `Transfer-Encoding` is refused with `501` rather than half-implemented
 //!   (request smuggling lives in that corner);
@@ -30,7 +30,7 @@ use std::io::{self, Read};
 /// Hard cap on the request line + headers. Generous for machine clients
 /// (our own wire format needs well under 1 KiB) while bounding what a
 /// hostile client can make a worker buffer.
-pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -45,42 +45,6 @@ pub struct HttpRequest {
     pub headers: Vec<(String, String)>,
     /// The request body (empty when no `Content-Length` was sent).
     pub body: Vec<u8>,
-}
-
-impl HttpRequest {
-    /// First header with the given (lower-case) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, value)| value.as_str())
-    }
-
-    /// Whether the connection should stay open after the response:
-    /// HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close, and an explicit
-    /// `Connection` header overrides either way.
-    pub fn keep_alive(&self) -> bool {
-        keep_alive(self.header("connection"), self.http11)
-    }
-}
-
-/// The keep-alive rule shared by both request forms: `close` among the
-/// comma-separated `Connection` tokens closes, otherwise `keep-alive`
-/// keeps, otherwise the protocol version decides. Tokens compare whole and
-/// case-insensitively — `enclose` is not `close`.
-fn keep_alive(connection: Option<&str>, http11: bool) -> bool {
-    let has = |token: &str| {
-        connection.is_some_and(|value| {
-            value
-                .split(',')
-                .any(|candidate| candidate.trim().eq_ignore_ascii_case(token))
-        })
-    };
-    if has("close") {
-        false
-    } else {
-        has("keep-alive") || http11
-    }
 }
 
 /// One complete request, borrowed from the [`RequestParser`] that framed
@@ -115,7 +79,7 @@ pub struct RequestView<'a> {
     /// Request target (path), exactly as received.
     pub target: &'a str,
     /// `true` for `HTTP/1.1`, `false` for `HTTP/1.0`.
-    pub http11: bool,
+    pub(crate) http11: bool,
     /// The header lines, CRLF-separated, each checked by the parser to be
     /// `name:value` with a non-empty, space-free name.
     header_lines: &'a str,
@@ -125,7 +89,7 @@ pub struct RequestView<'a> {
 
 impl<'a> RequestView<'a> {
     /// The headers in arrival order: name as received, value trimmed.
-    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+    pub(crate) fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
         self.header_lines
             .split("\r\n")
             .filter_map(|line| line.split_once(':'))
@@ -146,10 +110,25 @@ impl<'a> RequestView<'a> {
             .map(|line| line[name.len() + 1..].trim())
     }
 
-    /// Whether the connection should stay open after the response; the
-    /// same rule as [`HttpRequest::keep_alive`].
+    /// Whether the connection should stay open after the response:
+    /// `close` among the comma-separated `Connection` tokens closes,
+    /// otherwise `keep-alive` keeps, otherwise the protocol version decides
+    /// (HTTP/1.1 keeps, HTTP/1.0 closes). Tokens compare whole and
+    /// case-insensitively — `enclose` is not `close`.
     pub fn keep_alive(&self) -> bool {
-        keep_alive(self.header("connection"), self.http11)
+        let connection = self.header("connection");
+        let has = |token: &str| {
+            connection.is_some_and(|value| {
+                value
+                    .split(',')
+                    .any(|candidate| candidate.trim().eq_ignore_ascii_case(token))
+            })
+        };
+        if has("close") {
+            false
+        } else {
+            has("keep-alive") || self.http11
+        }
     }
 
     /// Copy the request out of the parser's buffer.
@@ -179,7 +158,7 @@ pub enum RequestError {
     /// More than one `Content-Length` header — the request-smuggling
     /// ambiguity, rejected even when the duplicates agree (→ `400`).
     DuplicateContentLength,
-    /// Request line + headers exceed [`MAX_HEADER_BYTES`] (→ `431`).
+    /// Request line + headers exceed `MAX_HEADER_BYTES` (→ `431`).
     HeadersTooLarge,
     /// Declared body exceeds the configured cap (→ `413`).
     BodyTooLarge,
@@ -189,7 +168,7 @@ pub enum RequestError {
 
 impl RequestError {
     /// The response this error maps to.
-    pub fn response(&self) -> HttpResponse {
+    pub(crate) fn response(&self) -> HttpResponse {
         match self {
             RequestError::Malformed(detail) => HttpResponse::error(400, "Bad Request", detail),
             RequestError::BadContentLength(value) => {
@@ -221,17 +200,17 @@ impl RequestError {
 #[derive(Debug, Clone)]
 pub struct HttpResponse {
     /// Status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// Reason phrase.
-    pub reason: &'static str,
+    pub(crate) reason: &'static str,
     /// `Content-Type` header value.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// Response body.
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
     /// Force `Connection: close` regardless of the request's preference.
-    pub close: bool,
+    pub(crate) close: bool,
     /// Emit a `Retry-After: <seconds>` header (load-shedding responses).
-    pub retry_after: Option<u32>,
+    pub(crate) retry_after: Option<u32>,
 }
 
 impl HttpResponse {
@@ -248,7 +227,7 @@ impl HttpResponse {
     }
 
     /// A `200 OK` plain-text response.
-    pub fn text(body: &str) -> Self {
+    pub(crate) fn text(body: &str) -> Self {
         HttpResponse {
             status: 200,
             reason: "OK",
@@ -273,7 +252,7 @@ impl HttpResponse {
 
     /// An error response carrying `{"error": detail}`; errors always close
     /// the connection (a client that sent garbage has lost framing sync).
-    pub fn error(status: u16, reason: &'static str, detail: &str) -> Self {
+    pub(crate) fn error(status: u16, reason: &'static str, detail: &str) -> Self {
         let body = crawler::json::object(vec![(
             "error",
             crawler::json::Value::String(detail.to_string()),
@@ -294,7 +273,7 @@ impl HttpResponse {
     /// controller. Shed responses keep the connection open when `close` is
     /// `false`: a polite client backs off and reuses the connection rather
     /// than paying a reconnect against an already-loaded server.
-    pub fn shed(retry_after: u32, detail: &str, close: bool) -> Self {
+    pub(crate) fn shed(retry_after: u32, detail: &str, close: bool) -> Self {
         let body = crawler::json::object(vec![
             ("error", crawler::json::Value::String(detail.to_string())),
             (
@@ -454,7 +433,7 @@ impl Head {
 }
 
 /// The push-based request parser one connection owns: the event loop
-/// fills it ([`read_from`](RequestParser::read_from), or
+/// fills it (`read_from`, or
 /// [`push`](RequestParser::push) for bytes already in hand) and takes
 /// complete requests out with [`next_view`](RequestParser::next_view) —
 /// which never blocks and never does I/O. Bytes past one request's body
@@ -510,7 +489,7 @@ impl RequestParser {
     /// read returned (`Ok(0)` is end of stream). Room is offered for the
     /// rest of a body whose head announced it, and never less than
     /// a whole maximal head.
-    pub fn read_from(&mut self, source: &mut impl Read) -> io::Result<usize> {
+    pub(crate) fn read_from(&mut self, source: &mut impl Read) -> io::Result<usize> {
         let missing = self.pending.map_or(0, |head| {
             head.request_len().saturating_sub(self.end - self.start)
         });
@@ -523,13 +502,13 @@ impl RequestParser {
     /// Whether the parser holds a partial request (buffered bytes or a
     /// head still waiting for its body) — at EOF this distinguishes a
     /// clean close from a truncated request.
-    pub fn mid_request(&self) -> bool {
+    pub(crate) fn mid_request(&self) -> bool {
         self.pending.is_some() || self.start < self.end
     }
 
     /// Discard everything buffered (after an error response the client has
     /// lost framing sync; any pipelined remainder is garbage).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.start = 0;
         self.end = 0;
         self.scanned = 0;
@@ -547,7 +526,7 @@ impl RequestParser {
 
     /// The next complete request, borrowed from the buffer; `Ok(None)`
     /// when more bytes are needed, or a typed error for hostile input.
-    /// After an error the parser must be [`reset`](RequestParser::reset)
+    /// After an error the parser must be reset
     /// (the connection is closed anyway).
     pub fn next_view(
         &mut self,
@@ -772,8 +751,6 @@ mod tests {
             let mut parser = RequestParser::new();
             parser.push(wire.as_bytes());
             let view = parser.next_view(0).unwrap().expect("complete request");
-            // The owned copy answers the same.
-            assert_eq!(view.keep_alive(), view.to_owned().keep_alive(), "{wire:?}");
             view.keep_alive()
         };
         assert!(!keep_alive("HTTP/1.1", Some("close")));

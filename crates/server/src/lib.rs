@@ -152,6 +152,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
 pub mod client;
@@ -219,7 +220,7 @@ pub struct ServerConfig {
     /// request's protocol) but keeps its connection.
     pub max_inflight: usize,
     /// Crash durability. `Some` attaches a write-ahead observation journal
-    /// (see [`trackersift::journal`]) to the writer before serving starts:
+    /// (see [`trackersift::Journal`]) to the writer before serving starts:
     /// the boot replays the previous generation's snapshot + journal, and
     /// every observation is journaled before it mutates trainer state.
     pub durability: Option<DurabilityConfig>,
@@ -260,7 +261,7 @@ impl ServerConfig {
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// The generation directory (created if missing).
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// fsync cadence for records applied one at a time
     /// (`SifterWriter::apply`): flush + sync the journal after this many of
     /// them. The server's own paths never apply one at a time — a
@@ -363,7 +364,7 @@ impl ReplicaStatus {
     /// the upstream advertised, so both versions read `report.to`; a poll
     /// of an idle primary (`from == to`) applies nothing and counts as a
     /// poll only.
-    pub fn record_sync(&self, report: &client::SyncReport) {
+    pub(crate) fn record_sync(&self, report: &client::SyncReport) {
         self.polls.fetch_add(1, Ordering::Relaxed);
         self.upstream_version.store(report.to, Ordering::Relaxed);
         self.applied_version.store(report.to, Ordering::Relaxed);
@@ -375,7 +376,7 @@ impl ReplicaStatus {
     }
 
     /// Record one failed sync poll (transport or apply error).
-    pub fn record_error(&self) {
+    pub(crate) fn record_error(&self) {
         self.polls.fetch_add(1, Ordering::Relaxed);
         self.sync_errors.fetch_add(1, Ordering::Relaxed);
     }

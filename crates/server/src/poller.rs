@@ -31,32 +31,32 @@ mod sys {
     /// `struct pollfd` from `<poll.h>`.
     #[repr(C)]
     #[derive(Clone, Copy, Debug)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
+    pub(super) struct PollFd {
+        pub(crate) fd: i32,
+        pub(crate) events: i16,
+        pub(crate) revents: i16,
     }
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
+    pub(super) const POLLIN: i16 = 0x001;
+    pub(super) const POLLOUT: i16 = 0x004;
+    pub(super) const POLLERR: i16 = 0x008;
+    pub(super) const POLLHUP: i16 = 0x010;
+    pub(super) const POLLNVAL: i16 = 0x020;
 
     /// `nfds_t`: `unsigned long` on linux, `unsigned int` on the BSDs and
     /// macOS.
     #[cfg(target_os = "linux")]
-    pub type NfdsT = usize;
+    pub(super) type NfdsT = usize;
     #[cfg(not(target_os = "linux"))]
-    pub type NfdsT = u32;
+    pub(super) type NfdsT = u32;
 
     extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+        pub(super) fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
     }
 }
 
 /// Anything with a pollable OS socket handle.
-pub trait Pollable {
+pub(crate) trait Pollable {
     /// The raw file descriptor to poll.
     fn raw_fd(&self) -> i32;
 }
@@ -79,7 +79,7 @@ impl<T> Pollable for T {
 /// once, then query per-slot readiness. One instance per worker thread,
 /// cleared and re-registered every loop iteration.
 #[derive(Debug, Default)]
-pub struct Poller {
+pub(crate) struct Poller {
     #[cfg(unix)]
     fds: Vec<sys::PollFd>,
     #[cfg(not(unix))]
@@ -88,12 +88,12 @@ pub struct Poller {
 
 impl Poller {
     /// An empty poll set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Poller::default()
     }
 
     /// Drop all registered interests (start of a scheduler iteration).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         #[cfg(unix)]
         self.fds.clear();
         #[cfg(not(unix))]
@@ -105,7 +105,12 @@ impl Poller {
     /// Register a socket with the given interests; returns the slot to
     /// query after [`wait`](Poller::wait). Slots are assigned densely in
     /// registration order.
-    pub fn register(&mut self, socket: &impl Pollable, readable: bool, writable: bool) -> usize {
+    pub(crate) fn register(
+        &mut self,
+        socket: &impl Pollable,
+        readable: bool,
+        writable: bool,
+    ) -> usize {
         #[cfg(unix)]
         {
             let mut events = 0i16;
@@ -133,7 +138,7 @@ impl Poller {
     /// Block until at least one registered socket is ready or the timeout
     /// (milliseconds; `0` returns immediately) elapses. Returns how many
     /// slots have events. A signal interruption counts as "nothing ready".
-    pub fn wait(&mut self, timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&mut self, timeout_ms: i32) -> io::Result<usize> {
         // The `poller.wait` failpoint injects poll(2) failures (the worker
         // event loop must nap + rebuild, never wedge or spin).
         trackersift::failpoint::check_io("poller.wait")?;
@@ -175,7 +180,7 @@ impl Poller {
 
     /// Whether the slot's socket is readable (or has an error/hangup to
     /// observe — reading is how those are surfaced).
-    pub fn readable(&self, slot: usize) -> bool {
+    pub(crate) fn readable(&self, slot: usize) -> bool {
         #[cfg(unix)]
         {
             self.fds[slot].revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL)
@@ -188,7 +193,7 @@ impl Poller {
     }
 
     /// Whether the slot's socket has write space (or a pending error).
-    pub fn writable(&self, slot: usize) -> bool {
+    pub(crate) fn writable(&self, slot: usize) -> bool {
         #[cfg(unix)]
         {
             self.fds[slot].revents & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL)

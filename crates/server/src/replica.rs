@@ -26,13 +26,13 @@ use trackersift::{TablePublisher, UrlRewriter};
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// The upstream's address (`host:port`): a primary or a replica.
-    pub upstream: String,
+    pub(crate) upstream: String,
     /// Delay between delta polls once bootstrapped.
     pub poll_interval: Duration,
     /// Retry behaviour of the sync fetches (shed responses and transport
     /// drops back off under this policy; `410 Gone` is never retried —
     /// its body already carries the re-bootstrap snapshot).
-    pub policy: RetryPolicy,
+    pub(crate) policy: RetryPolicy,
     /// The serving side: where the replica listens, worker count, limits.
     pub server: ServerConfig,
 }

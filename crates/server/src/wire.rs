@@ -12,7 +12,7 @@
 //! Decision requests decode two ways, through one decoder each: into owned
 //! messages ([`DecisionMessage`], [`BinaryRequest`]) for clients and tools,
 //! and in place ([`DecisionQuery`], [`decode_decision_batch`],
-//! [`BinaryRecords`]) for the worker, which borrows the request body and
+//! `BinaryRecords`) for the worker, which borrows the request body and
 //! allocates nothing per request or per row. Observations likewise: owned
 //! [`ObservationMessage`]s for clients, and for the worker
 //! [`decode_observation_batch`], which streams the body's rows into one
@@ -50,10 +50,9 @@
 use crawler::json::{self, object, JsonError, Kind, Reader, Value};
 use filterlist::ResourceType;
 use std::borrow::Cow;
-use trackersift::frames::{self, PROTO_VERSION, RECORD_HEADER_LEN};
+use trackersift::frames::{self, FrameError, FrameReader, PROTO_VERSION, RECORD_HEADER_LEN};
 use trackersift::{
-    CommitStats, Decision, DecisionRequest, FrameError, FrameReader, FrozenKeys, ObservationRef,
-    ServiceStats,
+    CommitStats, Decision, DecisionRequest, FrozenKeys, ObservationRef, ServiceStats,
 };
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
@@ -299,7 +298,7 @@ impl<'a> DecisionQuery<'a> {
     }
 
     /// Borrow as the core decision query.
-    pub fn as_request(&self) -> DecisionRequest<'_> {
+    pub(crate) fn as_request(&self) -> DecisionRequest<'_> {
         let request =
             DecisionRequest::new(&self.domain, &self.hostname, &self.script, &self.method);
         match &self.url {
@@ -364,16 +363,16 @@ pub fn decode_decision_batch<'a>(
 pub const BINARY_CONTENT_TYPE: &str = "application/x-trackersift-verdict";
 
 /// Request kind byte: one decision, response is a single frame.
-pub const KIND_SINGLE: u8 = 0;
+pub(crate) const KIND_SINGLE: u8 = 0;
 /// Request kind byte: counted records, response is a batch frame.
-pub const KIND_BATCH: u8 = 1;
+pub(crate) const KIND_BATCH: u8 = 1;
 /// Record form byte: four length-prefixed key strings.
-pub const FORM_STRINGS: u8 = 0;
+pub(crate) const FORM_STRINGS: u8 = 0;
 /// Record form byte: four interned `u32` key ids (epoch-checked).
-pub const FORM_IDS: u8 = 1;
+pub(crate) const FORM_IDS: u8 = 1;
 /// Record flag bit: URL context (url, source hostname, resource type)
 /// follows the keys.
-pub const FLAG_URL: u8 = 1;
+pub(crate) const FLAG_URL: u8 = 1;
 
 /// The four attribution keys of one binary record, in either wire form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,11 +406,11 @@ pub enum BinaryKeys<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinaryUrlContext<'a> {
     /// The raw request URL.
-    pub url: &'a str,
+    pub(crate) url: &'a str,
     /// Hostname of the page issuing the request.
-    pub source_hostname: &'a str,
+    pub(crate) source_hostname: &'a str,
     /// Resource type of the request.
-    pub resource_type: ResourceType,
+    pub(crate) resource_type: ResourceType,
 }
 
 /// One decision record of a binary request, borrowing from the body.
@@ -427,10 +426,10 @@ pub struct BinaryRecord<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryRequest<'a> {
     /// `true` for the batch kind (counted records, batch response frame).
-    pub batch: bool,
+    pub(crate) batch: bool,
     /// The client's key-table epoch; meaningful only when a record uses
     /// [`BinaryKeys::Ids`].
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// The decision records.
     pub records: Vec<BinaryRecord<'a>>,
 }
@@ -440,7 +439,7 @@ pub struct BinaryRequest<'a> {
 /// worker iterates (no per-request `Vec`); [`decode_binary_request`]
 /// collects it.
 #[derive(Debug)]
-pub struct BinaryRecords<'a> {
+pub(crate) struct BinaryRecords<'a> {
     reader: FrameReader<'a>,
     batch: bool,
     epoch: u64,
@@ -451,7 +450,7 @@ pub struct BinaryRecords<'a> {
 
 impl<'a> BinaryRecords<'a> {
     /// Read the request header (protocol version, kind, epoch, count).
-    pub fn new(body: &'a [u8]) -> Result<Self, FrameError> {
+    pub(crate) fn new(body: &'a [u8]) -> Result<Self, FrameError> {
         let mut reader = FrameReader::new(body);
         let proto = reader.u8()?;
         if proto != PROTO_VERSION {
@@ -474,25 +473,25 @@ impl<'a> BinaryRecords<'a> {
     }
 
     /// `true` for the batch kind (counted records, batch response frame).
-    pub fn batch(&self) -> bool {
+    pub(crate) fn batch(&self) -> bool {
         self.batch
     }
 
     /// The client's key-table epoch; meaningful only for records using
     /// [`BinaryKeys::Ids`].
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// How many records the header declares. Untrusted until every one of
     /// them has been read.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 
     /// The next record; `None` after the last declared one, once the body
     /// is checked to end there.
-    pub fn next_record(&mut self) -> Result<Option<BinaryRecord<'a>>, FrameError> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<BinaryRecord<'a>>, FrameError> {
         if self.unread == 0 {
             self.reader.clone().finish()?;
             return Ok(None);
@@ -633,7 +632,7 @@ impl<'a> BinaryRecord<'a> {
 
 /// Decode a binary single-decision response body into the version and the
 /// decision it encodes.
-pub fn decode_binary_single_response(body: &[u8]) -> Result<(u64, Decision), FrameError> {
+pub(crate) fn decode_binary_single_response(body: &[u8]) -> Result<(u64, Decision), FrameError> {
     let mut reader = FrameReader::new(body);
     let proto = reader.u8()?;
     if proto != PROTO_VERSION {
@@ -649,7 +648,9 @@ pub fn decode_binary_single_response(body: &[u8]) -> Result<(u64, Decision), Fra
 
 /// Decode a binary batch response body into the version and the decisions
 /// it encodes.
-pub fn decode_binary_batch_response(body: &[u8]) -> Result<(u64, Vec<Decision>), FrameError> {
+pub(crate) fn decode_binary_batch_response(
+    body: &[u8],
+) -> Result<(u64, Vec<Decision>), FrameError> {
     let mut reader = FrameReader::new(body);
     let proto = reader.u8()?;
     if proto != PROTO_VERSION {
@@ -672,12 +673,12 @@ pub fn decode_binary_batch_response(body: &[u8]) -> Result<(u64, Vec<Decision>),
 /// `503`): deliberately outside the decision-action code space so a
 /// client that skips the status check still cannot mistake it for a
 /// verdict.
-pub const KIND_SHED: u8 = 0xFF;
+pub(crate) const KIND_SHED: u8 = 0xFF;
 
 /// Encode the binary load-shed frame: `u8 proto, u8 KIND_SHED,
 /// u32 retry-after seconds` — the binary-protocol twin of the JSON
 /// `{"error": …, "retry_after": n}` body, sent with `503` + `Retry-After`.
-pub fn encode_binary_shed(retry_after: u32) -> Vec<u8> {
+pub(crate) fn encode_binary_shed(retry_after: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(6);
     out.push(PROTO_VERSION);
     out.push(KIND_SHED);
@@ -707,7 +708,7 @@ pub fn decode_binary_shed(body: &[u8]) -> Result<u32, FrameError> {
 ///
 /// The reply is streamed into one buffer, each key read straight out of
 /// the frozen view's arena: no `Value` tree and no string per key.
-pub fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> String {
+pub(crate) fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> String {
     // Each key, its quotes and its comma, unless it needs escapes; two
     // integers and the envelope take under 80 bytes.
     let bound = 80 + keys.iter().map(|(_, key)| key.len() + 3).sum::<usize>();
@@ -914,7 +915,7 @@ pub fn decode_observation_batch(text: &str) -> Result<ObservationBatch, JsonErro
 }
 
 /// Encode the reply to `POST /v1/commit`.
-pub fn commit_to_json(stats: &CommitStats, version: u64) -> Value {
+pub(crate) fn commit_to_json(stats: &CommitStats, version: u64) -> Value {
     object(vec![
         ("observations", Value::number_u64(stats.observations)),
         (
@@ -931,7 +932,7 @@ pub fn commit_to_json(stats: &CommitStats, version: u64) -> Value {
 }
 
 /// Encode `ServiceStats` (the core half of the `/v1/stats` reply).
-pub fn service_stats_to_json(stats: &ServiceStats) -> Value {
+pub(crate) fn service_stats_to_json(stats: &ServiceStats) -> Value {
     object(vec![
         ("version", Value::number_u64(stats.version)),
         (

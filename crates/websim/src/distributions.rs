@@ -14,7 +14,7 @@ use rand::Rng;
 /// Rank 0 is the most popular. Sampling is by binary search over the
 /// precomputed cumulative weights, O(log n) per draw.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cumulative: Vec<f64>,
 }
 
@@ -24,7 +24,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s` is not finite.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf distribution needs at least one rank");
         assert!(s.is_finite(), "Zipf exponent must be finite");
         let mut cumulative = Vec::with_capacity(n);
@@ -36,18 +36,8 @@ impl Zipf {
         Zipf { cumulative }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// `true` if the distribution has no ranks (never constructible).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
     /// Draw a rank in `0..n` (0 = most popular).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let x = rng.gen_range(0.0..total);
         match self
@@ -62,7 +52,7 @@ impl Zipf {
 
 /// Log-normal sampler via Box–Muller; used for per-resource request volumes.
 #[derive(Debug, Clone, Copy)]
-pub struct LogNormal {
+pub(crate) struct LogNormal {
     mu: f64,
     sigma: f64,
 }
@@ -70,13 +60,13 @@ pub struct LogNormal {
 impl LogNormal {
     /// Create a log-normal distribution with the given parameters of the
     /// underlying normal.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         LogNormal { mu, sigma }
     }
 
     /// Draw a sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Box–Muller transform.
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
@@ -85,7 +75,12 @@ impl LogNormal {
     }
 
     /// Draw a sample rounded up to an integer count, clamped to `[min, max]`.
-    pub fn sample_count<R: Rng + ?Sized>(&self, rng: &mut R, min: usize, max: usize) -> usize {
+    pub(crate) fn sample_count<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        min: usize,
+        max: usize,
+    ) -> usize {
         let v = self.sample(rng).ceil() as usize;
         v.clamp(min, max)
     }
@@ -93,13 +88,13 @@ impl LogNormal {
 
 /// Weighted choice over a small fixed set of alternatives.
 #[derive(Debug, Clone)]
-pub struct WeightedChoice {
+pub(crate) struct WeightedChoice {
     cumulative: Vec<f64>,
 }
 
 impl WeightedChoice {
     /// Build from non-negative weights. At least one weight must be positive.
-    pub fn new(weights: &[f64]) -> Self {
+    pub(crate) fn new(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "need at least one weight");
         assert!(
             weights.iter().all(|w| *w >= 0.0 && w.is_finite()),
@@ -116,7 +111,7 @@ impl WeightedChoice {
     }
 
     /// Draw an index into the original weight slice.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let x = rng.gen_range(0.0..total);
         match self
@@ -130,7 +125,7 @@ impl WeightedChoice {
 }
 
 /// Bernoulli helper: `true` with probability `p` (clamped to [0, 1]).
-pub fn coin<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
+pub(crate) fn coin<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     let p = p.clamp(0.0, 1.0);
     rng.gen_range(0.0..1.0) < p
 }

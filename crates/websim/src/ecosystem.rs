@@ -17,7 +17,7 @@ use rand::Rng;
 
 /// The archetype of a third-party service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServiceKind {
+pub(crate) enum ServiceKind {
     /// Pure advertising network (doubleclick-like).
     AdNetwork,
     /// Pure analytics / measurement provider (google-analytics-like).
@@ -49,14 +49,14 @@ impl ServiceKind {
     }
 
     /// `true` for the mixed platform archetypes.
-    pub fn is_platform(&self) -> bool {
+    pub(crate) fn is_platform(&self) -> bool {
         matches!(self, ServiceKind::Platform | ServiceKind::CdnPlatform)
     }
 }
 
 /// The role a hostname plays within its service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HostRole {
+pub(crate) enum HostRole {
     /// Serves only tracking endpoints (e.g. `pixel.wp.com`).
     Tracking,
     /// Serves only functional endpoints (e.g. `widgets.wp.com`).
@@ -67,42 +67,42 @@ pub enum HostRole {
 
 /// One hostname belonging to a service.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostSpec {
+pub(crate) struct HostSpec {
     /// Fully qualified hostname.
-    pub hostname: String,
+    pub(crate) hostname: String,
     /// Role of the hostname.
-    pub role: HostRole,
+    pub(crate) role: HostRole,
 }
 
 /// A third-party service in the ecosystem.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Service {
+pub(crate) struct Service {
     /// Stable index of the service within the ecosystem.
-    pub id: usize,
+    pub(crate) id: usize,
     /// Short name (used to derive script names).
-    pub name: String,
+    pub(crate) name: String,
     /// Registrable domain of the service.
-    pub domain: String,
+    pub(crate) domain: String,
     /// Archetype.
-    pub kind: ServiceKind,
+    pub(crate) kind: ServiceKind,
     /// Hostnames the service answers on.
-    pub hosts: Vec<HostSpec>,
+    pub(crate) hosts: Vec<HostSpec>,
     /// `true` when the synthetic EasyList/EasyPrivacy enumerates this
     /// service's tracking hostnames (community lists know about trackers;
     /// they do not enumerate functional CDNs).
-    pub listed_in_filters: bool,
+    pub(crate) listed_in_filters: bool,
     /// Popularity rank among services of any kind (0 = most embedded).
-    pub popularity_rank: usize,
+    pub(crate) popularity_rank: usize,
 }
 
 impl Service {
     /// The first hostname with the given role, if any.
-    pub fn host_with_role(&self, role: HostRole) -> Option<&HostSpec> {
+    pub(crate) fn host_with_role(&self, role: HostRole) -> Option<&HostSpec> {
         self.hosts.iter().find(|h| h.role == role)
     }
 
     /// All hostnames with the given role.
-    pub fn hosts_with_role(&self, role: HostRole) -> impl Iterator<Item = &HostSpec> {
+    pub(crate) fn hosts_with_role(&self, role: HostRole) -> impl Iterator<Item = &HostSpec> {
         self.hosts.iter().filter(move |h| h.role == role)
     }
 }
@@ -111,33 +111,18 @@ impl Service {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ecosystem {
     /// Every service, indexed by `Service::id`.
-    pub services: Vec<Service>,
+    pub(crate) services: Vec<Service>,
 }
 
 impl Ecosystem {
     /// Services of a given kind.
-    pub fn of_kind(&self, kind: ServiceKind) -> Vec<&Service> {
+    pub(crate) fn of_kind(&self, kind: ServiceKind) -> Vec<&Service> {
         self.services.iter().filter(|s| s.kind == kind).collect()
-    }
-
-    /// All services whose kind satisfies a predicate.
-    pub fn matching(&self, pred: impl Fn(ServiceKind) -> bool) -> Vec<&Service> {
-        self.services.iter().filter(|s| pred(s.kind)).collect()
-    }
-
-    /// Number of services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// `true` when the ecosystem has no services.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
     }
 }
 
 /// Build the ecosystem for a profile.
-pub fn build_ecosystem<R: Rng + ?Sized>(
+pub(crate) fn build_ecosystem<R: Rng + ?Sized>(
     counts: &crate::profiles::EcosystemCounts,
     rng: &mut R,
 ) -> Ecosystem {
@@ -302,7 +287,7 @@ fn hosts_for<R: Rng + ?Sized>(kind: ServiceKind, domain: &str, rng: &mut R) -> V
 /// A Zipf sampler over the ecosystem's services restricted to a kind
 /// predicate; returns indices into `Ecosystem::services`.
 #[derive(Debug, Clone)]
-pub struct ServiceSampler {
+pub(crate) struct ServiceSampler {
     indices: Vec<usize>,
     zipf: Zipf,
 }
@@ -311,7 +296,7 @@ impl ServiceSampler {
     /// Build a sampler over services matching `pred`, popularity-ordered.
     ///
     /// Returns `None` when no service matches.
-    pub fn new(
+    pub(crate) fn new(
         ecosystem: &Ecosystem,
         exponent: f64,
         pred: impl Fn(ServiceKind) -> bool,
@@ -331,18 +316,8 @@ impl ServiceSampler {
     }
 
     /// Draw a service id.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.indices[self.zipf.sample(rng)]
-    }
-
-    /// Number of candidate services.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// `true` when the sampler has no candidates (never constructible).
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
     }
 }
 
@@ -356,7 +331,7 @@ impl ServiceSampler {
 /// match them — this is how tracking requests to *mixed* or unlisted hosts
 /// still get labeled, exactly like the real lists catch `/collect?v=1&...`
 /// on any host.
-pub fn tracking_endpoint_url<R: Rng + ?Sized>(
+pub(crate) fn tracking_endpoint_url<R: Rng + ?Sized>(
     hostname: &str,
     rng: &mut R,
 ) -> (String, ResourceType) {
@@ -426,7 +401,7 @@ pub fn tracking_endpoint_url<R: Rng + ?Sized>(
 ///
 /// Paths deliberately avoid every generic tracking pattern in the curated
 /// lists so the oracle labels them functional.
-pub fn functional_endpoint_url<R: Rng + ?Sized>(
+pub(crate) fn functional_endpoint_url<R: Rng + ?Sized>(
     hostname: &str,
     rng: &mut R,
 ) -> (String, ResourceType) {
@@ -477,7 +452,7 @@ pub fn functional_endpoint_url<R: Rng + ?Sized>(
 }
 
 /// Build an endpoint URL of the requested purpose.
-pub fn endpoint_url<R: Rng + ?Sized>(
+pub(crate) fn endpoint_url<R: Rng + ?Sized>(
     hostname: &str,
     purpose: Purpose,
     rng: &mut R,
@@ -490,7 +465,7 @@ pub fn endpoint_url<R: Rng + ?Sized>(
 
 /// URL of the script a tracking service serves (the `analytics.js` /
 /// `show_ads_impl`-style payload).
-pub fn service_script_url<R: Rng + ?Sized>(service: &Service, rng: &mut R) -> String {
+pub(crate) fn service_script_url<R: Rng + ?Sized>(service: &Service, rng: &mut R) -> String {
     let host = service
         .host_with_role(HostRole::Tracking)
         .or_else(|| service.host_with_role(HostRole::Mixed))
@@ -566,7 +541,7 @@ mod tests {
     #[test]
     fn platform_services_have_mixed_hosts() {
         let eco = ecosystem();
-        for s in eco.matching(|k| k.is_platform()) {
+        for s in eco.services.iter().filter(|s| s.kind.is_platform()) {
             assert!(s.host_with_role(HostRole::Mixed).is_some(), "{}", s.domain);
             assert!(
                 s.host_with_role(HostRole::Tracking).is_some(),
@@ -603,7 +578,11 @@ mod tests {
         }
         // The candidate with the best (lowest) popularity rank must be drawn
         // far more often than the candidate with the worst rank.
-        let candidates: Vec<&Service> = eco.matching(|k| k.is_pure_tracking());
+        let candidates: Vec<&Service> = eco
+            .services
+            .iter()
+            .filter(|s| s.kind.is_pure_tracking())
+            .collect();
         let best = candidates.iter().min_by_key(|s| s.popularity_rank).unwrap();
         let worst = candidates.iter().max_by_key(|s| s.popularity_rank).unwrap();
         let best_draws = counts.get(&best.id).copied().unwrap_or(0);

@@ -36,8 +36,7 @@ fn ecosystem_rules_text(ecosystem: &Ecosystem) -> String {
 fn ecosystem_rules(ecosystem: &Ecosystem) -> Vec<FilterRule> {
     ecosystem_rules_text(ecosystem)
         .lines()
-        .enumerate()
-        .filter_map(|(i, line)| parse_rule(line, ListKind::Custom, i + 1))
+        .filter_map(|line| parse_rule(line, ListKind::Custom))
         .collect()
 }
 
@@ -82,7 +81,7 @@ mod tests {
     fn platform_tracking_hosts_get_host_rules_but_mixed_hosts_do_not() {
         let eco = eco();
         let text = ecosystem_rules_text(&eco);
-        for svc in eco.matching(|k| k.is_platform()) {
+        for svc in eco.services.iter().filter(|s| s.kind.is_platform()) {
             for host in svc.hosts_with_role(HostRole::Tracking) {
                 assert!(text.contains(&format!("||{}^", host.hostname)));
             }

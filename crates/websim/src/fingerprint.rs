@@ -21,16 +21,16 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental 64-bit FNV-1a hasher.
 #[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
     /// Start a hash at the FNV offset basis.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv1a(FNV_OFFSET)
     }
 
     /// Fold bytes into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
@@ -38,17 +38,17 @@ impl Fnv1a {
     }
 
     /// Fold one byte into the hash.
-    pub fn write_u8(&mut self, byte: u8) {
+    pub(crate) fn write_u8(&mut self, byte: u8) {
         self.write(&[byte]);
     }
 
     /// Fold a `u64` into the hash (little-endian).
-    pub fn write_u64(&mut self, value: u64) {
+    pub(crate) fn write_u64(&mut self, value: u64) {
         self.write(&value.to_le_bytes());
     }
 
     /// The hash value accumulated so far.
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -64,7 +64,7 @@ impl Default for Fnv1a {
 /// endpoint path rotation (request URLs and resource types are not hashed);
 /// changed by anything that alters what the script *does* — adding a
 /// method, flipping a request's intent, re-wiring callees.
-pub fn script_fingerprint(script: &PageScript) -> u64 {
+pub(crate) fn script_fingerprint(script: &PageScript) -> u64 {
     let mut hash = Fnv1a::new();
     hash.write_u8(match script.archetype {
         ScriptArchetype::Tracking => 1,

@@ -9,9 +9,7 @@
 
 use crate::distributions::{coin, LogNormal, WeightedChoice};
 use crate::ecosystem::{build_ecosystem, Ecosystem, HostRole, ServiceKind, ServiceSampler};
-use crate::model::{
-    Feature, FeatureImportance, PlannedRequest, Purpose, ScriptArchetype, WebCorpus, Website,
-};
+use crate::model::{Feature, FeatureImportance, PlannedRequest, Purpose, WebCorpus, Website};
 use crate::names::NameFactory;
 use crate::profiles::CorpusProfile;
 use crate::scripts::{
@@ -428,55 +426,10 @@ fn generate_document_requests(
     out
 }
 
-/// Aggregate statistics about a corpus (generator-side ground truth).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CorpusStats {
-    /// Number of websites.
-    pub websites: usize,
-    /// Total script-initiated planned requests.
-    pub script_initiated_requests: usize,
-    /// Total document-initiated planned requests.
-    pub document_requests: usize,
-    /// Scripts by archetype: (tracking, functional, mixed).
-    pub scripts_by_archetype: (usize, usize, usize),
-    /// Ground-truth tracking / functional request intents.
-    pub requests_by_intent: (usize, usize),
-    /// Number of distinct third-party services.
-    pub services: usize,
-}
-
-impl CorpusStats {
-    /// Compute statistics for a corpus.
-    pub fn compute(corpus: &WebCorpus) -> Self {
-        let mut stats = CorpusStats {
-            websites: corpus.websites.len(),
-            services: corpus.ecosystem.len(),
-            ..Default::default()
-        };
-        for site in &corpus.websites {
-            stats.document_requests += site.non_script_requests.len();
-            for script in &site.scripts {
-                match script.archetype {
-                    ScriptArchetype::Tracking => stats.scripts_by_archetype.0 += 1,
-                    ScriptArchetype::Functional => stats.scripts_by_archetype.1 += 1,
-                    ScriptArchetype::Mixed => stats.scripts_by_archetype.2 += 1,
-                }
-                for (_, req) in script.planned_requests() {
-                    stats.script_initiated_requests += 1;
-                    match req.intent {
-                        Purpose::Tracking => stats.requests_by_intent.0 += 1,
-                        Purpose::Functional => stats.requests_by_intent.1 += 1,
-                    }
-                }
-            }
-        }
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ScriptArchetype;
 
     #[test]
     fn generation_is_deterministic() {
@@ -500,16 +453,22 @@ mod tests {
         let profile = CorpusProfile::small();
         let corpus = CorpusGenerator::generate(&profile, 7);
         assert_eq!(corpus.websites.len(), profile.sites);
-        let stats = CorpusStats::compute(&corpus);
         // Roughly 10-60 script-initiated requests per site.
-        let per_site = stats.script_initiated_requests as f64 / profile.sites as f64;
+        let per_site = corpus.total_script_initiated_requests() as f64 / profile.sites as f64;
         assert!(
             per_site > 8.0 && per_site < 80.0,
             "requests per site: {per_site}"
         );
         // Both intents are present in quantity.
-        assert!(stats.requests_by_intent.0 > 100);
-        assert!(stats.requests_by_intent.1 > 100);
+        let tracking = corpus
+            .websites
+            .iter()
+            .flat_map(|site| &site.scripts)
+            .flat_map(|script| script.planned_requests())
+            .filter(|(_, req)| req.intent == Purpose::Tracking)
+            .count();
+        assert!(tracking > 100);
+        assert!(corpus.total_script_initiated_requests() - tracking > 100);
     }
 
     #[test]
@@ -536,9 +495,11 @@ mod tests {
     #[test]
     fn mixed_scripts_exist_but_are_minority() {
         let corpus = CorpusGenerator::generate(&CorpusProfile::small(), 5);
-        let stats = CorpusStats::compute(&corpus);
-        let (t, f, m) = stats.scripts_by_archetype;
-        let total = t + f + m;
+        let scripts = || corpus.websites.iter().flat_map(|site| &site.scripts);
+        let total = scripts().count();
+        let m = scripts()
+            .filter(|script| script.archetype == ScriptArchetype::Mixed)
+            .count();
         assert!(m > 0, "expected some mixed scripts");
         assert!(
             (m as f64) < 0.35 * total as f64,

@@ -10,7 +10,7 @@
 //! hosting of tracking endpoints, webpack-style bundling of tracking modules
 //! into functional code, and inlined tracking snippets.
 //!
-//! The output of [`generator::CorpusGenerator::generate`] is a pure data
+//! The output of [`CorpusGenerator::generate`] is a pure data
 //! structure: every website lists its scripts, every script its methods,
 //! every method the requests it will issue. The `crawler` crate turns that
 //! description into DevTools-style events; the `trackersift` crate runs the
@@ -25,25 +25,26 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
-pub mod distributions;
-pub mod ecosystem;
+mod distributions;
+mod ecosystem;
 pub mod filter_rules;
-pub mod fingerprint;
-pub mod generator;
-pub mod model;
-pub mod mutator;
-pub mod names;
-pub mod profiles;
-pub mod scripts;
+mod fingerprint;
+mod generator;
+mod model;
+mod mutator;
+mod names;
+mod profiles;
+mod scripts;
 
-pub use ecosystem::{Ecosystem, HostRole, Service, ServiceKind};
-pub use fingerprint::{fingerprint_key, script_fingerprint};
-pub use generator::{CorpusGenerator, CorpusStats};
+pub use ecosystem::Ecosystem;
+pub use fingerprint::fingerprint_key;
+pub use generator::CorpusGenerator;
 pub use model::{
     Feature, FeatureImportance, PageScript, PlannedRequest, Purpose, ScriptArchetype,
     ScriptMethodSpec, ScriptOrigin, WebCorpus, Website,
 };
 pub use mutator::{EcosystemMutator, MutationConfig, MutationReport, ScriptRotation};
-pub use profiles::{CorpusProfile, EcosystemCounts};
+pub use profiles::CorpusProfile;

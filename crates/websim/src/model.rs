@@ -67,7 +67,7 @@ pub struct ScriptMethodSpec {
 
 impl ScriptMethodSpec {
     /// A method with no requests and no callees.
-    pub fn empty(name: impl Into<String>) -> Self {
+    pub(crate) fn empty(name: impl Into<String>) -> Self {
         ScriptMethodSpec {
             name: name.into(),
             requests: Vec::new(),
@@ -142,7 +142,7 @@ pub struct PageScript {
 
 impl PageScript {
     /// Total planned requests across all methods of this script.
-    pub fn planned_request_count(&self) -> usize {
+    pub(crate) fn planned_request_count(&self) -> usize {
         self.methods.iter().map(|m| m.requests.len()).sum()
     }
 
@@ -224,16 +224,6 @@ impl WebCorpus {
             .iter()
             .map(|w| w.script_initiated_request_count())
             .sum()
-    }
-
-    /// Number of websites.
-    pub fn len(&self) -> usize {
-        self.websites.len()
-    }
-
-    /// `true` when the corpus has no websites.
-    pub fn is_empty(&self) -> bool {
-        self.websites.is_empty()
     }
 }
 

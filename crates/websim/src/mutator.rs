@@ -19,7 +19,7 @@
 //!   intent, still caught by the curated lists' generic rules.
 //! * **Pixel emergence** — a new document-initiated tracking pixel appears
 //!   on a page, aimed at a tracking-role host of the ecosystem. Appended to
-//!   [`Website::non_script_requests`](crate::model::Website::non_script_requests)
+//!   [`Website::non_script_requests`](crate::Website::non_script_requests)
 //!   so existing scripts' behaviour — and therefore their
 //!   [content fingerprints](crate::fingerprint) — is untouched.
 //!
@@ -30,7 +30,7 @@
 
 use crate::ecosystem::{tracking_endpoint_url, Ecosystem, HostRole};
 use crate::model::{PlannedRequest, Purpose, ScriptArchetype, ScriptOrigin, WebCorpus};
-use filterlist::url::hostname_of;
+use filterlist::hostname_of;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,13 +39,13 @@ use rand::{Rng, SeedableRng};
 pub struct MutationConfig {
     /// Probability that an external tracking script rotates to a fresh CDN
     /// subdomain in a given epoch.
-    pub cdn_rotation_rate: f64,
+    pub(crate) cdn_rotation_rate: f64,
     /// Probability that a script's tracking endpoints re-draw their paths
     /// and query shapes in a given epoch.
-    pub path_rotation_rate: f64,
+    pub(crate) path_rotation_rate: f64,
     /// Probability that a new invisible tracking pixel appears on a page in
     /// a given epoch.
-    pub pixel_emergence_rate: f64,
+    pub(crate) pixel_emergence_rate: f64,
 }
 
 impl Default for MutationConfig {
@@ -87,7 +87,7 @@ pub struct ScriptRotation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MutationReport {
     /// The epoch the mutation was applied for.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Every CDN rotation applied, in (site, script) order.
     pub rotations: Vec<ScriptRotation>,
     /// Number of scripts whose tracking endpoints re-drew their paths.
@@ -108,11 +108,6 @@ impl EcosystemMutator {
     /// A mutator for a seed and config.
     pub fn new(seed: u64, config: MutationConfig) -> Self {
         EcosystemMutator { seed, config }
-    }
-
-    /// The mutation config.
-    pub fn config(&self) -> &MutationConfig {
-        &self.config
     }
 
     /// Mutate the corpus in place for `epoch`, returning what changed.

@@ -26,41 +26,13 @@ const PUBLISHER_TLDS: &[&str] = &[
 
 const SERVICE_TLDS: &[&str] = &["com", "com", "net", "io", "co", "org"];
 
-const METHOD_PREFIXES: &[&str] = &[
-    "get", "send", "load", "fetch", "init", "track", "log", "report", "render", "update", "sync",
-    "push", "emit", "dispatch", "handle", "process", "queue", "flush", "collect", "measure",
-];
-
-const METHOD_SUFFIXES: &[&str] = &[
-    "Data",
-    "Event",
-    "Beacon",
-    "Request",
-    "Content",
-    "Pixel",
-    "Metrics",
-    "Payload",
-    "Resource",
-    "Impression",
-    "View",
-    "State",
-    "Config",
-    "Assets",
-    "Batch",
-    "Hit",
-    "Signal",
-    "Session",
-    "Widget",
-    "Frame",
-];
-
 /// Deterministic name factory.
 #[derive(Debug, Default)]
-pub struct NameFactory;
+pub(crate) struct NameFactory;
 
 impl NameFactory {
     /// A pronounceable base word of 2–3 syllables.
-    pub fn base_word<R: Rng + ?Sized>(rng: &mut R) -> String {
+    pub(crate) fn base_word<R: Rng + ?Sized>(rng: &mut R) -> String {
         let syllable_count = rng.gen_range(2..=3);
         let mut word = String::new();
         for _ in 0..syllable_count {
@@ -70,7 +42,7 @@ impl NameFactory {
     }
 
     /// A publisher (first-party website) domain such as `lumranews.com`.
-    pub fn publisher_domain<R: Rng + ?Sized>(rng: &mut R, rank: usize) -> String {
+    pub(crate) fn publisher_domain<R: Rng + ?Sized>(rng: &mut R, rank: usize) -> String {
         let word = Self::base_word(rng);
         let suffix = PUBLISHER_SUFFIXES[rng.gen_range(0..PUBLISHER_SUFFIXES.len())];
         let tld = PUBLISHER_TLDS[rng.gen_range(0..PUBLISHER_TLDS.len())];
@@ -79,21 +51,14 @@ impl NameFactory {
     }
 
     /// A third-party service domain such as `pixkorads.net`.
-    pub fn service_domain<R: Rng + ?Sized>(rng: &mut R, hint: &str, index: usize) -> String {
+    pub(crate) fn service_domain<R: Rng + ?Sized>(rng: &mut R, hint: &str, index: usize) -> String {
         let word = Self::base_word(rng);
         let tld = SERVICE_TLDS[rng.gen_range(0..SERVICE_TLDS.len())];
         format!("{word}{hint}{index}.{tld}")
     }
 
-    /// A JavaScript-style method name such as `sendBeacon` or `fetchContent`.
-    pub fn method_name<R: Rng + ?Sized>(rng: &mut R) -> String {
-        let p = METHOD_PREFIXES[rng.gen_range(0..METHOD_PREFIXES.len())];
-        let s = METHOD_SUFFIXES[rng.gen_range(0..METHOD_SUFFIXES.len())];
-        format!("{p}{s}")
-    }
-
     /// A short minified method name such as `t`, `m2`, `Pa.xhrRequest`-style.
-    pub fn minified_method_name<R: Rng + ?Sized>(rng: &mut R) -> String {
+    pub(crate) fn minified_method_name<R: Rng + ?Sized>(rng: &mut R) -> String {
         let letters = "abcdefghijklmnopqrstuvwxyz";
         let a = letters.as_bytes()[rng.gen_range(0..letters.len())] as char;
         if rng.gen_bool(0.5) {
@@ -114,7 +79,7 @@ impl NameFactory {
     }
 
     /// A first-party application bundle filename (`app.9115af43.js`).
-    pub fn bundle_filename<R: Rng + ?Sized>(rng: &mut R) -> String {
+    pub(crate) fn bundle_filename<R: Rng + ?Sized>(rng: &mut R) -> String {
         let stem =
             ["app", "main", "bundle", "vendor", "chunk", "runtime"][rng.gen_range(0..6usize)];
         format!("{stem}.{}.js", Self::content_hash(rng, 8))
@@ -144,10 +109,6 @@ mod tests {
             NameFactory::service_domain(&mut a, "ads", 3),
             NameFactory::service_domain(&mut b, "ads", 3)
         );
-        assert_eq!(
-            NameFactory::method_name(&mut a),
-            NameFactory::method_name(&mut b)
-        );
     }
 
     #[test]
@@ -155,9 +116,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for i in 0..200 {
             let d = NameFactory::publisher_domain(&mut rng, i);
-            assert!(filterlist::domain::is_valid_hostname(&d), "{d}");
+            assert!(filterlist::is_valid_hostname(&d), "{d}");
             let s = NameFactory::service_domain(&mut rng, "cdn", i);
-            assert!(filterlist::domain::is_valid_hostname(&s), "{s}");
+            assert!(filterlist::is_valid_hostname(&s), "{s}");
         }
     }
 

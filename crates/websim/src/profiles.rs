@@ -6,7 +6,7 @@
 //! and the calibration that approximates the paper's Tables 1–2 is explicit
 //! and inspectable.
 
-/// All generation parameters for a [`crate::generator::CorpusGenerator`] run.
+/// All generation parameters for a [`crate::CorpusGenerator`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusProfile {
     /// Number of websites (landing pages) to generate.
@@ -17,49 +17,49 @@ pub struct CorpusProfile {
     // with small floors so tiny corpora still have an ecosystem).
     // ------------------------------------------------------------------
     /// Pure advertising networks (whole domain is tracking).
-    pub ad_network_fraction: f64,
+    pub(crate) ad_network_fraction: f64,
     /// Pure analytics/measurement providers (whole domain is tracking).
-    pub analytics_fraction: f64,
+    pub(crate) analytics_fraction: f64,
     /// Pure functional CDNs (libraries, static assets).
-    pub functional_cdn_fraction: f64,
+    pub(crate) functional_cdn_fraction: f64,
     /// Pure functional content/API services (weather, maps, payments, ...).
-    pub api_service_fraction: f64,
+    pub(crate) api_service_fraction: f64,
     /// Mixed platform services (search/social/CDN giants that serve both
     /// tracking and functional resources from the same domain).
-    pub platform_fraction: f64,
+    pub(crate) platform_fraction: f64,
     /// Number of tag-manager style services (fixed count, they are few but
     /// extremely popular).
-    pub tag_managers: usize,
+    pub(crate) tag_managers: usize,
     /// Number of consent-management platforms.
-    pub consent_managers: usize,
+    pub(crate) consent_managers: usize,
 
     // ------------------------------------------------------------------
     // Popularity / volume skew
     // ------------------------------------------------------------------
     /// Zipf exponent for third-party service popularity (higher = the top
     /// services appear on more sites).
-    pub service_popularity_exponent: f64,
+    pub(crate) service_popularity_exponent: f64,
     /// Log-normal `mu` for per-method request counts.
-    pub request_volume_mu: f64,
+    pub(crate) request_volume_mu: f64,
     /// Log-normal `sigma` for per-method request counts.
-    pub request_volume_sigma: f64,
+    pub(crate) request_volume_sigma: f64,
 
     // ------------------------------------------------------------------
     // Per-site composition
     // ------------------------------------------------------------------
     /// Minimum / maximum number of third-party *tracking* services embedded
     /// per site (ad networks + analytics).
-    pub tracking_services_per_site: (usize, usize),
+    pub(crate) tracking_services_per_site: (usize, usize),
     /// Minimum / maximum number of third-party *functional* services per
     /// site (CDNs, APIs, fonts).
-    pub functional_services_per_site: (usize, usize),
+    pub(crate) functional_services_per_site: (usize, usize),
     /// Minimum / maximum number of *platform* services per site.
-    pub platform_services_per_site: (usize, usize),
+    pub(crate) platform_services_per_site: (usize, usize),
     /// Probability a site uses a tag manager (which then injects its
     /// tracking scripts, creating ancestral call stacks).
-    pub tag_manager_rate: f64,
+    pub(crate) tag_manager_rate: f64,
     /// Probability a site embeds a consent-management script.
-    pub consent_manager_rate: f64,
+    pub(crate) consent_manager_rate: f64,
 
     // ------------------------------------------------------------------
     // Mixing behaviours (the circumvention patterns the paper studies)
@@ -67,41 +67,41 @@ pub struct CorpusProfile {
     /// Probability a site self-hosts tracking endpoints on its own domain
     /// (first-party hosting / CNAME-style circumvention). Makes the site's
     /// own domain and `www` hostname mixed.
-    pub first_party_tracking_rate: f64,
+    pub(crate) first_party_tracking_rate: f64,
     /// Probability that a self-hosting site emits its first-party beacon
     /// from the same first-party application script that also performs
     /// functional XHRs (rather than a dedicated snippet) — this is what
     /// turns a first-party script mixed.
-    pub first_party_beacon_in_app_script_rate: f64,
+    pub(crate) first_party_beacon_in_app_script_rate: f64,
     /// Probability a site's first-party code is shipped as a webpack-style
     /// bundle rather than plain `main.js`.
-    pub bundling_rate: f64,
+    pub(crate) bundling_rate: f64,
     /// Given a bundle, probability it folds a tracking module (e.g. an
     /// analytics pixel) in with the functional modules — a mixed script.
-    pub bundled_tracking_rate: f64,
+    pub(crate) bundled_tracking_rate: f64,
     /// Probability a site inlines a tracking snippet directly in the page
     /// (script-inlining circumvention). Inline snippets share the page URL
     /// as their script identity.
-    pub inline_tracking_rate: f64,
+    pub(crate) inline_tracking_rate: f64,
     /// Probability a site also has an inline *functional* snippet (making
     /// the page-URL script identity mixed when combined with an inline
     /// tracking snippet).
-    pub inline_functional_rate: f64,
+    pub(crate) inline_functional_rate: f64,
     /// Given a mixed script, probability it routes both tracking and
     /// functional requests through one shared dispatcher method (e.g.
     /// `Pa.xhrRequest`) — a *mixed method*, the finest-granularity residue.
-    pub mixed_method_rate: f64,
+    pub(crate) mixed_method_rate: f64,
     /// Number of image/content requests a site loads from platform CDNs
     /// (min, max) — the functional side of mixed hostnames.
-    pub platform_cdn_fetches_per_site: (usize, usize),
+    pub(crate) platform_cdn_fetches_per_site: (usize, usize),
 
     // ------------------------------------------------------------------
     // Page features (breakage analysis)
     // ------------------------------------------------------------------
     /// Minimum / maximum number of core features per page.
-    pub core_features_per_site: (usize, usize),
+    pub(crate) core_features_per_site: (usize, usize),
     /// Minimum / maximum number of secondary features per page.
-    pub secondary_features_per_site: (usize, usize),
+    pub(crate) secondary_features_per_site: (usize, usize),
 
     // ------------------------------------------------------------------
     // Noise
@@ -109,7 +109,7 @@ pub struct CorpusProfile {
     /// Probability that an individual request's intent is flipped when the
     /// URL is built (models filter-list imperfection: slow updates and
     /// mistakes, §3 "filter lists are not perfect").
-    pub label_noise: f64,
+    pub(crate) label_noise: f64,
 }
 
 impl CorpusProfile {
@@ -244,7 +244,7 @@ impl CorpusProfile {
 
     /// Absolute ecosystem sizes derived from the fractions (with floors so
     /// tiny corpora still exercise every service kind).
-    pub fn ecosystem_counts(&self) -> EcosystemCounts {
+    pub(crate) fn ecosystem_counts(&self) -> EcosystemCounts {
         let frac = |f: f64, floor: usize| ((self.sites as f64 * f).round() as usize).max(floor);
         EcosystemCounts {
             ad_networks: frac(self.ad_network_fraction, 4),
@@ -266,34 +266,21 @@ impl Default for CorpusProfile {
 
 /// Absolute service counts derived from a profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EcosystemCounts {
+pub(crate) struct EcosystemCounts {
     /// Pure advertising networks.
-    pub ad_networks: usize,
+    pub(crate) ad_networks: usize,
     /// Pure analytics providers.
-    pub analytics: usize,
+    pub(crate) analytics: usize,
     /// Pure functional CDNs.
-    pub functional_cdns: usize,
+    pub(crate) functional_cdns: usize,
     /// Pure functional content APIs.
-    pub api_services: usize,
+    pub(crate) api_services: usize,
     /// Mixed platform services.
-    pub platforms: usize,
+    pub(crate) platforms: usize,
     /// Tag managers.
-    pub tag_managers: usize,
+    pub(crate) tag_managers: usize,
     /// Consent managers.
-    pub consent_managers: usize,
-}
-
-impl EcosystemCounts {
-    /// Total number of third-party services.
-    pub fn total(&self) -> usize {
-        self.ad_networks
-            + self.analytics
-            + self.functional_cdns
-            + self.api_services
-            + self.platforms
-            + self.tag_managers
-            + self.consent_managers
-    }
+    pub(crate) consent_managers: usize,
 }
 
 #[cfg(test)]
@@ -332,7 +319,6 @@ mod tests {
         let small = CorpusProfile::paper().with_sites(1_000).ecosystem_counts();
         let large = CorpusProfile::paper().with_sites(10_000).ecosystem_counts();
         assert!(large.ad_networks > small.ad_networks);
-        assert!(large.total() > small.total());
     }
 
     #[test]

@@ -19,24 +19,24 @@ use crate::profiles::CorpusProfile;
 use rand::Rng;
 
 /// Context shared by the factory while building one website.
-pub struct SiteContext<'a> {
+pub(crate) struct SiteContext<'a> {
     /// Profile in force.
-    pub profile: &'a CorpusProfile,
+    pub(crate) profile: &'a CorpusProfile,
     /// Landing-page URL of the site being generated.
-    pub page_url: String,
+    pub(crate) page_url: String,
     /// Primary hostname of the site (`www.<domain>`).
-    pub hostname: String,
+    pub(crate) hostname: String,
     /// Registrable domain of the site.
-    pub domain: String,
+    pub(crate) domain: String,
     /// Site rank (used to derive per-site script URL variants).
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Log-normal request-volume sampler.
-    pub volume: LogNormal,
+    pub(crate) volume: LogNormal,
 }
 
 impl<'a> SiteContext<'a> {
     /// How many requests a single emission point produces.
-    pub fn volume<R: Rng + ?Sized>(&self, rng: &mut R, max: usize) -> usize {
+    pub(crate) fn volume<R: Rng + ?Sized>(&self, rng: &mut R, max: usize) -> usize {
         self.volume.sample_count(rng, 1, max)
     }
 }
@@ -44,7 +44,7 @@ impl<'a> SiteContext<'a> {
 /// Build `count` requests of `purpose` aimed at `hostname`, honouring the
 /// profile's label noise (a noisy request keeps its intent but gets a URL of
 /// the *opposite* shape, modelling filter-list mistakes).
-pub fn planned_requests<R: Rng + ?Sized>(
+pub(crate) fn planned_requests<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     rng: &mut R,
     hostname: &str,
@@ -77,7 +77,7 @@ pub fn planned_requests<R: Rng + ?Sized>(
 
 /// Like [`planned_requests`], but draws the request count from the profile's
 /// log-normal volume distribution (capped at `max`).
-pub fn emit<R: Rng + ?Sized>(
+pub(crate) fn emit<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     rng: &mut R,
     hostname: &str,
@@ -90,7 +90,7 @@ pub fn emit<R: Rng + ?Sized>(
 }
 
 /// A third-party analytics tag: tracking beacons to the vendor's own hosts.
-pub fn analytics_script<R: Rng + ?Sized>(
+pub(crate) fn analytics_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     service: &Service,
     rng: &mut R,
@@ -131,7 +131,7 @@ pub fn analytics_script<R: Rng + ?Sized>(
 /// An ad-network loader: ad requests to the vendor plus creative fetches
 /// that ride on a shared content CDN (a *mixed* hostname), which is what
 /// drags ad scripts into the script-level analysis.
-pub fn ad_network_script<R: Rng + ?Sized>(
+pub(crate) fn ad_network_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     service: &Service,
     cdn_mixed_host: Option<&str>,
@@ -179,7 +179,7 @@ pub fn ad_network_script<R: Rng + ?Sized>(
 /// injects other tracking scripts (which therefore carry it in their
 /// ancestral call stacks). The indices of the injected scripts are patched
 /// in by the generator via `loads_scripts`.
-pub fn tag_manager_script<R: Rng + ?Sized>(
+pub(crate) fn tag_manager_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     service: &Service,
     rng: &mut R,
@@ -212,7 +212,7 @@ pub fn tag_manager_script<R: Rng + ?Sized>(
 
 /// A consent-management script which, once consent is (assumed) granted,
 /// calls out to advertising vendors — the `uc.js` example from the paper.
-pub fn consent_manager_script<R: Rng + ?Sized>(
+pub(crate) fn consent_manager_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     service: &Service,
     ad_vendors: &[&Service],
@@ -248,7 +248,7 @@ pub fn consent_manager_script<R: Rng + ?Sized>(
 
 /// How a site uses a platform SDK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlatformSdkMode {
+pub(crate) enum PlatformSdkMode {
     /// Only functional widget content (e.g. an embedded post).
     WidgetOnly,
     /// Only conversion/impression tracking (pixel mode).
@@ -258,7 +258,7 @@ pub enum PlatformSdkMode {
 }
 
 /// A platform SDK (social widget / embedded content SDK).
-pub fn platform_sdk_script<R: Rng + ?Sized>(
+pub(crate) fn platform_sdk_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     service: &Service,
     mode: PlatformSdkMode,
@@ -348,7 +348,7 @@ pub fn platform_sdk_script<R: Rng + ?Sized>(
 
 /// A functional library served from a shared CDN (jquery/lazysizes-like):
 /// lazily loads content, including from shared *mixed* image CDNs.
-pub fn functional_library_script<R: Rng + ?Sized>(
+pub(crate) fn functional_library_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     cdn: &Service,
     mixed_cdn_host: Option<&str>,
@@ -382,7 +382,7 @@ pub fn functional_library_script<R: Rng + ?Sized>(
 }
 
 /// A pure functional content/API integration (maps, payments, search).
-pub fn api_service_script<R: Rng + ?Sized>(
+pub(crate) fn api_service_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     service: &Service,
     rng: &mut R,
@@ -407,13 +407,13 @@ pub fn api_service_script<R: Rng + ?Sized>(
 
 /// Options controlling the first-party application script.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FirstPartyOptions {
+pub(crate) struct FirstPartyOptions {
     /// Site self-hosts tracking and the beacon lives in this script.
-    pub embed_tracking_beacon: bool,
+    pub(crate) embed_tracking_beacon: bool,
     /// Ship as a webpack bundle.
-    pub bundle: bool,
+    pub(crate) bundle: bool,
     /// Fold a third-party tracking module into the bundle.
-    pub bundle_tracking_module: bool,
+    pub(crate) bundle_tracking_module: bool,
 }
 
 /// The site's own application code (`main.js` or a webpack bundle).
@@ -422,7 +422,7 @@ pub struct FirstPartyOptions {
 /// from shared platform CDNs (mixed hostnames). Depending on the options it
 /// may also carry tracking behaviour — the first-party hosting and bundling
 /// circumvention patterns.
-pub fn first_party_app_script<R: Rng + ?Sized>(
+pub(crate) fn first_party_app_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     platform_cdn_host: Option<&str>,
     tracking_vendor: Option<&Service>,
@@ -509,7 +509,7 @@ pub fn first_party_app_script<R: Rng + ?Sized>(
 
 /// A dedicated self-hosted tracking script (`/js/stats.js`) used by sites
 /// that first-party-host their analytics but keep it out of the app bundle.
-pub fn self_hosted_tracker_script<R: Rng + ?Sized>(
+pub(crate) fn self_hosted_tracker_script<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     rng: &mut R,
 ) -> PageScript {
@@ -542,7 +542,7 @@ pub fn self_hosted_tracker_script<R: Rng + ?Sized>(
 /// An inline snippet. Its script identity is the page URL, so several inline
 /// snippets on one page collapse into one script-level resource — the
 /// script-inlining circumvention pattern.
-pub fn inline_snippet<R: Rng + ?Sized>(
+pub(crate) fn inline_snippet<R: Rng + ?Sized>(
     ctx: &SiteContext<'_>,
     position: usize,
     purpose: Purpose,

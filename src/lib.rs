@@ -23,6 +23,7 @@
 //! versioned [`trackersift::SifterSnapshot`].
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 /// The filter-list engine (EasyList / EasyPrivacy semantics).
 pub use filterlist;
@@ -53,13 +54,14 @@ pub mod prelude {
     pub use filterlist::{FilterEngine, FilterRequest, ListKind, RequestLabel, ResourceType};
     pub use rewriter::{RewriterBuilder, RewrittenUrl, UrlRewriter};
     pub use scheduler::{Scheduler, SchedulerConfig, ScriptKeying};
+    pub use trackersift::breakage::Breakage;
+    pub use trackersift::report::RatioHistogram;
     pub use trackersift::{
-        Breakage, Classification, CommitStats, Decision, DecisionRequest, DecisionSource,
-        DeltaSnapshot, FollowerState, Granularity, HierarchicalClassifier, IngestStats,
-        KeyInterner, Labeler, ObservationRef, ObserveOutcome, RatioHistogram, ResourceKey,
-        SensitivitySweep, ServiceStats, Sifter, SifterBuilder, SifterReader, SifterSnapshot,
-        SifterWriter, SnapshotError, StageTimings, Study, StudyConfig, Thresholds, Verdict,
-        VerdictTable,
+        Classification, CommitStats, Decision, DecisionRequest, DecisionSource, DeltaSnapshot,
+        FollowerState, Granularity, HierarchicalClassifier, IngestStats, KeyInterner, Labeler,
+        ObservationRef, ObserveOutcome, ResourceKey, SensitivitySweep, ServiceStats, Sifter,
+        SifterBuilder, SifterReader, SifterSnapshot, SifterWriter, SnapshotError, StageTimings,
+        Study, StudyConfig, Thresholds, Verdict, VerdictTable,
     };
     pub use trackersift_server::{
         ReplicaConfig, ReplicaStatus, SchedulerDriver, SchedulerStats, ServerConfig, TickSummary,

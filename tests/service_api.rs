@@ -7,7 +7,7 @@ mod common;
 use common::expected_verdict;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use trackersift_suite::filterlist::url::hostname_of;
+use trackersift_suite::filterlist::hostname_of;
 use trackersift_suite::filterlist::RequestScratch;
 use trackersift_suite::prelude::*;
 
