@@ -232,10 +232,7 @@ mod tests {
             resource_type: ResourceType::Xhr,
             initiator_script: stack[0].0.into(),
             initiator_method: stack[0].1.into(),
-            stack: stack
-                .iter()
-                .map(|(s, m)| StackFrame::new(*s, *m, 1, 1))
-                .collect(),
+            stack: stack.iter().map(|(s, m)| StackFrame::new(*s, *m)).collect(),
             async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking

@@ -304,8 +304,8 @@ impl<'a> Labeler<'a> {
     }
 
     /// Label every script-initiated request in parallel across sites on a
-    /// pool of `workers` threads (0 = the ambient rayon default, 1 =
-    /// sequential). Sites are labeled independently — the filter engine is
+    /// pool of [`crawler::workers_for`]`(workers, sites)` threads (so 0 or 1
+    /// is sequential). Sites are labeled independently — the filter engine is
     /// shared read-only across workers (`FilterEngine: Sync`) — and results
     /// are merged in site order, so the output is identical to
     /// [`Labeler::label_database`] regardless of worker count.
@@ -314,7 +314,8 @@ impl<'a> Labeler<'a> {
         db: &CrawlDatabase,
         workers: usize,
     ) -> (Vec<LabeledRequest>, LabelStats) {
-        if workers == 1 || db.sites.len() <= 1 {
+        let workers = crawler::workers_for(workers, db.sites.len());
+        if workers == 1 {
             return self.label_database(db);
         }
         let label_all = || {

@@ -124,7 +124,7 @@ mod tests {
             resource_type: ResourceType::Xhr,
             initiator_script: script.into(),
             initiator_method: method.into(),
-            stack: Arc::from([StackFrame::new(script, method, 1, 1)]),
+            stack: Arc::from([StackFrame::new(script, method)]),
             async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking

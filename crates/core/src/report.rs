@@ -260,7 +260,7 @@ mod tests {
             resource_type: ResourceType::Xhr,
             initiator_script: "https://www.pub.com/app.js".into(),
             initiator_method: "m".into(),
-            stack: Arc::from([StackFrame::new("https://www.pub.com/app.js", "m", 1, 1)]),
+            stack: Arc::from([StackFrame::new("https://www.pub.com/app.js", "m")]),
             async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking

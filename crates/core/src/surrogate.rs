@@ -270,9 +270,9 @@ mod tests {
         tracking: bool,
         extra_frame: Option<(&str, &str)>,
     ) -> LabeledRequest {
-        let mut stack = vec![StackFrame::new(script, method, 1, 1)];
+        let mut stack = vec![StackFrame::new(script, method)];
         if let Some((s, m)) = extra_frame {
-            stack.push(StackFrame::new(s, m, 1, 1));
+            stack.push(StackFrame::new(s, m));
         }
         LabeledRequest {
             request_id: 0,

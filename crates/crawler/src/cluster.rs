@@ -11,7 +11,7 @@
 //! regardless of worker count or scheduling — a property the tests assert.
 
 use crate::database::{CrawlDatabase, SiteCrawl};
-use crate::page_load::{LoadOptions, PageLoadSimulator};
+use crate::page_load::PageLoadSimulator;
 use rayon::prelude::*;
 use websim::{WebCorpus, Website};
 
@@ -58,9 +58,8 @@ pub struct CrawlSummary {
     pub total_requests: usize,
     /// Script-initiated requests captured.
     pub script_initiated_requests: usize,
-    /// Average simulated page load time (ms).
-    pub(crate) average_load_time_ms: f64,
-    /// Workers used.
+    /// Worker threads the crawl ran on: [`workers_for`] of the configured
+    /// count and the site count.
     pub workers: usize,
 }
 
@@ -68,6 +67,14 @@ pub struct CrawlSummary {
 #[derive(Debug, Clone, Default)]
 pub struct CrawlCluster {
     config: ClusterConfig,
+}
+
+/// The workers a stage over `sites` sites runs on when `workers` are
+/// configured: never more than there are sites, and at least one (a
+/// configured 0 runs sequentially). The crawl, its summary and the
+/// labeling stage all size themselves here.
+pub fn workers_for(workers: usize, sites: usize) -> usize {
+    workers.min(sites).max(1)
 }
 
 /// Run `op` on a rayon pool of `workers` threads (0 = the ambient default).
@@ -85,10 +92,9 @@ pub fn with_worker_pool<R>(workers: usize, op: impl FnOnce() -> R) -> R {
 /// Load one site in a fresh simulator (stateless crawling). The request-id
 /// space is partitioned by rank, so ids are globally unique and
 /// deterministic.
-fn crawl_site(site: &Website, options: &LoadOptions) -> SiteCrawl {
+fn crawl_site(site: &Website) -> SiteCrawl {
     let mut sim = PageLoadSimulator::new((site.rank as u64) * 1_000_000);
-    let result = sim.load_with(site, options);
-    SiteCrawl::from_load(site.rank, &site.url, &site.domain, result)
+    SiteCrawl::from_load(site.rank, &site.domain, sim.load(site))
 }
 
 impl CrawlCluster {
@@ -98,29 +104,16 @@ impl CrawlCluster {
     }
 
     /// Crawl every website in the corpus with no blocking.
-    pub fn crawl(&self, corpus: &WebCorpus) -> CrawlDatabase {
-        self.crawl_with(corpus, &LoadOptions::unblocked())
-    }
-
-    /// Crawl every website under the given blocking options.
     ///
     /// Each site's request ids are derived from its rank, so results do not
     /// depend on scheduling.
-    fn crawl_with(&self, corpus: &WebCorpus, options: &LoadOptions) -> CrawlDatabase {
-        let workers = self.config.workers.min(corpus.websites.len()).max(1);
+    pub fn crawl(&self, corpus: &WebCorpus) -> CrawlDatabase {
+        let workers = workers_for(self.config.workers, corpus.websites.len());
         let mut sites: Vec<SiteCrawl> = if workers == 1 {
-            corpus
-                .websites
-                .iter()
-                .map(|site| crawl_site(site, options))
-                .collect()
+            corpus.websites.iter().map(crawl_site).collect()
         } else {
             with_worker_pool(workers, || {
-                corpus
-                    .websites
-                    .par_iter()
-                    .map(|site| crawl_site(site, options))
-                    .collect()
+                corpus.websites.par_iter().map(crawl_site).collect()
             })
         };
         sites.sort_by_key(|s| s.rank);
@@ -134,8 +127,7 @@ impl CrawlCluster {
             sites: db.site_count(),
             total_requests: db.total_requests(),
             script_initiated_requests: db.script_initiated_requests(),
-            average_load_time_ms: db.average_load_time_ms(),
-            workers: self.config.workers,
+            workers: workers_for(self.config.workers, corpus.websites.len()),
         };
         (db, summary)
     }
@@ -144,7 +136,7 @@ impl CrawlCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Value;
+    use filterlist::tokens::fold_bytes;
     use websim::{CorpusGenerator, CorpusProfile};
 
     fn corpus(sites: usize) -> WebCorpus {
@@ -186,17 +178,30 @@ mod tests {
     }
 
     #[test]
-    fn a_crawled_site_renders_the_bytes_the_string_owning_records_did() {
-        // Rendered from the same crawl when every record owned its strings:
-        // sharing them must not move a byte of the persisted document.
-        let fixture = include_str!("../tests/fixtures/site_crawl.json");
+    fn a_crawl_emits_the_requests_it_always_has() {
+        // One fold over every recorded field, request by request in emission
+        // order; a frame list is preceded by its length. Any change to what
+        // the crawler records, or in which order, moves the digest.
         let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(40), 11);
         let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
-        let site = &db.sites[30];
-        assert_eq!(site.to_json_value().render(), fixture);
-        let decoded = SiteCrawl::from_json_value(&Value::parse(fixture).unwrap()).unwrap();
-        assert_eq!(&decoded, site);
-        assert_eq!(decoded.to_json_value().render(), fixture);
+        let mut digest = 0;
+        let mut fold = |bytes: &[u8]| digest = fold_bytes(digest, bytes);
+        for request in db.sites.iter().flat_map(|s| &s.requests) {
+            fold(&request.request_id.to_le_bytes());
+            fold(request.top_level_url.as_bytes());
+            fold(request.url.as_bytes());
+            fold(request.resource_type.option_name().as_bytes());
+            let stack = &request.call_stack;
+            fold(&(stack.frames.len() as u64).to_le_bytes());
+            for frame in stack.frames.iter() {
+                fold(frame.script_url.as_bytes());
+                fold(frame.function_name.as_bytes());
+            }
+            let boundary = stack.async_boundary.map_or(0, |b| b as u64 + 1);
+            fold(&boundary.to_le_bytes());
+        }
+        assert_eq!(db.total_requests(), 1815);
+        assert_eq!(digest, 0x00fc_a15b_be01_e48c);
     }
 
     #[test]
@@ -209,6 +214,18 @@ mod tests {
             summary.script_initiated_requests,
             db.script_initiated_requests()
         );
+    }
+
+    #[test]
+    fn the_summary_reports_the_workers_the_crawl_ran_on() {
+        let corpus = corpus(3);
+        for (configured, used) in [(8, 3), (0, 1)] {
+            let cluster = CrawlCluster::new(ClusterConfig {
+                workers: configured,
+            });
+            let (_, summary) = cluster.crawl_with_summary(&corpus);
+            assert_eq!(summary.workers, used, "{configured} configured");
+        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! A small, dependency-free JSON codec for crawl persistence.
+//! A small, dependency-free JSON codec for the verdict server's wire, the
+//! trained-state snapshot and the stats documents.
 //!
-//! The build environment has no access to a crate registry, so the crawl
-//! database serialises through this hand-rolled codec instead of
-//! `serde_json`. The format is plain JSON — objects keep insertion order and
-//! the writer is deterministic, so equal databases always render to equal
-//! bytes (a property the persistence tests rely on). A type with a JSON form
-//! has an inherent `to_json_value` / `from_json_value` pair over [`Value`],
-//! as the event and database types ([`crate::RequestWillBeSent`],
-//! [`crate::CrawlDatabase`]) do. A large document on a hot path is written
-//! straight into a byte buffer instead, with no tree, through
-//! [`write_string`], [`write_u64`] and [`write_number`] — the same
-//! renderers [`Value::render`] uses, so the bytes cannot differ.
+//! The build environment has no access to a crate registry, so those
+//! documents go through this hand-rolled codec instead of `serde_json`. The
+//! format is plain JSON — objects keep insertion order and the writer is
+//! deterministic, so equal values always render to equal bytes (a property
+//! the golden tests rely on). A type with a JSON form has an inherent
+//! `to_json_value` / `from_json_value` pair over [`Value`], as the wire's
+//! messages do. A large document on a hot path is written straight into a
+//! byte buffer instead, with no tree, through [`write_string`],
+//! [`write_u64`] and [`write_number`] — the same renderers
+//! [`Value::render`] uses, so the bytes cannot differ.
 //!
 //! There is one tokenizer, the pull [`Reader`]: [`Value::parse`] builds its
 //! tree through it, and a consumer that wants a few fields of a document on
@@ -56,7 +56,7 @@ impl Value {
     /// A number from an unsigned integer, checked for exact `f64`
     /// representability. The codec stores numbers as `f64`, so integers
     /// above 2^53 would silently round on round-trip; refusing them at
-    /// encode time keeps the "equal databases render to equal bytes"
+    /// encode time keeps the "equal values render to equal bytes"
     /// guarantee honest.
     ///
     /// # Panics
@@ -88,11 +88,6 @@ impl Value {
             }
             other => err(format!("expected unsigned integer, got {other:?}")),
         }
-    }
-
-    /// The value as a usize.
-    pub(crate) fn as_usize(&self) -> Result<usize, JsonError> {
-        Ok(self.as_u64()? as usize)
     }
 
     /// The value as a u32.
@@ -322,8 +317,8 @@ pub fn write_number(out: &mut Vec<u8>, n: f64) {
     render_number(n, out);
 }
 
-/// Maximum container nesting the reader accepts. Crawl databases nest four
-/// levels deep; the limit only exists so corrupted or hostile input returns
+/// Maximum container nesting the reader accepts. The documents this codec
+/// carries nest a few levels deep; the limit only exists so corrupted or hostile input returns
 /// a [`JsonError`] instead of overflowing the stack.
 const MAX_DEPTH: usize = 128;
 
@@ -755,7 +750,7 @@ mod tests {
         let hostile = "[".repeat(100_000);
         let error = Value::parse(&hostile).unwrap_err();
         assert!(error.0.contains("nesting"), "{error}");
-        // Legitimate nesting well past the crawl format's four levels works.
+        // Legitimate nesting well past any document's few levels works.
         let deep = format!("{}1{}", "[".repeat(64), "]".repeat(64));
         assert!(Value::parse(&deep).is_ok());
     }

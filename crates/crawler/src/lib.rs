@@ -19,8 +19,9 @@
 //!   breakage experiments);
 //! * [`CrawlCluster`] — the parallel, stateless crawl orchestrator;
 //! * [`CrawlDatabase`] — the crawl database the offline analysis consumes;
-//! * [`json`] — the deterministic JSON codec the database and the events
-//!   render to and decode from.
+//! * [`json`] — the deterministic JSON codec the verdict server's wire, the
+//!   trained-state snapshot and the stats documents are written and read
+//!   with. A crawl itself is never persisted: it is handed over in memory.
 //!
 //! ```
 //! use crawler::{ClusterConfig, CrawlCluster};
@@ -42,7 +43,7 @@ mod events;
 pub mod json;
 mod page_load;
 
-pub use cluster::{with_worker_pool, ClusterConfig, CrawlCluster, CrawlSummary};
+pub use cluster::{with_worker_pool, workers_for, ClusterConfig, CrawlCluster, CrawlSummary};
 pub use database::{CrawlDatabase, SiteCrawl};
 pub use events::{CallStack, RequestWillBeSent, StackFrame};
 pub use page_load::{LoadOptions, PageLoadResult, PageLoadSimulator};

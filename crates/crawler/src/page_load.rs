@@ -53,13 +53,9 @@ impl LoadOptions {
 pub struct PageLoadResult {
     /// Every request, in emission order.
     pub(crate) requests: Vec<RequestWillBeSent>,
-    /// Names of page features that worked during this load.
-    pub(crate) working_features: Vec<String>,
     /// Names of features that broke (a required script did not execute),
     /// with their importance.
     pub broken_features: Vec<(String, FeatureImportance)>,
-    /// Simulated time until the `onLoad` event fired, in milliseconds.
-    pub(crate) load_time_ms: u64,
 }
 
 /// The page-load simulator. Stateless between loads (the paper's crawler
@@ -67,7 +63,6 @@ pub struct PageLoadResult {
 #[derive(Debug, Clone, Default)]
 pub struct PageLoadSimulator {
     next_request_id: u64,
-    clock_ms: u64,
 }
 
 impl PageLoadSimulator {
@@ -76,7 +71,6 @@ impl PageLoadSimulator {
     pub fn new(first_request_id: u64) -> Self {
         PageLoadSimulator {
             next_request_id: first_request_id,
-            clock_ms: 0,
         }
     }
 
@@ -90,7 +84,6 @@ impl PageLoadSimulator {
     /// Each call site's stack is built once, in one allocation, and shared
     /// by every request the call site issues (see [`crate::CallStack`]).
     pub fn load_with(&mut self, site: &Website, options: &LoadOptions) -> PageLoadResult {
-        self.clock_ms = 0;
         let mut result = PageLoadResult::default();
         let injections: usize = site.scripts.iter().map(|s| s.loads_scripts.len()).sum();
         result.requests.reserve(
@@ -105,7 +98,7 @@ impl PageLoadSimulator {
             .iter()
             .map(|script| ScriptStrings::of(script, &page))
             .collect();
-        let no_stack = CallStack::empty();
+        let no_stack = CallStack::default();
 
         // 1. The document itself.
         self.emit(
@@ -219,23 +212,15 @@ impl PageLoadSimulator {
             }
         }
 
-        // 6. Feature outcome (used by the breakage analysis).
+        // 6. Broken features (used by the breakage analysis): a feature
+        //    breaks when one of the scripts it requires did not execute.
         for feature in &site.features {
-            let works = feature.required_scripts.iter().all(|&i| executed[i]);
-            if works {
-                result.working_features.push(feature.name.clone());
-            } else {
+            if feature.required_scripts.iter().any(|&i| !executed[i]) {
                 result
                     .broken_features
                     .push((feature.name.clone(), feature.importance));
             }
         }
-
-        // The paper reports ~10s average page load; our simulated clock
-        // advances ~3ms per request which lands in the same order of
-        // magnitude for request-heavy pages without pretending to model
-        // real network latency.
-        result.load_time_ms = self.clock_ms;
         result
     }
 
@@ -249,19 +234,13 @@ impl PageLoadSimulator {
     ) {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        self.clock_ms += 3;
         result.requests.push(RequestWillBeSent {
             request_id,
             top_level_url: Arc::clone(page),
-            frame_url: Arc::clone(page),
             url,
             resource_type,
             call_stack,
-            timestamp_ms: self.clock_ms,
         });
-        // The response arrives 2 ms later; it is not recorded (nothing reads
-        // responses) but the next request and `load_time_ms` wait for it.
-        self.clock_ms += 2;
     }
 }
 
@@ -292,14 +271,11 @@ impl ScriptStrings {
         }
     }
 
-    /// The frame of this script's method `method_idx`. Line and column derive
-    /// from the method's position so they are stable and distinct.
+    /// The frame of this script's method `method_idx`.
     fn frame(&self, method_idx: usize) -> StackFrame {
         StackFrame {
             script_url: Arc::clone(&self.url),
             function_name: Arc::clone(&self.methods[method_idx]),
-            line: (method_idx as u32 + 1) * 10,
-            column: 1,
         }
     }
 
@@ -313,8 +289,6 @@ impl ScriptStrings {
         StackFrame {
             script_url: Arc::clone(&self.url),
             function_name,
-            line: 1,
-            column: 1,
         }
     }
 }
@@ -441,7 +415,7 @@ fn build_stack(
     if let Some(caller) = via_caller {
         match script.methods.iter().position(|name| &**name == caller) {
             Some(pos) => frames.push(script.frame(pos)),
-            None => frames.push(StackFrame::new(Arc::clone(&script.url), caller, 1, 1)),
+            None => frames.push(StackFrame::new(Arc::clone(&script.url), caller)),
         }
     }
     frames.extend(caller_chain.iter().map(|&caller| script.frame(caller)));
@@ -505,19 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn the_simulated_clock_steps_3ms_before_and_2ms_after_each_request() {
-        let corpus = small_corpus();
-        let mut sim = PageLoadSimulator::new(0);
-        for site in &corpus.websites {
-            let result = sim.load(site);
-            for (k, request) in result.requests.iter().enumerate() {
-                assert_eq!(request.timestamp_ms, 5 * k as u64 + 3, "{}", request.url);
-            }
-            assert_eq!(result.load_time_ms, 5 * result.requests.len() as u64);
-        }
-    }
-
-    #[test]
     fn one_load_shares_one_copy_of_each_page_script_and_method_string() {
         let corpus = small_corpus();
         let mut sim = PageLoadSimulator::new(0);
@@ -526,7 +487,6 @@ mod tests {
             let page = &result.requests[0].top_level_url;
             for request in &result.requests {
                 assert!(Arc::ptr_eq(&request.top_level_url, page));
-                assert!(Arc::ptr_eq(&request.frame_url, page));
             }
             // As many script-URL allocations as script URLs, and no more
             // method-name allocations than the site's scripts have methods,

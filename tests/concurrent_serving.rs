@@ -42,7 +42,7 @@ fn observation(
         resource_type: ResourceType::Xhr,
         initiator_script: script.clone(),
         initiator_method: method.clone(),
-        stack: Arc::from([StackFrame::new(script, method, 1, 1)]),
+        stack: Arc::from([StackFrame::new(script, method)]),
         async_boundary: None,
         label: if tracking {
             RequestLabel::Tracking

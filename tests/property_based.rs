@@ -332,15 +332,6 @@ proptest! {
     }
 
     #[test]
-    fn crawl_database_round_trips_for_random_corpora(seed in 0u64..1_000, sites in 5usize..25) {
-        let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(sites), seed);
-        let db = CrawlCluster::new(ClusterConfig::default()).crawl(&corpus);
-        let json = db.to_json();
-        let back = CrawlDatabase::from_json(&json).unwrap();
-        prop_assert_eq!(db, back);
-    }
-
-    #[test]
     fn parallel_and_sequential_crawls_agree(seed in 0u64..500, sites in 10usize..40) {
         let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(sites), seed);
         let sequential = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
@@ -375,7 +366,7 @@ fn arb_observation() -> impl Strategy<Value = trackersift::LabeledRequest> {
                 resource_type: ResourceType::Xhr,
                 initiator_script: script.clone(),
                 initiator_method: method.clone(),
-                stack: Arc::from([crawler::StackFrame::new(script, method, 1, 1)]),
+                stack: Arc::from([crawler::StackFrame::new(script, method)]),
                 async_boundary: None,
                 label: if tracking {
                     RequestLabel::Tracking
