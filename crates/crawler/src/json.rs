@@ -348,6 +348,13 @@ pub enum Kind {
 /// exactly as a parse would, so "decoded without a tree" never means
 /// "accepted what the tree parser rejects".
 ///
+/// The methods a decoder calls per field are `#[inline]`, with escapes and
+/// errors handled out of line: the workspace builds without LTO, so a
+/// decoder in another crate would otherwise pay a call per token. The two
+/// every field runs, [`Reader::next_key`] and [`Reader::maybe_string`], are
+/// `#[inline(always)]`: left to the cost model, both stay calls inside the
+/// server's decoders.
+///
 /// ```
 /// use crawler::json::Reader;
 /// use std::borrow::Cow;
@@ -377,6 +384,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `text`.
+    #[inline]
     pub fn new(text: &'a str) -> Self {
         Reader {
             text,
@@ -386,31 +394,41 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn skip_whitespace(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek_byte() {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn peek_byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek_byte() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
-            err(format!(
-                "expected `{}` at byte {}",
-                char::from(byte),
-                self.pos
-            ))
+            self.expected(byte)
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn expected<T>(&self, byte: u8) -> Result<T, JsonError> {
+        err(format!(
+            "expected `{}` at byte {}",
+            char::from(byte),
+            self.pos
+        ))
     }
 
     /// The kind of the next value (after any whitespace), without
     /// consuming it.
+    #[inline]
     pub fn peek(&mut self) -> Result<Kind, JsonError> {
         self.skip_whitespace();
         match self.peek_byte() {
@@ -420,8 +438,18 @@ impl<'a> Reader<'a> {
             Some(b't' | b'f') => Ok(Kind::Bool),
             Some(b'n') => Ok(Kind::Null),
             Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
-            other => err(format!("unexpected input {other:?} at byte {}", self.pos)),
+            _ => self.unexpected(),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unexpected<T>(&self) -> Result<T, JsonError> {
+        err(format!(
+            "unexpected input {:?} at byte {}",
+            self.peek_byte(),
+            self.pos
+        ))
     }
 
     fn keyword(&mut self, keyword: &str) -> bool {
@@ -454,7 +482,9 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Consume a number.
+    /// Consume a number. The run of number bytes at the cursor must match
+    /// RFC 8259 §6's grammar, so `01`, `1.` and `-.5` are refused although
+    /// Rust's float parser reads them.
     pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
         self.skip_whitespace();
         let start = self.pos;
@@ -466,13 +496,16 @@ impl<'a> Reader<'a> {
         }
         // Every byte passed over is ASCII, so both ends are char boundaries.
         let text = &self.text[start..self.pos];
-        text.parse::<f64>()
-            .map_err(|_| JsonError(format!("invalid number `{text}`")))
+        match text.parse::<f64>() {
+            Ok(n) if is_json_number(text.as_bytes()) => Ok(n),
+            _ => err(format!("invalid number `{text}`")),
+        }
     }
 
     /// Advance to the next `"`, `\` or control byte (or the end of the
     /// document), eight bytes a step; the cursor stops on a char boundary
     /// and string reading stays linear in the document size.
+    #[inline]
     fn skip_literal_run(&mut self) {
         self.pos = literal_run_end(self.text.as_bytes(), self.pos);
     }
@@ -480,16 +513,54 @@ impl<'a> Reader<'a> {
     /// Consume a string. The result borrows from the document unless the
     /// literal contains an escape, which forces an unescaped copy. A byte
     /// below 0x20 must be escaped (RFC 8259 §7); a raw one is an error.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        match self.maybe_string()? {
+            Some(string) => Ok(string),
+            None => self.expected(b'"'),
+        }
+    }
+
+    /// The string at the cursor (after any whitespace), consumed as
+    /// [`Reader::string`] would; `None` if the next value is not a string,
+    /// with the cursor left on it for the caller to consume. One test of the
+    /// opening quote where [`Reader::peek`] then [`Reader::string`] take two.
+    ///
+    /// ```
+    /// use crawler::json::{Reader, Value};
+    /// use std::borrow::Cow;
+    ///
+    /// let mut reader = Reader::new(r#"[ "px.ads.com", 7]"#);
+    /// reader.begin_array().unwrap();
+    /// assert!(reader.next_element().unwrap());
+    /// assert!(matches!(reader.maybe_string(), Ok(Some(Cow::Borrowed("px.ads.com")))));
+    /// assert!(reader.next_element().unwrap());
+    /// assert_eq!(reader.maybe_string(), Ok(None));
+    /// assert_eq!(reader.value(), Ok(Value::Number(7.0)));
+    /// ```
+    #[inline(always)]
+    pub fn maybe_string(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
         self.skip_whitespace();
-        self.expect(b'"')?;
+        if self.peek_byte() != Some(b'"') {
+            return Ok(None);
+        }
+        self.pos += 1;
         let start = self.pos;
         self.skip_literal_run();
         if self.peek_byte() == Some(b'"') {
             let literal = &self.text[start..self.pos];
             self.pos += 1;
-            return Ok(Cow::Borrowed(literal));
+            return Ok(Some(Cow::Borrowed(literal)));
         }
+        self.escaped_string(start).map(Some)
+    }
+
+    /// The rest of a string from `start`, with the cursor on its first
+    /// escape, raw control byte or the end of the document: unescaped into
+    /// a copy, or the error that ends it.
+    #[cold]
+    #[inline(never)]
+    fn escaped_string(&mut self, start: usize) -> Result<Cow<'a, str>, JsonError> {
         let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek_byte() {
@@ -563,6 +634,7 @@ impl<'a> Reader<'a> {
         u32::from_str_radix(hex, 16).map_err(|_| JsonError(format!("invalid hex `{hex}`")))
     }
 
+    #[inline]
     fn begin(&mut self, open: u8) -> Result<(), JsonError> {
         self.skip_whitespace();
         if self.depth >= MAX_DEPTH {
@@ -576,6 +648,7 @@ impl<'a> Reader<'a> {
 
     /// Step to the next entry of the innermost container, consuming the
     /// separating comma; `false` once its closing bracket is consumed.
+    #[inline]
     fn next_entry(&mut self, close: u8) -> Result<bool, JsonError> {
         self.skip_whitespace();
         let first = std::mem::replace(&mut self.fresh, false);
@@ -590,14 +663,22 @@ impl<'a> Reader<'a> {
                 self.pos += 1;
                 Ok(true)
             }
-            other => err(format!(
-                "expected `,` or `{}`, got {other:?}",
-                char::from(close)
-            )),
+            _ => self.no_separator(close),
         }
     }
 
+    #[cold]
+    #[inline(never)]
+    fn no_separator<T>(&self, close: u8) -> Result<T, JsonError> {
+        err(format!(
+            "expected `,` or `{}`, got {:?}",
+            char::from(close),
+            self.peek_byte()
+        ))
+    }
+
     /// Enter an object; iterate it with [`Reader::next_key`].
+    #[inline]
     pub fn begin_object(&mut self) -> Result<(), JsonError> {
         self.begin(b'{')
     }
@@ -605,6 +686,7 @@ impl<'a> Reader<'a> {
     /// The next key of the object entered last, with the cursor left on
     /// its value (which the caller must consume); `None` once the object's
     /// closing brace is consumed. Duplicate keys are reported as they come.
+    #[inline(always)]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
         if !self.next_entry(b'}')? {
             return Ok(None);
@@ -616,6 +698,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Enter an array; iterate it with [`Reader::next_element`].
+    #[inline]
     pub fn begin_array(&mut self) -> Result<(), JsonError> {
         self.begin(b'[')
     }
@@ -623,6 +706,7 @@ impl<'a> Reader<'a> {
     /// Whether the array entered last has another element, with the cursor
     /// left on it (the caller must consume it); `false` once the array's
     /// closing bracket is consumed.
+    #[inline]
     pub fn next_element(&mut self) -> Result<bool, JsonError> {
         self.next_entry(b']')
     }
@@ -682,13 +766,51 @@ impl<'a> Reader<'a> {
     }
 
     /// The end of the document: only whitespace may follow the last value.
+    #[inline]
     pub fn finish(&mut self) -> Result<(), JsonError> {
         self.skip_whitespace();
         if self.pos != self.text.len() {
-            return err(format!("trailing data at byte {}", self.pos));
+            return self.trailing();
         }
         Ok(())
     }
+
+    #[cold]
+    #[inline(never)]
+    fn trailing(&self) -> Result<(), JsonError> {
+        err(format!("trailing data at byte {}", self.pos))
+    }
+}
+
+/// Whether `text` is a number by RFC 8259 §6:
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_json_number(text: &[u8]) -> bool {
+    let digits = |from: usize| {
+        text[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
+    let mut at = usize::from(text.first() == Some(&b'-'));
+    match text.get(at) {
+        Some(b'0') => at += 1,
+        Some(b'1'..=b'9') => at += digits(at),
+        _ => return false,
+    }
+    if text.get(at) == Some(&b'.') {
+        match digits(at + 1) {
+            0 => return false,
+            n => at += 1 + n,
+        }
+    }
+    if let Some(b'e' | b'E') = text.get(at) {
+        at += usize::from(matches!(text.get(at + 1), Some(b'+' | b'-'))) + 1;
+        match digits(at) {
+            0 => return false,
+            n => at += n,
+        }
+    }
+    at == text.len()
 }
 
 /// Convenience: build an object value.
@@ -985,6 +1107,83 @@ mod tests {
             Value::parse("\"a\u{7f}b\"").unwrap().as_str().unwrap(),
             "a\u{7f}b"
         );
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        // RFC 8259 §6: no leading zero, no bare or leading `.`, and an
+        // exponent has digits. Rust's float parser reads all of these.
+        for number in ["01", "-01", "00", "1.", "1.e3", "-.5", "1e", "1e+", "-"] {
+            let expected = JsonError(format!("invalid number `{number}`"));
+            for text in [
+                number.to_string(),
+                format!("[{number}]"),
+                format!("{{\"a\":{number}}}"),
+            ] {
+                assert_eq!(Value::parse(&text), Err(expected.clone()), "{text}");
+                let mut reader = Reader::new(&text);
+                let skipped = reader.skip_value().and_then(|()| reader.finish());
+                assert_eq!(skipped, Err(expected.clone()), "{text}");
+            }
+        }
+        for (text, n) in [
+            ("-0", -0.0),
+            ("0", 0.0),
+            ("0.5", 0.5),
+            ("1E+2", 100.0),
+            ("1.5e-3", 1.5e-3),
+            ("-12.25E2", -1225.0),
+            ("10", 10.0),
+        ] {
+            assert_eq!(Value::parse(text), Ok(Value::Number(n)), "{text}");
+            let mut reader = Reader::new(text);
+            assert_eq!(reader.skip_value().and_then(|()| reader.finish()), Ok(()));
+        }
+    }
+
+    #[test]
+    fn maybe_string_reads_strings_and_leaves_every_other_value() {
+        // A string reads back as `string()` reads it, borrowed or unescaped.
+        for text in [" \t\"px.ads.com\"", "\n \"a\\tb\\u00e9\"", "\"\""] {
+            let mut reader = Reader::new(text);
+            let read = reader.maybe_string().unwrap().unwrap();
+            reader.finish().unwrap();
+            let expected = Reader::new(text).string().unwrap();
+            assert_eq!(read, expected, "{text}");
+            assert_eq!(
+                matches!(read, Cow::Borrowed(_)),
+                matches!(expected, Cow::Borrowed(_)),
+                "{text}"
+            );
+        }
+        // Any other value, well-formed or not, is left for `value()` to
+        // read or refuse exactly as it would have without the attempt.
+        for text in [
+            " null",
+            "true",
+            " false",
+            "-2.5",
+            "01",
+            "[1, \"a\"]",
+            "{\"a\": tru}",
+            "{\"a\": 1}",
+            " nul",
+            "]",
+            "",
+            "  ",
+        ] {
+            let mut reader = Reader::new(text);
+            assert_eq!(reader.maybe_string(), Ok(None), "{text}");
+            assert_eq!(reader.value(), Reader::new(text).value(), "{text}");
+        }
+        // A malformed string is the error `string()` reports.
+        for text in ["\"open", "\"a\\q\"", "\"a\u{1}\""] {
+            assert_eq!(
+                Reader::new(text).maybe_string().map(|_| ()),
+                Reader::new(text).string().map(|_| ()),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

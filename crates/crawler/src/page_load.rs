@@ -8,10 +8,10 @@
 //! initiator call stack (including tag-manager ancestry and async-stack
 //! prepending).
 //!
-//! Blocking is modelled the way a content blocker behaves at runtime: a
-//! blocked *script* never executes (none of its requests are issued and the
-//! features depending on it break); a blocked *request* is simply not sent.
-//! This is what the breakage analysis (paper Table 3) exercises.
+//! Blocking is modelled the way a content blocker blocks a script at
+//! runtime: a blocked script never executes (none of its requests are
+//! issued and the features depending on it break). This is what the
+//! breakage analysis (paper Table 3) exercises.
 
 use crate::events::{CallStack, RequestWillBeSent, StackFrame};
 use filterlist::ResourceType;
@@ -24,8 +24,6 @@ use websim::{FeatureImportance, PageScript, Website};
 pub struct LoadOptions {
     /// Script URLs that are blocked (the script does not execute at all).
     pub(crate) blocked_script_urls: HashSet<String>,
-    /// Exact request URLs that are blocked (the request is not sent).
-    pub(crate) blocked_request_urls: HashSet<String>,
 }
 
 impl LoadOptions {
@@ -43,7 +41,6 @@ impl LoadOptions {
     {
         LoadOptions {
             blocked_script_urls: urls.into_iter().map(Into::into).collect(),
-            blocked_request_urls: HashSet::new(),
         }
     }
 }
@@ -112,9 +109,6 @@ impl PageLoadSimulator {
         // 2. Parser-initiated document requests (no call stack). TrackerSift
         //    excludes these downstream; the browser still fetches them.
         for req in &site.non_script_requests {
-            if options.blocked_request_urls.contains(&req.url) {
-                continue;
-            }
             self.emit(
                 &mut result,
                 Arc::from(req.url.as_str()),
@@ -143,9 +137,6 @@ impl PageLoadSimulator {
                     continue;
                 }
                 let loaded_url = &scripts[loaded_idx].url;
-                if options.blocked_request_urls.contains(&**loaded_url) {
-                    continue;
-                }
                 let stack = bootstrap.get_or_insert_with(|| CallStack {
                     frames: Arc::from([scripts[loader_idx].bootstrap_frame()]),
                     async_boundary: None,
@@ -178,9 +169,6 @@ impl PageLoadSimulator {
                 call_sites.clear();
                 let caller_chain = caller_chain(script, method_idx);
                 for request in &method.requests {
-                    if options.blocked_request_urls.contains(&request.url) {
-                        continue;
-                    }
                     let via_caller = request.via_caller.as_deref();
                     let known = call_sites.iter().find(|(is_async, via, _)| {
                         (*is_async, *via) == (request.is_async, via_caller)
@@ -665,28 +653,6 @@ mod tests {
             .requests
             .iter()
             .all(|r| r.call_stack.initiator_script() != Some(app_url.as_str())));
-    }
-
-    #[test]
-    fn blocking_an_individual_request_url_only_drops_that_request() {
-        let corpus = small_corpus();
-        let mut sim = PageLoadSimulator::new(0);
-        let site = &corpus.websites[1];
-        let control = sim.load(site);
-        let victim = control
-            .requests
-            .iter()
-            .find(|r| r.is_script_initiated())
-            .map(|r| r.url.clone())
-            .expect("site has script-initiated requests");
-        let mut opts = LoadOptions::unblocked();
-        opts.blocked_request_urls.insert(victim.to_string());
-        let treatment = sim.load_with(site, &opts);
-        assert!(treatment
-            .requests
-            .iter()
-            .all(|r| r.url != victim || !r.is_script_initiated()));
-        assert!(treatment.requests.len() < control.requests.len());
     }
 
     #[test]

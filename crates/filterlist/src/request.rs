@@ -88,9 +88,20 @@ impl ResourceType {
     /// [`ResourceType::option_name`], and the one decoder of every format
     /// that stores a type by that name.
     pub fn from_option_name(name: &str) -> Option<ResourceType> {
-        ResourceType::ALL
-            .into_iter()
-            .find(|kind| kind.option_name() == name)
+        Some(match name {
+            "script" => ResourceType::Script,
+            "image" => ResourceType::Image,
+            "stylesheet" => ResourceType::Stylesheet,
+            "xmlhttprequest" => ResourceType::Xhr,
+            "subdocument" => ResourceType::Subdocument,
+            "font" => ResourceType::Font,
+            "media" => ResourceType::Media,
+            "websocket" => ResourceType::Websocket,
+            "ping" => ResourceType::Ping,
+            "document" => ResourceType::Document,
+            "other" => ResourceType::Other,
+            _ => return None,
+        })
     }
 }
 
@@ -430,6 +441,12 @@ mod tests {
                 Some(kind)
             );
         }
-        assert_eq!(ResourceType::from_option_name("Script"), None);
+        for near_miss in ["Script", "scripts", "scrip", "xmlhttprequesT", "xhr", ""] {
+            assert_eq!(
+                ResourceType::from_option_name(near_miss),
+                None,
+                "{near_miss}"
+            );
+        }
     }
 }

@@ -196,11 +196,12 @@ fn read_slot<'a>(reader: &mut Reader<'a>, slot: &mut Slot<'a>) -> Result<(), Jso
     if slot.is_some() {
         return reader.skip_value();
     }
-    *slot = Some(if reader.peek()? == Kind::String {
-        Ok(reader.string()?)
-    } else {
-        let other = reader.value()?;
-        err(format!("expected string, got {other:?}"))
+    *slot = Some(match reader.maybe_string()? {
+        Some(string) => Ok(string),
+        None => {
+            let other = reader.value()?;
+            err(format!("expected string, got {other:?}"))
+        }
     });
     Ok(())
 }

@@ -731,3 +731,111 @@ proptest! {
         }
     }
 }
+
+/// Every in-place decoder's verdict on `row`, alone and as a batch row,
+/// against the tree decoders' on the same bodies.
+fn assert_decoders_agree_on(row: &str) {
+    let decoded = DecisionQuery::parse(row).map(|query| query_fields(&query));
+    assert_eq!(decoded, reference_single(row), "{row}");
+
+    let batch = format!("{{\"requests\":[{row},{row}]}}");
+    let mut streamed = Vec::new();
+    let decoded = wire::decode_decision_batch(&batch, |query| streamed.push(query_fields(query)))
+        .map(|_| streamed);
+    assert_eq!(decoded, reference_batch(&batch), "{batch}");
+
+    let body = format!("{{\"observations\":[{row}]}}");
+    match (
+        wire::decode_observation_batch(&body),
+        reference_observations(&body),
+    ) {
+        (Ok(batch), Ok(rows)) => {
+            assert!(
+                batch.iter().eq(rows.iter().map(ObservationMessage::as_ref)),
+                "{body}"
+            );
+        }
+        (decoded, expected) => assert_eq!(decoded.err(), expected.err(), "{body}"),
+    }
+}
+
+/// Keys one letter off a known field (same length and first byte), every
+/// resource type's option name and names one letter off them: each decodes
+/// to what the tree decoders make of it, field for field or error for error.
+#[test]
+fn near_miss_keys_and_type_names_decode_as_the_tree_decoders_do() {
+    let fields = [
+        ("domain", "\"ads.com\""),
+        ("hostname", "\"px.ads.com\""),
+        ("script", "\"https://pub.com/a.js\""),
+        ("method", "\"send\""),
+        ("url", "\"https://px.ads.com/p?id=1\""),
+        ("source_hostname", "\"pub.com\""),
+        ("resource_type", "\"image\""),
+        ("tracking", "true"),
+    ];
+    let row = |members: &[(&str, &str)]| {
+        let members: Vec<String> = members
+            .iter()
+            .map(|(key, value)| format!("\"{key}\":{value}"))
+            .collect();
+        format!("{{{}}}", members.join(","))
+    };
+    // Without `url` a row is a parts-form observation and a URL-less query.
+    let forms = [
+        fields.to_vec(),
+        fields
+            .iter()
+            .copied()
+            .filter(|(key, _)| *key != "url")
+            .collect(),
+    ];
+    let mut rows = Vec::new();
+    for near_miss in ["domaim", "hostnamE", "urn", "scripT", "source_hostnamx"] {
+        let known = fields
+            .iter()
+            .find(|(key, _)| {
+                key.len() == near_miss.len() && key.as_bytes()[0] == near_miss.as_bytes()[0]
+            })
+            .expect("a known field it nearly spells");
+        for form in &forms {
+            // The near miss beside the field, with a string or another
+            // value; then in its place (if the form has it), so the field
+            // is missing.
+            for value in [known.1, "7"] {
+                let mut members = form.clone();
+                members.insert(0, (near_miss, value));
+                rows.push(row(&members));
+            }
+            let mut replaced = form.clone();
+            if let Some(member) = replaced.iter_mut().find(|(key, _)| *key == known.0) {
+                member.0 = near_miss;
+                rows.push(row(&replaced));
+            }
+        }
+    }
+    let with_type = |name: &str| {
+        let name = format!("\"{name}\"");
+        let mut members = fields.to_vec();
+        members
+            .iter_mut()
+            .find(|(key, _)| *key == "resource_type")
+            .expect("the field")
+            .1 = &name;
+        row(&members)
+    };
+    for kind in filterlist::ResourceType::ALL {
+        let row = with_type(kind.option_name());
+        let query = DecisionQuery::parse(&row).expect("a known type name");
+        assert_eq!(query.resource_type, kind, "{row}");
+        rows.push(row);
+    }
+    for near_miss in ["Script", "scripts", "scrip", "xmlhttprequesT"] {
+        let row = with_type(near_miss);
+        assert!(DecisionQuery::parse(&row).is_err(), "{row}");
+        rows.push(row);
+    }
+    for row in &rows {
+        assert_decoders_agree_on(row);
+    }
+}
