@@ -214,9 +214,12 @@ impl ObserveOutcome {
 /// `POST /v1/observations` row, and what journal replay decodes
 /// ([`JournalEntry::Observation`](crate::JournalEntry::Observation))
 /// before lending it back to the write path with [`Observation::as_ref`].
+/// The wire carries only the [`Url`](Observation::Url) form: the server
+/// labels every observation with its own filter lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Observation {
-    /// Pre-labeled attribution parts ([`ObservationRef::parts`]).
+    /// Pre-labeled attribution parts ([`ObservationRef::parts`]): an
+    /// in-process record and a journal frame, never a wire row.
     Parts {
         /// Registrable domain.
         domain: String,
@@ -359,7 +362,9 @@ impl Observation {
         }
     }
 
-    /// Encode as one row of a `POST /v1/observations` body.
+    /// Encode as one row of a `POST /v1/observations` body. A
+    /// [`Parts`](Observation::Parts) row renders too, as the row the server
+    /// refuses with [`Observation::URL_REQUIRED`].
     pub fn to_json_value(&self) -> Value {
         let string = |text: &String| Value::String(text.clone());
         match self {
@@ -395,35 +400,33 @@ impl Observation {
         }
     }
 
-    /// Decode one row; the presence of a `url` field selects the raw-URL
-    /// form. The verdict server decodes rows in place instead and no longer
-    /// calls this; it stays as the oracle that decoder is tested against.
+    /// The error a row without `url` decodes to. A client does not label
+    /// its own observations: a row carrying a `tracking` flag would fold
+    /// into the same count cells as the rows the filter lists labeled.
+    pub const URL_REQUIRED: &'static str = "a row without `url` is refused: the server labels \
+        observations with its own filter lists, so send `url`, `source_hostname` and \
+        `resource_type` instead of a `tracking` label";
+
+    /// Decode one row: a raw-URL observation, or [`Observation::URL_REQUIRED`]
+    /// for a row without `url`. The verdict server decodes rows in place
+    /// instead and no longer calls this; it stays as the oracle that decoder
+    /// is tested against.
     pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let string = |key: &str| Ok::<_, JsonError>(value.field(key)?.as_str()?.to_string());
-        if value.get("url").is_some() {
-            Ok(Observation::Url {
-                url: string("url")?,
-                source_hostname: string("source_hostname")?,
-                resource_type: {
-                    let name = value.field("resource_type")?.as_str()?;
-                    ResourceType::from_option_name(name)
-                        .ok_or_else(|| JsonError(format!("unknown resource type {name:?}")))?
-                },
-                script: string("script")?,
-                method: string("method")?,
-            })
-        } else {
-            Ok(Observation::Parts {
-                domain: string("domain")?,
-                hostname: string("hostname")?,
-                script: string("script")?,
-                method: string("method")?,
-                tracking: match value.field("tracking")? {
-                    Value::Bool(flag) => *flag,
-                    other => return Err(JsonError(format!("expected bool, got {other:?}"))),
-                },
-            })
+        if value.get("url").is_none() {
+            return Err(JsonError(Self::URL_REQUIRED.to_string()));
         }
+        let string = |key: &str| Ok::<_, JsonError>(value.field(key)?.as_str()?.to_string());
+        Ok(Observation::Url {
+            url: string("url")?,
+            source_hostname: string("source_hostname")?,
+            resource_type: {
+                let name = value.field("resource_type")?.as_str()?;
+                ResourceType::from_option_name(name)
+                    .ok_or_else(|| JsonError(format!("unknown resource type {name:?}")))?
+            },
+            script: string("script")?,
+            method: string("method")?,
+        })
     }
 }
 

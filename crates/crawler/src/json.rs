@@ -471,7 +471,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume `true` or `false`.
-    pub fn bool(&mut self) -> Result<bool, JsonError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, JsonError> {
         self.skip_whitespace();
         if self.keyword("true") {
             Ok(true)

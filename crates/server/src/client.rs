@@ -664,18 +664,21 @@ pub struct SyncReport {
 /// never serves a torn or interpolated state.
 ///
 /// ```
+/// use filterlist::ListKind;
 /// use trackersift::Sifter;
 /// use trackersift_server::client::{Client, ReplicaClient, RetryPolicy};
 /// use trackersift_server::{ServerConfig, VerdictServer};
 ///
-/// // A primary that has learned one tracking chain.
-/// let (writer, _reader) = Sifter::builder().build_concurrent();
+/// // A primary that has learned one tracking chain, labeled by its own list.
+/// let (writer, _reader) = Sifter::builder()
+///     .filter_lists(&[(ListKind::EasyList, "||ads.com^\n")])
+///     .build_concurrent();
 /// let config = ServerConfig { workers: 1, ..ServerConfig::ephemeral() };
 /// let server = VerdictServer::start(writer, config).unwrap();
 /// let mut client = Client::connect(server.local_addr());
 /// let body = concat!(
-///     r#"{"observations":[{"domain":"ads.com","hostname":"px.ads.com","#,
-///     r#""script":"https://pub.com/a.js","method":"send","tracking":true}]}"#,
+///     r#"{"observations":[{"url":"https://px.ads.com/p.gif","source_hostname":"pub.com","#,
+///     r#""resource_type":"image","script":"https://pub.com/a.js","method":"send"}]}"#,
 /// );
 /// client.request("POST", "/v1/observations", Some(body));
 /// client.request("POST", "/v1/commit", None);

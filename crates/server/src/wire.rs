@@ -730,25 +730,18 @@ pub(crate) fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> Strin
 }
 
 /// One observation as a client builds it for `POST /v1/observations`: the
-/// core's owned [`Observation`](trackersift::Observation) record. The server
-/// decodes a body with [`decode_observation_batch`] instead.
+/// core's owned [`Observation`](trackersift::Observation) record, in its
+/// `Url` form — the server labels every row with its own filter lists and
+/// refuses a `Parts` row. The server decodes a body with
+/// [`decode_observation_batch`] instead.
 pub use trackersift::Observation as ObservationMessage;
-
-/// What distinguishes the two forms of an observation row once its four
-/// strings are in the arena.
-#[derive(Debug, Clone, Copy)]
-enum RowForm {
-    /// domain, hostname, script, method.
-    Parts { tracking: bool },
-    /// url, source hostname, script, method.
-    Url { resource_type: ResourceType },
-}
 
 #[derive(Debug, Clone, Copy)]
 struct BatchRow {
-    form: RowForm,
-    /// Where each of the row's four strings ends in the arena; the first
-    /// begins where the previous row's last one ended.
+    resource_type: ResourceType,
+    /// Where each of the row's four strings (url, source hostname, script,
+    /// method) ends in the arena; the first begins where the previous row's
+    /// last one ended.
     ends: [usize; 4],
 }
 
@@ -774,31 +767,27 @@ impl ObservationBatch {
         self.rows.is_empty()
     }
 
-    fn push(&mut self, form: RowForm, strings: [&str; 4]) {
+    fn push(&mut self, resource_type: ResourceType, strings: [&str; 4]) {
         let ends = strings.map(|string| {
             self.text.push_str(string);
             self.text.len()
         });
-        self.rows.push(BatchRow { form, ends });
+        self.rows.push(BatchRow {
+            resource_type,
+            ends,
+        });
     }
 
     /// The rows in body order, borrowed from the arena.
     pub fn iter(&self) -> impl Iterator<Item = ObservationRef<'_>> + Clone {
         let mut start = 0;
         self.rows.iter().map(move |row| {
-            let [a, b, script, method] = row.ends.map(|end| {
+            let [url, source_hostname, script, method] = row.ends.map(|end| {
                 let string = &self.text[start..end];
                 start = end;
                 string
             });
-            match row.form {
-                RowForm::Parts { tracking } => {
-                    ObservationRef::parts(a, b, script, method, tracking)
-                }
-                RowForm::Url { resource_type } => {
-                    ObservationRef::url(a, b, resource_type, script, method)
-                }
-            }
+            ObservationRef::url(url, source_hostname, row.resource_type, script, method)
         })
     }
 }
@@ -812,29 +801,17 @@ fn read_observation<'a>(
     reader: &mut Reader<'a>,
     batch: &mut ObservationBatch,
 ) -> Result<Result<(), JsonError>, JsonError> {
-    let [mut domain, mut hostname, mut script, mut method, mut url, mut source_hostname, mut resource_type]: [Slot<'a>; 7] =
+    let [mut url, mut source_hostname, mut resource_type, mut script, mut method]: [Slot<'a>; 5] =
         Default::default();
-    let mut tracking: Option<Result<bool, JsonError>> = None;
     if reader.peek()? == Kind::Object {
         reader.begin_object()?;
         while let Some(key) = reader.next_key()? {
             let slot = match key.as_ref() {
-                "domain" => &mut domain,
-                "hostname" => &mut hostname,
-                "script" => &mut script,
-                "method" => &mut method,
                 "url" => &mut url,
                 "source_hostname" => &mut source_hostname,
                 "resource_type" => &mut resource_type,
-                "tracking" if tracking.is_none() => {
-                    tracking = Some(if reader.peek()? == Kind::Bool {
-                        Ok(reader.bool()?)
-                    } else {
-                        let other = reader.value()?;
-                        err(format!("expected bool, got {other:?}"))
-                    });
-                    continue;
-                }
+                "script" => &mut script,
+                "method" => &mut method,
                 _ => {
                     reader.skip_value()?;
                     continue;
@@ -848,23 +825,11 @@ fn read_observation<'a>(
     }
     // The order `ObservationMessage::from_json_value` reports errors in.
     let assemble = || {
-        if let Some(url) = url {
-            let (url, source_hostname) = (url?, required(source_hostname, "source_hostname")?);
-            let resource_type = resource_type_from_str(&required(resource_type, "resource_type")?)?;
-            let (script, method) = (required(script, "script")?, required(method, "method")?);
-            batch.push(
-                RowForm::Url { resource_type },
-                [&url, &source_hostname, &script, &method],
-            );
-        } else {
-            let (domain, hostname) = (required(domain, "domain")?, required(hostname, "hostname")?);
-            let (script, method) = (required(script, "script")?, required(method, "method")?);
-            let tracking = tracking.unwrap_or_else(|| err("missing field `tracking`"))?;
-            batch.push(
-                RowForm::Parts { tracking },
-                [&domain, &hostname, &script, &method],
-            );
-        }
+        let url = url.unwrap_or_else(|| err(ObservationMessage::URL_REQUIRED))?;
+        let source_hostname = required(source_hostname, "source_hostname")?;
+        let resource_type = resource_type_from_str(&required(resource_type, "resource_type")?)?;
+        let (script, method) = (required(script, "script")?, required(method, "method")?);
+        batch.push(resource_type, [&url, &source_hostname, &script, &method]);
         Ok(())
     };
     Ok(assemble())
@@ -1048,12 +1013,12 @@ mod tests {
         let row = DecisionMessage::new("a.com", "h.a.com", "s.js", "m\u{7}")
             .to_json_value()
             .render();
-        let observation = ObservationMessage::Parts {
-            domain: "a.com".into(),
-            hostname: "h.a.com".into(),
+        let observation = ObservationMessage::Url {
+            url: "https://h.a.com/p".into(),
+            source_hostname: "pub.com".into(),
+            resource_type: ResourceType::Image,
             script: "s.js".into(),
             method: "m\u{7}".into(),
-            tracking: true,
         }
         .to_json_value()
         .render();
@@ -1072,7 +1037,7 @@ mod tests {
         let decoded = decode_observation_batch(&observations).unwrap();
         assert!(matches!(
             decoded.iter().collect::<Vec<_>>()[..],
-            [ObservationRef::Parts {
+            [ObservationRef::Url {
                 method: "m\u{7}",
                 ..
             }]
@@ -1099,26 +1064,48 @@ mod tests {
 
     #[test]
     fn observation_messages_round_trip() {
-        let messages = vec![
-            ObservationMessage::Parts {
-                domain: "a.com".into(),
-                hostname: "h.a.com".into(),
-                script: "s.js".into(),
-                method: "m".into(),
-                tracking: true,
-            },
-            ObservationMessage::Url {
-                url: "https://px.t.io/b".into(),
-                source_hostname: "shop.com".into(),
-                resource_type: ResourceType::Image,
-                script: "s.js".into(),
-                method: "m".into(),
-            },
-        ];
-        for message in messages {
-            let text = message.to_json_value().render();
-            let back = ObservationMessage::from_json_value(&Value::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, message);
+        let message = ObservationMessage::Url {
+            url: "https://px.t.io/b".into(),
+            source_hostname: "shop.com".into(),
+            resource_type: ResourceType::Image,
+            script: "s.js".into(),
+            method: "m".into(),
+        };
+        let text = message.to_json_value().render();
+        let back = ObservationMessage::from_json_value(&Value::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, message);
+        let body = format!(r#"{{"observations":[{text}]}}"#);
+        let decoded = decode_observation_batch(&body).unwrap();
+        assert!(decoded.iter().eq([message.as_ref()]));
+    }
+
+    #[test]
+    fn a_client_labeled_row_is_refused_as_the_tree_decoder_refuses_it() {
+        let labeled = ObservationMessage::Parts {
+            domain: "a.com".into(),
+            hostname: "h.a.com".into(),
+            script: "s.js".into(),
+            method: "m".into(),
+            tracking: true,
+        }
+        .to_json_value()
+        .render();
+        let refused = JsonError(ObservationMessage::URL_REQUIRED.to_string());
+        assert_eq!(
+            ObservationMessage::from_json_value(&Value::parse(&labeled).unwrap()),
+            Err(refused.clone())
+        );
+        let url_row = r#"{"url":"https://h.a.com/p","source_hostname":"pub.com","resource_type":"image","script":"s.js","method":"m"}"#;
+        for body in [
+            format!(r#"{{"observations":[{labeled}]}}"#),
+            format!(r#"{{"observations":[{url_row},{labeled},{url_row}]}}"#),
+            r#"{"observations":[7]}"#.to_string(),
+        ] {
+            assert_eq!(
+                decode_observation_batch(&body).err(),
+                Some(refused.clone()),
+                "{body}"
+            );
         }
     }
 

@@ -3,21 +3,61 @@
 //! a `Decision` served over HTTP is byte-identical to the in-process
 //! decision for the same snapshot — surrogate payloads included.
 
-use crawler::json::Value;
+use crawler::json::{object, JsonError, Value};
+use filterlist::{ListKind, ResourceType};
 use proptest::prelude::*;
 use std::time::Duration;
-use trackersift::{Decision, DecisionRequest, ObservationRef, Sifter};
+use trackersift::{Decision, DecisionRequest, ObservationRef, Sifter, SifterBuilder};
 use trackersift_server::client::{Client, RetryPolicy, RetryingClient};
 use trackersift_server::wire::{
     self, BinaryKeys, BinaryRecord, DecisionMessage, ObservationMessage,
 };
 use trackersift_server::{DurabilityConfig, ReplicaStatus, ServerConfig, VerdictServer};
 
+/// The filter list a server labels `POST /v1/observations` rows with: two
+/// tracker domains, and a tracking pixel on any host.
+const LISTS: &[(ListKind, &str)] = &[(ListKind::EasyList, "||ads.com^\n||new.com^\n/pixel.gif\n")];
+
+/// One `POST /v1/observations` row, issued from a `pub.com` page, for the
+/// server to label with [`LISTS`].
+fn url_row(url: &str, script: &str, method: &str) -> String {
+    ObservationMessage::Url {
+        url: url.into(),
+        source_hostname: "pub.com".into(),
+        resource_type: ResourceType::Image,
+        script: script.into(),
+        method: method.into(),
+    }
+    .to_json_value()
+    .render()
+}
+
+/// Row `n` of a large batch: hostname `h{n}` under one of 50 domains, and
+/// every third one the tracking pixel.
+fn numbered_row(n: usize) -> String {
+    let path = if n % 3 == 0 { "pixel.gif" } else { "app.js" };
+    url_row(
+        &format!("https://h{n}.d{}.com/{path}", n % 50),
+        "https://pub.com/a.js",
+        "send",
+    )
+}
+
 /// The fixed training set behind the golden fixtures: one pure tracking
 /// domain, one pure functional domain, and one mixed chain ending in a
 /// mixed script whose methods span all three classifications.
 fn trained_sifter() -> Sifter {
-    let mut sifter = Sifter::builder().build();
+    trained(Sifter::builder())
+}
+
+/// [`trained_sifter`] with [`LISTS`] as its engine, for tests that post
+/// observations.
+fn labeling_trained_sifter() -> Sifter {
+    trained(Sifter::builder().filter_lists(LISTS))
+}
+
+fn trained(builder: SifterBuilder) -> Sifter {
+    let mut sifter = builder.build();
     for _ in 0..5 {
         sifter.apply(ObservationRef::parts(
             "ads.com",
@@ -254,22 +294,12 @@ fn batch_decisions_share_one_pinned_version() {
 
 #[test]
 fn observations_and_commit_change_served_decisions() {
-    let server = start_server(trained_sifter());
+    let server = start_server(labeling_trained_sifter());
     let mut client = Client::connect(server.local_addr());
 
     // A brand-new tracking domain, observed over the wire.
     let observations: Vec<String> = (0..5)
-        .map(|_| {
-            ObservationMessage::Parts {
-                domain: "new.com".into(),
-                hostname: "px.new.com".into(),
-                script: "https://pub.com/n.js".into(),
-                method: "fire".into(),
-                tracking: true,
-            }
-            .to_json_value()
-            .render()
-        })
+        .map(|_| url_row("https://px.new.com/p.gif", "https://pub.com/n.js", "fire"))
         .collect();
     let body = format!(r#"{{"observations":[{}]}}"#, observations.join(","));
     let (status, reply) = client.request("POST", "/v1/observations", Some(&body));
@@ -878,7 +908,7 @@ fn a_malformed_row_anywhere_in_a_batch_applies_nothing() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let (writer, _reader) = Sifter::builder().filter_lists(LISTS).build_concurrent();
     let server = VerdictServer::start(
         writer,
         ServerConfig {
@@ -907,19 +937,7 @@ fn a_malformed_row_anywhere_in_a_batch_applies_nothing() {
             number(&["durability", "journal", "appended"]),
         )
     };
-    let good: Vec<String> = (0..ROWS)
-        .map(|n| {
-            ObservationMessage::Parts {
-                domain: format!("d{}.com", n % 50),
-                hostname: format!("h{n}.d{}.com", n % 50),
-                script: "https://pub.com/a.js".into(),
-                method: "send".into(),
-                tracking: n % 3 == 0,
-            }
-            .to_json_value()
-            .render()
-        })
-        .collect();
+    let good: Vec<String> = (0..ROWS).map(numbered_row).collect();
     let body_of = |rows: &[String]| format!(r#"{{"observations":[{}]}}"#, rows.join(","));
 
     let before = state();
@@ -953,6 +971,102 @@ fn a_malformed_row_anywhere_in_a_batch_applies_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The server is the only labeler on the wire. A row that carries its own
+/// `tracking` label instead of a `url` — first in the batch, or after rows
+/// the server labels — gets one `400` naming the filter lists, nothing of
+/// the batch is applied or journaled, and the served decision of the key
+/// it targets is the same after a commit. Folded in process, that one row
+/// would flip `ads.com` from tracking to mixed (5 tracking to 1 functional
+/// is a log ratio of 0.7, under the threshold of 2).
+#[test]
+fn a_client_labeled_row_is_refused_and_moves_no_verdict() {
+    let dir = std::env::temp_dir().join(format!(
+        "trackersift-server-client-label-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (writer, _reader) = labeling_trained_sifter().into_concurrent();
+    let server = VerdictServer::start(
+        writer,
+        ServerConfig {
+            workers: 1,
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..ServerConfig::ephemeral()
+        },
+    )
+    .expect("start durable server");
+    // An error response closes its connection, so every step dials anew.
+    let connect = || Client::connect(server.local_addr());
+    let accounts = || {
+        let (status, body) = connect().request("GET", "/v1/stats", None);
+        assert_eq!(status, 200);
+        let stats = Value::parse(&body).expect("stats json");
+        let section = |path: &[&str]| {
+            let mut value = &stats;
+            for key in path {
+                value = value.field(key).expect("stats field");
+            }
+            value.render()
+        };
+        (section(&["ingest"]), section(&["durability", "journal"]))
+    };
+    let (domain, hostname, script, method) =
+        ("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
+    let served = || {
+        let query = DecisionMessage::new(domain, hostname, script, method)
+            .to_json_value()
+            .render();
+        let (status, body) = connect().request("POST", "/v1/decisions", Some(&query));
+        assert_eq!(status, 200);
+        let reply = Value::parse(&body).expect("decision json");
+        reply.field("decision").expect("a decision").render()
+    };
+    let forged = ObservationMessage::Parts {
+        domain: domain.into(),
+        hostname: hostname.into(),
+        script: script.into(),
+        method: method.into(),
+        tracking: false,
+    };
+    let mut poisoned = labeling_trained_sifter();
+    poisoned.apply(forged.as_ref());
+    poisoned.commit();
+    let request = DecisionMessage::new(domain, hostname, script, method);
+    let poisoned = trackersift::frames::decision_value(
+        &poisoned.verdict_table().decide(&request.as_request()),
+    )
+    .render();
+
+    let before = (accounts(), served());
+    assert_eq!(
+        before.1,
+        r#"{"action":"block","source":"hierarchy","granularity":"Domain"}"#
+    );
+    assert_ne!(poisoned, before.1, "the forged row would move the verdict");
+    let refusal = object(vec![(
+        "error",
+        Value::String(JsonError(ObservationMessage::URL_REQUIRED.into()).to_string()),
+    )])
+    .render();
+    assert!(refusal.contains("filter lists"), "{refusal}");
+    let forged = forged.to_json_value().render();
+    let labeled = url_row("https://px.new.com/p.gif", "https://pub.com/n.js", "fire");
+    for rows in [[&forged, &labeled, &labeled], [&labeled, &labeled, &forged]] {
+        let body = format!(
+            r#"{{"observations":[{},{},{}]}}"#,
+            rows[0], rows[1], rows[2]
+        );
+        let (status, reply) = connect().request("POST", "/v1/observations", Some(&body));
+        assert_eq!((status, reply), (400, refusal.clone()), "{body}");
+        assert_eq!(accounts(), before.0, "{body}");
+    }
+    let (status, _) = connect().request("POST", "/v1/commit", None);
+    assert_eq!(status, 200);
+    assert_eq!(served(), before.1);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The crash-recovery loop over the wire: observations committed against a
 /// durable server survive a full stop/start cycle on the same directory,
 /// and the reboot's recovery report is visible in `/v1/stats`.
@@ -974,7 +1088,7 @@ fn durable_server_recovers_observations_after_restart() {
     };
 
     // First life: an untrained server learns one domain over the wire.
-    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let (writer, _reader) = Sifter::builder().filter_lists(LISTS).build_concurrent();
     let server = VerdictServer::start(writer, config(&dir)).expect("first boot");
     assert_eq!(
         server.recovery().expect("durable boot").replayed_records,
@@ -983,17 +1097,7 @@ fn durable_server_recovers_observations_after_restart() {
     );
     let mut client = Client::connect(server.local_addr());
     let observations: Vec<String> = (0..5)
-        .map(|_| {
-            ObservationMessage::Parts {
-                domain: "ads.com".into(),
-                hostname: "px.ads.com".into(),
-                script: "https://pub.com/a.js".into(),
-                method: "send".into(),
-                tracking: true,
-            }
-            .to_json_value()
-            .render()
-        })
+        .map(|_| url_row("https://px.ads.com/p.gif", "https://pub.com/a.js", "send"))
         .collect();
     let body = format!(r#"{{"observations":[{}]}}"#, observations.join(","));
     let (status, _) = client.request("POST", "/v1/observations", Some(&body));
@@ -1003,10 +1107,10 @@ fn durable_server_recovers_observations_after_restart() {
     drop(client);
     server.shutdown();
 
-    // Second life: a *fresh, untrained* writer on the same directory. The
-    // journal replay must hand back the learned verdict before the first
-    // request is served.
-    let (writer, _reader) = Sifter::builder().build_concurrent();
+    // Second life: a *fresh, untrained* writer on the same directory and
+    // lists. The journal replay must hand back the learned verdict before
+    // the first request is served.
+    let (writer, _reader) = Sifter::builder().filter_lists(LISTS).build_concurrent();
     let server = VerdictServer::start(writer, config(&dir)).expect("second boot");
     let report = server.recovery().expect("durable boot");
     assert_eq!(report.replayed_commits, 1);
@@ -1077,19 +1181,7 @@ fn an_acknowledged_batch_is_on_disk_before_its_reply() {
         ..ServerConfig::ephemeral()
     };
     let body_of = |rows: std::ops::Range<usize>| {
-        let rows: Vec<String> = rows
-            .map(|n| {
-                ObservationMessage::Parts {
-                    domain: format!("d{}.com", n % 50),
-                    hostname: format!("h{n}.d{}.com", n % 50),
-                    script: "https://pub.com/a.js".into(),
-                    method: "send".into(),
-                    tracking: n % 3 == 0,
-                }
-                .to_json_value()
-                .render()
-            })
-            .collect();
+        let rows: Vec<String> = rows.map(numbered_row).collect();
         format!(r#"{{"observations":[{}]}}"#, rows.join(","))
     };
     let stat = |client: &mut Client, path: &[&str]| {
@@ -1103,7 +1195,7 @@ fn an_acknowledged_batch_is_on_disk_before_its_reply() {
         value.as_u64().expect("a count")
     };
 
-    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let (writer, _reader) = Sifter::builder().filter_lists(LISTS).build_concurrent();
     let server = VerdictServer::start(writer, config(&dir)).expect("boot");
     let mut client = Client::connect(server.local_addr());
     let (status, reply) = client.request("POST", "/v1/observations", Some(&body_of(0..100)));
@@ -1123,7 +1215,7 @@ fn an_acknowledged_batch_is_on_disk_before_its_reply() {
         let file = file.expect("directory entry");
         std::fs::copy(file.path(), crash_image.join(file.file_name())).expect("copy");
     }
-    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let (writer, _reader) = Sifter::builder().filter_lists(LISTS).build_concurrent();
     let reboot = VerdictServer::start(writer, config(&crash_image)).expect("boot the image");
     let pending = stat(
         &mut Client::connect(reboot.local_addr()),
@@ -1214,7 +1306,7 @@ fn revisions_endpoint_matches_in_process_ring() {
     }
     local.commit();
 
-    let server = start_server(trained_sifter());
+    let server = start_server(labeling_trained_sifter());
     let mut client = Client::connect(server.local_addr());
 
     // Training happened before the concurrent split, so the ring starts
@@ -1223,19 +1315,10 @@ fn revisions_endpoint_matches_in_process_ring() {
     assert_eq!(status, 200);
     assert_eq!(body, r#"{"version":1,"revisions":[]}"#);
 
-    // Ingest the same chain over the wire and commit.
+    // Ingest the same chain over the wire, labeled by the server's list,
+    // and commit.
     let observations: Vec<String> = (0..5)
-        .map(|_| {
-            ObservationMessage::Parts {
-                domain: "new.com".into(),
-                hostname: "px.new.com".into(),
-                script: "https://pub.com/n.js".into(),
-                method: "fire".into(),
-                tracking: true,
-            }
-            .to_json_value()
-            .render()
-        })
+        .map(|_| url_row("https://px.new.com/p.gif", "https://pub.com/n.js", "fire"))
         .collect();
     let body = format!(r#"{{"observations":[{}]}}"#, observations.join(","));
     let (status, _) = client.request("POST", "/v1/observations", Some(&body));
@@ -1290,21 +1373,13 @@ fn revisions_endpoint_matches_in_process_ring() {
 /// the method table still answers 405 for non-GET.
 #[test]
 fn revisions_endpoint_rejects_hostile_ranges() {
-    let server = start_server(trained_sifter());
+    let server = start_server(labeling_trained_sifter());
 
     // Commit once over the wire so the ring holds version 2.
     let mut client = Client::connect(server.local_addr());
     let body = format!(
         r#"{{"observations":[{}]}}"#,
-        ObservationMessage::Parts {
-            domain: "new.com".into(),
-            hostname: "px.new.com".into(),
-            script: "https://pub.com/n.js".into(),
-            method: "fire".into(),
-            tracking: true,
-        }
-        .to_json_value()
-        .render()
+        url_row("https://px.new.com/p.gif", "https://pub.com/n.js", "fire")
     );
     client.request("POST", "/v1/observations", Some(&body));
     client.request("POST", "/v1/commit", None);
@@ -1655,7 +1730,7 @@ proptest! {
 fn delta_snapshot_endpoint_contract() {
     use trackersift::frames;
 
-    let server = start_server(trained_sifter());
+    let server = start_server(labeling_trained_sifter());
     let mut client = Client::connect(server.local_addr());
 
     // A server whose table was trained before `into_concurrent` has an
@@ -1675,7 +1750,7 @@ fn delta_snapshot_endpoint_contract() {
         "POST",
         "/v1/observations",
         Some(
-            r#"{"observations":[{"domain":"new.com","hostname":"p.new.com","script":"https://new.com/n.js","method":"emit","tracking":true}]}"#,
+            r#"{"observations":[{"url":"https://p.new.com/e","source_hostname":"pub.com","resource_type":"ping","script":"https://new.com/n.js","method":"emit"}]}"#,
         ),
     );
     assert_eq!(status, 200);

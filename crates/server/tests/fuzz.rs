@@ -4,12 +4,13 @@
 //! garbage the pool must still answer a well-formed request.
 
 use crawler::json::{object, JsonError, Value};
+use filterlist::ListKind;
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use trackersift::{ObservationRef, Sifter, SifterReader, VerdictTable};
+use trackersift::{ObservationRef, Sifter, SifterBuilder, SifterReader, VerdictTable};
 use trackersift_server::client::Client;
 use trackersift_server::wire::{self, DecisionMessage, DecisionQuery, ObservationMessage};
 use trackersift_server::{ServerConfig, VerdictServer};
@@ -18,8 +19,14 @@ fn start_server() -> VerdictServer {
     start_server_with_reader().0
 }
 
+/// A sifter whose one-rule engine labels the fuzzed rows' base URL
+/// (`px.ads.com`) tracking, so a raw-URL row is accepted, not skipped.
+fn labeling_sifter() -> SifterBuilder {
+    Sifter::builder().filter_lists(&[(ListKind::EasyList, "||ads.com^\n")])
+}
+
 fn start_server_with_reader() -> (VerdictServer, SifterReader) {
-    let mut sifter = Sifter::builder().build();
+    let mut sifter = labeling_sifter().build();
     for _ in 0..5 {
         sifter.apply(ObservationRef::parts(
             "ads.com",
@@ -443,9 +450,10 @@ fn query_object(g: &mut Gen) -> String {
     format!("{{{}{}{}}}", g.space(), fields.join(&separator), g.space())
 }
 
-/// An observation row of either form: fields missing, duplicated, of the
-/// wrong type, unknown, in any order, and now and then the other form's
-/// fields mixed in (any `url` selects the raw-URL form).
+/// An observation row, raw-URL or the client-labeled parts shape the server
+/// refuses: fields missing, duplicated, of the wrong type, unknown, in any
+/// order, and now and then the other shape's fields mixed in (a row is
+/// decoded only if it has a `url`).
 fn observation_object(g: &mut Gen) -> String {
     if g.chance(3) {
         // Not an object at all.
@@ -689,7 +697,8 @@ proptest! {
     /// parsing a tree and decoding an `ObservationMessage` from each row
     /// accepts, reads the same rows out of them, rejects the others with the
     /// same error — and `POST /v1/observations`, which decodes through it,
-    /// answers that error as its `400` and counts every row of a good body.
+    /// answers that error as its `400` and counts every row of a good body
+    /// as an in-process sifter with the same engine does.
     #[test]
     fn streaming_observation_decoder_matches_the_tree_decoder(seed in 1u64..u64::MAX) {
         static SERVER: std::sync::OnceLock<VerdictServer> = std::sync::OnceLock::new();
@@ -716,13 +725,12 @@ proptest! {
                 prop_assert_eq!(status, 200, "{}", body);
                 let reply = Value::parse(&answer).expect("a JSON reply");
                 let count = |key| reply.field(key).and_then(Value::as_u64).expect("a count");
-                // No engine on this server: raw-URL rows are skipped.
-                let parts = rows
-                    .iter()
-                    .filter(|row| matches!(row, ObservationMessage::Parts { .. }))
-                    .count();
-                prop_assert_eq!(count("accepted"), parts as u64, "{}", body);
-                prop_assert_eq!(count("skipped"), (rows.len() - parts) as u64, "{}", body);
+                // A row is skipped only if its URL does not parse.
+                let accepted = labeling_sifter()
+                    .build()
+                    .apply_batch(rows.iter().map(ObservationMessage::as_ref));
+                prop_assert_eq!(count("accepted"), accepted, "{}", body);
+                prop_assert_eq!(count("skipped"), rows.len() as u64 - accepted, "{}", body);
             }
             Err(error) => {
                 let expected = object(vec![("error", Value::String(error.to_string()))]);
@@ -781,7 +789,7 @@ fn near_miss_keys_and_type_names_decode_as_the_tree_decoders_do() {
             .collect();
         format!("{{{}}}", members.join(","))
     };
-    // Without `url` a row is a parts-form observation and a URL-less query.
+    // Without `url` a row is a refused observation and a URL-less query.
     let forms = [
         fields.to_vec(),
         fields

@@ -3,12 +3,19 @@
 //! refuses everything that needs the writer, and can itself be followed.
 
 use crawler::json::Value;
+use filterlist::ListKind;
 use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
-use trackersift::{ObservationRef, Sifter};
+use trackersift::{ObservationRef, Sifter, SifterBuilder};
 use trackersift_server::client::Client;
 use trackersift_server::{ReplicaConfig, ReplicaStatus, ServerConfig, VerdictServer};
+
+/// A primary's sifter, whose filter list labels the rows posted to it:
+/// `ads.com` is a tracker, and so is a `/pixel.gif` on any host.
+fn primary_sifter() -> SifterBuilder {
+    Sifter::builder().filter_lists(&[(ListKind::EasyList, "||ads.com^\n/pixel.gif\n")])
+}
 
 /// `(polls, deltas_applied)` as the replica's `GET /v1/stats` reports them,
 /// once the follower loop has polled `at_least` times.
@@ -30,7 +37,7 @@ fn sync_gauges(client: &mut Client, at_least: u64) -> (u64, u64) {
 
 #[test]
 fn a_replica_bootstraps_serves_and_refuses_writes() {
-    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let (writer, _reader) = primary_sifter().build_concurrent();
     let primary = VerdictServer::start(
         writer,
         ServerConfig {
@@ -41,8 +48,8 @@ fn a_replica_bootstraps_serves_and_refuses_writes() {
     .expect("primary");
     let mut upstream = Client::connect(primary.local_addr());
     let body = concat!(
-        r#"{"observations":[{"domain":"ads.com","hostname":"px.ads.com","#,
-        r#""script":"https://pub.com/a.js","method":"send","tracking":true}]}"#,
+        r#"{"observations":[{"url":"https://px.ads.com/p.gif","source_hostname":"pub.com","#,
+        r#""resource_type":"image","script":"https://pub.com/a.js","method":"send"}]}"#,
     );
     let (status, _) = upstream.request("POST", "/v1/observations", Some(body));
     assert_eq!(status, 200);
@@ -107,8 +114,8 @@ fn a_replica_bootstraps_serves_and_refuses_writes() {
 
     // A second commit on the primary flows through the poll loop.
     let body2 = concat!(
-        r#"{"observations":[{"domain":"cdn.net","hostname":"a.cdn.net","#,
-        r#""script":"https://pub.com/b.js","method":"load","tracking":false}]}"#,
+        r#"{"observations":[{"url":"https://a.cdn.net/lib.js","source_hostname":"pub.com","#,
+        r#""resource_type":"script","script":"https://pub.com/b.js","method":"load"}]}"#,
     );
     let (status, _) = upstream.request("POST", "/v1/observations", Some(body2));
     assert_eq!(status, 200);
@@ -168,7 +175,7 @@ fn await_version(gauges: &ReplicaStatus, version: u64) {
 /// primary at every version it applies.
 #[test]
 fn a_replica_of_a_replica_bootstraps_once_and_follows_by_deltas() {
-    let mut sifter = Sifter::builder().build();
+    let mut sifter = primary_sifter().build();
     sifter.apply(ObservationRef::parts(
         "ads.com",
         "px.ads.com",
@@ -201,9 +208,13 @@ fn a_replica_of_a_replica_bootstraps_once_and_follows_by_deltas() {
     for version in 1..=4u64 {
         if version > 1 {
             let domain = format!("d{version}.com");
+            let path = if version % 2 == 0 {
+                "pixel.gif"
+            } else {
+                "app.js"
+            };
             let body = format!(
-                r#"{{"observations":[{{"domain":"{domain}","hostname":"px.{domain}","script":"https://{domain}/s.js","method":"send","tracking":{}}}]}}"#,
-                version % 2 == 0
+                r#"{{"observations":[{{"url":"https://px.{domain}/{path}","source_hostname":"pub.com","resource_type":"image","script":"https://{domain}/s.js","method":"send"}}]}}"#
             );
             assert_eq!(
                 upstream.request("POST", "/v1/observations", Some(&body)).0,

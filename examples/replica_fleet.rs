@@ -45,12 +45,9 @@ fn main() {
         seed: 23,
         ..StudyConfig::default()
     });
-    let mut sifter = Sifter::builder()
-        .thresholds(study.config.thresholds)
-        .build();
-    sifter.apply_batch(study.requests.iter().map(ObservationRef::from));
-    sifter.commit();
-    let (writer, _reader) = sifter.into_concurrent();
+    // The study's filter engine rides along: the primary labels the
+    //    observations posted to it in step 4.
+    let (writer, _reader) = study.sifter().into_concurrent();
     let primary = VerdictServer::start(writer, ServerConfig::ephemeral()).expect("primary");
     println!("primary on http://{}", primary.local_addr());
 
@@ -103,10 +100,11 @@ fn main() {
     println!("byte-identical on {checked} sampled queries across the fleet");
 
     // 4. Drift: a fresh commit on the primary flows to every replica as a
-    //    small delta, and the fleet converges on the new verdict.
+    //    small delta, and the fleet converges on the new verdict. The row is
+    //    a raw URL the primary labels tracking (EasyPrivacy's `/beacon?`).
     let observation = r#"{"observations":[
-        {"domain":"freshtracker.com","hostname":"px.freshtracker.com",
-         "script":"https://pub.com/app.js","method":"beacon","tracking":true}
+        {"url":"https://px.freshtracker.com/beacon?id=1","source_hostname":"pub.com",
+         "resource_type":"ping","script":"https://pub.com/app.js","method":"beacon"}
     ]}"#;
     let (status, _) = http(
         primary.local_addr(),
@@ -123,6 +121,10 @@ fn main() {
     }
     let query = r#"{"domain":"freshtracker.com","hostname":"px.freshtracker.com","script":"https://pub.com/app.js","method":"beacon"}"#;
     let (_, primary_body) = http(primary.local_addr(), "POST", "/v1/decisions", query);
+    assert!(
+        primary_body.contains(r#""action":"block""#),
+        "{primary_body}"
+    );
     for (i, replica) in fleet.iter().enumerate() {
         let (_, replica_body) = http(replica.local_addr(), "POST", "/v1/decisions", query);
         assert_eq!(

@@ -118,7 +118,12 @@ fn main() {
     );
     let text = std::fs::read_to_string(&path).expect("read snapshot");
     let reloaded = SifterSnapshot::parse(&text).expect("parse snapshot");
-    let mut restored = Sifter::builder().restore(&reloaded).expect("restore");
+    // The filter engine is not part of a snapshot: the restored sifter takes
+    // the study's, to label the raw-URL observations posted in step 10.
+    let mut restored = Sifter::builder()
+        .engine(study.engine.clone())
+        .restore(&reloaded)
+        .expect("restore");
     assert_eq!(restored.hierarchy(), sifter.hierarchy());
 
     // 3. Query in-process: the committed state exports as a `VerdictTable`,
@@ -235,14 +240,26 @@ fn main() {
     println!("PUT /v1/snapshot -> {status} {body}");
 
     // 10. Ingest over the wire, commit, and watch the served table move on.
+    //     A row is a raw URL the server labels with its own filter lists
+    //     (EasyPrivacy's `/beacon?`); a row carrying its own `tracking`
+    //     label is refused.
     let observation = r#"{"observations":[
-        {"domain":"freshtracker.com","hostname":"px.freshtracker.com",
-         "script":"https://pub.com/app.js","method":"beacon","tracking":true}
+        {"url":"https://px.freshtracker.com/beacon?id=1","source_hostname":"pub.com",
+         "resource_type":"ping","script":"https://pub.com/app.js","method":"beacon"}
     ]}"#;
+    let query = r#"{"domain":"freshtracker.com","hostname":"px.freshtracker.com","script":"https://pub.com/app.js","method":"beacon"}"#;
+    let (_, before) = http(addr, "POST", "/v1/decisions", query);
     let (_, body) = http(addr, "POST", "/v1/observations", observation);
     println!("POST /v1/observations -> {body}");
     let (_, body) = http(addr, "POST", "/v1/commit", "");
     println!("POST /v1/commit -> {body}");
+    let (_, after) = http(addr, "POST", "/v1/decisions", query);
+    println!("freshtracker.com before the commit: {before}\n  after: {after}");
+    assert!(after.contains(r#""action":"block""#), "{after}");
+    let labeled = r#"{"observations":[{"domain":"freshtracker.com","hostname":"px.freshtracker.com","script":"https://pub.com/app.js","method":"beacon","tracking":false}]}"#;
+    let (status, body) = http(addr, "POST", "/v1/observations", labeled);
+    assert!(status.contains(" 400 "), "{status}");
+    println!("POST /v1/observations with a client's own label -> {status}\n  {body}");
 
     server.shutdown();
     println!("Server drained and shut down cleanly.");
