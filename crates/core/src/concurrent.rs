@@ -351,9 +351,7 @@ impl SifterWriter {
         // it. Derivable from the fold, so a torn tail here only costs the
         // persisted copy — recovery recomputes the same revision.
         if let (Some(durable), Some(revision)) = (&mut self.durable, self.revisions.last()) {
-            let _ = durable.journal.append(&JournalEntry::Revision {
-                revision: (**revision).clone(),
-            });
+            let _ = durable.journal.append_revision(revision);
         }
         stats
     }
@@ -487,9 +485,7 @@ impl SifterWriter {
         // boot from this generation still answers `?diff=` spans that
         // predate the checkpoint (the snapshot alone carries no history).
         for revision in &self.revisions {
-            let _ = durable.journal.append(&JournalEntry::Revision {
-                revision: (**revision).clone(),
-            });
+            let _ = durable.journal.append_revision(revision);
         }
         let _ = durable.journal.sync();
         Ok(durable.dir.generation())

@@ -11,6 +11,11 @@
 //!   [`decision_value`] renders a [`Decision`], surrogate plan included,
 //!   to the exact [`Value`] tree the verdict server has always served
 //!   (field order fixed, so equal decisions render to byte-identical JSON).
+//!   The tree is the canonical encoder and the tests' oracle; the bytes a
+//!   commit publishes — [`SurrogateFrames`] and the fixed bodies of
+//!   [`crate::PrebuiltResponses`] — are written straight to text
+//!   ([`write_rewrite_json`] writes a rewrite the same way), so a commit
+//!   builds no tree per plan.
 //! * **Binary** (what Rust code reads): a compact length-prefixed framing.
 //!   Every fixed decision is one of `FIXED_COMBOS` fixed `(action,
 //!   source)` pairs — a two-byte code — while a surrogate decision carries
@@ -206,7 +211,9 @@ fn method_action_value(action: &MethodAction) -> Value {
     }
 }
 
-/// Encode a surrogate payload as its canonical JSON object.
+/// Encode a surrogate payload as its canonical JSON object. Only
+/// [`decision_value`] and the JSON delta envelope build this tree; the
+/// commit path writes the same bytes with [`write_surrogate_json`].
 fn surrogate_value(script: &SurrogateScript) -> Value {
     object(vec![
         ("script_url", Value::String(script.script_url.clone())),
@@ -252,6 +259,42 @@ pub fn write_rewrite_json(out: &mut Vec<u8>, rewritten: &RewrittenUrl) {
     out.extend_from_slice(br#"{"action":"rewrite","url":"#);
     crawler::json::write_string(out, rewritten.url());
     out.push(b'}');
+}
+
+/// Append the canonical JSON object of a surrogate decision — the bytes
+/// [`decision_value`] renders for [`Decision::Surrogate`], without the tree.
+fn write_surrogate_json(out: &mut Vec<u8>, script: &SurrogateScript) {
+    use crawler::json::{write_string, write_u64};
+    out.extend_from_slice(br#"{"action":"surrogate","surrogate":{"script_url":"#);
+    write_string(out, &script.script_url);
+    out.extend_from_slice(br#","methods":["#);
+    for (at, (name, action)) in script.methods.iter().enumerate() {
+        if at > 0 {
+            out.push(b',');
+        }
+        out.push(b'[');
+        write_string(out, name);
+        match action {
+            MethodAction::Keep => out.extend_from_slice(br#","keep""#),
+            MethodAction::Stub => out.extend_from_slice(br#","stub""#),
+            MethodAction::Guard { blocked_callers } => {
+                out.extend_from_slice(br#",{"guard":{"blocked_callers":["#);
+                for (at, caller) in blocked_callers.iter().enumerate() {
+                    if at > 0 {
+                        out.push(b',');
+                    }
+                    write_string(out, caller);
+                }
+                out.extend_from_slice(b"]}}");
+            }
+        }
+        out.push(b']');
+    }
+    out.extend_from_slice(br#"],"suppressed_tracking_requests":"#);
+    write_u64(out, script.suppressed_tracking_requests);
+    out.extend_from_slice(br#","preserved_functional_requests":"#);
+    write_u64(out, script.preserved_functional_requests);
+    out.extend_from_slice(b"}}");
 }
 
 /// Encode a decision as its canonical JSON object. The encoding is
@@ -322,6 +365,10 @@ pub fn encode_surrogate_payload(script: &SurrogateScript) -> Vec<u8> {
 /// [`VerdictTable`](crate::VerdictTable). Serving a surrogate
 /// decision then copies these slices instead of re-encoding the plan per
 /// request.
+///
+/// Both are written straight to bytes, no [`Value`] tree in between:
+/// a primary rebuilds the frames of every plan a commit touches, and a
+/// replica of every plan a delta carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SurrogateFrames {
     /// The complete JSON decision object
@@ -334,16 +381,19 @@ pub struct SurrogateFrames {
 }
 
 impl SurrogateFrames {
-    /// Preformat both encodings of a surrogate plan.
+    /// Preformat both encodings of a surrogate plan, each written straight
+    /// to its bytes.
     pub(crate) fn new(script: &SurrogateScript) -> Self {
-        let json = object(vec![
-            ("action", Value::String("surrogate".to_string())),
-            ("surrogate", surrogate_value(script)),
-        ])
-        .render();
+        let binary = encode_surrogate_payload(script);
+        // The JSON spells out what the payload length-prefixes: a few more
+        // bytes per method and ~110 of field names.
+        let mut json = Vec::with_capacity(binary.len() + 16 * script.methods.len() + 128);
+        write_surrogate_json(&mut json, script);
         SurrogateFrames {
-            json: json.into(),
-            binary: encode_surrogate_payload(script).into(),
+            json: std::str::from_utf8(&json)
+                .expect("JSON text is UTF-8")
+                .into(),
+            binary: binary.into(),
         }
     }
 }
@@ -1093,6 +1143,66 @@ mod tests {
             decision_value(&Decision::Surrogate(Arc::new(script.clone()))).render()
         );
         assert_eq!(frames.binary.as_ref(), encode_surrogate_payload(&script));
+    }
+
+    /// Characters a client string can carry into a plan: the ones JSON
+    /// escapes (`"`, `\`, control bytes), DEL (not escaped) and non-ASCII
+    /// text, among plain URL characters.
+    const PLAN_TEXT: [char; 18] = [
+        'a', 'Z', '0', '/', '.', ':', ' ', '"', '\\', '\u{0}', '\u{1f}', '\n', '\t', '\u{7f}', 'é',
+        '中', '🦀', '\u{2028}',
+    ];
+
+    fn plan_text() -> impl proptest::Strategy<Value = String> {
+        use proptest::Strategy;
+        proptest::collection::vec(0..PLAN_TEXT.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|at| PLAN_TEXT[at]).collect())
+    }
+
+    /// A request count: zero, 2^53 (the largest JSON carries exactly) or
+    /// anything between.
+    fn plan_count() -> impl proptest::Strategy<Value = u64> {
+        use proptest::Strategy;
+        (0usize..4, 0u64..1 << 53).prop_map(|(pick, any)| [0, 1 << 53, any, 1][pick])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The directly written JSON of any plan — zero methods, `Keep`,
+        /// `Stub` and `Guard` with 0..n callers, escaped and non-ASCII
+        /// strings, extreme counts — is the bytes the tree renders.
+        #[test]
+        fn surrogate_frames_write_the_tree_encoders_bytes(
+            script_url in plan_text(),
+            methods in proptest::collection::vec(
+                (plan_text(), 0usize..3, proptest::collection::vec(plan_text(), 0..4)),
+                0..6,
+            ),
+            suppressed in plan_count(),
+            preserved in plan_count(),
+        ) {
+            let script = SurrogateScript {
+                script_url,
+                methods: methods
+                    .into_iter()
+                    .map(|(name, pick, blocked_callers)| {
+                        let action = match pick {
+                            0 => MethodAction::Keep,
+                            1 => MethodAction::Stub,
+                            _ => MethodAction::Guard { blocked_callers },
+                        };
+                        (name, action)
+                    })
+                    .collect(),
+                suppressed_tracking_requests: suppressed,
+                preserved_functional_requests: preserved,
+            };
+            let frames = SurrogateFrames::new(&script);
+            let tree = decision_value(&Decision::Surrogate(Arc::new(script.clone()))).render();
+            proptest::prop_assert_eq!(frames.json.as_ref(), tree.as_str());
+            proptest::prop_assert_eq!(frames.binary.as_ref(), encode_surrogate_payload(&script));
+        }
     }
 
     #[test]

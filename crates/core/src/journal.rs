@@ -317,6 +317,13 @@ impl Journal {
         self.append_framed(|out| encode_observation(out, observation))
     }
 
+    /// [`Journal::append`] of `JournalEntry::Revision { .. }` for a
+    /// revision that is only borrowed (a writer's ring entry): both run the
+    /// same `encode_revision`.
+    pub(crate) fn append_revision(&mut self, revision: &VerdictRevision) -> io::Result<()> {
+        self.append_framed(|out| encode_revision(out, revision))
+    }
+
     /// Journal a batch acknowledged as one: frame every observation with no
     /// count-based sync, then flush and fsync once — the batch is on disk
     /// when this returns `Ok`, whatever its length against `sync_every`.
@@ -658,18 +665,20 @@ fn encode_payload(out: &mut Vec<u8>, entry: &JournalEntry) {
             out.push(KIND_COMMIT);
             out.extend_from_slice(&version.to_le_bytes());
         }
-        JournalEntry::Revision { revision } => {
-            out.push(KIND_REVISION);
-            out.extend_from_slice(&revision.version().to_le_bytes());
-            out.extend_from_slice(&(revision.changes().len() as u32).to_le_bytes());
-            for change in revision.changes() {
-                frames::put_change(out, change);
-            }
-            out.extend_from_slice(&(revision.plans_touched().len() as u32).to_le_bytes());
-            for script in revision.plans_touched() {
-                frames::put_bytes(out, script.as_bytes());
-            }
-        }
+        JournalEntry::Revision { revision } => encode_revision(out, revision),
+    }
+}
+
+fn encode_revision(out: &mut Vec<u8>, revision: &VerdictRevision) {
+    out.push(KIND_REVISION);
+    out.extend_from_slice(&revision.version().to_le_bytes());
+    out.extend_from_slice(&(revision.changes().len() as u32).to_le_bytes());
+    for change in revision.changes() {
+        frames::put_change(out, change);
+    }
+    out.extend_from_slice(&(revision.plans_touched().len() as u32).to_le_bytes());
+    for script in revision.plans_touched() {
+        frames::put_bytes(out, script.as_bytes());
     }
 }
 
@@ -1014,9 +1023,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `append_observation` of a borrowed record writes the bytes `append`
-    /// writes for the owned entry — both forms, across `sync_every` flushes,
-    /// and after a refused oversized record, which leaves nothing behind.
+    /// `append_observation` of a borrowed record, and `append_revision` of
+    /// a borrowed revision, write the bytes `append` writes for the owned
+    /// entry — both observation forms and a revision, across `sync_every`
+    /// flushes, and after a refused oversized record, which leaves nothing
+    /// behind.
     #[test]
     fn borrowed_and_owned_appends_write_identical_bytes() {
         let entries: Vec<JournalEntry> = one_of_each_kind()
@@ -1050,6 +1061,7 @@ mod tests {
                 JournalEntry::Observation(observation) => {
                     borrowed.append_observation(observation.as_ref())
                 }
+                JournalEntry::Revision { revision } => borrowed.append_revision(revision),
                 other => borrowed.append(other),
             }
             .expect("append");

@@ -31,12 +31,11 @@ use crate::ratio::Classification;
 use crate::revision::{self, ChangeKind, RevisionChange, VerdictRevision};
 use crate::service::Verdict;
 use crate::surrogate::SurrogateScript;
-use crawler::json::{object, Value};
 use filterlist::tokens::TokenHashBuilder;
 use filterlist::FilterEngine;
 use rewriter::{RewrittenUrl, UrlRewriter};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A committed mixed script's surrogate plan together with its preformatted
 /// response frames. The frames are a pure function of the plan and are
@@ -228,18 +227,22 @@ pub(crate) fn verdict_walk(
 /// assembly. The per-key surrogate frames are version-free and live beside
 /// their plans in the table's surrogate map.
 ///
-/// The JSON bodies are produced by rendering the same [`Value`] trees the
-/// serialize-per-request path builds, so a preformatted answer is
-/// byte-identical to a freshly encoded one — the property the wire
-/// byte-identity tests pin down.
+/// The fixed fragments carry no version: they are rendered once per process
+/// from the [`frames::decision_value`] trees the serialize-per-request path
+/// builds, and shared by every table. A table's own bodies are spliced from
+/// them: the version digits written into the `{"version":V,` head, and a
+/// single body as prefix + fragment + `}`. So building a table renders no
+/// tree, and a preformatted answer is byte-identical to a freshly encoded
+/// one — the property the wire byte-identity tests pin down.
 #[derive(Debug, Clone)]
 pub struct PrebuiltResponses {
     /// Complete JSON single-decision bodies
     /// (`{"version":V,"decision":{…}}`), indexed by
     /// [`frames::fixed_index`].
     json_single: [Arc<str>; FIXED_COMBOS],
-    /// Version-free JSON decision objects for batch assembly.
-    json_fragment: [Arc<str>; FIXED_COMBOS],
+    /// Version-free JSON decision objects for batch assembly, shared by
+    /// every table.
+    json_fragment: &'static [Box<str>; FIXED_COMBOS],
     /// Complete 15-byte binary single-decision bodies, version baked.
     binary_single: [[u8; SINGLE_HEADER_LEN]; FIXED_COMBOS],
     /// `{"version":V,"decision":` — the prefix a surrogate's JSON fragment
@@ -250,34 +253,39 @@ pub struct PrebuiltResponses {
     json_batch_prefix: Arc<str>,
 }
 
-impl PrebuiltResponses {
-    fn build(version: u64) -> Self {
-        let render_single = |index: usize| -> Arc<str> {
-            object(vec![
-                ("version", Value::number_u64(version)),
-                (
-                    "decision",
-                    frames::decision_value(&frames::fixed_decision(index)),
-                ),
-            ])
-            .render()
-            .into()
-        };
-        let render_fragment = |index: usize| -> Arc<str> {
+/// The fixed combos' version-free JSON decision objects, rendered once per
+/// process and shared by every table's [`PrebuiltResponses`].
+fn fixed_fragments() -> &'static [Box<str>; FIXED_COMBOS] {
+    static FRAGMENTS: OnceLock<[Box<str>; FIXED_COMBOS]> = OnceLock::new();
+    FRAGMENTS.get_or_init(|| {
+        std::array::from_fn(|index| {
             frames::decision_value(&frames::fixed_decision(index))
                 .render()
                 .into()
-        };
-        // Derive the splice prefixes from a rendered probe body so manual
-        // assembly (prefix + fragment + close) stays byte-identical to a
-        // full render even if the JSON codec's formatting ever changes.
-        let probe = object(vec![("version", Value::number_u64(version))]).render();
-        let version_head = probe.strip_suffix('}').expect("object render ends in }");
-        let json_single_prefix: Arc<str> = format!("{version_head},\"decision\":").into();
-        let json_batch_prefix: Arc<str> = format!("{version_head},\"decisions\":[").into();
+        })
+    })
+}
+
+impl PrebuiltResponses {
+    fn build(version: u64) -> Self {
+        let mut head = br#"{"version":"#.to_vec();
+        crawler::json::write_u64(&mut head, version);
+        let head = std::str::from_utf8(&head).expect("JSON digits are ASCII");
+        let json_single_prefix: Arc<str> = [head, r#","decision":"#].concat().into();
+        let json_batch_prefix: Arc<str> = [head, r#","decisions":["#].concat().into();
+        let json_fragment = fixed_fragments();
+        // A single body is prefix + fragment + close, spliced in one buffer.
+        let mut body = String::new();
+        let json_single = std::array::from_fn(|index| {
+            body.clear();
+            body.push_str(&json_single_prefix);
+            body.push_str(&json_fragment[index]);
+            body.push('}');
+            Arc::from(body.as_str())
+        });
         PrebuiltResponses {
-            json_single: std::array::from_fn(render_single),
-            json_fragment: std::array::from_fn(render_fragment),
+            json_single,
+            json_fragment,
             binary_single: std::array::from_fn(|index| {
                 frames::encode_fixed_single(&frames::fixed_decision(index), version)
             }),
@@ -371,7 +379,7 @@ pub struct VerdictTable {
     /// lists). Empty for tables exported outside a concurrent writer and
     /// for a replica's tables.
     revisions: Vec<Arc<VerdictRevision>>,
-    /// Preformatted response bodies (version baked), rendered once when
+    /// Preformatted response bodies (version baked), spliced once when
     /// the table is built.
     prebuilt: PrebuiltResponses,
 }
@@ -394,8 +402,9 @@ pub(crate) struct TableParts {
 }
 
 impl VerdictTable {
-    /// Build a table from its parts, rendering the version-baked
-    /// [`PrebuiltResponses`] once.
+    /// Build a table from its parts, splicing its version into the
+    /// [`PrebuiltResponses`] once (no JSON tree is rendered: the fixed
+    /// fragments are shared, and surrogate frames come with their plans).
     pub(crate) fn new(parts: TableParts) -> Self {
         let TableParts {
             keys,
@@ -750,6 +759,48 @@ mod tests {
                 frames::decision_value(&decision).render(),
                 "for {request:?}"
             );
+        }
+    }
+
+    /// The spliced bodies of every fixed combo are what the trees render,
+    /// at versions on both sides of a digit-count change and at the
+    /// largest version JSON carries exactly.
+    #[test]
+    fn prebuilt_bodies_match_the_tree_render_at_every_version_width() {
+        use crawler::json::{object, Value};
+        for version in [0, 1, 9, 10, 1 << 53] {
+            let prebuilt = PrebuiltResponses::build(version);
+            for index in 0..FIXED_COMBOS {
+                let decision = frames::fixed_decision(index);
+                let single = object(vec![
+                    ("version", Value::number_u64(version)),
+                    ("decision", frames::decision_value(&decision)),
+                ])
+                .render();
+                let batch = object(vec![
+                    ("version", Value::number_u64(version)),
+                    (
+                        "decisions",
+                        Value::Array(vec![frames::decision_value(&decision)]),
+                    ),
+                ])
+                .render();
+                let fragment = prebuilt.json_fragment(index);
+                assert_eq!(fragment, frames::decision_value(&decision).render());
+                assert_eq!(prebuilt.json_single(index), single, "v{version} #{index}");
+                assert_eq!(
+                    format!("{}{fragment}}}", prebuilt.json_single_prefix()),
+                    single
+                );
+                assert_eq!(
+                    format!("{}{fragment}]}}", prebuilt.json_batch_prefix()),
+                    batch
+                );
+                assert_eq!(
+                    prebuilt.binary_single(index)[..],
+                    frames::encode_fixed_single(&decision, version)
+                );
+            }
         }
     }
 

@@ -6,16 +6,21 @@
 //! classifier allocates per distinct resource key, never per request. The key store allocates per arena chunk and per
 //! table growth, never per key, and freezing it copies a fixed number of
 //! buffers. Exporting a trained sifter's snapshot costs a handful of
-//! buffers, never one per key or row.
+//! buffers, never one per key or row. A commit on a re-crawled web costs a
+//! few buffers per surrogate plan it rebuilds, never a JSON tree per plan.
 
 use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase};
 use filterlist::FilterEngine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use trackersift::{
-    HierarchicalClassifier, KeyInterner, LabeledRequest, Labeler, Sifter, Thresholds,
+    HierarchicalClassifier, KeyInterner, LabeledRequest, Labeler, ObservationRef, Sifter,
+    SifterWriter, Thresholds,
 };
-use websim::{filter_rules, CorpusGenerator, CorpusProfile};
+use websim::{
+    filter_rules, fingerprint_key, CorpusGenerator, CorpusProfile, EcosystemMutator,
+    MutationConfig, WebCorpus,
+};
 
 // ---------------------------------------------------------------------------
 // A counting allocator (the pattern of `crates/server/tests/alloc_free.rs`):
@@ -192,4 +197,69 @@ fn interning_allocates_per_chunk_and_table_growth_not_per_key() {
     let (frozen_small, _) = allocations_during(|| small.freeze());
     assert_eq!(frozen, frozen_small);
     assert!(frozen <= 6, "{frozen} allocations per freeze");
+}
+
+/// Observe every planned request of `corpus` the way a re-crawl does:
+/// script requests as `Url` rows under the script's content fingerprint,
+/// document requests under a per-page key.
+fn recrawl(corpus: &WebCorpus, writer: &mut SifterWriter) {
+    let keys: Vec<(Vec<String>, String)> = corpus
+        .websites
+        .iter()
+        .map(|site| {
+            let scripts = site.scripts.iter().map(fingerprint_key).collect();
+            (scripts, format!("page:{}", site.hostname))
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for (site, (script_keys, page_key)) in corpus.websites.iter().zip(&keys) {
+        let source = site.hostname.as_str();
+        for (script, key) in site.scripts.iter().zip(script_keys) {
+            rows.extend(script.planned_requests().map(|(method_index, request)| {
+                let method = &script.methods[method_index].name;
+                ObservationRef::url(&request.url, source, request.resource_type, key, method)
+            }));
+        }
+        rows.extend(site.non_script_requests.iter().map(|request| {
+            ObservationRef::url(
+                &request.url,
+                source,
+                request.resource_type,
+                page_key,
+                "html",
+            )
+        }));
+    }
+    writer.apply_batch(rows);
+}
+
+#[test]
+fn a_churny_commit_allocates_per_plan_touched_not_per_tree_node() {
+    const EPOCHS: u64 = 4;
+    let mut corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(200), 2021);
+    let (mut writer, _reader) = Sifter::builder()
+        .engine(filter_rules::engine_for(&corpus.ecosystem))
+        .build_concurrent();
+    let mutator = EcosystemMutator::new(2021, MutationConfig::churny());
+    recrawl(&corpus, &mut writer);
+    for epoch in 1..=EPOCHS {
+        writer.commit();
+        mutator.advance(&mut corpus, epoch);
+        recrawl(&corpus, &mut writer);
+    }
+    let (allocations, _) = allocations_during(|| writer.commit());
+    let plans = writer
+        .revisions()
+        .last()
+        .expect("a revision")
+        .plans_touched()
+        .len() as u64;
+    assert!(plans >= 20, "{plans} plans touched");
+    // Per rebuilt plan: its owned strings, and each encoding's buffer and
+    // `Arc`. Plus the table's spliced bodies and the commit's vectors. A
+    // rendered tree per plan cost about 45 a plan.
+    assert!(
+        allocations <= 16 * plans + 128,
+        "{allocations} allocations for {plans} plans touched"
+    );
 }
