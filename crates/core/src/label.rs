@@ -52,7 +52,6 @@
 
 use crawler::{CrawlDatabase, SiteCrawl, StackFrame};
 use filterlist::{hostname_of, FilterEngine, RequestLabel, RequestScratch, ResourceType};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -318,13 +317,7 @@ impl<'a> Labeler<'a> {
         if workers == 1 {
             return self.label_database(db);
         }
-        let label_all = || {
-            db.sites
-                .par_iter()
-                .map(|site| self.label_site(site))
-                .collect::<Vec<_>>()
-        };
-        let per_site = crawler::with_worker_pool(workers, label_all);
+        let per_site = crawler::par_map(&db.sites, workers, |site| self.label_site(site));
         let mut stats = LabelStats::default();
         let mut out = Vec::with_capacity(db.script_initiated_requests());
         for (requests, site_stats) in per_site {

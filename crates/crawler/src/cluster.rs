@@ -3,16 +3,16 @@
 //! The paper's crawl ran on a 13-node cluster, each node crawling a disjoint
 //! subset of the 100K sites inside its own Docker container, statelessly
 //! (all browser state cleared between consecutive page loads). The
-//! [`CrawlCluster`] reproduces that shape in-process with a rayon data-parallel
-//! map: each site is loaded by its own [`PageLoadSimulator`] (fresh state per
-//! page) on a pool sized by [`ClusterConfig::workers`] — the `--threads`-style
-//! knob of the pipeline. Each site's request-id space is derived from its rank
-//! and results are re-assembled in rank order, so the output is byte-identical
-//! regardless of worker count or scheduling — a property the tests assert.
+//! [`CrawlCluster`] reproduces that shape in-process with [`par_map`], an
+//! order-preserving map over scoped threads: each site is loaded by its own
+//! [`PageLoadSimulator`] (fresh state per page) on as many threads as
+//! [`ClusterConfig::workers`] — the `--threads`-style knob of the pipeline.
+//! Each site's request-id space is derived from its rank and results are
+//! re-assembled in rank order, so the output is byte-identical regardless of
+//! worker count or scheduling — a property the tests assert.
 
 use crate::database::{CrawlDatabase, SiteCrawl};
 use crate::page_load::PageLoadSimulator;
-use rayon::prelude::*;
 use websim::{WebCorpus, Website};
 
 /// Configuration for a crawl.
@@ -77,16 +77,38 @@ pub fn workers_for(workers: usize, sites: usize) -> usize {
     workers.min(sites).max(1)
 }
 
-/// Run `op` on a rayon pool of `workers` threads (0 = the ambient default).
+/// Map `f` over `items` on `workers` scoped threads and return the results
+/// in input order. Each thread maps one contiguous chunk, and the chunks
+/// are joined in order, so the output does not depend on scheduling. With
+/// `workers` of 0 or 1, or fewer than two items, `f` runs on the caller's
+/// thread. A panic in `f` reaches the caller with its own payload.
 ///
-/// Shared by the crawl and labeling stages so the degradation policy lives
-/// in one place: if pool construction fails (resource exhaustion), `op`
-/// runs on the ambient rayon threads rather than aborting.
-pub fn with_worker_pool<R>(workers: usize, op: impl FnOnce() -> R) -> R {
-    match rayon::ThreadPoolBuilder::new().num_threads(workers).build() {
-        Ok(pool) => pool.install(op),
-        Err(_) => op(),
+/// Shared by the crawl and labeling stages, which size `workers` with
+/// [`workers_for`].
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
     }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(workers))
+            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out = Vec::with_capacity(items.len());
+        for handle in handles {
+            match handle.join() {
+                Ok(chunk) => out.extend(chunk),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
 }
 
 /// Load one site in a fresh simulator (stateless crawling). The request-id
@@ -109,13 +131,7 @@ impl CrawlCluster {
     /// depend on scheduling.
     pub fn crawl(&self, corpus: &WebCorpus) -> CrawlDatabase {
         let workers = workers_for(self.config.workers, corpus.websites.len());
-        let mut sites: Vec<SiteCrawl> = if workers == 1 {
-            corpus.websites.iter().map(crawl_site).collect()
-        } else {
-            with_worker_pool(workers, || {
-                corpus.websites.par_iter().map(crawl_site).collect()
-            })
-        };
+        let mut sites = par_map(&corpus.websites, workers, crawl_site);
         sites.sort_by_key(|s| s.rank);
         CrawlDatabase { sites }
     }
@@ -226,6 +242,49 @@ mod tests {
             let (_, summary) = cluster.crawl_with_summary(&corpus);
             assert_eq!(summary.workers, used, "{configured} configured");
         }
+    }
+
+    #[test]
+    fn par_map_preserves_input_order() {
+        // 7 and 3 workers leave a short last chunk. A thread per item is
+        // tried on a short input only: 10,000 threads is no unit test.
+        let items: Vec<u64> = (0..10_000).collect();
+        let doubled: Vec<u64> = items.iter().map(|x| x * 2).collect();
+        for workers in [7, 3, 2, 1, 0] {
+            assert_eq!(
+                par_map(&items, workers, |x| x * 2),
+                doubled,
+                "{workers} workers"
+            );
+        }
+        // More workers than items, as many as items, and a short last chunk.
+        let few = [5u8, 6, 7];
+        for workers in [8, 3, 2] {
+            assert_eq!(
+                par_map(&few, workers, |x| x + 1),
+                [6, 7, 8],
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_of_nothing_is_empty() {
+        for workers in [0, 1, 4] {
+            assert!(par_map(&[] as &[u8], workers, |x| *x).is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 2999 is bad")]
+    fn par_map_propagates_a_panic_to_the_caller() {
+        let items: Vec<u32> = (0..4_000).collect();
+        par_map(&items, 4, |&x| {
+            if x == 2_999 {
+                panic!("item {x} is bad");
+            }
+            x
+        });
     }
 
     #[test]

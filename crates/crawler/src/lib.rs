@@ -43,7 +43,7 @@ mod events;
 pub mod json;
 mod page_load;
 
-pub use cluster::{with_worker_pool, workers_for, ClusterConfig, CrawlCluster, CrawlSummary};
+pub use cluster::{par_map, workers_for, ClusterConfig, CrawlCluster, CrawlSummary};
 pub use database::{CrawlDatabase, SiteCrawl};
 pub use events::{CallStack, RequestWillBeSent, StackFrame};
 pub use page_load::{LoadOptions, PageLoadResult, PageLoadSimulator};

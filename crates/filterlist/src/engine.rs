@@ -72,7 +72,7 @@ pub struct FilterEngine {
     removeparam: Vec<FilterRule>,
 }
 
-// The engine is shared read-only across rayon workers during the parallel
+// The engine is shared read-only across the worker threads of the parallel
 // crawl and labeling stages; this compile-time assertion keeps it that way
 // (adding interior mutability such as a match cache would break the build
 // here rather than in a downstream crate).
