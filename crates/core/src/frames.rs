@@ -81,9 +81,9 @@ use crate::hierarchy::Granularity;
 use crate::ratio::Classification;
 use crate::revision::{ChangeKind, RevisionChange, VerdictRevision};
 use crate::surrogate::{MethodAction, SurrogateScript};
-use crawler::json::{object, Value};
 use rewriter::RewrittenUrl;
 use std::sync::Arc;
+use trackersift_json::{object, Value};
 
 /// The binary protocol version this build speaks.
 pub const PROTO_VERSION: u8 = 1;
@@ -257,14 +257,14 @@ pub fn rewrite_value(rewritten: &RewrittenUrl) -> Value {
 /// without the tree.
 pub fn write_rewrite_json(out: &mut Vec<u8>, rewritten: &RewrittenUrl) {
     out.extend_from_slice(br#"{"action":"rewrite","url":"#);
-    crawler::json::write_string(out, rewritten.url());
+    trackersift_json::write_string(out, rewritten.url());
     out.push(b'}');
 }
 
 /// Append the canonical JSON object of a surrogate decision — the bytes
 /// [`decision_value`] renders for [`Decision::Surrogate`], without the tree.
 fn write_surrogate_json(out: &mut Vec<u8>, script: &SurrogateScript) {
-    use crawler::json::{write_string, write_u64};
+    use trackersift_json::{write_string, write_u64};
     out.extend_from_slice(br#"{"action":"surrogate","surrogate":{"script_url":"#);
     write_string(out, &script.script_url);
     out.extend_from_slice(br#","methods":["#);

@@ -91,13 +91,13 @@ use crate::revision::{ChangeKind, RevisionChange, VerdictRevision};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::surrogate::{MethodPlan, SurrogateScript};
 use crate::table::{ClassTable, SurrogateEntry, TableParts, VerdictTable};
-use crawler::json::{object, JsonError, Value};
 use filterlist::tokens::TokenHashBuilder;
 use filterlist::{FilterEngine, ListKind, RequestLabel, RequestScratch, ResourceType};
 use rewriter::UrlRewriter;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use trackersift_json::{object, JsonError, Value};
 
 /// The answer to one [`VerdictTable::verdict`] query.
 ///

@@ -20,10 +20,10 @@
 //!
 //! A snapshot is one JSON object. [`SifterSnapshot::to_json_string`]
 //! streams it straight into one buffer sized up front, through the
-//! tree-less writers of the dependency-free [`crawler::json`] codec
-//! ([`write_string`](crawler::json::write_string),
-//! [`write_u64`](crawler::json::write_u64),
-//! [`write_number`](crawler::json::write_number)): no
+//! tree-less writers of the dependency-free [`trackersift_json`] codec
+//! ([`write_string`](trackersift_json::write_string),
+//! [`write_u64`](trackersift_json::write_u64),
+//! [`write_number`](trackersift_json::write_number)): no
 //! [`Value`] tree, no vector per row. The keys are a [`FrozenKeys`] view of
 //! the sifter's interner that shares its sealed arena chunks and copies
 //! only the open chunk and the span table (an export never looks a string
@@ -62,8 +62,8 @@
 //! service tests pin down.
 
 use crate::intern::{FrozenKeys, KeyInterner};
-use crawler::json::{self, JsonError, Value};
 use std::fmt;
+use trackersift_json::{self as json, JsonError, Value};
 
 /// Errors from decoding or restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -404,8 +404,8 @@ impl SifterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crawler::json::object;
     use proptest::prelude::*;
+    use trackersift_json::object;
 
     /// The tree encoder the streaming writer replaced, kept as its oracle.
     fn tree_oracle(snapshot: &SifterSnapshot) -> Value {

@@ -269,7 +269,7 @@ fn fixed_fragments() -> &'static [Box<str>; FIXED_COMBOS] {
 impl PrebuiltResponses {
     fn build(version: u64) -> Self {
         let mut head = br#"{"version":"#.to_vec();
-        crawler::json::write_u64(&mut head, version);
+        trackersift_json::write_u64(&mut head, version);
         let head = std::str::from_utf8(&head).expect("JSON digits are ASCII");
         let json_single_prefix: Arc<str> = [head, r#","decision":"#].concat().into();
         let json_batch_prefix: Arc<str> = [head, r#","decisions":["#].concat().into();
@@ -767,7 +767,7 @@ mod tests {
     /// largest version JSON carries exactly.
     #[test]
     fn prebuilt_bodies_match_the_tree_render_at_every_version_width() {
-        use crawler::json::{object, Value};
+        use trackersift_json::{object, Value};
         for version in [0, 1, 9, 10, 1 << 53] {
             let prebuilt = PrebuiltResponses::build(version);
             for index in 0..FIXED_COMBOS {

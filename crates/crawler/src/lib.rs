@@ -19,9 +19,9 @@
 //!   breakage experiments);
 //! * [`CrawlCluster`] — the parallel, stateless crawl orchestrator;
 //! * [`CrawlDatabase`] — the crawl database the offline analysis consumes;
-//! * [`json`] — the deterministic JSON codec the verdict server's wire, the
-//!   trained-state snapshot and the stats documents are written and read
-//!   with. A crawl itself is never persisted: it is handed over in memory.
+//! * [`json`] — the `trackersift_json` codec, a re-export kept while the
+//!   benchmark harness names it. A crawl itself is never persisted: it is
+//!   handed over in memory.
 //!
 //! ```
 //! use crawler::{ClusterConfig, CrawlCluster};
@@ -40,8 +40,10 @@
 mod cluster;
 mod database;
 mod events;
-pub mod json;
 mod page_load;
+
+/// The `trackersift_json` codec under its former path.
+pub use trackersift_json as json;
 
 pub use cluster::{par_map, workers_for, ClusterConfig, CrawlCluster, CrawlSummary};
 pub use database::{CrawlDatabase, SiteCrawl};

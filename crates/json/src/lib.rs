@@ -17,6 +17,10 @@
 //! a hot path (the verdict server's decision endpoints) reads them in place
 //! instead, borrowing the strings and building no tree.
 
+#![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(rust_2018_idioms)]
+
 use std::borrow::Cow;
 
 /// A JSON document node.
@@ -356,7 +360,7 @@ pub enum Kind {
 /// server's decoders.
 ///
 /// ```
-/// use crawler::json::Reader;
+/// use trackersift_json::Reader;
 /// use std::borrow::Cow;
 ///
 /// let mut reader = Reader::new(r#"{"tags":["a\n",2],"host":"px.ads.com"}"#);
@@ -527,7 +531,7 @@ impl<'a> Reader<'a> {
     /// opening quote where [`Reader::peek`] then [`Reader::string`] take two.
     ///
     /// ```
-    /// use crawler::json::{Reader, Value};
+    /// use trackersift_json::{Reader, Value};
     /// use std::borrow::Cow;
     ///
     /// let mut reader = Reader::new(r#"[ "px.ads.com", 7]"#);

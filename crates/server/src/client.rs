@@ -13,7 +13,6 @@
 //! lifetime retry budget so a dying server is never hammered forever.
 
 use crate::wire::{self, BinaryRecord};
-use crawler::json::Value;
 use filterlist::FilterEngine;
 use std::collections::HashMap;
 use std::fmt;
@@ -26,6 +25,7 @@ use trackersift::frames;
 use trackersift::{
     ApplyError, Decision, DeltaSnapshot, FollowerState, UrlRewriter, VerdictRevision, VerdictTable,
 };
+use trackersift_json::Value;
 
 /// The client half of the `GET /v1/keys` interning handshake: the server's
 /// key strings mapped back to their dense `u32` ids, scoped by the epoch

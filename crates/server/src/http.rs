@@ -253,9 +253,9 @@ impl HttpResponse {
     /// An error response carrying `{"error": detail}`; errors always close
     /// the connection (a client that sent garbage has lost framing sync).
     pub(crate) fn error(status: u16, reason: &'static str, detail: &str) -> Self {
-        let body = crawler::json::object(vec![(
+        let body = trackersift_json::object(vec![(
             "error",
-            crawler::json::Value::String(detail.to_string()),
+            trackersift_json::Value::String(detail.to_string()),
         )])
         .render();
         HttpResponse {
@@ -274,11 +274,11 @@ impl HttpResponse {
     /// `false`: a polite client backs off and reuses the connection rather
     /// than paying a reconnect against an already-loaded server.
     pub(crate) fn shed(retry_after: u32, detail: &str, close: bool) -> Self {
-        let body = crawler::json::object(vec![
-            ("error", crawler::json::Value::String(detail.to_string())),
+        let body = trackersift_json::object(vec![
+            ("error", trackersift_json::Value::String(detail.to_string())),
             (
                 "retry_after",
-                crawler::json::Value::number_u64(u64::from(retry_after)),
+                trackersift_json::Value::number_u64(u64::from(retry_after)),
             ),
         ])
         .render();

@@ -164,7 +164,6 @@ pub mod wire;
 
 pub use replica::ReplicaConfig;
 
-use crawler::json::{object, Value};
 use http::{HttpResponse, RequestParser, RequestView};
 use poller::Poller;
 use std::io::{self, Write};
@@ -181,6 +180,7 @@ use trackersift::{
     diff_revisions, CommitStats, DeltaSnapshot, JournalStats, RecoveryReport, RevisionRangeError,
     ServiceStats, SifterReader, SifterSnapshot, SifterWriter,
 };
+use trackersift_json::{object, Value};
 use wire::ObservationBatch;
 
 /// Configuration of a [`VerdictServer`].

@@ -1,5 +1,5 @@
 //! The wire formats of the verdict server: JSON (over the dependency-free
-//! [`crawler::json`] codec) and the length-prefixed binary protocol.
+//! [`trackersift_json`] codec) and the length-prefixed binary protocol.
 //!
 //! Every type here encodes and decodes symmetrically, so a client can
 //! round-trip what the server sends — the property the wire tests pin down
@@ -47,13 +47,13 @@
 //! payload), or `u8 proto, u64 version, u32 count` followed by 6-byte
 //! record headers (+ payloads) for batches.
 
-use crawler::json::{self, object, JsonError, Kind, Reader, Value};
 use filterlist::ResourceType;
 use std::borrow::Cow;
 use trackersift::frames::{self, FrameError, FrameReader, PROTO_VERSION, RECORD_HEADER_LEN};
 use trackersift::{
     CommitStats, Decision, DecisionRequest, FrozenKeys, ObservationRef, ServiceStats,
 };
+use trackersift_json::{self as json, object, JsonError, Kind, Reader, Value};
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(message.into()))

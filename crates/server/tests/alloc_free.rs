@@ -7,7 +7,6 @@
 //! journaling its rows, syncing them once, labeling and folding them on a
 //! warm writer touch no heap at all.
 
-use crawler::json::{object, Value};
 use filterlist::ListKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +14,7 @@ use trackersift::{
     Decision, DecisionSource, ObservationRef, PrebuiltDecision, RewriterBuilder, Sifter,
     SifterReader, VerdictTable,
 };
+use trackersift_json::{object, Value};
 use trackersift_server::decide;
 use trackersift_server::http::{HttpResponse, RequestParser};
 use trackersift_server::wire::{

@@ -3,11 +3,11 @@
 //! a `Decision` served over HTTP is byte-identical to the in-process
 //! decision for the same snapshot — surrogate payloads included.
 
-use crawler::json::{object, JsonError, Value};
 use filterlist::{ListKind, ResourceType};
 use proptest::prelude::*;
 use std::time::Duration;
 use trackersift::{Decision, DecisionRequest, ObservationRef, Sifter, SifterBuilder};
+use trackersift_json::{object, JsonError, Value};
 use trackersift_server::client::{Client, RetryPolicy, RetryingClient};
 use trackersift_server::wire::{
     self, BinaryKeys, BinaryRecord, DecisionMessage, ObservationMessage,

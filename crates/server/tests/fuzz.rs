@@ -3,7 +3,6 @@
 //! close) — never a panic, and never a wedged worker. After every burst of
 //! garbage the pool must still answer a well-formed request.
 
-use crawler::json::{object, JsonError, Value};
 use filterlist::ListKind;
 use proptest::prelude::*;
 use std::io::Write;
@@ -11,6 +10,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use trackersift::{ObservationRef, Sifter, SifterBuilder, SifterReader, VerdictTable};
+use trackersift_json::{object, JsonError, Value};
 use trackersift_server::client::Client;
 use trackersift_server::wire::{self, DecisionMessage, DecisionQuery, ObservationMessage};
 use trackersift_server::{ServerConfig, VerdictServer};

@@ -2,12 +2,12 @@
 //! before it serves, follows the primary's commits through the poll loop,
 //! refuses everything that needs the writer, and can itself be followed.
 
-use crawler::json::Value;
 use filterlist::ListKind;
 use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
 use trackersift::{ObservationRef, Sifter, SifterBuilder};
+use trackersift_json::Value;
 use trackersift_server::client::Client;
 use trackersift_server::{ReplicaConfig, ReplicaStatus, ServerConfig, VerdictServer};
 

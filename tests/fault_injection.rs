@@ -601,7 +601,7 @@ mod chaos {
         // …and the respawn is visible in the stats.
         let (status, body) = client.request("GET", "/v1/stats", None);
         assert_eq!(status, 200);
-        let stats = crawler::json::Value::parse(&body).expect("stats json");
+        let stats = trackersift_json::Value::parse(&body).expect("stats json");
         let restarts = stats
             .field("admission")
             .and_then(|admission| admission.field("worker_restarts"))

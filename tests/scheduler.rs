@@ -7,13 +7,13 @@
 mod common;
 
 use common::{model_changes, Model};
-use crawler::json::Value;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 use trackersift::frames;
 use trackersift::{compose, diff_revisions, ChangeKind, RevisionChange, VerdictRevision};
+use trackersift_json::Value;
 use trackersift_server::client::Client;
 use trackersift_suite::prelude::*;
 
