@@ -11,10 +11,9 @@
 //! scripts blocked (treatment), and the grade falls out of which features
 //! disappeared in treatment but not control.
 
-use crate::hierarchy::{Granularity, HierarchyResult};
-use crate::ratio::Classification;
 use crawler::{LoadOptions, PageLoadSimulator};
 use std::collections::HashSet;
+use trackersift_engine::{Classification, Granularity, HierarchyResult};
 use websim::{FeatureImportance, WebCorpus, Website};
 
 /// Breakage grade for one website.

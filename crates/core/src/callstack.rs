@@ -11,9 +11,9 @@
 //! breaks the chain needed to invoke the tracking behaviour while leaving
 //! the functional path intact.
 
-use crate::intern::{KeyInterner, ResourceKey};
 use crate::label::LabeledRequest;
 use std::collections::{HashMap, HashSet};
+use trackersift_engine::{KeyInterner, ResourceKey};
 
 /// A node of the merged call graph: one `(script, method)` pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -13,15 +13,13 @@
 //! [`crawler::PageLoadSimulator`] into a vector of [`crawler::RequestWillBeSent`]
 //! records, [`SiteCrawl::from_load`] takes that vector by move, and
 //! [`Labeler`] turns each script-initiated record into one
-//! [`LabeledRequest`] through the crate-private `label_url` — the single
+//! [`LabeledRequest`] through the engine's [`label_url`] — the single
 //! place that builds the request view, asks the oracle, and reads the
 //! hostname and registrable domain off the view.
 //! [`Sifter::apply`](crate::Sifter::apply) calls the same
 //! function for a raw-URL row, so the batch and the serving side cannot
-//! label one request two ways. `label_url` copies nothing: the request is a
-//! [`filterlist::RequestView`] built in a [`RequestScratch`] the caller
-//! keeps (one per site here, one per sifter there), and the hostname and
-//! domain it hands back are slices of that view.
+//! label one request two ways. The labeler keeps one [`RequestScratch`]
+//! per site.
 //!
 //! A labeled request copies no string and no stack either. The crawl
 //! allocated every string once per page load — the page URL, each script
@@ -54,6 +52,7 @@ use crawler::{CrawlDatabase, SiteCrawl, StackFrame};
 use filterlist::{hostname_of, FilterEngine, RequestLabel, RequestScratch, ResourceType};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use trackersift_engine::{label_url, DecisionRequest, ObservationRef};
 
 /// A script-initiated request with its oracle label and attribution keys.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +91,39 @@ impl LabeledRequest {
     }
 }
 
+/// A request the labeling stage produced, observed under its oracle label.
+impl<'a> From<&'a LabeledRequest> for ObservationRef<'a> {
+    fn from(request: &'a LabeledRequest) -> Self {
+        ObservationRef::parts(
+            &request.domain,
+            &request.hostname,
+            &request.initiator_script,
+            &request.initiator_method,
+            request.is_tracking(),
+        )
+    }
+}
+
+/// The query for a labeled request's attribution keys, URL included.
+/// The backstop's source hostname is the *page* hostname — derived from
+/// `top_level_url` by the same [`hostname_of`] the labeler matched
+/// `$domain=` filter options and party-ness against, so it is `""`
+/// wherever the labeler passed `""` (a page URL with no authority).
+/// Borrowed in the URL's own case; the filter request lower-cases its
+/// source hostname itself.
+impl<'a> From<&'a LabeledRequest> for DecisionRequest<'a> {
+    fn from(request: &'a LabeledRequest) -> Self {
+        let source = hostname_of(&request.top_level_url);
+        DecisionRequest::new(
+            &request.domain,
+            &request.hostname,
+            &request.initiator_script,
+            &request.initiator_method,
+        )
+        .with_url(&request.url, source, request.resource_type)
+    }
+}
+
 /// Statistics from labeling a crawl.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelStats {
@@ -122,26 +154,6 @@ impl LabelStats {
         self.tracking += other.tracking;
         self.functional += other.functional;
     }
-}
-
-/// Label one URL against the oracle and derive its attribution keys:
-/// `(label, hostname, registrable domain)`, or `None` when the URL cannot be
-/// parsed (the analysis excludes such requests). The hostname is the view's
-/// (lower-cased) and the domain the suffix of it the view compared for
-/// party-ness, both borrowed from `scratch` or from `url` itself.
-pub(crate) fn label_url<'a>(
-    engine: &FilterEngine,
-    scratch: &'a mut RequestScratch,
-    url: &'a str,
-    source_hostname: &str,
-    resource_type: ResourceType,
-) -> Option<(RequestLabel, &'a str, &'a str)> {
-    let request = scratch.view(url, source_hostname, resource_type)?;
-    Some((
-        engine.label_view(&request),
-        request.url.hostname,
-        request.domain,
-    ))
 }
 
 /// Oracle-evaluation counters of a [`Labeler`].
@@ -472,54 +484,43 @@ mod tests {
     }
 
     #[test]
-    fn label_url_derives_label_hostname_and_domain() {
-        let engine = FilterEngine::from_lists(&[(
-            filterlist::ListKind::EasyList,
-            "||tracker.io^$third-party\n@@||tracker.io/allow/\n",
-        )]);
-        let url = "https://px.tracker.io/t.js";
-        let script = ResourceType::Script;
-        let mut scratch = RequestScratch::new();
-        assert_eq!(
-            label_url(&engine, &mut scratch, url, "shop.com", script),
-            Some((RequestLabel::Tracking, "px.tracker.io", "tracker.io"))
-        );
-        // Same URL from a first-party source: `$third-party` flips the label,
-        // the attribution keys stay.
-        assert_eq!(
-            label_url(&engine, &mut scratch, url, "tracker.io", script),
-            Some((RequestLabel::Functional, "px.tracker.io", "tracker.io"))
-        );
-        assert_eq!(
-            label_url(&engine, &mut scratch, "notaurl", "shop.com", script),
-            None
-        );
-        // The keys are the lower-cased hostname and what
-        // `registrable_domain` makes of it, trailing dot and all.
-        for url in [
-            "HTTPS://PX.Tracker.IO./t.js",
-            "https://static.bbc.co.uk/a.js",
-            "//10.0.0.1:8080/x",
-            "data:image/gif;base64,R0lGODlhAQAB",
-        ] {
-            let parsed = filterlist::ParsedUrl::parse(url).expect("a URL");
-            let (_, hostname, domain) =
-                label_url(&engine, &mut scratch, url, "shop.com", script).expect("a URL");
-            assert_eq!(hostname, parsed.hostname, "{url}");
-            assert_eq!(
-                domain,
-                filterlist::registrable_domain(&parsed.hostname),
-                "{url}"
-            );
-        }
-    }
-
-    #[test]
     fn both_labels_are_present_in_volume() {
         let (_corpus, db, engine) = setup();
         let labeler = Labeler::new(&engine);
         let (_, stats) = labeler.label_database(&db);
         assert!(stats.tracking > 100, "{stats:?}");
         assert!(stats.functional > 100, "{stats:?}");
+    }
+
+    #[test]
+    fn from_labeled_carries_the_url_context() {
+        let mut requests = crate::testutil::figure1_requests();
+        let request = DecisionRequest::from_labeled(&requests[0]);
+        assert!(request.url.is_some());
+        assert_eq!(request.domain, &*requests[0].domain);
+        // The backstop source is the *page hostname* exactly as the labeler
+        // derived it (what `$domain=` options and party-ness matched at
+        // labeling time) — never the registrable domain, and `""` where the
+        // labeler passed `""`.
+        for page in [
+            "https://www.pub.com/",
+            "https://[::1]:8080/",
+            "//cdn.pub.com/x",
+            "https:///path-only",
+            "not a url",
+            "HTTPS://WWW.PUB.COM:443/",
+            "https://user:pw@www.pub.com/",
+        ] {
+            requests[0].top_level_url = page.into();
+            let labeler_page_host = filterlist::ParsedUrl::parse(page)
+                .map(|u| u.hostname)
+                .unwrap_or_default();
+            assert!(
+                DecisionRequest::from_labeled(&requests[0])
+                    .source_hostname
+                    .eq_ignore_ascii_case(&labeler_page_host),
+                "for {page:?}"
+            );
+        }
     }
 }

@@ -23,15 +23,13 @@
 //! | §5 call-stack analysis (Fig. 5) | [`CallStackAnalysis`] |
 //! | §5 surrogate scripts | [`SurrogateScript`] |
 //! | staged execution engine | [`Study`] |
-//! | resource-key interning | [`KeyInterner`] |
-//! | serving API (verdicts + incremental ingestion) | [`Sifter`] |
-//! | enforcement decisions (allow / block / surrogate / observe) | [`Decision`] |
-//! | flattened verdict tables (shared read representation) | [`VerdictTable`] |
-//! | concurrent serving (per-thread cached readers + atomic publish) | [`concurrent`] |
-//! | verdict revisions over version spans + drift diffs | [`VerdictRevision`] |
-//! | trained-state persistence (versioned) | [`SifterSnapshot`] |
-//! | crash durability (write-ahead journal + checkpoints) | [`Journal`] |
-//! | deterministic fault injection (feature-gated) | [`failpoint`] |
+//! | serving: interning, [`Sifter`], decisions, verdict tables, concurrent readers, revisions, snapshots, journal, fault injection | [`trackersift_engine`], re-exported at this crate's root |
+//!
+//! The study is the offline half. The serving half — what a content blocker
+//! deploys — is the `trackersift-engine` crate, which links neither the web
+//! simulator nor the crawler. This crate re-exports every root item of the
+//! engine and its `concurrent`, `failpoint` and `frames` modules, so
+//! `trackersift::Sifter` and `trackersift_engine::Sifter` are one type.
 //!
 //! ## Execution model
 //!
@@ -96,52 +94,21 @@
 
 pub mod breakage;
 mod callstack;
-pub mod concurrent;
-mod decision;
-pub mod failpoint;
-mod follower;
-pub mod frames;
 mod hierarchy;
-mod intern;
-mod journal;
 mod label;
-mod memo;
 mod metrics;
 mod pipeline;
-mod ratio;
 pub mod report;
-mod revision;
 mod sensitivity;
-mod service;
-mod snapshot;
 mod surrogate;
-mod table;
 
 #[cfg(test)]
 mod testutil;
 
 pub use callstack::{CallGraph, CallGraphNode, CallStackAnalysis, NodeParticipation};
-pub use concurrent::{SifterReader, SifterWriter, TablePublisher};
-pub use decision::{Decision, DecisionRequest, DecisionSource, KeyedRequest};
-pub use follower::{ApplyError, DeltaSnapshot, FollowerState};
-pub use hierarchy::{
-    ClassCounts, Granularity, HierarchicalClassifier, HierarchyResult, LevelResult, ResourceEntry,
-};
-pub use intern::{FrozenKeys, KeyInterner, ResourceKey};
-pub use journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport, ReplayReport};
+pub use hierarchy::HierarchicalClassifier;
 pub use label::{CacheStats, LabelStats, LabeledRequest, Labeler};
 pub use metrics::{headline, table1, table2, HeadlineSummary, Table1Row, Table2Row};
 pub use pipeline::{StageTimings, Study, StudyConfig};
-pub use ratio::{Classification, Counts, Thresholds};
-pub use revision::{
-    compose, diff_revisions, ChangeKind, RevisionChange, RevisionRangeError, VerdictRevision,
-};
-pub use rewriter::{RewriterBuilder, RewrittenUrl, UrlRewriter};
 pub use sensitivity::SensitivitySweep;
-pub use service::{
-    CommitStats, IngestStats, Observation, ObservationRef, ObserveOutcome, ServiceStats, Sifter,
-    SifterBuilder, Verdict,
-};
-pub use snapshot::{SifterSnapshot, SnapshotError};
-pub use surrogate::{MethodAction, SurrogateScript};
-pub use table::{ClassTable, PrebuiltDecision, PrebuiltResponses, VerdictTable};
+pub use trackersift_engine::*;

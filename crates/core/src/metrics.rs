@@ -3,7 +3,7 @@
 //! abstract (17% mixed domains, 48% mixed hostnames, 6% mixed scripts, 9%
 //! mixed methods, 98% of requests attributed).
 
-use crate::hierarchy::{Granularity, HierarchyResult};
+use trackersift_engine::{Granularity, HierarchyResult};
 
 /// One row of Table 1 (requests per class at a granularity).
 #[derive(Debug, Clone, PartialEq)]

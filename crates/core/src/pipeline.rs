@@ -33,16 +33,17 @@
 
 use crate::breakage::{analyze_breakage, BreakageStudy};
 use crate::callstack::{analyze_mixed_methods, CallStackAnalysis};
-use crate::hierarchy::{Granularity, HierarchicalClassifier, HierarchyResult, LevelResult};
-use crate::intern::KeyInterner;
+use crate::hierarchy::HierarchicalClassifier;
 use crate::label::{LabelStats, LabeledRequest, Labeler};
-use crate::ratio::{Classification, Thresholds};
 use crate::sensitivity::SensitivitySweep;
-use crate::service::{ObservationRef, Sifter};
-use crate::surrogate::{generate_surrogates, SurrogateScript};
+use crate::surrogate::generate_surrogates;
 use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase, CrawlSummary};
 use filterlist::FilterEngine;
 use std::time::{Duration, Instant};
+use trackersift_engine::{
+    Classification, Granularity, HierarchyResult, KeyInterner, LevelResult, ObservationRef, Sifter,
+    SurrogateScript, Thresholds,
+};
 use websim::{filter_rules, CorpusGenerator, CorpusProfile, WebCorpus};
 
 /// Wall-clock timing of one executed stage.
@@ -342,7 +343,7 @@ mod tests {
         // trained on.
         let table = sifter.verdict_table();
         for request in &study.requests {
-            let verdict = table.verdict(&crate::decision::DecisionRequest::from_labeled(request));
+            let verdict = table.verdict(&crate::DecisionRequest::from(request));
             assert!(verdict.classification().is_some(), "{}", request.url);
         }
     }

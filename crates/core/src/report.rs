@@ -4,10 +4,9 @@
 //! module holds the shared formatting so the output of the `paper` binary's
 //! `table1`, `figure3` etc. is consistent and easily diffed between runs.
 
-use crate::hierarchy::{Granularity, HierarchyResult, LevelResult};
 use crate::metrics::{table1, table2, HeadlineSummary};
-use crate::ratio::Classification;
 use crate::sensitivity::SensitivitySweep;
+use trackersift_engine::{Classification, Granularity, HierarchyResult, LevelResult};
 
 /// A histogram over the common-log ratio of resources at one granularity —
 /// the data behind Figure 3. Resources with infinite ratios (no functional

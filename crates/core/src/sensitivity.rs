@@ -7,9 +7,9 @@
 //! threshold and records the mixed share at every granularity (the paper
 //! reports "similar trends" for the other levels).
 
-use crate::hierarchy::{Granularity, HierarchicalClassifier};
+use crate::hierarchy::HierarchicalClassifier;
 use crate::label::LabeledRequest;
-use crate::ratio::Thresholds;
+use trackersift_engine::{Granularity, Thresholds};
 
 /// Points of the paper's grid: thresholds 1.0, 1.1, …, 3.0.
 const PAPER_POINTS: u32 = 21;
@@ -127,7 +127,7 @@ mod tests {
             assert_eq!(point.mixed_share, expected, "at {}", point.threshold);
         }
         let at_default = &sweep.points[10];
-        assert_eq!(at_default.threshold, Thresholds::paper().log_ratio);
+        assert_eq!(Thresholds::new(at_default.threshold), Thresholds::paper());
         assert_eq!(at_default.share(Granularity::Domain), 0.0);
     }
 

@@ -142,7 +142,7 @@ impl Sifter {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use trackersift::{DecisionRequest, ObservationRef, Sifter, TablePublisher};
+/// use trackersift_engine::{DecisionRequest, ObservationRef, Sifter, TablePublisher};
 ///
 /// let row = |tracking| {
 ///     ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", tracking)
@@ -217,7 +217,7 @@ impl TablePublisher {
 /// observable half-applied.
 ///
 /// ```
-/// use trackersift::{DecisionRequest, ObservationRef, Sifter};
+/// use trackersift_engine::{DecisionRequest, ObservationRef, Sifter};
 ///
 /// let (mut writer, reader) = Sifter::builder().build_concurrent();
 /// let row = ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
@@ -661,12 +661,12 @@ impl SifterWriter {
 ///
 /// ```compile_fail,E0277
 /// fn shared<T: Sync>() {}
-/// shared::<trackersift::SifterReader>();
+/// shared::<trackersift_engine::SifterReader>();
 /// ```
 ///
 /// ```
 /// use std::thread;
-/// use trackersift::{DecisionRequest, ObservationRef, Sifter};
+/// use trackersift_engine::{DecisionRequest, ObservationRef, Sifter};
 ///
 /// let (mut writer, reader) = Sifter::builder().build_concurrent();
 /// let row = ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
@@ -765,7 +765,7 @@ const _: () = {
 ///
 /// ```compile_fail,E0277
 /// fn sent<T: Send>() {}
-/// sent::<trackersift::PinnedTable<'static>>();
+/// sent::<trackersift_engine::concurrent::PinnedTable<'static>>();
 /// ```
 #[derive(Debug)]
 pub struct PinnedTable<'a>(Ref<'a, Arc<VerdictTable>>);

@@ -49,12 +49,11 @@
 
 use crate::hierarchy::Granularity;
 use crate::intern::{FrozenKeys, ResourceKey};
-use crate::label::LabeledRequest;
 use crate::ratio::Classification;
 use crate::service::Verdict;
 use crate::surrogate::SurrogateScript;
 use crate::table::{verdict_walk, ClassTable};
-use filterlist::{hostname_of, FilterEngine, RequestLabel, ResourceType};
+use filterlist::{FilterEngine, RequestLabel, ResourceType};
 use rewriter::{RewrittenUrl, UrlRewriter};
 use std::fmt;
 use std::sync::Arc;
@@ -64,7 +63,7 @@ use std::sync::Arc;
 /// backstop run for requests the hierarchy cannot settle.
 ///
 /// ```
-/// use trackersift::DecisionRequest;
+/// use trackersift_engine::DecisionRequest;
 ///
 /// let keys_only = DecisionRequest::new("ads.com", "px.ads.com", "https://pub.com/a.js", "send");
 /// let with_url = keys_only
@@ -132,22 +131,15 @@ impl<'a> DecisionRequest<'a> {
         }
     }
 
-    /// The query for a labeled request's attribution keys, URL included.
-    /// The backstop's source hostname is the *page* hostname — derived from
-    /// `top_level_url` by the same [`hostname_of`] the labeling stage
-    /// matched `$domain=` filter options and party-ness against, so it is
-    /// `""` wherever the labeler passed `""` (a page URL with no
-    /// authority). Borrowed in the URL's own case; the filter request
-    /// lower-cases its source hostname itself.
-    pub fn from_labeled(request: &'a LabeledRequest) -> Self {
-        let source = hostname_of(&request.top_level_url);
-        DecisionRequest::new(
-            &request.domain,
-            &request.hostname,
-            &request.initiator_script,
-            &request.initiator_method,
-        )
-        .with_url(&request.url, source, request.resource_type)
+    /// The query of a labeled request, `request.into()`. New code converts
+    /// with `From`; this stays only while the benchmark harness
+    /// (`bench_e2e`'s `study.rs` and `serve.rs`) names it, until ROADMAP
+    /// items 1(e) and 11 move it off.
+    pub fn from_labeled<R>(request: &'a R) -> Self
+    where
+        &'a R: Into<DecisionRequest<'a>>,
+    {
+        request.into()
     }
 }
 
@@ -255,7 +247,7 @@ impl fmt::Display for DecisionSource {
 /// filter engine, and surrogate generation.
 ///
 /// ```
-/// use trackersift::{
+/// use trackersift_engine::{
 ///     Decision, DecisionRequest, DecisionSource, Granularity, ObservationRef, Sifter,
 /// };
 ///
@@ -289,7 +281,7 @@ pub enum Decision {
     /// bump.
     ///
     /// ```
-    /// use trackersift::{Decision, DecisionRequest, ObservationRef, Sifter};
+    /// use trackersift_engine::{Decision, DecisionRequest, ObservationRef, Sifter};
     /// use rewriter::RewriterBuilder;
     /// use filterlist::ResourceType;
     ///
@@ -495,7 +487,7 @@ mod tests {
     use super::*;
     use crate::service::{ObservationRef, Sifter};
     use crate::surrogate::MethodAction;
-    use filterlist::ListKind;
+    use filterlist::{hostname_of, ListKind};
 
     /// Figure-1-shaped training set plus a mixed script whose methods span
     /// all three classifications, so every decision arm is reachable.
@@ -766,38 +758,6 @@ mod tests {
         assert!(surrogate.to_string().starts_with("surrogate for"));
         let rewrite = Decision::Rewrite(Arc::new(RewrittenUrl::new("https://a.example/x?id=1")));
         assert_eq!(rewrite.to_string(), "rewrite to https://a.example/x?id=1");
-    }
-
-    #[test]
-    fn from_labeled_carries_the_url_context() {
-        let mut requests = crate::testutil::figure1_requests();
-        let request = DecisionRequest::from_labeled(&requests[0]);
-        assert!(request.url.is_some());
-        assert_eq!(request.domain, &*requests[0].domain);
-        // The backstop source is the *page hostname* exactly as the labeler
-        // derived it (what `$domain=` options and party-ness matched at
-        // labeling time) — never the registrable domain, and `""` where the
-        // labeler passed `""`.
-        for page in [
-            "https://www.pub.com/",
-            "https://[::1]:8080/",
-            "//cdn.pub.com/x",
-            "https:///path-only",
-            "not a url",
-            "HTTPS://WWW.PUB.COM:443/",
-            "https://user:pw@www.pub.com/",
-        ] {
-            requests[0].top_level_url = page.into();
-            let labeler_page_host = filterlist::ParsedUrl::parse(page)
-                .map(|u| u.hostname)
-                .unwrap_or_default();
-            assert!(
-                DecisionRequest::from_labeled(&requests[0])
-                    .source_hostname
-                    .eq_ignore_ascii_case(&labeler_page_host),
-                "for {page:?}"
-            );
-        }
     }
 
     #[test]

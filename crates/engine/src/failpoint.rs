@@ -19,7 +19,7 @@
 //! assert on the observed degradation:
 //!
 //! ```
-//! use trackersift::failpoint;
+//! use trackersift_engine::failpoint;
 //!
 //! // Arm: the next 3 hits of "journal.sync" fail like a dying disk.
 //! failpoint::set(

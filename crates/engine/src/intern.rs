@@ -414,7 +414,7 @@ impl KeyInterner {
     }
 
     /// An empty interner with room for `capacity` distinct keys.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    pub fn with_capacity(capacity: usize) -> Self {
         let mut interner = Self::new();
         interner.resize(slots_for(capacity));
         interner
@@ -610,7 +610,7 @@ impl KeyInterner {
     ///
     /// # Panics
     /// Panics if `key` came from a different interner and is out of range.
-    pub(crate) fn resolve(&self, key: ResourceKey) -> &str {
+    pub fn resolve(&self, key: ResourceKey) -> &str {
         text(&self.sealed, &self.open, self.spans[key.index()])
     }
 
@@ -994,12 +994,8 @@ mod tests {
     /// way into a sifter — domains, hostnames, script URLs, method names and
     /// composed method keys, in first-seen order.
     fn paper_corpus_keys() -> KeyInterner {
-        use crawler::{ClusterConfig, CrawlCluster};
-        use websim::{filter_rules, CorpusGenerator, CorpusProfile};
-        let corpus = CorpusGenerator::generate(&CorpusProfile::paper().with_sites(500), 2021);
-        let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
-        let engine = filter_rules::engine_for(&corpus.ecosystem);
-        let (requests, _) = crate::label::Labeler::new(&engine).label_database(&db);
+        let profile = websim::CorpusProfile::paper().with_sites(500);
+        let requests = crate::testutil::crawled_rows(&profile, 2021);
         let mut interner = KeyInterner::new();
         for request in &requests {
             interner.intern(&request.domain);

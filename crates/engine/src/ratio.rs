@@ -53,7 +53,7 @@ impl Counts {
     }
 
     /// Record one request with the given label.
-    pub(crate) fn record(&mut self, tracking: bool) {
+    pub fn record(&mut self, tracking: bool) {
         if tracking {
             self.tracking += 1;
         } else {
@@ -69,7 +69,7 @@ impl Counts {
     /// `true` when no request has been recorded. Empty counters classify to
     /// `None`; the incremental [`Sifter`](crate::Sifter) uses this
     /// as the "not a member of this level" test.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.total() == 0
     }
 

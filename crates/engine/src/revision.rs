@@ -130,7 +130,7 @@ pub(crate) fn sort_changes(changes: &mut [RevisionChange]) {
 /// order.
 ///
 /// ```
-/// use trackersift::{ChangeKind, Classification, Granularity, RevisionChange, VerdictRevision};
+/// use trackersift_engine::{ChangeKind, Classification, Granularity, RevisionChange, VerdictRevision};
 ///
 /// let revision = VerdictRevision::new(
 ///     7,

@@ -1,7 +1,7 @@
 //! The `Sifter`: the long-lived trainer behind every served verdict —
 //! apply, commit, export.
 //!
-//! [`Study::run`](crate::Study) materialises the whole batch
+//! The study's `Study::run` materialises the whole batch
 //! pipeline; a deployed content blocker or proxy instead needs a long-lived
 //! handle that ingests observations incrementally and exports the state
 //! that answers "tracking, functional, or mixed?" per request. This module
@@ -17,7 +17,7 @@
 //!   downstream), instead of re-running the full hierarchical
 //!   classification. The equivalence tests prove that any interleaving of
 //!   `apply`/`commit` ends in exactly the state a from-scratch
-//!   [`HierarchicalClassifier::classify`](crate::HierarchicalClassifier::classify)
+//!   classification (the study's `HierarchicalClassifier::classify`)
 //!   would produce;
 //! * [`Sifter::verdict_table`] — export the committed state as an immutable
 //!   [`VerdictTable`], the one type that answers
@@ -34,7 +34,7 @@
 //! borrowed [`ObservationRef`] — a view of wherever its strings already lie:
 //! the arena a `POST /v1/observations` body decoded into, a caller's
 //! `&str`s ([`ObservationRef::parts`], [`ObservationRef::url`]), a
-//! [`LabeledRequest`], or the owned [`Observation`] recovery replays — and
+//! labeled request of the study, or the owned [`Observation`] recovery replays — and
 //! [`Sifter::apply`] is the one call that folds it ([`Sifter::apply_batch`]
 //! folds many). A raw URL is labeled through a
 //! [`RequestScratch`] the sifter keeps, and its hostname and domain are
@@ -84,7 +84,7 @@
 
 use crate::hierarchy::{Granularity, HierarchyResult, LevelResult, ResourceEntry};
 use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
-use crate::label::{label_url, LabeledRequest};
+use crate::label::label_url;
 use crate::memo::{LabelMemo, Remembered};
 use crate::ratio::{Classification, Counts, Thresholds};
 use crate::revision::{ChangeKind, RevisionChange, VerdictRevision};
@@ -325,19 +325,6 @@ impl<'a> ObservationRef<'a> {
             script,
             method,
         }
-    }
-}
-
-/// A request the labeling stage produced, observed under its oracle label.
-impl<'a> From<&'a LabeledRequest> for ObservationRef<'a> {
-    fn from(request: &'a LabeledRequest) -> Self {
-        ObservationRef::parts(
-            &request.domain,
-            &request.hostname,
-            &request.initiator_script,
-            &request.initiator_method,
-            request.is_tracking(),
-        )
     }
 }
 
@@ -585,7 +572,7 @@ impl Level {
 /// Builder-pattern configuration of a [`Sifter`].
 ///
 /// ```
-/// use trackersift::{Sifter, Thresholds};
+/// use trackersift_engine::{Sifter, Thresholds};
 ///
 /// let sifter = Sifter::builder().thresholds(Thresholds::paper()).build();
 /// assert_eq!(sifter.ingest_stats().observed, 0);
@@ -685,7 +672,7 @@ impl SifterBuilder {
     /// for [`SifterBuilder::build`] followed by [`Sifter::into_concurrent`].
     ///
     /// ```
-    /// use trackersift::{Sifter, Thresholds};
+    /// use trackersift_engine::{Sifter, Thresholds};
     ///
     /// let (writer, reader) = Sifter::builder()
     ///     .thresholds(Thresholds::paper())
@@ -869,8 +856,8 @@ impl Sifter {
     ///
     /// [`ObservationRef::Parts`] are always observed, under the label they
     /// carry. Their `domain` should be the registrable domain of `hostname`
-    /// — the invariant every [`LabeledRequest`] produced by the labeling
-    /// stage satisfies by construction. When a hostname arrives under a
+    /// — the invariant every request the study's labeling stage produces
+    /// satisfies by construction. When a hostname arrives under a
     /// *different* domain than it was first observed with, the sifter
     /// degrades gracefully instead of corrupting the hierarchy (a hostname
     /// must belong to exactly one domain): the observation is credited to
@@ -1001,11 +988,15 @@ impl Sifter {
             .count() as u64
     }
 
-    /// [`Sifter::apply_batch`] of labeled requests. New code calls
-    /// `apply_batch`; this stays until ROADMAP item 1(e) moves the benchmark
-    /// harness (`bench_e2e`'s `study.rs` and `serve.rs`) off it.
-    pub fn observe_all<'a>(&mut self, requests: impl IntoIterator<Item = &'a LabeledRequest>) {
-        self.apply_batch(requests.into_iter().map(ObservationRef::from));
+    /// [`Sifter::apply_batch`] of labeled requests, each `request.into()`.
+    /// New code calls `apply_batch`; this stays only while the benchmark
+    /// harness (`bench_e2e`'s `study.rs` and `serve.rs`) names it, until
+    /// ROADMAP items 1(e) and 11 move it off.
+    pub fn observe_all<'a, R: 'a>(&mut self, requests: impl IntoIterator<Item = &'a R>)
+    where
+        &'a R: Into<ObservationRef<'a>>,
+    {
+        self.apply_batch(requests.into_iter().map(Into::into));
     }
 
     /// The label memo's `(arena, index table)` bytes.
@@ -1410,7 +1401,7 @@ impl Sifter {
     }
 
     /// Materialise the committed state as a [`HierarchyResult`] — exactly
-    /// what [`crate::HierarchicalClassifier::classify`] over every committed
+    /// what the study's `HierarchicalClassifier::classify` over every committed
     /// observation would return, byte for byte (the equivalence the service
     /// tests pin down). This is how the report/metrics layer reads a
     /// sifter.
@@ -1601,18 +1592,17 @@ mod tests {
     use super::*;
     use crate::decision::DecisionRequest;
     use crate::frames::SurrogateFrames;
-    use crate::hierarchy::HierarchicalClassifier;
-    use crate::testutil::{figure1_requests, labeled_request as req};
+    use crate::testutil::{self, figure1_requests, labeled_request as req, LabeledRow};
     use filterlist::RequestLabel;
     use proptest::prelude::*;
 
     /// The from-scratch classification of `rows` at the sifter's
     /// thresholds: what an incremental commit must equal.
-    fn scratch(sifter: &Sifter, rows: &[LabeledRequest]) -> HierarchyResult {
-        HierarchicalClassifier::new(sifter.thresholds).classify(rows)
+    fn scratch(sifter: &Sifter, rows: &[LabeledRow]) -> HierarchyResult {
+        testutil::classify(sifter.thresholds, rows)
     }
 
-    fn trained(requests: &[LabeledRequest]) -> Sifter {
+    fn trained(requests: &[LabeledRow]) -> Sifter {
         let mut sifter = Sifter::builder().build();
         sifter.apply_batch(requests.iter().map(ObservationRef::from));
         sifter.commit();
@@ -1621,12 +1611,7 @@ mod tests {
 
     #[test]
     fn key_ids_and_snapshot_text_do_not_depend_on_the_hash_seed() {
-        use crawler::{ClusterConfig, CrawlCluster};
-        use websim::{filter_rules, CorpusGenerator, CorpusProfile};
-        let corpus = CorpusGenerator::generate(&CorpusProfile::small().with_sites(40), 2021);
-        let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
-        let engine = filter_rules::engine_for(&corpus.ecosystem);
-        let (requests, _) = crate::label::Labeler::new(&engine).label_database(&db);
+        let requests = testutil::crawled_rows(&websim::CorpusProfile::small().with_sites(40), 2021);
         let seeded = |seed| {
             let mut sifter = Sifter::builder().build();
             sifter.interner = KeyInterner::with_seed(seed);
@@ -1888,7 +1873,7 @@ mod tests {
             let mut twin: Option<Sifter> = None;
             // Every row so far under its hostname's first-seen domain, and
             // the (method, hostname) fold of them.
-            let mut rows: Vec<LabeledRequest> = Vec::new();
+            let mut rows: Vec<LabeledRow> = Vec::new();
             let mut owner: HashMap<String, String> = HashMap::new();
             let mut oracle: HashMap<(String, String), Counts> = HashMap::new();
             for (i, &(op, d, h, s, m)) in ops.iter().enumerate() {
@@ -1966,7 +1951,7 @@ mod tests {
             ("f.hub.com", "https://p.com/c.js", "c1", false),
             ("f.hub.com", "https://p.com/d.js", "d1", false),
         ];
-        let mut all: Vec<LabeledRequest> = rows
+        let mut all: Vec<LabeledRow> = rows
             .iter()
             .cycle()
             .take(4 * rows.len())
@@ -1988,7 +1973,7 @@ mod tests {
             Some(Classification::Tracking)
         );
 
-        let flip: Vec<LabeledRequest> = (0..12)
+        let flip: Vec<LabeledRow> = (0..12)
             .map(|_| req("hub.com", "t.hub.com", "https://p.com/a.js", "a1", false))
             .collect();
         sifter.apply_batch(flip.iter().map(ObservationRef::from));
@@ -2002,7 +1987,7 @@ mod tests {
             class(&sifter, Granularity::Hostname, "t.hub.com"),
             Some(Classification::Mixed)
         );
-        let on_host = |pick: fn(&LabeledRequest) -> String| {
+        let on_host = |pick: fn(&LabeledRow) -> String| {
             all.iter()
                 .filter(|r| r.hostname.as_ref() == "t.hub.com")
                 .map(pick)

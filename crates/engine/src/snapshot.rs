@@ -583,8 +583,14 @@ mod tests {
     fn the_paper_corpus_snapshot_is_the_tree_oracles_render() {
         // The snapshot `bench_e2e --workload study` exports every iteration:
         // 500 sites of the paper profile at seed 2021.
-        let study = crate::Study::run(crate::StudyConfig::default().with_sites(500));
-        let snapshot = study.sifter().snapshot();
+        let profile = websim::CorpusProfile::paper().with_sites(500);
+        let rows = crate::testutil::crawled_rows(&profile, 2021);
+        let mut sifter = crate::Sifter::builder()
+            .thresholds(crate::Thresholds::paper())
+            .build();
+        sifter.apply_batch(rows.iter().map(crate::ObservationRef::from));
+        sifter.commit();
+        let snapshot = sifter.snapshot();
         let text = snapshot.to_json_string();
         assert_eq!(text.len(), 980_235);
         assert!(text == tree_oracle(&snapshot).render());

@@ -51,7 +51,7 @@
 #![warn(rust_2018_idioms)]
 
 use filterlist::{hostname_of, registrable_domain};
-use trackersift::{
+use trackersift_engine::{
     DecisionRequest, Granularity, ObservationRef, Sifter, SifterReader, SifterWriter, Verdict,
 };
 use trackersift_server::{SchedulerDriver, SchedulerStats, TickSummary};
@@ -326,7 +326,7 @@ impl SchedulerDriver for Scheduler {
     }
 }
 
-/// The hostname [`Sifter::apply`](trackersift::Sifter::apply) files a raw
+/// The hostname [`Sifter::apply`](trackersift_engine::Sifter::apply) files a raw
 /// request under — [`hostname_of`], lower-cased — or `None` for a
 /// URL without one (data URIs, garbage).
 fn host_of(url: &str) -> Option<String> {
@@ -337,7 +337,7 @@ fn host_of(url: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trackersift::frames::encode_revision_list;
+    use trackersift_engine::frames::encode_revision_list;
     use trackersift_server::DurabilityConfig;
 
     fn churny_config(keying: ScriptKeying) -> SchedulerConfig {

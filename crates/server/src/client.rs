@@ -21,8 +21,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-use trackersift::frames;
-use trackersift::{
+use trackersift_engine::frames;
+use trackersift_engine::{
     ApplyError, Decision, DeltaSnapshot, FollowerState, UrlRewriter, VerdictRevision, VerdictTable,
 };
 use trackersift_json::Value;
@@ -92,7 +92,7 @@ impl fmt::Display for RevisionFetchError {
 impl std::error::Error for RevisionFetchError {}
 
 /// The one header every typed fetch adds: Rust callers read the binary
-/// framing of [`trackersift::frames`]; the JSON documents the same
+/// framing of [`trackersift_engine::frames`]; the JSON documents the same
 /// endpoints serve without it are for inspection.
 const ACCEPT_BINARY: Option<(&str, &str)> = Some(("Accept", wire::BINARY_CONTENT_TYPE));
 
@@ -665,7 +665,7 @@ pub struct SyncReport {
 ///
 /// ```
 /// use filterlist::ListKind;
-/// use trackersift::Sifter;
+/// use trackersift_engine::Sifter;
 /// use trackersift_server::client::{Client, ReplicaClient, RetryPolicy};
 /// use trackersift_server::{ServerConfig, VerdictServer};
 ///
@@ -760,7 +760,7 @@ impl ReplicaClient {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use trackersift::{ChangeKind, Classification, Granularity, RevisionChange};
+    use trackersift_engine::{ChangeKind, Classification, Granularity, RevisionChange};
 
     /// A primary that answers the requests of one connection with the
     /// canned `(status, body)` responses in order, then hangs up and hands

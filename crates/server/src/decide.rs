@@ -17,8 +17,8 @@
 
 use crate::http::{self, HttpResponse, RequestView};
 use crate::wire::{self, BinaryKeys, BinaryRecord, BinaryRecords, DecisionQuery};
-use trackersift::frames::{self, FrameError, PROTO_VERSION};
-use trackersift::{DecisionRequest, KeyedRequest, PrebuiltDecision, VerdictTable};
+use trackersift_engine::frames::{self, FrameError, PROTO_VERSION};
+use trackersift_engine::{DecisionRequest, KeyedRequest, PrebuiltDecision, VerdictTable};
 
 const JSON_CONTENT_TYPE: &str = "application/json";
 

@@ -1,10 +1,10 @@
 //! The TrackerSift verdict server: enforcement decisions over the wire.
 //!
 //! Everything before this crate lives in-process — nothing could ask
-//! "block, allow, surrogate, or observe?" without linking `trackersift`.
+//! "block, allow, surrogate, or observe?" without linking `trackersift_engine`.
 //! This crate puts a process boundary around the serving API: a
 //! dependency-free HTTP/1.1 server over [`std::net::TcpListener`] built
-//! directly on the concurrent split from `trackersift::concurrent`:
+//! directly on the concurrent split from `trackersift_engine::concurrent`:
 //!
 //! * a **fixed worker pool** of readiness-polled event loops (`poller`):
 //!   each worker multiplexes hundreds of nonblocking keep-alive
@@ -69,7 +69,7 @@
 //! simulated web one epoch, re-crawls it through the writer, and commits —
 //! serialised with every other writer mutation, so a tick and a snapshot
 //! restore can never interleave. Every commit records a
-//! [`VerdictRevision`](trackersift::VerdictRevision) in the published
+//! [`VerdictRevision`](trackersift_engine::VerdictRevision) in the published
 //! table's bounded ring; `GET /v1/revisions` lists the ring and
 //! `GET /v1/revisions?diff=a..b` folds the drift between two versions into
 //! one net change set (inverted ranges are a `400`, ranges outside the
@@ -126,7 +126,7 @@
 //! ```
 //! use std::io::{Read, Write};
 //! use std::net::TcpStream;
-//! use trackersift::{ObservationRef, Sifter};
+//! use trackersift_engine::{ObservationRef, Sifter};
 //! use trackersift_server::{ServerConfig, VerdictServer};
 //!
 //! let (mut writer, _reader) = Sifter::builder().build_concurrent();
@@ -175,8 +175,8 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use trackersift::frames;
-use trackersift::{
+use trackersift_engine::frames;
+use trackersift_engine::{
     diff_revisions, CommitStats, DeltaSnapshot, JournalStats, RecoveryReport, RevisionRangeError,
     ServiceStats, SifterReader, SifterSnapshot, SifterWriter,
 };
@@ -220,7 +220,7 @@ pub struct ServerConfig {
     /// request's protocol) but keeps its connection.
     pub max_inflight: usize,
     /// Crash durability. `Some` attaches a write-ahead observation journal
-    /// (see [`trackersift::Journal`]) to the writer before serving starts:
+    /// (see [`trackersift_engine::Journal`]) to the writer before serving starts:
     /// the boot replays the previous generation's snapshot + journal, and
     /// every observation is journaled before it mutates trainer state.
     pub durability: Option<DurabilityConfig>,
@@ -255,7 +255,7 @@ impl ServerConfig {
 ///
 /// The directory holds LevelDB-style generations — a `CURRENT` pointer
 /// file, `snapshot-<g>.json`, `journal-<g>.wal` — managed by
-/// [`trackersift::DurableDir`]. Every acknowledged batch and commit is on
+/// [`trackersift_engine::DurableDir`]. Every acknowledged batch and commit is on
 /// disk before its reply, so a `kill -9` at any byte boundary loses no
 /// acknowledged write.
 #[derive(Debug, Clone)]
@@ -1178,7 +1178,7 @@ impl Worker {
             // Deterministic chaos hook: with the `failpoints` feature a
             // `worker.request` panic fault detonates here, exercising the
             // catch_unwind respawn path.
-            trackersift::failpoint::maybe_panic("worker.request");
+            trackersift_engine::failpoint::maybe_panic("worker.request");
             let keep_alive = request.keep_alive();
             // Admission control: over the in-flight budget the request is
             // answered 503 + Retry-After in its own protocol (binary

@@ -141,7 +141,7 @@ impl Poller {
     pub(crate) fn wait(&mut self, timeout_ms: i32) -> io::Result<usize> {
         // The `poller.wait` failpoint injects poll(2) failures (the worker
         // event loop must nap + rebuild, never wedge or spin).
-        trackersift::failpoint::check_io("poller.wait")?;
+        trackersift_engine::failpoint::check_io("poller.wait")?;
         #[cfg(unix)]
         {
             if self.fds.is_empty() {

@@ -6,7 +6,7 @@
 //! workers' reader handles, and the workers serve it read-only.
 //!
 //! The consistency contract is inherited from
-//! [`FollowerState`](trackersift::FollowerState): every table a replica
+//! [`FollowerState`](trackersift_engine::FollowerState): every table a replica
 //! ever serves equals **some exact committed primary version** — a
 //! replica can lag, it can never interpolate.
 
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-use trackersift::{TablePublisher, UrlRewriter};
+use trackersift_engine::{TablePublisher, UrlRewriter};
 
 /// Configuration of one replica: which primary to follow, how often, and
 /// how to serve the result.

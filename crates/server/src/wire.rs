@@ -6,7 +6,7 @@
 //! byte for byte: a [`Decision`] rendered here, shipped over HTTP, and
 //! decoded back equals the in-process decision exactly, surrogate payload
 //! included. The canonical decision encodings themselves live in
-//! [`trackersift::frames`] (shared with the commit-time response
+//! [`trackersift_engine::frames`] (shared with the commit-time response
 //! preformatter); this module wraps them with the request envelopes.
 //!
 //! Decision requests decode two ways, through one decoder each: into owned
@@ -43,14 +43,14 @@
 //! Key ids come from the `GET /v1/keys` handshake and are valid for the
 //! epoch it reported; a stale epoch gets `409 Conflict`, never a silently
 //! wrong verdict. Response bodies are the frames of
-//! [`trackersift::frames`]: a 15-byte single-decision header (+ surrogate
+//! [`trackersift_engine::frames`]: a 15-byte single-decision header (+ surrogate
 //! payload), or `u8 proto, u64 version, u32 count` followed by 6-byte
 //! record headers (+ payloads) for batches.
 
 use filterlist::ResourceType;
 use std::borrow::Cow;
-use trackersift::frames::{self, FrameError, FrameReader, PROTO_VERSION, RECORD_HEADER_LEN};
-use trackersift::{
+use trackersift_engine::frames::{self, FrameError, FrameReader, PROTO_VERSION, RECORD_HEADER_LEN};
+use trackersift_engine::{
     CommitStats, Decision, DecisionRequest, FrozenKeys, ObservationRef, ServiceStats,
 };
 use trackersift_json::{self as json, object, JsonError, Kind, Reader, Value};
@@ -730,11 +730,11 @@ pub(crate) fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> Strin
 }
 
 /// One observation as a client builds it for `POST /v1/observations`: the
-/// core's owned [`Observation`](trackersift::Observation) record, in its
+/// core's owned [`Observation`](trackersift_engine::Observation) record, in its
 /// `Url` form — the server labels every row with its own filter lists and
 /// refuses a `Parts` row. The server decodes a body with
 /// [`decode_observation_batch`] instead.
-pub use trackersift::Observation as ObservationMessage;
+pub use trackersift_engine::Observation as ObservationMessage;
 
 #[derive(Debug, Clone, Copy)]
 struct BatchRow {
@@ -932,7 +932,7 @@ pub(crate) fn service_stats_to_json(stats: &ServiceStats) -> Value {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use trackersift::{DecisionSource, Granularity, MethodAction, SurrogateScript};
+    use trackersift_engine::{DecisionSource, Granularity, MethodAction, SurrogateScript};
 
     #[test]
     fn decision_messages_round_trip() {
@@ -1197,7 +1197,7 @@ mod tests {
         assert_eq!(version, 3);
         assert_eq!(decision, Decision::Surrogate(Arc::new(plan.clone())));
 
-        let rewritten = trackersift::RewrittenUrl::new("https://shop.example/p?id=7");
+        let rewritten = trackersift_engine::RewrittenUrl::new("https://shop.example/p?id=7");
         let rewrite_payload = frames::encode_rewrite_payload(&rewritten);
         let mut body =
             frames::encode_rewrite_single_header(5, rewrite_payload.len() as u32).to_vec();
@@ -1272,7 +1272,7 @@ mod tests {
 
     #[test]
     fn the_streamed_keys_reply_is_the_tree_oracles_render() {
-        use trackersift::KeyInterner;
+        use trackersift_engine::KeyInterner;
         // Every byte the writer escapes, in runs of every length up to a
         // word and beyond, beside quotes, backslashes, 0x7f and multi-byte
         // UTF-8 at both ends of a key.

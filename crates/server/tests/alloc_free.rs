@@ -10,7 +10,7 @@
 use filterlist::ListKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use trackersift::{
+use trackersift_engine::{
     Decision, DecisionSource, ObservationRef, PrebuiltDecision, RewriterBuilder, Sifter,
     SifterReader, VerdictTable,
 };
@@ -163,7 +163,9 @@ fn serve(parser: &mut RequestParser, table: &VerdictTable, batch: bool, out: &mu
 fn reference_json(reader: &SifterReader, rows: &[DecisionMessage], batch: bool) -> Vec<u8> {
     let decisions: Vec<Value> = rows
         .iter()
-        .map(|message| trackersift::frames::decision_value(&reader.decide(&message.as_request())))
+        .map(|message| {
+            trackersift_engine::frames::decision_value(&reader.decide(&message.as_request()))
+        })
         .collect();
     let version = ("version", Value::number_u64(reader.version()));
     let body = if batch {
@@ -249,7 +251,8 @@ fn a_pipelined_flight_of_decisions_allocates_nothing() {
             )
             .as_request(),
         );
-        let body = trackersift::frames::encode_fixed_single(&decision, table.version()).to_vec();
+        let body =
+            trackersift_engine::frames::encode_fixed_single(&decision, table.version()).to_vec();
         HttpResponse::bytes(wire::BINARY_CONTENT_TYPE, body).render_into(&mut expected, true);
     }
     let flight = flight.repeat(8);

@@ -6,7 +6,7 @@
 use filterlist::{ListKind, ResourceType};
 use proptest::prelude::*;
 use std::time::Duration;
-use trackersift::{Decision, DecisionRequest, ObservationRef, Sifter, SifterBuilder};
+use trackersift_engine::{Decision, DecisionRequest, ObservationRef, Sifter, SifterBuilder};
 use trackersift_json::{object, JsonError, Value};
 use trackersift_server::client::{Client, RetryPolicy, RetryingClient};
 use trackersift_server::wire::{
@@ -201,7 +201,11 @@ fn rewrite_decision_golden_fixtures() {
     // requests whose URLs carry identifier parameters are rewritten.
     let snapshot = trained_sifter().snapshot();
     let sifter = Sifter::builder()
-        .rewriter(trackersift::RewriterBuilder::new().default_rules().build())
+        .rewriter(
+            trackersift_engine::RewriterBuilder::new()
+                .default_rules()
+                .build(),
+        )
         .restore(&snapshot)
         .expect("restore with rewriter");
     let server = start_server(sifter);
@@ -1032,7 +1036,7 @@ fn a_client_labeled_row_is_refused_and_moves_no_verdict() {
     poisoned.apply(forged.as_ref());
     poisoned.commit();
     let request = DecisionMessage::new(domain, hostname, script, method);
-    let poisoned = trackersift::frames::decision_value(
+    let poisoned = trackersift_engine::frames::decision_value(
         &poisoned.verdict_table().decide(&request.as_request()),
     )
     .render();
@@ -1202,13 +1206,13 @@ fn an_acknowledged_batch_is_on_disk_before_its_reply() {
     assert_eq!(status, 200);
     assert_eq!(reply, r#"{"accepted":100,"skipped":0,"pending":100}"#);
 
-    let (entries, report) =
-        trackersift::Journal::replay(&dir.join("journal-0.wal")).expect("replay the live journal");
+    let (entries, report) = trackersift_engine::Journal::replay(&dir.join("journal-0.wal"))
+        .expect("replay the live journal");
     assert_eq!(report.torn_bytes, 0);
     assert_eq!(entries.len(), 100);
     assert!(entries
         .iter()
-        .all(|entry| matches!(entry, trackersift::JournalEntry::Observation(_))));
+        .all(|entry| matches!(entry, trackersift_engine::JournalEntry::Observation(_))));
 
     std::fs::create_dir_all(&crash_image).expect("mkdir");
     for file in std::fs::read_dir(&dir).expect("list the directory") {
@@ -1245,7 +1249,10 @@ struct CountingScheduler {
 }
 
 impl trackersift_server::SchedulerDriver for CountingScheduler {
-    fn tick(&mut self, writer: &mut trackersift::SifterWriter) -> trackersift_server::TickSummary {
+    fn tick(
+        &mut self,
+        writer: &mut trackersift_engine::SifterWriter,
+    ) -> trackersift_server::TickSummary {
         let epoch = self.ticks;
         self.ticks += 1;
         for _ in 0..5 {
@@ -1290,7 +1297,7 @@ impl trackersift_server::SchedulerDriver for CountingScheduler {
 /// and the `Accept`-negotiated binary framing.
 #[test]
 fn revisions_endpoint_matches_in_process_ring() {
-    use trackersift::frames;
+    use trackersift_engine::frames;
 
     // The in-process twin: same training, then the same observations the
     // wire side will ingest.
@@ -1338,7 +1345,8 @@ fn revisions_endpoint_matches_in_process_ring() {
     );
 
     // The drift diff folds the same changes the local ring folds.
-    let local_diff = trackersift::diff_revisions(local.revisions(), 1, 2).expect("local diff");
+    let local_diff =
+        trackersift_engine::diff_revisions(local.revisions(), 1, 2).expect("local diff");
     let (status, body) = client.request("GET", "/v1/revisions?diff=1..2", None);
     assert_eq!(status, 200);
     assert_eq!(body, frames::revision_diff_value(&local_diff).render());
@@ -1616,7 +1624,7 @@ proptest! {
     ) {
         // Local side: train, snapshot, restore — the in-process truth.
         let mut trained = Sifter::builder()
-            .thresholds(trackersift::Thresholds::new(threshold))
+            .thresholds(trackersift_engine::Thresholds::new(threshold))
             .build();
         let stream = observations(count, seed);
         for (domain, hostname, script, method, tracking) in &stream {
@@ -1628,7 +1636,7 @@ proptest! {
         // the probes sweep includes `rewrite` (URL-context probes against
         // mixed resources).
         let local = Sifter::builder()
-            .rewriter(trackersift::RewriterBuilder::new().default_rules().build())
+            .rewriter(trackersift_engine::RewriterBuilder::new().default_rules().build())
             .restore(&snapshot)
             .expect("restore locally")
             .verdict_table();
@@ -1639,7 +1647,7 @@ proptest! {
         static SERVER: std::sync::OnceLock<VerdictServer> = std::sync::OnceLock::new();
         let server = SERVER.get_or_init(|| {
             let (writer, _reader) = Sifter::builder()
-                .rewriter(trackersift::RewriterBuilder::new().default_rules().build())
+                .rewriter(trackersift_engine::RewriterBuilder::new().default_rules().build())
                 .build_concurrent();
             VerdictServer::start(
                 writer,
@@ -1694,7 +1702,7 @@ proptest! {
                         // canonical encoding of the local decision.
                         prop_assert_eq!(
                             served.render(),
-                            trackersift::frames::decision_value(&expected).render()
+                            trackersift_engine::frames::decision_value(&expected).render()
                         );
 
                         // The binary codec agrees too, in both key forms.
@@ -1728,7 +1736,7 @@ proptest! {
 
 #[test]
 fn delta_snapshot_endpoint_contract() {
-    use trackersift::frames;
+    use trackersift_engine::frames;
 
     let server = start_server(labeling_trained_sifter());
     let mut client = Client::connect(server.local_addr());

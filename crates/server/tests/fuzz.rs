@@ -9,7 +9,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use trackersift::{ObservationRef, Sifter, SifterBuilder, SifterReader, VerdictTable};
+use trackersift_engine::{ObservationRef, Sifter, SifterBuilder, SifterReader, VerdictTable};
 use trackersift_json::{object, JsonError, Value};
 use trackersift_server::client::Client;
 use trackersift_server::wire::{self, DecisionMessage, DecisionQuery, ObservationMessage};
@@ -631,7 +631,7 @@ fn assert_endpoint_agrees(
         if let Some(url) = url {
             message = message.with_url(url, source_hostname, *resource_type);
         }
-        trackersift::frames::decision_value(&table.decide(&message.as_request()))
+        trackersift_engine::frames::decision_value(&table.decide(&message.as_request()))
     };
     let version = ("version", Value::number_u64(table.version()));
     let expected = match expected {

@@ -6,7 +6,7 @@ use filterlist::ListKind;
 use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
-use trackersift::{ObservationRef, Sifter, SifterBuilder};
+use trackersift_engine::{ObservationRef, Sifter, SifterBuilder};
 use trackersift_json::Value;
 use trackersift_server::client::Client;
 use trackersift_server::{ReplicaConfig, ReplicaStatus, ServerConfig, VerdictServer};

@@ -37,8 +37,16 @@ pub use crawler;
 /// The rule-driven URL rewriter behind `Decision::Rewrite`.
 pub use rewriter;
 
-/// TrackerSift itself: labeling, hierarchical classification, sensitivity,
-/// call-stack analysis, surrogates, breakage.
+/// The dependency-free JSON codec of the wire, the snapshots and the stats.
+pub use trackersift_json;
+
+/// The serving engine: sifter, verdict tables, decisions, journal,
+/// snapshots and replication, without the simulator.
+pub use trackersift_engine;
+
+/// The TrackerSift study: labeling, hierarchical classification,
+/// sensitivity, call-stack analysis, surrogates, breakage — with the
+/// engine re-exported.
 pub use trackersift;
 
 /// The HTTP/1.1 verdict server over per-thread reader handles, as a
