@@ -35,18 +35,10 @@
 //! type)` and every site has its own host, so no key repeats within one
 //! crawl, and the batch label cache that used to sit in front of
 //! [`Labeler`] answered 0 of 246,164 lookups on the corpora in this tree.
-//! The reuse is across crawls instead. A serving writer re-crawling the
-//! same web every epoch sees ≈ 90% of an epoch's triples again in the next
-//! one (87–92% per epoch on the `ingest_replicate` input), so
-//! [`Sifter::apply`](crate::Sifter::apply) keeps a
-//! private memo whose lifetime is the commit interval: a triple labeled in
-//! the current or the previous interval is answered from it, with the
-//! hostname and domain keys it was interned under, and one unseen for a
-//! whole interval is forgotten. It holds each remembered URL once, in an
-//! arena it compacts instead of growing past dead bytes, and each page host
-//! once, so it stays within 1.5× the key bytes of the last interval's rows
-//! plus one index table. The [`Labeler`] and the decision backstop never
-//! consult it.
+//! The reuse is across crawls instead: a serving writer re-crawling the
+//! same web labels its raw-URL rows through the engine's label memo, which
+//! [`Sifter::apply`](crate::Sifter::apply) keeps per commit interval. The
+//! [`Labeler`] and the decision backstop never consult it.
 
 use crawler::{CrawlDatabase, SiteCrawl, StackFrame};
 use filterlist::{hostname_of, FilterEngine, RequestLabel, RequestScratch, ResourceType};
@@ -522,5 +514,18 @@ mod tests {
                 "for {page:?}"
             );
         }
+    }
+
+    #[test]
+    fn page_host_extracts_the_authority_hostname() {
+        assert_eq!(hostname_of("https://www.pub.com/a/b?c"), "www.pub.com");
+        assert_eq!(hostname_of("http://user@shop.com:8080/x"), "shop.com");
+        assert_eq!(hostname_of("https://HOST.example"), "HOST.example");
+        assert_eq!(hostname_of("not a url"), "");
+        assert_eq!(hostname_of("https:///path-only"), "");
+        assert_eq!(hostname_of("https://[::1]:8080/"), "[::1]");
+        assert_eq!(hostname_of("//cdn.pub.com/x"), "cdn.pub.com");
+        assert_eq!(hostname_of("HTTPS://WWW.PUB.COM:443/"), "WWW.PUB.COM");
+        assert_eq!(hostname_of("https://user:pw@www.pub.com/"), "www.pub.com");
     }
 }

@@ -63,27 +63,17 @@
 //! ## Serving
 //!
 //! A study is also a producer of long-lived serving state:
-//! [`Study::sifter`] trains a [`Sifter`], which ingests new
-//! observations incrementally ([`Sifter::apply`] +
-//! [`Sifter::commit`], provably equivalent to reclassifying from
-//! scratch) and exports a [`VerdictTable`] — the one type that
-//! answers `tracking / functional / mixed` per request by resolving the
-//! query's four keys and walking the hierarchy coarsest-to-finest,
-//! allocation-free. Trained state persists across restarts through the
-//! versioned [`SifterSnapshot`]. For serving from many threads
-//! while ingestion continues, [`Sifter::into_concurrent`] splits
-//! the sifter into a [`concurrent::SifterWriter`] and per-thread
-//! [`concurrent::SifterReader`] handles that pin atomically published
-//! tables. A pin takes no lock unless a table was published since the
-//! handle's last pin, and then one uncontended acquisition picks it up; a
-//! retired table lives until every handle has pinned past it.
+//! [`Study::sifter`] trains the engine's [`Sifter`] on the labeled
+//! requests, whose exported [`VerdictTable`] answers per request (see
+//! [`trackersift_engine`] for incremental ingestion, concurrent readers
+//! and persistence).
 //!
 //! ```
 //! use trackersift::{DecisionRequest, Study, StudyConfig};
 //!
 //! let study = Study::run(StudyConfig::small().with_sites(50));
 //! let table = study.sifter().verdict_table();
-//! let verdict = table.verdict(&DecisionRequest::from_labeled(&study.requests[0]));
+//! let verdict = table.verdict(&DecisionRequest::from(&study.requests[0]));
 //! println!("{verdict}");
 //! ```
 

@@ -1,6 +1,7 @@
 //! Shared unit-test fixtures: hand-built labeled requests and the paper's
-//! Figure 1 worked example. The engine's tests build the same example from
-//! rows, so the classifier's and the sifter's suites exercise one scenario.
+//! Figure 1 worked example. The engine's serving-API tests build the same
+//! example as rows, so the classifier's and the sifter's suites exercise
+//! one scenario.
 
 use crate::label::LabeledRequest;
 use crawler::StackFrame;
@@ -40,100 +41,89 @@ pub(crate) fn labeled_request(
 /// split; within cdn.google.com the scripts split; within clone.js the
 /// methods split (m1 tracking, m3 functional, m2 both — the residue).
 pub(crate) fn figure1_requests() -> Vec<LabeledRequest> {
-    type Row = (&'static str, &'static str, &'static str, &'static str, bool);
-    let rounds: [(usize, &[Row]); 4] = [
-        (
-            5,
-            &[
-                ("ads.com", "px.ads.com", "https://pub.com/a.js", "t", true),
-                (
-                    "news.com",
-                    "cdn.news.com",
-                    "https://pub.com/n.js",
-                    "f",
-                    false,
-                ),
-            ],
-        ),
-        (
-            4,
-            &[
-                (
-                    "google.com",
-                    "ad.google.com",
-                    "https://pub.com/sdk.js",
-                    "send",
-                    true,
-                ),
-                (
-                    "google.com",
-                    "maps.google.com",
-                    "https://pub.com/maps.js",
-                    "draw",
-                    false,
-                ),
-            ],
-        ),
-        (
-            3,
-            &[
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/sdk.js",
-                    "send",
-                    true,
-                ),
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/stack.js",
-                    "load",
-                    false,
-                ),
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/clone.js",
-                    "m1",
-                    true,
-                ),
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/clone.js",
-                    "m3",
-                    false,
-                ),
-            ],
-        ),
-        (
-            1,
-            &[
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/clone.js",
-                    "m2",
-                    true,
-                ),
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/clone.js",
-                    "m2",
-                    false,
-                ),
-            ],
-        ),
-    ];
-    let mut requests = Vec::new();
-    for (times, round) in rounds {
-        for _ in 0..times {
-            for &(domain, hostname, script, method, tracking) in round {
-                requests.push(labeled_request(domain, hostname, script, method, tracking));
-            }
-        }
+    let req = labeled_request;
+    let mut v = Vec::new();
+    // Pure tracking / functional domains.
+    for _ in 0..5 {
+        v.push(req(
+            "ads.com",
+            "px.ads.com",
+            "https://pub.com/a.js",
+            "t",
+            true,
+        ));
+        v.push(req(
+            "news.com",
+            "cdn.news.com",
+            "https://pub.com/n.js",
+            "f",
+            false,
+        ));
     }
-    requests
+    // google.com: ad.google.com pure tracking, maps.google.com pure
+    // functional, cdn.google.com mixed.
+    for _ in 0..4 {
+        v.push(req(
+            "google.com",
+            "ad.google.com",
+            "https://pub.com/sdk.js",
+            "send",
+            true,
+        ));
+        v.push(req(
+            "google.com",
+            "maps.google.com",
+            "https://pub.com/maps.js",
+            "draw",
+            false,
+        ));
+    }
+    // cdn.google.com requests from three scripts: sdk.js (tracking),
+    // stack.js (functional), clone.js (mixed: m1 tracking, m3 functional,
+    // m2 both).
+    for _ in 0..3 {
+        v.push(req(
+            "google.com",
+            "cdn.google.com",
+            "https://pub.com/sdk.js",
+            "send",
+            true,
+        ));
+        v.push(req(
+            "google.com",
+            "cdn.google.com",
+            "https://pub.com/stack.js",
+            "load",
+            false,
+        ));
+        v.push(req(
+            "google.com",
+            "cdn.google.com",
+            "https://pub.com/clone.js",
+            "m1",
+            true,
+        ));
+        v.push(req(
+            "google.com",
+            "cdn.google.com",
+            "https://pub.com/clone.js",
+            "m3",
+            false,
+        ));
+    }
+    v.push(req(
+        "google.com",
+        "cdn.google.com",
+        "https://pub.com/clone.js",
+        "m2",
+        true,
+    ));
+    v.push(req(
+        "google.com",
+        "cdn.google.com",
+        "https://pub.com/clone.js",
+        "m2",
+        false,
+    ));
+    v
 }

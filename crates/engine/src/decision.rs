@@ -487,7 +487,7 @@ mod tests {
     use super::*;
     use crate::service::{ObservationRef, Sifter};
     use crate::surrogate::MethodAction;
-    use filterlist::{hostname_of, ListKind};
+    use filterlist::ListKind;
 
     /// Figure-1-shaped training set plus a mixed script whose methods span
     /// all three classifications, so every decision arm is reachable.
@@ -758,18 +758,5 @@ mod tests {
         assert!(surrogate.to_string().starts_with("surrogate for"));
         let rewrite = Decision::Rewrite(Arc::new(RewrittenUrl::new("https://a.example/x?id=1")));
         assert_eq!(rewrite.to_string(), "rewrite to https://a.example/x?id=1");
-    }
-
-    #[test]
-    fn page_host_extracts_the_authority_hostname() {
-        assert_eq!(hostname_of("https://www.pub.com/a/b?c"), "www.pub.com");
-        assert_eq!(hostname_of("http://user@shop.com:8080/x"), "shop.com");
-        assert_eq!(hostname_of("https://HOST.example"), "HOST.example");
-        assert_eq!(hostname_of("not a url"), "");
-        assert_eq!(hostname_of("https:///path-only"), "");
-        assert_eq!(hostname_of("https://[::1]:8080/"), "[::1]");
-        assert_eq!(hostname_of("//cdn.pub.com/x"), "cdn.pub.com");
-        assert_eq!(hostname_of("HTTPS://WWW.PUB.COM:443/"), "WWW.PUB.COM");
-        assert_eq!(hostname_of("https://user:pw@www.pub.com/"), "www.pub.com");
     }
 }

@@ -1,13 +1,6 @@
-//! The one labeling step both halves share: a request URL against the
-//! filter-list oracle.
-//!
-//! The study's batch labeler calls [`label_url`] for every script-initiated
-//! crawl record, and [`Sifter::apply`](crate::Sifter::apply) calls it for a
-//! raw-URL row, so the batch and the serving side cannot label one request
-//! two ways. It copies nothing: the request is a
-//! [`filterlist::RequestView`] built in a [`RequestScratch`] the caller
-//! keeps, and the hostname and domain it hands back are slices of that
-//! view.
+//! Labeling one request URL against the filter-list oracle: the step the
+//! study's batch labeler and [`Sifter::apply`](crate::Sifter::apply)'s
+//! raw-URL rows share, so the two cannot label one request two ways.
 
 use filterlist::{FilterEngine, RequestLabel, RequestScratch, ResourceType};
 

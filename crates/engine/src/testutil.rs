@@ -74,92 +74,26 @@ pub(crate) fn labeled_request(
 /// split; within cdn.google.com the scripts split; within clone.js the
 /// methods split (m1 tracking, m3 functional, m2 both — the residue).
 pub(crate) fn figure1_requests() -> Vec<LabeledRow> {
-    type Row = (&'static str, &'static str, &'static str, &'static str, bool);
-    let rounds: [(usize, &[Row]); 4] = [
-        (
-            5,
-            &[
-                ("ads.com", "px.ads.com", "https://pub.com/a.js", "t", true),
-                (
-                    "news.com",
-                    "cdn.news.com",
-                    "https://pub.com/n.js",
-                    "f",
-                    false,
-                ),
-            ],
-        ),
-        (
-            4,
-            &[
-                (
-                    "google.com",
-                    "ad.google.com",
-                    "https://pub.com/sdk.js",
-                    "send",
-                    true,
-                ),
-                (
-                    "google.com",
-                    "maps.google.com",
-                    "https://pub.com/maps.js",
-                    "draw",
-                    false,
-                ),
-            ],
-        ),
-        (
-            3,
-            &[
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/sdk.js",
-                    "send",
-                    true,
-                ),
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/stack.js",
-                    "load",
-                    false,
-                ),
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/clone.js",
-                    "m1",
-                    true,
-                ),
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/clone.js",
-                    "m3",
-                    false,
-                ),
-            ],
-        ),
-        (
-            1,
-            &[
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/clone.js",
-                    "m2",
-                    true,
-                ),
-                (
-                    "google.com",
-                    "cdn.google.com",
-                    "https://pub.com/clone.js",
-                    "m2",
-                    false,
-                ),
-            ],
-        ),
+    #[rustfmt::skip]
+    let rounds: [(usize, &[(&str, &str, &str, &str, bool)]); 4] = [
+        (5, &[
+            ("ads.com", "px.ads.com", "https://pub.com/a.js", "t", true),
+            ("news.com", "cdn.news.com", "https://pub.com/n.js", "f", false),
+        ]),
+        (4, &[
+            ("google.com", "ad.google.com", "https://pub.com/sdk.js", "send", true),
+            ("google.com", "maps.google.com", "https://pub.com/maps.js", "draw", false),
+        ]),
+        (3, &[
+            ("google.com", "cdn.google.com", "https://pub.com/sdk.js", "send", true),
+            ("google.com", "cdn.google.com", "https://pub.com/stack.js", "load", false),
+            ("google.com", "cdn.google.com", "https://pub.com/clone.js", "m1", true),
+            ("google.com", "cdn.google.com", "https://pub.com/clone.js", "m3", false),
+        ]),
+        (1, &[
+            ("google.com", "cdn.google.com", "https://pub.com/clone.js", "m2", true),
+            ("google.com", "cdn.google.com", "https://pub.com/clone.js", "m2", false),
+        ]),
     ];
     let mut rows = Vec::new();
     for (times, round) in rounds {
