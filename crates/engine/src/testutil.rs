@@ -74,8 +74,9 @@ pub(crate) fn labeled_request(
 /// split; within cdn.google.com the scripts split; within clone.js the
 /// methods split (m1 tracking, m3 functional, m2 both — the residue).
 pub(crate) fn figure1_requests() -> Vec<LabeledRow> {
+    type Row = (&'static str, &'static str, &'static str, &'static str, bool);
     #[rustfmt::skip]
-    let rounds: [(usize, &[(&str, &str, &str, &str, bool)]); 4] = [
+    let rounds: [(usize, &[Row]); 4] = [
         (5, &[
             ("ads.com", "px.ads.com", "https://pub.com/a.js", "t", true),
             ("news.com", "cdn.news.com", "https://pub.com/n.js", "f", false),
