@@ -81,10 +81,8 @@ pub fn workers_for(workers: usize, sites: usize) -> usize {
 /// in input order. Each thread maps one contiguous chunk, and the chunks
 /// are joined in order, so the output does not depend on scheduling. With
 /// `workers` of 0 or 1, or fewer than two items, `f` runs on the caller's
-/// thread. A panic in `f` reaches the caller with its own payload.
-///
-/// Shared by the crawl and labeling stages, which size `workers` with
-/// [`workers_for`].
+/// thread. A panic in `f` reaches the caller with its own payload. The
+/// crawl and labeling stages both map through it.
 pub fn par_map<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
@@ -130,8 +128,7 @@ impl CrawlCluster {
     /// Each site's request ids are derived from its rank, so results do not
     /// depend on scheduling.
     pub fn crawl(&self, corpus: &WebCorpus) -> CrawlDatabase {
-        let workers = workers_for(self.config.workers, corpus.websites.len());
-        let mut sites = par_map(&corpus.websites, workers, crawl_site);
+        let mut sites = par_map(&corpus.websites, self.config.workers, crawl_site);
         sites.sort_by_key(|s| s.rank);
         CrawlDatabase { sites }
     }
