@@ -140,9 +140,9 @@ impl CallStackAnalysis {
 /// Build the call graph for one mixed method from the requests it initiated.
 ///
 /// Every request contributes its full stack as a path; the innermost frame
-/// is the initiating method itself. Async parent frames are included — the
-/// paper prepends the preceding stack for asynchronous requests precisely so
-/// this analysis sees the full ancestry.
+/// is the initiating method itself. The frames of the scripts that injected
+/// the initiator follow its own — the paper prepends the preceding stack
+/// precisely so this analysis sees the full ancestry.
 pub(crate) fn build_call_graph<'a>(
     script_url: &str,
     method: &str,
@@ -225,7 +225,6 @@ mod tests {
         let mk = |url: &str, tracking: bool, stack: Vec<(&str, &str)>| LabeledRequest {
             request_id: 0,
             top_level_url: "https://test.com/".into(),
-            site_domain: "test.com".into(),
             url: url.into(),
             domain: "google.com".into(),
             hostname: "cdn.google.com".into(),
@@ -233,7 +232,6 @@ mod tests {
             initiator_script: stack[0].0.into(),
             initiator_method: stack[0].1.into(),
             stack: stack.iter().map(|(s, m)| StackFrame::new(*s, *m)).collect(),
-            async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking
             } else {

@@ -27,7 +27,7 @@
 //! call site's stack once as an `Arc<[StackFrame]>`; [`LabeledRequest`]
 //! points at those same allocations. The two derived keys, hostname and
 //! registrable domain, are allocated once per distinct hostname per site and
-//! shared by that site's requests; the site's own domain once per site.
+//! shared by that site's requests.
 //! [`Labeler::label_database`] writes every row into one vector sized up
 //! front, so a labeled request costs no allocation of its own.
 //!
@@ -53,8 +53,6 @@ pub struct LabeledRequest {
     pub request_id: u64,
     /// URL of the page that issued the request.
     pub top_level_url: Arc<str>,
-    /// Registrable domain of the page.
-    pub site_domain: Arc<str>,
     /// The request URL.
     pub url: Arc<str>,
     /// Registrable domain (eTLD+1) of the request URL.
@@ -70,8 +68,6 @@ pub struct LabeledRequest {
     /// The full stack, innermost first: the crawl record's own frames,
     /// shared with every request of the same call site.
     pub stack: Arc<[StackFrame]>,
-    /// Index of the first asynchronous-parent frame, if any.
-    pub async_boundary: Option<usize>,
     /// The oracle label.
     pub label: RequestLabel,
 }
@@ -217,7 +213,6 @@ impl<'a> Labeler<'a> {
     fn label_site_into(&self, site: &SiteCrawl, out: &mut Vec<LabeledRequest>) -> LabelStats {
         let mut stats = LabelStats::default();
         let mut scratch = RequestScratch::new();
-        let site_domain: Arc<str> = Arc::from(site.site_domain.as_str());
         // The `(hostname, domain)` pairs this site's requests have derived
         // so far. A page talks to a few dozen hosts: a scan beats a map, and
         // most rows repeat the previous row's host, so that one is tried
@@ -275,7 +270,6 @@ impl<'a> Labeler<'a> {
             out.push(LabeledRequest {
                 request_id: request.request_id,
                 top_level_url: Arc::clone(&request.top_level_url),
-                site_domain: Arc::clone(&site_domain),
                 url: Arc::clone(&request.url),
                 domain,
                 hostname,
@@ -283,7 +277,6 @@ impl<'a> Labeler<'a> {
                 initiator_script: Arc::clone(&frame.script_url),
                 initiator_method: Arc::clone(&frame.function_name),
                 stack: Arc::clone(&request.call_stack.frames),
-                async_boundary: request.call_stack.async_boundary,
                 label,
             });
         }
@@ -435,8 +428,7 @@ mod tests {
                     assert!(Arc::ptr_eq(&labeled.script_url, &crawled.script_url));
                     assert!(Arc::ptr_eq(&labeled.function_name, &crawled.function_name));
                 }
-                // The derived keys and the site's domain exist once per site.
-                assert!(Arc::ptr_eq(&request.site_domain, &labeled[0].site_domain));
+                // The derived keys exist once per site.
                 for other in &labeled {
                     if other.hostname == request.hostname {
                         assert!(Arc::ptr_eq(&other.hostname, &request.hostname));
@@ -447,6 +439,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A row carries only what an analysis reads: six shared strings and
+    /// the shared stack (16 bytes each), the id and two one-byte enums.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_labeled_row_and_its_stack_stay_small() {
+        assert!(std::mem::size_of::<LabeledRequest>() <= 128);
+        assert_eq!(std::mem::size_of::<crawler::CallStack>(), 16);
     }
 
     #[test]

@@ -117,7 +117,6 @@ mod tests {
         LabeledRequest {
             request_id: 0,
             top_level_url: "https://www.pub.com/".into(),
-            site_domain: "pub.com".into(),
             url: format!("https://{hostname}/x").into(),
             domain: domain.into(),
             hostname: hostname.into(),
@@ -125,7 +124,6 @@ mod tests {
             initiator_script: script.into(),
             initiator_method: method.into(),
             stack: Arc::from([StackFrame::new(script, method)]),
-            async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking
             } else {

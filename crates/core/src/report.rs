@@ -252,7 +252,6 @@ mod tests {
         LabeledRequest {
             request_id: 0,
             top_level_url: "https://www.pub.com/".into(),
-            site_domain: "pub.com".into(),
             url: format!("https://x.{domain}/y").into(),
             domain: domain.into(),
             hostname: format!("x.{domain}").into(),
@@ -260,7 +259,6 @@ mod tests {
             initiator_script: "https://www.pub.com/app.js".into(),
             initiator_method: "m".into(),
             stack: Arc::from([StackFrame::new("https://www.pub.com/app.js", "m")]),
-            async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking
             } else {

@@ -120,7 +120,6 @@ mod tests {
         LabeledRequest {
             request_id: 0,
             top_level_url: "https://www.pub.com/".into(),
-            site_domain: "pub.com".into(),
             url: format!("https://{hostname}/x").into(),
             domain: "hub.com".into(),
             hostname: hostname.into(),
@@ -128,7 +127,6 @@ mod tests {
             initiator_script: script.into(),
             initiator_method: method.into(),
             stack: stack.into(),
-            async_boundary: None,
             label: if tracking {
                 RequestLabel::Tracking
             } else {

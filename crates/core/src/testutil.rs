@@ -19,7 +19,6 @@ pub(crate) fn labeled_request(
     LabeledRequest {
         request_id: 0,
         top_level_url: "https://www.pub.com/".into(),
-        site_domain: "pub.com".into(),
         url: format!("https://{hostname}/x").into(),
         domain: domain.into(),
         hostname: hostname.into(),
@@ -27,7 +26,6 @@ pub(crate) fn labeled_request(
         initiator_script: script.into(),
         initiator_method: method.into(),
         stack: Arc::from([StackFrame::new(script, method)]),
-        async_boundary: None,
         label: if tracking {
             RequestLabel::Tracking
         } else {

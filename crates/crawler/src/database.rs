@@ -2,7 +2,7 @@
 //!
 //! The paper stores every captured event in a database that the (post hoc,
 //! offline) hierarchical analysis then consumes. [`CrawlDatabase`] is that
-//! store: one [`SiteCrawl`] per website, holding the site metadata and the
+//! store: one [`SiteCrawl`] per website, holding the site's rank and the
 //! raw request events. It lives in memory only: the crawl hands it to the
 //! labeling stage, and nothing writes it out or reads it back.
 
@@ -14,8 +14,6 @@ use crate::page_load::PageLoadResult;
 pub struct SiteCrawl {
     /// Rank of the site in the crawl list.
     pub(crate) rank: usize,
-    /// Registrable domain of the site.
-    pub site_domain: String,
     /// Every `requestWillBeSent` captured during the load (the paper's
     /// pipeline only needs request metadata and call stacks).
     pub requests: Vec<RequestWillBeSent>,
@@ -24,10 +22,9 @@ pub struct SiteCrawl {
 impl SiteCrawl {
     /// Build a site crawl record from a page-load result, taking over its
     /// captured requests.
-    pub(crate) fn from_load(rank: usize, site_domain: &str, result: PageLoadResult) -> Self {
+    pub(crate) fn from_load(rank: usize, result: PageLoadResult) -> Self {
         SiteCrawl {
             rank,
-            site_domain: site_domain.to_string(),
             requests: result.requests,
         }
     }
@@ -77,7 +74,7 @@ mod tests {
         let sites = corpus
             .websites
             .iter()
-            .map(|site| SiteCrawl::from_load(site.rank, &site.domain, sim.load(site)))
+            .map(|site| SiteCrawl::from_load(site.rank, sim.load(site)))
             .collect();
         CrawlDatabase { sites }
     }

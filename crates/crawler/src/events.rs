@@ -48,27 +48,21 @@ impl StackFrame {
 /// The initiator call stack attached to a script-initiated request.
 ///
 /// `frames[0]` is the innermost frame — the method that actually issued the
-/// request — matching DevTools ordering. For asynchronous requests the stack
-/// that *preceded* the asynchronous hop is appended after the synchronous
-/// frames (the paper: "the stack trace that preceded the request is
-/// prepended" to the ancestry), with `async_boundary` recording where the
-/// synchronous portion ends.
+/// request — matching DevTools ordering. The issuing script's own
+/// (synchronous) frames come first; the frames of the scripts that injected
+/// it follow them, for every request (the paper: "the stack trace that
+/// preceded the request is prepended" to the ancestry).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallStack {
     /// Stack frames, innermost first. Shared: a page load builds one slice
     /// per call site and every request the call site issues points at it.
     pub frames: Arc<[StackFrame]>,
-    /// Index of the first frame that belongs to the asynchronous parent
-    /// stack, if the request was issued from an async continuation; at most
-    /// `frames.len()`.
-    pub async_boundary: Option<usize>,
 }
 
 impl Default for CallStack {
     fn default() -> Self {
         CallStack {
             frames: Arc::from([]),
-            async_boundary: None,
         }
     }
 }
@@ -125,7 +119,6 @@ mod tests {
                 StackFrame::new("https://cdn.x.com/clone.js", "init"),
                 StackFrame::new("https://tm.example/gtm.js?id=1", "bootstrap"),
             ]),
-            async_boundary: None,
         }
     }
 

@@ -14,9 +14,8 @@
 //! * the DevTools-style event types ([`RequestWillBeSent`], [`CallStack`],
 //!   [`StackFrame`]);
 //! * [`PageLoadSimulator`] — the per-page simulator that turns a
-//!   [`websim::Website`] into its requests (with tag-manager ancestry,
-//!   async-stack prepending, and optional script/request blocking for
-//!   breakage experiments);
+//!   [`websim::Website`] into its requests (with tag-manager ancestry
+//!   and optional script/request blocking for breakage experiments);
 //! * [`CrawlCluster`] — the parallel, stateless crawl orchestrator;
 //! * [`CrawlDatabase`] — the crawl database the offline analysis consumes;
 //! * [`json`] — the `trackersift_json` codec, a re-export kept while the

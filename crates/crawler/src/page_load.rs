@@ -5,8 +5,8 @@
 //! `requestWillBeSent` records that loading the page would generate —
 //! parser-initiated document requests without call stacks, dynamically
 //! injected script fetches, and every script-initiated request with its full
-//! initiator call stack (including tag-manager ancestry and async-stack
-//! prepending).
+//! initiator call stack (the issuing script's frames, then the frames of
+//! the scripts that injected it).
 //!
 //! Blocking is modelled the way a content blocker blocks a script at
 //! runtime: a blocked script never executes (none of its requests are
@@ -139,7 +139,6 @@ impl PageLoadSimulator {
                 let loaded_url = &scripts[loaded_idx].url;
                 let stack = bootstrap.get_or_insert_with(|| CallStack {
                     frames: Arc::from([scripts[loader_idx].bootstrap_frame()]),
-                    async_boundary: None,
                 });
                 self.emit(
                     &mut result,
@@ -153,9 +152,9 @@ impl PageLoadSimulator {
 
         // 5. Script execution: every method's planned requests, each with
         //    its call site's stack. A method's call sites differ only in
-        //    `is_async` and `via_caller`, so a short list per method finds
-        //    the stack a request shares.
-        let mut call_sites: Vec<(bool, Option<&str>, CallStack)> = Vec::new();
+        //    `via_caller`, so a short list per method finds the stack a
+        //    request shares.
+        let mut call_sites: Vec<(Option<&str>, CallStack)> = Vec::new();
         let mut frames: Vec<StackFrame> = Vec::new();
         for (idx, script) in site.scripts.iter().enumerate() {
             if !executed[idx] {
@@ -170,11 +169,9 @@ impl PageLoadSimulator {
                 let caller_chain = caller_chain(script, method_idx);
                 for request in &method.requests {
                     let via_caller = request.via_caller.as_deref();
-                    let known = call_sites.iter().find(|(is_async, via, _)| {
-                        (*is_async, *via) == (request.is_async, via_caller)
-                    });
+                    let known = call_sites.iter().find(|(via, _)| *via == via_caller);
                     let stack = match known {
-                        Some((_, _, stack)) => stack.clone(),
+                        Some((_, stack)) => stack.clone(),
                         None => {
                             let stack = build_stack(
                                 &mut frames,
@@ -182,10 +179,9 @@ impl PageLoadSimulator {
                                 method_idx,
                                 &caller_chain,
                                 &ancestor_frames,
-                                request.is_async,
                                 via_caller,
                             );
-                            call_sites.push((request.is_async, via_caller, stack.clone()));
+                            call_sites.push((via_caller, stack.clone()));
                             stack
                         }
                     };
@@ -392,7 +388,6 @@ fn build_stack(
     method_idx: usize,
     caller_chain: &[usize],
     ancestor_frames: &[StackFrame],
-    is_async: bool,
     via_caller: Option<&str>,
 ) -> CallStack {
     frames.clear();
@@ -407,11 +402,9 @@ fn build_stack(
         }
     }
     frames.extend(caller_chain.iter().map(|&caller| script.frame(caller)));
-    let sync_len = frames.len();
     frames.extend(ancestor_frames.iter().cloned());
     CallStack {
         frames: Arc::from(frames.as_slice()),
-        async_boundary: if is_async { Some(sync_len) } else { None },
     }
 }
 
@@ -502,7 +495,7 @@ mod tests {
     fn one_call_site_shares_one_stack_within_a_load() {
         let corpus = small_corpus();
         let mut sim = PageLoadSimulator::new(0);
-        let (mut shared, mut split_by_async, mut split_by_caller) = (0, 0, 0);
+        let (mut shared, mut split_by_caller) = (0, 0);
         for site in &corpus.websites {
             let result = sim.load(site);
             // Unblocked, every script executes and the script-issued
@@ -521,12 +514,10 @@ mod tests {
                     .collect();
                 for (k, (a, a_frames)) in requests.iter().enumerate() {
                     for (b, b_frames) in &requests[k + 1..] {
-                        let one_site = (a.is_async, &a.via_caller) == (b.is_async, &b.via_caller);
+                        let one_site = a.via_caller == b.via_caller;
                         assert_eq!(Arc::ptr_eq(a_frames, b_frames), one_site, "{}", a.url);
                         if one_site {
                             shared += 1;
-                        } else if a.is_async != b.is_async {
-                            split_by_async += 1;
                         } else {
                             split_by_caller += 1;
                         }
@@ -551,8 +542,8 @@ mod tests {
             }
         }
         assert!(
-            shared > 0 && split_by_async > 0 && split_by_caller > 0,
-            "{shared} shared, {split_by_async} split by is_async, {split_by_caller} by via_caller"
+            shared > 0 && split_by_caller > 0,
+            "{shared} shared, {split_by_caller} split by via_caller"
         );
     }
 
@@ -610,24 +601,6 @@ mod tests {
             }
             return; // one site with loaders is enough
         }
-    }
-
-    #[test]
-    fn async_requests_record_the_boundary() {
-        let corpus = small_corpus();
-        let mut sim = PageLoadSimulator::new(0);
-        let mut seen_async = false;
-        for site in &corpus.websites {
-            let result = sim.load(site);
-            for req in &result.requests {
-                if let Some(boundary) = req.call_stack.async_boundary {
-                    assert!(boundary <= req.call_stack.frames.len());
-                    assert!(boundary >= 1);
-                    seen_async = true;
-                }
-            }
-        }
-        assert!(seen_async, "corpus should contain async requests");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! fires does the rewriter parse query segments, and only when a segment
 //! actually matches a rule does it build the replacement string.
 
-use filterlist::registrable_suffix;
 use filterlist::tokens::{token_hashes, TokenHashBuilder, TokenHashes};
+use filterlist::{hostname_of, registrable_suffix};
 use std::collections::{HashMap, HashSet};
 
 use crate::RewrittenUrl;
@@ -96,22 +96,6 @@ fn wrapped_destination(value: &str) -> Option<String> {
     } else {
         None
     }
-}
-
-/// The hostname part of a URL head (everything before `?`): the authority
-/// after `://`, with userinfo and a numeric port stripped.
-fn hostname_of(head: &str) -> Option<&str> {
-    let rest = &head[head.find("://")? + 3..];
-    let authority = &rest[..rest.find('/').unwrap_or(rest.len())];
-    let host = match authority.rfind('@') {
-        Some(i) => &authority[i + 1..],
-        None => authority,
-    };
-    let host = match host.rfind(':') {
-        Some(i) if host[i + 1..].bytes().all(|b| b.is_ascii_digit()) => &host[..i],
-        _ => host,
-    };
-    (!host.is_empty()).then_some(host)
 }
 
 /// A compiled, immutable URL rewriter. Built by
@@ -308,7 +292,10 @@ impl UrlRewriter {
         if self.per_site.is_empty() {
             return None;
         }
-        let host = hostname_of(head)?;
+        let host = hostname_of(head);
+        if host.is_empty() {
+            return None;
+        }
         if host.ends_with('.') || host.bytes().any(|b| b.is_ascii_uppercase()) {
             // Rare denormalised hostname: lower it once for the lookup.
             let lowered = host.trim_end_matches('.').to_ascii_lowercase();
@@ -417,14 +404,40 @@ mod tests {
     }
 
     #[test]
-    fn per_site_lookup_handles_uppercase_hostnames() {
+    fn per_site_lookup_reads_the_hostname_out_of_the_authority() {
         let rw = RewriterBuilder::new()
             .strip_param_on("shop.example", "sid")
             .build();
-        assert_eq!(
-            rewritten(&rw, "https://WWW.Shop.Example/p?sid=9&id=1"),
-            "https://WWW.Shop.Example/p?id=1"
-        );
+        for (url, cleaned) in [
+            (
+                "https://WWW.Shop.Example/p?sid=9&id=1",
+                "https://WWW.Shop.Example/p?id=1",
+            ),
+            (
+                "https://user:pw@www.shop.example/p?sid=9&id=1",
+                "https://user:pw@www.shop.example/p?id=1",
+            ),
+            (
+                "https://www.shop.example:8443/p?sid=9&id=1",
+                "https://www.shop.example:8443/p?id=1",
+            ),
+            (
+                "https://U@WWW.SHOP.EXAMPLE:80/p?sid=9&id=1",
+                "https://U@WWW.SHOP.EXAMPLE:80/p?id=1",
+            ),
+            (
+                "//www.shop.example/p?sid=9&id=1",
+                "//www.shop.example/p?id=1",
+            ),
+        ] {
+            assert_eq!(rewritten(&rw, url), cleaned);
+        }
+        // A domain in the userinfo is not the URL's site, and a URL without
+        // an authority has none.
+        assert!(rw
+            .rewrite("https://shop.example@other.example/p?sid=9")
+            .is_none());
+        assert!(rw.rewrite("shop.example/p?sid=9").is_none());
     }
 
     #[test]

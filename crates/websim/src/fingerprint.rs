@@ -109,7 +109,6 @@ mod tests {
             url: url.to_string(),
             resource_type,
             intent,
-            is_async: false,
             via_caller: None,
         }
     }

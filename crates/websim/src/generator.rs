@@ -403,7 +403,6 @@ fn generate_document_requests(
             url,
             resource_type,
             intent: Purpose::Functional,
-            is_async: false,
             via_caller: None,
         });
     }
@@ -417,7 +416,6 @@ fn generate_document_requests(
                     url,
                     resource_type: ResourceType::Image,
                     intent: Purpose::Tracking,
-                    is_async: false,
                     via_caller: None,
                 });
             }

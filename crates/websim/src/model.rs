@@ -31,7 +31,11 @@ impl fmt::Display for Purpose {
     }
 }
 
-/// A network request a script method will issue during the page load.
+/// A network request a script method will issue during the page load: the
+/// URL, type and intent of the request, and the in-script caller it comes
+/// through. The crawler derives the whole call stack from the method and
+/// that caller; the scripts that injected the issuing script follow its
+/// own frames in every stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedRequest {
     /// Full request URL.
@@ -40,10 +44,6 @@ pub struct PlannedRequest {
     pub resource_type: ResourceType,
     /// Ground-truth intent (not visible to the classifier).
     pub intent: Purpose,
-    /// `true` when the request is issued from an asynchronous continuation
-    /// (promise/setTimeout); the crawler then prepends the captured stack,
-    /// mirroring the paper's async-stack handling.
-    pub is_async: bool,
     /// Name of the in-script method that *called into* the issuing method
     /// for this particular request (if any). This models shared dispatcher
     /// methods (`Pa.xhrRequest`) whose tracking and functional invocations
@@ -236,7 +236,6 @@ mod tests {
             url: url.to_string(),
             resource_type: ResourceType::Xhr,
             intent,
-            is_async: false,
             via_caller: None,
         }
     }

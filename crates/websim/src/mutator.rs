@@ -188,7 +188,6 @@ impl EcosystemMutator {
                         url,
                         resource_type,
                         intent: Purpose::Tracking,
-                        is_async: false,
                         via_caller: None,
                     });
                     report.emerged_requests += 1;

@@ -50,7 +50,6 @@ pub(crate) fn planned_requests<R: Rng + ?Sized>(
     hostname: &str,
     purpose: Purpose,
     count: usize,
-    is_async: bool,
 ) -> Vec<PlannedRequest> {
     (0..count)
         .map(|_| {
@@ -68,7 +67,6 @@ pub(crate) fn planned_requests<R: Rng + ?Sized>(
                 url,
                 resource_type,
                 intent: purpose,
-                is_async,
                 via_caller: None,
             }
         })
@@ -83,10 +81,9 @@ pub(crate) fn emit<R: Rng + ?Sized>(
     hostname: &str,
     purpose: Purpose,
     max: usize,
-    is_async: bool,
 ) -> Vec<PlannedRequest> {
     let count = ctx.volume(rng, max);
-    planned_requests(ctx, rng, hostname, purpose, count, is_async)
+    planned_requests(ctx, rng, hostname, purpose, count)
 }
 
 /// A third-party analytics tag: tracking beacons to the vendor's own hosts.
@@ -102,8 +99,8 @@ pub(crate) fn analytics_script<R: Rng + ?Sized>(
         .expect("analytics services have tracking hosts")
         .hostname
         .clone();
-    let beacons = emit(ctx, rng, &host, Purpose::Tracking, 8, false);
-    let async_beacons = emit(ctx, rng, &host, Purpose::Tracking, 4, true);
+    let beacons = emit(ctx, rng, &host, Purpose::Tracking, 8);
+    let queued_beacons = emit(ctx, rng, &host, Purpose::Tracking, 4);
     PageScript {
         origin: ScriptOrigin::External { url },
         methods: vec![
@@ -119,7 +116,7 @@ pub(crate) fn analytics_script<R: Rng + ?Sized>(
             },
             ScriptMethodSpec {
                 name: "flushQueue".into(),
-                requests: async_beacons,
+                requests: queued_beacons,
                 callees: Vec::new(),
             },
         ],
@@ -156,14 +153,14 @@ pub(crate) fn ad_network_script<R: Rng + ?Sized>(
         },
         ScriptMethodSpec {
             name: "requestAds".into(),
-            requests: emit(ctx, rng, &own_host, Purpose::Tracking, 6, false),
+            requests: emit(ctx, rng, &own_host, Purpose::Tracking, 6),
             callees: Vec::new(),
         },
     ];
     if let Some(cdn) = cdn_mixed_host {
         methods.push(ScriptMethodSpec {
             name: "renderCreative".into(),
-            requests: emit(ctx, rng, cdn, Purpose::Tracking, 4, true),
+            requests: emit(ctx, rng, cdn, Purpose::Tracking, 4),
             callees: Vec::new(),
         });
     }
@@ -201,7 +198,7 @@ pub(crate) fn tag_manager_script<R: Rng + ?Sized>(
             },
             ScriptMethodSpec {
                 name: "pushEvent".into(),
-                requests: emit(ctx, rng, &host, Purpose::Tracking, 3, false),
+                requests: emit(ctx, rng, &host, Purpose::Tracking, 3),
                 callees: Vec::new(),
             },
         ],
@@ -224,7 +221,7 @@ pub(crate) fn consent_manager_script<R: Rng + ?Sized>(
     let mut vendor_calls = Vec::new();
     for vendor in ad_vendors.iter().take(3) {
         if let Some(host) = vendor.host_with_role(HostRole::Tracking) {
-            vendor_calls.extend(emit(ctx, rng, &host.hostname, Purpose::Tracking, 2, true));
+            vendor_calls.extend(emit(ctx, rng, &host.hostname, Purpose::Tracking, 2));
         }
     }
     PageScript {
@@ -232,7 +229,7 @@ pub(crate) fn consent_manager_script<R: Rng + ?Sized>(
         methods: vec![
             ScriptMethodSpec {
                 name: "loadConsentState".into(),
-                requests: planned_requests(ctx, rng, &own_host, Purpose::Tracking, 1, false),
+                requests: planned_requests(ctx, rng, &own_host, Purpose::Tracking, 1),
                 callees: vec![1],
             },
             ScriptMethodSpec {
@@ -294,15 +291,8 @@ pub(crate) fn platform_sdk_script<R: Rng + ?Sized>(
         methods.push(ScriptMethodSpec {
             name: "renderWidget".into(),
             requests: {
-                let mut reqs = emit(ctx, rng, &mixed_host, Purpose::Functional, 4, false);
-                reqs.extend(emit(
-                    ctx,
-                    rng,
-                    &functional_host,
-                    Purpose::Functional,
-                    3,
-                    false,
-                ));
+                let mut reqs = emit(ctx, rng, &mixed_host, Purpose::Functional, 4);
+                reqs.extend(emit(ctx, rng, &functional_host, Purpose::Functional, 3));
                 reqs
             },
             callees: Vec::new(),
@@ -315,8 +305,8 @@ pub(crate) fn platform_sdk_script<R: Rng + ?Sized>(
         methods.push(ScriptMethodSpec {
             name: "trackImpression".into(),
             requests: {
-                let mut reqs = emit(ctx, rng, &mixed_host, Purpose::Tracking, 3, false);
-                reqs.extend(emit(ctx, rng, &tracking_host, Purpose::Tracking, 2, true));
+                let mut reqs = emit(ctx, rng, &mixed_host, Purpose::Tracking, 3);
+                reqs.extend(emit(ctx, rng, &tracking_host, Purpose::Tracking, 2));
                 reqs
             },
             callees: Vec::new(),
@@ -361,14 +351,14 @@ pub(crate) fn functional_library_script<R: Rng + ?Sized>(
         ScriptMethodSpec::empty("init"),
         ScriptMethodSpec {
             name: "loadAssets".into(),
-            requests: emit(ctx, rng, &own_host, Purpose::Functional, 3, false),
+            requests: emit(ctx, rng, &own_host, Purpose::Functional, 3),
             callees: Vec::new(),
         },
     ];
     if let Some(host) = mixed_cdn_host {
         methods.push(ScriptMethodSpec {
             name: "lazyLoadImages".into(),
-            requests: emit(ctx, rng, host, Purpose::Functional, 5, true),
+            requests: emit(ctx, rng, host, Purpose::Functional, 5),
             callees: Vec::new(),
         });
     }
@@ -396,7 +386,7 @@ pub(crate) fn api_service_script<R: Rng + ?Sized>(
             ScriptMethodSpec::empty("init"),
             ScriptMethodSpec {
                 name: "fetchData".into(),
-                requests: emit(ctx, rng, &host, Purpose::Functional, 4, false),
+                requests: emit(ctx, rng, &host, Purpose::Functional, 4),
                 callees: Vec::new(),
             },
         ],
@@ -433,7 +423,7 @@ pub(crate) fn first_party_app_script<R: Rng + ?Sized>(
         ScriptMethodSpec::empty("bootstrap"),
         ScriptMethodSpec {
             name: "fetchContent".into(),
-            requests: emit(ctx, rng, &ctx.hostname, Purpose::Functional, 5, false),
+            requests: emit(ctx, rng, &ctx.hostname, Purpose::Functional, 5),
             callees: Vec::new(),
         },
     ];
@@ -443,7 +433,7 @@ pub(crate) fn first_party_app_script<R: Rng + ?Sized>(
         let n = rng.gen_range(lo..=hi.max(lo));
         methods.push(ScriptMethodSpec {
             name: "loadMedia".into(),
-            requests: planned_requests(ctx, rng, host, Purpose::Functional, n.max(1), true),
+            requests: planned_requests(ctx, rng, host, Purpose::Functional, n.max(1)),
             callees: Vec::new(),
         });
         modules.push("media-loader".to_string());
@@ -453,7 +443,7 @@ pub(crate) fn first_party_app_script<R: Rng + ?Sized>(
     if opts.embed_tracking_beacon {
         methods.push(ScriptMethodSpec {
             name: "reportUsage".into(),
-            requests: emit(ctx, rng, &ctx.hostname, Purpose::Tracking, 3, false),
+            requests: emit(ctx, rng, &ctx.hostname, Purpose::Tracking, 3),
             callees: Vec::new(),
         });
         modules.push("usage-reporter".to_string());
@@ -467,7 +457,7 @@ pub(crate) fn first_party_app_script<R: Rng + ?Sized>(
             {
                 methods.push(ScriptMethodSpec {
                     name: "firePixel".into(),
-                    requests: emit(ctx, rng, &host.hostname, Purpose::Tracking, 3, false),
+                    requests: emit(ctx, rng, &host.hostname, Purpose::Tracking, 3),
                     callees: Vec::new(),
                 });
                 modules.push(format!("{}-pixel", vendor.name));
@@ -530,7 +520,7 @@ pub(crate) fn self_hosted_tracker_script<R: Rng + ?Sized>(
             ScriptMethodSpec::empty("init"),
             ScriptMethodSpec {
                 name: "sendHit".into(),
-                requests: emit(ctx, rng, &beacon_host, Purpose::Tracking, 4, false),
+                requests: emit(ctx, rng, &beacon_host, Purpose::Tracking, 4),
                 callees: Vec::new(),
             },
         ],
@@ -560,7 +550,7 @@ pub(crate) fn inline_snippet<R: Rng + ?Sized>(
         },
         methods: vec![ScriptMethodSpec {
             name: method_name,
-            requests: emit(ctx, rng, target_host, purpose, 3, false),
+            requests: emit(ctx, rng, target_host, purpose, 3),
             callees: Vec::new(),
         }],
         loads_scripts: Vec::new(),

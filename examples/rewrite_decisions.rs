@@ -8,6 +8,7 @@
 //! cargo run --release --example rewrite_decisions
 //! ```
 
+use trackersift_suite::filterlist::hostname_of;
 use trackersift_suite::prelude::*;
 use trackersift_suite::trackersift::frames;
 use trackersift_suite::trackersift_server::client::Client;
@@ -134,11 +135,11 @@ fn main() {
     //    binary as an ACTION_REWRITE frame with a length-prefixed URL.
     let server = VerdictServer::start(writer, ServerConfig::ephemeral()).expect("start server");
     let mut client = Client::connect(server.local_addr());
-    let rewritten_live = decisions
+    let index = decisions
         .iter()
         .position(|decision| matches!(decision, Decision::Rewrite(_)))
-        .map(|index| &live[index])
         .expect("the decorated corpus produces rewrites");
+    let rewritten_live = &live[index];
     let message = DecisionMessage::new(
         &rewritten_live.domain,
         &rewritten_live.hostname,
@@ -147,10 +148,14 @@ fn main() {
     )
     .with_url(
         &rewritten_live.url,
-        &rewritten_live.site_domain,
+        hostname_of(&rewritten_live.top_level_url),
         rewritten_live.resource_type,
     );
     let in_process = reader.decide(&message.as_request());
+    assert_eq!(
+        in_process, decisions[index],
+        "the wire query asks the question the live slice answered"
+    );
     let (status, body) = client.request(
         "POST",
         "/v1/decisions",

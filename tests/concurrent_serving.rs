@@ -35,7 +35,6 @@ fn observation(
     LabeledRequest {
         request_id: 0,
         top_level_url: "https://www.pub.com/".into(),
-        site_domain: "pub.com".into(),
         url: format!("https://{hostname}/x").into(),
         domain: format!("d{domain}.com").into(),
         hostname,
@@ -43,7 +42,6 @@ fn observation(
         initiator_script: script.clone(),
         initiator_method: method.clone(),
         stack: Arc::from([StackFrame::new(script, method)]),
-        async_boundary: None,
         label: if tracking {
             RequestLabel::Tracking
         } else {

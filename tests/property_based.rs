@@ -359,7 +359,6 @@ fn arb_observation() -> impl Strategy<Value = trackersift::LabeledRequest> {
             trackersift::LabeledRequest {
                 request_id: 0,
                 top_level_url: "https://www.pub.com/".into(),
-                site_domain: "pub.com".into(),
                 url: format!("https://{hostname}/x").into(),
                 domain: format!("d{domain}.com").into(),
                 hostname,
@@ -367,7 +366,6 @@ fn arb_observation() -> impl Strategy<Value = trackersift::LabeledRequest> {
                 initiator_script: script.clone(),
                 initiator_method: method.clone(),
                 stack: Arc::from([crawler::StackFrame::new(script, method)]),
-                async_boundary: None,
                 label: if tracking {
                     RequestLabel::Tracking
                 } else {
