@@ -102,8 +102,8 @@ pub fn run_experiment_study(name: &str) -> Study {
     let study = Study::run(config);
     eprintln!(
         "[{name}] crawl: {} requests captured, {} script-initiated, {} labeled tracking / {} functional",
-        study.crawl_summary.total_requests,
-        study.crawl_summary.script_initiated_requests,
+        study.database.total_requests(),
+        study.database.script_initiated_requests(),
         study.label_stats.tracking,
         study.label_stats.functional,
     );

@@ -52,11 +52,10 @@ impl NodeParticipation {
     }
 }
 
-/// The merged call graph for one mixed method.
+/// The merged call graph for one mixed method (the method it was built
+/// for is the key it is stored under in [`CallStackAnalysis::graphs`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallGraph {
-    /// The mixed method the graph was built for.
-    pub(crate) root: Option<CallGraphNode>,
     /// Participation counts per node.
     pub(crate) nodes: HashMap<CallGraphNode, NodeParticipation>,
     /// Caller → callee edges (edges point from the outer frame to the inner
@@ -144,17 +143,9 @@ impl CallStackAnalysis {
 /// the initiator follow its own — the paper prepends the preceding stack
 /// precisely so this analysis sees the full ancestry.
 pub(crate) fn build_call_graph<'a>(
-    script_url: &str,
-    method: &str,
     requests: impl Iterator<Item = &'a LabeledRequest>,
 ) -> CallGraph {
-    let mut graph = CallGraph {
-        root: Some(CallGraphNode {
-            script_url: script_url.to_string(),
-            method: method.to_string(),
-        }),
-        ..CallGraph::default()
-    };
+    let mut graph = CallGraph::default();
     for request in requests {
         let tracking = request.is_tracking();
         // Frames innermost-first; build nodes and caller→callee edges.
@@ -203,8 +194,7 @@ pub(crate) fn analyze_mixed_methods(residue: &[&LabeledRequest]) -> CallStackAna
                 script_url: first.initiator_script.to_string(),
                 method: first.initiator_method.to_string(),
             };
-            let graph = build_call_graph(&node.script_url, &node.method, requests.into_iter());
-            (node, graph)
+            (node, build_call_graph(requests.into_iter()))
         })
         .collect();
     graphs.sort_by(|a, b| a.0.cmp(&b.0));
@@ -283,7 +273,7 @@ mod tests {
     #[test]
     fn call_graph_edges_follow_caller_to_callee() {
         let requests = figure5_requests();
-        let graph = build_call_graph("https://test.com/clone.js", "m2", requests.iter());
+        let graph = build_call_graph(requests.iter());
         // track.js t  ->  clone.js m2 (t calls... actually m2 calls are
         // inner; the edge points from the outer frame to the inner frame).
         let t = CallGraphNode {

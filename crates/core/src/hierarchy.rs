@@ -73,7 +73,6 @@ impl HierarchicalClassifier {
     /// is allocated at most once for the whole classification.
     pub fn classify(&self, requests: &[LabeledRequest]) -> HierarchyResult {
         let all: Vec<&LabeledRequest> = requests.iter().collect();
-        let total_requests = all.len() as u64;
         let mut interner = KeyInterner::with_capacity(1024);
 
         // Domain level over everything; each subsequent level only sees the
@@ -84,14 +83,11 @@ impl HierarchicalClassifier {
             self.classify_level(Granularity::Hostname, &to_hostname, &mut interner);
         let (script_level, to_method) =
             self.classify_level(Granularity::Script, &to_script, &mut interner);
-        let (method_level, residue) =
-            self.classify_level(Granularity::Method, &to_method, &mut interner);
+        let (method_level, _) = self.classify_level(Granularity::Method, &to_method, &mut interner);
 
         HierarchyResult {
             thresholds: self.thresholds,
             levels: vec![domain_level, hostname_level, script_level, method_level],
-            total_requests,
-            unattributed_requests: residue.len() as u64,
         }
     }
 
@@ -163,10 +159,7 @@ impl HierarchicalClassifier {
             .map(|(_, request)| *request)
             .collect();
 
-        (
-            LevelResult::from_entries(granularity, resources, input.len() as u64),
-            next,
-        )
+        (LevelResult::from_entries(granularity, resources), next)
     }
 }
 
@@ -217,10 +210,7 @@ mod tests {
             .copied()
             .filter(|request| mixed_keys.contains(&request_key(granularity, request, interner)))
             .collect();
-        (
-            LevelResult::from_entries(granularity, resources, input.len() as u64),
-            next,
-        )
+        (LevelResult::from_entries(granularity, resources), next)
     }
 
     /// Requests over small key pools. Host 0 of a domain *is* the domain
@@ -378,25 +368,24 @@ mod tests {
             class_of("https://pub.com/clone.js :: m2"),
             Some(Classification::Mixed)
         );
-        assert_eq!(result.unattributed_requests, 2);
+        assert_eq!(result.unattributed_requests(), 2);
     }
 
     #[test]
     fn request_flow_is_conserved_between_levels() {
         let requests = figure1_requests();
         let result = HierarchicalClassifier::default().classify(&requests);
-        assert_eq!(result.total_requests, requests.len() as u64);
+        assert_eq!(result.total_requests(), requests.len() as u64);
         // Each level's input equals the previous level's mixed request count.
         for window in result.levels.windows(2) {
-            assert_eq!(window[1].input_requests, window[0].request_counts.mixed);
-        }
-        // Each level's input equals its own request-count total.
-        for level in &result.levels {
-            assert_eq!(level.input_requests, level.request_counts.total());
+            assert_eq!(
+                window[1].request_counts.total(),
+                window[0].request_counts.mixed
+            );
         }
         // Unattributed = mixed at the finest level.
         assert_eq!(
-            result.unattributed_requests,
+            result.unattributed_requests(),
             result.level(Granularity::Method).request_counts.mixed
         );
     }
@@ -416,8 +405,8 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_levels() {
         let result = HierarchicalClassifier::default().classify(&[]);
-        assert_eq!(result.total_requests, 0);
-        assert_eq!(result.unattributed_requests, 0);
+        assert_eq!(result.total_requests(), 0);
+        assert_eq!(result.unattributed_requests(), 0);
         for level in &result.levels {
             assert!(level.resources.is_empty());
             assert_eq!(level.request_counts.total(), 0);

@@ -115,8 +115,6 @@ impl<'a> From<&'a LabeledRequest> for DecisionRequest<'a> {
 /// Statistics from labeling a crawl.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelStats {
-    /// Requests seen in the crawl database (script-initiated or not).
-    pub(crate) total_requests: usize,
     /// Requests excluded because no script initiated them.
     pub excluded_non_script: usize,
     /// Requests excluded because their URL could not be parsed.
@@ -136,7 +134,6 @@ impl LabelStats {
     /// Merge another site's statistics into this one (used when labeling
     /// sites in parallel).
     pub(crate) fn merge(&mut self, other: LabelStats) {
-        self.total_requests += other.total_requests;
         self.excluded_non_script += other.excluded_non_script;
         self.excluded_unparseable += other.excluded_unparseable;
         self.tracking += other.tracking;
@@ -223,7 +220,6 @@ impl<'a> Labeler<'a> {
         // one-entry memo avoids re-parsing it per request.
         let mut page_host_memo: Option<(&str, &str)> = None;
         for request in &site.requests {
-            stats.total_requests += 1;
             let Some(frame) = request.call_stack.initiator_frame() else {
                 stats.excluded_non_script += 1;
                 continue;
@@ -299,9 +295,10 @@ impl<'a> Labeler<'a> {
         (out, stats)
     }
 
-    /// Label every script-initiated request in parallel across sites on a
-    /// pool of [`crawler::workers_for`]`(workers, sites)` threads (so 0 or 1
-    /// is sequential). Sites are labeled independently — the filter engine is
+    /// Label every script-initiated request in parallel across sites on
+    /// [`crawler::par_map`]'s pool of `workers` threads, never more than
+    /// there are sites (so 0 or 1 worker, or one site, is sequential).
+    /// Sites are labeled independently — the filter engine is
     /// shared read-only across workers (`FilterEngine: Sync`) — and results
     /// are merged in site order, so the output is identical to
     /// [`Labeler::label_database`] regardless of worker count.
@@ -310,8 +307,7 @@ impl<'a> Labeler<'a> {
         db: &CrawlDatabase,
         workers: usize,
     ) -> (Vec<LabeledRequest>, LabelStats) {
-        let workers = crawler::workers_for(workers, db.sites.len());
-        if workers == 1 {
+        if workers.min(db.sites.len()) <= 1 {
             return self.label_database(db);
         }
         let per_site = crawler::par_map(&db.sites, workers, |site| self.label_site(site));
@@ -348,10 +344,9 @@ mod tests {
             stats.excluded_non_script > 0,
             "document requests must be excluded"
         );
-        assert_eq!(stats.total_requests, db.total_requests());
         assert_eq!(
             stats.labeled() + stats.excluded_non_script + stats.excluded_unparseable,
-            stats.total_requests
+            db.total_requests()
         );
     }
 

@@ -37,7 +37,7 @@ use crate::hierarchy::HierarchicalClassifier;
 use crate::label::{LabelStats, LabeledRequest, Labeler};
 use crate::sensitivity::SensitivitySweep;
 use crate::surrogate::generate_surrogates;
-use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase, CrawlSummary};
+use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase};
 use filterlist::FilterEngine;
 use std::time::{Duration, Instant};
 use trackersift_engine::{
@@ -147,10 +147,9 @@ pub struct Study {
     pub corpus: WebCorpus,
     /// The filter engine (curated EasyList/EasyPrivacy + ecosystem rules).
     pub engine: FilterEngine,
-    /// The crawl database.
+    /// The crawl database; its methods count the crawl's sites and
+    /// requests.
     pub database: CrawlDatabase,
-    /// Crawl summary statistics.
-    pub crawl_summary: CrawlSummary,
     /// The labeled script-initiated requests.
     pub requests: Vec<LabeledRequest>,
     /// Labeling statistics.
@@ -169,8 +168,8 @@ impl Study {
         let corpus = timings.time("generate", || {
             CorpusGenerator::generate(&config.profile, config.seed)
         });
-        let (database, crawl_summary) = timings.time("crawl", || {
-            CrawlCluster::new(config.cluster.clone()).crawl_with_summary(&corpus)
+        let database = timings.time("crawl", || {
+            CrawlCluster::new(config.cluster.clone()).crawl(&corpus)
         });
         let (engine, requests, label_stats) = timings.time("label", || {
             let engine = filter_rules::engine_for(&corpus.ecosystem);
@@ -187,7 +186,6 @@ impl Study {
             corpus,
             engine,
             database,
-            crawl_summary,
             requests,
             label_stats,
             hierarchy,
@@ -274,9 +272,12 @@ mod tests {
     fn pipeline_runs_end_to_end() {
         let study = study();
         assert_eq!(study.corpus.websites.len(), 100);
-        assert_eq!(study.crawl_summary.sites, 100);
+        assert_eq!(study.database.site_count(), 100);
         assert!(study.label_stats.labeled() > 1_000);
-        assert_eq!(study.hierarchy.total_requests, study.requests.len() as u64);
+        assert_eq!(
+            study.hierarchy.total_requests(),
+            study.requests.len() as u64
+        );
         // All four downstream analyses run.
         assert_eq!(study.sensitivity_sweep().points.len(), 21);
         let breakage = study.breakage_study(5);
@@ -327,9 +328,16 @@ mod tests {
     fn flat_method_classification_sees_all_requests() {
         let study = study();
         let flat = study.flat_classification(Granularity::Method);
-        assert_eq!(flat.input_requests, study.requests.len() as u64);
+        assert_eq!(flat.request_counts.total(), study.requests.len() as u64);
         // The hierarchy's method level only sees the mixed-script residue.
-        assert!(flat.input_requests >= study.hierarchy.level(Granularity::Method).input_requests);
+        assert!(
+            flat.request_counts.total()
+                >= study
+                    .hierarchy
+                    .level(Granularity::Method)
+                    .request_counts
+                    .total()
+        );
     }
 
     #[test]

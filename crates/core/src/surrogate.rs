@@ -4,7 +4,7 @@
 //! ([`SurrogateScript`], [`MethodAction`]) belong to the serving engine,
 //! whose committed counts build the same plans without stacks.
 
-use crate::callstack::{build_call_graph, CallGraph};
+use crate::callstack::build_call_graph;
 use crate::label::LabeledRequest;
 use std::collections::HashMap;
 use trackersift_engine::{
@@ -70,8 +70,7 @@ pub(crate) fn generate_surrogates(
             let tracking = reqs.iter().filter(|r| r.is_tracking()).count() as u64;
             let functional = reqs.len() as u64 - tracking;
             let blocked_callers = if class == Classification::Mixed {
-                let graph: CallGraph = build_call_graph(&script.key, method, reqs.iter().copied());
-                graph
+                build_call_graph(reqs.iter().copied())
                     .divergence_points()
                     .into_iter()
                     .map(|(n, _)| n.label())

@@ -133,8 +133,8 @@ fn classification_allocates_per_distinct_key_not_per_request() {
     let tripled: Vec<LabeledRequest> = (0..3).flat_map(|_| requests.iter().cloned()).collect();
     let (thrice, tripled_hierarchy) = allocations_during(|| classifier.classify(&tripled));
     assert_eq!(
-        tripled_hierarchy.total_requests,
-        3 * hierarchy.total_requests
+        tripled_hierarchy.total_requests(),
+        3 * hierarchy.total_requests()
     );
     assert!(
         thrice <= once + 32,

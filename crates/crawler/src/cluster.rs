@@ -7,9 +7,9 @@
 //! order-preserving map over scoped threads: each site is loaded by its own
 //! [`PageLoadSimulator`] (fresh state per page) on as many threads as
 //! [`ClusterConfig::workers`] — the `--threads`-style knob of the pipeline.
-//! Each site's request-id space is derived from its rank and results are
-//! re-assembled in rank order, so the output is byte-identical regardless of
-//! worker count or scheduling — a property the tests assert.
+//! Each site's request-id space is derived from its rank and [`par_map`]
+//! returns the sites in corpus order, so the output is byte-identical
+//! regardless of worker count or scheduling — a property the tests assert.
 
 use crate::database::{CrawlDatabase, SiteCrawl};
 use crate::page_load::PageLoadSimulator;
@@ -49,40 +49,19 @@ impl ClusterConfig {
     }
 }
 
-/// Summary statistics of a finished crawl.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CrawlSummary {
-    /// Sites crawled.
-    pub sites: usize,
-    /// Total requests captured.
-    pub total_requests: usize,
-    /// Script-initiated requests captured.
-    pub script_initiated_requests: usize,
-    /// Worker threads the crawl ran on: [`workers_for`] of the configured
-    /// count and the site count.
-    pub workers: usize,
-}
-
 /// The parallel crawler.
 #[derive(Debug, Clone, Default)]
 pub struct CrawlCluster {
     config: ClusterConfig,
 }
 
-/// The workers a stage over `sites` sites runs on when `workers` are
-/// configured: never more than there are sites, and at least one (a
-/// configured 0 runs sequentially). The crawl, its summary and the
-/// labeling stage all size themselves here.
-pub fn workers_for(workers: usize, sites: usize) -> usize {
-    workers.min(sites).max(1)
-}
-
 /// Map `f` over `items` on `workers` scoped threads and return the results
 /// in input order. Each thread maps one contiguous chunk, and the chunks
 /// are joined in order, so the output does not depend on scheduling. With
 /// `workers` of 0 or 1, or fewer than two items, `f` runs on the caller's
-/// thread. A panic in `f` reaches the caller with its own payload. The
-/// crawl and labeling stages both map through it.
+/// thread; it never starts more threads than there are items. A panic in
+/// `f` reaches the caller with its own payload. The crawl and labeling
+/// stages both map through it.
 pub fn par_map<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
@@ -114,7 +93,7 @@ pub fn par_map<T: Sync, R: Send>(
 /// deterministic.
 fn crawl_site(site: &Website) -> SiteCrawl {
     let mut sim = PageLoadSimulator::new((site.rank as u64) * 1_000_000);
-    SiteCrawl::from_load(site.rank, sim.load(site))
+    SiteCrawl::from_load(sim.load(site))
 }
 
 impl CrawlCluster {
@@ -123,26 +102,15 @@ impl CrawlCluster {
         CrawlCluster { config }
     }
 
-    /// Crawl every website in the corpus with no blocking.
+    /// Crawl every website in the corpus with no blocking, into one
+    /// record per site in corpus order.
     ///
     /// Each site's request ids are derived from its rank, so results do not
     /// depend on scheduling.
     pub fn crawl(&self, corpus: &WebCorpus) -> CrawlDatabase {
-        let mut sites = par_map(&corpus.websites, self.config.workers, crawl_site);
-        sites.sort_by_key(|s| s.rank);
-        CrawlDatabase { sites }
-    }
-
-    /// Crawl and also compute summary statistics.
-    pub fn crawl_with_summary(&self, corpus: &WebCorpus) -> (CrawlDatabase, CrawlSummary) {
-        let db = self.crawl(corpus);
-        let summary = CrawlSummary {
-            sites: db.site_count(),
-            total_requests: db.total_requests(),
-            script_initiated_requests: db.script_initiated_requests(),
-            workers: workers_for(self.config.workers, corpus.websites.len()),
-        };
-        (db, summary)
+        CrawlDatabase {
+            sites: par_map(&corpus.websites, self.config.workers, crawl_site),
+        }
     }
 }
 
@@ -166,12 +134,19 @@ mod tests {
 
     #[test]
     fn crawl_covers_every_site_exactly_once() {
+        // Site i's record is site i's load: its requests carry the page's
+        // URL and draw their ids from the i-th block of a million.
         let corpus = corpus(35);
-        let db = CrawlCluster::new(ClusterConfig::default()).crawl(&corpus);
+        let db = CrawlCluster::new(ClusterConfig::default().with_workers(4)).crawl(&corpus);
         assert_eq!(db.site_count(), 35);
-        let mut ranks: Vec<usize> = db.sites.iter().map(|s| s.rank).collect();
-        ranks.dedup();
-        assert_eq!(ranks, (0..35).collect::<Vec<_>>());
+        for (i, (site, crawled)) in corpus.websites.iter().zip(&db.sites).enumerate() {
+            let ids = i as u64 * 1_000_000..(i as u64 + 1) * 1_000_000;
+            assert!(!crawled.requests.is_empty(), "site {i}");
+            for request in &crawled.requests {
+                assert_eq!(*request.top_level_url, *site.url, "site {i}");
+                assert!(ids.contains(&request.request_id), "site {i}");
+            }
+        }
     }
 
     #[test]
@@ -213,30 +188,6 @@ mod tests {
         }
         assert_eq!(db.total_requests(), 1815);
         assert_eq!(digest, 0x4be1_031f_ced3_9fd0);
-    }
-
-    #[test]
-    fn summary_matches_database() {
-        let corpus = corpus(25);
-        let (db, summary) = CrawlCluster::new(ClusterConfig::default()).crawl_with_summary(&corpus);
-        assert_eq!(summary.sites, db.site_count());
-        assert_eq!(summary.total_requests, db.total_requests());
-        assert_eq!(
-            summary.script_initiated_requests,
-            db.script_initiated_requests()
-        );
-    }
-
-    #[test]
-    fn the_summary_reports_the_workers_the_crawl_ran_on() {
-        let corpus = corpus(3);
-        for (configured, used) in [(8, 3), (0, 1)] {
-            let cluster = CrawlCluster::new(ClusterConfig {
-                workers: configured,
-            });
-            let (_, summary) = cluster.crawl_with_summary(&corpus);
-            assert_eq!(summary.workers, used, "{configured} configured");
-        }
     }
 
     #[test]

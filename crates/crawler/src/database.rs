@@ -2,8 +2,8 @@
 //!
 //! The paper stores every captured event in a database that the (post hoc,
 //! offline) hierarchical analysis then consumes. [`CrawlDatabase`] is that
-//! store: one [`SiteCrawl`] per website, holding the site's rank and the
-//! raw request events. It lives in memory only: the crawl hands it to the
+//! store: one [`SiteCrawl`] per website, holding the site's raw request
+//! events. It lives in memory only: the crawl hands it to the
 //! labeling stage, and nothing writes it out or reads it back.
 
 use crate::events::RequestWillBeSent;
@@ -12,8 +12,6 @@ use crate::page_load::PageLoadResult;
 /// Everything recorded while crawling one website.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteCrawl {
-    /// Rank of the site in the crawl list.
-    pub(crate) rank: usize,
     /// Every `requestWillBeSent` captured during the load (the paper's
     /// pipeline only needs request metadata and call stacks).
     pub requests: Vec<RequestWillBeSent>,
@@ -22,9 +20,8 @@ pub struct SiteCrawl {
 impl SiteCrawl {
     /// Build a site crawl record from a page-load result, taking over its
     /// captured requests.
-    pub(crate) fn from_load(rank: usize, result: PageLoadResult) -> Self {
+    pub(crate) fn from_load(result: PageLoadResult) -> Self {
         SiteCrawl {
-            rank,
             requests: result.requests,
         }
     }
@@ -38,7 +35,7 @@ impl SiteCrawl {
 /// The whole crawl.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrawlDatabase {
-    /// Per-site records, ordered by site rank.
+    /// Per-site records, in the corpus's site order.
     pub sites: Vec<SiteCrawl>,
 }
 
@@ -74,7 +71,7 @@ mod tests {
         let sites = corpus
             .websites
             .iter()
-            .map(|site| SiteCrawl::from_load(site.rank, sim.load(site)))
+            .map(|site| SiteCrawl::from_load(sim.load(site)))
             .collect();
         CrawlDatabase { sites }
     }

@@ -17,7 +17,8 @@
 //!   [`websim::Website`] into its requests (with tag-manager ancestry
 //!   and optional script/request blocking for breakage experiments);
 //! * [`CrawlCluster`] — the parallel, stateless crawl orchestrator;
-//! * [`CrawlDatabase`] — the crawl database the offline analysis consumes;
+//! * [`CrawlDatabase`] — the crawl database the offline analysis consumes,
+//!   one record per site in corpus order; a crawl's counts are its methods;
 //! * [`json`] — the `trackersift_json` codec, a re-export kept while the
 //!   benchmark harness names it. A crawl itself is never persisted: it is
 //!   handed over in memory.
@@ -44,7 +45,7 @@ mod page_load;
 /// The `trackersift_json` codec under its former path.
 pub use trackersift_json as json;
 
-pub use cluster::{par_map, workers_for, ClusterConfig, CrawlCluster, CrawlSummary};
+pub use cluster::{par_map, ClusterConfig, CrawlCluster};
 pub use database::{CrawlDatabase, SiteCrawl};
 pub use events::{CallStack, RequestWillBeSent, StackFrame};
 pub use page_load::{LoadOptions, PageLoadResult, PageLoadSimulator};

@@ -222,7 +222,7 @@ impl TablePublisher {
 /// let (mut writer, reader) = Sifter::builder().build_concurrent();
 /// let row = ObservationRef::parts("ads.com", "px.ads.com", "https://pub.com/a.js", "send", true);
 /// writer.apply(row);
-/// assert_eq!(writer.sifter().ingest_stats().pending, 1);
+/// assert_eq!(writer.sifter().ingest_stats().pending(), 1);
 ///
 /// let stats = writer.commit(); // reclassify the delta + publish atomically
 /// assert_eq!(stats.observations, 1);
@@ -399,7 +399,7 @@ impl SifterWriter {
             Err(error) => return Err(error),
         }
         let (journal, entries, replay) = Journal::recover(dir.journal_path(), sync_every)?;
-        report.replayed_records = replay.records;
+        report.replayed_records = entries.len() as u64;
         report.replayed_commits = replay.commits;
         report.torn_bytes = replay.torn_bytes;
         // Rebuild the revision ring alongside the state: persisted ring
@@ -472,7 +472,7 @@ impl SifterWriter {
                 "no durable store attached",
             ));
         };
-        if self.sifter.ingest_stats().pending > 0 {
+        if self.sifter.ingest_stats().pending() > 0 {
             self.commit();
         }
         let snapshot_json = self.sifter.snapshot().to_json_string();
@@ -607,7 +607,7 @@ impl SifterWriter {
             builder = builder.shared_rewriter(rewriter);
         }
         let restored = builder.restore(snapshot)?;
-        let dropped_pending = self.sifter.ingest_stats().pending;
+        let dropped_pending = self.sifter.ingest_stats().pending();
         // The restored sifter has committed exactly once; place that commit
         // one past the last published version.
         self.version_floor = (self.published_version() + 1).saturating_sub(restored.commits());
@@ -964,7 +964,7 @@ mod tests {
             "m",
             false,
         ));
-        assert_eq!(writer.sifter().ingest_stats().pending, 1);
+        assert_eq!(writer.sifter().ingest_stats().pending(), 1);
 
         // The swap reports the discarded pending observation, publishes
         // atomically, and versions keep increasing (never a reset to 1).
@@ -1072,7 +1072,7 @@ mod tests {
         // The committed observation serves again; the uncommitted one is
         // pending again, exactly as before the crash.
         assert!(reader.verdict(&block_query()).should_block());
-        assert_eq!(writer.sifter().ingest_stats().pending, 1);
+        assert_eq!(writer.sifter().ingest_stats().pending(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1088,7 +1088,7 @@ mod tests {
             ObservationRef::parts("ads.com", hostname, "https://pub.com/a.js", "send", true)
         }));
         assert_eq!(accepted, 100);
-        assert_eq!(writer.sifter().ingest_stats().pending, 100);
+        assert_eq!(writer.sifter().ingest_stats().pending(), 100);
         let stats = writer.journal_stats().expect("journal stats");
         assert_eq!((stats.appended, stats.synced, stats.syncs), (100, 100, 1));
         let path = DurableDir::open(&dir).expect("dir").journal_path();
@@ -1124,7 +1124,7 @@ mod tests {
             "the seeded ring record replays; no observations do"
         );
         assert!(reader.verdict(&block_query()).should_block());
-        assert_eq!(writer.sifter().ingest_stats().pending, 0);
+        assert_eq!(writer.sifter().ingest_stats().pending(), 0);
         // The ring survived the checkpoint + restart: versions stay
         // continuous and the pre-crash span still answers.
         assert_eq!(writer.published_version(), 1);
@@ -1305,7 +1305,7 @@ mod tests {
             ObserveOutcome::NoEngine
         );
         writer.apply(ObservationRef::parts("a.com", "h.a.com", "s.js", "m", true));
-        assert_eq!(writer.sifter().ingest_stats().pending, 1);
+        assert_eq!(writer.sifter().ingest_stats().pending(), 1);
         let stats = writer.commit();
         assert_eq!(stats.observations, 1);
         assert_eq!(writer.sifter().snapshot().observations(), 1);

@@ -140,27 +140,24 @@ pub struct LevelResult {
     pub resources: Vec<ResourceEntry>,
     /// Unique-resource counts per class (paper Table 2).
     pub resource_counts: ClassCounts,
-    /// Request counts per class (paper Table 1).
+    /// Request counts per class (paper Table 1). Every request that
+    /// entered the level counts toward exactly one resource, so
+    /// `request_counts.total()` is the level's input.
     pub request_counts: ClassCounts,
-    /// Number of requests that entered this level.
-    pub input_requests: u64,
 }
 
 impl LevelResult {
     /// Build a level result from its resources: sorts them into the
     /// canonical output order (descending request volume, then key) and
-    /// tallies the per-class resource/request counts.
+    /// tallies the per-class resource/request counts; the request tally's
+    /// total is the level's input.
     ///
     /// This is the *single* constructor both the batch classifier and the
     /// incremental [`Sifter`](crate::Sifter) export go through, so
     /// the two can never drift apart on ordering or accounting — the
     /// foundation of the apply/commit ≡ from-scratch equivalence the
     /// service tests assert.
-    pub fn from_entries(
-        granularity: Granularity,
-        mut resources: Vec<ResourceEntry>,
-        input_requests: u64,
-    ) -> Self {
+    pub fn from_entries(granularity: Granularity, mut resources: Vec<ResourceEntry>) -> Self {
         // Deterministic output order: by descending volume, then key.
         resources.sort_by(|a, b| {
             b.counts
@@ -179,7 +176,6 @@ impl LevelResult {
             resources,
             resource_counts,
             request_counts,
-            input_requests,
         }
     }
 
@@ -215,11 +211,6 @@ pub struct HierarchyResult {
     pub thresholds: Thresholds,
     /// Per-level results, coarsest first (Domain, Hostname, Script, Method).
     pub levels: Vec<LevelResult>,
-    /// Total script-initiated requests that entered the analysis.
-    pub total_requests: u64,
-    /// Requests that remain attributed to mixed methods after the finest
-    /// level (the <2% residue of the paper).
-    pub unattributed_requests: u64,
 }
 
 impl HierarchyResult {
@@ -231,17 +222,30 @@ impl HierarchyResult {
             .expect("all four levels are always present")
     }
 
+    /// Total script-initiated requests that entered the analysis: the
+    /// domain level's input.
+    pub fn total_requests(&self) -> u64 {
+        self.level(Granularity::Domain).request_counts.total()
+    }
+
+    /// Requests that remain attributed to mixed methods after the finest
+    /// level (the <2% residue of the paper).
+    pub fn unattributed_requests(&self) -> u64 {
+        self.level(Granularity::Method).request_counts.mixed
+    }
+
     /// Cumulative separation factor after each level, in percent of the
     /// total script-initiated requests (paper Table 1, last column).
     pub fn cumulative_separation(&self) -> Vec<(Granularity, f64)> {
+        let total = self.total_requests();
         let mut separated = 0u64;
         let mut out = Vec::new();
         for level in &self.levels {
             separated += level.request_counts.tracking + level.request_counts.functional;
-            let pct = if self.total_requests == 0 {
+            let pct = if total == 0 {
                 0.0
             } else {
-                100.0 * separated as f64 / self.total_requests as f64
+                100.0 * separated as f64 / total as f64
             };
             out.push((level.granularity, pct));
         }
@@ -252,11 +256,11 @@ impl HierarchyResult {
     /// functional resources by the end of the hierarchy (the paper's
     /// headline "98%").
     pub fn overall_attribution(&self) -> f64 {
-        if self.total_requests == 0 {
+        let total = self.total_requests();
+        if total == 0 {
             return 0.0;
         }
-        100.0 * (self.total_requests - self.unattributed_requests) as f64
-            / self.total_requests as f64
+        100.0 * (total - self.unattributed_requests()) as f64 / total as f64
     }
 }
 

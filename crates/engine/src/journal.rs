@@ -124,9 +124,7 @@ pub enum JournalEntry {
 /// (if anything) was torn off the tail.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Records decoded from the clean prefix.
-    pub(crate) records: u64,
-    /// Commit markers among them.
+    /// Commit markers among the records decoded from the clean prefix.
     pub commits: u64,
     /// Bytes of clean prefix (the recovery truncation point).
     pub valid_bytes: u64,
@@ -270,7 +268,6 @@ impl Journal {
                 report.commits += 1;
             }
             entries.push(entry);
-            report.records += 1;
             at += 12 + len;
         }
         report.valid_bytes = at as u64;
@@ -813,7 +810,7 @@ mod tests {
         }
         let (replayed, report) = Journal::replay(&path).expect("replay");
         assert_eq!(replayed, entries);
-        assert_eq!(report.records, 4);
+        assert_eq!(replayed.len(), 4);
         assert_eq!(report.commits, 1);
         assert_eq!(report.torn_bytes, 0);
         std::fs::remove_file(&path).ok();

@@ -428,8 +428,6 @@ pub struct IngestStats {
     pub observed: u64,
     /// Observations folded into the committed (servable) state.
     pub committed: u64,
-    /// Observations waiting for the next commit.
-    pub pending: u64,
     /// [`ObservationRef::Url`] rows skipped because the URL did not parse.
     pub invalid_urls: u64,
     /// [`ObservationRef::Url`] rows skipped because no engine is configured.
@@ -443,6 +441,13 @@ pub struct IngestStats {
     /// triple was labeled in this commit interval or the previous one, so
     /// the filter engine was not asked again. Not part of `/v1/stats`.
     pub labels_reused: u64,
+}
+
+impl IngestStats {
+    /// Observations waiting for the next commit.
+    pub fn pending(&self) -> u64 {
+        self.observed - self.committed
+    }
 }
 
 /// One consolidated view of a serving sifter's operational state — what a
@@ -1053,7 +1058,6 @@ impl Sifter {
             self.dirty[level].insert(key);
         }
         self.ingest.observed += counts.total();
-        self.ingest.pending += counts.total();
     }
 
     /// Give hostname `h` a slot owned by domain `d` (which gets one too if
@@ -1114,7 +1118,7 @@ impl Sifter {
     /// written at most once per commit and the record is the net change.
     pub fn commit(&mut self) -> CommitStats {
         let mut stats = CommitStats {
-            observations: self.ingest.pending,
+            observations: self.ingest.pending(),
             ..CommitStats::default()
         };
         self.changed.clear();
@@ -1220,7 +1224,6 @@ impl Sifter {
         self.plans_dirty.clear();
 
         self.ingest.committed = self.ingest.observed;
-        self.ingest.pending = 0;
         self.commits += 1;
         self.labels.flip();
         stats
@@ -1404,12 +1407,11 @@ impl Sifter {
     /// what the study's `HierarchicalClassifier::classify` over every committed
     /// observation would return, byte for byte (the equivalence the service
     /// tests pin down). This is how the report/metrics layer reads a
-    /// sifter.
+    /// sifter. Each level is its committed members' counts; the total and
+    /// the residue are read off the domain and method levels.
     pub fn hierarchy(&self) -> HierarchyResult {
         HierarchyResult {
             thresholds: self.thresholds,
-            total_requests: self.ingest.committed,
-            unattributed_requests: self.residue_requests,
             levels: Granularity::ALL.map(|level| self.level(level)).into(),
         }
     }
@@ -1427,11 +1429,7 @@ impl Sifter {
                 })
             })
             .collect();
-        let input_requests = match granularity {
-            Granularity::Domain => self.ingest.committed,
-            _ => resources.iter().map(|r| r.counts.total()).sum(),
-        };
-        LevelResult::from_entries(granularity, resources, input_requests)
+        LevelResult::from_entries(granularity, resources)
     }
 
     /// Export the full trained state (including pending, uncommitted
@@ -1764,11 +1762,11 @@ mod tests {
                 .verdict(&DecisionRequest::from_labeled(&requests[0])),
             Verdict::Unknown
         );
-        assert_eq!(sifter.ingest_stats().pending, requests.len() as u64);
+        assert_eq!(sifter.ingest_stats().pending(), requests.len() as u64);
         let stats = sifter.commit();
         assert_eq!(stats.observations, requests.len() as u64);
         assert!(stats.reclassified() > 0);
-        assert_eq!(sifter.ingest_stats().pending, 0);
+        assert_eq!(sifter.ingest_stats().pending(), 0);
         assert_ne!(
             sifter
                 .verdict_table()
@@ -1905,7 +1903,13 @@ mod tests {
                     continue;
                 }
                 sifter.commit();
-                prop_assert_eq!(sifter.hierarchy(), scratch(&sifter, &rows));
+                let expected = scratch(&sifter, &rows);
+                // The served counters are kept by `commit`; the hierarchy
+                // reads its totals off the levels.
+                let stats = sifter.service_stats();
+                prop_assert_eq!(stats.ingest.committed, expected.total_requests());
+                prop_assert_eq!(stats.unattributed, expected.unattributed_requests());
+                prop_assert_eq!(sifter.hierarchy(), expected);
                 let snapshot = sifter.snapshot();
                 let key = |id: u32| {
                     let key = snapshot.keys.key_for_id(id).unwrap();

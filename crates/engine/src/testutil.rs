@@ -170,14 +170,8 @@ pub(crate) fn classify(thresholds: Thresholds, rows: &[LabeledRow]) -> Hierarchy
             .filter(|r| r.classification == Classification::Mixed)
             .map(|r| r.key.as_str())
             .collect();
-        let entered = input.len() as u64;
         input.retain(|row| mixed.contains(key(row).as_str()));
-        levels.push(LevelResult::from_entries(granularity, resources, entered));
+        levels.push(LevelResult::from_entries(granularity, resources));
     }
-    HierarchyResult {
-        thresholds,
-        levels,
-        total_requests: rows.len() as u64,
-        unattributed_requests: input.len() as u64,
-    }
+    HierarchyResult { thresholds, levels }
 }

@@ -597,11 +597,9 @@ impl RetryingClient {
             .base_backoff
             .saturating_mul(1u32 << (attempt - 1).min(16))
             .min(self.policy.max_backoff);
-        self.jitter ^= self.jitter << 13;
-        self.jitter ^= self.jitter >> 7;
-        self.jitter ^= self.jitter << 17;
+        let jitter = crate::xorshift64(&mut self.jitter);
         let jitter_micros = if exp.as_micros() > 1 {
-            self.jitter % (exp.as_micros() as u64 / 2 + 1)
+            jitter % (exp.as_micros() as u64 / 2 + 1)
         } else {
             0
         };
@@ -642,8 +640,6 @@ pub struct SyncReport {
     /// Whether the round applied a full (re)bootstrap envelope — either
     /// the very first sync or a `410 Gone` after falling behind the ring.
     pub full: bool,
-    /// Per-key class transitions the round applied.
-    pub(crate) changes: u64,
 }
 
 /// The follower loop in client form: bootstrap from a primary's full
@@ -739,13 +735,11 @@ impl ReplicaClient {
             .and_then(snapshot_of)
             .map_err(SyncError::Fetch)?;
         let full = delta.is_full();
-        let changes = delta.changes.len() as u64;
         self.state.apply(&delta).map_err(SyncError::Apply)?;
         Ok(SyncReport {
             from,
             to: self.state.version(),
             full,
-            changes,
         })
     }
 

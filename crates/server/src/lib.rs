@@ -92,8 +92,8 @@
 //! [`client::ReplicaClient`] from a primary, serves the followed tables
 //! read-only, and keeps polling deltas on a `replica-sync` thread. Every
 //! endpoint that needs the writer answers `409 Conflict` there, and
-//! `GET /v1/stats` renders the upstream address and version lag under
-//! `"replication"`.
+//! `GET /v1/stats` renders the upstream address, the applied version and
+//! the follower's poll counters under `"replication"`.
 //!
 //! # Crash-only serving
 //!
@@ -333,7 +333,6 @@ struct ServingCounters {
 #[derive(Debug)]
 pub struct ReplicaStatus {
     upstream: String,
-    upstream_version: AtomicU64,
     applied_version: AtomicU64,
     polls: AtomicU64,
     deltas_applied: AtomicU64,
@@ -346,7 +345,6 @@ impl ReplicaStatus {
     pub fn new(upstream: impl Into<String>) -> Self {
         ReplicaStatus {
             upstream: upstream.into(),
-            upstream_version: AtomicU64::new(0),
             applied_version: AtomicU64::new(0),
             polls: AtomicU64::new(0),
             deltas_applied: AtomicU64::new(0),
@@ -361,12 +359,10 @@ impl ReplicaStatus {
     }
 
     /// Record one completed sync poll. A successful poll applies whatever
-    /// the upstream advertised, so both versions read `report.to`; a poll
-    /// of an idle primary (`from == to`) applies nothing and counts as a
-    /// poll only.
+    /// the upstream advertised, up to `report.to`; a poll of an idle
+    /// primary (`from == to`) applies nothing and counts as a poll only.
     pub(crate) fn record_sync(&self, report: &client::SyncReport) {
         self.polls.fetch_add(1, Ordering::Relaxed);
-        self.upstream_version.store(report.to, Ordering::Relaxed);
         self.applied_version.store(report.to, Ordering::Relaxed);
         if report.full {
             self.bootstraps.fetch_add(1, Ordering::Relaxed);
@@ -384,14 +380,6 @@ impl ReplicaStatus {
     /// The committed primary version this replica last applied.
     pub fn applied_version(&self) -> u64 {
         self.applied_version.load(Ordering::Relaxed)
-    }
-
-    /// How many versions the replica trails the last-seen upstream
-    /// version (0 when caught up).
-    pub fn lag(&self) -> u64 {
-        self.upstream_version
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.applied_version.load(Ordering::Relaxed))
     }
 
     /// Full-snapshot (re)bootstraps performed, including the first.
@@ -728,7 +716,7 @@ fn admin_loop(
                 // On disk before the reply: the acknowledgement is the sync.
                 let accepted = writer.apply_batch(observations.iter());
                 let skipped = observations.len() as u64 - accepted;
-                let _ = reply.send((accepted, skipped, writer.sifter().ingest_stats().pending));
+                let _ = reply.send((accepted, skipped, writer.sifter().ingest_stats().pending()));
             }
             AdminMsg::Commit(reply) => {
                 let stats = writer.commit();
@@ -892,6 +880,15 @@ impl Drop for Conn {
     }
 }
 
+/// One xorshift64 step of `state`, returning the new state: cheap,
+/// dependency-free, plenty for decorrelating retry jitter.
+pub(crate) fn xorshift64(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
 /// Exponential accept backoff with deterministic jitter: a persistent
 /// accept failure (fd exhaustion being the classic) must not become a hot
 /// spin across the pool, and the workers should not retry in lockstep.
@@ -928,12 +925,9 @@ impl AcceptBackoff {
     fn failed(&mut self, now: Instant) {
         self.failures = self.failures.saturating_add(1);
         let base_ms = 1u64 << self.failures.min(10);
-        // xorshift64: cheap, dependency-free, plenty for decorrelation.
-        self.jitter ^= self.jitter << 13;
-        self.jitter ^= self.jitter >> 7;
-        self.jitter ^= self.jitter << 17;
+        let jitter = xorshift64(&mut self.jitter);
         let jitter_ms = if base_ms > 1 {
-            self.jitter % (base_ms / 2 + 1)
+            jitter % (base_ms / 2 + 1)
         } else {
             0
         };
@@ -1616,9 +1610,7 @@ impl Worker {
                     ("upstream", Value::String(status.upstream().to_string())),
                 ];
                 role.extend(numbers(&[
-                    ("upstream_version", load(&status.upstream_version)),
                     ("applied_version", status.applied_version()),
-                    ("lag", status.lag()),
                     ("polls", load(&status.polls)),
                     ("deltas_applied", load(&status.deltas_applied)),
                     ("bootstraps", status.bootstraps()),

@@ -906,7 +906,7 @@ pub(crate) fn service_stats_to_json(stats: &ServiceStats) -> Value {
             object(vec![
                 ("observed", Value::number_u64(stats.ingest.observed)),
                 ("committed", Value::number_u64(stats.ingest.committed)),
-                ("pending", Value::number_u64(stats.ingest.pending)),
+                ("pending", Value::number_u64(stats.ingest.pending())),
                 ("invalid_urls", Value::number_u64(stats.ingest.invalid_urls)),
                 ("no_engine", Value::number_u64(stats.ingest.no_engine)),
             ]),

@@ -336,7 +336,7 @@ fn the_write_path_allocates_per_batch_not_per_row() {
     let after = writer.journal_stats().expect("durable");
     assert_eq!(after.appended, journal.appended + ROWS as u64);
     assert_eq!(after.syncs, journal.syncs + 1, "one fsync for the batch");
-    assert_eq!(writer.sifter().ingest_stats().pending, ROWS as u64);
+    assert_eq!(writer.sifter().ingest_stats().pending(), ROWS as u64);
     assert_eq!(
         allocations, 0,
         "journal -> fsync -> label -> intern -> fold of a known batch must not allocate"
@@ -362,7 +362,7 @@ fn the_write_path_allocates_per_batch_not_per_row() {
         writer.journal_stats().expect("durable").appended,
         appended + ROWS as u64
     );
-    assert_eq!(writer.sifter().ingest_stats().pending, ROWS as u64);
+    assert_eq!(writer.sifter().ingest_stats().pending(), ROWS as u64);
     assert_eq!(
         allocations, 0,
         "journal -> label -> intern -> fold of a known row must not allocate"

@@ -22,7 +22,7 @@ fn main() {
     println!(
         "Blocking mixed scripts on {} sampled sites (of {} crawled):\n",
         breakage.rows.len(),
-        study.crawl_summary.sites
+        study.database.site_count()
     );
     println!(
         "{:<28} {:<36} {:<8} Broken features",

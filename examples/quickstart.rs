@@ -29,7 +29,7 @@ fn main() {
     println!("== TrackerSift study: {sites} sites, seed 2021 ==\n");
     println!(
         "Captured {} requests, {} script-initiated ({} tracking / {} functional by the filter-list oracle).",
-        study.crawl_summary.total_requests,
+        study.database.total_requests(),
         study.requests.len(),
         study.label_stats.tracking,
         study.label_stats.functional

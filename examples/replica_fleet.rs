@@ -139,10 +139,9 @@ fn main() {
             "replica {i} re-bootstrapped"
         );
         println!(
-            "replica {i} caught up: version {}, bootstraps {}, lag {}",
+            "replica {i} caught up: version {}, bootstraps {}",
             gauges(replica).applied_version(),
-            gauges(replica).bootstraps(),
-            gauges(replica).lag()
+            gauges(replica).bootstraps()
         );
     }
 

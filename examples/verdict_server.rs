@@ -58,9 +58,8 @@ fn run_replica(upstream: &str) -> ! {
     loop {
         std::thread::sleep(std::time::Duration::from_secs(1));
         println!(
-            "  applied version {} (lag {}, bootstraps {}, sync errors {})",
+            "  applied version {} (bootstraps {}, sync errors {})",
             status.applied_version(),
-            status.lag(),
             status.bootstraps(),
             status.sync_errors()
         );

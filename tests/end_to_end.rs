@@ -27,12 +27,15 @@ fn request_conservation_across_the_hierarchy() {
     let hierarchy = &study.hierarchy;
     // Level 0 input = all labeled script-initiated requests.
     assert_eq!(
-        hierarchy.levels[0].input_requests,
+        hierarchy.levels[0].request_counts.total(),
         study.requests.len() as u64
     );
     // Each level's input is exactly the previous level's mixed requests.
     for window in hierarchy.levels.windows(2) {
-        assert_eq!(window[1].input_requests, window[0].request_counts.mixed);
+        assert_eq!(
+            window[1].request_counts.total(),
+            window[0].request_counts.mixed
+        );
     }
     // Every request is either attributed at some level or left in the residue.
     let attributed: u64 = hierarchy
@@ -41,8 +44,8 @@ fn request_conservation_across_the_hierarchy() {
         .map(|l| l.request_counts.tracking + l.request_counts.functional)
         .sum();
     assert_eq!(
-        attributed + hierarchy.unattributed_requests,
-        hierarchy.total_requests
+        attributed + hierarchy.unattributed_requests(),
+        hierarchy.total_requests()
     );
 }
 

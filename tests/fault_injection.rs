@@ -556,7 +556,7 @@ mod chaos {
         let accepted = writer.apply_batch(rows);
         failpoint::clear_all();
         assert_eq!(accepted, 100);
-        assert_eq!(writer.sifter().ingest_stats().pending, 100);
+        assert_eq!(writer.sifter().ingest_stats().pending(), 100);
         let stats = writer.journal_stats().expect("durable writer has stats");
         assert_eq!((stats.sync_errors, stats.syncs), (1, 0));
         assert_eq!((stats.appended, stats.synced), (100, 0));

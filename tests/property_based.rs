@@ -320,9 +320,9 @@ proptest! {
             .iter()
             .map(|l| l.request_counts.tracking + l.request_counts.functional)
             .sum();
-        prop_assert_eq!(attributed + h.unattributed_requests, h.total_requests);
+        prop_assert_eq!(attributed + h.unattributed_requests(), h.total_requests());
         for window in h.levels.windows(2) {
-            prop_assert_eq!(window[1].input_requests, window[0].request_counts.mixed);
+            prop_assert_eq!(window[1].request_counts.total(), window[0].request_counts.mixed);
         }
         // Resource totals per level are consistent with their request totals.
         for level in &h.levels {
@@ -444,7 +444,7 @@ proptest! {
                 residue += 1;
             }
         }
-        prop_assert_eq!(residue, scratch.unattributed_requests);
+        prop_assert_eq!(residue, scratch.unattributed_requests());
     }
 
     #[test]
