@@ -77,12 +77,17 @@ impl HierarchicalClassifier {
 
         // Domain level over everything; each subsequent level only sees the
         // requests attributed to the previous level's mixed resources.
+        // The method level's mixed requests are the residue, which nothing
+        // reads row by row: its flow-down is never collected.
         let (domain_level, to_hostname) =
             self.classify_level(Granularity::Domain, &all, &mut interner);
+        let to_hostname: Vec<_> = to_hostname.collect();
         let (hostname_level, to_script) =
             self.classify_level(Granularity::Hostname, &to_hostname, &mut interner);
+        let to_script: Vec<_> = to_script.collect();
         let (script_level, to_method) =
             self.classify_level(Granularity::Script, &to_script, &mut interner);
+        let to_method: Vec<_> = to_method.collect();
         let (method_level, _) = self.classify_level(Granularity::Method, &to_method, &mut interner);
 
         HierarchyResult {
@@ -105,7 +110,7 @@ impl HierarchicalClassifier {
     /// Classify one level: group `input` by its interned granularity key,
     /// count labels, classify each resource, and return the level result
     /// plus the requests that belong to mixed resources (the next level's
-    /// input).
+    /// input), as an iterator the caller collects only if a level follows.
     ///
     /// Each request's key is interned once, into `keys`; an interned key is
     /// its own index, so the counts accumulate in a dense vector and the
@@ -113,12 +118,12 @@ impl HierarchicalClassifier {
     /// interning pass and no map beyond the interner's own. Resources come
     /// out in first-seen order, which [`LevelResult::from_entries`] sorts
     /// away.
-    fn classify_level<'a>(
+    fn classify_level<'a, 'b>(
         &self,
         granularity: Granularity,
-        input: &[&'a LabeledRequest],
+        input: &'b [&'a LabeledRequest],
         interner: &mut KeyInterner,
-    ) -> (LevelResult, Vec<&'a LabeledRequest>) {
+    ) -> (LevelResult, impl Iterator<Item = &'a LabeledRequest> + 'b) {
         let keys: Vec<ResourceKey> = input
             .iter()
             .map(|request| request_key(granularity, request, interner))
@@ -152,12 +157,11 @@ impl HierarchicalClassifier {
             })
             .collect();
 
-        let next: Vec<&LabeledRequest> = keys
-            .iter()
+        let next = keys
+            .into_iter()
             .zip(input)
-            .filter(|(key, _)| mixed[key.index()])
-            .map(|(_, request)| *request)
-            .collect();
+            .filter(move |(key, _)| mixed[key.index()])
+            .map(|(_, request)| *request);
 
         (LevelResult::from_entries(granularity, resources), next)
     }
@@ -267,6 +271,7 @@ mod tests {
             let mut input: Vec<&LabeledRequest> = requests.iter().collect();
             for granularity in Granularity::ALL {
                 let (level, next) = classifier.classify_level(granularity, &input, &mut dense_keys);
+                let next: Vec<&LabeledRequest> = next.collect();
                 let (expected, expected_next) =
                     classify_level_two_pass(&classifier, granularity, &input, &mut oracle_keys);
                 prop_assert_eq!(&level, &expected);

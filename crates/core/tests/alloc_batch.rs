@@ -2,7 +2,7 @@
 //! stack once and shares it between the requests the call site issues.
 //! Labeling copies no string and no stack — a labeled request points at the
 //! strings and the stack its crawl record already holds — so a labeled
-//! request costs a share of its site's few per-host keys; and the
+//! request costs a share of the crawl's few per-host keys; and the
 //! classifier allocates per distinct resource key, never per request. The key store allocates per arena chunk and per
 //! table growth, never per key, and freezing it copies a fixed number of
 //! buffers. Exporting a trained sifter's snapshot costs a handful of
@@ -91,7 +91,7 @@ fn crawling_costs_at_most_three_allocations_per_captured_request() {
 }
 
 #[test]
-fn labeling_a_crawl_costs_at_most_one_allocation_per_request() {
+fn labeling_a_crawl_costs_at_most_one_allocation_per_five_requests() {
     let (db, engine) = crawl(60);
     let labeler = Labeler::new(&engine);
     // The crawl is warm — every string it will lend out is allocated — and
@@ -103,10 +103,10 @@ fn labeling_a_crawl_costs_at_most_one_allocation_per_request() {
     assert!(requests.len() > 1_000, "{} labeled", requests.len());
     // The string-copying labeler paid about eleven: seven strings and the
     // frame vector with two more per frame; a frame vector of shared
-    // strings, about 1.8.
+    // strings, about 1.8; a scratch and host keys per site, about 0.86.
     let per_request = second as f64 / requests.len() as f64;
     assert!(
-        per_request <= 1.0,
+        per_request <= 0.2,
         "{per_request:.2} allocations per request"
     );
 }
