@@ -381,7 +381,8 @@ fn caller_chain(script: &PageScript, method_idx: usize) -> Vec<usize> {
 
 /// Build the call stack of one call site of method `method_idx` of
 /// `script`, in one allocation: the frames are gathered in `frames`, a
-/// buffer the load reuses, and copied into the shared slice.
+/// buffer the load reuses, and moved into the shared slice, which leaves
+/// the buffer empty with its capacity kept.
 fn build_stack(
     frames: &mut Vec<StackFrame>,
     script: &ScriptStrings,
@@ -404,7 +405,7 @@ fn build_stack(
     frames.extend(caller_chain.iter().map(|&caller| script.frame(caller)));
     frames.extend(ancestor_frames.iter().cloned());
     CallStack {
-        frames: Arc::from(frames.as_slice()),
+        frames: frames.drain(..).collect(),
     }
 }
 

@@ -16,8 +16,10 @@
 //!   and query-time candidate selection hash the same maximal alphanumeric
 //!   runs, folded through one byte table, so the two sides cannot drift;
 //! * rules are evaluated against a borrowed [`RequestView`], built per
-//!   request into a reusable [`RequestScratch`] in one pass over the URL,
-//!   or lent by the owned [`FilterRequest`];
+//!   request into a reusable [`RequestScratch`] in one pass over the URL —
+//!   one pass over what follows the authority, when the URL repeats the
+//!   authority of the request before it — or lent by the owned
+//!   [`FilterRequest`];
 //! * a token-hash index (`index.rs`) stores rules so matching stays fast at
 //!   crawl scale and allocation-free per query;
 //! * [`FilterEngine`] combines blocking and exception rules and

@@ -70,20 +70,25 @@ static FOLD: [u8; 256] = {
     table
 };
 
-/// Replace `hashes` with the token hashes of `text` and `prefixes` with
-/// their run prefixes ([`Token::prefix`]), both in text order, repeats
-/// kept — collected from [`TokenHashes`], whose scan also reports whether
-/// any byte is upper-case ASCII, i.e. whether `text` differs from its ASCII
-/// lower case at all. The request builders read all three from one scan of
-/// the URL.
+/// Append to `hashes` the token hashes of `text` from byte `from` on, and to
+/// `prefixes` their run prefixes ([`Token::prefix`]), both in text order,
+/// repeats kept — collected from [`TokenHashes`], whose scan also reports
+/// whether any byte it visits is upper-case ASCII, i.e. whether
+/// `text[from..]` differs from its ASCII lower case at all. The request
+/// builders read all three from one scan of the URL. `from` must not fall
+/// inside an alphanumeric run: the request view resumes at a URL's
+/// authority end, after the tokens of an authority it has seen before.
 pub(crate) fn hash_tokens_into(
     text: &[u8],
+    from: usize,
     hashes: &mut Vec<u64>,
     prefixes: &mut Vec<u64>,
 ) -> bool {
-    hashes.clear();
-    prefixes.clear();
-    let mut tokens = TokenHashes::new(text);
+    let mut tokens = TokenHashes {
+        text,
+        pos: from,
+        folded: false,
+    };
     for token in tokens.by_ref() {
         hashes.push(token.hash);
         prefixes.push(token.prefix);
@@ -364,13 +369,26 @@ mod tests {
         ) {
             let expected = reference_tokens(&text);
             prop_assert_eq!(TokenHashes::new(&text).collect::<Vec<_>>(), expected.clone());
-            let (mut hashes, mut prefixes) = (vec![1, 2, 3], vec![4]);
-            let folded = hash_tokens_into(&text, &mut hashes, &mut prefixes);
-            let expected_hashes: Vec<u64> = expected.iter().map(|t| t.hash).collect();
-            let expected_prefixes: Vec<u64> = expected.iter().map(|t| t.prefix).collect();
-            prop_assert_eq!(hashes, expected_hashes);
-            prop_assert_eq!(prefixes, expected_prefixes);
+            let (mut hashes, mut prefixes) = (vec![1, 2, 3], vec![1, 2, 3]);
+            let folded = hash_tokens_into(&text, 0, &mut hashes, &mut prefixes);
+            let expected_hashes: Vec<u64> =
+                [1, 2, 3].into_iter().chain(expected.iter().map(|t| t.hash)).collect();
+            let expected_prefixes: Vec<u64> =
+                [1, 2, 3].into_iter().chain(expected.iter().map(|t| t.prefix)).collect();
+            prop_assert_eq!(&hashes, &expected_hashes);
+            prop_assert_eq!(&prefixes, &expected_prefixes);
             prop_assert_eq!(folded, text.iter().any(u8::is_ascii_uppercase));
+            // Scanning a prefix that ends outside a run, then resuming at its
+            // end, finds the whole text's tokens.
+            for cut in (0..=text.len()).filter(|&cut| cut == text.len() || FOLD[usize::from(text[cut])] == 0) {
+                let (mut hashes, mut prefixes) = (vec![1, 2, 3], vec![1, 2, 3]);
+                let head = hash_tokens_into(&text[..cut], 0, &mut hashes, &mut prefixes);
+                let tail = hash_tokens_into(&text, cut, &mut hashes, &mut prefixes);
+                prop_assert_eq!(&hashes, &expected_hashes);
+                prop_assert_eq!(&prefixes, &expected_prefixes);
+                prop_assert_eq!(head, text[..cut].iter().any(u8::is_ascii_uppercase));
+                prop_assert_eq!(tail, text[cut..].iter().any(u8::is_ascii_uppercase));
+            }
         }
     }
 

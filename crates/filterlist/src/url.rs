@@ -36,7 +36,7 @@ impl ParsedUrl {
     /// scheme separator and no leading `//`). Scheme-relative URLs
     /// (`//cdn.example.com/x.js`) are accepted.
     pub fn parse(input: &str) -> Option<Self> {
-        let raw = input.trim().to_string();
+        let raw = trim_url(input).to_string();
         if raw.is_empty() {
             return None;
         }
@@ -80,6 +80,21 @@ pub struct UrlView<'a> {
     pub(crate) host_start: usize,
 }
 
+/// `url` without leading and trailing whitespace: [`str::trim`], which
+/// walks Unicode whitespace a char at a time from both ends, run only when
+/// an end byte is not ASCII graphic. A URL almost always starts and ends in
+/// a graphic byte, and such a byte is a whole char that is not whitespace.
+pub(crate) fn trim_url(url: &str) -> &str {
+    let bytes = url.as_bytes();
+    if bytes.first().is_some_and(u8::is_ascii_graphic)
+        && bytes.last().is_some_and(u8::is_ascii_graphic)
+    {
+        url
+    } else {
+        url.trim()
+    }
+}
+
 /// Where the hostname lies in a trimmed URL: `(hostname, byte offset)`,
 /// `("", 0)` for an opaque URL such as `data:image/gif;base64,...` or
 /// `about:blank`, `None` for text that is not a URL at all. The one
@@ -103,12 +118,18 @@ fn is_scheme(text: &str) -> bool {
 
 /// The authority of a URL (`scheme://[user@]host[:port]`, or scheme-relative
 /// `//host…`), borrowed from the URL text. The one place the hostname is
-/// derived: [`locate_host`] and [`hostname_of`] both read it.
-struct Authority<'a> {
+/// derived: [`locate_host`], [`hostname_of`] and
+/// [`crate::RequestScratch::view`] read it. Its offsets are the same in the
+/// URL's ASCII lower case, since every delimiter it looks for is ASCII and
+/// not a letter.
+pub(crate) struct Authority<'a> {
     /// Hostname without userinfo or port, in the text's own case.
-    host: &'a str,
+    pub(crate) host: &'a str,
     /// Byte offset of `host` within the URL.
-    host_start: usize,
+    pub(crate) host_start: usize,
+    /// Byte offset of the authority's end: the URL's first `/`, `?` or `#`
+    /// after the scheme separator, or its length.
+    pub(crate) end: usize,
 }
 
 impl<'a> Authority<'a> {
@@ -118,7 +139,7 @@ impl<'a> Authority<'a> {
     /// `:`, so only the URL's first `:` can begin it. Every delimiter is
     /// ASCII, so the scans are byte scans and their offsets char
     /// boundaries.
-    fn of(url: &'a str) -> Option<Self> {
+    pub(crate) fn of(url: &'a str) -> Option<Self> {
         let bytes = url.as_bytes();
         let start = match bytes.iter().position(|&b| b == b':') {
             Some(colon) if bytes[colon + 1..].starts_with(b"//") && is_scheme(&url[..colon]) => {
@@ -148,6 +169,7 @@ impl<'a> Authority<'a> {
         Some(Authority {
             host: &url[host_start..host_end],
             host_start,
+            end,
         })
     }
 }
@@ -157,7 +179,7 @@ impl<'a> Authority<'a> {
 /// case, to `ParsedUrl::parse(url).map(|u| u.hostname).unwrap_or_default()`
 /// without allocating.
 pub fn hostname_of(url: &str) -> &str {
-    Authority::of(url.trim()).map_or("", |authority| authority.host)
+    Authority::of(trim_url(url)).map_or("", |authority| authority.host)
 }
 
 impl fmt::Display for ParsedUrl {
@@ -172,8 +194,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// The `str::find` derivation [`Authority::of`] replaced, kept as its
-    /// oracle: `(host, host_start)`.
-    fn reference_authority(url: &str) -> Option<(&str, usize)> {
+    /// oracle: `(host, host_start, end)`.
+    fn reference_authority(url: &str) -> Option<(&str, usize, usize)> {
         let start = match url.find("://") {
             Some(idx) if is_scheme(&url[..idx]) => idx + 3,
             _ if url.starts_with("//") => 2,
@@ -193,7 +215,7 @@ mod tests {
             }
             _ => hostport,
         };
-        Some((host, host_start))
+        Some((host, host_start, end))
     }
 
     /// URL-shaped text built to reach every branch of the authority scan:
@@ -243,15 +265,39 @@ mod tests {
 
         #[test]
         fn the_byte_scan_finds_the_authority_the_str_search_did(url in arb_url_text()) {
-            let scanned = Authority::of(&url).map(|a| (a.host, a.host_start));
+            let scanned = Authority::of(&url).map(|a| (a.host, a.host_start, a.end));
             prop_assert_eq!(scanned, reference_authority(&url), "{:?}", url);
         }
 
         #[test]
         fn the_byte_scan_agrees_on_arbitrary_text(url in "\\PC{0,24}") {
-            let scanned = Authority::of(&url).map(|a| (a.host, a.host_start));
+            let scanned = Authority::of(&url).map(|a| (a.host, a.host_start, a.end));
             prop_assert_eq!(scanned, reference_authority(&url), "{:?}", url);
         }
+
+        #[test]
+        fn the_url_trim_is_str_trim(
+            head in prop::collection::vec(arb_trim_edge(), 0..3),
+            body in "\\PC{0,12}",
+            tail in prop::collection::vec(arb_trim_edge(), 0..3),
+        ) {
+            let url = format!("{}{body}{}", head.concat(), tail.concat());
+            prop_assert_eq!(trim_url(&url), url.trim(), "{:?}", url);
+        }
+    }
+
+    /// What may stand at either end of a URL: ASCII and Unicode whitespace,
+    /// and bytes that are not — ASCII graphic, an ASCII control, DEL, a
+    /// zero-width space, a non-ASCII letter.
+    const TRIM_EDGES: [&str; 29] = [
+        " ", "\t", "\n", "\r", "\x0b", "\x0c", "\u{85}", "\u{a0}", "\u{1680}", "\u{2000}",
+        "\u{2001}", "\u{2002}", "\u{2003}", "\u{2004}", "\u{2005}", "\u{2006}", "\u{2007}",
+        "\u{2008}", "\u{2009}", "\u{200a}", "\u{3000}", "\u{200b}", "\x7f", "\x01", "h", "/", "~",
+        "!", "ü",
+    ];
+
+    fn arb_trim_edge() -> impl Strategy<Value = &'static str> {
+        (0..TRIM_EDGES.len()).prop_map(|at| TRIM_EDGES[at])
     }
 
     #[test]

@@ -102,6 +102,56 @@ fn arb_raw_url() -> impl Strategy<Value = String> {
     })
 }
 
+/// The starts of URLs that a remembered authority must not be reused for,
+/// beside the one it is: a longer host, a port or userinfo, another case or
+/// scheme, scheme-relative, a trailing dot, IP literals, a non-ASCII host,
+/// and an opaque URL that has no authority at all.
+const AUTHORITIES: [&str; 24] = [
+    "https://a.com",
+    "https://a.com",
+    "https://a.com.b",
+    "https://a.comx",
+    "https://a.co",
+    "https://b.a.com",
+    "https://a.com:8080",
+    "https://a.com:443",
+    "https://a.com:",
+    "https://u@a.com",
+    "https://u:p@a.com:8080",
+    "https://a.com@b.a.com",
+    "HTTPS://A.com",
+    "https://A.COM",
+    "http://a.com",
+    "//a.com",
+    "//A.com:8080",
+    "https://a.com.",
+    "https://10.0.0.1",
+    "https://10.0.0.1:8080",
+    "https://[::1]:8080",
+    "https://bücher.example",
+    "data:text/plain,a.com",
+    "about:blank",
+];
+
+/// What follows an authority: what ends it (`/`, `?`, `#`, the URL's end),
+/// and what extends it — more host, a port, userinfo.
+const AUTHORITY_ENDS: [&str; 14] = [
+    "",
+    "/",
+    "/x.js",
+    "/X.js?u=https://b.a.com/",
+    "?q=A.com",
+    "#f",
+    "/a.com/b",
+    ".b/x",
+    "x/",
+    ":8080/",
+    ":80a",
+    "@b.a.com/p",
+    "ü/",
+    "/%C3%BC",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -244,6 +294,57 @@ proptest! {
                 prop_assert_eq!(engine.label_view(&view), expected, "{:?} from {:?}", url, source);
             }
             prop_assert_eq!(engine.label_url(url, source, kind), expected, "{:?} from {:?}", url, source);
+        }
+    }
+
+    /// The authority the scratch remembers from one view to the next is
+    /// reused only by a URL that starts with exactly its bytes and then
+    /// ends it: runs of one authority followed by `/`, `?`, `#` or nothing,
+    /// broken by a longer host, a port or userinfo added or changed, another
+    /// case or scheme, a scheme-relative or trailing-dot or IP or non-ASCII
+    /// host, and an opaque URL with no authority. Every view is the owned
+    /// request's and labels as the linear scan does.
+    #[test]
+    fn the_remembered_authority_is_reused_only_by_its_own_urls(
+        rules in prop::collection::vec(arb_rule(), 0..4),
+        steps in prop::collection::vec(
+            (0usize..AUTHORITIES.len(), 0usize..AUTHORITY_ENDS.len(), 0usize..2),
+            1..16,
+        ),
+        sources in prop::collection::vec(
+            prop_oneof!["site\\.com", "a\\.com", "b\\.a\\.com", "A\\.COM", "x\\.io", ""],
+            1..3,
+        ),
+        kind in 0usize..11,
+    ) {
+        let text = format!(
+            "{}\n||a.com^$third-party\n||a.com.b^\n||a.comx^\n|https://a.com:8080\n|http://\n\
+             ||10.0.0.1^\n||example^\n/X.js$match-case\n||b.a.com^\n@@||a.com^$domain=site.com\n|data:",
+            rules.join("\n")
+        );
+        let engine = FilterEngine::from_lists(&[(filterlist::ListKind::EasyList, text.as_str())]);
+        let kind = ResourceType::ALL[kind];
+        let mut scratch = filterlist::RequestScratch::new();
+        // Half the steps keep the authority of the step before them, so
+        // most runs are of one authority, as in a crawl.
+        let mut authority = AUTHORITIES[0];
+        let mut previous = String::new();
+        for (step, &(next, end, again)) in steps.iter().enumerate() {
+            if again == 0 {
+                authority = AUTHORITIES[next];
+            }
+            let url = format!("{authority}{}", AUTHORITY_ENDS[end]);
+            let source = &sources[step % sources.len()];
+            let owned = FilterRequest::new(&url, source, kind);
+            let view = scratch.view(&url, source, kind);
+            prop_assert_eq!(view, owned.as_ref().map(FilterRequest::view), "{:?} after {:?}", url, previous);
+            let expected = owned
+                .as_ref()
+                .map_or(RequestLabel::Functional, |owned| engine.evaluate_linear(owned).label());
+            if let Some(view) = view {
+                prop_assert_eq!(engine.label_view(&view), expected, "{:?} from {:?}", url, source);
+            }
+            previous = url;
         }
     }
 
