@@ -5,7 +5,8 @@
 //! request costs a share of the crawl's few per-host keys; and the
 //! classifier allocates per distinct resource key, never per request. The key store allocates per arena chunk and per
 //! table growth, never per key, and freezing it copies a fixed number of
-//! buffers. Exporting a trained sifter's snapshot costs a handful of
+//! buffers. Training a sifter allocates when one of its vectors grows and
+//! for each method seen on more than one hostname, never per key. Exporting a trained sifter's snapshot costs a handful of
 //! buffers, never one per key or row. A commit on a re-crawled web costs a
 //! few buffers per surrogate plan it rebuilds, never a JSON tree per plan.
 
@@ -262,4 +263,30 @@ fn a_churny_commit_allocates_per_plan_touched_not_per_tree_node() {
         allocations <= 16 * plans + 128,
         "{allocations} allocations for {plans} plans touched"
     );
+}
+
+#[test]
+fn training_a_sifter_allocates_per_vector_growth_not_per_key() {
+    // The study's train: 500 sites of the paper profile at seed 2021.
+    let corpus = CorpusGenerator::generate(&CorpusProfile::paper().with_sites(500), 2021);
+    let db = CrawlCluster::new(ClusterConfig::sequential()).crawl(&corpus);
+    let engine = filter_rules::engine_for(&corpus.ecosystem);
+    let (requests, _) = Labeler::new(&engine).label_database(&db);
+    let mut sifter = Sifter::builder().thresholds(Thresholds::paper()).build();
+    let (allocations, ()) = allocations_during(|| sifter.observe_all(&requests));
+    let keys = sifter.snapshot().key_count();
+    assert!(keys > 11_000, "{keys} keys");
+    // About 25 vectors and tables, each grown a doubling at a time (360
+    // allocations), and the cell vector of each method seen on a second
+    // hostname (1,413 of 6,255 methods): 1,784. A vector per hostname,
+    // script and method and a cell vector per method cost 13,719 (11,619
+    // allocations and 2,100 reallocations), one or more per key.
+    assert!(
+        allocations <= 2_000,
+        "{allocations} allocations for {} rows and {keys} keys",
+        requests.len()
+    );
+    // The same rows again find every key, cell and dirty mark in place.
+    let (again, ()) = allocations_during(|| sifter.observe_all(&requests));
+    assert_eq!(again, 0);
 }

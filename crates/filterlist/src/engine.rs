@@ -11,6 +11,7 @@ use crate::parser::parse_list;
 use crate::request::{FilterRequest, RequestScratch, RequestView, ResourceType};
 use crate::rule::{FilterRule, ListKind};
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// The label TrackerSift assigns to a single network request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,15 +62,19 @@ impl MatchOutcome {
 }
 
 /// A compiled filter engine over one or more lists.
+///
+/// A clone shares the compiled indexes and rules: cloning an engine copies
+/// three pointers, and [`FilterEngine::extend_with_rules`] copies a shared
+/// index only when it changes it.
 #[derive(Debug, Clone, Default)]
 pub struct FilterEngine {
-    blocking: RuleIndex,
-    exceptions: RuleIndex,
+    blocking: Arc<RuleIndex>,
+    exceptions: Arc<RuleIndex>,
     /// `$removeparam=` modifier rules. These never *block* (a global
     /// `*$removeparam=gclid` must not label the whole web as tracking), so
     /// they live outside the blocking index and are consumed by the URL
     /// rewriter as a rule source.
-    removeparam: Vec<FilterRule>,
+    removeparam: Arc<Vec<FilterRule>>,
 }
 
 // The engine is shared read-only across the worker threads of the parallel
@@ -89,9 +94,9 @@ impl FilterEngine {
             .partition(|r| !r.options.removeparam.is_empty());
         let (exceptions, blocking): (Vec<_>, Vec<_>) = rest.into_iter().partition(|r| r.exception);
         FilterEngine {
-            blocking: RuleIndex::build(blocking),
-            exceptions: RuleIndex::build(exceptions),
-            removeparam,
+            blocking: Arc::new(RuleIndex::build(blocking)),
+            exceptions: Arc::new(RuleIndex::build(exceptions)),
+            removeparam: Arc::new(removeparam),
         }
     }
 
@@ -115,15 +120,22 @@ impl FilterEngine {
 
     /// Add more rules (e.g. the synthetic ecosystem's tracker domains) to an
     /// existing engine. The new rules are appended and filed incrementally —
-    /// existing rules are neither cloned nor re-indexed.
+    /// existing rules are not re-indexed. An index that gains rules and is
+    /// shared with a clone is copied first, so the clone keeps its rules.
     pub fn extend_with_rules(&mut self, extra: Vec<FilterRule>) {
         let (removeparam, rest): (Vec<_>, Vec<_>) = extra
             .into_iter()
             .partition(|r| !r.options.removeparam.is_empty());
         let (exceptions, blocking): (Vec<_>, Vec<_>) = rest.into_iter().partition(|r| r.exception);
-        self.blocking.extend(blocking);
-        self.exceptions.extend(exceptions);
-        self.removeparam.extend(removeparam);
+        if !blocking.is_empty() {
+            Arc::make_mut(&mut self.blocking).extend(blocking);
+        }
+        if !exceptions.is_empty() {
+            Arc::make_mut(&mut self.exceptions).extend(exceptions);
+        }
+        if !removeparam.is_empty() {
+            Arc::make_mut(&mut self.removeparam).extend(removeparam);
+        }
     }
 
     /// Total number of rules (blocking + exception).
@@ -387,6 +399,27 @@ mod tests {
                 "extended engine and linear scan disagree for {url}"
             );
         }
+    }
+
+    #[test]
+    fn a_clone_shares_the_indexes_until_one_side_extends() {
+        let base = engine("||tracker.io^\n@@||tracker.io/lib/ok.js\n");
+        let mut extended = base.clone();
+        assert!(Arc::ptr_eq(&base.blocking, &extended.blocking));
+        let extra = crate::parser::parse_list("||adnet.example^\n", ListKind::Custom);
+        extended.extend_with_rules(extra.rules);
+        // Only the index that gained a rule was copied.
+        assert!(!Arc::ptr_eq(&base.blocking, &extended.blocking));
+        assert!(Arc::ptr_eq(&base.exceptions, &extended.exceptions));
+        assert!(Arc::ptr_eq(&base.removeparam, &extended.removeparam));
+        assert_eq!(extended.rule_count(), base.rule_count() + 1);
+        let r = req(
+            "https://px.adnet.example/p.gif",
+            "shop.com",
+            ResourceType::Image,
+        );
+        assert_eq!(base.label(&r), RequestLabel::Functional);
+        assert_eq!(extended.label(&r), RequestLabel::Tracking);
     }
 
     #[test]

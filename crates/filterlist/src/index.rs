@@ -128,13 +128,14 @@ impl Buckets {
         }
     }
 
-    /// The buckets `keys` select, in key order, repeats kept.
+    /// The bucket of `key`, if a rule is filed under it: the presence bit
+    /// first, the map only when it is set.
     #[inline]
-    fn hits<'a>(&'a self, keys: &'a [u64]) -> impl Iterator<Item = &'a [u32]> + 'a {
-        keys.iter()
-            .filter(|&&key| self.presence.may_contain(key))
-            .filter_map(|key| self.map.get(key))
-            .map(Vec::as_slice)
+    fn get(&self, key: u64) -> Option<&[u32]> {
+        if !self.presence.may_contain(key) {
+            return None;
+        }
+        self.map.get(&key).map(Vec::as_slice)
     }
 }
 
@@ -202,15 +203,31 @@ impl RuleIndex {
         self.unindexed.len()
     }
 
-    /// The candidate buckets of a request: the token buckets its token
-    /// hashes select, then the prefix buckets its run prefixes select, then
-    /// the always-checked list.
+    /// Hand `visit` the candidate buckets of a request — the token buckets
+    /// its token hashes select, then the prefix buckets its run prefixes
+    /// select, then the always-checked list — until it returns `true`;
+    /// returns whether it did. A key kind with no buckets is skipped without
+    /// probing its keys.
     #[inline]
-    fn candidates<'a>(&'a self, request: &RequestView<'a>) -> impl Iterator<Item = &'a [u32]> {
-        self.tokens
-            .hits(request.token_hashes)
-            .chain(self.prefixes.hits(request.run_prefixes))
-            .chain(std::iter::once(self.unindexed.as_slice()))
+    fn visit_candidates(
+        &self,
+        request: &RequestView<'_>,
+        mut visit: impl FnMut(&[u32]) -> bool,
+    ) -> bool {
+        for (buckets, keys) in [
+            (&self.tokens, request.token_hashes),
+            (&self.prefixes, request.run_prefixes),
+        ] {
+            if buckets.map.is_empty() {
+                continue;
+            }
+            for &key in keys {
+                if buckets.get(key).is_some_and(&mut visit) {
+                    return true;
+                }
+            }
+        }
+        visit(&self.unindexed)
     }
 
     /// Find the first rule (lowest insertion index) matching the request,
@@ -221,14 +238,15 @@ impl RuleIndex {
     /// same rule a linear scan would.
     pub(crate) fn first_match(&self, request: &RequestView<'_>) -> Option<&FilterRule> {
         let mut best: Option<u32> = None;
-        for bucket in self.candidates(request) {
+        self.visit_candidates(request, |bucket| {
             for &idx in bucket {
                 if best.map_or(true, |best| idx < best) && self.rules[idx as usize].matches(request)
                 {
                     best = Some(idx);
                 }
             }
-        }
+            false
+        });
         best.map(|idx| &self.rules[idx as usize])
     }
 
@@ -236,7 +254,7 @@ impl RuleIndex {
     /// [`RuleIndex::first_match`], probed in the same order, stopping at the
     /// first rule that matches. A label needs no more.
     pub(crate) fn any_match(&self, request: &RequestView<'_>) -> bool {
-        self.candidates(request).any(|bucket| {
+        self.visit_candidates(request, |bucket| {
             bucket
                 .iter()
                 .any(|&idx| self.rules[idx as usize].matches(request))

@@ -255,17 +255,36 @@ fn render_string(s: &str, out: &mut impl Sink) {
     out.put_ascii(b"\"");
 }
 
+/// The two decimal digits of each of 0 through 99, in order.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// `n` in decimal, two digits a division from the right.
 fn render_u64(n: u64, out: &mut impl Sink) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     let mut rest = n;
-    loop {
+    while rest >= 100 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        let pair = rest as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+        digits[at] = b'0' + rest as u8;
     }
     out.put_ascii(&digits[at..]);
 }
@@ -830,6 +849,42 @@ pub fn object(fields: Vec<(&str, Value)>) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn rendered(n: u64) -> String {
+        let mut out = Vec::new();
+        write_u64(&mut out, n);
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn integers_render_as_their_decimal_digits() {
+        for n in (0..=10_000).chain([1 << 53, (1 << 53) - 1]) {
+            assert_eq!(rendered(n), n.to_string());
+        }
+        for power in 1..=15 {
+            let n = 10u64.pow(power);
+            for m in [n - 1, n, n + 1] {
+                assert_eq!(rendered(m), m.to_string());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Every integer up to 2^53, drawn with a digit count first so
+        /// short numbers are as likely as long ones.
+        #[test]
+        fn every_integer_up_to_2_pow_53_renders_as_to_string(
+            digits in 1u32..17,
+            raw in 0u64..u64::MAX,
+        ) {
+            let n = (raw % 10u64.pow(digits)).min(1 << 53);
+            prop_assert_eq!(rendered(n), n.to_string());
+            prop_assert_eq!(Value::number_u64(n).render(), n.to_string());
+        }
+    }
 
     #[test]
     fn scalars_round_trip() {
