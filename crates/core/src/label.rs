@@ -494,7 +494,13 @@ mod tests {
 
     #[test]
     fn from_labeled_carries_the_url_context() {
-        let mut requests = crate::testutil::figure1_requests();
+        let mut requests = [crate::testutil::labeled_request(
+            "ads.com",
+            "px.ads.com",
+            "https://pub.com/a.js",
+            "t",
+            true,
+        )];
         let request = DecisionRequest::from_labeled(&requests[0]);
         assert!(request.url.is_some());
         assert_eq!(request.domain, &*requests[0].domain);

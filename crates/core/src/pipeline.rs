@@ -41,8 +41,8 @@ use crawler::{ClusterConfig, CrawlCluster, CrawlDatabase};
 use filterlist::FilterEngine;
 use std::time::{Duration, Instant};
 use trackersift_engine::{
-    Classification, Granularity, HierarchyResult, KeyInterner, LevelResult, ObservationRef, Sifter,
-    SurrogateScript, Thresholds,
+    classify_rows, Classification, Granularity, HierarchyResult, KeyInterner, LevelResult,
+    ObservationRef, Sifter, SurrogateScript, Thresholds,
 };
 use websim::{filter_rules, CorpusGenerator, CorpusProfile, WebCorpus};
 
@@ -255,8 +255,8 @@ impl Study {
     /// *all* script-initiated requests — the ablation baseline showing why
     /// the progressive hierarchy matters, at the study's thresholds.
     pub fn flat_classification(&self, granularity: Granularity) -> LevelResult {
-        let all: Vec<&LabeledRequest> = self.requests.iter().collect();
-        HierarchicalClassifier::new(self.config.thresholds).classify_flat(granularity, &all)
+        let mut levels = classify_rows(self.config.thresholds, &self.requests, &[granularity]);
+        levels.pop().expect("one level in, one level out")
     }
 }
 

@@ -54,21 +54,20 @@ pub(crate) fn generate_surrogates(
         for method in method_names {
             let reqs = &by_method[*method];
             let key = ResourceKey::method_label(&script.key, method);
+            let tracking = reqs.iter().filter(|r| r.is_tracking()).count() as u64;
+            let functional = reqs.len() as u64 - tracking;
             let class = method_class.get(key.as_str()).copied().unwrap_or_else(|| {
                 // The method never reached the method level (its requests
                 // were attributed earlier); classify it directly from its
                 // own requests.
-                let mut counts = Counts::default();
-                for r in reqs.iter() {
-                    counts.record(r.is_tracking());
-                }
                 result
                     .thresholds
-                    .classify(&counts)
+                    .classify(&Counts {
+                        tracking,
+                        functional,
+                    })
                     .unwrap_or(Classification::Mixed)
             });
-            let tracking = reqs.iter().filter(|r| r.is_tracking()).count() as u64;
-            let functional = reqs.len() as u64 - tracking;
             let blocked_callers = if class == Classification::Mixed {
                 build_call_graph(reqs.iter().copied())
                     .divergence_points()

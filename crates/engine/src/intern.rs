@@ -414,7 +414,7 @@ impl KeyInterner {
     }
 
     /// An empty interner with room for `capacity` distinct keys.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let mut interner = Self::new();
         interner.resize(slots_for(capacity));
         interner
@@ -610,7 +610,7 @@ impl KeyInterner {
     ///
     /// # Panics
     /// Panics if `key` came from a different interner and is out of range.
-    pub fn resolve(&self, key: ResourceKey) -> &str {
+    pub(crate) fn resolve(&self, key: ResourceKey) -> &str {
         text(&self.sealed, &self.open, self.spans[key.index()])
     }
 

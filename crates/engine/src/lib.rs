@@ -13,7 +13,7 @@
 //! | concern | entry point |
 //! |---|---|
 //! | §4 Eq. 1 + threshold | [`Thresholds`] |
-//! | hierarchy results (Tables 1–2, Fig. 3) | [`HierarchyResult`] |
+//! | hierarchical classification (Tables 1–2, Fig. 3) | [`classify_rows`], [`HierarchyResult`] |
 //! | resource-key interning | [`KeyInterner`] |
 //! | labeling one URL against the filter lists | [`label_url`] |
 //! | serving API (verdicts + incremental ingestion) | [`Sifter`] |
@@ -75,7 +75,10 @@ mod testutil;
 pub use concurrent::{SifterReader, SifterWriter, TablePublisher};
 pub use decision::{Decision, DecisionRequest, DecisionSource, KeyedRequest};
 pub use follower::{ApplyError, DeltaSnapshot, FollowerState};
-pub use hierarchy::{ClassCounts, Granularity, HierarchyResult, LevelResult, ResourceEntry};
+pub use hierarchy::{
+    classify_rows, ClassCounts, Granularity, HierarchyResult, HierarchyRow, LevelResult,
+    ResourceEntry,
+};
 pub use intern::{FrozenKeys, KeyInterner, ResourceKey};
 pub use journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport, ReplayReport};
 pub use label::label_url;

@@ -16,9 +16,8 @@
 //!   resources (and whatever their classification flips invalidate
 //!   downstream), instead of re-running the full hierarchical
 //!   classification. The equivalence tests prove that any interleaving of
-//!   `apply`/`commit` ends in exactly the state a from-scratch
-//!   classification (the study's `HierarchicalClassifier::classify`)
-//!   would produce;
+//!   `apply`/`commit` ends in exactly the state the from-scratch walk
+//!   [`classify_rows`](crate::classify_rows) would produce;
 //! * [`Sifter::verdict_table`] — export the committed state as an immutable
 //!   [`VerdictTable`], the one type that answers
 //!   [`verdict`](VerdictTable::verdict) and [`decide`](VerdictTable::decide)
@@ -1630,11 +1629,12 @@ impl Sifter {
     }
 
     /// Materialise the committed state as a [`HierarchyResult`] — exactly
-    /// what the study's `HierarchicalClassifier::classify` over every committed
-    /// observation would return, byte for byte (the equivalence the service
-    /// tests pin down). This is how the report/metrics layer reads a
-    /// sifter. Each level is its committed members' counts; the total and
-    /// the residue are read off the domain and method levels.
+    /// what the from-scratch walk [`classify_rows`](crate::classify_rows)
+    /// over every committed observation would return, byte for byte (the
+    /// equivalence the service tests pin down). This is how the
+    /// report/metrics layer reads a sifter. Each level is its committed
+    /// members' counts; the total and the residue are read off the domain
+    /// and method levels.
     pub fn hierarchy(&self) -> HierarchyResult {
         HierarchyResult {
             thresholds: self.thresholds,
@@ -1828,7 +1828,10 @@ mod tests {
     /// The from-scratch classification of `rows` at the sifter's
     /// thresholds: what an incremental commit must equal.
     fn scratch(sifter: &Sifter, rows: &[LabeledRow]) -> HierarchyResult {
-        testutil::classify(sifter.thresholds, rows)
+        HierarchyResult {
+            thresholds: sifter.thresholds,
+            levels: crate::classify_rows(sifter.thresholds, rows, &Granularity::ALL),
+        }
     }
 
     fn trained(requests: &[LabeledRow]) -> Sifter {

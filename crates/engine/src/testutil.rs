@@ -1,21 +1,14 @@
 //! Shared unit-test fixtures: hand-built labeled rows, the paper's Figure 1
-//! worked example, a labeled crawl, and the from-scratch classification a
-//! sifter's commits must equal.
-//!
-//! The production from-scratch classifier is the study's
-//! `HierarchicalClassifier`, which this crate cannot depend on; the study's
-//! own tests and the workspace's property tests pin the sifter to it. The
-//! engine's tests compare against [`classify`], the same four-level walk
-//! written plainly over hashed groups.
+//! worked example and a labeled crawl. The engine's tests classify them
+//! from scratch through [`classify_rows`](crate::classify_rows), the walk
+//! the study's `HierarchicalClassifier` also calls, so a sifter's commits
+//! are pinned to the one production walk.
 
-use crate::hierarchy::{Granularity, HierarchyResult, LevelResult, ResourceEntry};
-use crate::intern::ResourceKey;
+use crate::hierarchy::HierarchyRow;
 use crate::label::label_url;
-use crate::ratio::{Classification, Counts, Thresholds};
 use crate::{DecisionRequest, ObservationRef};
 use crawler::{ClusterConfig, CrawlCluster};
 use filterlist::{hostname_of, RequestScratch};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use websim::{filter_rules, CorpusGenerator, CorpusProfile};
 
@@ -27,6 +20,18 @@ pub(crate) struct LabeledRow {
     pub(crate) initiator_script: Arc<str>,
     pub(crate) initiator_method: Arc<str>,
     pub(crate) tracking: bool,
+}
+
+impl HierarchyRow for LabeledRow {
+    fn keys(&self) -> (&str, &str, &str, &str, bool) {
+        (
+            &self.domain,
+            &self.hostname,
+            &self.initiator_script,
+            &self.initiator_method,
+            self.tracking,
+        )
+    }
 }
 
 impl<'a> From<&'a LabeledRow> for ObservationRef<'a> {
@@ -136,42 +141,4 @@ pub(crate) fn crawled_rows(profile: &CorpusProfile, seed: u64) -> Vec<LabeledRow
         }
     }
     rows
-}
-
-/// The hierarchy `rows` classify into from scratch: each level groups its
-/// input by key, classifies every group, and passes the rows of its mixed
-/// groups down to the next level.
-pub(crate) fn classify(thresholds: Thresholds, rows: &[LabeledRow]) -> HierarchyResult {
-    let mut input: Vec<&LabeledRow> = rows.iter().collect();
-    let mut levels = Vec::new();
-    for granularity in Granularity::ALL {
-        let key = |row: &LabeledRow| match granularity {
-            Granularity::Domain => row.domain.to_string(),
-            Granularity::Hostname => row.hostname.to_string(),
-            Granularity::Script => row.initiator_script.to_string(),
-            Granularity::Method => {
-                ResourceKey::method_label(&row.initiator_script, &row.initiator_method)
-            }
-        };
-        let mut groups: HashMap<String, Counts> = HashMap::new();
-        for row in &input {
-            groups.entry(key(row)).or_default().record(row.tracking);
-        }
-        let resources: Vec<ResourceEntry> = groups
-            .into_iter()
-            .map(|(key, counts)| ResourceEntry {
-                classification: thresholds.classify(&counts).expect("a group has rows"),
-                key,
-                counts,
-            })
-            .collect();
-        let mixed: HashSet<&str> = resources
-            .iter()
-            .filter(|r| r.classification == Classification::Mixed)
-            .map(|r| r.key.as_str())
-            .collect();
-        input.retain(|row| mixed.contains(key(row).as_str()));
-        levels.push(LevelResult::from_entries(granularity, resources));
-    }
-    HierarchyResult { thresholds, levels }
 }
