@@ -216,26 +216,12 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// A `200 OK` JSON response.
     pub fn json(body: String) -> Self {
-        HttpResponse {
-            status: 200,
-            reason: "OK",
-            content_type: "application/json",
-            body: body.into_bytes(),
-            close: false,
-            retry_after: None,
-        }
+        HttpResponse::bytes("application/json", body.into_bytes())
     }
 
     /// A `200 OK` plain-text response.
     pub(crate) fn text(body: &str) -> Self {
-        HttpResponse {
-            status: 200,
-            reason: "OK",
-            content_type: "text/plain",
-            body: body.as_bytes().to_vec(),
-            close: false,
-            retry_after: None,
-        }
+        HttpResponse::bytes("text/plain", body.as_bytes().to_vec())
     }
 
     /// A `200 OK` response with an arbitrary (binary) body.
@@ -253,18 +239,14 @@ impl HttpResponse {
     /// An error response carrying `{"error": detail}`; errors always close
     /// the connection (a client that sent garbage has lost framing sync).
     pub(crate) fn error(status: u16, reason: &'static str, detail: &str) -> Self {
-        let body = trackersift_json::object(vec![(
-            "error",
-            trackersift_json::Value::String(detail.to_string()),
-        )])
-        .render();
+        let mut body = b"{\"error\":".to_vec();
+        trackersift_json::write_string(&mut body, detail);
+        body.push(b'}');
         HttpResponse {
             status,
             reason,
-            content_type: "application/json",
-            body: body.into_bytes(),
             close: status >= 400,
-            retry_after: None,
+            ..HttpResponse::bytes("application/json", body)
         }
     }
 
@@ -274,21 +256,17 @@ impl HttpResponse {
     /// `false`: a polite client backs off and reuses the connection rather
     /// than paying a reconnect against an already-loaded server.
     pub(crate) fn shed(retry_after: u32, detail: &str, close: bool) -> Self {
-        let body = trackersift_json::object(vec![
-            ("error", trackersift_json::Value::String(detail.to_string())),
-            (
-                "retry_after",
-                trackersift_json::Value::number_u64(u64::from(retry_after)),
-            ),
-        ])
-        .render();
+        let mut body = b"{\"error\":".to_vec();
+        trackersift_json::write_string(&mut body, detail);
+        body.extend_from_slice(b",\"retry_after\":");
+        trackersift_json::write_u64(&mut body, u64::from(retry_after));
+        body.push(b'}');
         HttpResponse {
             status: 503,
             reason: "Service Unavailable",
-            content_type: "application/json",
-            body: body.into_bytes(),
             close,
             retry_after: Some(retry_after),
+            ..HttpResponse::bytes("application/json", body)
         }
     }
 
@@ -686,6 +664,53 @@ mod tests {
             requests.push(request);
         }
         Ok(requests)
+    }
+
+    /// The error body as it was built before the writer: a tree, rendered.
+    fn error_body_oracle(detail: &str) -> String {
+        trackersift_json::object(vec![(
+            "error",
+            trackersift_json::Value::String(detail.to_string()),
+        )])
+        .render()
+    }
+
+    /// The shed body as it was built before the writer.
+    fn shed_body_oracle(retry_after: u32, detail: &str) -> String {
+        trackersift_json::object(vec![
+            ("error", trackersift_json::Value::String(detail.to_string())),
+            (
+                "retry_after",
+                trackersift_json::Value::number_u64(u64::from(retry_after)),
+            ),
+        ])
+        .render()
+    }
+
+    #[test]
+    fn error_and_shed_bodies_equal_the_rendered_tree() {
+        let details = [
+            "",
+            "no route /v1/nope",
+            r#"bad revision version "+1""#,
+            "back\\slash",
+            "\u{0}\u{1}\t\n\r\u{1f}\u{7f}",
+            "line\u{2028}separator\u{2029}",
+            "café — 日本語 🦀",
+        ];
+        for detail in details {
+            let error = HttpResponse::error(404, "Not Found", detail);
+            assert_eq!(
+                error.body,
+                error_body_oracle(detail).into_bytes(),
+                "{detail:?}"
+            );
+            for retry_after in [0, 1, u32::MAX] {
+                let shed = HttpResponse::shed(retry_after, detail, false);
+                let expected = shed_body_oracle(retry_after, detail).into_bytes();
+                assert_eq!(shed.body, expected, "{detail:?} {retry_after}");
+            }
+        }
     }
 
     #[test]

@@ -39,20 +39,9 @@
 //!
 //! # Endpoints
 //!
-//! | endpoint | role |
-//! |---|---|
-//! | `POST /v1/decisions` | one enforcement decision (no lock between publishes; JSON or binary) |
-//! | `POST /v1/decisions:batch` | many decisions from one pinned table (JSON or binary) |
-//! | `GET /v1/keys` | key-interning handshake for binary id-form requests |
-//! | `POST /v1/observations` | buffer observations into the writer |
-//! | `POST /v1/commit` | fold observations in + publish atomically |
-//! | `GET /v1/snapshot` | export the trained state (versioned JSON) |
-//! | `GET /v1/snapshot?since=v` | delta snapshot for replicas: net class changes and touched surrogate plans since `v` (JSON or binary) |
-//! | `PUT /v1/snapshot` | validate + restore a snapshot, publish atomically |
-//! | `GET /v1/revisions` | the published revision ring; `?diff=a..b` folds a drift diff |
-//! | `POST /v1/tick` | advance the attached re-crawl scheduler one epoch |
-//! | `GET /v1/stats` | [`ServiceStats`] + per-worker serving counters |
-//! | `GET /healthz` | liveness probe |
+//! [`ROUTES`] declares every route in one place: a known path asked with
+//! another method is `405`, an unknown one `404`. The README's endpoint
+//! table says what each route does.
 //!
 //! The decision endpoints speak JSON by default; a request with
 //! `Content-Type:` [`wire::BINARY_CONTENT_TYPE`] opts into the binary
@@ -160,12 +149,14 @@ pub mod decide;
 pub mod http;
 mod poller;
 mod replica;
+mod stats;
 pub mod wire;
 
 pub use replica::ReplicaConfig;
 
 use http::{HttpResponse, RequestParser, RequestView};
 use poller::Poller;
+use stats::numbers;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -484,7 +475,7 @@ enum AdminMsg {
 /// What a worker serves as. Only [`Role::Primary`] holds a sender to the
 /// admin thread, so a handler that needs the writer has to match on the
 /// role to reach it — and a replica answering such an endpoint `409` is the
-/// other arm of that match ([`Worker::on_primary`]).
+/// other arm of that match ([`Worker::admin`]).
 #[derive(Clone)]
 enum Role {
     Primary {
@@ -935,6 +926,36 @@ impl AcceptBackoff {
     }
 }
 
+/// One route of the server: `(method, path, handler)`. The method is as
+/// it appears on the request line. A path ending in `?` matches a target
+/// only with a query after it; any other path, only a target without one.
+/// The two decision routes have no handler: `Worker::route` answers them
+/// in place before the table is read.
+pub struct Route(pub &'static str, pub &'static str, Option<Handler>);
+
+/// What answers a route other than a decision: an owned response, which is
+/// the answer on either side of the `Result` (`Err` is just the early way
+/// out of a handler).
+type Handler = fn(&Worker, &RequestView<'_>) -> Result<HttpResponse, HttpResponse>;
+
+/// Every route the server answers, and the one place routes are declared:
+/// dispatch, `405` and `404` all read it.
+pub static ROUTES: [Route; 13] = [
+    Route("POST", "/v1/decisions", None),
+    Route("POST", "/v1/decisions:batch", None),
+    Route("GET", "/healthz", Some(|_, _| Ok(HttpResponse::text("ok")))),
+    Route("GET", "/v1/keys", Some(Worker::keys)),
+    Route("POST", "/v1/observations", Some(Worker::observe)),
+    Route("POST", "/v1/commit", Some(Worker::commit)),
+    Route("GET", "/v1/snapshot", Some(Worker::export_snapshot)),
+    Route("PUT", "/v1/snapshot", Some(Worker::import_snapshot)),
+    Route("GET", "/v1/snapshot?", Some(Worker::delta_snapshot)),
+    Route("GET", "/v1/revisions", Some(Worker::revisions)),
+    Route("GET", "/v1/revisions?", Some(Worker::revisions)),
+    Route("POST", "/v1/tick", Some(Worker::tick)),
+    Route("GET", "/v1/stats", Some(Worker::stats)),
+];
+
 /// One serving worker: a readiness-polled event loop multiplexing its
 /// connections, touching only its own reader handle (and, through its
 /// role, the admin channel for write endpoints).
@@ -1130,13 +1151,10 @@ impl Worker {
                 // worth answering (it may still read); a clean boundary is
                 // just the end of the conversation.
                 if conn.parser.mid_request() {
-                    self.counters[self.index]
-                        .errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    HttpResponse::error(400, "Bad Request", "truncated request")
-                        .render_into(&mut conn.out, false);
-                    conn.parser.reset();
-                    conn.close_after_flush = true;
+                    self.refuse(
+                        conn,
+                        HttpResponse::error(400, "Bad Request", "truncated request"),
+                    );
                     conn.flush();
                 } else {
                     conn.dead = true;
@@ -1157,12 +1175,7 @@ impl Worker {
                 Ok(Some(request)) => request,
                 Ok(None) => break,
                 Err(error) => {
-                    self.counters[self.index]
-                        .errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    error.response().render_into(&mut conn.out, false);
-                    conn.parser.reset();
-                    conn.close_after_flush = true;
+                    self.refuse(conn, error.response());
                     break;
                 }
             };
@@ -1216,6 +1229,19 @@ impl Worker {
         conn.flush();
     }
 
+    /// Answer a request the parser could not frame, and close after it:
+    /// whatever follows on the wire has lost its framing.
+    #[cold]
+    #[inline(never)]
+    fn refuse(&self, conn: &mut Conn, response: HttpResponse) {
+        self.counters[self.index]
+            .errors
+            .fetch_add(1, Ordering::Relaxed);
+        response.render_into(&mut conn.out, false);
+        conn.parser.reset();
+        conn.close_after_flush = true;
+    }
+
     /// Answer one request. The decision endpoints render their `200`
     /// straight into `out` (head and body, honoring `keep_alive`) and
     /// return `None`; every other answer — and every error — comes back as
@@ -1229,7 +1255,7 @@ impl Worker {
         let batch = match (request.method, request.target) {
             ("POST", "/v1/decisions") => false,
             ("POST", "/v1/decisions:batch") => true,
-            _ => return Some(self.route_other(request).unwrap_or_else(|refusal| refusal)),
+            _ => return Some(self.route_other(request)),
         };
         // The hot path. One pin covers the whole request: every
         // decision of a batch (surrogate payloads included) reflects
@@ -1248,50 +1274,31 @@ impl Worker {
         }
     }
 
-    /// Every endpoint that is not a decision: cold enough to build its
-    /// answer as an owned [`HttpResponse`], which is the answer on either
-    /// side of the `Result` (`Err` is just the early way out of a handler).
-    /// Only `/v1/snapshot` and `/v1/revisions` take a query; any other
-    /// target carrying one is no route at all.
-    fn route_other(&self, request: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
-        let (path, query) = match request.target.split_once('?') {
-            Some((path, query)) => (path, Some(query)),
-            None => (request.target, None),
-        };
-        match (request.method, path, query) {
-            ("GET", "/healthz", None) => Ok(HttpResponse::text("ok")),
-            ("GET", "/v1/keys", None) => Ok(self.keys()),
-            ("POST", "/v1/observations", None) => Self::observe(self.admin()?, request),
-            ("POST", "/v1/commit", None) => Self::commit(self.admin()?),
-            ("GET", "/v1/snapshot", None) => Self::export_snapshot(self.admin()?),
-            ("PUT", "/v1/snapshot", None) => Self::import_snapshot(self.admin()?, request),
-            ("GET", "/v1/snapshot", Some(query)) => self.delta_snapshot(request, query),
-            ("GET", "/v1/revisions", query) => self.revisions(request, query),
-            ("POST", "/v1/tick", None) => Self::tick(self.admin()?),
-            ("GET", "/v1/stats", None) => self.stats(),
-            (_, "/v1/revisions", _)
-            | (_, "/v1/snapshot", _)
-            | (
-                _,
-                "/healthz"
-                | "/v1/decisions"
-                | "/v1/decisions:batch"
-                | "/v1/keys"
-                | "/v1/observations"
-                | "/v1/commit"
-                | "/v1/tick"
-                | "/v1/stats",
-                None,
-            ) => Err(HttpResponse::error(
-                405,
-                "Method Not Allowed",
-                &format!("{} does not support {}", request.target, request.method),
-            )),
-            _ => Err(HttpResponse::error(
-                404,
-                "Not Found",
-                &format!("no route {}", request.target),
-            )),
+    /// Every request [`Worker::route`] does not answer inline, answered
+    /// from [`ROUTES`] out of line so that cold code never shapes the hot
+    /// path. A target is keyed by its path, and its `?` if it has a query;
+    /// a key with no entry for the method is `405`, one with no entry
+    /// `404`. A decision route can only match here by its path, never by
+    /// its method too: `route` has answered its exact target already.
+    #[cold]
+    #[inline(never)]
+    fn route_other(&self, request: &RequestView<'_>) -> HttpResponse {
+        let target = request.target;
+        let key = target.find('?').map_or(target, |at| &target[..=at]);
+        let mut known = false;
+        for &Route(method, _, handler) in ROUTES.iter().filter(|route| route.1 == key) {
+            match handler {
+                Some(handler) if method == request.method => {
+                    return handler(self, request).unwrap_or_else(|refusal| refusal)
+                }
+                _ => known = true,
+            }
+        }
+        if known {
+            let detail = format!("{target} does not support {}", request.method);
+            HttpResponse::error(405, "Method Not Allowed", &detail)
+        } else {
+            HttpResponse::error(404, "Not Found", &format!("no route {target}"))
         }
     }
 
@@ -1314,6 +1321,8 @@ impl Worker {
     /// protocol the request spoke: a binary shed frame for binary
     /// requests, the JSON `{"error", "retry_after"}` body otherwise. Both
     /// carry the `Retry-After` header and keep the connection alive.
+    #[cold]
+    #[inline(never)]
     fn shed_response(&self, request: &RequestView<'_>) -> HttpResponse {
         if request.header("content-type") == Some(wire::BINARY_CONTENT_TYPE) {
             let mut response = HttpResponse::bytes(
@@ -1332,22 +1341,20 @@ impl Worker {
     /// `GET /v1/keys`: the key-interning handshake. The reply's `keys[i]`
     /// is the string with id `i` in the pinned table; `epoch` scopes the
     /// ids' validity.
-    fn keys(&self) -> HttpResponse {
+    fn keys(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
         let pin = self.reader.pin();
         let table = pin.table();
-        HttpResponse::json(wire::keys_to_json(
+        Ok(HttpResponse::json(wire::keys_to_json(
             table.keys_epoch(),
             table.version(),
             table.keys(),
-        ))
+        )))
     }
 
     /// `POST /v1/observations`: the batch goes to the admin thread only
     /// once the whole body has decoded, so a bad row applies nothing.
-    fn observe(
-        admin: &Sender<AdminMsg>,
-        request: &RequestView<'_>,
-    ) -> Result<HttpResponse, HttpResponse> {
+    fn observe(&self, request: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
+        let admin = self.admin()?;
         let observations =
             wire::decode_observation_batch(decide::body_text(request)?).map_err(bad_request)?;
         let (accepted, skipped, pending) =
@@ -1360,8 +1367,8 @@ impl Worker {
         Ok(HttpResponse::json(object(reply).render()))
     }
 
-    fn commit(admin: &Sender<AdminMsg>) -> Result<HttpResponse, HttpResponse> {
-        let (stats, version) = admin_call(admin, AdminMsg::Commit)?;
+    fn commit(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
+        let (stats, version) = admin_call(self.admin()?, AdminMsg::Commit)?;
         Ok(HttpResponse::json(
             wire::commit_to_json(&stats, version).render(),
         ))
@@ -1369,8 +1376,8 @@ impl Worker {
 
     /// `POST /v1/tick`: run one scheduler tick on the admin thread. A
     /// server with no scheduler attached answers `400`.
-    fn tick(admin: &Sender<AdminMsg>) -> Result<HttpResponse, HttpResponse> {
-        let summary = admin_call(admin, AdminMsg::Tick)?
+    fn tick(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
+        let summary = admin_call(self.admin()?, AdminMsg::Tick)?
             .ok_or_else(|| bad_request("no scheduler attached"))?;
         let reply = numbers(&[
             ("epoch", summary.epoch),
@@ -1387,14 +1394,12 @@ impl Worker {
     /// to set a `Content-Type` on, `Accept:` [`wire::BINARY_CONTENT_TYPE`]
     /// selects the binary frames. An inverted range is a `400`, a range
     /// whose ends are not span boundaries of the bounded ring a `404`.
-    fn revisions(
-        &self,
-        request: &RequestView<'_>,
-        query: Option<&str>,
-    ) -> Result<HttpResponse, HttpResponse> {
+    fn revisions(&self, request: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
         let binary = request.header("accept") == Some(wire::BINARY_CONTENT_TYPE);
-        let range = query
-            .map(|query| single_param(query, "diff", parse_diff_range))
+        let range = request
+            .target
+            .split_once('?')
+            .map(|(_, query)| single_param(query, "diff", parse_diff_range))
             .transpose()
             .map_err(bad_request)?;
         let pin = self.reader.pin();
@@ -1432,11 +1437,11 @@ impl Worker {
     /// bounded ring the answer is `410 Gone` whose body is a *full* snapshot
     /// envelope — the typed re-bootstrap signal — so a lagging follower
     /// recovers in the same round trip that told it the diff is gone.
-    fn delta_snapshot(
-        &self,
-        request: &RequestView<'_>,
-        query: &str,
-    ) -> Result<HttpResponse, HttpResponse> {
+    fn delta_snapshot(&self, request: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
+        let query = request
+            .target
+            .split_once('?')
+            .map_or("", |(_, query)| query);
         let binary = request.header("accept") == Some(wire::BINARY_CONTENT_TYPE);
         let parse_since = |value: &str| {
             http::parse_digits(value).ok_or_else(|| format!("bad snapshot version {value:?}"))
@@ -1471,14 +1476,13 @@ impl Worker {
         }
     }
 
-    fn export_snapshot(admin: &Sender<AdminMsg>) -> Result<HttpResponse, HttpResponse> {
-        Ok(HttpResponse::json(admin_call(admin, AdminMsg::Export)?))
+    fn export_snapshot(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
+        let snapshot = admin_call(self.admin()?, AdminMsg::Export)?;
+        Ok(HttpResponse::json(snapshot))
     }
 
-    fn import_snapshot(
-        admin: &Sender<AdminMsg>,
-        request: &RequestView<'_>,
-    ) -> Result<HttpResponse, HttpResponse> {
+    fn import_snapshot(&self, request: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
+        let admin = self.admin()?;
         let text = std::str::from_utf8(request.body)
             .map_err(|_| bad_request("snapshot is not valid utf-8"))?;
         // Parse + structural validation happen here on the worker, so the
@@ -1494,165 +1498,6 @@ impl Worker {
         ]));
         Ok(HttpResponse::json(object(reply).render()))
     }
-
-    /// `GET /v1/stats` for either role. `"workers"` and `"admission"` are
-    /// one document; the head is the writer's [`ServiceStats`] on a
-    /// primary (one admin round trip) and the pinned table's counts on a
-    /// replica. The sections after them are the role's own, and the last,
-    /// `"replication"`, ends in one block for both roles: the pinned
-    /// table's ring and the snapshots this server has served.
-    fn stats(&self) -> Result<HttpResponse, HttpResponse> {
-        let load = |gauge: &AtomicU64| gauge.load(Ordering::Relaxed);
-        let mut worker_restarts = 0u64;
-        let mut shed_connections = 0u64;
-        let mut shed_requests = 0u64;
-        let mut snapshot_deltas = 0u64;
-        let mut snapshot_fulls = 0u64;
-        let workers: Vec<Value> = self
-            .counters
-            .iter()
-            .map(|counters| {
-                let restarts = load(&counters.restarts);
-                let conns_shed = load(&counters.shed_connections);
-                let requests_shed = load(&counters.shed_requests);
-                worker_restarts += restarts;
-                shed_connections += conns_shed;
-                shed_requests += requests_shed;
-                snapshot_deltas += load(&counters.snapshot_deltas);
-                snapshot_fulls += load(&counters.snapshot_fulls);
-                object(numbers(&[
-                    ("requests", load(&counters.requests)),
-                    ("decisions", load(&counters.decisions)),
-                    ("errors", load(&counters.errors)),
-                    ("accept_failures", load(&counters.accept_failures)),
-                    ("restarts", restarts),
-                    ("shed_connections", conns_shed),
-                    ("shed_requests", requests_shed),
-                ]))
-            })
-            .collect();
-        let admission = object(numbers(&[
-            ("active_connections", load(&self.gauges.active_connections)),
-            ("inflight", load(&self.gauges.inflight)),
-            ("max_connections", self.max_connections as u64),
-            ("max_inflight", self.max_inflight as u64),
-            ("worker_restarts", worker_restarts),
-            ("shed_connections", shed_connections),
-            ("shed_requests", shed_requests),
-        ]));
-        let pin;
-        let (head, mut sections, mut replication) = match &self.role {
-            Role::Primary { admin, recovery } => {
-                let stats = admin_call(admin, AdminMsg::Stats)?;
-                let mut sections = Vec::new();
-                if let Some(generation) = stats.generation {
-                    let journal = stats.journal.unwrap_or_default();
-                    let mut durability = vec![
-                        ("generation", Value::number_u64(generation)),
-                        (
-                            "journal",
-                            object(numbers(&[
-                                ("appended", journal.appended),
-                                ("synced", journal.synced),
-                                ("syncs", journal.syncs),
-                                ("write_errors", journal.write_errors),
-                                ("sync_errors", journal.sync_errors),
-                                ("rotations", journal.rotations),
-                                ("bytes", journal.bytes),
-                            ])),
-                        ),
-                    ];
-                    if let Some(recovery) = recovery {
-                        let mut report = vec![
-                            ("generation", Value::number_u64(recovery.generation)),
-                            ("restored_snapshot", Value::Bool(recovery.restored_snapshot)),
-                        ];
-                        report.extend(numbers(&[
-                            ("snapshot_observations", recovery.snapshot_observations),
-                            ("replayed_records", recovery.replayed_records),
-                            ("replayed_commits", recovery.replayed_commits),
-                            ("torn_bytes", recovery.torn_bytes),
-                        ]));
-                        durability.push(("recovery", object(report)));
-                    }
-                    sections.push(("durability", object(durability)));
-                }
-                if let Some((scheduler, last_tick_micros)) = stats.scheduler {
-                    let mut gauges = numbers(&[
-                        ("epoch", scheduler.epoch),
-                        ("ticks", scheduler.ticks),
-                        ("last_tick_micros", last_tick_micros),
-                        ("rotated_cdn_scripts", scheduler.rotated_cdn_scripts),
-                        ("rotated_paths", scheduler.rotated_paths),
-                        ("emerged_pixels", scheduler.emerged_pixels),
-                        ("drift_events", scheduler.drift_events),
-                    ]);
-                    gauges.push((
-                        "retention",
-                        object(numbers(&[
-                            ("probes", scheduler.retention_probes),
-                            ("hits", scheduler.retention_hits),
-                        ])),
-                    ));
-                    sections.push(("scheduler", object(gauges)));
-                }
-                // Pinned after the admin's reply, so the ring is never older
-                // than the version that reply reports.
-                pin = self.reader.pin();
-                let role = vec![("role", Value::String("primary".to_string()))];
-                (wire::service_stats_to_json(&stats.service), sections, role)
-            }
-            Role::Replica(status) => {
-                pin = self.reader.pin();
-                let table = pin.table();
-                let mut role = vec![
-                    ("role", Value::String("replica".to_string())),
-                    ("upstream", Value::String(status.upstream().to_string())),
-                ];
-                role.extend(numbers(&[
-                    ("applied_version", status.applied_version()),
-                    ("polls", load(&status.polls)),
-                    ("deltas_applied", load(&status.deltas_applied)),
-                    ("bootstraps", status.bootstraps()),
-                    ("sync_errors", status.sync_errors()),
-                ]));
-                let head = object(numbers(&[
-                    ("version", table.version()),
-                    ("committed", table.committed()),
-                    ("residue", table.unattributed()),
-                ]));
-                (head, Vec::new(), role)
-            }
-        };
-        let ring = pin.table().revisions();
-        let span = numbers(&[
-            ("len", ring.len() as u64),
-            ("oldest", ring.first().map_or(0, |oldest| oldest.version())),
-            ("newest", ring.last().map_or(0, |newest| newest.version())),
-        ]);
-        let served = numbers(&[("deltas", snapshot_deltas), ("fulls", snapshot_fulls)]);
-        replication.extend([("ring", object(span)), ("snapshots", object(served))]);
-        sections.push(("replication", object(replication)));
-        let Value::Object(mut fields) = head else {
-            unreachable!("both heads are built by `object`");
-        };
-        fields.push(("workers".to_string(), Value::Array(workers)));
-        fields.push(("admission".to_string(), admission));
-        fields.extend(
-            sections
-                .into_iter()
-                .map(|(name, section)| (name.to_string(), section)),
-        );
-        Ok(HttpResponse::json(Value::Object(fields).render()))
-    }
-}
-
-/// Named numbers as the fields of a JSON [`object`], in the order given.
-fn numbers<'n>(fields: &[(&'n str, u64)]) -> Vec<(&'n str, Value)> {
-    fields
-        .iter()
-        .map(|&(name, count)| (name, Value::number_u64(count)))
-        .collect()
 }
 
 /// Round-trip a message to the admin thread; the `500` means it is gone.

@@ -12,7 +12,7 @@ use trackersift_server::client::{Client, RetryPolicy, RetryingClient};
 use trackersift_server::wire::{
     self, BinaryKeys, BinaryRecord, DecisionMessage, ObservationMessage,
 };
-use trackersift_server::{DurabilityConfig, ReplicaStatus, ServerConfig, VerdictServer};
+use trackersift_server::{DurabilityConfig, ReplicaStatus, ServerConfig, VerdictServer, ROUTES};
 
 /// The filter list a server labels `POST /v1/observations` rows with: two
 /// tracker domains, and a tracking pixel on any host.
@@ -1373,6 +1373,42 @@ fn revisions_endpoint_matches_in_process_ring() {
     let diff = client.fetch_revision_diff(1, 2).expect("binary diff");
     assert_eq!(diff, local_diff);
 
+    server.shutdown();
+}
+
+/// Every entry of `ROUTES` is answered by its handler, every path it names
+/// refuses a method it lacks with `405`, and a query is a route only on the
+/// two paths that take one.
+#[test]
+fn the_route_table_answers_every_entry_and_refuses_the_rest() {
+    let server = start_server(trained_sifter());
+    // Errors close the connection, so each request reconnects.
+    let status = |method: &str, target: &str| {
+        let mut client = Client::connect(server.local_addr());
+        let (status, body) = client.request(method, target, None);
+        (status, format!("{method} {target}: {status} {body}"))
+    };
+    for route in &ROUTES {
+        let (method, path) = (route.0, route.1);
+        // A query-taking path gets a query its handler refuses with `400`.
+        let query = if path.ends_with('?') { "x=1" } else { "" };
+        let target = format!("{path}{query}");
+        let (code, seen) = status(method, &target);
+        assert!(code != 404 && code != 405, "{seen}");
+        let (code, seen) = status("DELETE", &target);
+        assert_eq!(code, 405, "{seen}");
+    }
+    let cases = [
+        ("PUT", "/v1/snapshot?since=1", 405),
+        ("DELETE", "/v1/snapshot?since=1", 405),
+        ("GET", "/healthz?probe=1", 404),
+        ("POST", "/v1/decisions?x=1", 404),
+        ("GET", "/v1/decisions", 405),
+    ];
+    for (method, target, expected) in cases {
+        let (code, seen) = status(method, target);
+        assert_eq!(code, expected, "{seen}");
+    }
     server.shutdown();
 }
 
