@@ -30,14 +30,24 @@ use crate::label::LabeledRequest;
 use trackersift_engine::{classify_rows, Granularity, HierarchyResult, HierarchyRow, Thresholds};
 
 impl HierarchyRow for LabeledRequest {
-    fn keys(&self) -> (&str, &str, &str, &str, bool) {
-        (
-            &self.domain,
-            &self.hostname,
-            &self.initiator_script,
-            &self.initiator_method,
-            self.is_tracking(),
-        )
+    fn domain(&self) -> &str {
+        &self.domain
+    }
+
+    fn hostname(&self) -> &str {
+        &self.hostname
+    }
+
+    fn script(&self) -> &str {
+        &self.initiator_script
+    }
+
+    fn method(&self) -> &str {
+        &self.initiator_method
+    }
+
+    fn is_tracking(&self) -> bool {
+        self.label.is_tracking()
     }
 }
 

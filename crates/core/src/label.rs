@@ -22,10 +22,12 @@
 //! worker's contiguous chunk of it — shares one [`RequestScratch`].
 //!
 //! A labeled request copies no string and no stack either. The crawl
-//! allocated every string once per page load — the page URL, each script
-//! URL, each method name, each request URL — as an `Arc<str>`, and each
-//! call site's stack once as an `Arc<[StackFrame]>`; [`LabeledRequest`]
-//! points at those same allocations. The two derived keys are allocated
+//! wrote every string of a page load — the page URL, each script URL, each
+//! method name, each request URL — into the load's one text buffer, and
+//! each call site's stack once into the load's one frame buffer: five
+//! allocations a load, 2,539 for the 500-site study crawl. A
+//! [`LabeledRequest`] holds spans of those same buffers ([`Text`],
+//! [`CallStack`]). The two derived keys are allocated
 //! once per run: each distinct hostname once, each registrable domain once,
 //! shared by every request of the run. A run writes its rows into one
 //! vector sized up front, so the 500-site study crawl (23,296 rows, 741
@@ -41,7 +43,7 @@
 //! [`Sifter::apply`](crate::Sifter::apply) keeps per commit interval. The
 //! [`Labeler`] and the decision backstop never consult it.
 
-use crawler::{CrawlDatabase, SiteCrawl, StackFrame};
+use crawler::{CallStack, CrawlDatabase, SiteCrawl, Text};
 use filterlist::tokens::TokenHashBuilder;
 use filterlist::{hostname_of, FilterEngine, RequestLabel, RequestScratch, ResourceType};
 use std::collections::{HashMap, HashSet};
@@ -55,9 +57,9 @@ pub struct LabeledRequest {
     /// Unique request id from the crawl.
     pub request_id: u64,
     /// URL of the page that issued the request.
-    pub top_level_url: Arc<str>,
+    pub top_level_url: Text,
     /// The request URL.
-    pub url: Arc<str>,
+    pub url: Text,
     /// Registrable domain (eTLD+1) of the request URL.
     pub domain: Arc<str>,
     /// Hostname of the request URL.
@@ -65,12 +67,12 @@ pub struct LabeledRequest {
     /// Resource type.
     pub resource_type: ResourceType,
     /// URL of the script that initiated the request (innermost stack frame).
-    pub initiator_script: Arc<str>,
+    pub initiator_script: Text,
     /// Name of the method that initiated the request (innermost frame).
-    pub initiator_method: Arc<str>,
+    pub initiator_method: Text,
     /// The full stack, innermost first: the crawl record's own frames,
     /// shared with every request of the same call site.
-    pub stack: Arc<[StackFrame]>,
+    pub stack: CallStack,
     /// The oracle label.
     pub label: RequestLabel,
 }
@@ -228,14 +230,20 @@ impl<'a> Labeler<'a> {
         let mut last: Option<(Arc<str>, Arc<str>)> = None;
         // Requests of one site overwhelmingly share their top-level URL; a
         // one-entry memo avoids re-parsing it per request.
-        let mut page_host_memo: Option<(&str, &str)> = None;
+        // The page URL is compared by span first, which settles every row
+        // of one load, and by bytes only across loads.
+        let mut page_host_memo: Option<(&Text, &str)> = None;
         for request in sites.iter().flat_map(|site| &site.requests) {
             let Some(frame) = request.call_stack.initiator_frame() else {
                 stats.excluded_non_script += 1;
                 continue;
             };
             let page_host = match page_host_memo {
-                Some((top, host)) if *top == *request.top_level_url => host,
+                Some((top, host))
+                    if top.same_span(&request.top_level_url) || **top == *request.top_level_url =>
+                {
+                    host
+                }
                 _ => {
                     let host = hostname_of(&request.top_level_url);
                     page_host_memo = Some((&request.top_level_url, host));
@@ -265,14 +273,14 @@ impl<'a> Labeler<'a> {
             }
             out.push(LabeledRequest {
                 request_id: request.request_id,
-                top_level_url: Arc::clone(&request.top_level_url),
-                url: Arc::clone(&request.url),
+                top_level_url: request.top_level_url.clone(),
+                url: request.url.clone(),
                 domain,
                 hostname,
                 resource_type: request.resource_type,
-                initiator_script: Arc::clone(&frame.script_url),
-                initiator_method: Arc::clone(&frame.function_name),
-                stack: Arc::clone(&request.call_stack.frames),
+                initiator_script: frame.script_url.clone(),
+                initiator_method: frame.function_name.clone(),
+                stack: request.call_stack.clone(),
                 label,
             });
         }
@@ -421,15 +429,11 @@ mod tests {
                 .call_stack
                 .initiator_frame()
                 .expect("script-initiated");
-            assert!(Arc::ptr_eq(&request.url, &record.url));
-            assert!(Arc::ptr_eq(&request.top_level_url, &record.top_level_url));
-            assert!(Arc::ptr_eq(&request.initiator_script, &frame.script_url));
-            assert!(Arc::ptr_eq(&request.initiator_method, &frame.function_name));
-            assert!(Arc::ptr_eq(&request.stack, &record.call_stack.frames));
-            for (labeled, crawled) in request.stack.iter().zip(record.call_stack.frames.iter()) {
-                assert!(Arc::ptr_eq(&labeled.script_url, &crawled.script_url));
-                assert!(Arc::ptr_eq(&labeled.function_name, &crawled.function_name));
-            }
+            assert!(request.url.same_span(&record.url));
+            assert!(request.top_level_url.same_span(&record.top_level_url));
+            assert!(request.initiator_script.same_span(&frame.script_url));
+            assert!(request.initiator_method.same_span(&frame.function_name));
+            assert!(request.stack.same_span(&record.call_stack));
         }
         // The derived keys exist once per run: across the whole sequential
         // crawl, and within each worker's contiguous chunk of sites.

@@ -105,7 +105,6 @@ mod tests {
     use crate::label::LabeledRequest;
     use crawler::StackFrame;
     use filterlist::{RequestLabel, ResourceType};
-    use std::sync::Arc;
 
     fn req(
         domain: &str,
@@ -123,7 +122,7 @@ mod tests {
             resource_type: ResourceType::Xhr,
             initiator_script: script.into(),
             initiator_method: method.into(),
-            stack: Arc::from([StackFrame::new(script, method)]),
+            stack: vec![StackFrame::new(script, method)].into(),
             label: if tracking {
                 RequestLabel::Tracking
             } else {

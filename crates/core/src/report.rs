@@ -246,7 +246,6 @@ mod tests {
     use crate::metrics::headline;
     use crawler::StackFrame;
     use filterlist::{RequestLabel, ResourceType};
-    use std::sync::Arc;
 
     fn req(domain: &str, tracking: bool) -> LabeledRequest {
         LabeledRequest {
@@ -258,7 +257,7 @@ mod tests {
             resource_type: ResourceType::Xhr,
             initiator_script: "https://www.pub.com/app.js".into(),
             initiator_method: "m".into(),
-            stack: Arc::from([StackFrame::new("https://www.pub.com/app.js", "m")]),
+            stack: vec![StackFrame::new("https://www.pub.com/app.js", "m")].into(),
             label: if tracking {
                 RequestLabel::Tracking
             } else {

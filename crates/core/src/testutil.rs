@@ -5,7 +5,6 @@
 use crate::label::LabeledRequest;
 use crawler::StackFrame;
 use filterlist::{RequestLabel, ResourceType};
-use std::sync::Arc;
 
 /// A hand-built labeled request with explicit attribution keys.
 pub(crate) fn labeled_request(
@@ -24,7 +23,7 @@ pub(crate) fn labeled_request(
         resource_type: ResourceType::Xhr,
         initiator_script: script.into(),
         initiator_method: method.into(),
-        stack: Arc::from([StackFrame::new(script, method)]),
+        stack: vec![StackFrame::new(script, method)].into(),
         label: if tracking {
             RequestLabel::Tracking
         } else {

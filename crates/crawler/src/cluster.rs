@@ -88,12 +88,19 @@ pub fn par_map<T: Sync, R: Send>(
     })
 }
 
-/// Load one site in a fresh simulator (stateless crawling). The request-id
-/// space is partitioned by rank, so ids are globally unique and
-/// deterministic.
-fn crawl_site(site: &Website) -> SiteCrawl {
-    let mut sim = PageLoadSimulator::new((site.rank as u64) * 1_000_000);
-    SiteCrawl::from_load(sim.load(site))
+/// Load a run of sites, each in its own page load (stateless crawling),
+/// through one simulator whose buffers every load reuses. A site's
+/// request-id space is partitioned by its rank, so ids are globally unique
+/// and deterministic.
+fn crawl_run(sites: &[Website]) -> Vec<SiteCrawl> {
+    let mut sim = PageLoadSimulator::default();
+    sites
+        .iter()
+        .map(|site| {
+            sim.restart_ids((site.rank as u64) * 1_000_000);
+            SiteCrawl::from_load(sim.load(site))
+        })
+        .collect()
 }
 
 impl CrawlCluster {
@@ -105,12 +112,23 @@ impl CrawlCluster {
     /// Crawl every website in the corpus with no blocking, into one
     /// record per site in corpus order.
     ///
-    /// Each site's request ids are derived from its rank, so results do not
-    /// depend on scheduling.
+    /// Each worker crawls one contiguous run of sites, and each site's
+    /// request ids are derived from its rank, so results do not depend on
+    /// scheduling.
     pub fn crawl(&self, corpus: &WebCorpus) -> CrawlDatabase {
-        CrawlDatabase {
-            sites: par_map(&corpus.websites, self.config.workers, crawl_site),
+        let websites = &corpus.websites;
+        let workers = self.config.workers.min(websites.len());
+        if workers <= 1 {
+            return CrawlDatabase {
+                sites: crawl_run(websites),
+            };
         }
+        let runs: Vec<&[Website]> = websites.chunks(websites.len().div_ceil(workers)).collect();
+        let mut sites = Vec::with_capacity(websites.len());
+        for run in par_map(&runs, workers, |run| crawl_run(run)) {
+            sites.extend(run);
+        }
+        CrawlDatabase { sites }
     }
 }
 
@@ -180,8 +198,8 @@ mod tests {
             fold(request.url.as_bytes());
             fold(request.resource_type.option_name().as_bytes());
             let stack = &request.call_stack;
-            fold(&(stack.frames.len() as u64).to_le_bytes());
-            for frame in stack.frames.iter() {
+            fold(&(stack.len() as u64).to_le_bytes());
+            for frame in stack.iter() {
                 fold(frame.script_url.as_bytes());
                 fold(frame.function_name.as_bytes());
             }

@@ -47,5 +47,5 @@ pub use trackersift_json as json;
 
 pub use cluster::{par_map, ClusterConfig, CrawlCluster};
 pub use database::{CrawlDatabase, SiteCrawl};
-pub use events::{CallStack, RequestWillBeSent, StackFrame};
+pub use events::{CallStack, RequestWillBeSent, StackFrame, Text};
 pub use page_load::{LoadOptions, PageLoadResult, PageLoadSimulator};

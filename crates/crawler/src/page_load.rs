@@ -13,7 +13,7 @@
 //! issued and the features depending on it break). This is what the
 //! breakage analysis (paper Table 3) exercises.
 
-use crate::events::{CallStack, RequestWillBeSent, StackFrame};
+use crate::events::{span_len, CallStack, RequestWillBeSent, Span, StackFrame, Text};
 use filterlist::ResourceType;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -43,6 +43,10 @@ impl LoadOptions {
             blocked_script_urls: urls.into_iter().map(Into::into).collect(),
         }
     }
+
+    fn blocks(&self, script: &PageScript) -> bool {
+        self.blocked_script_urls.contains(script.origin.url())
+    }
 }
 
 /// The outcome of loading one page.
@@ -56,10 +60,13 @@ pub struct PageLoadResult {
 }
 
 /// The page-load simulator. Stateless between loads (the paper's crawler
-/// clears all cookies and local state between consecutive crawls).
+/// clears all cookies and local state between consecutive crawls): what it
+/// keeps from one load to the next is the request-id counter and buffers
+/// that no load's output depends on.
 #[derive(Debug, Clone, Default)]
 pub struct PageLoadSimulator {
     next_request_id: u64,
+    scratch: LoadScratch,
 }
 
 impl PageLoadSimulator {
@@ -68,7 +75,14 @@ impl PageLoadSimulator {
     pub fn new(first_request_id: u64) -> Self {
         PageLoadSimulator {
             next_request_id: first_request_id,
+            scratch: LoadScratch::default(),
         }
+    }
+
+    /// Number the next load's requests from `first_request_id`, keeping
+    /// the buffers: one simulator loads a whole run of sites.
+    pub(crate) fn restart_ids(&mut self, first_request_id: u64) {
+        self.next_request_id = first_request_id;
     }
 
     /// Load a page without blocking anything.
@@ -78,75 +92,77 @@ impl PageLoadSimulator {
 
     /// Load a page under the given blocking options.
     ///
-    /// Each call site's stack is built once, in one allocation, and shared
-    /// by every request the call site issues (see [`crate::CallStack`]).
+    /// The load writes every string its records name into one text buffer
+    /// and every call site's frames, once each, into one frame buffer; the
+    /// records hold spans of the two (see [`Text`] and [`CallStack`]). The
+    /// walk itself works in the simulator's reused buffers, so a load
+    /// allocates the two buffers, their two `Arc`s and the record vector,
+    /// however many requests it issues.
     pub fn load_with(&mut self, site: &Website, options: &LoadOptions) -> PageLoadResult {
-        let mut result = PageLoadResult::default();
-        let injections: usize = site.scripts.iter().map(|s| s.loads_scripts.len()).sum();
-        result.requests.reserve(
-            1 + site.non_script_requests.len() + injections + site.script_initiated_request_count(),
-        );
-        // The strings this load's records share: every request points at one
-        // copy of the page URL, every frame at one copy of its script's URL
-        // and of its method's name.
-        let page: Arc<str> = Arc::from(site.url.as_str());
-        let scripts: Vec<ScriptStrings> = site
-            .scripts
-            .iter()
-            .map(|script| ScriptStrings::of(script, &page))
-            .collect();
-        let no_stack = CallStack::default();
+        let scratch = &mut self.scratch;
+        scratch.clear();
+        // The strings the load's frames and records share: one copy of the
+        // page URL, of each script's URL and of each method's name.
+        let page = scratch.write(&site.url);
+        for script in &site.scripts {
+            let url = script.origin.url();
+            let url = if url == site.url {
+                page
+            } else {
+                scratch.write(url)
+            };
+            scratch.scripts.push((url, scratch.methods.len()));
+            for method in &script.methods {
+                let name = scratch.write(&method.name);
+                scratch.methods.push(name);
+            }
+        }
+        // The span of no frames: the stack of a parser-initiated request.
+        let no_stack: Span = (0, 0);
 
         // 1. The document itself.
-        self.emit(
-            &mut result,
-            Arc::clone(&page),
-            &page,
-            ResourceType::Document,
-            no_stack.clone(),
-        );
+        scratch
+            .records
+            .push((page, ResourceType::Document, no_stack));
 
         // 2. Parser-initiated document requests (no call stack). TrackerSift
         //    excludes these downstream; the browser still fetches them.
         for req in &site.non_script_requests {
-            self.emit(
-                &mut result,
-                Arc::from(req.url.as_str()),
-                &page,
-                req.resource_type,
-                no_stack.clone(),
-            );
+            let url = scratch.write(&req.url);
+            scratch.records.push((url, req.resource_type, no_stack));
         }
 
         // 3. Which scripts execute? A blocked script never runs. A script
         //    that is only injected by another (blocked) script never runs
         //    either.
-        let executed = executed_scripts(site, options);
+        scratch.mark_executed(site, options);
 
         // 4. Dynamic script injection: a script listed in `loads_scripts`
         //    of an executing script is fetched *by* that script, so the
         //    fetch itself is a script-initiated request. Every fetch of one
         //    loader comes from its bootstrap frame: one stack per loader.
         for (loader_idx, loader) in site.scripts.iter().enumerate() {
-            if !executed[loader_idx] {
+            if !scratch.executed[loader_idx] {
                 continue;
             }
-            let mut bootstrap: Option<CallStack> = None;
+            let mut bootstrap: Option<Span> = None;
             for &loaded_idx in &loader.loads_scripts {
-                if !executed[loaded_idx] {
+                if !scratch.executed[loaded_idx] {
                     continue;
                 }
-                let loaded_url = &scripts[loaded_idx].url;
-                let stack = bootstrap.get_or_insert_with(|| CallStack {
-                    frames: Arc::from([scripts[loader_idx].bootstrap_frame()]),
-                });
-                self.emit(
-                    &mut result,
-                    Arc::clone(loaded_url),
-                    &page,
-                    ResourceType::Script,
-                    stack.clone(),
-                );
+                let stack = match bootstrap {
+                    Some(stack) => stack,
+                    None => {
+                        let start = scratch.frames.len();
+                        let frame = scratch.bootstrap_frame(site, loader_idx);
+                        scratch.frames.push(frame);
+                        *bootstrap.insert(scratch.stack_since(start))
+                    }
+                };
+                let (loaded_url, _) = scratch.scripts[loaded_idx];
+                scratch
+                    .records
+                    .push((loaded_url, ResourceType::Script, stack));
             }
         }
 
@@ -154,258 +170,267 @@ impl PageLoadSimulator {
         //    its call site's stack. A method's call sites differ only in
         //    `via_caller`, so a short list per method finds the stack a
         //    request shares.
-        let mut call_sites: Vec<(Option<&str>, CallStack)> = Vec::new();
-        let mut frames: Vec<StackFrame> = Vec::new();
         for (idx, script) in site.scripts.iter().enumerate() {
-            if !executed[idx] {
+            if !scratch.executed[idx] {
                 continue;
             }
-            let ancestor_frames = ancestor_stack(site, idx, &executed, &scripts);
+            scratch.ancestor_stack(site, idx);
             for (method_idx, method) in script.methods.iter().enumerate() {
                 if method.requests.is_empty() {
                     continue;
                 }
-                call_sites.clear();
-                let caller_chain = caller_chain(script, method_idx);
-                for request in &method.requests {
+                scratch.call_sites.clear();
+                scratch.caller_chain(script, method_idx);
+                for (request_idx, request) in method.requests.iter().enumerate() {
                     let via_caller = request.via_caller.as_deref();
-                    let known = call_sites.iter().find(|(via, _)| *via == via_caller);
+                    let known = scratch.call_sites.iter().find(|&&(first, _)| {
+                        method.requests[first].via_caller.as_deref() == via_caller
+                    });
                     let stack = match known {
-                        Some((_, stack)) => stack.clone(),
+                        Some(&(_, stack)) => stack,
                         None => {
-                            let stack = build_stack(
-                                &mut frames,
-                                &scripts[idx],
-                                method_idx,
-                                &caller_chain,
-                                &ancestor_frames,
-                                via_caller,
-                            );
-                            call_sites.push((via_caller, stack.clone()));
+                            let stack = scratch.build_stack(script, idx, method_idx, via_caller);
+                            scratch.call_sites.push((request_idx, stack));
                             stack
                         }
                     };
-                    self.emit(
-                        &mut result,
-                        Arc::from(request.url.as_str()),
-                        &page,
-                        request.resource_type,
-                        stack,
-                    );
+                    let url = scratch.write(&request.url);
+                    scratch.records.push((url, request.resource_type, stack));
                 }
             }
         }
 
         // 6. Broken features (used by the breakage analysis): a feature
         //    breaks when one of the scripts it requires did not execute.
-        for feature in &site.features {
-            if feature.required_scripts.iter().any(|&i| !executed[i]) {
-                result
-                    .broken_features
-                    .push((feature.name.clone(), feature.importance));
-            }
-        }
-        result
-    }
+        let broken_features = site
+            .features
+            .iter()
+            .filter(|feature| {
+                feature
+                    .required_scripts
+                    .iter()
+                    .any(|&i| !scratch.executed[i])
+            })
+            .map(|feature| (feature.name.clone(), feature.importance))
+            .collect();
 
-    fn emit(
-        &mut self,
-        result: &mut PageLoadResult,
-        url: Arc<str>,
-        page: &Arc<str>,
-        resource_type: ResourceType,
-        call_stack: CallStack,
-    ) {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        result.requests.push(RequestWillBeSent {
-            request_id,
-            top_level_url: Arc::clone(page),
-            url,
-            resource_type,
-            call_stack,
-        });
-    }
-}
-
-/// One script's URL and method names, allocated once per load; the stack
-/// frames built from them clone pointers.
-struct ScriptStrings {
-    url: Arc<str>,
-    /// Indexed as `PageScript::methods`.
-    methods: Vec<Arc<str>>,
-}
-
-impl ScriptStrings {
-    /// An inline script reports the document's URL: it shares the page's
-    /// copy.
-    fn of(script: &PageScript, page: &Arc<str>) -> Self {
-        let url = script.origin.url();
-        ScriptStrings {
-            url: if url == &**page {
-                Arc::clone(page)
-            } else {
-                Arc::from(url)
-            },
-            methods: script
-                .methods
+        // 7. The records, over the load's two buffers.
+        let text: Arc<Box<str>> = Arc::new(Box::from(scratch.text.as_str()));
+        let frames: Arc<Vec<StackFrame>> = Arc::new(
+            scratch
+                .frames
                 .iter()
-                .map(|m| Arc::from(m.name.as_str()))
+                .map(|&(script_url, function_name)| StackFrame {
+                    script_url: Text::span(&text, script_url),
+                    function_name: Text::span(&text, function_name),
+                })
                 .collect(),
+        );
+        let top_level_url = Text::span(&text, page);
+        let first_id = self.next_request_id;
+        self.next_request_id += scratch.records.len() as u64;
+        let requests = (first_id..)
+            .zip(&scratch.records)
+            .map(
+                |(request_id, &(url, resource_type, stack))| RequestWillBeSent {
+                    request_id,
+                    top_level_url: top_level_url.clone(),
+                    url: Text::span(&text, url),
+                    resource_type,
+                    call_stack: CallStack::span(&frames, stack),
+                },
+            )
+            .collect();
+        PageLoadResult {
+            requests,
+            broken_features,
         }
     }
+}
 
-    /// The frame of this script's method `method_idx`.
-    fn frame(&self, method_idx: usize) -> StackFrame {
-        StackFrame {
-            script_url: Arc::clone(&self.url),
-            function_name: Arc::clone(&self.methods[method_idx]),
-        }
+/// A frame as spans of the load's text: script URL, function name.
+type FrameSpans = (Span, Span);
+
+/// The buffers a load works in, kept by the simulator and reused by its
+/// next load: the text and frames the load copies into its own buffers at
+/// the end, its records as spans, and the walk's per-script and per-method
+/// lists. Nothing here outlives a load's output.
+#[derive(Debug, Clone, Default)]
+struct LoadScratch {
+    /// Every string the load's records name, end to end.
+    text: String,
+    /// Every call site's frames, call site after call site.
+    frames: Vec<FrameSpans>,
+    /// Each record's URL, resource type and stack, in emission order.
+    records: Vec<(Span, ResourceType, Span)>,
+    /// Each script's URL and the index of its first method's name in
+    /// `methods`, indexed as `Website::scripts`.
+    scripts: Vec<(Span, usize)>,
+    /// Every script's method names, script after script.
+    methods: Vec<Span>,
+    /// Whether each script executes; whether another script injects it.
+    executed: Vec<bool>,
+    injected: Vec<bool>,
+    /// The bootstrap frames of the scripts that injected the current one.
+    ancestors: Vec<FrameSpans>,
+    /// The callers of the current method within its script, outermost last.
+    caller_chain: Vec<usize>,
+    /// The current method's call sites: the first request each `via_caller`
+    /// was met on, and the stack it built.
+    call_sites: Vec<(usize, Span)>,
+}
+
+impl LoadScratch {
+    fn clear(&mut self) {
+        self.text.clear();
+        self.frames.clear();
+        self.records.clear();
+        self.scripts.clear();
+        self.methods.clear();
+    }
+
+    /// Append `text` to the load's text and return its span.
+    fn write(&mut self, text: &str) -> Span {
+        let start = span_len(self.text.len());
+        self.text.push_str(text);
+        (start, span_len(text.len()))
+    }
+
+    /// The frames pushed since `start`, as one stack.
+    fn stack_since(&self, start: usize) -> Span {
+        (span_len(start), span_len(self.frames.len() - start))
+    }
+
+    /// The frame of method `method_idx` of script `script_idx`.
+    fn frame(&self, script_idx: usize, method_idx: usize) -> FrameSpans {
+        let (url, first_method) = self.scripts[script_idx];
+        (url, self.methods[first_method + method_idx])
     }
 
     /// The frame an injecting call comes from: the script's first method
     /// (bootstrap), anonymous when it has none.
-    fn bootstrap_frame(&self) -> StackFrame {
-        let function_name = self
-            .methods
-            .first()
-            .map_or_else(|| Arc::from(""), Arc::clone);
-        StackFrame {
-            script_url: Arc::clone(&self.url),
-            function_name,
+    fn bootstrap_frame(&self, site: &Website, script_idx: usize) -> FrameSpans {
+        if site.scripts[script_idx].methods.is_empty() {
+            (self.scripts[script_idx].0, (0, 0))
+        } else {
+            self.frame(script_idx, 0)
         }
     }
-}
 
-/// Which scripts execute under the blocking options. A script executes when
-/// its own URL is not blocked AND (it is statically included, i.e. nothing
-/// loads it dynamically, OR at least one of its loaders executes).
-fn executed_scripts(site: &Website, options: &LoadOptions) -> Vec<bool> {
-    let n = site.scripts.len();
-    // loaded_by[i] = scripts that dynamically inject script i.
-    let mut loaded_by: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (loader, script) in site.scripts.iter().enumerate() {
-        for &loaded in &script.loads_scripts {
-            if loaded < n {
-                loaded_by[loaded].push(loader);
+    /// Which scripts execute under the blocking options, into `executed`.
+    /// A script executes when its own URL is not blocked AND (it is
+    /// statically included, i.e. nothing loads it dynamically, OR at least
+    /// one of its loaders executes).
+    fn mark_executed(&mut self, site: &Website, options: &LoadOptions) {
+        let n = site.scripts.len();
+        self.injected.clear();
+        self.injected.resize(n, false);
+        for script in &site.scripts {
+            for &loaded in &script.loads_scripts {
+                if loaded < n {
+                    self.injected[loaded] = true;
+                }
+            }
+        }
+        // Fixed point: start from the statically-included, unblocked
+        // scripts, then propagate through dynamic injection.
+        self.executed.clear();
+        self.executed.extend(
+            (site.scripts.iter().zip(&self.injected))
+                .map(|(script, &injected)| !injected && !options.blocks(script)),
+        );
+        loop {
+            let mut changed = false;
+            for (loader, script) in site.scripts.iter().enumerate() {
+                if !self.executed[loader] {
+                    continue;
+                }
+                for &loaded in &script.loads_scripts {
+                    if loaded < n
+                        && !self.executed[loaded]
+                        && !options.blocks(&site.scripts[loaded])
+                    {
+                        self.executed[loaded] = true;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
             }
         }
     }
-    // Fixed-point: start by assuming statically-included, unblocked scripts
-    // run, then propagate through dynamic injection.
-    let mut executed = vec![false; n];
-    for (i, script) in site.scripts.iter().enumerate() {
-        if loaded_by[i].is_empty() && !options.blocked_script_urls.contains(script.origin.url()) {
-            executed[i] = true;
-        }
-    }
-    loop {
-        let mut changed = false;
-        for (i, script) in site.scripts.iter().enumerate() {
-            if executed[i] || loaded_by[i].is_empty() {
-                continue;
-            }
-            if options.blocked_script_urls.contains(script.origin.url()) {
-                continue;
-            }
-            if loaded_by[i].iter().any(|&l| executed[l]) {
-                executed[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    executed
-}
 
-/// Frames contributed by the scripts that (transitively) injected `idx`.
-fn ancestor_stack(
-    site: &Website,
-    idx: usize,
-    executed: &[bool],
-    scripts: &[ScriptStrings],
-) -> Vec<StackFrame> {
-    let mut frames = Vec::new();
-    let mut current = idx;
-    let mut guard = 0;
-    loop {
-        guard += 1;
-        if guard > site.scripts.len() {
-            break; // cycle guard; generator never creates cycles
-        }
-        let loader = site
-            .scripts
-            .iter()
-            .enumerate()
-            .find(|(l, s)| executed[*l] && s.loads_scripts.contains(&current))
-            .map(|(l, _)| l);
-        match loader {
-            Some(l) => {
-                frames.push(scripts[l].bootstrap_frame());
-                current = l;
+    /// The frames contributed by the scripts that (transitively) injected
+    /// `idx`, into `ancestors`.
+    fn ancestor_stack(&mut self, site: &Website, idx: usize) {
+        self.ancestors.clear();
+        let mut current = idx;
+        for _ in 0..site.scripts.len() {
+            // The bound is a cycle guard; the generator never creates cycles.
+            let loader = (site.scripts.iter().enumerate())
+                .find(|(l, s)| self.executed[*l] && s.loads_scripts.contains(&current))
+                .map(|(l, _)| l);
+            match loader {
+                Some(l) => {
+                    let frame = self.bootstrap_frame(site, l);
+                    self.ancestors.push(frame);
+                    current = l;
+                }
+                None => break,
             }
-            None => break,
         }
     }
-    frames
-}
 
-/// The chain of callers of `method_idx` within the same script (a method
-/// whose `callees` list contains `method_idx`), outermost last.
-fn caller_chain(script: &PageScript, method_idx: usize) -> Vec<usize> {
-    let mut chain = Vec::new();
-    let mut current = method_idx;
-    let mut guard = 0;
-    loop {
-        guard += 1;
-        if guard > script.methods.len() {
-            break;
-        }
-        match script
-            .methods
-            .iter()
-            .enumerate()
-            .find(|(_, m)| m.callees.contains(&current))
-        {
-            Some((caller, _)) => {
-                chain.push(caller);
-                current = caller;
+    /// The chain of callers of `method_idx` within the same script (a
+    /// method whose `callees` list contains `method_idx`), outermost last,
+    /// into `caller_chain`.
+    fn caller_chain(&mut self, script: &PageScript, method_idx: usize) {
+        self.caller_chain.clear();
+        let mut current = method_idx;
+        for _ in 0..script.methods.len() {
+            match script
+                .methods
+                .iter()
+                .position(|m| m.callees.contains(&current))
+            {
+                Some(caller) => {
+                    self.caller_chain.push(caller);
+                    current = caller;
+                }
+                None => break,
             }
-            None => break,
         }
     }
-    chain
-}
 
-/// Build the call stack of one call site of method `method_idx` of
-/// `script`, in one allocation: the frames are gathered in `frames`, a
-/// buffer the load reuses, and moved into the shared slice, which leaves
-/// the buffer empty with its capacity kept.
-fn build_stack(
-    frames: &mut Vec<StackFrame>,
-    script: &ScriptStrings,
-    method_idx: usize,
-    caller_chain: &[usize],
-    ancestor_frames: &[StackFrame],
-    via_caller: Option<&str>,
-) -> CallStack {
-    frames.clear();
-    // Innermost: the method issuing the request.
-    frames.push(script.frame(method_idx));
-    // Per-request calling context: the method that invoked this dispatcher
-    // for this particular request (shared-transport pattern).
-    if let Some(caller) = via_caller {
-        match script.methods.iter().position(|name| &**name == caller) {
-            Some(pos) => frames.push(script.frame(pos)),
-            None => frames.push(StackFrame::new(Arc::clone(&script.url), caller)),
+    /// Append the call stack of one call site of method `method_idx` of
+    /// script `idx` to `frames` and return its span: the method, the
+    /// caller it was invoked through, its callers in the script, and the
+    /// ancestors' frames from [`LoadScratch::ancestor_stack`].
+    fn build_stack(
+        &mut self,
+        script: &PageScript,
+        idx: usize,
+        method_idx: usize,
+        via_caller: Option<&str>,
+    ) -> Span {
+        let start = self.frames.len();
+        // Innermost: the method issuing the request.
+        self.frames.push(self.frame(idx, method_idx));
+        // Per-request calling context: the method that invoked this
+        // dispatcher for this particular request (shared-transport pattern).
+        if let Some(caller) = via_caller {
+            let frame = match script.methods.iter().position(|m| m.name == caller) {
+                Some(pos) => self.frame(idx, pos),
+                None => (self.scripts[idx].0, self.write(caller)),
+            };
+            self.frames.push(frame);
         }
-    }
-    frames.extend(caller_chain.iter().map(|&caller| script.frame(caller)));
-    frames.extend(ancestor_frames.iter().cloned());
-    CallStack {
-        frames: frames.drain(..).collect(),
+        for &caller in &self.caller_chain {
+            self.frames.push(self.frame(idx, caller));
+        }
+        self.frames.extend_from_slice(&self.ancestors);
+        self.stack_since(start)
     }
 }
 
@@ -461,34 +486,53 @@ mod tests {
     }
 
     #[test]
-    fn one_load_shares_one_copy_of_each_page_script_and_method_string() {
+    fn every_string_of_a_load_lies_in_its_one_text_buffer() {
         let corpus = small_corpus();
         let mut sim = PageLoadSimulator::new(0);
         for site in &corpus.websites {
             let result = sim.load(site);
-            let page = &result.requests[0].top_level_url;
+            let text = result.requests[0].top_level_url.buffer();
+            let frames = result.requests[0].call_stack.buffer();
+            let mut strings = 0;
+            let mut stacks: Vec<&CallStack> = Vec::new();
             for request in &result.requests {
-                assert!(Arc::ptr_eq(&request.top_level_url, page));
+                let stack = &request.call_stack;
+                assert!(Arc::ptr_eq(stack.buffer(), frames));
+                if !stacks.iter().any(|known| known.same_span(stack)) {
+                    stacks.push(stack);
+                }
+                let frame_strings = (request.call_stack.iter())
+                    .flat_map(|frame| [&frame.script_url, &frame.function_name]);
+                for string in [&request.top_level_url, &request.url]
+                    .into_iter()
+                    .chain(frame_strings)
+                {
+                    assert!(Arc::ptr_eq(string.buffer(), text), "{string}");
+                    strings += 1;
+                }
             }
-            // As many script-URL allocations as script URLs, and no more
-            // method-name allocations than the site's scripts have methods,
-            // however many frames name them.
-            let frames = || {
-                result
-                    .requests
-                    .iter()
-                    .flat_map(|r| r.call_stack.frames.iter())
-            };
-            let allocations = |field: fn(&StackFrame) -> &Arc<str>| {
-                let pointers: HashSet<*const u8> =
-                    frames().map(|f| Arc::as_ptr(field(f)).cast()).collect();
-                pointers.len()
-            };
-            let urls: HashSet<&str> = frames().map(|f| &*f.script_url).collect();
-            assert_eq!(allocations(|f| &f.script_url), urls.len());
-            let methods: usize = site.scripts.iter().map(|s| s.methods.len()).sum();
-            assert!(allocations(|f| &f.function_name) <= methods);
-            assert!(frames().count() > methods, "{}", site.domain);
+            // The buffer holds each page, script and method string once,
+            // however many frames name it, beside each request's own URL.
+            let urls: usize = result.requests.iter().map(|r| r.url.len()).sum();
+            let methods: usize = (site.scripts.iter())
+                .flat_map(|s| &s.methods)
+                .map(|m| m.name.len())
+                .sum();
+            let scripts: usize = (site.scripts.iter())
+                .map(|s| s.origin.url())
+                .filter(|url| *url != site.url)
+                .map(str::len)
+                .sum();
+            let document = site.url.len();
+            assert!(
+                text.len() <= document + scripts + methods + urls,
+                "{}",
+                site.domain
+            );
+            assert!(strings > result.requests.len() * 3, "{}", site.domain);
+            // The frame buffer holds each call site's stack once.
+            let distinct: usize = stacks.iter().map(|stack| stack.len()).sum();
+            assert_eq!(frames.len(), distinct, "{}", site.domain);
         }
     }
 
@@ -510,13 +554,13 @@ mod tests {
                     .map(|planned| {
                         let issued = issued.next().expect("one record per planned request");
                         assert_eq!(*issued.url, planned.url);
-                        (planned, &issued.call_stack.frames)
+                        (planned, &issued.call_stack)
                     })
                     .collect();
                 for (k, (a, a_frames)) in requests.iter().enumerate() {
                     for (b, b_frames) in &requests[k + 1..] {
                         let one_site = a.via_caller == b.via_caller;
-                        assert_eq!(Arc::ptr_eq(a_frames, b_frames), one_site, "{}", a.url);
+                        assert_eq!(a_frames.same_span(b_frames), one_site, "{}", a.url);
                         if one_site {
                             shared += 1;
                         } else {
@@ -536,10 +580,10 @@ mod tests {
                     .map(|&loaded| {
                         let fetch = fetches.next().expect("one fetch per injection");
                         assert_eq!(*fetch.url, *site.scripts[loaded].origin.url());
-                        &fetch.call_stack.frames
+                        &fetch.call_stack
                     })
                     .collect();
-                assert!(stacks.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])));
+                assert!(stacks.windows(2).all(|w| w[0].same_span(w[1])));
             }
         }
         assert!(
@@ -591,7 +635,6 @@ mod tests {
                     for req in loaded_requests {
                         assert!(
                             req.call_stack
-                                .frames
                                 .iter()
                                 .any(|f| &*f.script_url == loader.origin.url()),
                             "request {} lacks loader ancestry",

@@ -279,10 +279,18 @@ impl HierarchyResult {
 /// A labeled row as [`classify_rows`] reads it: its four attribution keys,
 /// coarsest first, and its label. The walk is generic over it, so each
 /// caller's row type gets its own copy of the walk, with no indirection per
-/// row.
+/// row, and a level reads only the key it groups by.
 pub trait HierarchyRow {
-    /// `(domain, hostname, script URL, method name, tracking)`.
-    fn keys(&self) -> (&str, &str, &str, &str, bool);
+    /// Registrable domain (eTLD+1).
+    fn domain(&self) -> &str;
+    /// Hostname.
+    fn hostname(&self) -> &str;
+    /// URL of the initiating script.
+    fn script(&self) -> &str;
+    /// Name of the initiating method.
+    fn method(&self) -> &str;
+    /// `true` when the row is labeled tracking.
+    fn is_tracking(&self) -> bool;
 }
 
 /// The attribution key of `row` at `granularity`, as an interned symbol:
@@ -293,12 +301,11 @@ fn row_key<R: HierarchyRow>(
     row: &R,
     interner: &mut KeyInterner,
 ) -> ResourceKey {
-    let (domain, hostname, script, method, _) = row.keys();
     match granularity {
-        Granularity::Domain => interner.intern(domain),
-        Granularity::Hostname => interner.intern(hostname),
-        Granularity::Script => interner.intern(script),
-        Granularity::Method => interner.intern_method(script, method),
+        Granularity::Domain => interner.intern(row.domain()),
+        Granularity::Hostname => interner.intern(row.hostname()),
+        Granularity::Script => interner.intern(row.script()),
+        Granularity::Method => interner.intern_method(row.script(), row.method()),
     }
 }
 
@@ -356,12 +363,11 @@ fn classify_level<'a, 'b, R: HierarchyRow>(
     let mut counts = vec![Counts::default(); interner.len()];
     let mut first_seen: Vec<ResourceKey> = Vec::new();
     for (key, row) in keys.iter().zip(input) {
-        let (.., tracking) = row.keys();
         let cell = &mut counts[key.index()];
         if cell.is_empty() {
             first_seen.push(*key);
         }
-        cell.record(tracking);
+        cell.record(row.is_tracking());
     }
 
     let mut mixed = vec![false; interner.len()];

@@ -2426,6 +2426,75 @@ mod tests {
         assert_eq!(sifter.ingest_stats().no_engine, 0);
     }
 
+    /// Two page hosts, one of each family, whose triples with `url` share a
+    /// label-memo key. The memo's hash is unkeyed, so the search is
+    /// deterministic: 2^17 hosts of one family meet one of the other after
+    /// about 2^15 tries.
+    fn hosts_sharing_a_memo_key(
+        url: &str,
+        first: impl Fn(u32) -> String,
+        second: impl Fn(u32) -> String,
+    ) -> (String, String) {
+        let key = |host: &str| LabelMemo::hash(url, host, ResourceType::Script);
+        let firsts: HashMap<u32, u32> = (0..1 << 17).map(|n| (key(&first(n)), n)).collect();
+        (0..1 << 24)
+            .find_map(|n| {
+                let m = firsts.get(&key(&second(n)))?;
+                Some((first(*m), second(n)))
+            })
+            .expect("a shared key among 2^41 pairs")
+    }
+
+    #[test]
+    fn one_url_under_two_page_hosts_keeps_each_hosts_label() {
+        // The memo files a triple under a 32-bit hash of all three parts,
+        // so a hit must also compare the page host: two hosts whose triples
+        // share a key, and whose labels differ, in one commit interval.
+        let mut sifter = Sifter::builder()
+            .filter_lists(&[(
+                ListKind::EasyList,
+                "||t.example^$third-party\n||d.example^$domain=shop.example\n",
+            )])
+            .build();
+        let cases = [
+            // Seen first-party, then third-party.
+            (
+                "https://t.example/pixel.js",
+                hosts_sharing_a_memo_key(
+                    "https://t.example/pixel.js",
+                    |n| format!("p{n}.t.example"),
+                    |n| format!("q{n}.other.example"),
+                ),
+                [RequestLabel::Functional, RequestLabel::Tracking],
+            ),
+            // Seen on the `$domain=` rule's domain, then off it.
+            (
+                "https://d.example/tag.js",
+                hosts_sharing_a_memo_key(
+                    "https://d.example/tag.js",
+                    |n| format!("p{n}.shop.example"),
+                    |n| format!("q{n}.other.example"),
+                ),
+                [RequestLabel::Tracking, RequestLabel::Functional],
+            ),
+        ];
+        for _ in 0..2 {
+            for (url, (first, second), labels) in &cases {
+                for (host, label) in [first, second].into_iter().zip(labels) {
+                    let row = ObservationRef::url(url, host, ResourceType::Script, "s.js", "m");
+                    assert_eq!(
+                        sifter.apply(row),
+                        ObserveOutcome::Observed(*label),
+                        "{url} on {host}"
+                    );
+                }
+            }
+        }
+        // The second pass found each first host's label in the memo; the
+        // second host's triple, filed under a taken key, is labeled afresh.
+        assert_eq!(sifter.ingest_stats().labels_reused, 2);
+    }
+
     /// The harness's re-crawl — every planned request of a churny corpus,
     /// fingerprint-keyed, one commit per epoch — keeps the memo's arena
     /// within 1.5× the key bytes of the last interval's rows.

@@ -23,14 +23,24 @@ pub(crate) struct LabeledRow {
 }
 
 impl HierarchyRow for LabeledRow {
-    fn keys(&self) -> (&str, &str, &str, &str, bool) {
-        (
-            &self.domain,
-            &self.hostname,
-            &self.initiator_script,
-            &self.initiator_method,
-            self.tracking,
-        )
+    fn domain(&self) -> &str {
+        &self.domain
+    }
+
+    fn hostname(&self) -> &str {
+        &self.hostname
+    }
+
+    fn script(&self) -> &str {
+        &self.initiator_script
+    }
+
+    fn method(&self) -> &str {
+        &self.initiator_method
+    }
+
+    fn is_tracking(&self) -> bool {
+        self.tracking
     }
 }
 

@@ -30,8 +30,8 @@ fn observation(
     tracking: bool,
 ) -> LabeledRequest {
     let hostname: Arc<str> = format!("h{host}.d{domain}.com").into();
-    let script: Arc<str> = format!("https://pub.com/s{script}.js").into();
-    let method: Arc<str> = format!("m{method}").into();
+    let script: crawler::Text = format!("https://pub.com/s{script}.js").into();
+    let method: crawler::Text = format!("m{method}").into();
     LabeledRequest {
         request_id: 0,
         top_level_url: "https://www.pub.com/".into(),
@@ -41,7 +41,7 @@ fn observation(
         resource_type: ResourceType::Xhr,
         initiator_script: script.clone(),
         initiator_method: method.clone(),
-        stack: Arc::from([StackFrame::new(script, method)]),
+        stack: vec![StackFrame::new(script, method)].into(),
         label: if tracking {
             RequestLabel::Tracking
         } else {

@@ -454,8 +454,8 @@ fn arb_observation() -> impl Strategy<Value = trackersift::LabeledRequest> {
     ((0usize..5, 0usize..3), (0usize..5, 0usize..4, 0u64..2)).prop_map(
         |((domain, host), (script, method, label))| {
             let hostname: Arc<str> = format!("h{host}.d{domain}.com").into();
-            let script: Arc<str> = format!("https://pub.com/s{script}.js").into();
-            let method: Arc<str> = format!("m{method}").into();
+            let script: crawler::Text = format!("https://pub.com/s{script}.js").into();
+            let method: crawler::Text = format!("m{method}").into();
             let tracking = label == 1;
             trackersift::LabeledRequest {
                 request_id: 0,
@@ -466,7 +466,7 @@ fn arb_observation() -> impl Strategy<Value = trackersift::LabeledRequest> {
                 resource_type: ResourceType::Xhr,
                 initiator_script: script.clone(),
                 initiator_method: method.clone(),
-                stack: Arc::from([crawler::StackFrame::new(script, method)]),
+                stack: vec![crawler::StackFrame::new(script, method)].into(),
                 label: if tracking {
                     RequestLabel::Tracking
                 } else {
