@@ -1617,6 +1617,67 @@ fn stats_sections_of_a_durable_scheduled_primary_keep_their_key_order() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A durable primary restarted from a checkpoint reports it: after a
+/// `PUT /v1/snapshot` (whose restore is checkpointed into a generation of
+/// its own), a fresh writer booted on the same directory restores that
+/// snapshot, and the recovery report's `"restored_snapshot"` reads `true`
+/// in its place in the `"durability"` section. Numbers are masked as in
+/// the test above.
+#[test]
+fn a_primary_restarted_from_a_checkpoint_reports_the_restored_snapshot() {
+    let dir = std::env::temp_dir().join(format!(
+        "trackersift-server-restored-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let config = || ServerConfig {
+        workers: 1,
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServerConfig::ephemeral()
+    };
+    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let server = VerdictServer::start(writer, config()).expect("first boot");
+    let snapshot = trained_sifter().snapshot().to_json_string();
+    let (status, _) =
+        Client::connect(server.local_addr()).request("PUT", "/v1/snapshot", Some(&snapshot));
+    assert_eq!(status, 200);
+    server.shutdown();
+
+    let (writer, _reader) = Sifter::builder().build_concurrent();
+    let server = VerdictServer::start(writer, config()).expect("second boot");
+    assert!(server.recovery().expect("durable boot").restored_snapshot);
+    let (status, body) = Client::connect(server.local_addr()).request("GET", "/v1/stats", None);
+    assert_eq!(status, 200);
+    let mut masked = String::new();
+    for c in body.chars() {
+        if !c.is_ascii_digit() {
+            masked.push(c);
+        } else if !masked.ends_with('N') {
+            masked.push('N');
+        }
+    }
+    let (_, tail) = masked
+        .split_once(r#""admission":{"#)
+        .and_then(|(_, rest)| rest.split_once("},"))
+        .expect("admission section");
+    assert_eq!(
+        tail,
+        concat!(
+            r#""durability":{"generation":N,"#,
+            r#""journal":{"appended":N,"synced":N,"syncs":N,"write_errors":N,"#,
+            r#""sync_errors":N,"rotations":N,"bytes":N},"#,
+            r#""recovery":{"generation":N,"restored_snapshot":true,"snapshot_observations":N,"#,
+            r#""replayed_records":N,"replayed_commits":N,"torn_bytes":N}},"#,
+            r#""replication":{"role":"primary","ring":{"len":N,"oldest":N,"newest":N},"#,
+            r#""snapshots":{"deltas":N,"fulls":N}}}"#,
+        ),
+        "{body}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Deterministic observation tuples from a splitmix-style stream.
 fn observations(count: usize, mut seed: u64) -> Vec<(String, String, String, String, bool)> {
     let mut next = move || {
