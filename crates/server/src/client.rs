@@ -25,7 +25,7 @@ use trackersift_engine::frames;
 use trackersift_engine::{
     ApplyError, Decision, DeltaSnapshot, FollowerState, UrlRewriter, VerdictRevision, VerdictTable,
 };
-use trackersift_json::Value;
+use trackersift_json::{JsonError, Reader};
 
 /// The client half of the `GET /v1/keys` interning handshake: the server's
 /// key strings mapped back to their dense `u32` ids, scoped by the epoch
@@ -57,6 +57,38 @@ impl KeyTable {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
+}
+
+/// Read a `GET /v1/keys` reply with the pull [`Reader`], keys straight into
+/// the table: `keys[i]` gets id `i`. A field's first occurrence counts and
+/// an unknown field is skipped.
+fn read_keys(body: &str) -> Result<KeyTable, JsonError> {
+    let mut reader = Reader::new(body);
+    let (mut epoch, mut version, mut ids) = (None, None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "epoch" if epoch.is_none() => epoch = Some(reader.value()?.as_u64()?),
+            "version" if version.is_none() => version = Some(reader.value()?.as_u64()?),
+            "keys" if ids.is_none() => {
+                let (mut table, mut id) = (HashMap::new(), 0u32);
+                reader.begin_array()?;
+                while reader.next_element()? {
+                    table.insert(reader.string()?.into_owned(), id);
+                    id += 1;
+                }
+                ids = Some(table);
+            }
+            _ => reader.skip_value()?,
+        }
+    }
+    reader.finish()?;
+    let missing = |name: &str| JsonError(format!("missing field `{name}`"));
+    Ok(KeyTable {
+        epoch: epoch.ok_or_else(|| missing("epoch"))?,
+        version: version.ok_or_else(|| missing("version"))?,
+        ids: ids.ok_or_else(|| missing("keys"))?,
+    })
 }
 
 /// Why a typed revision fetch ([`Client::fetch_revisions`],
@@ -214,28 +246,7 @@ impl Client {
     pub fn fetch_keys(&mut self) -> KeyTable {
         let (status, body) = self.request("GET", "/v1/keys", None);
         assert_eq!(status, 200, "GET /v1/keys failed: {body}");
-        let value = Value::parse(&body).expect("parse /v1/keys reply");
-        let epoch = value
-            .field("epoch")
-            .and_then(|epoch| epoch.as_u64())
-            .expect("keys epoch");
-        let version = value
-            .field("version")
-            .and_then(|version| version.as_u64())
-            .expect("keys version");
-        let keys = value
-            .field("keys")
-            .and_then(|keys| keys.as_array())
-            .expect("keys array");
-        let mut ids = HashMap::with_capacity(keys.len());
-        for (id, key) in keys.iter().enumerate() {
-            ids.insert(key.as_str().expect("key string").to_string(), id as u32);
-        }
-        KeyTable {
-            epoch,
-            version,
-            ids,
-        }
+        read_keys(&body).expect("parse /v1/keys reply")
     }
 
     /// Fetch the published revision ring (`GET /v1/revisions`); returns
@@ -891,5 +902,40 @@ mod tests {
         assert_eq!(client.retries_spent(), 3, "lifetime budget caps the rest");
         assert!(client.request("GET", "/healthz", None, b"").is_err());
         assert_eq!(client.retries_spent(), 3, "budget spent: single attempts");
+    }
+
+    /// `fetch_keys` reads the server's own `/v1/keys` bytes back into the
+    /// ids they were written under, over the keys of the writer's golden in
+    /// `wire`: quotes, backslashes, every control byte, 0x7f and
+    /// multi-byte UTF-8.
+    #[test]
+    fn fetched_keys_keep_the_ids_of_every_escaped_and_non_ascii_key() {
+        use trackersift_engine::KeyInterner;
+        let controls: String = (0u8..=0x20).map(char::from).collect();
+        let mut keys = vec![
+            String::new(),
+            "ads.com".to_string(),
+            "quo\"te".to_string(),
+            "back\\slash\\".to_string(),
+            "\"\\\u{7f}".to_string(),
+            "é中🦀".to_string(),
+            "🦀https://p.com/a.js :: sénd\u{1}".to_string(),
+            controls.clone(),
+        ];
+        keys.extend((0..=controls.len()).map(|len| format!("k{}", &controls[..len])));
+        let mut interner = KeyInterner::new();
+        for key in &keys {
+            interner.intern(key);
+        }
+        let body = wire::keys_to_json(1 << 53, 17, &interner.freeze());
+        let (addr, primary) = fake_primary(vec![(200, body)]);
+        let table = Client::connect(addr).fetch_keys();
+        primary.join().expect("fake primary");
+        assert_eq!((table.epoch, table.version), (1 << 53, 17));
+        assert_eq!(table.len(), keys.len());
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(table.id_of(key), Some(id as u32), "{key:?}");
+        }
+        assert_eq!(table.id_of("k\u{20}"), None);
     }
 }

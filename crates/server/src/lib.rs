@@ -156,7 +156,7 @@ pub use replica::ReplicaConfig;
 
 use http::{HttpResponse, RequestParser, RequestView};
 use poller::Poller;
-use stats::numbers;
+use stats::Numbers;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -171,7 +171,6 @@ use trackersift_engine::{
     diff_revisions, CommitStats, DeltaSnapshot, JournalStats, RecoveryReport, RevisionRangeError,
     ServiceStats, SifterReader, SifterSnapshot, SifterWriter,
 };
-use trackersift_json::{object, Value};
 use wire::ObservationBatch;
 
 /// Configuration of a [`VerdictServer`].
@@ -1344,11 +1343,10 @@ impl Worker {
     fn keys(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
         let pin = self.reader.pin();
         let table = pin.table();
-        Ok(HttpResponse::json(wire::keys_to_json(
-            table.keys_epoch(),
-            table.version(),
-            table.keys(),
-        )))
+        Ok(HttpResponse::bytes(
+            "application/json",
+            wire::keys_to_json(table.keys_epoch(), table.version(), table.keys()),
+        ))
     }
 
     /// `POST /v1/observations`: the batch goes to the admin thread only
@@ -1359,19 +1357,31 @@ impl Worker {
             wire::decode_observation_batch(decide::body_text(request)?).map_err(bad_request)?;
         let (accepted, skipped, pending) =
             admin_call(admin, |reply| AdminMsg::Observe(observations, reply))?;
-        let reply = numbers(&[
+        let mut out = b"{".to_vec();
+        out.numbers(&[
             ("accepted", accepted),
             ("skipped", skipped),
             ("pending", pending),
         ]);
-        Ok(HttpResponse::json(object(reply).render()))
+        out.push(b'}');
+        Ok(HttpResponse::bytes("application/json", out))
     }
 
     fn commit(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
         let (stats, version) = admin_call(self.admin()?, AdminMsg::Commit)?;
-        Ok(HttpResponse::json(
-            wire::commit_to_json(&stats, version).render(),
-        ))
+        let mut out = b"{".to_vec();
+        out.numbers(&[("observations", stats.observations)]);
+        out.extend_from_slice(b",\"reclassified\":{");
+        out.numbers(&[
+            ("domains", stats.domains as u64),
+            ("hostnames", stats.hostnames as u64),
+            ("scripts", stats.scripts as u64),
+            ("methods", stats.methods as u64),
+        ]);
+        out.extend_from_slice(b"},");
+        out.numbers(&[("version", version)]);
+        out.push(b'}');
+        Ok(HttpResponse::bytes("application/json", out))
     }
 
     /// `POST /v1/tick`: run one scheduler tick on the admin thread. A
@@ -1379,13 +1389,15 @@ impl Worker {
     fn tick(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
         let summary = admin_call(self.admin()?, AdminMsg::Tick)?
             .ok_or_else(|| bad_request("no scheduler attached"))?;
-        let reply = numbers(&[
+        let mut out = b"{".to_vec();
+        out.numbers(&[
             ("epoch", summary.epoch),
             ("observations", summary.observations),
             ("drift_events", summary.drift_events),
             ("version", summary.version),
         ]);
-        Ok(HttpResponse::json(object(reply).render()))
+        out.push(b'}');
+        Ok(HttpResponse::bytes("application/json", out))
     }
 
     /// `GET /v1/revisions`: the pinned table's revision ring, or — with
@@ -1490,13 +1502,14 @@ impl Worker {
         let snapshot = SifterSnapshot::parse(text).map_err(bad_request)?;
         let (version, observations, dropped_pending) =
             admin_call(admin, |reply| AdminMsg::Import(Box::new(snapshot), reply))??;
-        let mut reply = vec![("restored", Value::Bool(true))];
-        reply.extend(numbers(&[
+        let mut out = b"{\"restored\":true,".to_vec();
+        out.numbers(&[
             ("version", version),
             ("observations", observations),
             ("dropped_pending", dropped_pending),
-        ]));
-        Ok(HttpResponse::json(object(reply).render()))
+        ]);
+        out.push(b'}');
+        Ok(HttpResponse::bytes("application/json", out))
     }
 }
 

@@ -50,9 +50,7 @@
 use filterlist::ResourceType;
 use std::borrow::Cow;
 use trackersift_engine::frames::{self, FrameError, FrameReader, PROTO_VERSION, RECORD_HEADER_LEN};
-use trackersift_engine::{
-    CommitStats, Decision, DecisionRequest, FrozenKeys, ObservationRef, ServiceStats,
-};
+use trackersift_engine::{Decision, DecisionRequest, FrozenKeys, ObservationRef};
 use trackersift_json::{self as json, object, JsonError, Kind, Reader, Value};
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
@@ -709,7 +707,7 @@ pub fn decode_binary_shed(body: &[u8]) -> Result<u32, FrameError> {
 ///
 /// The reply is streamed into one buffer, each key read straight out of
 /// the frozen view's arena: no `Value` tree and no string per key.
-pub(crate) fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> String {
+pub(crate) fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> Vec<u8> {
     // Each key, its quotes and its comma, unless it needs escapes; two
     // integers and the envelope take under 80 bytes.
     let bound = 80 + keys.iter().map(|(_, key)| key.len() + 3).sum::<usize>();
@@ -726,7 +724,7 @@ pub(crate) fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> Strin
         json::write_string(&mut out, key);
     }
     out.extend_from_slice(b"]}");
-    String::from_utf8(out).expect("the JSON writers emit UTF-8")
+    out
 }
 
 /// One observation as a client builds it for `POST /v1/observations`: the
@@ -878,54 +876,6 @@ pub fn decode_observation_batch(text: &str) -> Result<ObservationBatch, JsonErro
     reader.finish()?;
     rows.unwrap_or_else(|| err("missing field `observations`"))?;
     Ok(batch)
-}
-
-/// Encode the reply to `POST /v1/commit`.
-pub(crate) fn commit_to_json(stats: &CommitStats, version: u64) -> Value {
-    object(vec![
-        ("observations", Value::number_u64(stats.observations)),
-        (
-            "reclassified",
-            object(vec![
-                ("domains", Value::number_u64(stats.domains as u64)),
-                ("hostnames", Value::number_u64(stats.hostnames as u64)),
-                ("scripts", Value::number_u64(stats.scripts as u64)),
-                ("methods", Value::number_u64(stats.methods as u64)),
-            ]),
-        ),
-        ("version", Value::number_u64(version)),
-    ])
-}
-
-/// Encode `ServiceStats` (the core half of the `/v1/stats` reply).
-pub(crate) fn service_stats_to_json(stats: &ServiceStats) -> Value {
-    object(vec![
-        ("version", Value::number_u64(stats.version)),
-        (
-            "ingest",
-            object(vec![
-                ("observed", Value::number_u64(stats.ingest.observed)),
-                ("committed", Value::number_u64(stats.ingest.committed)),
-                ("pending", Value::number_u64(stats.ingest.pending())),
-                ("invalid_urls", Value::number_u64(stats.ingest.invalid_urls)),
-                ("no_engine", Value::number_u64(stats.ingest.no_engine)),
-            ]),
-        ),
-        (
-            "conflicting_observations",
-            Value::number_u64(stats.ingest.conflicting_domains),
-        ),
-        ("unattributed", Value::number_u64(stats.unattributed)),
-        (
-            "resources",
-            object(vec![
-                ("domains", Value::number_u64(stats.resources[0] as u64)),
-                ("hostnames", Value::number_u64(stats.resources[1] as u64)),
-                ("scripts", Value::number_u64(stats.resources[2] as u64)),
-                ("methods", Value::number_u64(stats.resources[3] as u64)),
-            ]),
-        ),
-    ])
 }
 
 #[cfg(test)]
@@ -1251,6 +1201,11 @@ mod tests {
         let mut trailing = frame;
         trailing.push(0);
         assert!(decode_binary_shed(&trailing).is_err());
+    }
+
+    /// The keys reply as text, to compare with the oracle's render.
+    fn keys_to_json(epoch: u64, version: u64, keys: &FrozenKeys) -> String {
+        String::from_utf8(super::keys_to_json(epoch, version, keys)).expect("UTF-8 reply")
     }
 
     /// The tree encoder `keys_to_json` replaced, kept as its oracle.
