@@ -71,13 +71,13 @@ fn read_keys(body: &str) -> Result<KeyTable, JsonError> {
             "epoch" if epoch.is_none() => epoch = Some(reader.value()?.as_u64()?),
             "version" if version.is_none() => version = Some(reader.value()?.as_u64()?),
             "keys" if ids.is_none() => {
-                let (mut table, mut id) = (HashMap::new(), 0u32);
+                let mut keys = Vec::new();
                 reader.begin_array()?;
                 while reader.next_element()? {
-                    table.insert(reader.string()?.into_owned(), id);
-                    id += 1;
+                    keys.push(reader.string()?.into_owned());
                 }
-                ids = Some(table);
+                // Collected into a table sized once for every key.
+                ids = Some(keys.into_iter().zip(0..).collect());
             }
             _ => reader.skip_value()?,
         }

@@ -156,7 +156,7 @@ pub use replica::ReplicaConfig;
 
 use http::{HttpResponse, RequestParser, RequestView};
 use poller::Poller;
-use stats::Numbers;
+use stats::{numbers_reply, Reply};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -1357,31 +1357,25 @@ impl Worker {
             wire::decode_observation_batch(decide::body_text(request)?).map_err(bad_request)?;
         let (accepted, skipped, pending) =
             admin_call(admin, |reply| AdminMsg::Observe(observations, reply))?;
-        let mut out = b"{".to_vec();
-        out.numbers(&[
+        Ok(numbers_reply(&[
             ("accepted", accepted),
             ("skipped", skipped),
             ("pending", pending),
-        ]);
-        out.push(b'}');
-        Ok(HttpResponse::bytes("application/json", out))
+        ]))
     }
 
     fn commit(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
         let (stats, version) = admin_call(self.admin()?, AdminMsg::Commit)?;
-        let mut out = b"{".to_vec();
+        let mut out = Reply::new();
         out.numbers(&[("observations", stats.observations)]);
-        out.extend_from_slice(b",\"reclassified\":{");
-        out.numbers(&[
+        out.open("reclassified").numbers(&[
             ("domains", stats.domains as u64),
             ("hostnames", stats.hostnames as u64),
             ("scripts", stats.scripts as u64),
             ("methods", stats.methods as u64),
         ]);
-        out.extend_from_slice(b"},");
-        out.numbers(&[("version", version)]);
-        out.push(b'}');
-        Ok(HttpResponse::bytes("application/json", out))
+        out.close().numbers(&[("version", version)]);
+        Ok(out.finish())
     }
 
     /// `POST /v1/tick`: run one scheduler tick on the admin thread. A
@@ -1389,15 +1383,12 @@ impl Worker {
     fn tick(&self, _: &RequestView<'_>) -> Result<HttpResponse, HttpResponse> {
         let summary = admin_call(self.admin()?, AdminMsg::Tick)?
             .ok_or_else(|| bad_request("no scheduler attached"))?;
-        let mut out = b"{".to_vec();
-        out.numbers(&[
+        Ok(numbers_reply(&[
             ("epoch", summary.epoch),
             ("observations", summary.observations),
             ("drift_events", summary.drift_events),
             ("version", summary.version),
-        ]);
-        out.push(b'}');
-        Ok(HttpResponse::bytes("application/json", out))
+        ]))
     }
 
     /// `GET /v1/revisions`: the pinned table's revision ring, or — with
@@ -1502,14 +1493,14 @@ impl Worker {
         let snapshot = SifterSnapshot::parse(text).map_err(bad_request)?;
         let (version, observations, dropped_pending) =
             admin_call(admin, |reply| AdminMsg::Import(Box::new(snapshot), reply))??;
-        let mut out = b"{\"restored\":true,".to_vec();
+        let mut out = Reply::new();
+        out.key("restored").extend_from_slice(b"true");
         out.numbers(&[
             ("version", version),
             ("observations", observations),
             ("dropped_pending", dropped_pending),
         ]);
-        out.push(b'}');
-        Ok(HttpResponse::bytes("application/json", out))
+        Ok(out.finish())
     }
 }
 

@@ -1,7 +1,8 @@
 //! `GET /v1/stats`: the worker and admission counters, the role's head
 //! and sections, and the replication block, written for either role
-//! straight into the reply's bytes: runs of named numbers between the
-//! literal punctuation that nests them, and no JSON tree.
+//! straight into the reply's bytes by [`Reply`], the writer the mutation
+//! replies share: runs of named numbers in nested sections, and no JSON
+//! tree.
 
 use crate::http::{HttpResponse, RequestView};
 use crate::{admin_call, AdminMsg, Role, Worker};
@@ -30,32 +31,29 @@ impl Worker {
         // the version that reply reports.
         let pin = self.reader.pin();
         let table = pin.table();
-        let mut out = b"{".to_vec();
+        let mut out = Reply::new();
         if let Some((stats, _)) = &primary {
             let (service, ingest) = (&stats.service, &stats.service.ingest);
             out.numbers(&[("version", service.version)]);
-            out.extend_from_slice(b",\"ingest\":{");
-            out.numbers(&[
+            out.open("ingest").numbers(&[
                 ("observed", ingest.observed),
                 ("committed", ingest.committed),
                 ("pending", ingest.pending()),
                 ("invalid_urls", ingest.invalid_urls),
                 ("no_engine", ingest.no_engine),
             ]);
-            out.extend_from_slice(b"},");
-            out.numbers(&[
+            out.close().numbers(&[
                 ("conflicting_observations", ingest.conflicting_domains),
                 ("unattributed", service.unattributed),
             ]);
-            out.extend_from_slice(b",\"resources\":{");
             let [domains, hostnames, scripts, methods] = service.resources.map(|n| n as u64);
-            out.numbers(&[
+            out.open("resources").numbers(&[
                 ("domains", domains),
                 ("hostnames", hostnames),
                 ("scripts", scripts),
                 ("methods", methods),
             ]);
-            out.push(b'}');
+            out.close();
         } else {
             out.numbers(&[
                 ("version", table.version()),
@@ -68,7 +66,7 @@ impl Worker {
         let mut shed_requests = 0u64;
         let mut snapshot_deltas = 0u64;
         let mut snapshot_fulls = 0u64;
-        out.extend_from_slice(b",\"workers\":[");
+        out.key("workers").push(b'[');
         for (index, counters) in self.counters.iter().enumerate() {
             let restarts = load(&counters.restarts);
             let conns_shed = load(&counters.shed_connections);
@@ -78,7 +76,8 @@ impl Worker {
             shed_requests += requests_shed;
             snapshot_deltas += load(&counters.snapshot_deltas);
             snapshot_fulls += load(&counters.snapshot_fulls);
-            out.extend_from_slice(if index > 0 { b",{" } else { b"{" });
+            out.0
+                .extend_from_slice(if index > 0 { b",{" } else { b"{" });
             out.numbers(&[
                 ("requests", load(&counters.requests)),
                 ("decisions", load(&counters.decisions)),
@@ -88,10 +87,10 @@ impl Worker {
                 ("shed_connections", conns_shed),
                 ("shed_requests", requests_shed),
             ]);
-            out.push(b'}');
+            out.close();
         }
-        out.extend_from_slice(b"],\"admission\":{");
-        out.numbers(&[
+        out.0.push(b']');
+        out.open("admission").numbers(&[
             ("active_connections", load(&self.gauges.active_connections)),
             ("inflight", load(&self.gauges.inflight)),
             ("max_connections", self.max_connections as u64),
@@ -100,14 +99,13 @@ impl Worker {
             ("shed_connections", shed_connections),
             ("shed_requests", shed_requests),
         ]);
-        out.push(b'}');
+        out.close();
         if let Some((stats, recovery)) = primary {
             if let Some(generation) = stats.generation {
                 let journal = stats.journal.unwrap_or_default();
-                out.extend_from_slice(b",\"durability\":{");
+                out.open("durability");
                 out.numbers(&[("generation", generation)]);
-                out.extend_from_slice(b",\"journal\":{");
-                out.numbers(&[
+                out.open("journal").numbers(&[
                     ("appended", journal.appended),
                     ("synced", journal.synced),
                     ("syncs", journal.syncs),
@@ -116,27 +114,25 @@ impl Worker {
                     ("rotations", journal.rotations),
                     ("bytes", journal.bytes),
                 ]);
-                out.push(b'}');
+                out.close();
                 if let Some(recovery) = recovery {
-                    out.extend_from_slice(b",\"recovery\":{");
+                    out.open("recovery");
                     out.numbers(&[("generation", recovery.generation)]);
-                    out.extend_from_slice(match recovery.restored_snapshot {
-                        true => b",\"restored_snapshot\":true,",
-                        false => b",\"restored_snapshot\":false,",
-                    });
+                    let restored = recovery.restored_snapshot.to_string();
+                    out.key("restored_snapshot")
+                        .extend_from_slice(restored.as_bytes());
                     out.numbers(&[
                         ("snapshot_observations", recovery.snapshot_observations),
                         ("replayed_records", recovery.replayed_records),
                         ("replayed_commits", recovery.replayed_commits),
                         ("torn_bytes", recovery.torn_bytes),
                     ]);
-                    out.push(b'}');
+                    out.close();
                 }
-                out.push(b'}');
+                out.close();
             }
             if let Some((scheduler, last_tick_micros)) = stats.scheduler {
-                out.extend_from_slice(b",\"scheduler\":{");
-                out.numbers(&[
+                out.open("scheduler").numbers(&[
                     ("epoch", scheduler.epoch),
                     ("ticks", scheduler.ticks),
                     ("last_tick_micros", last_tick_micros),
@@ -145,21 +141,19 @@ impl Worker {
                     ("emerged_pixels", scheduler.emerged_pixels),
                     ("drift_events", scheduler.drift_events),
                 ]);
-                out.extend_from_slice(b",\"retention\":{");
-                out.numbers(&[
+                out.open("retention").numbers(&[
                     ("probes", scheduler.retention_probes),
                     ("hits", scheduler.retention_hits),
                 ]);
-                out.extend_from_slice(b"}}");
+                out.close().close();
             }
         }
-        out.extend_from_slice(b",\"replication\":{\"role\":");
+        out.open("replication").key("role");
         match &self.role {
-            Role::Primary { .. } => out.extend_from_slice(b"\"primary\""),
+            Role::Primary { .. } => write_string(&mut out.0, "primary"),
             Role::Replica(status) => {
-                out.extend_from_slice(b"\"replica\",\"upstream\":");
-                write_string(&mut out, status.upstream());
-                out.push(b',');
+                write_string(&mut out.0, "replica");
+                write_string(out.key("upstream"), status.upstream());
                 out.numbers(&[
                     ("applied_version", status.applied_version()),
                     ("polls", load(&status.polls)),
@@ -170,35 +164,68 @@ impl Worker {
             }
         }
         let ring = table.revisions();
-        out.extend_from_slice(b",\"ring\":{");
-        out.numbers(&[
+        out.open("ring").numbers(&[
             ("len", ring.len() as u64),
             ("oldest", ring.first().map_or(0, |oldest| oldest.version())),
             ("newest", ring.last().map_or(0, |newest| newest.version())),
         ]);
-        out.extend_from_slice(b"},\"snapshots\":{");
+        out.close().open("snapshots");
         out.numbers(&[("deltas", snapshot_deltas), ("fulls", snapshot_fulls)]);
-        out.extend_from_slice(b"}}}");
-        Ok(HttpResponse::bytes("application/json", out))
+        out.close().close();
+        Ok(out.finish())
     }
 }
 
-/// The one writer of named numbers into a JSON reply, for `/v1/stats`
-/// and the mutation replies alike.
-pub(crate) trait Numbers {
-    /// Append `"a":1,"b":2`: the fields in order, with no punctuation around.
-    fn numbers(&mut self, fields: &[(&str, u64)]);
-}
+/// The one writer of `/v1/stats` and the mutation replies: a JSON object
+/// written straight into its bytes. A field gets its comma unless it is the
+/// first of its object or array, so callers write no punctuation between.
+pub(crate) struct Reply(Vec<u8>);
 
-impl Numbers for Vec<u8> {
-    fn numbers(&mut self, fields: &[(&str, u64)]) {
-        for (index, &(name, count)) in fields.iter().enumerate() {
-            if index > 0 {
-                self.push(b',');
-            }
-            write_string(self, name);
-            self.push(b':');
-            write_u64(self, count);
+impl Reply {
+    pub(crate) fn new() -> Self {
+        Reply(b"{".to_vec())
+    }
+
+    /// Start the field `name`, after a comma unless an object or array
+    /// was just opened; the caller writes its value.
+    pub(crate) fn key(&mut self, name: &str) -> &mut Vec<u8> {
+        if !matches!(self.0.last(), Some(b'{' | b'[')) {
+            self.0.push(b',');
         }
+        write_string(&mut self.0, name);
+        self.0.push(b':');
+        &mut self.0
     }
+
+    /// Append the fields in order: `"a":1,"b":2`.
+    pub(crate) fn numbers(&mut self, fields: &[(&str, u64)]) -> &mut Self {
+        for &(name, count) in fields {
+            write_u64(self.key(name), count);
+        }
+        self
+    }
+
+    /// Open the object field `name`, up to its [`Reply::close`].
+    pub(crate) fn open(&mut self, name: &str) -> &mut Self {
+        self.key(name).push(b'{');
+        self
+    }
+
+    pub(crate) fn close(&mut self) -> &mut Self {
+        self.0.push(b'}');
+        self
+    }
+
+    /// Close the reply's object and hand its bytes over.
+    pub(crate) fn finish(mut self) -> HttpResponse {
+        self.close();
+        HttpResponse::bytes("application/json", self.0)
+    }
+}
+
+/// A reply that is one run of named numbers: `{"a":1,"b":2}`.
+pub(crate) fn numbers_reply(fields: &[(&str, u64)]) -> HttpResponse {
+    let mut out = Reply::new();
+    out.numbers(fields);
+    out.finish()
 }

@@ -5,24 +5,23 @@
 # mutation breaks) and one `Kill:` line (the `cargo test` arguments of the
 # test that must fail on it), followed by a unified diff against the tree.
 #
-#   tests/mutants/run.sh [patch...]
+#   tests/mutants/run.sh
 #
-# The tracked files are copied to a scratch directory (`$MUTANTS_DIR`, or a
-# fresh temporary one), and every `Kill:` test is first run on the clean
-# copy, where it must pass. Then each patch is applied with `git apply`, its
-# test built and run, and the patch reverted. The script fails if a patch no
-# longer applies, a mutant does not build, a test fails on the clean copy,
-# or a mutant survives its test. Builds share one target directory, so only
-# the first is a full build.
+# The tracked files are copied to a fresh temporary directory, removed on
+# exit, and every `Kill:` test is first run on the clean copy, where it must
+# pass. Then each patch is applied with `git apply`, its test built and run,
+# and the patch reverted. The script fails if a patch no longer applies, a
+# mutant does not build, a test fails on the clean copy, or a mutant
+# survives its test. Builds share one target directory, so only the first is
+# a full build.
 set -euo pipefail
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 cd "$root"
-if [ "$#" -eq 0 ]; then
-  set -- tests/mutants/*.patch
-fi
-work=${MUTANTS_DIR:-$(mktemp -d)}
-mkdir -p "$work/tree"
+patches=("$root"/tests/mutants/*.patch)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/tree"
 git ls-files -z | tar --null -T - -c | tar -x -C "$work/tree"
 export CARGO_TARGET_DIR="$work/target"
 
@@ -31,8 +30,7 @@ kill_args() {
 }
 
 cd "$work/tree"
-for patch in "$@"; do
-  patch="$root/$patch"
+for patch in "${patches[@]}"; do
   args=$(kill_args "$patch")
   if [ -z "$args" ]; then
     echo "$patch: no Kill: line" >&2
@@ -47,9 +45,8 @@ for patch in "$@"; do
 done
 
 status=0
-for patch in "$@"; do
+for patch in "${patches[@]}"; do
   name=$(basename "$patch")
-  patch="$root/$patch"
   args=$(kill_args "$patch")
   if ! git apply "$patch"; then
     echo "$name: no longer applies" >&2
